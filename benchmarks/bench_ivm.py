@@ -28,7 +28,7 @@ from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.serve import QueryService
-from repro.serve.faults import WORKER_DEATH_ENV
+from repro.engine.faults import WORKER_DEATH_ENV
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
 N = 1_000

@@ -126,8 +126,9 @@ async def _bench(backend: str) -> dict:
 
     vocab = parse_query(VOCAB)
     database = matching_database(vocab, n=N, rng=0)
-    # result_cache_size=0: every request is a real execution, so the
-    # open-loop phase genuinely saturates the executor.
+    # result_cache_size=0: every request is a full route/ship/join
+    # execution (only plans are cached), so the open-loop phase
+    # genuinely saturates the executor.
     session = connect(database, p=P, backend=backend, result_cache_size=0)
     try:
         # Phase 1 (no admission limits): warm the plan cache, then

@@ -114,9 +114,9 @@ async def _serve_phase(backend: str, workers: int, database) -> dict:
     from repro import connect
     from repro.serve.rpc import RpcServer
 
-    # result_cache_size=0: every request executes for real, so wall
-    # clock measures execution throughput, not cache replay (E13/E14
-    # gate those).
+    # result_cache_size=0: every request routes, ships and joins for
+    # real (only plans are cached), so wall clock measures execution
+    # throughput, not cache replay (E13/E14 gate those).
     session = connect(
         database,
         p=P,

@@ -94,11 +94,12 @@ async def _bench(backend: str) -> dict:
     vocab = parse_query(VOCAB)
     database = matching_database(vocab, n=N, rng=0)
     # result_cache_size=0: isolate in-flight coalescing from
-    # result-cache replay (bench_serving.py's E13 gates the latter).
+    # result-cache replay (bench_serving.py's E13 gates the latter);
+    # each uncoalesced request is a full route/ship/join execution.
     session = connect(database, p=P, backend=backend, result_cache_size=0)
     async with RpcServer(session) as server:
         host, port = server.address
-        # Warm-up: compile every plan, memoize every result.
+        # Warm-up: compile every plan (results are not memoized).
         warm_elapsed, _ = await _timed_phase(host, port, 1)
         single_elapsed, single_answers = await _timed_phase(host, port, 1)
         multi_elapsed, multi_answers = await _timed_phase(

@@ -150,7 +150,6 @@ def test_serving_throughput(once, bench_backend):
             "plan_hits": stats.plans.hits,
             "isomorphic_plan_hits": stats.plans.isomorphic_hits,
             "result_hits": stats.result_hits,
-            "routing_hits": stats.routing_hits,
             **memory,
         },
     )

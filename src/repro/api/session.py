@@ -234,8 +234,8 @@ class Session:
 
     The only public way in is :func:`repro.connect`.  A session owns:
 
-    * a :class:`~repro.serve.service.QueryService` (plan / routing /
-      result caches over a versioned database);
+    * a :class:`~repro.serve.service.QueryService` (plan and result
+      caches over a versioned database);
     * a :class:`~repro.planner.Planner` choosing the compiler for
       every statement from the registry's declared cost models;
     * bounded LRU caches of planner decisions and data profiles, keyed
@@ -265,14 +265,13 @@ class Session:
         capacity_c: capacity constant override (None = each chosen
             algorithm's own default).
         enforce_capacity: raise on worker overload.
-        plan_cache_size / routing_cache_size / result_cache_size:
-            entry budgets of the service's cache layers (0 disables).
+        plan_cache_size / result_cache_size: entry budgets of the
+            service's two cache layers (0 disables).
         decision_cache_size / profile_cache_size: entry budgets of the
             planner-decision and data-profile caches (0 disables,
             like the service cache sizes).
         sample_cap: stride-sample relations beyond this many rows when
             profiling.
-        reuse_simulators / profile: forwarded to the service.
         ivm: serve post-update statements by incremental view
             maintenance when possible (forwarded to the service; see
             :mod:`repro.serve.ivm`).
@@ -296,9 +295,6 @@ class Session:
             delivered volume.  None defers to ``REPRO_CHUNK_ROWS``;
             answers, loads and capacity behaviour are identical for
             every chunk size.
-        worker_join_timeout: seconds :meth:`close` waits for each
-            fan-out worker process before killing it (stragglers are
-            counted in the pool's ``killed_stragglers``).
     """
 
     def __init__(
@@ -316,20 +312,16 @@ class Session:
         capacity_c: float | None = None,
         enforce_capacity: bool = False,
         plan_cache_size: int = 128,
-        routing_cache_size: int = 512,
         result_cache_size: int = 512,
         decision_cache_size: int = 256,
         profile_cache_size: int = 64,
         sample_cap: int = SAMPLE_CAP,
-        reuse_simulators: bool = True,
-        profile: bool = True,
         ivm: bool = True,
         workers: int = 1,
         chunk_rows: int | None = None,
-        worker_join_timeout: float = 5.0,
     ) -> None:
         # Serializes every touch of the unsynchronized underlying
-        # state: the service's plan/routing/result caches and pooled
+        # state: the service's plan/result caches and pooled
         # simulators, the planner's decision/profile LRUs.  The
         # fan-out query path never takes it (workers own their state),
         # which is what lets N RPC dispatcher threads drive a fan-out
@@ -348,10 +340,7 @@ class Session:
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,
             plan_cache_size=plan_cache_size,
-            routing_cache_size=routing_cache_size,
             result_cache_size=result_cache_size,
-            reuse_simulators=reuse_simulators,
-            profile=profile,
             ivm=ivm,
             chunk_rows=chunk_rows,
         )
@@ -390,21 +379,15 @@ class Session:
                 capacity_c=capacity_c,
                 enforce_capacity=enforce_capacity,
                 plan_cache_size=plan_cache_size,
-                routing_cache_size=routing_cache_size,
                 result_cache_size=result_cache_size,
                 decision_cache_size=decision_cache_size,
                 profile_cache_size=profile_cache_size,
                 sample_cap=sample_cap,
-                reuse_simulators=reuse_simulators,
-                profile=profile,
                 ivm=ivm,
                 chunk_rows=chunk_rows,
             )
             self._fanout = SessionWorkerPool(
-                self._service.database,
-                options,
-                workers,
-                join_timeout=worker_join_timeout,
+                self._service.database, options, workers
             )
 
     # -- construction of statements -----------------------------------------

@@ -38,8 +38,8 @@ Commands:
   ``--tcp PORT`` the same database is served to the network instead,
   over the asyncio JSON-lines RPC protocol of
   :mod:`repro.serve.rpc` (planner-routed, with cross-request
-  coalescing); ``--plan-cache-size`` / ``--routing-cache-size`` /
-  ``--result-cache-size`` bound the cache layers in both modes.
+  coalescing); ``--plan-cache-size`` / ``--result-cache-size`` bound
+  the two cache layers in both modes.
 * ``tables`` -- regenerate Table 1 and Table 2 of the paper.
 
 ``run``, ``run-plan`` and ``skew`` execute through the algorithm
@@ -465,11 +465,8 @@ def _serve_handle(service, line: str, out) -> bool:
                  f"{stats.plans.hits} / {stats.plans.isomorphic_hits}"],
                 ["plan misses (compiles)", stats.plans.misses],
                 ["result hits", stats.result_hits],
-                ["routing hits / misses",
-                 f"{stats.routing_hits} / {stats.routing_misses}"],
-                ["evictions (plan / routing / result)",
-                 f"{stats.plans.evictions} / {stats.routing_evictions}"
-                 f" / {stats.result_evictions}"],
+                ["evictions (plan / result)",
+                 f"{stats.plans.evictions} / {stats.result_evictions}"],
                 ["updates", stats.updates],
                 ["answers served", stats.answers_served],
                 ["capacity failures", stats.capacity_failures],
@@ -513,7 +510,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     backend = resolve_backend(args.backend)
     cache_sizes = dict(
         plan_cache_size=args.plan_cache_size,
-        routing_cache_size=args.routing_cache_size,
         result_cache_size=args.result_cache_size,
     )
 
@@ -886,10 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--plan-cache-size", type=int, default=128,
         help="plan-cache entry budget (0 disables)",
-    )
-    serve.add_argument(
-        "--routing-cache-size", type=int, default=512,
-        help="routing-cache entry budget (0 disables)",
     )
     serve.add_argument(
         "--result-cache-size", type=int, default=512,

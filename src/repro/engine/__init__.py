@@ -37,7 +37,7 @@ execution is packaged as an immutable :class:`~repro.engine.plan.Plan`
 (compiled once per (query, eps, p, backend) by the algorithms'
 ``compile_*`` functions, executed any number of times by
 :func:`~repro.engine.executor.execute_plan`) -- the seam the serving
-layer's plan/routing/result caches build on.
+layer's plan/result caches build on.
 """
 
 from repro.engine.deadline import Deadline, DeadlineExceeded

@@ -17,12 +17,10 @@ per-round received bits/tuples and capacity failures are bit-identical
 across backends by construction.
 
 Routing and shipping are separate verbs
-(:meth:`RoundEngine.route_step` / :meth:`RoundEngine.ship_step`): a
-step's routing decision is a pure function of (step, source), so a
-serving layer can cache the :class:`RoutedStep` across requests over
-an unchanged database and replay only the ship/deliver/local phases --
-load accounting and capacity behaviour are recomputed every time, so
-cached and fresh executions stay bit-identical.
+(:meth:`RoundEngine.route_step` / :meth:`RoundEngine.ship_step`) with
+a :class:`RoutedStep` handed between them, so a subclass can compute
+the routing decision elsewhere (the process-parallel engine routes row
+shards on a pool) and ship it through the same code.
 
 :func:`execute_plan` is the plan-level entry point: it takes an
 immutable :class:`~repro.engine.plan.Plan` (the output of an
@@ -42,11 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from contextlib import nullcontext
-from typing import Any, Mapping, MutableMapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.backend import NUMPY, resolve_backend
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.engine.deadline import Deadline
+from repro.engine.faults import (
+    block_delay_seconds,
+    inject_round_delay,
+    round_delay_seconds,
+)
 from repro.engine.plan import (
     CollectAnswers,
     FinalizeView,
@@ -63,16 +66,12 @@ from repro.mpc.stats import RoundStats, SimulationReport
 
 @dataclass(frozen=True)
 class RoutedStep:
-    """One step's routing decision, detached from shipping.
+    """One step's routing decision: the route -> ship hand-off.
 
     Exactly one representation is populated, matching the backend that
     produced it: ``batches`` maps destination worker to its row list
     (``pure``); ``columns``/``destinations``/``row_indices`` are the
-    :meth:`RoutingStep.route_columns` triple (``numpy``).  The routing
-    decision is a pure function of (step, source columns), so a
-    ``RoutedStep`` may be cached and re-shipped against the same
-    source -- replaying it stages the identical multiset of
-    (row, destination) pairs.
+    :meth:`RoutingStep.route_columns` triple (``numpy``).
     """
 
     batches: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] | None = None
@@ -137,7 +136,6 @@ class RoundEngine:
         self,
         steps: Sequence[RoutingStep],
         sources: Mapping[str, ColumnarRelation],
-        routed: dict[int, RoutedStep] | None = None,
     ) -> RoundStats:
         """Execute one communication round: route, ship, deliver.
 
@@ -145,12 +143,6 @@ class RoundEngine:
             steps: the routing steps of the round.
             sources: source relation/view per step ``relation`` name;
                 column storage must match the engine's backend.
-            routed: optional pre-computed routing decisions, keyed by
-                step index (cache replay).  Missing steps are routed
-                fresh -- inside the open round, so the profiler
-                attributes their route time to the right round index
-                -- and their decisions are written back into the dict
-                for the caller to cache.
 
         Returns:
             The closed round's statistics.
@@ -160,17 +152,12 @@ class RoundEngine:
                 enforcement is on and a worker's budget is blown.
         """
         self.simulator.begin_round()
-        for index, step in enumerate(steps):
+        for step in steps:
             source = sources[step.relation]
-            decision = None if routed is None else routed.get(index)
-            if decision is None and self._stream_eligible(step, source):
+            if self._stream_eligible(step, source):
                 self.stream_step(step, source)
-                continue
-            if decision is None:
-                decision = self.route_step(step, source)
-                if routed is not None:
-                    routed[index] = decision
-            self.ship_step(step, source, decision)
+            else:
+                self.ship_step(step, source, self.route_step(step, source))
         with self._measure("deliver"):
             return self.simulator.end_round()
 
@@ -240,8 +227,6 @@ class RoundEngine:
         from repro.backend import require_numpy
         from repro.engine.streaming import iter_blocks
 
-        from repro.serve.faults import block_delay_seconds
-
         numpy = require_numpy()
         simulator = self.simulator
         p = simulator.num_workers
@@ -275,26 +260,10 @@ class RoundEngine:
                 )
         return counts
 
-    def execute_step(
-        self,
-        step: RoutingStep,
-        source: ColumnarRelation,
-        routed: RoutedStep | None = None,
-    ) -> None:
-        """Route and stage one step (inside an open round)."""
-        if routed is None:
-            routed = self.route_step(step, source)
-        self.ship_step(step, source, routed)
-
     def route_step(
         self, step: RoutingStep, source: ColumnarRelation
     ) -> RoutedStep:
-        """Compute one step's routing decision (no simulator effects).
-
-        A pure function of (step, source): the result may be cached
-        and replayed through :meth:`ship_step` as long as the source
-        relation is unchanged.
-        """
+        """Compute one step's routing decision (no simulator effects)."""
         p = self.simulator.num_workers
         if self.backend == NUMPY:
             with self._measure("route"):
@@ -473,7 +442,6 @@ def execute_plan(
     *,
     profiler: RoundProfiler | None = None,
     simulator: MPCSimulator | None = None,
-    routed_cache: MutableMapping[tuple[int, int], RoutedStep] | None = None,
     relation_map: Mapping[str, str] | None = None,
     input_bits: int | None = None,
     parallel: Any = None,
@@ -493,12 +461,6 @@ def execute_plan(
             collector.
         simulator: optional simulator to reuse (reset in place); must
             match the plan's configuration.
-        routed_cache: optional mutable mapping from ``(round index,
-            step index)`` to :class:`RoutedStep`.  Hits skip the route
-            phase entirely (the serving layer's pre-routed columns);
-            misses are routed fresh and written back.  The caller owns
-            invalidation -- entries are only valid while the database
-            content backing them is unchanged.
         relation_map: plan relation name -> database relation name,
             for executing a cached plan against an isomorphic query's
             relations (the plan-cache rebind).
@@ -519,11 +481,9 @@ def execute_plan(
             fall back transparently.
         chunk_rows: streaming block size (see :class:`RoundEngine`);
             None reads the ``REPRO_CHUNK_ROWS`` environment knob, and
-            an unset knob means monolithic execution.  Streaming
-            bypasses ``routed_cache`` (lazy deliveries never
-            materialise the routing decision a cache entry would
-            hold); answers, loads and capacity failures stay
-            bit-identical for every chunk size.
+            an unset knob means monolithic execution.  Answers, loads
+            and capacity failures stay bit-identical for every chunk
+            size.
         deadline: optional per-request latency budget.  Checked
             cooperatively -- before each round, between streamed
             blocks, between local-evaluation shards, and before the
@@ -536,10 +496,9 @@ def execute_plan(
 
     Raises:
         CapacityExceeded: when the plan enforces capacity and a worker
-            overflows -- identically for fresh and cache-replayed
-            routing.  Takes precedence over the deadline when a round
-            both overflows and overruns (the round-close check fires
-            first).
+            overflows.  Takes precedence over the deadline when a
+            round both overflows and overruns (the round-close check
+            fires first).
         DeadlineExceeded: when ``deadline`` expires at a cooperative
             checkpoint.
         ValueError: for fixpoint plans (those are executed by their
@@ -564,11 +523,6 @@ def execute_plan(
 
     chunk_rows = resolve_chunk_rows(chunk_rows)
     streaming = chunk_rows is not None and backend == NUMPY
-    if streaming:
-        # Lazy deliveries never materialise the routing decision a
-        # cache entry would replay; the caller's cache is bypassed
-        # (reads and writes) for the whole execution.
-        routed_cache = None
     parallel_ctx = (
         parallel if parallel is not None and parallel.usable else None
     )
@@ -621,22 +575,13 @@ def execute_plan(
 
     environment.resolver = resolve_view
 
-    from repro.serve.faults import inject_round_delay, round_delay_seconds
-
     fault_round_delay = round_delay_seconds()
-    for round_index, plan_round in enumerate(plan.rounds):
+    for plan_round in plan.rounds:
         inject_round_delay(fault_round_delay)
         if deadline is not None:
             deadline.check("between rounds")
         steps = plan_round.steps
-        routed: dict[int, RoutedStep] = {}
-        if routed_cache is not None:
-            for step_index in range(len(steps)):
-                hit = routed_cache.get((round_index, step_index))
-                if hit is not None:
-                    routed[step_index] = hit
-        missing = [i for i in range(len(steps)) if i not in routed]
-        if pending and plan_round.bind_heavy is not None and missing:
+        if pending and plan_round.bind_heavy is not None:
             # Heavy detection scans the environment directly; settle
             # every outstanding view before statistics are taken.
             for name in list(pending):
@@ -647,20 +592,11 @@ def execute_plan(
             # pool while base relations stream -- the round r local /
             # round r+1 route overlap.  Step order within a round
             # never affects answers, loads or capacity (staging is
-            # additive per relation), and the routing cache is off in
-            # streaming mode so indices need not be stable.
-            order = sorted(
-                range(len(steps)),
-                key=lambda i: steps[i].relation in pending,
+            # additive per relation).
+            steps = tuple(
+                sorted(steps, key=lambda step: step.relation in pending)
             )
-            if order != list(range(len(steps))):
-                steps = tuple(steps[i] for i in order)
-        if plan_round.bind_heavy is not None and missing:
-            # Heavy-hitter detection is execute-time statistics work;
-            # it is skipped when every step of the round replays from
-            # the routing cache (same data => same heavy sets, already
-            # baked into the cached decisions) -- such replayed
-            # executions report heavy_hitters as None.
+        if plan_round.bind_heavy is not None:
             from repro.algorithms.skewaware import detect_heavy_hitters
 
             bind = plan_round.bind_heavy
@@ -677,14 +613,7 @@ def execute_plan(
                 else step
                 for step in steps
             )
-        # run_round routes the missing steps inside the open round
-        # (correct profiler attribution) and fills them into `routed`.
-        engine.run_round(steps, environment, routed=routed)
-        if routed_cache is not None:
-            for step_index in missing:
-                decision = routed.get(step_index)
-                if decision is not None:
-                    routed_cache[(round_index, step_index)] = decision
+        engine.run_round(steps, environment)
 
         for view in plan_round.views:
             key_of = key_map_of(view.key_map)

@@ -27,8 +27,8 @@ CI legs trigger them deterministically:
 
 All knobs are off (no-ops) when unset; malformed values raise at the
 first read rather than silently disabling the fault.  The module
-imports nothing from the engine or serving layers, so the engine's
-lazy calls into it can never cycle.
+lives in the engine package because the round loop is its lowest
+reader, and imports only the standard library.
 """
 
 from __future__ import annotations

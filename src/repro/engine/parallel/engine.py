@@ -172,27 +172,24 @@ class ParallelRoundEngine(RoundEngine):
             deadline=deadline,
         )
         self.context = context
-        self._round_routed = False
         self._round_parallel = False
 
     # -- round bookkeeping ---------------------------------------------------
 
-    def run_round(self, steps, sources, routed=None):
+    def run_round(self, steps, sources):
         """Execute one round, counting it as parallel or fallback.
 
         A round increments ``parallel_rounds`` when at least one step
-        fanned out, ``fallback_rounds`` when steps were routed fresh
-        but all in-process; rounds fully replayed from the routing
-        cache increment neither (no routing happened at all).
+        fanned out, ``fallback_rounds`` when every step routed
+        in-process.
         """
-        self._round_routed = False
         self._round_parallel = False
         try:
-            return super().run_round(steps, sources, routed=routed)
+            return super().run_round(steps, sources)
         finally:
             if self._round_parallel:
                 self.context.parallel_rounds += 1
-            elif self._round_routed:
+            elif steps:
                 self.context.fallback_rounds += 1
 
     # -- routing -------------------------------------------------------------
@@ -209,7 +206,6 @@ class ParallelRoundEngine(RoundEngine):
     def route_step(
         self, step: RoutingStep, source: ColumnarRelation
     ) -> RoutedStep:
-        self._round_routed = True
         if not self._eligible(step, source):
             return super().route_step(step, source)
         with self._measure("route"):
@@ -229,7 +225,6 @@ class ParallelRoundEngine(RoundEngine):
         counting pass exactly.  Ineligible steps and a broken pool
         fall back to the serial pass.
         """
-        self._round_routed = True
         if not self._eligible(step, source):
             return super()._stream_counts(step, source)
         if self.deadline is not None:

@@ -94,7 +94,7 @@ def _worker_main(
     from repro.engine.deadline import DeadlineExceeded
     from repro.engine.parallel.shm import attach_snapshot, detach_all
     from repro.mpc.simulator import CapacityExceeded
-    from repro.serve.faults import worker_death_after
+    from repro.engine.faults import worker_death_after
 
     death_after = worker_death_after()
     queries_handled = 0

@@ -86,7 +86,7 @@ class PlanSignature:
 
     @property
     def cache_key(self) -> tuple:
-        """Hashable identity for plan / routing / result caches."""
+        """Hashable identity for plan / result caches."""
         return (
             self.algorithm,
             self.query_text,

@@ -11,10 +11,6 @@ across requests:
   ``(query, eps, p, backend)`` -- isomorphic queries share one
   compiled plan (:mod:`repro.core.isomorphism` supplies the witness
   that rebinds relations and permutes answer columns);
-* a routing cache holding each plan step's pre-routed columns per
-  database version, so repeat executions skip the route phase
-  entirely and replay ship/deliver/local (loads and capacity checks
-  are recomputed, keeping cached and fresh runs bit-identical);
 * a result cache memoizing whole executions per (plan, rebind,
   version) -- the repeated-query fast path, including cached
   :class:`~repro.mpc.simulator.CapacityExceeded` failures;
@@ -31,7 +27,7 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.cache import CacheRebind, LRUCache, PlanCache
-from repro.serve.faults import FAULT_ENVS, FaultConfig, active_faults
+from repro.engine.faults import FAULT_ENVS, FaultConfig, active_faults
 from repro.serve.metrics import Histogram, MetricsServer, render_metrics
 from repro.serve.rpc import RpcServer, RpcStats, serve_tcp
 from repro.serve.service import (

@@ -34,7 +34,7 @@ from repro.engine.plan import Plan
 class LRUCache:
     """A minimal LRU store with predicate purging.
 
-    The bounded store behind the service's routing/result caches and
+    The bounded store behind the service's result cache and
     the session's planner-decision/profile caches.  ``on_evict`` (when
     given) is called once per size-cap eviction -- the hook
     :class:`~repro.serve.service.ServiceStats` counts cache pressure

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.data.columnar import ColumnarDatabase
 from repro.data.versioned import ComposedDelta
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan
-from repro.serve.faults import worker_death_after
+from repro.engine.faults import worker_death_after
 
 from .state import RetainedState, step_writers
 

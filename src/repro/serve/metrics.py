@@ -316,19 +316,10 @@ def render_metrics(server: Any) -> str:
         "Whole-execution result-cache hits.", service.result_hits,
     )
     registry.sample(
-        "service_routing_total", "counter",
-        "Routing-cache lookups, by outcome.",
-        series=[
-            ({"outcome": "hit"}, service.routing_hits),
-            ({"outcome": "miss"}, service.routing_misses),
-        ],
-    )
-    registry.sample(
         "service_cache_evictions_total", "counter",
         "Size-cap evictions, by cache layer.",
         series=[
             ({"cache": "plan"}, service.plans.evictions),
-            ({"cache": "routing"}, service.routing_evictions),
             ({"cache": "result"}, service.result_evictions),
         ],
     )
@@ -450,7 +441,7 @@ def render_metrics(server: Any) -> str:
         "database_version", "gauge",
         "Current database version.", session.version,
     )
-    from repro.serve.faults import active_faults
+    from repro.engine.faults import active_faults
 
     registry.sample(
         "faults_active", "gauge",

@@ -583,7 +583,7 @@ class RpcServer:
         # on the wire (with drain() applying the client's backpressure)
         # before the next is built, so peak memory per streamed query
         # is one batch rather than the whole result.
-        from repro.serve.faults import disconnect_after_batches
+        from repro.engine.faults import disconnect_after_batches
 
         fault_after = disconnect_after_batches()
         batches = 0
@@ -713,9 +713,10 @@ class RpcServer:
                 "requests": service.requests,
                 "executions": service.executions,
                 "result_hits": service.result_hits,
-                "routing_hits": service.routing_hits,
-                "routing_misses": service.routing_misses,
-                "routing_evictions": service.routing_evictions,
+                # Always 0: benchmarks/e2e/metrics.py indexes these keys.
+                "routing_hits": 0,
+                "routing_misses": 0,
+                "routing_evictions": 0,
                 "result_evictions": service.result_evictions,
                 "plan_hits": service.plans.hits,
                 "plan_isomorphic_hits": service.plans.isomorphic_hits,

@@ -3,18 +3,14 @@
 :class:`QueryService` is the repeated-query serving loop the ROADMAP's
 heavy-traffic item asks for: construct it once over a database, then
 call :meth:`QueryService.execute` per request and
-:meth:`QueryService.update` when the data changes.  Three cache layers
-amortize work across requests, each guarded by the database version:
+:meth:`QueryService.update` when the data changes.  Two cache layers
+amortize work across requests:
 
 1. **Plans** (:class:`~repro.serve.cache.PlanCache`): compilation --
    covers, shares, grids, step lists -- runs once per isomorphism
-   class of (query, eps, p, backend).
-2. **Routing** : each plan step's routing decision
-   (:class:`~repro.engine.executor.RoutedStep`, the pre-hashed
-   destination columns) is cached per database version; replays skip
-   the route phase but re-run ship/deliver/local, so loads and
-   capacity behaviour are recomputed bit-identically.
-3. **Results**: whole executions are memoized per (plan, rebind,
+   class of (query, eps, p, backend); plans are data-independent and
+   survive updates.
+2. **Results**: whole executions are memoized per (plan, rebind,
    version) -- the database is immutable between versions, so a
    repeated query is answered without touching the simulator.  A
    cached :class:`~repro.mpc.simulator.CapacityExceeded` is re-raised
@@ -63,34 +59,6 @@ from repro.serve.ivm import (
 #: per-request ``eps=None`` (which means "the query's own exponent").
 _UNSET = object()
 
-#: Backwards-compatible alias; the store itself lives in
-#: :mod:`repro.serve.cache` now.
-_LRU = LRUCache
-
-
-class _ScopedRoutingCache:
-    """The ``(round, step) -> RoutedStep`` view one execution sees.
-
-    Scopes the service-wide routing store to one (plan variant,
-    database version) and counts hits/misses into the service stats.
-    """
-
-    def __init__(self, store: _LRU, scope: tuple, stats: "ServiceStats") -> None:
-        self._store = store
-        self._scope = scope
-        self._stats = stats
-
-    def get(self, key: tuple) -> Any | None:
-        value = self._store.get((self._scope, key))
-        if value is None:
-            self._stats.routing_misses += 1
-        else:
-            self._stats.routing_hits += 1
-        return value
-
-    def __setitem__(self, key: tuple, value: Any) -> None:
-        self._store.put((self._scope, key), value)
-
 
 @dataclass
 class ServiceStats:
@@ -104,9 +72,6 @@ class ServiceStats:
     requests: int = 0
     executions: int = 0
     result_hits: int = 0
-    routing_hits: int = 0
-    routing_misses: int = 0
-    routing_evictions: int = 0
     result_evictions: int = 0
     updates: int = 0
     answers_served: int = 0
@@ -122,7 +87,7 @@ class ServiceStats:
     #: :class:`~repro.serve.ivm.IvmManager`.
     ivm_fallbacks: int = 0
     #: Rounds whose route phase fanned out across the process pool /
-    #: rounds that routed fresh but in-process (parallel serving only;
+    #: rounds that routed entirely in-process (parallel serving only;
     #: both stay 0 when the service runs single-process).
     parallel_rounds: int = 0
     fallback_rounds: int = 0
@@ -217,13 +182,8 @@ class QueryService:
             ``run_*`` default.
         enforce_capacity: raise :class:`CapacityExceeded` on overload
             (cached failures re-raise identically).
-        plan_cache_size / routing_cache_size / result_cache_size:
-            entry budgets of the three cache layers; a size of 0
-            disables that layer.
-        reuse_simulators: reset-and-reuse one simulator per MPC
-            configuration instead of allocating per request.
-        profile: collect per-request phase timings into
-            :attr:`stats` (a tiny overhead; disable for raw speed).
+        plan_cache_size / result_cache_size: entry budgets of the two
+            cache layers; a size of 0 disables that layer.
         workers: executor process count for the in-engine parallel
             route phase.  1 (the default) keeps execution fully
             in-process; >= 2 builds a
@@ -241,8 +201,7 @@ class QueryService:
             budgets instead of the full delivery volume -- answers,
             loads and capacity behaviour stay bit-identical.  None
             (the default) defers to the ``REPRO_CHUNK_ROWS``
-            environment knob; streaming executions bypass the routing
-            cache.
+            environment knob.
         ivm: serve post-delta requests by routing only the delta and
             merging with retained state when eligible (see
             :mod:`repro.serve.ivm`); answers, loads and capacity
@@ -270,10 +229,7 @@ class QueryService:
         capacity_c: float | None = None,
         enforce_capacity: bool = False,
         plan_cache_size: int = 128,
-        routing_cache_size: int = 512,
         result_cache_size: int = 512,
-        reuse_simulators: bool = True,
-        profile: bool = True,
         workers: int = 1,
         parallel_min_rows: int | None = None,
         chunk_rows: int | None = None,
@@ -305,8 +261,6 @@ class QueryService:
             else capacity_c
         )
         self.enforce_capacity = enforce_capacity
-        self.profile = profile
-        self.reuse_simulators = reuse_simulators
 
         self.stats = ServiceStats()
         self._plans = (
@@ -316,13 +270,8 @@ class QueryService:
         )
         if self._plans is not None:
             self.stats.plans = self._plans.stats
-        self._routing = (
-            _LRU(routing_cache_size, self._count_routing_eviction)
-            if routing_cache_size > 0
-            else None
-        )
         self._results = (
-            _LRU(result_cache_size, self._count_result_eviction)
+            LRUCache(result_cache_size, self._count_result_eviction)
             if result_cache_size > 0
             else None
         )
@@ -394,9 +343,6 @@ class QueryService:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def _count_routing_eviction(self) -> None:
-        self.stats.routing_evictions += 1
 
     def _count_result_eviction(self) -> None:
         self.stats.result_evictions += 1
@@ -614,10 +560,9 @@ class QueryService:
     ) -> int:
         """Mutate the database; returns the new version.
 
-        Plans survive (they are data-independent); routing decisions
-        and memoized results of older versions are purged eagerly so
-        the caches never serve stale data even if version comparison
-        were skipped.
+        Plans survive (they are data-independent); memoized results of
+        older versions are purged eagerly so the cache never serves
+        stale data even if version comparison were skipped.
         """
         return self.apply_delta(DatabaseDelta.of(inserts, deletes))
 
@@ -626,21 +571,16 @@ class QueryService:
 
         A delta that changes nothing *effectively* (empty, deleting
         absent rows, re-inserting present rows) still bumps the
-        version -- but the caches *chain*: version-stamped entries are
-        re-keyed to the new version instead of purged, so a repeated
-        query after a no-op update still hits its memoized result.
+        version -- but the result cache *chains*: its version-stamped
+        entries are re-keyed to the new version instead of purged, so a
+        repeated query after a no-op update still hits its memoized
+        result.
         """
         old_version = self._database.version
         version = self._database.apply_delta(delta)
         self.stats.updates += 1
         record = self._database.last_record
         if record is not None and record.is_noop:
-            if self._routing is not None:
-                self._routing.remap(
-                    lambda key: ((key[0][0], version), key[1])
-                    if key[0][1] == old_version
-                    else None
-                )
             if self._results is not None:
                 self._results.remap(
                     lambda key: (key[0], version)
@@ -649,8 +589,6 @@ class QueryService:
                 )
             if self._ivm is not None:
                 self._ivm.fast_forward(old_version, version)
-        if self._routing is not None:
-            self._routing.purge(lambda key: key[0][1] != version)
         if self._results is not None:
             self._results.purge(lambda key: key[1] != version)
         return version
@@ -742,9 +680,8 @@ class QueryService:
             backend=backend,
         )
 
-    def _simulator_for(self, plan: Plan) -> MPCSimulator | None:
-        if not self.reuse_simulators:
-            return None
+    def _simulator_for(self, plan: Plan) -> MPCSimulator:
+        """The pooled simulator for ``plan``'s MPC configuration."""
         config = plan_config(plan)
         key = (config.p, config.eps, config.c, config.backend)
         simulator = self._simulators.get(key)
@@ -766,13 +703,8 @@ class QueryService:
         profiler: RoundProfiler | None,
         deadline: Deadline | None = None,
     ) -> _Outcome:
-        if profiler is None and self.profile:
+        if profiler is None:
             profiler = RoundProfiler()
-        routed_cache = (
-            _ScopedRoutingCache(self._routing, (variant, version), self.stats)
-            if self._routing is not None
-            else None
-        )
         relation_map = (
             None if rebind.is_identity else dict(rebind.relation_map)
         )
@@ -784,7 +716,6 @@ class QueryService:
                 self._database.snapshot,
                 profiler=profiler,
                 simulator=self._simulator_for(plan),
-                routed_cache=routed_cache,
                 relation_map=relation_map,
                 parallel=parallel,
                 chunk_rows=self.chunk_rows,
@@ -805,8 +736,7 @@ class QueryService:
                 self.stats.parallel_rounds = parallel.parallel_rounds
                 self.stats.fallback_rounds = parallel.fallback_rounds
         self.stats.executions += 1
-        if profiler is not None:
-            self.stats.add_profile(profiler)
+        self.stats.add_profile(profiler)
         if error is not None:
             # The report lives on the pooled simulator that raised;
             # keep the failure itself, which carries worker/round/bits.

@@ -28,6 +28,19 @@ class TestConnect:
         with _session() as session:
             assert len(session.query("S1(x,y)").execute()) == 60
 
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            "routing_cache_size",
+            "reuse_simulators",
+            "profile",
+            "worker_join_timeout",
+        ],
+    )
+    def test_removed_knobs_are_rejected(self, removed):
+        with pytest.raises(TypeError, match=removed):
+            _session(**{removed: 1})
+
     def test_accepts_prebuilt_queries_and_text(self, two_hop):
         session = _session()
         from_text = session.query("q(x,y,z) = S1(x,y), S2(y,z)").execute()
@@ -196,12 +209,6 @@ class TestBoundedCaches:
         session.query("S1(x,y), S2(y,z)").execute()
         session.query("S2(x,y), S3(y,z)").execute()
         assert session.stats.result_evictions >= 1
-
-    def test_routing_cache_evictions_are_counted(self):
-        session = _session(routing_cache_size=1)
-        session.query("S1(x,y), S2(y,z)").execute()
-        session.query("S2(x,y), S3(y,z)").execute()
-        assert session.stats.routing_evictions >= 1
 
     def test_capped_result_cache_still_memoizes_the_hot_query(self):
         session = _session(result_cache_size=2)

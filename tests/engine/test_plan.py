@@ -28,7 +28,6 @@ from repro.engine import (
     CollectAnswers,
     FinalizeView,
     Plan,
-    RoutedStep,
     execute_plan,
     plan_simulator,
 )
@@ -161,20 +160,6 @@ class TestExecution:
         with pytest.raises(ValueError, match="config"):
             plan_simulator(plan4, input_bits=100, simulator=simulator)
 
-    def test_routed_cache_replay_is_bit_identical(self, two_hop, two_hop_db):
-        plan = compile_hypercube(two_hop, p=8)
-        cache: dict = {}
-        first = execute_plan(plan, two_hop_db, routed_cache=cache)
-        assert cache and all(
-            isinstance(value, RoutedStep) for value in cache.values()
-        )
-        replay = execute_plan(plan, two_hop_db, routed_cache=cache)
-        assert replay.answers == first.answers
-        assert replay.per_server == first.per_server
-        assert [r.received_bits for r in replay.report.rounds] == [
-            r.received_bits for r in first.report.rounds
-        ]
-
     def test_multiround_plan_execution(self):
         query = parse_query("S1(a,b), S2(b,c), S3(c,d), S4(d,e)")
         database = matching_database(query, n=30, rng=2)
@@ -222,24 +207,3 @@ class TestProfilerAttribution:
         assert all(
             "route" in phases for phases in profiler.rounds.values()
         )
-
-    def test_full_replay_skips_heavy_detection(self, monkeypatch):
-        from repro.data.generators import skewed_database
-
-        query = parse_query("S1(x,y), S2(y,z)")
-        database = skewed_database(query, n=40, rng=1, heavy_fraction=0.5)
-        plan = compile_skew_aware(query, p=8)
-        cache: dict = {}
-        first = execute_plan(plan, database, routed_cache=cache)
-        assert first.heavy_hitters is not None
-
-        import repro.algorithms.skewaware as skewaware
-
-        def boom(*args, **kwargs):
-            raise AssertionError("detection must not run on full replay")
-
-        monkeypatch.setattr(skewaware, "detect_heavy_hitters", boom)
-        replay = execute_plan(plan, database, routed_cache=cache)
-        assert replay.answers == first.answers
-        assert replay.per_server == first.per_server
-        assert replay.heavy_hitters is None

@@ -422,7 +422,7 @@ class TestServeErrorRegressions:
         )
         output = capsys.readouterr().out
         assert code == 0
-        assert "evictions (plan / routing / result)" in output
+        assert "evictions (plan / result)" in output
 
 
 class TestServeTcpFlag:

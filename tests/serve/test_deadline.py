@@ -17,7 +17,7 @@ from repro import connect
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.deadline import Deadline, DeadlineExceeded
-from repro.serve.faults import BLOCK_DELAY_ENV, ROUND_DELAY_ENV
+from repro.engine.faults import BLOCK_DELAY_ENV, ROUND_DELAY_ENV
 from repro.serve.service import QueryService
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")

@@ -24,7 +24,7 @@ from repro.data.versioned import (
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.mpc.simulator import CapacityExceeded
 from repro.serve import QueryService
-from repro.serve.faults import WORKER_DEATH_ENV
+from repro.engine.faults import WORKER_DEATH_ENV
 
 BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
 

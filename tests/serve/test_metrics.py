@@ -312,7 +312,7 @@ class TestMetricsServer:
         asyncio.run(body())
 
     def test_faults_gauge_reflects_the_environment(self, monkeypatch):
-        from repro.serve.faults import FAULT_ENVS, ROUND_DELAY_ENV
+        from repro.engine.faults import FAULT_ENVS, ROUND_DELAY_ENV
 
         for name in FAULT_ENVS:
             monkeypatch.delenv(name, raising=False)

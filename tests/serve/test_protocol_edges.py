@@ -10,7 +10,7 @@ import pytest
 from repro import connect
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
-from repro.serve.faults import DISCONNECT_ENV, ROUND_DELAY_ENV
+from repro.engine.faults import DISCONNECT_ENV, ROUND_DELAY_ENV
 from repro.serve.rpc import RpcServer
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")

@@ -68,21 +68,22 @@ class TestParityWithFreshCompilation:
                 r.received_tuples for r in served.report.rounds
             ] == [r.received_tuples for r in fresh.report.rounds]
 
-    def test_routing_cache_replay_matches_fresh(self, backend):
+    def test_reexecution_without_result_cache_matches_fresh(self, backend):
         database = _database()
-        # Disable result memoization so the repeat exercises the
-        # routing-cache replay path (ship/deliver/local re-run).
+        # Disable result memoization so the repeat is a real second
+        # execution on the pooled (reset) simulator.
         service = QueryService(
             database, p=8, backend=backend, result_cache_size=0
         )
         query = "S1(x,y), S2(y,z), S3(z,x)"
         first = service.execute(query)
-        replay = service.execute(query)
-        assert service.stats.routing_hits > 0
+        again = service.execute(query)
+        assert not again.result_hit
+        assert service.stats.executions == 2
         fresh = run_hypercube(
             parse_query(query), database, p=8, backend=backend
         )
-        for served in (first, replay):
+        for served in (first, again):
             assert served.answers == fresh.answers
             assert served.per_server == fresh.per_server_answers
             assert [
@@ -123,6 +124,24 @@ class TestParityWithFreshCompilation:
             assert served.answers == fresh.answers
             assert served.per_server == fresh.per_server_answers
         assert served.heavy_hitters == fresh.heavy_hitters
+
+    def test_heavy_hitters_do_not_depend_on_request_history(self, backend):
+        from repro.data.generators import skewed_database
+
+        query = parse_query("S1(x,y), S2(y,z)")
+        database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
+        service = QueryService(
+            database,
+            p=8,
+            backend=backend,
+            algorithm="skewaware",
+            result_cache_size=0,
+        )
+        first = service.execute("S1(x,y), S2(y,z)")
+        second = service.execute("S1(x,y), S2(y,z)")
+        assert not second.result_hit
+        assert first.heavy_hitters and any(first.heavy_hitters.values())
+        assert second.heavy_hitters == first.heavy_hitters
 
     def test_multiround_service_matches_fresh(self, backend):
         query = parse_query("S1(a,b), S2(b,c), S3(c,d), S4(d,e)")

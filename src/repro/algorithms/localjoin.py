@@ -7,15 +7,14 @@ in two bit-identical flavours:
 
 * :func:`evaluate_query` -- the reference path: a straightforward
   index-backed backtracking join over row tuples;
-* :func:`evaluate_query_columnar` -- the vectorized path: a sort/
-  searchsorted hash join over int64 column arrays (numpy backend),
-  used by the columnar HyperCube executor;
-* :func:`evaluate_query_table_segmented` -- the fleet-wide path: all
-  ``p`` workers' fragments arrive as one pooled column set plus a
-  segment (worker) id per row, and a single join pass with the
-  segment id as the highest-order key component computes every
-  worker's answers at once -- with direct-address (bincount) lookups
-  replacing binary search where the pools are pre-sorted.
+* :func:`evaluate_query_table_segmented` -- the vectorized path
+  (numpy backend): relations arrive as int64 column arrays, every
+  join step is one sort or direct-address (bincount) lookup, and an
+  optional segment (worker) id per row -- prepended as the
+  highest-order component of every join key -- evaluates all the
+  workers of a pooled delivery independently in a single pass.
+  :func:`evaluate_query_table` and :func:`evaluate_query_columnar`
+  are its one-segment calls (one worker's fragments, no segment ids).
 
 Both evaluators:
 
@@ -23,7 +22,7 @@ Both evaluators:
   sharing a bound variable, to keep intermediate bindings selective);
 * handle repeated variables within an atom (they act as equality
   selections), which arise from contracted queries;
-* return answers as sorted tuples in the query's head-variable order.
+* return answers in the query's head-variable order.
 
 For the matching databases of the paper every relation has ``n``
 tuples and joins are key-key, so evaluation is near-linear; the
@@ -137,105 +136,48 @@ def evaluate_query_table(
 
     Returns the answers as one int64 array of shape
     ``(num_answers, len(head))`` instead of materialising Python
-    tuples -- the form the round engine's view materialisation and
-    answer collection consume directly.
+    tuples: the one-segment call of
+    :func:`evaluate_query_table_segmented`.
     """
-    numpy = require_numpy()
-    empty = numpy.zeros((0, len(query.head)), dtype=numpy.int64)
-    tables: dict[str, Any] = {}
-    for atom in query.atoms:
-        columns = fragments.get(atom.name)
-        if columns is None or len(columns) == 0 or len(columns[0]) == 0:
-            return empty
-        table = numpy.column_stack(
-            [numpy.asarray(c, dtype=numpy.int64) for c in columns]
-        )
-        if not assume_unique:
-            # Mailboxes could in principle hold repeats.
-            table = numpy.unique(table, axis=0)
-        # Intra-atom repeated variables act as equality selections.
-        first_position = atom.first_positions
-        mask = None
-        for position, variable in enumerate(atom.variables):
-            first = first_position[variable]
-            if first != position:
-                equal = table[:, position] == table[:, first]
-                mask = equal if mask is None else (mask & equal)
-        if mask is not None:
-            table = table[mask]
-        if len(table) == 0:
-            return empty
-        tables[atom.name] = table
-
-    sizes = {name: len(table) for name, table in tables.items()}
-    order = _atom_order_by_size(query, sizes)
-
-    binding: dict[str, Any] = {}
-    first_atom = order[0]
-    for variable, position in first_atom.first_positions.items():
-        binding[variable] = tables[first_atom.name][:, position]
-
-    for atom in order[1:]:
-        table = tables[atom.name]
-        positions = atom.first_positions
-        shared = [v for v in positions if v in binding]
-        num_bound = len(next(iter(binding.values())))
-        if shared:
-            key_left, key_right, _ = _factorize_keys(
-                numpy,
-                [binding[v] for v in shared],
-                [table[:, positions[v]] for v in shared],
-            )
-            left_index, right_index = _join_pairs(numpy, key_left, key_right)
-        else:
-            left_index = numpy.repeat(
-                numpy.arange(num_bound), len(table)
-            )
-            right_index = numpy.tile(numpy.arange(len(table)), num_bound)
-        if len(left_index) == 0:
-            return empty
-        binding = {
-            variable: column[left_index]
-            for variable, column in binding.items()
-        }
-        for variable, position in positions.items():
-            if variable not in binding:
-                binding[variable] = table[right_index, position]
-
-    head = numpy.column_stack([binding[v] for v in query.head])
-    if not assume_unique:
-        head = numpy.unique(head, axis=0)
-    return head
+    answers, _ = evaluate_query_table_segmented(
+        query, fragments, None, 1, assume_unique
+    )
+    return answers
 
 
 def evaluate_query_table_segmented(
     query: ConjunctiveQuery,
     fragments: Mapping[str, Sequence[Any]],
-    segments: Mapping[str, Any],
+    segments: Mapping[str, Any] | None,
     num_segments: int,
     assume_unique: bool = False,
     sorted_relations: frozenset[str] | set[str] = frozenset(),
 ) -> tuple[Any, Any]:
     """Evaluate ``query`` independently inside every segment, at once.
 
-    The fleet-wide counterpart of :func:`evaluate_query_table`: each
-    atom arrives as one pooled column set spanning all ``p`` workers
-    plus a parallel ``segments[atom]`` array of worker (segment) ids,
-    and the whole fleet's local evaluations run as *one* vectorized
-    join by prepending the segment id as the highest-order component
-    of every factorized join key -- rows only match within their own
-    segment, so the result equals running :func:`evaluate_query_table`
-    per worker, without the per-worker Python loop.
+    The numpy join kernel.  Each atom arrives as one pooled column
+    set spanning all ``p`` workers plus a parallel ``segments[atom]``
+    array of worker (segment) ids, and the whole fleet's local
+    evaluations run as *one* vectorized join by prepending the segment
+    id as the highest-order component of every factorized join key --
+    rows only match within their own segment, so the result equals
+    evaluating every worker's fragments on their own, without a
+    per-worker Python loop.
 
     Args:
         query: a full conjunctive query.
         fragments: per atom name, the pooled parallel value columns of
             every segment's fragment (missing/empty => no answers).
         segments: per atom name, the int64 segment id of each pooled
-            row; ids must lie in ``[0, num_segments)``.
+            row; ids must lie in ``[0, num_segments)``.  None means
+            one segment: no segment ids are built or packed into the
+            keys (:func:`evaluate_query_table`'s call).
         num_segments: number of segments (workers) pooled.
         assume_unique: skip per-segment input dedup and output
-            sorting, as in :func:`evaluate_query_table`.
+            sorting.  Safe when every segment's fragments are
+            duplicate-free (routing never delivers a row twice to one
+            worker): a full query's answers are then duplicate-free
+            per segment by construction.
         sorted_relations: atom names whose pooled rows are known
             sorted by (segment, lexicographic row order) -- i.e. their
             delivery pool's ``source_sorted`` flag.  When such an
@@ -246,14 +188,16 @@ def evaluate_query_table_segmented(
     Returns:
         ``(answers, answer_segments)`` -- an int64 table of shape
         ``(num_answers, len(head))`` holding every segment's local
-        answers, and the parallel segment id per answer row.  Per-
-        segment answer counts are one ``bincount(answer_segments)``
-        away; the fleet-wide deduplicated union is one ``unique``.
+        answers (sorted by (segment, row) unless ``assume_unique``),
+        and the parallel segment id per answer row (None when
+        ``segments`` is).  Per-segment answer counts are one
+        ``bincount(answer_segments)`` away; the fleet-wide
+        deduplicated union is one ``unique``.
     """
     numpy = require_numpy()
     empty = (
         numpy.zeros((0, len(query.head)), dtype=numpy.int64),
-        numpy.zeros(0, dtype=numpy.int64),
+        None if segments is None else numpy.zeros(0, dtype=numpy.int64),
     )
     # Fragments stay tuples of *contiguous* 1-D columns throughout:
     # at fleet scale the joins are memory-bound, and gathers/scans
@@ -268,19 +212,22 @@ def evaluate_query_table_segmented(
         columns = tuple(
             numpy.ascontiguousarray(c, dtype=numpy.int64) for c in columns
         )
-        segment = numpy.asarray(
-            segments[atom.name], dtype=numpy.int64
+        segment = (
+            None
+            if segments is None
+            else numpy.asarray(segments[atom.name], dtype=numpy.int64)
         )
         if not assume_unique:
-            # Dedup *within* each segment: unique over (segment, row).
-            stacked = numpy.unique(
-                numpy.column_stack((segment,) + columns), axis=0
-            )
-            segment = numpy.ascontiguousarray(stacked[:, 0])
+            # Mailboxes could in principle hold repeats.  Dedup
+            # *within* each segment: unique over (segment, row).
+            keyed = columns if segment is None else (segment,) + columns
+            stacked = numpy.unique(numpy.column_stack(keyed), axis=0)
             columns = tuple(
-                numpy.ascontiguousarray(stacked[:, 1 + position])
-                for position in range(len(columns))
+                numpy.ascontiguousarray(stacked[:, position])
+                for position in range(len(keyed))
             )
+            if segment is not None:
+                segment, columns = columns[0], columns[1:]
         # Intra-atom repeated variables act as equality selections.
         first_position = atom.first_positions
         mask = None
@@ -291,7 +238,8 @@ def evaluate_query_table_segmented(
                 mask = equal if mask is None else (mask & equal)
         if mask is not None:
             columns = tuple(column[mask] for column in columns)
-            segment = segment[mask]
+            if segment is not None:
+                segment = segment[mask]
         if len(columns[0]) == 0:
             return empty
         tables[atom.name] = columns
@@ -311,18 +259,30 @@ def evaluate_query_table_segmented(
         atom_segment = table_segments[atom.name]
         positions = atom.first_positions
         shared = [v for v in positions if v in binding]
-        # The segment id is always part of the key (highest-order
-        # component): with no shared variables the "join" degenerates
-        # to the per-segment cartesian product, exactly as the
-        # per-worker evaluation computes it.
-        key_left, key_right, order_preserving = _pack_segmented_keys(
-            numpy,
-            segment,
-            atom_segment,
-            num_segments,
-            [binding[v] for v in shared],
-            [columns[positions[v]] for v in shared],
-        )
+        left_columns = [binding[v] for v in shared]
+        right_columns = [columns[positions[v]] for v in shared]
+        # The segment id is the highest-order key component: with no
+        # shared variables the "join" degenerates to the per-segment
+        # cartesian product (one constant key when unsegmented).
+        if segment is not None:
+            key_left, key_right, order_preserving = _pack_segmented_keys(
+                numpy,
+                segment,
+                atom_segment,
+                num_segments,
+                left_columns,
+                right_columns,
+            )
+        elif shared:
+            key_left, key_right, order_preserving = _factorize_keys(
+                numpy, left_columns, right_columns
+            )
+        else:
+            key_left = numpy.zeros(
+                len(next(iter(binding.values()))), dtype=numpy.int64
+            )
+            key_right = numpy.zeros(len(columns[0]), dtype=numpy.int64)
+            order_preserving = True
         # Sort-free fast path: the pool is sorted by (segment, lex
         # row) and the key columns are a lexicographic prefix of the
         # atom's columns, so the packed key is already non-decreasing.
@@ -341,7 +301,8 @@ def evaluate_query_table_segmented(
                 variable: column[left_index]
                 for variable, column in binding.items()
             }
-            segment = segment[left_index]
+            if segment is not None:
+                segment = segment[left_index]
         # left_index None: every bound row matched exactly once, so
         # the existing binding columns line up as-is (no gathers).
         for variable, position in positions.items():
@@ -350,11 +311,14 @@ def evaluate_query_table_segmented(
 
     head = numpy.column_stack([binding[v] for v in query.head])
     if not assume_unique:
-        stacked = numpy.unique(
-            numpy.column_stack([segment, head]), axis=0
-        )
-        segment = numpy.ascontiguousarray(stacked[:, 0])
-        head = stacked[:, 1:]
+        if segment is None:
+            head = numpy.unique(head, axis=0)
+        else:
+            stacked = numpy.unique(
+                numpy.column_stack([segment, head]), axis=0
+            )
+            segment = numpy.ascontiguousarray(stacked[:, 0])
+            head = stacked[:, 1:]
     return head, segment
 
 
@@ -483,12 +447,12 @@ def _factorize_keys(
     return inverse[:num_left], inverse[num_left:], False
 
 
-def _join_pairs(
+def _join_pairs_sparse(
     numpy: Any,
     key_left: Any,
     key_right: Any,
     assume_sorted: bool = False,
-) -> tuple[Any, Any]:
+) -> tuple[Any | None, Any]:
     """Index pairs ``(i, j)`` with ``key_left[i] == key_right[j]``.
 
     Sorts the right side once, locates each left key's run with two
@@ -504,31 +468,14 @@ def _join_pairs(
     the key span is within a small multiple of the data size, each
     key's (start, count) run is read from one ``bincount``/``cumsum``
     table in O(1) -- one cache line per probe instead of the
-    ``log(n)`` scattered reads of a fleet-sized binary search, which
-    is what makes the pooled join faster than per-worker joins over
-    cache-resident fragments.
-    """
-    left_index, right_index = _join_pairs_sparse(
-        numpy, key_left, key_right, assume_sorted
-    )
-    if left_index is None:
-        left_index = numpy.arange(len(key_left), dtype=numpy.int64)
-    return left_index, right_index
+    ``log(n)`` scattered reads of a fleet-sized binary search.
 
-
-def _join_pairs_sparse(
-    numpy: Any,
-    key_left: Any,
-    key_right: Any,
-    assume_sorted: bool = False,
-) -> tuple[Any | None, Any]:
-    """:func:`_join_pairs` with the identity left side left implicit.
-
-    Returns ``(left_index, right_index)`` where ``left_index`` is None
-    when it would be exactly ``arange(len(key_left))`` -- the key-key
-    join case where every left row matches exactly once, which lets
-    callers skip re-gathering every bound column through an identity
-    permutation.
+    Returns:
+        ``(left_index, right_index)`` where ``left_index`` is None
+        when it would be exactly ``arange(len(key_left))`` -- the
+        key-key join case where every left row matches exactly once,
+        which lets the caller skip re-gathering every bound column
+        through an identity permutation.
     """
     if assume_sorted:
         order = None

@@ -51,13 +51,9 @@ from repro.engine.executor import (
 )
 from repro.engine.local import (
     collect_answers,
-    fleet_answer_table,
     fragment_tuple_count,
     materialise_view,
-    merged_answer_table_per_worker,
-    slice_pool_for_workers,
     worker_answer_rows,
-    worker_answer_table,
 )
 from repro.engine.plan import (
     CollectAnswers,
@@ -105,13 +101,9 @@ __all__ = [
     "plan_config",
     "plan_simulator",
     "collect_answers",
-    "fleet_answer_table",
     "fragment_tuple_count",
     "materialise_view",
-    "merged_answer_table_per_worker",
-    "slice_pool_for_workers",
     "worker_answer_rows",
-    "worker_answer_table",
     "Broadcast",
     "GridSpec",
     "HashRoute",

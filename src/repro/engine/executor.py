@@ -486,7 +486,10 @@ def execute_plan(
             size.
         deadline: optional per-request latency budget.  Checked
             cooperatively -- before each round, between streamed
-            blocks, between local-evaluation shards, and before the
+            blocks, before and between local-evaluation shards
+            (monolithic executions evaluate one shard, so every view
+            and the final collect check once; a process-pool fan-out
+            checks once before submitting), and before the
             finalize -- never mid-primitive, so an abandoned execution
             leaves a pooled simulator reusable after ``reset()``
             exactly like a capacity failure does.

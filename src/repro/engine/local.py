@@ -2,29 +2,32 @@
 
 After the engine delivers a round, each worker evaluates a conjunctive
 query over the fragments it received.  This module is the single
-join-and-collect loop: the ``pure`` backend runs the reference
-backtracking join over mailbox rows; the ``numpy`` backend evaluates
-the *whole fleet* in one vectorized pass -- the simulator's delivery
-pools (:class:`~repro.mpc.simulator.ColumnPool`) hand over every
-worker's fragments as contiguous slices of one column pool plus a
-``(worker -> offset range)`` index, and
-:func:`~repro.algorithms.localjoin.evaluate_query_table_segmented`
-joins all ``p`` workers at once by prepending the worker id to every
-join key.  Per-server answer counts fall out of one ``bincount`` over
-the answer segment ids; the deduplicated union out of one ``unique``.
+join-and-collect loop, with one path per backend:
 
-The previous per-worker numpy loop (concatenate each worker's
-batches, join, merge) is kept as :func:`merged_answer_table_per_worker`
--- it is the fallback when pools are unavailable (row-path deliveries
-mixed in) and the baseline the segmented speedup gate measures
-against.  Either way the callers get back identical answer sets,
-per-server answer counts and (for the multi-round executor)
-materialised views.
+* ``pure`` -- the reference: the backtracking join
+  (:func:`~repro.algorithms.localjoin.evaluate_query`) over each
+  worker's mailbox rows, unioned in a Python set;
+* ``numpy`` -- the shard loop: contiguous worker ranges are planned
+  against a byte budget (:func:`_plan_eval_shards`), each range's
+  delivery pools are handed over by
+  :meth:`~repro.mpc.simulator.MPCSimulator.pool_shard` (eager pools
+  sliced zero-copy, streamed recipes re-routed for the range only) and
+  joined in one vectorized pass by
+  :func:`~repro.algorithms.localjoin.evaluate_query_table_segmented`,
+  which prepends the worker id to every join key.  Per-server answer
+  counts fall out of one ``bincount`` over the answer segment ids; the
+  deduplicated union out of one ``unique`` over all shards.  A
+  monolithic execution under the default budget is exactly one shard
+  spanning the fleet; a streamed one is many, optionally evaluated on
+  the process pool.
+
+Both backends hand the callers identical answer sets, per-server
+answer counts and (for the multi-round executor) materialised views.
 
 Routing never delivers the same source row twice to one worker under
 any :class:`~repro.engine.steps.RoutingStep` (a step's destination set
 per row is duplicate-free, and engine sources are deduplicated), so
-the columnar paths can skip the dedup passes (``assume_unique``).
+the numpy path skips the dedup passes (``assume_unique``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from typing import Any, Callable, Iterable
 from repro.backend import NUMPY, require_numpy
 from repro.algorithms.localjoin import (
     evaluate_query,
-    evaluate_query_table,
     evaluate_query_table_segmented,
 )
 from repro.core.query import ConjunctiveQuery
@@ -47,88 +49,9 @@ from repro.mpc.simulator import ColumnPool, MPCSimulator
 
 KeyOf = Callable[[str], str]
 
-#: Dispatch threshold of the segmented-vs-per-worker heuristic: the
-#: fleet-wide join is chosen when pooled rows per unit of span-table
-#: domain (``len(workers) * max key value``) reach this density.  The
-#: segmented join's fixed cost is its direct-address span tables,
-#: sized by that domain; when deliveries are sparse relative to it
-#: (tiny fragments -- e.g. C_3 at p=64, n=1e5: density ~0.19, where
-#: the per-worker loop measures ~1.4x faster) the tables dominate and
-#: the per-worker loop wins.  Measured crossover sits between C_3 at
-#: p=64 (0.19, per-worker faster) and C_3 at p=16 / L_4 at p=64
-#: (~0.5, segmented faster); the speedup gate's L_8 regime is >> 1.
-SEGMENTED_DENSITY_THRESHOLD = 0.3
-
 
 def _identity_key(name: str) -> str:
     return name
-
-
-def _prefer_segmented(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    workers: list[int],
-    key_of: KeyOf,
-) -> bool | None:
-    """Size heuristic: is the fleet-wide join worth its span tables?
-
-    Returns None when some atom has no delivery pool (the segmented
-    path is unavailable regardless), else the density decision
-    described at :data:`SEGMENTED_DENSITY_THRESHOLD`.  The inputs --
-    pooled row counts and column maxima -- are one vectorized pass
-    over data the join would touch anyway.
-    """
-    total_rows = 0
-    max_key = 1
-    for atom in query.atoms:
-        pool = simulator.relation_pool(key_of(atom.name))
-        if pool is None:
-            return None
-        total_rows += len(pool)
-        for column in pool.columns:
-            if len(column):
-                max_key = max(max_key, int(column.max()))
-    if total_rows == 0:
-        return True
-    density = total_rows / (max(1, len(workers)) * max_key)
-    return density >= SEGMENTED_DENSITY_THRESHOLD
-
-
-def _worker_fragments_columnar(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    worker: int,
-    key_of: KeyOf,
-) -> dict[str, tuple] | None:
-    """Concatenate a worker's column batches per atom; None if any empty."""
-    numpy = require_numpy()
-    fragments: dict[str, tuple] = {}
-    for atom in query.atoms:
-        batches = simulator.worker_column_batches(worker, key_of(atom.name))
-        if not batches:
-            return None
-        if len(batches) == 1:
-            fragments[atom.name] = batches[0]
-        else:
-            fragments[atom.name] = tuple(
-                numpy.concatenate([batch[i] for batch in batches])
-                for i in range(len(batches[0]))
-            )
-    return fragments
-
-
-def worker_answer_table(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    worker: int,
-    key_of: KeyOf = _identity_key,
-):
-    """One worker's answers as an int64 table (numpy backend)."""
-    numpy = require_numpy()
-    fragments = _worker_fragments_columnar(query, simulator, worker, key_of)
-    if fragments is None:
-        return numpy.zeros((0, len(query.head)), dtype=numpy.int64)
-    return evaluate_query_table(query, fragments, assume_unique=True)
 
 
 def worker_answer_rows(
@@ -145,135 +68,21 @@ def worker_answer_rows(
     return evaluate_query(query, local)
 
 
-def slice_pool_for_workers(
-    pool: ColumnPool, workers: list[int]
-) -> tuple[tuple, "object", bool]:
-    """Restrict a delivery pool to the listed workers.
+def union_answer_tables(tables: Iterable[Any], arity: int):
+    """The sorted duplicate-free union of int64 answer tables.
 
-    Returns:
-        ``(columns, segments, source_sorted)`` -- the selected rows'
-        value columns, a parallel int64 array mapping each row to its
-        position in ``workers`` (the segment id), and whether the
-        selection still preserves per-segment source order.  Selecting
-        a prefix ``0..k-1`` (the overwhelmingly common case) is a
-        zero-copy basic slice of the pool.
+    Row order is lexicographic -- exactly the order Python tuple
+    sorting gives -- so the result is the canonical form every numpy
+    consumer (shard merge, async views, IVM) compares and stores.
     """
     numpy = require_numpy()
-    offsets = pool.offsets
-    counts = offsets[1:] - offsets[:-1]
-    k = len(workers)
-    if workers == list(range(k)):
-        end = int(offsets[k]) if k else 0
-        columns = tuple(column[:end] for column in pool.columns)
-        segment_counts = counts[:k]
-        source_sorted = pool.source_sorted
-    else:
-        chosen = numpy.asarray(workers, dtype=numpy.int64)
-        starts = offsets[chosen]
-        segment_counts = counts[chosen]
-        total = int(segment_counts.sum())
-        run_starts = numpy.repeat(starts, segment_counts)
-        run_offsets = numpy.arange(total, dtype=numpy.int64) - numpy.repeat(
-            numpy.concatenate(
-                ([0], numpy.cumsum(segment_counts)[:-1])
-            )
-            if k
-            else numpy.zeros(0, dtype=numpy.int64),
-            segment_counts,
-        )
-        gather = run_starts + run_offsets
-        columns = tuple(column[gather] for column in pool.columns)
-        # A non-ascending worker list still yields correct segments
-        # (ids index into ``workers``), but only an ascending one
-        # keeps the (segment, row) order the sort-free join needs.
-        source_sorted = pool.source_sorted and all(
-            workers[i] < workers[i + 1] for i in range(k - 1)
-        )
-    segment = numpy.repeat(
-        numpy.arange(k, dtype=numpy.int64), segment_counts
+    nonempty = [table for table in tables if len(table)]
+    if not nonempty:
+        return numpy.zeros((0, arity), dtype=numpy.int64)
+    stacked = (
+        nonempty[0] if len(nonempty) == 1 else numpy.concatenate(nonempty)
     )
-    return columns, segment, source_sorted
-
-
-def fleet_answer_table(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    workers: list[int],
-    key_of: KeyOf = _identity_key,
-):
-    """All workers' answers via the segmented fleet-wide join.
-
-    Returns ``(merged, per_server)`` exactly as
-    :func:`merged_answer_table_per_worker` computes them, or None when
-    some atom's deliveries are not available as a
-    :class:`~repro.mpc.simulator.ColumnPool` (row-path deliveries
-    mixed in, or nothing delivered) and the caller must fall back to
-    the per-worker path.
-    """
-    numpy = require_numpy()
-    fragments: dict[str, tuple] = {}
-    segments: dict[str, object] = {}
-    sorted_relations: set[str] = set()
-    for atom in query.atoms:
-        pool = simulator.relation_pool(key_of(atom.name))
-        if pool is None:
-            return None
-        columns, segment, source_sorted = slice_pool_for_workers(
-            pool, workers
-        )
-        fragments[atom.name] = columns
-        segments[atom.name] = segment
-        if source_sorted:
-            sorted_relations.add(atom.name)
-    answers, answer_segments = evaluate_query_table_segmented(
-        query,
-        fragments,
-        segments,
-        num_segments=len(workers),
-        assume_unique=True,
-        sorted_relations=sorted_relations,
-    )
-    per_server = numpy.bincount(
-        answer_segments, minlength=len(workers)
-    ).tolist()
-    if len(answers):
-        merged = numpy.unique(answers, axis=0)
-    else:
-        merged = numpy.zeros((0, len(query.head)), dtype=numpy.int64)
-    return merged, per_server
-
-
-def merged_answer_table_per_worker(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    workers: Iterable[int],
-    key_of: KeyOf = _identity_key,
-):
-    """All workers' answers merged, one worker at a time (reference).
-
-    The pre-pooling numpy path: per worker, concatenate its mailbox
-    batches and join, then merge.  Kept as the fallback for mixed
-    row/column deliveries and as the baseline the segmented speedup
-    gate compares against.
-
-    Returns:
-        ``(merged, per_server)`` -- the deduplicated union (sorted
-        lexicographically, i.e. exactly the order Python tuple sorting
-        gives) and the per-worker answer counts in iteration order.
-    """
-    numpy = require_numpy()
-    per_server: list[int] = []
-    tables = []
-    for worker in workers:
-        table = worker_answer_table(query, simulator, worker, key_of)
-        per_server.append(len(table))
-        if len(table):
-            tables.append(table)
-    if tables:
-        merged = numpy.unique(numpy.concatenate(tables), axis=0)
-    else:
-        merged = numpy.zeros((0, len(query.head)), dtype=numpy.int64)
-    return merged, per_server
+    return numpy.unique(stacked, axis=0)
 
 
 def evaluate_shard_pools(
@@ -358,7 +167,7 @@ def _lazy_shard_specs(
     atoms with no deliveries -- or None when some atom has row-path or
     eager columnar deliveries (the process-pool eval task rebuilds
     shard pools exclusively from streamed recipes, so mixed deliveries
-    evaluate in the parent instead).
+    evaluate in the parent instead) or nothing was streamed at all.
     """
     specs: list[tuple[str, tuple]] = []
     for atom in query.atoms:
@@ -368,6 +177,8 @@ def _lazy_shard_specs(
         ):
             return None
         specs.append((atom.name, simulator.lazy_contributions(key)))
+    if not any(contributions for _, contributions in specs):
+        return None
     return specs
 
 
@@ -476,39 +287,57 @@ def _eval_shards_parallel(
     return [(result["answers"], result["per_server"]) for result in results]
 
 
-def sharded_answer_table(
+def _merged_answer_table(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
-    workers: list[int],
-    key_of: KeyOf = _identity_key,
+    workers: Iterable[int],
+    key_of: KeyOf,
     parallel: Any = None,
     profiler: RoundProfiler | None = None,
-    shard_bytes: int | None = None,
     deadline: Deadline | None = None,
 ):
     """All workers' answers, one bounded worker shard at a time.
 
-    The streamed counterpart of :func:`fleet_answer_table`: instead of
-    pooling every delivery fleet-wide, contiguous worker ranges are
-    materialised (eager pools sliced zero-copy, streamed recipes
-    re-routed for the range), evaluated with the same segmented join,
-    and freed -- peak memory is one shard's pool plus join
-    temporaries, independent of ``n``.  With a usable ``parallel``
-    context and purely streamed deliveries the shards evaluate on the
-    process pool.  Returns ``(merged, per_server)`` exactly as the
-    monolithic paths compute them, or None when ``workers`` is not the
-    prefix ``0..k-1`` or some atom saw row-path deliveries.
+    The numpy backend's only site evaluator.  Contiguous worker ranges
+    are materialised (eager pools sliced zero-copy, streamed recipes
+    re-routed for the range), evaluated with the segmented join and
+    freed -- peak memory is one shard's pools plus join temporaries.
+    Eager deliveries under the default budget plan a single shard, so
+    a monolithic execution joins the whole fleet in one pass; with a
+    usable ``parallel`` context and purely streamed deliveries the
+    shards evaluate on the process pool.
+
+    Returns:
+        ``(merged, per_server)`` -- the deduplicated union (sorted
+        lexicographically) and the per-worker answer counts.
+
+    Raises:
+        ValueError: when ``workers`` is not the prefix ``0..k-1``
+            (shards are contiguous worker ranges).
+        RuntimeError: when some atom saw row-path deliveries, which no
+            delivery pool holds.
+        DeadlineExceeded: when ``deadline`` expires before the shards
+            are dispatched or between two in-process shards.
     """
-    numpy = require_numpy()
+    workers = list(workers)
     k = len(workers)
-    if k == 0 or workers != list(range(k)):
-        return None
+    if workers != list(range(k)):
+        raise ValueError(
+            "numpy local evaluation shards the worker prefix 0..k-1; "
+            f"got {workers}"
+        )
     for atom in query.atoms:
         if simulator.has_row_deliveries(key_of(atom.name)):
-            return None
-    shards = _plan_eval_shards(query, simulator, k, key_of, shard_bytes)
+            raise RuntimeError(
+                f"relation {key_of(atom.name)!r} received row-path "
+                "deliveries; the numpy backend evaluates delivery "
+                "pools only"
+            )
+    shards = _plan_eval_shards(query, simulator, k, key_of)
     results = None
     if parallel is not None and parallel.usable:
+        if deadline is not None:
+            deadline.check("local-eval shard")
         results = _eval_shards_parallel(
             query, simulator, shards, key_of, parallel, profiler
         )
@@ -527,84 +356,10 @@ def sharded_answer_table(
                     "eval",
                     time.perf_counter() - began,
                 )
-    per_server: list[int] = []
-    tables = []
-    for answers, counts in results:
-        per_server.extend(counts)
-        if len(answers):
-            tables.append(answers)
-    if tables:
-        merged = numpy.unique(numpy.concatenate(tables), axis=0)
-    else:
-        merged = numpy.zeros((0, len(query.head)), dtype=numpy.int64)
-    return merged, per_server
-
-
-def _merged_answer_table(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    workers: Iterable[int],
-    key_of: KeyOf,
-    segmented: bool | None = None,
-    parallel: Any = None,
-    profiler: RoundProfiler | None = None,
-    deadline: Deadline | None = None,
-):
-    """Dispatch: segmented fleet-wide join, per-worker loop fallback.
-
-    Args:
-        segmented: None (default) picks a path with the
-            :func:`_prefer_segmented` size heuristic (and falls back
-            to per-worker when pools are unavailable); True requires
-            the segmented path (raises if unavailable -- used by
-            tests); False forces the per-worker reference loop.
-            Either path returns identical answers and counts.
-
-    Streamed (lazy) deliveries override ``segmented``: the per-worker
-    mailbox loop cannot see recipe-only deliveries and fleet-wide
-    pooling is the memory cliff streaming exists to avoid, so
-    shard-wise evaluation is taken whenever it applies and full
-    materialisation through :func:`fleet_answer_table` is the only
-    fallback.
-    """
-    workers = list(workers)
-    if any(
-        simulator.has_lazy_deliveries(key_of(atom.name))
-        for atom in query.atoms
-    ):
-        result = sharded_answer_table(
-            query,
-            simulator,
-            workers,
-            key_of,
-            parallel=parallel,
-            profiler=profiler,
-            deadline=deadline,
-        )
-        if result is not None:
-            return result
-        result = fleet_answer_table(query, simulator, workers, key_of)
-        if result is not None:
-            return result
-        raise RuntimeError(
-            "streamed and row-path deliveries mixed in one query; "
-            "no evaluation path sees both"
-        )
-    if segmented is None:
-        if _prefer_segmented(query, simulator, workers, key_of) is False:
-            return merged_answer_table_per_worker(
-                query, simulator, workers, key_of
-            )
-    if segmented is not False:
-        result = fleet_answer_table(query, simulator, workers, key_of)
-        if result is not None:
-            return result
-        if segmented is True:
-            raise RuntimeError(
-                "segmented evaluation requested but some relation has "
-                "no delivery pool (row-path deliveries present?)"
-            )
-    return merged_answer_table_per_worker(query, simulator, workers, key_of)
+    merged = union_answer_tables(
+        (answers for answers, _ in results), len(query.head)
+    )
+    return merged, [count for _, counts in results for count in counts]
 
 
 def _measure_local(profiler: RoundProfiler | None, simulator: MPCSimulator):
@@ -619,7 +374,6 @@ def collect_answers(
     workers: Iterable[int],
     backend: str,
     key_of: KeyOf = _identity_key,
-    segmented: bool | None = None,
     profiler: RoundProfiler | None = None,
     parallel: Any = None,
     deadline: Deadline | None = None,
@@ -641,7 +395,6 @@ def collect_answers(
                 simulator,
                 workers,
                 key_of,
-                segmented,
                 parallel=parallel,
                 profiler=profiler,
                 deadline=deadline,
@@ -664,7 +417,6 @@ def materialise_view(
     backend: str,
     domain_size: int,
     key_of: KeyOf = _identity_key,
-    segmented: bool | None = None,
     profiler: RoundProfiler | None = None,
     parallel: Any = None,
     deadline: Deadline | None = None,
@@ -689,7 +441,6 @@ def materialise_view(
                 simulator,
                 workers,
                 key_of,
-                segmented,
                 parallel=parallel,
                 profiler=profiler,
                 deadline=deadline,
@@ -768,7 +519,6 @@ class PendingView:
 
     def result(self) -> tuple[ColumnarRelation, list[int]]:
         """Block on the shards and merge; identical to the sync path."""
-        numpy = require_numpy()
         waited = time.perf_counter()
         profiler = self.profiler
         try:
@@ -798,21 +548,12 @@ class PendingView:
             profiler.add_overlap(
                 self.round_index, waited - self._submitted
             )
-        per_server: list[int] = []
-        tables = []
-        for answers, counts in results:
-            per_server.extend(counts)
-            if len(answers):
-                tables.append(answers)
-        if tables:
-            merged = numpy.unique(numpy.concatenate(tables), axis=0)
-        else:
-            merged = numpy.zeros(
-                (0, len(self.query.head)), dtype=numpy.int64
-            )
-        view = _view_from_table(
-            self.name, merged, len(self.query.head), self.domain_size
+        arity = len(self.query.head)
+        merged = union_answer_tables(
+            (answers for answers, _ in results), arity
         )
+        per_server = [count for _, counts in results for count in counts]
+        view = _view_from_table(self.name, merged, arity, self.domain_size)
         if profiler is not None:
             profiler.add(
                 self.round_index, "local", time.perf_counter() - waited
@@ -851,9 +592,7 @@ def materialise_view_async(
     if k == 0 or workers != list(range(k)):
         return None
     specs = _lazy_shard_specs(query, simulator, key_of)
-    if specs is None or not any(
-        contributions for _, contributions in specs
-    ):
+    if specs is None:
         return None
     shards = _plan_eval_shards(query, simulator, k, key_of, shard_bytes)
     from repro.engine.parallel.pool import PoolBroken

@@ -39,8 +39,9 @@ class RoundProfiler:
         #: round index -> list of (shard index, worker-side seconds).
         self.shards: dict[int, list[tuple[int, float]]] = {}
         #: round index -> phase -> per-block seconds, in block order
-        #: (streamed executions record every block's route/ship/eval
-        #: time here; empty for monolithic runs).
+        #: (streamed executions record every block's route/ship time
+        #: here; every numpy execution records one ``eval`` entry per
+        #: local-evaluation shard).
         self.blocks: dict[int, dict[str, list[float]]] = {}
         #: round index -> seconds the next round's routing ran
         #: concurrently with this round's local evaluation (streamed
@@ -152,7 +153,7 @@ class RoundProfiler:
             table = table + "\n" + format_table(
                 ["round", "phase", "blocks", "min (s)", "max (s)", "sum (s)"],
                 block_rows,
-                title="per-block streaming timing",
+                title="per-block timing (streamed blocks, eval shards)",
             )
         if not self.shards:
             return table

@@ -24,10 +24,12 @@ Columnar delivery is *pooled*: all of a relation's staged column sends
 for the round are gathered into one contiguous :class:`ColumnPool`
 whose rows are grouped by receiving worker (one stable sort per
 relation per round), with a ``(worker -> offset range)`` index.  Each
-worker's mailbox fragment is then a zero-copy basic slice of the pool,
-and fleet-wide consumers (the segmented local join) read the whole
-pool plus the index via :meth:`MPCSimulator.relation_pool` without any
-per-worker concatenation.
+worker's mailbox fragment is then a zero-copy basic slice of the pool;
+the segmented local join reads contiguous worker ranges of it via
+:meth:`MPCSimulator.pool_shard`, and fleet-wide consumers (IVM state
+capture, hash-to-min) the whole pool plus the index via
+:meth:`MPCSimulator.relation_pool`, without any per-worker
+concatenation.
 
 The simulator enforces the model's ground rules:
 
@@ -208,8 +210,8 @@ class MPCSimulator:
         self._lazy: dict[str, list[Any]] = {}
         self._lazy_counts: dict[str, Any] = {}
         # Relations that ever received row-path deliveries; their
-        # pools (if any) are incomplete, so fleet-wide consumers must
-        # fall back to the per-worker mailbox view.
+        # pools (if any) are incomplete, so pooled consumers get None
+        # and only the per-worker mailbox view holds every row.
         self._row_delivered: set[str] = set()
         self._reset_staging()
 
@@ -720,14 +722,14 @@ class MPCSimulator:
 
         Returns the pooled columns of *every* worker's fragment of
         ``relation`` plus the ``(worker -> offset range)`` index, for
-        consumers that evaluate the whole fleet in one vectorized pass
-        (the segmented local join).  Pools from multiple rounds are
-        merged (and cached) on demand.
+        consumers that read the whole fleet at once (IVM state
+        capture, hash-to-min).  Pools from multiple rounds are merged
+        (and cached) on demand.
 
         Returns None when the relation received no columnar deliveries
         or when any delivery travelled the row path (mixed storage:
-        the pool would be incomplete, so callers must fall back to the
-        per-worker mailbox view).
+        the pool would be incomplete; only the per-worker mailbox view
+        holds every row).
 
         Streamed deliveries (see :meth:`stage_lazy_columns`) are
         materialised *in full* here -- the correctness fallback, never
@@ -749,59 +751,6 @@ class MPCSimulator:
             merged = self._merge_pools(pools)
             self._merged_pools[relation] = merged
         return merged
-
-    def relation_pool_shards(
-        self, relation: str, num_shards: int
-    ) -> list[tuple[int, int, ColumnPool]] | None:
-        """One relation's pool split into contiguous worker shards.
-
-        Returns ``[(lo, hi, shard pool), ...]`` covering workers
-        ``[0, p)`` in at most ``num_shards`` near-equal contiguous
-        ranges, or None exactly when :meth:`relation_pool` would
-        return None.  Eager pools are sliced zero-copy; streamed
-        deliveries are materialised per shard (the full pool never
-        exists at once on the producing side -- each shard is an
-        independent :meth:`pool_shard` call, so parallel consumers can
-        fan route *and* ship/deliver out per shard).
-        """
-        if num_shards < 1:
-            raise ValueError(f"need num_shards >= 1, got {num_shards}")
-        if relation in self._row_delivered:
-            return None
-        if not self._pools.get(relation) and relation not in self._lazy:
-            return None
-        p = self.config.p
-        per_shard = -(-p // num_shards)  # ceil division
-        shards = []
-        for lo in range(0, p, per_shard):
-            hi = min(lo + per_shard, p)
-            shards.append((lo, hi, self.pool_shard(relation, lo, hi)))
-        return shards
-
-    def iter_relation_pool_shards(
-        self, relation: str, shard_bytes: int | None = None
-    ):
-        """Budget-driven generator of ``(lo, hi, pool)`` worker shards.
-
-        Shard boundaries come from
-        :func:`~repro.engine.streaming.plan_worker_shards` over the
-        relation's per-worker pooled bytes: each yielded pool holds at
-        most ``shard_bytes`` of rows (single oversized workers
-        excepted), and only one shard is alive at a time -- the
-        memory contract of streamed local evaluation.  Yields nothing
-        when the relation has no (complete) columnar deliveries.
-        """
-        from repro.engine.streaming import (
-            plan_worker_shards,
-            resolve_shard_bytes,
-        )
-
-        byte_counts = self.pool_worker_bytes(relation)
-        if byte_counts is None:
-            return
-        budget = resolve_shard_bytes(shard_bytes)
-        for lo, hi in plan_worker_shards(byte_counts, self.config.p, budget):
-            yield lo, hi, self.pool_shard(relation, lo, hi)
 
     def _merge_pools(self, pools: list[ColumnPool]) -> ColumnPool:
         """Merge several rounds' pools into one worker-grouped pool.

@@ -205,13 +205,9 @@ def _merge_tables(tables: list[Any], arity: int, backend: str) -> Any:
     """The canonical duplicate-free union of per-worker tables --
     exactly the merge full execution performs."""
     if backend == NUMPY:
-        from repro.backend import require_numpy
+        from repro.engine.local import union_answer_tables
 
-        numpy = require_numpy()
-        nonempty = [table for table in tables if len(table)]
-        if not nonempty:
-            return numpy.zeros((0, arity), dtype=numpy.int64)
-        return numpy.unique(numpy.concatenate(nonempty), axis=0)
+        return union_answer_tables(tables, arity)
     merged: set[tuple[int, ...]] = set()
     for table in tables:
         merged.update(table)

@@ -14,6 +14,7 @@ if not numpy_available():
 import numpy
 
 from repro.algorithms.localjoin import (
+    _join_pairs_sparse,
     evaluate_query,
     evaluate_query_columnar,
 )
@@ -27,6 +28,16 @@ def as_columns(rows):
     return tuple(
         numpy.asarray(column, dtype=numpy.int64) for column in zip(*rows)
     )
+
+
+def _join_pairs(numpy, key_left, key_right, assume_sorted=False):
+    """``_join_pairs_sparse`` with the implicit identity made explicit."""
+    left_index, right_index = _join_pairs_sparse(
+        numpy, key_left, key_right, assume_sorted
+    )
+    if left_index is None:
+        left_index = numpy.arange(len(key_left), dtype=numpy.int64)
+    return left_index, right_index
 
 
 def random_instance(query, n, rows_per_atom, rng):
@@ -119,12 +130,11 @@ class TestEdgeCases:
 
 
 class TestJoinPairsSorted:
-    """The sort-free join branch agrees with the sorting one."""
+    """The sort-free branch of ``_join_pairs_sparse`` agrees with the
+    sorting one."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pair_sets_identical(self, seed):
-        from repro.algorithms.localjoin import _join_pairs
-
         rng = numpy.random.default_rng(seed)
         key_right = numpy.sort(rng.integers(0, 50, size=200))
         key_left = rng.integers(-5, 60, size=120)  # incl. out-of-range
@@ -141,8 +151,6 @@ class TestJoinPairsSorted:
 
     def test_wide_span_falls_back_to_searchsorted(self):
         """Keys too sparse for direct addressing still join correctly."""
-        from repro.algorithms.localjoin import _join_pairs
-
         key_right = numpy.asarray([0, 10**15, 2 * 10**15])
         key_left = numpy.asarray([10**15, 5])
         left_index, right_index = _join_pairs(
@@ -152,8 +160,6 @@ class TestJoinPairsSorted:
         assert right_index.tolist() == [1]
 
     def test_empty_sides(self):
-        from repro.algorithms.localjoin import _join_pairs
-
         empty = numpy.zeros(0, dtype=numpy.int64)
         some = numpy.asarray([1, 2, 3])
         for assume_sorted in (False, True):
@@ -284,8 +290,6 @@ class TestSegmentedEvaluator:
 
     def test_negative_sorted_keys_fall_back(self):
         """Non-decreasing but negative keys must not hit bincount."""
-        from repro.algorithms.localjoin import _join_pairs
-
         left_index, right_index = _join_pairs(
             numpy,
             numpy.asarray([0, 3]),

@@ -7,7 +7,7 @@ import pytest
 numpy = pytest.importorskip("numpy")
 
 from repro.data.matching import matching_database
-from repro.engine.executor import RoundEngine, execute_plan, plan_simulator
+from repro.engine.executor import RoundEngine, execute_plan
 from repro.engine.parallel.engine import (
     DEFAULT_MIN_ROWS,
     ParallelContext,
@@ -85,22 +85,6 @@ class TestColumnPoolShard:
             pool.shard(3, 5)
         with pytest.raises(ValueError):
             pool.shard(-1, 2)
-
-    def test_relation_pool_shards(self, triangle, triangle_db):
-        service = QueryService(triangle_db, p=8, backend="numpy")
-        plan = service.compile(triangle)
-        simulator = plan_simulator(plan, 10_000)
-        execute_plan(plan, triangle_db, simulator=simulator)
-        assert simulator.relation_pool_shards("missing", 3) is None
-        shards = simulator.relation_pool_shards("S1", 3)
-        pool = simulator.relation_pool("S1")
-        assert shards is not None
-        assert [(lo, hi) for lo, hi, _ in shards][0][0] == 0
-        assert shards[-1][1] == pool.num_workers
-        total = sum(len(shard) for _, _, shard in shards)
-        assert total == len(pool)
-        with pytest.raises(ValueError):
-            simulator.relation_pool_shards("S1", 0)
 
 
 def _shard_results(step, columns, bounds, p):

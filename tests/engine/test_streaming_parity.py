@@ -49,6 +49,12 @@ def _assert_parity(monolithic, streamed, label):
     ], label
 
 
+def _routed_blocks(profiler):
+    """Whether any round routed block-wise, i.e. streaming engaged
+    (local evaluation records per-shard ``eval`` blocks either way)."""
+    return any("route" in phases for phases in profiler.blocks.values())
+
+
 class TestSerialParity:
     """execute_plan(chunk_rows=...) against the monolithic run."""
 
@@ -80,12 +86,9 @@ class TestSerialParity:
             _assert_parity(
                 monolithic, streamed, (query.name, chunk)
             )
-            if chunk is None:
-                # chunk infinity degenerates to the monolithic path:
-                # no per-block timings are ever recorded.
-                assert not profiler.blocks
-            else:
-                assert profiler.blocks
+            # chunk infinity degenerates to the monolithic path: no
+            # block is ever routed.
+            assert _routed_blocks(profiler) == (chunk is not None)
 
     def test_pure_backend_ignores_the_knob(self):
         for query, plan in self._cases("pure"):
@@ -107,7 +110,7 @@ class TestSerialParity:
         profiler = RoundProfiler()
         streamed = execute_plan(plan, db, profiler=profiler)
         _assert_parity(monolithic, streamed, "env knob")
-        assert profiler.blocks
+        assert _routed_blocks(profiler)
 
 
 class TestServiceParity:

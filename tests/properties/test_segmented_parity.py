@@ -1,11 +1,12 @@
-"""Segmented fleet-wide local evaluation vs the per-worker reference.
+"""Shard-wise segmented local evaluation vs the pure row reference.
 
 The tentpole invariant of the mailbox-pool refactor: for every
-algorithm, evaluating all workers in one segmented pass over the
-delivery pools produces *bit-identical* results to the per-worker
-loop -- merged answers, per-server counts, materialised views and
-capacity failures -- across backends.  These tests randomize queries,
-databases and grid sizes to pin that.
+algorithm, evaluating the workers shard by shard in segmented passes
+over the delivery pools produces *bit-identical* results to the
+per-worker row-path reference -- merged answers, per-server counts,
+materialised views and capacity failures -- across backends and
+whatever the shard budget.  These tests randomize queries, databases
+and grid sizes to pin that.
 """
 
 from __future__ import annotations
@@ -78,59 +79,73 @@ def _route_hc(query, database, p, seed):
     return simulator, list(range(allocation.used_servers))
 
 
+def _row_reference(query, simulator, workers):
+    """The pure path: ``worker_answer_rows`` per worker, then union."""
+    from repro.engine import worker_answer_rows
+
+    per_server, union = [], set()
+    for worker in workers:
+        found = worker_answer_rows(query, simulator, worker)
+        per_server.append(len(found))
+        union.update(found)
+    return tuple(sorted(union)), per_server
+
+
 class TestSegmentedVsPerWorker:
-    """The two numpy local-eval paths agree on every query/input."""
+    """The numpy evaluator agrees with the pure row reference."""
 
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matching_inputs(self, query, seed):
-        from repro.engine import (
-            fleet_answer_table,
-            merged_answer_table_per_worker,
-        )
+        from repro.engine import collect_answers
 
-        numpy = require_numpy()
         rng = random.Random(seed)
         n = rng.choice([40, 97, 150])
         p = rng.choice([4, 16, 33])
         database = matching_database(query, n=n, rng=seed)
         simulator, workers = _route_hc(query, database, p, seed)
-        segmented = fleet_answer_table(query, simulator, workers)
-        assert segmented is not None  # pools available: path exercised
-        per_worker = merged_answer_table_per_worker(
-            query, simulator, workers
+        answers, per_server = collect_answers(
+            query, simulator, workers, "numpy"
         )
-        assert numpy.array_equal(segmented[0], per_worker[0])
-        assert segmented[1] == per_worker[1]
+        reference = _row_reference(query, simulator, workers)
+        assert (answers, per_server) == reference
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
+    def test_many_shards_equal_one(self, query, monkeypatch):
+        """A tiny shard budget (one worker per shard) changes nothing."""
+        from repro.engine import collect_answers
+        from repro.engine.local import _plan_eval_shards, _identity_key
+        from repro.engine.streaming import SHARD_BYTES_ENV
+
+        database = matching_database(query, n=97, rng=1)
+        simulator, workers = _route_hc(query, database, 16, 1)
+        one_shard = collect_answers(query, simulator, workers, "numpy")
+        assert one_shard == _row_reference(query, simulator, workers)
+        monkeypatch.setenv(SHARD_BYTES_ENV, "1")
+        shards = _plan_eval_shards(
+            query, simulator, len(workers), _identity_key
+        )
+        assert len(shards) == len(workers) > 1
+        assert (
+            collect_answers(query, simulator, workers, "numpy")
+            == one_shard
+        )
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_worker_subsets(self, seed):
-        """Pool slicing agrees for prefixes and arbitrary subsets."""
-        from repro.engine import (
-            fleet_answer_table,
-            merged_answer_table_per_worker,
-        )
+        """Prefixes (and nothing) evaluate; a non-prefix list raises."""
+        from repro.engine import collect_answers
 
-        numpy = require_numpy()
         query = cycle_query(3)
         database = matching_database(query, n=80, rng=seed)
         simulator, workers = _route_hc(query, database, 16, seed)
-        for subset in (
-            [0],
-            list(range(5)),
-            [2, 7, 11],
-            [11, 2, 7],  # non-ascending iteration order
-            [],
-        ):
-            segmented = fleet_answer_table(
-                query, simulator, list(subset)
-            )
-            per_worker = merged_answer_table_per_worker(
-                query, simulator, list(subset)
-            )
-            assert segmented is not None
-            assert numpy.array_equal(segmented[0], per_worker[0]), subset
-            assert segmented[1] == per_worker[1], subset
+        for subset in ([0], list(range(5)), []):
+            assert collect_answers(
+                query, simulator, list(subset), "numpy"
+            ) == _row_reference(query, simulator, subset), subset
+        for subset in ([2, 7, 11], [11, 2, 7]):
+            with pytest.raises(ValueError, match="prefix"):
+                collect_answers(query, simulator, list(subset), "numpy")
 
 
 class TestBackendParityThroughSegmented:

@@ -23,7 +23,7 @@ def emit(text: str) -> None:
 
 #: Peak RSS of executor children that exited during the *current*
 #: measurement, summed.  Fan-out workers report their ``ru_maxrss`` as
-#: they close (via ``repro.engine.parallel.fanout.drain_worker_peaks``,
+#: they close (via ``repro.api.fanout.drain_worker_peaks``,
 #: which pops on read); accumulating the drained values here keeps
 #: repeated :func:`peak_rss_bytes` calls monotone within one
 #: measurement, while :func:`measure_peak` zeroes the account so one
@@ -35,7 +35,7 @@ _CLOSED_CHILDREN_BYTES = 0
 def _drain_closed_worker_peaks() -> None:
     global _CLOSED_CHILDREN_BYTES
     try:
-        from repro.engine.parallel.fanout import drain_worker_peaks
+        from repro.api.fanout import drain_worker_peaks
     except ImportError:  # pragma: no cover - partial checkout
         return
     _CLOSED_CHILDREN_BYTES += sum(drain_worker_peaks())

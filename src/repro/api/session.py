@@ -292,9 +292,9 @@ class Session:
             replayed by fan-out workers): shardable routing steps
             stream in ``chunk_rows``-row blocks with lazy delivery
             pools, bounding peak execution memory independently of the
-            delivered volume.  None defers to ``REPRO_CHUNK_ROWS``;
-            answers, loads and capacity behaviour are identical for
-            every chunk size.
+            delivered volume.  None ships every step whole; answers,
+            loads and capacity behaviour are identical for every chunk
+            size.
     """
 
     def __init__(
@@ -366,7 +366,7 @@ class Session:
         self.workers = workers
         self._fanout: Any = None
         if workers >= 2:
-            from repro.engine.parallel.fanout import SessionWorkerPool
+            from repro.api.fanout import SessionWorkerPool
 
             # The worker sessions replay these options verbatim, so
             # their planner/caches behave identically to this one.
@@ -640,7 +640,7 @@ class Session:
             and profiler is None  # profiled runs stay local: the
             # caller wants *this* process's phase timings.
         ):
-            from repro.engine.parallel.fanout import FanoutBroken
+            from repro.api.fanout import FanoutBroken
 
             try:
                 raw, explain = self._fanout.execute(

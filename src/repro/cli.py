@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from repro.analysis.reporting import format_table
@@ -113,6 +114,35 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextmanager
+def _parallel_context(args: argparse.Namespace, backend: str):
+    """The ``--workers`` process pool of ``run``/``run-plan``/``skew``.
+
+    Yields a :class:`~repro.engine.parallel.ParallelContext` (closed on
+    exit) when ``--workers`` asks for two or more processes under the
+    numpy backend, None otherwise.
+    """
+    workers = getattr(args, "workers", 1)
+    if workers < 2 or backend != "numpy":
+        yield None
+        return
+    from repro.engine.parallel import ParallelContext
+
+    with ParallelContext(workers, min_rows=0) as context:
+        yield context
+
+
+def _parallel_rows(parallel) -> list[list]:
+    """The summary-table rows that make ``--workers N`` visible."""
+    if parallel is None:
+        return []
+    return [
+        ["route workers", parallel.workers],
+        ["parallel rounds", parallel.parallel_rounds],
+        ["fallback rounds", parallel.fallback_rounds],
+    ]
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.algorithms.localjoin import evaluate_query
     from repro.algorithms.registry import compile_with
@@ -127,13 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     plan = compile_with(
         "hypercube", query, args.p, seed=args.seed, backend=backend
     )
-    parallel = None
-    workers = getattr(args, "workers", 1)
-    if workers >= 2 and backend == "numpy":
-        from repro.engine.parallel import ParallelContext
-
-        parallel = ParallelContext(workers, min_rows=0)
-    try:
+    with _parallel_context(args, backend) as parallel:
         execution = execute_plan(
             plan,
             database,
@@ -141,9 +165,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             parallel=parallel,
             chunk_rows=getattr(args, "chunk_rows", None),
         )
-    finally:
-        if parallel is not None:
-            parallel.close()
     truth = evaluate_query(
         query, {name: database[name].tuples for name in database.relations}
     )
@@ -162,15 +183,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             ["replication rate",
              f"{execution.report.replication_rate:.3f}"],
         ]
-        + (
-            [
-                ["route workers", workers],
-                ["parallel rounds", parallel.parallel_rounds],
-                ["fallback rounds", parallel.fallback_rounds],
-            ]
-            if parallel is not None
-            else []
-        ),
+        + _parallel_rows(parallel),
     ))
     _print_profile(profiler, f"HC timing breakdown ({backend})")
     return 0 if verified else 1
@@ -202,12 +215,14 @@ def cmd_run_plan(args: argparse.Namespace) -> int:
         "multiround", query, args.p, eps=args.eps, seed=args.seed,
         backend=backend,
     )
-    execution = execute_plan(
-        physical,
-        database,
-        profiler=profiler,
-        chunk_rows=getattr(args, "chunk_rows", None),
-    )
+    with _parallel_context(args, backend) as parallel:
+        execution = execute_plan(
+            physical,
+            database,
+            profiler=profiler,
+            parallel=parallel,
+            chunk_rows=getattr(args, "chunk_rows", None),
+        )
     truth = evaluate_query(
         query, {name: database[name].tuples for name in database.relations}
     )
@@ -226,6 +241,7 @@ def cmd_run_plan(args: argparse.Namespace) -> int:
         ["replication rate",
          f"{execution.report.replication_rate:.3f}"],
     ]
+    rows.extend(_parallel_rows(parallel))
     rows.extend(
         [f"view |{view}|", size]
         for view, size in sorted(execution.view_sizes.items())
@@ -250,22 +266,25 @@ def cmd_skew(args: argparse.Namespace) -> int:
     plain_profiler = _new_profiler(args)
     aware_profiler = _new_profiler(args)
     chunk_rows = getattr(args, "chunk_rows", None)
-    plain = execute_plan(
-        compile_with(
-            "hypercube", query, args.p, seed=args.seed, backend=backend
-        ),
-        database,
-        profiler=plain_profiler,
-        chunk_rows=chunk_rows,
-    )
-    aware = execute_plan(
-        compile_with(
-            "skewaware", query, args.p, seed=args.seed, backend=backend
-        ),
-        database,
-        profiler=aware_profiler,
-        chunk_rows=chunk_rows,
-    )
+    with _parallel_context(args, backend) as parallel:
+        plain = execute_plan(
+            compile_with(
+                "hypercube", query, args.p, seed=args.seed, backend=backend
+            ),
+            database,
+            profiler=plain_profiler,
+            parallel=parallel,
+            chunk_rows=chunk_rows,
+        )
+        aware = execute_plan(
+            compile_with(
+                "skewaware", query, args.p, seed=args.seed, backend=backend
+            ),
+            database,
+            profiler=aware_profiler,
+            parallel=parallel,
+            chunk_rows=chunk_rows,
+        )
     truth = evaluate_query(
         query, {name: database[name].tuples for name in database.relations}
     )
@@ -296,7 +315,8 @@ def cmd_skew(args: argparse.Namespace) -> int:
                 "aware imbalance",
                 f"{aware.report.rounds[0].load_imbalance:.2f}",
             ],
-        ],
+        ]
+        + _parallel_rows(parallel),
     ))
     _print_profile(plain_profiler, f"plain HC timing breakdown ({backend})")
     _print_profile(aware_profiler, f"skew-aware timing breakdown ({backend})")
@@ -683,8 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="executor processes for the parallel route phase "
-            "(numpy backend only; 1 = fully in-process)",
+            help="executor processes for run, run-plan and skew: "
+            "shardable steps route as one row range per process and, "
+            "with --chunk-rows, views evaluate on them while the next "
+            "round routes (numpy backend only; 1 = fully in-process)",
         )
         subparser.add_argument(
             "--chunk-rows",
@@ -692,8 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="streaming block size: route/ship in blocks of this "
             "many rows with lazy delivery pools (numpy backend only; "
-            "default: the REPRO_CHUNK_ROWS env knob, unset = "
-            "monolithic)",
+            "default: every step ships whole)",
         )
 
     run = commands.add_parser("run", help="run HyperCube on a random matching DB")
@@ -764,7 +785,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help="streaming block size for execution (numpy backend "
-            "only; default: the REPRO_CHUNK_ROWS env knob)",
+            "only; default: every step ships whole)",
         )
 
     query_cmd = commands.add_parser(
@@ -901,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="streaming block size for every served execution (numpy "
-        "backend only; default: the REPRO_CHUNK_ROWS env knob)",
+        "backend only; default: every step ships whole)",
     )
     serve.add_argument("--n", type=int, default=200, help="domain size")
     serve.add_argument("--p", type=int, default=16, help="number of servers")

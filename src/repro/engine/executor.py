@@ -9,18 +9,30 @@ enforces the capacity bound).
 
 Under the ``pure`` backend each step is routed row by row through
 :meth:`RoutingStep.destinations` and shipped with per-(receiver,
-relation) batching; under ``numpy`` the step's whole routing decision
-is computed in one :meth:`RoutingStep.route_columns` pass and shipped
-with a single :meth:`MPCSimulator.send_columns` call.  Both paths
-produce the same multiset of (row, destination) pairs, so answers,
-per-round received bits/tuples and capacity failures are bit-identical
-across backends by construction.
+relation) batching -- the reference the tests compare against.  Under
+``numpy`` every step is one loop over ``[start, end)`` row ranges of
+its source (:mod:`repro.engine.streaming` holds the primitive,
+:func:`~repro.engine.streaming.route_range`), with
 
-Routing and shipping are separate verbs
-(:meth:`RoundEngine.route_step` / :meth:`RoundEngine.ship_step`) with
-a :class:`RoutedStep` handed between them, so a subclass can compute
-the routing decision elsewhere (the process-parallel engine routes row
-shards on a pool) and ship it through the same code.
+* two **consumers**: *ship whole* -- the ranges' routing decisions are
+  joined (:func:`_reassemble`) and staged with one
+  :meth:`MPCSimulator.send_columns` call, which bins them by receiver
+  at round close -- or, when ``chunk_rows`` is set and the step is
+  shardable, *count* -- each range is bincounted block by block and
+  the delivery staged as a re-routable recipe
+  (:meth:`MPCSimulator.stage_lazy_columns`);
+* two **executors**: *inline*, when the range list is the single range
+  ``[0, n)``, or the *process pool* of a
+  :class:`~repro.engine.parallel.engine.ParallelContext`, one
+  contiguous shard per worker.  Non-shardable steps, small or empty
+  sources, a closed context and a pool that died mid-round are all the
+  same case: one range, inline.
+
+A tuple's destinations depend on the tuple alone and a round charges
+each server only for what it receives, so every range list produces
+the same multiset of (row, destination) pairs: answers, per-round
+received bits/tuples and capacity failures are bit-identical across
+backends, block sizes and worker counts by construction.
 
 :func:`execute_plan` is the plan-level entry point: it takes an
 immutable :class:`~repro.engine.plan.Plan` (the output of an
@@ -38,11 +50,13 @@ round's wall-clock into route/ship/deliver phases.
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from contextlib import nullcontext
+from functools import partial
 from typing import Any, Mapping, Sequence
 
-from repro.backend import NUMPY, resolve_backend
+from repro.backend import NUMPY, require_numpy, resolve_backend
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.engine.deadline import Deadline
 from repro.engine.faults import (
@@ -58,6 +72,12 @@ from repro.engine.plan import (
 )
 from repro.engine.profile import RoundProfiler
 from repro.engine.steps import HeavyGridRoute, RoutingStep
+from repro.engine.streaming import (
+    LazyContribution,
+    count_shard,
+    resolve_chunk_rows,
+    route_shard,
+)
 from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.simulator import MPCSimulator
@@ -66,18 +86,84 @@ from repro.mpc.stats import RoundStats, SimulationReport
 
 @dataclass(frozen=True)
 class RoutedStep:
-    """One step's routing decision: the route -> ship hand-off.
+    """One numpy step's routing decision: the route -> ship hand-off.
 
-    Exactly one representation is populated, matching the backend that
-    produced it: ``batches`` maps destination worker to its row list
-    (``pure``); ``columns``/``destinations``/``row_indices`` are the
-    :meth:`RoutingStep.route_columns` triple (``numpy``).
+    ``columns``/``destinations``/``row_indices`` are one
+    :meth:`RoutingStep.route_columns` triple over the whole source.
     """
 
-    batches: tuple[tuple[int, tuple[tuple[int, ...], ...]], ...] | None = None
-    columns: tuple | None = None
-    destinations: Any = None
+    columns: tuple
+    destinations: Any
     row_indices: Any = None
+
+
+def _reassemble(
+    numpy: Any,
+    source: ColumnarRelation,
+    bounds: list[tuple[int, int]],
+    results: list[dict],
+) -> RoutedStep:
+    """Join per-range routing decisions into the whole-source triple.
+
+    ``results`` holds one :func:`~repro.engine.streaming.route_shard`
+    dict per range of ``bounds``.  Range row indices are local to the
+    range's *kept* rows, so each range's index array is offset by the
+    cumulative kept-row count before it; a range returning
+    ``columns=None`` kept every row, letting the join substitute the
+    source's own zero-copy slice.  A single range covering the source
+    passes through untouched (nothing is concatenated or copied).
+
+    For :class:`~repro.engine.steps.HashRoute` the joined arrays are
+    element-identical to routing the source whole; for
+    :class:`~repro.engine.steps.Broadcast` the layout is range-major
+    rather than worker-major, but the delivery pool's stable grouping
+    by receiver restores the exact per-worker row order, so delivered
+    pools -- and therefore answers, loads and capacity behaviour --
+    are bit-identical for every range list.
+    """
+    if len(results) == 1:
+        (only,) = results
+        return RoutedStep(
+            columns=source.columns
+            if only["columns"] is None
+            else only["columns"],
+            destinations=only["destinations"],
+            row_indices=only["row_indices"],
+        )
+    destinations = numpy.concatenate(
+        [result["destinations"] for result in results]
+    )
+    if any(result["columns"] is not None for result in results):
+        pieces = [
+            result["columns"]
+            if result["columns"] is not None
+            else tuple(column[start:end] for column in source.columns)
+            for (start, end), result in zip(bounds, results)
+        ]
+        columns = tuple(
+            numpy.concatenate([piece[i] for piece in pieces])
+            for i in range(len(source.columns))
+        )
+    else:
+        columns = source.columns
+
+    if all(result["row_indices"] is None for result in results):
+        row_indices = None
+    else:
+        offset = 0
+        indexed = []
+        for result in results:
+            indices = result["row_indices"]
+            if indices is None:
+                indices = numpy.arange(result["kept"], dtype=numpy.int64)
+            indexed.append(indices + offset)
+            offset += result["kept"]
+        row_indices = numpy.concatenate(indexed)
+    return RoutedStep(
+        columns=columns,
+        destinations=destinations,
+        row_indices=row_indices,
+    )
 
 
 class RoundEngine:
@@ -90,23 +176,31 @@ class RoundEngine:
         profiler: optional phase-timing collector; when given, every
             round records route/ship/deliver seconds against its round
             index.
-        chunk_rows: streaming block size.  When set (numpy backend
-            only), shardable steps route in ``chunk_rows``-row blocks
-            -- zero-copy column views -- and ship as *lazy* deliveries
-            (:meth:`MPCSimulator.stage_lazy_columns`): loads are
-            accounted from a per-block counting pass and rows are
+        chunk_rows: streaming block size (numpy backend only; ignored
+            under ``pure``).  When set, shardable steps are *counted*
+            in ``chunk_rows``-row blocks -- zero-copy column views --
+            and ship as lazy deliveries
+            (:meth:`MPCSimulator.stage_lazy_columns`): rows are
             materialised at local-evaluation time one worker shard at
             a time, so the engine's peak memory per step is
             ``O(chunk_rows x replication)`` instead of
             ``O(n x replication)``.  Answers, per-server loads and
-            capacity behaviour are bit-identical to the monolithic
-            path; None (the default) is exactly today's code.
+            capacity behaviour are bit-identical for every block size;
+            None (the default) ships each step whole.
         deadline: optional per-request latency budget, checked
             cooperatively between streamed blocks (never
             mid-primitive).  Capacity precedence is preserved: the
             deadline is never consulted at round close, so a round
             that both overflows and overruns raises
             ``CapacityExceeded``.
+        parallel: optional
+            :class:`~repro.engine.parallel.engine.ParallelContext`.
+            Shardable steps over sources of at least its ``min_rows``
+            rows split into one row range per pool worker; everything
+            else -- and everything after the pool breaks -- is the
+            single range ``[0, n)``, run inline.  A round counts into
+            the context's ``parallel_rounds`` when at least one step
+            ran on the pool, ``fallback_rounds`` otherwise.
     """
 
     def __init__(
@@ -116,6 +210,7 @@ class RoundEngine:
         profiler: RoundProfiler | None = None,
         chunk_rows: int | None = None,
         deadline: Deadline | None = None,
+        parallel: Any = None,
     ) -> None:
         self.simulator = simulator
         self.backend = (
@@ -124,8 +219,10 @@ class RoundEngine:
             else resolve_backend(backend)
         )
         self.profiler = profiler
-        self.chunk_rows = chunk_rows
+        self.chunk_rows = chunk_rows if self.backend == NUMPY else None
         self.deadline = deadline
+        self.parallel = parallel
+        self._round_parallel = False
 
     def _measure(self, phase: str):
         if self.profiler is None:
@@ -151,63 +248,163 @@ class RoundEngine:
             CapacityExceeded: via :meth:`MPCSimulator.end_round` when
                 enforcement is on and a worker's budget is blown.
         """
-        self.simulator.begin_round()
-        for step in steps:
-            source = sources[step.relation]
-            if self._stream_eligible(step, source):
-                self.stream_step(step, source)
-            else:
-                self.ship_step(step, source, self.route_step(step, source))
-        with self._measure("deliver"):
-            return self.simulator.end_round()
+        self._round_parallel = False
+        try:
+            self.simulator.begin_round()
+            for step in steps:
+                source = sources[step.relation]
+                if self.backend != NUMPY:
+                    self._send_rows(step, source)
+                elif self.chunk_rows is not None and step.shardable:
+                    self._stage_counts(step, source)
+                else:
+                    self._send_columns(step, source)
+            with self._measure("deliver"):
+                return self.simulator.end_round()
+        finally:
+            if self.parallel is not None and steps:
+                if self._round_parallel:
+                    self.parallel.parallel_rounds += 1
+                else:
+                    self.parallel.fallback_rounds += 1
 
-    # -- streaming ----------------------------------------------------------
+    # -- row ranges: where they run -------------------------------------------
 
-    def _stream_eligible(
+    def _row_ranges(
         self, step: RoutingStep, source: ColumnarRelation
-    ) -> bool:
-        """Whether a step streams in blocks instead of routing whole.
+    ) -> list[tuple[int, int]]:
+        """The ``[start, end)`` ranges one numpy step is routed in.
 
-        Block-streaming reuses the shardability contract: routing must
-        depend on row content alone so ``route_columns`` over a block
-        equals the monolithic decision restricted to those rows.
-        Non-shardable steps (global row indices, global signature
-        grouping) and the ``pure`` backend route monolithically inside
-        an otherwise-streamed round -- always correct, since eager and
-        lazy deliveries coexist per relation.
+        One contiguous shard per pool worker when the context is
+        usable, the step's routing depends on row content alone
+        (:attr:`RoutingStep.shardable`) and the source is non-empty
+        and at least ``min_rows`` long; the single range ``[0, n)``
+        otherwise.
         """
-        return (
-            self.chunk_rows is not None
-            and self.backend == NUMPY
-            and step.shardable
-            and bool(source.columns)
-        )
+        num_rows = len(source) if source.columns else 0
+        context = self.parallel
+        if (
+            context is None
+            or not context.usable
+            or not step.shardable
+            or num_rows == 0
+            or num_rows < context.min_rows
+        ):
+            return [(0, num_rows)]
+        chunk = -(-num_rows // context.workers)  # ceil division
+        return [
+            (start, min(start + chunk, num_rows))
+            for start in range(0, num_rows, chunk)
+        ]
 
-    def stream_step(
+    def _over_ranges(
+        self,
+        consumer: Any,
+        step: RoutingStep,
+        source: ColumnarRelation,
+        bounds: list[tuple[int, int]],
+        *args: Any,
+        **inline_only: Any,
+    ) -> tuple[list[tuple[int, int]], list[Any], list[float]]:
+        """Apply ``consumer`` to each row range of one step's source.
+
+        Several ranges run as :func:`~repro.engine.parallel.pool.range_task`
+        on the context's pool against the source's shared-memory
+        segment; one range -- and every step once the pool has died --
+        runs inline on the source's own columns (``inline_only``
+        carries what cannot cross a process boundary).
+
+        Returns the ranges actually run, the consumer's result per
+        range, and the pool workers' seconds per range (empty when
+        the ranges ran inline).
+        """
+        if len(bounds) > 1:
+            from repro.engine.parallel.pool import PoolBroken, range_task
+
+            context = self.parallel
+            handle = context.handle_for(source.columns)
+            detach = context.evicted_names()
+            try:
+                answers = context.pool.collect(
+                    [
+                        context.pool.submit(
+                            range_task,
+                            consumer, step, handle, start, end, args, detach,
+                        )
+                        for start, end in bounds
+                    ]
+                )
+            except PoolBroken:
+                bounds = [(0, bounds[-1][1])]
+            else:
+                self._round_parallel = True
+                results, seconds = zip(*answers)
+                if self.profiler is not None:
+                    for shard_index, elapsed in enumerate(seconds):
+                        self.profiler.add_shard(
+                            self.simulator.round_index, shard_index, elapsed
+                        )
+                return bounds, list(results), list(seconds)
+        results = [
+            consumer(step, source.columns, start, end, *args, **inline_only)
+            for start, end in bounds
+        ]
+        return bounds, results, []
+
+    # -- the two consumers: count (streamed) and ship whole -------------------
+
+    @contextmanager
+    def _block_checkpoint(self, block_delay: float):
+        """Around one inline streamed block: deadline, fault, timing."""
+        if self.deadline is not None:
+            self.deadline.check("streamed block")
+        if block_delay > 0:
+            time.sleep(block_delay)
+        began = time.perf_counter()
+        yield
+        if self.profiler is not None:
+            self.profiler.add_block(
+                self.simulator.round_index,
+                "route",
+                time.perf_counter() - began,
+            )
+
+    def _stage_counts(
         self, step: RoutingStep, source: ColumnarRelation
     ) -> None:
-        """Route one step block-by-block and ship it lazily.
+        """Count one step block-by-block and ship it lazily.
 
         The route phase is a counting pass (per-block destinations ->
         bincount, arrays freed immediately); the ship phase stages the
-        delivery *recipe* plus counts on the simulator.  Load totals
-        equal the monolithic ``send_columns`` accounting bit-for-bit,
-        so capacity behaviour -- including which worker raises at
-        ``end_round`` -- is unchanged.
+        delivery *recipe* plus counts on the simulator.  Bincount is
+        additive over any row partition, so the summed counts equal
+        ``send_columns``' own accounting bit-for-bit and capacity
+        behaviour -- including which worker raises at ``end_round``
+        -- is that of shipping the step whole.
         """
-        from repro.engine.streaming import LazyContribution
-
         simulator = self.simulator
+        p = simulator.num_workers
         with self._measure("route"):
-            counts = self._stream_counts(step, source)
-        sender = (
-            step.sender
-            if step.sender is not None
-            else input_server(step.relation)
-        )
+            bounds = self._row_ranges(step, source)
+            if len(bounds) > 1 and self.deadline is not None:
+                # Pool shards have no per-block checkpoint in the
+                # parent; check once before dispatching them.
+                self.deadline.check("streamed step dispatch")
+            _, shard_counts, shard_seconds = self._over_ranges(
+                count_shard, step, source, bounds, p, self.chunk_rows,
+                block_hook=partial(
+                    self._block_checkpoint, block_delay_seconds()
+                ),
+            )
+            counts = sum(shard_counts)
+            if self.profiler is not None:
+                for seconds in shard_seconds:  # a pool shard = one block
+                    self.profiler.add_block(
+                        simulator.round_index, "route", seconds
+                    )
         with self._measure("ship"):
             simulator.stage_lazy_columns(
-                sender,
+                _sender_of(step),
                 step.mailbox_key,
                 LazyContribution(
                     step=step,
@@ -220,104 +417,57 @@ class RoundEngine:
                 bits_per_tuple=source.tuple_bits,
             )
 
-    def _stream_counts(self, step: RoutingStep, source: ColumnarRelation):
-        """Per-worker delivered counts of one streamed step."""
-        import time as _time
-
-        from repro.backend import require_numpy
-        from repro.engine.streaming import iter_blocks
-
-        numpy = require_numpy()
-        simulator = self.simulator
-        p = simulator.num_workers
-        counts = numpy.zeros(p, dtype=numpy.int64)
-        profiler = self.profiler
-        deadline = self.deadline
-        block_delay = block_delay_seconds()
-        round_index = simulator.round_index
-        for start, end in iter_blocks(len(source), self.chunk_rows):
-            if deadline is not None:
-                deadline.check("streamed block")
-            if block_delay > 0:
-                _time.sleep(block_delay)
-            began = _time.perf_counter()
-            block = tuple(column[start:end] for column in source.columns)
-            _, destinations, _ = step.route_columns(block, p)
-            if len(destinations):
-                low = int(destinations.min())
-                high = int(destinations.max())
-                if low < 0 or high >= p:
-                    from repro.mpc.simulator import ProtocolError
-
-                    offender = low if low < 0 else high
-                    raise ProtocolError(
-                        f"receiver {offender} outside [0, {p})"
-                    )
-                counts += numpy.bincount(destinations, minlength=p)
-            if profiler is not None:
-                profiler.add_block(
-                    round_index, "route", _time.perf_counter() - began
-                )
-        return counts
-
-    def route_step(
+    def _send_columns(
         self, step: RoutingStep, source: ColumnarRelation
-    ) -> RoutedStep:
-        """Compute one step's routing decision (no simulator effects)."""
-        p = self.simulator.num_workers
-        if self.backend == NUMPY:
-            with self._measure("route"):
-                columns, destinations, row_indices = step.route_columns(
-                    source.columns, p
-                )
-            return RoutedStep(
-                columns=columns,
-                destinations=destinations,
-                row_indices=row_indices,
+    ) -> None:
+        """Route one numpy step whole and stage it on the simulator."""
+        with self._measure("route"):
+            bounds, results, _ = self._over_ranges(
+                route_shard,
+                step,
+                source,
+                self._row_ranges(step, source),
+                self.simulator.num_workers,
             )
+            routed = _reassemble(require_numpy(), source, bounds, results)
+        with self._measure("ship"):
+            self.simulator.send_columns(
+                _sender_of(step),
+                routed.destinations,
+                step.mailbox_key,
+                routed.columns,
+                bits_per_tuple=source.tuple_bits,
+                row_indices=routed.row_indices,
+                source_sorted=step.preserves_source_order,
+            )
+
+    def _send_rows(
+        self, step: RoutingStep, source: ColumnarRelation
+    ) -> None:
+        """The ``pure`` path: route row by row, ship per-receiver batches."""
+        p = self.simulator.num_workers
         with self._measure("route"):
             batches: dict[int, list[tuple[int, ...]]] = {}
             for index, row in enumerate(source.rows()):
                 for destination in step.destinations(row, index, p):
                     batches.setdefault(destination, []).append(row)
-        return RoutedStep(
-            batches=tuple(
-                (destination, tuple(rows))
-                for destination, rows in batches.items()
-            )
-        )
-
-    def ship_step(
-        self,
-        step: RoutingStep,
-        source: ColumnarRelation,
-        routed: RoutedStep,
-    ) -> None:
-        """Stage one routed step on the simulator (inside a round)."""
-        simulator = self.simulator
-        sender = (
-            step.sender
-            if step.sender is not None
-            else input_server(step.relation)
-        )
-        key = step.mailbox_key
-        if routed.batches is None:
-            with self._measure("ship"):
-                simulator.send_columns(
-                    sender,
-                    routed.destinations,
-                    key,
-                    routed.columns,
-                    bits_per_tuple=source.tuple_bits,
-                    row_indices=routed.row_indices,
-                    source_sorted=step.preserves_source_order,
-                )
-            return
+        sender = _sender_of(step)
         with self._measure("ship"):
-            for destination, rows in routed.batches:
-                simulator.send(
-                    sender, destination, key, rows, source.tuple_bits
+            for destination, rows in batches.items():
+                self.simulator.send(
+                    sender,
+                    destination,
+                    step.mailbox_key,
+                    rows,
+                    source.tuple_bits,
                 )
+
+
+def _sender_of(step: RoutingStep):
+    """The endpoint a step's rows are sent from."""
+    return (
+        step.sender if step.sender is not None else input_server(step.relation)
+    )
 
 
 @dataclass
@@ -469,21 +619,18 @@ def execute_plan(
             baseline).
         parallel: optional
             :class:`~repro.engine.parallel.engine.ParallelContext`;
-            when given (and usable) rounds execute on a
-            :class:`~repro.engine.parallel.engine.ParallelRoundEngine`
-            that fans shardable route phases out across the context's
-            process pool -- and, combined with ``chunk_rows``, fans
-            ship/deliver and shard-wise local evaluation out too,
-            overlapping a round's view materialisation with the next
-            round's routing where data dependencies allow.  Answers,
-            loads and capacity behaviour are bit-identical to the
-            in-process engine; non-shardable steps and small sources
-            fall back transparently.
+            when given (and usable) shardable steps route as one row
+            range per pool worker (see :class:`RoundEngine`) -- and,
+            combined with ``chunk_rows``, shard-wise local evaluation
+            fans out too, overlapping a round's view materialisation
+            with the next round's routing where data dependencies
+            allow.  Answers, loads and capacity behaviour are
+            bit-identical to in-process execution; non-shardable steps
+            and small sources run as one inline range.
         chunk_rows: streaming block size (see :class:`RoundEngine`);
-            None reads the ``REPRO_CHUNK_ROWS`` environment knob, and
-            an unset knob means monolithic execution.  Answers, loads
-            and capacity failures stay bit-identical for every chunk
-            size.
+            None or non-positive ships every step whole.  Answers,
+            loads and capacity failures stay bit-identical for every
+            chunk size.
         deadline: optional per-request latency budget.  Checked
             cooperatively -- before each round, between streamed
             blocks, before and between local-evaluation shards
@@ -522,27 +669,16 @@ def execute_plan(
     if input_bits is None:
         input_bits = _database_bits(database, sources)
     simulator = plan_simulator(plan, input_bits, simulator)
-    from repro.engine.streaming import resolve_chunk_rows
-
-    chunk_rows = resolve_chunk_rows(chunk_rows)
-    streaming = chunk_rows is not None and backend == NUMPY
     parallel_ctx = (
         parallel if parallel is not None and parallel.usable else None
     )
-    if parallel_ctx is not None:
-        from repro.engine.parallel.engine import ParallelRoundEngine
-
-        engine: RoundEngine = ParallelRoundEngine(
-            simulator, parallel_ctx, profiler=profiler,
-            chunk_rows=chunk_rows if streaming else None,
-            deadline=deadline,
-        )
-    else:
-        engine = RoundEngine(
-            simulator, profiler=profiler,
-            chunk_rows=chunk_rows if streaming else None,
-            deadline=deadline,
-        )
+    engine = RoundEngine(
+        simulator,
+        profiler=profiler,
+        chunk_rows=resolve_chunk_rows(chunk_rows),
+        deadline=deadline,
+        parallel=parallel_ctx,
+    )
 
     domain_size = getattr(database, "domain_size", None)
     if domain_size is None:
@@ -620,7 +756,7 @@ def execute_plan(
 
         for view in plan_round.views:
             key_of = key_map_of(view.key_map)
-            if streaming:
+            if engine.chunk_rows is not None:
                 handle = materialise_view_async(
                     view.name,
                     view.query,

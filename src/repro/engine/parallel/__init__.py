@@ -1,25 +1,21 @@
-"""Process-parallel execution: shared-memory columns, shard pools,
-and statement fan-out.
+"""Process-parallel execution: shared-memory columns and the shard pool.
 
 Public surface:
 
 * :class:`~repro.engine.parallel.shm.SharedColumnStore` /
   :func:`~repro.engine.parallel.shm.attach_columns` -- zero-copy int64
   column transport over ``multiprocessing.shared_memory``.
-* :class:`~repro.engine.parallel.engine.ParallelContext` /
-  :class:`~repro.engine.parallel.engine.ParallelRoundEngine` -- the
-  in-engine route-shard fan-out (pass a context to
+* :class:`~repro.engine.parallel.engine.ParallelContext` -- the pool
+  and segment store that run the round engine's row ranges on several
+  processes (pass a context to
   :func:`repro.engine.executor.execute_plan` via ``parallel=``).
-* :class:`~repro.engine.parallel.fanout.SessionWorkerPool` -- the
-  statement-level fan-out the RPC front end uses: each worker process
-  holds a full session over a shared snapshot.
+
+The statement-level fan-out the RPC front end uses (one full session
+per worker process over a shared snapshot) lives with its only caller,
+in :mod:`repro.api.fanout`.
 """
 
-from repro.engine.parallel.engine import (
-    DEFAULT_MIN_ROWS,
-    ParallelContext,
-    ParallelRoundEngine,
-)
+from repro.engine.parallel.engine import DEFAULT_MIN_ROWS, ParallelContext
 from repro.engine.parallel.pool import PoolBroken, ShardPool
 from repro.engine.parallel.shm import (
     DatabaseExport,
@@ -37,10 +33,8 @@ __all__ = [
     "DEFAULT_MIN_ROWS",
     "DatabaseExport",
     "ParallelContext",
-    "ParallelRoundEngine",
     "PoolBroken",
     "SegmentHandle",
-    "SessionWorkerPool",
     "ShardPool",
     "SharedColumnStore",
     "SharedMemoryUnavailable",
@@ -51,12 +45,3 @@ __all__ = [
     "segment_exists",
 ]
 
-
-def __getattr__(name: str):
-    # fanout imports serve/api modules; loaded lazily so the engine
-    # package does not pull the serving stack in at import time.
-    if name == "SessionWorkerPool":
-        from repro.engine.parallel.fanout import SessionWorkerPool
-
-        return SessionWorkerPool
-    raise AttributeError(name)

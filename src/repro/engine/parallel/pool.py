@@ -1,4 +1,4 @@
-"""The persistent spawn-based process pool executing route shards.
+"""The persistent spawn-based process pool executing row-range tasks.
 
 One :class:`ShardPool` wraps a
 :class:`concurrent.futures.ProcessPoolExecutor` built on the ``spawn``
@@ -11,15 +11,15 @@ Workers are long-lived: the first task pays the interpreter + import
 cost, every later task reuses the warm process and its cached segment
 attachments (:mod:`repro.engine.parallel.shm` maps each segment once
 per process).  Task payloads are tiny -- a routing step, a segment
-handle and a ``[start, end)`` row range -- and results return the
-shard's destination/row-index arrays (pickled numpy buffers) plus the
-shard's filtered columns only when filtering actually dropped rows.
+handle and a ``[start, end)`` row range -- and :func:`range_task` runs
+on them the very consumer the in-process engine runs on ``[0, n)``.
 
 A worker death (OOM kill, segfault) surfaces as
-:class:`PoolBroken`; the owning :class:`~repro.engine.parallel.engine.ParallelContext`
-catches it, falls back to in-process routing and never trusts the
-pool again until rebuilt -- a crashed pool degrades to the
-single-process engine instead of failing the query.
+:class:`PoolBroken`; the engine catches it, runs the step as one
+inline range and the owning
+:class:`~repro.engine.parallel.engine.ParallelContext` never trusts
+the pool again until rebuilt -- a crashed pool degrades to in-process
+execution instead of failing the query.
 """
 
 from __future__ import annotations
@@ -40,15 +40,23 @@ class PoolBroken(RuntimeError):
     """The process pool lost a worker and cannot be trusted further."""
 
 
-def route_shard_task(
+def range_task(
+    consumer: Any,
     step: Any,
     handle: SegmentHandle,
     start: int,
     end: int,
-    p: int,
+    args: tuple,
     detach: Sequence[str] = (),
-) -> dict:
-    """Route rows ``[start, end)`` of a shared source (worker side).
+) -> tuple[Any, float]:
+    """Run a range consumer on rows ``[start, end)`` (worker side).
+
+    ``consumer`` is one of the functions the in-process engine calls on
+    the single range ``[0, n)`` --
+    :func:`~repro.engine.streaming.route_shard` (routing decision) or
+    :func:`~repro.engine.streaming.count_shard` (streamed counting
+    pass) -- applied here to the shared segment's zero-copy views, so
+    a pool shard and an inline range execute the same code.
 
     ``detach`` lists segment names the parent has released since --
     this worker drops any cached mappings of them before attaching, so
@@ -56,64 +64,15 @@ def route_shard_task(
     attachment cache in :mod:`repro.engine.parallel.shm` is the
     backstop for workers that receive no further tasks).
 
-    Returns a dict with:
-
-    * ``destinations`` / ``row_indices`` -- the shard's routing
-      decision, row indices *shard-local* (the parent offsets them by
-      the cumulative filtered row count of earlier shards);
-    * ``kept`` -- the shard's post-filter row count;
-    * ``columns`` -- the filtered shard columns, or None when the step
-      kept every row (the parent then reuses its own zero-copy slice);
-    * ``seconds`` -- worker-side wall clock (per-shard profiling).
+    Returns the consumer's result and the worker-side wall clock
+    (per-shard profiling).
     """
     began = time.perf_counter()
     if detach:
         detach_names(detach)
     source = attach_columns(handle)
-    shard = tuple(column[start:end] for column in source)
-    columns, destinations, row_indices = step.route_columns(shard, p)
-    shard_rows = end - start
-    kept = len(columns[0]) if columns else 0
-    return {
-        "destinations": destinations,
-        "row_indices": row_indices,
-        "kept": kept,
-        "columns": None if kept == shard_rows else columns,
-        "seconds": time.perf_counter() - began,
-    }
-
-
-def count_shard_task(
-    step: Any,
-    handle: SegmentHandle,
-    start: int,
-    end: int,
-    p: int,
-    chunk_rows: int,
-    detach: Sequence[str] = (),
-) -> dict:
-    """Streaming counting pass over rows ``[start, end)`` (worker side).
-
-    The parallel leg of a streamed step's route phase: route the row
-    range in ``chunk_rows`` blocks, bincount destinations, discard the
-    arrays -- the child's transient memory stays
-    ``O(chunk x replication)`` just like the parent's.  Returns the
-    shard's per-worker counts plus worker-side seconds; summing the
-    shards reproduces the monolithic counting pass exactly (bincount
-    is additive over any row partition).
-    """
-    began = time.perf_counter()
-    if detach:
-        detach_names(detach)
-    from repro.engine.streaming import route_block_counts
-
-    source = attach_columns(handle)
-    shard = tuple(column[start:end] for column in source)
-    counts = route_block_counts(step, shard, end - start, chunk_rows, p)
-    return {
-        "counts": counts,
-        "seconds": time.perf_counter() - began,
-    }
+    result = consumer(step, source, start, end, *args)
+    return result, time.perf_counter() - began
 
 
 def eval_shard_task(
@@ -209,34 +168,6 @@ class ShardPool:
             self.broken = True
             self.close()
             raise PoolBroken(str(error)) from error
-
-    def route_shards(
-        self,
-        step: Any,
-        handle: SegmentHandle,
-        bounds: Sequence[tuple[int, int]],
-        p: int,
-        detach: Sequence[str] = (),
-    ) -> list[dict]:
-        """Run one step's shards concurrently; results in shard order.
-
-        ``detach`` is forwarded to every task (see
-        :func:`route_shard_task`): the parent's recently-released
-        segment names, so whichever workers pick the tasks up drop
-        their stale mappings first.
-
-        Raises:
-            PoolBroken: a worker died; the pool is marked broken and
-                shut down (the caller falls back to serial routing).
-        """
-        return self.collect(
-            [
-                self.submit(
-                    route_shard_task, step, handle, start, end, p, detach
-                )
-                for start, end in bounds
-            ]
-        )
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""

@@ -1,60 +1,64 @@
-"""Streaming round execution: fixed-size column blocks, lazy pools.
+"""Row ranges, their two consumers, and lazy delivery pools.
 
-The monolithic engine materialises every relation's full delivery pool
-in parent memory each round -- ``O(n x replication)`` bytes, which is
-what caps the repository at n=1e6 (ROADMAP item 2).  The MPC model
-itself never requires that: it charges each *server* for what it
-receives per round, so a faithful simulation only ever needs per-worker
-loads (a ``p``-length bincount) plus, at local-evaluation time, one
-worker subrange's fragments at a time.
+In the tuple-based MPC model a tuple's destinations depend on the tuple
+alone and a round charges each *server* for what it receives, so
+routing any row range of a relation in isolation and summing per-worker
+counts is exact -- whether the range is the whole relation, one
+``chunk_rows`` block or one process shard.  The engine therefore has
+one route primitive, :func:`route_range`, and every numpy step is a
+loop of it over a list of ``[start, end)`` ranges with one of two
+consumers:
 
-This module holds the data-structure layer of that streaming mode:
+* **count** -- :func:`route_block_counts` bincounts each block's
+  destinations and drops the arrays: per-worker loads in
+  ``O(chunk_rows x replication)`` transient memory.  This is how a
+  streamed step (``chunk_rows`` set) ships: loads are accounted now and
+  the delivery is recorded as a :class:`LazyContribution` *recipe*;
+* **bin** -- :func:`bin_block` groups one routed range by receiving
+  worker and a :class:`PoolBuilder` merges the groups into one
+  :class:`~repro.mpc.simulator.ColumnPool`.  The simulator bins every
+  ``send_columns`` stage this way at round close (one range, the whole
+  relation: the builder's one-block shortcut), and
+  :func:`materialize_shard` bins a recipe's blocks for one worker
+  subrange at local-evaluation time.
+
+Where the ranges run -- inline, or as shards on the process pool -- is
+the engine's choice (:class:`~repro.engine.executor.RoundEngine`);
+:func:`route_shard` is the unit it hands out.  The rest of this module
+is the data-structure layer:
 
 * :func:`iter_blocks` -- the ``[start, end)`` block schedule of a
   relation under a ``chunk_rows`` budget.  Blocks are numpy *views*
-  over the source columns (no row copies); the transient routing state
-  per block is ``O(chunk_rows x replication)``.
-* :class:`PoolBuilder` -- accumulates per-block worker-grouped
-  mini-pools and finalises them into one
-  :class:`~repro.mpc.simulator.ColumnPool` with a k-way per-worker
-  merge (one pass of slice copies, freeing each block as it goes)
-  instead of one monolithic stable sort.  Because blocks arrive in
-  ascending source order, a single source-sorted stream stays
-  source-sorted through the merge -- the sort-free direct-address join
-  keeps its precondition; multiple interleaved streams fall back to
-  ``source_sorted=False`` exactly like the monolithic multi-stage path.
-* :class:`LazyContribution` -- one streamed routing step's delivery,
-  recorded as *recipe* (step + source columns + block schedule) rather
-  than materialised rows.  Loads are accounted eagerly from a counting
-  pass; rows are only produced on demand, one worker shard at a time,
-  through :func:`materialize_shard`.
+  over the source columns (no row copies).
+* :class:`PoolBuilder` -- k-way per-worker merge of worker-grouped
+  blocks (one pass of slice copies, freeing each block as it goes).
+  Because blocks arrive in ascending source order, a single
+  source-sorted stream stays source-sorted through the merge -- the
+  sort-free direct-address join keeps its precondition; several
+  interleaved streams clear ``source_sorted``.
 * :func:`plan_worker_shards` -- contiguous worker ranges whose pooled
   bytes fit a budget, so shard-wise evaluation's peak memory is
   ``O(shard budget)`` independent of ``n``.
 
-Parity contract: a streamed execution re-routes blocks with the exact
-:meth:`~repro.engine.steps.RoutingStep.route_columns` code the
-monolithic path uses, restricted to shardable steps (routing depends
-on row content only), so the multiset of (row, destination) pairs --
-and therefore answers, per-server loads and capacity behaviour -- is
-identical by construction.  The cost of never holding the full pool is
-recomputation: each worker shard re-routes the source blocks, an
-accepted CPU-for-memory trade bounded by ``1 + num_shards`` routing
-passes.
+Parity contract: only shardable steps (routing depends on row content
+only) are split into more than one range, and every range goes through
+the same :meth:`~repro.engine.steps.RoutingStep.route_columns` code, so
+the multiset of (row, destination) pairs -- and therefore answers,
+per-server loads and capacity behaviour -- is identical for every
+range list by construction.  The cost of a lazy pool is recomputation:
+each worker shard re-routes the source blocks, an accepted
+CPU-for-memory trade bounded by ``1 + num_shards`` routing passes.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 from repro.backend import require_numpy
-from repro.mpc.simulator import ColumnPool
-
-#: Environment knob for the default streaming block size (rows per
-#: block).  Unset / empty / "0" / "none" means monolithic execution.
-CHUNK_ROWS_ENV = "REPRO_CHUNK_ROWS"
+from repro.mpc.simulator import ColumnPool, ProtocolError
 
 #: Environment knob for the shard-wise evaluation budget: target bytes
 #: of pooled rows materialised per worker shard.
@@ -67,23 +71,11 @@ DEFAULT_SHARD_BYTES = 512 * 1024 * 1024
 
 
 def resolve_chunk_rows(chunk_rows: int | None = None) -> int | None:
-    """The effective streaming block size, or None for monolithic.
+    """The effective streaming block size, or None for one block.
 
-    An explicit argument wins; otherwise the ``REPRO_CHUNK_ROWS``
-    environment variable is consulted.  Non-positive, unset and
-    ``"none"``/``"inf"`` values all mean "monolithic" -- chunk size
-    infinity degenerates to today's code path by definition.
+    None and non-positive values both mean "the whole relation is one
+    block".
     """
-    if chunk_rows is None:
-        raw = os.environ.get(CHUNK_ROWS_ENV, "").strip().lower()
-        if not raw or raw in ("none", "inf"):
-            return None
-        try:
-            chunk_rows = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CHUNK_ROWS_ENV} must be an integer, got {raw!r}"
-            ) from None
     if chunk_rows is None or chunk_rows <= 0:
         return None
     return int(chunk_rows)
@@ -94,7 +86,12 @@ def resolve_shard_bytes(shard_bytes: int | None = None) -> int:
     if shard_bytes is None:
         raw = os.environ.get(SHARD_BYTES_ENV, "").strip()
         if raw:
-            shard_bytes = int(raw)
+            try:
+                shard_bytes = int(raw)
+            except ValueError:
+                raise ValueError(
+                    f"{SHARD_BYTES_ENV} must be an integer, got {raw!r}"
+                ) from None
     if shard_bytes is None or shard_bytes <= 0:
         return DEFAULT_SHARD_BYTES
     return int(shard_bytes)
@@ -124,8 +121,8 @@ class PoolBuilder:
     stream's fragments stay sorted through the merge.
 
     Appending pools from more than one ``stream`` (distinct routing
-    steps feeding one relation) clears ``source_sorted``, mirroring the
-    monolithic multi-stage conservatism.
+    steps feeding one relation) clears ``source_sorted``: interleaved
+    streams break within-worker source order.
     """
 
     def __init__(
@@ -286,33 +283,101 @@ class LazyContribution:
     source_sorted: bool
 
 
+def route_range(step: Any, columns: tuple, start: int, end: int, p: int):
+    """Route rows ``[start, end)`` of a source: the one route primitive.
+
+    Returns the :meth:`~repro.engine.steps.RoutingStep.route_columns`
+    triple of the range's zero-copy column views; row indices are local
+    to the range's kept rows.
+    """
+    return step.route_columns(
+        tuple(column[start:end] for column in columns), p
+    )
+
+
+def route_shard(
+    step: Any, columns: tuple, start: int, end: int, p: int
+) -> dict:
+    """One range's routing decision, in the form ranges are joined in.
+
+    The unit of a shipped (binned) step: the engine calls it inline on
+    the single range ``[0, n)`` or hands one call per row shard to the
+    process pool, and :func:`~repro.engine.executor._reassemble` joins
+    the results.  Returns a dict with:
+
+    * ``destinations`` / ``row_indices`` -- the range's routing
+      decision, row indices *range-local* (the join offsets them by the
+      cumulative kept-row count of earlier ranges);
+    * ``kept`` -- the range's post-filter row count;
+    * ``columns`` -- the filtered range columns, or None when the step
+      kept every row (the join then reuses the source's own columns,
+      and a pool worker sends none back).
+    """
+    routed, destinations, row_indices = route_range(
+        step, columns, start, end, p
+    )
+    kept = len(routed[0]) if routed else 0
+    return {
+        "destinations": destinations,
+        "row_indices": row_indices,
+        "kept": kept,
+        "columns": None if kept == end - start else routed,
+    }
+
+
 def route_block_counts(
-    step: Any, columns: tuple, num_rows: int, chunk_rows: int, p: int
+    step: Any,
+    columns: tuple,
+    num_rows: int,
+    chunk_rows: int,
+    p: int,
+    block_hook: Any = nullcontext,
 ) -> Any:
     """Per-worker delivered-tuple counts of one step, block by block.
 
-    The streaming counting pass: routes every block with the exact
-    monolithic :meth:`route_columns` code and bincounts destinations,
-    discarding the arrays immediately -- identical totals to the
-    monolithic send, ``O(chunk x replication)`` transient memory.
+    The count consumer: routes every block through :func:`route_range`
+    and bincounts destinations, discarding the arrays immediately --
+    identical totals to one ``send_columns`` of the whole range,
+    ``O(chunk x replication)`` transient memory.  ``block_hook``
+    returns a context manager entered around every block (the
+    in-process engine's deadline check, fault delay and block timing).
     """
     numpy = require_numpy()
     counts = numpy.zeros(p, dtype=numpy.int64)
     for start, end in iter_blocks(num_rows, chunk_rows):
-        block = tuple(column[start:end] for column in columns)
-        _, destinations, _ = step.route_columns(block, p)
-        if len(destinations):
-            low = int(destinations.min())
-            high = int(destinations.max())
-            if low < 0 or high >= p:
-                from repro.mpc.simulator import ProtocolError
-
-                offender = low if low < 0 else high
-                raise ProtocolError(
-                    f"receiver {offender} outside [0, {p})"
-                )
-            counts += numpy.bincount(destinations, minlength=p)
+        with block_hook():
+            _, destinations, _ = route_range(step, columns, start, end, p)
+            if len(destinations):
+                low = int(destinations.min())
+                high = int(destinations.max())
+                if low < 0 or high >= p:
+                    offender = low if low < 0 else high
+                    raise ProtocolError(
+                        f"receiver {offender} outside [0, {p})"
+                    )
+                counts += numpy.bincount(destinations, minlength=p)
     return counts
+
+
+def count_shard(
+    step: Any,
+    columns: tuple,
+    start: int,
+    end: int,
+    p: int,
+    chunk_rows: int,
+    block_hook: Any = nullcontext,
+) -> Any:
+    """:func:`route_block_counts` over rows ``[start, end)`` of a source.
+
+    The unit of a streamed (counted) step, as :func:`route_shard` is of
+    a shipped one; bincount is additive over any row partition, so the
+    summed counts of any range list equal the whole relation's.
+    """
+    shard = tuple(column[start:end] for column in columns)
+    return route_block_counts(
+        step, shard, end - start, chunk_rows, p, block_hook
+    )
 
 
 def materialize_shard(
@@ -328,8 +393,7 @@ def materialize_shard(
     the shard, and merges through a :class:`PoolBuilder`.
     ``extra_blocks`` lets callers mix in already-delivered eager pools
     of the same relation (pre-sharded to ``[lo, hi)``); more than one
-    total stream clears ``source_sorted`` exactly like the monolithic
-    multi-stage path.
+    total stream clears ``source_sorted``.
     """
     arity = None
     for block in extra_blocks:
@@ -347,18 +411,14 @@ def materialize_shard(
             sorted_block=block.source_sorted,
         )
     for index, contribution in enumerate(contributions):
-        step = contribution.step
         for start, end in iter_blocks(
             contribution.num_rows, contribution.chunk_rows
         ):
-            block = tuple(
-                column[start:end] for column in contribution.columns
-            )
-            columns, destinations, row_indices = step.route_columns(
-                block, p
+            routed = route_range(
+                contribution.step, contribution.columns, start, end, p
             )
             builder.append(
-                bin_block(columns, destinations, row_indices, p, lo, hi),
+                bin_block(*routed, p, lo, hi),
                 stream=("lazy", index),
                 sorted_block=contribution.source_sorted,
             )

@@ -22,8 +22,14 @@ load and pools the deliveries at round end.
 
 Columnar delivery is *pooled*: all of a relation's staged column sends
 for the round are gathered into one contiguous :class:`ColumnPool`
-whose rows are grouped by receiving worker (one stable sort per
-relation per round), with a ``(worker -> offset range)`` index.  Each
+whose rows are grouped by receiving worker, with a
+``(worker -> offset range)`` index.  Every pool -- a round's stages at
+:meth:`MPCSimulator.end_round`, several rounds' pools merged for
+:meth:`MPCSimulator.relation_pool`, a streamed recipe's blocks in
+:meth:`MPCSimulator.pool_shard` -- is grouped by the one constructor in
+:mod:`repro.engine.streaming`: ``bin_block`` (one stable sort of a
+routed row range by receiver) feeding a ``PoolBuilder`` (per-worker
+merge; a single range passes through as the pool).  Each
 worker's mailbox fragment is then a zero-copy basic slice of the pool;
 the segmented local join reads contiguous worker ranges of it via
 :meth:`MPCSimulator.pool_shard`, and fleet-wide consumers (IVM state
@@ -313,22 +319,35 @@ class MPCSimulator:
     def _deliver_column_pools(self) -> None:
         """Pool the round's column stages per relation and deliver.
 
-        One stable sort per relation groups every staged row by its
-        receiving worker; each worker's mailbox fragment is then a
-        zero-copy basic slice of the pooled columns, and the pool plus
-        its offset index stays available fleet-wide through
-        :meth:`relation_pool`.
+        Every stage is one routed row range: it is grouped by receiving
+        worker with the bin consumer the streamed path uses
+        (:func:`~repro.engine.streaming.bin_block`, one stable sort)
+        and a relation's stages merge through a
+        :class:`~repro.engine.streaming.PoolBuilder` -- which hands a
+        single stage's grouping through as the pool.  Each worker's
+        mailbox fragment is then a zero-copy basic slice of the pooled
+        columns, and the pool plus its offset index stays available
+        fleet-wide through :meth:`relation_pool`.
         """
         if not self._staged_columns:
             return
-        by_relation: dict[str, list[_ColumnStage]] = {}
-        for stage in self._staged_columns:
-            by_relation.setdefault(stage.relation, []).append(stage)
-        for relation, stages in by_relation.items():
-            pool = self._build_pool(stages)
+        from repro.engine.streaming import PoolBuilder, bin_block
+
+        p = self.config.p
+        builders: dict[str, Any] = {}
+        for index, stage in enumerate(self._staged_columns):
+            builders.setdefault(stage.relation, PoolBuilder(p)).append(
+                bin_block(
+                    stage.columns, stage.receivers, stage.row_indices, p
+                ),
+                stream=index,
+                sorted_block=stage.source_sorted,
+            )
+        for relation, builder in builders.items():
+            pool = builder.finalize()
             self._pools.setdefault(relation, []).append(pool)
             self._merged_pools.pop(relation, None)
-            for worker in range(self.config.p):
+            for worker in range(p):
                 if pool.worker_count(worker):
                     self._mailboxes[worker].deliver_columns(
                         relation, pool.worker_slice(worker)
@@ -341,7 +360,7 @@ class MPCSimulator:
         round only become part of the fleet's delivered state once the
         round closes under its capacity budget -- a round that raises
         :class:`CapacityExceeded` leaves the contribution unstaged,
-        exactly as a monolithic delivery would never have pooled.
+        exactly as a whole-shipped delivery would never have pooled.
         """
         if not self._staged_lazy:
             return
@@ -354,53 +373,6 @@ class MPCSimulator:
             else:
                 self._lazy_counts[relation] = existing + counts
             self._merged_pools.pop(relation, None)
-
-    def _build_pool(self, stages: list[_ColumnStage]) -> ColumnPool:
-        """Gather one relation's stages into a worker-grouped pool."""
-        numpy = require_numpy()
-        if len(stages) == 1:
-            stage = stages[0]
-            receivers = stage.receivers
-            order = numpy.argsort(receivers, kind="stable")
-            selected = (
-                order
-                if stage.row_indices is None
-                else stage.row_indices[order]
-            )
-            columns = tuple(column[selected] for column in stage.columns)
-            source_sorted = stage.source_sorted
-        else:
-            receivers = numpy.concatenate(
-                [stage.receivers for stage in stages]
-            )
-            order = numpy.argsort(receivers, kind="stable")
-            arity = len(stages[0].columns)
-            expanded = [
-                tuple(
-                    column
-                    if stage.row_indices is None
-                    else column[stage.row_indices]
-                    for column in stage.columns
-                )
-                for stage in stages
-            ]
-            columns = tuple(
-                numpy.concatenate(
-                    [stage_columns[i] for stage_columns in expanded]
-                )[order]
-                for i in range(arity)
-            )
-            # Interleaved stages break within-worker source order.
-            source_sorted = False
-        offsets = numpy.searchsorted(
-            receivers[order],
-            numpy.arange(self.config.p + 1, dtype=numpy.int64),
-        )
-        return ColumnPool(
-            columns=columns,
-            offsets=offsets.astype(numpy.int64),
-            source_sorted=source_sorted,
-        )
 
     # -- sending --------------------------------------------------------------
 
@@ -748,29 +720,6 @@ class MPCSimulator:
             return pools[0]
         merged = self._merged_pools.get(relation)
         if merged is None:
-            merged = self._merge_pools(pools)
+            merged = self.pool_shard(relation, 0, self.config.p)
             self._merged_pools[relation] = merged
         return merged
-
-    def _merge_pools(self, pools: list[ColumnPool]) -> ColumnPool:
-        """Merge several rounds' pools into one worker-grouped pool.
-
-        Each pool becomes a synthetic stage (its receiver array is
-        reconstructed from the offset index) so the group-by-worker
-        construction lives in exactly one place, :meth:`_build_pool`.
-        """
-        numpy = require_numpy()
-        p = self.config.p
-        stages = [
-            _ColumnStage(
-                relation="",
-                receivers=numpy.repeat(
-                    numpy.arange(p, dtype=numpy.int64),
-                    pool.offsets[1:] - pool.offsets[:-1],
-                ),
-                columns=pool.columns,
-                bits_per_tuple=0,
-            )
-            for pool in pools
-        ]
-        return self._build_pool(stages)

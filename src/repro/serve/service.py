@@ -200,8 +200,7 @@ class QueryService:
             peak memory per request is bounded by the block and shard
             budgets instead of the full delivery volume -- answers,
             loads and capacity behaviour stay bit-identical.  None
-            (the default) defers to the ``REPRO_CHUNK_ROWS``
-            environment knob.
+            (the default) ships every step whole.
         ivm: serve post-delta requests by routing only the delta and
             merging with retained state when eligible (see
             :mod:`repro.serve.ivm`); answers, loads and capacity

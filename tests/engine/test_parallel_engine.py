@@ -7,12 +7,8 @@ import pytest
 numpy = pytest.importorskip("numpy")
 
 from repro.data.matching import matching_database
-from repro.engine.executor import RoundEngine, execute_plan
-from repro.engine.parallel.engine import (
-    DEFAULT_MIN_ROWS,
-    ParallelContext,
-    ParallelRoundEngine,
-)
+from repro.engine.executor import RoundEngine, _reassemble, execute_plan
+from repro.engine.parallel.engine import DEFAULT_MIN_ROWS, ParallelContext
 from repro.engine.steps import (
     Broadcast,
     HashRoute,
@@ -133,9 +129,7 @@ class TestReassembly:
         )
         bounds = self._bounds(len(source), shards)
         results = _shard_results(step, source.columns, bounds, self.P)
-        routed = ParallelRoundEngine._reassemble(
-            numpy, source, bounds, results
-        )
+        routed = _reassemble(numpy, source, bounds, results)
         assert numpy.array_equal(routed.destinations, serial_dest)
         for rebuilt, serial in zip(routed.columns, serial_columns):
             assert numpy.array_equal(rebuilt, serial)
@@ -183,9 +177,7 @@ class TestReassembly:
         )
         bounds = self._bounds(len(source), 3)
         results = _shard_results(step, source.columns, bounds, self.P)
-        routed = ParallelRoundEngine._reassemble(
-            numpy, source, bounds, results
-        )
+        routed = _reassemble(numpy, source, bounds, results)
 
         def pairs(cols, dest, idx):
             rows = numpy.stack([col[idx] for col in cols], axis=1)

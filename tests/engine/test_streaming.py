@@ -13,7 +13,6 @@ from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan, plan_simulator
 from repro.engine.streaming import (
-    CHUNK_ROWS_ENV,
     DEFAULT_SHARD_BYTES,
     SHARD_BYTES_ENV,
     LazyContribution,
@@ -35,31 +34,12 @@ from repro.serve.service import QueryService
 
 
 class TestResolveChunkRows:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "7")
+    def test_positive_argument_passes_through(self):
         assert resolve_chunk_rows(64) == 64
 
-    def test_env_is_consulted_when_unset(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "128")
-        assert resolve_chunk_rows(None) == 128
-
-    @pytest.mark.parametrize("raw", ["", "none", "NONE", "inf", "  "])
-    def test_monolithic_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv(CHUNK_ROWS_ENV, raw)
-        assert resolve_chunk_rows(None) is None
-
-    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("value", [None, 0, -1])
     def test_non_positive_means_monolithic(self, value):
         assert resolve_chunk_rows(value) is None
-
-    def test_unset_env_means_monolithic(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ROWS_ENV, raising=False)
-        assert resolve_chunk_rows(None) is None
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ROWS_ENV, "lots")
-        with pytest.raises(ValueError):
-            resolve_chunk_rows(None)
 
 
 class TestResolveShardBytes:
@@ -75,6 +55,11 @@ class TestResolveShardBytes:
     def test_non_positive_falls_back_to_default(self):
         assert resolve_shard_bytes(0) == DEFAULT_SHARD_BYTES
         assert resolve_shard_bytes(-5) == DEFAULT_SHARD_BYTES
+
+    def test_garbage_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(SHARD_BYTES_ENV, "abc")
+        with pytest.raises(ValueError, match=SHARD_BYTES_ENV):
+            resolve_shard_bytes(None)
 
 
 class TestIterBlocks:

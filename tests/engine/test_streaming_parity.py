@@ -101,15 +101,14 @@ class TestSerialParity:
             _assert_parity(monolithic, streamed, query.name)
             assert not profiler.blocks  # streaming never engaged
 
-    def test_chunk_rows_env_engages_streaming(self, monkeypatch):
+    def test_chunk_rows_engages_streaming(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         plan = compile_hypercube(query, p=8, backend="numpy")
         db = matching_database(query, n=50, rng=19)
         monolithic = execute_plan(plan, db)
-        monkeypatch.setenv("REPRO_CHUNK_ROWS", "9")
         profiler = RoundProfiler()
-        streamed = execute_plan(plan, db, profiler=profiler)
-        _assert_parity(monolithic, streamed, "env knob")
+        streamed = execute_plan(plan, db, chunk_rows=9, profiler=profiler)
+        _assert_parity(monolithic, streamed, "chunk_rows=9")
         assert _routed_blocks(profiler)
 
 

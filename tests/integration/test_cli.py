@@ -193,6 +193,44 @@ class TestProfileFlag:
         assert "timing breakdown" not in output
 
 
+class TestWorkersFlag:
+    """``--workers`` reaches the engine from every execution command."""
+
+    COMMANDS = {
+        "run": ["run", "S1(x,y), S2(y,z)"],
+        "run-plan": ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0"],
+        "skew": ["skew", "S1(x,y), S2(y,z)"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rounds_run_on_the_pool(self, capsys, command):
+        from repro.backend import numpy_available
+
+        if not numpy_available():
+            pytest.skip("numpy backend unavailable")
+        code = main(
+            self.COMMANDS[command]
+            + ["--n", "40", "--p", "4", "--backend", "numpy",
+               "--workers", "2", "--chunk-rows", "16"]
+        )
+        rows = dict(
+            line.rsplit(None, 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("route workers", "parallel rounds"))
+        )
+        assert code == 0
+        assert rows["route workers"] == "2"
+        assert int(rows["parallel rounds"]) > 0
+
+    def test_pure_backend_stays_in_process(self, capsys):
+        code = main(
+            ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
+             "--n", "20", "--p", "4", "--workers", "2"]
+        )
+        assert code == 0
+        assert "route workers" not in capsys.readouterr().out
+
+
 class TestServe:
     def _script(self, tmp_path, lines):
         path = tmp_path / "script.txt"

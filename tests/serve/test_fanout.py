@@ -10,7 +10,7 @@ import pytest
 from repro import connect
 from repro.core.families import cycle_query
 from repro.data.matching import matching_database
-from repro.engine.parallel.fanout import FanoutBroken, SessionWorkerPool
+from repro.api.fanout import FanoutBroken, SessionWorkerPool
 from repro.engine.parallel.shm import segment_exists
 from repro.mpc.simulator import CapacityExceeded
 

@@ -153,7 +153,7 @@ class TestWorkerDeath:
 
 class TestPoolShutdown:
     def test_join_timeout_is_validated(self):
-        from repro.engine.parallel.fanout import SessionWorkerPool
+        from repro.api.fanout import SessionWorkerPool
 
         with pytest.raises(ValueError):
             SessionWorkerPool(

@@ -20,7 +20,6 @@ UPPER = ("serve", "api", "planner")
 
 #: (importing file relative to the package, imported module).
 KNOWN_INVERSIONS = {
-    ("engine/parallel/fanout.py", "repro.api.session"),
     ("algorithms/registry.py", "repro.planner.stats"),
 }
 

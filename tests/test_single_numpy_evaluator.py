@@ -1,9 +1,13 @@
-"""``src/`` holds one numpy site evaluator, and keeps holding one.
+"""``src/`` holds one numpy site evaluator and one route/ship loop.
 
 The per-worker numpy join, the fleet join, their density heuristic and
 the tri-state ``segmented`` switch were folded into the shard loop of
-``engine/local.py``; none of their names may reappear in the package
-(a second evaluator would have to be named something).
+``engine/local.py``; the process-parallel engine subclass, the second
+streamed counting loop, the simulator's own group-by-worker code and
+the ``REPRO_CHUNK_ROWS`` environment knob were folded into
+``RoundEngine``'s loop over row ranges.  None of their names may
+reappear in the package (a second path would have to be named
+something).
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ DELETED = re.compile(
     r"SEGMENTED_DENSITY_THRESHOLD|_prefer_segmented"
     r"|merged_answer_table_per_worker|worker_answer_table\b"
     r"|fleet_answer_table|slice_pool_for_workers|segmented="
+    r"|ParallelRoundEngine|_stream_counts|_route_sharded|route_shards"
+    r"|_build_pool|_merge_pools|CHUNK_ROWS_ENV|REPRO_CHUNK_ROWS"
 )
 
 

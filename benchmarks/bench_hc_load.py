@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import best_of, emit, measure_peak, record_bench
+from conftest import best_of, emit, measure_peak, record_bench, run_pinned
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.analysis.experiments import sweep_hc_load
 from repro.analysis.reporting import format_table
 from repro.backend import numpy_available
@@ -83,26 +82,17 @@ def test_hc_backend_speedup(once):
     query = cycle_query(3)
     database = matching_database(query, n=SPEEDUP_N, rng=0)
 
+    def run(backend):
+        return run_pinned(
+            "hypercube", query, database, p=SPEEDUP_P, seed=0, backend=backend
+        )
+
     def timed():
-        pure_seconds, pure = best_of(
-            3,
-            lambda: run_hypercube(
-                query, database, p=SPEEDUP_P, seed=0, backend="pure"
-            ),
-        )
-        numpy_seconds, vectorized = best_of(
-            3,
-            lambda: run_hypercube(
-                query, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            ),
-        )
+        pure_seconds, pure = best_of(3, lambda: run("pure"))
+        numpy_seconds, vectorized = best_of(3, lambda: run("numpy"))
         # Memory on a separate (untimed) run: tracemalloc slows the
         # traced call, so it must never wrap the timed ones.
-        _, memory = measure_peak(
-            lambda: run_hypercube(
-                query, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            )
-        )
+        _, memory = measure_peak(lambda: run("numpy"))
         return pure_seconds, numpy_seconds, pure, vectorized, memory
 
     pure_seconds, numpy_seconds, pure, vectorized, memory = once(timed)
@@ -151,18 +141,16 @@ def test_hc_large_n_memory(once):
 
     def timed():
         database = matching_database_columnar(query, n=LARGE_N, seed=0)
-        seconds, result = best_of(
-            1,
-            lambda: run_hypercube(
-                query, database, p=LARGE_P, seed=0, backend="numpy"
-            ),
-        )
-        # Memory on a separate (untimed) run under tracemalloc.
-        _, memory = measure_peak(
-            lambda: run_hypercube(
-                query, database, p=LARGE_P, seed=0, backend="numpy"
+
+        def run():
+            return run_pinned(
+                "hypercube", query, database, p=LARGE_P, seed=0,
+                backend="numpy",
             )
-        )
+
+        seconds, result = best_of(1, run)
+        # Memory on a separate (untimed) run under tracemalloc.
+        _, memory = measure_peak(run)
         truth = evaluate_query_table(
             query,
             {

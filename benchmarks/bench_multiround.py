@@ -20,13 +20,14 @@ import pytest
 
 from conftest import best_of, emit, measure_peak, record_bench
 
-from repro.algorithms.multiround import run_plan
+from repro.algorithms.multiround import compile_multiround
 from repro.analysis.experiments import sweep_multiround_rounds
 from repro.analysis.reporting import format_table
 from repro.backend import numpy_available
 from repro.core.families import line_query
 from repro.core.plans import build_plan
 from repro.data.matching import matching_database
+from repro.engine import execute_plan
 
 # Largest n of the speedup benchmark; vectorization wins grow with n.
 SPEEDUP_N = 4000
@@ -73,6 +74,12 @@ def test_multiround_rounds(once):
         assert row["lower_bound"] <= row["rounds_measured"] <= row["upper_bound"]
 
 
+def _run(plan, database, p, backend):
+    """Physical compile + execution of a prebuilt logical plan."""
+    physical = compile_multiround(plan, p, seed=0, backend=backend)
+    return execute_plan(physical, database)
+
+
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_multiround_backend_speedup(once):
     """Columnar plan execution is >= 3x faster than pure at n=4000."""
@@ -83,22 +90,16 @@ def test_multiround_backend_speedup(once):
     def timed():
         pure_seconds, pure = best_of(
             3,
-            lambda: run_plan(
-                plan, database, p=SPEEDUP_P, seed=0, backend="pure"
-            ),
+            lambda: _run(plan, database, SPEEDUP_P, "pure"),
         )
         numpy_seconds, vectorized = best_of(
             3,
-            lambda: run_plan(
-                plan, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            ),
+            lambda: _run(plan, database, SPEEDUP_P, "numpy"),
         )
         # Memory on a separate (untimed) run: tracemalloc slows the
         # traced call, so it must never wrap the timed ones.
         _, memory = measure_peak(
-            lambda: run_plan(
-                plan, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            )
+            lambda: _run(plan, database, SPEEDUP_P, "numpy")
         )
         return pure_seconds, numpy_seconds, pure, vectorized, memory
 
@@ -122,7 +123,7 @@ def test_multiround_backend_speedup(once):
             "eps": "1/2",
             "n": SPEEDUP_N,
             "p": SPEEDUP_P,
-            "rounds": pure.rounds_used,
+            "rounds": pure.report.num_rounds,
             "pure_seconds": pure_seconds,
             "numpy_seconds": numpy_seconds,
             "speedup": speedup,
@@ -152,22 +153,18 @@ def test_multiround_large_n_memory(once):
         database = matching_database_columnar(query, n=LARGE_N, seed=0)
         seconds, result = best_of(
             1,
-            lambda: run_plan(
-                plan, database, p=LARGE_P, seed=0, backend="numpy"
-            ),
+            lambda: _run(plan, database, LARGE_P, "numpy"),
         )
         # Memory on a separate (untimed) run under tracemalloc.
         _, memory = measure_peak(
-            lambda: run_plan(
-                plan, database, p=LARGE_P, seed=0, backend="numpy"
-            )
+            lambda: _run(plan, database, LARGE_P, "numpy")
         )
         return seconds, result, memory
 
     seconds, result, memory = once(timed)
     emit(
         f"E6-large: plan L_{SPEEDUP_K} eps=1/2 n={LARGE_N} "
-        f"p={LARGE_P} numpy {seconds:.2f}s, {result.rounds_used} "
+        f"p={LARGE_P} numpy {seconds:.2f}s, {result.report.num_rounds} "
         f"rounds, {len(result.answers)} answers, peak RSS "
         f"{memory['peak_rss_bytes'] / 1024**2:.0f} MiB"
     )
@@ -178,7 +175,7 @@ def test_multiround_large_n_memory(once):
             "eps": "1/2",
             "n": LARGE_N,
             "p": LARGE_P,
-            "rounds": result.rounds_used,
+            "rounds": result.report.num_rounds,
             "numpy_seconds": seconds,
             "answers": len(result.answers),
             **memory,

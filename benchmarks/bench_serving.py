@@ -10,7 +10,7 @@ on every request.
 ``test_serving_throughput`` pins the gate: on a 100-request mixed
 workload (10 distinct query shapes over a shared C_3 vocabulary,
 including isomorphic renamings, each repeated 10 times) the service
-answers >= 3x faster than per-request ``run_hypercube``, with
+answers >= 3x faster than per-request compile + execute, with
 per-request answers verified equal between the two paths beforehand.
 Runs on both backends -- the CI serving smoke leg exercises ``pure``
 and ``numpy`` -- and records BENCH_serving.json with throughput,
@@ -23,8 +23,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
+from conftest import run_pinned
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
@@ -83,18 +83,20 @@ def test_serving_throughput(once, bench_backend):
         parity_service = QueryService(database, p=P, backend=bench_backend)
         for query in DISTINCT_QUERIES:
             served = parity_service.execute(query)
-            fresh = run_hypercube(
-                parse_query(query), database, p=P, backend=bench_backend
+            fresh = run_pinned(
+                "hypercube", parse_query(query), database, p=P,
+                backend=bench_backend,
             )
             assert served.answers == fresh.answers, query
             if served.plan.signature.query_text == str(parse_query(query)):
-                assert served.per_server == fresh.per_server_answers, query
+                assert served.per_server == fresh.per_server, query
 
         baseline_seconds, _ = best_of(
             1,
             lambda: [
-                run_hypercube(
-                    parse_query(query), database, p=P, backend=bench_backend
+                run_pinned(
+                    "hypercube", parse_query(query), database, p=P,
+                    backend=bench_backend,
                 )
                 for query in requests
             ],

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import best_of, emit, measure_peak, record_bench
+from conftest import best_of, emit, measure_peak, record_bench, run_pinned
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.algorithms.localjoin import evaluate_query
-from repro.algorithms.skewaware import run_hypercube_skew_aware
 from repro.analysis.reporting import format_table
 from repro.backend import numpy_available
 from repro.core.query import parse_query
@@ -63,8 +61,8 @@ def run_ablation():
     )
     rows = []
     for p in (4, 16, 64):
-        plain = run_hypercube(query, database, p=p, seed=3)
-        aware = run_hypercube_skew_aware(query, database, p=p, seed=3)
+        plain = run_pinned("hypercube", query, database, p=p, seed=3)
+        aware = run_pinned("skewaware", query, database, p=p, seed=3)
         assert plain.answers == truth
         assert aware.answers == truth
         rows.append(
@@ -121,8 +119,8 @@ def test_no_cost_without_skew(once):
     def compare():
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = matching_database(query, n=200, rng=9)
-        plain = run_hypercube(query, database, p=16, seed=4)
-        aware = run_hypercube_skew_aware(query, database, p=16, seed=4)
+        plain = run_pinned("hypercube", query, database, p=16, seed=4)
+        aware = run_pinned("skewaware", query, database, p=16, seed=4)
         return plain, aware
 
     plain, aware = once(compare)
@@ -148,26 +146,17 @@ def test_skew_backend_speedup(once):
         heavy_fraction=SPEEDUP_HEAVY_FRACTION,
     )
 
+    def run(backend):
+        return run_pinned(
+            "skewaware", query, database, p=SPEEDUP_P, seed=0, backend=backend
+        )
+
     def timed():
-        pure_seconds, pure = best_of(
-            3,
-            lambda: run_hypercube_skew_aware(
-                query, database, p=SPEEDUP_P, seed=0, backend="pure"
-            ),
-        )
-        numpy_seconds, vectorized = best_of(
-            3,
-            lambda: run_hypercube_skew_aware(
-                query, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            ),
-        )
+        pure_seconds, pure = best_of(3, lambda: run("pure"))
+        numpy_seconds, vectorized = best_of(3, lambda: run("numpy"))
         # Memory on a separate (untimed) run: tracemalloc slows the
         # traced call, so it must never wrap the timed ones.
-        _, memory = measure_peak(
-            lambda: run_hypercube_skew_aware(
-                query, database, p=SPEEDUP_P, seed=0, backend="numpy"
-            )
-        )
+        _, memory = measure_peak(lambda: run("numpy"))
         return pure_seconds, numpy_seconds, pure, vectorized, memory
 
     pure_seconds, numpy_seconds, pure, vectorized, memory = once(timed)
@@ -222,18 +211,16 @@ def test_skew_large_n_memory(once):
             seed=1,
             heavy_fraction=SPEEDUP_HEAVY_FRACTION,
         )
-        seconds, result = best_of(
-            1,
-            lambda: run_hypercube_skew_aware(
-                query, database, p=LARGE_P, seed=0, backend="numpy"
-            ),
-        )
-        # Memory on a separate (untimed) run under tracemalloc.
-        _, memory = measure_peak(
-            lambda: run_hypercube_skew_aware(
-                query, database, p=LARGE_P, seed=0, backend="numpy"
+
+        def run():
+            return run_pinned(
+                "skewaware", query, database, p=LARGE_P, seed=0,
+                backend="numpy",
             )
-        )
+
+        seconds, result = best_of(1, run)
+        # Memory on a separate (untimed) run under tracemalloc.
+        _, memory = measure_peak(run)
         return seconds, result, memory
 
     seconds, result, memory = once(timed)

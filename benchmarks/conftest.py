@@ -137,6 +137,15 @@ def measure_peak(func):
     }
 
 
+def run_pinned(name, query, database, p, **options):
+    """The pinned, cache-free path: ``compile_with`` + ``execute_plan``."""
+    # Imported late: benchmarks/e2e puts src/ on sys.path after this loads.
+    from repro.algorithms.registry import compile_with
+    from repro.engine import execute_plan
+
+    return execute_plan(compile_with(name, query, p, **options), database)
+
+
 def best_of(runs, func):
     """Best-of-N wall-clock timing: ``(seconds, last_result)``."""
     best = float("inf")

@@ -6,8 +6,10 @@ Covers the core loop of the library:
 2. compute its fractional covering number ``tau*`` and space
    exponent ``eps = 1 - 1/tau*`` (Theorem 1.1) with the exact LP;
 3. generate a random matching database (the paper's input model);
-4. run the one-round HyperCube algorithm on a simulated MPC cluster
-   and inspect answers, per-server load and replication rate;
+4. pin the one-round HyperCube algorithm (``compile_with`` +
+   ``execute_plan``; ``session_quickstart.py`` shows the planner-backed
+   front door) on a simulated MPC cluster and inspect answers,
+   per-server load and replication rate;
 5. re-run on the vectorized numpy backend (when available) and check
    the engines agree exactly.
 
@@ -16,8 +18,8 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.algorithms import run_hypercube
 from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with
 from repro.backend import numpy_available
 from repro.core import (
     analyze_covers,
@@ -26,6 +28,7 @@ from repro.core import (
     share_exponents,
 )
 from repro.data import matching_database
+from repro.engine import execute_plan
 
 
 def main() -> None:
@@ -48,22 +51,24 @@ def main() -> None:
     print(f"\ninput: {database.total_tuples} tuples, "
           f"{database.total_bits} bits, matching={database.is_matching_database()}")
 
-    result = run_hypercube(query, database, p=p, seed=42)
+    plan = compile_with("hypercube", query, p, seed=42)
+    result = execute_plan(plan, database)
     truth = evaluate_query(
         query, {name: database[name].tuples for name in database.relations}
     )
     assert result.answers == truth
 
     print(f"\nHyperCube on p={p} servers "
-          f"(grid {result.allocation.shares}):")
+          f"(grid {plan.allocation.shares}):")
     print(f"answers found:    {len(result.answers)} (= exact join)")
     print(result.report.summary())
 
     # The columnar numpy engine runs the identical protocol, just
     # vectorized: same answers, same per-round load accounting.
     if numpy_available():
-        vectorized = run_hypercube(
-            query, database, p=p, seed=42, backend="numpy"
+        vectorized = execute_plan(
+            compile_with("hypercube", query, p, seed=42, backend="numpy"),
+            database,
         )
         assert vectorized.answers == result.answers
         assert (

@@ -6,8 +6,8 @@ The public API in five steps:
 2. ``session.query(text)`` prepares a lazy ``Statement``;
 3. ``.explain()`` shows which algorithm the cost-based planner picks
    (and what it beat) without touching the data;
-4. ``.execute()`` runs it -- bit-identical to calling the chosen
-   algorithm's ``run_*`` entry point directly;
+4. ``.execute()`` runs it -- bit-identical to pinning the chosen
+   algorithm with ``compile_with`` + ``execute_plan``;
 5. ``.stream()`` iterates answers lazily, and ``session.update``
    mutates the data under the caches.
 

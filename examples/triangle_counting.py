@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from repro.algorithms import run_hypercube, run_partial_hypercube
 from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with
 from repro.core import one_round_answer_fraction, parse_query
 from repro.data import Database, Relation
+from repro.engine import execute_plan
 
 
 def random_graph_relation(
@@ -57,9 +58,10 @@ def main() -> None:
     print(f"graph: {num_vertices} vertices, {len(base) // 2} edges, "
           f"{len(truth) // 6} triangles")
 
-    result = run_hypercube(query, database, p=p, seed=5)
+    plan = compile_with("hypercube", query, p, seed=5)
+    result = execute_plan(plan, database)
     assert result.answers == truth
-    print(f"\nHC with shares {result.allocation.shares} on p={p}:")
+    print(f"\nHC with shares {plan.allocation.shares} on p={p}:")
     print(f"  found all {len(result.answers)} ordered triangles")
     print(f"  max load {result.report.max_load_tuples} tuples "
           f"(input {database.total_tuples} tuples)")
@@ -67,12 +69,12 @@ def main() -> None:
           f"~ p^(1/3) = {p ** (1 / 3):.2f}")
 
     # Refusing to replicate: eps = 0 cannot compute C3 in one round.
-    partial = run_partial_hypercube(
-        query, database, p=p, eps=Fraction(0), seed=5
+    partial = execute_plan(
+        compile_with("partial", query, p, eps=Fraction(0), seed=5), database
     )
     bound = one_round_answer_fraction(query, Fraction(0), p)
     print(f"\nat eps=0 (no replication) only "
-          f"{partial.reported_fraction:.1%} of answers were found; "
+          f"{len(partial.answers) / len(truth):.1%} of answers were found; "
           f"Theorem 3.3 caps one-round algorithms at ~{bound:.1%}")
 
 

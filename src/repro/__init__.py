@@ -29,15 +29,17 @@ Quickstart -- the planner-backed Session front door::
     result = statement.execute()          # planner picks the route
     print(len(result.answers), result.report.summary())
 
-The per-algorithm ``run_*`` entry points in :mod:`repro.algorithms`
-remain for parity testing and scripting but are deprecated for
-application code -- ``connect`` is the front door.
+There are two ways to run a query: ``connect`` (planner, caches,
+incremental maintenance) and, for pinned cache-free runs,
+``repro.algorithms.registry.compile_with(name, ...)`` +
+``repro.engine.execute_plan(plan, database)``.
 """
 
 from repro import algorithms, analysis, api, core, data, lp, mpc
 from repro.api import Result, Session, Statement, connect
 
-__version__ = "1.1.0"
+#: The one statement of the version: pyproject.toml reads it from here.
+__version__ = "0.2.0"
 
 __all__ = [
     "algorithms",

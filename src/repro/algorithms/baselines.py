@@ -1,12 +1,15 @@
 """Baseline algorithms the paper measures HyperCube against.
 
-* :func:`run_broadcast_join` -- ship every relation to every server
-  (the degenerate ``eps = 1`` regime): one round, replication ``p``.
-* :func:`run_single_server` -- ship everything to server 0 (the
+* :func:`compile_broadcast_join` -- ship every relation to every
+  server (the degenerate ``eps = 1`` regime): one round, replication
+  exactly ``p``, always correct.
+* :func:`compile_single_server` -- ship everything to server 0 (the
   ``p = 1`` regime in disguise): one round, maximum load ``N``.
-* :func:`run_single_attribute_join` -- hash all relations on one
-  shared variable (the one-round algorithm of Koutris-Suciu [17] for
-  queries with a variable in every atom, Corollary 3.10's class).
+* :func:`compile_single_attribute_join` -- hash all relations on one
+  shared variable (the classical parallel hash join, the one-round
+  algorithm of Koutris-Suciu [17] for queries with a variable in every
+  atom -- exactly ``tau* = 1``, Corollary 3.10's class): replication
+  rate 1.
 * :func:`run_cartesian_grid` -- the introduction's drug-interaction
   tradeoff: compute a cartesian product ``A x B`` with a ``g x g``
   grid of reducers; replication rate ``g``, reducer input ``2n/g``,
@@ -16,10 +19,11 @@ All four compile to the shared plan IR --
 :class:`~repro.engine.steps.Broadcast`,
 :class:`~repro.engine.steps.ToServer`, a one-dimensional
 :class:`~repro.engine.steps.HashRoute` grid, and
-:class:`~repro.engine.steps.RoundRobinGrid` respectively -- via pure
-``compile_*`` functions whose plans
-:func:`~repro.engine.executor.execute_plan` runs; all honour
-``backend=`` like every other executor in the package.
+:class:`~repro.engine.steps.RoundRobinGrid` respectively -- and
+:func:`~repro.engine.executor.execute_plan` runs the plans; all honour
+``backend=`` like every other compiler in the package.  The cartesian
+grid takes two bare relations rather than a query, so it keeps its
+own driver.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from fractions import Fraction
 from repro.backend import resolve_backend
 from repro.core.query import ConjunctiveQuery, QueryError
 from repro.data.columnar import ColumnarRelation
-from repro.data.database import Database, Relation, bits_per_value
+from repro.data.database import Relation, bits_per_value
 from repro.engine import (
     Broadcast,
     CollectAnswers,
@@ -46,14 +50,6 @@ from repro.engine import (
 )
 from repro.mpc.routing import HashFamily
 from repro.mpc.stats import SimulationReport
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    """Answers plus communication statistics for a baseline run."""
-
-    answers: tuple[tuple[int, ...], ...]
-    report: SimulationReport
 
 
 def compile_broadcast_join(
@@ -84,24 +80,6 @@ def compile_broadcast_join(
     )
 
 
-def run_broadcast_join(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    backend: str | None = None,
-) -> BaselineResult:
-    """Every relation broadcast to every worker; one round.
-
-    Always correct; replication rate is exactly ``p`` -- the
-    degenerate end of the space-exponent scale (``eps = 1``).
-    """
-    plan = compile_broadcast_join(query, p, backend)
-    execution = execute_plan(plan, database)
-    return BaselineResult(
-        answers=execution.answers, report=execution.report
-    )
-
-
 def compile_single_server(
     query: ConjunctiveQuery, p: int = 1, backend: str | None = None
 ) -> Plan:
@@ -126,20 +104,6 @@ def compile_single_server(
             ),
         ),
         finalize=CollectAnswers(query=query, workers=1),
-    )
-
-
-def run_single_server(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int = 1,
-    backend: str | None = None,
-) -> BaselineResult:
-    """Everything to worker 0; the sequential strawman."""
-    plan = compile_single_server(query, p, backend)
-    execution = execute_plan(plan, database)
-    return BaselineResult(
-        answers=execution.answers, report=execution.report
     )
 
 
@@ -195,31 +159,6 @@ def compile_single_attribute_join(
         ),
         rounds=(PlanRound(steps=steps),),
         finalize=CollectAnswers(query=query, workers=p),
-    )
-
-
-def run_single_attribute_join(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    seed: int = 0,
-    backend: str | None = None,
-) -> BaselineResult:
-    """Hash-partition every relation on one variable shared by all atoms.
-
-    This is the classical parallel hash join ([17]'s one-round class):
-    it requires a variable occurring in *every* atom -- exactly the
-    queries with ``tau* = 1`` (Corollary 3.10).  Replication rate 1.
-    On the engine it is simply HyperCube routing over a
-    one-dimensional grid owned by the shared variable.
-
-    Raises:
-        QueryError: if no variable is shared by all atoms.
-    """
-    plan = compile_single_attribute_join(query, p, seed, backend)
-    execution = execute_plan(plan, database)
-    return BaselineResult(
-        answers=execution.answers, report=execution.report
     )
 
 

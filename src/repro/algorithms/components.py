@@ -20,35 +20,30 @@ Two algorithms, matching the dichotomy the paper draws:
 Both run on the simulator, so rounds and received bits are measured
 exactly; ground truth comes from the generator's union-find labels.
 
-Hash-to-Min compiles to the shared round engine: each iteration is an
-iterate-until-fixpoint driver around one
+Hash-to-Min runs on the shared round engine: each iteration is one
 :class:`~repro.engine.steps.HashRoute` round (a 1-D grid hashing the
-destination vertex), so the route/ship loop is the same columnar code
-path every other algorithm uses, ``backend="numpy"`` ships each
-round's messages as one vectorized send, and the receiver-side state
-update reads the round's fleet-wide delivery pool
+destination vertex) on a :class:`~repro.engine.executor.RoundEngine`,
+so the route/ship loop is the same columnar code path every other
+algorithm uses, ``backend="numpy"`` ships each round's messages as one
+vectorized send, and the receiver-side state update reads the round's
+fleet-wide delivery pool
 (:meth:`~repro.mpc.simulator.MPCSimulator.relation_pool`) instead of
-looping workers.
+looping workers.  Its depth depends on the data (Theorem 4.10), so it
+is a driver loop over engine rounds, not a compiled
+:class:`~repro.engine.plan.Plan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from repro.backend import NUMPY, resolve_backend
 from repro.core.query import Atom
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import bits_per_value
 from repro.data.generators import GraphInstance
-from repro.engine import (
-    FixpointSpec,
-    GridSpec,
-    HashRoute,
-    Plan,
-    PlanSignature,
-    RoundEngine,
-    plan_simulator,
-)
+from repro.engine import GridSpec, HashRoute, RoundEngine
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
@@ -77,46 +72,6 @@ def _graph_bits(graph: GraphInstance) -> tuple[int, int]:
     """(input bits N, bits per edge tuple) for capacity accounting."""
     value_bits = bits_per_value(graph.num_vertices)
     return 2 * len(graph.edges) * 2 * value_bits, 2 * value_bits
-
-
-def compile_hash_to_min(
-    p: int,
-    eps: float = 0.0,
-    seed: int = 0,
-    max_rounds: int = 64,
-    capacity_c: float = 8.0,
-    backend: str | None = None,
-) -> Plan:
-    """Compile the hash-to-min round template into a fixpoint plan.
-
-    The rounds of hash-to-min are data-dependent (each iteration's
-    messages come from the evolving cluster state), so the plan
-    carries a :class:`~repro.engine.plan.FixpointSpec` -- the 1-D
-    routing grid on the destination vertex, the per-iteration mailbox
-    key prefix and the iteration bound -- instead of a static round
-    list.  :func:`run_hash_to_min` is its driver.
-    """
-    from fractions import Fraction
-
-    return Plan(
-        signature=PlanSignature(
-            algorithm="hash_to_min",
-            query_text="cc(v, u)",
-            eps=Fraction(eps).limit_denominator(64),
-            p=p,
-            backend=resolve_backend(backend),
-            seed=seed,
-            capacity_c=capacity_c,
-            enforce_capacity=False,
-        ),
-        fixpoint=FixpointSpec(
-            grid=GridSpec(
-                variables=("v",), dimensions=(p,), hashes=HashFamily(seed)
-            ),
-            relation_prefix="cluster@",
-            max_rounds=max_rounds,
-        ),
-    )
 
 
 def run_hash_to_min(
@@ -159,21 +114,22 @@ def run_hash_to_min(
         backend: ``"pure"`` (default, reference), ``"numpy"`` or
             ``"auto"``; identical labels, rounds and loads either way.
     """
-    plan = compile_hash_to_min(
-        p,
-        eps=eps,
-        seed=seed,
-        max_rounds=max_rounds,
-        capacity_c=capacity_c,
-        backend=backend,
-    )
-    backend = plan.signature.backend
+    backend = resolve_backend(backend)
     input_bits, edge_bits = _graph_bits(graph)
-    simulator = plan_simulator(plan, input_bits)
+    simulator = MPCSimulator(
+        MPCConfig(
+            p=p,
+            eps=Fraction(eps).limit_denominator(64),
+            c=capacity_c,
+            backend=backend,
+        ),
+        input_bits,
+        enforce_capacity=False,
+    )
     engine = RoundEngine(simulator)
-    fixpoint = plan.fixpoint
-    grid = fixpoint.grid
-    max_rounds = fixpoint.max_rounds
+    grid = GridSpec(
+        variables=("v",), dimensions=(p,), hashes=HashFamily(seed)
+    )
 
     # Vertex state lives at its home worker: closed neighbourhood sets.
     clusters: dict[int, set[int]] = {
@@ -207,7 +163,7 @@ def run_hash_to_min(
         # payload) pairs, hashed on the destination vertex.  A fresh
         # mailbox key per iteration keeps each round's delivery pool
         # single-use (workers still keep everything ever received).
-        relation = f"{fixpoint.relation_prefix}{rounds + 1}"
+        relation = f"cluster@{rounds + 1}"
         source = ColumnarRelation.from_rows(
             relation,
             [
@@ -301,8 +257,6 @@ def run_dense_two_round(
     fit the budget -- the density condition of [16]; the experiment
     records loads so the contrast with sparse inputs is visible.
     """
-    from fractions import Fraction
-
     input_bits, edge_bits = _graph_bits(graph)
     config = MPCConfig(p=p, eps=Fraction(eps).limit_denominator(64), c=capacity_c)
     simulator = MPCSimulator(config, input_bits, enforce_capacity=False)

@@ -25,24 +25,23 @@ immutable :class:`~repro.engine.plan.Plan` -- one
 :class:`~repro.engine.steps.HashRoute` per atom on the share grid plus
 a local-eval spec -- and :func:`~repro.engine.executor.execute_plan`
 runs it tuple-at-a-time (``pure``, the reference) or column-wise
-(``numpy``).  :func:`run_hypercube` composes the two; a serving layer
-caches the plan and re-executes it per request.  The backends are
-cross-checked for exact equality of answers, per-round received
-bits/tuples and per-server answer counts.
+(``numpy``); the serving layer caches the plan and re-executes it per
+request.  HC never misses: every potential answer is assembled at
+exactly one grid point, so ``execute_plan(...).answers`` equals the
+true query answer on any database.  The backends are cross-checked
+for exact equality of answers, per-round received bits/tuples and
+per-server answer counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from repro.backend import resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.query import Atom, ConjunctiveQuery
-from repro.core.shares import ShareAllocation, allocate_integer_shares, share_exponents
-from repro.data.columnar import ColumnarDatabase
-from repro.data.database import Database
+from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.engine import (
     CollectAnswers,
     GridSpec,
@@ -50,28 +49,8 @@ from repro.engine import (
     Plan,
     PlanRound,
     PlanSignature,
-    RoundProfiler,
-    execute_plan,
 )
 from repro.mpc.routing import HashFamily
-from repro.mpc.stats import SimulationReport
-
-
-@dataclass(frozen=True)
-class HCResult:
-    """Outcome of a HyperCube run.
-
-    Attributes:
-        answers: the union of all servers' outputs, sorted.
-        allocation: the integer share grid used.
-        report: exact communication statistics of the run.
-        per_server_answers: answer count per server (diagnostics).
-    """
-
-    answers: tuple[tuple[int, ...], ...]
-    allocation: ShareAllocation
-    report: SimulationReport
-    per_server_answers: tuple[int, ...]
 
 
 def hc_destinations(
@@ -149,72 +128,4 @@ def compile_hypercube(
             query=query, workers=allocation.used_servers
         ),
         allocation=allocation,
-    )
-
-
-def run_hypercube(
-    query: ConjunctiveQuery,
-    database: Database | ColumnarDatabase,
-    p: int,
-    eps: Fraction | float | None = None,
-    cover: Mapping[str, Fraction] | None = None,
-    seed: int = 0,
-    capacity_c: float = 4.0,
-    enforce_capacity: bool = False,
-    backend: str | None = None,
-    profiler: RoundProfiler | None = None,
-) -> HCResult:
-    """Run one round of HC on the simulator and return all answers.
-
-    Args:
-        query: a full conjunctive query (connected or not).
-        database: instances for every atom of the query -- a
-            row-oriented :class:`Database` or, for the large-``n``
-            path, a :class:`ColumnarDatabase` that never materialises
-            Python tuples.
-        p: number of servers.
-        eps: space exponent for capacity accounting; defaults to the
-            query's own space exponent ``1 - 1/tau*`` (the budget at
-            which Proposition 3.2 guarantees success).
-        cover: fractional vertex cover to derive shares from; defaults
-            to an optimal one.
-        seed: hash-family seed (determinism / repetition).
-        capacity_c: the constant in the capacity bound.
-        enforce_capacity: raise on overload instead of just recording.
-        backend: ``"pure"`` (default, reference), ``"numpy"``
-            (vectorized) or ``"auto"``; both produce identical
-            answers, loads and statistics.
-        profiler: optional per-round route/ship/deliver/local timing
-            collector (the CLI's ``--profile``).
-
-    Returns:
-        An :class:`HCResult`; ``answers`` equals the true query answer
-        on any database (HC never misses: every potential answer is
-        assembled at exactly one grid point).
-
-    .. deprecated:: 1.1
-        Application code should use :func:`repro.connect` -- the
-        Session planner routes to this same compiler (bit-identically)
-        when one-round HC wins.  This shim stays for parity suites and
-        benchmarks that pin the algorithm on purpose.
-    """
-    from repro.algorithms.registry import warn_legacy_entry_point
-
-    warn_legacy_entry_point("run_hypercube")
-    plan = compile_hypercube(
-        query,
-        p,
-        eps=eps,
-        cover=cover,
-        seed=seed,
-        capacity_c=capacity_c,
-        enforce_capacity=enforce_capacity,
-        backend=backend,
-    )
-    execution = execute_plan(plan, database, profiler=profiler)
-    return HCResult(
-        answers=execution.answers,
-        allocation=plan.allocation,
-        report=execution.report,
-        per_server_answers=execution.per_server,
     )

@@ -33,14 +33,10 @@ rounds and that loads respect the ``eps`` budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.backend import resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.plans import PlanStep, QueryPlan, validate_plan
 from repro.core.shares import allocate_integer_shares, share_exponents
-from repro.data.columnar import ColumnarDatabase
-from repro.data.database import Database
 from repro.engine import (
     FinalizeView,
     GridSpec,
@@ -48,35 +44,9 @@ from repro.engine import (
     Plan,
     PlanRound,
     PlanSignature,
-    RoundProfiler,
     ViewSpec,
-    execute_plan,
 )
 from repro.mpc.routing import HashFamily
-from repro.mpc.stats import SimulationReport
-
-
-@dataclass(frozen=True)
-class MultiRoundResult:
-    """Outcome of a plan execution.
-
-    Attributes:
-        answers: the final view's tuples, sorted, in the head order of
-            the original query.
-        rounds_used: communication rounds executed (== plan depth).
-        report: communication statistics per round.
-        view_sizes: materialised size of every intermediate view.
-        per_server_answers: per view, the answer count each worker
-            contributed before deduplication (diagnostics / parity).
-    """
-
-    answers: tuple[tuple[int, ...], ...]
-    rounds_used: int
-    report: SimulationReport
-    view_sizes: dict[str, int]
-    per_server_answers: dict[str, tuple[int, ...]] = field(
-        default_factory=dict
-    )
 
 
 def _step_key(step: PlanStep, atom_name: str) -> str:
@@ -178,60 +148,4 @@ def compile_multiround(
         # Bits are charged uniformly at the database's domain width
         # for base relations and views alike (tuple-based discipline).
         uniform_domain_bits=True,
-    )
-
-
-def run_plan(
-    plan: QueryPlan,
-    database: Database | ColumnarDatabase,
-    p: int,
-    seed: int = 0,
-    capacity_c: float = 8.0,
-    enforce_capacity: bool = False,
-    backend: str | None = None,
-    profiler: RoundProfiler | None = None,
-) -> MultiRoundResult:
-    """Execute a query plan round by round on the simulator.
-
-    Args:
-        plan: a validated multi-round plan (see
-            :func:`repro.core.plans.build_plan`).
-        database: instances for the plan's base relations.
-        p: number of servers.
-        seed: hash seed; each (round, step) derives its own sub-seed.
-        capacity_c: capacity constant for the accounting.
-        enforce_capacity: raise on overload when True.
-        backend: ``"pure"`` (default, reference), ``"numpy"``
-            (vectorized) or ``"auto"``; identical answers, per-round
-            loads and view sizes either way.
-        profiler: optional per-round route/ship/deliver/local timing
-            collector (the CLI's ``--profile``).
-
-    Returns:
-        A :class:`MultiRoundResult`; ``answers`` is exactly
-        ``plan.query`` evaluated on ``database``.
-
-    .. deprecated:: 1.1
-        Application code should use :func:`repro.connect` -- the
-        Session planner builds the logical plan and routes here when
-        multi-round wins the cost duel.
-    """
-    from repro.algorithms.registry import warn_legacy_entry_point
-
-    warn_legacy_entry_point("run_plan")
-    physical = compile_multiround(
-        plan,
-        p,
-        seed=seed,
-        capacity_c=capacity_c,
-        enforce_capacity=enforce_capacity,
-        backend=backend,
-    )
-    execution = execute_plan(physical, database, profiler=profiler)
-    return MultiRoundResult(
-        answers=execution.answers,
-        rounds_used=execution.report.num_rounds,
-        report=execution.report,
-        view_sizes=execution.view_sizes,
-        per_server_answers=execution.per_server_views,
     )

@@ -25,15 +25,12 @@ bound made visible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
 from repro.backend import resolve_backend
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.covers import fractional_vertex_cover
 from repro.core.query import ConjunctiveQuery
-from repro.data.database import Database
 from repro.engine import (
     CollectAnswers,
     GridSpec,
@@ -42,32 +39,8 @@ from repro.engine import (
     PlanRound,
     PlanSignature,
     RemapRanks,
-    RoundProfiler,
-    execute_plan,
 )
 from repro.mpc.routing import HashFamily, grid_size
-from repro.mpc.stats import SimulationReport
-
-
-@dataclass(frozen=True)
-class PartialResult:
-    """Outcome of a Proposition 3.11 run.
-
-    Attributes:
-        answers: the answers actually reported (a subset of the truth).
-        total_answers: |q(I)|, for computing the reported fraction.
-        reported_fraction: ``len(answers) / max(1, total_answers)``.
-        theory_fraction: the predicted ``p^{1-(1-eps) tau*}``.
-        virtual_grid_points: the ``P`` of the virtual hypercube.
-        report: communication statistics.
-    """
-
-    answers: tuple[tuple[int, ...], ...]
-    total_answers: int
-    reported_fraction: float
-    theory_fraction: float
-    virtual_grid_points: int
-    report: SimulationReport
 
 
 def compile_partial_hypercube(
@@ -132,69 +105,4 @@ def compile_partial_hypercube(
         finalize=CollectAnswers(
             query=query, workers=min(p, len(chosen))
         ),
-    )
-
-
-def run_partial_hypercube(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    eps: Fraction | float,
-    seed: int = 0,
-    cover: Mapping[str, Fraction] | None = None,
-    capacity_c: float = 4.0,
-    backend: str | None = None,
-    profiler: RoundProfiler | None = None,
-) -> PartialResult:
-    """Run the Proposition 3.11 algorithm with budget ``eps``.
-
-    On the round engine this is HC routing over the *virtual* grid
-    wrapped in a :class:`~repro.engine.steps.RemapRanks` step that
-    keeps only the sampled grid points.
-
-    Args:
-        query: a connected query with ``eps < 1 - 1/tau*(q)`` (running
-            at or above the space exponent degenerates to plain HC and
-            reports everything).
-        database: instances for the query's vocabulary.
-        p: number of real servers.
-        eps: the (insufficient) space exponent to respect.
-        seed: drives both the hash family and the grid-point sample.
-        cover: optional vertex cover (defaults to optimal).
-        capacity_c: capacity constant for accounting.
-        backend: ``"pure"`` (default), ``"numpy"`` or ``"auto"``.
-
-    .. deprecated:: 1.1
-        Application code should use :func:`repro.connect` with
-        ``allow_partial=True`` and a pinned ``eps``.
-    """
-    from repro.algorithms.registry import warn_legacy_entry_point
-
-    warn_legacy_entry_point("run_partial_hypercube")
-    plan = compile_partial_hypercube(
-        query,
-        p,
-        eps,
-        seed=seed,
-        cover=cover,
-        capacity_c=capacity_c,
-        backend=backend,
-    )
-    execution = execute_plan(plan, database, profiler=profiler)
-    reported = set(execution.answers)
-    virtual_points = plan.rounds[0].steps[0].virtual_size
-
-    truth = evaluate_query(
-        query,
-        {name: database[name].tuples for name in database.relations},
-    )
-    total = len(truth)
-    theory = min(1.0, p / virtual_points) if virtual_points else 1.0
-    return PartialResult(
-        answers=tuple(sorted(reported)),
-        total_answers=total,
-        reported_fraction=len(reported) / total if total else 0.0,
-        theory_fraction=theory,
-        virtual_grid_points=virtual_points,
-        report=execution.report,
     )

@@ -22,7 +22,6 @@ for its extra synchronisation barriers.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -50,10 +49,10 @@ ROUND_PENALTY = 1.5
 #: wins unless the profile actually found heavy hitters.
 SKEW_TIEBREAK = 1.05
 
-#: Single source of the per-algorithm ``run_*`` capacity defaults,
-#: consumed by both the compile wrappers (resolving ``capacity_c=None``)
-#: and each spec's ``default_capacity_c`` -- so registry-compiled
-#: plans are bit-identical to direct ``run_*`` calls by construction.
+#: Single source of the per-algorithm capacity defaults (each module's
+#: own ``compile_*`` default), consumed by both the compile wrappers
+#: (resolving ``capacity_c=None``) and each spec's
+#: ``default_capacity_c``.
 _CAPACITY_DEFAULTS = {
     "hypercube": 4.0,
     "skewaware": 4.0,
@@ -100,15 +99,12 @@ class AlgorithmSpec:
             parameters for partial).
         cost: declared cost model ``(query, profile, p, eps) ->
             CostEstimate`` consumed by the planner.
-        default_capacity_c: capacity constant matching the algorithm's
-            ``run_*`` entry point, so registry-compiled plans are
-            bit-identical to direct calls.
+        default_capacity_c: the capacity constant ``capacity_c=None``
+            resolves to (the module-level compiler's own default).
         exact: False for algorithms that report only a subset of the
             answer (the below-threshold partial algorithm); the
             planner never auto-picks inexact algorithms unless the
             statement opts in.
-        replaces: the legacy ``run_*`` entry point this algorithm's
-            Session route supersedes (documentation only).
     """
 
     name: str
@@ -118,49 +114,6 @@ class AlgorithmSpec:
     ]
     default_capacity_c: float
     exact: bool = True
-    replaces: str = ""
-
-
-def warn_legacy_entry_point(name: str) -> None:
-    """Emit the deprecation warning of a superseded ``run_*`` shim.
-
-    The four per-algorithm entry points the Session API supersedes
-    (``run_hypercube``, ``run_hypercube_skew_aware``, ``run_plan``,
-    ``run_partial_hypercube``) call this once per call site; they
-    remain supported for parity suites and benchmarks, which pin an
-    algorithm on purpose.
-    """
-    import warnings
-
-    warnings.warn(
-        f"{name} is a legacy entry point; prefer repro.connect(db)"
-        ".query(...).execute() -- the planner picks the algorithm and "
-        "results are bit-identical (see the README deprecation table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-@contextmanager
-def legacy_entry_points_allowed():
-    """Silence the ``run_*`` deprecation for internal composition.
-
-    The experiment harnesses (:mod:`repro.analysis.experiments`) and
-    the join-witness driver pin specific algorithms *by design* and
-    consume their ``run_*`` result types (reported fractions, round
-    counts); they wrap their calls in this context so library-internal
-    use never emits the application-facing warning -- including under
-    ``-W error::DeprecationWarning``.
-    """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore",
-            message=".*legacy entry point.*",
-            category=DeprecationWarning,
-        )
-        yield
 
 
 def _ineligible(reason: str) -> CostEstimate:
@@ -471,8 +424,11 @@ def compile_with(
 ) -> Plan:
     """Compile ``query`` with the named algorithm's registered compiler.
 
-    ``capacity_c=None`` resolves to the algorithm's ``run_*`` default,
-    keeping registry-compiled plans bit-identical to direct calls.
+    ``capacity_c=None`` resolves to the algorithm's registered
+    default.  Paired with :func:`~repro.engine.executor.execute_plan`
+    this is the pinned, cache-free way to run a query (parity suites,
+    benchmarks, ``repro run|run-plan|skew``); everything else goes
+    through :func:`repro.connect`.
     """
     return get_algorithm(name).compile(
         query,
@@ -491,7 +447,6 @@ register(
         compile=_compile_hypercube,
         cost=_hypercube_cost,
         default_capacity_c=_CAPACITY_DEFAULTS["hypercube"],
-        replaces="run_hypercube",
     )
 )
 register(
@@ -500,7 +455,6 @@ register(
         compile=_compile_skew_aware,
         cost=_skewaware_cost,
         default_capacity_c=_CAPACITY_DEFAULTS["skewaware"],
-        replaces="run_hypercube_skew_aware",
     )
 )
 register(
@@ -509,7 +463,6 @@ register(
         compile=_compile_multiround,
         cost=_multiround_cost,
         default_capacity_c=_CAPACITY_DEFAULTS["multiround"],
-        replaces="run_plan",
     )
 )
 register(
@@ -519,6 +472,5 @@ register(
         cost=_partial_cost,
         default_capacity_c=_CAPACITY_DEFAULTS["partial"],
         exact=False,
-        replaces="run_partial_hypercube",
     )
 )

@@ -32,7 +32,7 @@ groups (``numpy``); heavy-hitter detection itself is one
 ``unique``/``counts`` pass per (atom, position) under numpy.
 
 On skew-free inputs no value is heavy and the algorithm degenerates to
-exactly `run_hypercube`; on skewed inputs the maximum load drops from
+exactly plain HyperCube; on skewed inputs the maximum load drops from
 ``Theta(n)`` back toward ``O(n / sqrt(p_v))`` per heavy value at the
 price of extra replication -- the [17] tradeoff, measurable in the
 result stats.
@@ -40,14 +40,13 @@ result stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from repro.backend import NUMPY, require_numpy, resolve_backend
 from repro.core.query import ConjunctiveQuery
 from repro.core.covers import fractional_vertex_cover
-from repro.core.shares import ShareAllocation, allocate_integer_shares, share_exponents
+from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import Database
 from repro.engine import (
@@ -58,30 +57,8 @@ from repro.engine import (
     Plan,
     PlanRound,
     PlanSignature,
-    RoundProfiler,
-    execute_plan,
 )
 from repro.mpc.routing import HashFamily
-from repro.mpc.stats import SimulationReport
-
-
-@dataclass(frozen=True)
-class SkewAwareResult:
-    """Outcome of a skew-aware HC run.
-
-    Attributes:
-        answers: all answers (always exact).
-        heavy_hitters: per variable, the values declared heavy.
-        allocation: the integer share grid used.
-        report: communication statistics.
-        per_server_answers: answer count per server (diagnostics).
-    """
-
-    answers: tuple[tuple[int, ...], ...]
-    heavy_hitters: dict[str, frozenset[int]]
-    allocation: ShareAllocation
-    report: SimulationReport
-    per_server_answers: tuple[int, ...] = field(default=())
 
 
 def detect_heavy_hitters(
@@ -224,47 +201,4 @@ def compile_skew_aware(
             query=query, workers=allocation.used_servers
         ),
         allocation=allocation,
-    )
-
-
-def run_hypercube_skew_aware(
-    query: ConjunctiveQuery,
-    database: Database | ColumnarDatabase,
-    p: int,
-    eps: Fraction | float | None = None,
-    seed: int = 0,
-    capacity_c: float = 4.0,
-    enforce_capacity: bool = False,
-    backend: str | None = None,
-    profiler: RoundProfiler | None = None,
-) -> SkewAwareResult:
-    """One-round HC with heavy-hitter spreading.
-
-    Identical interface to :func:`repro.algorithms.hypercube.run_hypercube`;
-    on skew-free inputs the two produce identical routing.
-
-    .. deprecated:: 1.1
-        Application code should use :func:`repro.connect` -- the
-        Session planner routes here automatically when the skew
-        sample finds heavy hitters.
-    """
-    from repro.algorithms.registry import warn_legacy_entry_point
-
-    warn_legacy_entry_point("run_hypercube_skew_aware")
-    plan = compile_skew_aware(
-        query,
-        p,
-        eps=eps,
-        seed=seed,
-        capacity_c=capacity_c,
-        enforce_capacity=enforce_capacity,
-        backend=backend,
-    )
-    execution = execute_plan(plan, database, profiler=profiler)
-    return SkewAwareResult(
-        answers=execution.answers,
-        heavy_hitters=execution.heavy_hitters or {},
-        allocation=plan.allocation,
-        report=execution.report,
-        per_server_answers=execution.per_server,
     )

@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.algorithms.partial import run_partial_hypercube
-from repro.algorithms.registry import legacy_entry_points_allowed
+from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.partial import compile_partial_hypercube
 from repro.core.query import parse_query
-from repro.data.database import Database
+from repro.data.database import Database, as_mapping
 from repro.data.generators import witness_database
+from repro.engine import execute_plan
 
 #: The Proposition 3.12 query (chain part only; R and T are broadcast).
 WITNESS_CHAIN = parse_query("q(w,x,y,z) = S1(w,x), S2(x,y), S3(y,z)")
@@ -73,33 +74,27 @@ def run_witness_experiment(
         },
         domain_size=n,
     )
-    with legacy_entry_points_allowed():
-        partial = run_partial_hypercube(
-            WITNESS_CHAIN, chain_db, p=p, eps=Fraction(eps), seed=seed
+    reported = execute_plan(
+        compile_partial_hypercube(
+            WITNESS_CHAIN, p, Fraction(eps), seed=seed
+        ),
+        chain_db,
+    ).answers
+    chain_truth = evaluate_query(WITNESS_CHAIN, as_mapping(chain_db))
+
+    def witnesses(rows):
+        return tuple(
+            row
+            for row in rows
+            if row[0] in r_values and row[-1] in t_values
         )
 
-    recovered = tuple(
-        row
-        for row in partial.answers
-        if row[0] in r_values and row[-1] in t_values
-    )
-    truth = tuple(
-        row
-        for row in _chain_truth(chain_db)
-        if row[0] in r_values and row[-1] in t_values
-    )
+    recovered = witnesses(reported)
     return WitnessResult(
         found=bool(recovered),
         witnesses=recovered,
-        true_witnesses=truth,
-        chain_fraction=partial.reported_fraction,
-    )
-
-
-def _chain_truth(chain_db: Database) -> tuple[tuple[int, ...], ...]:
-    from repro.algorithms.localjoin import evaluate_query
-
-    return evaluate_query(
-        WITNESS_CHAIN,
-        {name: chain_db[name].tuples for name in chain_db.relations},
+        true_witnesses=witnesses(chain_truth),
+        chain_fraction=(
+            len(reported) / len(chain_truth) if chain_truth else 0.0
+        ),
     )

@@ -24,10 +24,8 @@ from fractions import Fraction
 
 from repro.algorithms.baselines import run_cartesian_grid
 from repro.algorithms.components import run_dense_two_round, run_hash_to_min
-from repro.algorithms.hypercube import run_hypercube
-from repro.algorithms.multiround import run_plan
-from repro.algorithms.partial import run_partial_hypercube
-from repro.algorithms.registry import legacy_entry_points_allowed
+from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with
 from repro.algorithms.witness import run_witness_experiment
 from repro.core.bounds import (
     cc_round_lower_bound,
@@ -38,11 +36,11 @@ from repro.core.bounds import (
 )
 from repro.core.covers import covering_number, space_exponent
 from repro.core.families import line_query
-from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery
-from repro.data.database import Relation
+from repro.data.database import Relation, as_mapping
 from repro.data.generators import dense_graph, layered_path_graph
 from repro.data.matching import matching_database
+from repro.engine import execute_plan
 
 
 def sweep_hc_load(
@@ -68,12 +66,12 @@ def sweep_hc_load(
         loads = []
         for trial in range(trials):
             database = matching_database(query, n, rng=seed + trial)
-            with legacy_entry_points_allowed():
-                result = run_hypercube(
-                    query, database, p=p, seed=seed + trial,
-                    backend=backend,
-                )
-            loads.append(result.report.max_load_tuples)
+            plan = compile_with(
+                "hypercube", query, p, seed=seed + trial, backend=backend
+            )
+            loads.append(
+                execute_plan(plan, database).report.max_load_tuples
+            )
         theory = (
             query.num_atoms * n / float(p) ** float(1 - eps)
         )
@@ -110,11 +108,13 @@ def sweep_one_round_fraction(
         fractions = []
         for trial in range(trials):
             database = matching_database(query, n, rng=seed + 31 * trial)
-            with legacy_entry_points_allowed():
-                result = run_partial_hypercube(
-                    query, database, p=p, eps=eps, seed=seed + 17 * trial
-                )
-            fractions.append(result.reported_fraction)
+            plan = compile_with(
+                "partial", query, p, eps=eps, seed=seed + 17 * trial
+            )
+            # Prop. 3.11's measured quantity: reported / |q(I)|.
+            total = len(evaluate_query(query, as_mapping(database)))
+            reported = len(execute_plan(plan, database).answers)
+            fractions.append(reported / total if total else 0.0)
         theory = one_round_answer_fraction(query, eps, p)
         measured = statistics.mean(fractions)
         rows.append(
@@ -143,20 +143,16 @@ def sweep_multiround_rounds(
     ``ceil(log_{k_eps} k)``, and Lemma 4.3 / Corollary 4.8 bounds.
     Every execution is verified against the single-site join.
     """
-    from repro.algorithms.localjoin import evaluate_query
-
     rows = []
     for k in k_values:
         query = line_query(k)
         database = matching_database(query, n, rng=seed)
-        truth = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        truth = evaluate_query(query, as_mapping(database))
         for eps in eps_values:
-            plan = build_plan(query, eps)
-            with legacy_entry_points_allowed():
-                result = run_plan(plan, database, p=p, seed=seed)
+            result = execute_plan(
+                compile_with("multiround", query, p, eps=eps, seed=seed),
+                database,
+            )
             if result.answers != truth:
                 raise AssertionError(
                     f"plan execution wrong for L{k} at eps={eps}"
@@ -168,7 +164,7 @@ def sweep_multiround_rounds(
                     "query": query.name,
                     "eps": eps,
                     "k_eps": base,
-                    "rounds_measured": result.rounds_used,
+                    "rounds_measured": result.report.num_rounds,
                     "paper_rounds": target,
                     "lower_bound": round_lower_bound(query, eps),
                     "upper_bound": round_upper_bound(query, eps),

@@ -6,14 +6,10 @@
 planner (:mod:`repro.planner`) picks the algorithm -- one-round
 HyperCube, skew-aware HC, a multi-round plan, or (opt-in) the
 below-threshold partial algorithm -- from the registry's declared
-cost models, bit-identically to calling the chosen ``compile_*`` /
-``run_*`` directly.
-
-The legacy per-algorithm entry points (``run_hypercube``,
-``run_plan``, ``run_hypercube_skew_aware``, ``run_partial_hypercube``)
-remain as thin compile+execute shims and are deprecated for
-application code in favour of this module; see the README's
-deprecation table.
+cost models, bit-identically to compiling the chosen algorithm with
+:func:`~repro.algorithms.registry.compile_with` and running it with
+:func:`~repro.engine.execute_plan` -- the one other way to run a
+query, for pinned, cache-free runs.
 """
 
 from repro.api.session import Result, Session, Statement, connect

@@ -1,9 +1,9 @@
 """The one front door: ``repro.connect(db)`` -> :class:`Session`.
 
 The paper is about *choosing* -- one round or many, which shares,
-full or partial answers -- so the public API no longer asks the
-caller to choose a ``run_*`` entry point.  A :class:`Session` wraps
-the serving stack (:class:`~repro.serve.service.QueryService` over a
+full or partial answers -- so the public API does not ask the caller
+to choose an algorithm.  A :class:`Session` wraps the serving stack
+(:class:`~repro.serve.service.QueryService` over a
 :class:`~repro.data.versioned.VersionedDatabase`) behind a planner:
 
     session = repro.connect(database, p=16)
@@ -15,9 +15,13 @@ the serving stack (:class:`~repro.serve.service.QueryService` over a
 
 Every :class:`Statement` is lazy: nothing touches the data until
 ``.execute()`` / ``.stream()`` (``.explain()`` reads only the cheap
-statistics profile).  Results are bit-identical to calling the chosen
-algorithm's ``run_*`` entry point directly -- the planner only decides
-*which* compiler runs, never *how*.
+statistics profile).  Results are bit-identical to compiling the
+chosen algorithm with :func:`~repro.algorithms.registry.compile_with`
+and running it with :func:`~repro.engine.execute_plan` -- the planner
+only decides *which* compiler runs, never *how*.  The session is the
+only thing in the package that constructs a
+:class:`~repro.serve.service.QueryService`: the REPL, the RPC server
+and the fan-out workers all serve through one.
 
 Planner decisions and data profiles are cached per database version
 in bounded LRU stores, and the same ``Statement`` semantics are the
@@ -46,12 +50,15 @@ from repro.planner import (
     PlannerStats,
     collect_profile,
 )
-from repro.planner.stats import SAMPLE_CAP
 from repro.serve.cache import LRUCache
 from repro.serve.service import QueryService, ServiceResult, ServiceStats
 
 #: Sentinel: "the session default", distinct from an explicit None.
 _UNSET = object()
+
+#: Entry budgets of the planner-decision and data-profile LRUs.
+DECISION_CACHE_SIZE = 256
+PROFILE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -267,11 +274,6 @@ class Session:
         enforce_capacity: raise on worker overload.
         plan_cache_size / result_cache_size: entry budgets of the
             service's two cache layers (0 disables).
-        decision_cache_size / profile_cache_size: entry budgets of the
-            planner-decision and data-profile caches (0 disables,
-            like the service cache sizes).
-        sample_cap: stride-sample relations beyond this many rows when
-            profiling.
         ivm: serve post-update statements by incremental view
             maintenance when possible (forwarded to the service; see
             :mod:`repro.serve.ivm`).
@@ -313,13 +315,14 @@ class Session:
         enforce_capacity: bool = False,
         plan_cache_size: int = 128,
         result_cache_size: int = 512,
-        decision_cache_size: int = 256,
-        profile_cache_size: int = 64,
-        sample_cap: int = SAMPLE_CAP,
         ivm: bool = True,
         workers: int = 1,
         chunk_rows: int | None = None,
     ) -> None:
+        if p < 1:
+            raise ValueError(f"need p >= 1, got {p}")
+        if workers < 1:
+            raise ValueError(f"need workers >= 1, got {workers}")
         # Serializes every touch of the unsynchronized underlying
         # state: the service's plan/result caches and pooled
         # simulators, the planner's decision/profile LRUs.  The
@@ -354,15 +357,8 @@ class Session:
         self._planner = Planner(
             p, self._service.backend, stats=self.planner_stats
         )
-        self._decisions = (
-            LRUCache(decision_cache_size)
-            if decision_cache_size > 0
-            else None
-        )
-        self._profiles = (
-            LRUCache(profile_cache_size) if profile_cache_size > 0 else None
-        )
-        self._sample_cap = sample_cap
+        self._decisions = LRUCache(DECISION_CACHE_SIZE)
+        self._profiles = LRUCache(PROFILE_CACHE_SIZE)
         self.workers = workers
         self._fanout: Any = None
         if workers >= 2:
@@ -380,9 +376,6 @@ class Session:
                 enforce_capacity=enforce_capacity,
                 plan_cache_size=plan_cache_size,
                 result_cache_size=result_cache_size,
-                decision_cache_size=decision_cache_size,
-                profile_cache_size=profile_cache_size,
-                sample_cap=sample_cap,
                 ivm=ivm,
                 chunk_rows=chunk_rows,
             )
@@ -506,14 +499,10 @@ class Session:
                         return key[:-1] + (version,)
                     return None
 
-                if self._decisions is not None:
-                    self._decisions.remap(_rekey)
-                if self._profiles is not None:
-                    self._profiles.remap(_rekey)
-            if self._decisions is not None:
-                self._decisions.purge(lambda key: key[-1] != version)
-            if self._profiles is not None:
-                self._profiles.purge(lambda key: key[-1] != version)
+                self._decisions.remap(_rekey)
+                self._profiles.remap(_rekey)
+            self._decisions.purge(lambda key: key[-1] != version)
+            self._profiles.purge(lambda key: key[-1] != version)
         return version
 
     def _apply_local_delta(self, delta: DatabaseDelta) -> int:
@@ -557,21 +546,70 @@ class Session:
         """The statement fan-out pool, or None (introspection/stats)."""
         return self._fanout
 
+    def stats_report(self) -> dict:
+        """Service, fan-out and planner counters as one JSON-ready dict.
+
+        The stats table of the serving stack: the RPC ``stats`` op
+        returns these sections beside its own ``rpc`` / ``admission``
+        ones, and the REPL's ``stats`` command prints them.
+        """
+        service = self._service.stats
+        planner = self.planner_stats
+        fanout = self._fanout
+        return {
+            "service": {
+                "requests": service.requests,
+                "executions": service.executions,
+                "result_hits": service.result_hits,
+                # Always 0: benchmarks/e2e/metrics.py indexes these keys.
+                "routing_hits": 0,
+                "routing_misses": 0,
+                "routing_evictions": 0,
+                "result_evictions": service.result_evictions,
+                "plan_hits": service.plans.hits,
+                "plan_isomorphic_hits": service.plans.isomorphic_hits,
+                "plan_misses": service.plans.misses,
+                "plan_evictions": service.plans.evictions,
+                "updates": service.updates,
+                "answers_served": service.answers_served,
+                "capacity_failures": service.capacity_failures,
+                "deadline_exceeded": service.deadline_exceeded,
+                "ivm_hits": service.ivm_hits,
+                "ivm_fallbacks": service.ivm_fallbacks,
+                "ivm_retained_bytes": self._service.ivm_retained_bytes,
+                "ivm_retained_states": self._service.ivm_retained_states,
+            },
+            "parallel": {
+                "fanout_workers": fanout.workers if fanout else 0,
+                "fanout_usable": bool(fanout and fanout.usable),
+                "fanout_queries": fanout.queries if fanout else 0,
+                "fanout_alive_workers": (
+                    fanout.alive_workers if fanout else 0
+                ),
+                "fanout_killed_stragglers": (
+                    fanout.killed_stragglers if fanout else 0
+                ),
+            },
+            "planner": {
+                "decisions": planner.decisions,
+                "pinned": planner.pinned,
+                "decision_cache_hits": planner.decision_cache_hits,
+                "by_algorithm": dict(planner.by_algorithm or {}),
+            },
+            "version": self.version,
+        }
+
     def close(self) -> None:
         """Release cached state, worker processes and shared segments.
 
         The session stays usable for in-process execution.
         """
         with self._lock:
-            if self._decisions is not None:
-                self._decisions.purge(lambda key: True)
-            if self._profiles is not None:
-                self._profiles.purge(lambda key: True)
+            self._decisions.purge(lambda key: True)
+            self._profiles.purge(lambda key: True)
         if self._fanout is not None:
             self._fanout.close()
             self._fanout = None
-        with self._lock:
-            self._service.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -584,32 +622,22 @@ class Session:
     def _profile(self, query: ConjunctiveQuery, version: int) -> DataProfile:
         with self._lock:
             key = (str(query), version)
-            profile = (
-                self._profiles.get(key)
-                if self._profiles is not None
-                else None
-            )
+            profile = self._profiles.get(key)
             if profile is None:
                 profile = collect_profile(
                     query,
                     self._service.database.snapshot,
                     backend=self._service.backend,
-                    sample_cap=self._sample_cap,
                     version=version,
                 )
-                if self._profiles is not None:
-                    self._profiles.put(key, profile)
+                self._profiles.put(key, profile)
             return profile
 
     def _decide(self, statement: Statement) -> PlannerChoice:
         with self._lock:
             version = self._service.version
             key = statement.canonical_key() + (version,)
-            choice = (
-                self._decisions.get(key)
-                if self._decisions is not None
-                else None
-            )
+            choice = self._decisions.get(key)
             if choice is not None:
                 self.planner_stats.decision_cache_hits += 1
                 return choice
@@ -622,8 +650,7 @@ class Session:
                 algorithm=statement.algorithm,
                 allow_partial=statement.allow_partial,
             )
-            if self._decisions is not None:
-                self._decisions.put(key, choice)
+            self._decisions.put(key, choice)
             return choice
 
     def _execute(

@@ -29,31 +29,33 @@ Commands:
   statement (chosen algorithm, shares, predicted rounds/load vs the
   paper's bounds, every candidate's bid) without executing it.
 * ``serve --vocab "S1(x,y), S2(y,z), S3(z,x)" --n 200 --p 16`` --
-  start a long-lived :class:`~repro.serve.service.QueryService` over
-  a generated matching database and read commands from stdin (or
-  ``--script FILE``): ``run <query>``, ``update <rel> <v,v> ...``,
-  ``delete <rel> <v,v> ...``, ``stats``, ``exit``.  Repeated and
-  isomorphic queries are served from the plan/result caches; the
-  ``stats`` command prints the service-level counters.  With
-  ``--tcp PORT`` the same database is served to the network instead,
-  over the asyncio JSON-lines RPC protocol of
-  :mod:`repro.serve.rpc` (planner-routed, with cross-request
-  coalescing); ``--plan-cache-size`` / ``--result-cache-size`` bound
-  the two cache layers in both modes.
+  open one long-lived :class:`repro.api.Session` over a generated
+  matching database and serve it on one of two transports.  The REPL
+  reads one command per line from stdin (or ``--script FILE``):
+  ``run <query>``, ``explain <query>``, ``update <rel> <v,v> ...``,
+  ``delete <rel> <v,v> ...``, ``stats``, ``exit`` -- each a
+  ``Session`` call.  With ``--tcp PORT`` the same session is served
+  to the network over the asyncio JSON-lines RPC protocol of
+  :mod:`repro.serve.rpc` (with cross-request coalescing).  Either way
+  statements are planner-routed (``--algorithm`` pins one), repeated
+  and isomorphic queries hit the plan/result caches, ``stats`` shows
+  the same counters, and ``--workers N`` fans statements out over
+  ``N`` worker processes.
 * ``tables`` -- regenerate Table 1 and Table 2 of the paper.
 
-``run``, ``run-plan`` and ``skew`` execute through the algorithm
-registry (:mod:`repro.algorithms.registry`) -- the same compilers the
-planner chooses from -- and accept ``--profile``, which prints a
-per-round route/ship/deliver/local-eval wall-clock breakdown -- the
-numbers that show where an execution actually spends its time.
+``run``, ``run-plan`` and ``skew`` are the pinned, cache-free path:
+``compile_with(name, ...)`` from the algorithm registry
+(:mod:`repro.algorithms.registry`) -- the same compilers the planner
+chooses from -- plus :func:`repro.engine.execute_plan`.  They accept
+``--profile``, which prints a per-round route/ship/deliver/local-eval
+wall-clock breakdown, and ``--workers N``, the engine's shard pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from fractions import Fraction
 
 from repro.analysis.reporting import format_table
@@ -63,21 +65,6 @@ from repro.core.covers import analyze_covers
 from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
 from repro.core.shares import allocate_integer_shares, share_exponents
-
-
-def _new_profiler(args: argparse.Namespace):
-    """A RoundProfiler when ``--profile`` was given, else None."""
-    if not getattr(args, "profile", False):
-        return None
-    from repro.engine import RoundProfiler
-
-    return RoundProfiler()
-
-
-def _print_profile(profiler, title: str) -> None:
-    if profiler is not None:
-        print()
-        print(profiler.format_table(title=title))
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -114,79 +101,93 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _parallel_context(args: argparse.Namespace, backend: str):
-    """The ``--workers`` process pool of ``run``/``run-plan``/``skew``.
+def _truth(query, database) -> tuple:
+    """The exact single-site join every command verifies against."""
+    from repro.algorithms.localjoin import evaluate_query
+    from repro.data.database import as_mapping
 
-    Yields a :class:`~repro.engine.parallel.ParallelContext` (closed on
-    exit) when ``--workers`` asks for two or more processes under the
-    numpy backend, None otherwise.
+    return evaluate_query(query, as_mapping(database))
+
+
+def _run_pinned(
+    args: argparse.Namespace, query, database, runs, rows, eps=None
+) -> int:
+    """``run`` / ``run-plan`` / ``skew``: pinned, cache-free execution.
+
+    ``runs`` lists ``(profile title, registry algorithm)``; each is
+    compiled with ``compile_with`` and executed with ``execute_plan``
+    under one ``--workers`` pool, then checked against the exact join.
+    ``rows(*executions)`` supplies the command's own table rows.
     """
-    workers = getattr(args, "workers", 1)
-    if workers < 2 or backend != "numpy":
-        yield None
-        return
+    from repro.algorithms.registry import compile_with
+    from repro.backend import resolve_backend
+    from repro.engine import RoundProfiler, execute_plan
     from repro.engine.parallel import ParallelContext
 
-    with ParallelContext(workers, min_rows=0) as context:
-        yield context
-
-
-def _parallel_rows(parallel) -> list[list]:
-    """The summary-table rows that make ``--workers N`` visible."""
-    if parallel is None:
-        return []
-    return [
-        ["route workers", parallel.workers],
-        ["parallel rounds", parallel.parallel_rounds],
-        ["fallback rounds", parallel.fallback_rounds],
-    ]
+    backend = resolve_backend(args.backend)
+    profilers = [RoundProfiler() if args.profile else None for _ in runs]
+    # The shard pool is an engine facility: numpy only, closed on exit.
+    pool = (
+        ParallelContext(args.workers, min_rows=0)
+        if args.workers >= 2 and backend == "numpy"
+        else nullcontext()
+    )
+    with pool as parallel:
+        executions = [
+            execute_plan(
+                compile_with(
+                    algorithm, query, args.p, eps=eps, seed=args.seed,
+                    backend=backend,
+                ),
+                database,
+                profiler=profiler,
+                parallel=parallel,
+                chunk_rows=args.chunk_rows,
+            )
+            for (_, algorithm), profiler in zip(runs, profilers)
+        ]
+    truth = _truth(query, database)
+    verified = all(execution.answers == truth for execution in executions)
+    table = [
+        ["query", str(query)],
+        ["n (domain)", args.n],
+        ["p (servers)", args.p],
+        ["backend", backend],
+        ["answers", len(executions[-1].answers)],
+        ["verified vs exact join", verified],
+    ] + rows(*executions)
+    if parallel is not None:
+        # The rows that make ``--workers N`` visible.
+        table += [
+            ["route workers", parallel.workers],
+            ["parallel rounds", parallel.parallel_rounds],
+            ["fallback rounds", parallel.fallback_rounds],
+        ]
+    print(format_table(["property", "value"], table))
+    if args.profile:
+        for (title, _), profiler in zip(runs, profilers):
+            print()
+            print(profiler.format_table(
+                title=f"{title} timing breakdown ({backend})"
+            ))
+    return 0 if verified else 1
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.algorithms.registry import compile_with
-    from repro.backend import resolve_backend
     from repro.data.matching import matching_database
-    from repro.engine import execute_plan
 
     query = parse_query(args.query)
-    database = matching_database(query, n=args.n, rng=args.seed)
-    backend = resolve_backend(args.backend)
-    profiler = _new_profiler(args)
-    plan = compile_with(
-        "hypercube", query, args.p, seed=args.seed, backend=backend
+    return _run_pinned(
+        args,
+        query,
+        matching_database(query, n=args.n, rng=args.seed),
+        [("HC", "hypercube")],
+        lambda hc: [
+            ["shares", hc.plan.allocation.shares],
+            ["max load (tuples)", hc.report.max_load_tuples],
+            ["replication rate", f"{hc.report.replication_rate:.3f}"],
+        ],
     )
-    with _parallel_context(args, backend) as parallel:
-        execution = execute_plan(
-            plan,
-            database,
-            profiler=profiler,
-            parallel=parallel,
-            chunk_rows=getattr(args, "chunk_rows", None),
-        )
-    truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
-    verified = execution.answers == truth
-    print(format_table(
-        ["property", "value"],
-        [
-            ["query", str(query)],
-            ["n (domain)", args.n],
-            ["p (servers)", args.p],
-            ["backend", backend],
-            ["shares", plan.allocation.shares],
-            ["answers", len(execution.answers)],
-            ["verified vs exact join", verified],
-            ["max load (tuples)", execution.report.max_load_tuples],
-            ["replication rate",
-             f"{execution.report.replication_rate:.3f}"],
-        ]
-        + _parallel_rows(parallel),
-    ))
-    _print_profile(profiler, f"HC timing breakdown ({backend})")
-    return 0 if verified else 1
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -199,128 +200,60 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_run_plan(args: argparse.Namespace) -> int:
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.algorithms.registry import compile_with
-    from repro.backend import resolve_backend
+def cmd_run_multiround(args: argparse.Namespace) -> int:
     from repro.data.matching import matching_database
-    from repro.engine import execute_plan
 
     query = parse_query(args.query)
-    plan = build_plan(query, args.eps)
-    database = matching_database(query, n=args.n, rng=args.seed)
-    backend = resolve_backend(args.backend)
-    profiler = _new_profiler(args)
-    physical = compile_with(
-        "multiround", query, args.p, eps=args.eps, seed=args.seed,
-        backend=backend,
+    depth = build_plan(query, args.eps).depth
+    return _run_pinned(
+        args,
+        query,
+        matching_database(query, n=args.n, rng=args.seed),
+        [("plan", "multiround")],
+        lambda run: [
+            ["eps (space exponent)", args.eps],
+            ["plan depth", depth],
+            ["rounds used", run.report.num_rounds],
+            ["max load (tuples)", run.report.max_load_tuples],
+            ["replication rate", f"{run.report.replication_rate:.3f}"],
+        ]
+        + [
+            [f"view |{view}|", size]
+            for view, size in sorted(run.view_sizes.items())
+        ],
+        eps=args.eps,
     )
-    with _parallel_context(args, backend) as parallel:
-        execution = execute_plan(
-            physical,
-            database,
-            profiler=profiler,
-            parallel=parallel,
-            chunk_rows=getattr(args, "chunk_rows", None),
-        )
-    truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
-    verified = execution.answers == truth
-    rows = [
-        ["query", str(query)],
-        ["eps (space exponent)", args.eps],
-        ["n (domain)", args.n],
-        ["p (servers)", args.p],
-        ["backend", backend],
-        ["plan depth", plan.depth],
-        ["rounds used", execution.report.num_rounds],
-        ["answers", len(execution.answers)],
-        ["verified vs exact join", verified],
-        ["max load (tuples)", execution.report.max_load_tuples],
-        ["replication rate",
-         f"{execution.report.replication_rate:.3f}"],
-    ]
-    rows.extend(_parallel_rows(parallel))
-    rows.extend(
-        [f"view |{view}|", size]
-        for view, size in sorted(execution.view_sizes.items())
-    )
-    print(format_table(["property", "value"], rows))
-    _print_profile(profiler, f"plan timing breakdown ({backend})")
-    return 0 if verified else 1
 
 
 def cmd_skew(args: argparse.Namespace) -> int:
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.algorithms.registry import compile_with
-    from repro.backend import resolve_backend
     from repro.data.generators import skewed_database
-    from repro.engine import execute_plan
 
     query = parse_query(args.query)
-    database = skewed_database(
-        query, n=args.n, rng=args.seed, heavy_fraction=args.heavy_fraction
-    )
-    backend = resolve_backend(args.backend)
-    plain_profiler = _new_profiler(args)
-    aware_profiler = _new_profiler(args)
-    chunk_rows = getattr(args, "chunk_rows", None)
-    with _parallel_context(args, backend) as parallel:
-        plain = execute_plan(
-            compile_with(
-                "hypercube", query, args.p, seed=args.seed, backend=backend
-            ),
-            database,
-            profiler=plain_profiler,
-            parallel=parallel,
-            chunk_rows=chunk_rows,
-        )
-        aware = execute_plan(
-            compile_with(
-                "skewaware", query, args.p, seed=args.seed, backend=backend
-            ),
-            database,
-            profiler=aware_profiler,
-            parallel=parallel,
-            chunk_rows=chunk_rows,
-        )
-    truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
-    verified = aware.answers == truth and plain.answers == truth
-    heavy = {
-        variable: sorted(values)
-        for variable, values in (aware.heavy_hitters or {}).items()
-        if values
-    }
-    print(format_table(
-        ["property", "value"],
-        [
-            ["query", str(query)],
-            ["n (domain)", args.n],
-            ["p (servers)", args.p],
-            ["backend", backend],
+    return _run_pinned(
+        args,
+        query,
+        skewed_database(
+            query, n=args.n, rng=args.seed,
+            heavy_fraction=args.heavy_fraction,
+        ),
+        [("plain HC", "hypercube"), ("skew-aware", "skewaware")],
+        lambda plain, aware: [
             ["heavy fraction", args.heavy_fraction],
-            ["heavy hitters", heavy or "none"],
-            ["answers", len(aware.answers)],
-            ["verified vs exact join", verified],
+            ["heavy hitters",
+             {
+                 variable: sorted(values)
+                 for variable, values in aware.heavy_hitters.items()
+                 if values
+             }
+             or "none"],
             ["plain HC max load", plain.report.max_load_tuples],
             ["skew-aware max load", aware.report.max_load_tuples],
-            [
-                "plain imbalance",
-                f"{plain.report.rounds[0].load_imbalance:.2f}",
-            ],
-            [
-                "aware imbalance",
-                f"{aware.report.rounds[0].load_imbalance:.2f}",
-            ],
-        ]
-        + _parallel_rows(parallel),
-    ))
-    _print_profile(plain_profiler, f"plain HC timing breakdown ({backend})")
-    _print_profile(aware_profiler, f"skew-aware timing breakdown ({backend})")
-    return 0 if verified else 1
+            ["plain imbalance",
+             f"{plain.report.rounds[0].load_imbalance:.2f}"],
+            ["aware imbalance",
+             f"{aware.report.rounds[0].load_imbalance:.2f}"],
+        ],
+    )
 
 
 def _generated_database(query, args: argparse.Namespace):
@@ -344,40 +277,31 @@ def _generated_database(query, args: argparse.Namespace):
     return matching_database(query, n=args.n, rng=args.seed)
 
 
-def _session_for(query, args: argparse.Namespace):
+def _session_for(database, args: argparse.Namespace, **options):
+    """The one ``connect(...)`` of ``query``, ``explain`` and ``serve``."""
     from repro.api import connect
     from repro.backend import resolve_backend
 
     return connect(
-        _generated_database(query, args),
-        p=args.p,
-        backend=resolve_backend(args.backend),
-        seed=args.seed,
-        chunk_rows=getattr(args, "chunk_rows", None),
-    )
-
-
-def cmd_query(args: argparse.Namespace) -> int:
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.api import connect
-    from repro.backend import resolve_backend
-
-    query = parse_query(args.query)
-    database = _generated_database(query, args)
-    session = connect(
         database,
         p=args.p,
         backend=resolve_backend(args.backend),
         seed=args.seed,
-        chunk_rows=getattr(args, "chunk_rows", None),
+        chunk_rows=args.chunk_rows,
+        **options,
     )
-    statement = session.query(
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    query = parse_query(args.query)
+    database = _generated_database(query, args)
+    session = _session_for(database, args)
+    result = session.execute(
         query,
         eps=args.eps,
         algorithm=args.algorithm,
         allow_partial=args.allow_partial,
     )
-    result = statement.execute()
     explain = result.explain
     rows = [
         ["query", str(query)],
@@ -393,14 +317,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         ["answers", len(result.answers)],
     ]
     if result.algorithm != "partial":
-        truth = evaluate_query(
-            query,
-            {
-                name: database[name].tuples
-                for name in database.relations
-            },
-        )
-        verified = result.answers == truth
+        verified = result.answers == _truth(query, database)
         rows.append(["verified vs exact join", verified])
     else:
         verified = True
@@ -420,7 +337,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     query = parse_query(args.query)
-    session = _session_for(query, args)
+    session = _session_for(_generated_database(query, args), args)
     explain = session.explain(
         query,
         eps=args.eps,
@@ -431,8 +348,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_handle(service, line: str, out) -> bool:
-    """Process one serve-REPL line; False means quit."""
+def _repl_line(session, line: str, out) -> bool:
+    """Process one serve-REPL line as a Session call; False means quit."""
     import time
 
     from repro.data.database import DataError
@@ -448,17 +365,19 @@ def _serve_handle(service, line: str, out) -> bool:
     try:
         if command == "run":
             start = time.perf_counter()
-            result = service.execute(rest)
+            result = session.execute(rest)
             elapsed = (time.perf_counter() - start) * 1000
             flags = (
-                f"plan:{'hit' if result.plan_hit else 'miss'} "
-                f"result:{'hit' if result.result_hit else 'miss'}"
+                f"plan:{'hit' if result.raw.plan_hit else 'miss'} "
+                f"result:{'hit' if result.cached else 'miss'}"
             )
             print(
                 f"{len(result.answers)} answers in {elapsed:.2f} ms "
-                f"[{flags}] v{result.version}",
+                f"[{flags}] v{result.version} via {result.algorithm}",
                 file=out,
             )
+        elif command == "explain":
+            print(session.explain(rest).format(), file=out)
         elif command in ("update", "delete"):
             relation, _, row_text = rest.partition(" ")
             if not relation:
@@ -471,41 +390,26 @@ def _serve_handle(service, line: str, out) -> bool:
                 raise ValueError(f"{command}: no rows given")
             delta = {relation: rows}
             version = (
-                service.update(inserts=delta)
+                session.update(inserts=delta)
                 if command == "update"
-                else service.update(deletes=delta)
+                else session.update(deletes=delta)
             )
             print(f"v{version}: {command}d {len(rows)} rows in {relation}", file=out)
         elif command == "stats":
-            stats = service.stats
+            # The dict the RPC ``stats`` op returns, one row per counter.
+            report = session.stats_report()
+            version = report.pop("version")
             rows = [
-                ["requests", stats.requests],
-                ["executions", stats.executions],
-                ["plan hits (exact / isomorphic)",
-                 f"{stats.plans.hits} / {stats.plans.isomorphic_hits}"],
-                ["plan misses (compiles)", stats.plans.misses],
-                ["result hits", stats.result_hits],
-                ["evictions (plan / result)",
-                 f"{stats.plans.evictions} / {stats.result_evictions}"],
-                ["updates", stats.updates],
-                ["answers served", stats.answers_served],
-                ["capacity failures", stats.capacity_failures],
-                ["ivm merges / fallbacks",
-                 f"{stats.ivm_hits} / {stats.ivm_fallbacks}"],
-                ["ivm retained (states / bytes)",
-                 f"{service.ivm_retained_states}"
-                 f" / {service.ivm_retained_bytes}"],
-                ["parallel rounds", stats.parallel_rounds],
-                ["fallback rounds", stats.fallback_rounds],
+                [f"{section}.{counter}", value]
+                for section, counters in report.items()
+                for counter, value in counters.items()
             ]
-            rows.extend(
-                [f"{phase} seconds", f"{seconds:.4f}"]
-                for phase, seconds in stats.phase_seconds.items()
-            )
+            rows.append(["version", version])
             print(format_table(["counter", "value"], rows), file=out)
         else:
             print(f"error: unknown command {command!r} "
-                  "(run / update / delete / stats / exit)", file=out)
+                  "(run / explain / update / delete / stats / exit)",
+                  file=out)
     except (
         QueryError,
         DataError,
@@ -522,95 +426,60 @@ def _serve_handle(service, line: str, out) -> bool:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.backend import resolve_backend
     from repro.data.matching import matching_database
 
     vocab = parse_query(args.vocab)
-    database = matching_database(vocab, n=args.n, rng=args.seed)
-    backend = resolve_backend(args.backend)
-    cache_sizes = dict(
+    session = _session_for(
+        matching_database(vocab, n=args.n, rng=args.seed),
+        args,
+        eps=args.eps,
+        algorithm=args.algorithm,
+        workers=args.workers,
         plan_cache_size=args.plan_cache_size,
         result_cache_size=args.result_cache_size,
     )
-
-    if args.tcp is not None:
-        import asyncio
-
-        from repro.api import connect
-        from repro.serve.rpc import serve_tcp
-
-        session = connect(
-            database,
-            p=args.p,
-            backend=backend,
-            eps=args.eps,
-            algorithm=args.algorithm,
-            seed=args.seed,
-            workers=args.workers,
-            chunk_rows=args.chunk_rows,
-            **cache_sizes,
-        )
-        routing = (
-            f"pinned to {args.algorithm}"
-            if args.algorithm
-            else "planner-routed"
-        )
-        print(
-            f"serving {vocab} over n={args.n} matching database "
-            f"(p={args.p}, backend={backend}, {routing}, "
-            f"workers={args.workers})"
-        )
-        try:
-            asyncio.run(
-                serve_tcp(
-                    session,
-                    host=args.host,
-                    port=args.tcp,
-                    max_inflight=args.max_inflight,
-                    max_queue=args.max_queue,
-                    quota_rps=args.quota_rps,
-                    quota_burst=args.quota_burst,
-                    idle_timeout=args.idle_timeout,
-                    metrics_port=args.metrics_port,
-                )
-            )
-        except KeyboardInterrupt:
-            print("rpc server stopped")
-        finally:
-            session.close()
-        return 0
-
-    from repro.serve import QueryService
-
-    algorithm = args.algorithm or "hypercube"
-    service = QueryService(
-        database,
-        p=args.p,
-        backend=backend,
-        algorithm=algorithm,
-        eps=args.eps,
-        seed=args.seed,
-        workers=args.workers,
-        chunk_rows=args.chunk_rows,
-        **cache_sizes,
+    routing = (
+        f"pinned to {args.algorithm}" if args.algorithm else "planner-routed"
     )
     print(
         f"serving {vocab} over n={args.n} matching database "
-        f"(p={args.p}, backend={backend}, algorithm={algorithm}, "
+        f"(p={args.p}, backend={session.backend}, {routing}, "
         f"workers={args.workers})"
     )
     try:
-        if args.script:
-            with open(args.script, encoding="utf-8") as stream:
-                for line in stream:
-                    if not _serve_handle(service, line, sys.stdout):
-                        break
+        if args.tcp is not None:
+            import asyncio
+
+            from repro.serve.rpc import serve_tcp
+
+            try:
+                asyncio.run(
+                    serve_tcp(
+                        session,
+                        host=args.host,
+                        port=args.tcp,
+                        max_inflight=args.max_inflight,
+                        max_queue=args.max_queue,
+                        quota_rps=args.quota_rps,
+                        quota_burst=args.quota_burst,
+                        idle_timeout=args.idle_timeout,
+                        metrics_port=args.metrics_port,
+                    )
+                )
+            except KeyboardInterrupt:
+                print("rpc server stopped")
         else:
-            for line in sys.stdin:
-                if not _serve_handle(service, line, sys.stdout):
-                    break
+            source = (
+                open(args.script, encoding="utf-8")
+                if args.script
+                else nullcontext(sys.stdin)
+            )
+            with source as stream:
+                for line in stream:
+                    if not _repl_line(session, line, sys.stdout):
+                        break
     finally:
-        service.close()
+        session.close()
     return 0
 
 
@@ -728,15 +597,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="space exponent, e.g. 1/2")
     plan.set_defaults(handler=cmd_plan)
 
-    run_plan = commands.add_parser(
+    run_multiround = commands.add_parser(
         "run-plan",
         help="build a multi-round plan and execute it on the simulator",
     )
-    run_plan.add_argument("query")
-    run_plan.add_argument("--eps", type=_parse_eps, default=Fraction(0),
+    run_multiround.add_argument("query")
+    run_multiround.add_argument("--eps", type=_parse_eps, default=Fraction(0),
                           help="space exponent, e.g. 1/2")
-    add_execution_options(run_plan)
-    run_plan.set_defaults(handler=cmd_run_plan)
+    add_execution_options(run_multiround)
+    run_multiround.set_defaults(handler=cmd_run_multiround)
 
     def add_planner_options(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument("query")
@@ -830,8 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=["hypercube", "skewaware", "multiround"],
         default=None,
-        help="pin the compiler serving requests (REPL default: "
-        "hypercube; --tcp default: the cost-based planner)",
+        help="pin the compiler serving requests (default: the "
+        "cost-based planner picks per statement)",
     )
     serve.add_argument(
         "--eps",
@@ -849,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve the asyncio JSON-lines RPC protocol on PORT "
-        "(planner-routed; 0 picks a free port) instead of the REPL",
+        "(0 picks a free port) instead of the REPL",
     )
     serve.add_argument(
         "--host",
@@ -912,10 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="executor processes: with --tcp, statements fan out "
-        "across N worker processes (and N dispatch threads); in the "
-        "REPL, the route phase of large rounds runs on N processes. "
-        "1 (default) keeps everything in-process",
+        help="statement fan-out: N worker processes, each a full "
+        "session over a shared-memory snapshot (with --tcp, also N "
+        "dispatch threads). 1 (default) keeps everything in-process",
     )
     serve.add_argument(
         "--chunk-rows",
@@ -955,7 +823,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (BackendError, QueryError) as error:
+    except (BackendError, QueryError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -23,9 +23,10 @@ broadcast join        one :class:`Broadcast` per atom
 single-server         one :class:`ToServer` per atom
 single-attribute join one :class:`HashRoute` per atom on a 1-D grid
 cartesian grid        one :class:`RoundRobinGrid` per operand
-hash-to-min (CC)      per fixpoint iteration, one :class:`HashRoute`
-                      round over the iteration's (vertex, payload)
-                      pairs
+hash-to-min (CC)      per iteration, one :class:`HashRoute` round over
+                      the iteration's (vertex, payload) pairs (driven
+                      by ``run_hash_to_min``: the depth is
+                      data-dependent, so it is not a :class:`Plan`)
 ====================  =================================================
 
 New execution scenarios (new operators, sharding, asynchronous
@@ -58,7 +59,6 @@ from repro.engine.local import (
 from repro.engine.plan import (
     CollectAnswers,
     FinalizeView,
-    FixpointSpec,
     HeavyBind,
     KeyMap,
     Plan,
@@ -85,7 +85,6 @@ __all__ = [
     "Deadline",
     "DeadlineExceeded",
     "FinalizeView",
-    "FixpointSpec",
     "HeavyBind",
     "KeyMap",
     "Plan",

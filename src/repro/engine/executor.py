@@ -651,14 +651,7 @@ def execute_plan(
             fires first).
         DeadlineExceeded: when ``deadline`` expires at a cooperative
             checkpoint.
-        ValueError: for fixpoint plans (those are executed by their
-            algorithm's driver).
     """
-    if plan.fixpoint is not None:
-        raise ValueError(
-            "fixpoint plans are executed by their algorithm driver, "
-            "not execute_plan"
-        )
     backend = plan.signature.backend
     sources = _plan_sources(database, backend)
     if relation_map:

@@ -26,10 +26,10 @@ over the same vocabulary -- the seam the serving layer
 same database is bit-identical in answers, per-server loads and
 capacity failures by construction.
 
-Iterative algorithms whose rounds are data-dependent (hash-to-min
-connected components) compile to a plan with a :class:`FixpointSpec`
-instead of a static round list; their driver re-uses the engine for
-every round but owns the fixpoint loop.
+A plan's round list is static.  An algorithm whose depth depends on
+the data (hash-to-min connected components, Theorem 4.10) is not a
+plan: its driver runs :class:`~repro.engine.executor.RoundEngine`
+rounds directly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable
 
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import ShareAllocation
-from repro.engine.steps import GridSpec, RoutingStep
+from repro.engine.steps import RoutingStep
 
 #: Pairs ``(atom name, mailbox key)`` -- the immutable form of the
 #: ``key_of`` callables the local-evaluation helpers take.
@@ -165,23 +165,6 @@ class FinalizeView:
 
 
 @dataclass(frozen=True)
-class FixpointSpec:
-    """An iterate-until-fixpoint round template (hash-to-min).
-
-    Attributes:
-        grid: the (data-independent) routing grid of every iteration.
-        relation_prefix: per-iteration mailbox keys are
-            ``f"{relation_prefix}{iteration}"`` (fresh key per round
-            keeps each delivery pool single-use).
-        max_rounds: safety bound on iterations.
-    """
-
-    grid: GridSpec
-    relation_prefix: str
-    max_rounds: int
-
-
-@dataclass(frozen=True)
 class Plan:
     """An immutable, data-independent physical plan.
 
@@ -193,9 +176,6 @@ class Plan:
             directly, e.g. the cartesian-grid baseline).
         allocation: the integer share grid, when the algorithm uses
             one (diagnostics and result metadata).
-        fixpoint: set instead of ``rounds`` for iterative algorithms;
-            such plans are executed by their algorithm's driver, not
-            :func:`~repro.engine.executor.execute_plan`.
         uniform_domain_bits: charge every source relation's tuples at
             the database's domain width (the tuple-based multi-round
             discipline where views and base tuples cost the same).
@@ -205,12 +185,11 @@ class Plan:
     rounds: tuple[PlanRound, ...] = ()
     finalize: CollectAnswers | FinalizeView | None = None
     allocation: ShareAllocation | None = None
-    fixpoint: FixpointSpec | None = None
     uniform_domain_bits: bool = False
 
     @property
     def num_rounds(self) -> int:
-        """Static round count (0 for fixpoint plans)."""
+        """Static round count."""
         return len(self.rounds)
 
     def describe(self) -> dict:
@@ -278,12 +257,6 @@ class Plan:
             "finalize": finalize,
             "shares": dict(self.allocation.shares)
             if self.allocation is not None
-            else None,
-            "fixpoint": {
-                "relation_prefix": self.fixpoint.relation_prefix,
-                "max_rounds": self.fixpoint.max_rounds,
-            }
-            if self.fixpoint is not None
             else None,
         }
 

@@ -2,7 +2,7 @@
 
 The Beame-Koutris-Suciu results are *choices* -- one round or many,
 which share vector, full or partial answers -- and the planner makes
-them automatically so callers never have to name a ``run_*`` function:
+them automatically so callers never have to name an algorithm:
 
 1. collect every registered algorithm's :class:`CostEstimate` from its
    declared cost model (:mod:`repro.algorithms.registry`), fed by the
@@ -198,8 +198,8 @@ class PlannerChoice:
     """The planner's routing decision for one statement.
 
     ``eps`` is what the compiler should be called with (None lets the
-    algorithm use its own per-query default, matching the bare
-    ``run_*`` call).
+    algorithm use its own per-query default, matching a bare
+    ``compile_with`` call).
     """
 
     algorithm: str

@@ -21,7 +21,6 @@ from repro.engine.faults import worker_death_after
 from .state import RetainedState, step_writers
 
 # Plan-shape reasons (decided once per plan).
-FALLBACK_FIXPOINT = "fixpoint-plan"
 FALLBACK_NO_FINALIZE = "no-finalize"
 FALLBACK_HEAVY_BINDING = "heavy-binding"
 FALLBACK_NON_SHARDABLE = "non-shardable-step"
@@ -55,8 +54,6 @@ class IvmPolicy:
     def plan_fallback_reason(self, plan: Plan) -> str | None:
         """Why this plan can never be incrementally maintained
         (None when it can)."""
-        if plan.fixpoint is not None:
-            return FALLBACK_FIXPOINT
         if not isinstance(plan.finalize, (CollectAnswers, FinalizeView)):
             return FALLBACK_NO_FINALIZE
         for plan_round in plan.rounds:

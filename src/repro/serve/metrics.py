@@ -378,14 +378,6 @@ def render_metrics(server: Any) -> str:
         ivm.retained_states if ivm is not None else 0,
     )
     registry.sample(
-        "engine_rounds_total", "counter",
-        "Engine rounds, by execution mode.",
-        series=[
-            ({"mode": "parallel"}, service.parallel_rounds),
-            ({"mode": "fallback"}, service.fallback_rounds),
-        ],
-    )
-    registry.sample(
         "phase_seconds_total", "counter",
         "Cumulative execution seconds, by engine phase.",
         series=[

@@ -646,8 +646,8 @@ class RpcServer:
         }
 
     def _op_stats(self) -> dict:
-        service = self.session.stats
-        planner = self.session.planner_stats
+        report = self.session.stats_report()
+        report["parallel"]["dispatch_threads"] = self.workers
         return {
             "ok": True,
             "rpc": {
@@ -709,63 +709,7 @@ class RpcServer:
                 "quota_clients": len(self._quotas),
                 "idle_timeout": self.idle_timeout,
             },
-            "service": {
-                "requests": service.requests,
-                "executions": service.executions,
-                "result_hits": service.result_hits,
-                # Always 0: benchmarks/e2e/metrics.py indexes these keys.
-                "routing_hits": 0,
-                "routing_misses": 0,
-                "routing_evictions": 0,
-                "result_evictions": service.result_evictions,
-                "plan_hits": service.plans.hits,
-                "plan_isomorphic_hits": service.plans.isomorphic_hits,
-                "plan_misses": service.plans.misses,
-                "plan_evictions": service.plans.evictions,
-                "updates": service.updates,
-                "answers_served": service.answers_served,
-                "capacity_failures": service.capacity_failures,
-                "deadline_exceeded": service.deadline_exceeded,
-                "ivm_hits": service.ivm_hits,
-                "ivm_fallbacks": service.ivm_fallbacks,
-                "ivm_retained_bytes": (
-                    self.session.service.ivm_retained_bytes
-                ),
-                "ivm_retained_states": (
-                    self.session.service.ivm_retained_states
-                ),
-            },
-            "parallel": self._parallel_stats(),
-            "planner": {
-                "decisions": planner.decisions,
-                "pinned": planner.pinned,
-                "decision_cache_hits": planner.decision_cache_hits,
-                "by_algorithm": dict(planner.by_algorithm or {}),
-            },
-            "version": self.session.version,
-        }
-
-    def _parallel_stats(self) -> dict:
-        """Where parallel dispatch actually engaged (or didn't)."""
-        service = self.session.stats
-        fanout = getattr(self.session, "fanout", None)
-        return {
-            "dispatch_threads": self.workers,
-            "fanout_workers": (
-                fanout.workers if fanout is not None else 0
-            ),
-            "fanout_usable": bool(fanout is not None and fanout.usable),
-            "fanout_queries": (
-                fanout.queries if fanout is not None else 0
-            ),
-            "fanout_alive_workers": (
-                fanout.alive_workers if fanout is not None else 0
-            ),
-            "fanout_killed_stragglers": (
-                fanout.killed_stragglers if fanout is not None else 0
-            ),
-            "parallel_rounds": service.parallel_rounds,
-            "fallback_rounds": service.fallback_rounds,
+            **report,
         }
 
     # -- execution with cross-request coalescing ----------------------------

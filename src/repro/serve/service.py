@@ -86,11 +86,6 @@ class ServiceStats:
     #: full re-execution ran; per-reason detail lives on the service's
     #: :class:`~repro.serve.ivm.IvmManager`.
     ivm_fallbacks: int = 0
-    #: Rounds whose route phase fanned out across the process pool /
-    #: rounds that routed entirely in-process (parallel serving only;
-    #: both stay 0 when the service runs single-process).
-    parallel_rounds: int = 0
-    fallback_rounds: int = 0
     phase_seconds: dict[str, float] = field(
         default_factory=lambda: {phase: 0.0 for phase in PHASES}
     )
@@ -179,21 +174,11 @@ class QueryService:
         backend: compute backend, resolved once for every request.
         seed: hash-family seed shared by all plans.
         capacity_c: capacity constant; None picks the algorithm's
-            ``run_*`` default.
+            registered default.
         enforce_capacity: raise :class:`CapacityExceeded` on overload
             (cached failures re-raise identically).
         plan_cache_size / result_cache_size: entry budgets of the two
             cache layers; a size of 0 disables that layer.
-        workers: executor process count for the in-engine parallel
-            route phase.  1 (the default) keeps execution fully
-            in-process; >= 2 builds a
-            :class:`~repro.engine.parallel.engine.ParallelContext`
-            lazily on first execution (numpy backend only -- the pure
-            backend routes row-at-a-time and always stays serial).
-            Answers, loads and capacity behaviour are bit-identical
-            either way.
-        parallel_min_rows: sources below this row count route
-            in-process even when ``workers >= 2``.
         chunk_rows: streaming block size for every execution (numpy
             backend only).  When set, shardable routing steps stream
             in ``chunk_rows``-row blocks with lazy delivery pools, so
@@ -229,8 +214,6 @@ class QueryService:
         enforce_capacity: bool = False,
         plan_cache_size: int = 128,
         result_cache_size: int = 512,
-        workers: int = 1,
-        parallel_min_rows: int | None = None,
         chunk_rows: int | None = None,
         ivm: bool = True,
         ivm_max_bytes: int = 64 << 20,
@@ -250,9 +233,9 @@ class QueryService:
         self.algorithm = algorithm
         self.eps = None if eps is None else Fraction(eps)
         self.seed = seed
-        # None = each algorithm's run_* default (resolved per request,
-        # so per-request algorithm overrides stay bit-identical to
-        # their direct entry points).
+        # None = each algorithm's registered default (resolved per
+        # request, so per-request algorithm overrides stay
+        # bit-identical to a direct compile_with + execute_plan).
         self._capacity_override = capacity_c
         self.capacity_c = (
             get_algorithm(algorithm).default_capacity_c
@@ -285,63 +268,7 @@ class QueryService:
             else None
         )
         self._simulators: dict[tuple, MPCSimulator] = {}
-        self.workers = workers
-        self._parallel_min_rows = parallel_min_rows
         self.chunk_rows = chunk_rows
-        self._parallel: Any = None
-        self._parallel_failed = False
-
-    def _parallel_context(self) -> Any:
-        """The lazily-built in-engine parallel context, or None.
-
-        Built on first use so single-process services (and pure
-        backend ones) never pay spawn costs; a context whose pool
-        breaks stays usable=False and execution degrades to the serial
-        engine for the rest of the service's life.
-        """
-        from repro.backend import NUMPY
-
-        if (
-            self.workers < 2
-            or self.backend != NUMPY
-            or self._parallel_failed
-        ):
-            return None
-        if self._parallel is None:
-            from repro.engine.parallel.engine import (
-                DEFAULT_MIN_ROWS,
-                ParallelContext,
-            )
-
-            try:
-                self._parallel = ParallelContext(
-                    self.workers,
-                    min_rows=(
-                        DEFAULT_MIN_ROWS
-                        if self._parallel_min_rows is None
-                        else self._parallel_min_rows
-                    ),
-                )
-            except Exception:  # noqa: BLE001 - parallel is optional
-                self._parallel_failed = True
-                return None
-        return self._parallel
-
-    def close(self) -> None:
-        """Release parallel resources (pool processes, shared segments).
-
-        The service stays usable -- later executions run (or rebuild
-        the context) as configured.  Idempotent.
-        """
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    def __enter__(self) -> "QueryService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def _count_result_eviction(self) -> None:
         self.stats.result_evictions += 1
@@ -462,7 +389,7 @@ class QueryService:
                 service-wide setting.
             capacity_c: per-request capacity constant override;
                 defaults to the service-wide setting (itself the
-                algorithm's ``run_*`` default when never set).
+                algorithm's registered default when never set).
             deadline: optional per-request latency budget.  Checked on
                 entry -- *before* the result cache, so an
                 already-expired budget deterministically beats any
@@ -708,7 +635,6 @@ class QueryService:
             None if rebind.is_identity else dict(rebind.relation_map)
         )
         error: CapacityExceeded | None = None
-        parallel = self._parallel_context()
         try:
             execution = execute_plan(
                 plan,
@@ -716,7 +642,6 @@ class QueryService:
                 profiler=profiler,
                 simulator=self._simulator_for(plan),
                 relation_map=relation_map,
-                parallel=parallel,
                 chunk_rows=self.chunk_rows,
                 deadline=deadline,
             )
@@ -730,10 +655,6 @@ class QueryService:
             self.stats.executions += 1
             self.stats.deadline_exceeded += 1
             raise
-        finally:
-            if parallel is not None:
-                self.stats.parallel_rounds = parallel.parallel_rounds
-                self.stats.fallback_rounds = parallel.fallback_rounds
         self.stats.executions += 1
         self.stats.add_profile(profiler)
         if error is not None:

@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.baselines import (
-    run_broadcast_join,
+    compile_broadcast_join,
+    compile_single_attribute_join,
+    compile_single_server,
     run_cartesian_grid,
-    run_single_attribute_join,
-    run_single_server,
 )
 from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import QueryError, parse_query
 from repro.data.database import Relation
 from repro.data.matching import matching_database
+from repro.engine import execute_plan
 
 
 def truth_of(query, database):
@@ -25,21 +26,21 @@ def truth_of(query, database):
 
 class TestBroadcastJoin:
     def test_correct(self, triangle, triangle_db):
-        result = run_broadcast_join(triangle, triangle_db, p=4)
+        result = execute_plan(compile_broadcast_join(triangle, 4), triangle_db)
         assert result.answers == truth_of(triangle, triangle_db)
 
     def test_replication_is_p(self, triangle, triangle_db):
-        result = run_broadcast_join(triangle, triangle_db, p=4)
+        result = execute_plan(compile_broadcast_join(triangle, 4), triangle_db)
         assert result.report.replication_rate == pytest.approx(4.0)
 
 
 class TestSingleServer:
     def test_correct(self, chain4, chain4_db):
-        result = run_single_server(chain4, chain4_db, p=4)
+        result = execute_plan(compile_single_server(chain4, 4), chain4_db)
         assert result.answers == truth_of(chain4, chain4_db)
 
     def test_one_worker_takes_everything(self, chain4, chain4_db):
-        result = run_single_server(chain4, chain4_db, p=4)
+        result = execute_plan(compile_single_server(chain4, 4), chain4_db)
         stats = result.report.rounds[0]
         assert stats.received_bits[0] == chain4_db.total_bits
         assert all(bits == 0 for bits in stats.received_bits[1:])
@@ -48,29 +49,35 @@ class TestSingleServer:
 class TestSingleAttributeJoin:
     def test_star_query_correct(self, star3):
         database = matching_database(star3, n=50, rng=2)
-        result = run_single_attribute_join(star3, database, p=8)
+        result = execute_plan(
+            compile_single_attribute_join(star3, 8), database
+        )
         assert result.answers == truth_of(star3, database)
 
     def test_two_hop_correct(self, two_hop):
         database = matching_database(two_hop, n=50, rng=3)
-        result = run_single_attribute_join(two_hop, database, p=8)
+        result = execute_plan(
+            compile_single_attribute_join(two_hop, 8), database
+        )
         assert result.answers == truth_of(two_hop, database)
 
     def test_no_shared_variable_rejected(self):
         query = line_query(3)
         database = matching_database(query, n=10, rng=1)
         with pytest.raises(QueryError, match="variable in every atom"):
-            run_single_attribute_join(query, database, p=4)
+            execute_plan(compile_single_attribute_join(query, 4), database)
 
     def test_cycle_rejected(self):
         query = cycle_query(3)
         database = matching_database(query, n=10, rng=1)
         with pytest.raises(QueryError):
-            run_single_attribute_join(query, database, p=4)
+            execute_plan(compile_single_attribute_join(query, 4), database)
 
     def test_replication_rate_one(self, star3):
         database = matching_database(star3, n=40, rng=4)
-        result = run_single_attribute_join(star3, database, p=8)
+        result = execute_plan(
+            compile_single_attribute_join(star3, 8), database
+        )
         assert result.report.replication_rate == pytest.approx(1.0)
 
 
@@ -135,23 +142,26 @@ class TestBackendParity:
             pytest.skip("numpy backend unavailable")
 
     def test_broadcast_parity(self, chain4, chain4_db):
-        self.assert_reports_match(
-            run_broadcast_join(chain4, chain4_db, p=4, backend="pure"),
-            run_broadcast_join(chain4, chain4_db, p=4, backend="numpy"),
-        )
+        self.assert_reports_match(*(
+            execute_plan(compile_broadcast_join(chain4, 4, backend), chain4_db)
+            for backend in ("pure", "numpy")
+        ))
 
     def test_single_server_parity(self, chain4, chain4_db):
-        self.assert_reports_match(
-            run_single_server(chain4, chain4_db, p=4, backend="pure"),
-            run_single_server(chain4, chain4_db, p=4, backend="numpy"),
-        )
+        self.assert_reports_match(*(
+            execute_plan(compile_single_server(chain4, 4, backend), chain4_db)
+            for backend in ("pure", "numpy")
+        ))
 
     def test_single_attribute_parity(self, star3):
         database = matching_database(star3, n=40, rng=3)
-        self.assert_reports_match(
-            run_single_attribute_join(star3, database, p=8, backend="pure"),
-            run_single_attribute_join(star3, database, p=8, backend="numpy"),
-        )
+        self.assert_reports_match(*(
+            execute_plan(
+                compile_single_attribute_join(star3, 8, backend=backend),
+                database,
+            )
+            for backend in ("pure", "numpy")
+        ))
 
     def test_single_attribute_ships_every_tuple(self):
         """The classical hash join routes every tuple by its hash --
@@ -167,9 +177,12 @@ class TestBackendParity:
                 Relation.from_tuples("T", [(1, 2), (3, 4)], domain_size=4),
             ]
         )
-        pure = run_single_attribute_join(query, database, p=4, backend="pure")
-        vectorized = run_single_attribute_join(
-            query, database, p=4, backend="numpy"
+        pure, vectorized = (
+            execute_plan(
+                compile_single_attribute_join(query, 4, backend=backend),
+                database,
+            )
+            for backend in ("pure", "numpy")
         )
         self.assert_reports_match(pure, vectorized)
         # All 5 tuples shipped; replication rate exactly 1.

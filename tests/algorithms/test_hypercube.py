@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.hypercube import hc_destinations, run_hypercube
+from repro.algorithms.hypercube import hc_destinations
 from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import (
     binomial_query,
@@ -19,6 +19,7 @@ from repro.core.query import Atom, parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.mpc.routing import HashFamily
+from tests.conftest import run_pinned
 
 
 def truth_of(query, database):
@@ -44,17 +45,17 @@ class TestCorrectness:
     )
     def test_equals_exact_join_on_matchings(self, query):
         database = matching_database(query, n=40, rng=11)
-        result = run_hypercube(query, database, p=8, seed=2)
+        result = run_pinned("hypercube", query, database, p=8, seed=2)
         assert result.answers == truth_of(query, database)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 16, 30, 64])
     def test_correct_for_any_p(self, triangle, triangle_db, p):
-        result = run_hypercube(triangle, triangle_db, p=p, seed=1)
+        result = run_pinned("hypercube", triangle, triangle_db, p=p, seed=1)
         assert result.answers == truth_of(triangle, triangle_db)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_correct_for_any_seed(self, chain4, chain4_db, seed):
-        result = run_hypercube(chain4, chain4_db, p=9, seed=seed)
+        result = run_pinned("hypercube", chain4, chain4_db, p=9, seed=seed)
         assert result.answers == truth_of(chain4, chain4_db)
 
     def test_correct_on_non_matching_input(self, triangle):
@@ -68,13 +69,13 @@ class TestCorrectness:
                 Relation.from_tuples("S3", [(i, 1) for i in range(2, 12)], 16),
             ]
         )
-        result = run_hypercube(triangle, database, p=8, seed=0)
+        result = run_pinned("hypercube", triangle, database, p=8, seed=0)
         assert result.answers == truth_of(triangle, database)
 
     def test_ternary_relations(self):
         query = parse_query("R(x,y,z), S(z,w)")
         database = matching_database(query, n=30, rng=5)
-        result = run_hypercube(query, database, p=8, seed=3)
+        result = run_pinned("hypercube", query, database, p=8, seed=3)
         assert result.answers == truth_of(query, database)
 
 
@@ -117,35 +118,31 @@ class TestLoads:
         query = cycle_query(3)
         n = 400
         database = matching_database(query, n=n, rng=3)
-        result = run_hypercube(query, database, p=27, seed=5)
+        result = run_pinned("hypercube", query, database, p=27, seed=5)
         bound = query.num_atoms * n / 27 ** (2 / 3)  # tau = 3/2
         assert result.report.max_load_tuples <= 3 * bound
 
     def test_replication_rate_tracks_space_exponent(self):
         query = cycle_query(3)
         database = matching_database(query, n=200, rng=4)
-        result = run_hypercube(query, database, p=27, seed=6)
+        result = run_pinned("hypercube", query, database, p=27, seed=6)
         # eps = 1/3: replication should be ~ p^{1/3} = 3.
         assert 2.0 <= result.report.replication_rate <= 4.5
 
     def test_star_query_no_replication(self):
         query = star_query(3)
         database = matching_database(query, n=100, rng=8)
-        result = run_hypercube(query, database, p=16, seed=2)
+        result = run_pinned("hypercube", query, database, p=16, seed=2)
         assert result.report.replication_rate == pytest.approx(1.0)
 
     def test_one_round_only(self, triangle, triangle_db):
-        result = run_hypercube(triangle, triangle_db, p=8, seed=0)
+        result = run_pinned("hypercube", triangle, triangle_db, p=8, seed=0)
         assert result.report.num_rounds == 1
 
     def test_capacity_enforcement_passes_at_own_exponent(self, triangle, triangle_db):
-        result = run_hypercube(
-            triangle,
-            triangle_db,
-            p=8,
-            seed=0,
-            enforce_capacity=True,
-            capacity_c=6.0,
+        result = run_pinned(
+            "hypercube", triangle, triangle_db, p=8, seed=0,
+            enforce_capacity=True, capacity_c=6.0,
         )
         assert result.answers == truth_of(triangle, triangle_db)
 
@@ -162,14 +159,14 @@ class TestLoads:
             ]
         )
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        skewed = run_hypercube(query, database, p=16, seed=1)
+        skewed = run_pinned("hypercube", query, database, p=16, seed=1)
         balanced_db = Database.from_relations(
             [
                 Relation.from_tuples("S1", match_rows, n),
                 Relation.from_tuples("S2", match_rows, n),
             ]
         )
-        balanced = run_hypercube(query, balanced_db, p=16, seed=1)
+        balanced = run_pinned("hypercube", query, balanced_db, p=16, seed=1)
         assert (
             skewed.report.max_load_tuples
             > 3 * balanced.report.max_load_tuples
@@ -178,14 +175,14 @@ class TestLoads:
 
 class TestAllocationPlumbing:
     def test_allocation_reported(self, triangle, triangle_db):
-        result = run_hypercube(triangle, triangle_db, p=27, seed=0)
-        assert result.allocation.used_servers <= 27
-        assert set(result.allocation.shares) == set(triangle.variables)
+        result = run_pinned("hypercube", triangle, triangle_db, p=27, seed=0)
+        assert result.plan.allocation.used_servers <= 27
+        assert set(result.plan.allocation.shares) == set(triangle.variables)
 
     def test_per_server_answer_counts_sum_consistently(self, chain4, chain4_db):
-        result = run_hypercube(chain4, chain4_db, p=8, seed=0)
-        assert len(result.per_server_answers) == 8
-        assert sum(result.per_server_answers) >= len(result.answers)
+        result = run_pinned("hypercube", chain4, chain4_db, p=8, seed=0)
+        assert len(result.per_server) == 8
+        assert sum(result.per_server) >= len(result.answers)
 
 
 class _CountingHashFamily(HashFamily):
@@ -244,6 +241,8 @@ class TestRepeatedVariableAtoms:
                 Relation.from_tuples("T", rows_t, 9),
             ]
         )
-        result = run_hypercube(query, database, p=8, seed=2, backend=backend)
+        result = run_pinned(
+            "hypercube", query, database, p=8, seed=2, backend=backend
+        )
         assert result.answers == truth_of(query, database)
         assert result.answers  # equality-satisfying rows do join

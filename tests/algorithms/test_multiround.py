@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms.localjoin import evaluate_query
-from repro.algorithms.multiround import run_plan
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -16,6 +15,8 @@ from repro.core.families import (
 )
 from repro.core.plans import build_plan
 from repro.data.matching import matching_database
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
 
 
 def truth_of(query, database):
@@ -43,7 +44,7 @@ class TestCorrectness:
     def test_plan_execution_equals_exact_join(self, query, eps):
         database = matching_database(query, n=40, rng=21)
         plan = build_plan(query, eps)
-        result = run_plan(plan, database, p=8, seed=4)
+        result = execute_plan(compile_multiround(plan, 8, seed=4), database)
         assert result.answers == truth_of(query, database)
 
     @pytest.mark.parametrize("p", [1, 2, 7, 16])
@@ -51,7 +52,7 @@ class TestCorrectness:
         query = line_query(6)
         database = matching_database(query, n=30, rng=9)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=p, seed=1)
+        result = execute_plan(compile_multiround(plan, p, seed=1), database)
         assert result.answers == truth_of(query, database)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -59,7 +60,7 @@ class TestCorrectness:
         query = cycle_query(5)
         database = matching_database(query, n=24, rng=3)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=4, seed=seed)
+        result = execute_plan(compile_multiround(plan, 4, seed=seed), database)
         assert result.answers == truth_of(query, database)
 
 
@@ -69,14 +70,16 @@ class TestRoundAccounting:
             query = line_query(k)
             database = matching_database(query, n=20, rng=2)
             plan = build_plan(query, eps)
-            result = run_plan(plan, database, p=4, seed=0)
-            assert result.rounds_used == plan.depth
+            result = execute_plan(
+                compile_multiround(plan, 4, seed=0), database
+            )
+            assert result.report.num_rounds == plan.depth
 
     def test_view_sizes_recorded(self):
         query = line_query(4)
         database = matching_database(query, n=25, rng=6)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=4, seed=0)
+        result = execute_plan(compile_multiround(plan, 4, seed=0), database)
         assert result.view_sizes
         # On matchings every full-join view of a chain has n tuples.
         assert all(size == 25 for size in result.view_sizes.values())
@@ -89,8 +92,8 @@ class TestRoundAccounting:
         database = matching_database(query, n=20, rng=1)
         plan = build_plan(query, Fraction(0))
         # Simply running without ProtocolError is the assertion.
-        result = run_plan(plan, database, p=4, seed=0)
-        assert result.rounds_used == 3
+        result = execute_plan(compile_multiround(plan, 4, seed=0), database)
+        assert result.report.num_rounds == 3
 
 
 class TestHeadOrdering:
@@ -98,7 +101,7 @@ class TestHeadOrdering:
         query = line_query(3)
         database = matching_database(query, n=15, rng=8)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=4, seed=0)
+        result = execute_plan(compile_multiround(plan, 4, seed=0), database)
         truth = truth_of(query, database)
         assert result.answers == truth
         # Column i of the answers corresponds to head variable i.

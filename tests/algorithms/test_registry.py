@@ -46,12 +46,11 @@ class TestRegistryContents:
         with pytest.raises(QueryError, match="hypercube"):
             get_algorithm("nope")
 
-    def test_specs_declare_run_star_replacements(self):
-        assert get_algorithm("hypercube").replaces == "run_hypercube"
+    def test_specs_declare_exactness(self):
         assert get_algorithm("partial").exact is False
         assert get_algorithm("hypercube").exact is True
 
-    def test_default_capacities_match_run_star(self):
+    def test_default_capacities_match_the_compilers(self):
         assert get_algorithm("hypercube").default_capacity_c == 4.0
         assert get_algorithm("multiround").default_capacity_c == 8.0
 

@@ -4,16 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.algorithms.localjoin import evaluate_query
-from repro.algorithms.skewaware import (
-    detect_heavy_hitters,
-    run_hypercube_skew_aware,
-)
+from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.families import cycle_query, line_query
 from repro.core.query import parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
+from tests.conftest import run_pinned
 
 
 def truth_of(query, database):
@@ -67,12 +64,12 @@ class TestCorrectness:
     def test_correct_on_matchings(self):
         query = cycle_query(3)
         database = matching_database(query, n=50, rng=2)
-        result = run_hypercube_skew_aware(query, database, p=8, seed=3)
+        result = run_pinned("skewaware", query, database, p=8, seed=3)
         assert result.answers == truth_of(query, database)
 
     def test_correct_on_skewed_input(self):
         query, database = skewed_two_hop()
-        result = run_hypercube_skew_aware(query, database, p=16, seed=1)
+        result = run_pinned("skewaware", query, database, p=16, seed=1)
         assert result.answers == truth_of(query, database)
         assert result.heavy_hitters["y"]
 
@@ -81,8 +78,8 @@ class TestCorrectness:
         """No heavy hitters => identical answers and loads to plain HC."""
         query = line_query(3)
         database = matching_database(query, n=40, rng=7)
-        plain = run_hypercube(query, database, p=9, seed=seed)
-        aware = run_hypercube_skew_aware(query, database, p=9, seed=seed)
+        plain = run_pinned("hypercube", query, database, p=9, seed=seed)
+        aware = run_pinned("skewaware", query, database, p=9, seed=seed)
         assert plain.answers == aware.answers
         assert (
             plain.report.rounds[0].received_bits
@@ -95,8 +92,8 @@ class TestLoadImprovement:
         """On the funnel instance, plain HC piles every S2 tuple on one
         server; spreading the heavy value rebalances."""
         query, database = skewed_two_hop()
-        plain = run_hypercube(query, database, p=16, seed=5)
-        aware = run_hypercube_skew_aware(query, database, p=16, seed=5)
+        plain = run_pinned("hypercube", query, database, p=16, seed=5)
+        aware = run_pinned("skewaware", query, database, p=16, seed=5)
         assert aware.answers == plain.answers
         assert (
             aware.report.rounds[0].load_imbalance

@@ -35,11 +35,27 @@ class TestConnect:
             "reuse_simulators",
             "profile",
             "worker_join_timeout",
+            "decision_cache_size",
+            "profile_cache_size",
+            "sample_cap",
         ],
     )
     def test_removed_knobs_are_rejected(self, removed):
         with pytest.raises(TypeError, match=removed):
             _session(**{removed: 1})
+
+    @pytest.mark.parametrize("option", ["p", "workers"])
+    def test_counts_below_one_are_rejected_at_construction(self, option):
+        with pytest.raises(ValueError, match=f"need {option} >= 1, got 0"):
+            _session(**{option: 0})
+
+    def test_version_is_stated_once(self):
+        from pathlib import Path
+
+        # pyproject.toml reads repro.__version__; it states none itself.
+        pyproject = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        assert '\nversion = "' not in pyproject
 
     def test_accepts_prebuilt_queries_and_text(self, two_hop):
         session = _session()
@@ -219,17 +235,6 @@ class TestBoundedCaches:
 
 
 class TestReviewRegressions:
-    def test_zero_size_planner_caches_disable_instead_of_crashing(self):
-        session = _session(decision_cache_size=0, profile_cache_size=0)
-        statement = session.query("S1(x,y), S2(y,z)")
-        assert len(statement.execute()) == 60
-        statement.execute()
-        # no decision cache: every execution re-plans
-        assert session.planner_stats.decisions == 2
-        assert session.planner_stats.decision_cache_hits == 0
-        session.update(inserts={"S1": [(1, 1)]})  # purge paths survive
-        session.close()
-
     def test_session_level_algorithm_pin(self):
         session = _session(algorithm="multiround")
         result = session.query("S1(x,y), S2(y,z)").execute()
@@ -248,7 +253,12 @@ class TestReviewRegressions:
         import warnings
 
         from repro.algorithms.witness import run_witness_experiment
+        from repro.analysis import experiments
 
+        small = dict(n=20, p_values=(4,), trials=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_witness_experiment(n=20, p=4, eps=0.25, seed=0)
+            experiments.sweep_hc_load(VOCAB, **small)
+            experiments.sweep_one_round_fraction(VOCAB, Fraction(0), **small)
+            experiments.sweep_multiround_rounds(k_values=(4,), n=20, p=4)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.algorithms.registry import compile_with
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -14,6 +15,13 @@ from repro.core.families import (
 )
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
+from repro.engine import execute_plan
+
+
+def run_pinned(name, query, database, p, *, profiler=None, **options):
+    """The pinned, cache-free path: ``compile_with`` + ``execute_plan``."""
+    plan = compile_with(name, query, p, **options)
+    return execute_plan(plan, database, profiler=profiler)
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ from repro.core.knowledge import (
     multiround_g_constant,
 )
 from repro.core.query import Atom, ConjunctiveQuery, QueryError
+from tests.conftest import run_pinned
 
 
 class TestBudget:
@@ -94,7 +95,8 @@ class TestKnowledgeBound:
     def test_measured_fraction_respects_ceiling(self):
         """The Prop 3.11 algorithm must stay below the Thm 3.3 ceiling
         (with the theorem's own constant)."""
-        from repro.algorithms.partial import run_partial_hypercube
+        from repro.algorithms.localjoin import evaluate_query
+        from repro.data.database import as_mapping
         from repro.data.matching import matching_database
 
         query = line_query(3)
@@ -103,10 +105,11 @@ class TestKnowledgeBound:
                 query, p=p, eps=Fraction(0), c=4.0
             ).all_servers_fraction
             database = matching_database(query, n=120, rng=p)
-            result = run_partial_hypercube(
-                query, database, p=p, eps=Fraction(0), seed=p
+            result = run_pinned(
+                "partial", query, database, p=p, eps=Fraction(0), seed=p
             )
-            assert result.reported_fraction <= ceiling
+            truth = evaluate_query(query, as_mapping(database))
+            assert len(result.answers) / len(truth) <= ceiling
 
 
 class TestFailureFloor:

@@ -218,6 +218,33 @@ class TestExecutePlanParallel:
         assert parallel.per_server == serial.per_server
         assert context.parallel_rounds > before
 
+    from fractions import Fraction
+
+    ALGORITHMS = (
+        ("hypercube", {}),
+        ("skewaware", {}),
+        ("multiround", {}),
+        ("partial", {"eps": Fraction(1, 4)}),
+    )
+
+    @pytest.mark.parametrize(
+        "algorithm,overrides", ALGORITHMS, ids=[a for a, _ in ALGORITHMS]
+    )
+    def test_parity_per_route(self, triangle, context, algorithm, overrides):
+        from repro.algorithms.registry import compile_with
+        from repro.core.families import cycle_query
+
+        database = matching_database(cycle_query(3), n=60, rng=11)
+        plan = compile_with(
+            algorithm, triangle, 8, backend="numpy", **overrides
+        )
+        serial = execute_plan(plan, database)
+        rounds = context.parallel_rounds + context.fallback_rounds
+        parallel = execute_plan(plan, database, parallel=context)
+        assert parallel.answers == serial.answers
+        assert parallel.per_server == serial.per_server
+        assert context.parallel_rounds + context.fallback_rounds > rounds
+
     def test_min_rows_threshold_falls_back(self, triangle, triangle_db):
         plan = self._plan(triangle, triangle_db)
         serial = execute_plan(plan, triangle_db)
@@ -253,89 +280,3 @@ class TestExecutePlanParallel:
         finally:
             context.close()
         assert not any(segment_exists(name) for name in names)
-
-
-class TestServiceParallel:
-    """QueryService(workers=N): dispatch, counters, parity per route."""
-
-    from fractions import Fraction
-
-    ALGORITHMS = (
-        ("hypercube", {}),
-        ("skewaware", {}),
-        ("multiround", {}),
-        ("partial", {"eps": Fraction(1, 4)}),
-    )
-
-    @pytest.fixture(scope="class")
-    def database(self):
-        from repro.core.families import cycle_query
-
-        return matching_database(cycle_query(3), n=60, rng=11)
-
-    @pytest.mark.parametrize(
-        "algorithm,overrides", ALGORITHMS, ids=[a for a, _ in ALGORITHMS]
-    )
-    def test_parity_per_route(self, triangle, database, algorithm, overrides):
-        serial = QueryService(database, p=8, backend="numpy")
-        parallel = QueryService(
-            database, p=8, backend="numpy", workers=2, parallel_min_rows=0
-        )
-        try:
-            expected = serial.execute(
-                triangle, algorithm=algorithm, **overrides
-            )
-            actual = parallel.execute(
-                triangle, algorithm=algorithm, **overrides
-            )
-            assert actual.answers == expected.answers
-            assert actual.per_server == expected.per_server
-            assert actual.algorithm == expected.algorithm
-            assert (
-                parallel.stats.parallel_rounds
-                + parallel.stats.fallback_rounds
-            ) > 0
-        finally:
-            serial.close()
-            parallel.close()
-
-    def test_pure_backend_never_builds_a_context(self, triangle, database):
-        service = QueryService(database, p=8, backend="pure", workers=2)
-        try:
-            service.execute(triangle)
-            assert service._parallel_context() is None
-            assert service.stats.parallel_rounds == 0
-        finally:
-            service.close()
-
-    def test_single_worker_never_builds_a_context(self, triangle, database):
-        service = QueryService(database, p=8, backend="numpy")
-        try:
-            service.execute(triangle)
-            assert service._parallel_context() is None
-        finally:
-            service.close()
-
-    def test_close_then_execute_rebuilds_the_context(self, triangle, database):
-        from repro.engine.parallel.shm import segment_exists
-
-        service = QueryService(
-            database,
-            p=8,
-            backend="numpy",
-            workers=2,
-            parallel_min_rows=0,
-            result_cache_size=0,  # force the re-execution to route
-        )
-        try:
-            first = service.execute(triangle)
-            names = list(service._parallel.store.names)
-            service.close()
-            assert not any(segment_exists(name) for name in names)
-            # The service stays usable: the next execution rebuilds a
-            # fresh context (and pool) transparently.
-            second = service.execute(triangle)
-            assert second.answers == first.answers
-            assert service._parallel is not None
-        finally:
-            service.close()

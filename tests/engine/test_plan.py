@@ -17,8 +17,7 @@ from repro.algorithms.baselines import (
     compile_single_attribute_join,
     compile_single_server,
 )
-from repro.algorithms.components import compile_hash_to_min
-from repro.algorithms.hypercube import compile_hypercube, run_hypercube
+from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
 from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.plans import build_plan
@@ -88,21 +87,8 @@ class TestCompilation:
             Plan,
         )
 
-    def test_fixpoint_plan_refused_by_execute(self):
-        plan = compile_hash_to_min(p=4)
-        assert plan.fixpoint is not None
-        with pytest.raises(ValueError, match="fixpoint"):
-            execute_plan(plan, {})
-
 
 class TestExecution:
-    def test_execution_matches_run_entrypoint(self, two_hop, two_hop_db):
-        plan = compile_hypercube(two_hop, p=8)
-        execution = execute_plan(plan, two_hop_db)
-        result = run_hypercube(two_hop, two_hop_db, p=8)
-        assert execution.answers == result.answers
-        assert execution.per_server == result.per_server_answers
-
     def test_repeated_execution_is_bit_identical(self, two_hop, two_hop_db):
         plan = compile_hypercube(two_hop, p=8)
         first = execute_plan(plan, two_hop_db)

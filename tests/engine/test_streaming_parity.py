@@ -137,19 +137,15 @@ class TestServiceParity:
         streamed = QueryService(
             database, p=8, backend="numpy", chunk_rows=chunk
         )
-        try:
-            expected = monolithic.execute(
-                triangle, algorithm=algorithm, **overrides
-            )
-            actual = streamed.execute(
-                triangle, algorithm=algorithm, **overrides
-            )
-            assert actual.answers == expected.answers
-            assert actual.per_server == expected.per_server
-            assert actual.algorithm == expected.algorithm
-        finally:
-            monolithic.close()
-            streamed.close()
+        expected = monolithic.execute(
+            triangle, algorithm=algorithm, **overrides
+        )
+        actual = streamed.execute(
+            triangle, algorithm=algorithm, **overrides
+        )
+        assert actual.answers == expected.answers
+        assert actual.per_server == expected.per_server
+        assert actual.algorithm == expected.algorithm
 
     def test_capacity_failure_is_bit_identical(self, triangle, database):
         failures = {}
@@ -162,18 +158,15 @@ class TestServiceParity:
                 enforce_capacity=True,
                 chunk_rows=chunk,
             )
-            try:
-                with pytest.raises(CapacityExceeded) as info:
-                    service.execute(triangle)
-                failures[chunk] = info.value
-                # The pooled simulator stays reusable after the
-                # mid-stream abort: the next request fails identically
-                # instead of tripping over a half-open round.
-                with pytest.raises(CapacityExceeded) as again:
-                    service.execute(triangle)
-                assert again.value.worker == info.value.worker
-            finally:
-                service.close()
+            with pytest.raises(CapacityExceeded) as info:
+                service.execute(triangle)
+            failures[chunk] = info.value
+            # The pooled simulator stays reusable after the
+            # mid-stream abort: the next request fails identically
+            # instead of tripping over a half-open round.
+            with pytest.raises(CapacityExceeded) as again:
+                service.execute(triangle)
+            assert again.value.worker == info.value.worker
         monolithic, streamed = failures[None], failures[4]
         assert streamed.worker == monolithic.worker
         assert streamed.received_bits == monolithic.received_bits

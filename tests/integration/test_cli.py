@@ -231,14 +231,23 @@ class TestWorkersFlag:
         assert "route workers" not in capsys.readouterr().out
 
 
+def _serve(capsys, tmp_path, lines, *flags):
+    """``repro serve --script`` over ``lines``: its stdout (exit 0)."""
+    path = tmp_path / "script.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["serve", "--script", str(path), *flags]) == 0
+    return capsys.readouterr().out
+
+
 class TestServe:
-    def _script(self, tmp_path, lines):
-        path = tmp_path / "script.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
+    """The REPL is a line parser over the same Session ``--tcp`` serves."""
 
     def test_run_update_stats_script(self, capsys, tmp_path):
-        script = self._script(
+        from repro.serve.rpc import RpcServer
+        from tests.serve.test_rpc import _Client, _session, rpc_test
+
+        output = _serve(
+            capsys,
             tmp_path,
             [
                 "# comment and blank lines are skipped",
@@ -246,28 +255,56 @@ class TestServe:
                 "run S1(x,y), S2(y,z)",
                 "run S1(x,y), S2(y,z)",
                 "run S2(a,b), S1(b,c)",
+                "explain S1(x,y), S2(y,z)",
                 "update S1 1,2 3,4",
                 "run S1(x,y), S2(y,z)",
                 "delete S1 1,2",
                 "stats",
                 "exit",
             ],
+            "--n", "40", "--p", "8", "--seed", "7",
         )
-        code = main(
-            ["serve", "--script", script, "--n", "40", "--p", "4"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
         assert "serving" in output
         assert "result:hit" in output       # repeated query memoized
         assert "plan:hit result:miss" in output  # isomorphic variant
+        assert "planner bids (chosen first)" in output  # explain
         assert "v1: updated 2 rows in S1" in output
         assert "v2: deleted 1 rows in S1" in output
-        assert "result hits" in output      # stats table
-        assert "plan misses (compiles)" in output
+
+        # The stats table is the dict of the RPC ``stats`` op: the same
+        # statements over the wire report equal sections.
+        async def over_rpc():
+            async with RpcServer(_session(n=40, seed=7)) as server:
+                client = await _Client.open(server)
+                for request in (
+                    {"op": "query", "q": "S1(x,y), S2(y,z)"},
+                    {"op": "query", "q": "S1(x,y), S2(y,z)"},
+                    {"op": "query", "q": "S2(a,b), S1(b,c)"},
+                    {"op": "explain", "q": "S1(x,y), S2(y,z)"},
+                    {"op": "update", "relation": "S1",
+                     "rows": [[1, 2], [3, 4]]},
+                    {"op": "query", "q": "S1(x,y), S2(y,z)"},
+                    {"op": "delete", "relation": "S1", "rows": [[1, 2]]},
+                ):
+                    assert (await client.call(request))["ok"]
+                stats = await client.call({"op": "stats"})
+                await client.close()
+                return stats
+
+        stats = rpc_test(over_rpc())
+        assert dict(
+            line.split(None, 1)
+            for line in output.splitlines()
+            if line.startswith(("service.", "planner."))
+        ) == {
+            f"{section}.{counter}": str(value)
+            for section in ("service", "planner")
+            for counter, value in stats[section].items()
+        }
 
     def test_errors_do_not_kill_the_loop(self, capsys, tmp_path):
-        script = self._script(
+        output = _serve(
+            capsys,
             tmp_path,
             [
                 "run garbage(",
@@ -276,15 +313,14 @@ class TestServe:
                 "run S1(x,y)",
                 "exit",
             ],
+            "--n", "20", "--p", "4",
         )
-        code = main(["serve", "--script", script, "--n", "20", "--p", "4"])
-        output = capsys.readouterr().out
-        assert code == 0
         assert output.count("error:") == 3
         assert "answers in" in output  # the valid query still ran
 
     def test_update_reflects_in_answers(self, capsys, tmp_path):
-        script = self._script(
+        output = _serve(
+            capsys,
             tmp_path,
             [
                 "run S1(x,y)",
@@ -292,10 +328,8 @@ class TestServe:
                 "run S1(x,y)",
                 "exit",
             ],
+            "--n", "10", "--p", "2",
         )
-        code = main(["serve", "--script", script, "--n", "10", "--p", "2"])
-        output = capsys.readouterr().out
-        assert code == 0
         counts = [
             int(line.split()[0])
             for line in output.splitlines()
@@ -306,7 +340,8 @@ class TestServe:
     def test_bad_updates_report_errors_without_crashing(
         self, capsys, tmp_path
     ):
-        script = self._script(
+        output = _serve(
+            capsys,
             tmp_path,
             [
                 "delete Nope 1,2",      # unknown relation (DataError)
@@ -315,12 +350,31 @@ class TestServe:
                 "run S1(x,y)",
                 "exit",
             ],
+            "--n", "20", "--p", "4",
         )
-        code = main(["serve", "--script", script, "--n", "20", "--p", "4"])
-        output = capsys.readouterr().out
-        assert code == 0
         assert output.count("error:") == 3
         assert "answers in" in output
+
+    def test_routes_like_the_query_command(self, capsys, tmp_path):
+        chain = "S1(a,b), S2(b,c), S3(c,d), S4(d,e), S5(e,f), S6(f,g)"
+        output = _serve(
+            capsys, tmp_path, [f"run {chain}"], "--vocab", chain, "--n", "60"
+        )
+        assert "via multiround" in output
+        # Funnel S1's second column into one value: the skew the
+        # planner's profile samples, built with the REPL's own verbs.
+        heavy = " ".join(f"{x},7" for x in range(1, 151))
+        output = _serve(
+            capsys, tmp_path,
+            [f"update S1 {heavy}", "run S1(x,y), S2(y,z)"], "--n", "150",
+        )
+        assert "via skewaware" in output
+
+    @pytest.mark.parametrize("command", ["query", "explain", "serve --tcp 0"])
+    def test_p_zero_is_a_usage_error_not_a_traceback(self, capsys, command):
+        query = [] if command.startswith("serve") else ["S1(x,y)"]
+        assert main([*command.split(), *query, "--p", "0"]) == 2
+        assert "error: need p >= 1, got 0" in capsys.readouterr().err
 
 
 class TestQueryCommand:
@@ -410,16 +464,12 @@ class TestServeErrorRegressions:
     structured ``error:`` lines and the loop keeps serving.
     """
 
-    def _script(self, tmp_path, lines):
-        path = tmp_path / "script.txt"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return str(path)
-
     @pytest.mark.parametrize("algorithm", ["hypercube", "multiround"])
     def test_arity_mismatch_reports_error_and_loop_survives(
         self, capsys, tmp_path, algorithm
     ):
-        script = self._script(
+        output = _serve(
+            capsys,
             tmp_path,
             [
                 "run S1(x,y,z)",     # arity 3 vs stored arity 2
@@ -427,40 +477,31 @@ class TestServeErrorRegressions:
                 "run S1(x,y)",       # still serving after the errors
                 "exit",
             ],
+            "--n", "20", "--p", "4", "--algorithm", algorithm,
         )
-        code = main(
-            ["serve", "--script", script, "--n", "20", "--p", "4",
-             "--algorithm", algorithm]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
         assert output.count("error: arity mismatch for S1") == 2
         assert "answers in" in output
 
     def test_unknown_relation_reports_structured_error(
         self, capsys, tmp_path
     ):
-        script = self._script(
+        output = _serve(
+            capsys,
             tmp_path,
             ["run S1(x,y), S9(y,z)", "run S1(x,y)", "exit"],
+            "--n", "20", "--p", "4",
         )
-        code = main(["serve", "--script", script, "--n", "20", "--p", "4"])
-        output = capsys.readouterr().out
-        assert code == 0
         assert "error: unknown relation 'S9'" in output
         assert "answers in" in output
 
     def test_stats_reports_eviction_counters(self, capsys, tmp_path):
-        script = self._script(
-            tmp_path, ["run S1(x,y)", "stats", "exit"]
+        output = _serve(
+            capsys, tmp_path, ["run S1(x,y)", "stats", "exit"],
+            "--n", "20", "--p", "4",
+            "--plan-cache-size", "2", "--result-cache-size", "2",
         )
-        code = main(
-            ["serve", "--script", script, "--n", "20", "--p", "4",
-             "--plan-cache-size", "2", "--result-cache-size", "2"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "evictions (plan / result)" in output
+        assert "service.plan_evictions" in output
+        assert "service.result_evictions" in output
 
 
 class TestServeTcpFlag:

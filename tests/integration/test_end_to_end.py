@@ -6,12 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms import (
-    run_broadcast_join,
-    run_hypercube,
-    run_plan,
-    run_single_server,
-)
 from repro.algorithms.localjoin import evaluate_query
 from repro.core import (
     build_plan,
@@ -22,6 +16,14 @@ from repro.core import (
 )
 from repro.core.families import cycle_query, line_query
 from repro.data.matching import matching_database
+from repro.algorithms.baselines import (
+    compile_broadcast_join,
+    compile_single_server,
+)
+from repro.algorithms.multiround import compile_multiround
+from repro.algorithms.registry import compile_with
+from repro.engine import execute_plan
+from tests.conftest import run_pinned
 
 
 class TestAllAlgorithmsAgree:
@@ -45,12 +47,14 @@ class TestAllAlgorithmsAgree:
             query,
             {name: database[name].tuples for name in database.relations},
         )
-        assert run_hypercube(query, database, p=8, seed=1).answers == truth
-        assert run_broadcast_join(query, database, p=4).answers == truth
-        assert run_single_server(query, database).answers == truth
-        eps = space_exponent(query)
-        plan = build_plan(query, eps)
-        assert run_plan(plan, database, p=8, seed=1).answers == truth
+        logical = build_plan(query, space_exponent(query))
+        for plan in (
+            compile_with("hypercube", query, 8, seed=1),
+            compile_broadcast_join(query, 4),
+            compile_single_server(query),
+            compile_multiround(logical, 8, seed=1),
+        ):
+            assert execute_plan(plan, database).answers == truth
 
 
 class TestFullPipeline:
@@ -66,13 +70,13 @@ class TestFullPipeline:
         plan = build_plan(query, Fraction(0))
         assert plan.depth <= round_upper_bound(query, Fraction(0))
 
-        result = run_plan(plan, database, p=8, seed=5)
+        result = execute_plan(compile_multiround(plan, 8, seed=5), database)
         truth = evaluate_query(
             query,
             {name: database[name].tuples for name in database.relations},
         )
         assert result.answers == truth
-        assert result.rounds_used == plan.depth
+        assert result.report.num_rounds == plan.depth
 
     def test_one_round_vs_multi_round_communication(self):
         """Extra rounds buy lower per-round replication: the paper's
@@ -80,13 +84,15 @@ class TestFullPipeline:
         query = line_query(8)
         database = matching_database(query, n=64, rng=6)
 
-        one_round = run_hypercube(query, database, p=16, seed=2)
+        one_round = run_pinned("hypercube", query, database, p=16, seed=2)
         plan = build_plan(query, Fraction(0))
-        multi_round = run_plan(plan, database, p=16, seed=2)
+        multi_round = execute_plan(
+            compile_multiround(plan, 16, seed=2), database
+        )
 
         assert one_round.answers == multi_round.answers
         assert one_round.report.num_rounds == 1
-        assert multi_round.rounds_used == 3
+        assert multi_round.report.num_rounds == 3
         # One-round max load per round exceeds the multi-round's.
         assert (
             one_round.report.max_load_tuples

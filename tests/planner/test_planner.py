@@ -3,8 +3,8 @@
 The satellite acceptance bar: skewed workloads route to
 ``compile_skew_aware``, matching databases to ``compile_hypercube``,
 long chains to ``compile_multiround`` -- each Session execution
-bit-identical to calling the chosen compiler's ``run_*`` entry point
-directly.
+bit-identical to ``compile_with`` + ``execute_plan`` on the chosen
+compiler.
 """
 
 from __future__ import annotations
@@ -14,17 +14,13 @@ from fractions import Fraction
 import pytest
 
 from repro import connect
-from repro.algorithms.hypercube import run_hypercube
-from repro.algorithms.multiround import run_plan
-from repro.algorithms.partial import run_partial_hypercube
-from repro.algorithms.skewaware import run_hypercube_skew_aware
 from repro.backend import numpy_available
-from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
 from repro.data.columnar import columnar_database
 from repro.data.generators import skewed_database
 from repro.data.matching import matching_database
 from repro.planner import Planner, collect_profile
+from tests.conftest import run_pinned
 
 BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
 
@@ -110,16 +106,18 @@ class TestRoutingChoices:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestBitIdenticalToDirectCompilers:
-    """Session executions equal the chosen ``run_*`` entry point."""
+    """Session executions equal the chosen compiler run directly."""
 
     def test_hypercube_route(self, backend, triangle):
         database = matching_database(triangle, n=120, rng=0)
         session = connect(database, p=16, backend=backend)
         result = session.query(triangle).execute()
-        direct = run_hypercube(triangle, database, p=16, backend=backend)
+        direct = run_pinned(
+            "hypercube", triangle, database, p=16, backend=backend
+        )
         assert result.algorithm == "hypercube"
         assert result.answers == direct.answers
-        assert result.per_server == direct.per_server_answers
+        assert result.per_server == direct.per_server
         assert (
             result.report.max_load_tuples == direct.report.max_load_tuples
         )
@@ -131,12 +129,12 @@ class TestBitIdenticalToDirectCompilers:
         )
         session = connect(database, p=16, backend=backend)
         result = session.query(two_hop).execute()
-        direct = run_hypercube_skew_aware(
-            two_hop, database, p=16, backend=backend
+        direct = run_pinned(
+            "skewaware", two_hop, database, p=16, backend=backend
         )
         assert result.algorithm == "skewaware"
         assert result.answers == direct.answers
-        assert result.per_server == direct.per_server_answers
+        assert result.per_server == direct.per_server
         assert result.heavy_hitters == direct.heavy_hitters
         assert (
             result.report.max_load_tuples == direct.report.max_load_tuples
@@ -147,13 +145,13 @@ class TestBitIdenticalToDirectCompilers:
         database = matching_database(chain, n=80, rng=0)
         session = connect(database, p=16, backend=backend)
         result = session.query(chain).execute()
-        direct = run_plan(
-            build_plan(chain, Fraction(0)), database, p=16, backend=backend
+        direct = run_pinned(
+            "multiround", chain, database, p=16, backend=backend
         )
         assert result.algorithm == "multiround"
         assert result.answers == direct.answers
         assert result.view_sizes == direct.view_sizes
-        assert result.report.num_rounds == direct.rounds_used
+        assert result.report.num_rounds == direct.report.num_rounds
 
     def test_partial_route(self, backend, triangle):
         database = matching_database(triangle, n=120, rng=0)
@@ -161,8 +159,9 @@ class TestBitIdenticalToDirectCompilers:
         result = session.query(
             triangle, eps=Fraction(0), allow_partial=True
         ).execute()
-        direct = run_partial_hypercube(
-            triangle, database, p=16, eps=Fraction(0), backend=backend
+        direct = run_pinned(
+            "partial", triangle, database, p=16, eps=Fraction(0),
+            backend=backend,
         )
         assert result.algorithm == "partial"
         assert result.answers == direct.answers

@@ -21,7 +21,6 @@ if not numpy_available():
 
 import numpy
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.core.families import (
     binomial_query,
     cycle_query,
@@ -33,6 +32,7 @@ from repro.core.query import parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.mpc.simulator import CapacityExceeded
+from tests.conftest import run_pinned
 
 QUERIES = [
     cycle_query(3),
@@ -47,19 +47,19 @@ QUERIES = [
 
 
 def run_both(query, database, p, seed, **kwargs):
-    pure = run_hypercube(
-        query, database, p=p, seed=seed, backend="pure", **kwargs
+    pure = run_pinned(
+        "hypercube", query, database, p=p, seed=seed, backend="pure", **kwargs
     )
-    vectorized = run_hypercube(
-        query, database, p=p, seed=seed, backend="numpy", **kwargs
+    vectorized = run_pinned(
+        "hypercube", query, database, p=p, seed=seed, backend="numpy", **kwargs
     )
     return pure, vectorized
 
 
 def assert_parity(pure, vectorized):
     assert vectorized.answers == pure.answers
-    assert vectorized.per_server_answers == pure.per_server_answers
-    assert vectorized.allocation == pure.allocation
+    assert vectorized.per_server == pure.per_server
+    assert vectorized.plan.allocation == pure.plan.allocation
     assert len(vectorized.report.rounds) == len(pure.report.rounds)
     for round_pure, round_vec in zip(
         pure.report.rounds, vectorized.report.rounds
@@ -137,14 +137,9 @@ class TestCapacityParity:
         failures = {}
         for backend in ("pure", "numpy"):
             with pytest.raises(CapacityExceeded) as info:
-                run_hypercube(
-                    query,
-                    database,
-                    p=16,
-                    seed=3,
-                    backend=backend,
-                    enforce_capacity=True,
-                    capacity_c=0.01,
+                run_pinned(
+                    "hypercube", query, database, p=16, seed=3,
+                    backend=backend, enforce_capacity=True, capacity_c=0.01,
                 )
             failures[backend] = info.value
         pure, vectorized = failures["pure"], failures["numpy"]

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.hypercube import run_hypercube
-from repro.algorithms.multiround import run_plan
 from repro.core.families import cycle_query, line_query
 from repro.core.plans import build_plan
 from repro.data.matching import matching_database
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
+from tests.conftest import run_pinned
 
 
 class TestHCCapacity:
@@ -25,8 +26,8 @@ class TestHCCapacity:
         high-probability event, checked on every draw)."""
         query = cycle_query(3)
         database = matching_database(query, n=120, rng=seed)
-        result = run_hypercube(
-            query, database, p=p, seed=seed, capacity_c=6.0
+        result = run_pinned(
+            "hypercube", query, database, p=p, seed=seed, capacity_c=6.0
         )
         stats = result.report.rounds[0]
         assert stats.max_received_bits <= stats.capacity_bits
@@ -37,7 +38,7 @@ class TestHCCapacity:
         """Total traffic = N * replication; replication <= 2 p^eps."""
         query = cycle_query(3)  # eps = 1/3
         database = matching_database(query, n=100, rng=seed)
-        result = run_hypercube(query, database, p=27, seed=seed)
+        result = run_pinned("hypercube", query, database, p=27, seed=seed)
         assert result.report.replication_rate <= 2 * 27 ** (1 / 3)
 
 
@@ -54,8 +55,8 @@ class TestPlanCapacity:
         query = line_query(k)
         database = matching_database(query, n=80, rng=seed)
         plan = build_plan(query, eps)
-        result = run_plan(
-            plan, database, p=8, seed=seed, capacity_c=8.0
+        result = execute_plan(
+            compile_multiround(plan, 8, seed=seed, capacity_c=8.0), database
         )
         for stats in result.report.rounds:
             assert stats.max_received_bits <= stats.capacity_bits
@@ -69,5 +70,5 @@ class TestPlanCapacity:
         query = line_query(8)
         database = matching_database(query, n=40, rng=seed)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=4, seed=seed)
+        result = execute_plan(compile_multiround(plan, 4, seed=seed), database)
         assert all(size == 40 for size in result.view_sizes.values())

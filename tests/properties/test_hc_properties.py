@@ -6,12 +6,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.algorithms.localjoin import evaluate_query
-from repro.algorithms.multiround import run_plan
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.plans import build_plan
 from repro.data.matching import matching_database
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
+from tests.conftest import run_pinned
 
 
 def truth_of(query, database):
@@ -37,7 +38,7 @@ class TestHyperCubeNeverWrong:
     @settings(max_examples=30, deadline=None)
     def test_hc_equals_truth(self, query, p, seed, n):
         database = matching_database(query, n=n, rng=seed)
-        result = run_hypercube(query, database, p=p, seed=seed)
+        result = run_pinned("hypercube", query, database, p=p, seed=seed)
         assert result.answers == truth_of(query, database)
 
     @given(
@@ -47,8 +48,8 @@ class TestHyperCubeNeverWrong:
     @settings(max_examples=20, deadline=None)
     def test_used_servers_never_exceed_p(self, query, seed):
         database = matching_database(query, n=10, rng=seed)
-        result = run_hypercube(query, database, p=13, seed=seed)
-        assert result.allocation.used_servers <= 13
+        result = run_pinned("hypercube", query, database, p=13, seed=seed)
+        assert result.plan.allocation.used_servers <= 13
 
 
 class TestPlansNeverWrong:
@@ -62,9 +63,9 @@ class TestPlansNeverWrong:
         query = line_query(k)
         database = matching_database(query, n=12, rng=seed)
         plan = build_plan(query, eps)
-        result = run_plan(plan, database, p=6, seed=seed)
+        result = execute_plan(compile_multiround(plan, 6, seed=seed), database)
         assert result.answers == truth_of(query, database)
-        assert result.rounds_used == plan.depth
+        assert result.report.num_rounds == plan.depth
 
     @given(
         k=st.integers(min_value=3, max_value=6),
@@ -75,5 +76,5 @@ class TestPlansNeverWrong:
         query = cycle_query(k)
         database = matching_database(query, n=10, rng=seed)
         plan = build_plan(query, Fraction(0))
-        result = run_plan(plan, database, p=4, seed=seed)
+        result = execute_plan(compile_multiround(plan, 4, seed=seed), database)
         assert result.answers == truth_of(query, database)

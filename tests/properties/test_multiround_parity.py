@@ -18,7 +18,6 @@ from repro.backend import numpy_available
 if not numpy_available():
     pytest.skip("numpy backend unavailable", allow_module_level=True)
 
-from repro.algorithms.multiround import run_plan
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -29,6 +28,8 @@ from repro.core.plans import build_plan
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.mpc.simulator import CapacityExceeded
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
 
 PLANS = [
     (line_query(4), Fraction(0)),
@@ -44,20 +45,22 @@ PLANS = [
 
 def run_both(query, eps, database, p, seed, **kwargs):
     plan = build_plan(query, eps)
-    pure = run_plan(
-        plan, database, p=p, seed=seed, backend="pure", **kwargs
+    pure = execute_plan(
+        compile_multiround(plan, p, seed=seed, backend="pure", **kwargs),
+        database,
     )
-    vectorized = run_plan(
-        plan, database, p=p, seed=seed, backend="numpy", **kwargs
+    vectorized = execute_plan(
+        compile_multiround(plan, p, seed=seed, backend="numpy", **kwargs),
+        database,
     )
     return pure, vectorized
 
 
 def assert_parity(pure, vectorized):
     assert vectorized.answers == pure.answers
-    assert vectorized.rounds_used == pure.rounds_used
+    assert vectorized.report.num_rounds == pure.report.num_rounds
     assert vectorized.view_sizes == pure.view_sizes
-    assert vectorized.per_server_answers == pure.per_server_answers
+    assert vectorized.per_server_views == pure.per_server_views
     assert len(vectorized.report.rounds) == len(pure.report.rounds)
     for round_pure, round_vec in zip(
         pure.report.rounds, vectorized.report.rounds
@@ -156,14 +159,12 @@ class TestCapacityParity:
         failures = {}
         for backend in ("pure", "numpy"):
             with pytest.raises(CapacityExceeded) as info:
-                run_plan(
-                    plan,
+                execute_plan(
+                    compile_multiround(
+                        plan, 8, seed=3, backend=backend,
+                        enforce_capacity=True, capacity_c=0.01,
+                    ),
                     database,
-                    p=8,
-                    seed=3,
-                    backend=backend,
-                    enforce_capacity=True,
-                    capacity_c=0.01,
                 )
             failures[backend] = info.value
         pure, vectorized = failures["pure"], failures["numpy"]

@@ -15,9 +15,6 @@ import random
 
 import pytest
 
-from repro.algorithms.hypercube import run_hypercube
-from repro.algorithms.multiround import run_plan
-from repro.algorithms.skewaware import run_hypercube_skew_aware
 from repro.backend import numpy_available, require_numpy
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.plans import build_plan
@@ -28,6 +25,9 @@ from repro.data.generators import (
     skewed_database_columnar,
 )
 from repro.data.matching import matching_database
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
+from tests.conftest import run_pinned
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend unavailable"
@@ -154,12 +154,14 @@ class TestBackendParityThroughSegmented:
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
     def test_hypercube(self, query):
         database = matching_database(query, n=60, rng=5)
-        pure = run_hypercube(query, database, p=16, seed=1, backend="pure")
-        vectorized = run_hypercube(
-            query, database, p=16, seed=1, backend="numpy"
+        pure = run_pinned(
+            "hypercube", query, database, p=16, seed=1, backend="pure"
+        )
+        vectorized = run_pinned(
+            "hypercube", query, database, p=16, seed=1, backend="numpy"
         )
         assert pure.answers == vectorized.answers
-        assert pure.per_server_answers == vectorized.per_server_answers
+        assert pure.per_server == vectorized.per_server
         assert (
             pure.report.rounds[0].received_bits
             == vectorized.report.rounds[0].received_bits
@@ -168,14 +170,14 @@ class TestBackendParityThroughSegmented:
     def test_skew_aware(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = skewed_database(query, n=120, rng=2, heavy_fraction=0.4)
-        pure = run_hypercube_skew_aware(
-            query, database, p=16, seed=3, backend="pure"
+        pure = run_pinned(
+            "skewaware", query, database, p=16, seed=3, backend="pure"
         )
-        vectorized = run_hypercube_skew_aware(
-            query, database, p=16, seed=3, backend="numpy"
+        vectorized = run_pinned(
+            "skewaware", query, database, p=16, seed=3, backend="numpy"
         )
         assert pure.answers == vectorized.answers
-        assert pure.per_server_answers == vectorized.per_server_answers
+        assert pure.per_server == vectorized.per_server
         assert pure.heavy_hitters == vectorized.heavy_hitters
 
     def test_multiround_views(self):
@@ -185,11 +187,15 @@ class TestBackendParityThroughSegmented:
         query = line_query(4)
         plan = build_plan(query, Fraction(0))
         database = matching_database(query, n=50, rng=7)
-        pure = run_plan(plan, database, p=8, seed=2, backend="pure")
-        vectorized = run_plan(plan, database, p=8, seed=2, backend="numpy")
+        pure = execute_plan(
+            compile_multiround(plan, 8, seed=2, backend="pure"), database
+        )
+        vectorized = execute_plan(
+            compile_multiround(plan, 8, seed=2, backend="numpy"), database
+        )
         assert pure.answers == vectorized.answers
         assert pure.view_sizes == vectorized.view_sizes
-        assert pure.per_server_answers == vectorized.per_server_answers
+        assert pure.per_server_views == vectorized.per_server_views
 
     def test_capacity_exceeded_parity(self):
         """Both backends blow the same budget at the same worker."""
@@ -200,14 +206,9 @@ class TestBackendParityThroughSegmented:
         failures = {}
         for backend in ("pure", "numpy"):
             with pytest.raises(CapacityExceeded) as info:
-                run_hypercube(
-                    query,
-                    database,
-                    p=16,
-                    seed=0,
-                    backend=backend,
-                    capacity_c=0.01,
-                    enforce_capacity=True,
+                run_pinned(
+                    "hypercube", query, database, p=16, seed=0,
+                    backend=backend, capacity_c=0.01, enforce_capacity=True,
                 )
             failures[backend] = (
                 info.value.worker,
@@ -239,8 +240,8 @@ class TestColumnarGenerators:
     def test_matching_columnar_runs_hypercube(self):
         query = line_query(3)
         database = matching_database_columnar(query, n=150, seed=1)
-        result = run_hypercube(
-            query, database, p=16, seed=0, backend="numpy"
+        result = run_pinned(
+            "hypercube", query, database, p=16, seed=0, backend="numpy"
         )
         # L_k over matchings chains end to end: n answers.
         assert len(result.answers) == 150
@@ -264,7 +265,7 @@ class TestColumnarGenerators:
         database = skewed_database_columnar(
             query, n=400, seed=0, heavy_fraction=0.5
         )
-        aware = run_hypercube_skew_aware(
-            query, database, p=16, seed=0, backend="numpy"
+        aware = run_pinned(
+            "skewaware", query, database, p=16, seed=0, backend="numpy"
         )
         assert any(1 in values for values in aware.heavy_hitters.values())

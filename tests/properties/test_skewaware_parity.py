@@ -19,17 +19,14 @@ from repro.backend import numpy_available
 if not numpy_available():
     pytest.skip("numpy backend unavailable", allow_module_level=True)
 
-from repro.algorithms.hypercube import run_hypercube
-from repro.algorithms.skewaware import (
-    detect_heavy_hitters,
-    run_hypercube_skew_aware,
-)
+from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
 from repro.data.database import Database, Relation
 from repro.data.generators import skewed_database
 from repro.data.matching import matching_database
 from repro.mpc.simulator import CapacityExceeded
+from tests.conftest import run_pinned
 
 QUERIES = [
     parse_query("q(x,y,z) = S1(x,y), S2(y,z)"),
@@ -54,11 +51,11 @@ def funnel_database(n=128):
 
 
 def run_both(query, database, p, seed, **kwargs):
-    pure = run_hypercube_skew_aware(
-        query, database, p=p, seed=seed, backend="pure", **kwargs
+    pure = run_pinned(
+        "skewaware", query, database, p=p, seed=seed, backend="pure", **kwargs
     )
-    vectorized = run_hypercube_skew_aware(
-        query, database, p=p, seed=seed, backend="numpy", **kwargs
+    vectorized = run_pinned(
+        "skewaware", query, database, p=p, seed=seed, backend="numpy", **kwargs
     )
     return pure, vectorized
 
@@ -66,8 +63,8 @@ def run_both(query, database, p, seed, **kwargs):
 def assert_parity(pure, vectorized):
     assert vectorized.answers == pure.answers
     assert vectorized.heavy_hitters == pure.heavy_hitters
-    assert vectorized.allocation == pure.allocation
-    assert vectorized.per_server_answers == pure.per_server_answers
+    assert vectorized.plan.allocation == pure.plan.allocation
+    assert vectorized.per_server == pure.per_server
     assert len(vectorized.report.rounds) == len(pure.report.rounds)
     for round_pure, round_vec in zip(
         pure.report.rounds, vectorized.report.rounds
@@ -113,7 +110,7 @@ class TestFunnel:
         """Both backends agree AND both beat plain HC's max load."""
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = funnel_database(128)
-        plain = run_hypercube(query, database, p=16, seed=5)
+        plain = run_pinned("hypercube", query, database, p=16, seed=5)
         pure, vectorized = run_both(query, database, p=16, seed=5)
         assert_parity(pure, vectorized)
         assert pure.report.max_load_tuples < plain.report.max_load_tuples
@@ -141,7 +138,7 @@ class TestRandomizedDatabases:
         database = matching_database(query, n=40, rng=7)
         pure, vectorized = run_both(query, database, p=9, seed=seed)
         assert_parity(pure, vectorized)
-        plain = run_hypercube(query, database, p=9, seed=seed)
+        plain = run_pinned("hypercube", query, database, p=9, seed=seed)
         assert pure.answers == plain.answers
         assert (
             pure.report.rounds[0].received_bits
@@ -162,14 +159,9 @@ class TestCapacityParity:
         failures = {}
         for backend in ("pure", "numpy"):
             with pytest.raises(CapacityExceeded) as info:
-                run_hypercube_skew_aware(
-                    query,
-                    database,
-                    p=16,
-                    seed=3,
-                    backend=backend,
-                    enforce_capacity=True,
-                    capacity_c=0.01,
+                run_pinned(
+                    "skewaware", query, database, p=16, seed=3,
+                    backend=backend, enforce_capacity=True, capacity_c=0.01,
                 )
             failures[backend] = info.value
         pure, vectorized = failures["pure"], failures["numpy"]

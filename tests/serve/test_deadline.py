@@ -172,13 +172,10 @@ class TestPrecedence:
         service = QueryService(
             _database(), p=8, capacity_c=0.001, enforce_capacity=True
         )
-        try:
-            deadline = Deadline(5.0, clock=clock)
-            with pytest.raises(CapacityExceeded):
-                service.execute(TRIANGLE, deadline=deadline)
-            assert deadline.expired  # both conditions really held
-        finally:
-            service.close()
+        deadline = Deadline(5.0, clock=clock)
+        with pytest.raises(CapacityExceeded):
+            service.execute(TRIANGLE, deadline=deadline)
+        assert deadline.expired  # both conditions really held
 
     def test_expired_budget_at_entry_beats_cached_capacity_failure(
         self,
@@ -189,36 +186,30 @@ class TestPrecedence:
         service = QueryService(
             _database(), p=8, capacity_c=0.001, enforce_capacity=True
         )
-        try:
-            # Memoize the capacity failure in the result cache.
-            with pytest.raises(CapacityExceeded):
-                service.execute(TRIANGLE)
-            # An already-expired budget must win over the cached
-            # outcome -- checked before the result cache is consulted.
-            expired = Deadline(10.0, clock=clock)
-            clock.advance(1.0)
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                service.execute(TRIANGLE, deadline=expired)
-            assert excinfo.value.where == "at service entry"
-            assert service.stats.deadline_exceeded == 1
-        finally:
-            service.close()
+        # Memoize the capacity failure in the result cache.
+        with pytest.raises(CapacityExceeded):
+            service.execute(TRIANGLE)
+        # An already-expired budget must win over the cached
+        # outcome -- checked before the result cache is consulted.
+        expired = Deadline(10.0, clock=clock)
+        clock.advance(1.0)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            service.execute(TRIANGLE, deadline=expired)
+        assert excinfo.value.where == "at service entry"
+        assert service.stats.deadline_exceeded == 1
 
     def test_deadline_outcome_is_never_cached(self, monkeypatch):
         monkeypatch.setenv(ROUND_DELAY_ENV, "30")
         service = QueryService(_database(), p=8)
-        try:
-            with pytest.raises(DeadlineExceeded):
-                service.execute(PATH, deadline=Deadline(1.0))
-            executions = service.stats.executions
-            monkeypatch.delenv(ROUND_DELAY_ENV)
-            # The same statement with a fresh budget executes for real
-            # (no memoized DeadlineExceeded) and succeeds.
-            result = service.execute(PATH, deadline=Deadline(60000))
-            assert len(result.answers) == 60
-            assert service.stats.executions == executions + 1
-        finally:
-            service.close()
+        with pytest.raises(DeadlineExceeded):
+            service.execute(PATH, deadline=Deadline(1.0))
+        executions = service.stats.executions
+        monkeypatch.delenv(ROUND_DELAY_ENV)
+        # The same statement with a fresh budget executes for real
+        # (no memoized DeadlineExceeded) and succeeds.
+        result = service.execute(PATH, deadline=Deadline(60000))
+        assert len(result.answers) == 60
+        assert service.stats.executions == executions + 1
 
 
 class TestSimulatorReuseParity:

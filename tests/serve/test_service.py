@@ -11,10 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.hypercube import run_hypercube
 from repro.algorithms.localjoin import evaluate_query
-from repro.algorithms.multiround import run_plan
-from repro.algorithms.skewaware import run_hypercube_skew_aware
 from repro.backend import numpy_available
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
@@ -22,6 +19,9 @@ from repro.data.matching import matching_database
 from repro.data.versioned import VersionedDatabase
 from repro.mpc.simulator import CapacityExceeded
 from repro.serve import QueryService
+from repro.algorithms.multiround import compile_multiround
+from repro.engine import execute_plan
+from tests.conftest import run_pinned
 
 BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
 
@@ -52,15 +52,15 @@ class TestParityWithFreshCompilation:
         database = _database()
         service = QueryService(database, p=8, backend=backend)
         query = "S1(x,y), S2(y,z)"
-        fresh = run_hypercube(
-            parse_query(query), database, p=8, backend=backend
+        fresh = run_pinned(
+            "hypercube", parse_query(query), database, p=8, backend=backend
         )
         first = service.execute(query)
         repeat = service.execute(query)
         assert repeat.result_hit and not first.result_hit
         for served in (first, repeat):
             assert served.answers == fresh.answers
-            assert served.per_server == fresh.per_server_answers
+            assert served.per_server == fresh.per_server
             assert [
                 r.received_bits for r in served.report.rounds
             ] == [r.received_bits for r in fresh.report.rounds]
@@ -80,12 +80,12 @@ class TestParityWithFreshCompilation:
         again = service.execute(query)
         assert not again.result_hit
         assert service.stats.executions == 2
-        fresh = run_hypercube(
-            parse_query(query), database, p=8, backend=backend
+        fresh = run_pinned(
+            "hypercube", parse_query(query), database, p=8, backend=backend
         )
         for served in (first, again):
             assert served.answers == fresh.answers
-            assert served.per_server == fresh.per_server_answers
+            assert served.per_server == fresh.per_server
             assert [
                 r.received_bits for r in served.report.rounds
             ] == [r.received_bits for r in fresh.report.rounds]
@@ -116,13 +116,11 @@ class TestParityWithFreshCompilation:
         service = QueryService(
             database, p=8, backend=backend, algorithm="skewaware"
         )
-        fresh = run_hypercube_skew_aware(
-            query, database, p=8, backend=backend
-        )
+        fresh = run_pinned("skewaware", query, database, p=8, backend=backend)
         for _ in range(2):
             served = service.execute("S1(x,y), S2(y,z)")
             assert served.answers == fresh.answers
-            assert served.per_server == fresh.per_server_answers
+            assert served.per_server == fresh.per_server
         assert served.heavy_hitters == fresh.heavy_hitters
 
     def test_heavy_hitters_do_not_depend_on_request_history(self, backend):
@@ -153,8 +151,13 @@ class TestParityWithFreshCompilation:
             algorithm="multiround",
             eps=Fraction(0),
         )
-        fresh = run_plan(
-            build_plan(query, Fraction(0)), database, p=8, backend=backend
+        fresh = execute_plan(
+            compile_multiround(
+                build_plan(query, Fraction(0)),
+                8,
+                backend=backend,
+            ),
+            database,
         )
         for _ in range(2):
             served = service.execute(str(query))
@@ -205,13 +208,9 @@ class TestCapacityParity:
         database = _database(n=40)
         query = "S1(x,y), S2(y,z)"
         with pytest.raises(CapacityExceeded) as fresh:
-            run_hypercube(
-                parse_query(query),
-                database,
-                p=8,
-                backend=backend,
-                capacity_c=0.001,
-                enforce_capacity=True,
+            run_pinned(
+                "hypercube", parse_query(query), database, p=8,
+                backend=backend, capacity_c=0.001, enforce_capacity=True,
             )
         service = QueryService(
             database,
@@ -280,7 +279,7 @@ class TestStatsAndConstruction:
         database = matching_database(two_hop, n=30, rng=3)
         service = QueryService(database, p=8, backend="pure")
         served = service.execute(two_hop)
-        fresh = run_hypercube(two_hop, database, p=8, backend="pure")
+        fresh = run_pinned("hypercube", two_hop, database, p=8, backend="pure")
         assert served.answers == fresh.answers
 
 

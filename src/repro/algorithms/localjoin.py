@@ -190,7 +190,10 @@ def evaluate_query_table_segmented(
         ``(num_answers, len(head))`` holding every segment's local
         answers (sorted by (segment, row) unless ``assume_unique``),
         and the parallel segment id per answer row (None when
-        ``segments`` is).  Per-segment answer counts are one
+        ``segments`` is).  Every join step expands the bound rows in
+        place, so ``answer_segments`` is non-decreasing whenever every
+        atom's ``segments`` are: one segment's answers are one
+        contiguous row slice.  Per-segment answer counts are one
         ``bincount(answer_segments)`` away; the fleet-wide
         deduplicated union is one ``unique``.
     """

@@ -54,7 +54,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.backend import NUMPY, require_numpy, resolve_backend
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
@@ -82,6 +82,9 @@ from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.simulator import MPCSimulator
 from repro.mpc.stats import RoundStats, SimulationReport
+
+if TYPE_CHECKING:
+    from repro.engine.local import SiteAnswers
 
 
 @dataclass(frozen=True)
@@ -485,6 +488,12 @@ class PlanExecution:
         per_server_views: per view, each worker's answer contribution.
         heavy_hitters: the heavy values bound during execution, when
             the plan asked for heavy binding.
+        site_answers: per evaluation site (view name; None for the
+            ``CollectAnswers`` site), the per-worker answer tables and
+            merged table local evaluation computed
+            (:class:`~repro.engine.local.SiteAnswers`) -- what
+            incremental maintenance retains, by reference.  Sites
+            evaluated from streamed deliveries are absent.
     """
 
     plan: Plan
@@ -494,6 +503,7 @@ class PlanExecution:
     view_sizes: dict[str, int] | None = None
     per_server_views: dict[str, tuple[int, ...]] | None = None
     heavy_hitters: dict[str, frozenset[int]] | None = None
+    site_answers: dict[str | None, SiteAnswers] | None = None
 
     @property
     def report(self) -> SimulationReport:
@@ -693,6 +703,9 @@ def execute_plan(
         materialise_view_async,
     )
 
+    #: Left on the execution for IVM capture.
+    site_answers: dict[str | None, SiteAnswers] = {}
+
     #: view name -> async materialisation handle (streamed overlap).
     pending: dict[str, Any] = {}
 
@@ -775,6 +788,7 @@ def execute_plan(
                 profiler=profiler,
                 parallel=parallel_ctx,
                 deadline=deadline,
+                retain=site_answers,
             )
             environment[view.name] = materialised
             view_sizes[view.name] = len(materialised)
@@ -797,6 +811,7 @@ def execute_plan(
             profiler=profiler,
             parallel=parallel_ctx,
             deadline=deadline,
+            retain=site_answers,
         )
         per_server = tuple(
             list(counts) + [0] * (plan.signature.p - finalize.workers)
@@ -823,4 +838,5 @@ def execute_plan(
         view_sizes=view_sizes,
         per_server_views=per_server_views,
         heavy_hitters=heavy_hitters,
+        site_answers=site_answers,
     )

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Iterable
 
 from repro.backend import NUMPY, require_numpy
@@ -52,6 +54,30 @@ KeyOf = Callable[[str], str]
 
 def _identity_key(name: str) -> str:
     return name
+
+
+@dataclass(frozen=True)
+class SiteAnswers:
+    """One evaluation site's answers, as local evaluation produced them.
+
+    What incremental maintenance retains from a full execution: the
+    state a delta is later merged into is these very objects, never a
+    re-derivation.
+
+    Attributes:
+        tables: per-worker duplicate-free answer tables, worker order
+            -- numpy: int64 row slices of the shard results
+            (zero-copy); pure: each worker's sorted row tuples.
+        merged: the canonical merged table (lex-sorted unique rows) --
+            numpy: one int64 array; pure: a tuple of row tuples.
+    """
+
+    tables: list[Any]
+    merged: Any
+
+
+#: Site name (None for the answer-collection site) -> its answers.
+SiteSink = dict[str | None, SiteAnswers]
 
 
 def worker_answer_rows(
@@ -96,8 +122,12 @@ def evaluate_shard_pools(
     the relation received nothing -- an empty fragment, exactly what a
     worker with no deliveries joins against).  Returns ``(answers
     table, per-worker answer counts)`` for the shard's ``width``
-    workers.  Shared verbatim by the in-process shard loop and the
-    process-pool eval task, so both produce identical rows.
+    workers.  The table is grouped by worker, ascending: pools lay
+    their rows out worker by worker and the segmented join keeps its
+    first atom's row order, so worker ``w``'s answers are the row
+    slice the counts' running sum delimits.  Shared verbatim by the
+    in-process shard loop and the process-pool eval task, so both
+    produce identical rows.
     """
     numpy = require_numpy()
     fragments: dict[str, tuple] = {}
@@ -295,6 +325,8 @@ def _merged_answer_table(
     parallel: Any = None,
     profiler: RoundProfiler | None = None,
     deadline: Deadline | None = None,
+    retain: SiteSink | None = None,
+    site: str | None = None,
 ):
     """All workers' answers, one bounded worker shard at a time.
 
@@ -306,6 +338,12 @@ def _merged_answer_table(
     a monolithic execution joins the whole fleet in one pass; with a
     usable ``parallel`` context and purely streamed deliveries the
     shards evaluate on the process pool.
+
+    With a ``retain`` sink and eager deliveries only, the shard
+    results are kept as ``retain[site]`` -- each worker's table a
+    zero-copy slice of its shard's -- instead of being dropped after
+    the union.  Streamed deliveries record nothing: holding every
+    shard's answers past its turn is the peak streaming avoids.
 
     Returns:
         ``(merged, per_server)`` -- the deduplicated union (sorted
@@ -359,6 +397,18 @@ def _merged_answer_table(
     merged = union_answer_tables(
         (answers for answers, _ in results), len(query.head)
     )
+    if retain is not None and not any(
+        simulator.has_lazy_deliveries(key_of(atom.name))
+        for atom in query.atoms
+    ):
+        tables = []
+        for answers, counts in results:
+            ends = list(accumulate(counts))
+            tables.extend(
+                answers[start:end]
+                for start, end in zip([0] + ends, ends)
+            )
+        retain[site] = SiteAnswers(tables=tables, merged=merged)
     return merged, [count for _, counts in results for count in counts]
 
 
@@ -377,8 +427,14 @@ def collect_answers(
     profiler: RoundProfiler | None = None,
     parallel: Any = None,
     deadline: Deadline | None = None,
+    retain: SiteSink | None = None,
+    site: str | None = None,
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Evaluate ``query`` at every worker and union the results.
+
+    ``retain``, when given, receives the per-worker tables and the
+    merged table under ``site`` (see :class:`SiteAnswers`) -- unless
+    the deliveries were streamed, which retain nothing.
 
     Returns:
         ``(answers, per_server)`` -- the sorted duplicate-free union
@@ -398,15 +454,21 @@ def collect_answers(
                 parallel=parallel,
                 profiler=profiler,
                 deadline=deadline,
+                retain=retain,
+                site=site,
             )
             return tuple(map(tuple, merged.tolist())), per_server
-        per_server: list[int] = []
+        tables = [
+            worker_answer_rows(query, simulator, worker, key_of)
+            for worker in workers
+        ]
         answers: set[tuple[int, ...]] = set()
-        for worker in workers:
-            found = worker_answer_rows(query, simulator, worker, key_of)
-            per_server.append(len(found))
+        for found in tables:
             answers.update(found)
-        return tuple(sorted(answers)), per_server
+        merged = tuple(sorted(answers))
+        if retain is not None:
+            retain[site] = SiteAnswers(tables=tables, merged=merged)
+        return merged, [len(found) for found in tables]
 
 
 def materialise_view(
@@ -420,6 +482,7 @@ def materialise_view(
     profiler: RoundProfiler | None = None,
     parallel: Any = None,
     deadline: Deadline | None = None,
+    retain: SiteSink | None = None,
 ) -> tuple[ColumnarRelation, list[int]]:
     """Materialise an operator's output view from all workers' answers.
 
@@ -427,7 +490,8 @@ def materialise_view(
     duplicate-free union of the per-worker evaluations, stored
     columnar under ``backend`` so the next round can re-route the view
     by content exactly like a base relation (the tuple-based MPC
-    discipline of Section 4.2.1).
+    discipline of Section 4.2.1).  ``retain`` receives the view's
+    :class:`SiteAnswers` under ``name``, as in :func:`collect_answers`.
 
     Returns:
         ``(view, per_server_counts)``.
@@ -444,11 +508,20 @@ def materialise_view(
                 parallel=parallel,
                 profiler=profiler,
                 deadline=deadline,
+                retain=retain,
+                site=name,
             )
         view = _view_from_table(name, merged, arity, domain_size)
         return view, per_server
     answers, per_server = collect_answers(
-        query, simulator, workers, backend, key_of, profiler=profiler
+        query,
+        simulator,
+        workers,
+        backend,
+        key_of,
+        profiler=profiler,
+        retain=retain,
+        site=name,
     )
     view = ColumnarRelation(
         name=name,

@@ -11,9 +11,10 @@ input.
 
 Components:
 
-- :mod:`~repro.serve.ivm.state` -- capture and retention of routed
-  state (per-worker fragments, per-site answer tables, round stats)
-  under an LRU byte budget.
+- :mod:`~repro.serve.ivm.state` -- retention of the routed state a
+  full execution already computed (per-worker fragments, per-site
+  answer tables, round stats), taken by reference, under an LRU byte
+  budget.
 - :mod:`~repro.serve.ivm.merge` -- the semi-naive delta merge that
   produces bit-identical answers, loads and ``CapacityExceeded``
   versus full re-execution.
@@ -64,6 +65,8 @@ class IvmManager:
         #: fallback reason -> occurrences, for observability surfaces.
         self.fallback_reasons: Counter[str] = Counter()
         self._plan_reasons: dict[Any, str | None] = {}
+        #: variant -> why its last capture retained nothing.
+        self._declined: dict[Any, str] = {}
 
     @property
     def retained_bytes(self) -> int:
@@ -100,8 +103,12 @@ class IvmManager:
         state = capture_state(
             plan, execution, relation_map, version, database.snapshot
         )
-        if state is None:
+        if isinstance(state, str):
+            if len(self._declined) >= 4096:
+                self._declined.clear()
+            self._declined[variant] = state
             return False
+        self._declined.pop(variant, None)
         return self.store.put(variant, state)
 
     def serve(
@@ -125,8 +132,9 @@ class IvmManager:
             return reason
         state = self.store.get(variant)
         if state is None or state.version > version:
-            self.fallback_reasons[FALLBACK_NO_STATE] += 1
-            return FALLBACK_NO_STATE
+            reason = self._declined.get(variant, FALLBACK_NO_STATE)
+            self.fallback_reasons[reason] += 1
+            return reason
         composed = database.delta_between(state.version, version)
         if composed is None:
             # The gap never heals (history is bounded); free the bytes.
@@ -158,3 +166,4 @@ class IvmManager:
         """Drop all retained state (e.g. service close)."""
         self.store.clear()
         self._plan_reasons.clear()
+        self._declined.clear()

@@ -12,13 +12,15 @@ see why a workload is not incrementalising.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.data.columnar import ColumnarDatabase
 from repro.data.versioned import ComposedDelta
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan
 from repro.engine.faults import worker_death_after
 
-from .state import RetainedState, step_writers
+if TYPE_CHECKING:
+    from .state import RetainedState
 
 # Plan-shape reasons (decided once per plan).
 FALLBACK_NO_FINALIZE = "no-finalize"
@@ -26,12 +28,27 @@ FALLBACK_HEAVY_BINDING = "heavy-binding"
 FALLBACK_NON_SHARDABLE = "non-shardable-step"
 FALLBACK_MULTI_WRITER = "multi-writer-mailbox"
 
-# Per-merge reasons (decided per delta).
+# No state to merge into: never captured, evicted, over budget -- or
+# the capture declined, for the named reason where there is one.
 FALLBACK_NO_STATE = "no-retained-state"
+FALLBACK_STREAMED = "streamed-deliveries"
+
+# Per-merge reasons (decided per delta).
 FALLBACK_HISTORY_GAP = "history-gap"
 FALLBACK_BITS_CHANGED = "bits-changed"
 FALLBACK_DELTA_TOO_LARGE = "delta-too-large"
 FALLBACK_FAULTS_ACTIVE = "faults-active"
+
+
+def step_writers(plan: Plan) -> dict[str, list[tuple[int, int]]]:
+    """mailbox key -> every ``(round, step)`` that delivers into it."""
+    writers: dict[str, list[tuple[int, int]]] = {}
+    for round_index, plan_round in enumerate(plan.rounds):
+        for step_index, step in enumerate(plan_round.steps):
+            writers.setdefault(step.mailbox_key, []).append(
+                (round_index, step_index)
+            )
+    return writers
 
 
 @dataclass(frozen=True)

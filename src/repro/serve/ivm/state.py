@@ -9,17 +9,24 @@ per-worker answer tables, and the run's round statistics -- so
 :mod:`repro.serve.ivm.merge` can later patch it with a routed delta
 instead of re-executing the plan.
 
-Capture is *post hoc*: it reads the pooled deliveries still sitting in
-the execution's simulator (the serving layer resets simulators lazily,
-at the start of the next run), so the engine itself needs no hooks.
-Captured numpy fragments are zero-copy views into the simulator's
-pools; captured pure-backend rows are copied because ``reset`` clears
-mailboxes in place.
+Nothing is derived a second time.  The fragments are zero-copy views
+of the pooled deliveries still sitting in the execution's simulator
+(the serving layer resets simulators lazily, at the start of the next
+run; pure-backend rows are copied because ``reset`` clears mailboxes
+in place), and each site's per-worker answer tables, merged table and
+answer tuples are the very objects local evaluation produced, taken by
+reference from :attr:`PlanExecution.site_answers
+<repro.engine.executor.PlanExecution.site_answers>` and
+``execution.answers``.  A streamed execution records no site answers
+and retains nothing.
 
-Every capture re-derives the answers from the captured fragments and
-compares them against what the execution actually produced; any
-mismatch silently drops the state, so a capture bug degrades to full
-re-execution, never to a wrong answer.
+What capture still checks costs microseconds: one report round per
+plan round, a complete ``p``-worker pool behind every mailbox key a
+site reads, and the recorded tables' row counts against the sizes the
+execution reported (per-worker loads, view sizes, answer count).  Any
+mismatch retains nothing, so the next delta falls back to full
+re-execution.  Re-joining every worker's retained fragments is the
+oracle ``tests/serve/test_ivm_capture.py`` holds a captured state to.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from repro.engine.plan import (
     key_map_of,
 )
 from repro.mpc.stats import RoundStats
+
+from .policy import FALLBACK_NO_STATE, FALLBACK_STREAMED
 
 NUMPY = "numpy"
 
@@ -155,17 +164,6 @@ def plan_sites(plan: Plan) -> list[tuple[str | None, ConjunctiveQuery, Any]]:
     return sites
 
 
-def step_writers(plan: Plan) -> dict[str, list[tuple[int, int]]]:
-    """mailbox key -> every ``(round, step)`` that delivers into it."""
-    writers: dict[str, list[tuple[int, int]]] = {}
-    for round_index, plan_round in enumerate(plan.rounds):
-        for step_index, step in enumerate(plan_round.steps):
-            writers.setdefault(step.mailbox_key, []).append(
-                (round_index, step_index)
-            )
-    return writers
-
-
 def _view_arities(plan: Plan) -> dict[str, int]:
     return {
         view.name: len(view.query.head)
@@ -250,37 +248,41 @@ def capture_state(
     relation_map: Mapping[str, str] | None,
     version: int,
     snapshot: ColumnarDatabase,
-) -> RetainedState | None:
-    """Capture a just-finished full execution's routed state.
+) -> RetainedState | str:
+    """Retain a just-finished full execution's routed state.
 
-    Returns None (retain nothing) when the simulator no longer holds
-    complete pooled deliveries for every needed key, or when the
-    re-derived answers fail to match the execution's -- either way the
-    next delta simply falls back to full re-execution.
+    Returns the state, or the named reason nothing is retained:
+    ``streamed-deliveries`` when the execution recorded no answers for
+    some site (its deliveries were streamed recipes; materialising
+    them here would recreate the memory cliff streaming exists to
+    avoid), ``no-retained-state`` when the simulator no longer holds a
+    complete pool for every needed key or a recorded size disagrees
+    with the execution's -- either way the next delta simply falls
+    back to full re-execution.
     """
     backend = plan.signature.backend
     simulator = execution.simulator
     p = plan.signature.p
     relation_map = dict(relation_map or {})
     if len(execution.report.rounds) != len(plan.rounds):
-        return None
+        return FALLBACK_NO_STATE
 
     sites = plan_sites(plan)
-    needed_keys: set[str] = set()
-    for _, query, key_map in sites:
-        key_of = key_map_of(key_map)
-        needed_keys.update(key_of(atom.name) for atom in query.atoms)
+    recorded = execution.site_answers or {}
+    if any(name not in recorded for name, _, _ in sites):
+        return FALLBACK_STREAMED
+    needed_keys = dict.fromkeys(
+        key_map_of(key_map)(atom.name)
+        for _, query, key_map in sites
+        for atom in query.atoms
+    )
 
     pools: dict[str, FragmentStore] = {}
-    for key in sorted(needed_keys):
+    for key in needed_keys:
         if backend == NUMPY:
-            if simulator.has_lazy_deliveries(key):
-                # Streamed recipes: materialising the pool here would
-                # recreate the memory cliff streaming exists to avoid.
-                return None
             pool = simulator.relation_pool(key)
             if pool is None or pool.num_workers != p:
-                return None
+                return FALLBACK_NO_STATE
             fragments = [pool.worker_slice(w) for w in range(p)]
             arity = len(pool.columns)
         else:
@@ -298,54 +300,40 @@ def capture_state(
         pools[key] = FragmentStore(arity=arity, fragments=fragments)
 
     views: dict[str, SiteState] = {}
-    view_rounds: list[list[str]] = []
     collect: SiteState | None = None
     finalize_positions: list[int] | None = None
-
-    for plan_round in plan.rounds:
-        view_rounds.append([view.name for view in plan_round.views])
+    view_rounds = [
+        [view.name for view in plan_round.views]
+        for plan_round in plan.rounds
+    ]
+    finalize = plan.finalize
     for name, query, key_map in sites:
         key_of = key_map_of(key_map)
-        keys = {atom.name: key_of(atom.name) for atom in query.atoms}
-        workers = (
-            plan.finalize.workers
-            if name is None and isinstance(plan.finalize, CollectAnswers)
-            else p
-        )
-        tables = []
-        for w in range(workers):
-            fragments = {
-                atom_name: pools[key].fragments[w]
-                for atom_name, key in keys.items()
-            }
-            tables.append(evaluate_worker(query, fragments, backend))
-        merged = _merge_tables(tables, len(query.head), backend)
         site = SiteState(
             name=name,
             query=query,
-            keys=keys,
-            workers=workers,
-            tables=tables,
-            merged=merged,
+            keys={atom.name: key_of(atom.name) for atom in query.atoms},
+            workers=finalize.workers if name is None else p,
+            tables=list(recorded[name].tables),
+            merged=recorded[name].merged,
         )
         if name is None:
             collect = site
         else:
             views[name] = site
 
-    # Canary: the re-derived state must reproduce the execution's
-    # observable outputs exactly, or we retain nothing.
+    # The recorded tables must account for every size the execution
+    # reported, or we retain nothing.
     view_sizes = execution.view_sizes or {}
     per_server_views = execution.per_server_views or {}
     for name, site in views.items():
         if len(site.merged) != view_sizes.get(name):
-            return None
+            return FALLBACK_NO_STATE
         counts = per_server_views.get(name)
         if counts is not None and tuple(
             len(table) for table in site.tables
         ) != tuple(counts):
-            return None
-    finalize = plan.finalize
+            return FALLBACK_NO_STATE
     if isinstance(finalize, CollectAnswers):
         assert collect is not None
         per_server = tuple(
@@ -353,30 +341,21 @@ def capture_state(
             + [0] * (p - collect.workers)
         )
         if per_server != tuple(execution.per_server):
-            return None
-        answer_rows = table_rows(collect.merged, backend)
-        if answer_rows != tuple(execution.answers):
-            return None
-        collect.answer_rows = answer_rows
+            return FALLBACK_NO_STATE
+        answers_site = collect
     elif isinstance(finalize, FinalizeView):
-        site = views.get(finalize.view)
-        if site is None:
-            return None
-        schema = site.query.head
+        answers_site = views.get(finalize.view)
+        if answers_site is None:
+            return FALLBACK_NO_STATE
+        schema = answers_site.query.head
         finalize_positions = [
             schema.index(variable) for variable in finalize.head
         ]
-        answers = tuple(
-            sorted(
-                tuple(row[i] for i in finalize_positions)
-                for row in table_rows(site.merged, backend)
-            )
-        )
-        if answers != tuple(execution.answers):
-            return None
-        site.answer_rows = answers
     else:
-        return None
+        return FALLBACK_NO_STATE
+    if len(answers_site.merged) != len(execution.answers):
+        return FALLBACK_NO_STATE
+    answers_site.answer_rows = execution.answers
 
     state = RetainedState(
         version=version,

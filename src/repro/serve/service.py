@@ -670,9 +670,10 @@ class QueryService:
                 error=error,
             )
         if self._ivm is not None:
-            # Post-hoc capture: the pooled simulator still holds this
-            # run's deliveries (reset happens at the start of the next
-            # run), so retaining routed state needs no engine hooks.
+            # Retain what the run computed, by reference: its site
+            # answers ride on ``execution``, its deliveries still sit
+            # in the pooled simulator (reset happens at the start of
+            # the next run).
             self._ivm.capture(
                 variant,
                 plan,

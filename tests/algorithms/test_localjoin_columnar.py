@@ -206,6 +206,9 @@ class TestSegmentedEvaluator:
             num_segments=num_segments,
             assume_unique=True,
         )
+        # Grouped by segment: the engine hands IVM each worker's
+        # answers as a slice of this table.
+        assert (numpy.diff(answer_segments) >= 0).all()
         got = {
             segment_id: set()
             for segment_id in range(num_segments)

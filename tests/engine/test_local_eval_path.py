@@ -144,3 +144,37 @@ def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
             )
     assert excinfo.value.where == "local-eval shard"
     assert not submitted
+
+
+@pytest.mark.parametrize("shard_bytes", [None, "1"], ids=["one", "per-worker"])
+def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
+    """A ``retain`` sink gets the shard results split by worker: each
+    table is a zero-copy slice holding exactly that worker's answers,
+    however many shards evaluated the fleet."""
+    from repro.engine import worker_answer_rows
+    from repro.engine.streaming import SHARD_BYTES_ENV
+
+    if shard_bytes is not None:
+        monkeypatch.setenv(SHARD_BYTES_ENV, shard_bytes)
+    _, simulator = _routed_round(chunk_rows=None)
+    sink = {}
+    answers, per_server = collect_answers(
+        QUERY, simulator, range(P), "numpy", retain=sink, site="V"
+    )
+    site = sink["V"]
+    assert [len(table) for table in site.tables] == per_server
+    assert sum(per_server) == 50
+    for worker, table in enumerate(site.tables):
+        assert table.base is not None  # a view, not a copy
+        assert sorted(map(tuple, table.tolist())) == list(
+            worker_answer_rows(QUERY, simulator, worker)
+        )
+    assert tuple(map(tuple, site.merged.tolist())) == answers
+
+
+@pytest.mark.parametrize("eager", [(), ("S2",)], ids=["streamed", "mixed"])
+def test_streamed_sites_retain_nothing(eager):
+    _, simulator = _routed_round(chunk_rows=16, eager=eager)
+    sink = {}
+    collect_answers(QUERY, simulator, range(P), "numpy", retain=sink)
+    assert not sink

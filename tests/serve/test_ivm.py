@@ -298,8 +298,21 @@ class TestFallbacks:
             inserts={"S1": _fresh_rows(served, "S1", 1)},
         )
         mine = served.execute(TRIANGLE)
-        assert mine.ivm == "no-retained-state"
+        assert mine.ivm == "streamed-deliveries"
+        assert served.ivm.fallback_reasons == {"streamed-deliveries": 1}
         _assert_parity(mine, control.execute(TRIANGLE))
+        # The remembered reason goes when the store is cleared; the
+        # fallback execution that then answers declines afresh.
+        served.ivm.clear()
+        for expected in ("no-retained-state", "streamed-deliveries"):
+            _apply_both(
+                served,
+                control,
+                inserts={"S1": _fresh_rows(served, "S1", 1)},
+            )
+            mine = served.execute(TRIANGLE)
+            assert mine.ivm == expected
+            _assert_parity(mine, control.execute(TRIANGLE))
 
 
 def _skewed_database(backend, extra=()):
@@ -487,6 +500,85 @@ class TestNoopChaining:
         mine = served.execute(TRIANGLE)
         assert mine.ivm == "merged"
         _assert_parity(mine, control.execute(TRIANGLE))
+
+
+L4 = "S1(a,b), S2(b,c), S3(c,d), S4(d,e)"
+
+
+def _count_calls(monkeypatch, target):
+    """Spy on the dotted ``module.attribute``; returns its call log."""
+    from importlib import import_module
+
+    module_name, attribute = target.rsplit(".", 1)
+    module = import_module(module_name)
+    original = getattr(module, attribute)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attribute, spy)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "algorithm,query",
+    [("hypercube", TRIANGLE), ("multiround", L4)],
+    ids=["hypercube-C3", "multiround-L4"],
+)
+def test_cold_execution_joins_and_unions_once(
+    backend, algorithm, query, monkeypatch
+):
+    """One path: capture takes the engine's tables, it derives none.
+
+    A cold execution calls the per-worker evaluator zero times and the
+    table union once per site (the engine's own); the post-delta read
+    that follows re-joins exactly the workers the delta reached.
+    """
+    from repro.serve.ivm.state import plan_sites
+
+    captures = _count_calls(monkeypatch, "repro.serve.ivm.capture_state")
+    capture_joins = _count_calls(
+        monkeypatch, "repro.serve.ivm.state.evaluate_worker"
+    )
+    merge_joins = _count_calls(
+        monkeypatch, "repro.serve.ivm.merge.evaluate_worker"
+    )
+    unions = _count_calls(
+        monkeypatch, "repro.engine.local.union_answer_tables"
+    )
+    database = matching_database(parse_query(L4), n=60, rng=7)
+    service = QueryService(
+        database, p=8, backend=backend, algorithm=algorithm
+    )
+    service.execute(query)
+
+    (state,) = service.ivm.store._states.values()
+    sites = plan_sites(state.plan)
+    assert len(sites) == (1 if algorithm == "hypercube" else 3)
+    assert len(captures) == 1  # ... through the traced module attribute
+    assert not capture_joins and not merge_joins
+    assert len(unions) == (len(sites) if backend == "numpy" else 0)
+
+    def site_tables():
+        return [
+            table
+            for site in [*state.views.values(), state.collect]
+            if site is not None
+            for table in site.tables
+        ]
+
+    before = site_tables()
+    service.update(inserts={"S1": _fresh_rows(service, "S1", 1)})
+    assert service.execute(query).ivm == "merged"
+    assert not capture_joins and len(captures) == 1
+    assert 0 < len(merge_joins) < len(before)
+    if backend == "numpy":  # (a re-joined empty tuple is the same ())
+        assert len(merge_joins) == sum(
+            old is not new for old, new in zip(before, site_tables())
+        )
 
 
 class TestSessionSurface:

@@ -6,28 +6,40 @@ Paper claim: on matching databases HC's maximum per-server load is
 check that measured-load / theory stays flat as ``p`` grows -- the
 shape that certifies the exponent is right.
 
-The sweep honours ``--backend {pure,numpy,auto}`` (loads are
-backend-independent; the flag only changes the execution engine), and
-``test_hc_backend_speedup`` pins the engineering claim: the vectorized
-numpy engine beats the pure-Python reference by >= 5x on the triangle
-query at the largest configured ``n``.
+``test_hc_engine_seconds`` records the engine's absolute time on the
+triangle query at n=4000 in BENCH_hc_speedup.json (``numpy_seconds``;
+the file name is kept so the artifact history stays in one series)
+next to the peak-memory fields, fails if peak RSS blows its ceiling,
+and checks the engine against the row-at-a-time oracle
+(:mod:`repro.oracle`) on a small-n twin.
 """
 
 from __future__ import annotations
 
-import pytest
+from conftest import (
+    best_of,
+    check_oracle_parity,
+    emit,
+    measure_peak,
+    record_bench,
+    run_pinned,
+)
 
-from conftest import best_of, emit, measure_peak, record_bench, run_pinned
-
+from repro.algorithms.registry import compile_with
 from repro.analysis.experiments import sweep_hc_load
 from repro.analysis.reporting import format_table
-from repro.backend import numpy_available
 from repro.core.families import cycle_query, line_query, star_query
 from repro.data.matching import matching_database
 
-# Largest n of the speedup benchmark; vectorization wins grow with n.
+# The timed leg: the triangle query at n=4000 on 64 servers, under a
+# ceiling on the process's lifetime peak RSS -- so earlier legs in the
+# same pytest run count too (measured 90 MiB; the CI smoke run of the
+# three engine benchmarks peaks at 435 MiB).
 SPEEDUP_N = 4000
 SPEEDUP_P = 64
+SPEEDUP_MEMORY_CEILING_BYTES = 1024**3
+#: The small-n twin the row-at-a-time oracle checks.
+ORACLE_N = 500
 
 # The large-n leg: columnar generation + numpy HC at n=10^5, with a
 # peak-RSS ceiling (lifetime peak; triangle pools ~1.2M tuples).
@@ -36,18 +48,17 @@ LARGE_P = 64
 LARGE_N_MEMORY_CEILING_BYTES = 2 * 1024**3
 
 
-def run_sweeps(backend):
+def run_sweeps():
     results = {}
     for query in (cycle_query(3), line_query(3), star_query(2)):
         results[query.name] = sweep_hc_load(
-            query, n=300, p_values=(4, 8, 16, 32, 64), trials=2, seed=0,
-            backend=backend,
+            query, n=300, p_values=(4, 8, 16, 32, 64), trials=2, seed=0
         )
     return results
 
 
-def test_hc_load_scaling(once, bench_backend):
-    results = once(run_sweeps, bench_backend)
+def test_hc_load_scaling(once):
+    results = once(run_sweeps)
     for name, rows in results.items():
         emit(
             format_table(
@@ -63,8 +74,7 @@ def test_hc_load_scaling(once, bench_backend):
                     ]
                     for row in rows
                 ],
-                title=f"E4: HC max load vs p for {name} (Prop 3.2, "
-                f"backend={bench_backend})",
+                title=f"E4: HC max load vs p for {name} (Prop 3.2)",
             )
         )
         ratios = [row["ratio"] for row in rows]
@@ -76,37 +86,27 @@ def test_hc_load_scaling(once, bench_backend):
         assert loads[0] > loads[-1]
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
-def test_hc_backend_speedup(once):
-    """The columnar numpy engine is >= 5x faster than pure at n=4000."""
+def test_hc_engine_seconds(once):
+    """HC on the triangle at n=4000: time recorded, RSS ceiling, and
+    oracle parity on a small-n twin."""
     query = cycle_query(3)
     database = matching_database(query, n=SPEEDUP_N, rng=0)
 
-    def run(backend):
-        return run_pinned(
-            "hypercube", query, database, p=SPEEDUP_P, seed=0, backend=backend
-        )
+    def run():
+        return run_pinned("hypercube", query, database, p=SPEEDUP_P, seed=0)
 
     def timed():
-        pure_seconds, pure = best_of(3, lambda: run("pure"))
-        numpy_seconds, vectorized = best_of(3, lambda: run("numpy"))
+        seconds, result = best_of(3, run)
         # Memory on a separate (untimed) run: tracemalloc slows the
         # traced call, so it must never wrap the timed ones.
-        _, memory = measure_peak(lambda: run("numpy"))
-        return pure_seconds, numpy_seconds, pure, vectorized, memory
+        _, memory = measure_peak(run)
+        return seconds, result, memory
 
-    pure_seconds, numpy_seconds, pure, vectorized, memory = once(timed)
-    speedup = pure_seconds / numpy_seconds
+    seconds, result, memory = once(timed)
     emit(
-        format_table(
-            ["engine", "seconds", "speedup"],
-            [
-                ["pure", f"{pure_seconds:.4f}", "1.0x"],
-                ["numpy", f"{numpy_seconds:.4f}", f"{speedup:.1f}x"],
-            ],
-            title=f"HC triangle n={SPEEDUP_N} p={SPEEDUP_P}: "
-            "pure vs numpy engine",
-        )
+        f"HC triangle n={SPEEDUP_N} p={SPEEDUP_P}: {seconds:.4f}s, "
+        f"{len(result.answers)} answers, peak RSS "
+        f"{memory['peak_rss_bytes'] / 1024**2:.0f} MiB"
     )
     record_bench(
         "hc_speedup",
@@ -114,23 +114,21 @@ def test_hc_backend_speedup(once):
             "query": query.name,
             "n": SPEEDUP_N,
             "p": SPEEDUP_P,
-            "pure_seconds": pure_seconds,
-            "numpy_seconds": numpy_seconds,
-            "speedup": speedup,
-            "answers": len(pure.answers),
+            "numpy_seconds": seconds,
+            "answers": len(result.answers),
             **memory,
         },
     )
-    # The engines implement the identical protocol.
-    assert pure.answers == vectorized.answers
-    assert (
-        pure.report.rounds[0].received_bits
-        == vectorized.report.rounds[0].received_bits
+    assert memory["peak_rss_bytes"] <= SPEEDUP_MEMORY_CEILING_BYTES, (
+        f"peak RSS {memory['peak_rss_bytes']} exceeds ceiling "
+        f"{SPEEDUP_MEMORY_CEILING_BYTES}"
     )
-    assert speedup >= 5.0, f"numpy engine only {speedup:.1f}x faster"
+    check_oracle_parity(
+        compile_with("hypercube", query, SPEEDUP_P, seed=0),
+        matching_database(query, n=ORACLE_N, rng=0),
+    )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_hc_large_n_memory(once):
     """The n=10^5 leg: columnar generation + numpy HC within its
     memory ceiling, answers verified against the single-node join."""
@@ -143,10 +141,7 @@ def test_hc_large_n_memory(once):
         database = matching_database_columnar(query, n=LARGE_N, seed=0)
 
         def run():
-            return run_pinned(
-                "hypercube", query, database, p=LARGE_P, seed=0,
-                backend="numpy",
-            )
+            return run_pinned("hypercube", query, database, p=LARGE_P, seed=0)
 
         seconds, result = best_of(1, run)
         # Memory on a separate (untimed) run under tracemalloc.
@@ -163,7 +158,7 @@ def test_hc_large_n_memory(once):
     seconds, result, truth, memory = once(timed)
     assert result.answers == tuple(map(tuple, truth.tolist()))
     emit(
-        f"E4-large: HC {query.name} n={LARGE_N} p={LARGE_P} numpy "
+        f"E4-large: HC {query.name} n={LARGE_N} p={LARGE_P} "
         f"{seconds:.2f}s, {len(result.answers)} answers, peak RSS "
         f"{memory['peak_rss_bytes'] / 1024**2:.0f} MiB"
     )

@@ -31,11 +31,10 @@ from repro.serve import QueryService
 from repro.engine.faults import WORKER_DEATH_ENV
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
-N = 1_000
-#: The numpy engine re-executes n=1000 too quickly for the fixed
-#: per-read serving overhead not to dominate; scale the database up so
-#: the full-path cost is actually proportional to the data.
-N_NUMPY = 8_000
+#: The engine re-executes n=1000 too quickly for the fixed per-read
+#: serving overhead not to dominate; n=8000 makes the full-path cost
+#: actually proportional to the data.
+N = 8_000
 P = 16
 ROUNDS = 10
 # 9 read shapes x ROUNDS = 90 reads against 10 writes: the 90/10 mix.
@@ -70,10 +69,10 @@ def _delta_rows(database, count):
     raise AssertionError("domain exhausted")
 
 
-def _run_leg(backend, deltas, ivm, n=N):
+def _run_leg(deltas, ivm, n=N):
     """One service through the 90/10 workload; timed reads only."""
     database = matching_database(parse_query(VOCAB), n=n, rng=0)
-    service = QueryService(database, p=P, backend=backend, ivm=ivm)
+    service = QueryService(database, p=P, ivm=ivm)
     for query in DISTINCT_QUERIES:  # warm: compile + capture state
         service.execute(query)
     read_seconds = 0.0
@@ -89,19 +88,18 @@ def _run_leg(backend, deltas, ivm, n=N):
     return service, read_seconds, transcript, statuses
 
 
-def test_ivm_throughput(once, bench_backend):
+def test_ivm_throughput(once):
     """IVM reads >= 5x over full re-execution on the 90/10 workload."""
-    n = N if bench_backend == "pure" else N_NUMPY
-    probe = matching_database(parse_query(VOCAB), n=n, rng=0)
+    probe = matching_database(parse_query(VOCAB), n=N, rng=0)
     rows = _delta_rows(probe, ROUNDS)
     deltas = [[row] for row in rows]
 
     def timed():
         control, control_seconds, control_answers, _ = _run_leg(
-            bench_backend, deltas, ivm=False, n=n
+            deltas, ivm=False
         )
         served, served_seconds, served_answers, statuses = _run_leg(
-            bench_backend, deltas, ivm=True, n=n
+            deltas, ivm=True
         )
         return (
             control,
@@ -155,8 +153,8 @@ def test_ivm_throughput(once, bench_backend):
                     f"{speedup:.1f}x",
                 ],
             ],
-            title=f"E14: 90/10 workload, n={n} p={P} "
-            f"({bench_backend}); {reads} post-delta reads, "
+            title=f"E14: 90/10 workload, n={N} p={P}; "
+            f"{reads} post-delta reads, "
             f"{ROUNDS} single-row deltas; retained "
             f"{served.ivm_retained_states} states / {retained} bytes",
         )
@@ -165,8 +163,7 @@ def test_ivm_throughput(once, bench_backend):
         "ivm",
         {
             "vocab": VOCAB,
-            "backend": bench_backend,
-            "n": n,
+            "n": N,
             "p": P,
             "rounds": ROUNDS,
             "reads": reads,
@@ -188,7 +185,7 @@ def test_ivm_throughput(once, bench_backend):
     )
 
 
-def test_ivm_fault_drill(once, bench_backend, monkeypatch):
+def test_ivm_fault_drill(once, monkeypatch):
     """Worker-death drill: full-path degradation, identical answers."""
     # Smaller data: the drill checks degradation, not throughput.
     drill_n = 200
@@ -197,12 +194,12 @@ def test_ivm_fault_drill(once, bench_backend, monkeypatch):
 
     def drilled():
         control, _, control_answers, _ = _run_leg(
-            bench_backend, deltas, ivm=False, n=drill_n
+            deltas, ivm=False, n=drill_n
         )
         monkeypatch.setenv(WORKER_DEATH_ENV, "1")
         try:
             served, _, served_answers, statuses = _run_leg(
-                bench_backend, deltas, ivm=True, n=drill_n
+                deltas, ivm=True, n=drill_n
             )
         finally:
             monkeypatch.delenv(WORKER_DEATH_ENV)

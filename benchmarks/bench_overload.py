@@ -120,7 +120,7 @@ async def _open_loop(
     return list(await asyncio.gather(*tasks))
 
 
-async def _bench(backend: str) -> dict:
+async def _bench() -> dict:
     from repro import connect
     from repro.serve.rpc import RpcServer
 
@@ -129,7 +129,7 @@ async def _bench(backend: str) -> dict:
     # result_cache_size=0: every request is a full route/ship/join
     # execution (only plans are cached), so the open-loop phase
     # genuinely saturates the executor.
-    session = connect(database, p=P, backend=backend, result_cache_size=0)
+    session = connect(database, p=P, result_cache_size=0)
     try:
         # Phase 1 (no admission limits): warm the plan cache, then
         # measure the unloaded latency distribution.
@@ -182,11 +182,11 @@ async def _bench(backend: str) -> dict:
     }
 
 
-def test_overload_shedding(once, bench_backend):
+def test_overload_shedding(once):
     """p99 of admitted requests bounded while excess load is shed."""
 
     def timed():
-        metrics = asyncio.run(_bench(bench_backend))
+        metrics = asyncio.run(_bench())
         return metrics, {"peak_rss_bytes": peak_rss_bytes()}
 
     metrics, memory = once(timed)
@@ -200,8 +200,7 @@ def test_overload_shedding(once, bench_backend):
                  f"{metrics['admitted']} adm / {metrics['shed']} shed",
                  f"{metrics['admitted_p99_ms']:.1f}"],
             ],
-            title=f"E15: overload shedding, n={N} p={P} "
-            f"({bench_backend}); admitted p99 "
+            title=f"E15: overload shedding, n={N} p={P}; admitted p99 "
             f"{metrics['latency_ratio']:.2f}x unloaded "
             f"(ceiling {metrics['ceiling_ms']:.0f} ms)",
         )
@@ -210,7 +209,6 @@ def test_overload_shedding(once, bench_backend):
         "overload",
         {
             "vocab": VOCAB,
-            "backend": bench_backend,
             "n": N,
             "p": P,
             "overload_factor": OVERLOAD_FACTOR,

@@ -109,7 +109,7 @@ async def _timed_phase(
     return time.perf_counter() - start, sum(answered)
 
 
-async def _serve_phase(backend: str, workers: int, database) -> dict:
+async def _serve_phase(workers: int, database) -> dict:
     """One server at ``workers`` fan-out width, run through the gauntlet."""
     from repro import connect
     from repro.serve.rpc import RpcServer
@@ -120,7 +120,6 @@ async def _serve_phase(backend: str, workers: int, database) -> dict:
     session = connect(
         database,
         p=P,
-        backend=backend,
         result_cache_size=0,
         workers=workers,
     )
@@ -144,11 +143,11 @@ async def _serve_phase(backend: str, workers: int, database) -> dict:
         session.close()
 
 
-async def _bench(backend: str) -> dict:
+async def _bench() -> dict:
     vocab = parse_query(VOCAB)
     database = matching_database(vocab, n=N, rng=0)
-    single = await _serve_phase(backend, 1, database)
-    multi = await _serve_phase(backend, WORKERS, database)
+    single = await _serve_phase(1, database)
+    multi = await _serve_phase(WORKERS, database)
     return {
         "single_seconds": single["elapsed"],
         "multi_seconds": multi["elapsed"],
@@ -163,21 +162,14 @@ async def _bench(backend: str) -> dict:
     }
 
 
-def test_parallel_fanout(once, bench_backend):
+def test_parallel_fanout(once):
     """N executor processes >= 3x one process (4+ cores); parity always."""
-    if bench_backend != "numpy":
-        import pytest
-
-        pytest.skip("fan-out snapshots require the numpy backend")
-
     def timed():
         # Memory on a separate untimed run: tracemalloc slows the
         # per-request hot path by an order of magnitude, so the gated
         # timings come from a clean second run.
-        _, memory = measure_peak(
-            lambda: asyncio.run(_bench(bench_backend))
-        )
-        metrics = asyncio.run(_bench(bench_backend))
+        _, memory = measure_peak(lambda: asyncio.run(_bench()))
+        metrics = asyncio.run(_bench())
         memory["peak_rss_bytes"] = peak_rss_bytes()
         return metrics, memory
 
@@ -195,7 +187,7 @@ def test_parallel_fanout(once, bench_backend):
             ],
             title=f"E15: multi-process fan-out, {CLIENTS} clients x "
             f"{REQUESTS_PER_CLIENT} requests, n={N} p={P} "
-            f"({bench_backend}, {cores} cores); fan-out queries: "
+            f"({cores} cores); fan-out queries: "
             f"{metrics['fanout_queries']}",
         )
     )
@@ -203,7 +195,6 @@ def test_parallel_fanout(once, bench_backend):
         "parallel",
         {
             "vocab": VOCAB,
-            "backend": bench_backend,
             "n": N,
             "p": P,
             "clients": CLIENTS,

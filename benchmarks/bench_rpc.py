@@ -14,10 +14,9 @@ their statements for real.)
 hot after a warm-up pass) eight concurrent closed-loop clients
 achieve >= 2x the aggregate requests/second of a single closed-loop
 client against the same server -- the eight naturally lock-step onto
-one coalesced execution per statement.  Runs on both backends (the CI
-RPC smoke leg exercises ``pure`` and ``numpy``) and records
-BENCH_rpc.json -- whose ``rpc_speedup`` field the trend gate
-(benchmarks/trend.py) tracks run over run -- under an RSS ceiling.
+one coalesced execution per statement.  Records BENCH_rpc.json --
+whose ``rpc_speedup`` field the trend gate (benchmarks/trend.py)
+tracks run over run -- under an RSS ceiling.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ async def _timed_phase(
     return time.perf_counter() - start, sum(answered)
 
 
-async def _bench(backend: str) -> dict:
+async def _bench() -> dict:
     from repro import connect
     from repro.serve.rpc import RpcServer
 
@@ -96,7 +95,7 @@ async def _bench(backend: str) -> dict:
     # result_cache_size=0: isolate in-flight coalescing from
     # result-cache replay (bench_serving.py's E13 gates the latter);
     # each uncoalesced request is a full route/ship/join execution.
-    session = connect(database, p=P, backend=backend, result_cache_size=0)
+    session = connect(database, p=P, result_cache_size=0)
     async with RpcServer(session) as server:
         host, port = server.address
         # Warm-up: compile every plan (results are not memoized).
@@ -124,7 +123,7 @@ async def _bench(backend: str) -> dict:
     }
 
 
-def test_rpc_concurrency(once, bench_backend):
+def test_rpc_concurrency(once):
     """8 concurrent clients >= 2x one client's aggregate throughput."""
 
     def timed():
@@ -132,9 +131,9 @@ def test_rpc_concurrency(once, bench_backend):
         # per-request hot path by an order of magnitude, so the gated
         # timings come from a clean second run.
         _, memory = measure_peak(
-            lambda: asyncio.run(_bench(bench_backend))
+            lambda: asyncio.run(_bench())
         )
-        metrics = asyncio.run(_bench(bench_backend))
+        metrics = asyncio.run(_bench())
         memory["peak_rss_bytes"] = peak_rss_bytes()
         return metrics, memory
 
@@ -150,7 +149,7 @@ def test_rpc_concurrency(once, bench_backend):
                  f"{metrics['multi_rps']:.0f}", f"{speedup:.1f}x"],
             ],
             title=f"E14: async RPC, {REQUESTS_PER_CLIENT} requests/client, "
-            f"n={N} p={P} ({bench_backend}); plan compiles: "
+            f"n={N} p={P}; plan compiles: "
             f"{metrics['plan_compiles']}, result hits: "
             f"{metrics['result_hits']}, coalesced: {metrics['coalesced']}",
         )
@@ -159,7 +158,6 @@ def test_rpc_concurrency(once, bench_backend):
         "rpc",
         {
             "vocab": VOCAB,
-            "backend": bench_backend,
             "n": N,
             "p": P,
             "clients": CLIENTS,

@@ -1,7 +1,7 @@
 """E12 -- segmented local evaluation at large n.
 
 After routing unified on the shared round engine, the simulator's
-wall-clock became dominated by *local* evaluation.  The numpy backend
+wall-clock became dominated by *local* evaluation.  The engine
 evaluates it shard by shard over the round's delivery pools: one
 vectorized join per contiguous worker range, worker id prepended to
 every join key, sort-free direct-address lookups where the pools are
@@ -34,7 +34,6 @@ import pytest
 
 from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 
-from repro.backend import numpy_available
 from repro.core.covers import fractional_vertex_cover
 from repro.core.families import line_query
 from repro.core.shares import allocate_integer_shares, share_exponents
@@ -68,7 +67,7 @@ def _route_l8(n: int, p: int):
         query.variables, allocation.shares, HashFamily(0)
     )
     config = MPCConfig(
-        p=p, eps=Fraction(1, 2), c=4.0, backend="numpy"
+        p=p, eps=Fraction(1, 2), c=4.0
     )
     simulator = MPCSimulator(
         config, input_bits=database.total_bits, enforce_capacity=False
@@ -78,7 +77,7 @@ def _route_l8(n: int, p: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database, "numpy"))
+    engine.run_round(steps, columnar_database(database))
     return query, simulator, list(range(allocation.used_servers))
 
 
@@ -86,10 +85,9 @@ def _route_l8(n: int, p: int):
 ORACLE_N = 2_000
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_segmented_local_eval(once):
     """L_8 local eval at n=1e5: time recorded, RSS ceiling, oracle parity."""
-    from repro.engine import worker_answer_rows
+    from repro.algorithms.localjoin import evaluate_query
     from repro.engine.local import _identity_key, _merged_answer_table
 
     def evaluate(query, simulator, workers):
@@ -135,7 +133,14 @@ def test_segmented_local_eval(once):
     query, simulator, workers = _route_l8(ORACLE_N, SPEEDUP_P)
     merged, per_server = evaluate(query, simulator, workers)
     reference = [
-        worker_answer_rows(query, simulator, worker) for worker in workers
+        evaluate_query(
+            query,
+            {
+                atom.name: simulator.worker_rows(worker, atom.name)
+                for atom in query.atoms
+            },
+        )
+        for worker in workers
     ]
     assert per_server == [len(rows) for rows in reference]
     assert list(map(tuple, merged.tolist())) == sorted(
@@ -165,7 +170,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         query.variables, allocation.shares, HashFamily(0)
     )
     config = MPCConfig(
-        p=p, eps=Fraction(1, 2), c=4.0, backend="numpy"
+        p=p, eps=Fraction(1, 2), c=4.0
     )
     simulator = MPCSimulator(
         config, input_bits=database.total_bits, enforce_capacity=False
@@ -175,11 +180,10 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database, "numpy"))
+    engine.run_round(steps, columnar_database(database))
     return query, simulator, list(range(allocation.used_servers))
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 @pytest.mark.skipif(
     not os.environ.get("REPRO_BENCH_XL"),
     reason="set REPRO_BENCH_XL=1 for the n=10^6 leg",

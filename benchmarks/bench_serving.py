@@ -11,11 +11,9 @@ on every request.
 workload (10 distinct query shapes over a shared C_3 vocabulary,
 including isomorphic renamings, each repeated 10 times) the service
 answers >= 3x faster than per-request compile + execute, with
-per-request answers verified equal between the two paths beforehand.
-Runs on both backends -- the CI serving smoke leg exercises ``pure``
-and ``numpy`` -- and records BENCH_serving.json with throughput,
-cache-hit counters and the standard peak-memory fields under an RSS
-ceiling.
+per-request answers verified equal between the two paths beforehand,
+and records BENCH_serving.json with throughput, cache-hit counters
+and the standard peak-memory fields under an RSS ceiling.
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ def _workload() -> list[str]:
     return requests
 
 
-def test_serving_throughput(once, bench_backend):
+def test_serving_throughput(once):
     """QueryService >= 3x over compile-per-query on the mixed workload."""
     from repro.serve import QueryService
 
@@ -80,13 +78,10 @@ def test_serving_throughput(once, bench_backend):
         # for this exact query; an isomorphic hit executes the class
         # representative's plan, whose (equally valid) routing hashes
         # by the canonical variable names, so only answers must agree.
-        parity_service = QueryService(database, p=P, backend=bench_backend)
+        parity_service = QueryService(database, p=P)
         for query in DISTINCT_QUERIES:
             served = parity_service.execute(query)
-            fresh = run_pinned(
-                "hypercube", parse_query(query), database, p=P,
-                backend=bench_backend,
-            )
+            fresh = run_pinned("hypercube", parse_query(query), database, p=P)
             assert served.answers == fresh.answers, query
             if served.plan.signature.query_text == str(parse_query(query)):
                 assert served.per_server == fresh.per_server, query
@@ -94,15 +89,12 @@ def test_serving_throughput(once, bench_backend):
         baseline_seconds, _ = best_of(
             1,
             lambda: [
-                run_pinned(
-                    "hypercube", parse_query(query), database, p=P,
-                    backend=bench_backend,
-                )
+                run_pinned("hypercube", parse_query(query), database, p=P)
                 for query in requests
             ],
         )
 
-        service = QueryService(database, p=P, backend=bench_backend)
+        service = QueryService(database, p=P)
         service_seconds, _ = best_of(
             1, lambda: [service.execute(query) for query in requests]
         )
@@ -130,7 +122,7 @@ def test_serving_throughput(once, bench_backend):
                 ],
             ],
             title=f"E13: {len(requests)}-query mixed workload, n={N} "
-            f"p={P} ({bench_backend}); plan compiles: "
+            f"p={P}; plan compiles: "
             f"{stats.plans.misses}, isomorphic plan hits: "
             f"{stats.plans.isomorphic_hits}, result hits: "
             f"{stats.result_hits}",
@@ -140,7 +132,6 @@ def test_serving_throughput(once, bench_backend):
         "serving",
         {
             "vocab": VOCAB,
-            "backend": bench_backend,
             "n": N,
             "p": P,
             "requests": len(requests),

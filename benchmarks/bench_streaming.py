@@ -39,7 +39,6 @@ import pytest
 from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 
 from repro.analysis.reporting import format_table
-from repro.backend import numpy_available
 from repro.core.covers import fractional_vertex_cover
 from repro.core.families import line_query
 from repro.core.plans import build_plan
@@ -87,7 +86,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         query.variables, allocation.shares, HashFamily(0)
     )
     config = MPCConfig(
-        p=p, eps=Fraction(1, 2), c=4.0, backend="numpy"
+        p=p, eps=Fraction(1, 2), c=4.0
     )
     simulator = MPCSimulator(
         config, input_bits=database.total_bits, enforce_capacity=False
@@ -97,7 +96,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database, "numpy"))
+    engine.run_round(steps, columnar_database(database))
     return query, simulator, list(range(allocation.used_servers))
 
 
@@ -193,13 +192,11 @@ def _streamed_leg(name: str, n: int, ceiling_bytes: int, once, shard_bytes=None)
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_streaming_l8_memory(once):
     """Streamed L_8 n=10^6 stays under 2.5 GB with exact answers."""
     _streamed_leg("", DEFAULT_N, DEFAULT_CEILING_BYTES, once)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 @pytest.mark.skipif(
     not os.environ.get("REPRO_BENCH_XL"),
     reason="set REPRO_BENCH_XL=1 for the n=10^7 leg",
@@ -214,7 +211,6 @@ def test_streaming_l8_xl(once):
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="numpy backend unavailable")
 def test_streaming_overlap(once):
     """Pipelined streaming >= 1.3x non-overlapped on 4+ cores."""
     from repro.algorithms.multiround import compile_multiround
@@ -225,7 +221,7 @@ def test_streaming_overlap(once):
 
     query = line_query(5)
     plan = compile_multiround(
-        build_plan(query, Fraction(0)), p=16, backend="numpy"
+        build_plan(query, Fraction(0)), p=16
     )
     database = matching_database(query, n=60_000, rng=7)
     chunk = 8_192

@@ -146,6 +146,30 @@ def run_pinned(name, query, database, p, **options):
     return execute_plan(compile_with(name, query, p, **options), database)
 
 
+def check_oracle_parity(plan, database):
+    """Execute ``plan`` on the engine and on :mod:`repro.oracle` and
+    assert everything observable agrees: answers, per-server answer
+    counts, view sizes, heavy hitters and per-round received bits and
+    tuples.  Returns the engine's execution."""
+    from repro import oracle
+    from repro.engine import execute_plan
+
+    execution = execute_plan(plan, database)
+    reference = oracle.execute_plan(plan, database)
+    assert execution.answers == reference.answers
+    assert execution.per_server == reference.per_server
+    assert execution.view_sizes == reference.view_sizes
+    assert execution.heavy_hitters == reference.heavy_hitters
+    assert [
+        (stats.received_bits, stats.received_tuples)
+        for stats in execution.report.rounds
+    ] == [
+        (stats.received_bits, stats.received_tuples)
+        for stats in reference.report.rounds
+    ]
+    return execution
+
+
 def best_of(runs, func):
     """Best-of-N wall-clock timing: ``(seconds, last_result)``."""
     best = float("inf")
@@ -191,22 +215,3 @@ def once(benchmark):
         )
 
     return runner
-
-
-def pytest_addoption(parser):
-    """Select the execution engine for backend-aware benchmarks."""
-    parser.addoption(
-        "--backend",
-        action="store",
-        default="pure",
-        choices=("pure", "numpy", "auto"),
-        help="repro compute backend to benchmark (default: pure)",
-    )
-
-
-@pytest.fixture
-def bench_backend(request):
-    """The resolved compute backend selected via ``--backend``."""
-    from repro.backend import resolve_backend
-
-    return resolve_backend(request.config.getoption("--backend"))

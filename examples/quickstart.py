@@ -10,17 +10,17 @@ Covers the core loop of the library:
    ``execute_plan``; ``session_quickstart.py`` shows the planner-backed
    front door) on a simulated MPC cluster and inspect answers,
    per-server load and replication rate;
-5. re-run on the vectorized numpy backend (when available) and check
-   the engines agree exactly.
+5. re-run the same plan on the row-at-a-time reference executor
+   (``repro.oracle``) and check the two agree exactly.
 
 Run:  python examples/quickstart.py
 """
 
 from __future__ import annotations
 
+from repro import oracle
 from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with
-from repro.backend import numpy_available
 from repro.core import (
     analyze_covers,
     characteristic,
@@ -63,21 +63,15 @@ def main() -> None:
     print(f"answers found:    {len(result.answers)} (= exact join)")
     print(result.report.summary())
 
-    # The columnar numpy engine runs the identical protocol, just
-    # vectorized: same answers, same per-round load accounting.
-    if numpy_available():
-        vectorized = execute_plan(
-            compile_with("hypercube", query, p, seed=42, backend="numpy"),
-            database,
-        )
-        assert vectorized.answers == result.answers
-        assert (
-            vectorized.report.rounds[0].received_bits
-            == result.report.rounds[0].received_bits
-        )
-        print("\nnumpy backend:    identical answers and load accounting")
-    else:
-        print("\nnumpy backend:    not available (pure reference only)")
+    # The oracle runs the identical protocol one tuple at a time: same
+    # answers, same per-round load accounting.
+    reference = oracle.execute_plan(plan, database)
+    assert reference.answers == result.answers
+    assert (
+        reference.report.rounds[0].received_bits
+        == result.report.rounds[0].received_bits
+    )
+    print("\noracle:           identical answers and load accounting")
 
 
 if __name__ == "__main__":

@@ -20,10 +20,9 @@ All four compile to the shared plan IR --
 :class:`~repro.engine.steps.ToServer`, a one-dimensional
 :class:`~repro.engine.steps.HashRoute` grid, and
 :class:`~repro.engine.steps.RoundRobinGrid` respectively -- and
-:func:`~repro.engine.executor.execute_plan` runs the plans; all honour
-``backend=`` like every other compiler in the package.  The cartesian
-grid takes two bare relations rather than a query, so it keeps its
-own driver.
+:func:`~repro.engine.executor.execute_plan` runs the plans.  The
+cartesian grid takes two bare relations rather than a query, so it
+keeps its own driver.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.backend import resolve_backend
 from repro.core.query import ConjunctiveQuery, QueryError
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import Relation, bits_per_value
@@ -52,9 +50,7 @@ from repro.mpc.routing import HashFamily
 from repro.mpc.stats import SimulationReport
 
 
-def compile_broadcast_join(
-    query: ConjunctiveQuery, p: int, backend: str | None = None
-) -> Plan:
+def compile_broadcast_join(query: ConjunctiveQuery, p: int) -> Plan:
     """Compile the broadcast join: every atom to every worker."""
     return Plan(
         signature=PlanSignature(
@@ -62,7 +58,6 @@ def compile_broadcast_join(
             query_text=str(query),
             eps=Fraction(1),
             p=p,
-            backend=resolve_backend(backend),
             seed=0,
             capacity_c=2.0,
             enforce_capacity=True,
@@ -80,9 +75,7 @@ def compile_broadcast_join(
     )
 
 
-def compile_single_server(
-    query: ConjunctiveQuery, p: int = 1, backend: str | None = None
-) -> Plan:
+def compile_single_server(query: ConjunctiveQuery, p: int = 1) -> Plan:
     """Compile the single-server strawman: everything to worker 0."""
     return Plan(
         signature=PlanSignature(
@@ -90,7 +83,6 @@ def compile_single_server(
             query_text=str(query),
             eps=Fraction(1),
             p=max(1, p),
-            backend=resolve_backend(backend),
             seed=0,
             capacity_c=2.0,
             enforce_capacity=False,
@@ -111,7 +103,6 @@ def compile_single_attribute_join(
     query: ConjunctiveQuery,
     p: int,
     seed: int = 0,
-    backend: str | None = None,
 ) -> Plan:
     """Compile the classical hash join on one all-atom shared variable.
 
@@ -152,7 +143,6 @@ def compile_single_attribute_join(
             query_text=str(query),
             eps=Fraction(0),
             p=p,
-            backend=resolve_backend(backend),
             seed=seed,
             capacity_c=2.0,
             enforce_capacity=False,
@@ -184,7 +174,6 @@ def run_cartesian_grid(
     right: Relation,
     p: int,
     groups: int | None = None,
-    backend: str | None = None,
 ) -> CartesianResult:
     """Compute ``left x right`` with a ``g x g`` reducer grid.
 
@@ -200,16 +189,12 @@ def run_cartesian_grid(
         left, right: unary or wider relations (rows are items).
         p: number of workers; reducers use the first ``g*g``.
         groups: ``g``; defaults to ``floor(sqrt(p))`` (the optimum).
-        backend: ``"pure"``, ``"numpy"`` or ``"auto"``.
     """
-    plan = compile_cartesian_grid(
-        left.name, right.name, p, groups=groups, backend=backend
-    )
-    backend = plan.signature.backend
+    plan = compile_cartesian_grid(left.name, right.name, p, groups=groups)
     n_bits = bits_per_value(max(left.domain_size, right.domain_size))
     input_bits = (len(left) + len(right)) * n_bits
     sources = {
-        relation.name: ColumnarRelation.from_relation(relation, backend)
+        relation.name: ColumnarRelation.from_relation(relation)
         for relation in (left, right)
     }
     execution = execute_plan(plan, sources, input_bits=input_bits)
@@ -219,8 +204,8 @@ def run_cartesian_grid(
     pairs = 0
     max_reducer = 0
     for reducer in range(g * g):
-        a = fragment_tuple_count(simulator, reducer, left.name, backend)
-        b = fragment_tuple_count(simulator, reducer, right.name, backend)
+        a = fragment_tuple_count(simulator, reducer, left.name)
+        b = fragment_tuple_count(simulator, reducer, right.name)
         pairs += a * b
         max_reducer = max(max_reducer, a + b)
     replication = (
@@ -241,7 +226,6 @@ def compile_cartesian_grid(
     right: str,
     p: int,
     groups: int | None = None,
-    backend: str | None = None,
 ) -> Plan:
     """Compile the ``g x g`` cartesian grid over two relation names.
 
@@ -261,7 +245,6 @@ def compile_cartesian_grid(
             query_text=f"{left} x {right} @ {g}x{g}",
             eps=Fraction(1, 2),
             p=p,
-            backend=resolve_backend(backend),
             seed=0,
             capacity_c=4.0,
             enforce_capacity=False,

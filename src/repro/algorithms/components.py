@@ -24,9 +24,9 @@ Hash-to-Min runs on the shared round engine: each iteration is one
 :class:`~repro.engine.steps.HashRoute` round (a 1-D grid hashing the
 destination vertex) on a :class:`~repro.engine.executor.RoundEngine`,
 so the route/ship loop is the same columnar code path every other
-algorithm uses, ``backend="numpy"`` ships each round's messages as one
-vectorized send, and the receiver-side state update reads the round's
-fleet-wide delivery pool
+algorithm uses, each round's messages ship as one vectorized send, and
+the receiver-side state update reads the round's fleet-wide delivery
+pool
 (:meth:`~repro.mpc.simulator.MPCSimulator.relation_pool`) instead of
 looping workers.  Its depth depends on the data (Theorem 4.10), so it
 is a driver loop over engine rounds, not a compiled
@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.backend import NUMPY, resolve_backend
 from repro.core.query import Atom
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import bits_per_value
@@ -81,7 +80,6 @@ def run_hash_to_min(
     seed: int = 0,
     max_rounds: int = 64,
     capacity_c: float = 8.0,
-    backend: str | None = None,
 ) -> ComponentsResult:
     """Hash-to-Min connected components on the MPC simulator.
 
@@ -98,9 +96,8 @@ def run_hash_to_min(
     (destination, payload) pairs form a columnar relation routed by a
     :class:`~repro.engine.steps.HashRoute` over a 1-D grid on the
     destination vertex, and the receiving side folds the delivered
-    pairs back into cluster state -- fleet-wide from the round's
-    delivery pool under ``numpy``, per worker under ``pure``.  The
-    iterate-until-fixpoint driver stops (without spending a round)
+    pairs back into cluster state, fleet-wide from the round's delivery
+    pool.  The iterate-until-fixpoint driver stops (without spending a round)
     when no vertex would learn anything new.
 
     Args:
@@ -111,17 +108,13 @@ def run_hash_to_min(
         max_rounds: safety bound on iterations.
         capacity_c: capacity constant (loads are recorded, not
             enforced: the experiment reports them).
-        backend: ``"pure"`` (default, reference), ``"numpy"`` or
-            ``"auto"``; identical labels, rounds and loads either way.
     """
-    backend = resolve_backend(backend)
     input_bits, edge_bits = _graph_bits(graph)
     simulator = MPCSimulator(
         MPCConfig(
             p=p,
             eps=Fraction(eps).limit_denominator(64),
             c=capacity_c,
-            backend=backend,
         ),
         input_bits,
         enforce_capacity=False,
@@ -173,7 +166,6 @@ def run_hash_to_min(
             ],
             domain_size=graph.num_vertices,
             arity=2,
-            backend=backend,
         )
         assert source.tuple_bits == edge_bits
         step = HashRoute(
@@ -185,9 +177,7 @@ def run_hash_to_min(
         engine.run_round([step], {relation: source})
         rounds += 1
 
-        clusters = _fold_delivered_pairs(
-            simulator, relation, clusters, backend
-        )
+        clusters = _fold_delivered_pairs(simulator, relation, clusters)
 
     labels = {v: min(c) for v, c in clusters.items()}
     # Propagate to a fixpoint locally (label of label), mirroring the
@@ -212,28 +202,21 @@ def _fold_delivered_pairs(
     simulator: MPCSimulator,
     relation: str,
     clusters: dict[int, set[int]],
-    backend: str,
 ) -> dict[int, set[int]]:
     """One Hash-to-Min state transition from the delivered pairs.
 
     Every vertex first contracts to its known minimum, then absorbs
-    the payload vertices delivered to it this round.  Under ``numpy``
-    the round's pairs are read fleet-wide from the delivery pool (no
-    per-worker loop); under ``pure`` from each worker's mailbox rows.
+    the payload vertices delivered to it this round, read fleet-wide
+    from the delivery pool (no per-worker loop).
     """
     new_clusters: dict[int, set[int]] = {
         v: {min(c)} for v, c in clusters.items()
     }
-    if backend == NUMPY:
-        pool = simulator.relation_pool(relation)
-        if pool is not None and len(pool):
-            destinations = pool.columns[0].tolist()
-            payloads = pool.columns[1].tolist()
-            for destination, value in zip(destinations, payloads):
-                new_clusters.setdefault(destination, set()).add(value)
-        return new_clusters
-    for worker in range(simulator.num_workers):
-        for destination, value in simulator.worker_rows(worker, relation):
+    pool = simulator.relation_pool(relation)
+    if pool is not None and len(pool):
+        destinations = pool.columns[0].tolist()
+        payloads = pool.columns[1].tolist()
+        for destination, value in zip(destinations, payloads):
             new_clusters.setdefault(destination, set()).add(value)
     return new_clusters
 

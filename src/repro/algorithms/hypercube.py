@@ -20,17 +20,17 @@ per server w.h.p., matching Theorem 1.1's lower bound: HC is the
 optimal one-round algorithm.
 
 Compilation and execution are split: :func:`compile_hypercube` is a
-pure function of (query, p, eps, cover, seed, backend) emitting an
-immutable :class:`~repro.engine.plan.Plan` -- one
+pure function of (query, p, eps, cover, seed) emitting an immutable
+:class:`~repro.engine.plan.Plan` -- one
 :class:`~repro.engine.steps.HashRoute` per atom on the share grid plus
 a local-eval spec -- and :func:`~repro.engine.executor.execute_plan`
-runs it tuple-at-a-time (``pure``, the reference) or column-wise
-(``numpy``); the serving layer caches the plan and re-executes it per
-request.  HC never misses: every potential answer is assembled at
-exactly one grid point, so ``execute_plan(...).answers`` equals the
-true query answer on any database.  The backends are cross-checked
-for exact equality of answers, per-round received bits/tuples and
-per-server answer counts.
+runs it column-wise; the serving layer caches the plan and re-executes
+it per request.  HC never misses: every potential answer is assembled
+at exactly one grid point, so ``execute_plan(...).answers`` equals the
+true query answer on any database.  The engine is cross-checked
+against the tuple-at-a-time reference (:mod:`repro.oracle`) for exact
+equality of answers, per-round received bits/tuples and per-server
+answer counts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from repro.backend import resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import allocate_integer_shares, share_exponents
@@ -89,14 +88,13 @@ def compile_hypercube(
     seed: int = 0,
     capacity_c: float = 4.0,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     """Compile one HC round into an immutable plan (data-independent).
 
     The plan's single round routes every atom over the integer share
     grid; its finalize spec joins fragments at the grid's used servers.
     Compilation never looks at a database, so the plan can be cached
-    by ``(query, eps, p, backend)`` and executed repeatedly.
+    by ``(query, eps, p)`` and executed repeatedly.
     """
     if cover is None:
         cover = fractional_vertex_cover(query)
@@ -118,7 +116,6 @@ def compile_hypercube(
             query_text=str(query),
             eps=Fraction(eps),
             p=p,
-            backend=resolve_backend(backend),
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,

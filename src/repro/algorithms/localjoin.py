@@ -8,7 +8,7 @@ in two bit-identical flavours:
 * :func:`evaluate_query` -- the reference path: a straightforward
   index-backed backtracking join over row tuples;
 * :func:`evaluate_query_table_segmented` -- the vectorized path
-  (numpy backend): relations arrive as int64 column arrays, every
+  relations arrive as int64 column arrays, every
   join step is one sort or direct-address (bincount) lookup, and an
   optional segment (worker) id per row -- prepended as the
   highest-order component of every join key -- evaluates all the
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.backend import require_numpy
+import numpy
+
 from repro.core.query import Atom, ConjunctiveQuery
 
 Rows = Sequence[tuple[int, ...]]
@@ -105,7 +106,7 @@ def evaluate_query_columnar(
     The vectorized counterpart of :func:`evaluate_query`: relations
     arrive as parallel int64 column arrays and every join step is a
     sort + ``searchsorted`` hash join, so per-answer Python work is
-    O(1) amortised.  Requires the numpy backend.
+    O(1) amortised.
 
     Args:
         query: a full conjunctive query.
@@ -197,7 +198,6 @@ def evaluate_query_table_segmented(
         ``bincount(answer_segments)`` away; the fleet-wide
         deduplicated union is one ``unique``.
     """
-    numpy = require_numpy()
     empty = (
         numpy.zeros((0, len(query.head)), dtype=numpy.int64),
         None if segments is None else numpy.zeros(0, dtype=numpy.int64),
@@ -269,7 +269,6 @@ def evaluate_query_table_segmented(
         # cartesian product (one constant key when unsegmented).
         if segment is not None:
             key_left, key_right, order_preserving = _pack_segmented_keys(
-                numpy,
                 segment,
                 atom_segment,
                 num_segments,
@@ -278,7 +277,7 @@ def evaluate_query_table_segmented(
             )
         elif shared:
             key_left, key_right, order_preserving = _factorize_keys(
-                numpy, left_columns, right_columns
+                left_columns, right_columns
             )
         else:
             key_left = numpy.zeros(
@@ -295,7 +294,7 @@ def evaluate_query_table_segmented(
             and [positions[v] for v in shared] == list(range(len(shared)))
         )
         left_index, right_index = _join_pairs_sparse(
-            numpy, key_left, key_right, assume_sorted=assume_sorted
+            key_left, key_right, assume_sorted=assume_sorted
         )
         if left_index is not None:
             if len(left_index) == 0:
@@ -346,7 +345,6 @@ def _atom_order_by_size(
 
 
 def _pack_segmented_keys(
-    numpy: Any,
     segment_left: Any,
     segment_right: Any,
     num_segments: int,
@@ -379,7 +377,6 @@ def _pack_segmented_keys(
         radices.append(high + 1)
     if not packable:
         return _factorize_keys(
-            numpy,
             [segment_left] + list(left_columns),
             [segment_right] + list(right_columns),
         )
@@ -392,7 +389,6 @@ def _pack_segmented_keys(
 
 
 def _factorize_keys(
-    numpy: Any,
     left_columns: Sequence[Any],
     right_columns: Sequence[Any],
 ) -> tuple[Any, Any, bool]:
@@ -451,7 +447,6 @@ def _factorize_keys(
 
 
 def _join_pairs_sparse(
-    numpy: Any,
     key_left: Any,
     key_right: Any,
     assume_sorted: bool = False,

@@ -21,8 +21,8 @@ per operator atom, on the operator's own share grid, namespaced per
 operator so concurrent operators sharing a relation do not mix
 fragments) plus the view-materialisation specs -- and
 :func:`~repro.engine.executor.execute_plan` runs it round by round,
-materialising views columnar so the ``numpy`` backend never leaves
-column space between rounds.  Operator/view schema compatibility is
+materialising views columnar so execution never leaves column space
+between rounds.  Operator/view schema compatibility is
 checked once, at compile time.
 
 The executor returns both the final answer (asserted in tests to equal
@@ -33,7 +33,6 @@ rounds and that loads respect the ``eps`` budget.
 
 from __future__ import annotations
 
-from repro.backend import resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.plans import PlanStep, QueryPlan, validate_plan
 from repro.core.shares import allocate_integer_shares, share_exponents
@@ -60,7 +59,6 @@ def compile_multiround(
     seed: int = 0,
     capacity_c: float = 8.0,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     """Compile a logical plan into an immutable physical plan.
 
@@ -138,7 +136,6 @@ def compile_multiround(
             query_text=f"{plan.query}@eps={plan.eps}",
             eps=plan.eps,
             p=p,
-            backend=resolve_backend(backend),
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,

@@ -28,7 +28,6 @@ import random
 from fractions import Fraction
 from typing import Mapping
 
-from repro.backend import resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.query import ConjunctiveQuery
 from repro.engine import (
@@ -50,7 +49,6 @@ def compile_partial_hypercube(
     seed: int = 0,
     cover: Mapping[str, Fraction] | None = None,
     capacity_c: float = 4.0,
-    backend: str | None = None,
 ) -> Plan:
     """Compile the Proposition 3.11 round into an immutable plan.
 
@@ -96,7 +94,6 @@ def compile_partial_hypercube(
             query_text=str(query),
             eps=eps,
             p=p,
-            backend=resolve_backend(backend),
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=False,

@@ -93,7 +93,7 @@ class AlgorithmSpec:
     Attributes:
         name: registry key (``"hypercube"``, ``"multiround"``, ...).
         compile: uniform compiler ``(query, p, *, eps, seed,
-            capacity_c, enforce_capacity, backend) -> Plan``; wraps
+            capacity_c, enforce_capacity) -> Plan``; wraps
             the module-level ``compile_*`` function (building the
             logical plan for multi-round, dropping unsupported
             parameters for partial).
@@ -283,7 +283,6 @@ def _compile_hypercube(
     seed: int = 0,
     capacity_c: float | None = None,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     from repro.algorithms.hypercube import compile_hypercube
 
@@ -296,7 +295,6 @@ def _compile_hypercube(
         if capacity_c is None
         else capacity_c,
         enforce_capacity=enforce_capacity,
-        backend=backend,
     )
 
 
@@ -308,7 +306,6 @@ def _compile_skew_aware(
     seed: int = 0,
     capacity_c: float | None = None,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     from repro.algorithms.skewaware import compile_skew_aware
 
@@ -321,7 +318,6 @@ def _compile_skew_aware(
         if capacity_c is None
         else capacity_c,
         enforce_capacity=enforce_capacity,
-        backend=backend,
     )
 
 
@@ -333,7 +329,6 @@ def _compile_multiround(
     seed: int = 0,
     capacity_c: float | None = None,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     from repro.algorithms.multiround import compile_multiround
 
@@ -346,7 +341,6 @@ def _compile_multiround(
         if capacity_c is None
         else capacity_c,
         enforce_capacity=enforce_capacity,
-        backend=backend,
     )
 
 
@@ -358,7 +352,6 @@ def _compile_partial(
     seed: int = 0,
     capacity_c: float | None = None,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     from repro.algorithms.partial import compile_partial_hypercube
 
@@ -377,7 +370,6 @@ def _compile_partial(
         capacity_c=_CAPACITY_DEFAULTS["partial"]
         if capacity_c is None
         else capacity_c,
-        backend=backend,
     )
 
 
@@ -420,7 +412,6 @@ def compile_with(
     seed: int = 0,
     capacity_c: float | None = None,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     """Compile ``query`` with the named algorithm's registered compiler.
 
@@ -437,7 +428,6 @@ def compile_with(
         seed=seed,
         capacity_c=capacity_c,
         enforce_capacity=enforce_capacity,
-        backend=backend,
     )
 
 

@@ -26,10 +26,9 @@ one :class:`~repro.engine.steps.HeavyGridRoute` per atom *without*
 heavy sets -- detection reads the data, so the round carries a
 :class:`~repro.engine.plan.HeavyBind` marker and
 :func:`~repro.engine.executor.execute_plan` binds the detected heavy
-values just before routing.  The light/heavy split then runs either
-tuple-at-a-time (``pure``) or as a handful of vectorized signature
-groups (``numpy``); heavy-hitter detection itself is one
-``unique``/``counts`` pass per (atom, position) under numpy.
+values just before routing.  The light/heavy split then runs as a
+handful of vectorized signature groups; heavy-hitter detection itself
+is one ``unique``/``counts`` pass per (atom, position).
 
 On skew-free inputs no value is heavy and the algorithm degenerates to
 exactly plain HyperCube; on skewed inputs the maximum load drops from
@@ -43,7 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from repro.backend import NUMPY, require_numpy, resolve_backend
+import numpy
+
 from repro.core.query import ConjunctiveQuery
 from repro.core.covers import fractional_vertex_cover
 from repro.core.shares import allocate_integer_shares, share_exponents
@@ -63,65 +63,34 @@ from repro.mpc.routing import HashFamily
 
 def detect_heavy_hitters(
     query: ConjunctiveQuery,
-    database: Database | ColumnarDatabase,
+    database: Database | ColumnarDatabase | Mapping[str, ColumnarRelation],
     shares: Mapping[str, int],
-    backend: str | None = None,
-    columnar: Mapping[str, ColumnarRelation] | None = None,
 ) -> dict[str, frozenset[int]]:
     """Values occurring more than ``|S_j| / p_i`` times on a dimension.
 
     Computed per (atom, variable position) and unioned per variable:
     input servers know their own relations, so this is legal round-1
-    work in the model of Section 2.4.  Under the ``numpy`` backend
-    each (atom, position) scan is one ``unique``/``counts`` pass; the
-    ``pure`` reference counts per-value in a dict.  Identical output
-    either way.
-
-    Args:
-        columnar: optional pre-columnarised relations (the executor
-            passes its routing sources so detection re-uses the same
-            arrays instead of converting the database twice).
+    work in the model of Section 2.4.  Each (atom, position) scan is
+    one ``unique``/``counts`` pass over the relation's column (the
+    executor passes its columnar routing sources, so nothing is
+    converted twice).
     """
-    backend = resolve_backend(backend)
-    numpy = require_numpy() if backend == NUMPY else None
     heavy: dict[str, set[int]] = {v: set() for v in query.variables}
     for atom in query.atoms:
         relation = database[atom.name]
-        if numpy is not None and len(relation):
-            if columnar is not None and atom.name in columnar:
-                columns = columnar[atom.name].columns
-            else:
-                columns = ColumnarRelation.from_relation(
-                    relation, backend=NUMPY
-                ).columns
-        else:
-            columns = None
+        if not len(relation):
+            continue
+        if not isinstance(relation, ColumnarRelation):
+            relation = ColumnarRelation.from_relation(relation)
         for position, variable in enumerate(atom.variables):
             share = shares.get(variable, 1)
             if share <= 1:
                 continue
             threshold = max(1, len(relation) // share)
-            if columns is not None:
-                values, counts = numpy.unique(
-                    columns[position], return_counts=True
-                )
-                heavy[variable].update(
-                    values[counts > threshold].tolist()
-                )
-                continue
-            counts_by_value: dict[int, int] = {}
-            rows = (
-                relation.rows()
-                if isinstance(relation, ColumnarRelation)
-                else relation
+            values, counts = numpy.unique(
+                relation.columns[position], return_counts=True
             )
-            for row in rows:
-                counts_by_value[row[position]] = (
-                    counts_by_value.get(row[position], 0) + 1
-                )
-            for value, count in counts_by_value.items():
-                if count > threshold:
-                    heavy[variable].add(value)
+            heavy[variable].update(values[counts > threshold].tolist())
     return {v: frozenset(values) for v, values in heavy.items()}
 
 
@@ -150,7 +119,6 @@ def compile_skew_aware(
     seed: int = 0,
     capacity_c: float = 4.0,
     enforce_capacity: bool = False,
-    backend: str | None = None,
 ) -> Plan:
     """Compile the skew-aware round into an immutable plan.
 
@@ -184,7 +152,6 @@ def compile_skew_aware(
             query_text=str(query),
             eps=Fraction(eps),
             p=p,
-            backend=resolve_backend(backend),
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,

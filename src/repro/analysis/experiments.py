@@ -49,7 +49,6 @@ def sweep_hc_load(
     p_values: tuple[int, ...] = (4, 8, 16, 32, 64),
     trials: int = 3,
     seed: int = 0,
-    backend: str | None = None,
 ) -> list[dict[str, object]]:
     """E4: HC maximum load (tuples/server) versus ``p``.
 
@@ -57,8 +56,7 @@ def sweep_hc_load(
     ``l`` atoms contributes up to ``n / p^{1-eps}``); the measured
     column should track it within small constants, and the ratio
     column (measured / theory) should stay roughly flat in ``p`` --
-    that flatness is Proposition 3.2.  ``backend`` selects the
-    execution engine (loads are backend-independent).
+    that flatness is Proposition 3.2.
     """
     eps = space_exponent(query)
     rows = []
@@ -66,9 +64,7 @@ def sweep_hc_load(
         loads = []
         for trial in range(trials):
             database = matching_database(query, n, rng=seed + trial)
-            plan = compile_with(
-                "hypercube", query, p, seed=seed + trial, backend=backend
-            )
+            plan = compile_with("hypercube", query, p, seed=seed + trial)
             loads.append(
                 execute_plan(plan, database).report.max_load_tuples
             )

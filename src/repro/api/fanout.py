@@ -101,9 +101,7 @@ def _worker_main(
     try:
         snapshot = attach_snapshot(export)
         database = VersionedDatabase(
-            snapshot,
-            backend=options.get("backend"),
-            initial_version=export.version,
+            snapshot, initial_version=export.version
         )
         session = Session(database, **options)
     except Exception as error:  # noqa: BLE001 - reported, not raised

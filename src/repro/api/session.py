@@ -37,7 +37,11 @@ from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.query import ConjunctiveQuery, parse_query
-from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.columnar import (
+    ColumnarDatabase,
+    ColumnarRelation,
+    check_backend,
+)
 from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import Plan, RoundProfiler
@@ -262,8 +266,6 @@ class Session:
             mapping of columnar relations, or an existing
             :class:`~repro.data.versioned.VersionedDatabase`).
         p: number of workers every statement runs on.
-        backend: compute backend (``"pure"`` / ``"numpy"`` /
-            ``"auto"``).
         seed: hash-family seed shared by all plans.
         eps: session-default space exponent (None = per-statement
             automatic).
@@ -287,9 +289,7 @@ class Session:
             bit-identical to in-process execution (same data, same
             seed, same deterministic planner); updates broadcast to
             every worker behind a barrier; if workers die the session
-            falls back to in-process execution.  Requires the numpy
-            backend for zero-copy snapshots (pure-backend relations
-            ship by value).
+            falls back to in-process execution.
         chunk_rows: streaming block size forwarded to the service (and
             replayed by fan-out workers): shardable routing steps
             stream in ``chunk_rows``-row blocks with lazy delivery
@@ -307,7 +307,6 @@ class Session:
         | Mapping[str, ColumnarRelation],
         *,
         p: int = 16,
-        backend: str | None = None,
         seed: int = 0,
         eps: Fraction | float | None = None,
         algorithm: str | None = None,
@@ -338,7 +337,6 @@ class Session:
             p,
             algorithm="hypercube",
             eps=None,
-            backend=backend,
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,
@@ -354,9 +352,7 @@ class Session:
             get_algorithm(algorithm)  # raises QueryError on unknown names
         self.default_algorithm = algorithm
         self.planner_stats = PlannerStats()
-        self._planner = Planner(
-            p, self._service.backend, stats=self.planner_stats
-        )
+        self._planner = Planner(p, stats=self.planner_stats)
         self._decisions = LRUCache(DECISION_CACHE_SIZE)
         self._profiles = LRUCache(PROFILE_CACHE_SIZE)
         self.workers = workers
@@ -368,7 +364,6 @@ class Session:
             # their planner/caches behave identically to this one.
             options = dict(
                 p=p,
-                backend=backend,
                 seed=seed,
                 eps=eps,
                 algorithm=algorithm,
@@ -532,11 +527,6 @@ class Session:
         return self._service.p
 
     @property
-    def backend(self) -> str:
-        """Resolved compute backend."""
-        return self._service.backend
-
-    @property
     def stats(self) -> ServiceStats:
         """Service-level counters (cache hits, evictions, phases)."""
         return self._service.stats
@@ -627,7 +617,6 @@ class Session:
                 profile = collect_profile(
                     query,
                     self._service.database.snapshot,
-                    backend=self._service.backend,
                     version=version,
                 )
                 self._profiles.put(key, profile)
@@ -708,6 +697,8 @@ def connect(
     | ColumnarDatabase
     | VersionedDatabase
     | Mapping[str, ColumnarRelation],
+    *,
+    backend: str | None = None,
     **options: Any,
 ) -> Session:
     """Open a :class:`Session` over ``database``.
@@ -715,9 +706,15 @@ def connect(
     The front door of the public API::
 
         import repro
-        session = repro.connect(db, p=16, backend="numpy")
+        session = repro.connect(db, p=16)
         result = session.query("S1(x,y), S2(y,z)").execute()
 
-    All keyword options are :class:`Session` parameters.
+    All other keyword options are :class:`Session` parameters.
+    ``backend`` is accepted for compatibility and ignored: numpy is the
+    one engine, so only ``None`` and ``"numpy"`` are valid.
+
+    Raises:
+        ValueError: for any other ``backend``.
     """
+    check_backend(backend)
     return Session(database, **options)

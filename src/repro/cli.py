@@ -5,21 +5,18 @@ Commands:
 * ``analyze "S1(x,y), S2(y,z), S3(z,x)"`` -- print the full analysis
   of a query: tau*, space exponent, covers, shares, chi, radius,
   diameter, round bounds.
-* ``run "S1(x,y), S2(y,z)" --n 100 --p 16 --backend numpy`` --
-  generate a random matching database and run HyperCube on the
-  simulator, on the pure-Python reference engine or the vectorized
-  numpy one (``--backend {auto,pure,numpy}``; both give identical
-  answers and load accounting).
+* ``run "S1(x,y), S2(y,z)" --n 100 --p 16`` -- generate a random
+  matching database and run HyperCube on the simulator.
 * ``plan "S1(x,y), ..." --eps 1/2`` -- build and print a multi-round
   plan.
 * ``run-plan "S1(a,b), S2(b,c), S3(c,d)" --eps 0 --n 100 --p 16`` --
   build the plan AND execute it on the simulator round by round (the
   Proposition 4.1 executor), verifying the final view against the
-  exact join; honours ``--backend`` like ``run``.
+  exact join.
 * ``skew "S1(x,y), S2(y,z)" --n 200 --p 16 --heavy-fraction 0.5`` --
   generate a skewed database (heavy hitter on every first attribute)
   and race plain HC against the skew-aware executor, printing heavy
-  hitters, max loads and imbalance; honours ``--backend``.
+  hitters, max loads and imbalance.
 * ``query "S1(x,y), S2(y,z)" --n 200 --p 16`` -- the planner-backed
   front door: generate a database, open a :class:`repro.api.Session`
   and let the cost-based planner pick the algorithm (pin one with
@@ -120,24 +117,21 @@ def _run_pinned(
     ``rows(*executions)`` supplies the command's own table rows.
     """
     from repro.algorithms.registry import compile_with
-    from repro.backend import resolve_backend
     from repro.engine import RoundProfiler, execute_plan
     from repro.engine.parallel import ParallelContext
 
-    backend = resolve_backend(args.backend)
     profilers = [RoundProfiler() if args.profile else None for _ in runs]
-    # The shard pool is an engine facility: numpy only, closed on exit.
+    # The shard pool is an engine facility, closed on exit.
     pool = (
         ParallelContext(args.workers, min_rows=0)
-        if args.workers >= 2 and backend == "numpy"
+        if args.workers >= 2
         else nullcontext()
     )
     with pool as parallel:
         executions = [
             execute_plan(
                 compile_with(
-                    algorithm, query, args.p, eps=eps, seed=args.seed,
-                    backend=backend,
+                    algorithm, query, args.p, eps=eps, seed=args.seed
                 ),
                 database,
                 profiler=profiler,
@@ -152,7 +146,6 @@ def _run_pinned(
         ["query", str(query)],
         ["n (domain)", args.n],
         ["p (servers)", args.p],
-        ["backend", backend],
         ["answers", len(executions[-1].answers)],
         ["verified vs exact join", verified],
     ] + rows(*executions)
@@ -167,9 +160,7 @@ def _run_pinned(
     if args.profile:
         for (title, _), profiler in zip(runs, profilers):
             print()
-            print(profiler.format_table(
-                title=f"{title} timing breakdown ({backend})"
-            ))
+            print(profiler.format_table(title=f"{title} timing breakdown"))
     return 0 if verified else 1
 
 
@@ -280,12 +271,10 @@ def _generated_database(query, args: argparse.Namespace):
 def _session_for(database, args: argparse.Namespace, **options):
     """The one ``connect(...)`` of ``query``, ``explain`` and ``serve``."""
     from repro.api import connect
-    from repro.backend import resolve_backend
 
     return connect(
         database,
         p=args.p,
-        backend=resolve_backend(args.backend),
         seed=args.seed,
         chunk_rows=args.chunk_rows,
         **options,
@@ -307,7 +296,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         ["query", str(query)],
         ["n (domain)", args.n],
         ["p (servers)", args.p],
-        ["backend", session.backend],
         ["chosen algorithm", result.algorithm
          + (" (pinned)" if args.algorithm else "")],
         ["eps effective", explain.eps_effective
@@ -443,7 +431,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {vocab} over n={args.n} matching database "
-        f"(p={args.p}, backend={session.backend}, {routing}, "
+        f"(p={args.p}, {routing}, "
         f"workers={args.workers})"
     )
     try:
@@ -556,13 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.add_argument("--p", type=int, default=16, help="number of servers")
         subparser.add_argument("--seed", type=int, default=0)
         subparser.add_argument(
-            "--backend",
-            choices=["auto", "pure", "numpy"],
-            default="pure",
-            help="execution engine: pure-Python reference or vectorized "
-            "numpy (auto picks numpy when available)",
-        )
-        subparser.add_argument(
             "--profile",
             action="store_true",
             help="print a per-round route/ship/deliver/local-eval "
@@ -575,15 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="executor processes for run, run-plan and skew: "
             "shardable steps route as one row range per process and, "
             "with --chunk-rows, views evaluate on them while the next "
-            "round routes (numpy backend only; 1 = fully in-process)",
+            "round routes (1 = fully in-process)",
         )
         subparser.add_argument(
             "--chunk-rows",
             type=int,
             default=None,
             help="streaming block size: route/ship in blocks of this "
-            "many rows with lazy delivery pools (numpy backend only; "
-            "default: every step ships whole)",
+            "many rows with lazy delivery pools (default: every step "
+            "ships whole)",
         )
 
     run = commands.add_parser("run", help="run HyperCube on a random matching DB")
@@ -644,17 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
                                help="number of servers")
         subparser.add_argument("--seed", type=int, default=0)
         subparser.add_argument(
-            "--backend",
-            choices=["auto", "pure", "numpy"],
-            default="pure",
-            help="execution engine",
-        )
-        subparser.add_argument(
             "--chunk-rows",
             type=int,
             default=None,
-            help="streaming block size for execution (numpy backend "
-            "only; default: every step ships whole)",
+            help="streaming block size for execution (default: every "
+            "step ships whole)",
         )
 
     query_cmd = commands.add_parser(
@@ -789,18 +764,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-rows",
         type=int,
         default=None,
-        help="streaming block size for every served execution (numpy "
-        "backend only; default: every step ships whole)",
+        help="streaming block size for every served execution "
+        "(default: every step ships whole)",
     )
     serve.add_argument("--n", type=int, default=200, help="domain size")
     serve.add_argument("--p", type=int, default=16, help="number of servers")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--backend",
-        choices=["auto", "pure", "numpy"],
-        default="pure",
-        help="execution engine for every served request",
-    )
     serve.set_defaults(handler=cmd_serve)
 
     shares = commands.add_parser("shares", help="integer share allocation")
@@ -817,13 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.backend import BackendError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (BackendError, QueryError, ValueError) as error:
+    except (QueryError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

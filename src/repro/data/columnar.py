@@ -1,11 +1,9 @@
 """Columnar relation storage for the vectorized execution engine.
 
 A :class:`ColumnarRelation` stores a relation as ``arity`` parallel
-value columns instead of a tuple of row tuples.  Under the ``numpy``
-backend the columns are int64 arrays and deduplication, sorting and
-domain validation are single vectorized passes; under ``pure`` they
-are plain Python lists and the same operations fall back to the
-row-at-a-time reference code.
+int64 value columns instead of a tuple of row tuples, so
+deduplication, sorting and domain validation are single vectorized
+passes.
 
 The row-oriented :class:`repro.data.database.Relation` remains the
 canonical public type; the two are convertible both ways and agree on
@@ -17,27 +15,32 @@ contents, ordering (lexicographic) and bit accounting::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from repro.backend import NUMPY, PURE, numpy_or_none, resolve_backend
+import numpy
+
 from repro.data.database import DataError, Relation, bits_per_value
 
 Columns = tuple[Any, ...]
 
 
-def _dedup_sort_pure(
-    rows: Iterable[tuple[int, ...]],
-) -> list[tuple[int, ...]]:
-    return sorted(set(rows))
+def check_backend(backend: str | None) -> None:
+    """Validate a caller's legacy ``backend=`` keyword.
 
+    numpy is the one execution engine; :func:`repro.connect` and
+    :func:`~repro.data.generators.matching_database_columnar` still
+    accept ``backend=None`` or ``"numpy"`` and ignore it.
 
-def _columns_from_rows_pure(
-    rows: Sequence[tuple[int, ...]], arity: int
-) -> Columns:
-    return tuple(
-        [row[position] for row in rows] for position in range(arity)
-    )
+    Raises:
+        ValueError: for any other value, naming the row-at-a-time
+            reference implementation that replaced the ``pure`` engine.
+    """
+    if backend not in (None, "numpy"):
+        raise ValueError(
+            f"unknown backend {backend!r}: numpy is the only engine; the "
+            "row-at-a-time reference is repro.oracle (tests and benchmarks)"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,19 +50,16 @@ class ColumnarRelation:
     Attributes:
         name: relation symbol.
         arity: number of columns.
-        columns: one value sequence per attribute position -- int64
-            numpy arrays (``numpy`` backend) or lists of int
-            (``pure``).  Rows are deduplicated and lexicographically
-            sorted, mirroring :class:`Relation`.
+        columns: one int64 array per attribute position (sequences
+            are converted on construction).  Rows are deduplicated and
+            lexicographically sorted, mirroring :class:`Relation`.
         domain_size: the ``n`` such that values lie in ``[1, n]``.
-        backend: which backend owns the column storage.
     """
 
     name: str
     arity: int
     columns: Columns
     domain_size: int
-    backend: str = PURE
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -69,12 +69,17 @@ class ColumnarRelation:
                 f"{self.name}: {len(self.columns)} columns for arity "
                 f"{self.arity}"
             )
-        lengths = {len(column) for column in self.columns}
+        columns = tuple(
+            numpy.asarray(column, dtype=numpy.int64)
+            for column in self.columns
+        )
+        lengths = {len(column) for column in columns}
         if len(lengths) > 1:
             raise DataError(
                 f"{self.name}: ragged columns with lengths "
                 f"{sorted(lengths)}"
             )
+        object.__setattr__(self, "columns", columns)
 
     # -- constructors -------------------------------------------------------
 
@@ -85,10 +90,8 @@ class ColumnarRelation:
         rows: Iterable[Sequence[int]],
         domain_size: int,
         arity: int | None = None,
-        backend: str | None = None,
     ) -> "ColumnarRelation":
         """Build from row tuples: dedup, sort, validate, columnarise."""
-        backend = resolve_backend(backend)
         materialised = [tuple(row) for row in rows]
         if arity is None:
             if not materialised:
@@ -102,47 +105,30 @@ class ColumnarRelation:
                     f"{name}: tuple {row} has arity {len(row)}, "
                     f"expected {arity}"
                 )
-        if backend == NUMPY:
-            numpy = numpy_or_none()
-            table = numpy.asarray(
-                materialised, dtype=numpy.int64
-            ).reshape(len(materialised), arity)
-            columns = _finalise_numpy(name, table, domain_size, numpy)
-        else:
-            columns = _finalise_pure(name, materialised, arity, domain_size)
+        table = numpy.asarray(materialised, dtype=numpy.int64).reshape(
+            len(materialised), arity
+        )
         return cls(
             name=name,
             arity=arity,
-            columns=columns,
+            columns=_finalise(name, table, domain_size),
             domain_size=domain_size,
-            backend=backend,
         )
 
     @classmethod
-    def from_relation(
-        cls, relation: Relation, backend: str | None = None
-    ) -> "ColumnarRelation":
+    def from_relation(cls, relation: Relation) -> "ColumnarRelation":
         """Columnarise an already-validated row relation (no re-checks)."""
-        backend = resolve_backend(backend)
-        if backend == NUMPY:
-            numpy = numpy_or_none()
-            table = numpy.asarray(
-                relation.tuples, dtype=numpy.int64
-            ).reshape(len(relation.tuples), relation.arity)
-            columns = tuple(
-                numpy.ascontiguousarray(table[:, position])
-                for position in range(relation.arity)
-            )
-        else:
-            columns = _columns_from_rows_pure(
-                relation.tuples, relation.arity
-            )
+        table = numpy.asarray(relation.tuples, dtype=numpy.int64).reshape(
+            len(relation.tuples), relation.arity
+        )
         return cls(
             name=relation.name,
             arity=relation.arity,
-            columns=columns,
+            columns=tuple(
+                numpy.ascontiguousarray(table[:, position])
+                for position in range(relation.arity)
+            ),
             domain_size=relation.domain_size,
-            backend=backend,
         )
 
     # -- conversion ---------------------------------------------------------
@@ -158,24 +144,8 @@ class ColumnarRelation:
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Iterate rows as int tuples (materialising from columns)."""
-        if self.backend == NUMPY:
-            lists = [column.tolist() for column in self.columns]
-        else:
-            lists = list(self.columns)
-        return iter(zip(*lists)) if lists and len(lists[0]) else iter(())
-
-    def with_backend(self, backend: str | None) -> "ColumnarRelation":
-        """The same relation under another backend (no-op if equal)."""
-        backend = resolve_backend(backend)
-        if backend == self.backend:
-            return self
-        return ColumnarRelation.from_rows(
-            self.name,
-            list(self.rows()),
-            self.domain_size,
-            arity=self.arity,
-            backend=backend,
-        )
+        lists = [column.tolist() for column in self.columns]
+        return iter(zip(*lists)) if len(lists[0]) else iter(())
 
     # -- accessors ----------------------------------------------------------
 
@@ -197,9 +167,7 @@ class ColumnarRelation:
         return len(self) * self.tuple_bits
 
 
-def _finalise_numpy(
-    name: str, table: Any, domain_size: int, numpy: Any
-) -> Columns:
+def _finalise(name: str, table: Any, domain_size: int) -> Columns:
     """Vectorized validate + dedup + lexicographic sort."""
     if table.size:
         low = int(table.min())
@@ -217,40 +185,17 @@ def _finalise_numpy(
     )
 
 
-def _finalise_pure(
-    name: str,
-    rows: Sequence[tuple[int, ...]],
-    arity: int,
-    domain_size: int,
-) -> Columns:
-    for row in rows:
-        for value in row:
-            if not 1 <= value <= domain_size:
-                raise DataError(
-                    f"{name}: value {value} outside domain "
-                    f"[1, {domain_size}]"
-                )
-    return _columns_from_rows_pure(_dedup_sort_pure(rows), arity)
-
-
-def columnar_database(
-    database: "Any", backend: str | None = None
-) -> dict[str, ColumnarRelation]:
+def columnar_database(database: "Any") -> dict[str, ColumnarRelation]:
     """Columnarise every relation of a :class:`Database`.
 
     Accepts either a row-oriented :class:`~repro.data.database.Database`
-    or a :class:`ColumnarDatabase` (whose relations are converted only
-    if their backend differs -- the large-``n`` path never leaves
-    column space).
+    or a :class:`ColumnarDatabase` (whose relations are taken as they
+    are -- the large-``n`` path never leaves column space).
     """
-    backend = resolve_backend(backend)
     if isinstance(database, ColumnarDatabase):
-        return {
-            name: relation.with_backend(backend)
-            for name, relation in database.relations.items()
-        }
+        return dict(database.relations)
     return {
-        relation.name: ColumnarRelation.from_relation(relation, backend)
+        relation.name: ColumnarRelation.from_relation(relation)
         for relation in database
     }
 

@@ -134,11 +134,11 @@ class Relation:
             tuple(row[i] for i in selected) for row in self.tuples
         )
 
-    def to_columnar(self, backend: str | None = None):
+    def to_columnar(self):
         """This relation as a :class:`repro.data.columnar.ColumnarRelation`."""
         from repro.data.columnar import ColumnarRelation
 
-        return ColumnarRelation.from_relation(self, backend)
+        return ColumnarRelation.from_relation(self)
 
 
 @dataclass(frozen=True)
@@ -227,11 +227,11 @@ class Database:
             domain_size=self.domain_size,
         )
 
-    def to_columnar(self, backend: str | None = None):
+    def to_columnar(self):
         """All relations columnarised: ``name -> ColumnarRelation``."""
         from repro.data.columnar import columnar_database
 
-        return columnar_database(self, backend)
+        return columnar_database(self)
 
     def with_relation(self, relation: Relation) -> "Database":
         """A copy with one relation added or replaced."""

@@ -29,9 +29,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.backend import NUMPY, require_numpy, resolve_backend
+import numpy
+
 from repro.core.query import ConjunctiveQuery
-from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.columnar import (
+    ColumnarDatabase,
+    ColumnarRelation,
+    check_backend,
+)
 from repro.data.database import Database, DataError, Relation
 from repro.data.matching import random_matching, random_permutation
 
@@ -124,12 +129,13 @@ def matching_database_columnar(
         query: fixes the vocabulary (names and arities).
         n: the domain size (= tuples per relation).
         seed: generator seed.
-        backend: ``"numpy"`` (default via ``"auto"``) or ``"pure"``
-            (columns become Python lists; for parity tests at small
-            ``n`` only).
+        backend: accepted for compatibility; only ``None`` or
+            ``"numpy"`` (the one engine) are valid.
+
+    Raises:
+        ValueError: for any other ``backend``.
     """
-    backend = resolve_backend(backend or "auto")
-    numpy = require_numpy()
+    check_backend(backend)
     rng = numpy.random.default_rng(seed)
     relations = []
     for atom in query.atoms:
@@ -139,7 +145,7 @@ def matching_database_columnar(
                 rng.permutation(n).astype(numpy.int64) + 1
             )
         relations.append(
-            _columnar_relation(atom.name, tuple(columns), n, backend)
+            _columnar_relation(atom.name, tuple(columns), n)
         )
     return ColumnarDatabase.from_relations(relations)
 
@@ -149,7 +155,6 @@ def skewed_database_columnar(
     n: int,
     seed: int = 0,
     heavy_fraction: float = 0.5,
-    backend: str | None = None,
     chunk_rows: int = GENERATOR_CHUNK_ROWS,
 ) -> ColumnarDatabase:
     """A skewed instance per atom, generated chunk-wise into columns.
@@ -167,7 +172,6 @@ def skewed_database_columnar(
         n: rows generated per relation (before dedup).
         seed: generator seed.
         heavy_fraction: share of first-column positions set to ``1``.
-        backend: ``"numpy"`` (default via ``"auto"``) or ``"pure"``.
         chunk_rows: rows filled per chunk (memory bound knob).
     """
     if not 0 <= heavy_fraction <= 1:
@@ -176,8 +180,6 @@ def skewed_database_columnar(
         )
     if chunk_rows < 1:
         raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    backend = resolve_backend(backend or "auto")
-    numpy = require_numpy()
     root = numpy.random.SeedSequence(seed)
     heavy_count = int(n * heavy_fraction)
     relations = []
@@ -210,23 +212,17 @@ def skewed_database_columnar(
             for position in range(atom.arity)
         )
         relations.append(
-            _columnar_relation(atom.name, sorted_columns, n, backend)
+            _columnar_relation(atom.name, sorted_columns, n)
         )
     return ColumnarDatabase.from_relations(relations)
 
 
 def _columnar_relation(
-    name: str, columns: tuple, n: int, backend: str
+    name: str, columns: tuple, n: int
 ) -> ColumnarRelation:
     """Wrap generated int64 columns (already sorted+unique) directly."""
-    if backend != NUMPY:
-        columns = tuple(column.tolist() for column in columns)
     return ColumnarRelation(
-        name=name,
-        arity=len(columns),
-        columns=columns,
-        domain_size=n,
-        backend=backend,
+        name=name, arity=len(columns), columns=columns, domain_size=n
     )
 
 

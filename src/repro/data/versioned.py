@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.backend import resolve_backend
 from repro.data.columnar import (
     ColumnarDatabase,
     ColumnarRelation,
@@ -178,10 +177,10 @@ class VersionedDatabase:
             :class:`~repro.data.database.Database`, a
             :class:`~repro.data.columnar.ColumnarDatabase`, or a
             mapping of name to
-            :class:`~repro.data.columnar.ColumnarRelation`.
-        backend: column storage backend; relations are converted once
-            here so every later snapshot (and every plan execution
-            over it) reads the same arrays.
+            :class:`~repro.data.columnar.ColumnarRelation`.  Row
+            relations are columnarised once here, so every later
+            snapshot (and every plan execution over it) reads the same
+            arrays.
         initial_version: version number of the initial contents.
             Defaults to 0; a parallel executor process reconstructing
             the parent's database mid-life passes the parent's current
@@ -191,17 +190,12 @@ class VersionedDatabase:
     def __init__(
         self,
         database: Database | ColumnarDatabase | Mapping[str, ColumnarRelation],
-        backend: str | None = None,
         initial_version: int = 0,
     ) -> None:
-        self._backend = resolve_backend(backend)
         if isinstance(database, Mapping):
-            relations = {
-                name: relation.with_backend(self._backend)
-                for name, relation in database.items()
-            }
+            relations = dict(database)
         else:
-            relations = columnar_database(database, self._backend)
+            relations = columnar_database(database)
         domain = getattr(database, "domain_size", None)
         if domain is None:
             domain = max(
@@ -226,11 +220,6 @@ class VersionedDatabase:
     def snapshot(self) -> ColumnarDatabase:
         """The current immutable snapshot (never mutated in place)."""
         return self._snapshot
-
-    @property
-    def backend(self) -> str:
-        """The resolved column-storage backend."""
-        return self._backend
 
     @property
     def domain_size(self) -> int:
@@ -317,7 +306,6 @@ class VersionedDatabase:
                 rows,
                 domain_size=relation_domain,
                 arity=arity,
-                backend=self._backend,
             )
             effective_added = frozenset(insert_rows - old_rows)
             effective_removed = frozenset(

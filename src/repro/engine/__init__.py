@@ -2,9 +2,8 @@
 
 Every algorithm in :mod:`repro.algorithms` compiles its communication
 rounds to the same small IR -- a list of
-:class:`~repro.engine.steps.RoutingStep`s -- executed by one
-:class:`~repro.engine.executor.RoundEngine` over the MPC simulator,
-either tuple-at-a-time (``pure``) or column-wise (``numpy``):
+:class:`~repro.engine.steps.RoutingStep`s -- executed column-wise by one
+:class:`~repro.engine.executor.RoundEngine` over the MPC simulator:
 
 ====================  =================================================
 algorithm             routing steps per round
@@ -35,7 +34,7 @@ of the route/ship/join loop.
 
 Since the compile/execute split, the step program of a whole
 execution is packaged as an immutable :class:`~repro.engine.plan.Plan`
-(compiled once per (query, eps, p, backend) by the algorithms'
+(compiled once per (query, eps, p) by the algorithms'
 ``compile_*`` functions, executed any number of times by
 :func:`~repro.engine.executor.execute_plan`) -- the seam the serving
 layer's plan/result caches build on.
@@ -54,7 +53,6 @@ from repro.engine.local import (
     collect_answers,
     fragment_tuple_count,
     materialise_view,
-    worker_answer_rows,
 )
 from repro.engine.plan import (
     CollectAnswers,
@@ -102,7 +100,6 @@ __all__ = [
     "collect_answers",
     "fragment_tuple_count",
     "materialise_view",
-    "worker_answer_rows",
     "Broadcast",
     "GridSpec",
     "HashRoute",

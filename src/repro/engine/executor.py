@@ -1,17 +1,14 @@
 """The round engine: execute routing steps -- and whole plans.
 
 This is the single route/ship loop every algorithm in the repository
-compiles to.  A :class:`RoundEngine` wraps one :class:`MPCSimulator`
-and a resolved compute backend; :meth:`RoundEngine.run_round` opens a
-round, executes each :class:`~repro.engine.steps.RoutingStep` against
-its source relation, and closes the round (which delivers messages and
-enforces the capacity bound).
+compiles to.  A :class:`RoundEngine` wraps one :class:`MPCSimulator`;
+:meth:`RoundEngine.run_round` opens a round, executes each
+:class:`~repro.engine.steps.RoutingStep` against its source relation,
+and closes the round (which delivers messages and enforces the
+capacity bound).
 
-Under the ``pure`` backend each step is routed row by row through
-:meth:`RoutingStep.destinations` and shipped with per-(receiver,
-relation) batching -- the reference the tests compare against.  Under
-``numpy`` every step is one loop over ``[start, end)`` row ranges of
-its source (:mod:`repro.engine.streaming` holds the primitive,
+Every step is one loop over ``[start, end)`` row ranges of its source
+(:mod:`repro.engine.streaming` holds the primitive,
 :func:`~repro.engine.streaming.route_range`), with
 
 * two **consumers**: *ship whole* -- the ranges' routing decisions are
@@ -32,7 +29,9 @@ A tuple's destinations depend on the tuple alone and a round charges
 each server only for what it receives, so every range list produces
 the same multiset of (row, destination) pairs: answers, per-round
 received bits/tuples and capacity failures are bit-identical across
-backends, block sizes and worker counts by construction.
+block sizes and worker counts by construction -- and to the
+row-at-a-time reference of :mod:`repro.oracle`, which routes each
+tuple through :meth:`RoutingStep.destinations`.
 
 :func:`execute_plan` is the plan-level entry point: it takes an
 immutable :class:`~repro.engine.plan.Plan` (the output of an
@@ -56,7 +55,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.backend import NUMPY, require_numpy, resolve_backend
+import numpy
+
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.engine.deadline import Deadline
 from repro.engine.faults import (
@@ -89,7 +89,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class RoutedStep:
-    """One numpy step's routing decision: the route -> ship hand-off.
+    """One step's routing decision: the route -> ship hand-off.
 
     ``columns``/``destinations``/``row_indices`` are one
     :meth:`RoutingStep.route_columns` triple over the whole source.
@@ -101,7 +101,6 @@ class RoutedStep:
 
 
 def _reassemble(
-    numpy: Any,
     source: ColumnarRelation,
     bounds: list[tuple[int, int]],
     results: list[dict],
@@ -174,13 +173,11 @@ class RoundEngine:
 
     Args:
         simulator: the MPC network to route over.
-        backend: ``"pure"``, ``"numpy"`` or ``"auto"``; defaults to
-            the simulator config's backend.
         profiler: optional phase-timing collector; when given, every
             round records route/ship/deliver seconds against its round
             index.
-        chunk_rows: streaming block size (numpy backend only; ignored
-            under ``pure``).  When set, shardable steps are *counted*
+        chunk_rows: streaming block size.  When set, shardable steps
+            are *counted*
             in ``chunk_rows``-row blocks -- zero-copy column views --
             and ship as lazy deliveries
             (:meth:`MPCSimulator.stage_lazy_columns`): rows are
@@ -209,20 +206,14 @@ class RoundEngine:
     def __init__(
         self,
         simulator: MPCSimulator,
-        backend: str | None = None,
         profiler: RoundProfiler | None = None,
         chunk_rows: int | None = None,
         deadline: Deadline | None = None,
         parallel: Any = None,
     ) -> None:
         self.simulator = simulator
-        self.backend = (
-            simulator.config.backend
-            if backend is None
-            else resolve_backend(backend)
-        )
         self.profiler = profiler
-        self.chunk_rows = chunk_rows if self.backend == NUMPY else None
+        self.chunk_rows = chunk_rows
         self.deadline = deadline
         self.parallel = parallel
         self._round_parallel = False
@@ -241,8 +232,7 @@ class RoundEngine:
 
         Args:
             steps: the routing steps of the round.
-            sources: source relation/view per step ``relation`` name;
-                column storage must match the engine's backend.
+            sources: source relation/view per step ``relation`` name.
 
         Returns:
             The closed round's statistics.
@@ -256,9 +246,7 @@ class RoundEngine:
             self.simulator.begin_round()
             for step in steps:
                 source = sources[step.relation]
-                if self.backend != NUMPY:
-                    self._send_rows(step, source)
-                elif self.chunk_rows is not None and step.shardable:
+                if self.chunk_rows is not None and step.shardable:
                     self._stage_counts(step, source)
                 else:
                     self._send_columns(step, source)
@@ -276,7 +264,7 @@ class RoundEngine:
     def _row_ranges(
         self, step: RoutingStep, source: ColumnarRelation
     ) -> list[tuple[int, int]]:
-        """The ``[start, end)`` ranges one numpy step is routed in.
+        """The ``[start, end)`` ranges one step is routed in.
 
         One contiguous shard per pool worker when the context is
         usable, the step's routing depends on row content alone
@@ -423,7 +411,7 @@ class RoundEngine:
     def _send_columns(
         self, step: RoutingStep, source: ColumnarRelation
     ) -> None:
-        """Route one numpy step whole and stage it on the simulator."""
+        """Route one step whole and stage it on the simulator."""
         with self._measure("route"):
             bounds, results, _ = self._over_ranges(
                 route_shard,
@@ -432,7 +420,7 @@ class RoundEngine:
                 self._row_ranges(step, source),
                 self.simulator.num_workers,
             )
-            routed = _reassemble(require_numpy(), source, bounds, results)
+            routed = _reassemble(source, bounds, results)
         with self._measure("ship"):
             self.simulator.send_columns(
                 _sender_of(step),
@@ -443,27 +431,6 @@ class RoundEngine:
                 row_indices=routed.row_indices,
                 source_sorted=step.preserves_source_order,
             )
-
-    def _send_rows(
-        self, step: RoutingStep, source: ColumnarRelation
-    ) -> None:
-        """The ``pure`` path: route row by row, ship per-receiver batches."""
-        p = self.simulator.num_workers
-        with self._measure("route"):
-            batches: dict[int, list[tuple[int, ...]]] = {}
-            for index, row in enumerate(source.rows()):
-                for destination in step.destinations(row, index, p):
-                    batches.setdefault(destination, []).append(row)
-        sender = _sender_of(step)
-        with self._measure("ship"):
-            for destination, rows in batches.items():
-                self.simulator.send(
-                    sender,
-                    destination,
-                    step.mailbox_key,
-                    rows,
-                    source.tuple_bits,
-                )
 
 
 def _sender_of(step: RoutingStep):
@@ -518,7 +485,6 @@ def plan_config(plan: Plan) -> MPCConfig:
         p=signature.p,
         eps=signature.eps,
         c=signature.capacity_c,
-        backend=signature.backend,
     )
 
 
@@ -552,20 +518,18 @@ def plan_simulator(
     return simulator
 
 
-def _plan_sources(
-    database: Any, backend: str
-) -> dict[str, ColumnarRelation]:
-    """Columnarise any accepted database shape under ``backend``."""
+def _plan_sources(database: Any) -> dict[str, ColumnarRelation]:
+    """Columnarise any accepted database shape."""
     from repro.data.columnar import columnar_database
 
     if isinstance(database, Mapping):
         return {
-            name: relation.with_backend(backend)
+            name: relation
             if isinstance(relation, ColumnarRelation)
-            else ColumnarRelation.from_relation(relation, backend)
+            else ColumnarRelation.from_relation(relation)
             for name, relation in database.items()
         }
-    return columnar_database(database, backend)
+    return columnar_database(database)
 
 
 def _database_bits(database: Any, sources: Mapping[str, ColumnarRelation]) -> int:
@@ -662,8 +626,7 @@ def execute_plan(
         DeadlineExceeded: when ``deadline`` expires at a cooperative
             checkpoint.
     """
-    backend = plan.signature.backend
-    sources = _plan_sources(database, backend)
+    sources = _plan_sources(database)
     if relation_map:
         sources = {
             plan_name: sources[database_name]
@@ -749,8 +712,6 @@ def execute_plan(
                 bind.query,
                 environment,
                 dict(bind.shares),
-                backend=backend,
-                columnar=environment,
             )
             steps = tuple(
                 replace(step, heavy=heavy_hitters)
@@ -768,7 +729,6 @@ def execute_plan(
                     view.query,
                     simulator,
                     range(plan.signature.p),
-                    backend,
                     domain_size=domain_size,
                     key_of=key_of,
                     parallel=parallel_ctx,
@@ -782,7 +742,6 @@ def execute_plan(
                 view.query,
                 simulator,
                 range(plan.signature.p),
-                backend,
                 domain_size=domain_size,
                 key_of=key_of,
                 profiler=profiler,
@@ -806,7 +765,6 @@ def execute_plan(
             finalize.query,
             simulator,
             range(finalize.workers),
-            backend,
             key_of=key_map_of(finalize.key_map),
             profiler=profiler,
             parallel=parallel_ctx,

@@ -2,32 +2,28 @@
 
 After the engine delivers a round, each worker evaluates a conjunctive
 query over the fragments it received.  This module is the single
-join-and-collect loop, with one path per backend:
+join-and-collect loop, the shard loop: contiguous worker ranges are
+planned against a byte budget (:func:`_plan_eval_shards`), each
+range's delivery pools are handed over by
+:meth:`~repro.mpc.simulator.MPCSimulator.pool_shard` (eager pools
+sliced zero-copy, streamed recipes re-routed for the range only) and
+joined in one vectorized pass by
+:func:`~repro.algorithms.localjoin.evaluate_query_table_segmented`,
+which prepends the worker id to every join key.  Per-server answer
+counts fall out of one ``bincount`` over the answer segment ids; the
+deduplicated union out of one ``unique`` over all shards.  A
+monolithic execution under the default budget is exactly one shard
+spanning the fleet; a streamed one is many, optionally evaluated on
+the process pool.
 
-* ``pure`` -- the reference: the backtracking join
-  (:func:`~repro.algorithms.localjoin.evaluate_query`) over each
-  worker's mailbox rows, unioned in a Python set;
-* ``numpy`` -- the shard loop: contiguous worker ranges are planned
-  against a byte budget (:func:`_plan_eval_shards`), each range's
-  delivery pools are handed over by
-  :meth:`~repro.mpc.simulator.MPCSimulator.pool_shard` (eager pools
-  sliced zero-copy, streamed recipes re-routed for the range only) and
-  joined in one vectorized pass by
-  :func:`~repro.algorithms.localjoin.evaluate_query_table_segmented`,
-  which prepends the worker id to every join key.  Per-server answer
-  counts fall out of one ``bincount`` over the answer segment ids; the
-  deduplicated union out of one ``unique`` over all shards.  A
-  monolithic execution under the default budget is exactly one shard
-  spanning the fleet; a streamed one is many, optionally evaluated on
-  the process pool.
-
-Both backends hand the callers identical answer sets, per-server
-answer counts and (for the multi-round executor) materialised views.
+The answer sets, per-server answer counts and materialised views
+equal what the row-at-a-time reference (:mod:`repro.oracle`) computes
+with the backtracking join over each worker's rows.
 
 Routing never delivers the same source row twice to one worker under
 any :class:`~repro.engine.steps.RoutingStep` (a step's destination set
 per row is duplicate-free, and engine sources are deduplicated), so
-the numpy path skips the dedup passes (``assume_unique``).
+the join skips the dedup passes (``assume_unique``).
 """
 
 from __future__ import annotations
@@ -38,11 +34,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, Iterable
 
-from repro.backend import NUMPY, require_numpy
-from repro.algorithms.localjoin import (
-    evaluate_query,
-    evaluate_query_table_segmented,
-)
+import numpy
+
+from repro.algorithms.localjoin import evaluate_query_table_segmented
 from repro.core.query import ConjunctiveQuery
 from repro.data.columnar import ColumnarRelation
 from repro.engine.deadline import Deadline
@@ -66,10 +60,9 @@ class SiteAnswers:
 
     Attributes:
         tables: per-worker duplicate-free answer tables, worker order
-            -- numpy: int64 row slices of the shard results
-            (zero-copy); pure: each worker's sorted row tuples.
-        merged: the canonical merged table (lex-sorted unique rows) --
-            numpy: one int64 array; pure: a tuple of row tuples.
+            -- int64 row slices of the shard results (zero-copy).
+        merged: the canonical merged table (lex-sorted unique rows),
+            one int64 array.
     """
 
     tables: list[Any]
@@ -80,28 +73,13 @@ class SiteAnswers:
 SiteSink = dict[str | None, SiteAnswers]
 
 
-def worker_answer_rows(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    worker: int,
-    key_of: KeyOf = _identity_key,
-) -> tuple[tuple[int, ...], ...]:
-    """One worker's answers as sorted row tuples (pure backend)."""
-    local = {
-        atom.name: simulator.worker_rows(worker, key_of(atom.name))
-        for atom in query.atoms
-    }
-    return evaluate_query(query, local)
-
-
 def union_answer_tables(tables: Iterable[Any], arity: int):
     """The sorted duplicate-free union of int64 answer tables.
 
     Row order is lexicographic -- exactly the order Python tuple
-    sorting gives -- so the result is the canonical form every numpy
+    sorting gives -- so the result is the canonical form every
     consumer (shard merge, async views, IVM) compares and stores.
     """
-    numpy = require_numpy()
     nonempty = [table for table in tables if len(table)]
     if not nonempty:
         return numpy.zeros((0, arity), dtype=numpy.int64)
@@ -129,7 +107,6 @@ def evaluate_shard_pools(
     in-process shard loop and the process-pool eval task, so both
     produce identical rows.
     """
-    numpy = require_numpy()
     fragments: dict[str, tuple] = {}
     segments: dict[str, object] = {}
     sorted_relations: set[str] = set()
@@ -179,7 +156,6 @@ def _plan_eval_shards(
         resolve_shard_bytes,
     )
 
-    numpy = require_numpy()
     per_worker = numpy.zeros(k, dtype=numpy.int64)
     for atom in query.atoms:
         byte_counts = simulator.pool_worker_bytes(key_of(atom.name))
@@ -330,7 +306,7 @@ def _merged_answer_table(
 ):
     """All workers' answers, one bounded worker shard at a time.
 
-    The numpy backend's only site evaluator.  Contiguous worker ranges
+    The only site evaluator.  Contiguous worker ranges
     are materialised (eager pools sliced zero-copy, streamed recipes
     re-routed for the range), evaluated with the segmented join and
     freed -- peak memory is one shard's pools plus join temporaries.
@@ -361,15 +337,14 @@ def _merged_answer_table(
     k = len(workers)
     if workers != list(range(k)):
         raise ValueError(
-            "numpy local evaluation shards the worker prefix 0..k-1; "
+            "local evaluation shards the worker prefix 0..k-1; "
             f"got {workers}"
         )
     for atom in query.atoms:
         if simulator.has_row_deliveries(key_of(atom.name)):
             raise RuntimeError(
                 f"relation {key_of(atom.name)!r} received row-path "
-                "deliveries; the numpy backend evaluates delivery "
-                "pools only"
+                "deliveries; local evaluation reads delivery pools only"
             )
     shards = _plan_eval_shards(query, simulator, k, key_of)
     results = None
@@ -422,7 +397,6 @@ def collect_answers(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
     workers: Iterable[int],
-    backend: str,
     key_of: KeyOf = _identity_key,
     profiler: RoundProfiler | None = None,
     parallel: Any = None,
@@ -439,36 +413,23 @@ def collect_answers(
     Returns:
         ``(answers, per_server)`` -- the sorted duplicate-free union
         of all workers' answers, and the per-worker answer counts in
-        iteration order.  Both are backend-independent (and
-        ``parallel``-independent: a usable
+        iteration order.  Both are ``parallel``-independent: a usable
         :class:`~repro.engine.parallel.engine.ParallelContext` only
-        moves streamed shard evaluation onto the process pool).
+        moves streamed shard evaluation onto the process pool.
     """
     with _measure_local(profiler, simulator):
-        if backend == NUMPY:
-            merged, per_server = _merged_answer_table(
-                query,
-                simulator,
-                workers,
-                key_of,
-                parallel=parallel,
-                profiler=profiler,
-                deadline=deadline,
-                retain=retain,
-                site=site,
-            )
-            return tuple(map(tuple, merged.tolist())), per_server
-        tables = [
-            worker_answer_rows(query, simulator, worker, key_of)
-            for worker in workers
-        ]
-        answers: set[tuple[int, ...]] = set()
-        for found in tables:
-            answers.update(found)
-        merged = tuple(sorted(answers))
-        if retain is not None:
-            retain[site] = SiteAnswers(tables=tables, merged=merged)
-        return merged, [len(found) for found in tables]
+        merged, per_server = _merged_answer_table(
+            query,
+            simulator,
+            workers,
+            key_of,
+            parallel=parallel,
+            profiler=profiler,
+            deadline=deadline,
+            retain=retain,
+            site=site,
+        )
+    return tuple(map(tuple, merged.tolist())), per_server
 
 
 def materialise_view(
@@ -476,7 +437,6 @@ def materialise_view(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
     workers: Iterable[int],
-    backend: str,
     domain_size: int,
     key_of: KeyOf = _identity_key,
     profiler: RoundProfiler | None = None,
@@ -488,7 +448,7 @@ def materialise_view(
 
     The view's schema is ``query.head``; its tuples are the sorted
     duplicate-free union of the per-worker evaluations, stored
-    columnar under ``backend`` so the next round can re-route the view
+    columnar so the next round can re-route the view
     by content exactly like a base relation (the tuple-based MPC
     discipline of Section 4.2.1).  ``retain`` receives the view's
     :class:`SiteAnswers` under ``name``, as in :func:`collect_answers`.
@@ -496,50 +456,26 @@ def materialise_view(
     Returns:
         ``(view, per_server_counts)``.
     """
-    arity = len(query.head)
-    if backend == NUMPY:
-        numpy = require_numpy()
-        with _measure_local(profiler, simulator):
-            merged, per_server = _merged_answer_table(
-                query,
-                simulator,
-                workers,
-                key_of,
-                parallel=parallel,
-                profiler=profiler,
-                deadline=deadline,
-                retain=retain,
-                site=name,
-            )
-        view = _view_from_table(name, merged, arity, domain_size)
-        return view, per_server
-    answers, per_server = collect_answers(
-        query,
-        simulator,
-        workers,
-        backend,
-        key_of,
-        profiler=profiler,
-        retain=retain,
-        site=name,
-    )
-    view = ColumnarRelation(
-        name=name,
-        arity=arity,
-        columns=tuple(
-            [row[position] for row in answers] for position in range(arity)
-        ),
-        domain_size=domain_size,
-        backend=backend,
-    )
+    with _measure_local(profiler, simulator):
+        merged, per_server = _merged_answer_table(
+            query,
+            simulator,
+            workers,
+            key_of,
+            parallel=parallel,
+            profiler=profiler,
+            deadline=deadline,
+            retain=retain,
+            site=name,
+        )
+    view = _view_from_table(name, merged, len(query.head), domain_size)
     return view, per_server
 
 
 def _view_from_table(
     name: str, merged: Any, arity: int, domain_size: int
 ) -> ColumnarRelation:
-    """An answer table as a columnar relation (numpy backend)."""
-    numpy = require_numpy()
+    """An answer table as a columnar relation."""
     return ColumnarRelation(
         name=name,
         arity=arity,
@@ -548,7 +484,6 @@ def _view_from_table(
             for position in range(arity)
         ),
         domain_size=domain_size,
-        backend=NUMPY,
     )
 
 
@@ -639,7 +574,6 @@ def materialise_view_async(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
     workers: Iterable[int],
-    backend: str,
     domain_size: int,
     key_of: KeyOf = _identity_key,
     parallel: Any = None,
@@ -653,12 +587,12 @@ def materialise_view_async(
     the shard-eval tasks are dispatched immediately and a
     :class:`PendingView` handle is returned -- its :meth:`result
     <PendingView.result>` yields exactly what :func:`materialise_view`
-    returns.  None means overlap is not possible here (pure backend,
-    no pool, non-prefix workers, eager or row-path deliveries mixed
+    returns.  None means overlap is not possible here (no pool,
+    non-prefix workers, eager or row-path deliveries mixed
     in, or nothing delivered at all); the caller materialises
     synchronously, which is always correct.
     """
-    if backend != NUMPY or parallel is None or not parallel.usable:
+    if parallel is None or not parallel.usable:
         return None
     workers = list(workers)
     k = len(workers)
@@ -691,15 +625,8 @@ def materialise_view_async(
 
 
 def fragment_tuple_count(
-    simulator: MPCSimulator, worker: int, relation: str, backend: str
+    simulator: MPCSimulator, worker: int, relation: str
 ) -> int:
-    """Tuples of ``relation`` held by ``worker`` (backend-aware)."""
-    if backend == NUMPY:
-        counts = simulator.pool_worker_counts(relation)
-        if counts is not None:
-            return int(counts[worker])
-        return sum(
-            len(batch[0]) if batch else 0
-            for batch in simulator.worker_column_batches(worker, relation)
-        )
-    return len(simulator.worker_rows(worker, relation))
+    """Tuples of ``relation`` held by ``worker`` (its delivery pools)."""
+    counts = simulator.pool_worker_counts(relation)
+    return 0 if counts is None else int(counts[worker])

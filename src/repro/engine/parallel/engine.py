@@ -1,7 +1,7 @@
 """The process-parallel executor of the round engine's row ranges.
 
-:class:`~repro.engine.executor.RoundEngine` routes every numpy step as
-a list of ``[start, end)`` row ranges.  Given a
+:class:`~repro.engine.executor.RoundEngine` routes every step as a
+list of ``[start, end)`` row ranges.  Given a
 :class:`ParallelContext`, a shardable step over a large enough source
 becomes one contiguous range per pool worker: the source's columns are
 published once through the context's
@@ -23,10 +23,10 @@ Parity is the design invariant, not an aspiration:
   pairs; see :func:`~repro.engine.executor._reassemble`.
 * Non-shardable steps (:class:`~repro.engine.steps.RoundRobinGrid`'s
   global row index, :class:`~repro.engine.steps.HeavyGridRoute`'s
-  global signature grouping), the ``pure`` backend, and sources that
-  are empty or below the ``min_rows`` threshold are the single range
-  ``[0, n)``, run in-process -- one range is always correct, several
-  are an optimisation.
+  global signature grouping) and sources that are empty or below the
+  ``min_rows`` threshold are the single range ``[0, n)``, run
+  in-process -- one range is always correct, several are an
+  optimisation.
 
 The :class:`ParallelContext` owns the long-lived resources (segment
 store, shard pool) and the ``parallel_rounds``/``fallback_rounds``

@@ -43,7 +43,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from repro.backend import require_numpy
+import numpy
 
 try:  # pragma: no cover - platform guard (POSIX + Windows both have it)
     from multiprocessing import shared_memory as _shared_memory
@@ -216,7 +216,6 @@ def attach_columns(handle: SegmentHandle, pin: bool = False) -> tuple:
     contract, and an accidental in-place write in one process must not
     silently corrupt every other process's input.
     """
-    numpy = require_numpy()
     with _ATTACH_LOCK:
         shm = _ATTACHED.pop(handle.name, None)
         if shm is None:
@@ -309,7 +308,6 @@ class SharedColumnStore:
         reference to the tuple so the identity key cannot be recycled
         while the segment lives.
         """
-        numpy = require_numpy()
         shared = _require_shared_memory()
         columns = columns if isinstance(columns, tuple) else tuple(columns)
         with self._lock:
@@ -408,20 +406,12 @@ class SharedColumnStore:
 
 @dataclass(frozen=True)
 class RelationExport:
-    """One relation's shared (or inline) transport form.
-
-    ``handle`` is set under the numpy backend (columns in shared
-    memory); ``rows`` is the pickled fallback used when the snapshot
-    lives in pure-Python lists (small-``n`` regimes, or numpy absent in
-    the child).
-    """
+    """One relation's shared transport form: its columns' segment."""
 
     name: str
     arity: int
     domain_size: int
-    backend: str
-    handle: SegmentHandle | None = None
-    rows: tuple[tuple[int, ...], ...] | None = None
+    handle: SegmentHandle
 
 
 @dataclass(frozen=True)
@@ -436,39 +426,18 @@ class DatabaseExport:
 def export_snapshot(
     snapshot: Any, store: SharedColumnStore, version: int = 0
 ) -> DatabaseExport:
-    """Export a columnar snapshot through ``store``.
-
-    Relations whose columns are numpy int64 arrays go to shared
-    memory; pure-backend relations ship their rows inline (they are
-    small by construction -- the pure engine is the reference path).
-    """
-    from repro.backend import NUMPY
-
-    exports = []
+    """Export a columnar snapshot's int64 columns through ``store``."""
     relations: Mapping[str, Any] = snapshot.relations
-    for name, relation in relations.items():
-        if relation.backend == NUMPY:
-            exports.append(
-                RelationExport(
-                    name=name,
-                    arity=relation.arity,
-                    domain_size=relation.domain_size,
-                    backend=relation.backend,
-                    handle=store.share(relation.columns),
-                )
-            )
-        else:
-            exports.append(
-                RelationExport(
-                    name=name,
-                    arity=relation.arity,
-                    domain_size=relation.domain_size,
-                    backend=relation.backend,
-                    rows=tuple(relation.rows()),
-                )
-            )
     return DatabaseExport(
-        relations=tuple(exports),
+        relations=tuple(
+            RelationExport(
+                name=name,
+                arity=relation.arity,
+                domain_size=relation.domain_size,
+                handle=store.share(relation.columns),
+            )
+            for name, relation in relations.items()
+        ),
         domain_size=snapshot.domain_size,
         version=version,
     )
@@ -477,33 +446,24 @@ def export_snapshot(
 def attach_snapshot(export: DatabaseExport) -> Any:
     """Rebuild a :class:`ColumnarDatabase` from an export (child side).
 
-    Shared relations become zero-copy read-only views; inline
-    relations are rebuilt from their rows.  Invariants (dedup, sort)
-    were established before export, so relations are constructed
+    Relations become zero-copy read-only views.  Invariants (dedup,
+    sort) were established before export, so relations are constructed
     directly without re-finalising.
     """
     from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 
-    relations = {}
-    for spec in export.relations:
-        if spec.handle is not None:
-            # Pinned: these views live inside the worker's relations
-            # for the whole process, so eviction must never close the
-            # mapping under them.
-            columns = attach_columns(spec.handle, pin=True)
-        else:
-            assert spec.rows is not None
-            columns = tuple(
-                [row[position] for row in spec.rows]
-                for position in range(spec.arity)
-            )
-        relations[spec.name] = ColumnarRelation(
+    relations = {
+        # Pinned: these views live inside the worker's relations for
+        # the whole process, so eviction must never close the mapping
+        # under them.
+        spec.name: ColumnarRelation(
             name=spec.name,
             arity=spec.arity,
-            columns=columns,
+            columns=attach_columns(spec.handle, pin=True),
             domain_size=spec.domain_size,
-            backend=spec.backend,
         )
+        for spec in export.relations
+    }
     return ColumnarDatabase(
         relations=relations, domain_size=export.domain_size
     )

@@ -16,7 +16,7 @@ immutable value passed across that seam:
   queries, :class:`FinalizeView` for multi-round plans whose answer is
   a materialised view);
 * metadata identifying the compilation: query text, ``eps``, ``p``,
-  backend, seed, capacity constants (:class:`PlanSignature`) and the
+  seed, capacity constants (:class:`PlanSignature`) and the
   integer share vector used.
 
 Because compilation is deterministic and data-independent, a plan can
@@ -69,7 +69,6 @@ class PlanSignature:
             and variable names, all of which the routing depends on.
         eps: the space exponent of the capacity accounting.
         p: number of workers.
-        backend: resolved compute backend (``"pure"`` / ``"numpy"``).
         seed: hash-family seed.
         capacity_c: the constant of the capacity bound.
         enforce_capacity: whether execution raises on overload.
@@ -79,7 +78,6 @@ class PlanSignature:
     query_text: str
     eps: Fraction
     p: int
-    backend: str
     seed: int
     capacity_c: float
     enforce_capacity: bool
@@ -92,7 +90,6 @@ class PlanSignature:
             self.query_text,
             self.eps,
             self.p,
-            self.backend,
             self.seed,
             self.capacity_c,
             self.enforce_capacity,
@@ -250,7 +247,6 @@ class Plan:
             "query": signature.query_text,
             "eps": str(signature.eps),
             "p": signature.p,
-            "backend": signature.backend,
             "seed": signature.seed,
             "rounds": rounds,
             "num_rounds": self.num_rounds,

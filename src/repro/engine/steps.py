@@ -26,11 +26,11 @@ relation (or materialised view) are scattered over the worker grid:
   replicated across the others (content-free routing by row index).
 
 Every step knows how to route one row at a time
-(:meth:`RoutingStep.destinations`, the ``pure`` reference semantics)
-and how to route a whole column batch in one vectorized pass
-(:meth:`RoutingStep.route_columns`, the ``numpy`` engine).  The two
-are bit-identical in the multiset of (row, destination) pairs they
-produce, which is what makes backend parity of loads and answers a
+(:meth:`RoutingStep.destinations`, the reference semantics
+:mod:`repro.oracle` executes) and how to route a whole column batch in
+one vectorized pass (:meth:`RoutingStep.route_columns`, the engine).
+The two are bit-identical in the multiset of (row, destination) pairs
+they produce, which is what makes oracle parity of loads and answers a
 theorem rather than a hope.
 """
 
@@ -40,7 +40,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.backend import require_numpy
+import numpy
+
 from repro.core.query import Atom
 from repro.mpc.message import Endpoint
 from repro.mpc.routing import (
@@ -208,7 +209,7 @@ def _repeated_variable_ok(atom: Atom, row: Sequence[int]) -> bool:
     return True
 
 
-def _filter_repeated_columns(atom: Atom, columns: tuple, numpy: Any) -> tuple:
+def _filter_repeated_columns(atom: Atom, columns: tuple) -> tuple:
     """Drop rows violating repeated-variable equality (vectorized)."""
     first_position = atom.first_positions
     mask = None
@@ -222,7 +223,7 @@ def _filter_repeated_columns(atom: Atom, columns: tuple, numpy: Any) -> tuple:
     return columns
 
 
-def _cross_offsets(offset_sets: Sequence[Any], numpy: Any) -> Any:
+def _cross_offsets(offset_sets: Sequence[Any]) -> Any:
     """Cross-sum per-dimension rank-offset arrays into one flat array."""
     offsets = numpy.zeros(1, dtype=numpy.int64)
     for steps in offset_sets:
@@ -292,12 +293,11 @@ class HashRoute(RoutingStep):
         return _expand_axes(axes, grid.dimensions)
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         grid = self.grid
         hashes = grid.hashes
         assert hashes is not None
         if self.filter_contradictions:
-            columns = _filter_repeated_columns(self.atom, columns, numpy)
+            columns = _filter_repeated_columns(self.atom, columns)
         num_rows = len(columns[0]) if columns else 0
         pinned = self._pinned()
         weights = grid.weights
@@ -320,8 +320,7 @@ class HashRoute(RoutingStep):
                 for variable, share, weight in zip(
                     grid.variables, grid.dimensions, weights
                 )
-            ],
-            numpy,
+            ]
         )
         replication = len(offsets)
         destinations = (base[:, None] + offsets[None, :]).reshape(-1)
@@ -422,11 +421,10 @@ class HeavyGridRoute(RoutingStep):
         return _expand_axes(axes, grid.dimensions)
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         grid = self.grid
         hashes = grid.hashes
         assert hashes is not None
-        columns = _filter_repeated_columns(self.atom, columns, numpy)
+        columns = _filter_repeated_columns(self.atom, columns)
         num_rows = len(columns[0]) if columns else 0
         first_position = self.atom.first_positions
         weights = grid.weights
@@ -520,8 +518,7 @@ class HeavyGridRoute(RoutingStep):
                     for light, heavy, bit in zip(
                         light_offsets, heavy_offsets, heavy_bit
                     )
-                ],
-                numpy,
+                ]
             )
             replication = len(offsets)
             destination_parts.append(
@@ -588,7 +585,6 @@ class RemapRanks(RoutingStep):
         ]
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         columns, virtual, row_indices = self.inner.route_columns(
             columns, self.virtual_size
         )
@@ -622,7 +618,6 @@ class Broadcast(RoutingStep):
         return list(range(p))
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         num_rows = len(columns[0]) if columns else 0
         destinations = numpy.repeat(
             numpy.arange(p, dtype=numpy.int64), num_rows
@@ -653,7 +648,6 @@ class ToServer(RoutingStep):
         return [self.worker]
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         num_rows = len(columns[0]) if columns else 0
         destinations = numpy.full(num_rows, self.worker, dtype=numpy.int64)
         return columns, destinations, None
@@ -686,7 +680,6 @@ class RoundRobinGrid(RoutingStep):
         return _expand_axes(axes, dimensions)
 
     def route_columns(self, columns: tuple, p: int) -> tuple:
-        numpy = require_numpy()
         num_rows = len(columns[0]) if columns else 0
         dimensions = self.grid.dimensions
         weights = self.grid.weights
@@ -701,8 +694,7 @@ class RoundRobinGrid(RoutingStep):
                 for dimension, (size, weight) in enumerate(
                     zip(dimensions, weights)
                 )
-            ],
-            numpy,
+            ]
         )
         replication = len(offsets)
         destinations = (base[:, None] + offsets[None, :]).reshape(-1)

@@ -57,7 +57,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from repro.backend import require_numpy
+import numpy
+
 from repro.mpc.simulator import ColumnPool, ProtocolError
 
 #: Environment knob for the shard-wise evaluation budget: target bytes
@@ -157,7 +158,6 @@ class PoolBuilder:
         Blocks are released as their rows are copied out, so the peak
         is the final pool plus one block -- not twice the pool.
         """
-        numpy = require_numpy()
         p = self.num_workers
         blocks = self._blocks
         self._blocks = []
@@ -223,7 +223,6 @@ def bin_block(
     emission order, so order-preserving steps yield source-sorted
     fragments.
     """
-    numpy = require_numpy()
     if hi is None:
         hi = num_workers
     width = hi - lo
@@ -342,7 +341,6 @@ def route_block_counts(
     returns a context manager entered around every block (the
     in-process engine's deadline check, fault delay and block timing).
     """
-    numpy = require_numpy()
     counts = numpy.zeros(p, dtype=numpy.int64)
     for start, end in iter_blocks(num_rows, chunk_rows):
         with block_hook():

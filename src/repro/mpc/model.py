@@ -23,16 +23,11 @@ class MPCConfig:
             MPC model (no replication), ``eps = 1`` is degenerate
             (each worker may receive the entire input).
         c: the hidden constant of the ``O(N / p^{1-eps})`` capacity.
-        backend: compute backend for executions driven by this config
-            (``"pure"`` reference loops or vectorized ``"numpy"``);
-            purely an execution-engine choice -- answers and load
-            accounting are backend-independent.
     """
 
     p: int
     eps: Fraction = Fraction(0)
     c: float = 2.0
-    backend: str = "pure"
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -43,9 +38,6 @@ class MPCConfig:
         object.__setattr__(self, "eps", eps)
         if self.c <= 0:
             raise ValueError(f"capacity constant must be > 0, got {self.c}")
-        from repro.backend import resolve_backend
-
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
 
     def capacity_bits(self, input_bits: int) -> float:
         """Per-worker per-round receive budget ``c * N / p^{1-eps}``."""

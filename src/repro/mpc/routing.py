@@ -12,7 +12,7 @@ processes with the same seed route identically.
 Hashing comes in two bit-identical flavours: the scalar
 :meth:`HashFamily.hash_value` (the reference path) and the columnar
 :meth:`HashFamily.hash_column`, which mixes a whole value column in
-one vectorized splitmix64 pass under the numpy backend.
+one vectorized splitmix64 pass.
 
 The grid helpers convert between a worker's flat index in ``[0, P)``
 and its coordinates in the ``[p_1] x ... x [p_k]`` hypercube
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
 
-from repro.backend import numpy_or_none
+import numpy
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -52,7 +52,7 @@ def _dimension_key(dimension: str) -> int:
     return splitmix64(int.from_bytes(digest, "big"))
 
 
-def _splitmix64_array(values: Any, numpy: Any) -> Any:
+def _splitmix64_array(values: Any) -> Any:
     """Vectorized splitmix64 over a uint64 array (wrapping mod 2^64)."""
     u64 = numpy.uint64
     values = (values + u64(_GOLDEN))
@@ -93,39 +93,25 @@ class HashFamily:
     ) -> Any:
         """Hash a whole value column into ``[0, buckets)`` at once.
 
-        Bit-identical to mapping :meth:`hash_value` over ``values``.
-        When ``values`` is a numpy array (and numpy is enabled) the
-        mix runs as one vectorized uint64 pass and an int64 array is
-        returned; otherwise a plain list of ints comes back.
+        Bit-identical to mapping :meth:`hash_value` over ``values``:
+        the mix runs as one vectorized uint64 pass and an int64 array
+        comes back.
 
         Args:
             dimension: the variable name owning this hash function.
-            values: the domain values to hash (sequence or ndarray).
+            values: the domain values to hash, an int array.
             buckets: the share ``p_i`` of the dimension (>= 1).
         """
         if buckets < 1:
             raise ValueError(f"need >= 1 bucket, got {buckets}")
-        numpy = numpy_or_none()
-        vectorized = numpy is not None and isinstance(
-            values, numpy.ndarray
-        )
-        if vectorized:
-            if buckets == 1:
-                return numpy.zeros(len(values), dtype=numpy.int64)
-            base = (self.seed ^ _dimension_key(dimension)) & _MASK64
-            mixed = _splitmix64_array(
-                numpy.uint64(base)
-                + values.astype(numpy.uint64) * numpy.uint64(_GOLDEN),
-                numpy,
-            )
-            return (mixed % numpy.uint64(buckets)).astype(numpy.int64)
         if buckets == 1:
-            return [0] * len(values)
-        base = self.seed ^ _dimension_key(dimension)
-        return [
-            splitmix64(base + value * _GOLDEN) % buckets
-            for value in values
-        ]
+            return numpy.zeros(len(values), dtype=numpy.int64)
+        base = (self.seed ^ _dimension_key(dimension)) & _MASK64
+        mixed = _splitmix64_array(
+            numpy.uint64(base)
+            + values.astype(numpy.uint64) * numpy.uint64(_GOLDEN)
+        )
+        return (mixed % numpy.uint64(buckets)).astype(numpy.int64)
 
 
 def residual_key(values: Sequence[int]) -> int:
@@ -147,18 +133,14 @@ def residual_key_columns(columns: Sequence[Any], num_rows: int) -> Any:
     """Vectorized :func:`residual_key` over parallel value columns.
 
     Bit-identical to mapping :func:`residual_key` over the rows formed
-    by zipping ``columns``; returns a uint64 array (numpy backend
-    required).  ``num_rows`` disambiguates the zero-column case (a
-    heavy dimension on a unary atom has an empty residual).
+    by zipping ``columns``; returns a uint64 array.  ``num_rows``
+    disambiguates the zero-column case (a heavy dimension on a unary
+    atom has an empty residual).
     """
-    numpy = numpy_or_none()
-    if numpy is None:
-        raise RuntimeError("residual_key_columns requires numpy")
     keys = numpy.zeros(num_rows, dtype=numpy.uint64)
     for column in columns:
         keys = _splitmix64_array(
-            keys ^ (column.astype(numpy.uint64) * numpy.uint64(_GOLDEN)),
-            numpy,
+            keys ^ (column.astype(numpy.uint64) * numpy.uint64(_GOLDEN))
         )
     return keys
 
@@ -201,31 +183,21 @@ def grid_rank_columns(
     """Batched :func:`grid_rank` over parallel coordinate columns.
 
     Args:
-        coordinate_columns: one column per dimension; all the same
-            length (numpy int arrays or Python sequences).
+        coordinate_columns: one int array per dimension, all the
+            same length.
         dimensions: the shares ``(p_1, ..., p_k)``.
 
     Returns:
-        The flat rank per row -- an int64 array when the columns are
-        numpy arrays, else a list of ints.
+        The flat rank per row, as an int64 array.
     """
     if len(coordinate_columns) != len(dimensions):
         raise ValueError("coordinate/dimension length mismatch")
-    weights = grid_weights(dimensions)
-    numpy = numpy_or_none()
-    if numpy is not None and coordinate_columns and isinstance(
-        coordinate_columns[0], numpy.ndarray
-    ):
-        ranks = numpy.zeros(len(coordinate_columns[0]), dtype=numpy.int64)
-        for column, weight in zip(coordinate_columns, weights):
-            ranks += column * weight
-        return ranks
     if not coordinate_columns:
-        return []
-    return [
-        sum(coordinate * weight for coordinate, weight in zip(row, weights))
-        for row in zip(*coordinate_columns)
-    ]
+        return numpy.zeros(0, dtype=numpy.int64)
+    ranks = numpy.zeros(len(coordinate_columns[0]), dtype=numpy.int64)
+    for column, weight in zip(coordinate_columns, grid_weights(dimensions)):
+        ranks += column * weight
+    return ranks
 
 
 def grid_coordinates(rank: int, dimensions: Sequence[int]) -> tuple[int, ...]:

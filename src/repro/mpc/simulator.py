@@ -58,7 +58,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.backend import require_numpy
+import numpy
+
 from repro.mpc.message import Endpoint, Mailbox, input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.stats import RoundStats, SimulationReport
@@ -364,7 +365,6 @@ class MPCSimulator:
         """
         if not self._staged_lazy:
             return
-        numpy = require_numpy()
         for relation, contribution, counts in self._staged_lazy:
             self._lazy.setdefault(relation, []).append(contribution)
             existing = self._lazy_counts.get(relation)
@@ -465,7 +465,6 @@ class MPCSimulator:
                 (lets the pool keep worker fragments pre-sorted; see
                 :class:`ColumnPool`).
         """
-        numpy = require_numpy()
         self._validate_send(sender, None, bits_per_tuple)
         receivers = numpy.asarray(receivers, dtype=numpy.int64)
         if row_indices is not None:
@@ -637,7 +636,6 @@ class MPCSimulator:
         lazy_counts = self._lazy_counts.get(relation)
         if not pools and lazy_counts is None:
             return None
-        numpy = require_numpy()
         counts = numpy.zeros(self.config.p, dtype=numpy.int64)
         for pool in pools or ():
             counts += pool.offsets[1:] - pool.offsets[:-1]

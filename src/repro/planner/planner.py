@@ -60,7 +60,7 @@ class Explain:
         algorithm: the chosen registry name.
         eps_requested: the statement's ``eps`` (None = automatic).
         eps_effective: the ``eps`` the compiled plan will carry.
-        p / backend: execution parameters.
+        p: the worker count the choice was made for.
         tau_star: the query's fractional covering number.
         space_exponent: ``1 - 1/tau*`` (Theorem 1.1) -- the smallest
             budget any one-round algorithm can answer fully at.
@@ -91,7 +91,6 @@ class Explain:
     eps_requested: Fraction | None
     eps_effective: Fraction | None
     p: int
-    backend: str
     tau_star: Fraction
     space_exponent: Fraction
     predicted_rounds: int
@@ -112,7 +111,6 @@ class Explain:
             "eps_requested": _frac_str(self.eps_requested),
             "eps_effective": _frac_str(self.eps_effective),
             "p": self.p,
-            "backend": self.backend,
             "tau_star": _frac_str(self.tau_star),
             "space_exponent": _frac_str(self.space_exponent),
             "predicted_rounds": self.predicted_rounds,
@@ -147,7 +145,6 @@ class Explain:
             ["chosen algorithm", self.algorithm
              + (" (pinned by caller)" if self.pinned else "")],
             ["p (servers)", self.p],
-            ["backend", self.backend],
             ["eps requested", _frac_str(self.eps_requested) or "auto"],
             ["eps effective", _frac_str(self.eps_effective) or "per-query"],
             ["tau* (covering number)", self.tau_star],
@@ -232,18 +229,15 @@ class Planner:
 
     Args:
         p: worker count every choice is made for.
-        backend: resolved compute backend (recorded in explains).
         stats: shared counters (a session passes its own).
     """
 
     def __init__(
         self,
         p: int,
-        backend: str,
         stats: PlannerStats | None = None,
     ) -> None:
         self.p = p
-        self.backend = backend
         self.stats = stats if stats is not None else PlannerStats()
 
     def choose(
@@ -357,7 +351,6 @@ class Planner:
             eps_requested=eps,
             eps_effective=eps_effective,
             p=self.p,
-            backend=self.backend,
             tau_star=tau,
             space_exponent=query_eps,
             predicted_rounds=chosen_bid.rounds,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.algorithms.skewaware import detect_heavy_hitters
-from repro.backend import NUMPY, resolve_backend
 from repro.core.covers import fractional_vertex_cover
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import allocate_integer_shares, share_exponents
@@ -70,26 +69,17 @@ class DataProfile:
         return max((rows for _, rows in self.relation_rows), default=0)
 
 
-def _stride_sample(
-    relation: ColumnarRelation, cap: int, backend: str
-) -> ColumnarRelation:
+def _stride_sample(relation: ColumnarRelation, cap: int) -> ColumnarRelation:
     """Every k-th row, deterministically, when the relation is large."""
     size = len(relation)
     if size <= cap:
         return relation
     stride = -(-size // cap)  # ceil division
-    if backend == NUMPY:
-        columns = tuple(column[::stride] for column in relation.columns)
-    else:
-        columns = tuple(
-            list(column[::stride]) for column in relation.columns
-        )
     return ColumnarRelation(
         name=relation.name,
         arity=relation.arity,
-        columns=columns,
+        columns=tuple(column[::stride] for column in relation.columns),
         domain_size=relation.domain_size,
-        backend=relation.backend,
     )
 
 
@@ -97,7 +87,6 @@ def collect_profile(
     query: ConjunctiveQuery,
     database: Mapping[str, ColumnarRelation],
     *,
-    backend: str | None = None,
     sample_cap: int = SAMPLE_CAP,
     version: int = -1,
 ) -> DataProfile:
@@ -109,11 +98,9 @@ def collect_profile(
             :class:`~repro.data.columnar.ColumnarDatabase` or
             :class:`~repro.data.versioned.VersionedDatabase` snapshot
             both satisfy this).
-        backend: compute backend for the heavy-hitter scan.
         sample_cap: stride-sample relations beyond this many rows.
         version: recorded verbatim on the profile (cache stamping).
     """
-    backend = resolve_backend(backend)
     cover = fractional_vertex_cover(query)
     shares = allocate_integer_shares(
         share_exponents(query, cover), p=_profile_p(query, cover)
@@ -125,13 +112,11 @@ def collect_profile(
     for atom in query.atoms:
         relation = database[atom.name]
         relation_rows.append((atom.name, len(relation)))
-        sample = _stride_sample(relation, sample_cap, backend)
+        sample = _stride_sample(relation, sample_cap)
         sampled = sampled or sample is not relation
         sources[atom.name] = sample
 
-    heavy_sets = detect_heavy_hitters(
-        query, sources, shares, backend=backend, columnar=sources
-    )
+    heavy_sets = detect_heavy_hitters(query, sources, shares)
     multiplicities = _heavy_multiplicities(query, sources, heavy_sets)
     # A sampled scan undercounts by the stride factor; scale back so
     # cost models compare multiplicities against full cardinalities.
@@ -197,13 +182,7 @@ def _heavy_multiplicities(
         for position, variable in positions:
             heavy = heavy_sets[variable]
             counts: dict[int, int] = {}
-            column = relation.columns[position]
-            values = (
-                column.tolist()
-                if hasattr(column, "tolist")
-                else column
-            )
-            for value in values:
+            for value in relation.columns[position].tolist():
                 if value in heavy:
                     counts[value] = counts.get(value, 0) + 1
             if counts:

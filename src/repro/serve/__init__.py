@@ -8,7 +8,7 @@ is a long-lived process that accepts repeated ``execute(query)`` and
 across requests:
 
 * a :class:`~repro.serve.cache.PlanCache` keyed by canonicalized
-  ``(query, eps, p, backend)`` -- isomorphic queries share one
+  ``(query, eps, p)`` -- isomorphic queries share one
   compiled plan (:mod:`repro.core.isomorphism` supplies the witness
   that rebinds relations and permutes answer columns);
 * a result cache memoizing whole executions per (plan, rebind,

@@ -2,7 +2,7 @@
 
 Plans are data-independent (see :mod:`repro.engine.plan`), so the only
 cache key that matters is *what was compiled*: the query and the MPC
-parameters ``(eps, p, backend, seed, ...)``.  Queries are matched up
+parameters ``(eps, p, seed, ...)``.  Queries are matched up
 to isomorphism -- ``q(x,y,z) = S1(x,y), S2(y,z)`` and
 ``q(a,b,c) = S2(u,v), S1(v,w)`` route differently but answer the same
 question, so they share one plan: the cache stores the first-seen
@@ -263,7 +263,7 @@ class PlanCache:
         Args:
             query: the request query.
             params: every compile parameter that affects the plan
-                (``eps``, ``p``, ``backend``, seed, capacity...); two
+                (``eps``, ``p``, seed, capacity...); two
                 requests share a plan only when their params match
                 exactly.
             compiler: called with ``query`` on a miss; its plan is

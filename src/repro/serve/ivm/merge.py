@@ -29,22 +29,19 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
+import numpy
+
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.data.columnar import ColumnarDatabase
 from repro.data.versioned import ComposedDelta
 from repro.engine.deadline import Deadline
 from repro.engine.executor import plan_config
+from repro.engine.local import union_answer_tables
 from repro.engine.plan import CollectAnswers, FinalizeView
 from repro.mpc.simulator import CapacityExceeded
 from repro.mpc.stats import RoundStats, SimulationReport
 
-from .state import (
-    NUMPY,
-    RetainedState,
-    SiteState,
-    _merge_tables,
-    evaluate_worker,
-    table_rows,
-)
+from .state import RetainedState, SiteState, table_rows
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -85,48 +82,32 @@ def _route_delta(step, rows: Rows, p: int) -> dict[int, list]:
     return by_worker
 
 
-def _patch_fragment(
-    fragment,
-    removed: list,
-    added: list,
-    backend: str,
-):
-    """``(fragment - removed) + added`` in the backend's storage.
+def _patch_fragment(columns: tuple, removed: list, added: list) -> tuple:
+    """``(fragment - removed) + added`` over a fragment's columns.
 
     Routed images of effective deltas make both sides exact: every
     removed row is present, no added row is (content routing is a
     function, and the relation-level delta is effective).
     """
-    if backend == NUMPY:
-        from repro.backend import require_numpy
-
-        numpy = require_numpy()
-        columns = fragment
-        if removed and len(columns[0]):
-            mask = numpy.zeros(len(columns[0]), dtype=bool)
-            for row in removed:
-                hit = columns[0] == row[0]
-                for column, value in zip(columns[1:], row[1:]):
-                    hit = hit & (column == value)
-                mask |= hit
-            keep = ~mask
-            columns = tuple(column[keep] for column in columns)
-        if added:
-            extra = [
-                numpy.asarray(
-                    [row[i] for row in added], dtype=numpy.int64
-                )
-                for i in range(len(columns))
-            ]
-            columns = tuple(
-                numpy.concatenate([column, extension])
-                for column, extension in zip(columns, extra)
-            )
-        return columns
-    removed_set = set(map(tuple, removed))
-    rows = [row for row in fragment if tuple(row) not in removed_set]
-    rows.extend(tuple(row) for row in added)
-    return rows
+    if removed and len(columns[0]):
+        mask = numpy.zeros(len(columns[0]), dtype=bool)
+        for row in removed:
+            hit = columns[0] == row[0]
+            for column, value in zip(columns[1:], row[1:]):
+                hit = hit & (column == value)
+            mask |= hit
+        keep = ~mask
+        columns = tuple(column[keep] for column in columns)
+    if added:
+        extra = [
+            numpy.asarray([row[i] for row in added], dtype=numpy.int64)
+            for i in range(len(columns))
+        ]
+        columns = tuple(
+            numpy.concatenate([column, extension])
+            for column, extension in zip(columns, extra)
+        )
+    return columns
 
 
 def _insert_new_rows(merged, tables, arity):
@@ -144,9 +125,6 @@ def _insert_new_rows(merged, tables, arity):
     insertion positions into the *old* table (ascending) -- or
     ``(merged, (), None)`` when nothing was new.
     """
-    from repro.backend import require_numpy
-
-    numpy = require_numpy()
     fields = numpy.dtype(
         [(f"f{i}", numpy.int64) for i in range(arity)]
     )
@@ -215,7 +193,6 @@ def merge_state(
     :class:`~repro.serve.ivm.policy.IvmPolicy` beforehand.
     """
     plan = state.plan
-    backend = state.backend
     p = plan.signature.p
     config = plan_config(plan)
     new_input_bits = snapshot.total_bits
@@ -263,8 +240,8 @@ def merge_state(
         table, or None when no worker was affected.  When every
         fragment patch feeding the site was insert-only, monotonicity
         of conjunctive queries guarantees the per-worker tables only
-        grow, so on the numpy backend the canonical merged table is
-        updated by sorted insertion (delta-proportional) instead of
+        grow, so the canonical merged table is updated by sorted
+        insertion (delta-proportional) instead of
         re-uniquing every worker's table; any routed removal falls
         back to the full recompute, which is always exact.
         """
@@ -280,13 +257,13 @@ def merge_state(
                 atom_name: fragment_of(key, worker)
                 for atom_name, key in site.keys.items()
             }
-            patched_tables[(site.name, worker)] = evaluate_worker(
-                site.query, fragments, backend
+            # Fragments are sets by construction (content routing
+            # never delivers a row twice to one worker).
+            patched_tables[(site.name, worker)] = evaluate_query_table(
+                site.query, fragments, assume_unique=True
             )
-        if (
-            backend == NUMPY
-            and arity > 0
-            and not any(key in shrunk for key in site.keys.values())
+        if arity > 0 and not any(
+            key in shrunk for key in site.keys.values()
         ):
             new_tables = [
                 patched_tables[(site.name, worker)]
@@ -301,13 +278,9 @@ def merge_state(
         tables = [
             table_of(site, worker) for worker in range(site.workers)
         ]
-        patched_merged[site.name] = _merge_tables(
-            tables, arity, backend
-        )
-        old_merged = set(table_rows(site.merged, backend))
-        new_merged = set(
-            table_rows(patched_merged[site.name], backend)
-        )
+        patched_merged[site.name] = union_answer_tables(tables, arity)
+        old_merged = set(table_rows(site.merged))
+        new_merged = set(table_rows(patched_merged[site.name]))
         return (
             tuple(sorted(new_merged - old_merged)),
             tuple(sorted(old_merged - new_merged)),
@@ -343,7 +316,6 @@ def merge_state(
                         fragment_of(key, worker),
                         routed_removed.get(worker, []),
                         routed_added.get(worker, []),
-                        backend,
                     )
         new_bits = tuple(
             old + delta
@@ -406,7 +378,7 @@ def merge_state(
                 else _splice_rows(cached, fresh, insert_at)
             )
         else:
-            answers = table_rows(merged, backend)
+            answers = table_rows(merged)
         per_server = tuple(
             [len(table_of(site, w)) for w in range(site.workers)]
             + [0] * (p - site.workers)
@@ -436,7 +408,7 @@ def merge_state(
             answers = tuple(
                 sorted(
                     tuple(row[i] for i in head_positions)
-                    for row in table_rows(merged, backend)
+                    for row in table_rows(merged)
                 )
             )
         per_server = ()

@@ -12,8 +12,7 @@ instead of re-executing the plan.
 Nothing is derived a second time.  The fragments are zero-copy views
 of the pooled deliveries still sitting in the execution's simulator
 (the serving layer resets simulators lazily, at the start of the next
-run; pure-backend rows are copied because ``reset`` clears mailboxes
-in place), and each site's per-worker answer tables, merged table and
+run), and each site's per-worker answer tables, merged table and
 answer tuples are the very objects local evaluation produced, taken by
 reference from :attr:`PlanExecution.site_answers
 <repro.engine.executor.PlanExecution.site_answers>` and
@@ -48,22 +47,19 @@ from repro.mpc.stats import RoundStats
 
 from .policy import FALLBACK_NO_STATE, FALLBACK_STREAMED
 
-NUMPY = "numpy"
-
-#: Rough per-row cost of retained pure-backend fragments (tuple header
-#: plus small-int pointers); only used for the byte budget, so it must
-#: be stable, not exact.
-_PURE_ROW_BYTES = 60
-_PURE_VALUE_BYTES = 28
+#: Rough per-row cost of a retained answer-row tuple (tuple header plus
+#: small-int pointers); only used for the byte budget, so it must be
+#: stable, not exact.
+_ROW_BYTES = 60
+_VALUE_BYTES = 28
 
 
 @dataclass
 class FragmentStore:
     """One mailbox key's per-worker fragments.
 
-    ``fragments[w]`` is worker ``w``'s full fragment of the key:
-    a tuple of int64 column arrays (numpy backend) or a list of row
-    tuples (pure backend).
+    ``fragments[w]`` is worker ``w``'s full fragment of the key: a
+    tuple of int64 column arrays.
     """
 
     arity: int
@@ -79,7 +75,7 @@ class SiteState:
         query: the site's full conjunctive query.
         keys: atom name -> mailbox key the atom reads.
         workers: number of workers evaluating the site.
-        tables: per-worker answer tables (int64 arrays or row tuples).
+        tables: per-worker int64 answer tables.
         merged: the canonical merged table -- lex-sorted unique rows.
         answer_rows: for the site that produces the request's answers,
             a cache of those answers as row tuples in canonical order
@@ -104,7 +100,6 @@ class RetainedState:
     version: int
     plan: Plan
     relation_map: dict[str, str]
-    backend: str
     pools: dict[str, FragmentStore]
     views: dict[str, SiteState]
     view_rounds: list[list[str]]
@@ -120,35 +115,18 @@ class RetainedState:
         total = 0
         for store in self.pools.values():
             for fragment in store.fragments:
-                total += _fragment_bytes(fragment, self.backend)
+                total += sum(int(column.nbytes) for column in fragment)
         for site in list(self.views.values()) + (
             [self.collect] if self.collect is not None else []
         ):
             for table in site.tables:
-                total += _table_bytes(table, self.backend)
-            total += _table_bytes(site.merged, self.backend)
-            if site.answer_rows is not None:
-                total += _table_bytes(site.answer_rows, "pure")
+                total += int(table.nbytes)
+            total += int(site.merged.nbytes)
+            rows = site.answer_rows
+            if rows:
+                total += len(rows) * (_ROW_BYTES + len(rows[0]) * _VALUE_BYTES)
         self.nbytes = total
         return total
-
-
-def _fragment_bytes(fragment: Any, backend: str) -> int:
-    if backend == NUMPY:
-        return sum(int(column.nbytes) for column in fragment)
-    if not fragment:
-        return 0
-    width = len(fragment[0])
-    return len(fragment) * (_PURE_ROW_BYTES + width * _PURE_VALUE_BYTES)
-
-
-def _table_bytes(table: Any, backend: str) -> int:
-    if backend == NUMPY:
-        return int(table.nbytes)
-    if not table:
-        return 0
-    width = len(table[0])
-    return len(table) * (_PURE_ROW_BYTES + width * _PURE_VALUE_BYTES)
 
 
 def plan_sites(plan: Plan) -> list[tuple[str | None, ConjunctiveQuery, Any]]:
@@ -199,47 +177,9 @@ def compute_step_bits(
     return bits
 
 
-def _merge_tables(tables: list[Any], arity: int, backend: str) -> Any:
-    """The canonical duplicate-free union of per-worker tables --
-    exactly the merge full execution performs."""
-    if backend == NUMPY:
-        from repro.engine.local import union_answer_tables
-
-        return union_answer_tables(tables, arity)
-    merged: set[tuple[int, ...]] = set()
-    for table in tables:
-        merged.update(table)
-    return tuple(sorted(merged))
-
-
-def table_rows(table: Any, backend: str) -> tuple[tuple[int, ...], ...]:
+def table_rows(table: Any) -> tuple[tuple[int, ...], ...]:
     """A table's rows as plain tuples (canonical order preserved)."""
-    if backend == NUMPY:
-        return tuple(map(tuple, table.tolist()))
-    return tuple(table)
-
-
-def evaluate_worker(
-    query: ConjunctiveQuery,
-    fragments: Mapping[str, Any],
-    backend: str,
-) -> Any:
-    """One worker's duplicate-free answers over its fragments.
-
-    numpy: an int64 table via the columnar evaluator with the
-    duplicate-free fast path (fragments are sets by construction --
-    content routing never delivers a row twice to one worker).
-    pure: sorted answer row tuples from the reference evaluator.
-    """
-    if backend == NUMPY:
-        from repro.algorithms.localjoin import evaluate_query_table
-
-        return evaluate_query_table(query, fragments, assume_unique=True)
-    from repro.algorithms.localjoin import evaluate_query
-
-    return evaluate_query(
-        query, {name: list(rows) for name, rows in fragments.items()}
-    )
+    return tuple(map(tuple, table.tolist()))
 
 
 def capture_state(
@@ -260,7 +200,6 @@ def capture_state(
     with the execution's -- either way the next delta simply falls
     back to full re-execution.
     """
-    backend = plan.signature.backend
     simulator = execution.simulator
     p = plan.signature.p
     relation_map = dict(relation_map or {})
@@ -279,25 +218,13 @@ def capture_state(
 
     pools: dict[str, FragmentStore] = {}
     for key in needed_keys:
-        if backend == NUMPY:
-            pool = simulator.relation_pool(key)
-            if pool is None or pool.num_workers != p:
-                return FALLBACK_NO_STATE
-            fragments = [pool.worker_slice(w) for w in range(p)]
-            arity = len(pool.columns)
-        else:
-            fragments = [
-                list(simulator.worker_rows(w, key)) for w in range(p)
-            ]
-            arity = next(
-                (
-                    len(rows[0])
-                    for rows in fragments
-                    if rows
-                ),
-                0,
-            )
-        pools[key] = FragmentStore(arity=arity, fragments=fragments)
+        pool = simulator.relation_pool(key)
+        if pool is None or pool.num_workers != p:
+            return FALLBACK_NO_STATE
+        pools[key] = FragmentStore(
+            arity=len(pool.columns),
+            fragments=[pool.worker_slice(w) for w in range(p)],
+        )
 
     views: dict[str, SiteState] = {}
     collect: SiteState | None = None
@@ -361,7 +288,6 @@ def capture_state(
         version=version,
         plan=plan,
         relation_map=relation_map,
-        backend=backend,
         pools=pools,
         views=views,
         view_rounds=view_rounds,

@@ -8,7 +8,7 @@ amortize work across requests:
 
 1. **Plans** (:class:`~repro.serve.cache.PlanCache`): compilation --
    covers, shares, grids, step lists -- runs once per isomorphism
-   class of (query, eps, p, backend); plans are data-independent and
+   class of (query, eps, p); plans are data-independent and
    survive updates.
 2. **Results**: whole executions are memoized per (plan, rebind,
    version) -- the database is immutable between versions, so a
@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.algorithms.registry import algorithm_names, compile_with, get_algorithm
-from repro.backend import resolve_backend
 from repro.core.query import ConjunctiveQuery, QueryError, parse_query
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import Database
@@ -171,7 +170,6 @@ class QueryService:
         eps: space exponent; None lets each query use its own default
             (HC's space exponent; multiround requires a value and
             falls back to 0).
-        backend: compute backend, resolved once for every request.
         seed: hash-family seed shared by all plans.
         capacity_c: capacity constant; None picks the algorithm's
             registered default.
@@ -179,13 +177,13 @@ class QueryService:
             (cached failures re-raise identically).
         plan_cache_size / result_cache_size: entry budgets of the two
             cache layers; a size of 0 disables that layer.
-        chunk_rows: streaming block size for every execution (numpy
-            backend only).  When set, shardable routing steps stream
-            in ``chunk_rows``-row blocks with lazy delivery pools, so
-            peak memory per request is bounded by the block and shard
-            budgets instead of the full delivery volume -- answers,
-            loads and capacity behaviour stay bit-identical.  None
-            (the default) ships every step whole.
+        chunk_rows: streaming block size for every execution.  When
+            set, shardable routing steps stream in ``chunk_rows``-row
+            blocks with lazy delivery pools, so peak memory per
+            request is bounded by the block and shard budgets instead
+            of the full delivery volume -- answers, loads and capacity
+            behaviour stay bit-identical.  None (the default) ships
+            every step whole.
         ivm: serve post-delta requests by routing only the delta and
             merging with retained state when eligible (see
             :mod:`repro.serve.ivm`); answers, loads and capacity
@@ -208,7 +206,6 @@ class QueryService:
         *,
         algorithm: str = "hypercube",
         eps: Fraction | float | None = None,
-        backend: str | None = None,
         seed: int = 0,
         capacity_c: float | None = None,
         enforce_capacity: bool = False,
@@ -224,11 +221,10 @@ class QueryService:
                 f"unknown serving algorithm {algorithm!r}; expected one "
                 f"of {list(algorithm_names())}"
             )
-        self.backend = resolve_backend(backend)
         if isinstance(database, VersionedDatabase):
             self._database = database
         else:
-            self._database = VersionedDatabase(database, backend=self.backend)
+            self._database = VersionedDatabase(database)
         self.p = p
         self.algorithm = algorithm
         self.eps = None if eps is None else Fraction(eps)
@@ -290,7 +286,6 @@ class QueryService:
             algorithm,
             eps,
             self.p,
-            self.backend,
             self.seed,
             capacity_c,
             self.enforce_capacity,
@@ -594,7 +589,7 @@ class QueryService:
 
     def _compile(self, query: ConjunctiveQuery, params: tuple) -> Plan:
         """Compile through the algorithm registry, one call per miss."""
-        algorithm, eps, p, backend, seed, capacity_c, enforce = params
+        algorithm, eps, p, seed, capacity_c, enforce = params
         return compile_with(
             algorithm,
             query,
@@ -603,13 +598,12 @@ class QueryService:
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce,
-            backend=backend,
         )
 
     def _simulator_for(self, plan: Plan) -> MPCSimulator:
         """The pooled simulator for ``plan``'s MPC configuration."""
         config = plan_config(plan)
-        key = (config.p, config.eps, config.c, config.backend)
+        key = (config.p, config.eps, config.c)
         simulator = self._simulators.get(key)
         if simulator is None:
             simulator = MPCSimulator(

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro import oracle
 from repro.algorithms.baselines import (
     compile_broadcast_join,
+    compile_cartesian_grid,
     compile_single_attribute_join,
     compile_single_server,
     run_cartesian_grid,
@@ -16,6 +18,7 @@ from repro.core.query import QueryError, parse_query
 from repro.data.database import Relation
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
+from tests.conftest import assert_oracle_parity, run_with_oracle
 
 
 def truth_of(query, database):
@@ -122,46 +125,24 @@ class TestCartesianGrid:
             run_cartesian_grid(left, right, p=4, groups=3)
 
 
-class TestBackendParity:
-    """Every baseline honours ``backend=`` with identical results."""
-
-    @staticmethod
-    def assert_reports_match(pure, vectorized):
-        assert vectorized.answers == pure.answers
-        for round_pure, round_vec in zip(
-            pure.report.rounds, vectorized.report.rounds
-        ):
-            assert round_vec.received_bits == round_pure.received_bits
-            assert round_vec.received_tuples == round_pure.received_tuples
-
-    @pytest.fixture(autouse=True)
-    def _needs_numpy(self):
-        from repro.backend import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
+class TestOracleParity:
+    """Every baseline's engine run equals the row-at-a-time oracle."""
 
     def test_broadcast_parity(self, chain4, chain4_db):
-        self.assert_reports_match(*(
-            execute_plan(compile_broadcast_join(chain4, 4, backend), chain4_db)
-            for backend in ("pure", "numpy")
-        ))
+        assert_oracle_parity(
+            *run_with_oracle(compile_broadcast_join(chain4, 4), chain4_db)
+        )
 
     def test_single_server_parity(self, chain4, chain4_db):
-        self.assert_reports_match(*(
-            execute_plan(compile_single_server(chain4, 4, backend), chain4_db)
-            for backend in ("pure", "numpy")
-        ))
+        assert_oracle_parity(
+            *run_with_oracle(compile_single_server(chain4, 4), chain4_db)
+        )
 
     def test_single_attribute_parity(self, star3):
         database = matching_database(star3, n=40, rng=3)
-        self.assert_reports_match(*(
-            execute_plan(
-                compile_single_attribute_join(star3, 8, backend=backend),
-                database,
-            )
-            for backend in ("pure", "numpy")
-        ))
+        assert_oracle_parity(
+            *run_with_oracle(compile_single_attribute_join(star3, 8), database)
+        )
 
     def test_single_attribute_ships_every_tuple(self):
         """The classical hash join routes every tuple by its hash --
@@ -177,16 +158,12 @@ class TestBackendParity:
                 Relation.from_tuples("T", [(1, 2), (3, 4)], domain_size=4),
             ]
         )
-        pure, vectorized = (
-            execute_plan(
-                compile_single_attribute_join(query, 4, backend=backend),
-                database,
-            )
-            for backend in ("pure", "numpy")
+        execution, reference = run_with_oracle(
+            compile_single_attribute_join(query, 4), database
         )
-        self.assert_reports_match(pure, vectorized)
+        assert_oracle_parity(execution, reference)
         # All 5 tuples shipped; replication rate exactly 1.
-        assert sum(pure.report.rounds[0].received_tuples) == 5
+        assert sum(execution.report.rounds[0].received_tuples) == 5
 
     def test_cartesian_parity(self):
         left = Relation.from_tuples(
@@ -195,14 +172,23 @@ class TestBackendParity:
         right = Relation.from_tuples(
             "B", [(i,) for i in range(1, 65)], domain_size=64
         )
-        pure = run_cartesian_grid(left, right, p=16, backend="pure")
-        vectorized = run_cartesian_grid(left, right, p=16, backend="numpy")
-        assert pure.num_pairs == vectorized.num_pairs == 64 * 64
-        assert pure.max_reducer_tuples == vectorized.max_reducer_tuples
-        assert pure.replication_rate == pytest.approx(
-            vectorized.replication_rate
+        result = run_cartesian_grid(left, right, p=16)
+        assert result.num_pairs == 64 * 64
+        reference = oracle.execute_plan(
+            compile_cartesian_grid("A", "B", 16),
+            {"A": left, "B": right},
+            input_bits=result.report.input_bits,
         )
         assert (
-            pure.report.rounds[0].received_bits
-            == vectorized.report.rounds[0].received_bits
+            result.report.rounds[0].received_bits
+            == reference.report.rounds[0].received_bits
+        )
+        assert (
+            result.report.rounds[0].received_tuples
+            == reference.report.rounds[0].received_tuples
+        )
+        assert result.max_reducer_tuples == max(
+            len(reference.simulator.worker_rows(reducer, "A"))
+            + len(reference.simulator.worker_rows(reducer, "B"))
+            for reducer in range(16)
         )

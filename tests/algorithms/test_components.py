@@ -98,25 +98,8 @@ class TestShapeContrast:
         assert sparse_rounds > 2
 
 
-class TestHashToMinBackends:
-    """The engine port runs identically under both backends."""
-
-    def test_backend_parity(self):
-        pytest.importorskip("numpy")
-        from repro.backend import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy disabled")
-        graph = layered_path_graph(6, 12, rng=11)
-        pure = run_hash_to_min(graph, p=8, seed=5, backend="pure")
-        vectorized = run_hash_to_min(graph, p=8, seed=5, backend="numpy")
-        assert pure.correct and vectorized.correct
-        assert pure.labels == vectorized.labels
-        assert pure.rounds_used == vectorized.rounds_used
-        for round_pure, round_vec in zip(
-            pure.report.rounds, vectorized.report.rounds
-        ):
-            assert round_pure.received_bits == round_vec.received_bits
+class TestHashToMinEngine:
+    """Hash-to-Min runs on the shared round engine."""
 
     def test_rounds_counted_on_simulator(self):
         """Every iteration is a real engine round (no side channel)."""

@@ -8,6 +8,7 @@ import pytest
 
 from repro.algorithms.hypercube import hc_destinations
 from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with
 from repro.core.families import (
     binomial_query,
     cycle_query,
@@ -19,7 +20,7 @@ from repro.core.query import Atom, parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.mpc.routing import HashFamily
-from tests.conftest import run_pinned
+from tests.conftest import assert_oracle_parity, run_pinned, run_with_oracle
 
 
 def truth_of(query, database):
@@ -225,13 +226,7 @@ class TestRepeatedVariableAtoms:
         )
         assert _CountingHashFamily.calls == []
 
-    @pytest.mark.parametrize("backend", ["pure", "numpy"])
-    def test_run_hypercube_with_repeated_variable_atom(self, backend):
-        if backend == "numpy":
-            from repro.backend import numpy_available
-
-            if not numpy_available():
-                pytest.skip("numpy backend unavailable")
+    def test_run_hypercube_with_repeated_variable_atom(self):
         query = parse_query("q(x,y) = S(x, x), T(x, y)")
         rows_s = [(i, i) for i in range(1, 8)] + [(i, i + 1) for i in range(1, 8)]
         rows_t = [(i, 9 - i) for i in range(1, 9)]
@@ -241,8 +236,9 @@ class TestRepeatedVariableAtoms:
                 Relation.from_tuples("T", rows_t, 9),
             ]
         )
-        result = run_pinned(
-            "hypercube", query, database, p=8, seed=2, backend=backend
+        result, reference = run_with_oracle(
+            compile_with("hypercube", query, 8, seed=2), database
         )
+        assert_oracle_parity(result, reference)
         assert result.answers == truth_of(query, database)
         assert result.answers  # equality-satisfying rows do join

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.backend import numpy_available
-
-if not numpy_available():
-    pytest.skip("numpy backend unavailable", allow_module_level=True)
-
 import numpy
+import pytest
 
 from repro.algorithms.localjoin import (
     _join_pairs_sparse,
@@ -30,10 +24,10 @@ def as_columns(rows):
     )
 
 
-def _join_pairs(numpy, key_left, key_right, assume_sorted=False):
+def _join_pairs(key_left, key_right, assume_sorted=False):
     """``_join_pairs_sparse`` with the implicit identity made explicit."""
     left_index, right_index = _join_pairs_sparse(
-        numpy, key_left, key_right, assume_sorted
+        key_left, key_right, assume_sorted
     )
     if left_index is None:
         left_index = numpy.arange(len(key_left), dtype=numpy.int64)
@@ -138,9 +132,9 @@ class TestJoinPairsSorted:
         rng = numpy.random.default_rng(seed)
         key_right = numpy.sort(rng.integers(0, 50, size=200))
         key_left = rng.integers(-5, 60, size=120)  # incl. out-of-range
-        with_sort = _join_pairs(numpy, key_left, key_right)
+        with_sort = _join_pairs(key_left, key_right)
         sort_free = _join_pairs(
-            numpy, key_left, key_right, assume_sorted=True
+            key_left, key_right, assume_sorted=True
         )
         expected = set(zip(with_sort[0].tolist(), with_sort[1].tolist()))
         actual = set(zip(sort_free[0].tolist(), sort_free[1].tolist()))
@@ -154,7 +148,7 @@ class TestJoinPairsSorted:
         key_right = numpy.asarray([0, 10**15, 2 * 10**15])
         key_left = numpy.asarray([10**15, 5])
         left_index, right_index = _join_pairs(
-            numpy, key_left, key_right, assume_sorted=True
+            key_left, key_right, assume_sorted=True
         )
         assert left_index.tolist() == [0]
         assert right_index.tolist() == [1]
@@ -164,11 +158,11 @@ class TestJoinPairsSorted:
         some = numpy.asarray([1, 2, 3])
         for assume_sorted in (False, True):
             left_index, right_index = _join_pairs(
-                numpy, empty, some, assume_sorted=assume_sorted
+                empty, some, assume_sorted=assume_sorted
             )
             assert len(left_index) == len(right_index) == 0
             left_index, right_index = _join_pairs(
-                numpy, some, empty, assume_sorted=assume_sorted
+                some, empty, assume_sorted=assume_sorted
             )
             assert len(left_index) == len(right_index) == 0
 
@@ -294,7 +288,6 @@ class TestSegmentedEvaluator:
     def test_negative_sorted_keys_fall_back(self):
         """Non-decreasing but negative keys must not hit bincount."""
         left_index, right_index = _join_pairs(
-            numpy,
             numpy.asarray([0, 3]),
             numpy.asarray([-5, 0, 3]),
             assume_sorted=True,

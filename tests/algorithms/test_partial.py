@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with
 from repro.core.bounds import one_round_answer_fraction
 from repro.core.families import cycle_query, line_query
 from repro.data.database import as_mapping
 from repro.data.matching import matching_database
-from tests.conftest import run_pinned
+from tests.conftest import assert_oracle_parity, run_pinned, run_with_oracle
 
 
 def _truth(query, database):
@@ -110,30 +111,10 @@ class TestTheoremThreeThree:
         assert _fraction(result, query, database) == 1.0
 
 
-class TestBackendParity:
+class TestOracleParity:
     @pytest.mark.parametrize("seed", range(3))
-    def test_pure_equals_numpy(self, seed):
-        from repro.backend import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
+    def test_engine_equals_oracle(self, seed):
         query = cycle_query(3)
         database = matching_database(query, n=90, rng=50 + seed)
-        pure = run_pinned(
-            "partial", query, database, p=16, eps=Fraction(0), seed=seed,
-            backend="pure",
-        )
-        vectorized = run_pinned(
-            "partial", query, database, p=16, eps=Fraction(0), seed=seed,
-            backend="numpy",
-        )
-        assert vectorized.answers == pure.answers
-        assert _virtual_points(vectorized) == _virtual_points(pure)
-        assert (
-            vectorized.report.rounds[0].received_bits
-            == pure.report.rounds[0].received_bits
-        )
-        assert (
-            vectorized.report.rounds[0].received_tuples
-            == pure.report.rounds[0].received_tuples
-        )
+        plan = compile_with("partial", query, 16, eps=Fraction(0), seed=seed)
+        assert_oracle_parity(*run_with_oracle(plan, database))

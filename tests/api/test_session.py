@@ -64,10 +64,25 @@ class TestConnect:
         assert from_text.answers == from_query.answers
 
     def test_exposes_versions_and_config(self):
-        session = _session(p=8, backend="pure")
+        session = _session(p=8)
         assert session.p == 8
-        assert session.backend == "pure"
         assert session.version == 0
+
+    def test_backend_keyword_accepts_only_numpy(self):
+        assert _session(backend="numpy").p == 16
+        assert _session(backend=None).p == 16
+        with pytest.raises(ValueError, match="repro.oracle"):
+            _session(backend="pure")
+        with pytest.raises(TypeError, match="backend"):
+            Session(matching_database(VOCAB, n=10, rng=1), backend="numpy")
+
+    def test_chunk_rows_streams_without_a_backend(self):
+        from repro.engine import RoundProfiler
+
+        profiler = RoundProfiler()
+        with _session(chunk_rows=4) as session:
+            session.query("S1(x,y), S2(y,z)").execute(profiler=profiler)
+        assert any("route" in phases for phases in profiler.blocks.values())
 
 
 class TestStatements:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro import oracle
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
     cycle_query,
@@ -16,12 +17,59 @@ from repro.core.families import (
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
+from repro.mpc.simulator import CapacityExceeded
 
 
 def run_pinned(name, query, database, p, *, profiler=None, **options):
     """The pinned, cache-free path: ``compile_with`` + ``execute_plan``."""
     plan = compile_with(name, query, p, **options)
     return execute_plan(plan, database, profiler=profiler)
+
+
+def run_with_oracle(plan, database, **engine_options):
+    """``(engine execution, oracle execution)`` of one plan."""
+    return (
+        execute_plan(plan, database, **engine_options),
+        oracle.execute_plan(plan, database),
+    )
+
+
+def assert_oracle_parity(execution, reference):
+    """Everything observable of an engine run equals the oracle's:
+    answers, per-server counts, views, heavy hitters and per-round
+    received bits/tuples."""
+    assert execution.answers == reference.answers
+    assert execution.per_server == reference.per_server
+    assert execution.view_sizes == reference.view_sizes
+    assert execution.per_server_views == reference.per_server_views
+    assert execution.heavy_hitters == reference.heavy_hitters
+    assert len(execution.report.rounds) == len(reference.report.rounds)
+    for ours, theirs in zip(execution.report.rounds, reference.report.rounds):
+        assert ours.received_bits == theirs.received_bits
+        assert ours.received_tuples == theirs.received_tuples
+        assert ours.capacity_bits == theirs.capacity_bits
+
+
+def capacity_failure(run):
+    """Every field of the :class:`CapacityExceeded` ``run()`` raises."""
+    with pytest.raises(CapacityExceeded) as info:
+        run()
+    error = info.value
+    return (
+        error.worker,
+        error.received_bits,
+        error.capacity_bits,
+        error.round_index,
+    )
+
+
+@pytest.fixture(scope="module")
+def parallel_context():
+    """A two-process shard pool that takes every source (min_rows=0)."""
+    from repro.engine.parallel import ParallelContext
+
+    with ParallelContext(2, min_rows=0) as context:
+        yield context
 
 
 @pytest.fixture

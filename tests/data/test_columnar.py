@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
 
-from repro.backend import PURE, numpy_available
 from repro.data.columnar import ColumnarRelation, columnar_database
 from repro.data.database import Database, DataError, Relation
-
-BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 
 
 @pytest.fixture
@@ -23,62 +17,51 @@ def relation():
 
 
 class TestConversion:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_round_trip(self, relation, backend):
-        columnar = ColumnarRelation.from_relation(relation, backend)
+    def test_round_trip(self, relation):
+        columnar = ColumnarRelation.from_relation(relation)
         assert columnar.to_relation() == relation
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_relation_to_columnar_method(self, relation, backend):
-        assert relation.to_columnar(backend).to_relation() == relation
+    def test_relation_to_columnar_method(self, relation):
+        assert relation.to_columnar().to_relation() == relation
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_rows_sorted_and_deduped(self, backend):
+    def test_rows_sorted_and_deduped(self):
         columnar = ColumnarRelation.from_rows(
-            "R", [(2, 2), (1, 1), (2, 2)], domain_size=2, backend=backend
+            "R", [(2, 2), (1, 1), (2, 2)], domain_size=2
         )
         assert list(columnar.rows()) == [(1, 1), (2, 2)]
         assert len(columnar) == 2
 
-    @needs_numpy
-    def test_backends_agree_on_contents(self, relation):
-        pure = ColumnarRelation.from_relation(relation, "pure")
-        vectorized = ColumnarRelation.from_relation(relation, "numpy")
-        assert list(pure.rows()) == list(vectorized.rows())
-
-    @needs_numpy
-    def test_with_backend_switches(self, relation):
-        pure = ColumnarRelation.from_relation(relation, "pure")
-        vectorized = pure.with_backend("numpy")
-        assert vectorized.backend == "numpy"
-        assert vectorized.to_relation() == relation
-        assert pure.with_backend("pure") is pure
+    def test_columns_are_int64_arrays(self):
+        columnar = ColumnarRelation(
+            name="R", arity=2, columns=([1, 2], [3, 4]), domain_size=4
+        )
+        for column in columnar.columns:
+            assert isinstance(column, numpy.ndarray)
+            assert column.dtype == numpy.int64
+        assert list(columnar.rows()) == [(1, 3), (2, 4)]
 
     def test_database_to_columnar(self, relation):
         database = Database.from_relations([relation])
-        columnar = database.to_columnar(PURE)
+        columnar = database.to_columnar()
         assert set(columnar) == {"R"}
         assert columnar["R"].to_relation() == database["R"]
-        assert columnar == columnar_database(database, PURE)
+        assert {
+            name: list(value.rows())
+            for name, value in columnar_database(database).items()
+        } == {"R": list(columnar["R"].rows())}
 
 
 class TestValidation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_domain_checked(self, backend):
+    def test_domain_checked(self):
         with pytest.raises(DataError, match="outside domain"):
-            ColumnarRelation.from_rows(
-                "R", [(1, 9)], domain_size=3, backend=backend
-            )
+            ColumnarRelation.from_rows("R", [(1, 9)], domain_size=3)
         with pytest.raises(DataError, match="outside domain"):
-            ColumnarRelation.from_rows(
-                "R", [(0, 1)], domain_size=3, backend=backend
-            )
+            ColumnarRelation.from_rows("R", [(0, 1)], domain_size=3)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_ragged_rows_rejected(self, backend):
+    def test_ragged_rows_rejected(self):
         with pytest.raises(DataError, match="arity"):
             ColumnarRelation.from_rows(
-                "R", [(1, 2), (1,)], domain_size=3, backend=backend
+                "R", [(1, 2), (1,)], domain_size=3
             )
 
     def test_empty_needs_explicit_arity(self):
@@ -90,8 +73,7 @@ class TestValidation:
 
 
 class TestAccounting:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_accounting_matches_row_relation(self, relation, backend):
-        columnar = ColumnarRelation.from_relation(relation, backend)
+    def test_bit_accounting_matches_row_relation(self, relation):
+        columnar = ColumnarRelation.from_relation(relation)
         assert columnar.tuple_bits == relation.tuple_bits
         assert columnar.size_bits == relation.size_bits

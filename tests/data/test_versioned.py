@@ -4,30 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import numpy_available
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import DataError
 from repro.data.matching import matching_database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 
-BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
-
 VOCAB = parse_query("S1(x,y), S2(y,z)")
 
 
-def _versioned(backend="pure", n=20):
-    return VersionedDatabase(
-        matching_database(VOCAB, n=n, rng=1), backend=backend
-    )
+def _versioned(n=20):
+    return VersionedDatabase(matching_database(VOCAB, n=n, rng=1))
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_wraps_row_database(self, backend):
-        versioned = _versioned(backend)
+    def test_wraps_row_database(self):
+        versioned = _versioned()
         assert versioned.version == 0
-        assert versioned.backend == backend
         assert isinstance(versioned.snapshot, ColumnarDatabase)
         assert set(r.name for r in versioned) == {"S1", "S2"}
         assert len(versioned) == 2
@@ -35,17 +28,16 @@ class TestConstruction:
 
     def test_wraps_columnar_mapping(self):
         relation = ColumnarRelation.from_rows(
-            "R", [(1, 2), (2, 3)], domain_size=5, backend="pure"
+            "R", [(1, 2), (2, 3)], domain_size=5
         )
-        versioned = VersionedDatabase({"R": relation}, backend="pure")
+        versioned = VersionedDatabase({"R": relation})
         assert versioned.domain_size == 5
         assert versioned.total_bits == relation.size_bits
 
 
 class TestDeltas:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_bumps_version_and_contents(self, backend):
-        versioned = _versioned(backend)
+    def test_insert_bumps_version_and_contents(self):
+        versioned = _versioned()
         old_snapshot = versioned.snapshot
         rows_before = set(old_snapshot["S1"].rows())
         version = versioned.update(inserts={"S1": [(1, 2)]})
@@ -54,9 +46,8 @@ class TestDeltas:
         # Snapshots are immutable values: the old one is untouched.
         assert set(old_snapshot["S1"].rows()) == rows_before
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_is_idempotent(self, backend):
-        versioned = _versioned(backend)
+    def test_delete_is_idempotent(self):
+        versioned = _versioned()
         row = next(iter(versioned["S1"].rows()))
         versioned.update(deletes={"S1": [row]})
         assert row not in set(versioned["S1"].rows())

@@ -1,7 +1,7 @@
-"""The one numpy local-evaluation path (engine/local.py).
+"""The one local-evaluation path (engine/local.py).
 
 Whatever a query's deliveries look like -- eager pools (a monolithic
-round), streamed recipes, or both at once -- the numpy backend reaches
+round), streamed recipes, or both at once -- local evaluation reaches
 the segmented join kernel through ``evaluate_shard_pools`` and through
 nothing else.
 """
@@ -12,7 +12,6 @@ import pytest
 
 import repro.algorithms.localjoin as localjoin
 import repro.engine.local as local
-from repro.backend import numpy_available
 from repro.core.query import parse_query
 from repro.data.columnar import columnar_database
 from repro.data.matching import matching_database
@@ -27,10 +26,6 @@ from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
-
 P = 8
 QUERY = parse_query("S1(x,y), S2(y,z)")
 
@@ -43,7 +38,7 @@ def _routed_round(chunk_rows, eager=()):
         QUERY.variables, {"x": 1, "y": P, "z": 1}, HashFamily(0)
     )
     simulator = MPCSimulator(
-        MPCConfig(p=P, backend="numpy"),
+        MPCConfig(p=P),
         input_bits=database.total_bits,
         enforce_capacity=False,
     )
@@ -56,7 +51,7 @@ def _routed_round(chunk_rows, eager=()):
         for atom in QUERY.atoms
     ]
     RoundEngine(simulator, chunk_rows=chunk_rows).run_round(
-        steps, columnar_database(database, "numpy")
+        steps, columnar_database(database)
     )
     return database, simulator
 
@@ -107,7 +102,7 @@ def test_every_delivery_kind_takes_the_shard_loop(
     )
 
     answers, per_server = collect_answers(
-        QUERY, simulator, range(P), "numpy"
+        QUERY, simulator, range(P)
     )
     assert kernel_calls and all(kernel_calls)
     assert answers == localjoin.evaluate_query(
@@ -138,7 +133,6 @@ def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
                 QUERY,
                 simulator,
                 range(P),
-                "numpy",
                 parallel=context,
                 deadline=deadline,
             )
@@ -151,7 +145,6 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
     """A ``retain`` sink gets the shard results split by worker: each
     table is a zero-copy slice holding exactly that worker's answers,
     however many shards evaluated the fleet."""
-    from repro.engine import worker_answer_rows
     from repro.engine.streaming import SHARD_BYTES_ENV
 
     if shard_bytes is not None:
@@ -159,15 +152,21 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
     _, simulator = _routed_round(chunk_rows=None)
     sink = {}
     answers, per_server = collect_answers(
-        QUERY, simulator, range(P), "numpy", retain=sink, site="V"
+        QUERY, simulator, range(P), retain=sink, site="V"
     )
     site = sink["V"]
     assert [len(table) for table in site.tables] == per_server
     assert sum(per_server) == 50
     for worker, table in enumerate(site.tables):
         assert table.base is not None  # a view, not a copy
-        assert sorted(map(tuple, table.tolist())) == list(
-            worker_answer_rows(QUERY, simulator, worker)
+        assert tuple(sorted(map(tuple, table.tolist()))) == (
+            localjoin.evaluate_query(
+                QUERY,
+                {
+                    atom.name: simulator.worker_rows(worker, atom.name)
+                    for atom in QUERY.atoms
+                },
+            )
         )
     assert tuple(map(tuple, site.merged.tolist())) == answers
 
@@ -176,5 +175,5 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
 def test_streamed_sites_retain_nothing(eager):
     _, simulator = _routed_round(chunk_rows=16, eager=eager)
     sink = {}
-    collect_answers(QUERY, simulator, range(P), "numpy", retain=sink)
+    collect_answers(QUERY, simulator, range(P), retain=sink)
     assert not sink

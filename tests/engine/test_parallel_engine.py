@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
-
-numpy = pytest.importorskip("numpy")
 
 from repro.data.matching import matching_database
 from repro.engine.executor import RoundEngine, _reassemble, execute_plan
@@ -24,7 +23,7 @@ class TestShardableContract:
     """The static declarations the parallel engine dispatches on."""
 
     def test_content_only_steps_are_shardable(self, triangle, triangle_db):
-        service = QueryService(triangle_db, p=8, backend="numpy")
+        service = QueryService(triangle_db, p=8)
         plan = service.compile(triangle)
         steps = [step for round_ in plan.rounds for step in round_.steps]
         assert steps and all(isinstance(step, HashRoute) for step in steps)
@@ -114,7 +113,7 @@ class TestReassembly:
     def _source(self, relation, database):
         from repro.engine.executor import _plan_sources
 
-        return _plan_sources(database, "numpy")[relation]
+        return _plan_sources(database)[relation]
 
     def _bounds(self, num_rows, shards):
         chunk = -(-num_rows // shards)
@@ -129,7 +128,7 @@ class TestReassembly:
         )
         bounds = self._bounds(len(source), shards)
         results = _shard_results(step, source.columns, bounds, self.P)
-        routed = _reassemble(numpy, source, bounds, results)
+        routed = _reassemble(source, bounds, results)
         assert numpy.array_equal(routed.destinations, serial_dest)
         for rebuilt, serial in zip(routed.columns, serial_columns):
             assert numpy.array_equal(rebuilt, serial)
@@ -139,7 +138,7 @@ class TestReassembly:
             assert numpy.array_equal(routed.row_indices, serial_idx)
 
     def test_hash_route(self, triangle, triangle_db):
-        service = QueryService(triangle_db, p=self.P, backend="numpy")
+        service = QueryService(triangle_db, p=self.P)
         plan = service.compile(triangle)
         step = plan.rounds[0].steps[0]
         assert isinstance(step, HashRoute)
@@ -151,7 +150,7 @@ class TestReassembly:
         from repro.core.query import parse_query
 
         query = parse_query("S1(x,x)")
-        service = QueryService(triangle_db, p=self.P, backend="numpy")
+        service = QueryService(triangle_db, p=self.P)
         plan = service.compile(query)
         step = plan.rounds[0].steps[0]
         source = self._source(step.relation, triangle_db)
@@ -177,7 +176,7 @@ class TestReassembly:
         )
         bounds = self._bounds(len(source), 3)
         results = _shard_results(step, source.columns, bounds, self.P)
-        routed = _reassemble(numpy, source, bounds, results)
+        routed = _reassemble(source, bounds, results)
 
         def pairs(cols, dest, idx):
             rows = numpy.stack([col[idx] for col in cols], axis=1)
@@ -191,7 +190,7 @@ class TestReassembly:
         ) == pairs(columns, destinations, row_indices)
 
     def test_single_shard_degenerates_to_serial(self, triangle, triangle_db):
-        service = QueryService(triangle_db, p=self.P, backend="numpy")
+        service = QueryService(triangle_db, p=self.P)
         plan = service.compile(triangle)
         step = plan.rounds[0].steps[0]
         self._check(step, self._source(step.relation, triangle_db), shards=1)
@@ -206,7 +205,7 @@ class TestExecutePlanParallel:
             yield context
 
     def _plan(self, query, database, p=8, **kwargs):
-        service = QueryService(database, p=p, backend="numpy")
+        service = QueryService(database, p=p)
         return service.compile(query, **kwargs)
 
     def test_parity_and_round_counters(self, triangle, triangle_db, context):
@@ -236,7 +235,7 @@ class TestExecutePlanParallel:
 
         database = matching_database(cycle_query(3), n=60, rng=11)
         plan = compile_with(
-            algorithm, triangle, 8, backend="numpy", **overrides
+            algorithm, triangle, 8, **overrides
         )
         serial = execute_plan(plan, database)
         rounds = context.parallel_rounds + context.fallback_rounds

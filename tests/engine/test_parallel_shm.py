@@ -5,9 +5,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 
+import numpy
 import pytest
-
-numpy = pytest.importorskip("numpy")
 
 from repro.engine.parallel.shm import (
     _ATTACH_LIMIT,
@@ -76,13 +75,12 @@ class TestSharedColumnStore:
 
 
 class TestSnapshotExport:
-    @pytest.mark.parametrize("backend", ["numpy", "pure"])
-    def test_export_attach_roundtrip(self, triangle, backend):
+    def test_export_attach_roundtrip(self, triangle):
         from repro.data.matching import matching_database
         from repro.data.versioned import VersionedDatabase
 
         database = VersionedDatabase(
-            matching_database(triangle, n=30, rng=3), backend=backend
+            matching_database(triangle, n=30, rng=3)
         )
         with SharedColumnStore() as store:
             export = export_snapshot(

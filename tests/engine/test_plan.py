@@ -48,14 +48,13 @@ class TestCompilation:
 
     def test_signature_captures_parameters(self, two_hop):
         plan = compile_hypercube(
-            two_hop, p=8, eps=Fraction(1, 2), seed=7, backend="pure"
+            two_hop, p=8, eps=Fraction(1, 2), seed=7
         )
         signature = plan.signature
         assert signature.algorithm == "hypercube"
         assert signature.eps == Fraction(1, 2)
         assert signature.p == 8
         assert signature.seed == 7
-        assert signature.backend == "pure"
         assert str(two_hop) == signature.query_text
 
     def test_cache_keys_differ_per_parameter(self, two_hop):

@@ -16,7 +16,6 @@ import repro.engine.steps as steps
 import repro.engine.streaming as streaming
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
-from repro.backend import numpy_available
 from repro.core.families import line_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
@@ -25,17 +24,13 @@ from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
 from repro.engine.parallel.engine import ParallelContext
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
-
 CHAIN = line_query(4)
 
 
 @pytest.fixture(scope="module")
 def plan():
     return compile_multiround(
-        build_plan(CHAIN, Fraction(0)), p=8, backend="numpy"
+        build_plan(CHAIN, Fraction(0)), p=8
     )
 
 
@@ -120,7 +115,7 @@ def test_empty_source_is_one_inline_range(chunk_rows):
     database = matching_database(query, n=12, rng=5).with_relation(
         Relation.from_tuples("S2", (), domain_size=12, arity=2)
     )
-    plan = compile_hypercube(query, p=4, backend="numpy")
+    plan = compile_hypercube(query, p=4)
     serial = execute_plan(plan, database, chunk_rows=chunk_rows)
     with ParallelContext(4, min_rows=0) as context:
         parallel = execute_plan(

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.backend import numpy_available
 from repro.core.query import Atom, parse_query
 from repro.data.columnar import ColumnarRelation
 from repro.data.database import Relation
@@ -31,14 +30,10 @@ from repro.engine import (
     ToServer,
     grid_factors,
 )
+from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
-
 
 def scalar_pairs(step, relation: Relation, p: int) -> Counter:
     """(row, destination) multiset via the per-row reference path."""
@@ -51,7 +46,7 @@ def scalar_pairs(step, relation: Relation, p: int) -> Counter:
 
 def columnar_pairs(step, relation: Relation, p: int) -> Counter:
     """(row, destination) multiset via the vectorized path."""
-    source = ColumnarRelation.from_relation(relation, backend="numpy")
+    source = ColumnarRelation.from_relation(relation)
     columns, destinations, row_indices = step.route_columns(
         source.columns, p
     )
@@ -111,7 +106,6 @@ class TestMailboxKey:
         assert step.mailbox_key == "V1:S1"
 
 
-@needs_numpy
 class TestHashRouteParity:
     @pytest.mark.parametrize("trial", range(4))
     def test_scalar_equals_columnar(self, trial):
@@ -166,7 +160,6 @@ class TestHashRouteParity:
         assert all(count == 1 for count in pairs.values())
 
 
-@needs_numpy
 class TestHeavyGridRouteParity:
     def heavy_step(self, heavy_values, roles, seed=0):
         atom = Atom("S1", ("x", "y"))
@@ -221,7 +214,6 @@ class TestHeavyGridRouteParity:
         assert len(axis) == g2
 
 
-@needs_numpy
 class TestContentFreeStepsParity:
     def test_broadcast(self):
         relation = random_relation("S", 2, 10, 25, random.Random(1))
@@ -247,7 +239,6 @@ class TestContentFreeStepsParity:
         )
 
 
-@needs_numpy
 class TestRemapRanksParity:
     def test_subsampled_virtual_grid(self):
         rng = random.Random(6)
@@ -283,44 +274,57 @@ class TestRemapRanksParity:
 
 
 class TestRoundEngine:
-    def run_engine(self, backend):
-        query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        relation1 = random_relation("S1", 2, 12, 40, random.Random(7))
-        relation2 = random_relation("S2", 2, 12, 40, random.Random(8))
-        grid = GridSpec.from_shares(
-            query.variables, {"x": 1, "y": 8, "z": 1}, HashFamily(1)
+    QUERY = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
+
+    def setup_round(self):
+        relations = (
+            random_relation("S1", 2, 12, 40, random.Random(7)),
+            random_relation("S2", 2, 12, 40, random.Random(8)),
         )
-        config = MPCConfig(p=8, eps=Fraction(0), backend=backend)
+        grid = GridSpec.from_shares(
+            self.QUERY.variables, {"x": 1, "y": 8, "z": 1}, HashFamily(1)
+        )
         simulator = MPCSimulator(
-            config,
-            input_bits=relation1.size_bits + relation2.size_bits,
+            MPCConfig(p=8, eps=Fraction(0)),
+            input_bits=sum(relation.size_bits for relation in relations),
             enforce_capacity=False,
         )
-        engine = RoundEngine(simulator)
         steps = [
             HashRoute(relation=atom.name, atom=atom, grid=grid)
-            for atom in query.atoms
+            for atom in self.QUERY.atoms
         ]
-        sources = {
-            relation.name: ColumnarRelation.from_relation(relation, backend)
-            for relation in (relation1, relation2)
-        }
-        stats = engine.run_round(steps, sources)
-        return stats
+        return relations, simulator, steps
 
-    def test_pure_round_accounting(self):
-        stats = self.run_engine("pure")
+    def run_engine(self):
+        relations, simulator, steps = self.setup_round()
+        sources = {
+            relation.name: ColumnarRelation.from_relation(relation)
+            for relation in relations
+        }
+        return RoundEngine(simulator).run_round(steps, sources)
+
+    def test_round_accounting(self):
+        stats = self.run_engine()
         assert stats.round_index == 1
         assert sum(stats.received_tuples) > 0
 
-    @needs_numpy
-    def test_backends_ship_identical_loads(self):
-        pure = self.run_engine("pure")
-        vectorized = self.run_engine("numpy")
-        assert pure.received_bits == vectorized.received_bits
-        assert pure.received_tuples == vectorized.received_tuples
-
-    def test_engine_backend_follows_config(self):
-        config = MPCConfig(p=2, backend="pure")
-        simulator = MPCSimulator(config, input_bits=0)
-        assert RoundEngine(simulator).backend == "pure"
+    def test_row_at_a_time_sends_ship_identical_loads(self):
+        """The engine's loads equal shipping each row to its scalar
+        destinations with the simulator's row API."""
+        relations, simulator, steps = self.setup_round()
+        simulator.begin_round()
+        for relation, step in zip(relations, steps):
+            for (row, destination), count in scalar_pairs(
+                step, relation, 8
+            ).items():
+                simulator.send(
+                    input_server(relation.name),
+                    destination,
+                    relation.name,
+                    [row] * count,
+                    relation.tuple_bits,
+                )
+        reference = simulator.end_round()
+        vectorized = self.run_engine()
+        assert reference.received_bits == vectorized.received_bits
+        assert reference.received_tuples == vectorized.received_tuples

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy
 import pytest
-
-numpy = pytest.importorskip("numpy")
 
 from repro.algorithms.hypercube import compile_hypercube
 from repro.core.query import parse_query
@@ -247,12 +246,12 @@ class _BadStep:
 
 class TestRouteBlockCounts:
     def _plan_step_and_source(self, db, query_text="S1(x,y), S2(y,z)"):
-        service = QueryService(db, p=8, backend="numpy")
+        service = QueryService(db, p=8)
         plan = service.compile(parse_query(query_text))
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 
-        return step, _plan_sources(db, "numpy")[step.relation]
+        return step, _plan_sources(db)[step.relation]
 
     def test_counts_equal_monolithic_bincount(self, two_hop):
         db = matching_database(two_hop, n=50, rng=3)
@@ -273,12 +272,12 @@ class TestRouteBlockCounts:
 
 class TestMaterializeShard:
     def _contribution(self, db, chunk):
-        service = QueryService(db, p=8, backend="numpy")
+        service = QueryService(db, p=8)
         plan = service.compile(parse_query("S1(x,y), S2(y,z)"))
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 
-        source = _plan_sources(db, "numpy")[step.relation]
+        source = _plan_sources(db)[step.relation]
         return step, source, LazyContribution(
             step=step,
             columns=source.columns,
@@ -324,7 +323,6 @@ class TestMaterializeShard:
 
 
 def _compile(query, db, chunk=None, **kwargs):
-    kwargs.setdefault("backend", "numpy")
     return compile_hypercube(query, p=8, **kwargs)
 
 
@@ -376,12 +374,12 @@ class TestChunkBoundaries:
         # routing; with chunk 1, every non-diagonal source row is a
         # block whose kept-row set is empty.
         query = parse_query("S1(x,x)")
-        service = QueryService(triangle_db, p=8, backend="numpy")
+        service = QueryService(triangle_db, p=8)
         plan = service.compile(query)
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 
-        source = _plan_sources(triangle_db, "numpy")[step.relation]
+        source = _plan_sources(triangle_db)[step.relation]
         kept_per_row = [
             len(
                 step.route_columns(

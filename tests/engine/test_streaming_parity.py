@@ -2,9 +2,9 @@
 
 The ISSUE's non-negotiable: answers, per-server loads, views and
 ``CapacityExceeded`` must match the monolithic path for every
-algorithm x backend x chunk size -- chunk infinity literally *is* the
-monolithic code path, and the ``pure`` backend ignores the knob
-entirely.
+algorithm x chunk size -- chunk infinity literally *is* the monolithic
+code path -- and both must match the row-at-a-time oracle
+(:mod:`repro.oracle`).
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-numpy = pytest.importorskip("numpy")
-
-from repro import connect
+from repro import connect, oracle
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
 from repro.core.families import cycle_query, line_query
@@ -27,6 +25,7 @@ from repro.engine.parallel.engine import ParallelContext
 from repro.engine.profile import RoundProfiler
 from repro.mpc.simulator import CapacityExceeded
 from repro.serve.service import QueryService
+from tests.conftest import assert_oracle_parity, capacity_failure
 
 CHUNKS = (1, 7, 1000, None)
 
@@ -56,27 +55,23 @@ def _routed_blocks(profiler):
 
 
 class TestSerialParity:
-    """execute_plan(chunk_rows=...) against the monolithic run."""
+    """execute_plan(chunk_rows=...) against the monolithic run and the
+    oracle."""
 
-    def _cases(self, backend):
+    def _cases(self):
         two_hop = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         chain = line_query(4)
         return [
-            (
-                two_hop,
-                compile_hypercube(two_hop, p=8, backend=backend),
-            ),
+            (two_hop, compile_hypercube(two_hop, p=8)),
             (
                 chain,
-                compile_multiround(
-                    build_plan(chain, Fraction(0)), p=8, backend=backend
-                ),
+                compile_multiround(build_plan(chain, Fraction(0)), p=8),
             ),
         ]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
-    def test_numpy_backend_parity(self, chunk):
-        for query, plan in self._cases("numpy"):
+    def test_engine_matches_oracle(self, chunk):
+        for query, plan in self._cases():
             db = matching_database(query, n=90, rng=17)
             monolithic = execute_plan(plan, db)
             profiler = RoundProfiler()
@@ -86,24 +81,14 @@ class TestSerialParity:
             _assert_parity(
                 monolithic, streamed, (query.name, chunk)
             )
+            assert_oracle_parity(streamed, oracle.execute_plan(plan, db))
             # chunk infinity degenerates to the monolithic path: no
             # block is ever routed.
             assert _routed_blocks(profiler) == (chunk is not None)
 
-    def test_pure_backend_ignores_the_knob(self):
-        for query, plan in self._cases("pure"):
-            db = matching_database(query, n=40, rng=17)
-            monolithic = execute_plan(plan, db)
-            profiler = RoundProfiler()
-            streamed = execute_plan(
-                plan, db, chunk_rows=5, profiler=profiler
-            )
-            _assert_parity(monolithic, streamed, query.name)
-            assert not profiler.blocks  # streaming never engaged
-
     def test_chunk_rows_engages_streaming(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        plan = compile_hypercube(query, p=8, backend="numpy")
+        plan = compile_hypercube(query, p=8)
         db = matching_database(query, n=50, rng=19)
         monolithic = execute_plan(plan, db)
         profiler = RoundProfiler()
@@ -133,9 +118,9 @@ class TestServiceParity:
     def test_parity_per_algorithm(
         self, triangle, database, algorithm, overrides, chunk
     ):
-        monolithic = QueryService(database, p=8, backend="numpy")
+        monolithic = QueryService(database, p=8)
         streamed = QueryService(
-            database, p=8, backend="numpy", chunk_rows=chunk
+            database, p=8, chunk_rows=chunk
         )
         expected = monolithic.execute(
             triangle, algorithm=algorithm, **overrides
@@ -153,7 +138,6 @@ class TestServiceParity:
             service = QueryService(
                 database,
                 p=8,
-                backend="numpy",
                 capacity_c=0.001,
                 enforce_capacity=True,
                 chunk_rows=chunk,
@@ -172,6 +156,14 @@ class TestServiceParity:
         assert streamed.received_bits == monolithic.received_bits
         assert streamed.capacity_bits == monolithic.capacity_bits
         assert streamed.round_index == monolithic.round_index
+        assert capacity_failure(
+            lambda: oracle.execute_plan(service.compile(triangle), database)
+        ) == (
+            streamed.worker,
+            streamed.received_bits,
+            streamed.capacity_bits,
+            streamed.round_index,
+        )
 
 
 class TestSessionParity:
@@ -181,10 +173,10 @@ class TestSessionParity:
 
     def test_session_threads_the_knob(self):
         database = matching_database(self.VOCAB, n=50, rng=29)
-        with connect(database, p=8, backend="numpy") as monolithic:
+        with connect(database, p=8) as monolithic:
             expected = monolithic.query("S1(x,y), S2(y,z)").execute()
         with connect(
-            database, p=8, backend="numpy", chunk_rows=8
+            database, p=8, chunk_rows=8
         ) as streamed:
             assert streamed.service.chunk_rows == 8
             actual = streamed.query("S1(x,y), S2(y,z)").execute()
@@ -206,12 +198,12 @@ class TestParallelStreamingParity:
         return [
             (
                 two_hop,
-                compile_hypercube(two_hop, p=8, backend="numpy"),
+                compile_hypercube(two_hop, p=8),
             ),
             (
                 chain,
                 compile_multiround(
-                    build_plan(chain, Fraction(0)), p=8, backend="numpy"
+                    build_plan(chain, Fraction(0)), p=8
                 ),
             ),
         ]
@@ -230,6 +222,7 @@ class TestParallelStreamingParity:
                 profiler=profiler,
             )
             _assert_parity(monolithic, streamed, query.name)
+            assert_oracle_parity(streamed, oracle.execute_plan(plan, db))
             assert context.parallel_rounds > before
             assert not context.pool.broken
             assert profiler.blocks
@@ -241,7 +234,7 @@ class TestParallelStreamingParity:
         # column records the concurrency.
         chain = line_query(5)
         plan = compile_multiround(
-            build_plan(chain, Fraction(0)), p=8, backend="numpy"
+            build_plan(chain, Fraction(0)), p=8
         )
         db = matching_database(chain, n=300, rng=37)
         monolithic = execute_plan(plan, db)
@@ -259,7 +252,7 @@ class TestParallelStreamingParity:
 
     def test_broken_pool_falls_back_bit_identically(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        plan = compile_hypercube(query, p=8, backend="numpy")
+        plan = compile_hypercube(query, p=8)
         db = matching_database(query, n=200, rng=41)
         monolithic = execute_plan(plan, db)
         with ParallelContext(2, min_rows=0) as context:

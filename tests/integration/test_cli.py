@@ -77,24 +77,6 @@ class TestRunPlan:
         assert "True" in output
         assert "view |" in output
 
-    @pytest.mark.parametrize("backend", ["pure", "numpy", "auto"])
-    def test_backend_flag(self, capsys, backend):
-        from repro.backend import numpy_available
-
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend unavailable")
-        code = main(
-            [
-                "run-plan",
-                "S1(a,b), S2(b,c), S3(c,d)",
-                "--eps", "1/2", "--n", "30", "--p", "4",
-                "--backend", backend,
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "verified vs exact join" in output
-
     def test_disconnected_query_errors(self, capsys):
         code = main(["run-plan", "R(x,y), S(u,v)"])
         assert code == 2
@@ -117,22 +99,26 @@ class TestSkew:
         assert "True" in output
         assert "skew-aware max load" in output
 
-    @pytest.mark.parametrize("backend", ["pure", "numpy"])
-    def test_backend_flag(self, capsys, backend):
-        from repro.backend import numpy_available
 
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend unavailable")
-        code = main(
-            [
-                "skew",
-                "S1(x,y), S2(y,z)",
-                "--n", "80", "--p", "8",
-                "--backend", backend,
-            ]
-        )
-        assert code == 0
-        assert backend in capsys.readouterr().out
+class TestNoBackendFlag:
+    """numpy is the one engine: no subcommand takes ``--backend``."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "S1(x,y)"],
+            ["run-plan", "S1(x,y)"],
+            ["skew", "S1(x,y)"],
+            ["query", "S1(x,y)"],
+            ["explain", "S1(x,y)"],
+            ["serve"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_backend_flag_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([*command, "--backend", "numpy"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestShares:
@@ -204,14 +190,9 @@ class TestWorkersFlag:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_rounds_run_on_the_pool(self, capsys, command):
-        from repro.backend import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
         code = main(
             self.COMMANDS[command]
-            + ["--n", "40", "--p", "4", "--backend", "numpy",
-               "--workers", "2", "--chunk-rows", "16"]
+            + ["--n", "40", "--p", "4", "--workers", "2", "--chunk-rows", "16"]
         )
         rows = dict(
             line.rsplit(None, 1)
@@ -222,13 +203,30 @@ class TestWorkersFlag:
         assert rows["route workers"] == "2"
         assert int(rows["parallel rounds"]) > 0
 
-    def test_pure_backend_stays_in_process(self, capsys):
+    def test_workers_alone_report_the_pool(self, capsys):
         code = main(
-            ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
-             "--n", "20", "--p", "4", "--workers", "2"]
+            ["run", "S1(x,y), S2(y,z), S3(z,x)", "--n", "60", "--p", "8",
+             "--workers", "2"]
         )
+        output = capsys.readouterr().out
         assert code == 0
-        assert "route workers" not in capsys.readouterr().out
+        assert "backend" not in output
+        assert any(
+            line.split() == ["route", "workers", "2"]
+            for line in output.splitlines()
+        )
+
+    def test_chunk_rows_prints_the_per_block_table(self, capsys):
+        code = main(
+            ["run-plan", "S1(a,b), S2(b,c), S3(c,d), S4(d,e)", "--eps", "0",
+             "--n", "40", "--p", "8", "--chunk-rows", "4", "--profile"]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        _, blocks = output.split("per-block timing", 1)
+        assert any(
+            line.split()[1:2] == ["route"] for line in blocks.splitlines()
+        )
 
 
 def _serve(capsys, tmp_path, lines, *flags):

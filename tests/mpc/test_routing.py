@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
 
 from repro.mpc.routing import (
@@ -102,25 +103,7 @@ class TestGrid:
 class TestHashColumn:
     """The batched hash path must be bit-identical to the scalar one."""
 
-    @staticmethod
-    def _require_numpy():
-        from repro.backend import numpy_or_none
-
-        numpy = numpy_or_none()
-        if numpy is None:
-            pytest.skip("numpy backend unavailable")
-        return numpy
-
-    def test_pure_sequence_matches_scalar(self):
-        family = HashFamily(seed=11)
-        values = list(range(1, 300))
-        batched = family.hash_column("x", values, 7)
-        assert batched == [
-            family.hash_value("x", value, 7) for value in values
-        ]
-
     def test_numpy_matches_scalar(self):
-        numpy = self._require_numpy()
         family = HashFamily(seed=0xDECAF)
         values = numpy.arange(1, 5000, dtype=numpy.int64)
         batched = family.hash_column("y", values, 13)
@@ -131,11 +114,12 @@ class TestHashColumn:
 
     def test_single_bucket_all_zero(self):
         family = HashFamily(seed=5)
-        assert family.hash_column("x", [4, 5, 6], 1) == [0, 0, 0]
+        values = numpy.asarray([4, 5, 6], dtype=numpy.int64)
+        assert family.hash_column("x", values, 1).tolist() == [0, 0, 0]
 
     def test_invalid_buckets(self):
         with pytest.raises(ValueError):
-            HashFamily().hash_column("x", [1], 0)
+            HashFamily().hash_column("x", numpy.ones(1, numpy.int64), 0)
 
     def test_dimension_key_is_process_independent(self):
         import subprocess
@@ -161,18 +145,7 @@ class TestHashColumn:
 
 
 class TestGridRankColumns:
-    def test_matches_scalar_pure(self):
-        from repro.mpc.routing import grid_rank_columns
-
-        dims = (3, 4, 2)
-        coords = [(i % 3, (i * 7) % 4, i % 2) for i in range(24)]
-        columns = [list(column) for column in zip(*coords)]
-        assert grid_rank_columns(columns, dims) == [
-            grid_rank(row, dims) for row in coords
-        ]
-
     def test_matches_scalar_numpy(self):
-        numpy = TestHashColumn._require_numpy()
         from repro.mpc.routing import grid_rank_columns
 
         dims = (5, 3, 7)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from repro.mpc.model import MPCConfig
@@ -169,27 +170,17 @@ class TestStatsPlumbing:
 class TestColumnarSends:
     """The vectorized staging path: accounting, delivery, ground rules."""
 
-    @staticmethod
-    def _numpy():
-        from repro.backend import numpy_or_none
-
-        numpy = numpy_or_none()
-        if numpy is None:
-            pytest.skip("numpy backend unavailable")
-        return numpy
-
-    def _columns(self, numpy, rows):
+    def _columns(self, rows):
         return tuple(
             numpy.asarray(column, dtype=numpy.int64)
             for column in zip(*rows)
         )
 
     def test_delivery_and_accounting(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
         receivers = numpy.asarray([1, 1, 2], dtype=numpy.int64)
-        columns = self._columns(numpy, [(1, 2), (3, 4), (5, 6)])
+        columns = self._columns([(1, 2), (3, 4), (5, 6)])
         simulator.send_columns(0, receivers, "R", columns, bits_per_tuple=8)
         # Not delivered mid-round.
         assert simulator.worker_rows(1, "R") == []
@@ -200,10 +191,9 @@ class TestColumnarSends:
         assert simulator.worker_rows(2, "R") == [(5, 6)]
 
     def test_row_indices_gather(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=3, enforce=False)
         simulator.begin_round()
-        columns = self._columns(numpy, [(7, 8), (9, 10)])
+        columns = self._columns([(7, 8), (9, 10)])
         # Row 0 replicated to workers 0 and 2; row 1 to worker 1.
         receivers = numpy.asarray([0, 2, 1], dtype=numpy.int64)
         row_indices = numpy.asarray([0, 0, 1], dtype=numpy.int64)
@@ -218,7 +208,6 @@ class TestColumnarSends:
         assert simulator.worker_rows(2, "R") == [(7, 8)]
 
     def test_capacity_exceeded_identical_to_row_path(self):
-        numpy = self._numpy()
         rows = [(i, i) for i in range(1, 14)]  # 104 bits > 100 capacity
         row_sim = make_simulator()
         row_sim.begin_round()
@@ -231,7 +220,7 @@ class TestColumnarSends:
             0,
             numpy.full(len(rows), 1, dtype=numpy.int64),
             "R",
-            self._columns(numpy, rows),
+            self._columns(rows),
             bits_per_tuple=8,
         )
         with pytest.raises(CapacityExceeded) as col_info:
@@ -245,7 +234,6 @@ class TestColumnarSends:
         assert col_info.value.round_index == row_info.value.round_index
 
     def test_receiver_bounds_checked(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=2)
         simulator.begin_round()
         with pytest.raises(ProtocolError, match="receiver"):
@@ -253,12 +241,11 @@ class TestColumnarSends:
                 0,
                 numpy.asarray([5], dtype=numpy.int64),
                 "R",
-                self._columns(numpy, [(1,)]),
+                self._columns([(1,)]),
                 bits_per_tuple=8,
             )
 
     def test_input_server_silent_after_round_one(self):
-        numpy = self._numpy()
         simulator = make_simulator(eps=Fraction(1))
         simulator.begin_round()
         simulator.end_round()
@@ -267,12 +254,11 @@ class TestColumnarSends:
             simulator.send_columns_from_input(
                 "R",
                 numpy.asarray([0], dtype=numpy.int64),
-                self._columns(numpy, [(1,)]),
+                self._columns([(1,)]),
                 bits_per_tuple=8,
             )
 
     def test_empty_send_is_noop(self):
-        numpy = self._numpy()
         simulator = make_simulator()
         simulator.begin_round()
         simulator.send_columns(
@@ -285,14 +271,13 @@ class TestColumnarSends:
         assert simulator.end_round().total_bits == 0
 
     def test_column_batches_stay_columnar_until_read(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=2, enforce=False)
         simulator.begin_round()
         simulator.send_columns(
             0,
             numpy.asarray([1, 1], dtype=numpy.int64),
             "R",
-            self._columns(numpy, [(1, 2), (3, 4)]),
+            self._columns([(1, 2), (3, 4)]),
             bits_per_tuple=8,
         )
         simulator.end_round()
@@ -306,10 +291,9 @@ class TestColumnarSends:
         assert len(simulator.worker_column_batches(1, "R")) == 1
 
     def test_receiver_row_count_mismatch_rejected(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
-        columns = self._columns(numpy, [(1, 2), (3, 4), (5, 6)])
+        columns = self._columns([(1, 2), (3, 4), (5, 6)])
         with pytest.raises(ProtocolError, match="one destination per row"):
             simulator.send_columns(
                 0,
@@ -329,7 +313,6 @@ class TestColumnarSends:
             )
 
     def test_row_indices_bounds_checked(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
         with pytest.raises(ProtocolError, match="row_indices"):
@@ -337,7 +320,7 @@ class TestColumnarSends:
                 0,
                 numpy.asarray([1], dtype=numpy.int64),
                 "R",
-                self._columns(numpy, [(1, 2)]),
+                self._columns([(1, 2)]),
                 bits_per_tuple=8,
                 row_indices=numpy.asarray([7], dtype=numpy.int64),
             )
@@ -352,29 +335,20 @@ class TestColumnarSends:
 class TestColumnPools:
     """The pooled columnar delivery path and its fleet-wide index."""
 
-    def _numpy(self):
-        pytest.importorskip("numpy")
-        from repro.backend import numpy_or_none
-
-        numpy = numpy_or_none()
-        if numpy is None:
-            pytest.skip("numpy disabled")
-        return numpy
-
-    def _columns(self, numpy, rows):
+    def _columns(self, rows):
         return tuple(
             numpy.asarray(column, dtype=numpy.int64)
             for column in zip(*rows)
         )
 
-    def _deliver(self, numpy, receivers, rows, p=4, **kwargs):
+    def _deliver(self, receivers, rows, p=4, **kwargs):
         simulator = make_simulator(p=p, enforce=False)
         simulator.begin_round()
         simulator.send_columns(
             0,
             numpy.asarray(receivers, dtype=numpy.int64),
             "R",
-            self._columns(numpy, rows),
+            self._columns(rows),
             bits_per_tuple=8,
             **kwargs,
         )
@@ -382,9 +356,8 @@ class TestColumnPools:
         return simulator
 
     def test_pool_offsets_and_slices(self):
-        numpy = self._numpy()
         simulator = self._deliver(
-            numpy, [2, 0, 2, 0], [(1, 1), (2, 2), (3, 3), (4, 4)]
+            [2, 0, 2, 0], [(1, 1), (2, 2), (3, 3), (4, 4)]
         )
         pool = simulator.relation_pool("R")
         assert pool is not None
@@ -397,9 +370,8 @@ class TestColumnPools:
 
     def test_mailbox_batches_are_pool_views(self):
         """Worker fragments share the pool's buffer (zero-copy)."""
-        numpy = self._numpy()
         simulator = self._deliver(
-            numpy, [1, 1, 2], [(1, 2), (3, 4), (5, 6)]
+            [1, 1, 2], [(1, 2), (3, 4), (5, 6)]
         )
         pool = simulator.relation_pool("R")
         [batch] = simulator.worker_column_batches(1, "R")
@@ -410,24 +382,22 @@ class TestColumnPools:
             )
 
     def test_source_sorted_flag_propagates(self):
-        numpy = self._numpy()
         rows = [(1, 2), (3, 4), (5, 6)]
         sorted_sim = self._deliver(
-            numpy, [1, 0, 1], rows, source_sorted=True
+            [1, 0, 1], rows, source_sorted=True
         )
         assert sorted_sim.relation_pool("R").source_sorted
-        unsorted_sim = self._deliver(numpy, [1, 0, 1], rows)
+        unsorted_sim = self._deliver([1, 0, 1], rows)
         assert not unsorted_sim.relation_pool("R").source_sorted
 
     def test_multi_stage_pool_merges_stages(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=3, enforce=False)
         simulator.begin_round()
         simulator.send_columns(
             0,
             numpy.asarray([1, 2], dtype=numpy.int64),
             "R",
-            self._columns(numpy, [(1,), (2,)]),
+            self._columns([(1,), (2,)]),
             bits_per_tuple=8,
             source_sorted=True,
         )
@@ -435,7 +405,7 @@ class TestColumnPools:
             1,
             numpy.asarray([1], dtype=numpy.int64),
             "R",
-            self._columns(numpy, [(3,)]),
+            self._columns([(3,)]),
             bits_per_tuple=8,
             source_sorted=True,
         )
@@ -447,7 +417,6 @@ class TestColumnPools:
         assert not pool.source_sorted
 
     def test_pools_merge_across_rounds(self):
-        numpy = self._numpy()
         simulator = make_simulator(p=2, enforce=False)
         for batch in ([(1,), (2,)], [(3,)]):
             simulator.begin_round()
@@ -455,7 +424,7 @@ class TestColumnPools:
                 0,
                 numpy.full(len(batch), 1, dtype=numpy.int64),
                 "R",
-                self._columns(numpy, batch),
+                self._columns(batch),
                 bits_per_tuple=8,
             )
             simulator.end_round()
@@ -466,7 +435,6 @@ class TestColumnPools:
 
     def test_row_delivery_disables_pool(self):
         """Mixed row/column storage falls back to the mailbox view."""
-        numpy = self._numpy()
         simulator = make_simulator(p=2, enforce=False)
         simulator.begin_round()
         simulator.send(0, 1, "R", [(9, 9)], 8)
@@ -474,7 +442,7 @@ class TestColumnPools:
             0,
             numpy.asarray([1], dtype=numpy.int64),
             "R",
-            self._columns(numpy, [(1, 2)]),
+            self._columns([(1, 2)]),
             bits_per_tuple=8,
         )
         simulator.end_round()

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from repro import connect
-from repro.backend import numpy_available
 from repro.core.query import QueryError, parse_query
 from repro.data.columnar import columnar_database
 from repro.data.generators import skewed_database
@@ -22,29 +21,24 @@ from repro.data.matching import matching_database
 from repro.planner import Planner, collect_profile
 from tests.conftest import run_pinned
 
-BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
-
 LONG_CHAIN = "S1(a,b), S2(b,c), S3(c,d), S4(d,e), S5(e,f), S6(f,g)"
 
 
-def _profile_for(query, database, backend="pure", **kwargs):
-    return collect_profile(
-        query, columnar_database(database, backend), backend=backend,
-        **kwargs,
-    )
+def _profile_for(query, database, **kwargs):
+    return collect_profile(query, columnar_database(database), **kwargs)
 
 
 class TestRoutingChoices:
     def test_matching_database_routes_to_hypercube(self, two_hop):
         database = matching_database(two_hop, n=200, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             two_hop, _profile_for(two_hop, database)
         )
         assert choice.algorithm == "hypercube"
 
     def test_triangle_on_matching_database_stays_one_round(self, triangle):
         database = matching_database(triangle, n=200, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             triangle, _profile_for(triangle, database)
         )
         assert choice.algorithm == "hypercube"
@@ -55,13 +49,13 @@ class TestRoutingChoices:
         )
         profile = _profile_for(two_hop, database)
         assert profile.has_skew
-        choice = Planner(16, "pure").choose(two_hop, profile)
+        choice = Planner(16).choose(two_hop, profile)
         assert choice.algorithm == "skewaware"
 
     def test_long_chain_routes_to_multiround(self):
         chain = parse_query(LONG_CHAIN)
         database = matching_database(chain, n=200, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             chain, _profile_for(chain, database)
         )
         assert choice.algorithm == "multiround"
@@ -69,14 +63,14 @@ class TestRoutingChoices:
 
     def test_pinned_low_eps_routes_to_multiround(self, triangle):
         database = matching_database(triangle, n=100, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             triangle, _profile_for(triangle, database), eps=Fraction(0)
         )
         assert choice.algorithm == "multiround"
 
     def test_allow_partial_wins_below_the_space_exponent(self, triangle):
         database = matching_database(triangle, n=100, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             triangle,
             _profile_for(triangle, database),
             eps=Fraction(0),
@@ -86,7 +80,7 @@ class TestRoutingChoices:
 
     def test_pinned_algorithm_is_honoured(self, two_hop):
         database = matching_database(two_hop, n=100, rng=0)
-        choice = Planner(16, "pure").choose(
+        choice = Planner(16).choose(
             two_hop,
             _profile_for(two_hop, database),
             algorithm="multiround",
@@ -97,24 +91,21 @@ class TestRoutingChoices:
     def test_unknown_pinned_algorithm_raises(self, two_hop):
         database = matching_database(two_hop, n=50, rng=0)
         with pytest.raises(QueryError, match="unknown algorithm"):
-            Planner(16, "pure").choose(
+            Planner(16).choose(
                 two_hop,
                 _profile_for(two_hop, database),
                 algorithm="quantum",
             )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBitIdenticalToDirectCompilers:
     """Session executions equal the chosen compiler run directly."""
 
-    def test_hypercube_route(self, backend, triangle):
+    def test_hypercube_route(self, triangle):
         database = matching_database(triangle, n=120, rng=0)
-        session = connect(database, p=16, backend=backend)
+        session = connect(database, p=16)
         result = session.query(triangle).execute()
-        direct = run_pinned(
-            "hypercube", triangle, database, p=16, backend=backend
-        )
+        direct = run_pinned("hypercube", triangle, database, p=16)
         assert result.algorithm == "hypercube"
         assert result.answers == direct.answers
         assert result.per_server == direct.per_server
@@ -123,15 +114,13 @@ class TestBitIdenticalToDirectCompilers:
         )
         assert result.report.total_bits == direct.report.total_bits
 
-    def test_skewaware_route(self, backend, two_hop):
+    def test_skewaware_route(self, two_hop):
         database = skewed_database(
             two_hop, n=200, rng=0, heavy_fraction=0.5
         )
-        session = connect(database, p=16, backend=backend)
+        session = connect(database, p=16)
         result = session.query(two_hop).execute()
-        direct = run_pinned(
-            "skewaware", two_hop, database, p=16, backend=backend
-        )
+        direct = run_pinned("skewaware", two_hop, database, p=16)
         assert result.algorithm == "skewaware"
         assert result.answers == direct.answers
         assert result.per_server == direct.per_server
@@ -140,28 +129,25 @@ class TestBitIdenticalToDirectCompilers:
             result.report.max_load_tuples == direct.report.max_load_tuples
         )
 
-    def test_multiround_route(self, backend):
+    def test_multiround_route(self):
         chain = parse_query(LONG_CHAIN)
         database = matching_database(chain, n=80, rng=0)
-        session = connect(database, p=16, backend=backend)
+        session = connect(database, p=16)
         result = session.query(chain).execute()
-        direct = run_pinned(
-            "multiround", chain, database, p=16, backend=backend
-        )
+        direct = run_pinned("multiround", chain, database, p=16)
         assert result.algorithm == "multiround"
         assert result.answers == direct.answers
         assert result.view_sizes == direct.view_sizes
         assert result.report.num_rounds == direct.report.num_rounds
 
-    def test_partial_route(self, backend, triangle):
+    def test_partial_route(self, triangle):
         database = matching_database(triangle, n=120, rng=0)
-        session = connect(database, p=16, backend=backend)
+        session = connect(database, p=16)
         result = session.query(
             triangle, eps=Fraction(0), allow_partial=True
         ).execute()
         direct = run_pinned(
-            "partial", triangle, database, p=16, eps=Fraction(0),
-            backend=backend,
+            "partial", triangle, database, p=16, eps=Fraction(0)
         )
         assert result.algorithm == "partial"
         assert result.answers == direct.answers
@@ -244,13 +230,3 @@ class TestDataProfile:
             1, full.heavy_multiplicity("y")
         )
         assert 0.5 <= ratio <= 2.0
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_agree_on_the_profile(self, backend, two_hop):
-        database = skewed_database(
-            two_hop, n=150, rng=0, heavy_fraction=0.4
-        )
-        pure = _profile_for(two_hop, database, backend="pure")
-        other = _profile_for(two_hop, database, backend=backend)
-        assert pure.heavy_values == other.heavy_values
-        assert pure.heavy_multiplicities == other.heavy_multiplicities

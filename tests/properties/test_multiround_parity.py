@@ -1,9 +1,10 @@
-"""Pure vs numpy engine parity for the multi-round plan executor.
+"""Engine vs oracle parity for the multi-round plan executor.
 
 Like the HyperCube parity suite: for any plan, database, seed and
-server count the vectorized engine must produce exactly the same
-answers, per-round received bits/tuples, view sizes, per-server
-answer counts and capacity failures as the pure reference.
+server count the engine must produce exactly the same answers,
+per-round received bits/tuples, view sizes, per-server answer counts
+and capacity failures as the row-at-a-time reference
+(:mod:`repro.oracle`) -- monolithic, streamed or on a worker pool.
 """
 
 from __future__ import annotations
@@ -13,11 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.backend import numpy_available
-
-if not numpy_available():
-    pytest.skip("numpy backend unavailable", allow_module_level=True)
-
+from repro import oracle
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -27,9 +24,13 @@ from repro.core.families import (
 from repro.core.plans import build_plan
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
-from repro.mpc.simulator import CapacityExceeded
 from repro.algorithms.multiround import compile_multiround
 from repro.engine import execute_plan
+from tests.conftest import (
+    assert_oracle_parity,
+    capacity_failure,
+    run_with_oracle,
+)
 
 PLANS = [
     (line_query(4), Fraction(0)),
@@ -43,31 +44,9 @@ PLANS = [
 ]
 
 
-def run_both(query, eps, database, p, seed, **kwargs):
-    plan = build_plan(query, eps)
-    pure = execute_plan(
-        compile_multiround(plan, p, seed=seed, backend="pure", **kwargs),
-        database,
-    )
-    vectorized = execute_plan(
-        compile_multiround(plan, p, seed=seed, backend="numpy", **kwargs),
-        database,
-    )
-    return pure, vectorized
-
-
-def assert_parity(pure, vectorized):
-    assert vectorized.answers == pure.answers
-    assert vectorized.report.num_rounds == pure.report.num_rounds
-    assert vectorized.view_sizes == pure.view_sizes
-    assert vectorized.per_server_views == pure.per_server_views
-    assert len(vectorized.report.rounds) == len(pure.report.rounds)
-    for round_pure, round_vec in zip(
-        pure.report.rounds, vectorized.report.rounds
-    ):
-        assert round_vec.received_bits == round_pure.received_bits
-        assert round_vec.received_tuples == round_pure.received_tuples
-        assert round_vec.capacity_bits == round_pure.capacity_bits
+def run_both(query, eps, database, p, seed, engine_options=None, **kwargs):
+    plan = compile_multiround(build_plan(query, eps), p, seed=seed, **kwargs)
+    return run_with_oracle(plan, database, **(engine_options or {}))
 
 
 def random_database(query, n, rows_per_atom, rng):
@@ -96,26 +75,60 @@ class TestMatchingDatabases:
     )
     def test_parity_on_matchings(self, query, eps):
         database = matching_database(query, n=40, rng=11)
-        pure, vectorized = run_both(query, eps, database, p=8, seed=4)
-        assert_parity(pure, vectorized)
+        execution, reference = run_both(query, eps, database, p=8, seed=4)
+        assert_oracle_parity(execution, reference)
 
     @pytest.mark.parametrize("p", [1, 2, 7, 16])
     def test_parity_for_any_p(self, p):
         query = line_query(6)
         database = matching_database(query, n=30, rng=9)
-        pure, vectorized = run_both(
+        execution, reference = run_both(
             query, Fraction(0), database, p=p, seed=1
         )
-        assert_parity(pure, vectorized)
+        assert_oracle_parity(execution, reference)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_parity_for_any_seed(self, seed):
         query = cycle_query(5)
         database = matching_database(query, n=24, rng=3)
-        pure, vectorized = run_both(
+        execution, reference = run_both(
             query, Fraction(0), database, p=4, seed=seed
         )
-        assert_parity(pure, vectorized)
+        assert_oracle_parity(execution, reference)
+
+
+class TestExecutionModes:
+    @pytest.mark.parametrize(
+        "query,eps",
+        PLANS,
+        ids=lambda value: str(value)
+        if isinstance(value, Fraction)
+        else value.name,
+    )
+    def test_streamed_parity(self, query, eps):
+        database = matching_database(query, n=40, rng=11)
+        assert_oracle_parity(
+            *run_both(
+                query, eps, database, p=8, seed=4,
+                engine_options={"chunk_rows": 5},
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "chunk_rows", [None, 16], ids=["whole", "streamed"]
+    )
+    def test_parallel_parity(self, parallel_context, chunk_rows):
+        query = line_query(6)
+        database = matching_database(query, n=120, rng=9)
+        assert_oracle_parity(
+            *run_both(
+                query, Fraction(0), database, p=8, seed=1,
+                engine_options={
+                    "parallel": parallel_context,
+                    "chunk_rows": chunk_rows,
+                },
+            )
+        )
 
 
 class TestRandomizedDatabases:
@@ -127,10 +140,10 @@ class TestRandomizedDatabases:
             query, n=18, rows_per_atom=rng.randint(1, 60), rng=rng
         )
         p = rng.choice([2, 5, 8, 16])
-        pure, vectorized = run_both(
+        execution, reference = run_both(
             query, eps, database, p=p, seed=trial
         )
-        assert_parity(pure, vectorized)
+        assert_oracle_parity(execution, reference)
 
     def test_parity_with_empty_intermediate_views(self):
         """Disjoint relations: every view is empty after round 1."""
@@ -144,39 +157,33 @@ class TestRandomizedDatabases:
             for index, atom in enumerate(query.atoms)
         ]
         database = Database.from_relations(relations)
-        pure, vectorized = run_both(
+        execution, reference = run_both(
             query, Fraction(0), database, p=4, seed=0
         )
-        assert_parity(pure, vectorized)
-        assert pure.answers == ()
+        assert_oracle_parity(execution, reference)
+        assert reference.answers == ()
 
 
 class TestCapacityParity:
     def test_capacity_exceeded_fires_identically(self):
         query = line_query(8)
         database = matching_database(query, n=60, rng=2)
-        plan = build_plan(query, Fraction(0))
-        failures = {}
-        for backend in ("pure", "numpy"):
-            with pytest.raises(CapacityExceeded) as info:
-                execute_plan(
-                    compile_multiround(
-                        plan, 8, seed=3, backend=backend,
-                        enforce_capacity=True, capacity_c=0.01,
-                    ),
-                    database,
-                )
-            failures[backend] = info.value
-        pure, vectorized = failures["pure"], failures["numpy"]
-        assert vectorized.worker == pure.worker
-        assert vectorized.received_bits == pure.received_bits
-        assert vectorized.capacity_bits == pure.capacity_bits
-        assert vectorized.round_index == pure.round_index
+        plan = compile_multiround(
+            build_plan(query, Fraction(0)), 8, seed=3,
+            enforce_capacity=True, capacity_c=0.01,
+        )
+        expected = capacity_failure(
+            lambda: oracle.execute_plan(plan, database)
+        )
+        for chunk_rows in (None, 6):
+            assert capacity_failure(
+                lambda: execute_plan(plan, database, chunk_rows=chunk_rows)
+            ) == expected
 
     def test_generous_capacity_passes_both(self):
         query = line_query(8)
         database = matching_database(query, n=40, rng=5)
-        pure, vectorized = run_both(
+        execution, reference = run_both(
             query,
             Fraction(1, 2),
             database,
@@ -185,4 +192,4 @@ class TestCapacityParity:
             enforce_capacity=True,
             capacity_c=8.0,
         )
-        assert_parity(pure, vectorized)
+        assert_oracle_parity(execution, reference)

@@ -1,0 +1,127 @@
+"""Engine vs oracle parity across the whole algorithm matrix.
+
+The per-algorithm parity suites probe one executor each in depth; this
+one sweeps the cross product the engine must hold on: every registered
+algorithm and the plan-compiled baselines, on the core query families,
+on matching and on skewed databases, run monolithic, streamed in blocks
+and on a worker pool.  Every cell asserts that everything observable
+equals the row-at-a-time reference (:mod:`repro.oracle`) and, wherever
+the algorithm is exact, that the reference answers the full join.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from repro.algorithms.baselines import (
+    compile_broadcast_join,
+    compile_single_server,
+)
+from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.registry import compile_with, get_algorithm
+from repro.core.families import (
+    binomial_query,
+    cycle_query,
+    line_query,
+    spider_query,
+    star_query,
+)
+from repro.data.generators import skewed_database
+from repro.data.matching import matching_database
+from tests.conftest import assert_oracle_parity, run_with_oracle
+
+P = 8
+
+# Registered algorithm -> the compile options it needs beyond p / seed.
+ALGORITHMS = {
+    "hypercube": {},
+    "skewaware": {},
+    "multiround": {},
+    "partial": {"eps": Fraction(0)},
+}
+
+BASELINES = {
+    "broadcast": lambda query: compile_broadcast_join(query, P),
+    "single_server": lambda query: compile_single_server(query, P),
+}
+
+FAMILIES = [
+    cycle_query(3),
+    line_query(3),
+    star_query(3),
+    spider_query(2),
+    binomial_query(3, 2),
+]
+
+DATABASES = {
+    "matching": lambda query: matching_database(query, n=30, rng=5),
+    "skewed": lambda query: skewed_database(
+        query, n=30, rng=5, heavy_fraction=0.6
+    ),
+}
+
+MODES = {"whole": None, "streamed": 6}
+
+
+def full_join(query, database):
+    return evaluate_query(
+        query,
+        {atom.name: database[atom.name].tuples for atom in query.atoms},
+    )
+
+
+def check(plan, query, database, exact, **engine_options):
+    execution, reference = run_with_oracle(plan, database, **engine_options)
+    assert_oracle_parity(execution, reference)
+    if exact:
+        assert reference.answers == full_join(query, database)
+    else:
+        assert set(reference.answers) <= set(full_join(query, database))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("data", DATABASES)
+@pytest.mark.parametrize("query", FAMILIES, ids=lambda q: q.name)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_registered_algorithm(algorithm, query, data, mode):
+    database = DATABASES[data](query)
+    plan = compile_with(algorithm, query, P, seed=2, **ALGORITHMS[algorithm])
+    check(
+        plan,
+        query,
+        database,
+        get_algorithm(algorithm).exact,
+        chunk_rows=MODES[mode],
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("query", FAMILIES, ids=lambda q: q.name)
+@pytest.mark.parametrize("baseline", BASELINES)
+def test_baseline(baseline, query, mode):
+    database = DATABASES["skewed"](query)
+    check(
+        BASELINES[baseline](query),
+        query,
+        database,
+        True,
+        chunk_rows=MODES[mode],
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_on_a_worker_pool(parallel_context, algorithm, mode):
+    query = cycle_query(3)
+    database = DATABASES["skewed"](query)
+    plan = compile_with(algorithm, query, P, seed=2, **ALGORITHMS[algorithm])
+    check(
+        plan,
+        query,
+        database,
+        get_algorithm(algorithm).exact,
+        parallel=parallel_context,
+        chunk_rows=MODES[mode],
+    )

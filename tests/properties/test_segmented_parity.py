@@ -1,10 +1,10 @@
-"""Shard-wise segmented local evaluation vs the pure row reference.
+"""Shard-wise segmented local evaluation vs the row reference.
 
 The tentpole invariant of the mailbox-pool refactor: for every
 algorithm, evaluating the workers shard by shard in segmented passes
 over the delivery pools produces *bit-identical* results to the
-per-worker row-path reference -- merged answers, per-server counts,
-materialised views and capacity failures -- across backends and
+per-worker row-path reference (:mod:`repro.oracle`) -- merged answers,
+per-server counts, materialised views and capacity failures --
 whatever the shard budget.  These tests randomize queries, databases
 and grid sizes to pin that.
 """
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 
+import numpy
 import pytest
 
-from repro.backend import numpy_available, require_numpy
+from repro import oracle
+from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
@@ -26,11 +28,13 @@ from repro.data.generators import (
 )
 from repro.data.matching import matching_database
 from repro.algorithms.multiround import compile_multiround
+from repro.algorithms.registry import compile_with
 from repro.engine import execute_plan
-from tests.conftest import run_pinned
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
+from tests.conftest import (
+    assert_oracle_parity,
+    capacity_failure,
+    run_pinned,
+    run_with_oracle,
 )
 
 QUERIES = [
@@ -43,7 +47,7 @@ QUERIES = [
 
 
 def _route_hc(query, database, p, seed):
-    """One numpy HC round; returns (simulator, workers)."""
+    """One HC round; returns (simulator, workers)."""
     from fractions import Fraction
 
     from repro.core.covers import fractional_vertex_cover
@@ -65,7 +69,7 @@ def _route_hc(query, database, p, seed):
         query.variables, allocation.shares, HashFamily(seed)
     )
     config = MPCConfig(
-        p=p, eps=Fraction(1, 2), c=4.0, backend="numpy"
+        p=p, eps=Fraction(1, 2), c=4.0
     )
     simulator = MPCSimulator(
         config, input_bits=database.total_bits, enforce_capacity=False
@@ -75,24 +79,28 @@ def _route_hc(query, database, p, seed):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database, "numpy"))
+    engine.run_round(steps, columnar_database(database))
     return simulator, list(range(allocation.used_servers))
 
 
 def _row_reference(query, simulator, workers):
-    """The pure path: ``worker_answer_rows`` per worker, then union."""
-    from repro.engine import worker_answer_rows
-
+    """The row path: the backtracking join per worker, then union."""
     per_server, union = [], set()
     for worker in workers:
-        found = worker_answer_rows(query, simulator, worker)
+        found = evaluate_query(
+            query,
+            {
+                atom.name: simulator.worker_rows(worker, atom.name)
+                for atom in query.atoms
+            },
+        )
         per_server.append(len(found))
         union.update(found)
     return tuple(sorted(union)), per_server
 
 
 class TestSegmentedVsPerWorker:
-    """The numpy evaluator agrees with the pure row reference."""
+    """The segmented evaluator agrees with the row reference."""
 
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -105,7 +113,7 @@ class TestSegmentedVsPerWorker:
         database = matching_database(query, n=n, rng=seed)
         simulator, workers = _route_hc(query, database, p, seed)
         answers, per_server = collect_answers(
-            query, simulator, workers, "numpy"
+            query, simulator, workers
         )
         reference = _row_reference(query, simulator, workers)
         assert (answers, per_server) == reference
@@ -119,7 +127,7 @@ class TestSegmentedVsPerWorker:
 
         database = matching_database(query, n=97, rng=1)
         simulator, workers = _route_hc(query, database, 16, 1)
-        one_shard = collect_answers(query, simulator, workers, "numpy")
+        one_shard = collect_answers(query, simulator, workers)
         assert one_shard == _row_reference(query, simulator, workers)
         monkeypatch.setenv(SHARD_BYTES_ENV, "1")
         shards = _plan_eval_shards(
@@ -127,7 +135,7 @@ class TestSegmentedVsPerWorker:
         )
         assert len(shards) == len(workers) > 1
         assert (
-            collect_answers(query, simulator, workers, "numpy")
+            collect_answers(query, simulator, workers)
             == one_shard
         )
 
@@ -141,88 +149,60 @@ class TestSegmentedVsPerWorker:
         simulator, workers = _route_hc(query, database, 16, seed)
         for subset in ([0], list(range(5)), []):
             assert collect_answers(
-                query, simulator, list(subset), "numpy"
+                query, simulator, list(subset)
             ) == _row_reference(query, simulator, subset), subset
         for subset in ([2, 7, 11], [11, 2, 7]):
             with pytest.raises(ValueError, match="prefix"):
-                collect_answers(query, simulator, list(subset), "numpy")
+                collect_answers(query, simulator, list(subset))
 
 
-class TestBackendParityThroughSegmented:
-    """End-to-end: numpy (segmented) vs pure answers and counts."""
+class TestOracleParityThroughSegmented:
+    """End-to-end: engine (segmented) vs oracle answers and counts."""
 
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
     def test_hypercube(self, query):
         database = matching_database(query, n=60, rng=5)
-        pure = run_pinned(
-            "hypercube", query, database, p=16, seed=1, backend="pure"
-        )
-        vectorized = run_pinned(
-            "hypercube", query, database, p=16, seed=1, backend="numpy"
-        )
-        assert pure.answers == vectorized.answers
-        assert pure.per_server == vectorized.per_server
-        assert (
-            pure.report.rounds[0].received_bits
-            == vectorized.report.rounds[0].received_bits
+        assert_oracle_parity(
+            *run_with_oracle(
+                compile_with("hypercube", query, 16, seed=1), database
+            )
         )
 
     def test_skew_aware(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = skewed_database(query, n=120, rng=2, heavy_fraction=0.4)
-        pure = run_pinned(
-            "skewaware", query, database, p=16, seed=3, backend="pure"
+        assert_oracle_parity(
+            *run_with_oracle(
+                compile_with("skewaware", query, 16, seed=3), database
+            )
         )
-        vectorized = run_pinned(
-            "skewaware", query, database, p=16, seed=3, backend="numpy"
-        )
-        assert pure.answers == vectorized.answers
-        assert pure.per_server == vectorized.per_server
-        assert pure.heavy_hitters == vectorized.heavy_hitters
 
     def test_multiround_views(self):
         """Views and per-server counts agree round by round."""
         from fractions import Fraction
 
         query = line_query(4)
-        plan = build_plan(query, Fraction(0))
+        plan = compile_multiround(build_plan(query, Fraction(0)), 8, seed=2)
         database = matching_database(query, n=50, rng=7)
-        pure = execute_plan(
-            compile_multiround(plan, 8, seed=2, backend="pure"), database
-        )
-        vectorized = execute_plan(
-            compile_multiround(plan, 8, seed=2, backend="numpy"), database
-        )
-        assert pure.answers == vectorized.answers
-        assert pure.view_sizes == vectorized.view_sizes
-        assert pure.per_server_views == vectorized.per_server_views
+        assert_oracle_parity(*run_with_oracle(plan, database))
 
     def test_capacity_exceeded_parity(self):
-        """Both backends blow the same budget at the same worker."""
-        from repro.mpc.simulator import CapacityExceeded
-
+        """Engine and oracle blow the same budget at the same worker."""
         query = cycle_query(3)
         database = matching_database(query, n=100, rng=0)
-        failures = {}
-        for backend in ("pure", "numpy"):
-            with pytest.raises(CapacityExceeded) as info:
-                run_pinned(
-                    "hypercube", query, database, p=16, seed=0,
-                    backend=backend, capacity_c=0.01, enforce_capacity=True,
-                )
-            failures[backend] = (
-                info.value.worker,
-                info.value.received_bits,
-                info.value.round_index,
-            )
-        assert failures["pure"] == failures["numpy"]
+        plan = compile_with(
+            "hypercube", query, 16, seed=0,
+            capacity_c=0.01, enforce_capacity=True,
+        )
+        assert capacity_failure(
+            lambda: execute_plan(plan, database)
+        ) == capacity_failure(lambda: oracle.execute_plan(plan, database))
 
 
 class TestColumnarGenerators:
     """The large-n generators agree with the executors end to end."""
 
     def test_matching_columnar_structure(self):
-        numpy = require_numpy()
         query = cycle_query(3)
         database = matching_database_columnar(query, n=200, seed=4)
         for relation in database:
@@ -241,14 +221,13 @@ class TestColumnarGenerators:
         query = line_query(3)
         database = matching_database_columnar(query, n=150, seed=1)
         result = run_pinned(
-            "hypercube", query, database, p=16, seed=0, backend="numpy"
+            "hypercube", query, database, p=16, seed=0
         )
         # L_k over matchings chains end to end: n answers.
         assert len(result.answers) == 150
 
     def test_skewed_columnar_chunking_invariant(self):
         """Chunk size never changes the generated instance."""
-        numpy = require_numpy()
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         small = skewed_database_columnar(
             query, n=500, seed=9, heavy_fraction=0.3, chunk_rows=64
@@ -266,6 +245,6 @@ class TestColumnarGenerators:
             query, n=400, seed=0, heavy_fraction=0.5
         )
         aware = run_pinned(
-            "skewaware", query, database, p=16, seed=0, backend="numpy"
+            "skewaware", query, database, p=16, seed=0
         )
         assert any(1 in values for values in aware.heavy_hitters.values())

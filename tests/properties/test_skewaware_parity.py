@@ -1,11 +1,11 @@
-"""Pure vs numpy engine parity for skew-aware HyperCube.
+"""Engine vs oracle parity for skew-aware HyperCube.
 
 The vectorized heavy-hitter detection (unique/counts) and the
 signature-grouped heavy/light partition routing must be bit-identical
-to the per-tuple reference: same heavy hitters, same answers, same
-per-round received bits/tuples, same per-server answer counts, same
-capacity failures -- on matchings, adversarial funnels and randomized
-skewed inputs alike.
+to the per-tuple reference (:mod:`repro.oracle`): same heavy hitters,
+same answers, same per-round received bits/tuples, same per-server
+answer counts, same capacity failures -- on matchings, adversarial
+funnels and randomized skewed inputs alike, whole or streamed.
 """
 
 from __future__ import annotations
@@ -14,19 +14,21 @@ import random
 
 import pytest
 
-from repro.backend import numpy_available
-
-if not numpy_available():
-    pytest.skip("numpy backend unavailable", allow_module_level=True)
-
+from repro import oracle
+from repro.algorithms.registry import compile_with
 from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
 from repro.data.database import Database, Relation
 from repro.data.generators import skewed_database
 from repro.data.matching import matching_database
-from repro.mpc.simulator import CapacityExceeded
-from tests.conftest import run_pinned
+from repro.engine import execute_plan
+from tests.conftest import (
+    assert_oracle_parity,
+    capacity_failure,
+    run_pinned,
+    run_with_oracle,
+)
 
 QUERIES = [
     parse_query("q(x,y,z) = S1(x,y), S2(y,z)"),
@@ -50,27 +52,14 @@ def funnel_database(n=128):
     )
 
 
-def run_both(query, database, p, seed, **kwargs):
-    pure = run_pinned(
-        "skewaware", query, database, p=p, seed=seed, backend="pure", **kwargs
-    )
-    vectorized = run_pinned(
-        "skewaware", query, database, p=p, seed=seed, backend="numpy", **kwargs
-    )
-    return pure, vectorized
+def run_both(query, database, p, seed, engine_options=None, **kwargs):
+    plan = compile_with("skewaware", query, p, seed=seed, **kwargs)
+    return run_with_oracle(plan, database, **(engine_options or {}))
 
 
-def assert_parity(pure, vectorized):
-    assert vectorized.answers == pure.answers
-    assert vectorized.heavy_hitters == pure.heavy_hitters
-    assert vectorized.plan.allocation == pure.plan.allocation
-    assert vectorized.per_server == pure.per_server
-    assert len(vectorized.report.rounds) == len(pure.report.rounds)
-    for round_pure, round_vec in zip(
-        pure.report.rounds, vectorized.report.rounds
-    ):
-        assert round_vec.received_bits == round_pure.received_bits
-        assert round_vec.received_tuples == round_pure.received_tuples
+def assert_parity(execution, reference):
+    assert_oracle_parity(execution, reference)
+    assert reference.heavy_hitters is not None
 
 
 class TestDetectionParity:
@@ -78,22 +67,17 @@ class TestDetectionParity:
     def test_heavy_hitters_identical(self, query):
         database = skewed_database(query, n=50, rng=3, heavy_fraction=0.4)
         shares = {v: 4 for v in query.variables}
-        pure = detect_heavy_hitters(
-            query, database, shares, backend="pure"
-        )
-        vectorized = detect_heavy_hitters(
-            query, database, shares, backend="numpy"
-        )
-        assert pure == vectorized
-        assert any(values for values in pure.values())
+        reference = oracle.heavy_hitters(query, database, shares)
+        assert detect_heavy_hitters(query, database, shares) == reference
+        assert any(values for values in reference.values())
 
     def test_no_heavy_hitters_on_matchings(self):
         query = cycle_query(3)
         database = matching_database(query, n=60, rng=1)
         shares = {v: 4 for v in query.variables}
-        assert detect_heavy_hitters(
-            query, database, shares, backend="numpy"
-        ) == detect_heavy_hitters(query, database, shares, backend="pure")
+        detected = detect_heavy_hitters(query, database, shares)
+        assert detected == oracle.heavy_hitters(query, database, shares)
+        assert not any(detected.values())
 
 
 class TestFunnel:
@@ -101,19 +85,31 @@ class TestFunnel:
     def test_parity_on_funnel(self, p):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = funnel_database(128)
-        pure, vectorized = run_both(query, database, p=p, seed=3)
-        assert_parity(pure, vectorized)
-        assert pure.heavy_hitters["y"]
-        assert len(pure.answers) == 128 * 128
+        execution, reference = run_both(query, database, p=p, seed=3)
+        assert_parity(execution, reference)
+        assert reference.heavy_hitters["y"]
+        assert len(reference.answers) == 128 * 128
+
+    @pytest.mark.parametrize("chunk_rows", [1, 17])
+    def test_streamed_parity_on_funnel(self, chunk_rows):
+        query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
+        assert_parity(
+            *run_both(
+                query, funnel_database(64), p=16, seed=3,
+                engine_options={"chunk_rows": chunk_rows},
+            )
+        )
 
     def test_parity_beats_plain_hc(self):
-        """Both backends agree AND both beat plain HC's max load."""
+        """Engine and oracle agree AND both beat plain HC's max load."""
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = funnel_database(128)
         plain = run_pinned("hypercube", query, database, p=16, seed=5)
-        pure, vectorized = run_both(query, database, p=16, seed=5)
-        assert_parity(pure, vectorized)
-        assert pure.report.max_load_tuples < plain.report.max_load_tuples
+        execution, reference = run_both(query, database, p=16, seed=5)
+        assert_parity(execution, reference)
+        assert (
+            reference.report.max_load_tuples < plain.report.max_load_tuples
+        )
 
 
 class TestRandomizedDatabases:
@@ -128,56 +124,54 @@ class TestRandomizedDatabases:
             heavy_fraction=rng.choice([0.0, 0.3, 0.7]),
         )
         p = rng.choice([2, 7, 16, 27])
-        pure, vectorized = run_both(query, database, p=p, seed=trial)
-        assert_parity(pure, vectorized)
+        assert_parity(*run_both(query, database, p=p, seed=trial))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_parity_on_matchings_equals_plain_hc(self, seed):
-        """No heavy hitters: both backends route like plain HC."""
+        """No heavy hitters: engine and oracle route like plain HC."""
         query = line_query(3)
         database = matching_database(query, n=40, rng=7)
-        pure, vectorized = run_both(query, database, p=9, seed=seed)
-        assert_parity(pure, vectorized)
+        execution, reference = run_both(query, database, p=9, seed=seed)
+        assert_parity(execution, reference)
         plain = run_pinned("hypercube", query, database, p=9, seed=seed)
-        assert pure.answers == plain.answers
+        assert reference.answers == plain.answers
         assert (
-            pure.report.rounds[0].received_bits
+            reference.report.rounds[0].received_bits
             == plain.report.rounds[0].received_bits
         )
 
     def test_parity_with_repeated_variable_atoms(self):
         query = parse_query("q(x,y) = S(x, x), T(x, y)")
         database = skewed_database(query, n=15, rng=2, heavy_fraction=0.5)
-        pure, vectorized = run_both(query, database, p=8, seed=0)
-        assert_parity(pure, vectorized)
+        assert_parity(*run_both(query, database, p=8, seed=0))
 
 
 class TestCapacityParity:
     def test_capacity_exceeded_fires_identically(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = funnel_database(96)
-        failures = {}
-        for backend in ("pure", "numpy"):
-            with pytest.raises(CapacityExceeded) as info:
-                run_pinned(
-                    "skewaware", query, database, p=16, seed=3,
-                    backend=backend, enforce_capacity=True, capacity_c=0.01,
-                )
-            failures[backend] = info.value
-        pure, vectorized = failures["pure"], failures["numpy"]
-        assert vectorized.worker == pure.worker
-        assert vectorized.received_bits == pure.received_bits
-        assert vectorized.round_index == pure.round_index
+        plan = compile_with(
+            "skewaware", query, 16, seed=3,
+            enforce_capacity=True, capacity_c=0.01,
+        )
+        expected = capacity_failure(
+            lambda: oracle.execute_plan(plan, database)
+        )
+        for chunk_rows in (None, 7):
+            assert capacity_failure(
+                lambda: execute_plan(plan, database, chunk_rows=chunk_rows)
+            ) == expected
 
     def test_generous_capacity_passes_both(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = funnel_database(64)
-        pure, vectorized = run_both(
-            query,
-            database,
-            p=16,
-            seed=0,
-            enforce_capacity=True,
-            capacity_c=64.0,
+        assert_parity(
+            *run_both(
+                query,
+                database,
+                p=16,
+                seed=0,
+                enforce_capacity=True,
+                capacity_c=64.0,
+            )
         )
-        assert_parity(pure, vectorized)

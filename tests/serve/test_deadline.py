@@ -110,13 +110,12 @@ class TestCooperativeCancellation:
     def test_deadline_fires_mid_round_between_streamed_blocks(
         self, monkeypatch
     ):
-        pytest.importorskip("numpy")
         # Small blocks + an injected per-block delay: the budget runs
         # out *inside* an open round's block loop -- the mid-round
         # half of cooperative cancellation.
         monkeypatch.setenv(BLOCK_DELAY_ENV, "30")
         session = connect(
-            _database(), p=8, backend="numpy", chunk_rows=16
+            _database(), p=8, chunk_rows=16
         )
         try:
             with pytest.raises(DeadlineExceeded) as excinfo:
@@ -245,8 +244,7 @@ class TestSimulatorReuseParity:
     def test_streamed_overrun_leaves_the_pool_reusable(
         self, monkeypatch
     ):
-        pytest.importorskip("numpy")
-        reference = connect(_database(), p=8, backend="numpy")
+        reference = connect(_database(), p=8)
         try:
             expected = reference.execute(PATH)
         finally:
@@ -255,7 +253,6 @@ class TestSimulatorReuseParity:
         session = connect(
             _database(),
             p=8,
-            backend="numpy",
             chunk_rows=16,
             result_cache_size=0,
         )

@@ -38,15 +38,14 @@ def _database(n=60, rng=11):
     return matching_database(VOCAB, n=n, rng=rng)
 
 
-@pytest.mark.parametrize("backend", ["numpy", "pure"])
 class TestParity:
     @pytest.mark.parametrize(
         "algorithm,overrides", ROUTES, ids=[a for a, _ in ROUTES]
     )
-    def test_every_planner_route(self, backend, algorithm, overrides):
+    def test_every_planner_route(self, algorithm, overrides):
         database = _database()
-        with connect(database, p=8, backend=backend) as serial, connect(
-            database, p=8, backend=backend, workers=2
+        with connect(database, p=8) as serial, connect(
+            database, p=8, workers=2
         ) as fanned:
             assert fanned.fanout is not None and fanned.fanout.usable
             expected = serial.execute(
@@ -61,10 +60,10 @@ class TestParity:
             assert actual.version == expected.version
             assert fanned.fanout.queries == 1  # it really fanned out
 
-    def test_statement_sequence(self, backend):
+    def test_statement_sequence(self):
         database = _database()
-        with connect(database, p=8, backend=backend) as serial, connect(
-            database, p=8, backend=backend, workers=2
+        with connect(database, p=8) as serial, connect(
+            database, p=8, workers=2
         ) as fanned:
             for text in STATEMENTS:
                 expected = serial.execute(text)
@@ -76,8 +75,8 @@ class TestParity:
 class TestUpdates:
     def test_update_broadcast_keeps_parity(self):
         database = _database()
-        with connect(database, p=8, backend="numpy") as serial, connect(
-            database, p=8, backend="numpy", workers=2
+        with connect(database, p=8) as serial, connect(
+            database, p=8, workers=2
         ) as fanned:
             rows = [(1, 2), (3, 4), (5, 6)]
             assert serial.update(inserts={"S1": rows}) == fanned.update(
@@ -92,7 +91,7 @@ class TestUpdates:
 
     def test_update_on_a_dead_pool_never_loses_the_parent_delta(self):
         database = _database()
-        with connect(database, p=8, backend="numpy", workers=2) as session:
+        with connect(database, p=8, workers=2) as session:
             for process in session.fanout._processes:
                 process.kill()
                 process.join(timeout=30)
@@ -105,7 +104,7 @@ class TestUpdates:
         from repro.data.versioned import DatabaseDelta
 
         database = _database()
-        with connect(database, p=8, backend="numpy", workers=2) as session:
+        with connect(database, p=8, workers=2) as session:
             pool = session.fanout
             for process in pool._processes:
                 process.kill()
@@ -127,7 +126,7 @@ class TestUpdates:
         from repro.data.versioned import DatabaseDelta
 
         database = _database()
-        with connect(database, p=8, backend="numpy", workers=2) as session:
+        with connect(database, p=8, workers=2) as session:
             pool = session.fanout
             delta = DatabaseDelta.of({"S1": [(1, 2)]}, None)
             assert pool.apply_delta(delta, lambda: 999) == 999
@@ -137,7 +136,6 @@ class TestUpdates:
         database = _database()
         options = dict(
             p=8,
-            backend="numpy",
             enforce_capacity=True,
             capacity_c=1e-6,
             algorithm="hypercube",
@@ -160,8 +158,8 @@ class TestUpdates:
 class TestFailure:
     def test_dead_worker_degrades_to_in_process(self):
         database = _database()
-        with connect(database, p=8, backend="numpy") as serial, connect(
-            database, p=8, backend="numpy", workers=2
+        with connect(database, p=8) as serial, connect(
+            database, p=8, workers=2
         ) as fanned:
             expected = serial.execute(STATEMENTS[0])
             for process in fanned.fanout._processes:
@@ -178,8 +176,8 @@ class TestFailure:
         # in-process fallback at once when the pool dies mid-serve;
         # the session's execution lock must keep them single-file.
         database = _database()
-        with connect(database, p=8, backend="numpy") as serial, connect(
-            database, p=8, backend="numpy", workers=2
+        with connect(database, p=8) as serial, connect(
+            database, p=8, workers=2
         ) as fanned:
             expected = {
                 text: serial.execute(text).answers for text in STATEMENTS
@@ -209,7 +207,7 @@ class TestFailure:
 
     def test_broken_pool_refuses_direct_use(self):
         database = _database()
-        session = connect(database, p=8, backend="numpy", workers=2)
+        session = connect(database, p=8, workers=2)
         try:
             pool = session.fanout
             for process in pool._processes:
@@ -226,7 +224,7 @@ class TestFailure:
         from repro.core.query import QueryError
 
         database = _database()
-        with connect(database, p=8, backend="numpy", workers=2) as session:
+        with connect(database, p=8, workers=2) as session:
             with pytest.raises(QueryError):
                 session.execute("Nope(x,y)")
             assert session.fanout.usable  # a bad query is not a crash
@@ -235,7 +233,7 @@ class TestFailure:
 class TestLifecycle:
     def test_close_unlinks_all_segments(self):
         database = _database()
-        session = connect(database, p=8, backend="numpy", workers=2)
+        session = connect(database, p=8, workers=2)
         names = list(session.fanout.segment_names)
         assert names  # the snapshot went through shared memory
         session.execute(STATEMENTS[0])
@@ -245,13 +243,13 @@ class TestLifecycle:
 
     def test_pool_requires_two_workers(self):
         database = _database()
-        with connect(database, p=8, backend="numpy") as session:
+        with connect(database, p=8) as session:
             with pytest.raises(ValueError):
                 SessionWorkerPool(session.database, {}, workers=1)
 
     def test_worker_stats_report_per_worker_sessions(self):
         database = _database()
-        with connect(database, p=8, backend="numpy", workers=2) as session:
+        with connect(database, p=8, workers=2) as session:
             session.execute(STATEMENTS[0])
             session.execute(STATEMENTS[1])
             stats = session.fanout.worker_stats()

@@ -90,13 +90,11 @@ class TestInjectedDelays:
             session.close()
 
     def test_block_delay_applies_per_streamed_block(self, monkeypatch):
-        pytest.importorskip("numpy")
         # n=60 rows in blocks of 15 is >= 4 blocks per step; at 20 ms
         # each the execution visibly slows while staying correct.
         session = connect(
             _database(),
             p=8,
-            backend="numpy",
             chunk_rows=15,
             result_cache_size=0,
         )

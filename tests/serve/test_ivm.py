@@ -3,8 +3,8 @@
 The acceptance bar of the subsystem: a request served by a delta
 merge is *bit-identical* to the full re-execution it replaced --
 answers, per-server loads, per-round statistics, view sizes, and
-``CapacityExceeded`` behaviour -- across algorithms, backends and
-delta shapes.  Everything the merge cannot guarantee that for falls
+``CapacityExceeded`` behaviour -- across algorithms and delta
+shapes.  Everything the merge cannot guarantee that for falls
 back to the full path, for a named reason.
 """
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backend import numpy_available
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarRelation
 from repro.data.matching import matching_database
@@ -26,8 +25,6 @@ from repro.mpc.simulator import CapacityExceeded
 from repro.serve import QueryService
 from repro.engine.faults import WORKER_DEATH_ENV
 
-BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
-
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
 TRIANGLE = "S1(x,y), S2(y,z), S3(z,x)"
@@ -38,19 +35,17 @@ def _database(n=40, rng=7):
     return matching_database(VOCAB, n=n, rng=rng)
 
 
-def _pair(backend, algorithm="hypercube", n=40, rng=7, **kwargs):
+def _pair(algorithm="hypercube", n=40, rng=7, **kwargs):
     """Two services over identical data: IVM on, IVM off (control)."""
     served = QueryService(
         _database(n=n, rng=rng),
         p=8,
-        backend=backend,
         algorithm=algorithm,
         **kwargs,
     )
     control = QueryService(
         _database(n=n, rng=rng),
         p=8,
-        backend=backend,
         algorithm=algorithm,
         ivm=False,
         **kwargs,
@@ -91,36 +86,35 @@ def _apply_both(served, control, **delta):
     return version
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ["hypercube", "multiround"])
 class TestMergeParity:
     """Merged answers are bit-identical to full re-execution."""
 
-    def _prime(self, backend, algorithm, query=TRIANGLE):
-        served, control = _pair(backend, algorithm)
+    def _prime(self, algorithm, query=TRIANGLE):
+        served, control = _pair(algorithm)
         _assert_parity(
             served.execute(query), control.execute(query)
         )
         return served, control
 
-    def test_insert_only_delta(self, backend, algorithm):
-        served, control = self._prime(backend, algorithm)
+    def test_insert_only_delta(self, algorithm):
+        served, control = self._prime(algorithm)
         rows = _fresh_rows(served, "S1", 3)
         _apply_both(served, control, inserts={"S1": rows})
         mine = served.execute(TRIANGLE)
         assert mine.ivm == "merged"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_delete_only_delta(self, backend, algorithm):
-        served, control = self._prime(backend, algorithm)
+    def test_delete_only_delta(self, algorithm):
+        served, control = self._prime(algorithm)
         victims = list(served.database["S2"].rows())[:4]
         _apply_both(served, control, deletes={"S2": victims})
         mine = served.execute(TRIANGLE)
         assert mine.ivm == "merged"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_mixed_delta_across_relations(self, backend, algorithm):
-        served, control = self._prime(backend, algorithm)
+    def test_mixed_delta_across_relations(self, algorithm):
+        served, control = self._prime(algorithm)
         rows = _fresh_rows(served, "S1", 2)
         victims = list(served.database["S3"].rows())[:2]
         _apply_both(
@@ -134,9 +128,9 @@ class TestMergeParity:
         _assert_parity(mine, control.execute(TRIANGLE))
 
     def test_consecutive_deltas_merge_cumulatively(
-        self, backend, algorithm
+        self, algorithm
     ):
-        served, control = self._prime(backend, algorithm)
+        served, control = self._prime(algorithm)
         for step in range(3):
             rows = _fresh_rows(served, "S1", 1)
             _apply_both(served, control, inserts={"S1": rows})
@@ -146,9 +140,9 @@ class TestMergeParity:
         assert served.stats.ivm_hits == 3
         assert served.stats.ivm_fallbacks == 0
 
-    def test_merge_skipping_versions(self, backend, algorithm):
+    def test_merge_skipping_versions(self, algorithm):
         # Two deltas, no execution in between: one composed merge.
-        served, control = self._prime(backend, algorithm)
+        served, control = self._prime(algorithm)
         rows = _fresh_rows(served, "S1", 2)
         _apply_both(served, control, inserts={"S1": rows})
         _apply_both(served, control, deletes={"S1": rows[:1]})
@@ -156,8 +150,8 @@ class TestMergeParity:
         assert mine.ivm == "merged"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_merged_result_is_cached(self, backend, algorithm):
-        served, control = self._prime(backend, algorithm)
+    def test_merged_result_is_cached(self, algorithm):
+        served, control = self._prime(algorithm)
         _apply_both(
             served,
             control,
@@ -170,12 +164,11 @@ class TestMergeParity:
         assert repeat.answers == first.answers
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFallbacks:
     """Named reasons; the full path still answers correctly."""
 
-    def test_skew_aware_plans_fall_back(self, backend):
-        served, control = _pair(backend, algorithm="skewaware")
+    def test_skew_aware_plans_fall_back(self):
+        served, control = _pair(algorithm="skewaware")
         served.execute(TWO_HOP)
         control.execute(TWO_HOP)
         _apply_both(
@@ -188,10 +181,8 @@ class TestFallbacks:
         assert served.stats.ivm_fallbacks == 1
         _assert_parity(mine, control.execute(TWO_HOP))
 
-    def test_delta_fraction_gate(self, backend):
-        served, control = _pair(
-            backend, ivm_max_delta_fraction=0.0
-        )
+    def test_delta_fraction_gate(self):
+        served, control = _pair(ivm_max_delta_fraction=0.0)
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         _apply_both(
@@ -203,8 +194,8 @@ class TestFallbacks:
         assert mine.ivm == "delta-too-large"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_domain_growth_falls_back(self, backend):
-        served, control = _pair(backend)
+    def test_domain_growth_falls_back(self):
+        served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         grown = served.database.domain_size + 50
@@ -213,8 +204,8 @@ class TestFallbacks:
         assert mine.ivm == "bits-changed"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_history_gap_discards_state(self, backend):
-        served, _ = _pair(backend)
+    def test_history_gap_discards_state(self):
+        served, _ = _pair()
         served.execute(TRIANGLE)
         assert served.ivm_retained_states == 1
         for _ in range(DELTA_HISTORY_LIMIT + 2):
@@ -232,9 +223,9 @@ class TestFallbacks:
         assert served.execute(TRIANGLE).ivm == "merged"
 
     def test_worker_death_drill_degrades_cleanly(
-        self, backend, monkeypatch
+        self, monkeypatch
     ):
-        served, control = _pair(backend)
+        served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         _apply_both(
@@ -257,8 +248,8 @@ class TestFallbacks:
         assert mine.ivm == "merged"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_byte_budget_rejects_capture(self, backend):
-        served, control = _pair(backend, ivm_max_bytes=1)
+    def test_byte_budget_rejects_capture(self):
+        served, control = _pair(ivm_max_bytes=1)
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         assert served.ivm_retained_states == 0
@@ -272,8 +263,8 @@ class TestFallbacks:
         assert mine.ivm == "no-retained-state"
         _assert_parity(mine, control.execute(TRIANGLE))
 
-    def test_ivm_disabled_reports_nothing(self, backend):
-        service = QueryService(_database(), p=8, backend=backend, ivm=False)
+    def test_ivm_disabled_reports_nothing(self):
+        service = QueryService(_database(), p=8, ivm=False)
         service.execute(TRIANGLE)
         service.update(inserts={"S1": _fresh_rows(service, "S1", 1)})
         result = service.execute(TRIANGLE)
@@ -282,13 +273,8 @@ class TestFallbacks:
         assert service.ivm_retained_bytes == 0
         assert service.stats.ivm_hits == 0
 
-    @pytest.mark.skipif(
-        not numpy_available(), reason="chunked routing is numpy-only"
-    )
-    def test_chunked_execution_is_not_captured(self, backend):
-        if backend != "numpy":
-            pytest.skip("chunked routing is numpy-only")
-        served, control = _pair(backend, chunk_rows=8)
+    def test_chunked_execution_is_not_captured(self):
+        served, control = _pair(chunk_rows=8)
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         assert served.ivm_retained_states == 0
@@ -315,7 +301,7 @@ class TestFallbacks:
             _assert_parity(mine, control.execute(TRIANGLE))
 
 
-def _skewed_database(backend, extra=()):
+def _skewed_database(extra=()):
     # All the join traffic concentrates on y=1's worker; the ballast
     # rows (y in 2..4, joining nothing) land elsewhere, so capacity
     # (a function of *total* input) sits above the hot worker's load
@@ -326,45 +312,41 @@ def _skewed_database(backend, extra=()):
     return VersionedDatabase(
         {
             "S1": ColumnarRelation.from_rows(
-                "S1", rows_s1, domain_size=64, backend=backend
+                "S1", rows_s1, domain_size=64
             ),
             "S2": ColumnarRelation.from_rows(
-                "S2", rows_s2, domain_size=64, backend=backend
+                "S2", rows_s2, domain_size=64
             ),
         },
-        backend=backend,
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestCapacityParity:
     """A merged overflow is the identical CapacityExceeded."""
 
-    def _pair(self, backend, capacity_c):
+    def _pair(self, capacity_c):
         common = dict(
             p=4,
-            backend=backend,
             capacity_c=capacity_c,
             enforce_capacity=True,
         )
-        served = QueryService(_skewed_database(backend), **common)
+        served = QueryService(_skewed_database(), **common)
         control = QueryService(
-            _skewed_database(backend), ivm=False, **common
+            _skewed_database(), ivm=False, **common
         )
         return served, control
 
     SKEW = tuple((20 + i, 1) for i in range(4))
 
-    def _calibrate(self, backend):
+    def _calibrate(self):
         """A capacity constant the base data fits under but the skew
         insert overflows: probe both datasets unenforced and place
         the ceiling between their peak-load-to-capacity ratios."""
         ratios = []
         for extra in ((), self.SKEW):
             probe = QueryService(
-                _skewed_database(backend, extra=extra),
+                _skewed_database(extra=extra),
                 p=4,
-                backend=backend,
                 enforce_capacity=False,
             )
             stats = probe.execute(TWO_HOP).report.rounds[0]
@@ -373,9 +355,9 @@ class TestCapacityParity:
         assert skew_ratio > base_ratio, "skew must concentrate load"
         return probe.capacity_c * (base_ratio + skew_ratio) / 2
 
-    def test_identical_capacity_exceeded(self, backend):
-        capacity_c = self._calibrate(backend)
-        served, control = self._pair(backend, capacity_c)
+    def test_identical_capacity_exceeded(self):
+        capacity_c = self._calibrate()
+        served, control = self._pair(capacity_c)
         assert served.execute(TWO_HOP).answers == control.execute(
             TWO_HOP
         ).answers
@@ -398,10 +380,10 @@ class TestCapacityParity:
         assert str(served_error.value) == str(control_error.value)
 
     def test_capacity_failure_is_cached_and_state_survives(
-        self, backend
+        self
     ):
-        capacity_c = self._calibrate(backend)
-        served, control = self._pair(backend, capacity_c)
+        capacity_c = self._calibrate()
+        served, control = self._pair(capacity_c)
         served.execute(TWO_HOP)
         control.execute(TWO_HOP)
         skew = list(self.SKEW)
@@ -433,10 +415,9 @@ class _SteppingClock:
         return reading
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestDeadlineMidMerge:
-    def test_expiry_mid_merge_leaves_state_reusable(self, backend):
-        served, control = _pair(backend)
+    def test_expiry_mid_merge_leaves_state_reusable(self):
+        served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         _apply_both(
@@ -461,12 +442,11 @@ class TestDeadlineMidMerge:
         _assert_parity(mine, control.execute(TRIANGLE))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNoopChaining:
     """Empty deltas chain caches instead of orphaning them."""
 
-    def test_result_cache_survives_empty_update(self, backend):
-        service = QueryService(_database(), p=8, backend=backend)
+    def test_result_cache_survives_empty_update(self):
+        service = QueryService(_database(), p=8)
         first = service.execute(TRIANGLE)
         version = service.apply_delta(DatabaseDelta.of())
         repeat = service.execute(TRIANGLE)
@@ -475,8 +455,8 @@ class TestNoopChaining:
         assert repeat.answers == first.answers
         assert service.stats.executions == 1
 
-    def test_ineffective_delta_also_chains(self, backend):
-        service = QueryService(_database(), p=8, backend=backend)
+    def test_ineffective_delta_also_chains(self):
+        service = QueryService(_database(), p=8)
         service.execute(TRIANGLE)
         existing = next(iter(service.database["S1"].rows()))
         service.update(
@@ -486,8 +466,8 @@ class TestNoopChaining:
         assert service.execute(TRIANGLE).result_hit
         assert service.stats.executions == 1
 
-    def test_retained_state_fast_forwards(self, backend):
-        served, control = _pair(backend)
+    def test_retained_state_fast_forwards(self):
+        served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         served.apply_delta(DatabaseDelta.of())
@@ -522,15 +502,12 @@ def _count_calls(monkeypatch, target):
     return calls
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "algorithm,query",
     [("hypercube", TRIANGLE), ("multiround", L4)],
     ids=["hypercube-C3", "multiround-L4"],
 )
-def test_cold_execution_joins_and_unions_once(
-    backend, algorithm, query, monkeypatch
-):
+def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
     """One path: capture takes the engine's tables, it derives none.
 
     A cold execution calls the per-worker evaluator zero times and the
@@ -540,18 +517,15 @@ def test_cold_execution_joins_and_unions_once(
     from repro.serve.ivm.state import plan_sites
 
     captures = _count_calls(monkeypatch, "repro.serve.ivm.capture_state")
-    capture_joins = _count_calls(
-        monkeypatch, "repro.serve.ivm.state.evaluate_worker"
-    )
     merge_joins = _count_calls(
-        monkeypatch, "repro.serve.ivm.merge.evaluate_worker"
+        monkeypatch, "repro.serve.ivm.merge.evaluate_query_table"
     )
     unions = _count_calls(
         monkeypatch, "repro.engine.local.union_answer_tables"
     )
     database = matching_database(parse_query(L4), n=60, rng=7)
     service = QueryService(
-        database, p=8, backend=backend, algorithm=algorithm
+        database, p=8, algorithm=algorithm
     )
     service.execute(query)
 
@@ -559,8 +533,8 @@ def test_cold_execution_joins_and_unions_once(
     sites = plan_sites(state.plan)
     assert len(sites) == (1 if algorithm == "hypercube" else 3)
     assert len(captures) == 1  # ... through the traced module attribute
-    assert not capture_joins and not merge_joins
-    assert len(unions) == (len(sites) if backend == "numpy" else 0)
+    assert not merge_joins
+    assert len(unions) == len(sites)
 
     def site_tables():
         return [
@@ -573,12 +547,11 @@ def test_cold_execution_joins_and_unions_once(
     before = site_tables()
     service.update(inserts={"S1": _fresh_rows(service, "S1", 1)})
     assert service.execute(query).ivm == "merged"
-    assert not capture_joins and len(captures) == 1
+    assert len(captures) == 1
     assert 0 < len(merge_joins) < len(before)
-    if backend == "numpy":  # (a re-joined empty tuple is the same ())
-        assert len(merge_joins) == sum(
-            old is not new for old, new in zip(before, site_tables())
-        )
+    assert len(merge_joins) == sum(
+        old is not new for old, new in zip(before, site_tables())
+    )
 
 
 class TestSessionSurface:

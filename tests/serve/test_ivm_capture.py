@@ -5,7 +5,7 @@ answer tuples from the execution by reference.  The oracle here is the
 derivation capture used to run itself: join each worker's retained
 fragments with the single-worker evaluator, union the tables, project
 the answers.  Captured state must equal it row for row and byte for
-byte, on every algorithm x query family x backend IVM accepts, and must
+byte, on every algorithm x query family IVM accepts, and must
 stay equal to a fresh capture under any interleaving of small deltas.
 """
 
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.registry import compile_with
-from repro.backend import numpy_available
 from repro.core.families import (
     binomial_query,
     cycle_query,
@@ -29,17 +29,11 @@ from repro.core.families import (
 )
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
+from repro.engine.local import union_answer_tables
 from repro.serve import QueryService
 from repro.serve.ivm import IvmPolicy
-from repro.serve.ivm.state import (
-    RetainedState,
-    SiteState,
-    _merge_tables,
-    evaluate_worker,
-    table_rows,
-)
+from repro.serve.ivm.state import RetainedState, SiteState, table_rows
 
-BACKENDS = ["pure"] + (["numpy"] if numpy_available() else [])
 ALGORITHMS = ["hypercube", "multiround"]
 P = 8
 
@@ -78,26 +72,26 @@ def rejoined(state: RetainedState) -> RetainedState:
 
     def rejoin(site: SiteState) -> SiteState:
         tables = [
-            evaluate_worker(
+            evaluate_query_table(
                 site.query,
                 {
                     atom: state.pools[key].fragments[worker]
                     for atom, key in site.keys.items()
                 },
-                state.backend,
+                assume_unique=True,
             )
             for worker in range(site.workers)
         ]
-        merged = _merge_tables(tables, len(site.query.head), state.backend)
+        merged = union_answer_tables(tables, len(site.query.head))
         if site.answer_rows is None:
             answer_rows = None
         elif state.finalize_positions is None:
-            answer_rows = table_rows(merged, state.backend)
+            answer_rows = table_rows(merged)
         else:
             answer_rows = tuple(
                 sorted(
                     tuple(row[i] for i in state.finalize_positions)
-                    for row in table_rows(merged, state.backend)
+                    for row in table_rows(merged)
                 )
             )
         return replace(
@@ -113,21 +107,19 @@ def rejoined(state: RetainedState) -> RetainedState:
     return oracle
 
 
-def _row_set(table, backend):
-    return set(table_rows(table, backend))
+def _row_set(table):
+    return set(table_rows(table))
 
 
 def assert_same_state(state: RetainedState, expected: RetainedState):
     """Same fragments and per-worker tables as row sets; merged tables,
     answer rows, round statistics and the byte estimate exactly."""
-    backend = state.backend
     assert state.pools.keys() == expected.pools.keys()
     for key, store in state.pools.items():
         for mine, theirs in zip(
             store.fragments, expected.pools[key].fragments, strict=True
         ):
-            if backend == "numpy":
-                mine, theirs = zip(*mine), zip(*theirs)
+            mine, theirs = zip(*mine), zip(*theirs)
             assert set(map(tuple, mine)) == set(map(tuple, theirs))
     assert state.views.keys() == expected.views.keys()
     pairs = [
@@ -140,13 +132,10 @@ def assert_same_state(state: RetainedState, expected: RetainedState):
         assert mine.workers == theirs.workers == len(mine.tables)
         for table, other in zip(mine.tables, theirs.tables, strict=True):
             assert len(table) == len(other)
-            assert _row_set(table, backend) == _row_set(other, backend)
-        if backend == "numpy":
-            assert mine.merged.dtype == theirs.merged.dtype
-            assert mine.merged.shape == theirs.merged.shape
-            assert (mine.merged == theirs.merged).all()
-        else:
-            assert mine.merged == theirs.merged
+            assert _row_set(table) == _row_set(other)
+        assert mine.merged.dtype == theirs.merged.dtype
+        assert mine.merged.shape == theirs.merged.shape
+        assert (mine.merged == theirs.merged).all()
         assert mine.answer_rows == theirs.answer_rows
     assert state.report_rounds == expected.report_rounds
     assert state.input_bits == expected.input_bits
@@ -158,11 +147,10 @@ def _only_state(service: QueryService) -> RetainedState:
     return state
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("query", FAMILIES, ids=lambda query: query.name)
-def test_captured_state_equals_the_rejoin_oracle(query, algorithm, backend):
-    plan = compile_with(algorithm, query, P, backend=backend)
+def test_captured_state_equals_the_rejoin_oracle(query, algorithm):
+    plan = compile_with(algorithm, query, P)
     if IvmPolicy().plan_fallback_reason(plan) is not None:
         pytest.skip("plan shape is not incrementally maintainable")
     for database in (
@@ -170,7 +158,7 @@ def test_captured_state_equals_the_rejoin_oracle(query, algorithm, backend):
         random_database(query, domain=9, rows_per_atom=24, rng=5),
     ):
         service = QueryService(
-            database, p=P, backend=backend, algorithm=algorithm
+            database, p=P, algorithm=algorithm
         )
         result = service.execute(query)
         state = _only_state(service)
@@ -203,7 +191,6 @@ deltas = st.lists(
 @given(
     query=st.sampled_from(QUERIES),
     algorithm=st.sampled_from(ALGORITHMS),
-    backend=st.sampled_from(BACKENDS),
     rows=st.lists(
         st.lists(pairs, min_size=4, max_size=14), min_size=3, max_size=3
     ),
@@ -211,7 +198,7 @@ deltas = st.lists(
     read_between=st.booleans(),
 )
 def test_capture_plus_merges_equals_a_fresh_capture(
-    query, algorithm, backend, rows, deltas, read_between
+    query, algorithm, rows, deltas, read_between
 ):
     """Skew-free small databases, 1-4 interleaved insert/delete deltas
     (read after each, or composed into one merge): the maintained
@@ -231,7 +218,6 @@ def test_capture_plus_merges_equals_a_fresh_capture(
     served = QueryService(
         build(dict(zip(names, rows))),
         p=P,
-        backend=backend,
         algorithm=algorithm,
         ivm_max_delta_fraction=1.0,
     )
@@ -249,7 +235,6 @@ def test_capture_plus_merges_equals_a_fresh_capture(
     fresh = QueryService(
         build({name: served.database[name].rows() for name in names}),
         p=P,
-        backend=backend,
         algorithm=algorithm,
     )
     assert final.answers == fresh.execute(query).answers

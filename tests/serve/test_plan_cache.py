@@ -11,16 +11,16 @@ from repro.core.query import parse_query
 from repro.serve.cache import PlanCache
 
 
-def _params(eps=None, p=8, backend="pure"):
-    return ("hypercube", eps, p, backend, 0, 4.0, False)
+def _params(eps=None, p=8, seed=0):
+    return ("hypercube", eps, p, seed, 4.0, False)
 
 
-def _compiler(p=8, backend="pure"):
+def _compiler(p=8, seed=0):
     calls = []
 
     def compile_(query):
         calls.append(query)
-        return compile_hypercube(query, p=p, backend=backend)
+        return compile_hypercube(query, p=p, seed=seed)
 
     return compile_, calls
 
@@ -118,7 +118,7 @@ class TestIsomorphicHits:
 
 
 class TestParameterSensitivity:
-    def test_miss_on_changed_eps_p_backend(self):
+    def test_miss_on_changed_eps_p_seed(self):
         cache = PlanCache()
         query = parse_query("S1(x,y), S2(y,z)")
         compile_, calls = _compiler()
@@ -126,11 +126,11 @@ class TestParameterSensitivity:
         cache.get_or_compile(query, _params(eps=Fraction(1, 2)), compile_)
         compile_p16, calls_p16 = _compiler(p=16)
         cache.get_or_compile(query, _params(p=16), compile_p16)
-        compile_np, calls_np = _compiler(backend="pure")
-        cache.get_or_compile(query, _params(backend="numpy"), compile_np)
+        compile_seed, calls_seed = _compiler(seed=1)
+        cache.get_or_compile(query, _params(seed=1), compile_seed)
         assert len(calls) == 2
         assert len(calls_p16) == 1
-        assert len(calls_np) == 1
+        assert len(calls_seed) == 1
         assert cache.stats.misses == 4
         assert cache.stats.hits == 0
 

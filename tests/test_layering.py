@@ -3,7 +3,9 @@
 ``engine``, ``mpc``, ``data``, ``core`` and ``algorithms`` sit below
 ``serve``, ``api`` and ``planner``.  Every import statement (top-level,
 lazy or under ``TYPE_CHECKING``) is read from the AST; the remaining
-inversions are listed explicitly so the list can only shrink.
+inversions are listed explicitly so the list can only shrink.  The
+row-at-a-time reference executor, :mod:`repro.oracle`, sits above them
+all: tests and benchmarks import it, no module of the package does.
 """
 
 from __future__ import annotations
@@ -50,3 +52,12 @@ def test_lower_layers_do_not_import_upper_layers():
         if module.split(".")[:2] in (["repro", upper] for upper in UPPER)
     }
     assert inversions == KNOWN_INVERSIONS
+
+
+def test_no_package_module_imports_the_oracle():
+    importers = [
+        path.relative_to(ROOT).as_posix()
+        for path in sorted(ROOT.rglob("*.py"))
+        if "repro.oracle" in _imported_modules(path)
+    ]
+    assert importers == []

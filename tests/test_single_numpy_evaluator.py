@@ -8,8 +8,10 @@ the ``REPRO_CHUNK_ROWS`` environment knob were folded into
 ``RoundEngine``'s loop over row ranges; the ``run_*`` wrappers, the
 fixpoint plan kind and the REPL's own service went when ``connect()``
 and ``compile_with`` + ``execute_plan`` became the only ways to run a
-query.  None of their names may reappear in the package (a second
-path would have to be named something).
+query; the ``pure`` backend and its switchboard went when numpy became
+the engine and the row-at-a-time path became ``repro.oracle``.  None
+of their names may reappear in the package (a second path would have
+to be named something).
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ DELETED = re.compile(
     r"|BaselineResult|legacy_entry_points_allowed|warn_legacy_entry_point"
     r"|FixpointSpec|compile_hash_to_min|FALLBACK_FIXPOINT|_serve_handle"
     r"|parallel_min_rows"
+    r"|repro\.backend|resolve_backend|numpy_or_none|require_numpy"
+    r"|REPRO_DISABLE_NUMPY|_send_rows|worker_answer_rows|with_backend"
+    r"|BackendError"
 )
 
 

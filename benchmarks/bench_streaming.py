@@ -18,8 +18,8 @@ Gates pinned here:
   completes under **4 GB** (the ROADMAP item 2 target).  ~25 GB of
   delivered tuples never exist at once.
 * ``test_streaming_overlap`` (4+ cores): on a multi-round workload
-  the pipelined path (shard fan-out + round r local eval overlapped
-  with round r+1 routing) is >= 1.3x the non-overlapped streamed
+  the pipelined path (round r's views evaluated on the pool while
+  round r+1 routes inline) is >= 1.3x the non-overlapped streamed
   wall clock.  Meaningless without cores to overlap on, so the
   assertion -- like bench_parallel's -- is gated on the runner;
   parity is asserted unconditionally.
@@ -231,9 +231,7 @@ def test_streaming_overlap(once):
         serial_seconds, serial = best_of(
             3, lambda: execute_plan(plan, database, chunk_rows=chunk)
         )
-        with ParallelContext(
-            workers=min(4, max(2, cores)), min_rows=0
-        ) as context:
+        with ParallelContext(workers=min(4, max(2, cores))) as context:
             profiler = RoundProfiler()
             pipelined_seconds, pipelined = best_of(
                 3,

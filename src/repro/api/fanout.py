@@ -1,10 +1,11 @@
 """Statement-level fan-out: a pool of executor processes, each
 holding a full session over a shared-memory snapshot.
 
-The in-engine shard pool (:mod:`repro.engine.parallel.engine`)
-parallelises *inside* one query; this module parallelises *across*
-queries -- the axis the RPC front end actually saturates, where many
-concurrent clients issue independent statements.  Each
+The in-engine view pool (:mod:`repro.engine.parallel.engine`)
+overlaps one streamed query's view evaluation with its next round's
+routing; this module parallelises *across* queries -- the axis the
+RPC front end actually saturates, where many concurrent clients issue
+independent statements.  Each
 :class:`SessionWorkerPool` worker is a spawned process that attaches
 the parent's column snapshot (zero-copy, read-only), rebuilds a
 :class:`~repro.data.versioned.VersionedDatabase` at the parent's

@@ -45,7 +45,9 @@ Commands:
 (:mod:`repro.algorithms.registry`) -- the same compilers the planner
 chooses from -- plus :func:`repro.engine.execute_plan`.  They accept
 ``--profile``, which prints a per-round route/ship/deliver/local-eval
-wall-clock breakdown, and ``--workers N``, the engine's shard pool.
+wall-clock breakdown.  ``run-plan --workers N --chunk-rows K`` also
+evaluates each streamed round's views on ``N`` pool processes while
+the next round routes (views exist only in multi-round plans).
 """
 
 from __future__ import annotations
@@ -107,13 +109,15 @@ def _truth(query, database) -> tuple:
 
 
 def _run_pinned(
-    args: argparse.Namespace, query, database, runs, rows, eps=None
+    args: argparse.Namespace, query, database, runs, rows, eps=None,
+    workers=1,
 ) -> int:
     """``run`` / ``run-plan`` / ``skew``: pinned, cache-free execution.
 
     ``runs`` lists ``(profile title, registry algorithm)``; each is
     compiled with ``compile_with`` and executed with ``execute_plan``
-    under one ``--workers`` pool, then checked against the exact join.
+    (streamed views on a ``workers``-process pool when ``workers`` is
+    at least 2), then checked against the exact join.
     ``rows(*executions)`` supplies the command's own table rows.
     """
     from repro.algorithms.registry import compile_with
@@ -121,12 +125,8 @@ def _run_pinned(
     from repro.engine.parallel import ParallelContext
 
     profilers = [RoundProfiler() if args.profile else None for _ in runs]
-    # The shard pool is an engine facility, closed on exit.
-    pool = (
-        ParallelContext(args.workers, min_rows=0)
-        if args.workers >= 2
-        else nullcontext()
-    )
+    # The view pool is an engine facility, closed on exit.
+    pool = ParallelContext(workers) if workers >= 2 else nullcontext()
     with pool as parallel:
         executions = [
             execute_plan(
@@ -152,9 +152,8 @@ def _run_pinned(
     if parallel is not None:
         # The rows that make ``--workers N`` visible.
         table += [
-            ["route workers", parallel.workers],
-            ["parallel rounds", parallel.parallel_rounds],
-            ["fallback rounds", parallel.fallback_rounds],
+            ["view workers", parallel.workers],
+            ["pool views", parallel.pool_views],
         ]
     print(format_table(["property", "value"], table))
     if args.profile:
@@ -193,7 +192,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run_multiround(args: argparse.Namespace) -> int:
     from repro.data.matching import matching_database
+    from repro.engine.streaming import resolve_chunk_rows
 
+    if args.workers >= 2 and resolve_chunk_rows(args.chunk_rows) is None:
+        raise ValueError(
+            "--workers evaluates streamed views on a process pool; "
+            "without --chunk-rows every view is eager and evaluates "
+            "in-process"
+        )
     query = parse_query(args.query)
     depth = build_plan(query, args.eps).depth
     return _run_pinned(
@@ -213,6 +219,7 @@ def cmd_run_multiround(args: argparse.Namespace) -> int:
             for view, size in sorted(run.view_sizes.items())
         ],
         eps=args.eps,
+        workers=args.workers,
     )
 
 
@@ -550,15 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
             "wall-clock breakdown after the run",
         )
         subparser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="executor processes for run, run-plan and skew: "
-            "shardable steps route as one row range per process and, "
-            "with --chunk-rows, views evaluate on them while the next "
-            "round routes (1 = fully in-process)",
-        )
-        subparser.add_argument(
             "--chunk-rows",
             type=int,
             default=None,
@@ -586,6 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_multiround.add_argument("--eps", type=_parse_eps, default=Fraction(0),
                           help="space exponent, e.g. 1/2")
     add_execution_options(run_multiround)
+    run_multiround.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="with --chunk-rows, evaluate each streamed round's views "
+        "on N processes while the next round routes; routing stays "
+        "in-process (1 = fully in-process)",
+    )
     run_multiround.set_defaults(handler=cmd_run_multiround)
 
     def add_planner_options(subparser: argparse.ArgumentParser) -> None:

@@ -44,7 +44,6 @@ from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.executor import (
     PlanExecution,
     RoundEngine,
-    RoutedStep,
     execute_plan,
     plan_config,
     plan_simulator,
@@ -91,7 +90,6 @@ __all__ = [
     "PlanSignature",
     "RoundEngine",
     "RoundProfiler",
-    "RoutedStep",
     "ViewSpec",
     "execute_plan",
     "key_map_of",

@@ -7,37 +7,32 @@ compiles to.  A :class:`RoundEngine` wraps one :class:`MPCSimulator`;
 and closes the round (which delivers messages and enforces the
 capacity bound).
 
-Every step is one loop over ``[start, end)`` row ranges of its source
-(:mod:`repro.engine.streaming` holds the primitive,
-:func:`~repro.engine.streaming.route_range`), with
-
-* two **consumers**: *ship whole* -- the ranges' routing decisions are
-  joined (:func:`_reassemble`) and staged with one
-  :meth:`MPCSimulator.send_columns` call, which bins them by receiver
-  at round close -- or, when ``chunk_rows`` is set and the step is
-  shardable, *count* -- each range is bincounted block by block and
-  the delivery staged as a re-routable recipe
-  (:meth:`MPCSimulator.stage_lazy_columns`);
-* two **executors**: *inline*, when the range list is the single range
-  ``[0, n)``, or the *process pool* of a
-  :class:`~repro.engine.parallel.engine.ParallelContext`, one
-  contiguous shard per worker.  Non-shardable steps, small or empty
-  sources, a closed context and a pool that died mid-round are all the
-  same case: one range, inline.
+Every step is routed inline, in this process, through the one route
+primitive :func:`~repro.engine.streaming.route_range`, and shipped by
+one of two consumers: *ship whole* -- ``route_range`` over ``[0, n)``
+staged with one :meth:`MPCSimulator.send_columns` call, which bins it
+by receiver at round close -- or, when ``chunk_rows`` is set and the
+step is shardable, *count* -- the source is bincounted block by block
+(:func:`~repro.engine.streaming.route_block_counts`) and the delivery
+staged as a re-routable recipe
+(:meth:`MPCSimulator.stage_lazy_columns`).
 
 A tuple's destinations depend on the tuple alone and a round charges
-each server only for what it receives, so every range list produces
+each server only for what it receives, so every block size produces
 the same multiset of (row, destination) pairs: answers, per-round
 received bits/tuples and capacity failures are bit-identical across
-block sizes and worker counts by construction -- and to the
-row-at-a-time reference of :mod:`repro.oracle`, which routes each
-tuple through :meth:`RoutingStep.destinations`.
+block sizes by construction -- and to the row-at-a-time reference of
+:mod:`repro.oracle`, which routes each tuple through
+:meth:`RoutingStep.destinations`.
 
 :func:`execute_plan` is the plan-level entry point: it takes an
 immutable :class:`~repro.engine.plan.Plan` (the output of an
 algorithm's compiler) plus a database, builds the simulator from the
 plan's signature, runs every round (binding heavy hitters and
 materialising views where the plan says so) and finalizes the answer.
+Given a :class:`~repro.engine.parallel.engine.ParallelContext`, a
+streamed round's views evaluate on its process pool while the next
+round routes; nothing else leaves the parent.
 
 Vectorized sends carry the step's
 :attr:`~repro.engine.steps.RoutingStep.preserves_source_order` promise
@@ -78,9 +73,9 @@ from repro.engine.profile import RoundProfiler
 from repro.engine.steps import HeavyGridRoute, RoutingStep
 from repro.engine.streaming import (
     LazyContribution,
-    count_shard,
     resolve_chunk_rows,
-    route_shard,
+    route_block_counts,
+    route_range,
 )
 from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
@@ -89,87 +84,6 @@ from repro.mpc.stats import RoundStats, SimulationReport
 
 if TYPE_CHECKING:
     from repro.engine.local import SiteAnswers
-
-
-@dataclass(frozen=True)
-class RoutedStep:
-    """One step's routing decision: the route -> ship hand-off.
-
-    ``columns``/``destinations``/``row_indices`` are one
-    :meth:`RoutingStep.route_columns` triple over the whole source.
-    """
-
-    columns: tuple
-    destinations: Any
-    row_indices: Any = None
-
-
-def _reassemble(
-    source: ColumnarRelation,
-    bounds: list[tuple[int, int]],
-    results: list[dict],
-) -> RoutedStep:
-    """Join per-range routing decisions into the whole-source triple.
-
-    ``results`` holds one :func:`~repro.engine.streaming.route_shard`
-    dict per range of ``bounds``.  Range row indices are local to the
-    range's *kept* rows, so each range's index array is offset by the
-    cumulative kept-row count before it; a range returning
-    ``columns=None`` kept every row, letting the join substitute the
-    source's own zero-copy slice.  A single range covering the source
-    passes through untouched (nothing is concatenated or copied).
-
-    For :class:`~repro.engine.steps.HashRoute` the joined arrays are
-    element-identical to routing the source whole; for
-    :class:`~repro.engine.steps.Broadcast` the layout is range-major
-    rather than worker-major, but the delivery pool's stable grouping
-    by receiver restores the exact per-worker row order, so delivered
-    pools -- and therefore answers, loads and capacity behaviour --
-    are bit-identical for every range list.
-    """
-    if len(results) == 1:
-        (only,) = results
-        return RoutedStep(
-            columns=source.columns
-            if only["columns"] is None
-            else only["columns"],
-            destinations=only["destinations"],
-            row_indices=only["row_indices"],
-        )
-    destinations = numpy.concatenate(
-        [result["destinations"] for result in results]
-    )
-    if any(result["columns"] is not None for result in results):
-        pieces = [
-            result["columns"]
-            if result["columns"] is not None
-            else tuple(column[start:end] for column in source.columns)
-            for (start, end), result in zip(bounds, results)
-        ]
-        columns = tuple(
-            numpy.concatenate([piece[i] for piece in pieces])
-            for i in range(len(source.columns))
-        )
-    else:
-        columns = source.columns
-
-    if all(result["row_indices"] is None for result in results):
-        row_indices = None
-    else:
-        offset = 0
-        indexed = []
-        for result in results:
-            indices = result["row_indices"]
-            if indices is None:
-                indices = numpy.arange(result["kept"], dtype=numpy.int64)
-            indexed.append(indices + offset)
-            offset += result["kept"]
-        row_indices = numpy.concatenate(indexed)
-    return RoutedStep(
-        columns=columns,
-        destinations=destinations,
-        row_indices=row_indices,
-    )
 
 
 class RoundEngine:
@@ -197,14 +111,6 @@ class RoundEngine:
             deadline is never consulted at round close, so a round
             that both overflows and overruns raises
             ``CapacityExceeded``.
-        parallel: optional
-            :class:`~repro.engine.parallel.engine.ParallelContext`.
-            Shardable steps over sources of at least its ``min_rows``
-            rows split into one row range per pool worker; everything
-            else -- and everything after the pool breaks -- is the
-            single range ``[0, n)``, run inline.  A round counts into
-            the context's ``parallel_rounds`` when at least one step
-            ran on the pool, ``fallback_rounds`` otherwise.
     """
 
     def __init__(
@@ -213,14 +119,11 @@ class RoundEngine:
         profiler: RoundProfiler | None = None,
         chunk_rows: int | None = None,
         deadline: Deadline | None = None,
-        parallel: Any = None,
     ) -> None:
         self.simulator = simulator
         self.profiler = profiler
         self.chunk_rows = chunk_rows
         self.deadline = deadline
-        self.parallel = parallel
-        self._round_parallel = False
 
     def _measure(self, phase: str):
         if self.profiler is None:
@@ -245,106 +148,15 @@ class RoundEngine:
             CapacityExceeded: via :meth:`MPCSimulator.end_round` when
                 enforcement is on and a worker's budget is blown.
         """
-        self._round_parallel = False
-        try:
-            self.simulator.begin_round()
-            for step in steps:
-                source = sources[step.relation]
-                if self.chunk_rows is not None and step.shardable:
-                    self._stage_counts(step, source)
-                else:
-                    self._send_columns(step, source)
-            with self._measure("deliver"):
-                return self.simulator.end_round()
-        finally:
-            if self.parallel is not None and steps:
-                if self._round_parallel:
-                    self.parallel.parallel_rounds += 1
-                else:
-                    self.parallel.fallback_rounds += 1
-
-    # -- row ranges: where they run -------------------------------------------
-
-    def _row_ranges(
-        self, step: RoutingStep, source: ColumnarRelation
-    ) -> list[tuple[int, int]]:
-        """The ``[start, end)`` ranges one step is routed in.
-
-        One contiguous shard per pool worker when the context is
-        usable, the step's routing depends on row content alone
-        (:attr:`RoutingStep.shardable`) and the source is non-empty
-        and at least ``min_rows`` long; the single range ``[0, n)``
-        otherwise.
-        """
-        num_rows = len(source) if source.columns else 0
-        context = self.parallel
-        if (
-            context is None
-            or not context.usable
-            or not step.shardable
-            or num_rows == 0
-            or num_rows < context.min_rows
-        ):
-            return [(0, num_rows)]
-        chunk = -(-num_rows // context.workers)  # ceil division
-        return [
-            (start, min(start + chunk, num_rows))
-            for start in range(0, num_rows, chunk)
-        ]
-
-    def _over_ranges(
-        self,
-        consumer: Any,
-        step: RoutingStep,
-        source: ColumnarRelation,
-        bounds: list[tuple[int, int]],
-        *args: Any,
-        **inline_only: Any,
-    ) -> tuple[list[tuple[int, int]], list[Any], list[float]]:
-        """Apply ``consumer`` to each row range of one step's source.
-
-        Several ranges run as :func:`~repro.engine.parallel.pool.range_task`
-        on the context's pool against the source's shared-memory
-        segment; one range -- and every step once the pool has died --
-        runs inline on the source's own columns (``inline_only``
-        carries what cannot cross a process boundary).
-
-        Returns the ranges actually run, the consumer's result per
-        range, and the pool workers' seconds per range (empty when
-        the ranges ran inline).
-        """
-        if len(bounds) > 1:
-            from repro.engine.parallel.pool import PoolBroken, range_task
-
-            context = self.parallel
-            handle = context.handle_for(source.columns)
-            detach = context.evicted_names()
-            try:
-                answers = context.pool.collect(
-                    [
-                        context.pool.submit(
-                            range_task,
-                            consumer, step, handle, start, end, args, detach,
-                        )
-                        for start, end in bounds
-                    ]
-                )
-            except PoolBroken:
-                bounds = [(0, bounds[-1][1])]
+        self.simulator.begin_round()
+        for step in steps:
+            source = sources[step.relation]
+            if self.chunk_rows is not None and step.shardable:
+                self._stage_counts(step, source)
             else:
-                self._round_parallel = True
-                results, seconds = zip(*answers)
-                if self.profiler is not None:
-                    for shard_index, elapsed in enumerate(seconds):
-                        self.profiler.add_shard(
-                            self.simulator.round_index, shard_index, elapsed
-                        )
-                return bounds, list(results), list(seconds)
-        results = [
-            consumer(step, source.columns, start, end, *args, **inline_only)
-            for start, end in bounds
-        ]
-        return bounds, results, []
+                self._send_columns(step, source)
+        with self._measure("deliver"):
+            return self.simulator.end_round()
 
     # -- the two consumers: count (streamed) and ship whole -------------------
 
@@ -378,25 +190,17 @@ class RoundEngine:
         -- is that of shipping the step whole.
         """
         simulator = self.simulator
-        p = simulator.num_workers
         with self._measure("route"):
-            bounds = self._row_ranges(step, source)
-            if len(bounds) > 1 and self.deadline is not None:
-                # Pool shards have no per-block checkpoint in the
-                # parent; check once before dispatching them.
-                self.deadline.check("streamed step dispatch")
-            _, shard_counts, shard_seconds = self._over_ranges(
-                count_shard, step, source, bounds, p, self.chunk_rows,
+            counts = route_block_counts(
+                step,
+                source.columns,
+                len(source) if source.columns else 0,
+                self.chunk_rows,
+                simulator.num_workers,
                 block_hook=partial(
                     self._block_checkpoint, block_delay_seconds()
                 ),
             )
-            counts = sum(shard_counts)
-            if self.profiler is not None:
-                for seconds in shard_seconds:  # a pool shard = one block
-                    self.profiler.add_block(
-                        simulator.round_index, "route", seconds
-                    )
         with self._measure("ship"):
             simulator.stage_lazy_columns(
                 _sender_of(step),
@@ -417,22 +221,21 @@ class RoundEngine:
     ) -> None:
         """Route one step whole and stage it on the simulator."""
         with self._measure("route"):
-            bounds, results, _ = self._over_ranges(
-                route_shard,
+            columns, destinations, row_indices = route_range(
                 step,
-                source,
-                self._row_ranges(step, source),
+                source.columns,
+                0,
+                len(source) if source.columns else 0,
                 self.simulator.num_workers,
             )
-            routed = _reassemble(source, bounds, results)
         with self._measure("ship"):
             self.simulator.send_columns(
                 _sender_of(step),
-                routed.destinations,
+                destinations,
                 step.mailbox_key,
-                routed.columns,
+                columns,
                 bits_per_tuple=source.tuple_bits,
-                row_indices=routed.row_indices,
+                row_indices=row_indices,
                 source_sorted=step.preserves_source_order,
             )
 
@@ -597,14 +400,13 @@ def execute_plan(
             baseline).
         parallel: optional
             :class:`~repro.engine.parallel.engine.ParallelContext`;
-            when given (and usable) shardable steps route as one row
-            range per pool worker (see :class:`RoundEngine`) -- and,
-            combined with ``chunk_rows``, shard-wise local evaluation
-            fans out too, overlapping a round's view materialisation
-            with the next round's routing where data dependencies
-            allow.  Answers, loads and capacity behaviour are
-            bit-identical to in-process execution; non-shardable steps
-            and small sources run as one inline range.
+            when given (and usable) together with ``chunk_rows``, a
+            round's views whose deliveries are purely streamed
+            evaluate on its process pool while the next round routes,
+            and resolve when a step first reads them.  Routing, eager
+            views and answer collection always run in this process.
+            Answers, loads and capacity behaviour are bit-identical to
+            in-process execution.
         chunk_rows: streaming block size (see :class:`RoundEngine`);
             None or non-positive ships every step whole.  Answers,
             loads and capacity failures stay bit-identical for every
@@ -613,11 +415,13 @@ def execute_plan(
             cooperatively -- before each round, between streamed
             blocks, before and between local-evaluation shards
             (monolithic executions evaluate one shard, so every view
-            and the final collect check once; a process-pool fan-out
-            checks once before submitting), and before the
-            finalize -- never mid-primitive, so an abandoned execution
-            leaves a pooled simulator reusable after ``reset()``
-            exactly like a capacity failure does.
+            and the final collect check once; a view sent to the
+            process pool checks once before submitting), and before
+            the finalize -- never mid-primitive, so an abandoned
+            execution leaves a pooled simulator reusable after
+            ``reset()`` exactly like a capacity failure does.  Views
+            still pending on the pool when an execution is abandoned
+            have their unstarted shard tasks cancelled.
 
     Returns:
         A :class:`PlanExecution` with answers, loads and views.
@@ -647,7 +451,6 @@ def execute_plan(
         profiler=profiler,
         chunk_rows=resolve_chunk_rows(chunk_rows),
         deadline=deadline,
-        parallel=parallel_ctx,
     )
 
     domain_size = getattr(database, "domain_size", None)
@@ -688,77 +491,84 @@ def execute_plan(
     environment.resolver = resolve_view
 
     fault_round_delay = round_delay_seconds()
-    for plan_round in plan.rounds:
-        inject_round_delay(fault_round_delay)
-        if deadline is not None:
-            deadline.check("between rounds")
-        steps = plan_round.steps
-        if pending and plan_round.bind_heavy is not None:
-            # Heavy detection scans the environment directly; settle
-            # every outstanding view before statistics are taken.
-            for name in list(pending):
-                resolve_view(name)
-        if pending:
-            # Streamed rounds route steps whose sources are already
-            # settled first, so pending views keep evaluating on the
-            # pool while base relations stream -- the round r local /
-            # round r+1 route overlap.  Step order within a round
-            # never affects answers, loads or capacity (staging is
-            # additive per relation).
-            steps = tuple(
-                sorted(steps, key=lambda step: step.relation in pending)
-            )
-        if plan_round.bind_heavy is not None:
-            from repro.algorithms.skewaware import detect_heavy_hitters
+    try:
+        for plan_round in plan.rounds:
+            inject_round_delay(fault_round_delay)
+            if deadline is not None:
+                deadline.check("between rounds")
+            steps = plan_round.steps
+            if pending and plan_round.bind_heavy is not None:
+                # Heavy detection scans the environment directly; settle
+                # every outstanding view before statistics are taken.
+                for name in list(pending):
+                    resolve_view(name)
+            if pending:
+                # Streamed rounds route steps whose sources are already
+                # settled first, so pending views keep evaluating on the
+                # pool while base relations stream -- the round r local /
+                # round r+1 route overlap.  Step order within a round
+                # never affects answers, loads or capacity (staging is
+                # additive per relation).
+                steps = tuple(
+                    sorted(steps, key=lambda step: step.relation in pending)
+                )
+            if plan_round.bind_heavy is not None:
+                from repro.algorithms.skewaware import detect_heavy_hitters
 
-            bind = plan_round.bind_heavy
-            heavy_hitters = detect_heavy_hitters(
-                bind.query,
-                environment,
-                dict(bind.shares),
-            )
-            steps = tuple(
-                replace(step, heavy=heavy_hitters)
-                if isinstance(step, HeavyGridRoute)
-                else step
-                for step in steps
-            )
-        engine.run_round(steps, environment)
+                bind = plan_round.bind_heavy
+                heavy_hitters = detect_heavy_hitters(
+                    bind.query,
+                    environment,
+                    dict(bind.shares),
+                )
+                steps = tuple(
+                    replace(step, heavy=heavy_hitters)
+                    if isinstance(step, HeavyGridRoute)
+                    else step
+                    for step in steps
+                )
+            engine.run_round(steps, environment)
 
-        for view in plan_round.views:
-            key_of = key_map_of(view.key_map)
-            if engine.chunk_rows is not None:
-                handle = materialise_view_async(
+            for view in plan_round.views:
+                key_of = key_map_of(view.key_map)
+                if engine.chunk_rows is not None:
+                    handle = materialise_view_async(
+                        view.name,
+                        view.query,
+                        simulator,
+                        range(plan.signature.p),
+                        domain_size=domain_size,
+                        key_of=key_of,
+                        parallel=parallel_ctx,
+                        profiler=profiler,
+                        deadline=deadline,
+                    )
+                    if handle is not None:
+                        pending[view.name] = handle
+                        continue
+                materialised, counts = materialise_view(
                     view.name,
                     view.query,
                     simulator,
                     range(plan.signature.p),
                     domain_size=domain_size,
                     key_of=key_of,
-                    parallel=parallel_ctx,
                     profiler=profiler,
+                    deadline=deadline,
+                    retain=site_answers,
                 )
-                if handle is not None:
-                    pending[view.name] = handle
-                    continue
-            materialised, counts = materialise_view(
-                view.name,
-                view.query,
-                simulator,
-                range(plan.signature.p),
-                domain_size=domain_size,
-                key_of=key_of,
-                profiler=profiler,
-                parallel=parallel_ctx,
-                deadline=deadline,
-                retain=site_answers,
-            )
-            environment[view.name] = materialised
-            view_sizes[view.name] = len(materialised)
-            per_server_views[view.name] = tuple(counts)
+                environment[view.name] = materialised
+                view_sizes[view.name] = len(materialised)
+                per_server_views[view.name] = tuple(counts)
 
-    for name in list(pending):
-        resolve_view(name)
+        for name in list(pending):
+            resolve_view(name)
+    finally:
+        # An abandoned execution (deadline, capacity) must not leave
+        # its pending views' shard tasks queued ahead of the next
+        # request's.
+        for handle in pending.values():
+            handle.cancel()
     if deadline is not None:
         deadline.check("before finalize")
     answers: tuple[tuple[int, ...], ...] = ()
@@ -771,7 +581,6 @@ def execute_plan(
             range(finalize.workers),
             key_of=key_map_of(finalize.key_map),
             profiler=profiler,
-            parallel=parallel_ctx,
             deadline=deadline,
             retain=site_answers,
         )

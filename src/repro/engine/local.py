@@ -15,8 +15,10 @@ deduplicated union out of one
 :func:`~repro.data.columnar.sorted_unique_rows` over all shards -- the
 engine's one row sort, on packed int64 keys.  A
 monolithic execution under the default budget is exactly one shard
-spanning the fleet; a streamed one is many, optionally evaluated on
-the process pool.
+spanning the fleet; a streamed one is many.  Answer collection and
+eager views always evaluate in this process; only a streamed round's
+views may evaluate on the process pool (:func:`materialise_view_async`),
+while the next round routes.
 
 The answer sets, per-server answer counts and materialised views
 equal what the row-at-a-time reference (:mod:`repro.oracle`) computes
@@ -201,7 +203,7 @@ def _submit_eval_shards(
     """Publish the recipes' sources and submit one task per shard.
 
     May raise :class:`~repro.engine.parallel.pool.PoolBroken`; the
-    callers fall back to in-process shard evaluation.
+    caller then materialises the view in-process.
     """
     from repro.engine.parallel.pool import eval_shard_task
 
@@ -264,44 +266,11 @@ def _eval_shard_snapshot(
     return evaluate_shard_pools(query, pools, hi - lo)
 
 
-def _eval_shards_parallel(
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    shards: list[tuple[int, int]],
-    key_of: KeyOf,
-    parallel: Any,
-    profiler: RoundProfiler | None,
-) -> list[tuple] | None:
-    """Evaluate the shards on the process pool; None means go serial.
-
-    Any worker-side failure (a died process, an unlinked segment)
-    degrades to the in-process path, which computes the identical
-    result from the simulator's own state.
-    """
-    specs = _lazy_shard_specs(query, simulator, key_of)
-    if specs is None:
-        return None
-    try:
-        futures = _submit_eval_shards(
-            query, specs, shards, simulator.num_workers, parallel
-        )
-        results = parallel.pool.collect(futures)
-    except Exception:
-        return None
-    if profiler is not None:
-        round_index = simulator.round_index
-        for shard_index, result in enumerate(results):
-            profiler.add_shard(round_index, shard_index, result["seconds"])
-            profiler.add_block(round_index, "eval", result["seconds"])
-    return [(result["answers"], result["per_server"]) for result in results]
-
-
 def _merged_answer_table(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
     workers: Iterable[int],
     key_of: KeyOf,
-    parallel: Any = None,
     profiler: RoundProfiler | None = None,
     deadline: Deadline | None = None,
     retain: SiteSink | None = None,
@@ -309,14 +278,12 @@ def _merged_answer_table(
 ):
     """All workers' answers, one bounded worker shard at a time.
 
-    The only site evaluator.  Contiguous worker ranges
+    The only in-process site evaluator.  Contiguous worker ranges
     are materialised (eager pools sliced zero-copy, streamed recipes
     re-routed for the range), evaluated with the segmented join and
     freed -- peak memory is one shard's pools plus join temporaries.
     Eager deliveries under the default budget plan a single shard, so
-    a monolithic execution joins the whole fleet in one pass; with a
-    usable ``parallel`` context and purely streamed deliveries the
-    shards evaluate on the process pool.
+    a monolithic execution joins the whole fleet in one pass.
 
     With a ``retain`` sink and eager deliveries only, the shard
     results are kept as ``retain[site]`` -- each worker's table a
@@ -333,8 +300,7 @@ def _merged_answer_table(
             (shards are contiguous worker ranges).
         RuntimeError: when some atom saw row-path deliveries, which no
             delivery pool holds.
-        DeadlineExceeded: when ``deadline`` expires before the shards
-            are dispatched or between two in-process shards.
+        DeadlineExceeded: when ``deadline`` expires before a shard.
     """
     workers = list(workers)
     k = len(workers)
@@ -349,29 +315,18 @@ def _merged_answer_table(
                 f"relation {key_of(atom.name)!r} received row-path "
                 "deliveries; local evaluation reads delivery pools only"
             )
-    shards = _plan_eval_shards(query, simulator, k, key_of)
-    results = None
-    if parallel is not None and parallel.usable:
+    results = []
+    for lo, hi in _plan_eval_shards(query, simulator, k, key_of):
         if deadline is not None:
             deadline.check("local-eval shard")
-        results = _eval_shards_parallel(
-            query, simulator, shards, key_of, parallel, profiler
-        )
-    if results is None:
-        results = []
-        for lo, hi in shards:
-            if deadline is not None:
-                deadline.check("local-eval shard")
-            began = time.perf_counter()
-            results.append(
-                _eval_shard_local(query, simulator, lo, hi, key_of)
+        began = time.perf_counter()
+        results.append(_eval_shard_local(query, simulator, lo, hi, key_of))
+        if profiler is not None:
+            profiler.add_block(
+                simulator.round_index,
+                "eval",
+                time.perf_counter() - began,
             )
-            if profiler is not None:
-                profiler.add_block(
-                    simulator.round_index,
-                    "eval",
-                    time.perf_counter() - began,
-                )
     merged = union_answer_tables(
         (answers for answers, _ in results), len(query.head)
     )
@@ -402,7 +357,6 @@ def collect_answers(
     workers: Iterable[int],
     key_of: KeyOf = _identity_key,
     profiler: RoundProfiler | None = None,
-    parallel: Any = None,
     deadline: Deadline | None = None,
     retain: SiteSink | None = None,
     site: str | None = None,
@@ -416,9 +370,7 @@ def collect_answers(
     Returns:
         ``(answers, per_server)`` -- the sorted duplicate-free union
         of all workers' answers, and the per-worker answer counts in
-        iteration order.  Both are ``parallel``-independent: a usable
-        :class:`~repro.engine.parallel.engine.ParallelContext` only
-        moves streamed shard evaluation onto the process pool.
+        iteration order.
     """
     with _measure_local(profiler, simulator):
         merged, per_server = _merged_answer_table(
@@ -426,7 +378,6 @@ def collect_answers(
             simulator,
             workers,
             key_of,
-            parallel=parallel,
             profiler=profiler,
             deadline=deadline,
             retain=retain,
@@ -443,7 +394,6 @@ def materialise_view(
     domain_size: int,
     key_of: KeyOf = _identity_key,
     profiler: RoundProfiler | None = None,
-    parallel: Any = None,
     deadline: Deadline | None = None,
     retain: SiteSink | None = None,
 ) -> tuple[ColumnarRelation, list[int]]:
@@ -465,7 +415,6 @@ def materialise_view(
             simulator,
             workers,
             key_of,
-            parallel=parallel,
             profiler=profiler,
             deadline=deadline,
             retain=retain,
@@ -510,7 +459,7 @@ class PendingView:
         shards: list[tuple[int, int]],
         futures: list[Any],
         snapshots: list[tuple[str, tuple]],
-        pool: Any,
+        context: Any,
         num_workers: int,
         domain_size: int,
         round_index: int,
@@ -521,23 +470,33 @@ class PendingView:
         self.shards = shards
         self.futures = futures
         self.snapshots = snapshots
-        self.pool = pool
+        self.context = context
         self.num_workers = num_workers
         self.domain_size = domain_size
         self.round_index = round_index
         self.profiler = profiler
         self._submitted = time.perf_counter()
 
+    def cancel(self) -> None:
+        """Cancel the shard tasks no pool worker has started yet.
+
+        For an execution abandoned with the view still pending, so the
+        next request's tasks do not queue behind work nobody reads.
+        """
+        for future in self.futures:
+            future.cancel()
+
     def result(self) -> tuple[ColumnarRelation, list[int]]:
         """Block on the shards and merge; identical to the sync path."""
         waited = time.perf_counter()
         profiler = self.profiler
         try:
-            collected = self.pool.collect(self.futures)
+            collected = self.context.pool.collect(self.futures)
             results = [
                 (result["answers"], result["per_server"])
                 for result in collected
             ]
+            self.context.pool_views += 1
             if profiler is not None:
                 for shard_index, result in enumerate(collected):
                     profiler.add_shard(
@@ -581,6 +540,7 @@ def materialise_view_async(
     key_of: KeyOf = _identity_key,
     parallel: Any = None,
     profiler: RoundProfiler | None = None,
+    deadline: Deadline | None = None,
     shard_bytes: int | None = None,
 ) -> PendingView | None:
     """Submit a view's shard evaluation to the process pool, or None.
@@ -594,6 +554,10 @@ def materialise_view_async(
     non-prefix workers, eager or row-path deliveries mixed
     in, or nothing delivered at all); the caller materialises
     synchronously, which is always correct.
+
+    Raises:
+        DeadlineExceeded: when ``deadline`` has expired before the
+            shard tasks are submitted.
     """
     if parallel is None or not parallel.usable:
         return None
@@ -607,6 +571,8 @@ def materialise_view_async(
     shards = _plan_eval_shards(query, simulator, k, key_of, shard_bytes)
     from repro.engine.parallel.pool import PoolBroken
 
+    if deadline is not None:
+        deadline.check("local-eval shard")
     try:
         futures = _submit_eval_shards(
             query, specs, shards, simulator.num_workers, parallel
@@ -619,7 +585,7 @@ def materialise_view_async(
         shards=shards,
         futures=futures,
         snapshots=specs,
-        pool=parallel.pool,
+        context=parallel,
         num_workers=simulator.num_workers,
         domain_size=domain_size,
         round_index=simulator.round_index,

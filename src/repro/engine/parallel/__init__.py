@@ -6,16 +6,17 @@ Public surface:
   :func:`~repro.engine.parallel.shm.attach_columns` -- zero-copy int64
   column transport over ``multiprocessing.shared_memory``.
 * :class:`~repro.engine.parallel.engine.ParallelContext` -- the pool
-  and segment store that run the round engine's row ranges on several
-  processes (pass a context to
+  and segment store on which a streamed round's views evaluate while
+  the next round routes (pass a context to
   :func:`repro.engine.executor.execute_plan` via ``parallel=``).
+  Routing always stays in the parent process.
 
 The statement-level fan-out the RPC front end uses (one full session
 per worker process over a shared snapshot) lives with its only caller,
 in :mod:`repro.api.fanout`.
 """
 
-from repro.engine.parallel.engine import DEFAULT_MIN_ROWS, ParallelContext
+from repro.engine.parallel.engine import ParallelContext
 from repro.engine.parallel.pool import PoolBroken, ShardPool
 from repro.engine.parallel.shm import (
     DatabaseExport,
@@ -30,7 +31,6 @@ from repro.engine.parallel.shm import (
 )
 
 __all__ = [
-    "DEFAULT_MIN_ROWS",
     "DatabaseExport",
     "ParallelContext",
     "PoolBroken",

@@ -1,38 +1,31 @@
-"""The process-parallel executor of the round engine's row ranges.
+"""The process pool that evaluates a streamed round's views.
 
-:class:`~repro.engine.executor.RoundEngine` routes every step as a
-list of ``[start, end)`` row ranges.  Given a
-:class:`ParallelContext`, a shardable step over a large enough source
-becomes one contiguous range per pool worker: the source's columns are
-published once through the context's
-:class:`~repro.engine.parallel.shm.SharedColumnStore`, each worker
-runs the range's consumer against zero-copy views
-(:func:`~repro.engine.parallel.pool.range_task`), and the parent joins
-the results.  Ship, deliver and local evaluation stay in the parent,
-so results reduce through the existing
-:class:`~repro.mpc.simulator.ColumnPool`/segmented-join path
-untouched.
+In a streamed execution (``chunk_rows`` set) a round's views are
+evaluated from re-routable delivery recipes, one bounded worker shard
+at a time.  Given a :class:`ParallelContext`,
+:func:`~repro.engine.executor.execute_plan` submits those shards to
+the context's pool (:func:`~repro.engine.local.materialise_view_async`)
+and routes the next round while they run; a view resolves only when a
+step first reads it.  The recipes' source columns are published once
+through the context's
+:class:`~repro.engine.parallel.shm.SharedColumnStore` and each worker
+evaluates against zero-copy views
+(:func:`~repro.engine.parallel.pool.eval_shard_task`).
 
-Parity is the design invariant, not an aspiration:
-
-* Only steps whose :attr:`~repro.engine.steps.RoutingStep.shardable`
-  contract holds are split -- their routing decision depends on row
-  content alone, so routing range ``i`` in isolation and concatenating
-  (with row indices offset by the cumulative kept-row count of earlier
-  ranges) reproduces the whole-source multiset of (row, destination)
-  pairs; see :func:`~repro.engine.executor._reassemble`.
-* Non-shardable steps (:class:`~repro.engine.steps.RoundRobinGrid`'s
-  global row index, :class:`~repro.engine.steps.HeavyGridRoute`'s
-  global signature grouping) and sources that are empty or below the
-  ``min_rows`` threshold are the single range ``[0, n)``, run
-  in-process -- one range is always correct, several are an
-  optimisation.
+That overlap is the pool's only use, because it is the only one that
+was measured to pay: routing is a few percent of a streamed read, and
+on a 2-core host sharding routing or answer collection over the pool
+never measurably beat running it inline (n from 2e4 to 1e6; README's
+Parallel execution section has the table).  Routing, shipping,
+delivery, eager views and answer collection all stay in the parent.  Parity holds by construction: a pool task runs
+the in-process shard loop's own code on an immutable snapshot of the
+recipes, and a task that fails is recomputed in-process from the same
+snapshot.
 
 The :class:`ParallelContext` owns the long-lived resources (segment
-store, shard pool) and the ``parallel_rounds``/``fallback_rounds``
-counters the serving layer surfaces.  A broken pool (worker OOM-killed
-mid-round) flips the context into permanent fallback: queries keep
-answering on one core rather than failing.
+store, shard pool) and the ``pool_views`` counter.  A broken pool
+(worker OOM-killed mid-round) flips the context into permanent
+fallback: queries keep answering on one core rather than failing.
 """
 
 from __future__ import annotations
@@ -42,12 +35,6 @@ from typing import Any
 
 from repro.engine.parallel.pool import ShardPool
 from repro.engine.parallel.shm import SegmentHandle, SharedColumnStore
-
-#: Below this many source rows a round trip to the pool costs more
-#: than routing in-process; chosen so the pure-Python overhead of one
-#: dispatch (~a few hundred microseconds) stays well under the
-#: vectorised routing time it replaces.
-DEFAULT_MIN_ROWS = 4096
 
 #: How many distinct column tuples the context keeps published in
 #: shared memory at once; beyond this the least recently shared
@@ -70,24 +57,21 @@ class ParallelContext:
     snapshot columns across queries and the spawn pool stays warm.
 
     Args:
-        workers: shard/executor process count; must be >= 2 (one
+        workers: view-evaluation process count; must be >= 2 (one
             worker would just be the serial engine with IPC overhead).
-        min_rows: sources smaller than this route in-process.
     """
 
-    def __init__(
-        self, workers: int, min_rows: int = DEFAULT_MIN_ROWS
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError(
                 f"parallel execution needs workers >= 2, got {workers}"
             )
         self.workers = workers
-        self.min_rows = min_rows
         self.store = SharedColumnStore()
         self.pool = ShardPool(workers)
-        self.parallel_rounds = 0
-        self.fallback_rounds = 0
+        #: Views whose answers came back from pool futures (an
+        #: in-process recomputation after a pool failure does not count).
+        self.pool_views = 0
         #: id(columns) -> (columns strong ref, handle), insertion-ordered
         #: so eviction is oldest-first.
         self._handles: dict[int, tuple[Any, SegmentHandle]] = {}

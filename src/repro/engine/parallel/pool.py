@@ -1,4 +1,4 @@
-"""The persistent spawn-based process pool executing row-range tasks.
+"""The persistent spawn-based process pool evaluating streamed views.
 
 One :class:`ShardPool` wraps a
 :class:`concurrent.futures.ProcessPoolExecutor` built on the ``spawn``
@@ -10,13 +10,15 @@ reads its inputs exclusively through shared-memory segments.
 Workers are long-lived: the first task pays the interpreter + import
 cost, every later task reuses the warm process and its cached segment
 attachments (:mod:`repro.engine.parallel.shm` maps each segment once
-per process).  Task payloads are tiny -- a routing step, a segment
-handle and a ``[start, end)`` row range -- and :func:`range_task` runs
-on them the very consumer the in-process engine runs on ``[0, n)``.
+per process).  The one task, :func:`eval_shard_task`, evaluates a
+worker range of one streamed view from its delivery recipes -- the
+shared code the in-process shard loop runs -- while the parent routes
+the next round.  A round's routing never runs here: the task re-routes
+recipe blocks only to rebuild its shard's delivery pools.
 
 A worker death (OOM kill, segfault) surfaces as
-:class:`PoolBroken`; the engine catches it, runs the step as one
-inline range and the owning
+:class:`PoolBroken`; the pending view recomputes its shards
+in-process and the owning
 :class:`~repro.engine.parallel.engine.ParallelContext` never trusts
 the pool again until rebuilt -- a crashed pool degrades to in-process
 execution instead of failing the query.
@@ -29,50 +31,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Sequence
 
-from repro.engine.parallel.shm import (
-    SegmentHandle,
-    attach_columns,
-    detach_names,
-)
+from repro.engine.parallel.shm import attach_columns, detach_names
 
 
 class PoolBroken(RuntimeError):
     """The process pool lost a worker and cannot be trusted further."""
-
-
-def range_task(
-    consumer: Any,
-    step: Any,
-    handle: SegmentHandle,
-    start: int,
-    end: int,
-    args: tuple,
-    detach: Sequence[str] = (),
-) -> tuple[Any, float]:
-    """Run a range consumer on rows ``[start, end)`` (worker side).
-
-    ``consumer`` is one of the functions the in-process engine calls on
-    the single range ``[0, n)`` --
-    :func:`~repro.engine.streaming.route_shard` (routing decision) or
-    :func:`~repro.engine.streaming.count_shard` (streamed counting
-    pass) -- applied here to the shared segment's zero-copy views, so
-    a pool shard and an inline range execute the same code.
-
-    ``detach`` lists segment names the parent has released since --
-    this worker drops any cached mappings of them before attaching, so
-    unlinked segments stop pinning physical pages here (the bounded
-    attachment cache in :mod:`repro.engine.parallel.shm` is the
-    backstop for workers that receive no further tasks).
-
-    Returns the consumer's result and the worker-side wall clock
-    (per-shard profiling).
-    """
-    began = time.perf_counter()
-    if detach:
-        detach_names(detach)
-    source = attach_columns(handle)
-    result = consumer(step, source, start, end, *args)
-    return result, time.perf_counter() - began
 
 
 def eval_shard_task(
@@ -93,6 +56,12 @@ def eval_shard_task(
     segmented join the in-process shard loop runs
     (:func:`repro.engine.local.evaluate_shard_pools` is shared code),
     so answers and per-worker counts are identical by construction.
+
+    ``detach`` lists segment names the parent has released since --
+    this worker drops any cached mappings of them before attaching, so
+    unlinked segments stop pinning physical pages here (the bounded
+    attachment cache in :mod:`repro.engine.parallel.shm` is the
+    backstop for workers that receive no further tasks).
     """
     began = time.perf_counter()
     if detach:

@@ -27,11 +27,11 @@ PHASES = ("route", "ship", "deliver", "local")
 class RoundProfiler:
     """Accumulates per-(round, phase) wall-clock seconds.
 
-    When the parallel engine fans a round's route phase out over a
-    process pool, each shard's worker-side seconds are recorded
-    separately (:meth:`add_shard`), so ``--profile`` can show both the
-    parent's wall clock for the phase and how evenly the shards split
-    the work under it.
+    When a streamed round's views evaluate on a process pool, each
+    eval shard's worker-side seconds are recorded separately
+    (:meth:`add_shard`), so ``--profile`` can show both the parent's
+    wall clock for the round and how evenly the shards split the view
+    work under it.
     """
 
     def __init__(self) -> None:
@@ -66,7 +66,7 @@ class RoundProfiler:
     def add_shard(
         self, round_index: int, shard_index: int, seconds: float
     ) -> None:
-        """Record one shard's worker-side route seconds for a round."""
+        """Record one pool shard's worker-side seconds for a round."""
         self.shards.setdefault(round_index, []).append(
             (shard_index, seconds)
         )

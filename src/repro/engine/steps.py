@@ -157,23 +157,24 @@ class RoutingStep:
 
     @property
     def shardable(self) -> bool:
-        """Whether row-sharded routing reproduces this step exactly.
+        """Whether block-wise routing reproduces this step exactly.
 
-        The parallel engine splits a source into contiguous row shards,
-        runs :meth:`route_columns` per shard in worker processes and
-        concatenates the shard decisions (offsetting ``row_indices`` by
-        each shard's filtered start).  That is faithful only when the
-        step's routing decision for a row depends on nothing but the
-        row's own content -- i.e. ``route_columns(cols[a:b])`` equals
-        the ``[a:b)`` restriction of ``route_columns(cols)`` up to
-        per-receiver order.  Content-free steps that look at the global
-        row index (:class:`RoundRobinGrid`) and steps that group rows
-        across the whole relation (:class:`HeavyGridRoute`'s signature
-        grouping) must stay False and fall back to in-process routing.
+        A streamed execution (``chunk_rows`` set) routes a source in
+        contiguous row blocks, runs :meth:`route_columns` per block and
+        sums the blocks' per-worker counts; lazy delivery later
+        re-routes the same blocks per worker shard.  That is faithful
+        only when the step's routing decision for a row depends on
+        nothing but the row's own content -- i.e.
+        ``route_columns(cols[a:b])`` equals the ``[a:b)`` restriction
+        of ``route_columns(cols)`` up to per-receiver order.
+        Content-free steps that look at the global row index
+        (:class:`RoundRobinGrid`) and steps that group rows across the
+        whole relation (:class:`HeavyGridRoute`'s signature grouping)
+        must stay False and ship whole.
 
         Defaults to False for the same reason
         :attr:`preserves_source_order` does: a forgotten override only
-        loses parallelism, never correctness.
+        loses streaming, never correctness.
         """
         return False
 

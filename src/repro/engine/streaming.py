@@ -1,13 +1,12 @@
-"""Row ranges, their two consumers, and lazy delivery pools.
+"""The one route primitive, its two consumers, and lazy delivery pools.
 
 In the tuple-based MPC model a tuple's destinations depend on the tuple
 alone and a round charges each *server* for what it receives, so
 routing any row range of a relation in isolation and summing per-worker
-counts is exact -- whether the range is the whole relation, one
-``chunk_rows`` block or one process shard.  The engine therefore has
-one route primitive, :func:`route_range`, and every numpy step is a
-loop of it over a list of ``[start, end)`` ranges with one of two
-consumers:
+counts is exact -- whether the range is the whole relation or one
+``chunk_rows`` block.  The engine therefore has one route primitive,
+:func:`route_range`, which every step reaches inline in the parent
+process, with one of two consumers:
 
 * **count** -- :func:`route_block_counts` bincounts each block's
   destinations and drops the arrays: per-worker loads in
@@ -22,10 +21,9 @@ consumers:
   :func:`materialize_shard` bins a recipe's blocks for one worker
   subrange at local-evaluation time.
 
-Where the ranges run -- inline, or as shards on the process pool -- is
-the engine's choice (:class:`~repro.engine.executor.RoundEngine`);
-:func:`route_shard` is the unit it hands out.  The rest of this module
-is the data-structure layer:
+The engine (:class:`~repro.engine.executor.RoundEngine`) picks the
+consumer per step; the rest of this module is the data-structure
+layer:
 
 * :func:`iter_blocks` -- the ``[start, end)`` block schedule of a
   relation under a ``chunk_rows`` budget.  Blocks are numpy *views*
@@ -41,11 +39,11 @@ is the data-structure layer:
   ``O(shard budget)`` independent of ``n``.
 
 Parity contract: only shardable steps (routing depends on row content
-only) are split into more than one range, and every range goes through
+only) are split into more than one block, and every block goes through
 the same :meth:`~repro.engine.steps.RoutingStep.route_columns` code, so
 the multiset of (row, destination) pairs -- and therefore answers,
 per-server loads and capacity behaviour -- is identical for every
-range list by construction.  The cost of a lazy pool is recomputation:
+block size by construction.  The cost of a lazy pool is recomputation:
 each worker shard re-routes the source blocks, an accepted
 CPU-for-memory trade bounded by ``1 + num_shards`` routing passes.
 """
@@ -294,36 +292,6 @@ def route_range(step: Any, columns: tuple, start: int, end: int, p: int):
     )
 
 
-def route_shard(
-    step: Any, columns: tuple, start: int, end: int, p: int
-) -> dict:
-    """One range's routing decision, in the form ranges are joined in.
-
-    The unit of a shipped (binned) step: the engine calls it inline on
-    the single range ``[0, n)`` or hands one call per row shard to the
-    process pool, and :func:`~repro.engine.executor._reassemble` joins
-    the results.  Returns a dict with:
-
-    * ``destinations`` / ``row_indices`` -- the range's routing
-      decision, row indices *range-local* (the join offsets them by the
-      cumulative kept-row count of earlier ranges);
-    * ``kept`` -- the range's post-filter row count;
-    * ``columns`` -- the filtered range columns, or None when the step
-      kept every row (the join then reuses the source's own columns,
-      and a pool worker sends none back).
-    """
-    routed, destinations, row_indices = route_range(
-        step, columns, start, end, p
-    )
-    kept = len(routed[0]) if routed else 0
-    return {
-        "destinations": destinations,
-        "row_indices": row_indices,
-        "kept": kept,
-        "columns": None if kept == end - start else routed,
-    }
-
-
 def route_block_counts(
     step: Any,
     columns: tuple,
@@ -355,27 +323,6 @@ def route_block_counts(
                     )
                 counts += numpy.bincount(destinations, minlength=p)
     return counts
-
-
-def count_shard(
-    step: Any,
-    columns: tuple,
-    start: int,
-    end: int,
-    p: int,
-    chunk_rows: int,
-    block_hook: Any = nullcontext,
-) -> Any:
-    """:func:`route_block_counts` over rows ``[start, end)`` of a source.
-
-    The unit of a streamed (counted) step, as :func:`route_shard` is of
-    a shipped one; bincount is additive over any row partition, so the
-    summed counts of any range list equal the whole relation's.
-    """
-    shard = tuple(column[start:end] for column in columns)
-    return route_block_counts(
-        step, shard, end - start, chunk_rows, p, block_hook
-    )
 
 
 def materialize_shard(

@@ -65,10 +65,10 @@ def capacity_failure(run):
 
 @pytest.fixture(scope="module")
 def parallel_context():
-    """A two-process shard pool that takes every source (min_rows=0)."""
+    """A two-process view pool (streamed views evaluate on it)."""
     from repro.engine.parallel import ParallelContext
 
-    with ParallelContext(2, min_rows=0) as context:
+    with ParallelContext(2) as context:
         yield context
 
 

@@ -21,6 +21,7 @@ from repro.engine import (
     HeavyGridRoute,
     RoundEngine,
     collect_answers,
+    execute_plan,
 )
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
@@ -112,7 +113,7 @@ def test_every_delivery_kind_takes_the_shard_loop(
 
 
 def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
-    """The process-pool fan-out honours the request deadline: an
+    """The async view path honours the request deadline: an
     already-expired budget raises before any shard task is submitted."""
     from repro.engine.deadline import Deadline, DeadlineExceeded
     from repro.engine.parallel.engine import ParallelContext
@@ -121,7 +122,7 @@ def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
     now = [0.0]
     deadline = Deadline(10.0, clock=lambda: now[0])
     now[0] = 1.0  # 1000 ms into a 10 ms budget
-    with ParallelContext(2, min_rows=0) as context:
+    with ParallelContext(2) as context:
         submitted = []
         monkeypatch.setattr(
             context.pool,
@@ -129,15 +130,65 @@ def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
             lambda *args, **kwargs: submitted.append(args),
         )
         with pytest.raises(DeadlineExceeded) as excinfo:
-            collect_answers(
+            local.materialise_view_async(
+                "V",
                 QUERY,
                 simulator,
                 range(P),
+                domain_size=50,
                 parallel=context,
                 deadline=deadline,
             )
     assert excinfo.value.where == "local-eval shard"
     assert not submitted
+
+
+def test_abandoned_execution_cancels_pending_views(monkeypatch):
+    """An execution aborted in round 2 of a streamed L5 plan cancels
+    the shard tasks of round 1's still-pending views."""
+    from concurrent.futures import Future
+    from fractions import Fraction
+
+    import repro.engine.executor as executor
+    from repro.algorithms.multiround import compile_multiround
+    from repro.core.families import line_query
+    from repro.core.plans import build_plan
+    from repro.engine.deadline import Deadline, DeadlineExceeded
+    from repro.engine.parallel.engine import ParallelContext
+
+    chain = line_query(5)
+    plan = compile_multiround(build_plan(chain, Fraction(0)), p=P)
+    assert len(plan.rounds) >= 2 and plan.rounds[0].views
+    database = matching_database(chain, n=60, rng=37)
+    now = [0.0]
+    deadline = Deadline(10.0, clock=lambda: now[0])
+    rounds_begun = []
+
+    def begin_round(seconds):
+        rounds_begun.append(seconds)
+        if len(rounds_begun) == 2:
+            now[0] = 1.0  # the budget runs out as round 2 begins
+
+    monkeypatch.setattr(executor, "inject_round_delay", begin_round)
+    with ParallelContext(2) as context:
+        # Tasks that no pool worker ever starts.
+        futures = []
+        monkeypatch.setattr(
+            context.pool,
+            "submit",
+            lambda *args: futures.append(Future()) or futures[-1],
+        )
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            execute_plan(
+                plan,
+                database,
+                parallel=context,
+                chunk_rows=16,
+                deadline=deadline,
+            )
+    assert excinfo.value.where == "between rounds"
+    assert len(rounds_begun) == 2
+    assert futures and all(future.cancelled() for future in futures)
 
 
 @pytest.mark.parametrize("shard_bytes", [None, "1"], ids=["one", "per-worker"])

@@ -1,19 +1,23 @@
 """The one numpy route path (engine/executor.py + engine/streaming.py).
 
-However a plan executes -- in-process or on the pool, steps shipped
-whole or streamed in blocks -- a routing step's ``route_columns`` is
-reached through ``streaming.route_range`` and through nothing else, and
-the context's round counters say which executor ran each round.
+However a plan executes -- with or without a view pool attached, steps
+shipped whole or streamed in blocks -- every step is routed inline, in
+the parent, and a routing step's ``route_columns`` is reached through
+``streaming.route_range`` and through nothing else.  The pool only ever
+receives view-evaluation tasks.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 
+import repro.engine.executor as executor
 import repro.engine.steps as steps
 import repro.engine.streaming as streaming
+from repro import oracle
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
 from repro.core.families import line_query
@@ -23,12 +27,16 @@ from repro.data.database import Relation
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
 from repro.engine.parallel.engine import ParallelContext
+from repro.engine.parallel.pool import eval_shard_task
 
 CHAIN = line_query(4)
 
 
-@pytest.fixture(scope="module")
-def plan():
+@pytest.fixture(scope="module", params=["multiround", "hypercube"])
+def plan(request):
+    # Multiround has views for the pool; one-round HyperCube has none.
+    if request.param == "hypercube":
+        return compile_hypercube(CHAIN, p=8)
     return compile_multiround(
         build_plan(CHAIN, Fraction(0)), p=8
     )
@@ -52,7 +60,9 @@ def _spy_on_route_columns(monkeypatch):
         finally:
             inside_route_range.pop()
 
+    # Both bindings: the streaming module's own and the engine's import.
     monkeypatch.setattr(streaming, "route_range", spy_route_range)
+    monkeypatch.setattr(executor, "route_range", spy_route_range)
     for step_type in vars(steps).values():
         if (
             isinstance(step_type, type)
@@ -81,47 +91,51 @@ def test_inline_routing_goes_through_route_range(
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 16], ids=["whole", "streamed"])
-@pytest.mark.parametrize(
-    "min_rows,on_pool", [(0, True), (10**6, False)], ids=["pool", "inline"]
-)
-def test_context_routing_and_round_counters(
-    monkeypatch, plan, database, chunk_rows, min_rows, on_pool
+def test_with_a_context_routing_never_reaches_the_pool(
+    monkeypatch, plan, database, chunk_rows
 ):
     reference = execute_plan(plan, database)
-    rounds = reference.report.num_rounds
-    assert rounds > 1
     calls = _spy_on_route_columns(monkeypatch)
-    with ParallelContext(2, min_rows=min_rows) as context:
+    with ParallelContext(2) as context:
+        tasks = []
+        submit = context.pool.submit
+
+        def spy_submit(task, *args):
+            tasks.append(task)
+            return submit(task, *args)
+
+        monkeypatch.setattr(context.pool, "submit", spy_submit)
         execution = execute_plan(
             plan, database, parallel=context, chunk_rows=chunk_rows
         )
         assert not context.pool.broken
-        assert (context.parallel_rounds, context.fallback_rounds) == (
-            (rounds, 0) if on_pool else (0, rounds)
-        )
+        views = sum(len(round_.views) for round_ in plan.rounds)
+        assert context.pool_views == (0 if chunk_rows is None else views)
     assert execution.answers == reference.answers
     assert execution.report.rounds == reference.report.rounds
-    # Pool shards route in their own processes; whatever the parent
-    # still routes (inline ranges, lazy pools) takes the same door.
-    assert all(calls)
-    assert bool(calls) or on_pool
+    # Only streamed views are submitted, and nothing that routes.
+    assert bool(tasks) == (chunk_rows is not None and views > 0)
+    assert all(task is eval_shard_task for task in tasks)
+    assert calls and all(calls)
 
 
+@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "context"])
 @pytest.mark.parametrize("chunk_rows", [None, 2], ids=["whole", "streamed"])
-def test_empty_source_is_one_inline_range(chunk_rows):
-    # min_rows=0 admits the empty relation, but it has no row to hand
-    # a pool worker: it is the one range [0, 0), run inline.
+def test_empty_source_is_one_inline_range(chunk_rows, workers):
+    # The empty relation is the range [0, 0), routed inline like any
+    # other source, whether or not a pool is attached.
     query = parse_query("S1(x,y), S2(y,z)")
     database = matching_database(query, n=12, rng=5).with_relation(
         Relation.from_tuples("S2", (), domain_size=12, arity=2)
     )
     plan = compile_hypercube(query, p=4)
-    serial = execute_plan(plan, database, chunk_rows=chunk_rows)
-    with ParallelContext(4, min_rows=0) as context:
-        parallel = execute_plan(
+    with ParallelContext(workers) if workers > 1 else nullcontext() as context:
+        execution = execute_plan(
             plan, database, parallel=context, chunk_rows=chunk_rows
         )
-        assert not context.pool.broken
-        assert context.parallel_rounds == 1  # S1 still ran on the pool
-    assert parallel.answers == serial.answers == ()
-    assert parallel.report.rounds == serial.report.rounds
+        assert context is None or context.pool_views == 0
+    reference = oracle.execute_plan(plan, database)
+    assert execution.answers == reference.answers == ()
+    assert [r.received_tuples for r in execution.report.rounds] == [
+        r.received_tuples for r in reference.report.rounds
+    ]

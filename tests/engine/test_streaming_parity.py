@@ -185,11 +185,11 @@ class TestSessionParity:
 
 
 class TestParallelStreamingParity:
-    """Streamed rounds on the real spawn pool: fan-out plus overlap."""
+    """Streamed rounds with views on the real spawn pool: overlap."""
 
     @pytest.fixture(scope="class")
     def context(self):
-        with ParallelContext(2, min_rows=0) as context:
+        with ParallelContext(2) as context:
             yield context
 
     def _cases(self):
@@ -212,7 +212,7 @@ class TestParallelStreamingParity:
         for query, plan in self._cases():
             db = matching_database(query, n=400, rng=31)
             monolithic = execute_plan(plan, db)
-            before = context.parallel_rounds
+            before = context.pool_views
             profiler = RoundProfiler()
             streamed = execute_plan(
                 plan,
@@ -223,7 +223,9 @@ class TestParallelStreamingParity:
             )
             _assert_parity(monolithic, streamed, query.name)
             assert_oracle_parity(streamed, oracle.execute_plan(plan, db))
-            assert context.parallel_rounds > before
+            assert context.pool_views - before == sum(
+                len(round_.views) for round_ in plan.rounds
+            )
             assert not context.pool.broken
             assert profiler.blocks
             assert profiler.overlap_seconds >= 0.0
@@ -251,15 +253,15 @@ class TestParallelStreamingParity:
             assert profiler.overlap_seconds > 0.0
 
     def test_broken_pool_falls_back_bit_identically(self):
-        query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        plan = compile_hypercube(query, p=8)
-        db = matching_database(query, n=200, rng=41)
+        chain = line_query(4)
+        plan = compile_multiround(build_plan(chain, Fraction(0)), p=8)
+        db = matching_database(chain, n=200, rng=41)
         monolithic = execute_plan(plan, db)
-        with ParallelContext(2, min_rows=0) as context:
+        with ParallelContext(2) as context:
             context.pool.close()
             context.pool.broken = True
             streamed = execute_plan(
                 plan, db, parallel=context, chunk_rows=16
             )
             _assert_parity(monolithic, streamed, "broken pool")
-            assert context.parallel_rounds == 0
+            assert context.pool_views == 0

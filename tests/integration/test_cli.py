@@ -180,41 +180,38 @@ class TestProfileFlag:
 
 
 class TestWorkersFlag:
-    """``--workers`` reaches the engine from every execution command."""
+    """``--workers`` exists only where views can reach the pool."""
 
-    COMMANDS = {
-        "run": ["run", "S1(x,y), S2(y,z)"],
-        "run-plan": ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0"],
-        "skew": ["skew", "S1(x,y), S2(y,z)"],
-    }
+    RUN_PLAN = ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
+                "--n", "40", "--p", "4", "--workers", "2"]
 
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_rounds_run_on_the_pool(self, capsys, command):
-        code = main(
-            self.COMMANDS[command]
-            + ["--n", "40", "--p", "4", "--workers", "2", "--chunk-rows", "16"]
-        )
+    def test_streamed_views_run_on_the_pool(self, capsys):
+        code = main(self.RUN_PLAN + ["--chunk-rows", "16"])
         rows = dict(
             line.rsplit(None, 1)
             for line in capsys.readouterr().out.splitlines()
-            if line.startswith(("route workers", "parallel rounds"))
+            if line.startswith(("view workers", "pool views"))
         )
         assert code == 0
-        assert rows["route workers"] == "2"
-        assert int(rows["parallel rounds"]) > 0
+        assert rows["view workers"] == "2"
+        assert int(rows["pool views"]) > 0
 
-    def test_workers_alone_report_the_pool(self, capsys):
-        code = main(
-            ["run", "S1(x,y), S2(y,z), S3(z,x)", "--n", "60", "--p", "8",
-             "--workers", "2"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "backend" not in output
-        assert any(
-            line.split() == ["route", "workers", "2"]
-            for line in output.splitlines()
-        )
+    def test_workers_without_chunk_rows_exits_2(self, capsys):
+        # Eager views never reach the pool: a silent no-op otherwise.
+        assert main(self.RUN_PLAN) == 2
+        assert "--chunk-rows" in capsys.readouterr().err
+
+    def test_one_worker_needs_no_chunk_rows_and_shows_no_pool(self, capsys):
+        assert main(self.RUN_PLAN[:-1] + ["1"]) == 0
+        assert "view workers" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "skew"])
+    def test_commands_without_views_take_no_workers(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "S1(x,y), S2(y,z)", "--workers", "2",
+                  "--chunk-rows", "16"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_chunk_rows_prints_the_per_block_table(self, capsys):
         code = main(

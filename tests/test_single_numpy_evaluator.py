@@ -5,7 +5,10 @@ the tri-state ``segmented`` switch were folded into the shard loop of
 ``engine/local.py``; the process-parallel engine subclass, the second
 streamed counting loop, the simulator's own group-by-worker code and
 the ``REPRO_CHUNK_ROWS`` environment knob were folded into
-``RoundEngine``'s loop over row ranges; the ``run_*`` wrappers, the
+``RoundEngine``; its row ranges, their pool executor and the
+reassembly of shard decisions went when routing became one inline
+call per step -- the route/ship loop runs in the parent and the
+process pool only evaluates streamed views; the ``run_*`` wrappers, the
 fixpoint plan kind and the REPL's own service went when ``connect()``
 and ``compile_with`` + ``execute_plan`` became the only ways to run a
 query; the ``pure`` backend and its switchboard went when numpy became
@@ -42,6 +45,9 @@ DELETED = re.compile(
     r"|repro\.backend|resolve_backend|numpy_or_none|require_numpy"
     r"|REPRO_DISABLE_NUMPY|_send_rows|worker_answer_rows|with_backend"
     r"|BackendError"
+    r"|_row_ranges|_over_ranges|range_task|route_shard|count_shard"
+    r"|_reassemble|RoutedStep|_eval_shards_parallel|min_rows"
+    r"|parallel_rounds|fallback_rounds"
 )
 
 

@@ -7,8 +7,9 @@ re-execution it replaced.
 
 ``test_ivm_throughput`` pins the gate: on a 90/10 read/write workload
 (10 update rounds, each a single-row insert followed by 9 distinct
-query shapes) the IVM-enabled service answers the post-delta reads
->= 5x faster than an identical service with ``ivm=False``, with every
+query shapes) an IVM-enabled ``connect(..., algorithm="hypercube")``
+session answers the post-delta reads >= 5x faster than an identical
+session with ``ivm=False``, with every
 read's answers verified equal between the two paths, under the
 standard RSS ceiling and the IVM store's own byte budget.
 
@@ -24,10 +25,10 @@ import time
 
 from conftest import emit, peak_rss_bytes, record_bench
 
+from repro import connect
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
-from repro.serve import QueryService
 from repro.engine.faults import WORKER_DEATH_ENV
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
@@ -70,22 +71,22 @@ def _delta_rows(database, count):
 
 
 def _run_leg(deltas, ivm, n=N):
-    """One service through the 90/10 workload; timed reads only."""
+    """One session through the 90/10 workload; timed reads only."""
     database = matching_database(parse_query(VOCAB), n=n, rng=0)
-    service = QueryService(database, p=P, ivm=ivm)
+    session = connect(database, p=P, algorithm="hypercube", ivm=ivm)
     for query in DISTINCT_QUERIES:  # warm: compile + capture state
-        service.execute(query)
+        session.execute(query)
     read_seconds = 0.0
     transcript = []
     statuses = []
     for rows in deltas:
-        service.update(inserts={"S1": rows})
+        session.update(inserts={"S1": rows})
         start = time.perf_counter()
-        results = [service.execute(query) for query in DISTINCT_QUERIES]
+        results = [session.execute(query) for query in DISTINCT_QUERIES]
         read_seconds += time.perf_counter() - start
         transcript.append([result.answers for result in results])
         statuses.extend(result.ivm for result in results)
-    return service, read_seconds, transcript, statuses
+    return session, read_seconds, transcript, statuses
 
 
 def test_ivm_throughput(once):
@@ -133,7 +134,7 @@ def test_ivm_throughput(once):
     assert control.stats.ivm_hits == 0
 
     speedup = control_seconds / served_seconds
-    retained = served.ivm_retained_bytes
+    retained = served.ivm.retained_bytes
     budget = served.ivm.policy.max_bytes
     memory_bytes = peak_rss_bytes()
     emit(
@@ -156,7 +157,7 @@ def test_ivm_throughput(once):
             title=f"E14: 90/10 workload, n={N} p={P}; "
             f"{reads} post-delta reads, "
             f"{ROUNDS} single-row deltas; retained "
-            f"{served.ivm_retained_states} states / {retained} bytes",
+            f"{served.ivm.retained_states} states / {retained} bytes",
         )
     )
     record_bench(
@@ -173,7 +174,7 @@ def test_ivm_throughput(once):
             "speedup": speedup,
             "ivm_hits": served.stats.ivm_hits,
             "ivm_fallbacks": served.stats.ivm_fallbacks,
-            "retained_states": served.ivm_retained_states,
+            "retained_states": served.ivm.retained_states,
             "retained_bytes": retained,
             "peak_rss_bytes": memory_bytes,
         },

@@ -1,15 +1,15 @@
 """E13 -- repeated-query serving: cached plans vs compile-per-query.
 
 The serving layer's claim is that planning is worth amortizing: a
-long-lived :class:`~repro.serve.service.QueryService` compiles each
-query once (sharing plans across isomorphic requests), keeps pre-
-routed columns per database version, and memoizes whole executions,
-while a compile-per-query loop pays covers + shares + grid + routing
-on every request.
+long-lived ``connect(db, algorithm="hypercube")`` session compiles
+each query once (sharing plans across isomorphic requests) and
+memoizes whole executions per database version, while a
+compile-per-query loop pays covers + shares + grid + routing on every
+request.
 
 ``test_serving_throughput`` pins the gate: on a 100-request mixed
 workload (10 distinct query shapes over a shared C_3 vocabulary,
-including isomorphic renamings, each repeated 10 times) the service
+including isomorphic renamings, each repeated 10 times) the session
 answers >= 3x faster than per-request compile + execute, with
 per-request answers verified equal between the two paths beforehand,
 and records BENCH_serving.json with throughput, cache-hit counters
@@ -23,6 +23,7 @@ import pytest
 from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 from conftest import run_pinned
 
+from repro import connect
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
@@ -61,9 +62,7 @@ def _workload() -> list[str]:
 
 
 def test_serving_throughput(once):
-    """QueryService >= 3x over compile-per-query on the mixed workload."""
-    from repro.serve import QueryService
-
+    """A session >= 3x over compile-per-query on the mixed workload."""
     vocab = parse_query(VOCAB)
     requests = _workload()
 
@@ -72,15 +71,15 @@ def test_serving_throughput(once):
             lambda: (matching_database(vocab, n=N, rng=0),)
         )
 
-        # Correctness first (untimed): the service's answers match a
+        # Correctness first (untimed): the session's answers match a
         # fresh compile-and-execute for every distinct query.  Loads
         # must match bit-for-bit whenever the served plan was compiled
         # for this exact query; an isomorphic hit executes the class
         # representative's plan, whose (equally valid) routing hashes
         # by the canonical variable names, so only answers must agree.
-        parity_service = QueryService(database, p=P)
+        parity_session = connect(database, p=P, algorithm="hypercube")
         for query in DISTINCT_QUERIES:
-            served = parity_service.execute(query)
+            served = parity_session.execute(query)
             fresh = run_pinned("hypercube", parse_query(query), database, p=P)
             assert served.answers == fresh.answers, query
             if served.plan.signature.query_text == str(parse_query(query)):
@@ -94,16 +93,16 @@ def test_serving_throughput(once):
             ],
         )
 
-        service = QueryService(database, p=P)
+        session = connect(database, p=P, algorithm="hypercube")
         service_seconds, _ = best_of(
-            1, lambda: [service.execute(query) for query in requests]
+            1, lambda: [session.execute(query) for query in requests]
         )
         memory["peak_rss_bytes"] = peak_rss_bytes()
-        return baseline_seconds, service_seconds, service, memory
+        return baseline_seconds, service_seconds, session, memory
 
-    baseline_seconds, service_seconds, service, memory = once(timed)
+    baseline_seconds, service_seconds, session, memory = once(timed)
     speedup = baseline_seconds / service_seconds
-    stats = service.stats
+    stats = session.stats
     emit(
         format_table(
             ["serving path", "seconds", "req/s", "speedup"],

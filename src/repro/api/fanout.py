@@ -27,7 +27,7 @@ Dispatch protocol (one duplex pipe per worker, parent side guarded by
 an idle-worker queue):
 
 * ``query`` -- execute one statement; replies with the pickled
-  ``(ServiceResult, Explain)`` pair, or a structured error.
+  :class:`~repro.api.Result`, or a structured error.
   :class:`~repro.mpc.simulator.CapacityExceeded` crosses the process
   boundary as a field dict (its ``__init__`` signature defeats
   default exception pickling) and is re-raised in the parent with the
@@ -131,10 +131,7 @@ def _worker_main(
                         allow_partial=payload["allow_partial"],
                         deadline_ms=payload.get("deadline_ms"),
                     )
-                    result = statement.execute()
-                    connection.send(
-                        ("result", (result.raw, result.explain))
-                    )
+                    connection.send(("result", statement.execute()))
                 except DeadlineExceeded as error:
                     connection.send(
                         (
@@ -327,10 +324,10 @@ class SessionWorkerPool:
         algorithm: str | None,
         allow_partial: bool,
         deadline_ms: float | None = None,
-    ) -> tuple[Any, Any]:
+    ) -> Any:
         """Execute one statement on an idle worker.
 
-        Returns the worker's ``(ServiceResult, Explain)`` pair.
+        Returns the worker's :class:`~repro.api.Result`.
 
         Raises:
             FanoutBroken: the worker died mid-request (the pool is
@@ -387,7 +384,7 @@ class SessionWorkerPool:
         The barrier is the version contract: every worker is held
         idle, the delta goes to the *workers* first, and
         ``apply_parent`` -- a callable applying the same delta to the
-        owning session's service and returning its new version -- runs
+        owning session and returning its new version -- runs
         *last*, still inside the barrier.  Any thread that reads the
         bumped parent version afterwards can therefore only reach
         workers already at that version; a query dispatched just
@@ -437,7 +434,7 @@ class SessionWorkerPool:
             self._release_all(indices)
 
     def worker_stats(self) -> list[Any]:
-        """Each worker's ServiceStats (idle workers polled in turn)."""
+        """Each worker's session stats (idle workers polled in turn)."""
         if not self.usable:
             return []
         stats = []

@@ -2,9 +2,9 @@
 
 The paper is about *choosing* -- one round or many, which shares,
 full or partial answers -- so the public API does not ask the caller
-to choose an algorithm.  A :class:`Session` wraps the serving stack
-(:class:`~repro.serve.service.QueryService` over a
-:class:`~repro.data.versioned.VersionedDatabase`) behind a planner:
+to choose an algorithm.  A :class:`Session` is the one serving
+object: a planner in front of plan and result caches over a
+:class:`~repro.data.versioned.VersionedDatabase`:
 
     session = repro.connect(database, p=16)
     statement = session.query("S1(x,y), S2(y,z)")
@@ -18,10 +18,10 @@ Every :class:`Statement` is lazy: nothing touches the data until
 statistics profile).  Results are bit-identical to compiling the
 chosen algorithm with :func:`~repro.algorithms.registry.compile_with`
 and running it with :func:`~repro.engine.execute_plan` -- the planner
-only decides *which* compiler runs, never *how*.  The session is the
-only thing in the package that constructs a
-:class:`~repro.serve.service.QueryService`: the REPL, the RPC server
-and the fan-out workers all serve through one.
+only decides *which* compiler runs, never *how*.  The REPL, the RPC
+server and the fan-out workers all serve through a session; its
+request executor, :class:`~repro.serve.service.QueryService`, is
+private to it.
 
 Planner decisions and data profiles are cached per database version
 in bounded LRU stores, and the same ``Statement`` semantics are the
@@ -32,7 +32,7 @@ wire protocol of the JSON-lines RPC server
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -44,8 +44,7 @@ from repro.data.columnar import (
 )
 from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.engine import Plan, RoundProfiler
-from repro.mpc.stats import SimulationReport
+from repro.engine import RoundProfiler
 from repro.planner import (
     DataProfile,
     Explain,
@@ -55,7 +54,8 @@ from repro.planner import (
     collect_profile,
 )
 from repro.serve.cache import LRUCache
-from repro.serve.service import QueryService, ServiceResult, ServiceStats
+from repro.serve.ivm import IvmManager
+from repro.serve.service import QueryService, Result, ServiceStats
 
 #: Sentinel: "the session default", distinct from an explicit None.
 _UNSET = object()
@@ -63,81 +63,6 @@ _UNSET = object()
 #: Entry budgets of the planner-decision and data-profile LRUs.
 DECISION_CACHE_SIZE = 256
 PROFILE_CACHE_SIZE = 64
-
-
-@dataclass(frozen=True)
-class Result:
-    """One executed statement's outcome.
-
-    Everything a :class:`~repro.serve.service.ServiceResult` carries,
-    plus the planner's :class:`~repro.planner.Explain` for the route
-    that produced it.  Iterating a result iterates its answer rows.
-    """
-
-    raw: ServiceResult
-    explain: Explain
-
-    @property
-    def answers(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted answer tuples in the statement's head order."""
-        return self.raw.answers
-
-    @property
-    def algorithm(self) -> str:
-        """The compiler that served this result."""
-        return self.raw.algorithm
-
-    @property
-    def plan(self) -> Plan:
-        """The compiled plan that served this result."""
-        return self.raw.plan
-
-    @property
-    def report(self) -> SimulationReport:
-        """Communication statistics of the (possibly cached) run."""
-        return self.raw.report
-
-    @property
-    def per_server(self) -> tuple[int, ...]:
-        """Per-worker answer counts, zero-padded to ``p``."""
-        return self.raw.per_server
-
-    @property
-    def version(self) -> int:
-        """Database version the result was computed against."""
-        return self.raw.version
-
-    @property
-    def cached(self) -> bool:
-        """True when the whole execution was memoized."""
-        return self.raw.result_hit
-
-    @property
-    def ivm(self) -> str | None:
-        """How incremental maintenance served this execution.
-
-        ``"merged"`` when the answer came from a delta merge against
-        retained state, a named fallback reason when the full path
-        ran, None when IVM was not consulted (also mirrored on
-        :attr:`explain`).
-        """
-        return self.raw.ivm
-
-    @property
-    def heavy_hitters(self) -> dict[str, frozenset[int]] | None:
-        """Heavy values bound during execution (skew-aware routes)."""
-        return self.raw.heavy_hitters
-
-    @property
-    def view_sizes(self) -> dict[str, int]:
-        """Materialised intermediate-view sizes (multi-round routes)."""
-        return self.raw.view_sizes
-
-    def __len__(self) -> int:
-        return len(self.raw.answers)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.raw.answers)
 
 
 @dataclass(frozen=True)
@@ -203,9 +128,7 @@ class Statement:
         """
         choice = self.plan()
         with self.session._lock:
-            compiled = self.session.service.compile(
-                self.query, algorithm=choice.algorithm, eps=choice.eps
-            )
+            compiled = self.session._service.compile(self.query, choice)
         return compiled.describe()
 
     def execute(self, profiler: RoundProfiler | None = None) -> Result:
@@ -245,8 +168,9 @@ class Session:
 
     The only public way in is :func:`repro.connect`.  A session owns:
 
-    * a :class:`~repro.serve.service.QueryService` (plan and result
-      caches over a versioned database);
+    * a private :class:`~repro.serve.service.QueryService` executing
+      its decisions (plan and result caches, pooled simulators and
+      retained IVM state over a versioned database);
     * a :class:`~repro.planner.Planner` choosing the compiler for
       every statement from the registry's declared cost models;
     * bounded LRU caches of planner decisions and data profiles, keyed
@@ -275,10 +199,10 @@ class Session:
             algorithm's own default).
         enforce_capacity: raise on worker overload.
         plan_cache_size / result_cache_size: entry budgets of the
-            service's two cache layers (0 disables).
+            plan and result caches (0 disables; negative sizes raise
+            ``ValueError``).
         ivm: serve post-update statements by incremental view
-            maintenance when possible (forwarded to the service; see
-            :mod:`repro.serve.ivm`).
+            maintenance when possible (see :mod:`repro.serve.ivm`).
         workers: executor process count for statement fan-out.  1 (the
             default) keeps everything in this process.  With ``N >= 2``
             the session spawns ``N`` worker processes, each holding a
@@ -290,8 +214,8 @@ class Session:
             seed, same deterministic planner); updates broadcast to
             every worker behind a barrier; if workers die the session
             falls back to in-process execution.
-        chunk_rows: streaming block size forwarded to the service (and
-            replayed by fan-out workers): shardable routing steps
+        chunk_rows: streaming block size of every execution (replayed
+            by fan-out workers): shardable routing steps
             stream in ``chunk_rows``-row blocks with lazy delivery
             pools, bounding peak execution memory independently of the
             delivered volume.  None ships every step whole; answers,
@@ -318,10 +242,14 @@ class Session:
         workers: int = 1,
         chunk_rows: int | None = None,
     ) -> None:
-        if p < 1:
-            raise ValueError(f"need p >= 1, got {p}")
-        if workers < 1:
-            raise ValueError(f"need workers >= 1, got {workers}")
+        for option, value, bound in (
+            ("p", p, 1),
+            ("workers", workers, 1),
+            ("plan_cache_size", plan_cache_size, 0),
+            ("result_cache_size", result_cache_size, 0),
+        ):
+            if value < bound:
+                raise ValueError(f"need {option} >= {bound}, got {value}")
         # Serializes every touch of the unsynchronized underlying
         # state: the service's plan/result caches and pooled
         # simulators, the planner's decision/profile LRUs.  The
@@ -335,8 +263,6 @@ class Session:
         self._service = QueryService(
             database,
             p,
-            algorithm="hypercube",
-            eps=None,
             seed=seed,
             capacity_c=capacity_c,
             enforce_capacity=enforce_capacity,
@@ -452,9 +378,11 @@ class Session:
     ) -> int:
         """Mutate the database; returns the new version.
 
-        Stale planner decisions and profiles are purged eagerly (they
-        are version-keyed, so this is belt and braces like the
-        service's own cache purge).
+        Compiled plans survive (they are data-independent).  Memoized
+        results, planner decisions and profiles of older versions are
+        purged eagerly (they are version-keyed, so this is belt and
+        braces); an effective no-op delta chains them to the new
+        version instead.
         """
         return self.apply_delta(DatabaseDelta.of(inserts, deletes))
 
@@ -507,11 +435,6 @@ class Session:
     # -- introspection ------------------------------------------------------
 
     @property
-    def service(self) -> QueryService:
-        """The underlying query service (caches, simulators, stats)."""
-        return self._service
-
-    @property
     def database(self) -> VersionedDatabase:
         """The session's versioned database."""
         return self._service.database
@@ -528,8 +451,14 @@ class Session:
 
     @property
     def stats(self) -> ServiceStats:
-        """Service-level counters (cache hits, evictions, phases)."""
+        """Serving counters (cache hits, evictions, phases)."""
         return self._service.stats
+
+    @property
+    def ivm(self) -> IvmManager | None:
+        """Retained incremental-maintenance state (None when ``ivm``
+        is off): bytes, states and fallback reasons."""
+        return self._service.ivm
 
     @property
     def fanout(self) -> Any:
@@ -546,6 +475,7 @@ class Session:
         service = self._service.stats
         planner = self.planner_stats
         fanout = self._fanout
+        ivm = self._service.ivm
         return {
             "service": {
                 "requests": service.requests,
@@ -566,8 +496,8 @@ class Session:
                 "deadline_exceeded": service.deadline_exceeded,
                 "ivm_hits": service.ivm_hits,
                 "ivm_fallbacks": service.ivm_fallbacks,
-                "ivm_retained_bytes": self._service.ivm_retained_bytes,
-                "ivm_retained_states": self._service.ivm_retained_states,
+                "ivm_retained_bytes": ivm.retained_bytes if ivm else 0,
+                "ivm_retained_states": ivm.retained_states if ivm else 0,
             },
             "parallel": {
                 "fanout_workers": fanout.workers if fanout else 0,
@@ -592,11 +522,15 @@ class Session:
     def close(self) -> None:
         """Release cached state, worker processes and shared segments.
 
-        The session stays usable for in-process execution.
+        Planner decisions, data profiles, memoized results, pooled
+        simulators and retained IVM state all go; compiled plans
+        (data-independent) stay.  The session stays usable for
+        in-process execution.
         """
         with self._lock:
             self._decisions.purge(lambda key: True)
             self._profiles.purge(lambda key: True)
+            self._service.close()
         if self._fanout is not None:
             self._fanout.close()
             self._fanout = None
@@ -659,7 +593,7 @@ class Session:
             from repro.api.fanout import FanoutBroken
 
             try:
-                raw, explain = self._fanout.execute(
+                return self._fanout.execute(
                     statement.query,
                     statement.eps,
                     statement.algorithm,
@@ -670,7 +604,6 @@ class Session:
                         else max(deadline.remaining_ms(), 0.001)
                     ),
                 )
-                return Result(raw=raw, explain=explain)
             except FanoutBroken:
                 pass  # degrade to in-process execution below.
         # In-process path: serialized.  When the fan-out pool breaks
@@ -678,18 +611,12 @@ class Session:
         # concurrently; the lock keeps them off the unsynchronized
         # plan cache and pooled simulators one at a time.
         with self._lock:
-            choice = self._decide(statement)
-            raw = self._service.execute(
+            return self._service.execute(
                 statement.query,
+                self._decide(statement),
                 profiler,
-                algorithm=choice.algorithm,
-                eps=choice.eps,
                 deadline=deadline,
             )
-        explain = choice.explain
-        if raw.ivm is not None:
-            explain = replace(explain, ivm=raw.ivm)
-        return Result(raw=raw, explain=explain)
 
 
 def connect(

@@ -363,7 +363,7 @@ def _repl_line(session, line: str, out) -> bool:
             result = session.execute(rest)
             elapsed = (time.perf_counter() - start) * 1000
             flags = (
-                f"plan:{'hit' if result.raw.plan_hit else 'miss'} "
+                f"plan:{'hit' if result.plan_hit else 'miss'} "
                 f"result:{'hit' if result.cached else 'miss'}"
             )
             print(

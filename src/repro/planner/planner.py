@@ -369,16 +369,11 @@ class Planner:
         )
         choice = PlannerChoice(
             algorithm=chosen,
-            eps=self._compile_eps(chosen, eps),
+            eps=eps,
             explain=explain,
         )
         self.stats.record(choice)
         return choice
-
-    @staticmethod
-    def _compile_eps(chosen: str, eps: Fraction | None) -> Fraction | None:
-        """The ``eps`` to hand the compiler (None = its own default)."""
-        return eps
 
     @staticmethod
     def _effective_eps(

@@ -1,14 +1,14 @@
-"""The serving layer: compile once, execute per request.
+"""The serving layer behind :func:`repro.connect`.
 
-The engine boundary (steps in, stats + mailboxes out) is the seam the
-whole package builds on: a :class:`~repro.serve.service.QueryService`
-is a long-lived process that accepts repeated ``execute(query)`` and
-``update(delta)`` calls over a mutating
+A :class:`~repro.api.session.Session` is the one serving object; this
+package holds what it serves with.  Its private request executor,
+:class:`~repro.serve.service.QueryService`, answers repeated
+statements over a mutating
 :class:`~repro.data.versioned.VersionedDatabase`, amortizing planning
 across requests:
 
 * a :class:`~repro.serve.cache.PlanCache` keyed by canonicalized
-  ``(query, eps, p)`` -- isomorphic queries share one
+  ``(query, algorithm, eps, p)`` -- isomorphic queries share one
   compiled plan (:mod:`repro.core.isomorphism` supplies the witness
   that rebinds relations and permutes answer columns);
 * a result cache memoizing whole executions per (plan, rebind,
@@ -17,6 +17,7 @@ across requests:
 * simulator reuse: one :class:`~repro.mpc.simulator.MPCSimulator` per
   configuration, reset between requests instead of reallocating ``p``
   mailboxes;
+* incremental view maintenance (:mod:`repro.serve.ivm`) after deltas;
 * per-request :class:`~repro.engine.profile.RoundProfiler` stats
   aggregated into service-level counters.
 """
@@ -30,11 +31,6 @@ from repro.serve.cache import CacheRebind, LRUCache, PlanCache
 from repro.engine.faults import FAULT_ENVS, FaultConfig, active_faults
 from repro.serve.metrics import Histogram, MetricsServer, render_metrics
 from repro.serve.rpc import RpcServer, RpcStats, serve_tcp
-from repro.serve.service import (
-    QueryService,
-    ServiceResult,
-    ServiceStats,
-)
 
 __all__ = [
     "AdmissionQueue",
@@ -45,12 +41,9 @@ __all__ = [
     "LRUCache",
     "MetricsServer",
     "PlanCache",
-    "QueryService",
     "RpcServer",
     "RpcStats",
     "ServerOverloaded",
-    "ServiceResult",
-    "ServiceStats",
     "TokenBucket",
     "active_faults",
     "render_metrics",

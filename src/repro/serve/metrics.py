@@ -356,7 +356,7 @@ def render_metrics(server: Any) -> str:
             ({"outcome": "fallback"}, service.ivm_fallbacks),
         ],
     )
-    ivm = getattr(getattr(session, "service", None), "ivm", None)
+    ivm = session.ivm
     registry.sample(
         "ivm_fallbacks_total", "counter",
         "IVM fallbacks to full re-execution, by reason.",

@@ -571,8 +571,8 @@ class RpcServer:
             "count": len(result.answers),
             "version": result.version,
             "algorithm": result.algorithm,
-            "plan_hit": result.raw.plan_hit,
-            "result_hit": result.raw.result_hit,
+            "plan_hit": result.plan_hit,
+            "result_hit": result.cached,
             "coalesced": coalesced,
             "elapsed_ms": round(elapsed * 1000, 3),
         }

@@ -1,15 +1,15 @@
-"""A long-lived query service over a mutating columnar database.
+"""The request executor behind :class:`~repro.api.session.Session`.
 
-:class:`QueryService` is the repeated-query serving loop the ROADMAP's
-heavy-traffic item asks for: construct it once over a database, then
-call :meth:`QueryService.execute` per request and
-:meth:`QueryService.update` when the data changes.  Two cache layers
-amortize work across requests:
+A session's planner decides *which* compiler serves a statement;
+:class:`QueryService` runs that decision over the session's mutating
+database and amortizes the work across requests.  It is private to the
+session (``repro.connect(db)`` is the way to serve) and has two cache
+layers:
 
 1. **Plans** (:class:`~repro.serve.cache.PlanCache`): compilation --
    covers, shares, grids, step lists -- runs once per isomorphism
-   class of (query, eps, p); plans are data-independent and
-   survive updates.
+   class of (query, algorithm, eps, p); plans are data-independent
+   and survive updates.
 2. **Results**: whole executions are memoized per (plan, rebind,
    version) -- the database is immutable between versions, so a
    repeated query is answered without touching the simulator.  A
@@ -20,17 +20,16 @@ Simulators are pooled per configuration and reset between requests
 (allocating ``p`` mailboxes per request is measurable at serving
 rates), and each execution's
 :class:`~repro.engine.profile.RoundProfiler` phases are aggregated
-into the service-level :class:`ServiceStats`.
+into :class:`ServiceStats`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterator, Mapping
 
-from repro.algorithms.registry import algorithm_names, compile_with, get_algorithm
-from repro.core.query import ConjunctiveQuery, QueryError, parse_query
+from repro.algorithms.registry import compile_with, get_algorithm
+from repro.core.query import ConjunctiveQuery, QueryError
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
@@ -40,6 +39,7 @@ from repro.engine.profile import PHASES
 from repro.serve.metrics import Histogram
 from repro.mpc.simulator import CapacityExceeded, MPCSimulator
 from repro.mpc.stats import SimulationReport
+from repro.planner import Explain, PlannerChoice
 from repro.serve.cache import (
     CacheRebind,
     LRUCache,
@@ -47,16 +47,7 @@ from repro.serve.cache import (
     PlanCacheStats,
     identity_rebind,
 )
-from repro.serve.ivm import (
-    IvmManager,
-    IvmPolicy,
-    MergeCapacity,
-    MergeSuccess,
-)
-
-#: Sentinel distinguishing "use the service default" from an explicit
-#: per-request ``eps=None`` (which means "the query's own exponent").
-_UNSET = object()
+from repro.serve.ivm import IvmManager, MergeCapacity, MergeSuccess
 
 
 @dataclass
@@ -103,25 +94,28 @@ class ServiceStats:
             self.phase_histograms[phase].observe(seconds)
 
 
-@dataclass
-class ServiceResult:
-    """One request's outcome.
+@dataclass(frozen=True)
+class Result:
+    """One executed statement's outcome.
+
+    Iterating a result iterates its answer rows.
 
     Attributes:
-        answers: sorted answer tuples in the *request* query's head
-            order.
+        answers: sorted answer tuples in the statement's head order.
         per_server: per-worker answer counts of the canonical plan
-            execution (padded to ``p``).
-        report: the execution's communication statistics (shared with
-            other requests that hit the same cached result).
+            execution, zero-padded to ``p``.
+        report: communication statistics of the (possibly cached)
+            run, shared with other requests that hit the same result.
         plan: the (possibly shared) compiled plan that served this.
         version: the database version answered against.
-        plan_hit: the plan came from the cache.
-        result_hit: the whole execution was memoized.
-        heavy_hitters: heavy values bound during execution (skew-aware
-            plans only).
+        plan_hit: the plan came from the plan cache.
+        cached: the whole execution was memoized.
+        explain: the planner's :class:`~repro.planner.Explain` for
+            the route that produced this, with :attr:`ivm` mirrored.
+        heavy_hitters: heavy values bound during execution
+            (skew-aware routes only).
         view_sizes: materialised intermediate-view sizes (multi-round
-            plans only; empty otherwise).
+            routes only; empty otherwise).
         ivm: how incremental maintenance participated -- ``"merged"``
             when the request was served by routing only the delta, a
             fallback reason string when the incremental path was
@@ -135,7 +129,8 @@ class ServiceResult:
     plan: Plan
     version: int
     plan_hit: bool
-    result_hit: bool
+    cached: bool
+    explain: Explain
     heavy_hitters: dict[str, frozenset[int]] | None = None
     view_sizes: dict[str, int] = field(default_factory=dict)
     ivm: str | None = None
@@ -144,6 +139,12 @@ class ServiceResult:
     def algorithm(self) -> str:
         """The compiler that produced the served plan."""
         return self.plan.signature.algorithm
+
+    def __len__(self) -> int:
+        return len(self.answers)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.answers)
 
 
 @dataclass
@@ -159,41 +160,33 @@ class _Outcome:
 
 
 class QueryService:
-    """Serve repeated conjunctive queries over one mutating database.
+    """Execute planner decisions over one mutating database.
+
+    Built only by :class:`~repro.api.session.Session`, which forwards
+    its own options of the same names.
 
     Args:
         database: initial contents; wrapped in (or used as) a
             :class:`~repro.data.versioned.VersionedDatabase`.
         p: number of workers every request runs on.
-        algorithm: which compiler serves requests -- ``"hypercube"``
-            (default), ``"skewaware"`` or ``"multiround"``.
-        eps: space exponent; None lets each query use its own default
-            (HC's space exponent; multiround requires a value and
-            falls back to 0).
         seed: hash-family seed shared by all plans.
-        capacity_c: capacity constant; None picks the algorithm's
-            registered default.
+        capacity_c: capacity constant; None picks each chosen
+            algorithm's registered default.
         enforce_capacity: raise :class:`CapacityExceeded` on overload
             (cached failures re-raise identically).
         plan_cache_size / result_cache_size: entry budgets of the two
             cache layers; a size of 0 disables that layer.
+        ivm: serve post-delta requests by routing only the delta and
+            merging with retained state when eligible, under the
+            default :class:`~repro.serve.ivm.IvmPolicy` (see
+            :mod:`repro.serve.ivm`); answers, loads and capacity
+            behaviour stay bit-identical to full re-execution.
         chunk_rows: streaming block size for every execution.  When
             set, shardable routing steps stream in ``chunk_rows``-row
             blocks with lazy delivery pools, so peak memory per
             request is bounded by the block and shard budgets instead
             of the full delivery volume -- answers, loads and capacity
-            behaviour stay bit-identical.  None (the default) ships
-            every step whole.
-        ivm: serve post-delta requests by routing only the delta and
-            merging with retained state when eligible (see
-            :mod:`repro.serve.ivm`); answers, loads and capacity
-            behaviour stay bit-identical to full re-execution.
-        ivm_max_bytes: byte budget for retained IVM state (the RSS
-            ceiling; least-recently-used states are evicted beyond
-            it and their variants fall back to full re-execution).
-        ivm_max_delta_fraction: largest composed-delta size, as a
-            fraction of the plan's base rows, the incremental path
-            will merge rather than fall back.
+            behaviour stay bit-identical.  None ships every step whole.
     """
 
     def __init__(
@@ -204,41 +197,23 @@ class QueryService:
         | Mapping[str, ColumnarRelation],
         p: int,
         *,
-        algorithm: str = "hypercube",
-        eps: Fraction | float | None = None,
-        seed: int = 0,
-        capacity_c: float | None = None,
-        enforce_capacity: bool = False,
-        plan_cache_size: int = 128,
-        result_cache_size: int = 512,
-        chunk_rows: int | None = None,
-        ivm: bool = True,
-        ivm_max_bytes: int = 64 << 20,
-        ivm_max_delta_fraction: float = 0.25,
+        seed: int,
+        capacity_c: float | None,
+        enforce_capacity: bool,
+        plan_cache_size: int,
+        result_cache_size: int,
+        ivm: bool,
+        chunk_rows: int | None,
     ) -> None:
-        if algorithm not in algorithm_names():
-            raise ValueError(
-                f"unknown serving algorithm {algorithm!r}; expected one "
-                f"of {list(algorithm_names())}"
-            )
         if isinstance(database, VersionedDatabase):
             self._database = database
         else:
             self._database = VersionedDatabase(database)
         self.p = p
-        self.algorithm = algorithm
-        self.eps = None if eps is None else Fraction(eps)
         self.seed = seed
-        # None = each algorithm's registered default (resolved per
-        # request, so per-request algorithm overrides stay
-        # bit-identical to a direct compile_with + execute_plan).
-        self._capacity_override = capacity_c
-        self.capacity_c = (
-            get_algorithm(algorithm).default_capacity_c
-            if capacity_c is None
-            else capacity_c
-        )
+        self.capacity_c = capacity_c
         self.enforce_capacity = enforce_capacity
+        self.chunk_rows = chunk_rows
 
         self.stats = ServiceStats()
         self._plans = (
@@ -253,43 +228,12 @@ class QueryService:
             if result_cache_size > 0
             else None
         )
-        self._ivm = (
-            IvmManager(
-                IvmPolicy(
-                    max_delta_fraction=ivm_max_delta_fraction,
-                    max_bytes=ivm_max_bytes,
-                )
-            )
-            if ivm
-            else None
-        )
+        #: The incremental-maintenance manager (None when disabled).
+        self.ivm = IvmManager() if ivm else None
         self._simulators: dict[tuple, MPCSimulator] = {}
-        self.chunk_rows = chunk_rows
 
     def _count_result_eviction(self) -> None:
         self.stats.result_evictions += 1
-
-    def _request_params(
-        self,
-        algorithm: str,
-        eps: Fraction | None,
-        capacity_c: float | None,
-    ) -> tuple:
-        """The compile-parameter tuple of one request."""
-        if capacity_c is None:
-            capacity_c = (
-                get_algorithm(algorithm).default_capacity_c
-                if self._capacity_override is None
-                else self._capacity_override
-            )
-        return (
-            algorithm,
-            eps,
-            self.p,
-            self.seed,
-            capacity_c,
-            self.enforce_capacity,
-        )
 
     # -- read side ----------------------------------------------------------
 
@@ -327,64 +271,35 @@ class QueryService:
                 )
 
     def compile(
-        self,
-        query: str | ConjunctiveQuery,
-        *,
-        algorithm: str | None = None,
-        eps: Any = _UNSET,
-        capacity_c: float | None = None,
+        self, query: ConjunctiveQuery, choice: PlannerChoice
     ) -> Plan:
-        """The plan a request with these parameters would execute.
+        """The plan :meth:`execute` would run for ``choice``.
 
         Shares the plan cache with :meth:`execute` (an explain never
         compiles what a later execute would recompile, and vice
-        versa).  Overrides behave exactly like :meth:`execute`'s.
+        versa).
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        self.validate(query)
-        algorithm = self.algorithm if algorithm is None else algorithm
-        get_algorithm(algorithm)
-        request_eps = (
-            self.eps if eps is _UNSET
-            else None if eps is None
-            else Fraction(eps)
-        )
-        params = self._request_params(algorithm, request_eps, capacity_c)
-        if self._plans is None:
-            return self._compile(query, params)
-        plan, _, _ = self._plans.get_or_compile(
-            query, params, lambda canonical: self._compile(canonical, params)
-        )
-        return plan
+        return self._plan(query, choice)[0]
 
     def execute(
         self,
-        query: str | ConjunctiveQuery,
+        query: ConjunctiveQuery,
+        choice: PlannerChoice,
         profiler: RoundProfiler | None = None,
         *,
-        algorithm: str | None = None,
-        eps: Any = _UNSET,
-        capacity_c: float | None = None,
         deadline: Deadline | None = None,
-    ) -> ServiceResult:
-        """Answer one query against the current database version.
+    ) -> Result:
+        """Answer one validated query against the current version.
 
         Args:
-            query: query text (parsed here) or an already-built
-                :class:`~repro.core.query.ConjunctiveQuery`.
+            query: the statement's query (already checked by
+                :meth:`validate`).
+            choice: the planner's decision -- which compiler, at which
+                ``eps`` (None = the query's own default), and the
+                explain the result carries.
             profiler: optional external profiler; phases are recorded
                 only when the request actually executes (a memoized
                 result has no phases to measure).
-            algorithm: per-request compiler override (a registry name;
-                the Session planner's hook).  Defaults to the
-                service-wide algorithm.
-            eps: per-request space exponent override; ``None`` means
-                "the query's own default".  Defaults to the
-                service-wide setting.
-            capacity_c: per-request capacity constant override;
-                defaults to the service-wide setting (itself the
-                algorithm's registered default when never set).
             deadline: optional per-request latency budget.  Checked on
                 entry -- *before* the result cache, so an
                 already-expired budget deterministically beats any
@@ -394,55 +309,25 @@ class QueryService:
                 pooled simulator it abandoned is reset by the next
                 request exactly like after a capacity failure.
 
-        Returns:
-            A :class:`ServiceResult` with answers in the request's
-            head order.
-
         Raises:
-            QueryError: malformed query text, unknown relation or
-                arity mismatch (see :meth:`validate`), or an unknown
-                ``algorithm``.
             CapacityExceeded: when enforcement is on and the execution
                 (fresh or memoized) overflowed a worker.
             DeadlineExceeded: the budget ran out before or during the
                 execution.
         """
-        if isinstance(query, str):
-            query = parse_query(query)
-        self.validate(query)
-        algorithm = self.algorithm if algorithm is None else algorithm
-        get_algorithm(algorithm)  # raises QueryError on unknown names
-        request_eps = (
-            self.eps if eps is _UNSET
-            else None if eps is None
-            else Fraction(eps)
-        )
-        params = self._request_params(algorithm, request_eps, capacity_c)
         self.stats.requests += 1
         if deadline is not None and deadline.expired:
             self.stats.deadline_exceeded += 1
             deadline.check("at service entry")
-
-        def compiler(canonical: ConjunctiveQuery) -> Plan:
-            return self._compile(canonical, params)
-
-        if self._plans is not None:
-            plan, rebind, plan_hit = self._plans.get_or_compile(
-                query, params, compiler
-            )
-        else:
-            plan = compiler(query)
-            rebind = identity_rebind(query)
-            plan_hit = False
-            self.stats.plans.misses += 1
+        plan, rebind, plan_hit = self._plan(query, choice)
         variant = (plan.signature.cache_key, rebind.relation_map)
         version = self._database.version
         outcome: _Outcome | None = None
         ivm_status: str | None = None
         if self._results is not None:
             outcome = self._results.get((variant, version))
-        result_hit = outcome is not None
-        if outcome is None and self._ivm is not None and version > 0:
+        cached = outcome is not None
+        if outcome is None and self.ivm is not None and version > 0:
             outcome, ivm_status = self._try_ivm(
                 plan, variant, version, deadline
             )
@@ -450,23 +335,27 @@ class QueryService:
             outcome = self._execute(
                 plan, rebind, variant, version, profiler, deadline
             )
-        if not result_hit and self._results is not None:
+        if not cached and self._results is not None:
             self._results.put((variant, version), outcome)
-        if result_hit:
+        if cached:
             self.stats.result_hits += 1
         if outcome.error is not None:
             self.stats.capacity_failures += 1
             raise outcome.error
         answers = rebind.remap_answers(outcome.answers)
         self.stats.answers_served += len(answers)
-        return ServiceResult(
+        explain = choice.explain
+        if ivm_status is not None:
+            explain = replace(explain, ivm=ivm_status)
+        return Result(
             answers=answers,
             per_server=outcome.per_server,
             report=outcome.report,
             plan=plan,
             version=version,
             plan_hit=plan_hit,
-            result_hit=result_hit,
+            cached=cached,
+            explain=explain,
             heavy_hitters=outcome.heavy_hitters,
             view_sizes=outcome.view_sizes,
             ivm=ivm_status,
@@ -474,28 +363,17 @@ class QueryService:
 
     # -- write side ---------------------------------------------------------
 
-    def update(
-        self,
-        inserts: Mapping[str, Iterable[Sequence[int]]] | None = None,
-        deletes: Mapping[str, Iterable[Sequence[int]]] | None = None,
-    ) -> int:
+    def apply_delta(self, delta: DatabaseDelta) -> int:
         """Mutate the database; returns the new version.
 
         Plans survive (they are data-independent); memoized results of
         older versions are purged eagerly so the cache never serves
-        stale data even if version comparison were skipped.
-        """
-        return self.apply_delta(DatabaseDelta.of(inserts, deletes))
-
-    def apply_delta(self, delta: DatabaseDelta) -> int:
-        """Apply a prepared delta; see :meth:`update`.
-
-        A delta that changes nothing *effectively* (empty, deleting
-        absent rows, re-inserting present rows) still bumps the
-        version -- but the result cache *chains*: its version-stamped
-        entries are re-keyed to the new version instead of purged, so a
-        repeated query after a no-op update still hits its memoized
-        result.
+        stale data even if version comparison were skipped.  A delta
+        that changes nothing *effectively* (empty, deleting absent
+        rows, re-inserting present rows) still bumps the version --
+        but the result cache *chains*: its version-stamped entries are
+        re-keyed to the new version instead of purged, so a repeated
+        query after a no-op update still hits its memoized result.
         """
         old_version = self._database.version
         version = self._database.apply_delta(delta)
@@ -508,28 +386,55 @@ class QueryService:
                     if key[1] == old_version
                     else None
                 )
-            if self._ivm is not None:
-                self._ivm.fast_forward(old_version, version)
+            if self.ivm is not None:
+                self.ivm.fast_forward(old_version, version)
         if self._results is not None:
             self._results.purge(lambda key: key[1] != version)
         return version
 
+    def close(self) -> None:
+        """Drop memoized results, pooled simulators and retained IVM
+        state; compiled plans (data-independent) survive."""
+        if self._results is not None:
+            self._results.purge(lambda key: True)
+        self._simulators.clear()
+        if self.ivm is not None:
+            self.ivm.clear()
+
     # -- internals ----------------------------------------------------------
 
-    @property
-    def ivm(self) -> IvmManager | None:
-        """The incremental-maintenance manager (None when disabled)."""
-        return self._ivm
+    def _plan(
+        self, query: ConjunctiveQuery, choice: PlannerChoice
+    ) -> tuple[Plan, CacheRebind, bool]:
+        """``(plan, rebind, plan_hit)`` for ``choice``, through the
+        plan cache when it is enabled."""
+        capacity_c = self.capacity_c
+        if capacity_c is None:
+            capacity_c = get_algorithm(choice.algorithm).default_capacity_c
+        params = (
+            choice.algorithm,
+            choice.eps,
+            self.p,
+            self.seed,
+            capacity_c,
+            self.enforce_capacity,
+        )
 
-    @property
-    def ivm_retained_bytes(self) -> int:
-        """Bytes currently held by retained IVM state."""
-        return 0 if self._ivm is None else self._ivm.retained_bytes
+        def compiler(canonical: ConjunctiveQuery) -> Plan:
+            return compile_with(
+                choice.algorithm,
+                canonical,
+                self.p,
+                eps=choice.eps,
+                seed=self.seed,
+                capacity_c=capacity_c,
+                enforce_capacity=self.enforce_capacity,
+            )
 
-    @property
-    def ivm_retained_states(self) -> int:
-        """Number of plan variants with retained IVM state."""
-        return 0 if self._ivm is None else self._ivm.retained_states
+        if self._plans is not None:
+            return self._plans.get_or_compile(query, params, compiler)
+        self.stats.plans.misses += 1
+        return compiler(query), identity_rebind(query), False
 
     def _try_ivm(
         self,
@@ -544,9 +449,9 @@ class QueryService:
         the request (possibly reproducing a capacity failure), or
         ``(None, reason)`` when the full path must run.
         """
-        assert self._ivm is not None
+        assert self.ivm is not None
         try:
-            served = self._ivm.serve(
+            served = self.ivm.serve(
                 variant, plan, version, self._database, deadline
             )
         except DeadlineExceeded:
@@ -586,19 +491,6 @@ class QueryService:
             )
         self.stats.ivm_fallbacks += 1
         return None, served
-
-    def _compile(self, query: ConjunctiveQuery, params: tuple) -> Plan:
-        """Compile through the algorithm registry, one call per miss."""
-        algorithm, eps, p, seed, capacity_c, enforce = params
-        return compile_with(
-            algorithm,
-            query,
-            p,
-            eps=eps,
-            seed=seed,
-            capacity_c=capacity_c,
-            enforce_capacity=enforce,
-        )
 
     def _simulator_for(self, plan: Plan) -> MPCSimulator:
         """The pooled simulator for ``plan``'s MPC configuration."""
@@ -663,12 +555,12 @@ class QueryService:
                 heavy_hitters=None,
                 error=error,
             )
-        if self._ivm is not None:
+        if self.ivm is not None:
             # Retain what the run computed, by reference: its site
             # answers ride on ``execution``, its deliveries still sit
             # in the pooled simulator (reset happens at the start of
             # the next run).
-            self._ivm.capture(
+            self.ivm.capture(
                 variant,
                 plan,
                 execution,

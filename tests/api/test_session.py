@@ -1,4 +1,11 @@
-"""The Session front door: connect / query / execute / explain / stream."""
+"""The Session front door: connect / query / execute / explain / stream,
+and the serving behaviour behind it: cached-vs-fresh parity, updates,
+capacity failures and counters.
+
+The serving acceptance bar: cached plans and memoized results give
+bit-identical answers, per-server loads and CapacityExceeded
+behaviour to a fresh ``compile_with`` + ``execute_plan``.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +15,39 @@ import pytest
 
 import repro
 from repro import Session, connect
+from repro.algorithms.localjoin import evaluate_query
 from repro.core.query import QueryError, parse_query
 from repro.data.matching import matching_database
+from repro.data.versioned import VersionedDatabase
 from repro.mpc.simulator import CapacityExceeded
+from tests.conftest import run_pinned
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
 
 def _session(n=60, **kwargs):
     return connect(matching_database(VOCAB, n=n, rng=7), **kwargs)
+
+
+def _truth(query_text, session):
+    """``query_text``'s answers by a single-site join over the
+    session's current snapshot."""
+    snapshot = session.database.snapshot
+    return evaluate_query(
+        parse_query(query_text),
+        {name: tuple(snapshot[name].rows()) for name in snapshot.relations},
+    )
+
+
+def _same_run(served, fresh):
+    assert served.answers == fresh.answers
+    assert served.per_server == fresh.per_server
+    assert [r.received_bits for r in served.report.rounds] == [
+        r.received_bits for r in fresh.report.rounds
+    ]
+    assert [r.received_tuples for r in served.report.rounds] == [
+        r.received_tuples for r in fresh.report.rounds
+    ]
 
 
 class TestConnect:
@@ -44,10 +75,26 @@ class TestConnect:
         with pytest.raises(TypeError, match=removed):
             _session(**{removed: 1})
 
-    @pytest.mark.parametrize("option", ["p", "workers"])
-    def test_counts_below_one_are_rejected_at_construction(self, option):
-        with pytest.raises(ValueError, match=f"need {option} >= 1, got 0"):
-            _session(**{option: 0})
+    @pytest.mark.parametrize(
+        "option,bound",
+        [
+            pytest.param(option, bound, id=option)
+            for option, bound in (
+                ("p", 1),
+                ("workers", 1),
+                ("plan_cache_size", 0),
+                ("result_cache_size", 0),
+            )
+        ],
+    )
+    def test_counts_below_one_are_rejected_at_construction(
+        self, option, bound
+    ):
+        below = bound - 1
+        with pytest.raises(
+            ValueError, match=f"need {option} >= {bound}, got {below}"
+        ):
+            _session(**{option: below})
 
     def test_version_is_stated_once(self):
         from pathlib import Path
@@ -170,9 +217,37 @@ class TestErrors:
         )
         with pytest.raises(CapacityExceeded):
             session.query("S1(x,y), S2(y,z)").execute()
-        # the session survives and keeps serving
+        # the session survives and keeps serving, a different query
+        # through the same pooled simulator included
         with pytest.raises(CapacityExceeded):
             session.query("S1(x,y), S2(y,z)").execute()
+        with pytest.raises(CapacityExceeded):
+            session.query("S2(x,y), S3(y,z)").execute()
+        assert session.stats.executions == 2
+
+    def test_fresh_and_cached_failures_match_the_pinned_path(self):
+        database = matching_database(VOCAB, n=40, rng=7)
+        query = "S1(x,y), S2(y,z)"
+        with pytest.raises(CapacityExceeded) as fresh:
+            run_pinned(
+                "hypercube", parse_query(query), database, p=8,
+                capacity_c=0.001, enforce_capacity=True,
+            )
+        session = connect(
+            database,
+            p=8,
+            algorithm="hypercube",
+            capacity_c=0.001,
+            enforce_capacity=True,
+        )
+        for _ in range(2):  # the second raise comes from the cache
+            with pytest.raises(CapacityExceeded) as served:
+                session.execute(query)
+            assert served.value.worker == fresh.value.worker
+            assert served.value.received_bits == fresh.value.received_bits
+            assert served.value.round_index == fresh.value.round_index
+        assert session.stats.executions == 1
+        assert session.stats.capacity_failures == 2
 
 
 class TestPlannerIntegration:
@@ -247,6 +322,189 @@ class TestBoundedCaches:
             session.query("S1(x,y), S2(y,z)").execute()
         assert session.stats.result_hits == 2
         assert session.stats.executions == 1
+
+    def test_plan_cache_size_zero_compiles_every_request(self):
+        session = _session(n=20, p=4, plan_cache_size=0)
+        first = session.execute("S1(x,y), S2(y,z)")
+        repeat = session.execute("S1(x,y), S2(y,z)")
+        iso = session.execute("S2(a,b), S1(b,c)")
+        assert not first.plan_hit and not repeat.plan_hit
+        assert not iso.plan_hit
+        assert session.stats.plans.misses == 3
+        assert first.answers == repeat.answers
+
+    def test_close_releases_results_and_retained_state(self):
+        session = _session(p=8)
+        statement = session.query("S1(x,y), S2(y,z)")
+        statement.execute()
+        assert session.ivm.retained_states == 1
+        session.close()
+        assert session.ivm.retained_states == 0
+        assert session.ivm.retained_bytes == 0
+        again = statement.execute()
+        assert not again.cached and again.plan_hit
+        assert session.stats.executions == 2
+
+
+class TestParityWithFreshCompilation:
+    """A pinned session answers like ``compile_with`` + ``execute_plan``."""
+
+    def test_first_and_repeat_requests_match_the_pinned_path(self):
+        database = matching_database(VOCAB, n=40, rng=7)
+        session = connect(database, p=8, algorithm="hypercube")
+        query = "S1(x,y), S2(y,z)"
+        fresh = run_pinned("hypercube", parse_query(query), database, p=8)
+        first = session.execute(query)
+        repeat = session.execute(query)
+        assert repeat.cached and not first.cached
+        for served in (first, repeat):
+            _same_run(served, fresh)
+
+    def test_reexecution_without_result_cache_matches_fresh(self):
+        database = matching_database(VOCAB, n=40, rng=7)
+        # No result memoization: the repeat is a real second execution
+        # on the pooled (reset) simulator.
+        session = connect(
+            database, p=8, algorithm="hypercube", result_cache_size=0
+        )
+        query = "S1(x,y), S2(y,z), S3(z,x)"
+        first = session.execute(query)
+        again = session.execute(query)
+        assert not again.cached
+        assert session.stats.executions == 2
+        fresh = run_pinned("hypercube", parse_query(query), database, p=8)
+        for served in (first, again):
+            _same_run(served, fresh)
+
+    def test_isomorphic_requests_answer_exactly(self):
+        session = _session(n=40, p=8, algorithm="hypercube")
+        canonical = session.execute("S1(x,y), S2(y,z)")
+        for text in ("S2(a,b), S1(b,c)", "q(c,b,a) = S2(a,b), S1(b,c)"):
+            variant = session.execute(text)
+            assert variant.plan is canonical.plan
+            assert variant.answers == _truth(text, session)
+        assert session.stats.plans.isomorphic_hits == 2
+
+    def test_skewaware_session_matches_fresh(self):
+        from repro.data.generators import skewed_database
+
+        query = parse_query("S1(x,y), S2(y,z)")
+        database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
+        session = connect(database, p=8, algorithm="skewaware")
+        fresh = run_pinned("skewaware", query, database, p=8)
+        for _ in range(2):
+            served = session.execute(query)
+            assert served.answers == fresh.answers
+            assert served.per_server == fresh.per_server
+        assert served.heavy_hitters == fresh.heavy_hitters
+
+    def test_heavy_hitters_do_not_depend_on_request_history(self):
+        from repro.data.generators import skewed_database
+
+        query = parse_query("S1(x,y), S2(y,z)")
+        database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
+        session = connect(
+            database, p=8, algorithm="skewaware", result_cache_size=0
+        )
+        first = session.execute(query)
+        second = session.execute(query)
+        assert not second.cached
+        assert first.heavy_hitters and any(first.heavy_hitters.values())
+        assert second.heavy_hitters == first.heavy_hitters
+
+    def test_multiround_session_matches_fresh(self):
+        query = parse_query("S1(a,b), S2(b,c), S3(c,d), S4(d,e)")
+        database = matching_database(query, n=30, rng=2)
+        session = connect(
+            database, p=8, algorithm="multiround", eps=Fraction(0)
+        )
+        fresh = run_pinned("multiround", query, database, p=8, eps=0)
+        for _ in range(2):
+            assert session.execute(query).answers == fresh.answers
+
+    def test_statement_pins_use_their_own_capacity_default(self):
+        session = _session(p=8, algorithm="hypercube")
+        hc = session.execute("S1(x,y)")
+        mr = session.execute("S1(x,y)", algorithm="multiround")
+        assert hc.plan.signature.capacity_c == 4.0
+        assert mr.plan.signature.capacity_c == 8.0
+
+    def test_distinct_pins_cache_separately(self):
+        session = _session(p=8, algorithm="hypercube")
+        query = "S1(x,y), S2(y,z)"
+        for _ in range(2):
+            session.execute(query)
+            session.execute(query, algorithm="multiround")
+            assert session.stats.plans.misses == 2
+        assert session.stats.result_hits == 2
+
+    def test_describe_plan_shares_the_plan_cache_with_execute(self):
+        session = _session(p=8)
+        statement = session.query("S1(x,y), S2(y,z)")
+        statement.describe_plan()
+        assert session.stats.plans.misses == 1
+        assert statement.execute().plan_hit
+        assert session.stats.plans.misses == 1
+
+
+class TestUpdates:
+    def test_update_bumps_version_and_invalidates_results(self):
+        session = _session(n=30, p=8)
+        query = "S1(x,y), S2(y,z)"
+        session.execute(query)
+        assert session.update(inserts={"S1": [(1, 2), (3, 4)]}) == 1
+        after = session.execute(query)
+        assert not after.cached
+        assert after.version == 1
+        # The mutated database really is what got queried.
+        assert after.answers == _truth(query, session)
+
+    def test_delete_roundtrip_restores_answers(self):
+        session = _session(n=30, p=8)
+        query = "S1(x,y), S2(y,z)"
+        baseline = session.execute(query).answers
+        session.update(inserts={"S1": [(1, 2)]})
+        session.update(deletes={"S1": [(1, 2)]})
+        assert session.execute(query).answers == baseline
+
+    def test_update_keeps_plans_but_reexecutes(self):
+        session = _session(n=30, p=8)
+        query = "S1(x,y), S2(y,z)"
+        session.execute(query)
+        executions_before = session.stats.executions
+        session.update(inserts={"S2": [(5, 6)]})
+        served = session.execute(query)
+        assert served.plan_hit  # compilation amortized across versions
+        assert session.stats.executions == executions_before + 1
+        assert session.stats.plans.misses == 1
+
+    def test_accepts_a_versioned_database_mutated_outside(self):
+        versioned = VersionedDatabase(matching_database(VOCAB, n=30, rng=7))
+        session = connect(versioned, p=8)
+        assert session.database is versioned
+        session.execute("S1(x,y), S2(y,z)")
+        versioned.update(inserts={"S1": [(2, 3)]})
+        after = session.execute("S1(x,y), S2(y,z)")
+        assert after.version == 1
+        assert after.answers == _truth("S1(x,y), S2(y,z)", session)
+
+
+class TestCounters:
+    def test_phase_seconds_aggregate(self):
+        session = _session(n=30, p=8)
+        session.execute("S1(x,y), S2(y,z)")
+        phases = session.stats.phase_seconds
+        assert phases["route"] > 0.0 and phases["local"] > 0.0
+        total = sum(phases.values())
+        session.execute("S1(x,y), S2(y,z)")  # memoized: no new phases
+        assert sum(phases.values()) == total
+
+    def test_requests_and_answers_counted(self):
+        session = _session(n=30, p=8)
+        first = session.execute("S1(x,y), S2(y,z)")
+        session.execute("S1(x,y), S2(y,z)")
+        assert session.stats.requests == 2
+        assert session.stats.answers_served == 2 * len(first.answers)
 
 
 class TestReviewRegressions:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from functools import partial
+from unittest import mock
 
 import pytest
 
@@ -17,13 +20,39 @@ from repro.core.families import (
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
+from repro.engine.deadline import Deadline
 from repro.mpc.simulator import CapacityExceeded
+from repro.serve.ivm import IvmPolicy
 
 
 def run_pinned(name, query, database, p, *, profiler=None, **options):
     """The pinned, cache-free path: ``compile_with`` + ``execute_plan``."""
     plan = compile_with(name, query, p, **options)
     return execute_plan(plan, database, profiler=profiler)
+
+
+@contextmanager
+def ivm_policy(**gates):
+    """Sessions connected inside retain IVM state under ``gates``
+    instead of the :class:`~repro.serve.ivm.IvmPolicy` defaults."""
+    with mock.patch(
+        "repro.serve.ivm.IvmPolicy", partial(IvmPolicy, **gates)
+    ):
+        yield
+
+
+@contextmanager
+def statement_deadline(deadline):
+    """Statements executed inside with any ``deadline_ms`` run under
+    ``deadline`` (built on a fake clock) instead of a fresh budget."""
+    with mock.patch.object(
+        Deadline,
+        "after_ms",
+        staticmethod(
+            lambda budget_ms: None if budget_ms is None else deadline
+        ),
+    ):
+        yield
 
 
 def run_with_oracle(plan, database, **engine_options):

@@ -19,15 +19,13 @@ from repro.engine.steps import (
     ToServer,
 )
 from repro.mpc.simulator import ColumnPool
-from repro.serve.service import QueryService
 
 
 class TestShardableContract:
     """The static declarations streamed routing dispatches on."""
 
-    def test_content_only_steps_are_shardable(self, triangle, triangle_db):
-        service = QueryService(triangle_db, p=8)
-        plan = service.compile(triangle)
+    def test_content_only_steps_are_shardable(self, triangle):
+        plan = compile_with("hypercube", triangle, 8)
         steps = [step for round_ in plan.rounds for step in round_.steps]
         assert steps and all(isinstance(step, HashRoute) for step in steps)
         assert all(step.shardable for step in steps)

@@ -29,7 +29,6 @@ from repro.mpc.simulator import (
     ColumnPool,
     ProtocolError,
 )
-from repro.serve.service import QueryService
 
 
 class TestResolveChunkRows:
@@ -246,8 +245,7 @@ class _BadStep:
 
 class TestRouteBlockCounts:
     def _plan_step_and_source(self, db, query_text="S1(x,y), S2(y,z)"):
-        service = QueryService(db, p=8)
-        plan = service.compile(parse_query(query_text))
+        plan = compile_hypercube(parse_query(query_text), p=8)
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 
@@ -272,8 +270,7 @@ class TestRouteBlockCounts:
 
 class TestMaterializeShard:
     def _contribution(self, db, chunk):
-        service = QueryService(db, p=8)
-        plan = service.compile(parse_query("S1(x,y), S2(y,z)"))
+        plan = compile_hypercube(parse_query("S1(x,y), S2(y,z)"), p=8)
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 
@@ -374,8 +371,7 @@ class TestChunkBoundaries:
         # routing; with chunk 1, every non-diagonal source row is a
         # block whose kept-row set is empty.
         query = parse_query("S1(x,x)")
-        service = QueryService(triangle_db, p=8)
-        plan = service.compile(query)
+        plan = compile_hypercube(query, p=8)
         step = plan.rounds[0].steps[0]
         from repro.engine.executor import _plan_sources
 

@@ -16,6 +16,7 @@ import pytest
 from repro import connect, oracle
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
+from repro.algorithms.registry import compile_with
 from repro.core.families import cycle_query, line_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
@@ -24,7 +25,6 @@ from repro.engine.executor import execute_plan
 from repro.engine.parallel.engine import ParallelContext
 from repro.engine.profile import RoundProfiler
 from repro.mpc.simulator import CapacityExceeded
-from repro.serve.service import QueryService
 from tests.conftest import assert_oracle_parity, capacity_failure
 
 CHUNKS = (1, 7, 1000, None)
@@ -98,7 +98,7 @@ class TestSerialParity:
 
 
 class TestServiceParity:
-    """The chunk_rows knob through QueryService, per algorithm."""
+    """The chunk_rows knob through a pinned session, per algorithm."""
 
     ALGORITHMS = (
         ("hypercube", {}),
@@ -118,16 +118,12 @@ class TestServiceParity:
     def test_parity_per_algorithm(
         self, triangle, database, algorithm, overrides, chunk
     ):
-        monolithic = QueryService(database, p=8)
-        streamed = QueryService(
-            database, p=8, chunk_rows=chunk
+        monolithic = connect(database, p=8, algorithm=algorithm)
+        streamed = connect(
+            database, p=8, algorithm=algorithm, chunk_rows=chunk
         )
-        expected = monolithic.execute(
-            triangle, algorithm=algorithm, **overrides
-        )
-        actual = streamed.execute(
-            triangle, algorithm=algorithm, **overrides
-        )
+        expected = monolithic.execute(triangle, **overrides)
+        actual = streamed.execute(triangle, **overrides)
         assert actual.answers == expected.answers
         assert actual.per_server == expected.per_server
         assert actual.algorithm == expected.algorithm
@@ -135,29 +131,33 @@ class TestServiceParity:
     def test_capacity_failure_is_bit_identical(self, triangle, database):
         failures = {}
         for chunk in (None, 4):
-            service = QueryService(
+            session = connect(
                 database,
                 p=8,
+                algorithm="hypercube",
                 capacity_c=0.001,
                 enforce_capacity=True,
                 chunk_rows=chunk,
             )
             with pytest.raises(CapacityExceeded) as info:
-                service.execute(triangle)
+                session.execute(triangle)
             failures[chunk] = info.value
             # The pooled simulator stays reusable after the
             # mid-stream abort: the next request fails identically
             # instead of tripping over a half-open round.
             with pytest.raises(CapacityExceeded) as again:
-                service.execute(triangle)
+                session.execute(triangle)
             assert again.value.worker == info.value.worker
         monolithic, streamed = failures[None], failures[4]
         assert streamed.worker == monolithic.worker
         assert streamed.received_bits == monolithic.received_bits
         assert streamed.capacity_bits == monolithic.capacity_bits
         assert streamed.round_index == monolithic.round_index
+        plan = compile_with(
+            "hypercube", triangle, 8, capacity_c=0.001, enforce_capacity=True
+        )
         assert capacity_failure(
-            lambda: oracle.execute_plan(service.compile(triangle), database)
+            lambda: oracle.execute_plan(plan, database)
         ) == (
             streamed.worker,
             streamed.received_bits,
@@ -175,11 +175,12 @@ class TestSessionParity:
         database = matching_database(self.VOCAB, n=50, rng=29)
         with connect(database, p=8) as monolithic:
             expected = monolithic.query("S1(x,y), S2(y,z)").execute()
+        profiler = RoundProfiler()
         with connect(
             database, p=8, chunk_rows=8
         ) as streamed:
-            assert streamed.service.chunk_rows == 8
-            actual = streamed.query("S1(x,y), S2(y,z)").execute()
+            actual = streamed.query("S1(x,y), S2(y,z)").execute(profiler)
+        assert _routed_blocks(profiler)
         assert actual.answers == expected.answers
         assert actual.per_server == expected.per_server
 

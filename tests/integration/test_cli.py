@@ -371,6 +371,17 @@ class TestServe:
         assert main([*command.split(), *query, "--p", "0"]) == 2
         assert "error: need p >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cache", ["plan", "result"])
+    def test_negative_cache_size_is_a_usage_error(
+        self, capsys, tmp_path, cache
+    ):
+        script = tmp_path / "script.txt"
+        script.write_text("exit\n", encoding="utf-8")
+        flags = ["--script", str(script), f"--{cache}-cache-size", "-7"]
+        assert main(["serve", *flags]) == 2
+        error = capsys.readouterr().err
+        assert f"error: need {cache}_cache_size >= 0, got -7" in error
+
 
 class TestQueryCommand:
     """The planner-backed front door from the command line."""

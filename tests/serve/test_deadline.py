@@ -18,7 +18,7 @@ from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.faults import BLOCK_DELAY_ENV, ROUND_DELAY_ENV
-from repro.serve.service import QueryService
+from tests.conftest import statement_deadline
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 TRIANGLE = "S1(x,y), S2(y,z), S3(z,x)"
@@ -168,12 +168,12 @@ class TestPrecedence:
         # failure wins deterministically.
         times = iter([0.0, 0.0, 0.0])
         clock = lambda: next(times, 10.0)  # noqa: E731
-        service = QueryService(
+        session = connect(
             _database(), p=8, capacity_c=0.001, enforce_capacity=True
         )
         deadline = Deadline(5.0, clock=clock)
-        with pytest.raises(CapacityExceeded):
-            service.execute(TRIANGLE, deadline=deadline)
+        with statement_deadline(deadline), pytest.raises(CapacityExceeded):
+            session.execute(TRIANGLE, deadline_ms=5.0)
         assert deadline.expired  # both conditions really held
 
     def test_expired_budget_at_entry_beats_cached_capacity_failure(
@@ -182,33 +182,35 @@ class TestPrecedence:
         from repro.mpc.simulator import CapacityExceeded
 
         clock = _FakeClock()
-        service = QueryService(
+        session = connect(
             _database(), p=8, capacity_c=0.001, enforce_capacity=True
         )
         # Memoize the capacity failure in the result cache.
         with pytest.raises(CapacityExceeded):
-            service.execute(TRIANGLE)
+            session.execute(TRIANGLE)
         # An already-expired budget must win over the cached
         # outcome -- checked before the result cache is consulted.
         expired = Deadline(10.0, clock=clock)
         clock.advance(1.0)
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            service.execute(TRIANGLE, deadline=expired)
+        with statement_deadline(expired), pytest.raises(
+            DeadlineExceeded
+        ) as excinfo:
+            session.execute(TRIANGLE, deadline_ms=10.0)
         assert excinfo.value.where == "at service entry"
-        assert service.stats.deadline_exceeded == 1
+        assert session.stats.deadline_exceeded == 1
 
     def test_deadline_outcome_is_never_cached(self, monkeypatch):
         monkeypatch.setenv(ROUND_DELAY_ENV, "30")
-        service = QueryService(_database(), p=8)
+        session = connect(_database(), p=8)
         with pytest.raises(DeadlineExceeded):
-            service.execute(PATH, deadline=Deadline(1.0))
-        executions = service.stats.executions
+            session.execute(PATH, deadline_ms=1.0)
+        executions = session.stats.executions
         monkeypatch.delenv(ROUND_DELAY_ENV)
         # The same statement with a fresh budget executes for real
         # (no memoized DeadlineExceeded) and succeeds.
-        result = service.execute(PATH, deadline=Deadline(60000))
+        result = session.execute(PATH, deadline_ms=60000)
         assert len(result.answers) == 60
-        assert service.stats.executions == executions + 1
+        assert session.stats.executions == executions + 1
 
 
 class TestSimulatorReuseParity:
@@ -235,7 +237,7 @@ class TestSimulatorReuseParity:
             monkeypatch.delenv(ROUND_DELAY_ENV)
             after = session.execute(PATH)
             assert after.answers == expected.answers
-            assert after.raw.per_server == expected.raw.per_server
+            assert after.per_server == expected.per_server
             # And again, to prove the pooled simulator stays healthy.
             assert session.execute(PATH).answers == expected.answers
         finally:

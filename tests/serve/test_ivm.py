@@ -20,10 +20,11 @@ from repro.data.versioned import (
     DatabaseDelta,
     VersionedDatabase,
 )
+from repro import connect
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.mpc.simulator import CapacityExceeded
-from repro.serve import QueryService
 from repro.engine.faults import WORKER_DEATH_ENV
+from tests.conftest import ivm_policy, statement_deadline
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
@@ -36,14 +37,15 @@ def _database(n=40, rng=7):
 
 
 def _pair(algorithm="hypercube", n=40, rng=7, **kwargs):
-    """Two services over identical data: IVM on, IVM off (control)."""
-    served = QueryService(
+    """Two pinned sessions over identical data: IVM on, IVM off
+    (control)."""
+    served = connect(
         _database(n=n, rng=rng),
         p=8,
         algorithm=algorithm,
         **kwargs,
     )
-    control = QueryService(
+    control = connect(
         _database(n=n, rng=rng),
         p=8,
         algorithm=algorithm,
@@ -53,10 +55,10 @@ def _pair(algorithm="hypercube", n=40, rng=7, **kwargs):
     return served, control
 
 
-def _fresh_rows(service, relation, count, avoid=()):
+def _fresh_rows(session, relation, count, avoid=()):
     """``count`` absent rows of ``relation`` within the domain."""
-    present = set(service.database[relation].rows()) | set(avoid)
-    domain = service.database.domain_size
+    present = set(session.database[relation].rows()) | set(avoid)
+    domain = session.database.domain_size
     rows = []
     for a in range(1, domain + 1):
         for b in range(1, domain + 1):
@@ -159,8 +161,8 @@ class TestMergeParity:
         )
         first = served.execute(TRIANGLE)
         repeat = served.execute(TRIANGLE)
-        assert first.ivm == "merged" and not first.result_hit
-        assert repeat.result_hit and repeat.ivm is None
+        assert first.ivm == "merged" and not first.cached
+        assert repeat.cached and repeat.ivm is None
         assert repeat.answers == first.answers
 
 
@@ -182,7 +184,8 @@ class TestFallbacks:
         _assert_parity(mine, control.execute(TWO_HOP))
 
     def test_delta_fraction_gate(self):
-        served, control = _pair(ivm_max_delta_fraction=0.0)
+        with ivm_policy(max_delta_fraction=0.0):
+            served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
         _apply_both(
@@ -207,7 +210,7 @@ class TestFallbacks:
     def test_history_gap_discards_state(self):
         served, _ = _pair()
         served.execute(TRIANGLE)
-        assert served.ivm_retained_states == 1
+        assert served.ivm.retained_states == 1
         for _ in range(DELTA_HISTORY_LIMIT + 2):
             served.apply_delta(DatabaseDelta.of())
         # Empty deltas fast-forward instead of gapping; force a gap
@@ -249,11 +252,12 @@ class TestFallbacks:
         _assert_parity(mine, control.execute(TRIANGLE))
 
     def test_byte_budget_rejects_capture(self):
-        served, control = _pair(ivm_max_bytes=1)
+        with ivm_policy(max_bytes=1):
+            served, control = _pair()
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
-        assert served.ivm_retained_states == 0
-        assert served.ivm_retained_bytes == 0
+        assert served.ivm.retained_states == 0
+        assert served.ivm.retained_bytes == 0
         _apply_both(
             served,
             control,
@@ -264,20 +268,20 @@ class TestFallbacks:
         _assert_parity(mine, control.execute(TRIANGLE))
 
     def test_ivm_disabled_reports_nothing(self):
-        service = QueryService(_database(), p=8, ivm=False)
-        service.execute(TRIANGLE)
-        service.update(inserts={"S1": _fresh_rows(service, "S1", 1)})
-        result = service.execute(TRIANGLE)
+        session = connect(_database(), p=8, ivm=False)
+        session.execute(TRIANGLE)
+        session.update(inserts={"S1": _fresh_rows(session, "S1", 1)})
+        result = session.execute(TRIANGLE)
         assert result.ivm is None
-        assert service.ivm is None
-        assert service.ivm_retained_bytes == 0
-        assert service.stats.ivm_hits == 0
+        assert session.ivm is None
+        assert session.stats_report()["service"]["ivm_retained_bytes"] == 0
+        assert session.stats.ivm_hits == 0
 
     def test_chunked_execution_is_not_captured(self):
         served, control = _pair(chunk_rows=8)
         served.execute(TRIANGLE)
         control.execute(TRIANGLE)
-        assert served.ivm_retained_states == 0
+        assert served.ivm.retained_states == 0
         _apply_both(
             served,
             control,
@@ -327,13 +331,12 @@ class TestCapacityParity:
     def _pair(self, capacity_c):
         common = dict(
             p=4,
+            algorithm="hypercube",
             capacity_c=capacity_c,
             enforce_capacity=True,
         )
-        served = QueryService(_skewed_database(), **common)
-        control = QueryService(
-            _skewed_database(), ivm=False, **common
-        )
+        served = connect(_skewed_database(), **common)
+        control = connect(_skewed_database(), ivm=False, **common)
         return served, control
 
     SKEW = tuple((20 + i, 1) for i in range(4))
@@ -344,16 +347,15 @@ class TestCapacityParity:
         the ceiling between their peak-load-to-capacity ratios."""
         ratios = []
         for extra in ((), self.SKEW):
-            probe = QueryService(
-                _skewed_database(extra=extra),
-                p=4,
-                enforce_capacity=False,
-            )
-            stats = probe.execute(TWO_HOP).report.rounds[0]
+            probe = connect(
+                _skewed_database(extra=extra), p=4, algorithm="hypercube"
+            ).execute(TWO_HOP)
+            stats = probe.report.rounds[0]
             ratios.append(max(stats.received_bits) / stats.capacity_bits)
         base_ratio, skew_ratio = ratios
         assert skew_ratio > base_ratio, "skew must concentrate load"
-        return probe.capacity_c * (base_ratio + skew_ratio) / 2
+        default_c = probe.plan.signature.capacity_c
+        return default_c * (base_ratio + skew_ratio) / 2
 
     def test_identical_capacity_exceeded(self):
         capacity_c = self._calibrate()
@@ -431,8 +433,10 @@ class TestDeadlineMidMerge:
         # merge -- after fragments were patched in temporaries.
         deadline = Deadline(2500.0, clock=_SteppingClock(1.0))
         exhausted = served.stats.deadline_exceeded
-        with pytest.raises(DeadlineExceeded) as error:
-            served.execute(TRIANGLE, deadline=deadline)
+        with statement_deadline(deadline), pytest.raises(
+            DeadlineExceeded
+        ) as error:
+            served.execute(TRIANGLE, deadline_ms=deadline.budget_ms)
         assert "ivm" in error.value.where
         assert served.stats.deadline_exceeded == exhausted + 1
         # Nothing committed: the same retained state serves the next
@@ -446,25 +450,25 @@ class TestNoopChaining:
     """Empty deltas chain caches instead of orphaning them."""
 
     def test_result_cache_survives_empty_update(self):
-        service = QueryService(_database(), p=8)
-        first = service.execute(TRIANGLE)
-        version = service.apply_delta(DatabaseDelta.of())
-        repeat = service.execute(TRIANGLE)
-        assert repeat.result_hit
+        session = connect(_database(), p=8)
+        first = session.execute(TRIANGLE)
+        version = session.apply_delta(DatabaseDelta.of())
+        repeat = session.execute(TRIANGLE)
+        assert repeat.cached
         assert repeat.version == version
         assert repeat.answers == first.answers
-        assert service.stats.executions == 1
+        assert session.stats.executions == 1
 
     def test_ineffective_delta_also_chains(self):
-        service = QueryService(_database(), p=8)
-        service.execute(TRIANGLE)
-        existing = next(iter(service.database["S1"].rows()))
-        service.update(
+        session = connect(_database(), p=8)
+        session.execute(TRIANGLE)
+        existing = next(iter(session.database["S1"].rows()))
+        session.update(
             inserts={"S1": [existing]},
             deletes={"S1": [(9999, 9999)]},
         )
-        assert service.execute(TRIANGLE).result_hit
-        assert service.stats.executions == 1
+        assert session.execute(TRIANGLE).cached
+        assert session.stats.executions == 1
 
     def test_retained_state_fast_forwards(self):
         served, control = _pair()
@@ -524,12 +528,10 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
         monkeypatch, "repro.engine.local.union_answer_tables"
     )
     database = matching_database(parse_query(L4), n=60, rng=7)
-    service = QueryService(
-        database, p=8, algorithm=algorithm
-    )
-    service.execute(query)
+    session = connect(database, p=8, algorithm=algorithm)
+    session.execute(query)
 
-    (state,) = service.ivm.store._states.values()
+    (state,) = session.ivm.store._states.values()
     sites = plan_sites(state.plan)
     assert len(sites) == (1 if algorithm == "hypercube" else 3)
     assert len(captures) == 1  # ... through the traced module attribute
@@ -545,8 +547,8 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
         ]
 
     before = site_tables()
-    service.update(inserts={"S1": _fresh_rows(service, "S1", 1)})
-    assert service.execute(query).ivm == "merged"
+    session.update(inserts={"S1": _fresh_rows(session, "S1", 1)})
+    assert session.execute(query).ivm == "merged"
     assert len(captures) == 1
     assert 0 < len(merge_joins) < len(before)
     assert len(merge_joins) == sum(
@@ -558,19 +560,13 @@ class TestSessionSurface:
     """IVM status flows through Session results and explains."""
 
     def test_result_and_explain_carry_ivm(self):
-        import repro
-
-        session = repro.connect(_database(), p=8)
+        session = connect(_database(), p=8)
         try:
             statement = session.query(TRIANGLE)
             before = statement.execute()
             assert before.ivm is None
             assert statement.explain().ivm is None
-            session.update(
-                inserts={
-                    "S1": _fresh_rows(session.service, "S1", 1)
-                }
-            )
+            session.update(inserts={"S1": _fresh_rows(session, "S1", 1)})
             after = statement.execute()
             assert after.ivm == "merged"
             assert after.explain.ivm == "merged"
@@ -580,9 +576,7 @@ class TestSessionSurface:
             session.close()
 
     def test_noop_update_keeps_planner_decisions(self):
-        import repro
-
-        session = repro.connect(_database(), p=8)
+        session = connect(_database(), p=8)
         try:
             statement = session.query(TRIANGLE)
             statement.execute()

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import Session, connect
 from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
@@ -30,9 +31,9 @@ from repro.core.families import (
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.engine.local import union_answer_tables
-from repro.serve import QueryService
 from repro.serve.ivm import IvmPolicy
 from repro.serve.ivm.state import RetainedState, SiteState, table_rows
+from tests.conftest import ivm_policy
 
 ALGORITHMS = ["hypercube", "multiround"]
 P = 8
@@ -142,8 +143,8 @@ def assert_same_state(state: RetainedState, expected: RetainedState):
     assert state.nbytes == expected.nbytes
 
 
-def _only_state(service: QueryService) -> RetainedState:
-    (state,) = service.ivm.store._states.values()
+def _only_state(session: Session) -> RetainedState:
+    (state,) = session.ivm.store._states.values()
     return state
 
 
@@ -157,11 +158,9 @@ def test_captured_state_equals_the_rejoin_oracle(query, algorithm):
         matching_database(query, n=30, rng=3),
         random_database(query, domain=9, rows_per_atom=24, rng=5),
     ):
-        service = QueryService(
-            database, p=P, algorithm=algorithm
-        )
-        result = service.execute(query)
-        state = _only_state(service)
+        session = connect(database, p=P, algorithm=algorithm)
+        result = session.execute(query)
+        state = _only_state(session)
         assert_same_state(state, rejoined(state))
         answers_site = (
             state.collect
@@ -215,12 +214,10 @@ def test_capture_plus_merges_equals_a_fresh_capture(
             ]
         )
 
-    served = QueryService(
-        build(dict(zip(names, rows))),
-        p=P,
-        algorithm=algorithm,
-        ivm_max_delta_fraction=1.0,
-    )
+    with ivm_policy(max_delta_fraction=1.0):
+        served = connect(
+            build(dict(zip(names, rows))), p=P, algorithm=algorithm
+        )
     served.execute(query)
     for kind, which, changed in deltas:
         name = names[which % len(names)]
@@ -232,7 +229,7 @@ def test_capture_plus_merges_equals_a_fresh_capture(
             served.execute(query)
     final = served.execute(query)
 
-    fresh = QueryService(
+    fresh = connect(
         build({name: served.database[name].rows() for name in names}),
         p=P,
         algorithm=algorithm,
@@ -241,9 +238,9 @@ def test_capture_plus_merges_equals_a_fresh_capture(
     # A mailbox key nothing was delivered into (an empty relation or
     # view) has no pool, and capture declines; a merge can still
     # empty one that was captured non-empty.
-    assume(served.ivm_retained_states == 1)
+    assume(served.ivm.retained_states == 1)
     state = _only_state(served)
     assert state.version == served.version
     assert_same_state(state, rejoined(state))
-    if fresh.ivm_retained_states:
+    if fresh.ivm.retained_states:
         assert_same_state(state, _only_state(fresh))

@@ -165,16 +165,20 @@ class TestRenderMetrics:
 
         return asyncio.run(body())
 
+    @staticmethod
+    def _samples(families):
+        return {
+            (name, tuple(sorted(labels.items()))): value
+            for family in families.values()
+            for name, labels, value in family["samples"]
+        }
+
     def test_exposition_parses_under_the_grammar(self):
         families = parse_exposition(self._serve_some_traffic())
         # Spot checks on the families the dashboards would sit on.
         assert families["repro_rpc_connections_total"]["type"] == "counter"
         assert families["repro_admission_inflight"]["type"] == "gauge"
-        samples = {
-            (name, tuple(sorted(labels.items()))): value
-            for family in families.values()
-            for name, labels, value in family["samples"]
-        }
+        samples = self._samples(families)
         assert (
             samples[("repro_rpc_requests_total", (("op", "query"),))] == 2
         )
@@ -200,8 +204,13 @@ class TestRenderMetrics:
             ]
             == 0
         )
-        # The version-0 execution still captures state for later.
-        assert samples[("repro_ivm_retained_states", ())] >= 0
+
+    def test_ivm_gauges_read_the_sessions_retained_state(self):
+        # The version-0 read is a full execution, so it captures state
+        # for later deltas; the gauges must see it, not a default 0.
+        samples = self._samples(parse_exposition(self._serve_some_traffic()))
+        assert samples[("repro_ivm_retained_states", ())] == 1
+        assert samples[("repro_ivm_retained_bytes", ())] > 0
 
     def test_histogram_families_are_cumulative_and_consistent(self):
         families = parse_exposition(self._serve_some_traffic())

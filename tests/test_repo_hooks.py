@@ -8,6 +8,7 @@ failing.  Both break silently, so they are pinned here.
 
 from __future__ import annotations
 
+import ast
 from importlib import import_module
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
@@ -40,3 +41,19 @@ def test_trace_target_resolves(span):
     if class_name is not None:
         owner = getattr(owner, class_name)
     assert callable(getattr(owner, attribute))
+
+
+def test_the_service_passes_the_profiler_by_keyword():
+    """The trace reads engine phases from ``kwargs["profiler"]``; a
+    positional profiler would null every ``engine.*_ms``."""
+    path = ROOT / "src" / "repro" / "serve" / "service.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "execute_plan"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) <= 2
+        assert "profiler" in {keyword.arg for keyword in call.keywords}

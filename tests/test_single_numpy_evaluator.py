@@ -48,6 +48,8 @@ DELETED = re.compile(
     r"|_row_ranges|_over_ranges|range_task|route_shard|count_shard"
     r"|_reassemble|RoutedStep|_eval_shards_parallel|min_rows"
     r"|parallel_rounds|fallback_rounds"
+    r"|ServiceResult|\.raw\.|ivm_max_bytes|ivm_max_delta_fraction"
+    r"|_compile_eps"
 )
 
 
@@ -101,9 +103,28 @@ def test_one_row_sort():
 
 
 def test_only_the_session_builds_a_query_service():
-    root = Path(repro.__file__).parent
+    import inspect
+
+    from repro.serve import service
+
+    repo = Path(__file__).resolve().parents[1]
+    sources = [
+        path
+        for tree in ("src", "tests", "benchmarks")
+        for path in sorted((repo / tree).rglob("*.py"))
+    ] + [repo / "README.md"]
+    construction = re.compile(r"QueryService\(")
     assert [
-        str(path.relative_to(root))
-        for path in sorted(root.rglob("*.py"))
-        for _ in range(path.read_text().count("QueryService("))
-    ] == ["api/session.py"]
+        path.relative_to(repo).as_posix()
+        for path in sources
+        for _ in construction.findall(path.read_text())
+    ] == ["src/repro/api/session.py"]
+    # The executor takes only what the session forwards, and serving
+    # has one front: no raw-service handle, no second write method.
+    parameters = inspect.signature(service.QueryService).parameters
+    assert len(parameters) <= 9
+    assert not hasattr(repro.Session, "service")
+    assert not hasattr(service.QueryService, "update")
+    assert not {"QueryService", "ServiceResult", "ServiceStats"} & set(
+        repro.serve.__all__
+    )

@@ -25,16 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable
 
 from repro.core.covers import fractional_vertex_cover, space_exponent
 from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery, QueryError
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.engine.plan import Plan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.planner.stats import DataProfile
 
 #: Extra weight a multi-round plan pays per communication round over a
 #: one-round algorithm (synchronisation barriers, view shipping).  At
@@ -59,6 +56,49 @@ _CAPACITY_DEFAULTS = {
     "multiround": 8.0,
     "partial": 4.0,
 }
+
+
+@dataclass(frozen=True)
+class DataProfile:
+    """What the planner knows about the data, and nothing more.
+
+    :func:`repro.planner.stats.collect_profile` builds it; the cost
+    models below read it.
+
+    Attributes:
+        relation_rows: per relation of the query, its cardinality.
+        total_rows: sum of the above (the paper's ``n`` stands in for
+            this in load formulas).
+        heavy_values: per variable, how many distinct heavy values the
+            skew sample found (a value is heavy when it appears more
+            often than ``|S| / share`` -- a balanced hash bucket).
+        heavy_multiplicities: per variable, the multiplicity of its
+            most frequent heavy value (scaled back up when sampled).
+        sampled: True when any relation was stride-sampled.
+        version: database version the profile was computed at (-1 when
+            the source had no version).
+    """
+
+    relation_rows: tuple[tuple[str, int], ...]
+    total_rows: int
+    heavy_values: tuple[tuple[str, int], ...]
+    heavy_multiplicities: tuple[tuple[str, int], ...]
+    sampled: bool
+    version: int = -1
+
+    def heavy_multiplicity(self, variable: str) -> int:
+        """Most frequent heavy multiplicity on ``variable`` (0 if none)."""
+        return dict(self.heavy_multiplicities).get(variable, 0)
+
+    @property
+    def has_skew(self) -> bool:
+        """True when any variable sampled a heavy value."""
+        return any(count for _, count in self.heavy_values)
+
+    @property
+    def max_rows(self) -> int:
+        """Largest relation cardinality."""
+        return max((rows for _, rows in self.relation_rows), default=0)
 
 
 @dataclass(frozen=True)
@@ -110,7 +150,7 @@ class AlgorithmSpec:
     name: str
     compile: Callable[..., Plan]
     cost: Callable[
-        [ConjunctiveQuery, "DataProfile", int, Fraction | None], CostEstimate
+        [ConjunctiveQuery, DataProfile, int, Fraction | None], CostEstimate
     ]
     default_capacity_c: float
     exact: bool = True
@@ -128,7 +168,7 @@ def _ineligible(reason: str) -> CostEstimate:
 
 
 def _hc_base(
-    query: ConjunctiveQuery, profile: "DataProfile", p: int
+    query: ConjunctiveQuery, profile: DataProfile, p: int
 ) -> tuple[float, tuple[tuple[str, int], ...], Fraction]:
     """(skew-free one-round load, integer shares, tau*) for HC routing."""
     cover = fractional_vertex_cover(query)
@@ -141,7 +181,7 @@ def _hc_base(
 
 def _hypercube_cost(
     query: ConjunctiveQuery,
-    profile: "DataProfile",
+    profile: DataProfile,
     p: int,
     eps: Fraction | None,
 ) -> CostEstimate:
@@ -178,7 +218,7 @@ def _hypercube_cost(
 
 def _skewaware_cost(
     query: ConjunctiveQuery,
-    profile: "DataProfile",
+    profile: DataProfile,
     p: int,
     eps: Fraction | None,
 ) -> CostEstimate:
@@ -218,7 +258,7 @@ def _skewaware_cost(
 
 def _multiround_cost(
     query: ConjunctiveQuery,
-    profile: "DataProfile",
+    profile: DataProfile,
     p: int,
     eps: Fraction | None,
 ) -> CostEstimate:
@@ -243,7 +283,7 @@ def _multiround_cost(
 
 def _partial_cost(
     query: ConjunctiveQuery,
-    profile: "DataProfile",
+    profile: DataProfile,
     p: int,
     eps: Fraction | None,
 ) -> CostEstimate:

@@ -15,15 +15,32 @@ cover itself into HyperCube share exponents.
 
 Everything here is exact: solutions are :class:`fractions.Fraction`
 vectors produced by the rational simplex in :mod:`repro.lp`.
+
+Both LPs depend on the query hypergraph alone, so each *shape* is
+solved once per process.  The memo key fixes the dense LP exactly --
+the number of variables plus, atom by atom in body order, the sorted
+head positions of the atom's variables -- because the LP orders its
+columns by head order and its rows by atom order.  A hit therefore
+returns the values a fresh solve would, bit for bit, mapped back to
+the query's own names by position: ``S1(a,b), S2(b,c)`` and
+``S7(x,y), S8(y,z)`` share one entry.  An entry holds ``tau*`` and the
+cover; the edge packing is solved on first request (only
+:func:`fractional_edge_packing` and :func:`analyze_covers` ask for
+it).  The memo is bounded to :data:`MEMO_CAP` shapes, oldest out
+first, and safe under concurrent callers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from repro.core.query import ConjunctiveQuery, QueryError
-from repro.lp import LinearProgram
+from repro.lp import LinearProgram, LPSolution
+
+#: Most query shapes the LP memo holds.
+MEMO_CAP = 4096
 
 
 def vertex_cover_program(query: ConjunctiveQuery) -> LinearProgram:
@@ -58,29 +75,77 @@ def edge_packing_program(query: ConjunctiveQuery) -> LinearProgram:
     return lp
 
 
+@dataclass(frozen=True)
+class _ShapeSolution:
+    """One memo entry: optima by position, not by name."""
+
+    tau: Fraction
+    #: optimal cover values in head order
+    cover: tuple[Fraction, ...]
+    #: optimal packing values in atom order (None until first asked)
+    packing: tuple[Fraction, ...] | None = None
+
+
+_MEMO: dict[tuple, _ShapeSolution] = {}
+_MEMO_LOCK = threading.Lock()
+
+
+def _shape_key(query: ConjunctiveQuery) -> tuple:
+    """What fixes both dense LPs: variable count + per-atom positions."""
+    index = {variable: i for i, variable in enumerate(query.variables)}
+    return len(index), tuple(
+        tuple(sorted(index[variable] for variable in atom.variable_set))
+        for atom in query.atoms
+    )
+
+
+def _optimal(program: LinearProgram, what: str) -> LPSolution:
+    solution = program.solve()
+    if not solution.is_optimal:  # pragma: no cover - both LPs are bounded
+        raise QueryError(f"{what} LP not optimal: {solution.status}")
+    return solution
+
+
+def _solved(query: ConjunctiveQuery, packing: bool = False) -> _ShapeSolution:
+    """The memo entry of ``query``'s shape, solving what it lacks."""
+    key = _shape_key(query)
+    with _MEMO_LOCK:
+        entry = _MEMO.get(key)
+        if entry is None:
+            solution = _optimal(vertex_cover_program(query), "vertex cover")
+            assert solution.objective is not None
+            entry = _ShapeSolution(
+                tau=solution.objective,
+                cover=tuple(solution.values[v] for v in query.variables),
+            )
+            if len(_MEMO) >= MEMO_CAP:
+                del _MEMO[next(iter(_MEMO))]
+            _MEMO[key] = entry
+        if packing and entry.packing is None:
+            solution = _optimal(edge_packing_program(query), "edge packing")
+            entry = replace(
+                entry,
+                packing=tuple(solution.values[a.name] for a in query.atoms),
+            )
+            _MEMO[key] = entry
+    return entry
+
+
 def fractional_vertex_cover(query: ConjunctiveQuery) -> dict[str, Fraction]:
     """An optimal fractional vertex cover ``v`` (by variable name)."""
-    solution = vertex_cover_program(query).solve()
-    if not solution.is_optimal:  # pragma: no cover - covering LPs are feasible
-        raise QueryError(f"vertex cover LP not optimal: {solution.status}")
-    return dict(solution.values)
+    return dict(zip(query.variables, _solved(query).cover))
 
 
 def fractional_edge_packing(query: ConjunctiveQuery) -> dict[str, Fraction]:
     """An optimal fractional edge packing ``u`` (by atom name)."""
-    solution = edge_packing_program(query).solve()
-    if not solution.is_optimal:  # pragma: no cover - packing LPs are feasible
-        raise QueryError(f"edge packing LP not optimal: {solution.status}")
-    return dict(solution.values)
+    packing = _solved(query, packing=True).packing
+    assert packing is not None
+    return dict(zip((atom.name for atom in query.atoms), packing))
 
 
 def covering_number(query: ConjunctiveQuery) -> Fraction:
     """The fractional covering number ``tau*(q)`` (exact)."""
-    solution = vertex_cover_program(query).solve()
-    if not solution.is_optimal:  # pragma: no cover
-        raise QueryError(f"vertex cover LP not optimal: {solution.status}")
-    assert solution.objective is not None
-    return solution.objective
+    return _solved(query).tau
 
 
 def space_exponent(query: ConjunctiveQuery) -> Fraction:
@@ -130,17 +195,14 @@ def analyze_covers(query: ConjunctiveQuery) -> CoverAnalysis:
         QueryError: if the primal and dual optima disagree, which with
             exact arithmetic would indicate a solver defect.
     """
-    cover_solution = vertex_cover_program(query).solve()
-    packing_solution = edge_packing_program(query).solve()
-    if not (cover_solution.is_optimal and packing_solution.is_optimal):
-        raise QueryError("cover/packing LP failed to solve")  # pragma: no cover
-    if cover_solution.objective != packing_solution.objective:
+    tau = covering_number(query)
+    cover = fractional_vertex_cover(query)
+    packing = fractional_edge_packing(query)
+    packing_value = sum(packing.values(), start=Fraction(0))
+    if tau != packing_value:
         raise QueryError(  # pragma: no cover - guarded by exactness
-            "strong duality violated: "
-            f"{cover_solution.objective} != {packing_solution.objective}"
+            f"strong duality violated: {tau} != {packing_value}"
         )
-    cover = dict(cover_solution.values)
-    packing = dict(packing_solution.values)
 
     packing_tight = all(
         sum(
@@ -158,8 +220,6 @@ def analyze_covers(query: ConjunctiveQuery) -> CoverAnalysis:
         == 1
         for variable in query.variables
     )
-    tau = cover_solution.objective
-    assert tau is not None
     return CoverAnalysis(
         tau_star=tau,
         vertex_cover=cover,

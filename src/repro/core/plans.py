@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from repro.core.covers import covering_number
 from repro.core.query import Atom, ConjunctiveQuery, QueryError
@@ -306,7 +305,7 @@ def _greedy_groups(
             subquery = _segment_query(candidate)
             if (
                 subquery.is_connected
-                and _cached_tau(candidate) <= threshold
+                and covering_number(subquery) <= threshold
             ):
                 end += 1
             else:
@@ -314,11 +313,6 @@ def _greedy_groups(
         groups.append(sequence[start:end])
         start = end
     return tuple(groups)
-
-
-@lru_cache(maxsize=4096)
-def _cached_tau(segments: tuple[_Segment, ...]) -> Fraction:
-    return covering_number(_segment_query(segments))
 
 
 def _ordered_union(segments: tuple[_Segment, ...]) -> tuple[str, ...]:

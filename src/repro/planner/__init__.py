@@ -5,6 +5,8 @@ Splits into two halves:
 * :mod:`repro.planner.stats` -- cheap, data-dependent statistics: a
   :class:`DataProfile` of relation cardinalities and skew samples
   (heavy-hitter detection under the query's own HyperCube shares).
+  The dataclass itself lives beside the cost models that read it, in
+  :mod:`repro.algorithms.registry`, and is re-exported here.
 * :mod:`repro.planner.planner` -- the data-independent choice: every
   registered algorithm's declared cost model
   (:mod:`repro.algorithms.registry`) bids under the profile and the
@@ -13,6 +15,7 @@ Splits into two halves:
   paper's bounds, every candidate's reason).
 """
 
+from repro.algorithms.registry import DataProfile
 from repro.planner.planner import (
     Candidate,
     Explain,
@@ -20,7 +23,7 @@ from repro.planner.planner import (
     PlannerChoice,
     PlannerStats,
 )
-from repro.planner.stats import DataProfile, collect_profile
+from repro.planner.stats import collect_profile
 
 __all__ = [
     "Candidate",

@@ -6,7 +6,7 @@ them automatically so callers never have to name an algorithm:
 
 1. collect every registered algorithm's :class:`CostEstimate` from its
    declared cost model (:mod:`repro.algorithms.registry`), fed by the
-   statement's :class:`~repro.planner.stats.DataProfile`;
+   statement's :class:`~repro.algorithms.registry.DataProfile`;
 2. drop ineligible bids (one-round algorithms below the query's space
    exponent, inexact algorithms unless the statement opted in, plans
    that do not exist at the requested ``eps``);
@@ -27,13 +27,13 @@ from fractions import Fraction
 
 from repro.algorithms.registry import (
     CostEstimate,
+    DataProfile,
     algorithm_names,
     get_algorithm,
 )
 from repro.core.bounds import round_lower_bound, round_upper_bound
-from repro.core.covers import covering_number, space_exponent
+from repro.core.covers import covering_number
 from repro.core.query import ConjunctiveQuery, QueryError
-from repro.planner.stats import DataProfile
 
 #: Preference order for cost ties (the paper's defaults first).
 _TIE_ORDER = ("hypercube", "skewaware", "multiround", "partial")
@@ -333,7 +333,7 @@ class Planner:
 
         chosen_bid = estimates[chosen]
         tau = covering_number(query)
-        query_eps = space_exponent(query)
+        query_eps = 1 - 1 / tau
         eps_effective = self._effective_eps(chosen, eps, query_eps)
         round_bounds: tuple[int, int] | None = None
         if query.is_connected and eps_effective is not None:

@@ -1,6 +1,7 @@
 """Cheap data statistics the planner reads before choosing a route.
 
-A :class:`DataProfile` is the planner's whole view of the data:
+A :class:`~repro.algorithms.registry.DataProfile` (defined beside the
+cost models that read it) is the planner's whole view of the data:
 relation cardinalities plus a *skew sample* -- the heavy-hitter scan
 of :func:`repro.algorithms.skewaware.detect_heavy_hitters` run under
 the query's own HyperCube shares, on a deterministic stride sample
@@ -16,11 +17,10 @@ predicted load rises to the full multiplicity, skew-aware's only to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
+from repro.algorithms.registry import DataProfile
 from repro.algorithms.skewaware import detect_heavy_hitters
-from repro.core.covers import fractional_vertex_cover
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import ColumnarRelation
@@ -28,45 +28,11 @@ from repro.data.columnar import ColumnarRelation
 #: Relations beyond this many rows are profiled on a stride sample.
 SAMPLE_CAP = 100_000
 
-
-@dataclass(frozen=True)
-class DataProfile:
-    """What the planner knows about the data, and nothing more.
-
-    Attributes:
-        relation_rows: per relation of the query, its cardinality.
-        total_rows: sum of the above (the paper's ``n`` stands in for
-            this in load formulas).
-        heavy_values: per variable, how many distinct heavy values the
-            skew sample found (a value is heavy when it appears more
-            often than ``|S| / share`` -- a balanced hash bucket).
-        heavy_multiplicities: per variable, the multiplicity of its
-            most frequent heavy value (scaled back up when sampled).
-        sampled: True when any relation was stride-sampled.
-        version: database version the profile was computed at (-1 when
-            the source had no version).
-    """
-
-    relation_rows: tuple[tuple[str, int], ...]
-    total_rows: int
-    heavy_values: tuple[tuple[str, int], ...]
-    heavy_multiplicities: tuple[tuple[str, int], ...]
-    sampled: bool
-    version: int = -1
-
-    def heavy_multiplicity(self, variable: str) -> int:
-        """Most frequent heavy multiplicity on ``variable`` (0 if none)."""
-        return dict(self.heavy_multiplicities).get(variable, 0)
-
-    @property
-    def has_skew(self) -> bool:
-        """True when any variable sampled a heavy value."""
-        return any(count for _, count in self.heavy_values)
-
-    @property
-    def max_rows(self) -> int:
-        """Largest relation cardinality."""
-        return max((rows for _, rows in self.relation_rows), default=0)
+#: The nominal worker count of the profiling shares.  A profile is
+#: collected once per (query, version) and consulted for any ``p``, so
+#: the heavy-hitter threshold uses a fixed grid -- skew strong enough
+#: to matter shows up at any reasonable share split.
+PROFILE_P = 16
 
 
 def _stride_sample(relation: ColumnarRelation, cap: int) -> ColumnarRelation:
@@ -101,10 +67,7 @@ def collect_profile(
         sample_cap: stride-sample relations beyond this many rows.
         version: recorded verbatim on the profile (cache stamping).
     """
-    cover = fractional_vertex_cover(query)
-    shares = allocate_integer_shares(
-        share_exponents(query, cover), p=_profile_p(query, cover)
-    ).shares
+    shares = allocate_integer_shares(share_exponents(query), PROFILE_P).shares
 
     sampled = False
     sources: dict[str, ColumnarRelation] = {}
@@ -146,17 +109,6 @@ def collect_profile(
         sampled=sampled,
         version=version,
     )
-
-
-def _profile_p(query: ConjunctiveQuery, cover: Mapping) -> int:
-    """A nominal worker count for the profiling shares.
-
-    The profile is collected once per (query, version) and consulted
-    for any ``p``, so the heavy-hitter threshold uses a fixed nominal
-    grid (16 workers) -- skew strong enough to matter shows up at any
-    reasonable share split.
-    """
-    return 16
 
 
 def _heavy_multiplicities(

@@ -10,6 +10,7 @@ from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
 from repro.algorithms.partial import compile_partial_hypercube
 from repro.algorithms.registry import (
+    DataProfile,
     algorithm_names,
     compile_with,
     get_algorithm,
@@ -17,7 +18,6 @@ from repro.algorithms.registry import (
 from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
-from repro.planner.stats import DataProfile
 
 
 def _profile(query, rows_per_relation=100, heavy=()):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core import covers
 from repro.core.covers import (
     analyze_covers,
     covering_number,
@@ -149,6 +150,43 @@ class TestAnalyzeCovers:
             primal = vertex_cover_program(query).solve().objective
             dual = edge_packing_program(query).solve().objective
             assert analysis.tau_star == primal == dual
+
+
+class TestShapeMemo:
+    def test_isomorphic_renamings_share_one_entry(self, monkeypatch):
+        monkeypatch.setattr(covers, "_MEMO", {})
+        first = parse_query("S1(a,b), S2(b,c)")
+        second = parse_query("S7(x,y), S8(y,z)")
+        assert fractional_vertex_cover(second) == {"x": 0, "y": 1, "z": 0}
+        assert fractional_vertex_cover(first) == {"a": 0, "b": 1, "c": 0}
+        assert len(covers._MEMO) == 1
+
+    def test_packing_is_solved_only_when_asked(self, monkeypatch):
+        monkeypatch.setattr(covers, "_MEMO", {})
+        query = cycle_query(4)
+        covering_number(query)
+        (entry,) = covers._MEMO.values()
+        assert entry.packing is None
+        assert sum(fractional_edge_packing(query).values()) == 2
+        (entry,) = covers._MEMO.values()
+        assert entry.packing is not None
+
+    def test_filling_past_the_cap_keeps_the_cap(self, monkeypatch):
+        assert covers.MEMO_CAP == 4096
+        monkeypatch.setattr(covers, "_MEMO", {})
+        monkeypatch.setattr(covers, "MEMO_CAP", 5)
+        queries = [line_query(k) for k in range(1, 10)]
+        for query in queries:
+            covering_number(query)
+            assert len(covers._MEMO) <= 5
+        assert len(covers._MEMO) == 5
+        # The oldest shapes went first; every answer is still exact.
+        assert covers._shape_key(queries[-1]) in covers._MEMO
+        assert covers._shape_key(queries[0]) not in covers._MEMO
+        assert [covering_number(q) for q in queries] == [
+            1, 1, 2, 2, 3, 3, 4, 4, 5
+        ]
+        assert len(covers._MEMO) == 5
 
 
 class TestCorollary310:

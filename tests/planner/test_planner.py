@@ -14,10 +14,12 @@ from fractions import Fraction
 import pytest
 
 from repro import connect
+from repro.core import covers
 from repro.core.query import QueryError, parse_query
 from repro.data.columnar import columnar_database
 from repro.data.generators import skewed_database
 from repro.data.matching import matching_database
+from repro.lp import ExactSimplex
 from repro.planner import Planner, collect_profile
 from tests.conftest import run_pinned
 
@@ -230,3 +232,56 @@ class TestDataProfile:
             1, full.heavy_multiplicity("y")
         )
         assert 0.5 <= ratio <= 2.0
+
+
+#: The update_read workload's nine shapes over the C3 vocabulary.
+UPDATE_READ_SHAPES = (
+    "S1(x,y)",
+    "S1(x,y), S2(y,z)",
+    "S1(x,y), S2(x,z)",
+    "S1(x,y), S3(y,x)",
+    "S1(x,y), S2(x,y)",
+    "S1(x,y), S2(y,z), S3(z,x)",
+    "S1(x,y), S2(y,z), S3(z,w)",
+    "S1(x,y), S2(y,z), S3(y,w)",
+    "S1(x,y), S2(x,z), S3(x,w)",
+)
+
+
+class TestLpSolvesPerShape:
+    def test_post_update_reads_solve_no_lp(self, triangle, monkeypatch):
+        """Each shape's LP is solved once per process, not per version."""
+        monkeypatch.setattr(covers, "_MEMO", {})
+        solves = []
+        solve = ExactSimplex.solve
+
+        def spy(self):
+            solves.append(1)
+            return solve(self)
+
+        monkeypatch.setattr(ExactSimplex, "solve", spy)
+        database = matching_database(triangle, n=200, rng=0)
+        present = set(database["S1"].tuples)
+        absent = [
+            (a, b)
+            for a in range(1, database.domain_size + 1)
+            for b in range(1, database.domain_size + 1)
+            if (a, b) not in present
+        ]
+        session = connect(database, p=16)
+        per_version = []
+        for version in range(3):
+            if version:
+                session.update(inserts={"S1": [absent[version]]})
+            before = len(solves)
+            for shape in UPDATE_READ_SHAPES:
+                assert session.execute(shape).version == version
+            per_version.append(len(solves) - before)
+        assert per_version[0] > 0
+        assert per_version[1:] == [0, 0]
+        # One solve per distinct shape met, and no packing LP on the
+        # planning path.
+        assert len(solves) == len(covers._MEMO)
+        assert all(
+            entry.packing is None for entry in covers._MEMO.values()
+        )

@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.characteristic import characteristic, contract
 from repro.core.covers import (
+    _shape_key,
     covering_number,
+    edge_packing_program,
     fractional_edge_packing,
     fractional_vertex_cover,
     is_fractional_edge_packing,
     is_fractional_vertex_cover,
+    vertex_cover_program,
 )
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import share_exponents
@@ -71,6 +74,68 @@ class TestCoveringInvariants:
         exponents = share_exponents(query)
         assert sum(exponents.values()) == Fraction(1)
         assert all(value >= 0 for value in exponents.values())
+
+
+def _distinct_names(draw, prefix, count):
+    numbers = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=10**6),
+            min_size=count,
+            max_size=count,
+            unique=True,
+        )
+    )
+    return [f"{prefix}{number}" for number in numbers]
+
+
+def _assert_equals_fresh_solve(query):
+    cover = vertex_cover_program(query).solve()
+    packing = edge_packing_program(query).solve()
+    assert covering_number(query) == cover.objective
+    assert fractional_vertex_cover(query) == cover.values
+    assert list(fractional_vertex_cover(query)) == list(query.variables)
+    assert fractional_edge_packing(query) == packing.values
+
+
+class TestCoverMemo:
+    """The shape memo answers exactly what a fresh solve would."""
+
+    @given(connected_queries(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_renamed_and_permuted_queries_match_fresh_solves(
+        self, query, data
+    ):
+        relations = dict(
+            zip(
+                (atom.name for atom in query.atoms),
+                _distinct_names(data.draw, "R", query.num_atoms),
+            )
+        )
+        variables = dict(
+            zip(
+                query.variables,
+                _distinct_names(data.draw, "x", query.num_variables),
+            )
+        )
+        atoms = tuple(
+            Atom(
+                relations[atom.name],
+                tuple(variables[v] for v in atom.variables),
+            )
+            for atom in query.atoms
+        )
+        renamed = ConjunctiveQuery(
+            atoms, head=tuple(variables[v] for v in query.variables)
+        )
+        permuted = ConjunctiveQuery(
+            atoms, head=data.draw(st.permutations(renamed.variables))
+        )
+        # Fill the entry from the original names first, so the renamed
+        # query (same shape key) is served by the memo.
+        _assert_equals_fresh_solve(query)
+        assert _shape_key(renamed) == _shape_key(query)
+        _assert_equals_fresh_solve(renamed)
+        _assert_equals_fresh_solve(permuted)
 
 
 class TestCharacteristicInvariants:

@@ -40,7 +40,8 @@ an idle-worker queue):
   only ever reach workers already at that version (see
   :meth:`SessionWorkerPool.apply_delta`).  Updated relations become
   worker-local copies (copy-on-write against the shared snapshot).
-* ``stats`` / ``close`` -- introspection and shutdown; ``close``
+* ``stats`` / ``close`` -- the worker session's instrument snapshot
+  (which the parent folds into fleet totals) and shutdown; ``close``
   replies with the worker's peak RSS so process-tree memory
   accounting (:data:`WORKER_PEAK_RSS`) can include executors that no
   longer exist.
@@ -53,16 +54,14 @@ depends on children.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import threading
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.engine.parallel.shm import (
-    DatabaseExport,
-    SharedColumnStore,
-    export_snapshot,
-)
+from repro.serve.metrics import counter, gauge
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.parallel.shm import DatabaseExport
 
 #: Peak RSS (bytes) reported by fan-out workers as they closed, for
 #: process-tree benchmark accounting after the processes are gone.
@@ -168,7 +167,9 @@ def _worker_main(
                         ("error", (type(error).__name__, str(error)))
                     )
             elif op == "stats":
-                connection.send(("stats", session.stats))
+                readings = session.stats_snapshot()
+                values = {key: value for key, (_, value) in readings.items()}
+                connection.send(("stats", values))
             elif op == "close":
                 peak = (
                     resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -228,6 +229,18 @@ class SessionWorkerPool:
             than silently ignored.
     """
 
+    stats_section = "parallel"
+    stats_prefix = "fanout_"
+    workers = gauge("fanout_workers", "Configured fan-out worker processes.")
+    queries = counter(
+        "fanout_queries_total", "Statements dispatched to fan-out workers."
+    )
+    #: Workers that ignored the shutdown join and had to be killed.
+    killed_stragglers = counter(
+        "fanout_killed_stragglers_total",
+        "Workers that had to be killed at shutdown.",
+    )
+
     def __init__(
         self,
         database: Any,
@@ -243,19 +256,24 @@ class SessionWorkerPool:
             raise ValueError(
                 f"need join_timeout > 0, got {join_timeout}"
             )
+        # Imported here so that a session without fan-out (which still
+        # reads this class's declared zeros) never loads multiprocessing.
+        import multiprocessing
+
+        import repro.engine.parallel.shm as shm
+
         self.workers = workers
         self.join_timeout = float(join_timeout)
         self.broken = False
         self._closed = False
         self.queries = 0
-        #: Workers that ignored the shutdown join and had to be killed.
         self.killed_stragglers = 0
         #: Guards ``queries``: N dispatcher threads bump it.
         self._stats_lock = threading.Lock()
-        self._store = SharedColumnStore(prefix="reprofan")
+        self._store = shm.SharedColumnStore(prefix="reprofan")
         worker_options = dict(options)
         worker_options["workers"] = 1
-        export = export_snapshot(
+        export = shm.export_snapshot(
             database.snapshot, self._store, version=database.version
         )
         context = multiprocessing.get_context("spawn")
@@ -284,7 +302,11 @@ class SessionWorkerPool:
         for index in range(workers):
             self._idle.put(index)
 
-    @property
+    @gauge(
+        "fanout_usable",
+        "Whether the fan-out pool can still dispatch (1 = yes).",
+        zero=False,
+    )
     def usable(self) -> bool:
         """Whether queries can still be dispatched.
 
@@ -303,7 +325,7 @@ class SessionWorkerPool:
             return False
         return True
 
-    @property
+    @gauge("fanout_alive_workers", "Fan-out worker processes currently alive.")
     def alive_workers(self) -> int:
         """Worker processes currently alive (liveness gauge)."""
         return sum(
@@ -433,8 +455,10 @@ class SessionWorkerPool:
         finally:
             self._release_all(indices)
 
-    def worker_stats(self) -> list[Any]:
-        """Each worker's session stats (idle workers polled in turn)."""
+    def worker_stats(self) -> list[dict]:
+        """Each worker session's snapshot values, keyed like
+        :func:`repro.serve.metrics.snapshot` (waits for every worker to
+        be idle; empty once the pool is broken)."""
         if not self.usable:
             return []
         stats = []

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
+from repro.api.fanout import FanoutBroken, SessionWorkerPool
 from repro.core.query import ConjunctiveQuery, parse_query
 from repro.data.columnar import (
     ColumnarDatabase,
@@ -45,6 +46,7 @@ from repro.data.columnar import (
 from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import RoundProfiler
+from repro.engine.faults import active_faults
 from repro.planner import (
     DataProfile,
     Explain,
@@ -55,6 +57,7 @@ from repro.planner import (
 )
 from repro.serve.cache import LRUCache
 from repro.serve.ivm import IvmManager
+from repro.serve.metrics import Snapshot, fold, gauge, snapshot, stats_dict
 from repro.serve.service import QueryService, Result, ServiceStats
 
 #: Sentinel: "the session default", distinct from an explicit None.
@@ -284,8 +287,6 @@ class Session:
         self.workers = workers
         self._fanout: Any = None
         if workers >= 2:
-            from repro.api.fanout import SessionWorkerPool
-
             # The worker sessions replay these options verbatim, so
             # their planner/caches behave identically to this one.
             options = dict(
@@ -439,10 +440,17 @@ class Session:
         """The session's versioned database."""
         return self._service.database
 
-    @property
+    @gauge("database_version", "Current database version.")
     def version(self) -> int:
         """Current database version."""
         return self._service.version
+
+    @gauge(
+        "faults_active", "Whether any REPRO_FAULT_* injection knob is set."
+    )
+    def faults_active(self) -> bool:
+        """Whether any ``REPRO_FAULT_*`` injection knob is set."""
+        return active_faults().any_active
 
     @property
     def p(self) -> int:
@@ -451,7 +459,8 @@ class Session:
 
     @property
     def stats(self) -> ServiceStats:
-        """Serving counters (cache hits, evictions, phases)."""
+        """This process's serving counters (cache hits, evictions,
+        phases); :meth:`stats_report` adds fan-out workers' counts."""
         return self._service.stats
 
     @property
@@ -465,59 +474,29 @@ class Session:
         """The statement fan-out pool, or None (introspection/stats)."""
         return self._fanout
 
-    def stats_report(self) -> dict:
-        """Service, fan-out and planner counters as one JSON-ready dict.
+    def stats_snapshot(self) -> Snapshot:
+        """Every instrument the session declares (see
+        :mod:`repro.serve.metrics`).  With fan-out, the service, IVM
+        and planner counts are fleet totals: each worker's snapshot is
+        added in, after waiting for the workers to be idle."""
+        service = self._service
+        readings = snapshot(
+            service.stats,
+            service.stats.plans,
+            service.ivm or IvmManager,
+            self.planner_stats,
+        )
+        if self._fanout is not None:
+            for values in self._fanout.worker_stats():
+                fold(readings, values)
+        readings.update(snapshot(self._fanout or SessionWorkerPool, self))
+        return readings
 
-        The stats table of the serving stack: the RPC ``stats`` op
-        returns these sections beside its own ``rpc`` / ``admission``
-        ones, and the REPL's ``stats`` command prints them.
-        """
-        service = self._service.stats
-        planner = self.planner_stats
-        fanout = self._fanout
-        ivm = self._service.ivm
-        return {
-            "service": {
-                "requests": service.requests,
-                "executions": service.executions,
-                "result_hits": service.result_hits,
-                # Always 0: benchmarks/e2e/metrics.py indexes these keys.
-                "routing_hits": 0,
-                "routing_misses": 0,
-                "routing_evictions": 0,
-                "result_evictions": service.result_evictions,
-                "plan_hits": service.plans.hits,
-                "plan_isomorphic_hits": service.plans.isomorphic_hits,
-                "plan_misses": service.plans.misses,
-                "plan_evictions": service.plans.evictions,
-                "updates": service.updates,
-                "answers_served": service.answers_served,
-                "capacity_failures": service.capacity_failures,
-                "deadline_exceeded": service.deadline_exceeded,
-                "ivm_hits": service.ivm_hits,
-                "ivm_fallbacks": service.ivm_fallbacks,
-                "ivm_retained_bytes": ivm.retained_bytes if ivm else 0,
-                "ivm_retained_states": ivm.retained_states if ivm else 0,
-            },
-            "parallel": {
-                "fanout_workers": fanout.workers if fanout else 0,
-                "fanout_usable": bool(fanout and fanout.usable),
-                "fanout_queries": fanout.queries if fanout else 0,
-                "fanout_alive_workers": (
-                    fanout.alive_workers if fanout else 0
-                ),
-                "fanout_killed_stragglers": (
-                    fanout.killed_stragglers if fanout else 0
-                ),
-            },
-            "planner": {
-                "decisions": planner.decisions,
-                "pinned": planner.pinned,
-                "decision_cache_hits": planner.decision_cache_hits,
-                "by_algorithm": dict(planner.by_algorithm or {}),
-            },
-            "version": self.version,
-        }
+    def stats_report(self) -> dict:
+        """The session's stats as one JSON-ready dict: the RPC
+        ``stats`` op returns these sections beside the server's own,
+        and the REPL's ``stats`` command prints them."""
+        return stats_dict(self.stats_snapshot())
 
     def close(self) -> None:
         """Release cached state, worker processes and shared segments.
@@ -590,8 +569,6 @@ class Session:
             and profiler is None  # profiled runs stay local: the
             # caller wants *this* process's phase timings.
         ):
-            from repro.api.fanout import FanoutBroken
-
             try:
                 return self._fanout.execute(
                     statement.query,

@@ -391,15 +391,14 @@ def _repl_line(session, line: str, out) -> bool:
             )
             print(f"v{version}: {command}d {len(rows)} rows in {relation}", file=out)
         elif command == "stats":
-            # The dict the RPC ``stats`` op returns, one row per counter.
-            report = session.stats_report()
-            version = report.pop("version")
-            rows = [
-                [f"{section}.{counter}", value]
-                for section, counters in report.items()
-                for counter, value in counters.items()
-            ]
-            rows.append(["version", version])
+            # The session's part of the RPC ``stats`` reply, one row
+            # per instrument: ``section.key``, or a top-level key.
+            rows = []
+            for name, value in session.stats_report().items():
+                if isinstance(value, dict):
+                    rows += [[f"{name}.{key}", v] for key, v in value.items()]
+                else:
+                    rows.append([name, value])
             print(format_table(["counter", "value"], rows), file=out)
         else:
             print(f"error: unknown command {command!r} "

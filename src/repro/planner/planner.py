@@ -34,6 +34,7 @@ from repro.algorithms.registry import (
 from repro.core.bounds import round_lower_bound, round_upper_bound
 from repro.core.covers import covering_number
 from repro.core.query import ConjunctiveQuery, QueryError
+from repro.serve.metrics import counter
 
 #: Preference order for cost ties (the paper's defaults first).
 _TIE_ORDER = ("hypercube", "skewaware", "multiround", "partial")
@@ -208,14 +209,25 @@ class PlannerChoice:
 class PlannerStats:
     """Counters for observability: what the planner has been choosing."""
 
-    decisions: int = 0
-    pinned: int = 0
-    decision_cache_hits: int = 0
-    by_algorithm: dict[str, int] | None = None
+    stats_section = "planner"
+
+    decisions: int = counter(
+        "planner_decisions_total", "Fresh planner decisions."
+    ).field()
+    pinned: int = counter(
+        "planner_pinned_total", "Decisions pinned to one algorithm."
+    ).field()
+    decision_cache_hits: int = counter(
+        "planner_decision_cache_hits_total",
+        "Statements served by a cached planner decision.",
+    ).field()
+    by_algorithm: dict[str, int] = counter(
+        "planner_choices_total",
+        "Planner decisions, by chosen algorithm.",
+        label="algorithm",
+    ).field(dict)
 
     def record(self, choice: PlannerChoice) -> None:
-        if self.by_algorithm is None:
-            self.by_algorithm = {}
         self.decisions += 1
         if choice.explain.pinned:
             self.pinned += 1

@@ -21,8 +21,9 @@ Two mechanisms, composed by :class:`~repro.serve.rpc.RpcServer`:
   ``client_id``, so one chatty client cannot starve the rest of the
   admission queue.
 
-Both are plain asyncio-single-threaded state: every touch happens on
-the server's event loop, so no locks are needed.
+Both are plain asyncio-single-threaded state: every write happens on
+the server's event loop, so no locks are needed (the stats views only
+read the counters, from the server's control thread).
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.serve.metrics import counter, gauge
 
 
 class ServerOverloaded(Exception):
@@ -61,10 +64,20 @@ class ServerOverloaded(Exception):
 class AdmissionStats:
     """Lifetime counters of one admission queue."""
 
-    admitted: int = 0
-    shed: int = 0
-    peak_inflight: int = 0
-    peak_queued: int = 0
+    stats_section = "admission"
+
+    admitted: int = counter(
+        "admission_admitted_total", "Queries granted an execution slot."
+    ).field()
+    shed: int = counter(
+        "admission_shed_total", "Queries shed because the queue was full."
+    ).field()
+    peak_inflight: int = gauge(
+        "admission_peak_inflight", "Most queries ever executing at once."
+    ).field()
+    peak_queued: int = gauge(
+        "admission_peak_queued", "Most queries ever waiting at once."
+    ).field()
 
 
 class AdmissionQueue:
@@ -76,6 +89,13 @@ class AdmissionQueue:
             ``max_queue + 1``-th waiter is shed with
             :class:`ServerOverloaded` instead of queued.
     """
+
+    stats_section = "admission"
+    max_inflight = gauge(
+        "admission_limit_inflight",
+        "Configured max_inflight (0 = admission control off).",
+    )
+    max_queue = gauge("admission_limit_queue", "Configured max_queue.")
 
     def __init__(self, max_inflight: int, max_queue: int = 0) -> None:
         if max_inflight < 1:
@@ -90,12 +110,25 @@ class AdmissionQueue:
         self._inflight = 0
         self._waiters: deque[asyncio.Future] = deque()
 
-    @property
+    @gauge(
+        "admission_enabled",
+        "Whether admission control is on (1 = yes).",
+        zero=False,
+    )
+    def enabled(self) -> bool:
+        """True: a server without admission control has no queue."""
+        return True
+
+    @gauge(
+        "admission_inflight", "Queries currently holding an execution slot."
+    )
     def inflight(self) -> int:
         """Requests currently holding an execution slot."""
         return self._inflight
 
-    @property
+    @gauge(
+        "admission_queued", "Queries currently waiting for an execution slot."
+    )
     def queued(self) -> int:
         """Requests currently waiting for a slot."""
         return len(self._waiters)

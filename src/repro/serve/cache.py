@@ -29,6 +29,7 @@ from typing import Any, Callable
 from repro.core.isomorphism import find_query_isomorphism
 from repro.core.query import ConjunctiveQuery
 from repro.engine.plan import Plan
+from repro.serve.metrics import counter
 
 
 class LRUCache:
@@ -202,27 +203,30 @@ class _Entry:
     bucket_key: tuple | None = None
 
 
+#: Size-cap evictions of the plan cache and the service's result cache.
+CACHE_EVICTIONS = counter(
+    "service_cache_evictions_total", "Size-cap evictions, by cache layer."
+)
+PLAN_HITS = counter(
+    "service_plan_hits_total",
+    "Plan-cache hits, by match (exact text or isomorphic variant).",
+)
+
+
 @dataclass
 class PlanCacheStats:
     """Counters a long-lived service exposes for observability."""
 
-    hits: int = 0
-    isomorphic_hits: int = 0
-    misses: int = 0
-    evictions: int = 0
+    stats_section = "service"
+    stats_prefix = "plan_"
 
-    @property
-    def lookups(self) -> int:
-        """Total lookups answered."""
-        return self.hits + self.isomorphic_hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups that avoided compilation."""
-        lookups = self.lookups
-        return (
-            (self.hits + self.isomorphic_hits) / lookups if lookups else 0.0
-        )
+    hits: int = PLAN_HITS.field(match="exact")
+    isomorphic_hits: int = PLAN_HITS.field(match="isomorphic")
+    misses: int = counter(
+        "service_plan_compiles_total",
+        "Plan-cache misses (fresh compilations).",
+    ).field()
+    evictions: int = CACHE_EVICTIONS.field(cache="plan")
 
 
 class PlanCache:

@@ -35,6 +35,7 @@ from repro.data.versioned import VersionedDatabase
 from repro.engine.deadline import Deadline
 from repro.engine.executor import PlanExecution
 from repro.engine.plan import Plan
+from repro.serve.metrics import counter, gauge
 
 from .merge import MergeCapacity, MergeSuccess, merge_state
 from .policy import FALLBACK_HISTORY_GAP, FALLBACK_NO_STATE, IvmPolicy
@@ -59,21 +60,32 @@ class IvmManager:
     execution per request under its lock.
     """
 
+    stats_section = "service"
+    stats_prefix = "ivm_"
+    #: fallback reason -> occurrences, for observability surfaces.
+    fallback_reasons = counter(
+        "ivm_fallbacks_total",
+        "IVM fallbacks to full re-execution, by reason.",
+        label="reason",
+    )
+
     def __init__(self, policy: IvmPolicy | None = None) -> None:
         self.policy = policy or IvmPolicy()
         self.store = IvmStore(max_bytes=self.policy.max_bytes)
-        #: fallback reason -> occurrences, for observability surfaces.
         self.fallback_reasons: Counter[str] = Counter()
         self._plan_reasons: dict[Any, str | None] = {}
         #: variant -> why its last capture retained nothing.
         self._declined: dict[Any, str] = {}
 
-    @property
+    @gauge(
+        "ivm_retained_bytes",
+        "Bytes of routed state retained for incremental maintenance.",
+    )
     def retained_bytes(self) -> int:
         """Bytes currently held by retained state."""
         return self.store.total_bytes
 
-    @property
+    @gauge("ivm_retained_states", "Retained (plan variant) IVM states.")
     def retained_states(self) -> int:
         """Number of retained (plan variant) states."""
         return len(self.store)

@@ -1,27 +1,35 @@
-"""A Prometheus text-format ``/metrics`` endpoint for the RPC server.
+"""Declared serving instruments and their two views.
 
-Operating "millions of users" starts with seeing the server: this
-module renders every serving-layer counter -- RPC protocol stats,
-admission/shed/quota/deadline counters, service cache hits, fan-out
-worker liveness, per-phase execution-latency histograms -- in the
-Prometheus text exposition format (version 0.0.4), served by a tiny
-asyncio HTTP/1.x listener (:class:`MetricsServer`) that shares the
-RPC server's event loop.  No third-party client library: the format
-is lines of ``name{labels} value`` with ``# HELP`` / ``# TYPE``
-comments, and writing it directly keeps the serving path free of new
-dependencies.
+Each serving counter is declared once, as an :class:`Instrument` next
+to the value it counts: field metadata on the stats dataclasses
+(``RpcStats``, ``AdmissionStats``, ``ServiceStats``,
+``PlanCacheStats``, ``PlannerStats``), or a class-level declaration on
+the attribute or property of a live gauge's owner (admission queue,
+IVM manager, fan-out pool, session, RPC server).  Increments stay
+plain attribute arithmetic (``self.stats.errors += 1``): nothing is
+looked up or locked on the hot path.
 
-The module deliberately imports nothing from the rest of the serving
-layer at module scope -- :class:`Histogram` is used *by*
-:class:`~repro.serve.service.ServiceStats`, so the dependency arrow
-points here.
+:func:`snapshot` copies the declared values of some owners into one
+:data:`Snapshot`; :func:`fold` adds a fan-out worker's snapshot to it
+(fleet totals).  Two walkers render a snapshot, so every instrument
+appears in both and no view names one: :func:`stats_dict` (the RPC
+``stats`` op, ``Session.stats_report()``, the REPL ``stats`` table)
+and :func:`exposition`, the Prometheus text format 0.0.4 that
+:class:`MetricsServer` serves over HTTP/1.x -- no client library.
+
+The module imports nothing from the rest of the package: the stats
+classes import their declarations from here.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copy
+import dataclasses
+import functools
+import itertools
 import json
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Mapping
 
 #: Prometheus text exposition format version served as Content-Type.
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -44,6 +52,8 @@ DEFAULT_BUCKETS = (
     10.0,
 )
 
+COUNTER, GAUGE, HISTOGRAM = "counter", "gauge", "histogram"
+
 
 class Histogram:
     """A fixed-bucket cumulative histogram (Prometheus semantics).
@@ -51,8 +61,7 @@ class Histogram:
     ``observe`` is O(buckets); rendering emits the cumulative
     ``_bucket`` series (each ``le`` bound counts observations at or
     below it), plus ``_sum`` and ``_count``.  Picklable (fan-out
-    workers ship their ServiceStats, histograms included, over the
-    pipe).
+    workers ship their snapshots, histograms included, over the pipe).
     """
 
     __slots__ = ("bounds", "counts", "total", "count")
@@ -88,20 +97,6 @@ class Histogram:
         self.total += other.total
         self.count += other.count
 
-    def quantile(self, q: float) -> float:
-        """A bucket-resolution quantile estimate (upper bound)."""
-        if not 0 <= q <= 1:
-            raise ValueError(f"need 0 <= q <= 1, got {q}")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for index, bound in enumerate(self.bounds):
-            seen += self.counts[index]
-            if seen >= target:
-                return bound
-        return float("inf")
-
     def __reduce__(self):
         return (
             _rebuild_histogram,
@@ -117,7 +112,141 @@ def _rebuild_histogram(bounds, counts, total, count) -> Histogram:
     return histogram
 
 
+@dataclasses.dataclass(frozen=True)
+class Instrument:
+    """One declared instrument: a Prometheus family and a ``stats`` key.
+
+    On a stats dataclass, :meth:`field` declares a field.  On another
+    owner it is a class attribute that the instance attribute of the
+    same name shadows or, used as a decorator, a read-only property.
+    The owner class may set ``stats_section`` (None = top level) and
+    ``stats_prefix`` (prepended to its keys); ``section`` overrides
+    the former.  ``label`` names the label a dict value's keys fill,
+    ``fixed`` labels let several instruments share one family, and
+    ``zero`` is what an absent owner reads.  A ``replicated`` count is
+    made by every fan-out process for the same event (a broadcast
+    update), so a fold keeps the parent's.
+    """
+
+    family: str
+    help: str
+    kind: str = COUNTER
+    label: str | None = None
+    fixed: tuple[tuple[str, str], ...] = ()
+    section: str | None = None
+    zero: Any = 0
+    replicated: bool = False
+    getter: Callable[[Any], Any] | None = None
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None or self.getter is None:
+            return self
+        return self.getter(instance)
+
+    def __call__(self, getter: Callable[[Any], Any]) -> "Instrument":
+        return dataclasses.replace(self, getter=getter)
+
+    def field(self, factory: Callable[[], Any] = int, **fixed: str) -> Any:
+        """A dataclass field holding this instrument's value."""
+        instrument = dataclasses.replace(self, fixed=tuple(fixed.items()))
+        return dataclasses.field(
+            default_factory=factory, metadata={Instrument: instrument}
+        )
+
+
+counter = functools.partial(Instrument, kind=COUNTER)
+gauge = functools.partial(Instrument, kind=GAUGE)
+histogram = functools.partial(Instrument, kind=HISTOGRAM)
+
+#: ``(section, key) -> (instrument, value)``; section None is the top
+#: level of the ``stats`` dict.
+Snapshot = dict
+
+
+def declared(owner: type) -> list[tuple[str, Instrument]]:
+    """``(attribute, instrument)`` for each instrument ``owner`` declares."""
+    fields = (
+        dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+    )
+    return [
+        (field.name, field.metadata[Instrument])
+        for field in fields
+        if Instrument in field.metadata
+    ] + [
+        (name, value)
+        for name, value in vars(owner).items()
+        if isinstance(value, Instrument)
+    ]
+
+
+def _map(value: Any, leaf: Callable[[Histogram], Any]) -> Any:
+    """``value`` with ``leaf`` applied to every histogram in it."""
+    if isinstance(value, Mapping):
+        # dict() copies in one step: the event loop may add a key to
+        # a count (``by_op``) while another thread snapshots it.
+        items = dict(value).items()
+        return {label: _map(item, leaf) for label, item in items}
+    return leaf(value) if isinstance(value, Histogram) else value
+
+
+def snapshot(*owners: Any) -> Snapshot:
+    """Copy the value of every instrument ``owners`` declare.
+
+    An owner passed as its class (admission off, IVM off, no fan-out)
+    reads as zeros, so every key and family is always present.
+    """
+    readings: Snapshot = {}
+    for owner in owners:
+        cls = owner if isinstance(owner, type) else type(owner)
+        section = getattr(cls, "stats_section", None)
+        prefix = getattr(cls, "stats_prefix", "")
+        for name, instrument in declared(cls):
+            if owner is cls:
+                value = {} if instrument.label else instrument.zero
+            else:
+                value = _map(getattr(owner, name), copy.copy)
+            key = (instrument.section or section, prefix + name)
+            readings[key] = (instrument, value)
+    return readings
+
+
+def _add(total: Any, other: Any) -> Any:
+    if isinstance(total, Histogram):
+        total.merge(other)
+    elif isinstance(total, dict):
+        for label, value in other.items():
+            mine = total.get(label)
+            total[label] = value if mine is None else _add(mine, value)
+    else:
+        return total + other
+    return total
+
+
+def fold(readings: Snapshot, values: Mapping[tuple, Any]) -> None:
+    """Add another process's snapshot ``values`` (key -> value) into
+    ``readings``: numbers add, dicts add per label, histograms merge.
+    Only the keys of ``readings`` fold; replicated instruments keep
+    their own count."""
+    for key, (instrument, value) in readings.items():
+        if not instrument.replicated:
+            readings[key] = (instrument, _add(value, values[key]))
+
+
+def stats_dict(readings: Snapshot) -> dict:
+    """The JSON-ready ``stats`` view: ``{section: {key: value}}`` plus
+    top-level keys; a histogram reads as its count and sum."""
+    report: dict = {}
+    for (section, key), (_, value) in readings.items():
+        target = report.setdefault(section, {}) if section else report
+        target[key] = _map(
+            value, lambda h: {"count": h.count, "sum": h.total}
+        )
+    return report
+
+
 def _format_value(value: Any) -> str:
+    if value is None:
+        return "NaN"
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -136,7 +265,7 @@ def _escape_label(value: str) -> str:
     )
 
 
-def _labels(labels: dict[str, Any] | None) -> str:
+def _labels(labels: Mapping[str, Any]) -> str:
     if not labels:
         return ""
     inner = ",".join(
@@ -146,309 +275,59 @@ def _labels(labels: dict[str, Any] | None) -> str:
     return "{" + inner + "}"
 
 
-class MetricsRegistry:
-    """Accumulates one scrape's lines, then renders the page."""
+def _samples(name: str, kind: str, labels: dict, value: Any) -> list[str]:
+    if kind != HISTOGRAM:
+        return [f"{name}{_labels(labels)} {_format_value(value)}"]
+    bounds = [_format_value(bound) for bound in value.bounds] + ["+Inf"]
+    return [
+        f"{name}_bucket{_labels({**labels, 'le': le})} {count}"
+        for le, count in zip(bounds, itertools.accumulate(value.counts))
+    ] + [
+        f"{name}_sum{_labels(labels)} {_format_value(value.total)}",
+        f"{name}_count{_labels(labels)} {value.count}",
+    ]
 
-    def __init__(self, prefix: str = "repro") -> None:
-        self.prefix = prefix
-        self._lines: list[str] = []
 
-    def sample(
-        self,
-        name: str,
-        kind: str,
-        help_text: str,
-        value: Any = None,
-        series: Iterable[tuple[dict[str, Any] | None, Any]] | None = None,
-    ) -> None:
-        """One metric family: HELP + TYPE + its sample lines."""
-        full = f"{self.prefix}_{name}"
-        self._lines.append(f"# HELP {full} {help_text}")
-        self._lines.append(f"# TYPE {full} {kind}")
-        if series is None:
-            series = [(None, value)]
-        for labels, sample_value in series:
-            self._lines.append(
-                f"{full}{_labels(labels)} {_format_value(sample_value)}"
-            )
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str,
-        histograms: Iterable[tuple[dict[str, Any] | None, Histogram]],
-    ) -> None:
-        """One histogram family (cumulative buckets, _sum, _count)."""
-        full = f"{self.prefix}_{name}"
-        self._lines.append(f"# HELP {full} {help_text}")
-        self._lines.append(f"# TYPE {full} histogram")
-        for labels, histogram in histograms:
-            base = dict(labels or {})
-            cumulative = 0
-            for bound, count in zip(
-                histogram.bounds, histogram.counts
-            ):
-                cumulative += count
-                bucket_labels = dict(base)
-                bucket_labels["le"] = _format_value(float(bound))
-                self._lines.append(
-                    f"{full}_bucket{_labels(bucket_labels)} {cumulative}"
-                )
-            bucket_labels = dict(base)
-            bucket_labels["le"] = "+Inf"
-            self._lines.append(
-                f"{full}_bucket{_labels(bucket_labels)} "
-                f"{histogram.count}"
-            )
-            self._lines.append(
-                f"{full}_sum{_labels(base or None)} "
-                f"{_format_value(histogram.total)}"
-            )
-            self._lines.append(
-                f"{full}_count{_labels(base or None)} {histogram.count}"
-            )
-
-    def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
+def exposition(readings: Snapshot) -> str:
+    """The Prometheus text view: one ``# HELP`` / ``# TYPE`` block per
+    family.  A dict value yields one sample per key (an empty one a
+    single unlabelled 0); None reads as NaN, booleans as 1/0."""
+    families: dict[str, list[tuple[Instrument, Any]]] = {}
+    for instrument, value in readings.values():
+        families.setdefault(instrument.family, []).append(
+            (instrument, value)
+        )
+    lines = []
+    for family, members in families.items():
+        name, first = f"repro_{family}", members[0][0]
+        lines.append(f"# HELP {name} {first.help}")
+        lines.append(f"# TYPE {name} {first.kind}")
+        for instrument, value in members:
+            fixed = dict(instrument.fixed)
+            series = [(fixed, value)]
+            if instrument.label is not None:
+                series = [
+                    ({**fixed, instrument.label: label}, item)
+                    for label, item in sorted(value.items())
+                ] or [(fixed, 0)]
+            for labels, item in series:
+                lines += _samples(name, first.kind, labels, item)
+    return "\n".join(lines) + "\n"
 
 
 def render_metrics(server: Any) -> str:
-    """The full ``/metrics`` page for one RPC server.
-
-    ``server`` is an :class:`~repro.serve.rpc.RpcServer`; duck-typed
-    so tests can feed a stub.  Counter names follow the Prometheus
-    conventions: ``_total`` suffix on counters, base units (seconds),
-    one family per concern.
-    """
-    registry = MetricsRegistry()
-    rpc = server.stats
-    session = server.session
-    service = session.stats
-
-    registry.sample(
-        "rpc_connections_total", "counter",
-        "Client connections accepted.", rpc.connections,
-    )
-    registry.sample(
-        "rpc_requests_total", "counter",
-        "Requests received, by operation.",
-        series=[
-            ({"op": op}, count)
-            for op, count in sorted(rpc.by_op.items())
-        ] or [(None, 0)],
-    )
-    registry.sample(
-        "rpc_errors_total", "counter",
-        "Requests answered with ok=false.", rpc.errors,
-    )
-    registry.sample(
-        "rpc_coalesced_total", "counter",
-        "Queries served by an identical in-flight execution.",
-        rpc.coalesced,
-    )
-    registry.sample(
-        "rpc_streamed_batches_total", "counter",
-        "Batch lines written for streamed queries.",
-        rpc.streamed_batches,
-    )
-    registry.sample(
-        "rpc_idle_timeouts_total", "counter",
-        "Connections closed by the idle read timeout.",
-        rpc.idle_timeouts,
-    )
-    registry.sample(
-        "rpc_aborted_streams_total", "counter",
-        "Streamed responses cut short by client disconnects.",
-        rpc.aborted_streams,
-    )
-    registry.sample(
-        "rpc_deadline_exceeded_total", "counter",
-        "Requests that ran out of their deadline_ms budget.",
-        rpc.deadline_exceeded,
-    )
-    registry.sample(
-        "rpc_shed_total", "counter",
-        "Requests shed with ServerOverloaded, by reason.",
-        series=[
-            ({"reason": "queue_full"}, rpc.shed_overload),
-            ({"reason": "quota"}, rpc.shed_quota),
-        ],
-    )
-
-    admission = server.admission
-    registry.sample(
-        "admission_inflight", "gauge",
-        "Queries currently holding an execution slot.",
-        admission.inflight if admission is not None else 0,
-    )
-    registry.sample(
-        "admission_queued", "gauge",
-        "Queries currently waiting for an execution slot.",
-        admission.queued if admission is not None else 0,
-    )
-    registry.sample(
-        "admission_admitted_total", "counter",
-        "Queries granted an execution slot.",
-        admission.stats.admitted if admission is not None else 0,
-    )
-    registry.sample(
-        "admission_limit_inflight", "gauge",
-        "Configured max_inflight (0 = admission control off).",
-        admission.max_inflight if admission is not None else 0,
-    )
-    registry.sample(
-        "admission_limit_queue", "gauge",
-        "Configured max_queue.",
-        admission.max_queue if admission is not None else 0,
-    )
-
-    registry.sample(
-        "service_requests_total", "counter",
-        "Statements the query service accepted.", service.requests,
-    )
-    registry.sample(
-        "service_executions_total", "counter",
-        "Statements that executed (result-cache misses).",
-        service.executions,
-    )
-    registry.sample(
-        "service_result_hits_total", "counter",
-        "Whole-execution result-cache hits.", service.result_hits,
-    )
-    registry.sample(
-        "service_cache_evictions_total", "counter",
-        "Size-cap evictions, by cache layer.",
-        series=[
-            ({"cache": "plan"}, service.plans.evictions),
-            ({"cache": "result"}, service.result_evictions),
-        ],
-    )
-    registry.sample(
-        "service_plan_compiles_total", "counter",
-        "Plan-cache misses (fresh compilations).",
-        service.plans.misses,
-    )
-    registry.sample(
-        "service_updates_total", "counter",
-        "Database mutations applied.", service.updates,
-    )
-    registry.sample(
-        "service_answers_served_total", "counter",
-        "Answer tuples returned across all requests.",
-        service.answers_served,
-    )
-    registry.sample(
-        "service_capacity_failures_total", "counter",
-        "Executions that raised CapacityExceeded.",
-        service.capacity_failures,
-    )
-    registry.sample(
-        "service_deadline_exceeded_total", "counter",
-        "Executions cancelled by their deadline.",
-        service.deadline_exceeded,
-    )
-    registry.sample(
-        "ivm_requests_total", "counter",
-        "Post-delta executions the IVM layer was consulted for, "
-        "by outcome.",
-        series=[
-            ({"outcome": "hit"}, service.ivm_hits),
-            ({"outcome": "fallback"}, service.ivm_fallbacks),
-        ],
-    )
-    ivm = session.ivm
-    registry.sample(
-        "ivm_fallbacks_total", "counter",
-        "IVM fallbacks to full re-execution, by reason.",
-        series=[
-            ({"reason": reason}, count)
-            for reason, count in sorted(
-                ivm.fallback_reasons.items()
-            )
-        ] if ivm is not None and ivm.fallback_reasons else [(None, 0)],
-    )
-    registry.sample(
-        "ivm_retained_bytes", "gauge",
-        "Bytes of routed state retained for incremental maintenance.",
-        ivm.retained_bytes if ivm is not None else 0,
-    )
-    registry.sample(
-        "ivm_retained_states", "gauge",
-        "Retained (plan variant) states in the IVM store.",
-        ivm.retained_states if ivm is not None else 0,
-    )
-    registry.sample(
-        "phase_seconds_total", "counter",
-        "Cumulative execution seconds, by engine phase.",
-        series=[
-            ({"phase": phase}, seconds)
-            for phase, seconds in sorted(
-                service.phase_seconds.items()
-            )
-        ],
-    )
-    registry.histogram(
-        "phase_seconds", "Per-execution seconds, by engine phase.",
-        [
-            ({"phase": phase}, histogram)
-            for phase, histogram in sorted(
-                service.phase_histograms.items()
-            )
-        ],
-    )
-    registry.histogram(
-        "request_seconds",
-        "RPC query latency (admission wait + execution).",
-        [(None, rpc.request_latency)],
-    )
-
-    fanout = getattr(session, "fanout", None)
-    registry.sample(
-        "fanout_workers", "gauge",
-        "Configured fan-out worker processes.",
-        fanout.workers if fanout is not None else 0,
-    )
-    registry.sample(
-        "fanout_usable", "gauge",
-        "Whether the fan-out pool can still dispatch (1 = yes).",
-        bool(fanout is not None and fanout.usable),
-    )
-    registry.sample(
-        "fanout_alive_workers", "gauge",
-        "Fan-out worker processes currently alive.",
-        fanout.alive_workers if fanout is not None else 0,
-    )
-    registry.sample(
-        "fanout_queries_total", "counter",
-        "Statements dispatched to fan-out workers.",
-        fanout.queries if fanout is not None else 0,
-    )
-    registry.sample(
-        "fanout_killed_stragglers_total", "counter",
-        "Workers that had to be killed at shutdown.",
-        fanout.killed_stragglers if fanout is not None else 0,
-    )
-
-    registry.sample(
-        "database_version", "gauge",
-        "Current database version.", session.version,
-    )
-    from repro.engine.faults import active_faults
-
-    registry.sample(
-        "faults_active", "gauge",
-        "Whether any REPRO_FAULT_* injection knob is set.",
-        active_faults().any_active,
-    )
-    return registry.render()
+    """The ``/metrics`` page of an :class:`~repro.serve.rpc.RpcServer`;
+    with fan-out it waits for idle workers (call it on the control
+    thread, as :class:`MetricsServer` does)."""
+    return exposition(server.stats_snapshot())
 
 
 class MetricsServer:
     """A minimal HTTP/1.x listener serving ``GET /metrics``.
 
-    Shares the RPC server's event loop (no threads): one
-    ``asyncio.start_server`` whose handler answers ``/metrics`` with
-    the rendered page, ``/healthz`` with a liveness line, and
+    Shares the RPC server's event loop: one ``asyncio.start_server``
+    whose handler answers ``/metrics`` with the page rendered on the
+    RPC server's control thread, ``/healthz`` with a liveness line, and
     anything else with 404.  Keep-alive is not offered
     (``Connection: close``) -- scrapers reconnect per scrape.
     """
@@ -514,12 +393,12 @@ class MetricsServer:
             path = parts[1].split("?", 1)[0]
             if path == "/metrics":
                 self.scrapes += 1
-                await self._respond(
-                    writer,
-                    200,
-                    CONTENT_TYPE,
-                    render_metrics(self.rpc_server),
+                # The RPC server's control thread: a fan-out fold
+                # waits for idle workers, which must not block the loop.
+                page = await asyncio.get_running_loop().run_in_executor(
+                    self.rpc_server._pool, render_metrics, self.rpc_server
                 )
+                await self._respond(writer, 200, CONTENT_TYPE, page)
             elif path == "/healthz":
                 payload = json.dumps(
                     {"ok": True, "version": self.rpc_server.session.version}

@@ -24,7 +24,9 @@ Operations:
 ``update`` / ``delete``
     Mutate one relation: ``relation`` plus ``rows`` (list of rows).
 ``stats``
-    Service + planner + RPC counters.
+    Every declared instrument, in sections -- the snapshot
+    ``/metrics`` renders (:mod:`repro.serve.metrics`); with fan-out,
+    fleet totals, read on the control thread once workers are idle.
 ``ping``
     Liveness probe.
 
@@ -83,7 +85,8 @@ of the result cache, which only helps *after* an execution finishes.
   per streamed query is one batch, and ``writer.drain()`` pushes
   client backpressure into the stream.
 * A :class:`~repro.serve.metrics.MetricsServer` (``repro serve --tcp
-  --metrics-port N``) exports everything in Prometheus text format.
+  --metrics-port N``) exports the ``stats`` snapshot in Prometheus
+  text format.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ import asyncio
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
@@ -104,10 +107,19 @@ from repro.engine.deadline import DeadlineExceeded
 from repro.mpc.simulator import CapacityExceeded
 from repro.serve.admission import (
     AdmissionQueue,
+    AdmissionStats,
     ServerOverloaded,
     TokenBucket,
 )
-from repro.serve.metrics import Histogram
+from repro.serve.metrics import (
+    Histogram,
+    Snapshot,
+    counter,
+    gauge,
+    histogram,
+    snapshot,
+    stats_dict,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.api.session import Session, Statement
@@ -128,28 +140,56 @@ MAX_QUOTA_BUCKETS = 4096
 QUOTA_OPS = frozenset({"query", "explain", "update", "delete"})
 
 
+SHED = counter(
+    "rpc_shed_total", "Requests shed with ServerOverloaded, by reason."
+)
+
+
 @dataclass
 class RpcStats:
     """Counters of one server's lifetime."""
 
-    connections: int = 0
-    requests: int = 0
-    errors: int = 0
-    coalesced: int = 0
-    streamed_batches: int = 0
+    stats_section = "rpc"
+
+    connections: int = counter(
+        "rpc_connections_total", "Client connections accepted."
+    ).field()
+    requests: int = counter(
+        "rpc_received_total", "Requests received, all operations."
+    ).field()
+    errors: int = counter(
+        "rpc_errors_total", "Requests answered with ok=false."
+    ).field()
+    coalesced: int = counter(
+        "rpc_coalesced_total",
+        "Queries served by an identical in-flight execution.",
+    ).field()
+    streamed_batches: int = counter(
+        "rpc_streamed_batches_total",
+        "Batch lines written for streamed queries.",
+    ).field()
     #: Queries shed by the admission queue / by a client quota.
-    shed_overload: int = 0
-    shed_quota: int = 0
-    #: Requests that ran out of their ``deadline_ms`` budget.
-    deadline_exceeded: int = 0
-    #: Connections closed by the idle read timeout.
-    idle_timeouts: int = 0
-    #: Streamed responses cut short by a client disconnect.
-    aborted_streams: int = 0
-    by_op: dict[str, int] = field(default_factory=dict)
-    #: Query latency (admission wait + execution + first write),
-    #: seconds -- the /metrics request histogram.
-    request_latency: Histogram = field(default_factory=Histogram)
+    shed_overload: int = SHED.field(reason="queue_full")
+    shed_quota: int = SHED.field(reason="quota")
+    deadline_exceeded: int = counter(
+        "rpc_deadline_exceeded_total",
+        "Requests that ran out of their deadline_ms budget.",
+    ).field()
+    idle_timeouts: int = counter(
+        "rpc_idle_timeouts_total",
+        "Connections closed by the idle read timeout.",
+    ).field()
+    aborted_streams: int = counter(
+        "rpc_aborted_streams_total",
+        "Streamed responses cut short by client disconnects.",
+    ).field()
+    by_op: dict[str, int] = counter(
+        "rpc_requests_total", "Requests received, by operation.", label="op"
+    ).field(dict)
+    #: Query latency (admission wait + execution + first write).
+    request_latency: Histogram = histogram(
+        "request_seconds", "RPC query latency (admission wait + execution)."
+    ).field(Histogram)
 
     def count(self, op: str) -> None:
         self.requests += 1
@@ -208,6 +248,28 @@ class RpcServer:
             best-effort first); None (the default) keeps connections
             forever -- REPL clients idle legitimately.
     """
+
+    stats_section = "admission"
+    quota_rps = gauge(
+        "admission_quota_rps",
+        "Per-client quota in requests/second (NaN = quotas off).",
+    )
+    idle_timeout = gauge(
+        "admission_idle_timeout_seconds",
+        "Idle read timeout of a connection (NaN = none).",
+    )
+
+    @gauge(
+        "admission_quota_clients", "Clients holding a quota token bucket."
+    )
+    def quota_clients(self) -> int:
+        return len(self._quotas)
+
+    @gauge(
+        "rpc_dispatch_threads", "Query-dispatch threads.", section="parallel"
+    )
+    def dispatch_threads(self) -> int:
+        return self.workers
 
     def __init__(
         self,
@@ -513,7 +575,9 @@ class RpcServer:
         if op in ("update", "delete"):
             return [await self._op_update(op, request)]
         if op == "stats":
-            return [self._op_stats()]
+            # The control thread: a fan-out fold waits for idle workers.
+            loop = asyncio.get_running_loop()
+            return [await loop.run_in_executor(self._pool, self._op_stats)]
         raise QueryError(
             f"unknown op {op!r} "
             "(query / explain / update / delete / stats / ping)"
@@ -645,72 +709,21 @@ class RpcServer:
             "relation": relation,
         }
 
-    def _op_stats(self) -> dict:
-        report = self.session.stats_report()
-        report["parallel"]["dispatch_threads"] = self.workers
+    def stats_snapshot(self) -> Snapshot:
+        """Every declared instrument of this server and its session."""
+        admission = self.admission
         return {
-            "ok": True,
-            "rpc": {
-                "connections": self.stats.connections,
-                "requests": self.stats.requests,
-                "errors": self.stats.errors,
-                "coalesced": self.stats.coalesced,
-                "streamed_batches": self.stats.streamed_batches,
-                "shed_overload": self.stats.shed_overload,
-                "shed_quota": self.stats.shed_quota,
-                "deadline_exceeded": self.stats.deadline_exceeded,
-                "idle_timeouts": self.stats.idle_timeouts,
-                "aborted_streams": self.stats.aborted_streams,
-                "by_op": dict(self.stats.by_op),
-            },
-            "admission": {
-                "enabled": self.admission is not None,
-                "max_inflight": (
-                    self.admission.max_inflight
-                    if self.admission is not None
-                    else 0
-                ),
-                "max_queue": (
-                    self.admission.max_queue
-                    if self.admission is not None
-                    else 0
-                ),
-                "inflight": (
-                    self.admission.inflight
-                    if self.admission is not None
-                    else 0
-                ),
-                "queued": (
-                    self.admission.queued
-                    if self.admission is not None
-                    else 0
-                ),
-                "admitted": (
-                    self.admission.stats.admitted
-                    if self.admission is not None
-                    else 0
-                ),
-                "shed": (
-                    self.admission.stats.shed
-                    if self.admission is not None
-                    else 0
-                ),
-                "peak_inflight": (
-                    self.admission.stats.peak_inflight
-                    if self.admission is not None
-                    else 0
-                ),
-                "peak_queued": (
-                    self.admission.stats.peak_queued
-                    if self.admission is not None
-                    else 0
-                ),
-                "quota_rps": self.quota_rps,
-                "quota_clients": len(self._quotas),
-                "idle_timeout": self.idle_timeout,
-            },
-            **report,
+            **snapshot(
+                self.stats,
+                self,
+                admission or AdmissionQueue,
+                admission.stats if admission else AdmissionStats(),
+            ),
+            **self.session.stats_snapshot(),
         }
+
+    def _op_stats(self) -> dict:
+        return {"ok": True, **stats_dict(self.stats_snapshot())}
 
     # -- execution with cross-request coalescing ----------------------------
 

@@ -36,11 +36,12 @@ from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import Plan, RoundProfiler, execute_plan, plan_config
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.profile import PHASES
-from repro.serve.metrics import Histogram
+from repro.serve.metrics import Histogram, counter, histogram
 from repro.mpc.simulator import CapacityExceeded, MPCSimulator
 from repro.mpc.stats import SimulationReport
 from repro.planner import Explain, PlannerChoice
 from repro.serve.cache import (
+    CACHE_EVICTIONS,
     CacheRebind,
     LRUCache,
     PlanCache,
@@ -48,6 +49,17 @@ from repro.serve.cache import (
     identity_rebind,
 )
 from repro.serve.ivm import IvmManager, MergeCapacity, MergeSuccess
+
+
+IVM_REQUESTS = counter(
+    "ivm_requests_total",
+    "Post-delta executions the IVM layer was consulted for, by outcome.",
+)
+#: The routing cache is gone; its counters stay at 0 because readers
+#: of the ``stats`` op (benchmarks/e2e/metrics.py) index their keys.
+RETIRED_ROUTING = counter(
+    "service_routing_cache_total", "Retired routing cache (always 0)."
+)
 
 
 @dataclass
@@ -59,31 +71,59 @@ class ServiceStats:
     serving-time answer to "where does a request's time go".
     """
 
-    requests: int = 0
-    executions: int = 0
-    result_hits: int = 0
-    result_evictions: int = 0
-    updates: int = 0
-    answers_served: int = 0
-    capacity_failures: int = 0
+    stats_section = "service"
+
+    requests: int = counter(
+        "service_requests_total", "Statements the query service accepted."
+    ).field()
+    executions: int = counter(
+        "service_executions_total",
+        "Statements that executed (result-cache misses).",
+    ).field()
+    result_hits: int = counter(
+        "service_result_hits_total", "Whole-execution result-cache hits."
+    ).field()
+    result_evictions: int = CACHE_EVICTIONS.field(cache="result")
+    routing_hits: int = RETIRED_ROUTING.field(event="hit")
+    routing_misses: int = RETIRED_ROUTING.field(event="miss")
+    routing_evictions: int = RETIRED_ROUTING.field(event="eviction")
+    updates: int = counter(
+        "service_updates_total", "Database mutations applied.", replicated=True
+    ).field()
+    answers_served: int = counter(
+        "service_answers_served_total",
+        "Answer tuples returned across all requests.",
+    ).field()
+    capacity_failures: int = counter(
+        "service_capacity_failures_total",
+        "Executions that raised CapacityExceeded.",
+    ).field()
     #: Executions cancelled cooperatively by their request deadline.
-    deadline_exceeded: int = 0
+    deadline_exceeded: int = counter(
+        "service_deadline_exceeded_total",
+        "Executions cancelled by their deadline.",
+    ).field()
     #: Post-delta requests served by merging a routed delta into
     #: retained state instead of re-executing the plan (includes
     #: merges that reproduced a capacity failure).
-    ivm_hits: int = 0
+    ivm_hits: int = IVM_REQUESTS.field(outcome="hit")
     #: Post-delta requests where the incremental path declined and a
     #: full re-execution ran; per-reason detail lives on the service's
     #: :class:`~repro.serve.ivm.IvmManager`.
-    ivm_fallbacks: int = 0
-    phase_seconds: dict[str, float] = field(
-        default_factory=lambda: {phase: 0.0 for phase in PHASES}
-    )
-    #: Per-phase distribution of each *execution's* phase total --
-    #: what the /metrics endpoint exports as latency histograms.
-    phase_histograms: dict[str, Histogram] = field(
-        default_factory=lambda: {phase: Histogram() for phase in PHASES}
-    )
+    ivm_fallbacks: int = IVM_REQUESTS.field(outcome="fallback")
+    phase_seconds: dict[str, float] = counter(
+        "phase_seconds_total",
+        "Cumulative execution seconds, by engine phase.",
+        label="phase",
+        section="engine",
+    ).field(lambda: {phase: 0.0 for phase in PHASES})
+    #: Per-phase distribution of each *execution's* phase total.
+    phase_histograms: dict[str, Histogram] = histogram(
+        "phase_seconds",
+        "Per-execution seconds, by engine phase.",
+        label="phase",
+        section="engine",
+    ).field(lambda: {phase: Histogram() for phase in PHASES})
     plans: PlanCacheStats = field(default_factory=PlanCacheStats)
 
     def add_profile(self, profiler: RoundProfiler) -> None:

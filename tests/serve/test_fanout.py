@@ -254,4 +254,4 @@ class TestLifecycle:
             session.execute(STATEMENTS[1])
             stats = session.fanout.worker_stats()
             assert len(stats) == 2
-            assert sum(s.executions for s in stats) == 2
+            assert sum(s[("service", "executions")] for s in stats) == 2

@@ -1,23 +1,37 @@
-"""The /metrics endpoint: histogram math, text grammar, HTTP serving."""
+"""The /metrics endpoint: histogram math, text grammar, HTTP serving,
+and the declared instruments both stats views walk."""
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import inspect
 import json
 import re
+import textwrap
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro import connect
+from repro.api.fanout import SessionWorkerPool
+from repro.api.session import Session
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
+from repro.planner import PlannerStats
+from repro.serve.admission import AdmissionQueue, AdmissionStats
+from repro.serve.cache import PlanCacheStats
+from repro.serve.ivm import IvmManager
 from repro.serve.metrics import (
     CONTENT_TYPE,
     Histogram,
     MetricsServer,
+    declared,
     render_metrics,
 )
-from repro.serve.rpc import RpcServer
+from repro.serve.rpc import RpcServer, RpcStats
+from repro.serve.service import ServiceStats
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
@@ -100,17 +114,34 @@ def parse_exposition(text: str) -> dict[str, dict]:
     return families
 
 
+async def _http_get(host, port, path, method="GET"):
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
+    )
+    await writer.drain()
+    status_line = (await reader.readline()).decode()
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        key, _, value = line.decode().partition(":")
+        headers[key.strip().lower()] = value.strip()
+    body = (await reader.read()).decode()
+    writer.close()
+    await writer.wait_closed()
+    return int(status_line.split()[1]), headers, body
+
+
 class TestHistogram:
-    def test_observe_buckets_and_quantiles(self):
+    def test_observe_fills_buckets(self):
         histogram = Histogram(bounds=(0.01, 0.1, 1.0))
         for value in (0.005, 0.05, 0.05, 0.5, 5.0):
             histogram.observe(value)
         assert histogram.count == 5
         assert histogram.total == pytest.approx(5.605)
         assert histogram.counts == [1, 2, 1, 1]  # last = overflow
-        assert histogram.quantile(0.5) == 0.1
-        assert histogram.quantile(1.0) == float("inf")
-        assert Histogram().quantile(0.5) == 0.0
 
     def test_merge_requires_identical_bounds(self):
         left = Histogram(bounds=(0.1, 1.0))
@@ -249,25 +280,6 @@ class TestRenderMetrics:
 
 
 class TestMetricsServer:
-    async def _get(self, host, port, path, method="GET"):
-        reader, writer = await asyncio.open_connection(host, port)
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nHost: {host}\r\n\r\n".encode()
-        )
-        await writer.drain()
-        status_line = (await reader.readline()).decode()
-        headers = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode().partition(":")
-            headers[key.strip().lower()] = value.strip()
-        body = (await reader.read()).decode()
-        writer.close()
-        await writer.wait_closed()
-        return int(status_line.split()[1]), headers, body
-
     def test_scrape_over_http(self):
         async def body():
             session = _session()
@@ -275,7 +287,7 @@ class TestMetricsServer:
                 async with RpcServer(session) as server:
                     async with MetricsServer(server) as metrics:
                         host, port = metrics.address
-                        status, headers, page = await self._get(
+                        status, headers, page = await _http_get(
                             host, port, "/metrics"
                         )
                         assert status == 200
@@ -298,7 +310,7 @@ class TestMetricsServer:
                 async with RpcServer(session) as server:
                     async with MetricsServer(server) as metrics:
                         host, port = metrics.address
-                        status, _, page = await self._get(
+                        status, _, page = await _http_get(
                             host, port, "/healthz"
                         )
                         assert status == 200
@@ -306,11 +318,11 @@ class TestMetricsServer:
                             "ok": True,
                             "version": 0,
                         }
-                        status, _, _ = await self._get(
+                        status, _, _ = await _http_get(
                             host, port, "/nope"
                         )
                         assert status == 404
-                        status, _, _ = await self._get(
+                        status, _, _ = await _http_get(
                             host, port, "/metrics", method="POST"
                         )
                         assert status == 405
@@ -339,3 +351,235 @@ class TestMetricsServer:
             assert "repro_faults_active 1" in page
         finally:
             session.close()
+
+
+#: One session's worth of RPC traffic touching every section: a
+#: query, a parse error, a ping, an update, a post-delta read and an
+#: isomorphic variant (plan hit, IVM fallback).
+TRAFFIC = (
+    {"op": "query", "q": "S1(x,y), S2(y,z)"},
+    {"op": "query", "q": "nonsense("},
+    {"op": "ping"},
+    {"op": "update", "relation": "S1", "rows": [[1, 2]]},
+    {"op": "query", "q": "S1(x,y), S2(y,z)"},
+    {"op": "query", "q": "S2(a,b), S1(b,c)"},
+)
+
+#: The parent's ``stats`` reply keys per section on TRAFFIC, before
+#: the counters were declared: every one must survive.
+PARENT_STATS_KEYS = {
+    None: {"ok", "version"},
+    "rpc": {
+        "aborted_streams", "by_op", "coalesced", "connections",
+        "deadline_exceeded", "errors", "idle_timeouts", "requests",
+        "shed_overload", "shed_quota", "streamed_batches",
+    },
+    "admission": {
+        "admitted", "enabled", "idle_timeout", "inflight", "max_inflight",
+        "max_queue", "peak_inflight", "peak_queued", "queued",
+        "quota_clients", "quota_rps", "shed",
+    },
+    "service": {
+        "answers_served", "capacity_failures", "deadline_exceeded",
+        "executions", "ivm_fallbacks", "ivm_hits", "ivm_retained_bytes",
+        "ivm_retained_states", "plan_evictions", "plan_hits",
+        "plan_isomorphic_hits", "plan_misses", "requests",
+        "result_evictions", "result_hits", "routing_evictions",
+        "routing_hits", "routing_misses", "updates",
+    },
+    "parallel": {
+        "dispatch_threads", "fanout_alive_workers",
+        "fanout_killed_stragglers", "fanout_queries", "fanout_usable",
+        "fanout_workers",
+    },
+    "planner": {"by_algorithm", "decision_cache_hits", "decisions", "pinned"},
+}
+
+#: The parent's ``(family, type, label names)`` on TRAFFIC.
+PARENT_FAMILIES = {
+    ("repro_admission_admitted_total", "counter", ()),
+    ("repro_admission_inflight", "gauge", ()),
+    ("repro_admission_limit_inflight", "gauge", ()),
+    ("repro_admission_limit_queue", "gauge", ()),
+    ("repro_admission_queued", "gauge", ()),
+    ("repro_database_version", "gauge", ()),
+    ("repro_fanout_alive_workers", "gauge", ()),
+    ("repro_fanout_killed_stragglers_total", "counter", ()),
+    ("repro_fanout_queries_total", "counter", ()),
+    ("repro_fanout_usable", "gauge", ()),
+    ("repro_fanout_workers", "gauge", ()),
+    ("repro_faults_active", "gauge", ()),
+    ("repro_ivm_fallbacks_total", "counter", ("reason",)),
+    ("repro_ivm_requests_total", "counter", ("outcome",)),
+    ("repro_ivm_retained_bytes", "gauge", ()),
+    ("repro_ivm_retained_states", "gauge", ()),
+    ("repro_phase_seconds", "histogram", ("phase",)),
+    ("repro_phase_seconds_total", "counter", ("phase",)),
+    ("repro_request_seconds", "histogram", ()),
+    ("repro_rpc_aborted_streams_total", "counter", ()),
+    ("repro_rpc_coalesced_total", "counter", ()),
+    ("repro_rpc_connections_total", "counter", ()),
+    ("repro_rpc_deadline_exceeded_total", "counter", ()),
+    ("repro_rpc_errors_total", "counter", ()),
+    ("repro_rpc_idle_timeouts_total", "counter", ()),
+    ("repro_rpc_requests_total", "counter", ("op",)),
+    ("repro_rpc_shed_total", "counter", ("reason",)),
+    ("repro_rpc_streamed_batches_total", "counter", ()),
+    ("repro_service_answers_served_total", "counter", ()),
+    ("repro_service_cache_evictions_total", "counter", ("cache",)),
+    ("repro_service_capacity_failures_total", "counter", ()),
+    ("repro_service_deadline_exceeded_total", "counter", ()),
+    ("repro_service_executions_total", "counter", ()),
+    ("repro_service_plan_compiles_total", "counter", ()),
+    ("repro_service_requests_total", "counter", ()),
+    ("repro_service_result_hits_total", "counter", ()),
+    ("repro_service_updates_total", "counter", ()),
+}
+
+#: Every class that declares instruments.
+OWNERS = (
+    RpcStats,
+    RpcServer,
+    AdmissionStats,
+    AdmissionQueue,
+    ServiceStats,
+    PlanCacheStats,
+    IvmManager,
+    PlannerStats,
+    SessionWorkerPool,
+    Session,
+)
+
+DECLARATIONS = [
+    (owner, name, instrument)
+    for owner in OWNERS
+    for name, instrument in declared(owner)
+]
+
+
+@pytest.fixture(scope="module")
+def served():
+    """TRAFFIC over the wire: the stats reply, the scraped page and the
+    server's snapshot."""
+
+    async def body():
+        session = _session()
+        try:
+            async with RpcServer(
+                session, max_inflight=2, max_queue=2
+            ) as server:
+                async with MetricsServer(server) as metrics:
+                    reader, writer = await asyncio.open_connection(
+                        *server.address
+                    )
+                    for request in TRAFFIC + ({"op": "stats"},):
+                        writer.write((json.dumps(request) + "\n").encode())
+                        await writer.drain()
+                        reply = json.loads(await reader.readline())
+                    writer.close()
+                    await writer.wait_closed()
+                    _, _, page = await _http_get(*metrics.address, "/metrics")
+                    readings = server.stats_snapshot()
+                    return reply, parse_exposition(page), readings
+        finally:
+            session.close()
+
+    return asyncio.run(body())
+
+
+def _section(reply: dict, section: str | None) -> dict:
+    return reply if section is None else reply[section]
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize(
+        "owner,name,instrument",
+        DECLARATIONS,
+        ids=[f"{owner.__name__}.{name}" for owner, name, _ in DECLARATIONS],
+    )
+    def test_every_declaration_is_in_both_views(
+        self, served, owner, name, instrument
+    ):
+        reply, families, readings = served
+        (key,) = [
+            key for key, (read, _) in readings.items() if read is instrument
+        ]
+        section, stats_key = key
+        assert stats_key in _section(reply, section)
+        family = families[f"repro_{instrument.family}"]
+        assert family["type"] == instrument.kind
+        fixed = dict(instrument.fixed)
+        assert any(
+            fixed.items() <= labels.items()
+            for _, labels, _ in family["samples"]
+        )
+
+    def test_parent_stats_keys_survive(self, served):
+        reply, _, _ = served
+        for section, keys in PARENT_STATS_KEYS.items():
+            assert keys <= set(_section(reply, section)), section
+
+    def test_parent_families_survive(self, served):
+        _, families, _ = served
+        emitted = {
+            (
+                name,
+                family["type"],
+                tuple(
+                    sorted(
+                        {
+                            label
+                            for _, labels, _ in family["samples"]
+                            for label in labels
+                        }
+                        - {"le"}
+                    )
+                ),
+            )
+            for name, family in families.items()
+        }
+        assert PARENT_FAMILIES <= emitted
+
+    def test_views_name_no_instrument(self):
+        import repro
+        from repro import cli
+
+        root = Path(repro.__file__).parent
+        families = {instrument.family for _, _, instrument in DECLARATIONS}
+        constants = Counter(
+            node.value
+            for path in root.rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        )
+        assert {family: constants[family] for family in families} == {
+            family: 1 for family in families
+        }
+
+        names = families | {
+            key
+            for owner in OWNERS
+            for key in (
+                getattr(owner, "stats_section", None),
+                *(
+                    getattr(owner, "stats_prefix", "") + name
+                    for name, _ in declared(owner)
+                ),
+            )
+            if key is not None
+        }
+        for view in (
+            render_metrics,
+            RpcServer._op_stats,
+            RpcServer.stats_snapshot,
+            Session.stats_report,
+            Session.stats_snapshot,
+            cli._repl_line,
+        ):
+            tree = ast.parse(textwrap.dedent(inspect.getsource(view)))
+            literals = {
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+            }
+            assert not literals & names, view.__qualname__

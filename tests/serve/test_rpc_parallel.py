@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import asyncio
 
+from repro.serve.metrics import MetricsServer
 from repro.serve.rpc import RpcServer, serve_tcp
 
+from tests.serve.test_metrics import _http_get, parse_exposition
 from tests.serve.test_rpc import _Client, _session, rpc_test
 
 
@@ -67,6 +69,57 @@ class TestEndToEnd:
                 session.close()
 
         rpc_test(body())
+
+    def test_stats_and_metrics_report_fleet_totals(self):
+        # The workers execute every statement; their counts must reach
+        # the parent's stats reply and /metrics page, while the update
+        # every process applies still counts once.
+        statements = ("S1(x,y), S2(y,z)", "S1(x,y)", "S1(x,y), S2(y,z)")
+
+        async def body():
+            session = _session(workers=2)
+            try:
+                async with RpcServer(session) as server:
+                    async with MetricsServer(server) as metrics:
+                        client = await _Client.open(server)
+                        for q in statements:
+                            response = await client.call(
+                                {"op": "query", "q": q}
+                            )
+                            assert response["ok"], response
+                        assert (
+                            await client.call(
+                                {
+                                    "op": "update",
+                                    "relation": "S1",
+                                    "rows": [[7, 9]],
+                                }
+                            )
+                        )["ok"]
+                        stats = await client.call({"op": "stats"})
+                        await client.close()
+                        _, _, page = await _http_get(
+                            *metrics.address, "/metrics"
+                        )
+                        return stats, page
+            finally:
+                session.close()
+
+        stats, page = rpc_test(body())
+        k = len(statements)
+        assert stats["parallel"]["fanout_queries"] == k
+        assert stats["service"]["requests"] == k
+        assert stats["service"]["updates"] == 1
+        planner = stats["planner"]
+        assert planner["decisions"] + planner["decision_cache_hits"] == k
+        samples = {
+            name: value
+            for family in parse_exposition(page).values()
+            for name, labels, value in family["samples"]
+            if not labels
+        }
+        assert samples["repro_service_requests_total"] == k
+        assert samples["repro_service_updates_total"] == 1
 
     def test_answers_match_a_single_process_server(self):
         queries = ("S1(x,y), S2(y,z), S3(z,x)", "S1(x,y), S2(y,z)")

@@ -154,16 +154,15 @@ class Statement:
         """Iterate answer rows lazily.
 
         Execution happens on the first ``next()``; rows are then
-        yielded in ``batch_size`` chunks from the (already memoized)
-        result, so abandoning the iterator early costs nothing extra.
-        The RPC server streams results to clients in the same batch
-        granularity.
+        yielded in ``batch_size`` chunks sliced from the (already
+        memoized) answer table, so abandoning the iterator early costs
+        nothing extra.  The RPC server streams in the same batches.
         """
         if batch_size < 1:
             raise ValueError(f"need batch_size >= 1, got {batch_size}")
-        result = self.execute()
-        for start in range(0, len(result.answers), batch_size):
-            yield from result.answers[start:start + batch_size]
+        table = self.execute().table
+        for start in range(0, len(table), batch_size):
+            yield from map(tuple, table[start:start + batch_size].tolist())
 
 
 class Session:

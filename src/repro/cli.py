@@ -367,7 +367,7 @@ def _repl_line(session, line: str, out) -> bool:
                 f"result:{'hit' if result.cached else 'miss'}"
             )
             print(
-                f"{len(result.answers)} answers in {elapsed:.2f} ms "
+                f"{len(result)} answers in {elapsed:.2f} ms "
                 f"[{flags}] v{result.version} via {result.algorithm}",
                 file=out,
             )

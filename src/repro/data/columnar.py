@@ -325,15 +325,3 @@ class ColumnarDatabase:
         return sum(
             relation.size_bits for relation in self.relations.values()
         )
-
-    def to_database(self) -> "Any":
-        """Materialise to a row-oriented :class:`Database` (tests)."""
-        from repro.data.database import Database
-
-        return Database(
-            relations={
-                name: relation.to_relation()
-                for name, relation in self.relations.items()
-            },
-            domain_size=self.domain_size,
-        )

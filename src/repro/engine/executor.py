@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 import numpy
@@ -255,8 +255,9 @@ class PlanExecution:
         plan: the executed plan.
         simulator: the simulator after the run (callers post-process
             fragment counts, reports, mailboxes from here).
-        answers: the finalized answer tuples, sorted, in the plan
-            query's head order (empty when ``plan.finalize`` is None).
+        table: the finalized answers as one sorted duplicate-free
+            int64 ``(rows, arity)`` table in the plan query's head
+            order (empty when ``plan.finalize`` is None).
         per_server: per-worker answer counts, zero-padded to ``p``.
         view_sizes: materialised size of every intermediate view.
         per_server_views: per view, each worker's answer contribution.
@@ -272,12 +273,17 @@ class PlanExecution:
 
     plan: Plan
     simulator: MPCSimulator
-    answers: tuple[tuple[int, ...], ...] = ()
+    table: Any
     per_server: tuple[int, ...] = ()
     view_sizes: dict[str, int] | None = None
     per_server_views: dict[str, tuple[int, ...]] | None = None
     heavy_hitters: dict[str, frozenset[int]] | None = None
     site_answers: dict[str | None, SiteAnswers] | None = None
+
+    @cached_property
+    def answers(self) -> tuple[tuple[int, ...], ...]:
+        """:attr:`table` as sorted answer tuples, built on first use."""
+        return tuple(map(tuple, self.table.tolist()))
 
     @property
     def report(self) -> SimulationReport:
@@ -571,11 +577,11 @@ def execute_plan(
             handle.cancel()
     if deadline is not None:
         deadline.check("before finalize")
-    answers: tuple[tuple[int, ...], ...] = ()
+    table = numpy.zeros((0, 0), dtype=numpy.int64)
     per_server: tuple[int, ...] = ()
     finalize = plan.finalize
     if isinstance(finalize, CollectAnswers):
-        answers, counts = collect_answers(
+        table, counts = collect_answers(
             finalize.query,
             simulator,
             range(finalize.workers),
@@ -595,22 +601,18 @@ def execute_plan(
             for spec in plan_round.views
             if spec.name == finalize.view
         )
-        if finalize.head == schema:
-            # A materialised view is already canonical (sorted unique).
-            answers = tuple(view.rows())
-        else:
-            # Permuted columns of unique rows stay unique; only the
+        table = numpy.column_stack(
+            [view.column(schema.index(v)) for v in finalize.head]
+        )
+        if finalize.head != schema:
+            # A materialised view is canonical (sorted unique), and
+            # permuted columns of unique rows stay unique; only the
             # order needs restoring.
-            table = sorted_unique_rows(
-                numpy.column_stack(
-                    [view.column(schema.index(v)) for v in finalize.head]
-                )
-            )
-            answers = tuple(map(tuple, table.tolist()))
+            table = sorted_unique_rows(table)
     return PlanExecution(
         plan=plan,
         simulator=simulator,
-        answers=answers,
+        table=table,
         per_server=per_server,
         view_sizes=view_sizes,
         per_server_views=per_server_views,

@@ -360,7 +360,7 @@ def collect_answers(
     deadline: Deadline | None = None,
     retain: SiteSink | None = None,
     site: str | None = None,
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+) -> tuple[Any, list[int]]:
     """Evaluate ``query`` at every worker and union the results.
 
     ``retain``, when given, receives the per-worker tables and the
@@ -368,12 +368,13 @@ def collect_answers(
     the deliveries were streamed, which retain nothing.
 
     Returns:
-        ``(answers, per_server)`` -- the sorted duplicate-free union
-        of all workers' answers, and the per-worker answer counts in
-        iteration order.
+        ``(table, per_server)`` -- the sorted duplicate-free union
+        of all workers' answers as one int64 table (``retain``'s
+        ``merged``), and the per-worker answer counts in iteration
+        order.
     """
     with _measure_local(profiler, simulator):
-        merged, per_server = _merged_answer_table(
+        return _merged_answer_table(
             query,
             simulator,
             workers,
@@ -383,7 +384,6 @@ def collect_answers(
             retain=retain,
             site=site,
         )
-    return tuple(map(tuple, merged.tolist())), per_server
 
 
 def materialise_view(
@@ -409,17 +409,10 @@ def materialise_view(
     Returns:
         ``(view, per_server_counts)``.
     """
-    with _measure_local(profiler, simulator):
-        merged, per_server = _merged_answer_table(
-            query,
-            simulator,
-            workers,
-            key_of,
-            profiler=profiler,
-            deadline=deadline,
-            retain=retain,
-            site=name,
-        )
+    merged, per_server = collect_answers(
+        query, simulator, workers, key_of, profiler, deadline, retain,
+        site=name,
+    )
     view = _view_from_table(name, merged, len(query.head), domain_size)
     return view, per_server
 

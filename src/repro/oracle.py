@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Mapping
 
+import numpy
+
 from repro.algorithms.localjoin import evaluate_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Relation
@@ -192,9 +194,11 @@ def execute_plan(
             per_server_views[view.name] = tuple(counts)
 
     answers: Rows = ()
+    arity = 0
     per_server: tuple[int, ...] = ()
     finalize = plan.finalize
     if isinstance(finalize, CollectAnswers):
+        arity = len(finalize.query.head)
         answers, counts = _evaluate_site(
             finalize.query,
             simulator,
@@ -210,6 +214,7 @@ def execute_plan(
             if spec.name == finalize.view
         )
         positions = [schema.index(variable) for variable in finalize.head]
+        arity = len(positions)
         answers = tuple(
             sorted(
                 tuple(row[i] for i in positions)
@@ -219,7 +224,9 @@ def execute_plan(
     return PlanExecution(
         plan=plan,
         simulator=simulator,
-        answers=answers,
+        table=numpy.array(answers, dtype=numpy.int64).reshape(
+            len(answers), arity
+        ),
         per_server=per_server,
         view_sizes=view_sizes,
         per_server_views=per_server_views,

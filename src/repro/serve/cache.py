@@ -26,8 +26,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy
+
 from repro.core.isomorphism import find_query_isomorphism
 from repro.core.query import ConjunctiveQuery
+from repro.data.columnar import sorted_unique_rows
 from repro.engine.plan import Plan
 from repro.serve.metrics import counter
 
@@ -126,22 +129,18 @@ class CacheRebind:
             range(len(self.head_permutation))
         )
 
-    def remap_answers(
-        self, answers: tuple[tuple[int, ...], ...]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Permute answer columns into the request's head order.
+    def remap_table(self, table: Any) -> Any:
+        """Permute an answer table's columns into the request's head
+        order.
 
         The plan's answers come back sorted in the *plan* head order;
-        a non-trivial permutation breaks sortedness, so re-sort.
+        a non-trivial permutation breaks sortedness, so re-sort (the
+        permuted rows stay unique).  The identity returns ``table``.
         """
         permutation = self.head_permutation
         if permutation == tuple(range(len(permutation))):
-            return answers
-        return tuple(
-            sorted(
-                tuple(row[i] for i in permutation) for row in answers
-            )
-        )
+            return table
+        return sorted_unique_rows(numpy.take(table, permutation, axis=1))
 
 
 def identity_rebind(query: ConjunctiveQuery) -> CacheRebind:

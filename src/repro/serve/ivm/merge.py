@@ -16,7 +16,9 @@ The merge replays a plan's rounds over *only the changed rows*:
 3. Workers whose fragments changed re-join locally; their answer
    tables are spliced into the retained per-worker tables and merged
    canonically -- the same duplicate-free union full execution
-   performs, so answers are bit-identical by construction.
+   performs, so the answer table is bit-identical by construction.
+   Rows stay int64 tables throughout; a view's delta reaches the next
+   round's routing as lists of ints.
 
 All patches accumulate in temporaries and commit only on success: a
 deadline expiring mid-merge (or a synthesised capacity error) leaves
@@ -26,8 +28,8 @@ the same invariant the serving layer's pooled simulators keep.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy
 
@@ -41,16 +43,17 @@ from repro.engine.plan import CollectAnswers, FinalizeView
 from repro.mpc.simulator import CapacityExceeded
 from repro.mpc.stats import RoundStats, SimulationReport
 
-from .state import RetainedState, SiteState, table_rows
+from .state import RetainedState, SiteState
 
-Rows = tuple[tuple[int, ...], ...]
+Rows = Sequence[Sequence[int]]
 
 
 @dataclass(frozen=True)
 class MergeSuccess:
-    """A committed merge: the full-recompute-identical outcome."""
+    """A committed merge: the full-recompute-identical outcome
+    (``table`` as a full execution's ``PlanExecution.table``)."""
 
-    answers: Rows
+    table: Any
     per_server: tuple[int, ...]
     report: SimulationReport
     view_sizes: dict[str, int]
@@ -82,98 +85,76 @@ def _route_delta(step, rows: Rows, p: int) -> dict[int, list]:
     return by_worker
 
 
-def _patch_fragment(columns: tuple, removed: list, added: list) -> tuple:
+def _structured(table, arity: int):
+    """A C-contiguous int64 table viewed as one record per row."""
+    fields = numpy.dtype([(f"f{i}", numpy.int64) for i in range(arity)])
+    return (
+        numpy.ascontiguousarray(table).view(fields).reshape(len(table))
+    )
+
+
+def _absent_rows(table, reference, arity: int):
+    """The rows of ``table`` that ``reference`` lacks, in table order.
+
+    ``reference`` is a :func:`~repro.data.columnar.sorted_unique_rows`
+    output: unique rows in signed, column-by-column lexicographic
+    order.  That is exactly the order a structured int64 view compares
+    in, so membership is one ``searchsorted`` over such views.
+    """
+    if not len(table) or not len(reference):
+        return table
+    if not arity:
+        return table[:0]  # the one empty row is in both
+    reference_v = _structured(reference, arity)
+    table_v = _structured(table, arity)
+    found = numpy.searchsorted(reference_v, table_v)
+    clipped = numpy.minimum(found, len(reference_v) - 1)
+    present = (reference_v[clipped] == table_v) & (found < len(reference_v))
+    return table[~present]
+
+
+def _patch_fragment(columns: tuple, removed: Rows, added: Rows) -> tuple:
     """``(fragment - removed) + added`` over a fragment's columns.
 
     Routed images of effective deltas make both sides exact: every
     removed row is present, no added row is (content routing is a
     function, and the relation-level delta is effective).
     """
-    if removed and len(columns[0]):
-        mask = numpy.zeros(len(columns[0]), dtype=bool)
-        for row in removed:
-            hit = columns[0] == row[0]
-            for column, value in zip(columns[1:], row[1:]):
-                hit = hit & (column == value)
-            mask |= hit
-        keep = ~mask
-        columns = tuple(column[keep] for column in columns)
+    table = numpy.column_stack(columns)
+    if removed:
+        gone = sorted_unique_rows(numpy.array(removed, dtype=numpy.int64))
+        table = _absent_rows(table, gone, len(columns))
     if added:
-        extra = [
-            numpy.asarray([row[i] for row in added], dtype=numpy.int64)
-            for i in range(len(columns))
-        ]
-        columns = tuple(
-            numpy.concatenate([column, extension])
-            for column, extension in zip(columns, extra)
+        table = numpy.concatenate(
+            [table, numpy.array(added, dtype=numpy.int64)]
         )
-    return columns
+    return tuple(numpy.ascontiguousarray(column) for column in table.T)
 
 
-def _insert_new_rows(merged, tables, arity):
+def _insert_new_rows(merged, tables, arity: int):
     """Splice every row of ``tables`` absent from ``merged`` into it.
 
     ``merged`` is a :func:`~repro.data.columnar.sorted_unique_rows`
-    output: unique rows in signed, column-by-column lexicographic
-    order.  That is exactly the order a structured int64 view
-    compares in, so membership and placement both run as
-    ``searchsorted`` over such views -- this splice depends on the
-    kernel keeping that order -- and the result is the bit-identical
+    output, and placement runs as ``searchsorted`` over structured
+    views (see :func:`_absent_rows`) -- this splice depends on the
+    kernel keeping that order -- so the result is the bit-identical
     table a full re-union would produce, at an O(n) splice instead of
     an O(n log n) re-sort of every worker's table.
 
-    Returns ``(table, fresh, positions)``: the new merged table, the
-    genuinely new rows as tuples in canonical order, and their
-    insertion positions into the *old* table (ascending) -- or
-    ``(merged, (), None)`` when nothing was new.
+    Returns ``(table, fresh)``: the new merged table and the genuinely
+    new rows, sorted unique (empty when nothing was new, and then
+    ``table`` is ``merged`` itself).
     """
-    fields = numpy.dtype(
-        [(f"f{i}", numpy.int64) for i in range(arity)]
+    fresh = numpy.concatenate(
+        [merged[:0]] + [_absent_rows(t, merged, arity) for t in tables]
     )
-
-    def view_of(table):
-        return (
-            numpy.ascontiguousarray(table)
-            .view(fields)
-            .reshape(len(table))
-        )
-
-    merged_c = numpy.ascontiguousarray(merged)
-    merged_v = view_of(merged_c)
-    candidates = []
-    for table in tables:
-        if not len(table):
-            continue
-        fresh = numpy.ascontiguousarray(table)
-        if len(merged_v):
-            table_v = view_of(fresh)
-            found = numpy.searchsorted(merged_v, table_v)
-            clipped = numpy.minimum(found, len(merged_v) - 1)
-            present = (merged_v[clipped] == table_v) & (
-                found < len(merged_v)
-            )
-            fresh = fresh[~present]
-        if len(fresh):
-            candidates.append(fresh)
-    if not candidates:
-        return merged_c, (), None
-    cand = sorted_unique_rows(numpy.concatenate(candidates))
-    positions = numpy.searchsorted(merged_v, view_of(cand))
-    table = numpy.insert(merged_c, positions, cand, axis=0)
-    return table, tuple(map(tuple, cand.tolist())), positions
-
-
-def _splice_rows(rows: Rows, fresh: Rows, positions) -> Rows:
-    """``rows`` with ``fresh[i]`` inserted before old index
-    ``positions[i]`` -- the tuple-space image of ``numpy.insert``."""
-    out: list = []
-    previous = 0
-    for position, row in zip(positions.tolist(), fresh):
-        out.extend(rows[previous:position])
-        out.append(row)
-        previous = position
-    out.extend(rows[previous:])
-    return tuple(out)
+    if not len(fresh):
+        return merged, fresh
+    fresh = sorted_unique_rows(fresh)
+    positions = numpy.searchsorted(
+        _structured(merged, arity), _structured(fresh, arity)
+    )
+    return numpy.insert(merged, positions, fresh, axis=0), fresh
 
 
 def merge_state(
@@ -218,15 +199,15 @@ def merge_state(
     #: Mailbox keys whose fragments lost rows this merge: sites fed by
     #: them may shrink, which disables the growth-only fast path.
     shrunk: set[str] = set()
-    #: Sites whose merged table was updated by sorted insertion:
-    #: ``(fresh rows, insert positions | None)``.
-    spliced: dict[str | None, tuple[Rows, object]] = {}
+    #: Sites whose merged table was updated by sorted insertion, and
+    #: the rows it gained.
+    spliced: dict[str | None, Any] = {}
     new_rounds: list[RoundStats] = []
 
     def fragment_of(key: str, worker: int):
         fragment = patched_fragments.get((key, worker))
         if fragment is None:
-            fragment = state.pools[key].fragments[worker]
+            fragment = state.pools[key][worker]
         return fragment
 
     def table_of(site: SiteState, worker: int):
@@ -271,21 +252,20 @@ def merge_state(
                 patched_tables[(site.name, worker)]
                 for worker in sorted(touched)
             ]
-            table, fresh, positions = _insert_new_rows(
+            table, fresh = _insert_new_rows(
                 site.merged, new_tables, arity
             )
             patched_merged[site.name] = table
-            spliced[site.name] = (fresh, positions)
-            return fresh, ()
+            spliced[site.name] = fresh
+            return fresh.tolist(), ()
         tables = [
             table_of(site, worker) for worker in range(site.workers)
         ]
-        patched_merged[site.name] = union_answer_tables(tables, arity)
-        old_merged = set(table_rows(site.merged))
-        new_merged = set(table_rows(patched_merged[site.name]))
+        merged = union_answer_tables(tables, arity)
+        patched_merged[site.name] = merged
         return (
-            tuple(sorted(new_merged - old_merged)),
-            tuple(sorted(old_merged - new_merged)),
+            _absent_rows(merged, site.merged, arity).tolist(),
+            _absent_rows(site.merged, merged, arity).tolist(),
         )
 
     for round_index, plan_round in enumerate(plan.rounds):
@@ -368,19 +348,7 @@ def merge_state(
         site = state.collect
         assert site is not None
         refresh_site(site)
-        merged = patched_merged.get(site.name, site.merged)
-        cached = site.answer_rows
-        if cached is not None and site.name not in patched_merged:
-            answers = cached
-        elif cached is not None and site.name in spliced:
-            fresh, insert_at = spliced[site.name]
-            answers = (
-                cached
-                if insert_at is None
-                else _splice_rows(cached, fresh, insert_at)
-            )
-        else:
-            answers = table_rows(merged)
+        table = patched_merged.get(site.name, site.merged)
         per_server = tuple(
             [len(table_of(site, w)) for w in range(site.workers)]
             + [0] * (p - site.workers)
@@ -388,31 +356,22 @@ def merge_state(
     else:
         assert isinstance(finalize, FinalizeView)
         site = state.views[finalize.view]
-        merged = patched_merged.get(site.name, site.merged)
-        head_positions = state.finalize_positions
-        assert head_positions is not None
-        cached = site.answer_rows
-        if cached is not None and site.name not in patched_merged:
-            answers = cached
-        elif cached is not None and site.name in spliced:
-            fresh, insert_at = spliced[site.name]
-            if insert_at is None:
-                answers = cached
-            else:
-                projected = list(cached)
-                for row in fresh:
-                    insort(
-                        projected,
-                        tuple(row[i] for i in head_positions),
-                    )
-                answers = tuple(projected)
-        else:
-            answers = tuple(
-                sorted(
-                    tuple(row[i] for i in head_positions)
-                    for row in table_rows(merged)
+        table = patched_merged.get(site.name, site.merged)
+        projected = state.projected
+        if projected is not None:
+            # A permuted finalize keeps its head-order table current.
+            schema = site.query.head
+            positions = [schema.index(v) for v in finalize.head]
+            if site.name in spliced:
+                table, _ = _insert_new_rows(
+                    projected,
+                    [spliced[site.name][:, positions]],
+                    len(positions),
                 )
-            )
+            elif site.name in patched_merged:
+                table = sorted_unique_rows(table[:, positions])
+            else:
+                table = projected
         per_server = ()
 
     view_sizes = {
@@ -422,21 +381,22 @@ def merge_state(
 
     # Commit: the merge succeeded end to end.
     for (key, worker), fragment in patched_fragments.items():
-        state.pools[key].fragments[worker] = fragment
-    for (name, worker), table in patched_tables.items():
+        state.pools[key][worker] = fragment
+    for (name, worker), worker_table in patched_tables.items():
         target = state.collect if name is None else state.views[name]
-        target.tables[worker] = table
+        target.tables[worker] = worker_table
     for name, merged_table in patched_merged.items():
         target = state.collect if name is None else state.views[name]
         target.merged = merged_table
-    site.answer_rows = answers
+    if state.projected is not None:
+        state.projected = table
     state.report_rounds = tuple(new_rounds)
     state.input_bits = new_input_bits
     state.version = composed.new_version
     state.recount_bytes()
 
     return MergeSuccess(
-        answers=answers,
+        table=table,
         per_server=per_server,
         report=SimulationReport(
             input_bits=new_input_bits, rounds=list(new_rounds)

@@ -12,11 +12,12 @@ instead of re-executing the plan.
 Nothing is derived a second time.  The fragments are zero-copy views
 of the pooled deliveries still sitting in the execution's simulator
 (the serving layer resets simulators lazily, at the start of the next
-run), and each site's per-worker answer tables, merged table and
-answer tuples are the very objects local evaluation produced, taken by
-reference from :attr:`PlanExecution.site_answers
+run), and each site's per-worker answer tables and merged table --
+and a permuted ``FinalizeView``'s answer table -- are the very arrays
+local evaluation produced, taken by reference from
+:attr:`PlanExecution.site_answers
 <repro.engine.executor.PlanExecution.site_answers>` and
-``execution.answers``.  A streamed execution records no site answers
+``execution.table``.  A streamed execution records no site answers
 and retains nothing.
 
 What capture still checks costs microseconds: one report round per
@@ -47,25 +48,6 @@ from repro.mpc.stats import RoundStats
 
 from .policy import FALLBACK_NO_STATE, FALLBACK_STREAMED
 
-#: Rough per-row cost of a retained answer-row tuple (tuple header plus
-#: small-int pointers); only used for the byte budget, so it must be
-#: stable, not exact.
-_ROW_BYTES = 60
-_VALUE_BYTES = 28
-
-
-@dataclass
-class FragmentStore:
-    """One mailbox key's per-worker fragments.
-
-    ``fragments[w]`` is worker ``w``'s full fragment of the key: a
-    tuple of int64 column arrays.
-    """
-
-    arity: int
-    fragments: list[Any]
-
-
 @dataclass
 class SiteState:
     """One evaluation site: a materialised view or answer collection.
@@ -77,11 +59,6 @@ class SiteState:
         workers: number of workers evaluating the site.
         tables: per-worker int64 answer tables.
         merged: the canonical merged table -- lex-sorted unique rows.
-        answer_rows: for the site that produces the request's answers,
-            a cache of those answers as row tuples in canonical order
-            (kept current by every merge, so a delta-proportional
-            merge never re-materialises the full table); None for
-            every other site.
     """
 
     name: str | None
@@ -90,31 +67,37 @@ class SiteState:
     workers: int
     tables: list[Any]
     merged: Any
-    answer_rows: tuple | None = None
 
 
 @dataclass
 class RetainedState:
-    """Everything IVM retains from one full plan execution."""
+    """Everything IVM retains from one full plan execution.
+
+    The answers are the answer site's merged table, except that a
+    ``FinalizeView`` permuting its view's columns keeps them, in head
+    order, as ``projected``.
+    """
 
     version: int
     plan: Plan
     relation_map: dict[str, str]
-    pools: dict[str, FragmentStore]
+    #: mailbox key -> per-worker fragments, each a tuple of int64
+    #: column arrays.
+    pools: dict[str, list[tuple]]
     views: dict[str, SiteState]
     view_rounds: list[list[str]]
     collect: SiteState | None
-    finalize_positions: list[int] | None
     report_rounds: tuple[RoundStats, ...]
     input_bits: int
     step_bits: dict[tuple[int, int], int]
+    projected: Any = None
     nbytes: int = 0
 
     def recount_bytes(self) -> int:
         """Recompute (and store) the retained-byte estimate."""
         total = 0
-        for store in self.pools.values():
-            for fragment in store.fragments:
+        for fragments in self.pools.values():
+            for fragment in fragments:
                 total += sum(int(column.nbytes) for column in fragment)
         for site in list(self.views.values()) + (
             [self.collect] if self.collect is not None else []
@@ -122,9 +105,8 @@ class RetainedState:
             for table in site.tables:
                 total += int(table.nbytes)
             total += int(site.merged.nbytes)
-            rows = site.answer_rows
-            if rows:
-                total += len(rows) * (_ROW_BYTES + len(rows[0]) * _VALUE_BYTES)
+        if self.projected is not None:
+            total += int(self.projected.nbytes)
         self.nbytes = total
         return total
 
@@ -177,11 +159,6 @@ def compute_step_bits(
     return bits
 
 
-def table_rows(table: Any) -> tuple[tuple[int, ...], ...]:
-    """A table's rows as plain tuples (canonical order preserved)."""
-    return tuple(map(tuple, table.tolist()))
-
-
 def capture_state(
     plan: Plan,
     execution: PlanExecution,
@@ -216,19 +193,16 @@ def capture_state(
         for atom in query.atoms
     )
 
-    pools: dict[str, FragmentStore] = {}
+    pools: dict[str, list[tuple]] = {}
     for key in needed_keys:
         pool = simulator.relation_pool(key)
         if pool is None or pool.num_workers != p:
             return FALLBACK_NO_STATE
-        pools[key] = FragmentStore(
-            arity=len(pool.columns),
-            fragments=[pool.worker_slice(w) for w in range(p)],
-        )
+        pools[key] = [pool.worker_slice(w) for w in range(p)]
 
     views: dict[str, SiteState] = {}
     collect: SiteState | None = None
-    finalize_positions: list[int] | None = None
+    projected = None
     view_rounds = [
         [view.name for view in plan_round.views]
         for plan_round in plan.rounds
@@ -274,15 +248,12 @@ def capture_state(
         answers_site = views.get(finalize.view)
         if answers_site is None:
             return FALLBACK_NO_STATE
-        schema = answers_site.query.head
-        finalize_positions = [
-            schema.index(variable) for variable in finalize.head
-        ]
+        if finalize.head != answers_site.query.head:
+            projected = execution.table
     else:
         return FALLBACK_NO_STATE
-    if len(answers_site.merged) != len(execution.answers):
+    if len(answers_site.merged) != len(execution.table):
         return FALLBACK_NO_STATE
-    answers_site.answer_rows = execution.answers
 
     state = RetainedState(
         version=version,
@@ -292,10 +263,10 @@ def capture_state(
         views=views,
         view_rounds=view_rounds,
         collect=collect,
-        finalize_positions=finalize_positions,
         report_rounds=tuple(execution.report.rounds),
         input_bits=execution.report.input_bits,
         step_bits=compute_step_bits(plan, snapshot, relation_map),
+        projected=projected,
     )
     state.recount_bytes()
     return state

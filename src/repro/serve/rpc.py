@@ -17,8 +17,9 @@ Operations:
     ``eps`` (fraction string like ``"1/2"`` or a number),
     ``algorithm`` (registry name), ``allow_partial`` (bool),
     ``stream`` (bool: send ``{"id", "batch"}`` lines of at most
-    ``batch`` rows each, then a final ``done`` summary without the
-    answers inlined).
+    ``batch`` rows each -- a positive integer, default
+    :data:`DEFAULT_BATCH_ROWS` -- then a final ``done`` summary
+    without the answers inlined).
 ``explain``
     The planner's report for a statement, without executing it.
 ``update`` / ``delete``
@@ -33,6 +34,13 @@ Operations:
 Malformed JSON, unknown operations, bad queries and execution errors
 all come back as structured ``{"ok": false, "error": ...}`` lines --
 the connection (and the server) always survives a bad request.
+
+**Encoding.**  Answers stay one int64 table from the engine to this
+module.  A reply's ``"answers"`` value is that table's JSON array,
+encoded once per result -- per result-cache entry and head order, on
+the entry (:class:`~repro.serve.service.AnswerViews`) -- and spliced
+into every reply line that carries it without being encoded again.  A
+streamed ``batch`` line encodes its slice of the table.
 
 **Concurrency and coalescing.**  The session object is not
 thread-safe: its planner/profile caches, plan cache and pooled
@@ -204,6 +212,31 @@ def _parse_eps(value: Any) -> Fraction | None:
         return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as error:
         raise QueryError(f"invalid eps {value!r}: {error}") from None
+
+
+def _parse_batch(value: Any) -> int:
+    """``batch`` from the wire: None (the default) or a positive int."""
+    if value is None:
+        return DEFAULT_BATCH_ROWS
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise QueryError(f"'batch' must be a positive integer, got {value!r}")
+    return value
+
+
+def encode_line(payload: dict) -> bytes:
+    """``payload`` as one compact, newline-terminated JSON line; a
+    ``bytes`` value is JSON already encoded (a result's answers) and is
+    spliced in verbatim."""
+    return b"{%s}\n" % b",".join(
+        json.dumps(key).encode()
+        + b":"
+        + (
+            value
+            if isinstance(value, bytes)
+            else json.dumps(value, separators=(",", ":")).encode()
+        )
+        for key, value in payload.items()
+    )
 
 
 def _parse_rows(value: Any) -> list[tuple[int, ...]]:
@@ -553,8 +586,7 @@ class RpcServer:
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(json.dumps(payload, separators=(",", ":")).encode())
-        writer.write(b"\n")
+        writer.write(encode_line(payload))
         await writer.drain()
 
     # -- operations ---------------------------------------------------------
@@ -617,9 +649,7 @@ class RpcServer:
     ) -> list[dict]:
         statement = self._statement(request)
         stream = bool(request.get("stream"))
-        batch_rows = int(request.get("batch", DEFAULT_BATCH_ROWS))
-        if stream and batch_rows < 1:
-            raise QueryError(f"need batch >= 1, got {batch_rows}")
+        batch_rows = _parse_batch(request.get("batch"))
         start = time.perf_counter()
         if self.admission is not None:
             await self.admission.acquire()
@@ -632,7 +662,7 @@ class RpcServer:
         self.stats.request_latency.observe(elapsed)
         summary = {
             "ok": True,
-            "count": len(result.answers),
+            "count": len(result.table),
             "version": result.version,
             "algorithm": result.algorithm,
             "plan_hit": result.plan_hit,
@@ -641,7 +671,7 @@ class RpcServer:
             "elapsed_ms": round(elapsed * 1000, 3),
         }
         if not stream:
-            summary["answers"] = [list(row) for row in result.answers]
+            summary["answers"] = result.answer_views.json
             return [summary]
         # Batches are written incrementally: one batch is encoded and
         # on the wire (with drain() applying the client's backpressure)
@@ -651,8 +681,9 @@ class RpcServer:
 
         fault_after = disconnect_after_batches()
         batches = 0
+        table = result.table
         try:
-            for index in range(0, len(result.answers), batch_rows):
+            for index in range(0, len(table), batch_rows):
                 if fault_after is not None and batches >= fault_after:
                     # Injected fault: the client vanished mid-stream.
                     writer.transport.abort()
@@ -660,10 +691,7 @@ class RpcServer:
                         "injected mid-stream disconnect"
                     )
                 line: dict[str, Any] = {
-                    "batch": [
-                        list(row)
-                        for row in result.answers[index:index + batch_rows]
-                    ]
+                    "batch": table[index:index + batch_rows].tolist()
                 }
                 if request_id is not None:
                     line["id"] = request_id

@@ -14,7 +14,9 @@ layers:
    version) -- the database is immutable between versions, so a
    repeated query is answered without touching the simulator.  A
    cached :class:`~repro.mpc.simulator.CapacityExceeded` is re-raised
-   the same way a fresh execution would raise it.
+   the same way a fresh execution would raise it.  An entry keeps its
+   answers per head order read, with their tuple and JSON views
+   (:class:`AnswerViews`) built at most once.
 
 Simulators are pooled per configuration and reset between requests
 (allocating ``p`` mailboxes per request is measurable at serving
@@ -25,8 +27,10 @@ into :class:`ServiceStats`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Any, Iterator, Mapping
 
 from repro.algorithms.registry import compile_with, get_algorithm
 from repro.core.query import ConjunctiveQuery, QueryError
@@ -134,6 +138,35 @@ class ServiceStats:
             self.phase_histograms[phase].observe(seconds)
 
 
+def encode_answers(table: Any) -> bytes:
+    """An answer table as the compact JSON array a reply carries."""
+    return json.dumps(table.tolist(), separators=(",", ":")).encode()
+
+
+class AnswerViews:
+    """An answer table and its tuple and JSON views, each built once.
+
+    Every :class:`Result` served from one result-cache entry in one
+    head order shares one instance, so the table is made read-only.
+    Pickling keeps the table only.
+    """
+
+    def __init__(self, table: Any) -> None:
+        table.flags.writeable = False
+        self.table = table
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.table.tolist()))
+
+    @cached_property
+    def json(self) -> bytes:
+        return encode_answers(self.table)
+
+    def __reduce__(self) -> tuple:
+        return (AnswerViews, (self.table,))
+
+
 @dataclass(frozen=True)
 class Result:
     """One executed statement's outcome.
@@ -141,7 +174,10 @@ class Result:
     Iterating a result iterates its answer rows.
 
     Attributes:
-        answers: sorted answer tuples in the statement's head order.
+        answer_views: the answer table in the statement's head order
+            (:attr:`table`) with its tuple view (:attr:`answers`) and
+            the JSON array an RPC reply carries (``.json``), each
+            built once and shared by every hit in that order.
         per_server: per-worker answer counts of the canonical plan
             execution, zero-padded to ``p``.
         report: communication statistics of the (possibly cached)
@@ -163,7 +199,7 @@ class Result:
             (version 0, result-cache hit, or IVM disabled).
     """
 
-    answers: tuple[tuple[int, ...], ...]
+    answer_views: AnswerViews = field(repr=False)
     per_server: tuple[int, ...]
     report: SimulationReport
     plan: Plan
@@ -176,12 +212,23 @@ class Result:
     ivm: str | None = None
 
     @property
+    def table(self) -> Any:
+        """The answers: a sorted duplicate-free, read-only int64
+        ``(rows, arity)`` table in the statement's head order."""
+        return self.answer_views.table
+
+    @property
+    def answers(self) -> tuple[tuple[int, ...], ...]:
+        """:attr:`table` as sorted answer tuples (built on first use)."""
+        return self.answer_views.rows
+
+    @property
     def algorithm(self) -> str:
         """The compiler that produced the served plan."""
         return self.plan.signature.algorithm
 
     def __len__(self) -> int:
-        return len(self.answers)
+        return len(self.answer_views.table)
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self.answers)
@@ -189,14 +236,26 @@ class Result:
 
 @dataclass
 class _Outcome:
-    """A memoized execution (answers in plan head order)."""
+    """A memoized execution (``table`` in plan head order), or its
+    capacity failure (``error``; then only ``report`` is set)."""
 
-    answers: tuple[tuple[int, ...], ...]
-    per_server: tuple[int, ...]
     report: SimulationReport
-    heavy_hitters: dict[str, frozenset[int]] | None
+    table: Any = None
+    per_server: tuple[int, ...] = ()
+    heavy_hitters: dict[str, frozenset[int]] | None = None
     error: CapacityExceeded | None = None
     view_sizes: dict[str, int] = field(default_factory=dict)
+    #: head permutation -> the answers in that head order.
+    heads: dict[tuple[int, ...], AnswerViews] = field(default_factory=dict)
+
+    def answer_views(self, rebind: CacheRebind) -> AnswerViews:
+        """The answers in ``rebind``'s head order, remapped once."""
+        permutation = rebind.head_permutation
+        views = self.heads.get(permutation)
+        if views is None:
+            views = AnswerViews(rebind.remap_table(self.table))
+            self.heads[permutation] = views
+        return views
 
 
 class QueryService:
@@ -382,13 +441,13 @@ class QueryService:
         if outcome.error is not None:
             self.stats.capacity_failures += 1
             raise outcome.error
-        answers = rebind.remap_answers(outcome.answers)
-        self.stats.answers_served += len(answers)
+        views = outcome.answer_views(rebind)
+        self.stats.answers_served += len(views.table)
         explain = choice.explain
         if ivm_status is not None:
             explain = replace(explain, ivm=ivm_status)
         return Result(
-            answers=answers,
+            answer_views=views,
             per_server=outcome.per_server,
             report=outcome.report,
             plan=plan,
@@ -506,10 +565,9 @@ class QueryService:
             self.stats.ivm_hits += 1
             return (
                 _Outcome(
-                    answers=served.answers,
-                    per_server=served.per_server,
-                    report=served.report,
-                    heavy_hitters=None,
+                    served.report,
+                    served.table,
+                    served.per_server,
                     view_sizes=served.view_sizes,
                 ),
                 "merged",
@@ -519,12 +577,7 @@ class QueryService:
             self.stats.ivm_hits += 1
             return (
                 _Outcome(
-                    answers=(),
-                    per_server=(),
-                    report=SimulationReport(
-                        input_bits=served.input_bits
-                    ),
-                    heavy_hitters=None,
+                    SimulationReport(input_bits=served.input_bits),
                     error=served.error,
                 ),
                 "merged",
@@ -587,12 +640,7 @@ class QueryService:
             # The report lives on the pooled simulator that raised;
             # keep the failure itself, which carries worker/round/bits.
             return _Outcome(
-                answers=(),
-                per_server=(),
-                report=SimulationReport(
-                    input_bits=self._database.total_bits
-                ),
-                heavy_hitters=None,
+                SimulationReport(input_bits=self._database.total_bits),
                 error=error,
             )
         if self.ivm is not None:
@@ -609,9 +657,9 @@ class QueryService:
                 self._database,
             )
         return _Outcome(
-            answers=execution.answers,
-            per_server=execution.per_server,
-            report=execution.report,
-            heavy_hitters=execution.heavy_hitters,
+            execution.report,
+            execution.table,
+            execution.per_server,
+            execution.heavy_hitters,
             view_sizes=execution.view_sizes or {},
         )

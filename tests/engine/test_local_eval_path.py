@@ -102,9 +102,10 @@ def test_every_delivery_kind_takes_the_shard_loop(
         localjoin, "evaluate_query_table_segmented", spy_kernel
     )
 
-    answers, per_server = collect_answers(
+    table, per_server = collect_answers(
         QUERY, simulator, range(P)
     )
+    answers = tuple(map(tuple, table.tolist()))
     assert kernel_calls and all(kernel_calls)
     assert answers == localjoin.evaluate_query(
         QUERY, {r.name: r.tuples for r in database}
@@ -219,7 +220,7 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
                 },
             )
         )
-    assert tuple(map(tuple, site.merged.tolist())) == answers
+    assert site.merged is answers
 
 
 @pytest.mark.parametrize("eager", [(), ("S2",)], ids=["streamed", "mixed"])

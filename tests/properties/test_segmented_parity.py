@@ -99,20 +99,26 @@ def _row_reference(query, simulator, workers):
     return tuple(sorted(union)), per_server
 
 
+def _collect(query, simulator, workers):
+    """The engine path: the answer table as sorted row tuples."""
+    from repro.engine import collect_answers
+
+    table, per_server = collect_answers(query, simulator, workers)
+    return tuple(map(tuple, table.tolist())), per_server
+
+
 class TestSegmentedVsPerWorker:
     """The segmented evaluator agrees with the row reference."""
 
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matching_inputs(self, query, seed):
-        from repro.engine import collect_answers
-
         rng = random.Random(seed)
         n = rng.choice([40, 97, 150])
         p = rng.choice([4, 16, 33])
         database = matching_database(query, n=n, rng=seed)
         simulator, workers = _route_hc(query, database, p, seed)
-        answers, per_server = collect_answers(
+        answers, per_server = _collect(
             query, simulator, workers
         )
         reference = _row_reference(query, simulator, workers)
@@ -127,7 +133,7 @@ class TestSegmentedVsPerWorker:
 
         database = matching_database(query, n=97, rng=1)
         simulator, workers = _route_hc(query, database, 16, 1)
-        one_shard = collect_answers(query, simulator, workers)
+        one_shard = _collect(query, simulator, workers)
         assert one_shard == _row_reference(query, simulator, workers)
         monkeypatch.setenv(SHARD_BYTES_ENV, "1")
         shards = _plan_eval_shards(
@@ -135,25 +141,23 @@ class TestSegmentedVsPerWorker:
         )
         assert len(shards) == len(workers) > 1
         assert (
-            collect_answers(query, simulator, workers)
+            _collect(query, simulator, workers)
             == one_shard
         )
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_worker_subsets(self, seed):
         """Prefixes (and nothing) evaluate; a non-prefix list raises."""
-        from repro.engine import collect_answers
-
         query = cycle_query(3)
         database = matching_database(query, n=80, rng=seed)
         simulator, workers = _route_hc(query, database, 16, seed)
         for subset in ([0], list(range(5)), []):
-            assert collect_answers(
+            assert _collect(
                 query, simulator, list(subset)
             ) == _row_reference(query, simulator, subset), subset
         for subset in ([2, 7, 11], [11, 2, 7]):
             with pytest.raises(ValueError, match="prefix"):
-                collect_answers(query, simulator, list(subset))
+                _collect(query, simulator, list(subset))
 
 
 class TestOracleParityThroughSegmented:

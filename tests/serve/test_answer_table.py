@@ -1,0 +1,170 @@
+"""The answer table from engine to socket: remap kernel, pins, bytes.
+
+Answers stay one sorted, duplicate-free int64 ``(rows, arity)`` table
+from the engine to the RPC encoder.  Row tuples exist only as the lazy
+views Python callers ask for.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import connect
+from repro.algorithms.registry import compile_with
+from repro.core.query import parse_query
+from repro.data.matching import matching_database
+from repro.engine import execute_plan
+from repro.serve.cache import CacheRebind
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+values = st.one_of(
+    st.integers(1, 4),  # ties on leading columns
+    st.integers(-(2**62), 2**62),
+)
+
+
+@st.composite
+def tables_and_permutations(draw):
+    arity = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(st.tuples(*[values] * arity), min_size=0, max_size=30)
+    )
+    permutation = tuple(draw(st.permutations(range(arity))))
+    table = numpy.array(sorted(set(rows)), dtype=numpy.int64).reshape(
+        -1, arity
+    )
+    return table, permutation
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_permutations())
+def test_table_remap_matches_the_tuple_sort(case):
+    table, permutation = case
+    rebind = CacheRebind(relation_map=(), head_permutation=permutation)
+    remapped = rebind.remap_table(table)
+    expected = sorted(
+        tuple(row[i] for i in permutation) for row in table.tolist()
+    )
+    assert remapped.dtype == numpy.int64
+    assert remapped.shape == (len(expected), len(permutation))
+    assert list(map(tuple, remapped.tolist())) == expected
+
+
+#: The lazy views: the only places an answer table becomes tuples.
+LAZY_VIEWS = {
+    ("engine/executor.py", "PlanExecution.answers"),
+    ("serve/service.py", "AnswerViews.rows"),
+}
+
+
+def _is_tuple_rebuild(node: ast.AST) -> bool:
+    """``tuple(map(tuple, <anything>.tolist()))``."""
+    if not (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and len(node.args) == 1
+    ):
+        return False
+    inner = node.args[0]
+    return (
+        isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Name)
+        and inner.func.id == "map"
+        and len(inner.args) == 2
+        and isinstance(inner.args[0], ast.Name)
+        and inner.args[0].id == "tuple"
+        and isinstance(inner.args[1], ast.Call)
+        and isinstance(inner.args[1].func, ast.Attribute)
+        and inner.args[1].func.attr == "tolist"
+    )
+
+
+def _rebuild_sites(path: Path) -> set[tuple[str, str]]:
+    sites = set()
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                visit(child, scope + [child.name])
+                continue
+            if _is_tuple_rebuild(child):
+                sites.add(
+                    (path.relative_to(SRC).as_posix(), ".".join(scope))
+                )
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return sites
+
+
+def test_row_tuples_are_rebuilt_only_in_the_lazy_views():
+    sites = set()
+    for package in ("engine", "serve"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            sites |= _rebuild_sites(path)
+    assert sites == LAZY_VIEWS
+
+
+VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
+
+#: ``ivm.retained_bytes`` after capturing each statement when the
+#: answer site also kept its rows as tuples (60 bytes a row plus 28 a
+#: value on top of the tables).
+TUPLE_ERA_RETAINED_BYTES = {
+    ("hypercube", "S1(x,y), S2(y,z)"): 13440,
+    ("multiround", "q(z,x,y,w) = S1(x,y), S2(y,z), S3(z,w)"): 21360,
+}
+
+
+def test_retained_state_holds_tables_only():
+    for (algorithm, text), before in TUPLE_ERA_RETAINED_BYTES.items():
+        session = connect(
+            matching_database(VOCAB, n=60, rng=7), p=8, algorithm=algorithm
+        )
+        try:
+            result = session.execute(text)
+            (state,) = session.ivm.store._states.values()
+            arrays = [
+                column
+                for fragments in state.pools.values()
+                for fragment in fragments
+                for column in fragment
+            ]
+            sites = list(state.views.values()) + [state.collect] * (
+                state.collect is not None
+            )
+            for site in sites:
+                arrays += [*site.tables, site.merged]
+            if state.projected is not None:
+                arrays.append(state.projected)
+                assert state.projected is result.table
+            retained = session.ivm.retained_bytes
+            assert retained == sum(int(array.nbytes) for array in arrays)
+            assert retained < before
+        finally:
+            session.close()
+
+
+def test_answers_are_lazy_views_of_the_table():
+    database = matching_database(VOCAB, n=60, rng=7)
+    query = parse_query("S1(x,y), S2(y,z)")
+    execution = execute_plan(compile_with("hypercube", query, 8), database)
+    assert execution.answers is execution.answers
+    assert execution.answers == tuple(map(tuple, execution.table.tolist()))
+    session = connect(database, p=8)
+    try:
+        result = session.execute(query)
+        assert result.answers is result.answers
+        assert result.answers == execution.answers
+        assert len(result) == len(result.table) == 60
+    finally:
+        session.close()

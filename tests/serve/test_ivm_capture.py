@@ -1,12 +1,13 @@
 """IVM capture against its oracle: re-join every retained fragment.
 
-Capture takes the per-worker answer tables, the merged tables and the
-answer tuples from the execution by reference.  The oracle here is the
-derivation capture used to run itself: join each worker's retained
-fragments with the single-worker evaluator, union the tables, project
-the answers.  Captured state must equal it row for row and byte for
-byte, on every algorithm x query family IVM accepts, and must
-stay equal to a fresh capture under any interleaving of small deltas.
+Capture takes the per-worker answer tables, the merged tables and a
+permuted finalize's answer table from the execution by reference.  The
+oracle here is the derivation capture used to run itself: join each
+worker's retained fragments with the single-worker evaluator, union the
+tables, project the answers.  Captured state must equal it row for
+row and byte for byte, on every algorithm x query family IVM accepts,
+and must stay equal to a fresh capture under any interleaving of small
+deltas.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -28,11 +30,12 @@ from repro.core.families import (
     spider_query,
     star_query,
 )
+from repro.core.query import parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
 from repro.engine.local import union_answer_tables
 from repro.serve.ivm import IvmPolicy
-from repro.serve.ivm.state import RetainedState, SiteState, table_rows
+from repro.serve.ivm.state import RetainedState, SiteState
 from tests.conftest import ivm_policy
 
 ALGORITHMS = ["hypercube", "multiround"]
@@ -76,7 +79,7 @@ def rejoined(state: RetainedState) -> RetainedState:
             evaluate_query_table(
                 site.query,
                 {
-                    atom: state.pools[key].fragments[worker]
+                    atom: state.pools[key][worker]
                     for atom, key in site.keys.items()
                 },
                 assume_unique=True,
@@ -84,41 +87,48 @@ def rejoined(state: RetainedState) -> RetainedState:
             for worker in range(site.workers)
         ]
         merged = union_answer_tables(tables, len(site.query.head))
-        if site.answer_rows is None:
-            answer_rows = None
-        elif state.finalize_positions is None:
-            answer_rows = table_rows(merged)
-        else:
-            answer_rows = tuple(
-                sorted(
-                    tuple(row[i] for i in state.finalize_positions)
-                    for row in table_rows(merged)
-                )
-            )
-        return replace(
-            site, tables=tables, merged=merged, answer_rows=answer_rows
-        )
+        return replace(site, tables=tables, merged=merged)
 
+    views = {name: rejoin(site) for name, site in state.views.items()}
+    projected = None
+    if state.projected is not None:
+        finalize = state.plan.finalize
+        schema = views[finalize.view].query.head
+        positions = [schema.index(variable) for variable in finalize.head]
+        rows = sorted(
+            tuple(row[i] for i in positions)
+            for row in views[finalize.view].merged.tolist()
+        )
+        projected = numpy.array(rows, dtype=numpy.int64).reshape(
+            len(rows), len(positions)
+        )
     oracle = replace(
         state,
-        views={name: rejoin(site) for name, site in state.views.items()},
+        views=views,
         collect=None if state.collect is None else rejoin(state.collect),
+        projected=projected,
     )
     oracle.recount_bytes()
     return oracle
 
 
 def _row_set(table):
-    return set(table_rows(table))
+    return set(map(tuple, table.tolist()))
+
+
+def _same_table(mine, theirs):
+    assert mine.dtype == theirs.dtype
+    assert mine.shape == theirs.shape
+    assert (mine == theirs).all()
 
 
 def assert_same_state(state: RetainedState, expected: RetainedState):
-    """Same fragments and per-worker tables as row sets; merged tables,
-    answer rows, round statistics and the byte estimate exactly."""
+    """Same fragments and per-worker tables as row sets; merged and
+    projected tables, round statistics and the byte estimate exactly."""
     assert state.pools.keys() == expected.pools.keys()
-    for key, store in state.pools.items():
+    for key, fragments in state.pools.items():
         for mine, theirs in zip(
-            store.fragments, expected.pools[key].fragments, strict=True
+            fragments, expected.pools[key], strict=True
         ):
             mine, theirs = zip(*mine), zip(*theirs)
             assert set(map(tuple, mine)) == set(map(tuple, theirs))
@@ -134,10 +144,10 @@ def assert_same_state(state: RetainedState, expected: RetainedState):
         for table, other in zip(mine.tables, theirs.tables, strict=True):
             assert len(table) == len(other)
             assert _row_set(table) == _row_set(other)
-        assert mine.merged.dtype == theirs.merged.dtype
-        assert mine.merged.shape == theirs.merged.shape
-        assert (mine.merged == theirs.merged).all()
-        assert mine.answer_rows == theirs.answer_rows
+        _same_table(mine.merged, theirs.merged)
+    assert (state.projected is None) == (expected.projected is None)
+    if state.projected is not None:
+        _same_table(state.projected, expected.projected)
     assert state.report_rounds == expected.report_rounds
     assert state.input_bits == expected.input_bits
     assert state.nbytes == expected.nbytes
@@ -162,15 +172,23 @@ def test_captured_state_equals_the_rejoin_oracle(query, algorithm):
         result = session.execute(query)
         state = _only_state(session)
         assert_same_state(state, rejoined(state))
-        answers_site = (
-            state.collect
-            if state.collect is not None
-            else state.views[plan.finalize.view]
-        )
-        assert answers_site.answer_rows == result.answers
+        if state.collect is not None:
+            answers = state.collect.merged
+        elif state.projected is not None:
+            answers = state.projected
+        else:
+            answers = state.views[plan.finalize.view].merged
+        _same_table(answers, result.table)
 
 
-QUERIES = [cycle_query(3), line_query(3), star_query(2)]
+QUERIES = [
+    cycle_query(3),
+    line_query(3),
+    star_query(2),
+    # Multi-round plans finalize through a view whose columns this
+    # head permutes.
+    parse_query("q(z,x,y,w) = S1(x,y), S2(y,z), S3(z,w)"),
+]
 DOMAIN = 6
 pairs = st.tuples(
     st.integers(1, DOMAIN), st.integers(1, DOMAIN)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from repro.algorithms.hypercube import compile_hypercube
@@ -87,7 +88,8 @@ class TestIsomorphicHits:
         assert hit
         # Plan answers are (x, y, z) = variant's (a, b, c); the
         # variant's head order is (c, b, a).
-        assert rebind.remap_answers(((1, 2, 3),)) == ((3, 2, 1),)
+        table = numpy.array([[1, 2, 3], [2, 1, 0]], dtype=numpy.int64)
+        assert rebind.remap_table(table).tolist() == [[0, 1, 2], [3, 2, 1]]
 
     def test_isomorphic_variant_becomes_exact_after_first_probe(self):
         cache = PlanCache()

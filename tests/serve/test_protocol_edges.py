@@ -361,6 +361,40 @@ class TestStreaming:
 
         rpc_test(body())
 
+    def _batch_reply(self, request: dict) -> tuple[dict, int]:
+        """The reply to one query carrying ``batch``, and how many
+        requests reached the session."""
+
+        async def body():
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    client = await _Client.open(server)
+                    response = await client.call(
+                        {"op": "query", "q": PATH, **request}
+                    )
+                    await client.close()
+                    return response, server.session.stats.requests
+            finally:
+                session.close()
+
+        return rpc_test(body())
+
+    def test_null_batch_means_the_default(self):
+        response, requests = self._batch_reply({"batch": None})
+        assert response["ok"] and response["count"] == 60
+        assert requests == 1
+
+    @pytest.mark.parametrize("batch", [True, 2.9], ids=["bool", "float"])
+    def test_non_integer_batch_is_rejected_upfront(self, batch):
+        response, requests = self._batch_reply(
+            {"stream": True, "batch": batch}
+        )
+        assert not response["ok"]
+        assert response["error_type"] == "QueryError"
+        assert "'batch' must be a positive integer" in response["error"]
+        assert requests == 0
+
     def test_mid_stream_disconnect_is_counted_and_survived(
         self, monkeypatch
     ):

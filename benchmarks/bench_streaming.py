@@ -17,16 +17,8 @@ Gates pinned here:
 * ``test_streaming_l8_xl`` (``REPRO_BENCH_XL=1``): the n=10^7 leg
   completes under **4 GB** (the ROADMAP item 2 target).  ~25 GB of
   delivered tuples never exist at once.
-* ``test_streaming_overlap`` (4+ cores): on a multi-round workload
-  the pipelined path (round r's views evaluated on the pool while
-  round r+1 routes inline) is >= 1.3x the non-overlapped streamed
-  wall clock.  Meaningless without cores to overlap on, so the
-  assertion -- like bench_parallel's -- is gated on the runner;
-  parity is asserted unconditionally.
 
-BENCH_streaming*.json records the timings, memory fields and core
-count; ``overlap_speedup`` is trended by benchmarks/trend.py, which
-skips the claim on runners below ``speedup_gate_cores``.
+BENCH_streaming*.json records the timings and memory fields.
 """
 
 from __future__ import annotations
@@ -38,10 +30,8 @@ import pytest
 
 from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 
-from repro.analysis.reporting import format_table
 from repro.core.covers import fractional_vertex_cover
 from repro.core.families import line_query
-from repro.core.plans import build_plan
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import columnar_database
 from repro.data.generators import matching_database_columnar
@@ -62,9 +52,6 @@ DEFAULT_CEILING_BYTES = int(2.5 * 1024**3)
 #: XL leg: the ROADMAP item 2 gate -- n=10^7 under 4 GB.
 XL_N = 10_000_000
 XL_CEILING_BYTES = 4 * 1024**3
-#: The pipelining gate needs cores to overlap on.
-MIN_CORES_FOR_GATE = 4
-OVERLAP_FLOOR = 1.3
 
 
 def _stream_l8(n: int, p: int, chunk_rows: int):
@@ -100,7 +87,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
     return query, simulator, list(range(allocation.used_servers))
 
 
-def _sharded_answer_counts(query, simulator, workers, shard_bytes=None):
+def _sharded_answer_counts(query, simulator, workers):
     """Total answers + per-server counts, one bounded shard at a time.
 
     Never holds more than one shard's answers: the XL leg's whole
@@ -110,9 +97,7 @@ def _sharded_answer_counts(query, simulator, workers, shard_bytes=None):
     from repro.engine.local import _eval_shard_local, _plan_eval_shards
 
     key_of = lambda name: name  # noqa: E731 - trivial identity
-    shards = _plan_eval_shards(
-        query, simulator, len(workers), key_of, shard_bytes
-    )
+    shards = _plan_eval_shards(query, simulator, len(workers), key_of)
     total = 0
     per_server: list[int] = []
     for lo, hi in shards:
@@ -125,10 +110,10 @@ def _sharded_answer_counts(query, simulator, workers, shard_bytes=None):
     return total, per_server, len(shards)
 
 
-def _streamed_leg(name: str, n: int, ceiling_bytes: int, once, shard_bytes=None):
+def _streamed_leg(name: str, n: int, ceiling_bytes: int, once):
     """Route + evaluate one streamed L_8 leg and record its artifact.
 
-    ``shard_bytes`` sizes the eval shards: evaluation pays one full
+    ``SHARD_BYTES_ENV`` sizes the eval shards: evaluation pays one full
     re-routing pass per shard (the documented CPU-for-memory trade),
     so the XL leg raises the budget to keep the pass count -- not
     just the ceiling -- proportionate.
@@ -143,9 +128,7 @@ def _streamed_leg(name: str, n: int, ceiling_bytes: int, once, shard_bytes=None)
             assert not simulator.has_eager_pools(atom.name)
         eval_seconds, (total, per_server, shards) = best_of(
             1,
-            lambda: _sharded_answer_counts(
-                query, simulator, workers, shard_bytes
-            ),
+            lambda: _sharded_answer_counts(query, simulator, workers),
         )
         delivered = sum(
             sum(stats.received_tuples)
@@ -201,107 +184,12 @@ def test_streaming_l8_memory(once):
     not os.environ.get("REPRO_BENCH_XL"),
     reason="set REPRO_BENCH_XL=1 for the n=10^7 leg",
 )
-def test_streaming_l8_xl(once):
+def test_streaming_l8_xl(once, monkeypatch):
     """The ROADMAP item 2 gate: n=10^7 under a 4 GB RSS ceiling."""
+    from repro.engine.streaming import SHARD_BYTES_ENV
+
     # 768 MiB shards: ~3 GB peak (sources + shard pool + join
     # temporaries) and ~34 re-routing passes instead of the default
     # budget's ~50.
-    _streamed_leg(
-        "-XL", XL_N, XL_CEILING_BYTES, once, shard_bytes=768 * 1024**2
-    )
-
-
-def test_streaming_overlap(once):
-    """Pipelined streaming >= 1.3x non-overlapped on 4+ cores."""
-    from repro.algorithms.multiround import compile_multiround
-    from repro.data.matching import matching_database
-    from repro.engine import execute_plan
-    from repro.engine.parallel.engine import ParallelContext
-    from repro.engine.profile import RoundProfiler
-
-    query = line_query(5)
-    plan = compile_multiround(
-        build_plan(query, Fraction(0)), p=16
-    )
-    database = matching_database(query, n=60_000, rng=7)
-    chunk = 8_192
-    cores = os.cpu_count() or 1
-
-    def timed():
-        serial_seconds, serial = best_of(
-            3, lambda: execute_plan(plan, database, chunk_rows=chunk)
-        )
-        with ParallelContext(workers=min(4, max(2, cores))) as context:
-            profiler = RoundProfiler()
-            pipelined_seconds, pipelined = best_of(
-                3,
-                lambda: execute_plan(
-                    plan,
-                    database,
-                    parallel=context,
-                    chunk_rows=chunk,
-                    profiler=profiler,
-                ),
-            )
-            usable = not context.pool.broken
-        memory = {"peak_rss_bytes": peak_rss_bytes()}
-        return (
-            serial_seconds,
-            pipelined_seconds,
-            serial,
-            pipelined,
-            profiler.overlap_seconds,
-            usable,
-            memory,
-        )
-
-    (
-        serial_seconds,
-        pipelined_seconds,
-        serial,
-        pipelined,
-        overlap_seconds,
-        usable,
-        memory,
-    ) = once(timed)
-    speedup = serial_seconds / pipelined_seconds
-    emit(
-        format_table(
-            ["streamed path", "seconds", "speedup"],
-            [
-                ["non-overlapped", f"{serial_seconds:.4f}", "1.0x"],
-                ["pipelined", f"{pipelined_seconds:.4f}", f"{speedup:.2f}x"],
-            ],
-            title=f"E13-overlap: L_5 multiround n=60000 p=16 "
-            f"chunk={chunk} ({cores} cores, "
-            f"overlap {overlap_seconds:.3f}s)",
-        )
-    )
-    record_bench(
-        "streaming_overlap",
-        {
-            "query": "L5",
-            "n": 60_000,
-            "p": 16,
-            "chunk_rows": chunk,
-            "serial_seconds": serial_seconds,
-            "pipelined_seconds": pipelined_seconds,
-            "overlap_speedup": speedup,
-            "overlap_seconds": overlap_seconds,
-            "cores": cores,
-            "speedup_gate_cores": MIN_CORES_FOR_GATE,
-            "speedup_gated": cores >= MIN_CORES_FOR_GATE,
-            "pool_usable": usable,
-            **memory,
-        },
-    )
-    # Parity is unconditional, cores or not.
-    assert pipelined.answers == serial.answers
-    assert pipelined.per_server == serial.per_server
-    # The speedup claim needs cores to overlap on; single-core CI
-    # containers still pin parity above.
-    if cores >= MIN_CORES_FOR_GATE and usable:
-        assert speedup >= OVERLAP_FLOOR, (
-            f"pipelined streaming only {speedup:.2f}x non-overlapped "
-            f"on a {cores}-core runner"
-        )
+    monkeypatch.setenv(SHARD_BYTES_ENV, str(768 * 1024**2))
+    _streamed_leg("-XL", XL_N, XL_CEILING_BYTES, once)

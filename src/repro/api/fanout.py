@@ -1,13 +1,13 @@
 """Statement-level fan-out: a pool of executor processes, each
 holding a full session over a shared-memory snapshot.
 
-The in-engine view pool (:mod:`repro.engine.parallel.engine`)
-overlaps one streamed query's view evaluation with its next round's
-routing; this module parallelises *across* queries -- the axis the
-RPC front end actually saturates, where many concurrent clients issue
-independent statements.  Each
+The engine runs each statement in one process; this module
+parallelises *across* statements -- the axis the RPC front end
+actually saturates, where many concurrent clients issue independent
+statements.  It is the only multi-process code in the package.  Each
 :class:`SessionWorkerPool` worker is a spawned process that attaches
-the parent's column snapshot (zero-copy, read-only), rebuilds a
+the parent's column snapshot (zero-copy, read-only, through
+:mod:`repro.api.shm`), rebuilds a
 :class:`~repro.data.versioned.VersionedDatabase` at the parent's
 version, and opens its own planner-backed
 :class:`~repro.api.session.Session` with identical options -- so a
@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Any
 from repro.serve.metrics import counter, gauge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.parallel.shm import DatabaseExport
+    from repro.api.shm import DatabaseExport
 
 #: Peak RSS (bytes) reported by fan-out workers as they closed, for
 #: process-tree benchmark accounting after the processes are gone.
@@ -92,7 +92,7 @@ def _worker_main(
     from repro.api.session import Session, Statement
     from repro.data.versioned import VersionedDatabase
     from repro.engine.deadline import DeadlineExceeded
-    from repro.engine.parallel.shm import attach_snapshot, detach_all
+    from repro.api.shm import attach_snapshot, detach_all
     from repro.mpc.simulator import CapacityExceeded
     from repro.engine.faults import worker_death_after
 
@@ -260,7 +260,7 @@ class SessionWorkerPool:
         # reads this class's declared zeros) never loads multiprocessing.
         import multiprocessing
 
-        import repro.engine.parallel.shm as shm
+        import repro.api.shm as shm
 
         self.workers = workers
         self.join_timeout = float(join_timeout)

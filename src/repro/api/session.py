@@ -339,7 +339,7 @@ class Session:
         """
         if isinstance(query, str):
             query = parse_query(query)
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not deadline_ms > 0:
             raise ValueError(
                 f"need deadline_ms > 0, got {deadline_ms}"
             )

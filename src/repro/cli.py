@@ -45,9 +45,9 @@ Commands:
 (:mod:`repro.algorithms.registry`) -- the same compilers the planner
 chooses from -- plus :func:`repro.engine.execute_plan`.  They accept
 ``--profile``, which prints a per-round route/ship/deliver/local-eval
-wall-clock breakdown.  ``run-plan --workers N --chunk-rows K`` also
-evaluates each streamed round's views on ``N`` pool processes while
-the next round routes (views exist only in multi-round plans).
+wall-clock breakdown.  The engine runs every statement in this
+process; ``--workers`` exists only on ``serve``, where it is statement
+fan-out.
 """
 
 from __future__ import annotations
@@ -109,37 +109,28 @@ def _truth(query, database) -> tuple:
 
 
 def _run_pinned(
-    args: argparse.Namespace, query, database, runs, rows, eps=None,
-    workers=1,
+    args: argparse.Namespace, query, database, runs, rows, eps=None
 ) -> int:
     """``run`` / ``run-plan`` / ``skew``: pinned, cache-free execution.
 
     ``runs`` lists ``(profile title, registry algorithm)``; each is
-    compiled with ``compile_with`` and executed with ``execute_plan``
-    (streamed views on a ``workers``-process pool when ``workers`` is
-    at least 2), then checked against the exact join.
+    compiled with ``compile_with`` and executed with ``execute_plan``,
+    then checked against the exact join.
     ``rows(*executions)`` supplies the command's own table rows.
     """
     from repro.algorithms.registry import compile_with
     from repro.engine import RoundProfiler, execute_plan
-    from repro.engine.parallel import ParallelContext
 
     profilers = [RoundProfiler() if args.profile else None for _ in runs]
-    # The view pool is an engine facility, closed on exit.
-    pool = ParallelContext(workers) if workers >= 2 else nullcontext()
-    with pool as parallel:
-        executions = [
-            execute_plan(
-                compile_with(
-                    algorithm, query, args.p, eps=eps, seed=args.seed
-                ),
-                database,
-                profiler=profiler,
-                parallel=parallel,
-                chunk_rows=args.chunk_rows,
-            )
-            for (_, algorithm), profiler in zip(runs, profilers)
-        ]
+    executions = [
+        execute_plan(
+            compile_with(algorithm, query, args.p, eps=eps, seed=args.seed),
+            database,
+            profiler=profiler,
+            chunk_rows=args.chunk_rows,
+        )
+        for (_, algorithm), profiler in zip(runs, profilers)
+    ]
     truth = _truth(query, database)
     verified = all(execution.answers == truth for execution in executions)
     table = [
@@ -149,12 +140,6 @@ def _run_pinned(
         ["answers", len(executions[-1].answers)],
         ["verified vs exact join", verified],
     ] + rows(*executions)
-    if parallel is not None:
-        # The rows that make ``--workers N`` visible.
-        table += [
-            ["view workers", parallel.workers],
-            ["pool views", parallel.pool_views],
-        ]
     print(format_table(["property", "value"], table))
     if args.profile:
         for (title, _), profiler in zip(runs, profilers):
@@ -192,14 +177,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_run_multiround(args: argparse.Namespace) -> int:
     from repro.data.matching import matching_database
-    from repro.engine.streaming import resolve_chunk_rows
 
-    if args.workers >= 2 and resolve_chunk_rows(args.chunk_rows) is None:
-        raise ValueError(
-            "--workers evaluates streamed views on a process pool; "
-            "without --chunk-rows every view is eager and evaluates "
-            "in-process"
-        )
     query = parse_query(args.query)
     depth = build_plan(query, args.eps).depth
     return _run_pinned(
@@ -219,7 +197,6 @@ def cmd_run_multiround(args: argparse.Namespace) -> int:
             for view, size in sorted(run.view_sizes.items())
         ],
         eps=args.eps,
-        workers=args.workers,
     )
 
 
@@ -583,14 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_multiround.add_argument("--eps", type=_parse_eps, default=Fraction(0),
                           help="space exponent, e.g. 1/2")
     add_execution_options(run_multiround)
-    run_multiround.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="with --chunk-rows, evaluate each streamed round's views "
-        "on N processes while the next round routes; routing stays "
-        "in-process (1 = fully in-process)",
-    )
     run_multiround.set_defaults(handler=cmd_run_multiround)
 
     def add_planner_options(subparser: argparse.ArgumentParser) -> None:

@@ -76,7 +76,7 @@ class Deadline:
         budget_ms: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if budget_ms <= 0:
+        if not budget_ms > 0:  # NaN too: it would never expire
             raise ValueError(f"need budget_ms > 0, got {budget_ms}")
         self.budget_ms = float(budget_ms)
         self._clock = clock

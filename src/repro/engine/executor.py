@@ -30,9 +30,8 @@ immutable :class:`~repro.engine.plan.Plan` (the output of an
 algorithm's compiler) plus a database, builds the simulator from the
 plan's signature, runs every round (binding heavy hitters and
 materialising views where the plan says so) and finalizes the answer.
-Given a :class:`~repro.engine.parallel.engine.ParallelContext`, a
-streamed round's views evaluate on its process pool while the next
-round routes; nothing else leaves the parent.
+Everything -- routing, shipping, delivery, view materialisation and
+answer collection -- runs in this process, one round after the other.
 
 Vectorized sends carry the step's
 :attr:`~repro.engine.steps.RoutingStep.preserves_source_order` promise
@@ -353,26 +352,6 @@ def _database_bits(database: Any, sources: Mapping[str, ColumnarRelation]) -> in
     return sum(relation.size_bits for relation in sources.values())
 
 
-class _ResolvingEnvironment(dict):
-    """An execution environment that resolves pending views on access.
-
-    Streamed executions materialise a round's views *asynchronously*
-    (shard-eval tasks on the process pool) while the next round's
-    routing proceeds; a step whose source view is still pending blocks
-    here, exactly when the data dependency bites and not a moment
-    earlier.
-    """
-
-    resolver: Any = None
-
-    def __missing__(self, key: str) -> ColumnarRelation:
-        if self.resolver is not None:
-            self.resolver(key)
-            if key in self:
-                return dict.__getitem__(self, key)
-        raise KeyError(key)
-
-
 def execute_plan(
     plan: Plan,
     database: Any,
@@ -381,7 +360,6 @@ def execute_plan(
     simulator: MPCSimulator | None = None,
     relation_map: Mapping[str, str] | None = None,
     input_bits: int | None = None,
-    parallel: Any = None,
     chunk_rows: int | None = None,
     deadline: Deadline | None = None,
 ) -> PlanExecution:
@@ -404,15 +382,6 @@ def execute_plan(
         input_bits: override for the capacity bound's ``N`` (callers
             with bespoke input accounting, e.g. the cartesian-grid
             baseline).
-        parallel: optional
-            :class:`~repro.engine.parallel.engine.ParallelContext`;
-            when given (and usable) together with ``chunk_rows``, a
-            round's views whose deliveries are purely streamed
-            evaluate on its process pool while the next round routes,
-            and resolve when a step first reads them.  Routing, eager
-            views and answer collection always run in this process.
-            Answers, loads and capacity behaviour are bit-identical to
-            in-process execution.
         chunk_rows: streaming block size (see :class:`RoundEngine`);
             None or non-positive ships every step whole.  Answers,
             loads and capacity failures stay bit-identical for every
@@ -421,13 +390,10 @@ def execute_plan(
             cooperatively -- before each round, between streamed
             blocks, before and between local-evaluation shards
             (monolithic executions evaluate one shard, so every view
-            and the final collect check once; a view sent to the
-            process pool checks once before submitting), and before
-            the finalize -- never mid-primitive, so an abandoned
-            execution leaves a pooled simulator reusable after
-            ``reset()`` exactly like a capacity failure does.  Views
-            still pending on the pool when an execution is abandoned
-            have their unstarted shard tasks cancelled.
+            and the final collect check once), and before the
+            finalize -- never mid-primitive, so an abandoned execution
+            leaves a pooled simulator reusable after ``reset()``
+            exactly like a capacity failure does.
 
     Returns:
         A :class:`PlanExecution` with answers, loads and views.
@@ -449,9 +415,6 @@ def execute_plan(
     if input_bits is None:
         input_bits = _database_bits(database, sources)
     simulator = plan_simulator(plan, input_bits, simulator)
-    parallel_ctx = (
-        parallel if parallel is not None and parallel.usable else None
-    )
     engine = RoundEngine(
         simulator,
         profiler=profiler,
@@ -465,7 +428,7 @@ def execute_plan(
             (relation.domain_size for relation in sources.values()),
             default=1,
         )
-    environment: _ResolvingEnvironment = _ResolvingEnvironment(sources)
+    environment = dict(sources)
     if plan.uniform_domain_bits:
         for name, relation in list(environment.items()):
             environment[name] = replace(relation, domain_size=domain_size)
@@ -473,108 +436,50 @@ def execute_plan(
     view_sizes: dict[str, int] = {}
     per_server_views: dict[str, tuple[int, ...]] = {}
     heavy_hitters: dict[str, frozenset[int]] | None = None
-    from repro.engine.local import (
-        collect_answers,
-        materialise_view,
-        materialise_view_async,
-    )
+    from repro.engine.local import collect_answers, materialise_view
 
     #: Left on the execution for IVM capture.
     site_answers: dict[str | None, SiteAnswers] = {}
 
-    #: view name -> async materialisation handle (streamed overlap).
-    pending: dict[str, Any] = {}
-
-    def resolve_view(name: str) -> None:
-        handle = pending.pop(name, None)
-        if handle is None:
-            return
-        materialised, counts = handle.result()
-        environment[name] = materialised
-        view_sizes[name] = len(materialised)
-        per_server_views[name] = tuple(counts)
-
-    environment.resolver = resolve_view
-
     fault_round_delay = round_delay_seconds()
-    try:
-        for plan_round in plan.rounds:
-            inject_round_delay(fault_round_delay)
-            if deadline is not None:
-                deadline.check("between rounds")
-            steps = plan_round.steps
-            if pending and plan_round.bind_heavy is not None:
-                # Heavy detection scans the environment directly; settle
-                # every outstanding view before statistics are taken.
-                for name in list(pending):
-                    resolve_view(name)
-            if pending:
-                # Streamed rounds route steps whose sources are already
-                # settled first, so pending views keep evaluating on the
-                # pool while base relations stream -- the round r local /
-                # round r+1 route overlap.  Step order within a round
-                # never affects answers, loads or capacity (staging is
-                # additive per relation).
-                steps = tuple(
-                    sorted(steps, key=lambda step: step.relation in pending)
-                )
-            if plan_round.bind_heavy is not None:
-                from repro.algorithms.skewaware import detect_heavy_hitters
+    for plan_round in plan.rounds:
+        inject_round_delay(fault_round_delay)
+        if deadline is not None:
+            deadline.check("between rounds")
+        steps = plan_round.steps
+        if plan_round.bind_heavy is not None:
+            from repro.algorithms.skewaware import detect_heavy_hitters
 
-                bind = plan_round.bind_heavy
-                heavy_hitters = detect_heavy_hitters(
-                    bind.query,
-                    environment,
-                    dict(bind.shares),
-                )
-                steps = tuple(
-                    replace(step, heavy=heavy_hitters)
-                    if isinstance(step, HeavyGridRoute)
-                    else step
-                    for step in steps
-                )
-            engine.run_round(steps, environment)
+            bind = plan_round.bind_heavy
+            heavy_hitters = detect_heavy_hitters(
+                bind.query,
+                environment,
+                dict(bind.shares),
+            )
+            steps = tuple(
+                replace(step, heavy=heavy_hitters)
+                if isinstance(step, HeavyGridRoute)
+                else step
+                for step in steps
+            )
+        engine.run_round(steps, environment)
 
-            for view in plan_round.views:
-                key_of = key_map_of(view.key_map)
-                if engine.chunk_rows is not None:
-                    handle = materialise_view_async(
-                        view.name,
-                        view.query,
-                        simulator,
-                        range(plan.signature.p),
-                        domain_size=domain_size,
-                        key_of=key_of,
-                        parallel=parallel_ctx,
-                        profiler=profiler,
-                        deadline=deadline,
-                    )
-                    if handle is not None:
-                        pending[view.name] = handle
-                        continue
-                materialised, counts = materialise_view(
-                    view.name,
-                    view.query,
-                    simulator,
-                    range(plan.signature.p),
-                    domain_size=domain_size,
-                    key_of=key_of,
-                    profiler=profiler,
-                    deadline=deadline,
-                    retain=site_answers,
-                )
-                environment[view.name] = materialised
-                view_sizes[view.name] = len(materialised)
-                per_server_views[view.name] = tuple(counts)
+        for view in plan_round.views:
+            materialised, counts = materialise_view(
+                view.name,
+                view.query,
+                simulator,
+                range(plan.signature.p),
+                domain_size=domain_size,
+                key_of=key_map_of(view.key_map),
+                profiler=profiler,
+                deadline=deadline,
+                retain=site_answers,
+            )
+            environment[view.name] = materialised
+            view_sizes[view.name] = len(materialised)
+            per_server_views[view.name] = tuple(counts)
 
-        for name in list(pending):
-            resolve_view(name)
-    finally:
-        # An abandoned execution (deadline, capacity) must not leave
-        # its pending views' shard tasks queued ahead of the next
-        # request's.
-        for handle in pending.values():
-            handle.cancel()
     if deadline is not None:
         deadline.check("before finalize")
     table = numpy.zeros((0, 0), dtype=numpy.int64)

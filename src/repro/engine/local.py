@@ -15,10 +15,8 @@ deduplicated union out of one
 :func:`~repro.data.columnar.sorted_unique_rows` over all shards -- the
 engine's one row sort, on packed int64 keys.  A
 monolithic execution under the default budget is exactly one shard
-spanning the fleet; a streamed one is many.  Answer collection and
-eager views always evaluate in this process; only a streamed round's
-views may evaluate on the process pool (:func:`materialise_view_async`),
-while the next round routes.
+spanning the fleet; a streamed one is many.  Every site -- views and
+answer collection alike -- evaluates in this process.
 
 The answer sets, per-server answer counts and materialised views
 equal what the row-at-a-time reference (:mod:`repro.oracle`) computes
@@ -83,7 +81,7 @@ def union_answer_tables(tables: Iterable[Any], arity: int):
     One :func:`~repro.data.columnar.sorted_unique_rows` over the
     stacked tables.  Row order is lexicographic -- exactly the order
     Python tuple sorting gives -- so the result is the canonical form
-    every consumer (shard merge, async views, IVM) compares and stores.
+    every consumer (shard merge, IVM) compares and stores.
     """
     nonempty = [table for table in tables if len(table)]
     if not nonempty:
@@ -108,9 +106,7 @@ def evaluate_shard_pools(
     workers.  The table is grouped by worker, ascending: pools lay
     their rows out worker by worker and the segmented join keeps its
     first atom's row order, so worker ``w``'s answers are the row
-    slice the counts' running sum delimits.  Shared verbatim by the
-    in-process shard loop and the process-pool eval task, so both
-    produce identical rows.
+    slice the counts' running sum delimits.
     """
     fragments: dict[str, tuple] = {}
     segments: dict[str, object] = {}
@@ -149,7 +145,6 @@ def _plan_eval_shards(
     simulator: MPCSimulator,
     k: int,
     key_of: KeyOf,
-    shard_bytes: int | None = None,
 ) -> list[tuple[int, int]]:
     """Contiguous worker shards whose pooled bytes fit the eval budget.
 
@@ -166,70 +161,7 @@ def _plan_eval_shards(
         byte_counts = simulator.pool_worker_bytes(key_of(atom.name))
         if byte_counts is not None:
             per_worker += byte_counts[:k]
-    return plan_worker_shards(per_worker, k, resolve_shard_bytes(shard_bytes))
-
-
-def _lazy_shard_specs(
-    query: ConjunctiveQuery, simulator: MPCSimulator, key_of: KeyOf
-) -> list[tuple[str, tuple]] | None:
-    """Per-atom streamed recipes, when recipes alone cover the query.
-
-    Returns ``[(atom name, contributions), ...]`` -- empty tuples for
-    atoms with no deliveries -- or None when some atom has row-path or
-    eager columnar deliveries (the process-pool eval task rebuilds
-    shard pools exclusively from streamed recipes, so mixed deliveries
-    evaluate in the parent instead) or nothing was streamed at all.
-    """
-    specs: list[tuple[str, tuple]] = []
-    for atom in query.atoms:
-        key = key_of(atom.name)
-        if simulator.has_row_deliveries(key) or simulator.has_eager_pools(
-            key
-        ):
-            return None
-        specs.append((atom.name, simulator.lazy_contributions(key)))
-    if not any(contributions for _, contributions in specs):
-        return None
-    return specs
-
-
-def _submit_eval_shards(
-    query: ConjunctiveQuery,
-    specs: list[tuple[str, tuple]],
-    shards: list[tuple[int, int]],
-    p: int,
-    parallel: Any,
-) -> list[Any]:
-    """Publish the recipes' sources and submit one task per shard.
-
-    May raise :class:`~repro.engine.parallel.pool.PoolBroken`; the
-    caller then materialises the view in-process.
-    """
-    from repro.engine.parallel.pool import eval_shard_task
-
-    task_specs = [
-        (
-            name,
-            tuple(
-                (
-                    contribution.step,
-                    parallel.handle_for(contribution.columns),
-                    contribution.num_rows,
-                    contribution.chunk_rows,
-                    contribution.source_sorted,
-                )
-                for contribution in contributions
-            ),
-        )
-        for name, contributions in specs
-    ]
-    detach = parallel.evicted_names()
-    return [
-        parallel.pool.submit(
-            eval_shard_task, query, task_specs, lo, hi, p, detach
-        )
-        for lo, hi in shards
-    ]
+    return plan_worker_shards(per_worker, k, resolve_shard_bytes())
 
 
 def _eval_shard_local(
@@ -247,25 +179,6 @@ def _eval_shard_local(
     return evaluate_shard_pools(query, pools, hi - lo)
 
 
-def _eval_shard_snapshot(
-    query: ConjunctiveQuery,
-    snapshots: list[tuple[str, tuple]],
-    lo: int,
-    hi: int,
-    p: int,
-):
-    """Evaluate one shard from snapshotted recipes (async fallback)."""
-    from repro.engine.streaming import materialize_shard
-
-    pools = {
-        name: materialize_shard(contributions, lo, hi, p)
-        if contributions
-        else None
-        for name, contributions in snapshots
-    }
-    return evaluate_shard_pools(query, pools, hi - lo)
-
-
 def _merged_answer_table(
     query: ConjunctiveQuery,
     simulator: MPCSimulator,
@@ -278,7 +191,7 @@ def _merged_answer_table(
 ):
     """All workers' answers, one bounded worker shard at a time.
 
-    The only in-process site evaluator.  Contiguous worker ranges
+    The only site evaluator.  Contiguous worker ranges
     are materialised (eager pools sliced zero-copy, streamed recipes
     re-routed for the range), evaluated with the segmented join and
     freed -- peak memory is one shard's pools plus join temporaries.
@@ -429,160 +342,6 @@ def _view_from_table(
             for position in range(arity)
         ),
         domain_size=domain_size,
-    )
-
-
-class PendingView:
-    """A view materialisation in flight on the process pool.
-
-    Created by :func:`materialise_view_async`; the caller keeps
-    routing the next round while the shard futures evaluate, then
-    calls :meth:`result` when -- and only when -- a data dependency
-    needs the view.  The evaluation inputs were snapshotted at submit
-    time (immutable streamed recipes), so resolving after further
-    rounds ran cannot change the answer, including the in-process
-    fallback taken when the pool breaks mid-flight: it re-evaluates
-    the same snapshot shard by shard.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        query: ConjunctiveQuery,
-        shards: list[tuple[int, int]],
-        futures: list[Any],
-        snapshots: list[tuple[str, tuple]],
-        context: Any,
-        num_workers: int,
-        domain_size: int,
-        round_index: int,
-        profiler: RoundProfiler | None,
-    ) -> None:
-        self.name = name
-        self.query = query
-        self.shards = shards
-        self.futures = futures
-        self.snapshots = snapshots
-        self.context = context
-        self.num_workers = num_workers
-        self.domain_size = domain_size
-        self.round_index = round_index
-        self.profiler = profiler
-        self._submitted = time.perf_counter()
-
-    def cancel(self) -> None:
-        """Cancel the shard tasks no pool worker has started yet.
-
-        For an execution abandoned with the view still pending, so the
-        next request's tasks do not queue behind work nobody reads.
-        """
-        for future in self.futures:
-            future.cancel()
-
-    def result(self) -> tuple[ColumnarRelation, list[int]]:
-        """Block on the shards and merge; identical to the sync path."""
-        waited = time.perf_counter()
-        profiler = self.profiler
-        try:
-            collected = self.context.pool.collect(self.futures)
-            results = [
-                (result["answers"], result["per_server"])
-                for result in collected
-            ]
-            self.context.pool_views += 1
-            if profiler is not None:
-                for shard_index, result in enumerate(collected):
-                    profiler.add_shard(
-                        self.round_index, shard_index, result["seconds"]
-                    )
-                    profiler.add_block(
-                        self.round_index, "eval", result["seconds"]
-                    )
-        except Exception:
-            # A died worker or an evicted segment: recompute the
-            # identical result from the snapshot, in-process.
-            results = [
-                _eval_shard_snapshot(
-                    self.query, self.snapshots, lo, hi, self.num_workers
-                )
-                for lo, hi in self.shards
-            ]
-        if profiler is not None:
-            profiler.add_overlap(
-                self.round_index, waited - self._submitted
-            )
-        arity = len(self.query.head)
-        merged = union_answer_tables(
-            (answers for answers, _ in results), arity
-        )
-        per_server = [count for _, counts in results for count in counts]
-        view = _view_from_table(self.name, merged, arity, self.domain_size)
-        if profiler is not None:
-            profiler.add(
-                self.round_index, "local", time.perf_counter() - waited
-            )
-        return view, per_server
-
-
-def materialise_view_async(
-    name: str,
-    query: ConjunctiveQuery,
-    simulator: MPCSimulator,
-    workers: Iterable[int],
-    domain_size: int,
-    key_of: KeyOf = _identity_key,
-    parallel: Any = None,
-    profiler: RoundProfiler | None = None,
-    deadline: Deadline | None = None,
-    shard_bytes: int | None = None,
-) -> PendingView | None:
-    """Submit a view's shard evaluation to the process pool, or None.
-
-    The streamed-overlap entry point: when the view's deliveries are
-    purely streamed recipes and a usable parallel context is at hand,
-    the shard-eval tasks are dispatched immediately and a
-    :class:`PendingView` handle is returned -- its :meth:`result
-    <PendingView.result>` yields exactly what :func:`materialise_view`
-    returns.  None means overlap is not possible here (no pool,
-    non-prefix workers, eager or row-path deliveries mixed
-    in, or nothing delivered at all); the caller materialises
-    synchronously, which is always correct.
-
-    Raises:
-        DeadlineExceeded: when ``deadline`` has expired before the
-            shard tasks are submitted.
-    """
-    if parallel is None or not parallel.usable:
-        return None
-    workers = list(workers)
-    k = len(workers)
-    if k == 0 or workers != list(range(k)):
-        return None
-    specs = _lazy_shard_specs(query, simulator, key_of)
-    if specs is None:
-        return None
-    shards = _plan_eval_shards(query, simulator, k, key_of, shard_bytes)
-    from repro.engine.parallel.pool import PoolBroken
-
-    if deadline is not None:
-        deadline.check("local-eval shard")
-    try:
-        futures = _submit_eval_shards(
-            query, specs, shards, simulator.num_workers, parallel
-        )
-    except PoolBroken:
-        return None
-    return PendingView(
-        name=name,
-        query=query,
-        shards=shards,
-        futures=futures,
-        snapshots=specs,
-        context=parallel,
-        num_workers=simulator.num_workers,
-        domain_size=domain_size,
-        round_index=simulator.round_index,
-        profiler=profiler,
     )
 
 

@@ -5,8 +5,8 @@ alone and a round charges each *server* for what it receives, so
 routing any row range of a relation in isolation and summing per-worker
 counts is exact -- whether the range is the whole relation or one
 ``chunk_rows`` block.  The engine therefore has one route primitive,
-:func:`route_range`, which every step reaches inline in the parent
-process, with one of two consumers:
+:func:`route_range`, which every step reaches inline, with one of two
+consumers:
 
 * **count** -- :func:`route_block_counts` bincounts each block's
   destinations and drops the arrays: per-worker loads in
@@ -307,7 +307,7 @@ def route_block_counts(
     identical totals to one ``send_columns`` of the whole range,
     ``O(chunk x replication)`` transient memory.  ``block_hook``
     returns a context manager entered around every block (the
-    in-process engine's deadline check, fault delay and block timing).
+    engine's deadline check, fault delay and block timing).
     """
     counts = numpy.zeros(p, dtype=numpy.int64)
     for start, end in iter_blocks(num_rows, chunk_rows):

@@ -619,10 +619,6 @@ class MPCSimulator:
         """Whether ``relation`` holds materialised delivery pools."""
         return bool(self._pools.get(relation))
 
-    def lazy_contributions(self, relation: str) -> tuple:
-        """The streamed delivery recipes of one relation (may be empty)."""
-        return tuple(self._lazy.get(relation, ()))
-
     def pool_worker_counts(self, relation: str) -> Any | None:
         """Per-worker delivered tuple counts, without materialising.
 

@@ -101,6 +101,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -240,12 +241,17 @@ def encode_line(payload: dict) -> bytes:
 
 
 def _parse_rows(value: Any) -> list[tuple[int, ...]]:
+    """The ``rows`` field as int tuples; nothing is coerced."""
     if not isinstance(value, list) or not value:
         raise QueryError("'rows' must be a non-empty list of rows")
-    try:
-        return [tuple(int(v) for v in row) for row in value]
-    except (TypeError, ValueError) as error:
-        raise QueryError(f"bad row in 'rows': {error}") from None
+    for row in value:
+        if not isinstance(row, list) or not all(
+            type(v) is int for v in row
+        ):
+            raise QueryError(
+                f"bad row in 'rows': {row!r} is not a list of integers"
+            )
+    return [tuple(row) for row in value]
 
 
 class RpcServer:
@@ -624,13 +630,14 @@ class RpcServer:
             raise QueryError("'algorithm' must be a string")
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is not None:
+            # json parses NaN and Infinity; neither is a budget.
             if (
                 isinstance(deadline_ms, bool)
                 or not isinstance(deadline_ms, (int, float))
-                or deadline_ms <= 0
+                or not 0 < deadline_ms < math.inf
             ):
                 raise QueryError(
-                    f"'deadline_ms' must be a positive number, "
+                    f"'deadline_ms' must be a positive finite number, "
                     f"got {deadline_ms!r}"
                 )
         return self.session.query(

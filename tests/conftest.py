@@ -92,15 +92,6 @@ def capacity_failure(run):
     )
 
 
-@pytest.fixture(scope="module")
-def parallel_context():
-    """A two-process view pool (streamed views evaluate on it)."""
-    from repro.engine.parallel import ParallelContext
-
-    with ParallelContext(2) as context:
-        yield context
-
-
 @pytest.fixture
 def triangle():
     """The C3 cycle query."""

@@ -21,7 +21,6 @@ from repro.engine import (
     HeavyGridRoute,
     RoundEngine,
     collect_answers,
-    execute_plan,
 )
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
@@ -113,85 +112,6 @@ def test_every_delivery_kind_takes_the_shard_loop(
     assert sum(per_server) == len(answers) == 50
 
 
-def test_expired_deadline_submits_no_shard_to_the_pool(monkeypatch):
-    """The async view path honours the request deadline: an
-    already-expired budget raises before any shard task is submitted."""
-    from repro.engine.deadline import Deadline, DeadlineExceeded
-    from repro.engine.parallel.engine import ParallelContext
-
-    _, simulator = _routed_round(chunk_rows=16)  # recipes: pool-eligible
-    now = [0.0]
-    deadline = Deadline(10.0, clock=lambda: now[0])
-    now[0] = 1.0  # 1000 ms into a 10 ms budget
-    with ParallelContext(2) as context:
-        submitted = []
-        monkeypatch.setattr(
-            context.pool,
-            "submit",
-            lambda *args, **kwargs: submitted.append(args),
-        )
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            local.materialise_view_async(
-                "V",
-                QUERY,
-                simulator,
-                range(P),
-                domain_size=50,
-                parallel=context,
-                deadline=deadline,
-            )
-    assert excinfo.value.where == "local-eval shard"
-    assert not submitted
-
-
-def test_abandoned_execution_cancels_pending_views(monkeypatch):
-    """An execution aborted in round 2 of a streamed L5 plan cancels
-    the shard tasks of round 1's still-pending views."""
-    from concurrent.futures import Future
-    from fractions import Fraction
-
-    import repro.engine.executor as executor
-    from repro.algorithms.multiround import compile_multiround
-    from repro.core.families import line_query
-    from repro.core.plans import build_plan
-    from repro.engine.deadline import Deadline, DeadlineExceeded
-    from repro.engine.parallel.engine import ParallelContext
-
-    chain = line_query(5)
-    plan = compile_multiround(build_plan(chain, Fraction(0)), p=P)
-    assert len(plan.rounds) >= 2 and plan.rounds[0].views
-    database = matching_database(chain, n=60, rng=37)
-    now = [0.0]
-    deadline = Deadline(10.0, clock=lambda: now[0])
-    rounds_begun = []
-
-    def begin_round(seconds):
-        rounds_begun.append(seconds)
-        if len(rounds_begun) == 2:
-            now[0] = 1.0  # the budget runs out as round 2 begins
-
-    monkeypatch.setattr(executor, "inject_round_delay", begin_round)
-    with ParallelContext(2) as context:
-        # Tasks that no pool worker ever starts.
-        futures = []
-        monkeypatch.setattr(
-            context.pool,
-            "submit",
-            lambda *args: futures.append(Future()) or futures[-1],
-        )
-        with pytest.raises(DeadlineExceeded) as excinfo:
-            execute_plan(
-                plan,
-                database,
-                parallel=context,
-                chunk_rows=16,
-                deadline=deadline,
-            )
-    assert excinfo.value.where == "between rounds"
-    assert len(rounds_begun) == 2
-    assert futures and all(future.cancelled() for future in futures)
-
-
 @pytest.mark.parametrize("shard_bytes", [None, "1"], ids=["one", "per-worker"])
 def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
     """A ``retain`` sink gets the shard results split by worker: each
@@ -229,3 +149,46 @@ def test_streamed_sites_retain_nothing(eager):
     sink = {}
     collect_answers(QUERY, simulator, range(P), retain=sink)
     assert not sink
+
+
+def test_expired_deadline_evaluates_no_shard(monkeypatch):
+    """An already-expired budget raises before the first shard."""
+    from repro.engine.deadline import Deadline, DeadlineExceeded
+
+    _, simulator = _routed_round(chunk_rows=16)
+    evaluated = []
+    monkeypatch.setattr(
+        local, "_eval_shard_local", lambda *args: evaluated.append(args)
+    )
+    now = [0.0]
+    deadline = Deadline(10.0, clock=lambda: now[0])
+    now[0] = 1.0  # 1000 ms into a 10 ms budget
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        collect_answers(QUERY, simulator, range(P), deadline=deadline)
+    assert excinfo.value.where == "local-eval shard"
+    assert not evaluated
+
+
+def test_deadline_is_checked_between_shards(monkeypatch):
+    """A budget that runs out during one shard stops the loop before
+    the next: the checkpoint sits between worker shards."""
+    from repro.engine.deadline import Deadline, DeadlineExceeded
+    from repro.engine.streaming import SHARD_BYTES_ENV
+
+    monkeypatch.setenv(SHARD_BYTES_ENV, "1")  # one shard per worker
+    _, simulator = _routed_round(chunk_rows=None)
+    now = [0.0]
+    evaluated = []
+    evaluate = local._eval_shard_local
+
+    def slow_shard(*args):
+        evaluated.append(args[2:4])
+        now[0] = 1.0  # the budget runs out inside the first shard
+        return evaluate(*args)
+
+    monkeypatch.setattr(local, "_eval_shard_local", slow_shard)
+    deadline = Deadline(10.0, clock=lambda: now[0])
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        collect_answers(QUERY, simulator, range(P), deadline=deadline)
+    assert excinfo.value.where == "local-eval shard"
+    assert evaluated == [(0, 1)]

@@ -1,15 +1,12 @@
 """The one numpy route path (engine/executor.py + engine/streaming.py).
 
-However a plan executes -- with or without a view pool attached, steps
-shipped whole or streamed in blocks -- every step is routed inline, in
-the parent, and a routing step's ``route_columns`` is reached through
-``streaming.route_range`` and through nothing else.  The pool only ever
-receives view-evaluation tasks.
+However a plan executes -- steps shipped whole or streamed in blocks --
+every step is routed inline, and a routing step's ``route_columns`` is
+reached through ``streaming.route_range`` and through nothing else.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -26,15 +23,13 @@ from repro.core.query import parse_query
 from repro.data.database import Relation
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
-from repro.engine.parallel.engine import ParallelContext
-from repro.engine.parallel.pool import eval_shard_task
 
 CHAIN = line_query(4)
 
 
 @pytest.fixture(scope="module", params=["multiround", "hypercube"])
 def plan(request):
-    # Multiround has views for the pool; one-round HyperCube has none.
+    # Multiround materialises views; one-round HyperCube has none.
     if request.param == "hypercube":
         return compile_hypercube(CHAIN, p=8)
     return compile_multiround(
@@ -90,50 +85,16 @@ def test_inline_routing_goes_through_route_range(
     assert calls and all(calls)
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 16], ids=["whole", "streamed"])
-def test_with_a_context_routing_never_reaches_the_pool(
-    monkeypatch, plan, database, chunk_rows
-):
-    reference = execute_plan(plan, database)
-    calls = _spy_on_route_columns(monkeypatch)
-    with ParallelContext(2) as context:
-        tasks = []
-        submit = context.pool.submit
-
-        def spy_submit(task, *args):
-            tasks.append(task)
-            return submit(task, *args)
-
-        monkeypatch.setattr(context.pool, "submit", spy_submit)
-        execution = execute_plan(
-            plan, database, parallel=context, chunk_rows=chunk_rows
-        )
-        assert not context.pool.broken
-        views = sum(len(round_.views) for round_ in plan.rounds)
-        assert context.pool_views == (0 if chunk_rows is None else views)
-    assert execution.answers == reference.answers
-    assert execution.report.rounds == reference.report.rounds
-    # Only streamed views are submitted, and nothing that routes.
-    assert bool(tasks) == (chunk_rows is not None and views > 0)
-    assert all(task is eval_shard_task for task in tasks)
-    assert calls and all(calls)
-
-
-@pytest.mark.parametrize("workers", [1, 2], ids=["inline", "context"])
 @pytest.mark.parametrize("chunk_rows", [None, 2], ids=["whole", "streamed"])
-def test_empty_source_is_one_inline_range(chunk_rows, workers):
+def test_empty_source_is_one_inline_range(chunk_rows):
     # The empty relation is the range [0, 0), routed inline like any
-    # other source, whether or not a pool is attached.
+    # other source.
     query = parse_query("S1(x,y), S2(y,z)")
     database = matching_database(query, n=12, rng=5).with_relation(
         Relation.from_tuples("S2", (), domain_size=12, arity=2)
     )
     plan = compile_hypercube(query, p=4)
-    with ParallelContext(workers) if workers > 1 else nullcontext() as context:
-        execution = execute_plan(
-            plan, database, parallel=context, chunk_rows=chunk_rows
-        )
-        assert context is None or context.pool_views == 0
+    execution = execute_plan(plan, database, chunk_rows=chunk_rows)
     reference = oracle.execute_plan(plan, database)
     assert execution.answers == reference.answers == ()
     assert [r.received_tuples for r in execution.report.rounds] == [

@@ -8,9 +8,17 @@ import numpy
 import pytest
 
 from repro.algorithms.hypercube import compile_hypercube
+from repro.algorithms.registry import compile_with
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan, plan_simulator
+from repro.engine.steps import (
+    Broadcast,
+    HashRoute,
+    HeavyGridRoute,
+    RoundRobinGrid,
+    ToServer,
+)
 from repro.engine.streaming import (
     DEFAULT_SHARD_BYTES,
     SHARD_BYTES_ENV,
@@ -447,7 +455,6 @@ class TestLazySimulatorState:
             assert simulator.has_lazy_deliveries(relation)
             assert not simulator.has_eager_pools(relation)
             assert not simulator.has_row_deliveries(relation)
-            assert simulator.lazy_contributions(relation)
 
     def test_pool_worker_counts_match_materialised_pool(self, two_hop):
         _, _, simulator, _ = self._streamed_simulator(two_hop)
@@ -473,3 +480,26 @@ class TestLazySimulatorState:
             shard.columns, reference.columns
         ):
             assert numpy.array_equal(shard_col, reference_col)
+
+
+class TestShardableContract:
+    """The static declarations streamed routing dispatches on."""
+
+    def test_content_only_steps_are_shardable(self, triangle):
+        plan = compile_with("hypercube", triangle, 8)
+        steps = [step for round_ in plan.rounds for step in round_.steps]
+        assert steps and all(isinstance(step, HashRoute) for step in steps)
+        assert all(step.shardable for step in steps)
+
+    def test_index_and_signature_steps_are_not(self):
+        from repro.engine.steps import RemapRanks, RoutingStep
+
+        # Index- and signature-dependent routes inherit the base's
+        # safe False instead of declaring shardability.
+        for step_type in (RoundRobinGrid, HeavyGridRoute):
+            assert "shardable" not in step_type.__dict__
+        assert RoutingStep(relation="S1").shardable is False
+        # RemapRanks overrides to delegate to its inner step.
+        assert "shardable" in RemapRanks.__dict__
+        assert Broadcast(relation="S1").shardable is True
+        assert ToServer(relation="S1").shardable is True

@@ -22,7 +22,6 @@ from repro.core.plans import build_plan
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
-from repro.engine.parallel.engine import ParallelContext
 from repro.engine.profile import RoundProfiler
 from repro.mpc.simulator import CapacityExceeded
 from tests.conftest import assert_oracle_parity, capacity_failure
@@ -183,86 +182,3 @@ class TestSessionParity:
         assert _routed_blocks(profiler)
         assert actual.answers == expected.answers
         assert actual.per_server == expected.per_server
-
-
-class TestParallelStreamingParity:
-    """Streamed rounds with views on the real spawn pool: overlap."""
-
-    @pytest.fixture(scope="class")
-    def context(self):
-        with ParallelContext(2) as context:
-            yield context
-
-    def _cases(self):
-        two_hop = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        chain = line_query(4)
-        return [
-            (
-                two_hop,
-                compile_hypercube(two_hop, p=8),
-            ),
-            (
-                chain,
-                compile_multiround(
-                    build_plan(chain, Fraction(0)), p=8
-                ),
-            ),
-        ]
-
-    def test_parity_and_counters(self, context):
-        for query, plan in self._cases():
-            db = matching_database(query, n=400, rng=31)
-            monolithic = execute_plan(plan, db)
-            before = context.pool_views
-            profiler = RoundProfiler()
-            streamed = execute_plan(
-                plan,
-                db,
-                parallel=context,
-                chunk_rows=64,
-                profiler=profiler,
-            )
-            _assert_parity(monolithic, streamed, query.name)
-            assert_oracle_parity(streamed, oracle.execute_plan(plan, db))
-            assert context.pool_views - before == sum(
-                len(round_.views) for round_ in plan.rounds
-            )
-            assert not context.pool.broken
-            assert profiler.blocks
-            assert profiler.overlap_seconds >= 0.0
-
-    def test_multiround_views_overlap_with_routing(self, context):
-        # The pipelined path: a multi-round plan materialises round
-        # r's views while round r+1 routes; the profiler's overlap
-        # column records the concurrency.
-        chain = line_query(5)
-        plan = compile_multiround(
-            build_plan(chain, Fraction(0)), p=8
-        )
-        db = matching_database(chain, n=300, rng=37)
-        monolithic = execute_plan(plan, db)
-        profiler = RoundProfiler()
-        streamed = execute_plan(
-            plan,
-            db,
-            parallel=context,
-            chunk_rows=32,
-            profiler=profiler,
-        )
-        _assert_parity(monolithic, streamed, "line5 overlap")
-        if not context.pool.broken:
-            assert profiler.overlap_seconds > 0.0
-
-    def test_broken_pool_falls_back_bit_identically(self):
-        chain = line_query(4)
-        plan = compile_multiround(build_plan(chain, Fraction(0)), p=8)
-        db = matching_database(chain, n=200, rng=41)
-        monolithic = execute_plan(plan, db)
-        with ParallelContext(2) as context:
-            context.pool.close()
-            context.pool.broken = True
-            streamed = execute_plan(
-                plan, db, parallel=context, chunk_rows=16
-            )
-            _assert_parity(monolithic, streamed, "broken pool")
-            assert context.pool_views == 0

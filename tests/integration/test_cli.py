@@ -180,38 +180,40 @@ class TestProfileFlag:
 
 
 class TestWorkersFlag:
-    """``--workers`` exists only where views can reach the pool."""
+    """``--workers`` is statement fan-out, so only ``serve`` takes it."""
 
-    RUN_PLAN = ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
-                "--n", "40", "--p", "4", "--workers", "2"]
-
-    def test_streamed_views_run_on_the_pool(self, capsys):
-        code = main(self.RUN_PLAN + ["--chunk-rows", "16"])
-        rows = dict(
-            line.rsplit(None, 1)
-            for line in capsys.readouterr().out.splitlines()
-            if line.startswith(("view workers", "pool views"))
-        )
+    def test_streamed_run_plan_runs_in_one_process(self, capsys):
+        code = main(["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
+                     "--n", "40", "--p", "4", "--chunk-rows", "16"])
+        output = capsys.readouterr().out
         assert code == 0
-        assert rows["view workers"] == "2"
-        assert int(rows["pool views"]) > 0
+        assert "verified vs exact join  True" in output
+        assert "view workers" not in output
 
-    def test_workers_without_chunk_rows_exits_2(self, capsys):
-        # Eager views never reach the pool: a silent no-op otherwise.
-        assert main(self.RUN_PLAN) == 2
-        assert "--chunk-rows" in capsys.readouterr().err
-
-    def test_one_worker_needs_no_chunk_rows_and_shows_no_pool(self, capsys):
-        assert main(self.RUN_PLAN[:-1] + ["1"]) == 0
-        assert "view workers" not in capsys.readouterr().out
-
-    @pytest.mark.parametrize("command", ["run", "skew"])
-    def test_commands_without_views_take_no_workers(self, capsys, command):
+    @pytest.mark.parametrize("command", ["run", "skew", "run-plan"])
+    def test_pinned_commands_take_no_workers(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "S1(x,y), S2(y,z)", "--workers", "2",
                   "--chunk-rows", "16"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_serve_fans_statements_out(self, capsys, tmp_path):
+        output = _serve(
+            capsys,
+            tmp_path,
+            ["run S1(x,y), S2(y,z)", "stats", "exit"],
+            "--n", "40", "--p", "8", "--workers", "2",
+        )
+        counters = dict(
+            line.split(None, 1)
+            for line in output.splitlines()
+            if line.startswith("parallel.")
+        )
+        assert "workers=2)" in output
+        assert "40 answers" in output
+        assert counters["parallel.fanout_workers"].strip() == "2"
+        assert counters["parallel.fanout_queries"].strip() == "1"
 
     def test_chunk_rows_prints_the_per_block_table(self, capsys):
         code = main(

@@ -179,6 +179,24 @@ class TestMain:
             == 0
         )
 
+    def test_a_retired_benchmark_is_a_note(self, trend, tmp_path, capsys):
+        # A deleted benchmark's artifact is a note, never a failure.
+        previous = tmp_path / "previous"
+        current = tmp_path / "current"
+        _write(previous, "BENCH_x.json", {"speedup": 10.0})
+        _write(current, "BENCH_x.json", {"speedup": 10.0})
+        _write(previous, "BENCH_retired.json", {"overlap_speedup": 1.4})
+        assert (
+            trend.main(
+                ["--previous", str(previous), "--current", str(current)]
+            )
+            == 0
+        )
+        assert (
+            "BENCH_retired.json: present in previous run only"
+            in capsys.readouterr().out
+        )
+
     def test_unreadable_json_is_skipped(self, trend, tmp_path, capsys):
         previous = tmp_path / "previous"
         current = tmp_path / "current"

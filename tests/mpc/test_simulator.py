@@ -8,7 +8,12 @@ import numpy
 import pytest
 
 from repro.mpc.model import MPCConfig
-from repro.mpc.simulator import CapacityExceeded, MPCSimulator, ProtocolError
+from repro.mpc.simulator import (
+    CapacityExceeded,
+    ColumnPool,
+    MPCSimulator,
+    ProtocolError,
+)
 
 
 def make_simulator(p=4, eps=Fraction(0), c=1.0, input_bits=400, enforce=True):
@@ -448,3 +453,42 @@ class TestColumnPools:
         simulator.end_round()
         assert simulator.relation_pool("R") is None
         assert simulator.relation_pool("unknown") is None
+
+
+class TestColumnPoolShard:
+    def _pool(self):
+        columns = (
+            numpy.arange(10, dtype=numpy.int64),
+            numpy.arange(10, 20, dtype=numpy.int64),
+        )
+        offsets = numpy.array([0, 3, 3, 7, 10], dtype=numpy.int64)
+        return ColumnPool(columns=columns, offsets=offsets, source_sorted=True)
+
+    def test_shard_rebases_offsets(self):
+        pool = self._pool()
+        shard = pool.shard(2, 4)
+        assert shard.num_workers == 2
+        assert shard.offsets.tolist() == [0, 4, 7]
+        assert numpy.array_equal(
+            shard.worker_slice(0)[0], pool.worker_slice(2)[0]
+        )
+        assert numpy.array_equal(
+            shard.worker_slice(1)[1], pool.worker_slice(3)[1]
+        )
+        assert shard.source_sorted is pool.source_sorted
+
+    def test_shards_cover_the_pool(self):
+        pool = self._pool()
+        left, right = pool.shard(0, 2), pool.shard(2, 4)
+        assert len(left) + len(right) == len(pool)
+        assert numpy.array_equal(
+            numpy.concatenate([left.columns[0], right.columns[0]]),
+            pool.columns[0],
+        )
+
+    def test_out_of_range_shard_raises(self):
+        pool = self._pool()
+        with pytest.raises(ValueError):
+            pool.shard(3, 5)
+        with pytest.raises(ValueError):
+            pool.shard(-1, 2)

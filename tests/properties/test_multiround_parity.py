@@ -4,7 +4,8 @@ Like the HyperCube parity suite: for any plan, database, seed and
 server count the engine must produce exactly the same answers,
 per-round received bits/tuples, view sizes, per-server answer counts
 and capacity failures as the row-at-a-time reference
-(:mod:`repro.oracle`) -- monolithic, streamed or on a worker pool.
+(:mod:`repro.oracle`) -- monolithic or streamed, in process or on a
+fan-out worker.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import oracle
+from repro import connect, oracle
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -117,18 +118,27 @@ class TestExecutionModes:
     @pytest.mark.parametrize(
         "chunk_rows", [None, 16], ids=["whole", "streamed"]
     )
-    def test_parallel_parity(self, parallel_context, chunk_rows):
+    def test_fanned_out_parity(self, chunk_rows):
+        # Views materialised on a fan-out worker cross the process
+        # boundary with the answers: both equal the reference's.
         query = line_query(6)
         database = matching_database(query, n=120, rng=9)
-        assert_oracle_parity(
-            *run_both(
-                query, Fraction(0), database, p=8, seed=1,
-                engine_options={
-                    "parallel": parallel_context,
-                    "chunk_rows": chunk_rows,
-                },
-            )
-        )
+        with connect(
+            database, p=8, seed=1, workers=2, chunk_rows=chunk_rows
+        ) as session:
+            result = session.execute(query, algorithm="multiround", eps=0)
+            assert session.fanout.queries == 1
+        reference = oracle.execute_plan(result.plan, database)
+        assert result.answers == reference.answers
+        assert result.per_server == reference.per_server
+        assert result.view_sizes == reference.view_sizes
+        assert result.view_sizes
+        assert [
+            (r.received_bits, r.received_tuples) for r in result.report.rounds
+        ] == [
+            (r.received_bits, r.received_tuples)
+            for r in reference.report.rounds
+        ]
 
 
 class TestRandomizedDatabases:

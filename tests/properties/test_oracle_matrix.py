@@ -3,9 +3,9 @@
 The per-algorithm parity suites probe one executor each in depth; this
 one sweeps the cross product the engine must hold on: every registered
 algorithm and the plan-compiled baselines, on the core query families,
-on matching and on skewed databases, run monolithic, streamed in blocks
-and on a worker pool.  Every cell asserts that everything observable
-equals the row-at-a-time reference (:mod:`repro.oracle`) and, wherever
+on matching and on skewed databases, run monolithic and streamed in
+blocks, in process and fanned out to a worker session.  Every cell
+asserts that everything observable equals the row-at-a-time reference (:mod:`repro.oracle`) and, wherever
 the algorithm is exact, that the reference answers the full join.
 """
 
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import connect, oracle
 from repro.algorithms.baselines import (
     compile_broadcast_join,
     compile_single_server,
@@ -111,17 +112,35 @@ def test_baseline(baseline, query, mode):
     )
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_on_a_worker_pool(parallel_context, algorithm, mode):
+@pytest.fixture(scope="module", params=list(MODES))
+def fanned(request):
+    """A two-worker fan-out session over the skewed C3 database."""
     query = cycle_query(3)
     database = DATABASES["skewed"](query)
-    plan = compile_with(algorithm, query, P, seed=2, **ALGORITHMS[algorithm])
-    check(
-        plan,
-        query,
-        database,
-        get_algorithm(algorithm).exact,
-        parallel=parallel_context,
-        chunk_rows=MODES[mode],
+    with connect(
+        database, p=P, seed=2, workers=2, chunk_rows=MODES[request.param]
+    ) as session:
+        assert session.fanout is not None and session.fanout.usable
+        yield query, database, session
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fanned_out(fanned, algorithm):
+    # The statement runs in a worker process over the shared-memory
+    # snapshot; its result must match the reference on the plan it used.
+    query, database, session = fanned
+    before = session.fanout.queries
+    result = session.execute(
+        query, algorithm=algorithm, **ALGORITHMS[algorithm]
     )
+    assert session.fanout.queries == before + 1
+    assert result.algorithm == algorithm
+    reference = oracle.execute_plan(result.plan, database)
+    assert result.answers == reference.answers
+    assert result.per_server == reference.per_server
+    assert len(result.report.rounds) == len(reference.report.rounds)
+    for ours, theirs in zip(result.report.rounds, reference.report.rounds):
+        assert ours.received_bits == theirs.received_bits
+        assert ours.received_tuples == theirs.received_tuples
+    if get_algorithm(algorithm).exact:
+        assert reference.answers == full_join(query, database)

@@ -77,6 +77,11 @@ class TestDeadlineObject:
         with pytest.raises(ValueError):
             Deadline(-5)
 
+    def test_rejects_a_nan_budget(self):
+        # NaN <= 0 is False, yet a NaN budget would never expire.
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
+
     def test_after_ms_passes_none_through(self):
         assert Deadline.after_ms(None) is None
         deadline = Deadline.after_ms(50)
@@ -139,6 +144,16 @@ class TestCooperativeCancellation:
                 session.query(TRIANGLE, deadline_ms=0)
             with pytest.raises(ValueError):
                 session.query(TRIANGLE, deadline_ms=-10)
+        finally:
+            session.close()
+
+    def test_rejects_a_nan_deadline(self):
+        # A malformed budget must not silently become "no deadline".
+        session = connect(_database(), p=8)
+        try:
+            with pytest.raises(ValueError):
+                session.query(TRIANGLE, deadline_ms=float("nan"))
+            assert session.stats.requests == 0
         finally:
             session.close()
 

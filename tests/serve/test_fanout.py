@@ -11,7 +11,7 @@ from repro import connect
 from repro.core.families import cycle_query
 from repro.data.matching import matching_database
 from repro.api.fanout import FanoutBroken, SessionWorkerPool
-from repro.engine.parallel.shm import segment_exists
+from repro.api.shm import segment_exists
 from repro.mpc.simulator import CapacityExceeded
 
 VOCAB = cycle_query(3)

@@ -177,6 +177,81 @@ class TestWireDeadlines:
 
         rpc_test(body())
 
+    @pytest.mark.parametrize(
+        "budget", [float("nan"), float("inf")], ids=["nan", "infinity"]
+    )
+    def test_non_finite_deadline_is_rejected_upfront(self, budget):
+        # json.dumps writes NaN / Infinity literals, which the server's
+        # json parses back to floats; a NaN budget would never expire.
+        async def body():
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    client = await _Client.open(server)
+                    response = await client.call(
+                        {"op": "query", "q": PATH, "deadline_ms": budget}
+                    )
+                    assert not response["ok"]
+                    assert response["error_type"] == "QueryError"
+                    assert "deadline_ms" in response["error"]
+                    assert server.session.stats.requests == 0
+                    await client.close()
+            finally:
+                session.close()
+
+        rpc_test(body())
+
+
+class TestWriteRows:
+    """``update`` / ``delete`` take rows of JSON integers, uncoerced."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["12"], [[True, 2]], [[2.9, 1]], [["7", 1]]],
+        ids=["string-row", "bool-value", "float-value", "string-value"],
+    )
+    @pytest.mark.parametrize("op", ["update", "delete"])
+    def test_non_integer_rows_are_rejected(self, op, rows):
+        async def body():
+            session = _session()
+            try:
+                before = session.version
+                async with RpcServer(session) as server:
+                    client = await _Client.open(server)
+                    response = await client.call(
+                        {"op": op, "relation": "S1", "rows": rows}
+                    )
+                    assert not response["ok"]
+                    assert response["error_type"] == "QueryError"
+                    assert "bad row in 'rows'" in response["error"]
+                    await client.close()
+                assert session.version == before
+            finally:
+                session.close()
+
+        rpc_test(body())
+
+    def test_integer_rows_are_stored_as_sent(self):
+        async def body():
+            session = _session()
+            try:
+                before = set(session.database.snapshot["S1"].rows())
+                assert not {(7, 1), (3, 12)} & before
+                async with RpcServer(session) as server:
+                    client = await _Client.open(server)
+                    response = await client.call(
+                        {"op": "update", "relation": "S1",
+                         "rows": [[7, 1], [3, 12]]}
+                    )
+                    assert response["ok"], response
+                    await client.close()
+                after = set(session.database.snapshot["S1"].rows())
+                assert after == before | {(7, 1), (3, 12)}
+            finally:
+                session.close()
+
+        rpc_test(body())
+
 
 class TestAdmissionOnTheWire:
     def test_excess_load_is_shed_with_retry_hint(self, monkeypatch):

@@ -1,4 +1,5 @@
-"""Shared-memory column transport: lifecycle, refcounts, crash safety."""
+"""Shared-memory snapshot transport of statement fan-out: lifecycle and
+crash safety."""
 
 from __future__ import annotations
 
@@ -8,14 +9,12 @@ import time
 import numpy
 import pytest
 
-from repro.engine.parallel.shm import (
-    _ATTACH_LIMIT,
-    _ATTACHED,
+from repro.api.shm import (
+    SegmentHandle,
     SharedColumnStore,
     attach_columns,
     attach_snapshot,
     detach_all,
-    detach_names,
     export_snapshot,
     segment_exists,
 )
@@ -44,34 +43,48 @@ class TestSharedColumnStore:
             detach_all()
         assert not segment_exists(handle.name)
 
-    def test_identity_dedup_and_refcount(self):
-        columns = _columns()
-        store = SharedColumnStore()
-        try:
-            first = store.share(columns)
-            second = store.share(columns)
-            assert first.name == second.name
-            store.release(first)
-            assert segment_exists(first.name)  # one reference left
-            store.release(second)
-            assert not segment_exists(first.name)
-        finally:
-            store.close()
-
     def test_close_unlinks_everything(self):
         store = SharedColumnStore()
         handles = [store.share(_columns(rows)) for rows in (10, 20, 30)]
         assert all(segment_exists(handle.name) for handle in handles)
+        assert set(store.names) == {handle.name for handle in handles}
         store.close()
         assert not any(segment_exists(handle.name) for handle in handles)
+        assert store.names == ()
         store.close()  # idempotent
 
-    def test_release_of_unknown_handle_is_harmless(self):
-        store = SharedColumnStore()
-        handle = store.share(_columns())
-        store.release(handle)
-        store.release(handle)  # refcount already zero: no-op
-        store.close()
+    def test_empty_columns_round_trip(self):
+        # An empty relation still gets a (one-byte) segment of its own.
+        empty = (numpy.empty(0, dtype=numpy.int64),) * 2
+        with SharedColumnStore() as store:
+            handle = store.share(empty)
+            assert handle.lengths == (0, 0)
+            assert [len(view) for view in attach_columns(handle)] == [0, 0]
+            detach_all()
+        assert not segment_exists(handle.name)
+
+    def test_each_segment_is_mapped_once_per_process(self):
+        columns = _columns()
+        with SharedColumnStore() as store:
+            handle = store.share(columns)
+            first = attach_columns(handle)
+            second = attach_columns(handle)
+            # Both attaches read the one mapping, not two of a segment.
+            assert all(
+                numpy.shares_memory(a, b) for a, b in zip(first, second)
+            )
+            detach_all()
+
+    def test_attachments_live_until_detach_all(self):
+        # No eviction: every attached snapshot stays readable for the
+        # life of the process, however many segments it maps.
+        with SharedColumnStore() as store:
+            shared = [_columns(rows) for rows in range(1, 41)]
+            views = [attach_columns(store.share(c)) for c in shared]
+            for columns, attached in zip(shared, views):
+                for view, column in zip(attached, columns):
+                    assert numpy.array_equal(view, column)
+            detach_all()
 
 
 class TestSnapshotExport:
@@ -94,50 +107,23 @@ class TestSnapshotExport:
                 )
             detach_all()
 
+    def test_each_relation_is_shared_once(self, triangle):
+        from repro.data.matching import matching_database
+        from repro.data.versioned import VersionedDatabase
 
-class TestAttachmentCache:
-    """The child-side mapping cache must stay bounded (review: a
-    long-running worker churning per-query segments held every mmap --
-    and the physical pages of already-unlinked segments -- forever)."""
-
-    def test_cache_is_lru_bounded(self):
-        detach_all()
-        with SharedColumnStore() as store:
-            for _ in range(_ATTACH_LIMIT + 8):
-                attach_columns(store.share(_columns(rows=4)))
-            assert len(_ATTACHED) <= _ATTACH_LIMIT
-            detach_all()
-
-    def test_detach_names_closes_targeted_mappings(self):
-        detach_all()
-        with SharedColumnStore() as store:
-            handle = store.share(_columns(rows=4))
-            attach_columns(handle)
-            assert handle.name in _ATTACHED
-            detach_names([handle.name, "repro_no_such_segment"])
-            assert handle.name not in _ATTACHED
-
-    def test_pinned_mappings_survive_detach_and_eviction(self):
-        # A fan-out worker's snapshot views live for the process, so
-        # their mappings are pinned: neither targeted detaches nor LRU
-        # pressure may close the mmap under them.
-        detach_all()
-        with SharedColumnStore() as store:
-            handle = store.share(_columns(rows=4))
-            views = attach_columns(handle, pin=True)
-            detach_names([handle.name])
-            assert handle.name in _ATTACHED
-            for _ in range(_ATTACH_LIMIT + 8):
-                attach_columns(store.share(_columns(rows=4)))
-            assert handle.name in _ATTACHED
-            assert int(views[0][0]) >= 0  # still readable
-            detach_all()  # teardown closes pinned mappings too
-            assert handle.name not in _ATTACHED
+        database = VersionedDatabase(
+            matching_database(triangle, n=30, rng=3)
+        )
+        store = SharedColumnStore()
+        export = export_snapshot(database.snapshot, store)
+        names = [spec.handle.name for spec in export.relations]
+        assert sorted(names) == sorted(store.names)
+        assert len(names) == len(database.snapshot.relations) == 3
+        store.close()
+        assert not any(segment_exists(name) for name in names)
 
 
 def _attach_and_hang(name: str, lengths, ready) -> None:
-    from repro.engine.parallel.shm import SegmentHandle, attach_columns
-
     attach_columns(SegmentHandle(name=name, lengths=tuple(lengths)))
     ready.set()
     time.sleep(60)

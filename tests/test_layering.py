@@ -7,6 +7,12 @@ inversions left, and ``KNOWN_INVERSIONS`` stays empty.  The
 row-at-a-time reference executor, :mod:`repro.oracle`, sits above them
 all: tests and benchmarks import it, no module of the package does.
 
+The engine runs in one process: statement fan-out
+(:mod:`repro.api.fanout` and its shared-memory transport
+:mod:`repro.api.shm`) is the only multi-process code, nothing builds a
+process pool executor, and serving a statement without fan-out never
+loads ``multiprocessing``.
+
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
 :mod:`repro.core.friedgut`; ``functools`` caches stay out of every
@@ -16,10 +22,18 @@ other module, so per-module memos cannot creep back.
 from __future__ import annotations
 
 import ast
+import inspect
+import os
+import subprocess
+import sys
 from importlib.util import resolve_name
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.cli import main
+from repro.engine import execute_plan
 
 ROOT = Path(repro.__file__).parent
 LOWER = ("engine", "mpc", "data", "core", "algorithms")
@@ -32,6 +46,9 @@ KNOWN_INVERSIONS: set[tuple[str, str]] = set()
 #: root ``__init__.py`` only exposes it as ``repro.lp`` beside the
 #: other subpackages.
 LP_IMPORTERS = {"__init__.py", "core/covers.py", "core/friedgut.py"}
+
+#: The only modules that may import ``multiprocessing``.
+MULTIPROCESSING_IMPORTERS = {"api/fanout.py", "api/shm.py"}
 
 #: The only modules that may use ``functools.lru_cache``/``cache``.
 FUNCTOOLS_CACHE_USERS = {"core/covers.py", "mpc/routing.py"}
@@ -110,3 +127,65 @@ def test_no_package_module_imports_the_oracle():
         if "repro.oracle" in _imported_modules(path)
     ]
     assert importers == []
+
+
+def _package_modules():
+    return sorted(ROOT.rglob("*.py"))
+
+
+def test_only_fanout_and_its_shm_import_multiprocessing():
+    importers = {
+        path.relative_to(ROOT).as_posix()
+        for path in _package_modules()
+        if any(
+            module.split(".")[0] == "multiprocessing"
+            for module in _imported_modules(path)
+        )
+    }
+    assert importers == MULTIPROCESSING_IMPORTERS
+
+
+def test_nothing_uses_a_process_pool_executor():
+    users = [
+        path.relative_to(ROOT).as_posix()
+        for path in _package_modules()
+        if "ProcessPoolExecutor" in path.read_text()
+    ]
+    assert users == []
+
+
+def test_execute_plan_has_no_parallel_parameter():
+    assert "parallel" not in inspect.signature(execute_plan).parameters
+
+
+def test_run_plan_takes_no_workers(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run-plan", "S1(a,b), S2(b,c)", "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_serving_without_fanout_never_loads_multiprocessing():
+    # A fresh interpreter: this test process may have loaded it already.
+    probe = (
+        "import sys\n"
+        "from repro import connect\n"
+        "from repro.core.query import parse_query\n"
+        "from repro.data.matching import matching_database\n"
+        "import repro.serve.rpc\n"
+        "query = parse_query('S1(x,y), S2(y,z)')\n"
+        "session = connect(matching_database(query, n=20, rng=1), p=4)\n"
+        "assert len(session.execute(query).answers) == 20\n"
+        "session.stats_report()\n"
+        "session.close()\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith(('multiprocessing', 'repro.api.shm'))))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT.parent)},
+    )
+    assert result.stdout.strip() == "[]"

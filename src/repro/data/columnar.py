@@ -7,6 +7,8 @@ passes.  The dedup + sort is :func:`sorted_unique_rows`, the engine's
 one row sort: it orders rows by packed int64 keys and returns exactly
 ``numpy.unique(table, axis=0)``; answer unions, the generators, the
 local join's dedup passes and IVM's merge all canonicalise through it.
+Database writes and IVM's merge probe and splice its output with
+:func:`locate_rows` / :func:`insert_rows`.
 
 The row-oriented :class:`repro.data.database.Relation` remains the
 canonical public type; the two are convertible both ways and agree on
@@ -233,6 +235,54 @@ def sorted_unique_rows(table: Any) -> Any:
             distinct[1:] |= ranked[1:] != ranked[:-1]
     # ``take`` gathers whole rows several times faster than indexing.
     return numpy.take(table, order[distinct], axis=0)
+
+
+def locate_rows(reference: Any, table: Any) -> tuple[Any, Any]:
+    """Each row of ``table``'s insertion point in ``reference`` (a
+    :func:`sorted_unique_rows` output of the same width), and whether
+    ``reference`` holds it.
+
+    Both tables are viewed as one int64 record per row; records compare
+    field by field, signed -- the order ``sorted_unique_rows`` yields --
+    so one ``searchsorted`` probes every row: O(k log n) for k rows.
+    """
+    if not len(reference) or not len(table) or not table.shape[1]:
+        # Rows of width 0 are all the one empty row.
+        return (
+            numpy.zeros(len(table), dtype=numpy.intp),
+            numpy.full(len(table), len(reference) > 0),
+        )
+    fields = numpy.dtype(
+        [(f"f{i}", numpy.int64) for i in range(table.shape[1])]
+    )
+    reference_v, table_v = (
+        numpy.ascontiguousarray(rows).view(fields).reshape(len(rows))
+        for rows in (reference, table)
+    )
+    positions = numpy.searchsorted(reference_v, table_v)
+    last = len(reference) - 1
+    return positions, reference_v[numpy.minimum(positions, last)] == table_v
+
+
+def absent_rows(table: Any, reference: Any) -> Any:
+    """The rows of ``table`` that ``reference`` (see
+    :func:`locate_rows`) lacks, in table order."""
+    return table[~locate_rows(reference, table)[1]]
+
+
+def insert_rows(reference: Any, tables: Iterable[Any]) -> tuple[Any, Any]:
+    """Splice every row of ``tables`` that ``reference`` (a
+    :func:`sorted_unique_rows` output) lacks into it: their sorted
+    union at an O(n) memmove, not an O(n log n) re-sort.  Returns that
+    table and the new rows, sorted unique (none new: ``reference``)."""
+    fresh = numpy.concatenate(
+        [reference[:0]] + [absent_rows(table, reference) for table in tables]
+    )
+    if not len(fresh):
+        return reference, fresh
+    fresh = sorted_unique_rows(fresh)
+    positions = locate_rows(reference, fresh)[0]
+    return numpy.insert(reference, positions, fresh, axis=0), fresh
 
 
 def _finalise(name: str, table: Any, domain_size: int) -> Columns:

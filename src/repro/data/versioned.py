@@ -17,13 +17,18 @@ under them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy
 
 from repro.data.columnar import (
     ColumnarDatabase,
     ColumnarRelation,
+    absent_rows,
     columnar_database,
+    locate_rows,
+    sorted_unique_rows,
 )
 from repro.data.database import Database, DataError
 
@@ -45,6 +50,11 @@ class DatabaseDelta:
     - When the same row appears in both ``inserts`` and ``deletes``
       of one delta, the insert wins: deletes filter the old snapshot
       first, then inserts are added, so the row is present afterwards.
+    - Nothing is coerced.  A value that is not an ``int`` or a numpy
+      integer (a float, a string, a ``bool``), a row of the wrong
+      arity -- inserted or deleted -- and an inserted value below 1
+      are :class:`~repro.data.database.DataError`; a rejected delta
+      commits nothing and leaves the version where it was.
 
     Attributes:
         inserts: relation name -> rows to add (new relation names are
@@ -88,18 +98,18 @@ class DatabaseDelta:
 
 @dataclass(frozen=True)
 class DeltaRecord:
-    """The *effective* change one :meth:`~VersionedDatabase.apply_delta`
-    made, as provenance between two adjacent snapshot versions.
+    """The *effective* change between two snapshot versions: one per
+    :meth:`~VersionedDatabase.apply_delta`, or a span composed by
+    :meth:`~VersionedDatabase.delta_between`.
 
-    Unlike the raw :class:`DatabaseDelta` (whose inserts may already
-    exist and whose deletes may be absent), a record stores only rows
-    that actually changed membership, so ``new = (old - removed) +
-    added`` holds exactly per relation.  Incremental view maintenance
-    consumes these to route deltas instead of whole relations.
+    Unlike the raw :class:`DatabaseDelta`, a record holds only rows that
+    changed membership: ``new = (old - removed) + added`` per relation,
+    ``added`` disjoint from ``old`` and ``removed`` a subset of it.
+    Incremental view maintenance routes these instead of relations.
 
     Attributes:
-        old_version: version the delta was applied to.
-        new_version: version it produced (``old_version + 1``).
+        old_version: version the change applies to.
+        new_version: version it produced.
         added: relation name -> rows newly present.
         removed: relation name -> rows no longer present.
         bits_changed: True when per-tuple bit accounting moved -- a
@@ -130,43 +140,41 @@ class DeltaRecord:
 DELTA_HISTORY_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class ComposedDelta:
-    """Net effective change between two (not necessarily adjacent)
-    versions, composed from consecutive :class:`DeltaRecord` entries.
+def _delta_table(rows_by_name, name: str, arity: int, kind: str):
+    """``name``'s delta rows as a sorted unique int64 table.
 
-    Satisfies ``snapshot(new) = (snapshot(old) - removed) + added``
-    per relation, with ``added`` disjoint from ``snapshot(old)`` and
-    ``removed`` a subset of it.
+    Nothing is coerced (the RPC's rule): every value is an ``int`` or a
+    numpy integer, never a ``bool``, and every row has ``arity`` values.
     """
+    rows = rows_by_name.get(name, ())
+    for row in rows:
+        if len(row) != arity:
+            raise DataError(
+                f"{name}: {kind} {tuple(row)} has arity {len(row)}, "
+                f"expected {arity}"
+            )
+        if not all(
+            type(value) is int or isinstance(value, numpy.integer)
+            for value in row
+        ):
+            raise DataError(
+                f"{name}: {kind} {tuple(row)} holds a non-integer value"
+            )
+    try:
+        table = numpy.array(rows, dtype=numpy.int64)
+    except OverflowError as error:
+        raise DataError(f"{name}: {kind} value {error}") from None
+    return sorted_unique_rows(table.reshape(len(rows), arity))
 
-    old_version: int
-    new_version: int
-    added: Mapping[str, frozenset[tuple[int, ...]]]
-    removed: Mapping[str, frozenset[tuple[int, ...]]]
-    bits_changed: bool
 
-    @property
-    def is_noop(self) -> bool:
-        """True when the versions hold identical contents."""
-        return not any(self.added.values()) and not any(
-            self.removed.values()
-        )
-
-    def touched(self) -> frozenset[str]:
-        """Relations whose contents differ between the versions."""
-        return frozenset(
-            name
-            for name, rows in list(self.added.items())
-            + list(self.removed.items())
-            if rows
-        )
-
-    def change_count(self) -> int:
-        """Total rows that changed membership, across relations."""
-        return sum(len(rows) for rows in self.added.values()) + sum(
-            len(rows) for rows in self.removed.values()
-        )
+def _splice(column, gone_at, at, values):
+    """``column`` less the rows at ``gone_at``, ``values`` inserted at
+    ``at``; each pass runs only if it moves something."""
+    if len(gone_at):
+        column = numpy.delete(column, gone_at)
+    if len(at):
+        column = numpy.insert(column, at, values)
+    return numpy.ascontiguousarray(column)
 
 
 class VersionedDatabase:
@@ -182,9 +190,9 @@ class VersionedDatabase:
             snapshot (and every plan execution over it) reads the same
             arrays.
         initial_version: version number of the initial contents.
-            Defaults to 0; a parallel executor process reconstructing
-            the parent's database mid-life passes the parent's current
-            version so version-stamped results agree across processes.
+            Defaults to 0; a fan-out worker attaching to the parent's
+            snapshot mid-life passes the parent's current version so
+            version-stamped results agree across processes.
     """
 
     def __init__(
@@ -248,77 +256,78 @@ class VersionedDatabase:
     def apply_delta(self, delta: DatabaseDelta) -> int:
         """Install a new snapshot with the delta applied; bump version.
 
-        Inserts and deletes are applied per relation through the
-        standard dedup/sort/validate constructor, so a snapshot always
-        satisfies every :class:`ColumnarRelation` invariant.  The
-        domain grows automatically when inserted values exceed it
-        (which changes per-tuple bit accounting -- another reason the
-        version must move).  An empty delta still bumps the version:
-        the caller said "the data may have changed", and cache safety
-        errs on invalidation.
+        Each touched relation's delta rows become sorted unique int64
+        tables; one ``searchsorted`` per side locates them in the stored
+        table (:func:`~repro.data.columnar.locate_rows`), and the
+        effective changes are spliced into each column -- the columns a
+        full rebuild would produce, with no stored row becoming a tuple.
+        The domain grows with inserted values (which moves per-tuple bit
+        accounting).  An empty delta still bumps the version: the caller
+        said "the data may have changed", and cache safety errs on
+        invalidation.
 
         Returns:
             The new version number.
 
         Raises:
-            DataError: on ragged insert arities or values below 1.
+            DataError: on a rejection :class:`DatabaseDelta` lists;
+                nothing is committed.
         """
         relations = dict(self._snapshot.relations)
         domain = self._snapshot.domain_size
         added: dict[str, frozenset[tuple[int, ...]]] = {}
         removed: dict[str, frozenset[tuple[int, ...]]] = {}
         bits_changed = False
-        for name in set(delta.inserts) | set(delta.deletes):
-            inserts = delta.inserts.get(name, ())
-            deletes = {
-                tuple(row) for row in delta.deletes.get(name, ())
-            }
+        for name in dict.fromkeys([*delta.inserts, *delta.deletes]):
             existing = relations.get(name)
             if existing is None:
-                if not inserts:
+                first = next(iter(delta.inserts.get(name, ())), None)
+                if first is None:
                     raise DataError(
                         f"{name}: cannot delete from an unknown relation"
                     )
-                rows = []
-                arity = len(inserts[0])
+                existing = ColumnarRelation(
+                    name, len(first), ((),) * len(first), domain_size=1
+                )
                 bits_changed = True
-            else:
-                rows = list(existing.rows())
-                arity = existing.arity
-            old_rows = {tuple(row) for row in rows}
-            insert_rows = {tuple(row) for row in inserts}
-            rows = [tuple(row) for row in rows if tuple(row) not in deletes]
-            rows.extend(tuple(row) for row in inserts)
-            peak = max(
-                (value for row in rows for value in row), default=1
+            arity = existing.arity
+            inserts = _delta_table(delta.inserts, name, arity, "tuple")
+            # Insert wins: a row in both lists is kept.
+            deletes = absent_rows(
+                _delta_table(delta.deletes, name, arity, "delete row"), inserts
             )
-            domain = max(domain, peak)
             relation_domain = max(
-                existing.domain_size if existing is not None else 1, peak
+                existing.domain_size, int(inserts.max(initial=1))
             )
-            if (
-                existing is not None
-                and relation_domain != existing.domain_size
-            ):
-                bits_changed = True
-            relations[name] = ColumnarRelation.from_rows(
-                name,
-                rows,
+            low = int(inserts.min(initial=1))
+            if low < 1:
+                raise DataError(
+                    f"{name}: value {low} outside domain "
+                    f"[1, {relation_domain}]"
+                )
+            bits_changed |= relation_domain != existing.domain_size
+            domain = max(domain, relation_domain)
+            stored = numpy.column_stack(existing.columns)
+            at, present = locate_rows(stored, inserts)
+            fresh, at = inserts[~present], at[~present]
+            gone_at, present = locate_rows(stored, deletes)
+            gone, gone_at = deletes[present], gone_at[present]
+            # Insertion points index the stored table; shift each past
+            # the removals before it.
+            at = at - numpy.searchsorted(gone_at, at)
+            relations[name] = replace(
+                existing,
+                columns=tuple(
+                    _splice(column, gone_at, at, values)
+                    for column, values in zip(existing.columns, fresh.T)
+                ),
                 domain_size=relation_domain,
-                arity=arity,
             )
-            effective_added = frozenset(insert_rows - old_rows)
-            effective_removed = frozenset(
-                row
-                for row in deletes
-                if row in old_rows and row not in insert_rows
-            )
-            if effective_added:
-                added[name] = effective_added
-            if effective_removed:
-                removed[name] = effective_removed
-        if domain != self._snapshot.domain_size:
-            bits_changed = True
+            if len(fresh):
+                added[name] = frozenset(map(tuple, fresh.tolist()))
+            if len(gone):
+                removed[name] = frozenset(map(tuple, gone.tolist()))
+        bits_changed |= domain != self._snapshot.domain_size
         self._snapshot = ColumnarDatabase(
             relations=relations, domain_size=domain
         )
@@ -342,7 +351,7 @@ class VersionedDatabase:
 
     def delta_between(
         self, old_version: int, new_version: int
-    ) -> ComposedDelta | None:
+    ) -> DeltaRecord | None:
         """Net effective change from one version to a later one.
 
         Composes the retained per-version :class:`DeltaRecord` chain.
@@ -359,38 +368,30 @@ class VersionedDatabase:
         ]
         if len(records) != new_version - old_version:
             return None
-        added: dict[str, set[tuple[int, ...]]] = {}
-        removed: dict[str, set[tuple[int, ...]]] = {}
-        bits_changed = False
+        added: dict[str, frozenset[tuple[int, ...]]] = {}
+        removed: dict[str, frozenset[tuple[int, ...]]] = {}
         for record in records:
-            bits_changed = bits_changed or record.bits_changed
-            for name in set(record.added) | set(record.removed):
+            for name in {*record.added, *record.removed}:
                 step_added = record.added.get(name, frozenset())
                 step_removed = record.removed.get(name, frozenset())
-                net_added = added.setdefault(name, set())
-                net_removed = removed.setdefault(name, set())
+                net_added = added.get(name, frozenset())
+                net_removed = removed.get(name, frozenset())
                 # Relative to the *old* snapshot: a row removed now
                 # either undoes a prior add or is a genuine removal;
                 # a row added now either undoes a prior removal or is
                 # a genuine addition.
-                next_added = (net_added - step_removed) | (
+                added[name] = (net_added - step_removed) | (
                     step_added - net_removed
                 )
-                next_removed = (
+                removed[name] = (
                     net_removed | (step_removed - net_added)
                 ) - step_added
-                added[name] = next_added
-                removed[name] = next_removed
-        return ComposedDelta(
+        return DeltaRecord(
             old_version=old_version,
             new_version=new_version,
-            added={
-                name: frozenset(rows) for name, rows in added.items()
-            },
-            removed={
-                name: frozenset(rows) for name, rows in removed.items()
-            },
-            bits_changed=bits_changed,
+            added=added,
+            removed=removed,
+            bits_changed=any(record.bits_changed for record in records),
         )
 
     def update(

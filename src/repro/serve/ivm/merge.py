@@ -34,8 +34,13 @@ from typing import Any, Sequence
 import numpy
 
 from repro.algorithms.localjoin import evaluate_query_table
-from repro.data.columnar import ColumnarDatabase, sorted_unique_rows
-from repro.data.versioned import ComposedDelta
+from repro.data.columnar import (
+    ColumnarDatabase,
+    absent_rows,
+    insert_rows,
+    sorted_unique_rows,
+)
+from repro.data.versioned import DeltaRecord
 from repro.engine.deadline import Deadline
 from repro.engine.executor import plan_config
 from repro.engine.local import union_answer_tables
@@ -85,34 +90,6 @@ def _route_delta(step, rows: Rows, p: int) -> dict[int, list]:
     return by_worker
 
 
-def _structured(table, arity: int):
-    """A C-contiguous int64 table viewed as one record per row."""
-    fields = numpy.dtype([(f"f{i}", numpy.int64) for i in range(arity)])
-    return (
-        numpy.ascontiguousarray(table).view(fields).reshape(len(table))
-    )
-
-
-def _absent_rows(table, reference, arity: int):
-    """The rows of ``table`` that ``reference`` lacks, in table order.
-
-    ``reference`` is a :func:`~repro.data.columnar.sorted_unique_rows`
-    output: unique rows in signed, column-by-column lexicographic
-    order.  That is exactly the order a structured int64 view compares
-    in, so membership is one ``searchsorted`` over such views.
-    """
-    if not len(table) or not len(reference):
-        return table
-    if not arity:
-        return table[:0]  # the one empty row is in both
-    reference_v = _structured(reference, arity)
-    table_v = _structured(table, arity)
-    found = numpy.searchsorted(reference_v, table_v)
-    clipped = numpy.minimum(found, len(reference_v) - 1)
-    present = (reference_v[clipped] == table_v) & (found < len(reference_v))
-    return table[~present]
-
-
 def _patch_fragment(columns: tuple, removed: Rows, added: Rows) -> tuple:
     """``(fragment - removed) + added`` over a fragment's columns.
 
@@ -123,7 +100,7 @@ def _patch_fragment(columns: tuple, removed: Rows, added: Rows) -> tuple:
     table = numpy.column_stack(columns)
     if removed:
         gone = sorted_unique_rows(numpy.array(removed, dtype=numpy.int64))
-        table = _absent_rows(table, gone, len(columns))
+        table = absent_rows(table, gone)
     if added:
         table = numpy.concatenate(
             [table, numpy.array(added, dtype=numpy.int64)]
@@ -131,35 +108,9 @@ def _patch_fragment(columns: tuple, removed: Rows, added: Rows) -> tuple:
     return tuple(numpy.ascontiguousarray(column) for column in table.T)
 
 
-def _insert_new_rows(merged, tables, arity: int):
-    """Splice every row of ``tables`` absent from ``merged`` into it.
-
-    ``merged`` is a :func:`~repro.data.columnar.sorted_unique_rows`
-    output, and placement runs as ``searchsorted`` over structured
-    views (see :func:`_absent_rows`) -- this splice depends on the
-    kernel keeping that order -- so the result is the bit-identical
-    table a full re-union would produce, at an O(n) splice instead of
-    an O(n log n) re-sort of every worker's table.
-
-    Returns ``(table, fresh)``: the new merged table and the genuinely
-    new rows, sorted unique (empty when nothing was new, and then
-    ``table`` is ``merged`` itself).
-    """
-    fresh = numpy.concatenate(
-        [merged[:0]] + [_absent_rows(t, merged, arity) for t in tables]
-    )
-    if not len(fresh):
-        return merged, fresh
-    fresh = sorted_unique_rows(fresh)
-    positions = numpy.searchsorted(
-        _structured(merged, arity), _structured(fresh, arity)
-    )
-    return numpy.insert(merged, positions, fresh, axis=0), fresh
-
-
 def merge_state(
     state: RetainedState,
-    composed: ComposedDelta,
+    composed: DeltaRecord,
     snapshot: ColumnarDatabase,
     deadline: Deadline | None = None,
 ) -> MergeSuccess | MergeCapacity:
@@ -252,9 +203,7 @@ def merge_state(
                 patched_tables[(site.name, worker)]
                 for worker in sorted(touched)
             ]
-            table, fresh = _insert_new_rows(
-                site.merged, new_tables, arity
-            )
+            table, fresh = insert_rows(site.merged, new_tables)
             patched_merged[site.name] = table
             spliced[site.name] = fresh
             return fresh.tolist(), ()
@@ -264,8 +213,8 @@ def merge_state(
         merged = union_answer_tables(tables, arity)
         patched_merged[site.name] = merged
         return (
-            _absent_rows(merged, site.merged, arity).tolist(),
-            _absent_rows(site.merged, merged, arity).tolist(),
+            absent_rows(merged, site.merged).tolist(),
+            absent_rows(site.merged, merged).tolist(),
         )
 
     for round_index, plan_round in enumerate(plan.rounds):
@@ -363,10 +312,8 @@ def merge_state(
             schema = site.query.head
             positions = [schema.index(v) for v in finalize.head]
             if site.name in spliced:
-                table, _ = _insert_new_rows(
-                    projected,
-                    [spliced[site.name][:, positions]],
-                    len(positions),
+                table, _ = insert_rows(
+                    projected, [spliced[site.name][:, positions]]
                 )
             elif site.name in patched_merged:
                 table = sorted_unique_rows(table[:, positions])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.data.columnar import ColumnarDatabase
-from repro.data.versioned import ComposedDelta
+from repro.data.versioned import DeltaRecord
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan
 from repro.engine.faults import worker_death_after
 
@@ -91,7 +91,7 @@ class IvmPolicy:
     def merge_fallback_reason(
         self,
         state: RetainedState,
-        composed: ComposedDelta | None,
+        composed: DeltaRecord | None,
         snapshot: ColumnarDatabase,
     ) -> str | None:
         """Why this particular delta should not be merged

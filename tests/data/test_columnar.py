@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.columnar import (
     ColumnarRelation,
+    absent_rows,
     columnar_database,
+    insert_rows,
+    locate_rows,
     sorted_unique_rows,
 )
 from repro.data.database import Database, DataError, Relation
@@ -176,6 +179,49 @@ class TestSortedUniqueRows:
         )
         assert_matches_numpy_unique(table)
         assert not numpy.shares_memory(sorted_unique_rows(table), table)
+
+
+class TestSortedTableProbes:
+    """``locate_rows`` / ``absent_rows`` / ``insert_rows`` against
+    Python tuple order, which is the signed lexicographic order."""
+
+    @given(
+        arity=st.integers(1, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_probes_match_python_tuples(self, arity, data):
+        value = st.sampled_from([INT64.min, -3, -1, 0, 1, 2, 5, INT64.max])
+        row = st.tuples(*[value] * arity)
+        reference_rows = data.draw(st.lists(row, max_size=12))
+        probe_rows = data.draw(st.lists(row, max_size=12))
+
+        def table(rows):
+            return numpy.array(rows, dtype=numpy.int64).reshape(
+                len(rows), arity
+            )
+
+        reference = sorted_unique_rows(table(reference_rows))
+        ordered = sorted(set(reference_rows))
+        probes = table(probe_rows)
+        positions, present = locate_rows(reference, probes)
+        assert positions.tolist() == [
+            sum(stored < probe for stored in ordered) for probe in probe_rows
+        ]
+        assert present.tolist() == [
+            probe in set(ordered) for probe in probe_rows
+        ]
+        assert absent_rows(probes, reference).tolist() == [
+            list(probe) for probe in probe_rows if probe not in set(ordered)
+        ]
+        merged, fresh = insert_rows(reference, [probes])
+        union = sorted(set(reference_rows) | set(probe_rows))
+        assert merged.tolist() == [list(r) for r in union]
+        assert fresh.tolist() == [
+            list(r) for r in sorted(set(probe_rows) - set(ordered))
+        ]
+        if not len(fresh):
+            assert merged is reference
 
 
 class TestAccounting:

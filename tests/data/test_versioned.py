@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.families import line_query
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import DataError
+from repro.data.generators import matching_database_columnar
 from repro.data.matching import matching_database
-from repro.data.versioned import DatabaseDelta, VersionedDatabase
+from repro.data.versioned import (
+    DELTA_HISTORY_LIMIT,
+    DatabaseDelta,
+    VersionedDatabase,
+)
 
 VOCAB = parse_query("S1(x,y), S2(y,z)")
 
@@ -180,8 +188,6 @@ class TestProvenance:
         assert composed is not None and composed.is_noop
 
     def test_delta_between_gap_returns_none(self):
-        from repro.data.versioned import DELTA_HISTORY_LIMIT
-
         versioned = _versioned()
         for step in range(DELTA_HISTORY_LIMIT + 2):
             versioned.update(inserts={"S1": [(700 + step, 1)]})
@@ -190,7 +196,13 @@ class TestProvenance:
         recent = versioned.delta_between(
             versioned.version - 2, versioned.version
         )
-        assert recent is not None and recent.change_count() == 2
+        assert recent is not None
+        assert {name: rows for name, rows in recent.added.items() if rows} == {
+            "S1": frozenset(
+                {(700 + DELTA_HISTORY_LIMIT, 1), (701 + DELTA_HISTORY_LIMIT, 1)}
+            )
+        }
+        assert not any(recent.removed.values())
 
     def test_bits_changed_on_domain_growth(self):
         versioned = _versioned()
@@ -202,3 +214,265 @@ class TestProvenance:
         versioned = _versioned()
         versioned.update(inserts={"R": [(1, 2, 3)]})
         assert versioned.last_record.bits_changed
+
+
+def _assert_unchanged(versioned, snapshot, version):
+    assert versioned.version == version
+    assert versioned.snapshot is snapshot
+
+
+class TestNoCoercion:
+    """Delta values are integers or nothing: the RPC's rule, in the
+    Python API too (a rejected delta commits nothing)."""
+
+    def test_float_insert_is_rejected_not_truncated(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="non-integer"):
+            versioned.update(inserts={"S1": [(2.9, 1)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_rejected_insert_leaves_no_provenance(self):
+        # Coercing (2.9, 1) to (2, 1) while recording (2.9, 1) made a
+        # later delete of (2, 1) compose to a change that never was.
+        versioned = _versioned()
+        with pytest.raises(DataError):
+            versioned.update(inserts={"S1": [(2.9, 1)]})
+        assert versioned.last_record is None
+        versioned.update(inserts={"S1": [(2, 1)]})
+        versioned.update(deletes={"S1": [(2, 1)]})
+        composed = versioned.delta_between(0, versioned.version)
+        assert composed is not None and composed.is_noop
+
+    def test_string_value_is_a_data_error(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="non-integer"):
+            versioned.update(inserts={"S1": [("3", 1)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_bool_value_is_rejected(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="non-integer"):
+            versioned.update(inserts={"S1": [(True, 2)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_non_integer_delete_is_rejected(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="non-integer"):
+            versioned.update(deletes={"S1": [(1.0, 2)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_numpy_integers_are_stored_and_recorded_as_ints(self):
+        versioned = _versioned()
+        versioned.update(
+            inserts={"S1": [(numpy.int32(500), numpy.int64(501))]}
+        )
+        (row,) = versioned.last_record.added["S1"]
+        assert row == (500, 501)
+        assert all(type(value) is int for value in row)
+        assert row in set(versioned["S1"].rows())
+
+    def test_value_beyond_int64_is_a_data_error(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError):
+            versioned.update(inserts={"S1": [(2**63, 1)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_insert_below_one_is_rejected(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="outside domain"):
+            versioned.update(inserts={"S1": [(0, 1)]})
+        _assert_unchanged(versioned, snapshot, 0)
+
+
+class TestDeleteArity:
+    @pytest.mark.parametrize("row", [(1, 2, 3), (1,)])
+    def test_wrong_arity_delete_is_rejected(self, row):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError) as caught:
+            versioned.update(deletes={"S1": [row]})
+        message = str(caught.value)
+        assert message.startswith("S1:")
+        assert f"arity {len(row)}, expected 2" in message
+        _assert_unchanged(versioned, snapshot, 0)
+
+    def test_bad_delete_rolls_back_a_good_insert(self):
+        versioned = _versioned()
+        snapshot = versioned.snapshot
+        with pytest.raises(DataError, match="S2"):
+            versioned.update(
+                inserts={"S1": [(500, 501)]}, deletes={"S2": [(1, 2, 3)]}
+            )
+        _assert_unchanged(versioned, snapshot, 0)
+        assert (500, 501) not in set(versioned["S1"].rows())
+
+
+class TestColumnSpaceWrites:
+    def test_large_writes_never_materialise_rows(self, monkeypatch):
+        versioned = VersionedDatabase(
+            matching_database_columnar(line_query(8), n=48000, seed=3)
+        )
+        before = {
+            relation.name: [column.copy() for column in relation.columns]
+            for relation in versioned
+        }
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the write path built row tuples")
+
+        monkeypatch.setattr(ColumnarRelation, "rows", forbidden)
+        monkeypatch.setattr(ColumnarRelation, "from_rows", forbidden)
+        present = (
+            int(versioned["S3"].columns[0][17]),
+            int(versioned["S3"].columns[1][17]),
+        )
+        versioned.update(inserts={"S3": [(48000, 48000)]})
+        versioned.update(deletes={"S3": [present]})
+        versioned.update(
+            inserts={"S3": [present]}, deletes={"S3": [(48000, 48000)]}
+        )
+        assert versioned.version == 3
+        assert versioned.delta_between(0, 3).is_noop
+        for relation in versioned:
+            for column, original in zip(
+                relation.columns, before[relation.name]
+            ):
+                assert column.dtype == numpy.int64
+                assert column.flags.c_contiguous
+                assert numpy.array_equal(column, original)
+
+
+#: Relation name -> arity of the property test's vocabulary: ``S1``
+#: exists from the start, ``R`` is created by its first insert.
+ARITIES = {"S1": 2, "R": 1}
+START_DOMAIN = 6
+
+
+def _net(old, new):
+    """Per-relation (added, removed) between two model states."""
+    added, removed = {}, {}
+    for name in set(old) | set(new):
+        before, after = old.get(name, set()), new.get(name, set())
+        if after - before:
+            added[name] = frozenset(after - before)
+        if before - after:
+            removed[name] = frozenset(before - after)
+    return added, removed
+
+
+def _nonempty(mapping):
+    return {name: rows for name, rows in mapping.items() if rows}
+
+
+class TestWritePathModel:
+    """The write path against a dict-of-sets model: snapshots, records
+    and composed spans."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_set_model(self, data):
+        value = st.integers(1, START_DOMAIN + 3)  # some inserts grow it
+        rows_of = {
+            name: st.tuples(*[value] * arity)
+            for name, arity in ARITIES.items()
+        }
+        start = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(1, START_DOMAIN)] * 2),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        versioned = VersionedDatabase(
+            {
+                "S1": ColumnarRelation.from_rows(
+                    "S1", start, domain_size=START_DOMAIN
+                )
+            }
+        )
+        model = {"S1": set(start)}
+        domains = {"S1": START_DOMAIN}
+        states = [{name: set(rows) for name, rows in model.items()}]
+        bits = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            inserts, deletes = {}, {}
+            for name in ARITIES:
+                new_rows = data.draw(st.lists(rows_of[name], max_size=3))
+                # Duplicate inserts, and rows both inserted and deleted.
+                new_rows += data.draw(
+                    st.lists(st.sampled_from(new_rows), max_size=2)
+                ) if new_rows else []
+                gone = data.draw(st.lists(rows_of[name], max_size=2))
+                stored = sorted(model.get(name, ()))
+                if stored:
+                    gone += data.draw(
+                        st.lists(st.sampled_from(stored), max_size=2)
+                    )
+                if new_rows:
+                    gone += data.draw(
+                        st.lists(st.sampled_from(new_rows), max_size=1)
+                    )
+                    inserts[name] = new_rows
+                if gone:
+                    deletes[name] = gone
+            old_version = versioned.version
+            if any(
+                name not in model and name not in inserts
+                for name in deletes
+            ):
+                snapshot = versioned.snapshot
+                with pytest.raises(DataError, match="unknown relation"):
+                    versioned.update(inserts=inserts, deletes=deletes)
+                _assert_unchanged(versioned, snapshot, old_version)
+                continue
+            old = {name: set(rows) for name, rows in model.items()}
+            old_domain = max(domains.values())
+            changed_bits = False
+            for name in set(inserts) | set(deletes):
+                rows = model.setdefault(name, set())
+                rows -= set(deletes.get(name, ())) - set(
+                    inserts.get(name, ())
+                )
+                rows |= set(inserts.get(name, ()))
+                peak = max(
+                    (v for row in inserts.get(name, ()) for v in row),
+                    default=1,
+                )
+                if peak > domains.get(name, 0):  # created, or grown
+                    changed_bits = True
+                    domains[name] = peak
+            changed_bits |= max(domains.values()) != old_domain
+
+            version = versioned.update(inserts=inserts, deletes=deletes)
+            assert version == old_version + 1
+            for name, rows in model.items():
+                relation = versioned[name]
+                assert relation.domain_size == domains[name]
+                assert list(relation.rows()) == sorted(rows)
+                for column in relation.columns:
+                    assert column.dtype == numpy.int64
+                    assert column.flags.c_contiguous
+            assert versioned.domain_size == max(domains.values())
+
+            record = versioned.last_record
+            added, removed = _net(old, model)
+            assert record.added == added
+            assert record.removed == removed
+            assert record.bits_changed == changed_bits
+            bits.append(changed_bits)
+            states.append({name: set(rows) for name, rows in model.items()})
+
+            for first in range(
+                max(0, version - DELTA_HISTORY_LIMIT), version + 1
+            ):
+                composed = versioned.delta_between(first, version)
+                added, removed = _net(states[first], model)
+                assert _nonempty(composed.added) == added
+                assert _nonempty(composed.removed) == removed
+                assert composed.bits_changed == any(bits[first:version])

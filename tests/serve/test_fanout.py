@@ -132,6 +132,19 @@ class TestUpdates:
             assert pool.apply_delta(delta, lambda: 999) == 999
             assert pool.broken and not pool.usable
 
+    def test_a_rejected_delta_keeps_the_pool(self):
+        # Every side rejects the same bad delete and commits nothing,
+        # so the fleet stays at one version and keeps serving.
+        from repro.data.database import DataError
+
+        with connect(_database(), p=8, workers=2) as session:
+            with pytest.raises(DataError, match="arity 3, expected 2"):
+                session.update(deletes={"S1": [(1, 2, 3)]})
+            assert session.version == 0 and session.fanout.usable
+            session.update(inserts={"S1": [(1, 2)]})
+            result = session.execute(STATEMENTS[1])
+            assert session.fanout.usable and result.version == 1
+
     def test_capacity_exceeded_crosses_the_boundary(self):
         database = _database()
         options = dict(

@@ -252,6 +252,33 @@ class TestWriteRows:
 
         rpc_test(body())
 
+    @pytest.mark.parametrize("row", [[1, 2, 3], [1]], ids=["wide", "narrow"])
+    def test_wrong_arity_delete_is_an_error(self, row):
+        async def body():
+            session = _session()
+            try:
+                before = session.version
+                async with RpcServer(session) as server:
+                    client = await _Client.open(server)
+                    response = await client.call(
+                        {"op": "delete", "relation": "S1", "rows": [row]}
+                    )
+                    assert not response["ok"]
+                    assert response["error_type"] == "DataError"
+                    assert (
+                        f"arity {len(row)}, expected 2" in response["error"]
+                    )
+                    follow_up = await client.call(
+                        {"op": "query", "q": "S1(x,y)"}
+                    )
+                    assert follow_up["version"] == before
+                    await client.close()
+                assert session.version == before
+            finally:
+                session.close()
+
+        rpc_test(body())
+
 
 class TestAdmissionOnTheWire:
     def test_excess_load_is_shed_with_retry_hint(self, monkeypatch):

@@ -13,6 +13,10 @@ The engine runs in one process: statement fan-out
 process pool executor, and serving a statement without fan-out never
 loads ``multiprocessing``.
 
+Sorted int64 tables are probed and spliced through one copy of the
+structured-view helpers, in :mod:`repro.data.columnar`: IVM's merge
+imports them rather than keeping its own.
+
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
 :mod:`repro.core.friedgut`; ``functools`` caches stay out of every
@@ -163,6 +167,27 @@ def test_run_plan_takes_no_workers(capsys):
         main(["run-plan", "S1(a,b), S2(b,c)", "--workers", "2"])
     assert excinfo.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_ivm_merge_keeps_no_structured_view_helper():
+    path = ROOT / "serve" / "ivm" / "merge.py"
+    tree = ast.parse(path.read_text())
+    probes = sorted(
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"searchsorted", "view"}
+    )
+    assert probes == []
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "repro.data.columnar"
+        for alias in node.names
+    }
+    assert {"absent_rows", "insert_rows"} <= imported
 
 
 def test_serving_without_fanout_never_loads_multiprocessing():

@@ -4,8 +4,8 @@ After routing unified on the shared round engine, the simulator's
 wall-clock became dominated by *local* evaluation.  The engine
 evaluates it shard by shard over the round's delivery pools: one
 vectorized join per contiguous worker range, worker id prepended to
-every join key, sort-free direct-address lookups where the pools are
-pre-sorted.  An eager round under the default shard budget is a single
+every join key, key-ordered ``searchsorted`` probes, and no sort of
+the right side where the pools are pre-sorted.  An eager round under the default shard budget is a single
 shard spanning the fleet.
 
 ``test_segmented_local_eval`` runs that evaluation on ``L_8`` at p=64,

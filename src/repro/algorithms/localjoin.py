@@ -7,10 +7,10 @@ in two bit-identical flavours:
 
 * :func:`evaluate_query` -- the reference path: a straightforward
   index-backed backtracking join over row tuples;
-* :func:`evaluate_query_table_segmented` -- the vectorized path
-  relations arrive as int64 column arrays, every
-  join step is one sort or direct-address (bincount) lookup, and an
-  optional segment (worker) id per row -- prepended as the
+* :func:`evaluate_query_table_segmented` -- the vectorized path:
+  relations arrive as int64 column arrays, every join step is one
+  sort plus ``searchsorted`` probes in key order, and an optional
+  segment (worker) id per row -- prepended as the
   highest-order component of every join key -- evaluates all the
   workers of a pooled delivery independently in a single pass.
   :func:`evaluate_query_table` and :func:`evaluate_query_columnar`
@@ -454,23 +454,23 @@ def _join_pairs_sparse(
 ) -> tuple[Any | None, Any]:
     """Index pairs ``(i, j)`` with ``key_left[i] == key_right[j]``.
 
-    Sorts the right side once, locates each left key's run with two
-    ``searchsorted`` calls, and expands the runs arithmetic-only.
+    Sorts the right side once and locates each left key's run with two
+    ``searchsorted`` calls.  The left keys are probed in ascending
+    order (one ``argsort``, results scattered back through it), so
+    consecutive probes land on neighbouring cache lines of the sorted
+    right side instead of ``log(n)`` scattered reads each.  Runs are
+    then expanded arithmetic-only.  The cost follows the rows, never
+    the key span.
 
     Args:
         assume_sorted: skip the right-side ``argsort`` entirely; only
             valid when ``key_right`` is already non-decreasing (e.g. a
             pre-sorted delivery pool keyed by its sort prefix).  The
-            returned pair multiset is identical either way.
-
-    A sorted right side additionally enables direct addressing: when
-    the key span is within a small multiple of the data size, each
-    key's (start, count) run is read from one ``bincount``/``cumsum``
-    table in O(1) -- one cache line per probe instead of the
-    ``log(n)`` scattered reads of a fleet-sized binary search.
+            returned pairs are identical either way.
 
     Returns:
-        ``(left_index, right_index)`` where ``left_index`` is None
+        ``(left_index, right_index)`` in left row order (a left row's
+        matches in right row order), where ``left_index`` is None
         when it would be exactly ``arange(len(key_left))`` -- the
         key-key join case where every left row matches exactly once,
         which lets the caller skip re-gathering every bound column
@@ -482,34 +482,15 @@ def _join_pairs_sparse(
     else:
         order = numpy.argsort(key_right, kind="stable")
         sorted_keys = key_right[order]
-    # Direct addressing needs non-negative keys (bincount) with a
-    # modest span; sorted_keys[0] >= 0 guards negatives (possible
-    # under the documented "non-decreasing" precondition even though
-    # no shipped caller produces them).
-    span = (
-        int(sorted_keys[-1]) + 1
-        if assume_sorted and len(sorted_keys) and int(sorted_keys[0]) >= 0
-        else -1
+    probe = numpy.argsort(key_left)
+    needles = key_left[probe]
+    found = numpy.searchsorted(sorted_keys, needles, side="left")
+    starts = numpy.empty_like(found)
+    starts[probe] = found
+    counts = numpy.empty_like(found)
+    counts[probe] = (
+        numpy.searchsorted(sorted_keys, needles, side="right") - found
     )
-    if 0 <= span <= max(
-        1 << 22, 4 * (len(key_left) + len(key_right))
-    ):
-        run_counts = numpy.bincount(sorted_keys, minlength=span)
-        run_starts_all = numpy.empty_like(run_counts)
-        run_starts_all[0] = 0
-        numpy.cumsum(run_counts[:-1], out=run_starts_all[1:])
-        within = (key_left >= 0) & (key_left < span)
-        if within.all():
-            starts = run_starts_all[key_left]
-            counts = run_counts[key_left]
-        else:
-            lookup = numpy.where(within, key_left, 0)
-            starts = run_starts_all[lookup]
-            counts = numpy.where(within, run_counts[lookup], 0)
-    else:
-        starts = numpy.searchsorted(sorted_keys, key_left, side="left")
-        ends = numpy.searchsorted(sorted_keys, key_left, side="right")
-        counts = ends - starts
     max_count = int(counts.max()) if len(counts) else 0
     if max_count <= 1:
         # Key-key join: no run expansion, and when nothing drops the
@@ -526,16 +507,16 @@ def _join_pairs_sparse(
             else order[sorted_positions]
         )
         return left_index, right_index
-    total = int(counts.sum())
-    left_index = numpy.repeat(numpy.arange(len(key_left)), counts)
-    run_starts = numpy.repeat(starts, counts)
-    offsets = numpy.arange(total) - numpy.repeat(
-        numpy.concatenate(
-            ([0], numpy.cumsum(counts)[:-1])
-        ) if len(counts) else numpy.zeros(0, dtype=numpy.int64),
-        counts,
+    matched = numpy.nonzero(counts)[0]
+    runs = counts[matched]
+    left_index = numpy.repeat(matched, runs)
+    # A left row's pairs are contiguous: its run begins where
+    # left_index changes, and pair k of it reads sorted position
+    # start + k.
+    begins = numpy.nonzero(numpy.diff(left_index, prepend=-1))[0]
+    sorted_positions = numpy.arange(len(left_index)) + numpy.repeat(
+        starts[matched] - begins, runs
     )
-    sorted_positions = run_starts + offsets
     right_index = (
         sorted_positions if order is None else order[sorted_positions]
     )

@@ -29,11 +29,11 @@ layer:
   relation under a ``chunk_rows`` budget.  Blocks are numpy *views*
   over the source columns (no row copies).
 * :class:`PoolBuilder` -- k-way per-worker merge of worker-grouped
-  blocks (one pass of slice copies, freeing each block as it goes).
-  Because blocks arrive in ascending source order, a single
+  blocks (one scatter per block and column, freeing each block as it
+  goes).  Because blocks arrive in ascending source order, a single
   source-sorted stream stays source-sorted through the merge -- the
-  sort-free direct-address join keeps its precondition; several
-  interleaved streams clear ``source_sorted``.
+  sort-free join keeps its precondition; several interleaved streams
+  clear ``source_sorted``.
 * :func:`plan_worker_shards` -- contiguous worker ranges whose pooled
   bytes fit a budget, so shard-wise evaluation's peak memory is
   ``O(shard budget)`` independent of ``n``.
@@ -114,8 +114,8 @@ class PoolBuilder:
 
     Each appended block is already grouped by receiving worker (a
     small per-block stable sort); :meth:`finalize` k-way merges the
-    blocks per worker with one allocation and a single pass of slice
-    copies.  Within each worker, rows keep block order -- blocks are
+    blocks per worker with one allocation and one scatter per block
+    and column.  Within each worker, rows keep block order -- blocks are
     appended in ascending source order, so a single source-sorted
     stream's fragments stay sorted through the merge.
 
@@ -181,24 +181,21 @@ class PoolBuilder:
         offsets = numpy.zeros(p + 1, dtype=numpy.int64)
         numpy.cumsum(counts, out=offsets[1:])
         total = int(offsets[-1])
-        arity = len(blocks[0].columns)
         columns = tuple(
-            numpy.empty(total, dtype=numpy.int64) for _ in range(arity)
+            numpy.empty(total, dtype=numpy.int64) for _ in blocks[0].columns
         )
         cursor = offsets[:-1].copy()
         while blocks:
             block = blocks.pop(0)
             block_counts = block.offsets[1:] - block.offsets[:-1]
-            for worker in numpy.nonzero(block_counts)[0].tolist():
-                start = int(cursor[worker])
-                end = start + int(block_counts[worker])
-                for position in range(arity):
-                    columns[position][start:end] = block.columns[position][
-                        int(block.offsets[worker]) : int(
-                            block.offsets[worker + 1]
-                        )
-                    ]
-                cursor[worker] = end
+            # Row r of worker w's group lands at cursor[w] + r: one
+            # scatter per column moves the whole block.
+            targets = numpy.arange(len(block)) + numpy.repeat(
+                cursor - block.offsets[:-1], block_counts
+            )
+            for column, source in zip(columns, block.columns):
+                column[targets] = source
+            cursor += block_counts
         return ColumnPool(
             columns=columns, offsets=offsets, source_sorted=self._sorted
         )
@@ -244,7 +241,11 @@ def bin_block(
         selected = gather
         offsets = numpy.array([0, len(local)], dtype=numpy.int64)
     else:
-        order = numpy.argsort(local, kind="stable")
+        # Worker ids below ``width`` fit a narrow unsigned dtype, on
+        # which numpy's stable argsort is a radix sort.
+        order = numpy.argsort(
+            local.astype(numpy.min_scalar_type(width - 1)), kind="stable"
+        )
         selected = order if gather is None else gather[order]
         offsets = numpy.searchsorted(
             local[order] if len(local) else local,

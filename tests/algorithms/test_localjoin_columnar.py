@@ -6,6 +6,7 @@ import random
 
 import numpy
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.localjoin import (
     _join_pairs_sparse,
@@ -144,7 +145,8 @@ class TestJoinPairsSorted:
             assert key_left[left] == key_right[right]
 
     def test_wide_span_falls_back_to_searchsorted(self):
-        """Keys too sparse for direct addressing still join correctly."""
+        """Keys spanning ~2e15 join at the cost of their rows: no
+        table over the key span is built."""
         key_right = numpy.asarray([0, 10**15, 2 * 10**15])
         key_left = numpy.asarray([10**15, 5])
         left_index, right_index = _join_pairs(
@@ -165,6 +167,46 @@ class TestJoinPairsSorted:
                 some, empty, assume_sorted=assume_sorted
             )
             assert len(left_index) == len(right_index) == 0
+
+
+def _nested_loop_pairs(key_left, key_right):
+    """Every matching ``(i, j)``, ``i`` then ``j`` ascending."""
+    return [
+        (i, j)
+        for i, left in enumerate(key_left)
+        for j, right in enumerate(key_right)
+        if left == right
+    ]
+
+
+class TestJoinPairsOrder:
+    """``_join_pairs_sparse`` returns exactly the nested-loop pair
+    sequence: retained per-worker tables inherit this row order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        key_left=st.lists(st.integers(-3, 11), max_size=30),
+        key_right=st.lists(st.integers(-2, 8), max_size=30),
+        assume_sorted=st.booleans(),
+    )
+    def test_pairs_in_nested_loop_order(
+        self, key_left, key_right, assume_sorted
+    ):
+        if assume_sorted:
+            key_right = sorted(key_right)
+        expected = _nested_loop_pairs(key_left, key_right)
+        left_index, right_index = _join_pairs_sparse(
+            numpy.asarray(key_left, dtype=numpy.int64),
+            numpy.asarray(key_right, dtype=numpy.int64),
+            assume_sorted,
+        )
+        # None signals the identity: every left row matched once.
+        identity = [i for i, _ in expected] == list(range(len(key_left)))
+        assert (left_index is None) == identity
+        if left_index is None:
+            left_index = numpy.arange(len(key_left))
+        actual = list(zip(left_index.tolist(), right_index.tolist()))
+        assert actual == expected
 
 
 class TestSegmentedEvaluator:
@@ -286,7 +328,7 @@ class TestSegmentedEvaluator:
         ) == [(0, (1, 5)), (1, (2, 6))]
 
     def test_negative_sorted_keys_fall_back(self):
-        """Non-decreasing but negative keys must not hit bincount."""
+        """Non-decreasing keys below zero are probed like any others."""
         left_index, right_index = _join_pairs(
             numpy.asarray([0, 3]),
             numpy.asarray([-5, 0, 3]),

@@ -121,20 +121,46 @@ class TestPoolBuilder:
         assert numpy.array_equal(pool.columns[0], block.columns[0])
         assert numpy.array_equal(pool.offsets, block.offsets)
 
-    def test_merge_equals_monolithic_grouping(self):
-        rows = [(i, 10 + i) for i in range(12)]
-        destinations = [i % self.P for i in range(12)]
+    @pytest.mark.parametrize(
+        "rows, destinations, cuts",
+        [
+            pytest.param(
+                [(i, 10 + i) for i in range(12)],
+                [i % 4 for i in range(12)],
+                (0, 5, 10, 12),
+                id="round-robin",
+            ),
+            pytest.param(
+                [(i, 10 + i) for i in range(12)],
+                [3, 3, 3, 3, 0, 2, 2, 0, 1, 3, 1, 0],
+                (0, 4, 8, 12),
+                id="workers-empty-inside-blocks",
+            ),
+            pytest.param(
+                [(i, 10 + i) for i in range(12)],
+                [i % 3 for i in range(12)],
+                (0, 5, 5, 12),
+                id="all-empty-middle-block",
+            ),
+            pytest.param(
+                [(i, 10 + i, 20 - i) for i in range(12)],
+                [(3 * i) % 4 for i in range(12)],
+                (0, 3, 9, 12),
+                id="arity-3",
+            ),
+        ],
+    )
+    def test_merge_equals_monolithic_grouping(
+        self, rows, destinations, cuts
+    ):
         monolithic = _block_pool(rows, destinations, self.P)
         builder = PoolBuilder(self.P)
-        for start in range(0, 12, 5):
+        for start, end in zip(cuts, cuts[1:]):
             builder.append(
-                _block_pool(
-                    rows[start : start + 5],
-                    destinations[start : start + 5],
-                    self.P,
-                )
+                _block_pool(rows[start:end], destinations[start:end], self.P)
             )
         merged = builder.finalize()
+        assert len(merged.columns) == len(rows[0])
         assert numpy.array_equal(merged.offsets, monolithic.offsets)
         for merged_col, mono_col in zip(merged.columns, monolithic.columns):
             assert numpy.array_equal(merged_col, mono_col)
@@ -203,6 +229,37 @@ class TestBinBlock:
         pool = bin_block(columns, destinations, row_indices, 2)
         assert pool.worker_slice(0)[0].tolist() == [5]
         assert pool.worker_slice(1)[0].tolist() == [2, 9]
+
+    @pytest.mark.parametrize("width", [2, 256, 257, 65536, 65537])
+    def test_narrow_worker_ids_group_like_int64(self, width):
+        """Each narrow dtype's radix sort keeps int64's stable order."""
+        rng = numpy.random.default_rng(width)
+        size = 2000
+        columns = (
+            numpy.arange(size, dtype=numpy.int64),
+            rng.integers(0, 100, size),
+        )
+        # Sparse: a few workers, the extremes of the id range included.
+        workers = numpy.unique([0, 1, width // 2, width - 2, width - 1])
+        destinations = rng.choice(workers, size)
+        row_indices = rng.permutation(size)
+        for lo, hi in ((0, width), (1, width), (0, width - 1)):
+            mask = (destinations >= lo) & (destinations < hi)
+            local = destinations[mask] - lo
+            order = numpy.argsort(local, kind="stable")
+            offsets = numpy.searchsorted(
+                local[order], numpy.arange(hi - lo + 1)
+            )
+            for indices in (None, row_indices):
+                gather = numpy.arange(size) if indices is None else indices
+                pool = bin_block(
+                    columns, destinations, indices, width, lo, hi
+                )
+                assert pool.offsets.tolist() == offsets.tolist()
+                for column, pooled in zip(columns, pool.columns):
+                    assert numpy.array_equal(
+                        pooled, column[gather[mask][order]]
+                    )
 
     def test_shards_concatenate_to_full_pool(self):
         columns, destinations = self._triple()

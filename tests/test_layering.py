@@ -15,7 +15,9 @@ loads ``multiprocessing``.
 
 Sorted int64 tables are probed and spliced through one copy of the
 structured-view helpers, in :mod:`repro.data.columnar`: IVM's merge
-imports them rather than keeping its own.
+imports them rather than keeping its own.  The local join probes
+with ``searchsorted`` only: :mod:`repro.algorithms.localjoin` builds
+no ``bincount``/``cumsum`` table over the key span.
 
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
@@ -188,6 +190,18 @@ def test_ivm_merge_keeps_no_structured_view_helper():
         for alias in node.names
     }
     assert {"absent_rows", "insert_rows"} <= imported
+
+
+def test_local_join_builds_no_direct_address_table():
+    tree = ast.parse((ROOT / "algorithms" / "localjoin.py").read_text())
+    tables = sorted(
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"bincount", "cumsum"}
+    )
+    assert tables == []
 
 
 def test_serving_without_fanout_never_loads_multiprocessing():

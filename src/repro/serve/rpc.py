@@ -40,7 +40,9 @@ module.  A reply's ``"answers"`` value is that table's JSON array,
 encoded once per result -- per result-cache entry and head order, on
 the entry (:class:`~repro.serve.service.AnswerViews`) -- and spliced
 into every reply line that carries it without being encoded again.  A
-streamed ``batch`` line encodes its slice of the table.
+streamed ``batch`` line encodes its slice of the table.  Both are
+written by :func:`~repro.serve.service.encode_answers`, straight from
+the int64 table, without building Python rows.
 
 **Concurrency and coalescing.**  The session object is not
 thread-safe: its planner/profile caches, plan cache and pooled
@@ -129,6 +131,7 @@ from repro.serve.metrics import (
     snapshot,
     stats_dict,
 )
+from repro.serve.service import encode_answers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle)
     from repro.api.session import Session, Statement
@@ -226,8 +229,8 @@ def _parse_batch(value: Any) -> int:
 
 def encode_line(payload: dict) -> bytes:
     """``payload`` as one compact, newline-terminated JSON line; a
-    ``bytes`` value is JSON already encoded (a result's answers) and is
-    spliced in verbatim."""
+    ``bytes`` value is JSON already encoded (a result's answers or a
+    streamed batch) and is spliced in verbatim."""
     return b"{%s}\n" % b",".join(
         json.dumps(key).encode()
         + b":"
@@ -698,7 +701,7 @@ class RpcServer:
                         "injected mid-stream disconnect"
                     )
                 line: dict[str, Any] = {
-                    "batch": table[index:index + batch_rows].tolist()
+                    "batch": encode_answers(table[index:index + batch_rows])
                 }
                 if request_id is not None:
                     line["id"] = request_id

@@ -27,10 +27,11 @@ into :class:`ServiceStats`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Any, Iterator, Mapping
+
+import numpy
 
 from repro.algorithms.registry import compile_with, get_algorithm
 from repro.core.query import ConjunctiveQuery, QueryError
@@ -138,9 +139,73 @@ class ServiceStats:
             self.phase_histograms[phase].observe(seconds)
 
 
+#: ``10**1 .. 10**9`` and ``10**1 .. 10**18``: a magnitude has one
+#: decimal digit more than the powers of ten at or below it.
+_POWERS = {
+    numpy.dtype(numpy.uint32): 10 ** numpy.arange(1, 10, dtype=numpy.uint32),
+    numpy.dtype(numpy.uint64): 10 ** numpy.arange(1, 19, dtype=numpy.uint64),
+}
+
+
 def encode_answers(table: Any) -> bytes:
-    """An answer table as the compact JSON array a reply carries."""
-    return json.dumps(table.tolist(), separators=(",", ":")).encode()
+    """An int64 answer table as the compact JSON array a reply carries.
+
+    Byte for byte ``json.dumps(table.tolist(), separators=(",", ":"))``,
+    written by numpy without building a Python int per cell: each
+    cell's width (digits plus sign) places it in one ``","``-filled
+    buffer, row brackets and signs are scattered in, and the digits
+    are written least significant first, one vector pass per digit
+    over the cells still that long.
+
+    Raises:
+        TypeError: ``table`` is not int64 (its bytes are not
+            reinterpreted).
+    """
+    if table.dtype != numpy.int64:
+        raise TypeError(f"answer tables are int64, got {table.dtype}")
+    rows, columns = table.shape
+    if not table.size:
+        return b"[" + b",".join([b"[]"] * rows) + b"]"
+    values = table.ravel()
+    negative = values < 0
+    magnitude = values.astype(numpy.uint64)
+    # Unsigned negation wraps, so int64's minimum gets its magnitude too.
+    numpy.negative(magnitude, out=magnitude, where=negative)
+    if magnitude.max() <= numpy.iinfo(numpy.uint32).max:
+        magnitude = magnitude.astype(numpy.uint32)
+    # ``slots``: each cell's bytes plus the separator after it ("," or
+    # its row's "]").  Row r's cells also follow 2r + 2 other bytes
+    # (the outer "[", each earlier row's "[" and trailing ",", and
+    # its own "["), so a cell's final digit is at its slots' running
+    # sum plus 2r.
+    slots = numpy.searchsorted(
+        _POWERS[magnitude.dtype], magnitude, side="right"
+    )
+    slots += negative
+    slots += 2
+    last = numpy.cumsum(slots).reshape(rows, columns)
+    last += numpy.arange(0, 2 * rows, 2).reshape(-1, 1)
+    out = numpy.full(int(last[-1, -1]) + 3, ord(","), dtype=numpy.uint8)
+    out[0] = ord("[")
+    out[-1] = ord("]")
+    out[last[:, 0] - slots[::columns] + 1] = ord("[")
+    out[last[:, -1] + 1] = ord("]")
+    position = last.ravel()
+    if negative.any():
+        out[position[negative] - slots[negative] + 2] = ord("-")
+    while True:
+        quotient = magnitude // 10
+        magnitude -= quotient * 10
+        magnitude += ord("0")
+        out[position] = magnitude
+        longer = quotient != 0
+        if not longer.all():
+            if not longer.any():
+                return out.tobytes()
+            quotient = quotient[longer]
+            position = position[longer]
+        magnitude = quotient
+        position -= 1
 
 
 class AnswerViews:

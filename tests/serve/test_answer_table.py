@@ -2,15 +2,19 @@
 
 Answers stay one sorted, duplicate-free int64 ``(rows, arity)`` table
 from the engine to the RPC encoder.  Row tuples exist only as the lazy
-views Python callers ask for.
+views Python callers ask for, and the encoder writes a reply's JSON
+bytes straight from the table, byte for byte what ``json.dumps`` of
+the re-listed rows was.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
 import numpy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +24,7 @@ from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
 from repro.serve.cache import CacheRebind
+from repro.serve.service import encode_answers
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -54,6 +59,85 @@ def test_table_remap_matches_the_tuple_sort(case):
     assert remapped.dtype == numpy.int64
     assert remapped.shape == (len(expected), len(permutation))
     assert list(map(tuple, remapped.tolist())) == expected
+
+
+def _dumped(table) -> bytes:
+    """The encoding the kernel replaced."""
+    return json.dumps(table.tolist(), separators=(",", ":")).encode()
+
+
+INT64 = numpy.iinfo(numpy.int64)
+#: Both ends of int64, 0, and every ``10**k`` and ``10**k +- 1`` of
+#: either sign: each width change of the decimal encoding.
+BOUNDARIES = sorted(
+    {INT64.min, INT64.min + 1, INT64.max - 1, INT64.max}
+    | {
+        sign * (10**k + delta)
+        for k in range(19)
+        for delta in (-1, 0, 1)
+        for sign in (1, -1)
+    }
+)
+
+cells = st.one_of(
+    st.sampled_from(BOUNDARIES),
+    st.integers(-200, 200),
+    st.integers(INT64.min, INT64.max),
+)
+
+
+@st.composite
+def int64_tables(draw):
+    arity = draw(st.integers(1, 5))
+    rows = draw(
+        st.lists(st.tuples(*[cells] * arity), min_size=0, max_size=25)
+    )
+    return numpy.array(rows, dtype=numpy.int64).reshape(-1, arity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int64_tables())
+def test_encoder_matches_json_dumps(table):
+    """The whole table and every ``[i:i+b]`` batch slice a stream sends."""
+    assert encode_answers(table) == _dumped(table)
+    for batch in range(1, len(table) + 1):
+        for index in range(0, len(table), batch):
+            part = table[index:index + batch]
+            assert encode_answers(part) == _dumped(part)
+
+
+def test_encoder_boundaries_and_empty_tables():
+    column = numpy.array(BOUNDARIES, dtype=numpy.int64)
+    # Each boundary beside its mirror image: mixed signs and widths.
+    mirrored = numpy.column_stack([column, column[::-1]])
+    for table in (column.reshape(-1, 1), mirrored):
+        assert encode_answers(table) == _dumped(table)
+    for arity in (1, 3):
+        empty = numpy.empty((0, arity), dtype=numpy.int64)
+        assert encode_answers(empty) == b"[]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_and_permutations())
+def test_encoder_matches_json_dumps_in_head_order(case):
+    table, permutation = case
+    rebind = CacheRebind(relation_map=(), head_permutation=permutation)
+    remapped = rebind.remap_table(table)
+    # Strided views too: reversed columns, every other row, and the
+    # column-major copy.
+    for view in (
+        remapped,
+        remapped[:, ::-1],
+        remapped[::2],
+        numpy.asfortranarray(remapped),
+    ):
+        assert encode_answers(view) == _dumped(view)
+
+
+@pytest.mark.parametrize("dtype", [numpy.float64, numpy.int32])
+def test_encoder_rejects_other_dtypes(dtype):
+    with pytest.raises(TypeError):
+        encode_answers(numpy.arange(6, dtype=dtype).reshape(3, 2))
 
 
 #: The lazy views: the only places an answer table becomes tuples.

@@ -33,6 +33,8 @@ PERMUTED_PATH = "q(z,y,x) = S1(x,y), S2(y,z)"
 #: permutes that view's columns.
 CHAIN = "S1(x,y), S2(y,z), S3(z,w)"
 PERMUTED_CHAIN = "q(z,x,y,w) = S1(x,y), S2(y,z), S3(z,w)"
+#: No answers over the test database.
+EMPTY = "S1(x,y), S2(x,y)"
 
 SUMMARY_KEYS = (
     "ok",
@@ -221,14 +223,18 @@ class TestQueryReplies:
 class TestStreamedReplies:
     """Batch lines slice the table; a disconnect fault may cut them."""
 
+    @pytest.mark.parametrize("batch", [1, 16, "count", "count+1"])
     @pytest.mark.parametrize("text", [PATH, PERMUTED_PATH])
-    def test_batches_and_summary(self, text):
+    def test_batches_and_summary(self, text, batch):
         session = _session()
         cut = disconnect_after_batches()
 
         async def body(server, client):
             rows = exact_rows(session, text)
-            batches = [rows[i:i + 16] for i in range(0, len(rows), 16)]
+            size = {"count": len(rows), "count+1": len(rows) + 1}.get(
+                batch, batch
+            )
+            batches = [rows[i:i + size] for i in range(0, len(rows), size)]
             # The second read streams from the cached table.
             for request_id, result_hit in [(1, False), (2, True)]:
                 await client.send(
@@ -237,11 +243,11 @@ class TestStreamedReplies:
                         "op": "query",
                         "q": text,
                         "stream": True,
-                        "batch": 16,
+                        "batch": size,
                     }
                 )
-                for batch in batches[:cut]:
-                    rows_of = [list(row) for row in batch]
+                for chunk in batches[:cut]:
+                    rows_of = [list(row) for row in chunk]
                     assert await client.line() == _line(
                         {"batch": rows_of, "id": request_id}
                     )
@@ -255,6 +261,24 @@ class TestStreamedReplies:
                 payload = {key: summary[key] for key in SUMMARY_KEYS}
                 payload.update(done=True, batches=len(batches), id=request_id)
                 assert reply == _line(payload)
+
+        _serve(session, body)
+
+    def test_no_answers_send_no_batch_line(self):
+        session = _session()
+
+        async def body(server, client):
+            assert exact_rows(session, EMPTY) == ()
+            await client.send(
+                {"id": 1, "op": "query", "q": EMPTY, "stream": True}
+            )
+            reply = await client.line()
+            summary = json.loads(reply)
+            assert summary["count"] == 0
+            payload = {key: summary[key] for key in SUMMARY_KEYS}
+            payload.update(done=True, batches=0, id=1)
+            assert reply == _line(payload)
+            assert server.stats.streamed_batches == 0
 
         _serve(session, body)
 

@@ -17,7 +17,9 @@ Sorted int64 tables are probed and spliced through one copy of the
 structured-view helpers, in :mod:`repro.data.columnar`: IVM's merge
 imports them rather than keeping its own.  The local join probes
 with ``searchsorted`` only: :mod:`repro.algorithms.localjoin` builds
-no ``bincount``/``cumsum`` table over the key span.
+no ``bincount``/``cumsum`` table over the key span.  Replies carry
+answers as bytes written from the int64 table: the RPC layer and the
+answer encoder build no Python rows.
 
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
@@ -202,6 +204,27 @@ def test_local_join_builds_no_direct_address_table():
         and node.func.attr in {"bincount", "cumsum"}
     )
     assert tables == []
+
+
+def test_replies_build_no_python_rows():
+    service = ast.parse((ROOT / "serve" / "service.py").read_text())
+    (encoder,) = [
+        node
+        for node in service.body
+        if isinstance(node, ast.FunctionDef) and node.name == "encode_answers"
+    ]
+    rpc = ast.parse((ROOT / "serve" / "rpc.py").read_text())
+
+    def methods(tree):
+        return {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+        }
+
+    assert "tolist" not in methods(rpc)
+    assert methods(encoder).isdisjoint({"tolist", "dumps"})
 
 
 def test_serving_without_fanout_never_loads_multiprocessing():

@@ -8,7 +8,7 @@ one row sort: it orders rows by packed int64 keys and returns exactly
 ``numpy.unique(table, axis=0)``; answer unions, the generators, the
 local join's dedup passes and IVM's merge all canonicalise through it.
 Database writes and IVM's merge probe and splice its output with
-:func:`locate_rows` / :func:`insert_rows`.
+:func:`locate_rows` / :func:`insert_rows` / :func:`remove_rows`.
 
 The row-oriented :class:`repro.data.database.Relation` remains the
 canonical public type; the two are convertible both ways and agree on
@@ -283,6 +283,17 @@ def insert_rows(reference: Any, tables: Iterable[Any]) -> tuple[Any, Any]:
     fresh = sorted_unique_rows(fresh)
     positions = locate_rows(reference, fresh)[0]
     return numpy.insert(reference, positions, fresh, axis=0), fresh
+
+
+def remove_rows(reference: Any, table: Any) -> Any:
+    """Delete every row of ``table`` that ``reference`` (a
+    :func:`sorted_unique_rows` output) holds from it, at an O(n)
+    memmove; rows it lacks are ignored.  Returns ``reference`` itself
+    when it holds none of them."""
+    positions, found = locate_rows(reference, table)
+    if not found.any():
+        return reference
+    return numpy.delete(reference, positions[found], axis=0)
 
 
 def _finalise(name: str, table: Any, domain_size: int) -> Columns:

@@ -13,12 +13,13 @@ The merge replays a plan's rounds over *only the changed rows*:
    bit-identical to what a full re-execution would report, and the
    capacity check (against the *new* input size) raises the identical
    :class:`~repro.mpc.simulator.CapacityExceeded` a full run would.
-3. Workers whose fragments changed re-join locally; their answer
-   tables are spliced into the retained per-worker tables and merged
-   canonically -- the same duplicate-free union full execution
-   performs, so the answer table is bit-identical by construction.
-   Rows stay int64 tables throughout; a view's delta reaches the next
-   round's routing as lists of ints.
+3. Workers whose fragments changed re-join locally; only their old
+   and new answer tables are diffed, for inserts and deletes alike.
+   Gained rows are spliced into the merged table, and a lost row
+   leaves it unless an untouched worker still holds it: the same
+   duplicate-free union full execution performs, bit-identical by
+   construction.  Rows stay int64 tables throughout; a view's delta
+   reaches the next round's routing as lists of ints.
 
 All patches accumulate in temporaries and commit only on success: a
 deadline expiring mid-merge (or a synthesised capacity error) leaves
@@ -38,6 +39,8 @@ from repro.data.columnar import (
     ColumnarDatabase,
     absent_rows,
     insert_rows,
+    locate_rows,
+    remove_rows,
     sorted_unique_rows,
 )
 from repro.data.versioned import DeltaRecord
@@ -147,12 +150,8 @@ def merge_state(
     patched_tables: dict[tuple[str | None, int], object] = {}
     patched_merged: dict[str | None, object] = {}
     affected: dict[str, set[int]] = {}
-    #: Mailbox keys whose fragments lost rows this merge: sites fed by
-    #: them may shrink, which disables the growth-only fast path.
-    shrunk: set[str] = set()
-    #: Sites whose merged table was updated by sorted insertion, and
-    #: the rows it gained.
-    spliced: dict[str | None, Any] = {}
+    #: Refreshed site -> the ``(gained, lost)`` rows of its merged table.
+    spliced: dict[str | None, tuple[Any, Any]] = {}
     new_rounds: list[RoundStats] = []
 
     def fragment_of(key: str, worker: int):
@@ -161,32 +160,26 @@ def merge_state(
             fragment = state.pools[key][worker]
         return fragment
 
-    def table_of(site: SiteState, worker: int):
-        table = patched_tables.get((site.name, worker))
-        if table is None:
-            table = site.tables[worker]
-        return table
-
     def refresh_site(site: SiteState) -> tuple[Rows, Rows] | None:
         """Re-join the site's affected workers.
 
         Returns the ``(added, removed)`` delta of the site's merged
-        table, or None when no worker was affected.  When every
-        fragment patch feeding the site was insert-only, monotonicity
-        of conjunctive queries guarantees the per-worker tables only
-        grow, so the canonical merged table is updated by sorted
-        insertion (delta-proportional) instead of
-        re-uniquing every worker's table; any routed removal falls
-        back to the full recompute, which is always exact.
+        table, or None when no worker was affected.  Only the touched
+        workers' old and new tables are diffed: a row they gained
+        joins the merged table (if no worker held it already), and a
+        row they lost leaves it unless an untouched worker still holds
+        it.  Nothing guarantees worker tables are disjoint, so the
+        untouched workers' rows are probed into the lost rows (those
+        are sorted; worker tables need not be).
         """
         arity = len(site.query.head)
         touched = set()
         for key in site.keys.values():
             touched |= affected.get(key, set())
-        touched = {w for w in touched if w < site.workers}
+        touched = sorted(w for w in touched if w < site.workers)
         if not touched:
             return None
-        for worker in sorted(touched):
+        for worker in touched:
             fragments = {
                 atom_name: fragment_of(key, worker)
                 for atom_name, key in site.keys.items()
@@ -196,26 +189,25 @@ def merge_state(
             patched_tables[(site.name, worker)] = evaluate_query_table(
                 site.query, fragments, assume_unique=True
             )
-        if arity > 0 and not any(
-            key in shrunk for key in site.keys.values()
-        ):
-            new_tables = [
-                patched_tables[(site.name, worker)]
-                for worker in sorted(touched)
-            ]
-            table, fresh = insert_rows(site.merged, new_tables)
-            patched_merged[site.name] = table
-            spliced[site.name] = fresh
-            return fresh.tolist(), ()
-        tables = [
-            table_of(site, worker) for worker in range(site.workers)
-        ]
-        merged = union_answer_tables(tables, arity)
+        old = [site.tables[worker] for worker in touched]
+        new = [patched_tables[(site.name, worker)] for worker in touched]
+        before = union_answer_tables(old, arity)
+        after = union_answer_tables(new, arity)
+        # One probe diffs both ways: the rows of ``after`` found in
+        # ``before`` are the rows both hold.
+        positions, kept = locate_rows(before, after)
+        gained = after[~kept]
+        lost = numpy.delete(before, positions[kept], axis=0)
+        if len(lost):
+            others = [t for w, t in enumerate(site.tables) if w not in touched]
+            positions, held = locate_rows(
+                lost, numpy.concatenate([lost[:0]] + others)
+            )
+            lost = numpy.delete(lost, positions[held], axis=0)
+        merged, fresh = insert_rows(remove_rows(site.merged, lost), [gained])
         patched_merged[site.name] = merged
-        return (
-            absent_rows(merged, site.merged).tolist(),
-            absent_rows(site.merged, merged).tolist(),
-        )
+        spliced[site.name] = (fresh, lost)
+        return fresh.tolist(), lost.tolist()
 
     for round_index, plan_round in enumerate(plan.rounds):
         if deadline is not None:
@@ -239,8 +231,6 @@ def merge_state(
                 tuples_delta[worker] -= len(rows)
             if key in state.pools:
                 workers = set(routed_added) | set(routed_removed)
-                if routed_removed:
-                    shrunk.add(key)
                 affected.setdefault(key, set()).update(workers)
                 for worker in sorted(workers):
                     patched_fragments[(key, worker)] = _patch_fragment(
@@ -299,26 +289,23 @@ def merge_state(
         refresh_site(site)
         table = patched_merged.get(site.name, site.merged)
         per_server = tuple(
-            [len(table_of(site, w)) for w in range(site.workers)]
-            + [0] * (p - site.workers)
-        )
+            len(patched_tables.get((site.name, worker), table))
+            for worker, table in enumerate(site.tables)
+        ) + (0,) * (p - site.workers)
     else:
         assert isinstance(finalize, FinalizeView)
         site = state.views[finalize.view]
         table = patched_merged.get(site.name, site.merged)
-        projected = state.projected
-        if projected is not None:
+        if state.projected is not None:
             # A permuted finalize keeps its head-order table current.
-            schema = site.query.head
-            positions = [schema.index(v) for v in finalize.head]
-            if site.name in spliced:
-                table, _ = insert_rows(
-                    projected, [spliced[site.name][:, positions]]
-                )
-            elif site.name in patched_merged:
-                table = sorted_unique_rows(table[:, positions])
-            else:
-                table = projected
+            # The head permutes the view's columns, so projecting is a
+            # bijection and the view's delta is the table's.
+            positions = [site.query.head.index(v) for v in finalize.head]
+            fresh, lost = spliced.get(site.name, (table[:0], table[:0]))
+            table, _ = insert_rows(
+                remove_rows(state.projected, lost[:, positions]),
+                [fresh[:, positions]],
+            )
         per_server = ()
 
     view_sizes = {

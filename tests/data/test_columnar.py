@@ -12,6 +12,7 @@ from repro.data.columnar import (
     columnar_database,
     insert_rows,
     locate_rows,
+    remove_rows,
     sorted_unique_rows,
 )
 from repro.data.database import Database, DataError, Relation
@@ -181,9 +182,18 @@ class TestSortedUniqueRows:
         assert not numpy.shares_memory(sorted_unique_rows(table), table)
 
 
+#: Probe values at both int64 ends and around zero.
+PROBE_VALUES = st.sampled_from([INT64.min, -3, -1, 0, 1, 2, 5, INT64.max])
+
+
+def _table(rows, arity):
+    return numpy.array(rows, dtype=numpy.int64).reshape(len(rows), arity)
+
+
 class TestSortedTableProbes:
-    """``locate_rows`` / ``absent_rows`` / ``insert_rows`` against
-    Python tuple order, which is the signed lexicographic order."""
+    """``locate_rows`` / ``absent_rows`` / ``insert_rows`` /
+    ``remove_rows`` against Python tuple order, which is the signed
+    lexicographic order."""
 
     @given(
         arity=st.integers(1, 3),
@@ -191,19 +201,12 @@ class TestSortedTableProbes:
     )
     @settings(max_examples=200, deadline=None)
     def test_probes_match_python_tuples(self, arity, data):
-        value = st.sampled_from([INT64.min, -3, -1, 0, 1, 2, 5, INT64.max])
-        row = st.tuples(*[value] * arity)
+        row = st.tuples(*[PROBE_VALUES] * arity)
         reference_rows = data.draw(st.lists(row, max_size=12))
         probe_rows = data.draw(st.lists(row, max_size=12))
-
-        def table(rows):
-            return numpy.array(rows, dtype=numpy.int64).reshape(
-                len(rows), arity
-            )
-
-        reference = sorted_unique_rows(table(reference_rows))
+        reference = sorted_unique_rows(_table(reference_rows, arity))
         ordered = sorted(set(reference_rows))
-        probes = table(probe_rows)
+        probes = _table(probe_rows, arity)
         positions, present = locate_rows(reference, probes)
         assert positions.tolist() == [
             sum(stored < probe for stored in ordered) for probe in probe_rows
@@ -222,6 +225,32 @@ class TestSortedTableProbes:
         ]
         if not len(fresh):
             assert merged is reference
+
+    @given(
+        arity=st.integers(0, 3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_remove_rows_matches_python_sets(self, arity, data):
+        """Held rows leave, absent ones are ignored; width-0 rows are
+        all the one empty row, and an empty probe removes nothing."""
+        row = st.tuples(*[PROBE_VALUES] * arity)
+        reference_rows = data.draw(st.lists(row, max_size=12))
+        held = (
+            data.draw(st.lists(st.sampled_from(reference_rows), max_size=6))
+            if reference_rows
+            else []
+        )
+        probe_rows = data.draw(
+            st.permutations(held + data.draw(st.lists(row, max_size=6)))
+        )
+        reference = sorted_unique_rows(_table(reference_rows, arity))
+        kept = remove_rows(reference, _table(probe_rows, arity))
+        expected = sorted(set(reference_rows) - set(probe_rows))
+        assert kept.shape == (len(expected), arity)
+        assert kept.tolist() == [list(r) for r in expected]
+        if not set(reference_rows) & set(probe_rows):
+            assert kept is reference
 
 
 class TestAccounting:

@@ -20,9 +20,17 @@ from repro.algorithms.baselines import (
 )
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
+from repro.algorithms.registry import compile_with
 from repro.algorithms.skewaware import compile_skew_aware
+from repro.core.families import (
+    binomial_query,
+    cycle_query,
+    line_query,
+    spider_query,
+    star_query,
+)
 from repro.core.plans import build_plan
-from repro.core.query import parse_query
+from repro.core.query import ConjunctiveQuery, parse_query
 from repro.data.matching import matching_database
 from repro.engine import (
     CollectAnswers,
@@ -223,3 +231,38 @@ class TestProfilerAttribution:
         assert all(
             "route" in phases for phases in profiler.rounds.values()
         )
+
+
+FAMILIES = [
+    *(cycle_query(k) for k in (3, 4, 5)),
+    *(line_query(k) for k in (1, 2, 3, 4, 5)),
+    *(star_query(k) for k in (1, 2, 3)),
+    *(spider_query(k) for k in (1, 2, 3)),
+    binomial_query(4, 2),
+]
+
+
+@pytest.mark.parametrize("algorithm", ["multiround", "hypercube"])
+@pytest.mark.parametrize("reverse_head", [False, True])
+@pytest.mark.parametrize("query", FAMILIES, ids=str)
+def test_finalize_view_head_permutes_its_view(query, reverse_head, algorithm):
+    """IVM splices a permuted ``FinalizeView``'s answer table by its
+    view's delta; that is exact only because the finalize head is a
+    permutation of the view's head (projection is a bijection)."""
+    if reverse_head:
+        query = ConjunctiveQuery(
+            query.atoms, head=tuple(reversed(query.head)), name=query.name
+        )
+    for eps in (None, Fraction(0), Fraction(1, 2)):
+        plan = compile_with(algorithm, query, 8, eps=eps)
+        if not isinstance(plan.finalize, FinalizeView):
+            # One-round plans collect their answers directly.
+            assert algorithm == "hypercube"
+            continue
+        views = {
+            spec.name: spec.query
+            for plan_round in plan.rounds
+            for spec in plan_round.views
+        }
+        view_head = views[plan.finalize.view].head
+        assert sorted(plan.finalize.head) == sorted(view_head)

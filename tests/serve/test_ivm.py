@@ -10,10 +10,13 @@ back to the full path, for a named reason.
 
 from __future__ import annotations
 
+import numpy
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import repro.serve.ivm.merge as merge
 from repro.core.query import parse_query
-from repro.data.columnar import ColumnarRelation
+from repro.data.columnar import ColumnarRelation, sorted_unique_rows
 from repro.data.matching import matching_database
 from repro.data.versioned import (
     DELTA_HISTORY_LIMIT,
@@ -22,6 +25,7 @@ from repro.data.versioned import (
 )
 from repro import connect
 from repro.engine.deadline import Deadline, DeadlineExceeded
+from repro.engine.local import union_answer_tables
 from repro.mpc.simulator import CapacityExceeded
 from repro.engine.faults import WORKER_DEATH_ENV
 from tests.conftest import ivm_policy, statement_deadline
@@ -36,18 +40,18 @@ def _database(n=40, rng=7):
     return matching_database(VOCAB, n=n, rng=rng)
 
 
-def _pair(algorithm="hypercube", n=40, rng=7, **kwargs):
+def _pair(algorithm="hypercube", n=40, rng=7, p=8, **kwargs):
     """Two pinned sessions over identical data: IVM on, IVM off
     (control)."""
     served = connect(
         _database(n=n, rng=rng),
-        p=8,
+        p=p,
         algorithm=algorithm,
         **kwargs,
     )
     control = connect(
         _database(n=n, rng=rng),
-        p=8,
+        p=p,
         algorithm=algorithm,
         ivm=False,
         **kwargs,
@@ -554,6 +558,177 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
     assert len(merge_joins) == sum(
         old is not new for old, new in zip(before, site_tables())
     )
+
+
+def _answer_site(session):
+    """The retained site whose merged table holds the answers."""
+    (state,) = session.ivm.store._states.values()
+    if state.collect is not None:
+        return state.collect
+    return state.views[state.plan.finalize.view]
+
+
+CHAIN = "S1(x,y), S2(y,z), S3(z,w)"
+#: The answer sites a merge maintains: a hypercube collect, a
+#: multiround finalize-view, and a finalize head permuting that view.
+SITE_SHAPES = [
+    ("hypercube", TWO_HOP),
+    ("multiround", CHAIN),
+    ("multiround", "q(z,x,y,w) = " + CHAIN),
+]
+#: ``(kind, which relation of the query, which row)``; a reinsert or
+#: undo with nothing to re-insert or undo inserts a fresh row instead.
+WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(["delete", "insert", "reinsert", "undo", "drain"]),
+        st.integers(0, 2),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm,text",
+    SITE_SHAPES,
+    ids=["collect", "finalize-view", "permuted-finalize-view"],
+)
+@settings(max_examples=40, deadline=None)
+@given(writes=WRITES)
+@example(writes=[("drain", 0, 0)] * 3)
+def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
+    """A read after every single-row write is served by a merge, and
+    is bit-identical to full re-execution: deletes that remove answers,
+    re-inserts of deleted rows, deleting the row just inserted, and
+    deletes that drain the smallest worker answer table (``drain``
+    deletes the first query atom's row under one of its answers)."""
+    query = parse_query(text)
+    names = [atom.name for atom in query.atoms]
+    with ivm_policy(max_delta_fraction=1.0):
+        served, control = _pair(algorithm, n=16)
+    _assert_parity(served.execute(text), control.execute(text))
+    deleted = {name: [] for name in names}
+    last_insert = None
+    for kind, which, pick in writes:
+        name = names[which % len(names)]
+        drained = None
+        if kind == "drain":
+            site = _answer_site(served)
+            size, worker = min(
+                (len(table), worker)
+                for worker, table in enumerate(site.tables)
+                if len(table)
+            )
+            answer = site.tables[worker][0]
+            atom = query.atoms[0]
+            name, drained = atom.name, (worker, size)
+            row = tuple(
+                int(answer[site.query.head.index(v)]) for v in atom.variables
+            )
+            op = "deletes"
+        elif kind == "delete":
+            rows = sorted(served.database[name].rows())
+            row, op = rows[pick % len(rows)], "deletes"
+        elif kind == "undo" and last_insert is not None:
+            (name, row), op = last_insert, "deletes"
+        elif kind == "reinsert" and deleted[name]:
+            row, op = deleted[name].pop(pick % len(deleted[name])), "inserts"
+        else:
+            domain = served.database.domain_size
+            absent = _fresh_rows(
+                served, name, domain**2 - len(served.database[name])
+            )
+            row, op = absent[pick % len(absent)], "inserts"
+        if op == "deletes":
+            deleted[name].append(row)
+            last_insert = None
+        else:
+            if row in deleted[name]:  # a fresh insert may re-insert
+                deleted[name].remove(row)
+            last_insert = (name, row)
+        _apply_both(served, control, **{op: {name: [row]}})
+        hits = served.stats.ivm_hits
+        mine = served.execute(text)
+        assert mine.ivm == "merged"
+        assert served.stats.ivm_hits == hits + 1
+        _assert_parity(mine, control.execute(text))
+        if drained is not None:
+            worker, size = drained
+            assert len(_answer_site(served).tables[worker]) < size
+
+
+def test_a_delete_costs_what_changed(monkeypatch):
+    """A single-row delete diffs only the touched workers' tables.
+
+    No probe or union inside the merge pairs two tables as large as
+    the site's merged one; only ``remove_rows`` / ``insert_rows``
+    splice the (small) delta into it.
+    """
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args):
+            args = tuple(
+                arg if hasattr(arg, "shape") or isinstance(arg, int)
+                else list(arg)
+                for arg in args
+            )
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(merge, name, wrapper)
+
+    for name in ("union_answer_tables", "locate_rows", "absent_rows"):
+        if hasattr(merge, name):
+            spy(name, getattr(merge, name))
+    served, control = _pair(n=2000, p=16)
+    served.execute(TWO_HOP)
+    large = len(_answer_site(served).merged) // 2
+    victim = next(served.database["S1"].rows())
+    _apply_both(served, control, deletes={"S1": [victim]})
+    mine = served.execute(TWO_HOP)
+    assert mine.ivm == "merged"
+    _assert_parity(mine, control.execute(TWO_HOP))
+    for name, args in calls:
+        if name == "union_answer_tables":
+            assert sum(len(table) for table in args[0]) < large, name
+        else:
+            assert min(len(args[0]), len(args[1])) < large, name
+    # The lost answer was probed for among the untouched workers.
+    assert any(
+        name == "locate_rows" and len(args[1]) >= large
+        for name, args in calls
+    )
+
+
+def test_a_lost_row_an_untouched_worker_holds_stays():
+    """Union semantics hold even if worker answer tables overlap.
+
+    Content routing lands every copy of an answer on the workers a
+    delete reaches, so no execution retains such an overlap; one is
+    planted here.  An untouched worker claiming a deleted answer keeps
+    it in the merged table, which stays the union of the worker tables.
+    """
+    session = connect(_database(), p=8, algorithm="hypercube")
+    session.execute(TWO_HOP)
+    (state,) = session.ivm.store._states.values()
+    site = state.collect
+    victim = next(session.database["S1"].rows())
+    lost = next(row for row in site.merged.tolist() if row[:2] == list(victim))
+    (step,) = [s for s in state.plan.rounds[0].steps if s.relation == "S1"]
+    reached = set(step.destinations(victim, 0, 8))
+    other = min(set(range(site.workers)) - reached)
+    site.tables[other] = sorted_unique_rows(
+        numpy.concatenate([site.tables[other], [lost]])
+    )
+    session.update(deletes={"S1": [victim]})
+    mine = session.execute(TWO_HOP)
+    assert mine.ivm == "merged"
+    assert tuple(lost) in mine.answers
+    assert site.merged.tolist() == union_answer_tables(
+        site.tables, 3
+    ).tolist()
 
 
 class TestSessionSurface:

@@ -177,8 +177,9 @@ class TestQueryReplies:
         ids=["collect", "finalize-view", "permuted-finalize-view"],
     )
     def test_post_update_merges(self, algorithm, text):
-        """An insert merges by sorted insertion, a delete by re-union;
-        both replies carry the exact join's rows."""
+        """An insert and a delete both merge by splicing the touched
+        workers' delta into the answer table; both replies carry the
+        exact join's rows."""
         session = _session(algorithm=algorithm)
         removed = next(session.database.snapshot["S2"].rows())
 

@@ -191,7 +191,7 @@ def test_ivm_merge_keeps_no_structured_view_helper():
         and node.module == "repro.data.columnar"
         for alias in node.names
     }
-    assert {"absent_rows", "insert_rows"} <= imported
+    assert {"absent_rows", "insert_rows", "remove_rows"} <= imported
 
 
 def test_local_join_builds_no_direct_address_table():

@@ -10,14 +10,16 @@ CLI dispatches through it, and :class:`~repro.serve.service.QueryService`
 compiles through it.
 
 Cost models are deliberately coarse -- they rank algorithms, they do
-not predict wall-clock.  Each returns a :class:`CostEstimate` whose
-``predicted_load`` is the paper's per-worker tuple count for the
-algorithm (``O(n / p^{1/tau*})`` for one-round HyperCube by
-Theorem 1.1 / Proposition 3.2, ``O(n / p)`` per round for multi-round
-plans at ``eps = 0``) corrected by the data profile's skew statistics,
-and whose ``cost`` adds the planner's round penalty so that a
-lower-load multi-round plan must beat one-round HC by enough to pay
-for its extra synchronisation barriers.
+not predict wall-clock.  Each makes a version-free :data:`Bid` from
+the query alone (eligibility, rounds, shares, the load formula's
+divisor), once per statement; the bid maps a data profile to a
+:class:`CostEstimate` whose ``predicted_load`` is the paper's
+per-worker tuple count for the algorithm (``O(n / p^{1/tau*})`` for
+one-round HyperCube by Theorem 1.1 / Proposition 3.2, ``O(n / p)`` per
+round for multi-round plans at ``eps = 0``) corrected by the data
+profile's skew statistics, and whose ``cost`` adds the planner's
+round penalty so that a lower-load multi-round plan must beat
+one-round HC by enough to pay for its extra synchronisation barriers.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Callable
 
+from repro.algorithms.hypercube import compile_hypercube
+from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.covers import fractional_vertex_cover, space_exponent
 from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery, QueryError
@@ -46,17 +50,6 @@ ROUND_PENALTY = 1.5
 #: wins unless the profile actually found heavy hitters.
 SKEW_TIEBREAK = 1.05
 
-#: Single source of the per-algorithm capacity defaults (each module's
-#: own ``compile_*`` default), consumed by both the compile wrappers
-#: (resolving ``capacity_c=None``) and each spec's
-#: ``default_capacity_c``.
-_CAPACITY_DEFAULTS = {
-    "hypercube": 4.0,
-    "skewaware": 4.0,
-    "multiround": 8.0,
-    "partial": 4.0,
-}
-
 
 @dataclass(frozen=True)
 class DataProfile:
@@ -75,8 +68,9 @@ class DataProfile:
         heavy_multiplicities: per variable, the multiplicity of its
             most frequent heavy value (scaled back up when sampled).
         sampled: True when any relation was stride-sampled.
-        version: database version the profile was computed at (-1 when
-            the source had no version).
+        shares: the grid the skew sample's thresholds come from (the
+            query's own HC shares at the profiling worker count);
+            data-free, so a later profile of the query reuses it.
     """
 
     relation_rows: tuple[tuple[str, int], ...]
@@ -84,7 +78,7 @@ class DataProfile:
     heavy_values: tuple[tuple[str, int], ...]
     heavy_multiplicities: tuple[tuple[str, int], ...]
     sampled: bool
-    version: int = -1
+    shares: tuple[tuple[str, int], ...] = ()
 
     def heavy_multiplicity(self, variable: str) -> int:
         """Most frequent heavy multiplicity on ``variable`` (0 if none)."""
@@ -94,11 +88,6 @@ class DataProfile:
     def has_skew(self) -> bool:
         """True when any variable sampled a heavy value."""
         return any(count for _, count in self.heavy_values)
-
-    @property
-    def max_rows(self) -> int:
-        """Largest relation cardinality."""
-        return max((rows for _, rows in self.relation_rows), default=0)
 
 
 @dataclass(frozen=True)
@@ -133,14 +122,16 @@ class AlgorithmSpec:
     Attributes:
         name: registry key (``"hypercube"``, ``"multiround"``, ...).
         compile: uniform compiler ``(query, p, *, eps, seed,
-            capacity_c, enforce_capacity) -> Plan``; wraps
-            the module-level ``compile_*`` function (building the
-            logical plan for multi-round, dropping unsupported
-            parameters for partial).
-        cost: declared cost model ``(query, profile, p, eps) ->
-            CostEstimate`` consumed by the planner.
+            capacity_c, enforce_capacity) -> Plan``: the module-level
+            ``compile_*`` function, wrapped for multi-round (building
+            the logical plan) and partial (dropping unsupported
+            parameters).
+        bid: declared cost model ``(query, p, eps) -> Bid``: the
+            version-free half, which the planner builds once per
+            statement and re-evaluates on each new data profile.
         default_capacity_c: the capacity constant ``capacity_c=None``
-            resolves to (the module-level compiler's own default).
+            resolves to in :func:`compile_with` (the module-level
+            compiler's own default).
         exact: False for algorithms that report only a subset of the
             answer (the below-threshold partial algorithm); the
             planner never auto-picks inexact algorithms unless the
@@ -149,15 +140,20 @@ class AlgorithmSpec:
 
     name: str
     compile: Callable[..., Plan]
-    cost: Callable[
-        [ConjunctiveQuery, DataProfile, int, Fraction | None], CostEstimate
-    ]
+    bid: Callable[[ConjunctiveQuery, int, Fraction | None], Bid]
     default_capacity_c: float
     exact: bool = True
 
 
-def _ineligible(reason: str) -> CostEstimate:
-    return CostEstimate(
+#: A cost model's version-free bid for one ``(query, p, eps)``: what
+#: the query alone decides is fixed when the bid is made, once per
+#: statement, and the bid maps each data profile to an estimate.
+Bid = Callable[[DataProfile], CostEstimate]
+
+
+def ineligible(reason: str) -> Bid:
+    """A bid that can never win, whatever the data."""
+    estimate = CostEstimate(
         eligible=False,
         cost=float("inf"),
         predicted_load=float("inf"),
@@ -165,26 +161,24 @@ def _ineligible(reason: str) -> CostEstimate:
         shares=None,
         reason=reason,
     )
+    return lambda profile: estimate
 
 
 def _hc_base(
-    query: ConjunctiveQuery, profile: DataProfile, p: int
+    query: ConjunctiveQuery, p: int
 ) -> tuple[float, tuple[tuple[str, int], ...], Fraction]:
-    """(skew-free one-round load, integer shares, tau*) for HC routing."""
+    """(load divisor ``p^{1/tau*}``, integer shares, tau*) for HC."""
     cover = fractional_vertex_cover(query)
     tau = sum((Fraction(v) for v in cover.values()), start=Fraction(0))
     allocation = allocate_integer_shares(share_exponents(query, cover), p)
     tau = max(tau, Fraction(1))
-    load = profile.total_rows / float(p) ** float(1 / tau)
-    return load, tuple(sorted(allocation.shares.items())), tau
+    divisor = float(p) ** float(1 / tau)
+    return divisor, tuple(sorted(allocation.shares.items())), tau
 
 
-def _hypercube_cost(
-    query: ConjunctiveQuery,
-    profile: DataProfile,
-    p: int,
-    eps: Fraction | None,
-) -> CostEstimate:
+def _hypercube_bid(
+    query: ConjunctiveQuery, p: int, eps: Fraction | None
+) -> Bid:
     """One-round HC: ``n / p^{1/tau*}`` plus full skew concentration.
 
     A heavy value on a dimension with share ``p_v`` pins all its
@@ -195,33 +189,35 @@ def _hypercube_cost(
     """
     query_eps = space_exponent(query)
     if eps is not None and eps < query_eps:
-        return _ineligible(
+        return ineligible(
             f"one round needs eps >= {query_eps} (Theorem 3.3); "
             f"got {eps}"
         )
-    base, shares, tau = _hc_base(query, profile, p)
-    heavy = max(
-        (profile.heavy_multiplicity(v) for v, s in shares if s > 1),
-        default=0,
-    )
-    load = max(base, float(heavy))
-    return CostEstimate(
-        eligible=True,
-        cost=load,
-        predicted_load=load,
-        rounds=1,
-        shares=shares,
-        reason=f"one round at load n/p^(1/{tau})"
-        + (f", skew raises load to {heavy}" if heavy > base else ""),
-    )
+    divisor, shares, tau = _hc_base(query, p)
+    skewed = [v for v, s in shares if s > 1]
+
+    def estimate(profile: DataProfile) -> CostEstimate:
+        base = profile.total_rows / divisor
+        heavy = max(
+            (profile.heavy_multiplicity(v) for v in skewed), default=0
+        )
+        load = max(base, float(heavy))
+        return CostEstimate(
+            eligible=True,
+            cost=load,
+            predicted_load=load,
+            rounds=1,
+            shares=shares,
+            reason=f"one round at load n/p^(1/{tau})"
+            + (f", skew raises load to {heavy}" if heavy > base else ""),
+        )
+
+    return estimate
 
 
-def _skewaware_cost(
-    query: ConjunctiveQuery,
-    profile: DataProfile,
-    p: int,
-    eps: Fraction | None,
-) -> CostEstimate:
+def _skewaware_bid(
+    query: ConjunctiveQuery, p: int, eps: Fraction | None
+) -> Bid:
     """Skew-aware HC: heavy values spread over a ``g1 x g2`` sub-grid.
 
     The heavy term drops from the full multiplicity to
@@ -231,62 +227,68 @@ def _skewaware_cost(
     """
     query_eps = space_exponent(query)
     if eps is not None and eps < query_eps:
-        return _ineligible(
+        return ineligible(
             f"one round needs eps >= {query_eps} (Theorem 3.3); "
             f"got {eps}"
         )
-    base, shares, tau = _hc_base(query, profile, p)
-    heavy = 0.0
-    for variable, share in shares:
-        if share <= 1:
-            continue
-        multiplicity = profile.heavy_multiplicity(variable)
-        if multiplicity:
-            heavy = max(heavy, multiplicity / max(1, isqrt(share)))
-    load = max(base, heavy)
-    return CostEstimate(
-        eligible=True,
-        cost=load * SKEW_TIEBREAK,
-        predicted_load=load,
-        rounds=1,
-        shares=shares,
-        reason="heavy values split over cartesian sub-grids"
-        if profile.has_skew
-        else "no heavy hitters sampled; routing equals plain HC",
-    )
+    divisor, shares, _ = _hc_base(query, p)
+    split = [(v, max(1, isqrt(s))) for v, s in shares if s > 1]
+
+    def estimate(profile: DataProfile) -> CostEstimate:
+        base = profile.total_rows / divisor
+        heavy = 0.0
+        for variable, width in split:
+            multiplicity = profile.heavy_multiplicity(variable)
+            if multiplicity:
+                heavy = max(heavy, multiplicity / width)
+        load = max(base, heavy)
+        return CostEstimate(
+            eligible=True,
+            cost=load * SKEW_TIEBREAK,
+            predicted_load=load,
+            rounds=1,
+            shares=shares,
+            reason="heavy values split over cartesian sub-grids"
+            if profile.has_skew
+            else "no heavy hitters sampled; routing equals plain HC",
+        )
+
+    return estimate
 
 
-def _multiround_cost(
-    query: ConjunctiveQuery,
-    profile: DataProfile,
-    p: int,
-    eps: Fraction | None,
-) -> CostEstimate:
+def _multiround_bid(
+    query: ConjunctiveQuery, p: int, eps: Fraction | None
+) -> Bid:
     """Multi-round plan: depth rounds at ``n / p`` each (Prop. 4.1)."""
     eps_mr = Fraction(0) if eps is None else Fraction(eps)
     try:
         logical = build_plan(query, eps_mr)
     except QueryError as error:
-        return _ineligible(f"no multi-round plan: {error}")
+        return ineligible(f"no multi-round plan: {error}")
     depth = logical.depth
-    load = profile.total_rows / float(p) ** float(1 - eps_mr)
-    return CostEstimate(
-        eligible=True,
-        cost=depth * ROUND_PENALTY * load,
-        predicted_load=load,
-        rounds=depth,
-        shares=None,
-        reason=f"depth-{depth} plan at eps={eps_mr}, "
-        f"load n/p^{float(1 - eps_mr):g} per round",
+    divisor = float(p) ** float(1 - eps_mr)
+    reason = (
+        f"depth-{depth} plan at eps={eps_mr}, "
+        f"load n/p^{float(1 - eps_mr):g} per round"
     )
 
+    def estimate(profile: DataProfile) -> CostEstimate:
+        load = profile.total_rows / divisor
+        return CostEstimate(
+            eligible=True,
+            cost=depth * ROUND_PENALTY * load,
+            predicted_load=load,
+            rounds=depth,
+            shares=None,
+            reason=reason,
+        )
 
-def _partial_cost(
-    query: ConjunctiveQuery,
-    profile: DataProfile,
-    p: int,
-    eps: Fraction | None,
-) -> CostEstimate:
+    return estimate
+
+
+def _partial_bid(
+    query: ConjunctiveQuery, p: int, eps: Fraction | None
+) -> Bid:
     """Below-threshold partial HC: one round, a fraction of answers.
 
     Only meaningful when the statement pins ``eps`` *below* the
@@ -294,81 +296,40 @@ def _partial_cost(
     everything at the same budget.
     """
     if eps is None:
-        return _ineligible("partial answers need an explicit eps")
+        return ineligible("partial answers need an explicit eps")
     if not query.is_connected:
-        return _ineligible("partial coverage needs a connected query")
+        return ineligible("partial coverage needs a connected query")
     query_eps = space_exponent(query)
     if Fraction(eps) >= query_eps:
-        return _ineligible(
+        return ineligible(
             f"eps {eps} >= space exponent {query_eps}: plain HC "
             "reports every answer"
         )
-    load = profile.total_rows / float(p) ** float(1 - Fraction(eps))
-    return CostEstimate(
-        eligible=True,
-        cost=load,
-        predicted_load=load,
-        rounds=1,
-        shares=None,
-        reason=f"one round under budget eps={eps}; reports ~"
-        f"p^(1-(1-eps)tau*) of the answers (Prop. 3.11)",
-    )
+    divisor = float(p) ** float(1 - Fraction(eps))
 
+    def estimate(profile: DataProfile) -> CostEstimate:
+        load = profile.total_rows / divisor
+        return CostEstimate(
+            eligible=True,
+            cost=load,
+            predicted_load=load,
+            rounds=1,
+            shares=None,
+            reason=f"one round under budget eps={eps}; reports ~"
+            f"p^(1-(1-eps)tau*) of the answers (Prop. 3.11)",
+        )
 
-def _compile_hypercube(
-    query: ConjunctiveQuery,
-    p: int,
-    *,
-    eps: Fraction | None = None,
-    seed: int = 0,
-    capacity_c: float | None = None,
-    enforce_capacity: bool = False,
-) -> Plan:
-    from repro.algorithms.hypercube import compile_hypercube
-
-    return compile_hypercube(
-        query,
-        p,
-        eps=eps,
-        seed=seed,
-        capacity_c=_CAPACITY_DEFAULTS["hypercube"]
-        if capacity_c is None
-        else capacity_c,
-        enforce_capacity=enforce_capacity,
-    )
-
-
-def _compile_skew_aware(
-    query: ConjunctiveQuery,
-    p: int,
-    *,
-    eps: Fraction | None = None,
-    seed: int = 0,
-    capacity_c: float | None = None,
-    enforce_capacity: bool = False,
-) -> Plan:
-    from repro.algorithms.skewaware import compile_skew_aware
-
-    return compile_skew_aware(
-        query,
-        p,
-        eps=eps,
-        seed=seed,
-        capacity_c=_CAPACITY_DEFAULTS["skewaware"]
-        if capacity_c is None
-        else capacity_c,
-        enforce_capacity=enforce_capacity,
-    )
+    return estimate
 
 
 def _compile_multiround(
     query: ConjunctiveQuery,
     p: int,
     *,
-    eps: Fraction | None = None,
-    seed: int = 0,
-    capacity_c: float | None = None,
-    enforce_capacity: bool = False,
+    eps: Fraction | None,
+    seed: int,
+    capacity_c: float,
+    enforce_capacity: bool,
 ) -> Plan:
     from repro.algorithms.multiround import compile_multiround
 
@@ -377,9 +338,7 @@ def _compile_multiround(
         logical,
         p,
         seed=seed,
-        capacity_c=_CAPACITY_DEFAULTS["multiround"]
-        if capacity_c is None
-        else capacity_c,
+        capacity_c=capacity_c,
         enforce_capacity=enforce_capacity,
     )
 
@@ -388,10 +347,10 @@ def _compile_partial(
     query: ConjunctiveQuery,
     p: int,
     *,
-    eps: Fraction | None = None,
-    seed: int = 0,
-    capacity_c: float | None = None,
-    enforce_capacity: bool = False,
+    eps: Fraction | None,
+    seed: int,
+    capacity_c: float,
+    enforce_capacity: bool,
 ) -> Plan:
     from repro.algorithms.partial import compile_partial_hypercube
 
@@ -403,13 +362,7 @@ def _compile_partial(
             "below the space exponent by design)"
         )
     return compile_partial_hypercube(
-        query,
-        p,
-        eps,
-        seed=seed,
-        capacity_c=_CAPACITY_DEFAULTS["partial"]
-        if capacity_c is None
-        else capacity_c,
+        query, p, eps, seed=seed, capacity_c=capacity_c
     )
 
 
@@ -461,12 +414,14 @@ def compile_with(
     benchmarks, ``repro run|run-plan|skew``); everything else goes
     through :func:`repro.connect`.
     """
-    return get_algorithm(name).compile(
+    spec = get_algorithm(name)
+    return spec.compile(
         query,
         p,
         eps=eps,
         seed=seed,
-        capacity_c=capacity_c,
+        capacity_c=spec.default_capacity_c if capacity_c is None
+        else capacity_c,
         enforce_capacity=enforce_capacity,
     )
 
@@ -474,33 +429,33 @@ def compile_with(
 register(
     AlgorithmSpec(
         name="hypercube",
-        compile=_compile_hypercube,
-        cost=_hypercube_cost,
-        default_capacity_c=_CAPACITY_DEFAULTS["hypercube"],
+        compile=compile_hypercube,
+        bid=_hypercube_bid,
+        default_capacity_c=4.0,
     )
 )
 register(
     AlgorithmSpec(
         name="skewaware",
-        compile=_compile_skew_aware,
-        cost=_skewaware_cost,
-        default_capacity_c=_CAPACITY_DEFAULTS["skewaware"],
+        compile=compile_skew_aware,
+        bid=_skewaware_bid,
+        default_capacity_c=4.0,
     )
 )
 register(
     AlgorithmSpec(
         name="multiround",
         compile=_compile_multiround,
-        cost=_multiround_cost,
-        default_capacity_c=_CAPACITY_DEFAULTS["multiround"],
+        bid=_multiround_bid,
+        default_capacity_c=8.0,
     )
 )
 register(
     AlgorithmSpec(
         name="partial",
         compile=_compile_partial,
-        cost=_partial_cost,
-        default_capacity_c=_CAPACITY_DEFAULTS["partial"],
+        bid=_partial_bid,
+        default_capacity_c=4.0,
         exact=False,
     )
 )

@@ -28,7 +28,8 @@ heavy sets -- detection reads the data, so the round carries a
 :func:`~repro.engine.executor.execute_plan` binds the detected heavy
 values just before routing.  The light/heavy split then runs as a
 handful of vectorized signature groups; heavy-hitter detection itself
-is one ``unique``/``counts`` pass per (atom, position).
+is one memoized ``unique``/``counts`` pass per (atom, position) and
+relation version.
 
 On skew-free inputs no value is heavy and the algorithm degenerates to
 exactly plain HyperCube; on skewed inputs the maximum load drops from
@@ -41,8 +42,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Mapping
-
-import numpy
 
 from repro.core.query import ConjunctiveQuery
 from repro.core.covers import fractional_vertex_cover
@@ -71,9 +70,10 @@ def detect_heavy_hitters(
     Computed per (atom, variable position) and unioned per variable:
     input servers know their own relations, so this is legal round-1
     work in the model of Section 2.4.  Each (atom, position) scan is
-    one ``unique``/``counts`` pass over the relation's column (the
-    executor passes its columnar routing sources, so nothing is
-    converted twice).
+    the relation's memoized :meth:`~ColumnarRelation.frequent_values`
+    (one ``unique``/``counts`` pass per relation version and
+    threshold; the executor passes its columnar routing sources, so
+    nothing is converted twice).
     """
     heavy: dict[str, set[int]] = {v: set() for v in query.variables}
     for atom in query.atoms:
@@ -87,10 +87,8 @@ def detect_heavy_hitters(
             if share <= 1:
                 continue
             threshold = max(1, len(relation) // share)
-            values, counts = numpy.unique(
-                relation.columns[position], return_counts=True
-            )
-            heavy[variable].update(values[counts > threshold].tolist())
+            values, _ = relation.frequent_values(position, threshold)
+            heavy[variable].update(values.tolist())
     return {v: frozenset(values) for v, values in heavy.items()}
 
 

@@ -23,10 +23,11 @@ server and the fan-out workers all serve through a session; its
 request executor, :class:`~repro.serve.service.QueryService`, is
 private to it.
 
-Planner decisions and data profiles are cached per database version
-in bounded LRU stores, and the same ``Statement`` semantics are the
-wire protocol of the JSON-lines RPC server
-(:mod:`repro.serve.rpc`).
+Planner decisions are cached per statement in a bounded LRU store: a
+read at the decision's version reuses it, a read at a later version
+re-evaluates its version-free bids on a fresh profile.  The same
+``Statement`` semantics are the wire protocol of the JSON-lines RPC
+server (:mod:`repro.serve.rpc`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import RoundProfiler
 from repro.engine.faults import active_faults
 from repro.planner import (
-    DataProfile,
     Explain,
     Planner,
     PlannerChoice,
@@ -63,9 +63,8 @@ from repro.serve.service import QueryService, Result, ServiceStats
 #: Sentinel: "the session default", distinct from an explicit None.
 _UNSET = object()
 
-#: Entry budgets of the planner-decision and data-profile LRUs.
+#: Entry budget of the planner-decision LRU.
 DECISION_CACHE_SIZE = 256
-PROFILE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,8 @@ class Session:
       retained IVM state over a versioned database);
     * a :class:`~repro.planner.Planner` choosing the compiler for
       every statement from the registry's declared cost models;
-    * bounded LRU caches of planner decisions and data profiles, keyed
-      by database version.
+    * a bounded LRU cache of planner decisions, one per statement,
+      stamped with the database version each was made at.
 
     Thread safety: the fan-out query path (``workers >= 2``) may be
     driven from any number of threads at once -- each statement ships
@@ -254,13 +253,13 @@ class Session:
                 raise ValueError(f"need {option} >= {bound}, got {value}")
         # Serializes every touch of the unsynchronized underlying
         # state: the service's plan/result caches and pooled
-        # simulators, the planner's decision/profile LRUs.  The
+        # simulators, the planner's decision LRU.  The
         # fan-out query path never takes it (workers own their state),
         # which is what lets N RPC dispatcher threads drive a fan-out
         # session concurrently -- but the moment any of them falls
         # back to in-process execution (pool died mid-serve), this
         # lock is what keeps the fallback single-file.  RLock because
-        # the locked paths nest (_execute -> _decide -> _profile).
+        # the locked paths nest (_execute -> _decide).
         self._lock = threading.RLock()
         self._service = QueryService(
             database,
@@ -281,8 +280,8 @@ class Session:
         self.default_algorithm = algorithm
         self.planner_stats = PlannerStats()
         self._planner = Planner(p, stats=self.planner_stats)
+        # Statement key -> (version, choice).
         self._decisions = LRUCache(DECISION_CACHE_SIZE)
-        self._profiles = LRUCache(PROFILE_CACHE_SIZE)
         self.workers = workers
         self._fanout: Any = None
         if workers >= 2:
@@ -379,10 +378,12 @@ class Session:
         """Mutate the database; returns the new version.
 
         Compiled plans survive (they are data-independent).  Memoized
-        results, planner decisions and profiles of older versions are
-        purged eagerly (they are version-keyed, so this is belt and
-        braces); an effective no-op delta chains them to the new
-        version instead.
+        results of older versions are purged eagerly; an effective
+        no-op delta chains them, and planner decisions, to the new
+        version instead.  A decision that a write outdated is not
+        dropped: the statement's next read re-evaluates its
+        version-free bids on a fresh profile (relations the write did
+        not touch keep their heavy-value counts).
         """
         return self.apply_delta(DatabaseDelta.of(inserts, deletes))
 
@@ -400,33 +401,10 @@ class Session:
         """
         fanout = self._fanout
         if fanout is not None and fanout.usable:
-            version = fanout.apply_delta(
+            return fanout.apply_delta(
                 delta, lambda: self._apply_local_delta(delta)
             )
-        else:
-            version = self._apply_local_delta(delta)
-        with self._lock:
-            record = self._service.database.last_record
-            if (
-                record is not None
-                and record.new_version == version
-                and record.is_noop
-            ):
-                # An effective no-op bump: the snapshot is unchanged,
-                # so decisions and profiles stay valid -- chain their
-                # keys forward instead of orphaning them.
-                old_version = record.old_version
-
-                def _rekey(key: tuple) -> tuple | None:
-                    if key[-1] == old_version:
-                        return key[:-1] + (version,)
-                    return None
-
-                self._decisions.remap(_rekey)
-                self._profiles.remap(_rekey)
-            self._decisions.purge(lambda key: key[-1] != version)
-            self._profiles.purge(lambda key: key[-1] != version)
-        return version
+        return self._apply_local_delta(delta)
 
     def _apply_local_delta(self, delta: DatabaseDelta) -> int:
         with self._lock:
@@ -500,14 +478,13 @@ class Session:
     def close(self) -> None:
         """Release cached state, worker processes and shared segments.
 
-        Planner decisions, data profiles, memoized results, pooled
-        simulators and retained IVM state all go; compiled plans
+        Planner decisions, memoized results, pooled simulators and
+        retained IVM state all go; compiled plans
         (data-independent) stay.  The session stays usable for
         in-process execution.
         """
         with self._lock:
             self._decisions.purge(lambda key: True)
-            self._profiles.purge(lambda key: True)
             self._service.close()
         if self._fanout is not None:
             self._fanout.close()
@@ -521,37 +498,35 @@ class Session:
 
     # -- internals ----------------------------------------------------------
 
-    def _profile(self, query: ConjunctiveQuery, version: int) -> DataProfile:
-        with self._lock:
-            key = (str(query), version)
-            profile = self._profiles.get(key)
-            if profile is None:
-                profile = collect_profile(
-                    query,
-                    self._service.database.snapshot,
-                    version=version,
-                )
-                self._profiles.put(key, profile)
-            return profile
-
     def _decide(self, statement: Statement) -> PlannerChoice:
         with self._lock:
             version = self._service.version
-            key = statement.canonical_key() + (version,)
-            choice = self._decisions.get(key)
-            if choice is not None:
+            key = statement.canonical_key()
+            made_at, previous = self._decisions.get(key) or (None, None)
+            if previous is not None and made_at != version:
+                # A span of no-op bumps leaves the snapshot as it was.
+                span = self._service.database.delta_between(made_at, version)
+                if span is not None and span.is_noop:
+                    made_at = version
+                    self._decisions.put(key, (version, previous))
+            if made_at == version:
                 self.planner_stats.decision_cache_hits += 1
-                return choice
+                return previous
             self._service.validate(statement.query)
-            profile = self._profile(statement.query, version)
+            profile = collect_profile(
+                statement.query,
+                self._service.database.snapshot,
+                shares=None if previous is None else previous.profile.shares,
+            )
             choice = self._planner.choose(
                 statement.query,
                 profile,
                 eps=statement.eps,
                 algorithm=statement.algorithm,
                 allow_partial=statement.allow_partial,
+                bids=None if previous is None else previous.bids,
             )
-            self._decisions.put(key, choice)
+            self._decisions.put(key, (version, choice))
             return choice
 
     def _execute(

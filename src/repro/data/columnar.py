@@ -20,7 +20,7 @@ contents, ordering (lexicographic) and bit accounting::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy
@@ -65,6 +65,11 @@ class ColumnarRelation:
     arity: int
     columns: Columns
     domain_size: int
+    #: (position, threshold) -> :meth:`frequent_values`; a write
+    #: builds a new relation, so the memo never goes stale.
+    _frequent: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -160,6 +165,25 @@ class ColumnarRelation:
     def column(self, position: int) -> Any:
         """The value column at a 0-based attribute position."""
         return self.columns[position]
+
+    def frequent_values(
+        self, position: int, threshold: int
+    ) -> tuple[Any, Any]:
+        """The values seen more than ``threshold`` (>= 1) times at
+        ``position``, sorted, and their counts.
+
+        Memoized per ``(position, threshold)``: an entry holds at most
+        ``len(self) // threshold`` values, never the column's whole
+        ``unique`` arrays.
+        """
+        key = position, threshold
+        if key not in self._frequent:
+            values, counts = numpy.unique(
+                self.columns[position], return_counts=True
+            )
+            keep = counts > threshold
+            self._frequent[key] = values[keep], counts[keep]
+        return self._frequent[key]
 
     @property
     def tuple_bits(self) -> int:

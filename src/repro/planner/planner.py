@@ -4,9 +4,11 @@ The Beame-Koutris-Suciu results are *choices* -- one round or many,
 which share vector, full or partial answers -- and the planner makes
 them automatically so callers never have to name an algorithm:
 
-1. collect every registered algorithm's :class:`CostEstimate` from its
-   declared cost model (:mod:`repro.algorithms.registry`), fed by the
-   statement's :class:`~repro.algorithms.registry.DataProfile`;
+1. collect every registered algorithm's :class:`CostEstimate`: its
+   declared cost model (:mod:`repro.algorithms.registry`) bids from the
+   query alone, once per statement (:class:`Bids`), and each decision
+   evaluates those bids on the statement's current
+   :class:`~repro.algorithms.registry.DataProfile`;
 2. drop ineligible bids (one-round algorithms below the query's space
    exponent, inexact algorithms unless the statement opted in, plans
    that do not exist at the requested ``eps``);
@@ -22,14 +24,16 @@ just *what* was chosen but *what it beat and why*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from repro.algorithms.registry import (
+    Bid,
     CostEstimate,
     DataProfile,
     algorithm_names,
     get_algorithm,
+    ineligible,
 )
 from repro.core.bounds import round_lower_bound, round_upper_bound
 from repro.core.covers import covering_number
@@ -192,17 +196,41 @@ def _frac_str(value: Fraction | None) -> str | None:
 
 
 @dataclass(frozen=True)
+class Bids:
+    """A statement's version-free half of a decision, built from the
+    query alone: a decision at a later database version re-evaluates
+    these on the new profile instead of re-deriving them.
+
+    Attributes:
+        bids: every registered algorithm's bid, in tie order.
+        tau_star / space_exponent: ``tau*`` and ``1 - 1/tau*``.
+        round_bounds: the paper's round bounds at each effective eps
+            a decision has chosen so far.
+    """
+
+    bids: tuple[tuple[str, Bid], ...]
+    tau_star: Fraction
+    space_exponent: Fraction
+    round_bounds: tuple[
+        tuple[Fraction | None, tuple[int, int] | None], ...
+    ]
+
+
+@dataclass(frozen=True)
 class PlannerChoice:
     """The planner's routing decision for one statement.
 
     ``eps`` is what the compiler should be called with (None lets the
     algorithm use its own per-query default, matching a bare
-    ``compile_with`` call).
+    ``compile_with`` call).  A later decision for the same statement
+    reuses its ``bids`` and its ``profile``'s sampling grid.
     """
 
     algorithm: str
     eps: Fraction | None
     explain: Explain
+    bids: Bids
+    profile: DataProfile
 
 
 @dataclass
@@ -260,6 +288,7 @@ class Planner:
         eps: Fraction | None = None,
         algorithm: str | None = None,
         allow_partial: bool = False,
+        bids: Bids | None = None,
     ) -> PlannerChoice:
         """Route one statement.
 
@@ -274,6 +303,8 @@ class Planner:
             allow_partial: permit the inexact below-threshold
                 algorithm to win (it can only win when ``eps`` is
                 pinned below the query's space exponent).
+            bids: the :attr:`PlannerChoice.bids` of an earlier choice
+                for the same statement; None builds them.
 
         Raises:
             QueryError: unknown pinned algorithm, or no eligible
@@ -282,60 +313,41 @@ class Planner:
         eps = None if eps is None else Fraction(eps)
         if algorithm is not None:
             get_algorithm(algorithm)  # raises on unknown names
-        ordered = [
-            name
-            for name in _TIE_ORDER
-            if name in algorithm_names()
-        ] + [
-            name for name in algorithm_names() if name not in _TIE_ORDER
-        ]
-        bids: list[Candidate] = []
-        shares_by_algorithm: dict[str, tuple | None] = {}
-        for name in ordered:
-            spec = get_algorithm(name)
-            try:
-                estimate = spec.cost(query, profile, self.p, eps)
-            except QueryError as error:
-                estimate = CostEstimate(
-                    eligible=False,
-                    cost=float("inf"),
-                    predicted_load=float("inf"),
-                    rounds=0,
-                    shares=None,
-                    reason=str(error),
-                )
-            shares_by_algorithm[name] = estimate.shares
-            if estimate.eligible and not spec.exact and not (
+        if bids is None:
+            bids = self._bids(query, eps)
+        estimates: dict[str, CostEstimate] = {}
+        for name, bid in bids.bids:
+            estimate = bid(profile)
+            if estimate.eligible and not get_algorithm(name).exact and not (
                 allow_partial or algorithm == name
             ):
-                estimate = CostEstimate(
+                estimate = replace(
+                    estimate,
                     eligible=False,
                     cost=float("inf"),
-                    predicted_load=estimate.predicted_load,
-                    rounds=estimate.rounds,
-                    shares=estimate.shares,
                     reason="inexact (partial answers); pass "
                     "allow_partial=True to opt in",
                 )
-            bids.append(
-                Candidate(
-                    algorithm=name,
-                    eligible=estimate.eligible,
-                    cost=estimate.cost,
-                    predicted_load=estimate.predicted_load,
-                    rounds=estimate.rounds,
-                    reason=estimate.reason,
-                )
+            estimates[name] = estimate
+        candidates = [
+            Candidate(
+                algorithm=name,
+                eligible=estimate.eligible,
+                cost=estimate.cost,
+                predicted_load=estimate.predicted_load,
+                rounds=estimate.rounds,
+                reason=estimate.reason,
             )
-        estimates = {bid.algorithm: bid for bid in bids}
+            for name, estimate in estimates.items()
+        ]
 
         if algorithm is not None:
             chosen = algorithm
         else:
-            eligible = [bid for bid in bids if bid.eligible]
+            eligible = [bid for bid in candidates if bid.eligible]
             if not eligible:
                 reasons = "; ".join(
-                    f"{bid.algorithm}: {bid.reason}" for bid in bids
+                    f"{bid.algorithm}: {bid.reason}" for bid in candidates
                 )
                 raise QueryError(
                     f"no algorithm can answer {query} at eps={eps} "
@@ -344,48 +356,50 @@ class Planner:
             chosen = min(eligible, key=lambda bid: bid.cost).algorithm
 
         chosen_bid = estimates[chosen]
-        tau = covering_number(query)
-        query_eps = 1 - 1 / tau
-        eps_effective = self._effective_eps(chosen, eps, query_eps)
-        round_bounds: tuple[int, int] | None = None
-        if query.is_connected and eps_effective is not None:
-            try:
-                lower = round_lower_bound(query, eps_effective)
-            except QueryError:
-                lower = 1  # Corollary 4.8 needs tree-like queries
-            try:
-                round_bounds = (lower, round_upper_bound(query, eps_effective))
-            except QueryError:
-                round_bounds = None
+        eps_effective = self._effective_eps(
+            chosen, eps, bids.space_exponent
+        )
+        round_bounds = dict(bids.round_bounds)
+        if eps_effective not in round_bounds:
+            round_bounds[eps_effective] = _round_bounds(query, eps_effective)
+            bids = replace(bids, round_bounds=tuple(round_bounds.items()))
         explain = Explain(
             query_text=str(query),
             algorithm=chosen,
             eps_requested=eps,
             eps_effective=eps_effective,
             p=self.p,
-            tau_star=tau,
-            space_exponent=query_eps,
+            tau_star=bids.tau_star,
+            space_exponent=bids.space_exponent,
             predicted_rounds=chosen_bid.rounds,
             predicted_load=chosen_bid.predicted_load,
-            round_bounds=round_bounds,
-            shares=shares_by_algorithm.get(chosen),
-            heavy_values=tuple(
-                (variable, count)
-                for variable, count in profile.heavy_values
-            ),
+            round_bounds=round_bounds[eps_effective],
+            shares=chosen_bid.shares,
+            heavy_values=profile.heavy_values,
             candidates=tuple(
-                sorted(bids, key=lambda bid: bid.algorithm != chosen)
+                sorted(candidates, key=lambda bid: bid.algorithm != chosen)
             ),
             profile_sampled=profile.sampled,
             pinned=algorithm is not None,
         )
-        choice = PlannerChoice(
-            algorithm=chosen,
-            eps=eps,
-            explain=explain,
-        )
+        choice = PlannerChoice(chosen, eps, explain, bids, profile)
         self.stats.record(choice)
         return choice
+
+    def _bids(self, query: ConjunctiveQuery, eps: Fraction | None) -> Bids:
+        """Every registered algorithm's bid for ``query``, tie order."""
+        names = algorithm_names()
+        bids = []
+        for name in [n for n in _TIE_ORDER if n in names] + [
+            n for n in names if n not in _TIE_ORDER
+        ]:
+            try:
+                bid = get_algorithm(name).bid(query, self.p, eps)
+            except QueryError as error:
+                bid = ineligible(str(error))
+            bids.append((name, bid))
+        tau = covering_number(query)
+        return Bids(tuple(bids), tau, 1 - 1 / tau, ())
 
     @staticmethod
     def _effective_eps(
@@ -397,4 +411,21 @@ class Planner:
             return query_eps
         if chosen == "multiround":
             return Fraction(0)
+        return None
+
+
+def _round_bounds(
+    query: ConjunctiveQuery, eps: Fraction | None
+) -> tuple[int, int] | None:
+    """The paper's (lower, upper) round bounds for ``query`` at ``eps``
+    (None for disconnected queries, or without an eps)."""
+    if not query.is_connected or eps is None:
+        return None
+    try:
+        lower = round_lower_bound(query, eps)
+    except QueryError:
+        lower = 1  # Corollary 4.8 needs tree-like queries
+    try:
+        return lower, round_upper_bound(query, eps)
+    except QueryError:
         return None

@@ -6,8 +6,11 @@ relation cardinalities plus a *skew sample* -- the heavy-hitter scan
 of :func:`repro.algorithms.skewaware.detect_heavy_hitters` run under
 the query's own HyperCube shares, on a deterministic stride sample
 when relations are large.  Collection is O(data scanned) with no
-joins, so profiling a statement costs far less than executing it; the
-serving layer caches profiles per (query, database version).
+joins, so profiling a statement costs far less than executing it, and
+the scans themselves are memoized on each immutable relation
+(:meth:`~repro.data.columnar.ColumnarRelation.frequent_values`): after
+a write, a statement's next profile rescans only the relations the
+write touched, on the grid its previous profile recorded.
 
 Heavy multiplicities (the count of the most frequent heavy value per
 variable) feed the registry cost models directly: plain HC's
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy
+
 from repro.algorithms.registry import DataProfile
 from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.query import ConjunctiveQuery
@@ -29,9 +34,9 @@ from repro.data.columnar import ColumnarRelation
 SAMPLE_CAP = 100_000
 
 #: The nominal worker count of the profiling shares.  A profile is
-#: collected once per (query, version) and consulted for any ``p``, so
-#: the heavy-hitter threshold uses a fixed grid -- skew strong enough
-#: to matter shows up at any reasonable share split.
+#: consulted for any ``p``, so the heavy-hitter threshold uses a fixed
+#: grid -- skew strong enough to matter shows up at any reasonable
+#: share split.
 PROFILE_P = 16
 
 
@@ -53,8 +58,8 @@ def collect_profile(
     query: ConjunctiveQuery,
     database: Mapping[str, ColumnarRelation],
     *,
+    shares: tuple[tuple[str, int], ...] | None = None,
     sample_cap: int = SAMPLE_CAP,
-    version: int = -1,
 ) -> DataProfile:
     """Profile ``database`` for ``query`` under its own HC shares.
 
@@ -64,10 +69,14 @@ def collect_profile(
             :class:`~repro.data.columnar.ColumnarDatabase` or
             :class:`~repro.data.versioned.VersionedDatabase` snapshot
             both satisfy this).
+        shares: the sampling grid a previous profile of ``query``
+            recorded; None allocates the query's own HC shares at
+            :data:`PROFILE_P`.
         sample_cap: stride-sample relations beyond this many rows.
-        version: recorded verbatim on the profile (cache stamping).
     """
-    shares = allocate_integer_shares(share_exponents(query), PROFILE_P).shares
+    if shares is None:
+        allocation = allocate_integer_shares(share_exponents(query), PROFILE_P)
+        shares = tuple(sorted(allocation.shares.items()))
 
     sampled = False
     sources: dict[str, ColumnarRelation] = {}
@@ -79,7 +88,7 @@ def collect_profile(
         sampled = sampled or sample is not relation
         sources[atom.name] = sample
 
-    heavy_sets = detect_heavy_hitters(query, sources, shares)
+    heavy_sets = detect_heavy_hitters(query, sources, dict(shares))
     multiplicities = _heavy_multiplicities(query, sources, heavy_sets)
     # A sampled scan undercounts by the stride factor; scale back so
     # cost models compare multiplicities against full cardinalities.
@@ -107,7 +116,7 @@ def collect_profile(
         ),
         heavy_multiplicities=tuple(sorted(multiplicities.items())),
         sampled=sampled,
-        version=version,
+        shares=shares,
     )
 
 
@@ -123,22 +132,18 @@ def _heavy_multiplicities(
     """
     multiplicities: dict[str, int] = {}
     for atom in query.atoms:
-        positions = [
-            (position, variable)
-            for position, variable in enumerate(atom.variables)
-            if heavy_sets.get(variable)
-        ]
-        if not positions:
-            continue
-        relation = sources[atom.name]
-        for position, variable in positions:
-            heavy = heavy_sets[variable]
-            counts: dict[int, int] = {}
-            for value in relation.columns[position].tolist():
-                if value in heavy:
-                    counts[value] = counts.get(value, 0) + 1
-            if counts:
+        for position, variable in enumerate(atom.variables):
+            if not heavy_sets.get(variable):
+                continue
+            heavy = numpy.array(sorted(heavy_sets[variable]), numpy.int64)
+            column = sources[atom.name].columns[position]
+            slots = numpy.minimum(
+                numpy.searchsorted(heavy, column), len(heavy) - 1
+            )
+            hits = slots[heavy[slots] == column]
+            top = int(numpy.bincount(hits, minlength=len(heavy)).max())
+            if top:
                 multiplicities[variable] = max(
-                    multiplicities.get(variable, 0), max(counts.values())
+                    multiplicities.get(variable, 0), top
                 )
     return multiplicities

@@ -33,6 +33,11 @@ def _profile(query, rows_per_relation=100, heavy=()):
     )
 
 
+def _estimate(name, query, profile, eps):
+    """The named algorithm's bid, evaluated on ``profile``."""
+    return get_algorithm(name).bid(query, 16, eps)(profile)
+
+
 class TestRegistryContents:
     def test_all_four_compilers_registered(self):
         assert algorithm_names() == (
@@ -104,16 +109,14 @@ class TestCostModels:
     def test_one_round_ineligible_below_space_exponent(self, triangle):
         profile = _profile(triangle)
         for name in ("hypercube", "skewaware"):
-            estimate = get_algorithm(name).cost(
-                triangle, profile, 16, Fraction(0)
-            )
+            estimate = _estimate(name, triangle, profile, Fraction(0))
             assert not estimate.eligible
             assert "Theorem 3.3" in estimate.reason
 
     def test_hypercube_beats_multiround_on_short_queries(self, triangle):
         profile = _profile(triangle)
-        hc = get_algorithm("hypercube").cost(triangle, profile, 16, None)
-        mr = get_algorithm("multiround").cost(triangle, profile, 16, None)
+        hc = _estimate("hypercube", triangle, profile, None)
+        mr = _estimate("multiround", triangle, profile, None)
         assert hc.eligible and mr.eligible
         assert hc.cost < mr.cost
 
@@ -122,35 +125,32 @@ class TestCostModels:
             "S1(a,b), S2(b,c), S3(c,d), S4(d,e), S5(e,f), S6(f,g)"
         )
         profile = _profile(chain)
-        hc = get_algorithm("hypercube").cost(chain, profile, 16, None)
-        mr = get_algorithm("multiround").cost(chain, profile, 16, None)
+        hc = _estimate("hypercube", chain, profile, None)
+        mr = _estimate("multiround", chain, profile, None)
         assert mr.cost < hc.cost
         assert mr.rounds > 1
 
     def test_skew_flips_the_one_round_duel(self, two_hop):
         skew_free = _profile(two_hop)
-        hc = get_algorithm("hypercube").cost(two_hop, skew_free, 16, None)
-        sa = get_algorithm("skewaware").cost(two_hop, skew_free, 16, None)
+        hc = _estimate("hypercube", two_hop, skew_free, None)
+        sa = _estimate("skewaware", two_hop, skew_free, None)
         assert hc.cost < sa.cost  # tie-break prefers plain HC
         skewed = _profile(two_hop, heavy=(("y", 80),))
-        hc = get_algorithm("hypercube").cost(two_hop, skewed, 16, None)
-        sa = get_algorithm("skewaware").cost(two_hop, skewed, 16, None)
+        hc = _estimate("hypercube", two_hop, skewed, None)
+        sa = _estimate("skewaware", two_hop, skewed, None)
         assert sa.cost < hc.cost
         assert hc.predicted_load >= 80  # full concentration
         assert sa.predicted_load < hc.predicted_load
 
     def test_partial_cost_needs_low_eps(self, triangle):
         profile = _profile(triangle)
-        spec = get_algorithm("partial")
-        assert not spec.cost(triangle, profile, 16, None).eligible
-        assert not spec.cost(
-            triangle, profile, 16, Fraction(1, 2)
+        assert not _estimate("partial", triangle, profile, None).eligible
+        assert not _estimate(
+            "partial", triangle, profile, Fraction(1, 2)
         ).eligible  # above the space exponent 1/3
-        assert spec.cost(triangle, profile, 16, Fraction(0)).eligible
+        assert _estimate("partial", triangle, profile, Fraction(0)).eligible
 
     def test_shares_reported_for_one_round_algorithms(self, two_hop):
         profile = _profile(two_hop)
-        estimate = get_algorithm("hypercube").cost(
-            two_hop, profile, 16, None
-        )
+        estimate = _estimate("hypercube", two_hop, profile, None)
         assert dict(estimate.shares)["y"] == 16

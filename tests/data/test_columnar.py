@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data.columnar import (
     ColumnarRelation,
@@ -251,6 +253,42 @@ class TestSortedTableProbes:
         assert kept.tolist() == [list(r) for r in expected]
         if not set(reference_rows) & set(probe_rows):
             assert kept is reference
+
+
+class TestFrequentValues:
+    """``frequent_values`` against a ``Counter`` of the column, and its
+    memo's size bound."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 30)), max_size=40
+        ),
+        threshold=st.integers(1, 12),
+    )
+    @example(rows=[], threshold=1)  # empty relation
+    @example(rows=[(1, 1), (1, 2), (2, 1)], threshold=1)
+    @example(  # every count equal
+        rows=[(a, b) for a in (1, 2, 3) for b in (1, 2)], threshold=1
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_counter(self, rows, threshold):
+        relation = ColumnarRelation.from_rows(
+            "R", rows, domain_size=30, arity=2
+        )
+        for position in range(2):
+            values, counts = relation.frequent_values(position, threshold)
+            expected = sorted(
+                (value, count)
+                for value, count in Counter(
+                    relation.columns[position].tolist()
+                ).items()
+                if count > threshold
+            )
+            assert list(zip(values.tolist(), counts.tolist())) == expected
+            assert len(values) <= len(relation) // threshold
+            # Memoized: the second call returns the same arrays.
+            again = relation.frequent_values(position, threshold)
+            assert again[0] is values and again[1] is counts
 
 
 class TestAccounting:

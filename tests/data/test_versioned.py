@@ -99,6 +99,20 @@ class TestDeltas:
         assert len(versioned["S1"]) == size
 
 
+    def test_writes_rebuild_only_touched_relations(self):
+        """Untouched relations stay the same object, so their memoized
+        heavy-value counts carry over; touched ones start without."""
+        versioned = _versioned()
+        for relation in versioned:
+            relation.frequent_values(0, 1)
+        before = versioned.snapshot
+        versioned.update(inserts={"S1": [(1, 2)]})
+        assert versioned["S2"] is before["S2"]
+        assert versioned["S2"]._frequent
+        assert versioned["S1"] is not before["S1"]
+        assert not versioned["S1"]._frequent
+
+
 class TestDeltaEdgeSemantics:
     """The pinned edge cases of DatabaseDelta (see its docstring)."""
 

@@ -24,7 +24,10 @@ answer encoder build no Python rows.
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
 :mod:`repro.core.friedgut`; ``functools`` caches stay out of every
-other module, so per-module memos cannot creep back.
+other module, so per-module memos cannot creep back.  The planner and
+the algorithm registry hold no module-level memo at all: a statement's
+decision state lives in the session's decision cache, and heavy-value
+counts on the immutable relations.
 """
 
 from __future__ import annotations
@@ -126,6 +129,60 @@ def test_functools_caches_stay_in_covers_and_routing():
         if _uses_functools_cache(path)
     }
     assert users <= FUNCTOOLS_CACHE_USERS
+
+
+#: Module-level names that planner/registry functions may write: the
+#: registry table itself (``register``), which is not a memo.
+MODULE_STATE_WRITES = {("algorithms/registry.py", "_REGISTRY")}
+
+
+def _module_memos(path: Path):
+    """``(file, name)`` of every module-level memo in ``path``: a
+    ``lru_cache``/``cache`` decorator, or a module-level name a
+    function writes into (``global``, item assignment, ``setdefault``
+    / ``update``)."""
+    tree = ast.parse(path.read_text())
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (
+            node.targets if isinstance(node, ast.Assign) else [node.target]
+        )
+        if isinstance(target, ast.Name)
+    }
+    where = path.relative_to(ROOT).as_posix()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in function.decorator_list:
+            if isinstance(decorator, ast.Call):
+                decorator = decorator.func
+            name = getattr(decorator, "attr", getattr(decorator, "id", ""))
+            if name in {"lru_cache", "cache"}:
+                yield where, f"@{name} {function.name}"
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                yield from ((where, name) for name in node.names)
+            elif isinstance(node, ast.Subscript) and not isinstance(
+                node.ctx, ast.Load
+            ):
+                written = node.value
+            elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", None
+            ) in {"setdefault", "update"}:
+                written = node.func.value
+            else:
+                continue
+            if isinstance(written, ast.Name) and written.id in module_names:
+                yield where, written.id
+
+
+def test_planner_and_registry_keep_no_module_level_memo():
+    paths = [*sorted((ROOT / "planner").glob("*.py")),
+             ROOT / "algorithms" / "registry.py"]
+    memos = {memo for path in paths for memo in _module_memos(path)}
+    assert memos == MODULE_STATE_WRITES
 
 
 def test_no_package_module_imports_the_oracle():

@@ -294,30 +294,34 @@ def absent_rows(table: Any, reference: Any) -> Any:
     return table[~locate_rows(reference, table)[1]]
 
 
-def insert_rows(reference: Any, tables: Iterable[Any]) -> tuple[Any, Any]:
+def insert_rows(reference: Any, tables: Iterable[Any]) -> tuple[Any, Any, Any]:
     """Splice every row of ``tables`` that ``reference`` (a
     :func:`sorted_unique_rows` output) lacks into it: their sorted
     union at an O(n) memmove, not an O(n log n) re-sort.  Returns that
-    table and the new rows, sorted unique (none new: ``reference``)."""
+    table (none new: ``reference``), the new rows, sorted unique, and
+    their insertion points in ``reference`` as ``numpy.insert`` takes
+    them."""
     fresh = numpy.concatenate(
         [reference[:0]] + [absent_rows(table, reference) for table in tables]
     )
     if not len(fresh):
-        return reference, fresh
+        return reference, fresh, numpy.zeros(0, dtype=numpy.intp)
     fresh = sorted_unique_rows(fresh)
     positions = locate_rows(reference, fresh)[0]
-    return numpy.insert(reference, positions, fresh, axis=0), fresh
+    return numpy.insert(reference, positions, fresh, axis=0), fresh, positions
 
 
-def remove_rows(reference: Any, table: Any) -> Any:
+def remove_rows(reference: Any, table: Any) -> tuple[Any, Any]:
     """Delete every row of ``table`` that ``reference`` (a
     :func:`sorted_unique_rows` output) holds from it, at an O(n)
-    memmove; rows it lacks are ignored.  Returns ``reference`` itself
-    when it holds none of them."""
+    memmove; rows it lacks are ignored.  Returns that table
+    (``reference`` itself when it holds none of them) and the removed
+    rows' positions in ``reference``, as ``numpy.delete`` takes them."""
     positions, found = locate_rows(reference, table)
-    if not found.any():
-        return reference
-    return numpy.delete(reference, positions[found], axis=0)
+    positions = positions[found]
+    if not len(positions):
+        return reference, positions
+    return numpy.delete(reference, positions, axis=0), positions
 
 
 def _finalise(name: str, table: Any, domain_size: int) -> Columns:

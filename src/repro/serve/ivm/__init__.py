@@ -167,6 +167,12 @@ class IvmManager:
             self.store.resized(variant)
         return result
 
+    def keep_answers(self, variant: Any, version: int, views: Any) -> None:
+        """Retain the answers served in plan head order at ``version``."""
+        state = self.store._states.get(variant)
+        if state is not None and state.version == version:
+            state.answers = views
+
     def fast_forward(self, old_version: int, new_version: int) -> None:
         """Advance every state pinned at ``old_version`` across a
         no-op version bump (contents identical by definition)."""

@@ -20,6 +20,9 @@ The merge replays a plan's rounds over *only the changed rows*:
    duplicate-free union full execution performs, bit-identical by
    construction.  Rows stay int64 tables throughout; a view's delta
    reaches the next round's routing as lists of ints.
+4. The answer table's splice leaves with the previous reply's JSON,
+   if built: the new reply is derived from those bytes
+   (:func:`~repro.serve.service.splice_answers`), not re-encoded.
 
 All patches accumulate in temporaries and commit only on success: a
 deadline expiring mid-merge (or a synthesised capacity error) leaves
@@ -65,6 +68,11 @@ class MergeSuccess:
     per_server: tuple[int, ...]
     report: SimulationReport
     view_sizes: dict[str, int]
+    #: ``(removed, inserted_at, rows)``: ``numpy.insert(numpy.delete(
+    #: old, removed, 0), inserted_at, rows, 0)`` of the previous
+    #: answer table ``old`` is ``table``; ``reply`` is ``old``'s JSON.
+    splice: tuple[Any, Any, Any]
+    reply: bytes | None
 
 
 @dataclass(frozen=True)
@@ -150,8 +158,8 @@ def merge_state(
     patched_tables: dict[tuple[str | None, int], object] = {}
     patched_merged: dict[str | None, object] = {}
     affected: dict[str, set[int]] = {}
-    #: Refreshed site -> the ``(gained, lost)`` rows of its merged table.
-    spliced: dict[str | None, tuple[Any, Any]] = {}
+    #: Refreshed site -> its merged table's lost rows and splice.
+    spliced: dict[str | None, tuple[Any, Any, Any, Any]] = {}
     new_rounds: list[RoundStats] = []
 
     def fragment_of(key: str, worker: int):
@@ -204,9 +212,10 @@ def merge_state(
                 lost, numpy.concatenate([lost[:0]] + others)
             )
             lost = numpy.delete(lost, positions[held], axis=0)
-        merged, fresh = insert_rows(remove_rows(site.merged, lost), [gained])
+        kept, removed = remove_rows(site.merged, lost)
+        merged, fresh, inserted_at = insert_rows(kept, [gained])
         patched_merged[site.name] = merged
-        spliced[site.name] = (fresh, lost)
+        spliced[site.name] = (lost, removed, inserted_at, fresh)
         return fresh.tolist(), lost.tolist()
 
     for round_index, plan_round in enumerate(plan.rounds):
@@ -287,26 +296,30 @@ def merge_state(
         site = state.collect
         assert site is not None
         refresh_site(site)
-        table = patched_merged.get(site.name, site.merged)
+    else:
+        assert isinstance(finalize, FinalizeView)
+        site = state.views[finalize.view]
+    table = patched_merged.get(site.name, site.merged)
+    unmoved = numpy.zeros(0, dtype=numpy.intp)
+    lost, *splice = spliced.get(
+        site.name, (table[:0], unmoved, unmoved, table[:0])
+    )
+    per_server = ()
+    if isinstance(finalize, CollectAnswers):
         per_server = tuple(
             len(patched_tables.get((site.name, worker), table))
             for worker, table in enumerate(site.tables)
         ) + (0,) * (p - site.workers)
-    else:
-        assert isinstance(finalize, FinalizeView)
-        site = state.views[finalize.view]
-        table = patched_merged.get(site.name, site.merged)
-        if state.projected is not None:
-            # A permuted finalize keeps its head-order table current.
-            # The head permutes the view's columns, so projecting is a
-            # bijection and the view's delta is the table's.
-            positions = [site.query.head.index(v) for v in finalize.head]
-            fresh, lost = spliced.get(site.name, (table[:0], table[:0]))
-            table, _ = insert_rows(
-                remove_rows(state.projected, lost[:, positions]),
-                [fresh[:, positions]],
-            )
-        per_server = ()
+    elif state.projected is not None:
+        # A permuted finalize keeps its head-order table current.
+        # The head permutes the view's columns, so projecting is a
+        # bijection and the view's delta is the table's.
+        positions = [site.query.head.index(v) for v in finalize.head]
+        kept, removed = remove_rows(state.projected, lost[:, positions])
+        table, fresh, inserted_at = insert_rows(
+            kept, [splice[2][:, positions]]
+        )
+        splice = [removed, inserted_at, fresh]
 
     view_sizes = {
         name: len(patched_merged.get(name, view.merged))
@@ -327,7 +340,8 @@ def merge_state(
     state.report_rounds = tuple(new_rounds)
     state.input_bits = new_input_bits
     state.version = composed.new_version
-    state.recount_bytes()
+    state.recount_bytes()  # with the reply the next one derives from
+    previous, state.answers = state.answers, None
 
     return MergeSuccess(
         table=table,
@@ -336,4 +350,6 @@ def merge_state(
             input_bits=new_input_bits, rounds=list(new_rounds)
         ),
         view_sizes=view_sizes,
+        splice=tuple(splice),
+        reply=None if previous is None else previous.encoded,
     )

@@ -91,6 +91,8 @@ class RetainedState:
     input_bits: int
     step_bits: dict[tuple[int, int], int]
     projected: Any = None
+    #: The ``AnswerViews`` a run at ``version`` served in plan head order.
+    answers: Any = None
     nbytes: int = 0
 
     def recount_bytes(self) -> int:
@@ -107,6 +109,8 @@ class RetainedState:
             total += int(site.merged.nbytes)
         if self.projected is not None:
             total += int(self.projected.nbytes)
+        if self.answers is not None and self.answers.encoded is not None:
+            total += len(self.answers.encoded)  # the reply, once built
         self.nbytes = total
         return total
 

@@ -42,7 +42,9 @@ the entry (:class:`~repro.serve.service.AnswerViews`) -- and spliced
 into every reply line that carries it without being encoded again.  A
 streamed ``batch`` line encodes its slice of the table.  Both are
 written by :func:`~repro.serve.service.encode_answers`, straight from
-the int64 table, without building Python rows.
+the int64 table, without building Python rows -- except that a
+merged read's reply is the previous reply's bytes with the merge's row
+splice applied (:func:`~repro.serve.service.splice_answers`).
 
 **Concurrency and coalescing.**  The session object is not
 thread-safe: its planner/profile caches, plan cache and pooled

@@ -208,17 +208,62 @@ def encode_answers(table: Any) -> bytes:
         position -= 1
 
 
+def _row_edges(encoded: bytes) -> Any:
+    """Rows ``a:b`` of a reply are ``encoded[edges[a] + 1:edges[b]]``:
+    cells hold digits and signs only, so each row ends at a ``"]"``."""
+    buffer = numpy.frombuffer(encoded, dtype=numpy.uint8)
+    ends = numpy.flatnonzero(buffer == ord("]"))
+    return numpy.concatenate(([0], ends[:-1] + 1))
+
+
+def splice_answers(
+    encoded: bytes, removed: Any, inserted_at: Any, rows: Any
+) -> bytes:
+    """The reply of a spliced table, from the reply of the table before.
+
+    ``encode_answers(numpy.insert(numpy.delete(table, removed, 0),
+    inserted_at, rows, 0))`` for ``encoded = encode_answers(table)``,
+    distinct ``removed`` and non-decreasing ``inserted_at`` (both >= 0),
+    byte for byte: kept rows are copied, only ``rows`` are encoded.
+    """
+    removed = numpy.unique(numpy.asarray(removed, dtype=numpy.intp))
+    added = encode_answers(rows)
+    old, new = _row_edges(encoded), _row_edges(added)
+    encoded_v, added_v = memoryview(encoded), memoryview(added)
+    pieces = []
+    # Old rows from ``start`` on are pending; new row ``j`` goes before
+    # old row ``inserted_at[j] + i`` unless removed row ``i`` is first.
+    start = i = j = 0
+    while i < len(removed) or j < len(inserted_at):
+        if j == len(inserted_at) or (
+            i < len(removed) and removed[i] <= inserted_at[j] + i
+        ):
+            stop, resume, i = removed[i], removed[i] + 1, i + 1
+        else:
+            stop = resume = inserted_at[j] + i
+        pieces.append(encoded_v[old[start] + 1:old[stop]])
+        if stop == resume:
+            pieces.append(added_v[new[j] + 1:new[j + 1]])
+            j += 1
+        start = resume
+    pieces.append(encoded_v[old[start] + 1:old[-1]])
+    return b"[" + b",".join(piece for piece in pieces if piece) + b"]"
+
+
 class AnswerViews:
     """An answer table and its tuple and JSON views, each built once.
 
     Every :class:`Result` served from one result-cache entry in one
     head order shares one instance, so the table is made read-only.
-    Pickling keeps the table only.
+    A merged table's JSON may be derived: :attr:`json` passes
+    ``derived_from`` -- the previous reply and the merge's splice -- to
+    :func:`splice_answers` and drops it.  Pickling keeps the table only.
     """
 
-    def __init__(self, table: Any) -> None:
+    def __init__(self, table: Any, derived_from: tuple | None = None) -> None:
         table.flags.writeable = False
         self.table = table
+        self._derived_from = derived_from
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -226,7 +271,15 @@ class AnswerViews:
 
     @cached_property
     def json(self) -> bytes:
-        return encode_answers(self.table)
+        derived_from, self._derived_from = self._derived_from, None
+        if derived_from is None:
+            return encode_answers(self.table)
+        return splice_answers(*derived_from)
+
+    @property
+    def encoded(self) -> bytes | None:
+        """:attr:`json` if built, else None (never builds it)."""
+        return self.__dict__.get("json")
 
     def __reduce__(self) -> tuple:
         return (AnswerViews, (self.table,))
@@ -507,6 +560,9 @@ class QueryService:
             self.stats.capacity_failures += 1
             raise outcome.error
         views = outcome.answer_views(rebind)
+        # In plan head order ``remap_table`` returns the table itself.
+        if not (cached or self.ivm is None) and views.table is outcome.table:
+            self.ivm.keep_answers(variant, version, views)
         self.stats.answers_served += len(views.table)
         explain = choice.explain
         if ivm_status is not None:
@@ -628,15 +684,17 @@ class QueryService:
         if isinstance(served, MergeSuccess):
             self.stats.executions += 1
             self.stats.ivm_hits += 1
-            return (
-                _Outcome(
-                    served.report,
-                    served.table,
-                    served.per_server,
-                    view_sizes=served.view_sizes,
-                ),
-                "merged",
+            outcome = _Outcome(
+                served.report,
+                served.table,
+                served.per_server,
+                view_sizes=served.view_sizes,
             )
+            if served.reply is not None:  # plan head order, derived
+                outcome.heads[tuple(range(served.table.shape[1]))] = (
+                    AnswerViews(served.table, (served.reply, *served.splice))
+                )
+            return outcome, "merged"
         if isinstance(served, MergeCapacity):
             self.stats.executions += 1
             self.stats.ivm_hits += 1

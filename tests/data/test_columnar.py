@@ -219,12 +219,15 @@ class TestSortedTableProbes:
         assert absent_rows(probes, reference).tolist() == [
             list(probe) for probe in probe_rows if probe not in set(ordered)
         ]
-        merged, fresh = insert_rows(reference, [probes])
+        merged, fresh, inserted_at = insert_rows(reference, [probes])
         union = sorted(set(reference_rows) | set(probe_rows))
         assert merged.tolist() == [list(r) for r in union]
         assert fresh.tolist() == [
             list(r) for r in sorted(set(probe_rows) - set(ordered))
         ]
+        assert numpy.array_equal(
+            numpy.insert(reference, inserted_at, fresh, axis=0), merged
+        )
         if not len(fresh):
             assert merged is reference
 
@@ -247,10 +250,13 @@ class TestSortedTableProbes:
             st.permutations(held + data.draw(st.lists(row, max_size=6)))
         )
         reference = sorted_unique_rows(_table(reference_rows, arity))
-        kept = remove_rows(reference, _table(probe_rows, arity))
+        kept, removed = remove_rows(reference, _table(probe_rows, arity))
         expected = sorted(set(reference_rows) - set(probe_rows))
         assert kept.shape == (len(expected), arity)
         assert kept.tolist() == [list(r) for r in expected]
+        assert numpy.array_equal(
+            numpy.delete(reference, removed, axis=0), kept
+        )
         if not set(reference_rows) & set(probe_rows):
             assert kept is reference
 

@@ -24,7 +24,7 @@ from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
 from repro.serve.cache import CacheRebind
-from repro.serve.service import encode_answers
+from repro.serve.service import encode_answers, splice_answers
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -132,6 +132,83 @@ def test_encoder_matches_json_dumps_in_head_order(case):
         numpy.asfortranarray(remapped),
     ):
         assert encode_answers(view) == _dumped(view)
+
+
+def _spliced(table, removed, inserted_at, rows):
+    """The table a splice describes, as numpy spells it."""
+    kept = numpy.delete(table, numpy.array(removed, dtype=numpy.intp), 0)
+    return numpy.insert(
+        kept, numpy.array(inserted_at, dtype=numpy.intp), rows, 0
+    )
+
+
+@st.composite
+def splices(draw):
+    """A table (not necessarily sorted), distinct positions to remove
+    in any order (sometimes all of them), and rows to insert among the
+    kept ones at non-decreasing points, several at one point included."""
+    arity = draw(st.integers(0, 4))
+    row = st.tuples(*[cells] * arity)
+    before = draw(st.lists(row, max_size=12))
+    table = numpy.array(before, dtype=numpy.int64).reshape(len(before), arity)
+    if before and draw(st.booleans()):
+        removed = list(range(len(before)))
+    else:
+        removed = draw(
+            st.lists(
+                st.integers(0, max(len(before) - 1, 0)),
+                max_size=len(before),
+                unique=True,
+            )
+        )
+    kept = len(before) - len(removed)
+    inserted_at = sorted(draw(st.lists(st.integers(0, kept), max_size=6)))
+    added = draw(
+        st.lists(row, min_size=len(inserted_at), max_size=len(inserted_at))
+    )
+    rows = numpy.array(added, dtype=numpy.int64).reshape(len(added), arity)
+    return table, removed, inserted_at, rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(splices())
+def test_splice_matches_encoding_the_spliced_table(case):
+    table, removed, inserted_at, rows = case
+    after = _spliced(table, removed, inserted_at, rows)
+    spliced = splice_answers(encode_answers(table), removed, inserted_at, rows)
+    assert spliced == encode_answers(after) == _dumped(after)
+
+
+def test_splice_edges():
+    """Empty before and after, removing every row, inserting at 0, at
+    the end and several rows at one point, and int64's extremes."""
+    extremes = numpy.array(
+        [[INT64.min, -1, 0], [-7, 12, INT64.max], [3, -(10**18), 10**18]],
+        dtype=numpy.int64,
+    )
+    empty = extremes[:0]
+    none = numpy.zeros(0, dtype=numpy.intp)
+    cases = [
+        (empty, none, [0, 0], extremes[:2]),  # empty before
+        (extremes, [0, 1, 2], none, empty),  # every row removed
+        (extremes, [2, 0, 1], [0], extremes[1:2]),  # ... and one back
+        (extremes, none, [0], extremes[2:]),  # at the front
+        (extremes, none, [3, 3, 3], extremes),  # at the end, three
+        (extremes, [1], [0, 1, 1], extremes),  # several at one point
+        (extremes, none, none, empty),  # nothing changes
+    ]
+    for table, removed, inserted_at, rows in cases:
+        after = _spliced(table, removed, inserted_at, rows)
+        encoded = encode_answers(table)
+        assert splice_answers(
+            encoded, removed, inserted_at, rows
+        ) == _dumped(after)
+    # Width 0: every row is the one empty row.
+    table = numpy.empty((3, 0), dtype=numpy.int64)
+    rows = numpy.empty((2, 0), dtype=numpy.int64)
+    assert splice_answers(encode_answers(table), [1], [0, 2], rows) == (
+        b"[[],[],[],[]]"
+    )
 
 
 @pytest.mark.parametrize("dtype", [numpy.float64, numpy.int32])

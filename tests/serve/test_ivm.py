@@ -75,6 +75,8 @@ def _fresh_rows(session, relation, count, avoid=()):
 
 def _assert_parity(served, control):
     assert served.answers == control.answers
+    # Built on every read, so the next merge derives its reply.
+    assert served.answer_views.json == control.answer_views.json
     assert served.per_server == control.per_server
     assert served.report.input_bits == control.report.input_bits
     assert len(served.report.rounds) == len(control.report.rounds)

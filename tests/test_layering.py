@@ -265,11 +265,12 @@ def test_local_join_builds_no_direct_address_table():
 
 def test_replies_build_no_python_rows():
     service = ast.parse((ROOT / "serve" / "service.py").read_text())
-    (encoder,) = [
-        node
+    kernels = {
+        node.name: node
         for node in service.body
-        if isinstance(node, ast.FunctionDef) and node.name == "encode_answers"
-    ]
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("encode_answers", "splice_answers", "_row_edges")
+    }
     rpc = ast.parse((ROOT / "serve" / "rpc.py").read_text())
 
     def methods(tree):
@@ -281,7 +282,9 @@ def test_replies_build_no_python_rows():
         }
 
     assert "tolist" not in methods(rpc)
-    assert methods(encoder).isdisjoint({"tolist", "dumps"})
+    assert len(kernels) == 3
+    for kernel in kernels.values():
+        assert methods(kernel).isdisjoint({"tolist", "dumps", "decode"})
 
 
 def test_serving_without_fanout_never_loads_multiprocessing():

@@ -14,8 +14,8 @@ n=10^5 and records its absolute time in BENCH_segmented_speedup.json
 stays in one series) next to the peak-memory fields
 (``tracemalloc_peak``, ``peak_rss_bytes``); the run fails if peak
 memory blows its ceiling.  Answers and per-server counts are checked
-against the row-path reference (``evaluate_query`` per worker) on a
-small-n twin of the same round.
+against the backtracking join (``evaluate_query``) over each worker's
+pooled rows on a small-n twin of the same round.
 
 Set ``REPRO_BENCH_XL=1`` to also run the n=10^6 leg.  Since the
 streamed round pipeline landed, that leg routes in column blocks and
@@ -81,8 +81,14 @@ def _route_l8(n: int, p: int):
     return query, simulator, list(range(allocation.used_servers))
 
 
-#: The small-n twin the row-path oracle can afford.
+#: The small-n twin the backtracking join can afford.
 ORACLE_N = 2_000
+
+
+def _pooled_rows(simulator, worker, relation):
+    """One worker's delivered rows of ``relation``, as tuples."""
+    columns = simulator.relation_pool(relation).worker_slice(worker)
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def test_segmented_local_eval(once):
@@ -129,14 +135,14 @@ def test_segmented_local_eval(once):
         f"{MEMORY_CEILING_BYTES}"
     )
     # The same round at oracle size: identical local semantics to the
-    # row-path reference, worker by worker.
+    # backtracking join, worker by worker.
     query, simulator, workers = _route_l8(ORACLE_N, SPEEDUP_P)
     merged, per_server = evaluate(query, simulator, workers)
     reference = [
         evaluate_query(
             query,
             {
-                atom.name: simulator.worker_rows(worker, atom.name)
+                atom.name: _pooled_rows(simulator, worker, atom.name)
                 for atom in query.atoms
             },
         )

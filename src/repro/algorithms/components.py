@@ -37,6 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
+
+import numpy
 
 from repro.core.query import Atom
 from repro.data.columnar import ColumnarRelation
@@ -253,19 +256,29 @@ def run_dense_two_round(
 
     simulator.begin_round()
     for worker, edges in fragments.items():
-        forest = _spanning_forest(edges)
-        simulator.send(worker, 0, "forest", forest, edge_bits)
+        forest = _pair_columns(_spanning_forest(edges))
+        simulator.send_columns(
+            worker, numpy.zeros(len(forest[0]), dtype=numpy.int64),
+            "forest", forest, edge_bits,
+        )
     simulator.end_round()
 
     # Coordinator merges forests.
-    merged = simulator.worker_rows(0, "forest")
+    pool = simulator.relation_pool("forest")
+    merged = [] if pool is None else zip(
+        *(column.tolist() for column in pool.worker_slice(0))
+    )
     labels = _union_find_labels(graph.num_vertices, merged)
 
     # Round 2: broadcast labels to every worker.
-    label_rows = sorted(labels.items())
+    label_rows = _pair_columns(sorted(labels.items()))
+    count = len(label_rows[0])
     simulator.begin_round()
-    for worker in range(p):
-        simulator.send(0, worker, "labels", label_rows, edge_bits)
+    simulator.send_columns(
+        0, numpy.repeat(numpy.arange(p, dtype=numpy.int64), count),
+        "labels", label_rows, edge_bits,
+        row_indices=numpy.tile(numpy.arange(count, dtype=numpy.int64), p),
+    )
     simulator.end_round()
 
     return ComponentsResult(
@@ -274,6 +287,12 @@ def run_dense_two_round(
         correct=labels == graph.labels,
         report=simulator.report,
     )
+
+
+def _pair_columns(pairs: list[tuple[int, int]]) -> tuple:
+    """Two int64 columns holding ``pairs``."""
+    table = numpy.array(pairs, dtype=numpy.int64).reshape(len(pairs), 2)
+    return (table[:, 0].copy(), table[:, 1].copy())
 
 
 def _spanning_forest(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -297,7 +316,7 @@ def _spanning_forest(edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _union_find_labels(
-    num_vertices: int, edges: list[tuple[int, ...]]
+    num_vertices: int, edges: Iterable[tuple[int, ...]]
 ) -> dict[int, int]:
     """Labels (component minimum) from an edge list."""
     parent = list(range(num_vertices + 1))

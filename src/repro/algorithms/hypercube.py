@@ -68,9 +68,8 @@ def hc_destinations(
     equality check runs *before* any hashing so contradictory rows
     short-circuit without wasted hash work.
 
-    Thin wrapper over :meth:`repro.engine.steps.HashRoute.destinations`
-    (kept as the public per-row routing oracle; the partial-coverage
-    algorithm and the routing tests use it directly).
+    Thin wrapper over :meth:`repro.engine.steps.HashRoute.destinations`:
+    the per-row routing rule, called only by the routing tests.
     """
     step = HashRoute(
         relation=atom.name,

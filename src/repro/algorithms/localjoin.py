@@ -224,7 +224,7 @@ def evaluate_query_table_segmented(
             else numpy.asarray(segments[atom.name], dtype=numpy.int64)
         )
         if not assume_unique:
-            # Mailboxes could in principle hold repeats.  Dedup
+            # Deliveries could in principle hold repeats.  Dedup
             # *within* each segment: unique over (segment, row).
             keyed = columns if segment is None else (segment,) + columns
             stacked = sorted_unique_rows(numpy.column_stack(keyed))

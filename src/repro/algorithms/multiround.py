@@ -49,7 +49,7 @@ from repro.mpc.routing import HashFamily
 
 
 def _step_key(step: PlanStep, atom_name: str) -> str:
-    """Mailbox namespace: operator output x input relation."""
+    """Delivery-key namespace: operator output x input relation."""
     return f"{step.output}:{atom_name}"
 
 

@@ -76,9 +76,8 @@ from repro.engine.streaming import (
     route_block_counts,
     route_range,
 )
-from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
-from repro.mpc.simulator import MPCSimulator
+from repro.mpc.simulator import MPCSimulator, input_server
 from repro.mpc.stats import RoundStats, SimulationReport
 
 if TYPE_CHECKING:
@@ -252,8 +251,8 @@ class PlanExecution:
 
     Attributes:
         plan: the executed plan.
-        simulator: the simulator after the run (callers post-process
-            fragment counts, reports, mailboxes from here).
+        simulator: the simulator after the run (callers read the
+            report and the delivery pools from here).
         table: the finalized answers as one sorted duplicate-free
             int64 ``(rows, arity)`` table in the plan query's head
             order (empty when ``plan.finalize`` is None).
@@ -308,8 +307,8 @@ def plan_simulator(
     """A simulator for one execution of ``plan``.
 
     Passing an existing ``simulator`` (the serving layer's reuse path)
-    resets it in place instead of allocating ``p`` fresh mailboxes;
-    its configuration must match the plan's.
+    resets it in place instead of building a new one; its
+    configuration must match the plan's.
     """
     config = plan_config(plan)
     if simulator is None:

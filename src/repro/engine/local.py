@@ -211,8 +211,6 @@ def _merged_answer_table(
     Raises:
         ValueError: when ``workers`` is not the prefix ``0..k-1``
             (shards are contiguous worker ranges).
-        RuntimeError: when some atom saw row-path deliveries, which no
-            delivery pool holds.
         DeadlineExceeded: when ``deadline`` expires before a shard.
     """
     workers = list(workers)
@@ -222,12 +220,6 @@ def _merged_answer_table(
             "local evaluation shards the worker prefix 0..k-1; "
             f"got {workers}"
         )
-    for atom in query.atoms:
-        if simulator.has_row_deliveries(key_of(atom.name)):
-            raise RuntimeError(
-                f"relation {key_of(atom.name)!r} received row-path "
-                "deliveries; local evaluation reads delivery pools only"
-            )
     results = []
     for lo, hi in _plan_eval_shards(query, simulator, k, key_of):
         if deadline is not None:

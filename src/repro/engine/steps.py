@@ -43,7 +43,7 @@ from typing import Any, Mapping, Sequence
 import numpy
 
 from repro.core.query import Atom
-from repro.mpc.message import Endpoint
+from repro.mpc.simulator import Endpoint
 from repro.mpc.routing import (
     HashFamily,
     grid_size,

@@ -20,7 +20,6 @@ silent afterwards -- exactly the model the lower bounds assume.
 """
 
 from repro.mpc.model import MPCConfig
-from repro.mpc.message import Message
 from repro.mpc.simulator import (
     CapacityExceeded,
     MPCSimulator,
@@ -36,7 +35,6 @@ from repro.mpc.routing import (
 
 __all__ = [
     "MPCConfig",
-    "Message",
     "CapacityExceeded",
     "MPCSimulator",
     "ProtocolError",

@@ -5,37 +5,34 @@ Usage pattern (one HyperCube round)::
     simulator = MPCSimulator(config, input_bits=database.total_bits)
     simulator.begin_round()
     for relation in database:
-        for row in relation:
-            for worker in destinations(row):
-                simulator.send_from_input(relation.name, worker, [row],
-                                          bits_per_tuple=relation.tuple_bits)
+        receivers, row_indices = route(relation)  # one entry per copy
+        simulator.send_columns(
+            input_server(relation.name), receivers, relation.name,
+            relation.columns, bits_per_tuple=relation.tuple_bits,
+            row_indices=row_indices,
+        )
     stats = simulator.end_round()
-    rows_at_3 = simulator.mailbox(3).rows("S1")
+    columns_at_3 = simulator.relation_pool("S1").worker_slice(3)
 
-Staging is columnar-first: row sends accumulate into per-(receiver,
-relation) batch buffers and per-worker bit/tuple totals are kept as
-running aggregates (no per-message object allocation), while the
-vectorized path ships a whole relation's routing decision in one
-:meth:`MPCSimulator.send_columns` call -- an array of destination
-workers plus the source columns -- and the simulator bin-counts the
-load and pools the deliveries at round end.
+The network is columnar only: a send ships a whole routing decision
+-- an array of destination workers plus the source columns -- in one
+:meth:`MPCSimulator.send_columns` call; per-worker bit/tuple totals
+are bincounted at once and the deliveries pooled at round end.
 
-Columnar delivery is *pooled*: all of a relation's staged column sends
-for the round are gathered into one contiguous :class:`ColumnPool`
-whose rows are grouped by receiving worker, with a
-``(worker -> offset range)`` index.  Every pool -- a round's stages at
-:meth:`MPCSimulator.end_round`, several rounds' pools merged for
-:meth:`MPCSimulator.relation_pool`, a streamed recipe's blocks in
-:meth:`MPCSimulator.pool_shard` -- is grouped by the one constructor in
-:mod:`repro.engine.streaming`: ``bin_block`` (one stable sort of a
-routed row range by receiver) feeding a ``PoolBuilder`` (per-worker
-merge; a single range passes through as the pool).  Each
-worker's mailbox fragment is then a zero-copy basic slice of the pool;
-the segmented local join reads contiguous worker ranges of it via
-:meth:`MPCSimulator.pool_shard`, and fleet-wide consumers (IVM state
-capture, hash-to-min) the whole pool plus the index via
-:meth:`MPCSimulator.relation_pool`, without any per-worker
-concatenation.
+All of a relation's staged sends for a round are gathered into one
+contiguous :class:`ColumnPool` whose rows are grouped by receiving
+worker, with a ``(worker -> offset range)`` index.  Every pool -- a
+round's stages at :meth:`MPCSimulator.end_round`, several rounds'
+pools merged for :meth:`MPCSimulator.relation_pool`, a streamed
+recipe's blocks in :meth:`MPCSimulator.pool_shard` -- is grouped by
+the one constructor in :mod:`repro.engine.streaming`: ``bin_block``
+(one stable sort of a routed row range by receiver) feeding a
+``PoolBuilder`` (per-worker merge; a single range passes through as
+the pool).  A worker's fragment is a zero-copy basic slice of the
+pool: the segmented local join reads contiguous worker ranges of it
+via :meth:`MPCSimulator.pool_shard`, and fleet-wide consumers (IVM
+state capture, hash-to-min, the dense two-round coordinator) the whole
+pool plus the index via :meth:`MPCSimulator.relation_pool`.
 
 The simulator enforces the model's ground rules:
 
@@ -56,13 +53,21 @@ The simulator enforces the model's ground rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 import numpy
 
-from repro.mpc.message import Endpoint, Mailbox, input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.stats import RoundStats, SimulationReport
+
+#: A sender: a worker index, or an input-server label (``"input:S1"``).
+#: Receivers are always worker indices.
+Endpoint = int | str
+
+
+def input_server(relation: str) -> str:
+    """The endpoint label of the input server holding ``relation``."""
+    return f"input:{relation}"
 
 
 class ProtocolError(Exception):
@@ -115,7 +120,6 @@ class _ColumnStage:
     relation: str
     receivers: Any
     columns: tuple
-    bits_per_tuple: int
     row_indices: Any | None = None
     source_sorted: bool = False
 
@@ -203,32 +207,30 @@ class MPCSimulator:
         self.input_bits = input_bits
         self.enforce_capacity = enforce_capacity
         self.report = SimulationReport(input_bits=input_bits)
-        self._mailboxes = [Mailbox() for _ in range(config.p)]
         self._round_index = 0
         self._in_round = False
-        # Columnar deliveries pooled per relation (kept across rounds,
-        # like mailboxes: workers remember everything they received).
+        # Deliveries pooled per relation (kept across rounds: workers
+        # remember everything they received).
         self._pools: dict[str, list[ColumnPool]] = {}
         self._merged_pools: dict[str, ColumnPool] = {}
         # Streamed (lazy) deliveries per relation: re-routable recipes
         # plus per-worker delivered tuple counts.  Loads were accounted
         # when the contribution was staged; rows are materialised on
-        # demand one worker shard at a time (never into mailboxes).
+        # demand one worker shard at a time.
         self._lazy: dict[str, list[Any]] = {}
         self._lazy_counts: dict[str, Any] = {}
-        # Relations that ever received row-path deliveries; their
-        # pools (if any) are incomplete, so pooled consumers get None
-        # and only the per-worker mailbox view holds every row.
-        self._row_delivered: set[str] = set()
         self._reset_staging()
 
     def _reset_staging(self) -> None:
-        p = self.config.p
-        self._staged_rows: dict[tuple[int, str], list[tuple[int, ...]]] = {}
         self._staged_columns: list[_ColumnStage] = []
         self._staged_lazy: list[tuple[str, Any, Any]] = []
-        self._received_bits = [0] * p
-        self._received_tuples = [0] * p
+        self._received_bits = numpy.zeros(self.config.p, dtype=numpy.int64)
+        self._received_tuples = numpy.zeros(self.config.p, dtype=numpy.int64)
+
+    def _charge(self, counts: Any, bits_per_tuple: int) -> None:
+        """Account ``counts[w]`` tuples of ``bits_per_tuple`` to each ``w``."""
+        self._received_tuples += counts
+        self._received_bits += counts * bits_per_tuple
 
     def reset(
         self,
@@ -238,8 +240,8 @@ class MPCSimulator:
         """Return the simulator to its just-constructed state.
 
         The serving layer reuses one simulator across many plan
-        executions instead of allocating ``p`` mailboxes per request;
-        a reset drops every mailbox, delivery pool and report while
+        executions; a reset drops every delivery pool, streamed
+        recipe and the report while
         keeping the configuration.  Optionally rebinds the input size
         (databases mutate between requests) and capacity enforcement.
 
@@ -254,14 +256,11 @@ class MPCSimulator:
         if enforce_capacity is not None:
             self.enforce_capacity = enforce_capacity
         self.report = SimulationReport(input_bits=self.input_bits)
-        for mailbox in self._mailboxes:
-            mailbox.clear()
         self._round_index = 0
         self._pools.clear()
         self._merged_pools.clear()
         self._lazy.clear()
         self._lazy_counts.clear()
-        self._row_delivered.clear()
         self._reset_staging()
 
     # -- round lifecycle ----------------------------------------------------
@@ -295,21 +294,19 @@ class MPCSimulator:
         if not self._in_round:
             raise ProtocolError("no round in progress")
         capacity = self.config.capacity_bits(self.input_bits)
+        received_bits = self._received_bits.tolist()
         if self.enforce_capacity:
-            for worker, bits in enumerate(self._received_bits):
+            for worker, bits in enumerate(received_bits):
                 if bits > capacity:
                     raise CapacityExceeded(
                         worker, bits, capacity, self._round_index
                     )
-        for (receiver, relation), rows in self._staged_rows.items():
-            self._mailboxes[receiver].deliver_rows(relation, rows)
-            self._row_delivered.add(relation)
         self._deliver_column_pools()
         self._commit_lazy()
         stats = RoundStats(
             round_index=self._round_index,
-            received_bits=tuple(self._received_bits),
-            received_tuples=tuple(self._received_tuples),
+            received_bits=tuple(received_bits),
+            received_tuples=tuple(self._received_tuples.tolist()),
             capacity_bits=capacity,
         )
         self.report.rounds.append(stats)
@@ -318,17 +315,16 @@ class MPCSimulator:
         return stats
 
     def _deliver_column_pools(self) -> None:
-        """Pool the round's column stages per relation and deliver.
+        """Pool the round's column stages per relation.
 
         Every stage is one routed row range: it is grouped by receiving
         worker with the bin consumer the streamed path uses
         (:func:`~repro.engine.streaming.bin_block`, one stable sort)
         and a relation's stages merge through a
         :class:`~repro.engine.streaming.PoolBuilder` -- which hands a
-        single stage's grouping through as the pool.  Each worker's
-        mailbox fragment is then a zero-copy basic slice of the pooled
-        columns, and the pool plus its offset index stays available
-        fleet-wide through :meth:`relation_pool`.
+        single stage's grouping through as the pool, which stays
+        available fleet-wide through :meth:`relation_pool` and by
+        worker range through :meth:`pool_shard`.
         """
         if not self._staged_columns:
             return
@@ -345,14 +341,8 @@ class MPCSimulator:
                 sorted_block=stage.source_sorted,
             )
         for relation, builder in builders.items():
-            pool = builder.finalize()
-            self._pools.setdefault(relation, []).append(pool)
+            self._pools.setdefault(relation, []).append(builder.finalize())
             self._merged_pools.pop(relation, None)
-            for worker in range(p):
-                if pool.worker_count(worker):
-                    self._mailboxes[worker].deliver_columns(
-                        relation, pool.worker_slice(worker)
-                    )
 
     def _commit_lazy(self) -> None:
         """Commit the round's streamed deliveries as worker state.
@@ -363,8 +353,6 @@ class MPCSimulator:
         :class:`CapacityExceeded` leaves the contribution unstaged,
         exactly as a whole-shipped delivery would never have pooled.
         """
-        if not self._staged_lazy:
-            return
         for relation, contribution, counts in self._staged_lazy:
             self._lazy.setdefault(relation, []).append(contribution)
             existing = self._lazy_counts.get(relation)
@@ -376,21 +364,12 @@ class MPCSimulator:
 
     # -- sending --------------------------------------------------------------
 
-    def _validate_send(
-        self,
-        sender: Endpoint,
-        receiver: int | None,
-        bits_per_tuple: int,
-    ) -> None:
+    def _validate_send(self, sender: Endpoint, bits_per_tuple: int) -> None:
         if not self._in_round:
             raise ProtocolError("send outside of a round")
         if bits_per_tuple < 0:
             raise ValueError(
                 f"bits_per_tuple must be >= 0, got {bits_per_tuple}"
-            )
-        if receiver is not None and not 0 <= receiver < self.config.p:
-            raise ProtocolError(
-                f"receiver {receiver} outside [0, {self.config.p})"
             )
         if isinstance(sender, int) and not 0 <= sender < self.config.p:
             raise ProtocolError(
@@ -405,33 +384,6 @@ class MPCSimulator:
                 "input servers may send only during round 1 "
                 f"(round {self._round_index})"
             )
-
-    def send(
-        self,
-        sender: Endpoint,
-        receiver: int,
-        relation: str,
-        rows: Iterable[Sequence[int]],
-        bits_per_tuple: int,
-    ) -> None:
-        """Stage a batch of tuples for delivery at round end.
-
-        Args:
-            sender: worker index, or an input-server label.
-            receiver: destination worker index.
-            relation: relation/view name the rows belong to.
-            rows: the tuples.
-            bits_per_tuple: exact per-tuple cost in bits.
-        """
-        self._validate_send(sender, receiver, bits_per_tuple)
-        materialised = [tuple(row) for row in rows]
-        if not materialised:
-            return
-        self._staged_rows.setdefault((receiver, relation), []).extend(
-            materialised
-        )
-        self._received_bits[receiver] += len(materialised) * bits_per_tuple
-        self._received_tuples[receiver] += len(materialised)
 
     def send_columns(
         self,
@@ -465,7 +417,7 @@ class MPCSimulator:
                 (lets the pool keep worker fragments pre-sorted; see
                 :class:`ColumnPool`).
         """
-        self._validate_send(sender, None, bits_per_tuple)
+        self._validate_send(sender, bits_per_tuple)
         receivers = numpy.asarray(receivers, dtype=numpy.int64)
         if row_indices is not None:
             row_indices = numpy.asarray(row_indices, dtype=numpy.int64)
@@ -495,17 +447,15 @@ class MPCSimulator:
             raise ProtocolError(
                 f"receiver {offender} outside [0, {self.config.p})"
             )
-        counts = numpy.bincount(receivers, minlength=self.config.p)
-        for worker, count in enumerate(counts.tolist()):
-            if count:
-                self._received_bits[worker] += count * bits_per_tuple
-                self._received_tuples[worker] += count
+        self._charge(
+            numpy.bincount(receivers, minlength=self.config.p),
+            bits_per_tuple,
+        )
         self._staged_columns.append(
             _ColumnStage(
                 relation=relation,
                 receivers=receivers,
                 columns=columns,
-                bits_per_tuple=bits_per_tuple,
                 row_indices=row_indices,
                 source_sorted=source_sorted,
             )
@@ -530,76 +480,17 @@ class MPCSimulator:
         delivered state at :meth:`end_round` -- after the capacity
         check, like every other delivery -- and its rows are
         materialised on demand, one worker shard at a time, through
-        :meth:`pool_shard`.  Mailboxes are never populated: streamed
-        relations are consumed through the pool/shard interface only.
+        :meth:`pool_shard`.
         """
-        self._validate_send(sender, None, bits_per_tuple)
+        self._validate_send(sender, bits_per_tuple)
         if len(counts) != self.config.p:
             raise ProtocolError(
                 f"{len(counts)} worker counts for {self.config.p} workers"
             )
-        for worker, count in enumerate(counts.tolist()):
-            if count:
-                self._received_bits[worker] += count * bits_per_tuple
-                self._received_tuples[worker] += count
+        self._charge(counts, bits_per_tuple)
         self._staged_lazy.append((relation, contribution, counts))
 
-    def send_from_input(
-        self,
-        relation: str,
-        receiver: int,
-        rows: Iterable[Sequence[int]],
-        bits_per_tuple: int,
-    ) -> None:
-        """Convenience: send from the input server of ``relation``."""
-        self.send(
-            input_server(relation), receiver, relation, rows, bits_per_tuple
-        )
-
-    def send_columns_from_input(
-        self,
-        relation: str,
-        receivers: Any,
-        columns: tuple,
-        bits_per_tuple: int,
-        row_indices: Any | None = None,
-    ) -> None:
-        """Vectorized :meth:`send_columns` from a relation's input server."""
-        self.send_columns(
-            input_server(relation),
-            receivers,
-            relation,
-            columns,
-            bits_per_tuple,
-            row_indices=row_indices,
-        )
-
-    def broadcast_from_input(
-        self,
-        relation: str,
-        rows: Iterable[Sequence[int]],
-        bits_per_tuple: int,
-    ) -> None:
-        """Send the same rows to every worker (round-1 broadcast)."""
-        materialised = tuple(tuple(row) for row in rows)
-        for worker in range(self.config.p):
-            self.send_from_input(
-                relation, worker, materialised, bits_per_tuple
-            )
-
-    # -- worker state ------------------------------------------------------------
-
-    def mailbox(self, worker: int) -> Mailbox:
-        """The accumulated storage of one worker."""
-        return self._mailboxes[worker]
-
-    def worker_rows(self, worker: int, relation: str) -> list[tuple[int, ...]]:
-        """Rows of ``relation`` held by ``worker`` (ever received)."""
-        return self._mailboxes[worker].rows(relation)
-
-    def worker_column_batches(self, worker: int, relation: str) -> list[tuple]:
-        """Columnar fragments of ``relation`` held by ``worker``."""
-        return self._mailboxes[worker].column_batches(relation)
+    # -- worker state ---------------------------------------------------------
 
     def has_lazy_deliveries(self, relation: str) -> bool:
         """Whether ``relation`` has streamed (recipe-only) deliveries.
@@ -611,10 +502,6 @@ class MPCSimulator:
         """
         return relation in self._lazy
 
-    def has_row_deliveries(self, relation: str) -> bool:
-        """Whether ``relation`` ever received row-path deliveries."""
-        return relation in self._row_delivered
-
     def has_eager_pools(self, relation: str) -> bool:
         """Whether ``relation`` holds materialised delivery pools."""
         return bool(self._pools.get(relation))
@@ -623,11 +510,9 @@ class MPCSimulator:
         """Per-worker delivered tuple counts, without materialising.
 
         Covers eager pools and streamed contributions alike; None
-        exactly when :meth:`relation_pool` would return None (row-path
-        deliveries present, or nothing columnar delivered).
+        exactly when :meth:`relation_pool` would return None (nothing
+        delivered).
         """
-        if relation in self._row_delivered:
-            return None
         pools = self._pools.get(relation)
         lazy_counts = self._lazy_counts.get(relation)
         if not pools and lazy_counts is None:
@@ -665,8 +550,6 @@ class MPCSimulator:
         memory is the shard, never the fleet.  None exactly when
         :meth:`relation_pool` would return None.
         """
-        if relation in self._row_delivered:
-            return None
         pools = self._pools.get(relation)
         lazy = self._lazy.get(relation)
         if not pools and not lazy:
@@ -692,10 +575,7 @@ class MPCSimulator:
         capture, hash-to-min).  Pools from multiple rounds are merged
         (and cached) on demand.
 
-        Returns None when the relation received no columnar deliveries
-        or when any delivery travelled the row path (mixed storage:
-        the pool would be incomplete; only the per-worker mailbox view
-        holds every row).
+        Returns None when the relation received no deliveries.
 
         Streamed deliveries (see :meth:`stage_lazy_columns`) are
         materialised *in full* here -- the correctness fallback, never
@@ -703,8 +583,6 @@ class MPCSimulator:
         :meth:`has_lazy_deliveries` and iterate :meth:`pool_shard`
         worker ranges instead.
         """
-        if relation in self._row_delivered:
-            return None
         if relation in self._lazy:
             return self.pool_shard(relation, 0, self.config.p)
         pools = self._pools.get(relation)

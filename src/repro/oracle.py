@@ -1,24 +1,30 @@
 """The row-at-a-time reference executor the engine is tested against.
 
 The paper's multi-round model is tuple-based: a tuple's destinations
-depend on that tuple alone (Section 4.2.1).  :func:`execute_plan` here
-states that model directly and nothing more -- every step routes each
-source row through the scalar :meth:`RoutingStep.destinations
-<repro.engine.steps.RoutingStep.destinations>` and ships it with the
-simulator's row API (:meth:`MPCSimulator.send
-<repro.mpc.simulator.MPCSimulator.send>`), every worker evaluates its
-rows with the backtracking join
-(:func:`~repro.algorithms.localjoin.evaluate_query`), and a site's
-answer is the sorted union.  Heavy hitters are counted in a dict.
+depend on that tuple alone (Section 4.2.1), and a server's load in a
+round is the bits it receives.  :func:`execute_plan` here states that
+model directly and nothing more -- every step routes each source row
+through the scalar :meth:`RoutingStep.destinations
+<repro.engine.steps.RoutingStep.destinations>` into the oracle's own
+per-round, per-worker row lists, every worker evaluates its rows with
+the backtracking join (:func:`~repro.algorithms.localjoin.evaluate_query`),
+and a site's answer is the sorted union.  Heavy hitters are counted in
+a dict.
 
-It mirrors :func:`repro.engine.executor.execute_plan` round for round,
-so both return a :class:`~repro.engine.executor.PlanExecution` with the
-same answers, per-server counts, view sizes, heavy hitters and
-per-round received bits/tuples -- and raise the same
-:class:`~repro.mpc.simulator.CapacityExceeded`, since load accounting
-and enforcement are the simulator's own code on both paths.  The
-engine's block size, worker pool and shard budget have no counterpart
-here: they must never change what it returns.
+The oracle keeps its own books.  A row of arity ``a`` over ``[n]``
+costs ``a * ceil(log2 n)`` bits (Section 2.1), a worker's budget is
+``c * N / p^{1-eps}`` from the plan's signature, and an overloaded
+round raises :class:`~repro.mpc.simulator.CapacityExceeded` for the
+first overloaded worker in index order -- all computed here, none of
+it by :class:`~repro.mpc.simulator.MPCSimulator`, so a fault in the
+simulator's accounting shows up as a parity failure.
+
+It mirrors :func:`repro.engine.executor.execute_plan` round for round:
+an :class:`OracleExecution` carries the same answers, per-server
+counts, view sizes, heavy hitters and per-round received bits/tuples
+as the engine's :class:`~repro.engine.executor.PlanExecution`.  The
+engine's block size and shard budget have no counterpart here: they
+must never change what it returns.
 
 Only tests and benchmarks import this module; nothing under
 :mod:`repro` does.
@@ -26,21 +32,27 @@ Only tests and benchmarks import this module; nothing under
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Any, Mapping
-
-import numpy
 
 from repro.algorithms.localjoin import evaluate_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Relation
-from repro.engine.executor import PlanExecution, plan_simulator
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan, key_map_of
 from repro.engine.steps import HeavyGridRoute
-from repro.mpc.message import input_server
-from repro.mpc.simulator import MPCSimulator
+from repro.mpc.simulator import CapacityExceeded
+from repro.mpc.stats import RoundStats, SimulationReport
 
 Rows = tuple[tuple[int, ...], ...]
+
+#: One round's deliveries: per worker, mailbox key -> received rows.
+Delivered = list[dict[str, list[tuple[int, ...]]]]
+
+
+def _tuple_bits(relation: Relation) -> int:
+    """``arity * ceil(log2 n)``: one row's cost on the wire."""
+    return relation.arity * max(1, (relation.domain_size - 1).bit_length())
 
 
 def _as_relation(name: str, relation: Any) -> Relation:
@@ -53,6 +65,40 @@ def _as_relation(name: str, relation: Any) -> Relation:
         tuples=tuple(relation.rows()),
         domain_size=relation.domain_size,
     )
+
+
+@dataclass
+class OracleExecution:
+    """Everything one oracle run observed.
+
+    Attributes:
+        answers: the finalized answers, sorted and duplicate-free.
+        per_server: per-worker answer counts, zero-padded to ``p``.
+        view_sizes: materialised size of every intermediate view.
+        per_server_views: per view, each worker's answer count.
+        heavy_hitters: the heavy values bound during execution.
+        report: per-round received bits/tuples and capacity.
+        received: per round, per worker, the rows received by key.
+    """
+
+    answers: Rows
+    per_server: tuple[int, ...]
+    view_sizes: dict[str, int]
+    per_server_views: dict[str, tuple[int, ...]]
+    heavy_hitters: dict[str, frozenset[int]] | None
+    report: SimulationReport
+    received: list[Delivered]
+
+    def received_rows(self, worker: int, key: str) -> list[tuple[int, ...]]:
+        """Every row ``worker`` received under ``key``, in all rounds."""
+        return _received_rows(self.received, worker, key)
+
+
+def _received_rows(
+    received: list[Delivered], worker: int, key: str
+) -> list[tuple[int, ...]]:
+    """A worker keeps everything it ever received (Section 2.1)."""
+    return [row for got in received for row in got[worker].get(key, ())]
 
 
 def heavy_hitters(
@@ -80,7 +126,7 @@ def heavy_hitters(
 
 def _evaluate_site(
     query: ConjunctiveQuery,
-    simulator: MPCSimulator,
+    received: list[Delivered],
     workers: range,
     key_of,
 ) -> tuple[Rows, list[int]]:
@@ -91,7 +137,9 @@ def _evaluate_site(
         found = evaluate_query(
             query,
             {
-                atom.name: simulator.worker_rows(worker, key_of(atom.name))
+                atom.name: _received_rows(
+                    received, worker, key_of(atom.name)
+                )
                 for atom in query.atoms
             },
         )
@@ -106,7 +154,7 @@ def execute_plan(
     *,
     relation_map: Mapping[str, str] | None = None,
     input_bits: int | None = None,
-) -> PlanExecution:
+) -> OracleExecution:
     """Execute ``plan`` tuple at a time; see the module docstring.
 
     Takes the database shapes and the ``relation_map`` / ``input_bits``
@@ -116,22 +164,28 @@ def execute_plan(
         CapacityExceeded: when the plan enforces capacity and a worker
             overflows.
     """
-    relations = dict(
-        database if isinstance(database, Mapping) else database.relations
-    )
-    sources = {
+    database_relations = {
         name: _as_relation(name, relation)
-        for name, relation in relations.items()
+        for name, relation in (
+            database if isinstance(database, Mapping) else database.relations
+        ).items()
     }
+    sources = database_relations
     if relation_map:
         sources = {
-            plan_name: sources[database_name]
+            plan_name: database_relations[database_name]
             for plan_name, database_name in relation_map.items()
         }
     if input_bits is None:
-        input_bits = getattr(database, "total_bits", None)
-        if input_bits is None:
-            input_bits = sum(r.size_bits for r in sources.values())
+        # ``N``: the database's relations, or the plan's sources when
+        # handed a bare mapping (the engine's rule).
+        counted = (
+            sources if isinstance(database, Mapping) else database_relations
+        )
+        input_bits = sum(
+            len(relation) * _tuple_bits(relation)
+            for relation in counted.values()
+        )
     domain_size = getattr(database, "domain_size", None)
     if domain_size is None:
         domain_size = max(
@@ -144,13 +198,20 @@ def execute_plan(
             for name, relation in sources.items()
         }
     environment: dict[str, Relation] = dict(sources)
-    simulator = plan_simulator(plan, input_bits)
-    p = plan.signature.p
+    signature = plan.signature
+    p = signature.p
+    capacity = (
+        signature.capacity_c
+        * input_bits
+        / (p ** float(1 - Fraction(signature.eps)))
+    )
+    report = SimulationReport(input_bits=input_bits)
+    received: list[Delivered] = []
     view_sizes: dict[str, int] = {}
     per_server_views: dict[str, tuple[int, ...]] = {}
     heavy: dict[str, frozenset[int]] | None = None
 
-    for plan_round in plan.rounds:
+    for round_index, plan_round in enumerate(plan.rounds, start=1):
         steps = plan_round.steps
         if plan_round.bind_heavy is not None:
             bind = plan_round.bind_heavy
@@ -161,28 +222,31 @@ def execute_plan(
                 else step
                 for step in steps
             )
-        simulator.begin_round()
+        delivered: Delivered = [{} for _ in range(p)]
+        bits = [0] * p
+        tuples = [0] * p
         for step in steps:
             source = environment[step.relation]
-            batches: dict[int, list[tuple[int, ...]]] = {}
+            width = _tuple_bits(source)
             for index, row in enumerate(source):
                 for destination in step.destinations(row, index, p):
-                    batches.setdefault(destination, []).append(row)
-            sender = (
-                step.sender
-                if step.sender is not None
-                else input_server(step.relation)
-            )
-            for destination, rows in batches.items():
-                simulator.send(
-                    sender, destination, step.mailbox_key, rows,
-                    source.tuple_bits,
-                )
-        simulator.end_round()
+                    delivered[destination].setdefault(
+                        step.mailbox_key, []
+                    ).append(row)
+                    bits[destination] += width
+                    tuples[destination] += 1
+        if signature.enforce_capacity:
+            for worker, load in enumerate(bits):
+                if load > capacity:
+                    raise CapacityExceeded(worker, load, capacity, round_index)
+        received.append(delivered)
+        report.rounds.append(
+            RoundStats(round_index, tuple(bits), tuple(tuples), capacity)
+        )
 
         for view in plan_round.views:
             rows, counts = _evaluate_site(
-                view.query, simulator, range(p), key_map_of(view.key_map)
+                view.query, received, range(p), key_map_of(view.key_map)
             )
             environment[view.name] = Relation(
                 name=view.name,
@@ -194,14 +258,12 @@ def execute_plan(
             per_server_views[view.name] = tuple(counts)
 
     answers: Rows = ()
-    arity = 0
     per_server: tuple[int, ...] = ()
     finalize = plan.finalize
     if isinstance(finalize, CollectAnswers):
-        arity = len(finalize.query.head)
         answers, counts = _evaluate_site(
             finalize.query,
-            simulator,
+            received,
             range(finalize.workers),
             key_map_of(finalize.key_map),
         )
@@ -214,21 +276,18 @@ def execute_plan(
             if spec.name == finalize.view
         )
         positions = [schema.index(variable) for variable in finalize.head]
-        arity = len(positions)
         answers = tuple(
             sorted(
                 tuple(row[i] for i in positions)
                 for row in environment[finalize.view]
             )
         )
-    return PlanExecution(
-        plan=plan,
-        simulator=simulator,
-        table=numpy.array(answers, dtype=numpy.int64).reshape(
-            len(answers), arity
-        ),
+    return OracleExecution(
+        answers=answers,
         per_server=per_server,
         view_sizes=view_sizes,
         per_server_views=per_server_views,
         heavy_hitters=heavy,
+        report=report,
+        received=received,
     )

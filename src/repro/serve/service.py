@@ -18,9 +18,8 @@ layers:
    answers per head order read, with their tuple and JSON views
    (:class:`AnswerViews`) built at most once.
 
-Simulators are pooled per configuration and reset between requests
-(allocating ``p`` mailboxes per request is measurable at serving
-rates), and each execution's
+Simulators are pooled per configuration and reset between requests,
+and each execution's
 :class:`~repro.engine.profile.RoundProfiler` phases are aggregated
 into :class:`ServiceStats`.
 """

@@ -188,7 +188,7 @@ class TestOracleParity:
             == reference.report.rounds[0].received_tuples
         )
         assert result.max_reducer_tuples == max(
-            len(reference.simulator.worker_rows(reducer, "A"))
-            + len(reference.simulator.worker_rows(reducer, "B"))
+            len(reference.received_rows(reducer, "A"))
+            + len(reference.received_rows(reducer, "B"))
             for reducer in range(16)
         )

@@ -84,6 +84,30 @@ class TestDenseTwoRound:
         assert round1.total_tuples <= p * (n - 1)
         assert round1.total_tuples < m
 
+    #: (graph, p, seed) -> per round, (coordinator tuples, broadcast
+    #: tuples per worker); every tuple is an edge of 2 * 6 bits.
+    PINNED_LOADS = [
+        ((60, 1200, 6), 8, 2, (469, 60)),
+        ((40, 300, 1), 2, 1, (78, 40)),
+        ((40, 300, 1), 8, 1, (252, 40)),
+        ((40, 300, 1), 32, 1, (299, 40)),
+    ]
+
+    @pytest.mark.parametrize("graph,p,seed,tuples", PINNED_LOADS)
+    def test_loads_are_pinned(self, graph, p, seed, tuples):
+        """Round 1 ships every forest to worker 0; round 2 broadcasts
+        one label per vertex to all ``p`` workers."""
+        n, m, rng = graph
+        result = run_dense_two_round(
+            dense_graph(n, m, rng=rng), p=p, seed=seed
+        )
+        forest, labels = tuples
+        round1, round2 = result.report.rounds
+        assert round1.received_tuples == (forest,) + (0,) * (p - 1)
+        assert round1.received_bits == (forest * 12,) + (0,) * (p - 1)
+        assert round2.received_tuples == (labels,) * p
+        assert round2.received_bits == (labels * 12,) * p
+
 
 class TestShapeContrast:
     def test_sparse_needs_more_rounds_than_dense_at_scale(self):

@@ -79,6 +79,16 @@ def assert_oracle_parity(execution, reference):
         assert ours.capacity_bits == theirs.capacity_bits
 
 
+def pooled_rows(simulator, worker, key):
+    """The rows ``worker`` holds under ``key``, read off the delivery
+    pool as tuples (``[]`` when nothing was delivered)."""
+    pool = simulator.relation_pool(key)
+    if pool is None:
+        return []
+    columns = pool.worker_slice(worker)
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def capacity_failure(run):
     """Every field of the :class:`CapacityExceeded` ``run()`` raises."""
     with pytest.raises(CapacityExceeded) as info:

@@ -25,6 +25,7 @@ from repro.engine import (
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
+from tests.conftest import pooled_rows
 
 P = 8
 QUERY = parse_query("S1(x,y), S2(y,z)")
@@ -135,7 +136,7 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
             localjoin.evaluate_query(
                 QUERY,
                 {
-                    atom.name: simulator.worker_rows(worker, atom.name)
+                    atom.name: pooled_rows(simulator, worker, atom.name)
                     for atom in QUERY.atoms
                 },
             )

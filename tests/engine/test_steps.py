@@ -30,7 +30,6 @@ from repro.engine import (
     ToServer,
     grid_factors,
 )
-from repro.mpc.message import input_server
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
@@ -308,23 +307,17 @@ class TestRoundEngine:
         assert stats.round_index == 1
         assert sum(stats.received_tuples) > 0
 
-    def test_row_at_a_time_sends_ship_identical_loads(self):
-        """The engine's loads equal shipping each row to its scalar
-        destinations with the simulator's row API."""
-        relations, simulator, steps = self.setup_round()
-        simulator.begin_round()
+    def test_row_at_a_time_routing_charges_identical_loads(self):
+        """The engine's loads equal charging each row's scalar
+        destinations ``tuple_bits`` apiece, counted here."""
+        relations, _, steps = self.setup_round()
+        bits, tuples = [0] * 8, [0] * 8
         for relation, step in zip(relations, steps):
-            for (row, destination), count in scalar_pairs(
+            for (_, destination), count in scalar_pairs(
                 step, relation, 8
             ).items():
-                simulator.send(
-                    input_server(relation.name),
-                    destination,
-                    relation.name,
-                    [row] * count,
-                    relation.tuple_bits,
-                )
-        reference = simulator.end_round()
+                bits[destination] += count * relation.tuple_bits
+                tuples[destination] += count
         vectorized = self.run_engine()
-        assert reference.received_bits == vectorized.received_bits
-        assert reference.received_tuples == vectorized.received_tuples
+        assert vectorized.received_bits == tuple(bits)
+        assert vectorized.received_tuples == tuple(tuples)

@@ -511,7 +511,6 @@ class TestLazySimulatorState:
         for relation in ("S1", "S2"):
             assert simulator.has_lazy_deliveries(relation)
             assert not simulator.has_eager_pools(relation)
-            assert not simulator.has_row_deliveries(relation)
 
     def test_pool_worker_counts_match_materialised_pool(self, two_hop):
         _, _, simulator, _ = self._streamed_simulator(two_hop)

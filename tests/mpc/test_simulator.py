@@ -13,7 +13,9 @@ from repro.mpc.simulator import (
     ColumnPool,
     MPCSimulator,
     ProtocolError,
+    input_server,
 )
+from tests.conftest import pooled_rows
 
 
 def make_simulator(p=4, eps=Fraction(0), c=1.0, input_bits=400, enforce=True):
@@ -21,6 +23,25 @@ def make_simulator(p=4, eps=Fraction(0), c=1.0, input_bits=400, enforce=True):
         MPCConfig(p=p, eps=eps, c=c),
         input_bits=input_bits,
         enforce_capacity=enforce,
+    )
+
+
+def as_columns(rows):
+    """Parallel int64 columns holding ``rows``."""
+    return tuple(
+        numpy.asarray(column, dtype=numpy.int64) for column in zip(*rows)
+    )
+
+
+def ship(simulator, sender, receivers, rows, bits_per_tuple=8, **options):
+    """Stage ``rows[i] -> receivers[i]`` of relation ``R``."""
+    simulator.send_columns(
+        sender,
+        numpy.asarray(receivers, dtype=numpy.int64),
+        "R",
+        as_columns(rows),
+        bits_per_tuple=bits_per_tuple,
+        **options,
     )
 
 
@@ -44,75 +65,64 @@ class TestRoundLifecycle:
     def test_send_outside_round_rejected(self):
         simulator = make_simulator()
         with pytest.raises(ProtocolError, match="outside"):
-            simulator.send(0, 1, "R", [(1,)], 8)
+            ship(simulator, 0, [1], [(1,)])
 
 
 class TestDelivery:
     def test_messages_delivered_at_round_end(self):
         simulator = make_simulator()
         simulator.begin_round()
-        simulator.send(0, 1, "R", [(1, 2)], 8)
+        ship(simulator, 0, [1], [(1, 2)])
         # Not yet delivered mid-round.
-        assert simulator.worker_rows(1, "R") == []
+        assert simulator.relation_pool("R") is None
         simulator.end_round()
-        assert simulator.worker_rows(1, "R") == [(1, 2)]
-
-    def test_storage_accumulates_across_rounds(self):
-        simulator = make_simulator()
-        simulator.begin_round()
-        simulator.send(0, 1, "R", [(1, 1)], 8)
-        simulator.end_round()
-        simulator.begin_round()
-        simulator.send(0, 1, "R", [(2, 2)], 8)
-        simulator.end_round()
-        assert simulator.worker_rows(1, "R") == [(1, 1), (2, 2)]
-
-    def test_empty_send_is_noop(self):
-        simulator = make_simulator()
-        simulator.begin_round()
-        simulator.send(0, 1, "R", [], 8)
-        stats = simulator.end_round()
-        assert stats.total_bits == 0
+        assert pooled_rows(simulator, 1, "R") == [(1, 2)]
 
     def test_broadcast_reaches_everyone(self):
         simulator = make_simulator(p=3, eps=Fraction(1))
         simulator.begin_round()
-        simulator.broadcast_from_input("R", [(1, 2)], 8)
+        ship(
+            simulator, input_server("R"), [0, 1, 2], [(1, 2)],
+            row_indices=[0, 0, 0],
+        )
         simulator.end_round()
         for worker in range(3):
-            assert simulator.worker_rows(worker, "R") == [(1, 2)]
+            assert pooled_rows(simulator, worker, "R") == [(1, 2)]
 
 
 class TestEndpointValidation:
+    def test_input_server_label(self):
+        assert input_server("S1") == "input:S1"
+
     def test_receiver_range_checked(self):
         simulator = make_simulator(p=2)
         simulator.begin_round()
-        with pytest.raises(ProtocolError, match="receiver"):
-            simulator.send(0, 5, "R", [(1,)], 8)
+        with pytest.raises(ProtocolError, match="receiver 5"):
+            ship(simulator, 0, [5], [(1,)])
 
     def test_worker_sender_range_checked(self):
         simulator = make_simulator(p=2)
         simulator.begin_round()
         with pytest.raises(ProtocolError, match="sender"):
-            simulator.send(7, 0, "R", [(1,)], 8)
+            ship(simulator, 7, [0], [(1,)])
 
     def test_input_server_silent_after_round_one(self):
         simulator = make_simulator()
         simulator.begin_round()
-        simulator.send_from_input("R", 0, [(1,)], 8)
+        ship(simulator, input_server("R"), [0], [(1,)])
         simulator.end_round()
         simulator.begin_round()
         with pytest.raises(ProtocolError, match="round 1"):
-            simulator.send_from_input("R", 0, [(1,)], 8)
+            ship(simulator, input_server("R"), [0], [(1,)])
 
     def test_workers_may_send_any_round(self):
         simulator = make_simulator()
         simulator.begin_round()
         simulator.end_round()
         simulator.begin_round()
-        simulator.send(0, 1, "R", [(1,)], 8)
+        ship(simulator, 0, [1], [(1,)])
         simulator.end_round()
-        assert simulator.worker_rows(1, "R") == [(1,)]
+        assert pooled_rows(simulator, 1, "R") == [(1,)]
 
 
 class TestCapacity:
@@ -120,32 +130,40 @@ class TestCapacity:
         # capacity = 1 * 400 / 4 = 100 bits; send 104.
         simulator = make_simulator()
         simulator.begin_round()
-        simulator.send(0, 1, "R", [(i, i) for i in range(1, 14)], 8)
+        ship(simulator, 0, [1] * 13, [(i, i) for i in range(1, 14)])
         with pytest.raises(CapacityExceeded) as info:
             simulator.end_round()
         assert info.value.worker == 1
         assert info.value.received_bits == 104
+        assert info.value.capacity_bits == 100.0
         assert info.value.round_index == 1
+
+    def test_first_overloaded_worker_is_reported(self):
+        simulator = make_simulator()
+        simulator.begin_round()
+        ship(simulator, 0, [3] * 14 + [2] * 13, [(1, 1)] * 27)
+        with pytest.raises(CapacityExceeded) as info:
+            simulator.end_round()
+        assert (info.value.worker, info.value.received_bits) == (2, 104)
 
     def test_at_capacity_is_fine(self):
         simulator = make_simulator()
         simulator.begin_round()
-        simulator.send(0, 1, "R", [(i, i) for i in range(1, 13)], 8)
+        ship(simulator, 0, [1] * 12, [(i, i) for i in range(1, 13)])
         stats = simulator.end_round()
         assert stats.max_received_bits == 96
 
     def test_enforcement_can_be_disabled(self):
         simulator = make_simulator(enforce=False)
         simulator.begin_round()
-        simulator.send(0, 1, "R", [(i, i) for i in range(1, 100)], 8)
+        ship(simulator, 0, [1] * 99, [(i, i) for i in range(1, 100)])
         stats = simulator.end_round()
         assert stats.max_received_bits > stats.capacity_bits
 
     def test_load_splits_across_receivers(self):
         simulator = make_simulator()
         simulator.begin_round()
-        for worker in range(4):
-            simulator.send(0, worker, "R", [(1, 1)], 8)
+        ship(simulator, 0, [0, 1, 2, 3], [(1, 1)], row_indices=[0] * 4)
         stats = simulator.end_round()
         assert stats.received_bits == (8, 8, 8, 8)
         assert stats.load_imbalance == pytest.approx(1.0)
@@ -156,7 +174,7 @@ class TestStatsPlumbing:
         simulator = make_simulator(enforce=False)
         for _ in range(3):
             simulator.begin_round()
-            simulator.send(0, 1, "R", [(1, 1)], 8)
+            ship(simulator, 0, [1], [(1, 1)])
             simulator.end_round()
         report = simulator.report
         assert report.num_rounds == 3
@@ -167,101 +185,40 @@ class TestStatsPlumbing:
     def test_replication_rate(self):
         simulator = make_simulator(p=2, eps=Fraction(1), input_bits=8)
         simulator.begin_round()
-        simulator.broadcast_from_input("R", [(1, 1)], 8)
+        ship(
+            simulator, input_server("R"), [0, 1], [(1, 1)],
+            row_indices=[0, 0],
+        )
         simulator.end_round()
         assert simulator.report.replication_rate == pytest.approx(2.0)
 
 
 class TestColumnarSends:
-    """The vectorized staging path: accounting, delivery, ground rules."""
-
-    def _columns(self, rows):
-        return tuple(
-            numpy.asarray(column, dtype=numpy.int64)
-            for column in zip(*rows)
-        )
+    """Vectorized staging: accounting, gathers, argument checks."""
 
     def test_delivery_and_accounting(self):
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
-        receivers = numpy.asarray([1, 1, 2], dtype=numpy.int64)
-        columns = self._columns([(1, 2), (3, 4), (5, 6)])
-        simulator.send_columns(0, receivers, "R", columns, bits_per_tuple=8)
-        # Not delivered mid-round.
-        assert simulator.worker_rows(1, "R") == []
+        ship(simulator, 0, [1, 1, 2], [(1, 2), (3, 4), (5, 6)])
         stats = simulator.end_round()
         assert stats.received_bits == (0, 16, 8, 0)
         assert stats.received_tuples == (0, 2, 1, 0)
-        assert simulator.worker_rows(1, "R") == [(1, 2), (3, 4)]
-        assert simulator.worker_rows(2, "R") == [(5, 6)]
+        assert pooled_rows(simulator, 1, "R") == [(1, 2), (3, 4)]
+        assert pooled_rows(simulator, 2, "R") == [(5, 6)]
 
     def test_row_indices_gather(self):
         simulator = make_simulator(p=3, enforce=False)
         simulator.begin_round()
-        columns = self._columns([(7, 8), (9, 10)])
         # Row 0 replicated to workers 0 and 2; row 1 to worker 1.
-        receivers = numpy.asarray([0, 2, 1], dtype=numpy.int64)
-        row_indices = numpy.asarray([0, 0, 1], dtype=numpy.int64)
-        simulator.send_columns(
-            0, receivers, "R", columns, bits_per_tuple=4,
-            row_indices=row_indices,
+        ship(
+            simulator, 0, [0, 2, 1], [(7, 8), (9, 10)], bits_per_tuple=4,
+            row_indices=[0, 0, 1],
         )
         stats = simulator.end_round()
         assert stats.received_tuples == (1, 1, 1)
-        assert simulator.worker_rows(0, "R") == [(7, 8)]
-        assert simulator.worker_rows(1, "R") == [(9, 10)]
-        assert simulator.worker_rows(2, "R") == [(7, 8)]
-
-    def test_capacity_exceeded_identical_to_row_path(self):
-        rows = [(i, i) for i in range(1, 14)]  # 104 bits > 100 capacity
-        row_sim = make_simulator()
-        row_sim.begin_round()
-        row_sim.send(0, 1, "R", rows, 8)
-        with pytest.raises(CapacityExceeded) as row_info:
-            row_sim.end_round()
-        col_sim = make_simulator()
-        col_sim.begin_round()
-        col_sim.send_columns(
-            0,
-            numpy.full(len(rows), 1, dtype=numpy.int64),
-            "R",
-            self._columns(rows),
-            bits_per_tuple=8,
-        )
-        with pytest.raises(CapacityExceeded) as col_info:
-            col_sim.end_round()
-        assert col_info.value.worker == row_info.value.worker == 1
-        assert (
-            col_info.value.received_bits
-            == row_info.value.received_bits
-            == 104
-        )
-        assert col_info.value.round_index == row_info.value.round_index
-
-    def test_receiver_bounds_checked(self):
-        simulator = make_simulator(p=2)
-        simulator.begin_round()
-        with pytest.raises(ProtocolError, match="receiver"):
-            simulator.send_columns(
-                0,
-                numpy.asarray([5], dtype=numpy.int64),
-                "R",
-                self._columns([(1,)]),
-                bits_per_tuple=8,
-            )
-
-    def test_input_server_silent_after_round_one(self):
-        simulator = make_simulator(eps=Fraction(1))
-        simulator.begin_round()
-        simulator.end_round()
-        simulator.begin_round()
-        with pytest.raises(ProtocolError, match="round 1"):
-            simulator.send_columns_from_input(
-                "R",
-                numpy.asarray([0], dtype=numpy.int64),
-                self._columns([(1,)]),
-                bits_per_tuple=8,
-            )
+        assert pooled_rows(simulator, 0, "R") == [(7, 8)]
+        assert pooled_rows(simulator, 1, "R") == [(9, 10)]
+        assert pooled_rows(simulator, 2, "R") == [(7, 8)]
 
     def test_empty_send_is_noop(self):
         simulator = make_simulator()
@@ -274,89 +231,37 @@ class TestColumnarSends:
             bits_per_tuple=8,
         )
         assert simulator.end_round().total_bits == 0
-
-    def test_column_batches_stay_columnar_until_read(self):
-        simulator = make_simulator(p=2, enforce=False)
-        simulator.begin_round()
-        simulator.send_columns(
-            0,
-            numpy.asarray([1, 1], dtype=numpy.int64),
-            "R",
-            self._columns([(1, 2), (3, 4)]),
-            bits_per_tuple=8,
-        )
-        simulator.end_round()
-        batches = simulator.worker_column_batches(1, "R")
-        assert len(batches) == 1
-        assert batches[0][0].tolist() == [1, 3]
-        # The row view materialises the batches (once), and the
-        # columnar view survives: both stay readable in any order.
-        assert simulator.worker_rows(1, "R") == [(1, 2), (3, 4)]
-        assert simulator.worker_rows(1, "R") == [(1, 2), (3, 4)]
-        assert len(simulator.worker_column_batches(1, "R")) == 1
+        assert simulator.relation_pool("R") is None
 
     def test_receiver_row_count_mismatch_rejected(self):
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
-        columns = self._columns([(1, 2), (3, 4), (5, 6)])
+        rows = [(1, 2), (3, 4), (5, 6)]
         with pytest.raises(ProtocolError, match="one destination per row"):
-            simulator.send_columns(
-                0,
-                numpy.asarray([1], dtype=numpy.int64),
-                "R",
-                columns,
-                bits_per_tuple=8,
-            )
+            ship(simulator, 0, [1], rows)
         with pytest.raises(ProtocolError, match="one destination per row"):
-            simulator.send_columns(
-                0,
-                numpy.asarray([1, 2], dtype=numpy.int64),
-                "R",
-                columns,
-                bits_per_tuple=8,
-                row_indices=numpy.asarray([0], dtype=numpy.int64),
-            )
+            ship(simulator, 0, [1, 2], rows, row_indices=[0])
 
     def test_row_indices_bounds_checked(self):
         simulator = make_simulator(p=4, enforce=False)
         simulator.begin_round()
         with pytest.raises(ProtocolError, match="row_indices"):
-            simulator.send_columns(
-                0,
-                numpy.asarray([1], dtype=numpy.int64),
-                "R",
-                self._columns([(1, 2)]),
-                bits_per_tuple=8,
-                row_indices=numpy.asarray([7], dtype=numpy.int64),
-            )
+            ship(simulator, 0, [1], [(1, 2)], row_indices=[7])
 
     def test_negative_bits_per_tuple_rejected(self):
         simulator = make_simulator()
         simulator.begin_round()
         with pytest.raises(ValueError, match="bits_per_tuple"):
-            simulator.send(0, 1, "R", [(1,)], -8)
+            ship(simulator, 0, [1], [(1,)], bits_per_tuple=-8)
 
 
 class TestColumnPools:
     """The pooled columnar delivery path and its fleet-wide index."""
 
-    def _columns(self, rows):
-        return tuple(
-            numpy.asarray(column, dtype=numpy.int64)
-            for column in zip(*rows)
-        )
-
     def _deliver(self, receivers, rows, p=4, **kwargs):
         simulator = make_simulator(p=p, enforce=False)
         simulator.begin_round()
-        simulator.send_columns(
-            0,
-            numpy.asarray(receivers, dtype=numpy.int64),
-            "R",
-            self._columns(rows),
-            bits_per_tuple=8,
-            **kwargs,
-        )
+        ship(simulator, 0, receivers, rows, **kwargs)
         simulator.end_round()
         return simulator
 
@@ -373,18 +278,17 @@ class TestColumnPools:
         assert pool.worker_slice(1)[0].tolist() == []
         assert pool.worker_count(3) == 0
 
-    def test_mailbox_batches_are_pool_views(self):
+    def test_worker_slices_are_pool_views(self):
         """Worker fragments share the pool's buffer (zero-copy)."""
         simulator = self._deliver(
             [1, 1, 2], [(1, 2), (3, 4), (5, 6)]
         )
         pool = simulator.relation_pool("R")
-        [batch] = simulator.worker_column_batches(1, "R")
-        for fragment_column, pool_column in zip(batch, pool.columns):
-            assert (
-                numpy.shares_memory(fragment_column, pool_column)
-                or len(fragment_column) == 0
-            )
+        for fragment_column, pool_column in zip(
+            pool.worker_slice(1), pool.columns
+        ):
+            assert len(fragment_column) == 2
+            assert numpy.shares_memory(fragment_column, pool_column)
 
     def test_source_sorted_flag_propagates(self):
         rows = [(1, 2), (3, 4), (5, 6)]
@@ -398,22 +302,8 @@ class TestColumnPools:
     def test_multi_stage_pool_merges_stages(self):
         simulator = make_simulator(p=3, enforce=False)
         simulator.begin_round()
-        simulator.send_columns(
-            0,
-            numpy.asarray([1, 2], dtype=numpy.int64),
-            "R",
-            self._columns([(1,), (2,)]),
-            bits_per_tuple=8,
-            source_sorted=True,
-        )
-        simulator.send_columns(
-            1,
-            numpy.asarray([1], dtype=numpy.int64),
-            "R",
-            self._columns([(3,)]),
-            bits_per_tuple=8,
-            source_sorted=True,
-        )
+        ship(simulator, 0, [1, 2], [(1,), (2,)], source_sorted=True)
+        ship(simulator, 1, [1], [(3,)], source_sorted=True)
         simulator.end_round()
         pool = simulator.relation_pool("R")
         assert pool.worker_slice(1)[0].tolist() == [1, 3]
@@ -425,34 +315,18 @@ class TestColumnPools:
         simulator = make_simulator(p=2, enforce=False)
         for batch in ([(1,), (2,)], [(3,)]):
             simulator.begin_round()
-            simulator.send_columns(
-                0,
-                numpy.full(len(batch), 1, dtype=numpy.int64),
-                "R",
-                self._columns(batch),
-                bits_per_tuple=8,
-            )
+            ship(simulator, 0, [1] * len(batch), batch)
             simulator.end_round()
         pool = simulator.relation_pool("R")
         assert pool.worker_slice(1)[0].tolist() == [1, 2, 3]
         # Merged pools are cached until the next delivery.
         assert simulator.relation_pool("R") is pool
 
-    def test_row_delivery_disables_pool(self):
-        """Mixed row/column storage falls back to the mailbox view."""
-        simulator = make_simulator(p=2, enforce=False)
-        simulator.begin_round()
-        simulator.send(0, 1, "R", [(9, 9)], 8)
-        simulator.send_columns(
-            0,
-            numpy.asarray([1], dtype=numpy.int64),
-            "R",
-            self._columns([(1, 2)]),
-            bits_per_tuple=8,
-        )
-        simulator.end_round()
-        assert simulator.relation_pool("R") is None
+    def test_undelivered_relation_has_no_pool(self):
+        simulator = self._deliver([1], [(1, 2)], p=2)
         assert simulator.relation_pool("unknown") is None
+        assert simulator.pool_worker_counts("unknown") is None
+        assert simulator.pool_shard("unknown", 0, 2) is None
 
 
 class TestColumnPoolShard:

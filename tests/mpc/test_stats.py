@@ -1,49 +1,10 @@
-"""Unit tests for messages, mailboxes and round statistics."""
+"""Unit tests for per-round and whole-run communication statistics."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mpc.message import Mailbox, Message, input_server
 from repro.mpc.stats import RoundStats, SimulationReport
-
-
-class TestMessage:
-    def test_size_accounting(self):
-        message = Message(0, 1, "R", ((1, 2), (3, 4)), bits_per_tuple=14)
-        assert message.num_tuples == 2
-        assert message.size_bits == 28
-
-    def test_rows_normalised_to_tuples(self):
-        message = Message(0, 1, "R", [[1, 2]], bits_per_tuple=4)
-        assert message.rows == ((1, 2),)
-
-    def test_negative_bits_rejected(self):
-        with pytest.raises(ValueError):
-            Message(0, 1, "R", ((1,),), bits_per_tuple=-1)
-
-    def test_input_server_label(self):
-        assert input_server("S1") == "input:S1"
-
-
-class TestMailbox:
-    def test_deliver_accumulates_by_relation(self):
-        mailbox = Mailbox()
-        mailbox.deliver(Message(0, 1, "R", ((1,),), 4))
-        mailbox.deliver(Message(0, 1, "R", ((2,),), 4))
-        mailbox.deliver(Message(0, 1, "S", ((3,),), 4))
-        assert mailbox.rows("R") == [(1,), (2,)]
-        assert mailbox.rows("S") == [(3,)]
-        assert set(mailbox.relations()) == {"R", "S"}
-
-    def test_missing_relation_is_empty(self):
-        assert Mailbox().rows("nope") == []
-
-    def test_clear(self):
-        mailbox = Mailbox()
-        mailbox.deliver(Message(0, 1, "R", ((1,),), 4))
-        mailbox.clear()
-        assert mailbox.rows("R") == []
 
 
 class TestRoundStats:

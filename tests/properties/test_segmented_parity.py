@@ -1,9 +1,9 @@
 """Shard-wise segmented local evaluation vs the row reference.
 
-The tentpole invariant of the mailbox-pool refactor: for every
-algorithm, evaluating the workers shard by shard in segmented passes
-over the delivery pools produces *bit-identical* results to the
-per-worker row-path reference (:mod:`repro.oracle`) -- merged answers,
+For every algorithm, evaluating the workers shard by shard in
+segmented passes over the delivery pools produces *bit-identical*
+results to the backtracking join over each worker's pooled rows and
+to the row-at-a-time reference (:mod:`repro.oracle`) -- merged answers,
 per-server counts, materialised views and capacity failures --
 whatever the shard budget.  These tests randomize queries, databases
 and grid sizes to pin that.
@@ -33,6 +33,7 @@ from repro.engine import execute_plan
 from tests.conftest import (
     assert_oracle_parity,
     capacity_failure,
+    pooled_rows,
     run_pinned,
     run_with_oracle,
 )
@@ -84,13 +85,13 @@ def _route_hc(query, database, p, seed):
 
 
 def _row_reference(query, simulator, workers):
-    """The row path: the backtracking join per worker, then union."""
+    """The backtracking join per worker's pooled rows, then union."""
     per_server, union = [], set()
     for worker in workers:
         found = evaluate_query(
             query,
             {
-                atom.name: simulator.worker_rows(worker, atom.name)
+                atom.name: pooled_rows(simulator, worker, atom.name)
                 for atom in query.atoms
             },
         )

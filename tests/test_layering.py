@@ -5,7 +5,10 @@
 lazy or under ``TYPE_CHECKING``) is read from the AST; there are no
 inversions left, and ``KNOWN_INVERSIONS`` stays empty.  The
 row-at-a-time reference executor, :mod:`repro.oracle`, sits above them
-all: tests and benchmarks import it, no module of the package does.
+all: tests and benchmarks import it, no module of the package does.  It
+keeps its own books: of the simulator it checks it takes only the
+failure type and the report containers.  The simulator is column-only:
+no module names the deleted row API.
 
 The engine runs in one process: statement fan-out
 (:mod:`repro.api.fanout` and its shared-memory transport
@@ -35,6 +38,7 @@ from __future__ import annotations
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from importlib.util import resolve_name
@@ -60,6 +64,19 @@ LP_IMPORTERS = {"__init__.py", "core/covers.py", "core/friedgut.py"}
 
 #: The only modules that may import ``multiprocessing``.
 MULTIPROCESSING_IMPORTERS = {"api/fanout.py", "api/shm.py"}
+
+#: What :mod:`repro.oracle` may import from ``repro.mpc``: the failure
+#: type and the report containers, never the accounting.
+ORACLE_MPC_NAMES = {"CapacityExceeded", "RoundStats", "SimulationReport"}
+ORACLE_FORBIDDEN = {
+    "MPCSimulator", "plan_simulator", "plan_config", "bits_per_value",
+}
+
+#: The deleted row-at-a-time simulator API.
+ROW_API = (
+    "Mailbox", "worker_rows", "send_from_input", "broadcast_from_input",
+    "has_row_deliveries",
+)
 
 #: The only modules that may use ``functools.lru_cache``/``cache``.
 FUNCTOOLS_CACHE_USERS = {"core/covers.py", "mpc/routing.py"}
@@ -192,6 +209,40 @@ def test_no_package_module_imports_the_oracle():
         if "repro.oracle" in _imported_modules(path)
     ]
     assert importers == []
+
+
+def test_oracle_keeps_its_own_books():
+    tree = ast.parse((ROOT / "oracle.py").read_text())
+    named = set()
+    from_mpc = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+            if node.module.startswith("repro.mpc"):
+                from_mpc.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+    assert named.isdisjoint(ORACLE_FORBIDDEN)
+    assert from_mpc == ORACLE_MPC_NAMES
+    assert "repro.engine.executor" not in set(
+        _imported_modules(ROOT / "oracle.py")
+    )
+
+
+def test_no_module_names_the_row_api():
+    pattern = re.compile(r"\b(?:" + "|".join(ROW_API) + r")\b")
+    users = {
+        path.relative_to(ROOT).as_posix(): sorted(
+            set(pattern.findall(path.read_text()))
+        )
+        for path in _package_modules()
+        if pattern.search(path.read_text())
+    }
+    assert users == {}
 
 
 def _package_modules():

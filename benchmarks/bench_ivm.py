@@ -12,11 +12,6 @@ session answers the post-delta reads >= 5x faster than an identical
 session with ``ivm=False``, with every
 read's answers verified equal between the two paths, under the
 standard RSS ceiling and the IVM store's own byte budget.
-
-``test_ivm_fault_drill`` pins the degradation contract: under
-``REPRO_FAULT_WORKER_DEATH`` the incremental path steps aside for the
-named reason ``faults-active`` and every answer still matches the
-healthy control -- degraded throughput, never wrong answers.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from repro import connect
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
-from repro.engine.faults import WORKER_DEATH_ENV
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
 #: The engine re-executes n=1000 too quickly for the fixed per-read
@@ -183,36 +177,4 @@ def test_ivm_throughput(once):
     assert retained <= budget, f"retained {retained} over budget {budget}"
     assert memory_bytes <= MEMORY_CEILING_BYTES, (
         f"peak RSS {memory_bytes} exceeds ceiling {MEMORY_CEILING_BYTES}"
-    )
-
-
-def test_ivm_fault_drill(once, monkeypatch):
-    """Worker-death drill: full-path degradation, identical answers."""
-    # Smaller data: the drill checks degradation, not throughput.
-    drill_n = 200
-    probe = matching_database(parse_query(VOCAB), n=drill_n, rng=0)
-    deltas = [[row] for row in _delta_rows(probe, 3)]
-
-    def drilled():
-        control, _, control_answers, _ = _run_leg(
-            deltas, ivm=False, n=drill_n
-        )
-        monkeypatch.setenv(WORKER_DEATH_ENV, "1")
-        try:
-            served, _, served_answers, statuses = _run_leg(
-                deltas, ivm=True, n=drill_n
-            )
-        finally:
-            monkeypatch.delenv(WORKER_DEATH_ENV)
-        return control_answers, served, served_answers, statuses
-
-    control_answers, served, served_answers, statuses = once(drilled)
-    assert served_answers == control_answers
-    assert set(statuses) == {"faults-active"}, statuses
-    assert served.stats.ivm_hits == 0
-    assert served.stats.ivm_fallbacks == len(statuses)
-    emit(
-        f"E14 fault drill: {len(statuses)} post-delta reads under "
-        "REPRO_FAULT_WORKER_DEATH all fell back to full re-execution "
-        "with answers identical to the healthy control."
     )

@@ -21,79 +21,14 @@ def emit(text: str) -> None:
     print("\n" + text)
 
 
-#: Peak RSS of executor children that exited during the *current*
-#: measurement, summed.  Fan-out workers report their ``ru_maxrss`` as
-#: they close (via ``repro.api.fanout.drain_worker_peaks``,
-#: which pops on read); accumulating the drained values here keeps
-#: repeated :func:`peak_rss_bytes` calls monotone within one
-#: measurement, while :func:`measure_peak` zeroes the account so one
-#: benchmark's dead workers are never charged against a later
-#: benchmark's ceiling.
-_CLOSED_CHILDREN_BYTES = 0
-
-
-def _drain_closed_worker_peaks() -> None:
-    global _CLOSED_CHILDREN_BYTES
-    try:
-        from repro.api.fanout import drain_worker_peaks
-    except ImportError:  # pragma: no cover - partial checkout
-        return
-    _CLOSED_CHILDREN_BYTES += sum(drain_worker_peaks())
-
-
-def _live_descendant_peak_bytes() -> int:
-    """Summed ``VmHWM`` of every live descendant process (Linux).
-
-    Walks ``/proc`` once, building the ppid tree, so executor
-    processes that are still alive at measurement time (shard pools,
-    fan-out workers, spawn resource trackers) are charged to the
-    benchmark.  Returns 0 where ``/proc`` is unavailable.
-    """
-    proc = "/proc"
-    if not os.path.isdir(proc):  # pragma: no cover - non-Linux
-        return 0
-    parents: dict[int, int] = {}
-    peaks: dict[int, int] = {}
-    for entry in os.listdir(proc):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(os.path.join(proc, entry, "status")) as handle:
-                fields = dict(
-                    line.split(":", 1)
-                    for line in handle
-                    if ":" in line
-                )
-        except OSError:  # pid exited mid-walk
-            continue
-        pid = int(entry)
-        try:
-            parents[pid] = int(fields["PPid"].strip())
-            peaks[pid] = int(fields["VmHWM"].strip().split()[0]) * 1024
-        except (KeyError, ValueError):  # kernel threads lack VmHWM
-            continue
-    me = os.getpid()
-    total = 0
-    for pid in peaks:
-        ancestor = parents.get(pid)
-        while ancestor is not None and ancestor > 1:
-            if ancestor == me:
-                total += peaks[pid]
-                break
-            ancestor = parents.get(ancestor)
-    return total
-
-
 def peak_rss_bytes() -> int:
-    """Lifetime peak resident set size of the whole process tree.
+    """Lifetime peak resident set size of the benchmark process.
 
-    The benchmark process's own ``ru_maxrss`` (Linux reports it in
-    kilobytes, macOS in bytes) plus every executor child it spawned:
-    live descendants contribute their ``/proc/<pid>/status`` ``VmHWM``,
-    and fan-out workers that already exited contribute the peak they
-    reported at close.  Returns 0 on platforms without
-    :mod:`resource`.  Lifetime-peak semantics make this a conservative
-    ceiling check: nothing the benchmark did can have exceeded it.
+    The process's own ``ru_maxrss`` (Linux reports it in kilobytes,
+    macOS in bytes); everything runs in this one process.  Returns 0
+    on platforms without :mod:`resource`.  Lifetime-peak semantics
+    make this a conservative ceiling check: nothing the benchmark did
+    can have exceeded it.
     """
     try:
         import resource
@@ -104,8 +39,7 @@ def peak_rss_bytes() -> int:
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform != "darwin":
         peak *= 1024
-    _drain_closed_worker_peaks()
-    return peak + _CLOSED_CHILDREN_BYTES + _live_descendant_peak_bytes()
+    return peak
 
 
 def measure_peak(func):
@@ -116,14 +50,9 @@ def measure_peak(func):
 
     * ``tracemalloc_peak`` -- peak *Python-allocator* bytes during the
       call (numpy array buffers included via its tracemalloc domain);
-    * ``peak_rss_bytes`` -- the process tree's peak RSS after the
-      call (OS view; includes interpreter + imports, plus executor
-      children alive at or closed during the call -- children from
-      *earlier* measurements are written off here first).
+    * ``peak_rss_bytes`` -- the process's peak RSS after the call (OS
+      view; includes interpreter + imports).
     """
-    global _CLOSED_CHILDREN_BYTES
-    _drain_closed_worker_peaks()
-    _CLOSED_CHILDREN_BYTES = 0
     gc.collect()
     tracemalloc.start()
     try:
@@ -191,8 +120,7 @@ def record_bench(name: str, payload: dict) -> str:
     Every payload records the runner's ``cores`` (unless the
     benchmark already did): recorded speedups are only comparable
     between runs on the same core count, and ``trend.py`` skips the
-    comparison when the counts differ or fall below a benchmark's
-    ``speedup_gate_cores`` threshold.
+    comparison when the counts differ.
     """
     payload = dict(payload)
     payload.setdefault("cores", os.cpu_count() or 1)

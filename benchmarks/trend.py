@@ -35,26 +35,22 @@ def speedup_fields(payload: dict) -> dict[str, float]:
     Booleans are excluded even though ``bool`` is an ``int``: a flag
     like ``speedup_gated`` is metadata, and trending it would turn a
     True -> False transition into a fake 1.0x -> 0.0x regression.
-    ``speedup_gate_cores`` is likewise metadata (the core count a
-    gate requires), not a measurement.
     """
     return {
         key: float(value)
         for key, value in payload.items()
         if "speedup" in key
-        and key != "speedup_gate_cores"
         and isinstance(value, (int, float))
         and not isinstance(value, bool)
     }
 
 
 def collect(directory: str) -> dict[str, dict]:
-    """Per BENCH file (by basename), its speedup fields + core context.
+    """Per BENCH file (by basename), its speedup fields + core count.
 
-    Each entry is ``{"fields": {...}, "cores": int | None,
-    "gate_cores": int | None}`` -- the recorded runner core count and
-    the benchmark's own gate threshold (``speedup_gate_cores``), both
-    absent in artifacts from before they were recorded.
+    Each entry is ``{"fields": {...}, "cores": int | None}`` -- the
+    recorded runner core count, absent in artifacts from before it was
+    recorded.
     """
     results: dict[str, dict] = {}
     for path in sorted(glob.glob(os.path.join(directory, "BENCH_*.json"))):
@@ -69,7 +65,6 @@ def collect(directory: str) -> dict[str, dict]:
             results[os.path.basename(path)] = {
                 "fields": fields,
                 "cores": payload.get("cores"),
-                "gate_cores": payload.get("speedup_gate_cores"),
             }
     return results
 
@@ -78,11 +73,8 @@ def incomparable(previous: dict, current: dict) -> str | None:
     """Why two entries' speedups cannot be trended, or None.
 
     Speedups measured on different core counts are different
-    experiments (a 4-core baseline against a 1-core run would be a
-    fake regression, and the reverse would launder a real one), and a
-    speedup recorded below the benchmark's own ``speedup_gate_cores``
-    threshold was never a perf claim in the first place -- e.g. a
-    parallel speedup of 0.9x measured on a single-core runner.
+    experiments: a 4-core baseline against a 1-core run would be a
+    fake regression, and the reverse would launder a real one.
     """
     before_cores = previous.get("cores")
     after_cores = current.get("cores")
@@ -95,13 +87,6 @@ def incomparable(previous: dict, current: dict) -> str | None:
             f"cores changed ({before_cores} -> {after_cores}); "
             "speedups not comparable"
         )
-    gate = current.get("gate_cores") or previous.get("gate_cores")
-    for side, cores in (("previous", before_cores), ("current", after_cores)):
-        if gate is not None and cores is not None and cores < gate:
-            return (
-                f"{side} run on {cores} core(s), below the "
-                f"{gate}-core speedup gate; speedups skipped"
-            )
     return None
 
 
@@ -116,8 +101,8 @@ def compare(
     current value fell below ``previous * (1 - tolerance)``.  Fields
     or files present on only one side are notes, never failures --
     benchmarks come and go; silent disappearance still gets surfaced.
-    Entries whose runs are :func:`incomparable` (different or
-    below-gate core counts) are skipped with a note.
+    Entries whose runs are :func:`incomparable` (different core
+    counts) are skipped with a note.
     """
     regressions: list[str] = []
     notes: list[str] = []

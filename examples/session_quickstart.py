@@ -90,17 +90,6 @@ def main() -> None:
     print(f"partial eps=1/4:  {partial.algorithm} reported "
           f"{len(partial.answers)} of {total} answers")
 
-    # Multi-core: ``connect(db, workers=4)`` spawns four executor
-    # processes over a shared-memory snapshot; independent statements
-    # then run genuinely in parallel (the RPC server fans out across
-    # them) with bit-identical answers.  Worth it for serving many
-    # concurrent clients -- for a single closed loop like this script,
-    # the in-process default is the right call.
-    #
-    #   fan_out = repro.connect(database, p=16, workers=4)
-    #   ... fan_out.query(...).execute() ...
-    #   fan_out.close()   # shuts workers down, unlinks segments
-
 
 if __name__ == "__main__":
     main()

@@ -345,6 +345,30 @@ def _atom_order_by_size(
     return order
 
 
+def _radices(
+    left_columns: Sequence[Any],
+    right_columns: Sequence[Any],
+    span: int = 1,
+) -> list[int] | None:
+    """Per-column radices packing both sides' keys into one int64.
+
+    ``span`` is the value span already taken by higher-order digits.
+    None when a value is negative or the packed span would overflow.
+    """
+    radices = []
+    for left, right in zip(left_columns, right_columns):
+        low = high = 0
+        for column in (left, right):
+            if len(column):
+                low = min(low, int(column.min()))
+                high = max(high, int(column.max()))
+        span *= high + 1
+        if low < 0 or span >= (1 << 62):
+            return None
+        radices.append(high + 1)
+    return radices
+
+
 def _pack_segmented_keys(
     segment_left: Any,
     segment_right: Any,
@@ -360,23 +384,8 @@ def _pack_segmented_keys(
     segment-only key ships without so much as a copy.  Falls back to
     the generic factorizer when the packed span would overflow.
     """
-    radices = []
-    span = num_segments
-    packable = True
-    for left, right in zip(left_columns, right_columns):
-        low = high = 0
-        if len(left):
-            low = min(low, int(left.min()))
-            high = max(high, int(left.max()))
-        if len(right):
-            low = min(low, int(right.min()))
-            high = max(high, int(right.max()))
-        span *= high + 1
-        if low < 0 or span >= (1 << 62):
-            packable = False
-            break
-        radices.append(high + 1)
-    if not packable:
+    radices = _radices(left_columns, right_columns, num_segments)
+    if radices is None:
         return _factorize_keys(
             [segment_left] + list(left_columns),
             [segment_right] + list(right_columns),
@@ -410,23 +419,8 @@ def _factorize_keys(
     """
     if len(left_columns) == 1:
         return left_columns[0], right_columns[0], True
-    radices = []
-    span = 1
-    packable = True
-    for left, right in zip(left_columns, right_columns):
-        low = high = 0
-        if len(left):
-            low = min(low, int(left.min()))
-            high = max(high, int(left.max()))
-        if len(right):
-            low = min(low, int(right.min()))
-            high = max(high, int(right.max()))
-        span *= high + 1
-        if low < 0 or span >= (1 << 62):
-            packable = False
-            break
-        radices.append(high + 1)
-    if packable:
+    radices = _radices(left_columns, right_columns)
+    if radices is not None:
         key_left = left_columns[0].copy()
         key_right = right_columns[0].copy()
         for left, right, radix in zip(

@@ -18,10 +18,9 @@ Every :class:`Statement` is lazy: nothing touches the data until
 statistics profile).  Results are bit-identical to compiling the
 chosen algorithm with :func:`~repro.algorithms.registry.compile_with`
 and running it with :func:`~repro.engine.execute_plan` -- the planner
-only decides *which* compiler runs, never *how*.  The REPL, the RPC
-server and the fan-out workers all serve through a session; its
-request executor, :class:`~repro.serve.service.QueryService`, is
-private to it.
+only decides *which* compiler runs, never *how*.  The REPL and the
+RPC server both serve through a session; its request executor,
+:class:`~repro.serve.service.QueryService`, is private to it.
 
 Planner decisions are cached per statement in a bounded LRU store: a
 read at the decision's version reuses it, a read at a later version
@@ -37,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.api.fanout import FanoutBroken, SessionWorkerPool
 from repro.core.query import ConjunctiveQuery, parse_query
 from repro.data.columnar import (
     ColumnarDatabase,
@@ -48,6 +46,13 @@ from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import RoundProfiler
 from repro.engine.faults import active_faults
+from repro.serve.cache import LRUCache
+from repro.serve.ivm import IvmManager
+from repro.serve.metrics import Snapshot, gauge, snapshot, stats_dict
+from repro.serve.service import QueryService, Result, ServiceStats
+
+# After repro.serve: the planner imports repro.serve.metrics, and
+# loading the serve package first lets its service import the planner.
 from repro.planner import (
     Explain,
     Planner,
@@ -55,10 +60,6 @@ from repro.planner import (
     PlannerStats,
     collect_profile,
 )
-from repro.serve.cache import LRUCache
-from repro.serve.ivm import IvmManager
-from repro.serve.metrics import Snapshot, fold, gauge, snapshot, stats_dict
-from repro.serve.service import QueryService, Result, ServiceStats
 
 #: Sentinel: "the session default", distinct from an explicit None.
 _UNSET = object()
@@ -170,21 +171,16 @@ class Session:
     The only public way in is :func:`repro.connect`.  A session owns:
 
     * a private :class:`~repro.serve.service.QueryService` executing
-      its decisions (plan and result caches, pooled simulators and
-      retained IVM state over a versioned database);
+      its decisions (plan and result caches and retained IVM state
+      over a versioned database);
     * a :class:`~repro.planner.Planner` choosing the compiler for
       every statement from the registry's declared cost models;
     * a bounded LRU cache of planner decisions, one per statement,
       stamped with the database version each was made at.
 
-    Thread safety: the fan-out query path (``workers >= 2``) may be
-    driven from any number of threads at once -- each statement ships
-    whole to a worker process owning its own state.  Every in-process
-    path (planning, compiling, executing, updating) serializes on one
-    internal lock, so concurrent callers -- including dispatcher
-    threads degrading to local execution after the fan-out pool broke
-    -- run single-file instead of corrupting the unsynchronized
-    caches and pooled simulators.
+    Thread safety: every path (planning, compiling, executing,
+    updating) serializes on one internal lock, so concurrent callers
+    run single-file instead of corrupting the unsynchronized caches.
 
     Args:
         database: initial contents (row database, columnar database,
@@ -204,19 +200,8 @@ class Session:
             ``ValueError``).
         ivm: serve post-update statements by incremental view
             maintenance when possible (see :mod:`repro.serve.ivm`).
-        workers: executor process count for statement fan-out.  1 (the
-            default) keeps everything in this process.  With ``N >= 2``
-            the session spawns ``N`` worker processes, each holding a
-            full planner-backed session over a shared-memory snapshot
-            of the database, and ``.execute()`` calls dispatch to idle
-            workers -- so independent statements from concurrent
-            threads genuinely run in parallel.  Results are
-            bit-identical to in-process execution (same data, same
-            seed, same deterministic planner); updates broadcast to
-            every worker behind a barrier; if workers die the session
-            falls back to in-process execution.
-        chunk_rows: streaming block size of every execution (replayed
-            by fan-out workers): shardable routing steps
+        chunk_rows: streaming block size of every execution:
+            shardable routing steps
             stream in ``chunk_rows``-row blocks with lazy delivery
             pools, bounding peak execution memory independently of the
             delivered volume.  None ships every step whole; answers,
@@ -240,26 +225,20 @@ class Session:
         plan_cache_size: int = 128,
         result_cache_size: int = 512,
         ivm: bool = True,
-        workers: int = 1,
         chunk_rows: int | None = None,
     ) -> None:
         for option, value, bound in (
             ("p", p, 1),
-            ("workers", workers, 1),
             ("plan_cache_size", plan_cache_size, 0),
             ("result_cache_size", result_cache_size, 0),
         ):
             if value < bound:
                 raise ValueError(f"need {option} >= {bound}, got {value}")
         # Serializes every touch of the unsynchronized underlying
-        # state: the service's plan/result caches and pooled
-        # simulators, the planner's decision LRU.  The
-        # fan-out query path never takes it (workers own their state),
-        # which is what lets N RPC dispatcher threads drive a fan-out
-        # session concurrently -- but the moment any of them falls
-        # back to in-process execution (pool died mid-serve), this
-        # lock is what keeps the fallback single-file.  RLock because
-        # the locked paths nest (_execute -> _decide).
+        # state -- the service's plan/result caches and retained IVM
+        # state, the planner's decision LRU -- between the RPC
+        # server's thread and any other caller's.  RLock because the
+        # locked paths nest (_execute -> _decide).
         self._lock = threading.RLock()
         self._service = QueryService(
             database,
@@ -282,26 +261,6 @@ class Session:
         self._planner = Planner(p, stats=self.planner_stats)
         # Statement key -> (version, choice).
         self._decisions = LRUCache(DECISION_CACHE_SIZE)
-        self.workers = workers
-        self._fanout: Any = None
-        if workers >= 2:
-            # The worker sessions replay these options verbatim, so
-            # their planner/caches behave identically to this one.
-            options = dict(
-                p=p,
-                seed=seed,
-                eps=eps,
-                algorithm=algorithm,
-                capacity_c=capacity_c,
-                enforce_capacity=enforce_capacity,
-                plan_cache_size=plan_cache_size,
-                result_cache_size=result_cache_size,
-                ivm=ivm,
-                chunk_rows=chunk_rows,
-            )
-            self._fanout = SessionWorkerPool(
-                self._service.database, options, workers
-            )
 
     # -- construction of statements -----------------------------------------
 
@@ -388,25 +347,7 @@ class Session:
         return self.apply_delta(DatabaseDelta.of(inserts, deletes))
 
     def apply_delta(self, delta: DatabaseDelta) -> int:
-        """Apply a prepared delta; see :meth:`update`.
-
-        With fan-out workers the delta broadcasts behind a full
-        barrier and this session's version bumps only *after* every
-        worker already applied it -- so a statement that observes the
-        new version can never reach a worker still at the old one
-        (the version-at-submit == version-at-execute contract the RPC
-        coalescing key relies on).  A worker that dies or diverges
-        mid-broadcast marks the pool broken (later queries fall back
-        to in-process execution) but never loses the parent's delta.
-        """
-        fanout = self._fanout
-        if fanout is not None and fanout.usable:
-            return fanout.apply_delta(
-                delta, lambda: self._apply_local_delta(delta)
-            )
-        return self._apply_local_delta(delta)
-
-    def _apply_local_delta(self, delta: DatabaseDelta) -> int:
+        """Apply a prepared delta; see :meth:`update`."""
         with self._lock:
             return self._service.apply_delta(delta)
 
@@ -436,8 +377,7 @@ class Session:
 
     @property
     def stats(self) -> ServiceStats:
-        """This process's serving counters (cache hits, evictions,
-        phases); :meth:`stats_report` adds fan-out workers' counts."""
+        """The serving counters (cache hits, evictions, phases)."""
         return self._service.stats
 
     @property
@@ -446,28 +386,17 @@ class Session:
         is off): bytes, states and fallback reasons."""
         return self._service.ivm
 
-    @property
-    def fanout(self) -> Any:
-        """The statement fan-out pool, or None (introspection/stats)."""
-        return self._fanout
-
     def stats_snapshot(self) -> Snapshot:
         """Every instrument the session declares (see
-        :mod:`repro.serve.metrics`).  With fan-out, the service, IVM
-        and planner counts are fleet totals: each worker's snapshot is
-        added in, after waiting for the workers to be idle."""
+        :mod:`repro.serve.metrics`)."""
         service = self._service
-        readings = snapshot(
+        return snapshot(
             service.stats,
             service.stats.plans,
             service.ivm or IvmManager,
             self.planner_stats,
+            self,
         )
-        if self._fanout is not None:
-            for values in self._fanout.worker_stats():
-                fold(readings, values)
-        readings.update(snapshot(self._fanout or SessionWorkerPool, self))
-        return readings
 
     def stats_report(self) -> dict:
         """The session's stats as one JSON-ready dict: the RPC
@@ -476,19 +405,15 @@ class Session:
         return stats_dict(self.stats_snapshot())
 
     def close(self) -> None:
-        """Release cached state, worker processes and shared segments.
+        """Release cached state.
 
-        Planner decisions, memoized results, pooled simulators and
-        retained IVM state all go; compiled plans
-        (data-independent) stay.  The session stays usable for
-        in-process execution.
+        Planner decisions, memoized results and retained IVM state all
+        go; compiled plans (data-independent) stay.  The session stays
+        usable.
         """
         with self._lock:
             self._decisions.purge(lambda key: True)
             self._service.close()
-        if self._fanout is not None:
-            self._fanout.close()
-            self._fanout = None
 
     def __enter__(self) -> "Session":
         return self
@@ -534,33 +459,8 @@ class Session:
     ) -> Result:
         from repro.engine.deadline import Deadline
 
-        # The budget starts here, covering planning and (for fan-out)
-        # dispatch; the worker gets whatever is left of it.
+        # The budget starts here, covering planning and execution.
         deadline = Deadline.after_ms(statement.deadline_ms)
-        if (
-            self._fanout is not None
-            and self._fanout.usable
-            and profiler is None  # profiled runs stay local: the
-            # caller wants *this* process's phase timings.
-        ):
-            try:
-                return self._fanout.execute(
-                    statement.query,
-                    statement.eps,
-                    statement.algorithm,
-                    statement.allow_partial,
-                    deadline_ms=(
-                        None
-                        if deadline is None
-                        else max(deadline.remaining_ms(), 0.001)
-                    ),
-                )
-            except FanoutBroken:
-                pass  # degrade to in-process execution below.
-        # In-process path: serialized.  When the fan-out pool breaks
-        # at runtime, several RPC dispatcher threads can land here
-        # concurrently; the lock keeps them off the unsynchronized
-        # plan cache and pooled simulators one at a time.
         with self._lock:
             return self._service.execute(
                 statement.query,

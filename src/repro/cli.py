@@ -35,9 +35,8 @@ Commands:
   to the network over the asyncio JSON-lines RPC protocol of
   :mod:`repro.serve.rpc` (with cross-request coalescing).  Either way
   statements are planner-routed (``--algorithm`` pins one), repeated
-  and isomorphic queries hit the plan/result caches, ``stats`` shows
-  the same counters, and ``--workers N`` fans statements out over
-  ``N`` worker processes.
+  and isomorphic queries hit the plan/result caches, and ``stats``
+  shows the same counters.
 * ``tables`` -- regenerate Table 1 and Table 2 of the paper.
 
 ``run``, ``run-plan`` and ``skew`` are the pinned, cache-free path:
@@ -45,9 +44,8 @@ Commands:
 (:mod:`repro.algorithms.registry`) -- the same compilers the planner
 chooses from -- plus :func:`repro.engine.execute_plan`.  They accept
 ``--profile``, which prints a per-round route/ship/deliver/local-eval
-wall-clock breakdown.  The engine runs every statement in this
-process; ``--workers`` exists only on ``serve``, where it is statement
-fan-out.
+wall-clock breakdown.  Every command runs its statements in this
+process.
 """
 
 from __future__ import annotations
@@ -405,7 +403,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         args,
         eps=args.eps,
         algorithm=args.algorithm,
-        workers=args.workers,
         plan_cache_size=args.plan_cache_size,
         result_cache_size=args.result_cache_size,
     )
@@ -414,8 +411,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {vocab} over n={args.n} matching database "
-        f"(p={args.p}, {routing}, "
-        f"workers={args.workers})"
+        f"(p={args.p}, {routing})"
     )
     try:
         if args.tcp is not None:
@@ -725,14 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--result-cache-size", type=int, default=512,
         help="result-cache entry budget (0 disables)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="statement fan-out: N worker processes, each a full "
-        "session over a shared-memory snapshot (with --tcp, also N "
-        "dispatch threads). 1 (default) keeps everything in-process",
     )
     serve.add_argument(
         "--chunk-rows",

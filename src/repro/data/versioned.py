@@ -189,16 +189,11 @@ class VersionedDatabase:
             relations are columnarised once here, so every later
             snapshot (and every plan execution over it) reads the same
             arrays.
-        initial_version: version number of the initial contents.
-            Defaults to 0; a fan-out worker attaching to the parent's
-            snapshot mid-life passes the parent's current version so
-            version-stamped results agree across processes.
     """
 
     def __init__(
         self,
         database: Database | ColumnarDatabase | Mapping[str, ColumnarRelation],
-        initial_version: int = 0,
     ) -> None:
         if isinstance(database, Mapping):
             relations = dict(database)
@@ -212,7 +207,7 @@ class VersionedDatabase:
         self._snapshot = ColumnarDatabase(
             relations=relations, domain_size=domain
         )
-        self._version = initial_version
+        self._version = 0
         self._history: deque[DeltaRecord] = deque(
             maxlen=DELTA_HISTORY_LIMIT
         )

@@ -10,11 +10,10 @@ shards -- and raises a structured :class:`DeadlineExceeded` carrying
 where the budget ran out.
 
 Cancellation is cooperative on purpose: the engine is never interrupted
-mid-primitive, so an abandoned execution leaves the simulator in the
+mid-primitive, so an abandoned execution leaves its simulator in the
 same "mid-run" state a :class:`~repro.mpc.simulator.CapacityExceeded`
-does -- fully reusable after :meth:`~repro.mpc.simulator.MPCSimulator.
-reset`, which is exactly what the serving layer's pooled simulators do
-before every request.
+does.  Every execution builds its own simulator, so the abandoned one
+is simply dropped and the next request starts clean.
 
 Error precedence is deterministic: capacity is evaluated when a round
 closes, the deadline between rounds/blocks/shards.  A round that both

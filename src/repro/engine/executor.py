@@ -299,34 +299,13 @@ def plan_config(plan: Plan) -> MPCConfig:
     )
 
 
-def plan_simulator(
-    plan: Plan,
-    input_bits: int,
-    simulator: MPCSimulator | None = None,
-) -> MPCSimulator:
-    """A simulator for one execution of ``plan``.
-
-    Passing an existing ``simulator`` (the serving layer's reuse path)
-    resets it in place instead of building a new one; its
-    configuration must match the plan's.
-    """
-    config = plan_config(plan)
-    if simulator is None:
-        return MPCSimulator(
-            config,
-            input_bits=input_bits,
-            enforce_capacity=plan.signature.enforce_capacity,
-        )
-    if simulator.config != config:
-        raise ValueError(
-            f"simulator config {simulator.config} does not match plan "
-            f"config {config}"
-        )
-    simulator.reset(
+def plan_simulator(plan: Plan, input_bits: int) -> MPCSimulator:
+    """A fresh simulator for one execution of ``plan``."""
+    return MPCSimulator(
+        plan_config(plan),
         input_bits=input_bits,
         enforce_capacity=plan.signature.enforce_capacity,
     )
-    return simulator
 
 
 def _plan_sources(database: Any) -> dict[str, ColumnarRelation]:
@@ -356,7 +335,6 @@ def execute_plan(
     database: Any,
     *,
     profiler: RoundProfiler | None = None,
-    simulator: MPCSimulator | None = None,
     relation_map: Mapping[str, str] | None = None,
     input_bits: int | None = None,
     chunk_rows: int | None = None,
@@ -373,8 +351,6 @@ def execute_plan(
             :class:`~repro.data.columnar.ColumnarRelation`.
         profiler: optional per-round route/ship/deliver/local timing
             collector.
-        simulator: optional simulator to reuse (reset in place); must
-            match the plan's configuration.
         relation_map: plan relation name -> database relation name,
             for executing a cached plan against an isomorphic query's
             relations (the plan-cache rebind).
@@ -390,9 +366,7 @@ def execute_plan(
             blocks, before and between local-evaluation shards
             (monolithic executions evaluate one shard, so every view
             and the final collect check once), and before the
-            finalize -- never mid-primitive, so an abandoned execution
-            leaves a pooled simulator reusable after ``reset()``
-            exactly like a capacity failure does.
+            finalize -- never mid-primitive.
 
     Returns:
         A :class:`PlanExecution` with answers, loads and views.
@@ -413,7 +387,7 @@ def execute_plan(
         }
     if input_bits is None:
         input_bits = _database_bits(database, sources)
-    simulator = plan_simulator(plan, input_bits, simulator)
+    simulator = plan_simulator(plan, input_bits)
     engine = RoundEngine(
         simulator,
         profiler=profiler,

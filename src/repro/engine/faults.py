@@ -1,8 +1,9 @@
 """Deterministic fault injection for the serving path.
 
-The degradation paths added with multi-process fan-out and streamed
-rounds (dead workers, broken pools, clients vanishing mid-stream) are
-hard to exercise reliably with ``kill -9`` probes and real timeouts.
+The degradation paths of deadlines and streamed replies (a statement
+overrunning its budget between or inside rounds, a client vanishing
+mid-stream) are hard to exercise reliably with real timeouts and
+disconnects.
 This module turns each of them into an environment knob so tests and
 CI legs trigger them deterministically:
 
@@ -13,13 +14,8 @@ CI legs trigger them deterministically:
 ``REPRO_FAULT_BLOCK_DELAY_MS``
     Sleep this many milliseconds after routing each streamed block.
     Makes the deadline expire *mid-round* (inside an open round's
-    block loop) -- the dangerous half of cancellation, proving pooled
-    simulators survive a partial round.
-``REPRO_FAULT_WORKER_DEATH``
-    A fan-out worker process exits hard (``os._exit``) immediately
-    before answering its N-th query, simulating an OOM kill at the
-    worst moment; the parent must mark the pool broken and degrade to
-    in-process execution.
+    block loop) -- the dangerous half of cancellation, proving the
+    session serves the next request after a partial round.
 ``REPRO_FAULT_DISCONNECT_BATCHES``
     The RPC server aborts a streamed response's connection after
     writing N batch lines, simulating a client that vanished
@@ -39,14 +35,12 @@ from dataclasses import dataclass
 
 ROUND_DELAY_ENV = "REPRO_FAULT_ROUND_DELAY_MS"
 BLOCK_DELAY_ENV = "REPRO_FAULT_BLOCK_DELAY_MS"
-WORKER_DEATH_ENV = "REPRO_FAULT_WORKER_DEATH"
 DISCONNECT_ENV = "REPRO_FAULT_DISCONNECT_BATCHES"
 
 #: Every knob, for introspection (metrics, README, CI matrix).
 FAULT_ENVS = (
     ROUND_DELAY_ENV,
     BLOCK_DELAY_ENV,
-    WORKER_DEATH_ENV,
     DISCONNECT_ENV,
 )
 
@@ -91,11 +85,6 @@ def block_delay_seconds() -> float:
     return _float_env(BLOCK_DELAY_ENV) / 1000.0
 
 
-def worker_death_after() -> int | None:
-    """Query count at which a fan-out worker dies (None = off)."""
-    return _int_env(WORKER_DEATH_ENV)
-
-
 def disconnect_after_batches() -> int | None:
     """Streamed batch count after which the RPC connection is cut."""
     return _int_env(DISCONNECT_ENV)
@@ -113,7 +102,6 @@ class FaultConfig:
 
     round_delay_ms: float = 0.0
     block_delay_ms: float = 0.0
-    worker_death_after: int | None = None
     disconnect_after_batches: int | None = None
 
     @property
@@ -121,7 +109,6 @@ class FaultConfig:
         return (
             self.round_delay_ms > 0
             or self.block_delay_ms > 0
-            or self.worker_death_after is not None
             or self.disconnect_after_batches is not None
         )
 
@@ -131,6 +118,5 @@ def active_faults() -> FaultConfig:
     return FaultConfig(
         round_delay_ms=_float_env(ROUND_DELAY_ENV),
         block_delay_ms=_float_env(BLOCK_DELAY_ENV),
-        worker_death_after=worker_death_after(),
         disconnect_after_batches=disconnect_after_batches(),
     )

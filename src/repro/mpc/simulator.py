@@ -232,37 +232,6 @@ class MPCSimulator:
         self._received_tuples += counts
         self._received_bits += counts * bits_per_tuple
 
-    def reset(
-        self,
-        input_bits: int | None = None,
-        enforce_capacity: bool | None = None,
-    ) -> None:
-        """Return the simulator to its just-constructed state.
-
-        The serving layer reuses one simulator across many plan
-        executions; a reset drops every delivery pool, streamed
-        recipe and the report while
-        keeping the configuration.  Optionally rebinds the input size
-        (databases mutate between requests) and capacity enforcement.
-
-        An open round is aborted: a :class:`CapacityExceeded` raise
-        leaves the simulator mid-round by design (the algorithm died
-        there), and a reset is exactly how a serving layer recovers
-        the pooled simulator afterwards.
-        """
-        self._in_round = False
-        if input_bits is not None:
-            self.input_bits = input_bits
-        if enforce_capacity is not None:
-            self.enforce_capacity = enforce_capacity
-        self.report = SimulationReport(input_bits=self.input_bits)
-        self._round_index = 0
-        self._pools.clear()
-        self._merged_pools.clear()
-        self._lazy.clear()
-        self._lazy_counts.clear()
-        self._reset_staging()
-
     # -- round lifecycle ----------------------------------------------------
 
     @property

@@ -14,8 +14,6 @@ across requests:
 * a result cache memoizing whole executions per (plan, rebind,
   version) -- the repeated-query fast path, including cached
   :class:`~repro.mpc.simulator.CapacityExceeded` failures;
-* simulator reuse: one :class:`~repro.mpc.simulator.MPCSimulator` per
-  configuration, reset between requests;
 * incremental view maintenance (:mod:`repro.serve.ivm`) after deltas;
 * per-request :class:`~repro.engine.profile.RoundProfiler` stats
   aggregated into service-level counters.

@@ -26,8 +26,7 @@ The merge replays a plan's rounds over *only the changed rows*:
 
 All patches accumulate in temporaries and commit only on success: a
 deadline expiring mid-merge (or a synthesised capacity error) leaves
-the retained state exactly as it was, reusable by the next request --
-the same invariant the serving layer's pooled simulators keep.
+the retained state exactly as it was, reusable by the next request.
 """
 
 from __future__ import annotations

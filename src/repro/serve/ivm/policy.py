@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from repro.data.columnar import ColumnarDatabase
 from repro.data.versioned import DeltaRecord
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan
-from repro.engine.faults import worker_death_after
 
 if TYPE_CHECKING:
     from .state import RetainedState
@@ -37,7 +36,6 @@ FALLBACK_STREAMED = "streamed-deliveries"
 FALLBACK_HISTORY_GAP = "history-gap"
 FALLBACK_BITS_CHANGED = "bits-changed"
 FALLBACK_DELTA_TOO_LARGE = "delta-too-large"
-FALLBACK_FAULTS_ACTIVE = "faults-active"
 
 
 def step_writers(plan: Plan) -> dict[str, list[tuple[int, int]]]:
@@ -96,10 +94,6 @@ class IvmPolicy:
     ) -> str | None:
         """Why this particular delta should not be merged
         (None when the merge may proceed)."""
-        if worker_death_after() is not None:
-            # Under the worker-death fault drill the serving layer is
-            # already degrading; take the well-trodden full path.
-            return FALLBACK_FAULTS_ACTIVE
         if composed is None:
             return FALLBACK_HISTORY_GAP
         if composed.bits_changed:

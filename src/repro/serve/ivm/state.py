@@ -11,8 +11,7 @@ instead of re-executing the plan.
 
 Nothing is derived a second time.  The fragments are zero-copy views
 of the pooled deliveries still sitting in the execution's simulator
-(the serving layer resets simulators lazily, at the start of the next
-run), and each site's per-worker answer tables and merged table --
+(each execution builds its own), and each site's per-worker answer tables and merged table --
 and a permuted ``FinalizeView``'s answer table -- are the very arrays
 local evaluation produced, taken by reference from
 :attr:`PlanExecution.site_answers

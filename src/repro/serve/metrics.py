@@ -5,13 +5,12 @@ to the value it counts: field metadata on the stats dataclasses
 (``RpcStats``, ``AdmissionStats``, ``ServiceStats``,
 ``PlanCacheStats``, ``PlannerStats``), or a class-level declaration on
 the attribute or property of a live gauge's owner (admission queue,
-IVM manager, fan-out pool, session, RPC server).  Increments stay
+IVM manager, session, RPC server).  Increments stay
 plain attribute arithmetic (``self.stats.errors += 1``): nothing is
 looked up or locked on the hot path.
 
 :func:`snapshot` copies the declared values of some owners into one
-:data:`Snapshot`; :func:`fold` adds a fan-out worker's snapshot to it
-(fleet totals).  Two walkers render a snapshot, so every instrument
+:data:`Snapshot`.  Two walkers render a snapshot, so every instrument
 appears in both and no view names one: :func:`stats_dict` (the RPC
 ``stats`` op, ``Session.stats_report()``, the REPL ``stats`` table)
 and :func:`exposition`, the Prometheus text format 0.0.4 that
@@ -60,8 +59,8 @@ class Histogram:
 
     ``observe`` is O(buckets); rendering emits the cumulative
     ``_bucket`` series (each ``le`` bound counts observations at or
-    below it), plus ``_sum`` and ``_count``.  Picklable (fan-out
-    workers ship their snapshots, histograms included, over the pipe).
+    below it), plus ``_sum`` and ``_count``.  Copyable (a snapshot
+    copies every histogram it reads).
     """
 
     __slots__ = ("bounds", "counts", "total", "count")
@@ -87,15 +86,6 @@ class Histogram:
             self.counts[-1] += 1
         self.total += value
         self.count += 1
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical bounds into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("histogram bucket bounds differ")
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.total += other.total
-        self.count += other.count
 
     def __reduce__(self):
         return (
@@ -123,9 +113,7 @@ class Instrument:
     ``stats_prefix`` (prepended to its keys); ``section`` overrides
     the former.  ``label`` names the label a dict value's keys fill,
     ``fixed`` labels let several instruments share one family, and
-    ``zero`` is what an absent owner reads.  A ``replicated`` count is
-    made by every fan-out process for the same event (a broadcast
-    update), so a fold keeps the parent's.
+    ``zero`` is what an absent owner reads.
     """
 
     family: str
@@ -135,7 +123,6 @@ class Instrument:
     fixed: tuple[tuple[str, str], ...] = ()
     section: str | None = None
     zero: Any = 0
-    replicated: bool = False
     getter: Callable[[Any], Any] | None = None
 
     def __get__(self, instance: Any, owner: type | None = None) -> Any:
@@ -192,8 +179,8 @@ def _map(value: Any, leaf: Callable[[Histogram], Any]) -> Any:
 def snapshot(*owners: Any) -> Snapshot:
     """Copy the value of every instrument ``owners`` declare.
 
-    An owner passed as its class (admission off, IVM off, no fan-out)
-    reads as zeros, so every key and family is always present.
+    An owner passed as its class (admission off, IVM off) reads as
+    zeros, so every key and family is always present.
     """
     readings: Snapshot = {}
     for owner in owners:
@@ -208,28 +195,6 @@ def snapshot(*owners: Any) -> Snapshot:
             key = (instrument.section or section, prefix + name)
             readings[key] = (instrument, value)
     return readings
-
-
-def _add(total: Any, other: Any) -> Any:
-    if isinstance(total, Histogram):
-        total.merge(other)
-    elif isinstance(total, dict):
-        for label, value in other.items():
-            mine = total.get(label)
-            total[label] = value if mine is None else _add(mine, value)
-    else:
-        return total + other
-    return total
-
-
-def fold(readings: Snapshot, values: Mapping[tuple, Any]) -> None:
-    """Add another process's snapshot ``values`` (key -> value) into
-    ``readings``: numbers add, dicts add per label, histograms merge.
-    Only the keys of ``readings`` fold; replicated instruments keep
-    their own count."""
-    for key, (instrument, value) in readings.items():
-        if not instrument.replicated:
-            readings[key] = (instrument, _add(value, values[key]))
 
 
 def stats_dict(readings: Snapshot) -> dict:
@@ -316,9 +281,9 @@ def exposition(readings: Snapshot) -> str:
 
 
 def render_metrics(server: Any) -> str:
-    """The ``/metrics`` page of an :class:`~repro.serve.rpc.RpcServer`;
-    with fan-out it waits for idle workers (call it on the control
-    thread, as :class:`MetricsServer` does)."""
+    """The ``/metrics`` page of an :class:`~repro.serve.rpc.RpcServer`
+    (call it on the server's dispatch thread, as :class:`MetricsServer`
+    does)."""
     return exposition(server.stats_snapshot())
 
 
@@ -327,7 +292,7 @@ class MetricsServer:
 
     Shares the RPC server's event loop: one ``asyncio.start_server``
     whose handler answers ``/metrics`` with the page rendered on the
-    RPC server's control thread, ``/healthz`` with a liveness line, and
+    RPC server's dispatch thread, ``/healthz`` with a liveness line, and
     anything else with 404.  Keep-alive is not offered
     (``Connection: close``) -- scrapers reconnect per scrape.
     """
@@ -393,8 +358,8 @@ class MetricsServer:
             path = parts[1].split("?", 1)[0]
             if path == "/metrics":
                 self.scrapes += 1
-                # The RPC server's control thread: a fan-out fold
-                # waits for idle workers, which must not block the loop.
+                # The RPC server's dispatch thread, which owns the
+                # session's state.
                 page = await asyncio.get_running_loop().run_in_executor(
                     self.rpc_server._pool, render_metrics, self.rpc_server
                 )

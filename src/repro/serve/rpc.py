@@ -26,8 +26,7 @@ Operations:
     Mutate one relation: ``relation`` plus ``rows`` (list of rows).
 ``stats``
     Every declared instrument, in sections -- the snapshot
-    ``/metrics`` renders (:mod:`repro.serve.metrics`); with fan-out,
-    fleet totals, read on the control thread once workers are idle.
+    ``/metrics`` renders (:mod:`repro.serve.metrics`).
 ``ping``
     Liveness probe.
 
@@ -46,38 +45,18 @@ the int64 table, without building Python rows -- except that a
 merged read's reply is the previous reply's bytes with the merge's row
 splice applied (:func:`~repro.serve.service.splice_answers`).
 
-**Concurrency and coalescing.**  The session object is not
-thread-safe: its planner/profile caches, plan cache and pooled
-simulators are all unsynchronized, and the coalescing key pairs each
+**Concurrency and coalescing.**  The session's planner, plan and
+result caches are unsynchronized, and the coalescing key pairs each
 statement with the version current at submit -- which must still be
-the version at execute.  Control operations (explain, update, stats)
-therefore always run on a single worker thread.  Query dispatch is
-governed by ``workers``:
-
-* ``workers=1`` (the safe default): queries share the same single
-  thread, keeping the session strictly serialized while the event
-  loop keeps accepting, parsing and responding -- many closed-loop
-  clients pipeline instead of queueing on the network.
-* ``workers=N >= 2`` (requires a session built with fan-out, i.e.
-  ``connect(db, workers=N)``): queries run on ``N`` dispatcher
-  threads.  This is safe *only* because a fan-out session's query
-  path never touches the shared session state -- each statement is
-  shipped whole to an idle worker process holding its own session
-  over the shared-memory snapshot.  Updates still serialize on the
-  control thread and broadcast behind an all-workers barrier whose
-  *last* step publishes the parent version, so a query keyed at the
-  new version can never execute against a stale worker (a query
-  keyed just before the bump may execute one version fresh -- the
-  two were concurrent, so that serialization is equally legal).  If
-  the fan-out pool breaks at runtime (worker OOM-killed), query
-  dispatch drops back to the single control thread: the session's
-  own execution lock already serializes the in-process fallback, but
-  single-threading it also restores the strict query/update ordering
-  of ``workers=1``.
+the version at execute.  Every session operation (query, explain,
+update, stats) therefore runs on one dispatch thread, keeping the
+session strictly serialized while the event loop keeps accepting,
+parsing and responding -- many closed-loop clients pipeline instead
+of queueing on the network.
 
 Identical canonicalized statements arriving while one is already in
-flight *coalesce* in both modes: they await the same execution future
-and each gets the shared result (counted in ``RpcStats.coalesced``).
+flight *coalesce*: they await the same execution future and each gets
+the shared result (counted in ``RpcStats.coalesced``).
 This is the cross-request batching the ROADMAP asks for -- the dual
 of the result cache, which only helps *after* an execution finishes.
 
@@ -269,15 +248,6 @@ class RpcServer:
             bound one from :attr:`address` after :meth:`start`).
         coalesce: share in-flight executions between identical
             concurrent statements (on by default).
-        workers: query-dispatch thread count.  Defaults to the
-            session's fan-out width (its ``workers`` option) so
-            ``connect(db, workers=N)`` + ``RpcServer(session)`` just
-            works; pass explicitly to override.  Clamped to 1 when
-            the session has no usable fan-out pool at construction,
-            and queries re-route to the single control thread at
-            dispatch time if the pool breaks later -- the in-process
-            execution path never runs from several threads (see the
-            module docstring for the contract).
         max_inflight: queries allowed to execute concurrently; 0 (the
             default) disables admission control entirely.
         max_queue: queries allowed to wait for an execution slot when
@@ -309,12 +279,6 @@ class RpcServer:
     def quota_clients(self) -> int:
         return len(self._quotas)
 
-    @gauge(
-        "rpc_dispatch_threads", "Query-dispatch threads.", section="parallel"
-    )
-    def dispatch_threads(self) -> int:
-        return self.workers
-
     def __init__(
         self,
         session: "Session",
@@ -322,7 +286,6 @@ class RpcServer:
         port: int = 0,
         *,
         coalesce: bool = True,
-        workers: int | None = None,
         max_inflight: int = 0,
         max_queue: int = 16,
         quota_rps: float | None = None,
@@ -363,32 +326,16 @@ class RpcServer:
             )
         self.idle_timeout = idle_timeout
         self._server: asyncio.AbstractServer | None = None
-        # One control worker, always: explain/update/stats touch the
-        # session's unsynchronized caches, and a strict execution
-        # order keeps version-at-submit equal to version-at-execute
-        # for the coalescing key.
+        # One dispatch thread: every operation touches the session's
+        # unsynchronized caches, and a strict execution order keeps
+        # version-at-submit equal to version-at-execute for the
+        # coalescing key.
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-rpc"
         )
-        if workers is None:
-            workers = getattr(session, "workers", 1)
-        fanout = getattr(session, "fanout", None)
-        if fanout is None or not fanout.usable:
-            workers = 1  # no fan-out pool: single-threaded is the
-            # only safe dispatch (the hardcoded pre-parallel default).
-        self.workers = workers
-        # Query dispatch: the fan-out query path never touches shared
-        # session state, so with a fan-out session N threads may each
-        # drive one executor process concurrently.
-        self._query_pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-rpc-q"
-            )
-            if workers > 1
-            else self._pool
-        )
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._clients: set[asyncio.Task] = set()
+        self._closing = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -416,6 +363,7 @@ class RpcServer:
 
     async def close(self) -> None:
         """Stop accepting, drain client handlers, release the worker."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -425,8 +373,6 @@ class RpcServer:
         if self._clients:
             await asyncio.gather(*self._clients, return_exceptions=True)
         self._clients.clear()
-        if self._query_pool is not self._pool:
-            self._query_pool.shutdown(wait=True)
         self._pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "RpcServer":
@@ -494,6 +440,11 @@ class RpcServer:
                 await self._serve_line(text, writer, connection_key)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # close() cancels every handler; ending normally keeps
+            # asyncio's stream callback from logging the cancellation.
+            if not self._closing:
+                raise
         finally:
             writer.close()
             try:
@@ -618,7 +569,6 @@ class RpcServer:
         if op in ("update", "delete"):
             return [await self._op_update(op, request)]
         if op == "stats":
-            # The control thread: a fan-out fold waits for idle workers.
             loop = asyncio.get_running_loop()
             return [await loop.run_in_executor(self._pool, self._op_stats)]
         raise QueryError(
@@ -767,29 +717,11 @@ class RpcServer:
 
     # -- execution with cross-request coalescing ----------------------------
 
-    def _dispatch_pool(self) -> ThreadPoolExecutor:
-        """The executor queries run on *right now*.
-
-        Multi-threaded dispatch is only legal while the session's
-        fan-out pool is alive.  If workers died since the server was
-        built, ``statement.execute`` would run its in-process fallback
-        -- so queries drop back to the single control thread, which
-        both serializes them with updates again and avoids contending
-        on the session's execution lock from N threads.
-        """
-        if self._query_pool is self._pool:
-            return self._pool
-        fanout = getattr(self.session, "fanout", None)
-        if fanout is None or not fanout.usable:
-            return self._pool
-        return self._query_pool
-
     async def _execute(self, statement: "Statement"):
         loop = asyncio.get_running_loop()
-        pool = self._dispatch_pool()
         if not self.coalesce:
             return (
-                await loop.run_in_executor(pool, statement.execute),
+                await loop.run_in_executor(self._pool, statement.execute),
                 False,
             )
         key = (statement.canonical_key(), self.session.version)
@@ -797,7 +729,7 @@ class RpcServer:
         if future is not None:
             self.stats.coalesced += 1
             return await asyncio.shield(future), True
-        future = loop.run_in_executor(pool, statement.execute)
+        future = loop.run_in_executor(self._pool, statement.execute)
         self._inflight[key] = future
         try:
             return await asyncio.shield(future), False
@@ -812,7 +744,6 @@ async def serve_tcp(
     port: int = 8765,
     *,
     coalesce: bool = True,
-    workers: int | None = None,
     max_inflight: int = 0,
     max_queue: int = 16,
     quota_rps: float | None = None,
@@ -828,8 +759,6 @@ async def serve_tcp(
         session: the session to serve.
         host / port: bind address.
         coalesce: share in-flight identical statements.
-        workers: query-dispatch thread count (see :class:`RpcServer`;
-            None follows the session's fan-out width).
         max_inflight / max_queue / quota_rps / quota_burst /
             idle_timeout: hardening knobs (see :class:`RpcServer`).
         metrics_port: also serve ``GET /metrics`` (Prometheus text
@@ -844,7 +773,6 @@ async def serve_tcp(
         host,
         port,
         coalesce=coalesce,
-        workers=workers,
         max_inflight=max_inflight,
         max_queue=max_queue,
         quota_rps=quota_rps,
@@ -864,9 +792,8 @@ async def serve_tcp(
     if announce is not None:
         announce(
             f"repro rpc: listening on {bound_host}:{bound_port} "
-            f"({server.workers} dispatch thread"
-            f"{'s' if server.workers != 1 else ''}; JSON lines; ops: "
-            "query / explain / update / delete / stats / ping)"
+            "(JSON lines; ops: query / explain / update / delete / "
+            "stats / ping)"
         )
     if ready is not None:
         ready.set()

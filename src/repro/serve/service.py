@@ -18,8 +18,7 @@ layers:
    answers per head order read, with their tuple and JSON views
    (:class:`AnswerViews`) built at most once.
 
-Simulators are pooled per configuration and reset between requests,
-and each execution's
+Each execution builds its own simulator, and its
 :class:`~repro.engine.profile.RoundProfiler` phases are aggregated
 into :class:`ServiceStats`.
 """
@@ -37,11 +36,11 @@ from repro.core.query import ConjunctiveQuery, QueryError
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.engine import Plan, RoundProfiler, execute_plan, plan_config
+from repro.engine import Plan, RoundProfiler, execute_plan
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.profile import PHASES
 from repro.serve.metrics import Histogram, counter, histogram
-from repro.mpc.simulator import CapacityExceeded, MPCSimulator
+from repro.mpc.simulator import CapacityExceeded
 from repro.mpc.stats import SimulationReport
 from repro.planner import Explain, PlannerChoice
 from repro.serve.cache import (
@@ -92,7 +91,7 @@ class ServiceStats:
     routing_misses: int = RETIRED_ROUTING.field(event="miss")
     routing_evictions: int = RETIRED_ROUTING.field(event="eviction")
     updates: int = counter(
-        "service_updates_total", "Database mutations applied.", replicated=True
+        "service_updates_total", "Database mutations applied."
     ).field()
     answers_served: int = counter(
         "service_answers_served_total",
@@ -446,7 +445,6 @@ class QueryService:
         )
         #: The incremental-maintenance manager (None when disabled).
         self.ivm = IvmManager() if ivm else None
-        self._simulators: dict[tuple, MPCSimulator] = {}
 
     def _count_result_eviction(self) -> None:
         self.stats.result_evictions += 1
@@ -521,9 +519,7 @@ class QueryService:
                 already-expired budget deterministically beats any
                 memoized outcome, including a cached capacity failure
                 -- and cooperatively inside the execution.  A
-                deadline-cancelled execution is never cached, and the
-                pooled simulator it abandoned is reset by the next
-                request exactly like after a capacity failure.
+                deadline-cancelled execution is never cached.
 
         Raises:
             CapacityExceeded: when enforcement is on and the execution
@@ -612,11 +608,10 @@ class QueryService:
         return version
 
     def close(self) -> None:
-        """Drop memoized results, pooled simulators and retained IVM
-        state; compiled plans (data-independent) survive."""
+        """Drop memoized results and retained IVM state; compiled plans
+        (data-independent) survive."""
         if self._results is not None:
             self._results.purge(lambda key: True)
-        self._simulators.clear()
         if self.ivm is not None:
             self.ivm.clear()
 
@@ -707,20 +702,6 @@ class QueryService:
         self.stats.ivm_fallbacks += 1
         return None, served
 
-    def _simulator_for(self, plan: Plan) -> MPCSimulator:
-        """The pooled simulator for ``plan``'s MPC configuration."""
-        config = plan_config(plan)
-        key = (config.p, config.eps, config.c)
-        simulator = self._simulators.get(key)
-        if simulator is None:
-            simulator = MPCSimulator(
-                config,
-                input_bits=self._database.total_bits,
-                enforce_capacity=plan.signature.enforce_capacity,
-            )
-            self._simulators[key] = simulator
-        return simulator
-
     def _execute(
         self,
         plan: Plan,
@@ -741,7 +722,6 @@ class QueryService:
                 plan,
                 self._database.snapshot,
                 profiler=profiler,
-                simulator=self._simulator_for(plan),
                 relation_map=relation_map,
                 chunk_rows=self.chunk_rows,
                 deadline=deadline,
@@ -751,25 +731,22 @@ class QueryService:
             execution = None
         except DeadlineExceeded:
             # Not memoizable: a later identical request with a fresh
-            # budget must execute for real.  The abandoned simulator is
-            # reset by its next user, like after a capacity failure.
+            # budget must execute for real.
             self.stats.executions += 1
             self.stats.deadline_exceeded += 1
             raise
         self.stats.executions += 1
         self.stats.add_profile(profiler)
         if error is not None:
-            # The report lives on the pooled simulator that raised;
-            # keep the failure itself, which carries worker/round/bits.
+            # The report died with the simulator that raised; keep the
+            # failure itself, which carries worker/round/bits.
             return _Outcome(
                 SimulationReport(input_bits=self._database.total_bits),
                 error=error,
             )
         if self.ivm is not None:
             # Retain what the run computed, by reference: its site
-            # answers ride on ``execution``, its deliveries still sit
-            # in the pooled simulator (reset happens at the start of
-            # the next run).
+            # answers and deliveries ride on ``execution``.
             self.ivm.capture(
                 variant,
                 plan,

@@ -69,6 +69,7 @@ class TestConnect:
             "decision_cache_size",
             "profile_cache_size",
             "sample_cap",
+            "workers",
         ],
     )
     def test_removed_knobs_are_rejected(self, removed):
@@ -81,7 +82,6 @@ class TestConnect:
             pytest.param(option, bound, id=option)
             for option, bound in (
                 ("p", 1),
-                ("workers", 1),
                 ("plan_cache_size", 0),
                 ("result_cache_size", 0),
             )
@@ -218,7 +218,7 @@ class TestErrors:
         with pytest.raises(CapacityExceeded):
             session.query("S1(x,y), S2(y,z)").execute()
         # the session survives and keeps serving, a different query
-        # through the same pooled simulator included
+        # included
         with pytest.raises(CapacityExceeded):
             session.query("S1(x,y), S2(y,z)").execute()
         with pytest.raises(CapacityExceeded):

@@ -37,9 +37,7 @@ from repro.engine import (
     FinalizeView,
     Plan,
     execute_plan,
-    plan_simulator,
 )
-from repro.mpc.simulator import MPCSimulator
 from tests.conftest import assert_oracle_parity, run_with_oracle
 
 
@@ -130,30 +128,6 @@ class TestExecution:
         )
         assert mapped.answers == direct.answers
         assert mapped.per_server == direct.per_server
-
-    def test_simulator_reuse_is_bit_identical(self, two_hop, two_hop_db):
-        plan = compile_hypercube(two_hop, p=8)
-        fresh = execute_plan(plan, two_hop_db)
-        simulator = MPCSimulator(
-            fresh.simulator.config,
-            input_bits=two_hop_db.total_bits,
-            enforce_capacity=False,
-        )
-        # Dirty the simulator with one run, then reuse it.
-        execute_plan(plan, two_hop_db, simulator=simulator)
-        reused = execute_plan(plan, two_hop_db, simulator=simulator)
-        assert reused.answers == fresh.answers
-        assert reused.per_server == fresh.per_server
-        assert [r.received_bits for r in reused.report.rounds] == [
-            r.received_bits for r in fresh.report.rounds
-        ]
-
-    def test_plan_simulator_rejects_config_mismatch(self, two_hop):
-        plan8 = compile_hypercube(two_hop, p=8)
-        plan4 = compile_hypercube(two_hop, p=4)
-        simulator = plan_simulator(plan8, input_bits=100)
-        with pytest.raises(ValueError, match="config"):
-            plan_simulator(plan4, input_bits=100, simulator=simulator)
 
     def test_multiround_plan_execution(self):
         query = parse_query("S1(a,b), S2(b,c), S3(c,d), S4(d,e)")

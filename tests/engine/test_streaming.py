@@ -11,7 +11,7 @@ from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.registry import compile_with
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
-from repro.engine.executor import execute_plan, plan_simulator
+from repro.engine.executor import execute_plan
 from repro.engine.steps import (
     Broadcast,
     HashRoute,
@@ -453,58 +453,26 @@ class TestChunkBoundaries:
         assert 0 in kept_per_row  # some block is entirely filtered
         self._parity(query, triangle_db, plan, chunk=1)
 
-    def test_capacity_exceeded_mid_stream_then_reset_reuses(self, two_hop):
+    def test_capacity_exceeded_mid_stream_matches_monolithic(self, two_hop):
         db = matching_database(two_hop, n=50, rng=11)
         plan = _compile(
             two_hop, db, capacity_c=0.001, enforce_capacity=True
         )
         with pytest.raises(CapacityExceeded) as monolithic:
             execute_plan(plan, db)
-        simulator = plan_simulator(plan, input_bits=db.total_bits)
-        for _ in range(2):  # the second pass proves reset() recovery
-            with pytest.raises(CapacityExceeded) as streamed:
-                execute_plan(
-                    plan, db, simulator=simulator, chunk_rows=8
-                )
-            assert streamed.value.worker == monolithic.value.worker
-            assert (
-                streamed.value.received_bits
-                == monolithic.value.received_bits
-            )
-            assert (
-                streamed.value.round_index
-                == monolithic.value.round_index
-            )
-        # The failure aborted mid-round with lazy recipes staged; a
-        # reset returns the pooled simulator to a clean, reusable
-        # state for a successful streamed execution.
-        simulator.reset()
-        assert simulator.round_index == 0
-        for relation in ("S1", "S2"):
-            assert not simulator.has_lazy_deliveries(relation)
-        generous = dataclasses.replace(
-            plan,
-            signature=dataclasses.replace(
-                plan.signature, enforce_capacity=False
-            ),
-        )
-        reused = execute_plan(
-            generous, db, simulator=simulator, chunk_rows=8
-        )
-        fresh = execute_plan(generous, db)
-        assert reused.answers == fresh.answers
-        assert reused.per_server == fresh.per_server
+        with pytest.raises(CapacityExceeded) as streamed:
+            execute_plan(plan, db, chunk_rows=8)
+        assert streamed.value.worker == monolithic.value.worker
+        assert streamed.value.received_bits == monolithic.value.received_bits
+        assert streamed.value.round_index == monolithic.value.round_index
 
 
 class TestLazySimulatorState:
     def _streamed_simulator(self, two_hop, chunk=6):
         db = matching_database(two_hop, n=40, rng=13)
         plan = _compile(two_hop, db)
-        simulator = plan_simulator(plan, input_bits=db.total_bits)
-        execution = execute_plan(
-            plan, db, simulator=simulator, chunk_rows=chunk
-        )
-        return db, plan, simulator, execution
+        execution = execute_plan(plan, db, chunk_rows=chunk)
+        return db, plan, execution.simulator, execution
 
     def test_streamed_relations_are_lazy_not_eager(self, two_hop):
         _, _, simulator, _ = self._streamed_simulator(two_hop)

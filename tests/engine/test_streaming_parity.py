@@ -141,9 +141,9 @@ class TestServiceParity:
             with pytest.raises(CapacityExceeded) as info:
                 session.execute(triangle)
             failures[chunk] = info.value
-            # The pooled simulator stays reusable after the
-            # mid-stream abort: the next request fails identically
-            # instead of tripping over a half-open round.
+            # The session stays usable after the mid-stream abort:
+            # the next request fails identically instead of tripping
+            # over a half-open round.
             with pytest.raises(CapacityExceeded) as again:
                 session.execute(triangle)
             assert again.value.worker == info.value.worker

@@ -182,7 +182,8 @@ class TestProfileFlag:
 
 
 class TestWorkersFlag:
-    """``--workers`` is statement fan-out, so only ``serve`` takes it."""
+    """Every command runs its statements in one process, so none takes
+    ``--workers``."""
 
     def test_streamed_run_plan_runs_in_one_process(self, capsys):
         code = main(["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
@@ -200,22 +201,11 @@ class TestWorkersFlag:
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_serve_fans_statements_out(self, capsys, tmp_path):
-        output = _serve(
-            capsys,
-            tmp_path,
-            ["run S1(x,y), S2(y,z)", "stats", "exit"],
-            "--n", "40", "--p", "8", "--workers", "2",
-        )
-        counters = dict(
-            line.split(None, 1)
-            for line in output.splitlines()
-            if line.startswith("parallel.")
-        )
-        assert "workers=2)" in output
-        assert "40 answers" in output
-        assert counters["parallel.fanout_workers"].strip() == "2"
-        assert counters["parallel.fanout_queries"].strip() == "1"
+    def test_serve_takes_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--n", "40", "--p", "8", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_chunk_rows_prints_the_per_block_table(self, capsys):
         code = main(

@@ -38,22 +38,9 @@ class TestSpeedupFields:
         )
         assert fields == {"speedup": 5.0, "segmented_speedup": 2.0}
 
-    def test_bench_parallel_payload_is_trended(self, trend):
-        # The multi-process benchmark's perf claim rides the same
-        # convention: its parallel_speedup field must be collected.
-        fields = trend.speedup_fields(
-            {
-                "parallel_speedup": 3.4,
-                "single_seconds": 2.0,
-                "multi_seconds": 0.6,
-                "speedup_gated": True,  # bool is not a perf claim
-            }
-        )
-        assert fields == {"parallel_speedup": 3.4}
 
-
-def _entry(fields, cores=None, gate_cores=None):
-    return {"fields": fields, "cores": cores, "gate_cores": gate_cores}
+def _entry(fields, cores=None):
+    return {"fields": fields, "cores": cores}
 
 
 class TestCompare:
@@ -96,19 +83,6 @@ class TestCompare:
         assert regressions == []
         assert any("cores changed (4 -> 1)" in note for note in notes)
 
-    def test_below_gate_threshold_skips_the_comparison(self, trend):
-        # BENCH_parallel.json recorded parallel_speedup 0.916 on a
-        # 1-core runner: never a perf claim, never a baseline.
-        entry = _entry({"parallel_speedup": 0.916}, cores=1, gate_cores=4)
-        worse = _entry({"parallel_speedup": 0.5}, cores=1, gate_cores=4)
-        regressions, notes = trend.compare(
-            {"BENCH_parallel.json": entry},
-            {"BENCH_parallel.json": worse},
-            tolerance=0.2,
-        )
-        assert regressions == []
-        assert any("below the 4-core speedup gate" in note for note in notes)
-
     def test_missing_core_metadata_still_compares(self, trend):
         # Pre-cores artifacts keep trending: nothing proves the runs
         # differ, and dropping coverage silently would be worse.
@@ -119,29 +93,16 @@ class TestCompare:
         )
         assert len(regressions) == 1
 
-    def test_at_or_above_gate_compares(self, trend):
-        regressions, _ = trend.compare(
-            {"BENCH_a.json": _entry({"speedup": 4.0}, cores=4, gate_cores=4)},
-            {"BENCH_a.json": _entry({"speedup": 1.0}, cores=4, gate_cores=4)},
-            tolerance=0.2,
-        )
-        assert len(regressions) == 1
-
 
 class TestCollect:
-    def test_collect_reads_cores_and_gate(self, trend, tmp_path):
-        _write(
-            tmp_path,
-            "BENCH_x.json",
-            {"speedup": 3.0, "cores": 2, "speedup_gate_cores": 4},
-        )
+    def test_collect_reads_cores(self, trend, tmp_path):
+        _write(tmp_path, "BENCH_x.json", {"speedup": 3.0, "cores": 2})
         _write(tmp_path, "BENCH_y.json", {"seconds": 1.0})  # no claim
         collected = trend.collect(str(tmp_path))
         assert collected == {
             "BENCH_x.json": {
                 "fields": {"speedup": 3.0},
                 "cores": 2,
-                "gate_cores": 4,
             }
         }
 

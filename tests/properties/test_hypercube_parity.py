@@ -4,7 +4,7 @@ The column-wise engine must produce *exactly* what the row-at-a-time
 reference (:mod:`repro.oracle`) produces for any query, database, seed
 and server count: the same answers, per-round received bits/tuples,
 per-server answer counts and capacity failures -- monolithic or
-streamed in blocks, in process or on a fan-out worker.  These tests
+streamed in blocks.  These tests
 drive both over randomized inputs and assert equality of everything
 observable.
 """
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import connect, oracle
+from repro import oracle
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
     binomial_query,
@@ -96,30 +96,6 @@ class TestExecutionModes:
                 engine_options={"chunk_rows": 7},
             )
         )
-
-    @pytest.mark.parametrize(
-        "chunk_rows", [None, 9], ids=["whole", "streamed"]
-    )
-    def test_fanned_out_parity(self, chunk_rows):
-        # A statement run on a fan-out worker, over the shared-memory
-        # snapshot, equals the reference on the plan it executed.
-        query = cycle_query(3)
-        database = matching_database(query, n=120, rng=3)
-        with connect(
-            database, p=16, seed=2, workers=2, chunk_rows=chunk_rows
-        ) as session:
-            result = session.execute(query, algorithm="hypercube")
-            assert session.fanout.queries == 1
-        reference = oracle.execute_plan(result.plan, database)
-        assert result.answers == reference.answers
-        assert result.per_server == reference.per_server
-        assert [
-            (r.received_bits, r.received_tuples) for r in result.report.rounds
-        ] == [
-            (r.received_bits, r.received_tuples)
-            for r in reference.report.rounds
-        ]
-
 
 class TestRandomizedDatabases:
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)

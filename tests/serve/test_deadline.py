@@ -5,8 +5,8 @@ only at cooperative points (between rounds, between streamed blocks,
 at service entry), raises a structured
 :class:`~repro.engine.deadline.DeadlineExceeded`, loses to capacity
 when a round does both, beats every cached outcome when already spent
-at entry -- and never corrupts the pooled simulators: the request
-after a deadline overrun answers bit-identically to a fresh session.
+at entry -- and never corrupts the session: the request after a
+deadline overrun answers bit-identically to a fresh session.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ class TestSimulatorReuseParity:
             after = session.execute(PATH)
             assert after.answers == expected.answers
             assert after.per_server == expected.per_server
-            # And again, to prove the pooled simulator stays healthy.
+            # And again: the next request still succeeds.
             assert session.execute(PATH).answers == expected.answers
         finally:
             session.close()

@@ -25,16 +25,15 @@ class TestKnobParsing:
             monkeypatch.delenv(name, raising=False)
         assert faults.round_delay_seconds() == 0.0
         assert faults.block_delay_seconds() == 0.0
-        assert faults.worker_death_after() is None
         assert faults.disconnect_after_batches() is None
         config = faults.active_faults()
         assert not config.any_active
 
     def test_blank_values_count_as_unset(self, monkeypatch):
         monkeypatch.setenv(faults.ROUND_DELAY_ENV, "  ")
-        monkeypatch.setenv(faults.WORKER_DEATH_ENV, "")
+        monkeypatch.setenv(faults.DISCONNECT_ENV, "")
         assert faults.round_delay_seconds() == 0.0
-        assert faults.worker_death_after() is None
+        assert faults.disconnect_after_batches() is None
 
     def test_delays_convert_ms_to_seconds(self, monkeypatch):
         monkeypatch.setenv(faults.ROUND_DELAY_ENV, "250")
@@ -54,12 +53,12 @@ class TestKnobParsing:
         monkeypatch.setenv(faults.ROUND_DELAY_ENV, "-5")
         with pytest.raises(ValueError):
             faults.round_delay_seconds()
-        monkeypatch.setenv(faults.WORKER_DEATH_ENV, "0")
+        monkeypatch.setenv(faults.DISCONNECT_ENV, "0")
         with pytest.raises(ValueError):
-            faults.worker_death_after()
-        monkeypatch.setenv(faults.WORKER_DEATH_ENV, "two")
+            faults.disconnect_after_batches()
+        monkeypatch.setenv(faults.DISCONNECT_ENV, "two")
         with pytest.raises(ValueError):
-            faults.worker_death_after()
+            faults.disconnect_after_batches()
 
     def test_inject_round_delay_sleeps_only_when_set(self):
         start = time.perf_counter()
@@ -107,71 +106,3 @@ class TestInjectedDelays:
             assert delayed.answers == baseline.answers
         finally:
             session.close()
-
-
-class TestWorkerDeath:
-    def test_worker_death_degrades_to_in_process(self, monkeypatch):
-        # The fan-out worker kills itself (os._exit, as an OOM killer
-        # would) before answering its first query.  The parent must
-        # mark the pool broken, fall back in-process, and still answer
-        # correctly -- and stay degraded for later statements.
-        monkeypatch.setenv(faults.WORKER_DEATH_ENV, "1")
-        database = _database()
-        with connect(database, p=8) as serial:
-            expected = serial.execute(PATH)
-        with connect(database, p=8, workers=2) as fanned:
-            if fanned.fanout is None or not fanned.fanout.usable:
-                pytest.skip("no usable fan-out pool on this platform")
-            result = fanned.execute(PATH)
-            assert result.answers == expected.answers
-            assert not fanned.fanout.usable  # pool marked broken
-            # The dying worker's pipe closes before the kernel reaps
-            # it, so the liveness gauge may lag the EOF the parent saw.
-            settle = time.monotonic() + 5.0
-            while (
-                fanned.fanout.alive_workers == fanned.fanout.workers
-                and time.monotonic() < settle
-            ):
-                time.sleep(0.01)
-            assert fanned.fanout.alive_workers < fanned.fanout.workers
-            # Still serving (in-process) after the death.
-            again = fanned.execute(PATH)
-            assert again.answers == expected.answers
-
-    def test_worker_survives_until_the_nth_query(self, monkeypatch):
-        monkeypatch.setenv(faults.WORKER_DEATH_ENV, "3")
-        database = _database()
-        with connect(database, p=8) as serial:
-            expected = serial.execute(PATH)
-        with connect(database, p=8, workers=2) as fanned:
-            if fanned.fanout is None or not fanned.fanout.usable:
-                pytest.skip("no usable fan-out pool on this platform")
-            # Each worker dies on *its own* third query; serial
-            # statements keep the pool alive until some worker has
-            # handled three.
-            survived = 0
-            while fanned.fanout.usable and survived < 10:
-                assert fanned.execute(PATH).answers == expected.answers
-                survived += 1
-            assert not fanned.fanout.usable
-            assert 3 <= survived <= 6  # died on a worker's 3rd query
-
-
-class TestPoolShutdown:
-    def test_join_timeout_is_validated(self):
-        from repro.api.fanout import SessionWorkerPool
-
-        with pytest.raises(ValueError):
-            SessionWorkerPool(
-                _database(), {"p": 8}, workers=1, join_timeout=0
-            )
-
-    def test_clean_close_kills_no_stragglers(self):
-        session = connect(_database(), p=8, workers=2)
-        try:
-            if session.fanout is None or not session.fanout.usable:
-                pytest.skip("no usable fan-out pool on this platform")
-            fanout = session.fanout
-        finally:
-            session.close()
-        assert fanout.killed_stragglers == 0

@@ -27,7 +27,6 @@ from repro import connect
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.local import union_answer_tables
 from repro.mpc.simulator import CapacityExceeded
-from repro.engine.faults import WORKER_DEATH_ENV
 from tests.conftest import ivm_policy, statement_deadline
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
@@ -230,32 +229,6 @@ class TestFallbacks:
         # answered re-captured fresh state at the current version.
         served.update(inserts={"S1": _fresh_rows(served, "S1", 1)})
         assert served.execute(TRIANGLE).ivm == "merged"
-
-    def test_worker_death_drill_degrades_cleanly(
-        self, monkeypatch
-    ):
-        served, control = _pair()
-        served.execute(TRIANGLE)
-        control.execute(TRIANGLE)
-        _apply_both(
-            served,
-            control,
-            inserts={"S1": _fresh_rows(served, "S1", 2)},
-        )
-        monkeypatch.setenv(WORKER_DEATH_ENV, "1")
-        mine = served.execute(TRIANGLE)
-        assert mine.ivm == "faults-active"
-        _assert_parity(mine, control.execute(TRIANGLE))
-        # Drill over: the next delta merges again.
-        monkeypatch.delenv(WORKER_DEATH_ENV)
-        _apply_both(
-            served,
-            control,
-            inserts={"S1": _fresh_rows(served, "S1", 1)},
-        )
-        mine = served.execute(TRIANGLE)
-        assert mine.ivm == "merged"
-        _assert_parity(mine, control.execute(TRIANGLE))
 
     def test_byte_budget_rejects_capture(self):
         with ivm_policy(max_bytes=1):

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro import connect
-from repro.api.fanout import SessionWorkerPool
 from repro.api.session import Session
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
@@ -142,17 +141,6 @@ class TestHistogram:
         assert histogram.count == 5
         assert histogram.total == pytest.approx(5.605)
         assert histogram.counts == [1, 2, 1, 1]  # last = overflow
-
-    def test_merge_requires_identical_bounds(self):
-        left = Histogram(bounds=(0.1, 1.0))
-        right = Histogram(bounds=(0.1, 1.0))
-        left.observe(0.05)
-        right.observe(2.0)
-        left.merge(right)
-        assert left.count == 2
-        assert left.counts == [1, 0, 1]
-        with pytest.raises(ValueError):
-            left.merge(Histogram(bounds=(0.2, 1.0)))
 
     def test_pickle_roundtrip(self):
         import pickle
@@ -387,11 +375,6 @@ PARENT_STATS_KEYS = {
         "result_evictions", "result_hits", "routing_evictions",
         "routing_hits", "routing_misses", "updates",
     },
-    "parallel": {
-        "dispatch_threads", "fanout_alive_workers",
-        "fanout_killed_stragglers", "fanout_queries", "fanout_usable",
-        "fanout_workers",
-    },
     "planner": {"by_algorithm", "decision_cache_hits", "decisions", "pinned"},
 }
 
@@ -403,11 +386,6 @@ PARENT_FAMILIES = {
     ("repro_admission_limit_queue", "gauge", ()),
     ("repro_admission_queued", "gauge", ()),
     ("repro_database_version", "gauge", ()),
-    ("repro_fanout_alive_workers", "gauge", ()),
-    ("repro_fanout_killed_stragglers_total", "counter", ()),
-    ("repro_fanout_queries_total", "counter", ()),
-    ("repro_fanout_usable", "gauge", ()),
-    ("repro_fanout_workers", "gauge", ()),
     ("repro_faults_active", "gauge", ()),
     ("repro_ivm_fallbacks_total", "counter", ("reason",)),
     ("repro_ivm_requests_total", "counter", ("outcome",)),
@@ -446,7 +424,6 @@ OWNERS = (
     PlanCacheStats,
     IvmManager,
     PlannerStats,
-    SessionWorkerPool,
     Session,
 )
 

@@ -204,22 +204,6 @@ class TestQueryReplies:
 
         _serve(session, body)
 
-    def test_fanout_session(self):
-        session = _session(workers=2)
-
-        async def body(server, client):
-            assert server.workers == 2
-            # Which worker's result cache a read hits depends on
-            # placement; the bytes must not.
-            await _assert_reads(
-                session,
-                client,
-                [(1, PATH, None), (2, PATH, None), (3, PERMUTED_PATH, None)],
-            )
-            assert session.fanout.queries == 3
-
-        _serve(session, body)
-
 
 class TestStreamedReplies:
     """Batch lines slice the table; a disconnect fault may cut them."""
@@ -309,7 +293,7 @@ class TestEncodedOnce:
 
         _serve(session, body)
 
-    def test_the_fanout_pipe_pickles_the_table_only(self):
+    def test_pickling_keeps_the_table_only(self):
         session = _session()
         try:
             result = session.execute(PATH)

@@ -327,3 +327,27 @@ class TestCoalescing:
                 assert not any(r["coalesced"] for r in responses)
 
         rpc_test(body())
+
+
+class TestShutdown:
+    def test_close_cancels_handlers_without_loop_errors(self):
+        """Leaving the server with a client still connected cancels its
+        handler; the handler ends cleanly, so nothing reaches the loop's
+        exception handler (asyncio used to log a CancelledError
+        traceback per cancelled handler)."""
+        errors: list[dict] = []
+
+        async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            async with RpcServer(_session()) as server:
+                client = await _Client.open(server)
+                response = await client.call({"op": "query", "q": "S1(x,y)"})
+                assert response["ok"]
+            await client.close()
+            # Let the stream protocol's done-callbacks run.
+            await asyncio.sleep(0)
+
+        rpc_test(body())
+        assert errors == []

@@ -10,11 +10,9 @@ keeps its own books: of the simulator it checks it takes only the
 failure type and the report containers.  The simulator is column-only:
 no module names the deleted row API.
 
-The engine runs in one process: statement fan-out
-(:mod:`repro.api.fanout` and its shared-memory transport
-:mod:`repro.api.shm`) is the only multi-process code, nothing builds a
-process pool executor, and serving a statement without fan-out never
-loads ``multiprocessing``.
+Everything runs in one process: no module imports ``multiprocessing``,
+nothing builds a process pool executor, and serving statements over
+RPC never loads ``multiprocessing``.
 
 Sorted int64 tables are probed and spliced through one copy of the
 structured-view helpers, in :mod:`repro.data.columnar`: IVM's merge
@@ -61,9 +59,6 @@ KNOWN_INVERSIONS: set[tuple[str, str]] = set()
 #: root ``__init__.py`` only exposes it as ``repro.lp`` beside the
 #: other subpackages.
 LP_IMPORTERS = {"__init__.py", "core/covers.py", "core/friedgut.py"}
-
-#: The only modules that may import ``multiprocessing``.
-MULTIPROCESSING_IMPORTERS = {"api/fanout.py", "api/shm.py"}
 
 #: What :mod:`repro.oracle` may import from ``repro.mpc``: the failure
 #: type and the report containers, never the accounting.
@@ -249,7 +244,7 @@ def _package_modules():
     return sorted(ROOT.rglob("*.py"))
 
 
-def test_only_fanout_and_its_shm_import_multiprocessing():
+def test_no_module_imports_multiprocessing():
     importers = {
         path.relative_to(ROOT).as_posix()
         for path in _package_modules()
@@ -258,7 +253,7 @@ def test_only_fanout_and_its_shm_import_multiprocessing():
             for module in _imported_modules(path)
         )
     }
-    assert importers == MULTIPROCESSING_IMPORTERS
+    assert importers == set()
 
 
 def test_nothing_uses_a_process_pool_executor():
@@ -338,21 +333,30 @@ def test_replies_build_no_python_rows():
         assert methods(kernel).isdisjoint({"tolist", "dumps", "decode"})
 
 
-def test_serving_without_fanout_never_loads_multiprocessing():
+def test_serving_never_loads_multiprocessing():
     # A fresh interpreter: this test process may have loaded it already.
     probe = (
-        "import sys\n"
+        "import asyncio, json, sys\n"
         "from repro import connect\n"
         "from repro.core.query import parse_query\n"
         "from repro.data.matching import matching_database\n"
-        "import repro.serve.rpc\n"
+        "from repro.serve.rpc import RpcServer\n"
         "query = parse_query('S1(x,y), S2(y,z)')\n"
         "session = connect(matching_database(query, n=20, rng=1), p=4)\n"
-        "assert len(session.execute(query).answers) == 20\n"
-        "session.stats_report()\n"
+        "async def serve():\n"
+        "    async with RpcServer(session) as server:\n"
+        "        reader, writer = await asyncio.open_connection(\n"
+        "            *server.address)\n"
+        "        for op in ('query', 'stats'):\n"
+        "            request = {'op': op, 'q': str(query)}\n"
+        "            writer.write(json.dumps(request).encode() + b'\\n')\n"
+        "            assert json.loads(await reader.readline())['ok']\n"
+        "        writer.close()\n"
+        "        await writer.wait_closed()\n"
+        "asyncio.run(serve())\n"
         "session.close()\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m.startswith(('multiprocessing', 'repro.api.shm'))))\n"
+        "             if m.startswith('multiprocessing')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],

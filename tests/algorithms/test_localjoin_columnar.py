@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.localjoin import (
+    _factorize_keys,
     _join_pairs_sparse,
+    _pack_segmented_keys,
+    _radices,
     evaluate_query,
     evaluate_query_columnar,
 )
@@ -207,6 +210,168 @@ class TestJoinPairsOrder:
             left_index = numpy.arange(len(key_left))
         actual = list(zip(left_index.tolist(), right_index.tolist()))
         assert actual == expected
+
+
+def _int64(values):
+    return numpy.asarray(values, dtype=numpy.int64)
+
+
+def _key_rows(columns):
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _assert_keys_encode_rows(
+    left_rows, right_rows, key_left, key_right, ordered
+):
+    """Keys are equal exactly when their rows are; ``ordered`` keys also
+    sort like the rows (lexicographically)."""
+    rows = left_rows + right_rows
+    keys = key_left.tolist() + key_right.tolist()
+    assert len(keys) == len(rows)
+    for (row_a, key_a) in zip(rows, keys):
+        for (row_b, key_b) in zip(rows, keys):
+            assert (key_a == key_b) == (row_a == row_b)
+            if ordered:
+                assert (key_a < key_b) == (row_a < row_b)
+
+
+_key_columns = st.integers(1, 3).flatmap(
+    lambda width: st.tuples(
+        st.lists(
+            st.tuples(*[st.integers(0, 9)] * width), max_size=12
+        ),
+        st.lists(
+            st.tuples(*[st.integers(0, 9)] * width), max_size=12
+        ),
+    )
+)
+
+
+class TestKeyPacking:
+    """Mixed-radix packing of multi-column join keys into one int64,
+    and the ``unique`` fallback when the span would overflow."""
+
+    def test_radices_are_the_max_plus_one_over_both_sides(self):
+        left = [_int64([1, 4]), _int64([7, 0])]
+        right = [_int64([9]), _int64([2])]
+        assert _radices(left, right) == [10, 8]
+
+    def test_empty_columns_take_radix_one(self):
+        empty = _int64([])
+        assert _radices([empty, empty], [empty, empty]) == [1, 1]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_negative_value_on_either_side_is_unpackable(self, side):
+        negative, plain = [_int64([3, -1])], [_int64([2])]
+        if side == "left":
+            assert _radices(negative, plain) is None
+        else:
+            assert _radices(plain, negative) is None
+
+    def test_span_just_below_two_to_the_62_packs(self):
+        column = [_int64([(1 << 62) - 2])]
+        assert _radices(column, [_int64([])]) == [(1 << 62) - 1]
+        assert _radices([_int64([(1 << 62) - 1])], [_int64([])]) is None
+
+    def test_the_starting_span_counts_toward_overflow(self):
+        # One column of radix 2**31 packs alone, but not below a
+        # segment id spanning another 2**31 values.
+        column = [_int64([(1 << 31) - 1])]
+        empty = [_int64([])]
+        assert _radices(column, empty) == [1 << 31]
+        assert _radices(column, empty, 1 << 31) is None
+
+    def test_single_column_keys_are_used_as_they_are(self):
+        left, right = _int64([5, 1]), _int64([1])
+        key_left, key_right, ordered = _factorize_keys([left], [right])
+        assert key_left is left and key_right is right and ordered
+
+    @settings(max_examples=100, deadline=None)
+    @given(_key_columns)
+    def test_packed_keys_encode_rows_in_order(self, sides):
+        left_rows, right_rows = sides
+        width = len((left_rows + right_rows or [(0,)])[0])
+        left = [_int64([row[i] for row in left_rows]) for i in range(width)]
+        right = [_int64([row[i] for row in right_rows]) for i in range(width)]
+        key_left, key_right, ordered = _factorize_keys(left, right)
+        assert ordered
+        _assert_keys_encode_rows(
+            _key_rows(left), _key_rows(right), key_left, key_right, True
+        )
+
+    def test_an_overflowing_span_falls_back_to_unique(self):
+        big = 1 << 40
+        left = [_int64([big, 1, big]), _int64([big, 2, 3])]
+        right = [_int64([1, big]), _int64([2, big])]
+        key_left, key_right, ordered = _factorize_keys(left, right)
+        assert not ordered
+        _assert_keys_encode_rows(
+            _key_rows(left), _key_rows(right), key_left, key_right, False
+        )
+
+    def test_a_segment_only_key_ships_without_a_copy(self):
+        segment_left, segment_right = _int64([0, 2]), _int64([1])
+        key_left, key_right, ordered = _pack_segmented_keys(
+            segment_left, segment_right, 3, [], []
+        )
+        assert key_left is segment_left and key_right is segment_right
+        assert ordered
+
+    @settings(max_examples=100, deadline=None)
+    @given(_key_columns, st.integers(1, 5), st.randoms(use_true_random=False))
+    def test_segmented_keys_encode_segment_then_rows(
+        self, sides, num_segments, rng
+    ):
+        left_rows, right_rows = sides
+        width = len((left_rows + right_rows or [(0,)])[0])
+        segment_left = _int64(
+            [rng.randrange(num_segments) for _ in left_rows]
+        )
+        segment_right = _int64(
+            [rng.randrange(num_segments) for _ in right_rows]
+        )
+        left = [_int64([row[i] for row in left_rows]) for i in range(width)]
+        right = [_int64([row[i] for row in right_rows]) for i in range(width)]
+        key_left, key_right, ordered = _pack_segmented_keys(
+            segment_left, segment_right, num_segments, left, right
+        )
+        assert ordered
+        _assert_keys_encode_rows(
+            _key_rows([segment_left, *left]),
+            _key_rows([segment_right, *right]),
+            key_left,
+            key_right,
+            True,
+        )
+
+    @pytest.mark.parametrize(
+        "segment_high,ordered",
+        [(1, True), ((1 << 30) - 1, False)],
+        ids=["repacked", "unique"],
+    )
+    def test_an_overflowing_segment_bound_falls_back_with_the_segment(
+        self, segment_high, ordered
+    ):
+        # The bound of 2**30 segments overflows next to a 2**40 column,
+        # so the generic factorizer takes (segment, columns...): it
+        # still packs when the segment ids actually present are small,
+        # and factorizes through ``unique`` when they are not.
+        big = 1 << 40
+        segment_left = _int64([0, segment_high, segment_high])
+        segment_right = _int64([segment_high, 0])
+        left = [_int64([big, big, 3])]
+        right = [_int64([big, 3])]
+        key_left, key_right, packed = _pack_segmented_keys(
+            segment_left, segment_right, 1 << 30, left, right
+        )
+        assert packed == ordered
+        _assert_keys_encode_rows(
+            _key_rows([segment_left, *left]),
+            _key_rows([segment_right, *right]),
+            key_left,
+            key_right,
+            ordered,
+        )
 
 
 class TestSegmentedEvaluator:

@@ -507,6 +507,72 @@ class TestCounters:
         assert session.stats.answers_served == 2 * len(first.answers)
 
 
+class TestThreads:
+    """One session serves callers on several threads: its lock keeps
+    every statement, update and stats read whole."""
+
+    QUERIES = ["S1(x,y), S2(y,z)", "S2(y,z), S3(z,x)", VOCAB, "S1(x,y)"]
+
+    def test_concurrent_statements_match_sequential_ones(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        control = _session(n=40, p=8)
+        expected = {
+            str(query): control.execute(query) for query in self.QUERIES
+        }
+        session = _session(n=40, p=8, result_cache_size=0)
+        work = self.QUERIES * 6
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            served = list(pool.map(session.execute, work))
+        for query, result in zip(work, served):
+            _same_run(result, expected[str(query)])
+        assert session.stats.requests == len(work)
+
+    def test_statements_racing_updates_answer_their_version(self):
+        import threading
+
+        query = "S1(x,y), S2(y,z)"
+        inserts = [{"S1": [(100 + i, 1 + i)]} for i in range(8)]
+        control = _session(n=40, p=8)
+        truth = [control.execute(query).answers]
+        for delta in inserts:
+            control.update(inserts=delta)
+            truth.append(control.execute(query).answers)
+
+        session = _session(n=40, p=8)
+        results = []
+
+        def read():
+            for _ in range(12):
+                results.append(session.execute(query))
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        for thread in readers:
+            thread.start()
+        for delta in inserts:
+            session.update(inserts=delta)
+        for thread in readers:
+            thread.join()
+        assert len(results) == 36
+        for result in results:
+            assert result.answers == truth[result.version]
+
+    def test_stats_read_while_statements_run(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        session = _session(n=40, p=8, result_cache_size=0)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            running = [
+                pool.submit(session.execute, query)
+                for query in self.QUERIES * 4
+            ]
+            reports = [session.stats_report() for _ in range(20)]
+            for future in running:
+                future.result()
+        assert all(report["service"]["requests"] <= 16 for report in reports)
+        assert session.stats_report()["service"]["requests"] == 16
+
+
 class TestReviewRegressions:
     def test_session_level_algorithm_pin(self):
         session = _session(algorithm="multiround")

@@ -42,6 +42,10 @@ class TestConstruction:
         assert versioned.domain_size == 5
         assert versioned.total_bits == relation.size_bits
 
+    def test_initial_version_keyword_is_rejected(self):
+        with pytest.raises(TypeError, match="initial_version"):
+            VersionedDatabase(_versioned().snapshot, initial_version=3)
+
 
 class TestDeltas:
     def test_insert_bumps_version_and_contents(self):

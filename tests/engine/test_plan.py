@@ -129,6 +129,12 @@ class TestExecution:
         assert mapped.answers == direct.answers
         assert mapped.per_server == direct.per_server
 
+    def test_execute_plan_takes_no_simulator(self, two_hop, two_hop_db):
+        plan = compile_hypercube(two_hop, p=8)
+        simulator = execute_plan(plan, two_hop_db).simulator
+        with pytest.raises(TypeError, match="simulator"):
+            execute_plan(plan, two_hop_db, simulator=simulator)
+
     def test_multiround_plan_execution(self):
         query = parse_query("S1(a,b), S2(b,c), S3(c,d), S4(d,e)")
         database = matching_database(query, n=30, rng=2)

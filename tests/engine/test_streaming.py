@@ -466,6 +466,29 @@ class TestChunkBoundaries:
         assert streamed.value.received_bits == monolithic.value.received_bits
         assert streamed.value.round_index == monolithic.value.round_index
 
+    def test_a_plan_that_failed_mid_stream_runs_again_cleanly(self, two_hop):
+        # The failure aborted mid-round with lazy recipes staged; that
+        # execution's simulator is dropped, so the next one starts clean.
+        db = matching_database(two_hop, n=50, rng=11)
+        plan = _compile(
+            two_hop, db, capacity_c=0.001, enforce_capacity=True
+        )
+        with pytest.raises(CapacityExceeded):
+            execute_plan(plan, db, chunk_rows=8)
+        generous = dataclasses.replace(
+            plan,
+            signature=dataclasses.replace(
+                plan.signature, enforce_capacity=False
+            ),
+        )
+        streamed = execute_plan(generous, db, chunk_rows=8)
+        monolithic = execute_plan(generous, db)
+        assert streamed.answers == monolithic.answers
+        assert streamed.per_server == monolithic.per_server
+        assert [r.received_bits for r in streamed.report.rounds] == [
+            r.received_bits for r in monolithic.report.rounds
+        ]
+
 
 class TestLazySimulatorState:
     def _streamed_simulator(self, two_hop, chunk=6):

@@ -4,9 +4,9 @@ The column-wise engine must produce *exactly* what the row-at-a-time
 reference (:mod:`repro.oracle`) produces for any query, database, seed
 and server count: the same answers, per-round received bits/tuples,
 per-server answer counts and capacity failures -- monolithic or
-streamed in blocks.  These tests
-drive both over randomized inputs and assert equality of everything
-observable.
+streamed in blocks, compiled directly or served by a session.  These
+tests drive both over randomized inputs and assert equality of
+everything observable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import oracle
+from repro import connect, oracle
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
     binomial_query,
@@ -96,6 +96,29 @@ class TestExecutionModes:
                 engine_options={"chunk_rows": 7},
             )
         )
+
+    @pytest.mark.parametrize(
+        "chunk_rows", [None, 9], ids=["whole", "streamed"]
+    )
+    def test_session_parity(self, chunk_rows):
+        # A statement served by a session equals the reference on the
+        # plan it executed.
+        query = cycle_query(3)
+        database = matching_database(query, n=120, rng=3)
+        with connect(
+            database, p=16, seed=2, chunk_rows=chunk_rows
+        ) as session:
+            result = session.execute(query, algorithm="hypercube")
+        reference = oracle.execute_plan(result.plan, database)
+        assert result.answers == reference.answers
+        assert result.per_server == reference.per_server
+        assert [
+            (r.received_bits, r.received_tuples) for r in result.report.rounds
+        ] == [
+            (r.received_bits, r.received_tuples)
+            for r in reference.report.rounds
+        ]
+
 
 class TestRandomizedDatabases:
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)

@@ -4,7 +4,8 @@ Like the HyperCube parity suite: for any plan, database, seed and
 server count the engine must produce exactly the same answers,
 per-round received bits/tuples, view sizes, per-server answer counts
 and capacity failures as the row-at-a-time reference
-(:mod:`repro.oracle`) -- monolithic or streamed.
+(:mod:`repro.oracle`) -- monolithic or streamed, compiled directly or
+served by a session.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import oracle
+from repro import connect, oracle
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -113,6 +114,31 @@ class TestExecutionModes:
                 engine_options={"chunk_rows": 5},
             )
         )
+
+    @pytest.mark.parametrize(
+        "chunk_rows", [None, 16], ids=["whole", "streamed"]
+    )
+    def test_session_parity(self, chunk_rows):
+        # Views materialised by a session's statement equal the
+        # reference's, as do its answers and loads.
+        query = line_query(6)
+        database = matching_database(query, n=120, rng=9)
+        with connect(
+            database, p=8, seed=1, chunk_rows=chunk_rows
+        ) as session:
+            result = session.execute(query, algorithm="multiround", eps=0)
+        reference = oracle.execute_plan(result.plan, database)
+        assert result.answers == reference.answers
+        assert result.per_server == reference.per_server
+        assert result.view_sizes == reference.view_sizes
+        assert result.view_sizes
+        assert [
+            (r.received_bits, r.received_tuples) for r in result.report.rounds
+        ] == [
+            (r.received_bits, r.received_tuples)
+            for r in reference.report.rounds
+        ]
+
 
 class TestRandomizedDatabases:
     @pytest.mark.parametrize("trial", range(6))

@@ -4,9 +4,10 @@ The per-algorithm parity suites probe one executor each in depth; this
 one sweeps the cross product the engine must hold on: every registered
 algorithm and the plan-compiled baselines, on the core query families,
 on matching and on skewed databases, run monolithic and streamed in
-blocks.  Every cell
-asserts that everything observable equals the row-at-a-time reference (:mod:`repro.oracle`) and, wherever
-the algorithm is exact, that the reference answers the full join.
+blocks, compiled directly and served by a session.  Every cell asserts
+that everything observable equals the row-at-a-time reference
+(:mod:`repro.oracle`) and, wherever the algorithm is exact, that the
+reference answers the full join.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro import connect, oracle
 from repro.algorithms.baselines import (
     compile_broadcast_join,
     compile_single_server,
@@ -109,3 +111,38 @@ def test_baseline(baseline, query, mode):
         True,
         chunk_rows=MODES[mode],
     )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("query", FAMILIES, ids=lambda q: q.name)
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_session(algorithm, query, mode):
+    # A statement served by a session runs the plan its planner built
+    # from the session's own profile (shares, heavy hitters), not the
+    # compile defaults above; a repeat is answered from the result
+    # cache.  Both must equal the reference on that plan.
+    database = DATABASES["skewed"](query)
+    with connect(database, p=P, seed=2, chunk_rows=MODES[mode]) as session:
+        result = session.execute(
+            query, algorithm=algorithm, **ALGORITHMS[algorithm]
+        )
+        repeat = session.execute(
+            query, algorithm=algorithm, **ALGORITHMS[algorithm]
+        )
+    assert result.algorithm == algorithm
+    assert repeat.cached
+    reference = oracle.execute_plan(result.plan, database)
+    for served in (result, repeat):
+        assert served.answers == reference.answers
+        assert served.per_server == reference.per_server
+        assert served.view_sizes == reference.view_sizes
+        assert served.heavy_hitters == reference.heavy_hitters
+        assert [
+            (r.received_bits, r.received_tuples)
+            for r in served.report.rounds
+        ] == [
+            (r.received_bits, r.received_tuples)
+            for r in reference.report.rounds
+        ]
+    if get_algorithm(algorithm).exact:
+        assert reference.answers == full_join(query, database)

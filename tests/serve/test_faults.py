@@ -29,6 +29,19 @@ class TestKnobParsing:
         config = faults.active_faults()
         assert not config.any_active
 
+    def test_other_repro_fault_variables_inject_nothing(self, monkeypatch):
+        # Only the declared knobs are read; a stale one from an older
+        # release (the deleted worker-death drill) leaves faults off.
+        for name in faults.FAULT_ENVS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_FAULT_WORKER_DEATH", "1")
+        assert not faults.active_faults().any_active
+        assert faults.FAULT_ENVS == (
+            faults.ROUND_DELAY_ENV,
+            faults.BLOCK_DELAY_ENV,
+            faults.DISCONNECT_ENV,
+        )
+
     def test_blank_values_count_as_unset(self, monkeypatch):
         monkeypatch.setenv(faults.ROUND_DELAY_ENV, "  ")
         monkeypatch.setenv(faults.DISCONNECT_ENV, "")

@@ -235,6 +235,10 @@ class TestErrors:
 
         rpc_test(body())
 
+    def test_one_dispatch_thread_takes_no_workers_keyword(self):
+        with pytest.raises(TypeError, match="workers"):
+            RpcServer(_session(), workers=2)
+
     def test_error_responses_echo_the_request_id(self):
         async def body():
             async with RpcServer(_session()) as server:
@@ -329,18 +333,106 @@ class TestCoalescing:
         rpc_test(body())
 
 
+class TestConcurrentClients:
+    """Many clients pipeline through one dispatch thread: each sees
+    the answers a direct call gives, and updates in the order they
+    were served."""
+
+    QUERIES = [
+        "S1(x,y), S2(y,z)",
+        "S2(y,z), S3(z,x)",
+        "S1(x,y)",
+        "S3(z,x)",
+    ]
+
+    def test_every_client_gets_the_direct_answers(self):
+        direct = _session()
+        expected = {
+            text: sorted(direct.execute(text).answers)
+            for text in self.QUERIES
+        }
+
+        async def body():
+            async with RpcServer(_session()) as server:
+                async def one(offset):
+                    client = await _Client.open(server)
+                    responses = []
+                    for step in range(len(self.QUERIES)):
+                        text = self.QUERIES[(offset + step) % 4]
+                        response = await client.call(
+                            {"op": "query", "q": text}
+                        )
+                        responses.append((text, response))
+                    await client.close()
+                    return responses
+
+                for responses in await asyncio.gather(
+                    *[one(offset) for offset in range(6)]
+                ):
+                    for text, response in responses:
+                        assert response["ok"]
+                        answers = sorted(map(tuple, response["answers"]))
+                        assert answers == expected[text]
+                client = await _Client.open(server)
+                stats = await client.call({"op": "stats"})
+                await client.close()
+                assert stats["rpc"]["requests"] == 6 * 4 + 1
+                # A coalesced request shares another's execution.
+                assert (
+                    stats["service"]["requests"] + stats["rpc"]["coalesced"]
+                    == 6 * 4
+                )
+
+        rpc_test(body())
+
+    def test_an_update_is_seen_by_every_client_served_after_it(self):
+        async def body():
+            async with RpcServer(_session()) as server:
+                clients = [await _Client.open(server) for _ in range(4)]
+                before = await asyncio.gather(
+                    *[
+                        client.call({"op": "query", "q": "S1(x,y)"})
+                        for client in clients
+                    ]
+                )
+                assert {r["count"] for r in before} == {60}
+                response = await clients[0].call(
+                    {"op": "update", "relation": "S1", "rows": [[7, 9]]}
+                )
+                assert response["ok"] and response["version"] == 1
+                after = await asyncio.gather(
+                    *[
+                        client.call({"op": "query", "q": "S1(x,y)"})
+                        for client in clients
+                    ]
+                )
+                assert {r["count"] for r in after} == {61}
+                assert {r["version"] for r in after} == {1}
+                for client in clients:
+                    await client.close()
+
+        rpc_test(body())
+
+
+async def _collect_loop_errors(errors: list[dict]) -> None:
+    """Route everything that reaches the running loop's exception
+    handler into ``errors``."""
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: errors.append(context)
+    )
+
+
 class TestShutdown:
+    """Leaving the server cancels every client handler still running;
+    each must end cleanly, so nothing reaches the loop's exception
+    handler (asyncio used to log a CancelledError traceback per
+    cancelled handler)."""
+
     def test_close_cancels_handlers_without_loop_errors(self):
-        """Leaving the server with a client still connected cancels its
-        handler; the handler ends cleanly, so nothing reaches the loop's
-        exception handler (asyncio used to log a CancelledError
-        traceback per cancelled handler)."""
         errors: list[dict] = []
 
         async def body():
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: errors.append(context)
-            )
+            await _collect_loop_errors(errors)
             async with RpcServer(_session()) as server:
                 client = await _Client.open(server)
                 response = await client.call({"op": "query", "q": "S1(x,y)"})
@@ -351,3 +443,91 @@ class TestShutdown:
 
         rpc_test(body())
         assert errors == []
+
+    @pytest.mark.parametrize("clients", [1, 3])
+    def test_silent_clients_are_cancelled_cleanly(self, clients):
+        # Connected but never sent a line: each handler is parked in
+        # readline when close() cancels it.
+        errors: list[dict] = []
+
+        async def body():
+            await _collect_loop_errors(errors)
+            async with RpcServer(_session()) as server:
+                opened = [await _Client.open(server) for _ in range(clients)]
+                while server.stats.connections < clients:
+                    await asyncio.sleep(0.01)
+            for client in opened:
+                assert await client.reader.read() == b""
+                await client.close()
+            await asyncio.sleep(0)
+
+        rpc_test(body())
+        assert errors == []
+
+    def test_a_query_in_flight_at_close_ends_cleanly(self, monkeypatch):
+        # The handler is cancelled while it awaits the dispatch thread;
+        # close() still waits for the statement to finish.
+        from repro.engine.faults import ROUND_DELAY_ENV
+
+        monkeypatch.setenv(ROUND_DELAY_ENV, "100")
+        errors: list[dict] = []
+        session = _session()
+
+        async def body():
+            await _collect_loop_errors(errors)
+            async with RpcServer(session) as server:
+                client = await _Client.open(server)
+                await client.send_text(
+                    json.dumps({"op": "query", "q": "S1(x,y), S2(y,z)"})
+                )
+                while server.stats.requests < 1:
+                    await asyncio.sleep(0.01)
+            assert await client.reader.read() == b""
+            await client.close()
+            await asyncio.sleep(0)
+
+        rpc_test(body())
+        assert errors == []
+        assert session.stats.requests == 1
+
+    def test_a_handler_cancelled_while_serving_stays_cancelled(self):
+        # Only close() turns a cancellation into a clean end: a handler
+        # cancelled while the server keeps serving reports it.
+        async def body():
+            async with RpcServer(_session()) as server:
+                client = await _Client.open(server)
+                assert (await client.call({"op": "ping"}))["pong"]
+                (handler,) = server._clients
+                handler.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await handler
+                assert handler.cancelled()
+                assert await client.reader.read() == b""
+                await client.close()
+                # The server still accepts and answers new clients.
+                other = await _Client.open(server)
+                assert (await other.call({"op": "ping"}))["pong"]
+                await other.close()
+
+        rpc_test(body())
+
+    def test_close_twice_is_harmless(self):
+        async def body():
+            server = RpcServer(_session())
+            await server.start()
+            client = await _Client.open(server)
+            assert (await client.call({"op": "ping"}))["pong"]
+            await server.close()
+            await server.close()
+            await client.close()
+
+        rpc_test(body())
+
+    def test_a_closed_server_refuses_connections(self):
+        async def body():
+            async with RpcServer(_session()) as server:
+                host, port = server.address
+            with pytest.raises(OSError):
+                await asyncio.open_connection(host, port)
+
+        rpc_test(body())

@@ -46,13 +46,6 @@ from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import RoundProfiler
 from repro.engine.faults import active_faults
-from repro.serve.cache import LRUCache
-from repro.serve.ivm import IvmManager
-from repro.serve.metrics import Snapshot, gauge, snapshot, stats_dict
-from repro.serve.service import QueryService, Result, ServiceStats
-
-# After repro.serve: the planner imports repro.serve.metrics, and
-# loading the serve package first lets its service import the planner.
 from repro.planner import (
     Explain,
     Planner,
@@ -60,6 +53,10 @@ from repro.planner import (
     PlannerStats,
     collect_profile,
 )
+from repro.serve.cache import LRUCache
+from repro.serve.ivm import IvmManager
+from repro.serve.metrics import Snapshot, gauge, snapshot, stats_dict
+from repro.serve.service import QueryService, Result, ServiceStats
 
 #: Sentinel: "the session default", distinct from an explicit None.
 _UNSET = object()

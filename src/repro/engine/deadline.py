@@ -51,7 +51,7 @@ class DeadlineExceeded(Exception):
         self.elapsed_ms = elapsed_ms
         self.budget_ms = budget_ms
 
-    def __reduce__(self):  # field-exact across process boundaries
+    def __reduce__(self):  # __init__ takes the fields, not the message
         return (
             DeadlineExceeded,
             (self.where, self.elapsed_ms, self.budget_ms),

@@ -27,7 +27,6 @@ from repro.serve.admission import (
 from repro.serve.cache import CacheRebind, LRUCache, PlanCache
 from repro.engine.faults import FAULT_ENVS, FaultConfig, active_faults
 from repro.serve.metrics import Histogram, MetricsServer, render_metrics
-from repro.serve.rpc import RpcServer, RpcStats, serve_tcp
 
 __all__ = [
     "AdmissionQueue",
@@ -46,3 +45,15 @@ __all__ = [
     "render_metrics",
     "serve_tcp",
 ]
+
+
+def __getattr__(name: str):
+    # The RPC names load on first use: rpc imports the service, the
+    # service the planner, and the planner repro.serve.metrics, so an
+    # eager rpc import here is a cycle whenever the planner (or the
+    # service) is imported before this package.
+    if name in ("RpcServer", "RpcStats", "serve_tcp"):
+        from repro.serve import rpc
+
+        return getattr(rpc, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -354,25 +354,32 @@ class RpcServer:
         return self.address
 
     async def serve_forever(self) -> None:
-        """Run until cancelled (:meth:`start` first)."""
+        """Serve until cancelled; the caller then awaits :meth:`close`."""
         if self._server is None:
             await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
+        # Not asyncio's Server.serve_forever: cancelled, it awaits
+        # wait_closed() before close() could end the handlers (see
+        # there), so a connected client would keep it from returning.
+        await asyncio.get_running_loop().create_future()
 
     async def close(self) -> None:
-        """Stop accepting, drain client handlers, release the worker."""
+        """Stop accepting, end the client handlers, release the worker.
+
+        The handlers end before ``wait_closed()``: from Python 3.12.1
+        on it returns only once every connection has dropped, so
+        awaiting it first would wait on clients that never hang up.
+        """
         self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for task in list(self._clients):
             task.cancel()
         if self._clients:
             await asyncio.gather(*self._clients, return_exceptions=True)
         self._clients.clear()
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
         self._pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "RpcServer":
@@ -387,6 +394,11 @@ class RpcServer:
     async def _client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._closing:
+            # Accepted just before close() and started after it
+            # cancelled the handlers: hang up at once.
+            writer.close()
+            return
         task = asyncio.current_task()
         if task is not None:
             self._clients.add(task)

@@ -255,7 +255,7 @@ class AnswerViews:
     head order shares one instance, so the table is made read-only.
     A merged table's JSON may be derived: :attr:`json` passes
     ``derived_from`` -- the previous reply and the merge's splice -- to
-    :func:`splice_answers` and drops it.  Pickling keeps the table only.
+    :func:`splice_answers` and drops it.
     """
 
     def __init__(self, table: Any, derived_from: tuple | None = None) -> None:
@@ -278,9 +278,6 @@ class AnswerViews:
     def encoded(self) -> bytes | None:
         """:attr:`json` if built, else None (never builds it)."""
         return self.__dict__.get("json")
-
-    def __reduce__(self) -> tuple:
-        return (AnswerViews, (self.table,))
 
 
 @dataclass(frozen=True)

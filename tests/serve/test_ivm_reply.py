@@ -10,7 +10,6 @@ whatever happened between the two versions.
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 
@@ -206,15 +205,6 @@ class TestRetainedRepliesNeverGoStale:
         assert len(session.ivm.store) == 0
         _insert(session)
         assert _read(session).ivm == "no-retained-state"
-
-    def test_a_pickled_result(self, encoded):
-        session = _session()
-        _read(session)
-        _insert(session)
-        merged = session.execute(PATH)
-        clone = pickle.loads(pickle.dumps(merged))
-        assert clone.answer_views.json == encode_answers(clone.table)
-        assert _derived(encoded, merged)
 
 
 def test_retained_bytes_count_the_reply_once_built():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
 
 import pytest
 
@@ -292,17 +291,3 @@ class TestEncodedOnce:
             assert calls == [60]
 
         _serve(session, body)
-
-    def test_pickling_keeps_the_table_only(self):
-        session = _session()
-        try:
-            result = session.execute(PATH)
-            encoded, rows = result.answer_views.json, result.answers
-            pickled = pickle.dumps(result)
-            assert encoded not in pickled
-            clone = pickle.loads(pickled)
-            assert clone.answers == rows
-            assert clone.answer_views.json == encoded
-            assert not clone.table.flags.writeable
-        finally:
-            session.close()

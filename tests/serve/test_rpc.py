@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 
 import pytest
 
 from repro import connect
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
-from repro.serve.rpc import RpcServer
+from repro.serve.rpc import RpcServer, serve_tcp
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
@@ -422,11 +423,59 @@ async def _collect_loop_errors(errors: list[dict]) -> None:
     )
 
 
+@pytest.fixture
+def wait_closed_as_in_python_3_12(monkeypatch):
+    """``asyncio.Server.wait_closed`` as of Python 3.12.1: it returns
+    only once the server is closed and every connection has dropped.
+    Up to 3.11 it returns at once on a closed server, which hid a
+    close() that waited on its own clients."""
+
+    async def wait_closed(self):
+        if self._waiters is None:
+            return
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        await waiter
+
+    monkeypatch.setattr(
+        asyncio.base_events.Server, "wait_closed", wait_closed
+    )
+
+
+#: Loops whose shutdown hung, with their stuck tasks, kept so that the
+#: garbage collector does not tear them down in the middle of a later
+#: test.
+_HUNG_LOOPS: list[tuple[asyncio.AbstractEventLoop, asyncio.Task]] = []
+
+
+def shutdown_test(coroutine, timeout=20.0):
+    """:func:`rpc_test` that fails, instead of hanging, when shutdown
+    waits on a client that only hangs up after it.  The loop just
+    stops at the timeout: cancelling a stuck close() (``wait_for``,
+    ``asyncio.run``) would only wait on the clients again."""
+    loop = asyncio.new_event_loop()
+    task = loop.create_task(coroutine)
+    loop.call_later(timeout, loop.stop)
+    try:
+        return loop.run_until_complete(task)
+    except RuntimeError:
+        if task.done():
+            raise
+    finally:
+        if task.done():
+            loop.close()
+        else:
+            _HUNG_LOOPS.append((loop, task))
+    pytest.fail(f"shutdown still waiting after {timeout:g} s")
+
+
+@pytest.mark.usefixtures("wait_closed_as_in_python_3_12")
 class TestShutdown:
     """Leaving the server cancels every client handler still running;
     each must end cleanly, so nothing reaches the loop's exception
     handler (asyncio used to log a CancelledError traceback per
-    cancelled handler)."""
+    cancelled handler), and closing must not wait for the clients to
+    hang up first."""
 
     def test_close_cancels_handlers_without_loop_errors(self):
         errors: list[dict] = []
@@ -441,7 +490,7 @@ class TestShutdown:
             # Let the stream protocol's done-callbacks run.
             await asyncio.sleep(0)
 
-        rpc_test(body())
+        shutdown_test(body())
         assert errors == []
 
     @pytest.mark.parametrize("clients", [1, 3])
@@ -461,7 +510,7 @@ class TestShutdown:
                 await client.close()
             await asyncio.sleep(0)
 
-        rpc_test(body())
+        shutdown_test(body())
         assert errors == []
 
     def test_a_query_in_flight_at_close_ends_cleanly(self, monkeypatch):
@@ -486,7 +535,7 @@ class TestShutdown:
             await client.close()
             await asyncio.sleep(0)
 
-        rpc_test(body())
+        shutdown_test(body())
         assert errors == []
         assert session.stats.requests == 1
 
@@ -509,7 +558,7 @@ class TestShutdown:
                 assert (await other.call({"op": "ping"}))["pong"]
                 await other.close()
 
-        rpc_test(body())
+        shutdown_test(body())
 
     def test_close_twice_is_harmless(self):
         async def body():
@@ -521,7 +570,25 @@ class TestShutdown:
             await server.close()
             await client.close()
 
-        rpc_test(body())
+        shutdown_test(body())
+
+    def test_a_handler_first_run_after_close_hangs_up(self):
+        # A connection accepted just before close() whose handler task
+        # first runs after close() cancelled the others: it must hang
+        # up instead of waiting for a request close() will not cancel.
+        async def body():
+            server = RpcServer(_session())
+            await server.start()
+            await server.close()
+            ours, theirs = socket.socketpair()
+            reader, writer = await asyncio.open_connection(sock=ours)
+            peer = _Client(*await asyncio.open_connection(sock=theirs))
+            await server._client(reader, writer)
+            assert await peer.reader.read() == b""
+            await peer.close()
+            assert server.stats.connections == 0
+
+        shutdown_test(body())
 
     def test_a_closed_server_refuses_connections(self):
         async def body():
@@ -530,4 +597,46 @@ class TestShutdown:
             with pytest.raises(OSError):
                 await asyncio.open_connection(host, port)
 
-        rpc_test(body())
+        shutdown_test(body())
+
+    def test_serve_tcp_announces_then_closes_on_cancel(self):
+        # The CLI entry: bind, announce, set ready, serve; cancelled
+        # with a client still connected, it hangs up and unbinds.
+        async def body():
+            session = _session()
+            announcements: list[str] = []
+            ready = asyncio.Event()
+            task = asyncio.create_task(
+                serve_tcp(
+                    session,
+                    port=0,
+                    ready=ready,
+                    announce=announcements.append,
+                )
+            )
+            try:
+                await asyncio.wait_for(ready.wait(), timeout=10)
+                (line,) = announcements
+                prefix = "repro rpc: listening on 127.0.0.1:"
+                assert line.startswith(prefix)
+                assert line.endswith(
+                    "(JSON lines; ops: query / explain / update / "
+                    "delete / stats / ping)"
+                )
+                port = int(line[len(prefix):].split()[0])
+                client = _Client(
+                    *await asyncio.open_connection("127.0.0.1", port)
+                )
+                assert (await client.call({"op": "ping"}))["pong"]
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+                assert await client.reader.read() == b""
+                await client.close()
+                with pytest.raises(OSError):
+                    await asyncio.open_connection("127.0.0.1", port)
+            finally:
+                task.cancel()
+                session.close()
+
+        shutdown_test(body())

@@ -333,6 +333,28 @@ def test_replies_build_no_python_rows():
         assert methods(kernel).isdisjoint({"tolist", "dumps", "decode"})
 
 
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import repro.planner",
+        "import repro.serve.service",
+        "import repro.serve.rpc",
+        "import repro.serve.metrics",
+        "import repro.api.session",
+        "from repro.serve import RpcServer, serve_tcp",
+    ],
+)
+def test_any_module_imports_first(first):
+    # A fresh interpreter per entry point: an import cycle shows only
+    # when its modules load in one particular order.
+    subprocess.run(
+        [sys.executable, "-c", f"{first}\nimport repro"],
+        capture_output=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT.parent)},
+    )
+
+
 def test_serving_never_loads_multiprocessing():
     # A fresh interpreter: this test process may have loaded it already.
     probe = (

@@ -410,9 +410,9 @@ def compile_with(
 
     ``capacity_c=None`` resolves to the algorithm's registered
     default.  Paired with :func:`~repro.engine.executor.execute_plan`
-    this is the pinned, cache-free way to run a query (parity suites,
-    benchmarks, ``repro run|run-plan|skew``); everything else goes
-    through :func:`repro.connect`.
+    this is the pinned, cache-free way to run a query (parity suites
+    and benchmarks); everything else goes through
+    :func:`repro.connect`.
     """
     spec = get_algorithm(name)
     return spec.compile(

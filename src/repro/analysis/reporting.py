@@ -39,8 +39,3 @@ def format_table(
     lines.append(render_row(["-" * width for width in widths]))
     lines.extend(render_row(row) for row in materialised)
     return "\n".join(lines)
-
-
-def format_fraction(value: object) -> str:
-    """Compact rendering for Fractions in table cells."""
-    return str(value)

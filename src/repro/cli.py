@@ -1,51 +1,22 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+Every command but ``tables`` opens one :func:`repro.connect` session
+over a generated database (a random matching one; ``--skewed`` funnels
+``--heavy-fraction`` of every relation into one heavy value):
 
-* ``analyze "S1(x,y), S2(y,z), S3(z,x)"`` -- print the full analysis
-  of a query: tau*, space exponent, covers, shares, chi, radius,
-  diameter, round bounds.
-* ``run "S1(x,y), S2(y,z)" --n 100 --p 16`` -- generate a random
-  matching database and run HyperCube on the simulator.
-* ``plan "S1(x,y), ..." --eps 1/2`` -- build and print a multi-round
-  plan.
-* ``run-plan "S1(a,b), S2(b,c), S3(c,d)" --eps 0 --n 100 --p 16`` --
-  build the plan AND execute it on the simulator round by round (the
-  Proposition 4.1 executor), verifying the final view against the
-  exact join.
-* ``skew "S1(x,y), S2(y,z)" --n 200 --p 16 --heavy-fraction 0.5`` --
-  generate a skewed database (heavy hitter on every first attribute)
-  and race plain HC against the skew-aware executor, printing heavy
-  hitters, max loads and imbalance.
-* ``query "S1(x,y), S2(y,z)" --n 200 --p 16`` -- the planner-backed
-  front door: generate a database, open a :class:`repro.api.Session`
-  and let the cost-based planner pick the algorithm (pin one with
-  ``--algorithm``, pin the budget with ``--eps``); prints the chosen
-  route and verifies the answers against the exact join.
-* ``explain "S1(x,y), S2(y,z)"`` -- the planner's full report for a
-  statement (chosen algorithm, shares, predicted rounds/load vs the
-  paper's bounds, every candidate's bid) without executing it.
-* ``serve --vocab "S1(x,y), S2(y,z), S3(z,x)" --n 200 --p 16`` --
-  open one long-lived :class:`repro.api.Session` over a generated
-  matching database and serve it on one of two transports.  The REPL
-  reads one command per line from stdin (or ``--script FILE``):
-  ``run <query>``, ``explain <query>``, ``update <rel> <v,v> ...``,
-  ``delete <rel> <v,v> ...``, ``stats``, ``exit`` -- each a
-  ``Session`` call.  With ``--tcp PORT`` the same session is served
-  to the network over the asyncio JSON-lines RPC protocol of
-  :mod:`repro.serve.rpc` (with cross-request coalescing).  Either way
-  statements are planner-routed (``--algorithm`` pins one), repeated
-  and isomorphic queries hit the plan/result caches, and ``stats``
-  shows the same counters.
+* ``query Q`` -- execute ``Q`` (the planner picks the algorithm;
+  ``--algorithm`` and ``--eps`` pin it), print what the run measured
+  and verify the answers against the exact join.  ``--profile`` adds
+  a per-round route/ship/deliver/local-eval breakdown.
+* ``explain Q`` -- the planner's report without executing, the query's
+  static analysis (covers, shares, chi, radius, diameter) and, for a
+  multi-round choice, the plan's steps.
+* ``serve`` -- one long-lived session behind a REPL on stdin (or
+  ``--script FILE``): ``run <query>``, ``explain <query>``,
+  ``update <rel> <v,v> ...``, ``delete <rel> <v,v> ...``, ``stats``,
+  ``exit``.  With ``--tcp PORT`` the session is served over the
+  JSON-lines RPC protocol of :mod:`repro.serve.rpc` instead.
 * ``tables`` -- regenerate Table 1 and Table 2 of the paper.
-
-``run``, ``run-plan`` and ``skew`` are the pinned, cache-free path:
-``compile_with(name, ...)`` from the algorithm registry
-(:mod:`repro.algorithms.registry`) -- the same compilers the planner
-chooses from -- plus :func:`repro.engine.execute_plan`.  They accept
-``--profile``, which prints a per-round route/ship/deliver/local-eval
-wall-clock breakdown.  Every command runs its statements in this
-process.
 """
 
 from __future__ import annotations
@@ -56,12 +27,12 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from repro.analysis.reporting import format_table
-from repro.core.bounds import round_upper_bound
 from repro.core.characteristic import characteristic, is_tree_like
 from repro.core.covers import analyze_covers
 from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
 from repro.core.shares import allocate_integer_shares, share_exponents
+from repro.data.database import DataError
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -73,170 +44,14 @@ def _parse_eps(text: str) -> Fraction:
         ) from None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    query = parse_query(args.query)
-    analysis = analyze_covers(query)
-    shares = share_exponents(query, analysis.vertex_cover)
-    rows = [
-        ["query", str(query)],
-        ["tau* (covering number)", analysis.tau_star],
-        ["space exponent (Thm 1.1)", analysis.space_exponent],
-        ["vertex cover", dict(analysis.vertex_cover)],
-        ["edge packing", dict(analysis.edge_packing)],
-        ["share exponents", dict(shares)],
-        ["characteristic chi", characteristic(query)],
-        ["tree-like", is_tree_like(query)],
-    ]
-    if query.is_connected:
-        hypergraph = query.hypergraph
-        rows.append(["radius", hypergraph.radius])
-        rows.append(["diameter", hypergraph.diameter])
-        rows.append(
-            ["rounds at eps=0 (Lemma 4.3)", round_upper_bound(query, Fraction(0))]
-        )
-    print(format_table(["property", "value"], rows))
-    return 0
-
-
-def _truth(query, database) -> tuple:
-    """The exact single-site join every command verifies against."""
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.data.database import as_mapping
-
-    return evaluate_query(query, as_mapping(database))
-
-
-def _run_pinned(
-    args: argparse.Namespace, query, database, runs, rows, eps=None
-) -> int:
-    """``run`` / ``run-plan`` / ``skew``: pinned, cache-free execution.
-
-    ``runs`` lists ``(profile title, registry algorithm)``; each is
-    compiled with ``compile_with`` and executed with ``execute_plan``,
-    then checked against the exact join.
-    ``rows(*executions)`` supplies the command's own table rows.
-    """
-    from repro.algorithms.registry import compile_with
-    from repro.engine import RoundProfiler, execute_plan
-
-    profilers = [RoundProfiler() if args.profile else None for _ in runs]
-    executions = [
-        execute_plan(
-            compile_with(algorithm, query, args.p, eps=eps, seed=args.seed),
-            database,
-            profiler=profiler,
-            chunk_rows=args.chunk_rows,
-        )
-        for (_, algorithm), profiler in zip(runs, profilers)
-    ]
-    truth = _truth(query, database)
-    verified = all(execution.answers == truth for execution in executions)
-    table = [
-        ["query", str(query)],
-        ["n (domain)", args.n],
-        ["p (servers)", args.p],
-        ["answers", len(executions[-1].answers)],
-        ["verified vs exact join", verified],
-    ] + rows(*executions)
-    print(format_table(["property", "value"], table))
-    if args.profile:
-        for (title, _), profiler in zip(runs, profilers):
-            print()
-            print(profiler.format_table(title=f"{title} timing breakdown"))
-    return 0 if verified else 1
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    from repro.data.matching import matching_database
-
-    query = parse_query(args.query)
-    return _run_pinned(
-        args,
-        query,
-        matching_database(query, n=args.n, rng=args.seed),
-        [("HC", "hypercube")],
-        lambda hc: [
-            ["shares", hc.plan.allocation.shares],
-            ["max load (tuples)", hc.report.max_load_tuples],
-            ["replication rate", f"{hc.report.replication_rate:.3f}"],
-        ],
-    )
-
-
-def cmd_plan(args: argparse.Namespace) -> int:
-    query = parse_query(args.query)
-    plan = build_plan(query, args.eps)
-    print(f"plan for {query.name} at eps={args.eps}: depth {plan.depth}")
-    for index, round_ in enumerate(plan.rounds, start=1):
-        for step in round_.steps:
-            print(f"  round {index}: {step.output} := {step.query}")
-    return 0
-
-
-def cmd_run_multiround(args: argparse.Namespace) -> int:
-    from repro.data.matching import matching_database
-
-    query = parse_query(args.query)
-    depth = build_plan(query, args.eps).depth
-    return _run_pinned(
-        args,
-        query,
-        matching_database(query, n=args.n, rng=args.seed),
-        [("plan", "multiround")],
-        lambda run: [
-            ["eps (space exponent)", args.eps],
-            ["plan depth", depth],
-            ["rounds used", run.report.num_rounds],
-            ["max load (tuples)", run.report.max_load_tuples],
-            ["replication rate", f"{run.report.replication_rate:.3f}"],
-        ]
-        + [
-            [f"view |{view}|", size]
-            for view, size in sorted(run.view_sizes.items())
-        ],
-        eps=args.eps,
-    )
-
-
-def cmd_skew(args: argparse.Namespace) -> int:
-    from repro.data.generators import skewed_database
-
-    query = parse_query(args.query)
-    return _run_pinned(
-        args,
-        query,
-        skewed_database(
-            query, n=args.n, rng=args.seed,
-            heavy_fraction=args.heavy_fraction,
-        ),
-        [("plain HC", "hypercube"), ("skew-aware", "skewaware")],
-        lambda plain, aware: [
-            ["heavy fraction", args.heavy_fraction],
-            ["heavy hitters",
-             {
-                 variable: sorted(values)
-                 for variable, values in aware.heavy_hitters.items()
-                 if values
-             }
-             or "none"],
-            ["plain HC max load", plain.report.max_load_tuples],
-            ["skew-aware max load", aware.report.max_load_tuples],
-            ["plain imbalance",
-             f"{plain.report.rounds[0].load_imbalance:.2f}"],
-            ["aware imbalance",
-             f"{aware.report.rounds[0].load_imbalance:.2f}"],
-        ],
-    )
+def _mapping(values) -> str:
+    """``{x: 1/2, y: 3}``: a mapping with its values str()-ed."""
+    return "{" + ", ".join(f"{k}: {v}" for k, v in values.items()) + "}"
 
 
 def _generated_database(query, args: argparse.Namespace):
-    """The database ``query``/``explain`` run against.
-
-    A random matching database by default; ``--skewed`` funnels
-    ``--heavy-fraction`` of every relation into one heavy value so the
-    planner's skew routing is observable from the command line.
-    """
-    if getattr(args, "skewed", False):
+    """The database ``query``/``explain`` run against."""
+    if args.skewed:
         from repro.data.generators import skewed_database
 
         return skewed_database(
@@ -264,16 +79,21 @@ def _session_for(database, args: argparse.Namespace, **options):
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from repro.algorithms.localjoin import evaluate_query
+    from repro.data.database import as_mapping
+    from repro.engine import RoundProfiler
+
     query = parse_query(args.query)
     database = _generated_database(query, args)
-    session = _session_for(database, args)
-    result = session.execute(
+    profiler = RoundProfiler() if args.profile else None
+    result = _session_for(database, args).query(
         query,
         eps=args.eps,
         algorithm=args.algorithm,
         allow_partial=args.allow_partial,
-    )
+    ).execute(profiler)
     explain = result.explain
+    report = result.report
     rows = [
         ["query", str(query)],
         ["n (domain)", args.n],
@@ -287,22 +107,59 @@ def cmd_query(args: argparse.Namespace) -> int:
         ["answers", len(result.answers)],
     ]
     if result.algorithm != "partial":
-        verified = result.answers == _truth(query, database)
+        truth = evaluate_query(query, as_mapping(database))
+        verified = result.answers == truth
         rows.append(["verified vs exact join", verified])
     else:
         verified = True
         rows.append(["verified vs exact join", "n/a (partial answers)"])
-    rows.append(["max load (tuples)", result.report.max_load_tuples])
-    if result.heavy_hitters:
-        rows.append(
-            ["heavy hitters",
-             {v: sorted(values)
-              for v, values in result.heavy_hitters.items() if values}
-             or "none"]
-        )
+    rows += [
+        ["rounds used", report.num_rounds],
+        ["max load (tuples)", report.max_load_tuples],
+        ["replication rate", f"{report.replication_rate:.3f}"],
+        ["round-1 imbalance", f"{report.rounds[0].load_imbalance:.2f}"],
+    ]
+    if result.plan.allocation is not None:
+        rows.append(["shares", _mapping(result.plan.allocation.shares)])
+    rows += [
+        [f"view |{view}|", size]
+        for view, size in sorted(result.view_sizes.items())
+    ]
+    if result.heavy_hitters is not None:
+        heavy = {
+            variable: sorted(values)
+            for variable, values in result.heavy_hitters.items()
+            if values
+        }
+        rows.append(["heavy hitters", _mapping(heavy) if heavy else "none"])
     print(format_table(["property", "value"], rows))
+    if profiler is not None:
+        print()
+        print(profiler.format_table(
+            title=f"{result.algorithm} timing breakdown"
+        ))
     print("\n(`repro explain` prints the full planner report)")
     return 0 if verified else 1
+
+
+def _analysis_rows(query, p: int) -> list[list[object]]:
+    """The query's static analysis: what the data cannot change."""
+    analysis = analyze_covers(query)
+    exponents = share_exponents(query, analysis.vertex_cover)
+    grid = allocate_integer_shares(exponents, p)
+    rows = [
+        ["vertex cover", _mapping(analysis.vertex_cover)],
+        ["edge packing", _mapping(analysis.edge_packing)],
+        ["share exponents", _mapping(exponents)],
+        ["share grid", f"{_mapping(grid.shares)} on "
+         f"{grid.used_servers} servers"],
+        ["characteristic chi", characteristic(query)],
+        ["tree-like", is_tree_like(query)],
+    ]
+    if query.is_connected:
+        rows.append(["radius", query.hypergraph.radius])
+        rows.append(["diameter", query.hypergraph.diameter])
+    return rows
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
@@ -315,6 +172,19 @@ def cmd_explain(args: argparse.Namespace) -> int:
         allow_partial=args.allow_partial,
     )
     print(explain.format())
+    print()
+    print(format_table(
+        ["property", "value"],
+        _analysis_rows(query, args.p),
+        title="static analysis",
+    ))
+    if explain.algorithm == "multiround":
+        plan = build_plan(query, explain.eps_effective)
+        print()
+        print(f"plan at eps={explain.eps_effective}: depth {plan.depth}")
+        for index, round_ in enumerate(plan.rounds, start=1):
+            for step in round_.steps:
+                print(f"  round {index}: {step.output} := {step.query}")
     return 0
 
 
@@ -450,22 +320,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shares(args: argparse.Namespace) -> int:
-    query = parse_query(args.query)
-    exponents = share_exponents(query)
-    allocation = allocate_integer_shares(exponents, args.p)
-    print(format_table(
-        ["variable", "exponent", "integer share"],
-        [
-            [variable, exponents[variable], allocation.shares[variable]]
-            for variable in query.variables
-        ],
-        title=f"shares for p={args.p} "
-        f"(grid uses {allocation.used_servers} servers)",
-    ))
-    return 0
-
-
 def cmd_tables(args: argparse.Namespace) -> int:
     from repro.analysis.tables import table1_rows, table2_rows
 
@@ -514,49 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    analyze = commands.add_parser("analyze", help="analyse a query")
-    analyze.add_argument("query", help='e.g. "S1(x,y), S2(y,z), S3(z,x)"')
-    analyze.set_defaults(handler=cmd_analyze)
-
-    def add_execution_options(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("--n", type=int, default=100, help="domain size")
-        subparser.add_argument("--p", type=int, default=16, help="number of servers")
+    def add_session_options(subparser: argparse.ArgumentParser) -> None:
+        subparser.add_argument("--n", type=int, default=200,
+                               help="domain size")
+        subparser.add_argument("--p", type=int, default=16,
+                               help="number of servers")
         subparser.add_argument("--seed", type=int, default=0)
-        subparser.add_argument(
-            "--profile",
-            action="store_true",
-            help="print a per-round route/ship/deliver/local-eval "
-            "wall-clock breakdown after the run",
-        )
         subparser.add_argument(
             "--chunk-rows",
             type=int,
             default=None,
             help="streaming block size: route/ship in blocks of this "
-            "many rows with lazy delivery pools (default: every step "
-            "ships whole)",
+            "many rows (default: every step ships whole)",
         )
-
-    run = commands.add_parser("run", help="run HyperCube on a random matching DB")
-    run.add_argument("query")
-    add_execution_options(run)
-    run.set_defaults(handler=cmd_run)
-
-    plan = commands.add_parser("plan", help="build a multi-round plan")
-    plan.add_argument("query")
-    plan.add_argument("--eps", type=_parse_eps, default=Fraction(0),
-                      help="space exponent, e.g. 1/2")
-    plan.set_defaults(handler=cmd_plan)
-
-    run_multiround = commands.add_parser(
-        "run-plan",
-        help="build a multi-round plan and execute it on the simulator",
-    )
-    run_multiround.add_argument("query")
-    run_multiround.add_argument("--eps", type=_parse_eps, default=Fraction(0),
-                          help="space exponent, e.g. 1/2")
-    add_execution_options(run_multiround)
-    run_multiround.set_defaults(handler=cmd_run_multiround)
 
     def add_planner_options(subparser: argparse.ArgumentParser) -> None:
         subparser.add_argument("query")
@@ -564,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--eps",
             type=_parse_eps,
             default=None,
-            help="pin the space exponent (default: planner-automatic)",
+            help="pin the space exponent, e.g. 1/2 (default: "
+            "planner-automatic)",
         )
         subparser.add_argument(
             "--algorithm",
@@ -587,48 +412,31 @@ def build_parser() -> argparse.ArgumentParser:
             "--heavy-fraction",
             type=float,
             default=0.5,
-            help="skew strength for --skewed",
+            help="with --skewed, the share of each relation funnelled "
+            "into one heavy value",
         )
-        subparser.add_argument("--n", type=int, default=200,
-                               help="domain size")
-        subparser.add_argument("--p", type=int, default=16,
-                               help="number of servers")
-        subparser.add_argument("--seed", type=int, default=0)
-        subparser.add_argument(
-            "--chunk-rows",
-            type=int,
-            default=None,
-            help="streaming block size for execution (default: every "
-            "step ships whole)",
-        )
+        add_session_options(subparser)
 
     query_cmd = commands.add_parser(
         "query",
         help="execute a query through the planner-backed Session API",
     )
     add_planner_options(query_cmd)
+    query_cmd.add_argument(
+        "--profile",
+        action="store_true",
+        help="print a per-round route/ship/deliver/local-eval "
+        "wall-clock breakdown after the run",
+    )
     query_cmd.set_defaults(handler=cmd_query)
 
     explain_cmd = commands.add_parser(
         "explain",
-        help="print the planner's routing report without executing",
+        help="print the planner's report and the query's static "
+        "analysis without executing",
     )
     add_planner_options(explain_cmd)
     explain_cmd.set_defaults(handler=cmd_explain)
-
-    skew = commands.add_parser(
-        "skew",
-        help="race plain vs skew-aware HC on a skewed database",
-    )
-    skew.add_argument("query")
-    skew.add_argument(
-        "--heavy-fraction",
-        type=float,
-        default=0.5,
-        help="share of each relation funnelled into one heavy value",
-    )
-    add_execution_options(skew)
-    skew.set_defaults(handler=cmd_skew)
 
     serve = commands.add_parser(
         "serve",
@@ -722,22 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--result-cache-size", type=int, default=512,
         help="result-cache entry budget (0 disables)",
     )
-    serve.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="streaming block size for every served execution "
-        "(default: every step ships whole)",
-    )
-    serve.add_argument("--n", type=int, default=200, help="domain size")
-    serve.add_argument("--p", type=int, default=16, help="number of servers")
-    serve.add_argument("--seed", type=int, default=0)
+    add_session_options(serve)
     serve.set_defaults(handler=cmd_serve)
 
-    shares = commands.add_parser("shares", help="integer share allocation")
-    shares.add_argument("query")
-    shares.add_argument("--p", type=int, default=16)
-    shares.set_defaults(handler=cmd_shares)
 
     tables = commands.add_parser("tables", help="regenerate Tables 1 and 2")
     tables.add_argument("--n", type=int, default=60)
@@ -752,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (QueryError, ValueError) as error:
+    except (QueryError, DataError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,8 @@
   a generator so tests can show where HC's load guarantee needs the
   skew-free assumption).
 * :func:`skewed_database` -- one skewed relation per query atom (heavy
-  hitter on the first attribute), the input family of the
-  ``repro skew`` command and the skew-aware parity/speedup suites.
+  hitter on the first attribute), the input family of
+  ``repro query --skewed`` and the skew-aware parity/speedup suites.
 * :func:`witness_database` -- the Proposition 3.12 instances:
   ``R(w), S1(w,x), S2(x,y), S3(y,z), T(z)`` with ``S_i`` matchings and
   ``R, T`` uniform subsets of size ``ceil(sqrt(n))``.
@@ -80,7 +80,7 @@ def skewed_database(
     hitter); every other position is uniform in ``[1, n]``.  The
     result violates the matching assumption on every join attribute in
     first position -- the adversarial regime the skew-aware executor
-    (and the ``repro skew`` CLI command) is built for.
+    (and ``repro query --skewed``) is built for.
     """
     if not 0 <= heavy_fraction <= 1:
         raise DataError(

@@ -287,6 +287,10 @@ def render_metrics(server: Any) -> str:
     return exposition(server.stats_snapshot())
 
 
+#: Seconds a scrape client has to send its whole request head.
+REQUEST_HEAD_TIMEOUT = 10.0
+
+
 class MetricsServer:
     """A minimal HTTP/1.x listener serving ``GET /metrics``.
 
@@ -308,6 +312,8 @@ class MetricsServer:
         self.port = port
         self.scrapes = 0
         self._server: asyncio.AbstractServer | None = None
+        self._clients: set[asyncio.Task] = set()
+        self._closing = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -323,8 +329,18 @@ class MetricsServer:
         return self.address
 
     async def close(self) -> None:
+        """Stop accepting and end the scrape handlers before
+        ``wait_closed()``, as :meth:`repro.serve.rpc.RpcServer.close`
+        does: from Python 3.12.1 on it waits for every connection."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
+        for task in list(self._clients):
+            task.cancel()
+        if self._clients:
+            await asyncio.gather(*self._clients, return_exceptions=True)
+        self._clients.clear()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
 
@@ -338,18 +354,19 @@ class MetricsServer:
     async def _client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if self._closing:
+            writer.close()
+            return
+        task = asyncio.current_task()
+        if task is not None:
+            self._clients.add(task)
+            task.add_done_callback(self._clients.discard)
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=10.0
+            # One deadline for the whole head, so a client dripping
+            # header lines cannot hold the handler open.
+            parts = await asyncio.wait_for(
+                self._request_line(reader), timeout=REQUEST_HEAD_TIMEOUT
             )
-            parts = request_line.decode("latin-1").split()
-            # Drain headers up to the blank line (ignored).
-            while True:
-                header = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-                if header in (b"\r\n", b"\n", b""):
-                    break
             if len(parts) < 2 or parts[0] != "GET":
                 await self._respond(
                     writer, 405, "text/plain", "method not allowed\n"
@@ -381,12 +398,26 @@ class MetricsServer:
             BrokenPipeError,
         ):
             pass
+        except asyncio.CancelledError:
+            # close() cancels every handler; ending normally keeps
+            # asyncio's stream callback from logging the cancellation.
+            if not self._closing:
+                raise
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    @staticmethod
+    async def _request_line(reader: asyncio.StreamReader) -> list[str]:
+        """The request line's words; the headers up to the blank line
+        are read and ignored."""
+        parts = (await reader.readline()).decode("latin-1").split()
+        while await reader.readline() not in (b"\r\n", b"\n", b""):
+            pass
+        return parts
 
     @staticmethod
     async def _respond(

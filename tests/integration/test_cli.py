@@ -3,103 +3,171 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import main
+from repro.core.query import parse_query
+from repro.data.generators import skewed_database
+from repro.data.matching import matching_database
+from tests.conftest import run_pinned
+
+TRIANGLE = "S1(x,y), S2(y,z), S3(z,x)"
+L4 = "S1(a,b), S2(b,c), S3(c,d), S4(d,e)"
 
 
-class TestAnalyze:
-    def test_triangle(self, capsys):
-        code = main(["analyze", "S1(x,y), S2(y,z), S3(z,x)"])
+def _rows(output):
+    """A ``property  value`` table's rows as a dict of strings."""
+    return dict(
+        re.split(r"\s{2,}", line, maxsplit=1)
+        for line in output.splitlines()
+        if re.search(r"\S\s{2,}\S", line)
+    )
+
+
+class TestQueryReachesThePinnedPath:
+    """``query --algorithm X`` prints what ``compile_with`` +
+    ``execute_plan`` measure on the same database and seed."""
+
+    def test_hypercube(self, capsys):
+        query = parse_query(TRIANGLE)
+        code = main(["query", TRIANGLE, "--algorithm", "hypercube",
+                     "--n", "60", "--p", "8", "--seed", "3"])
+        rows = _rows(capsys.readouterr().out)
+        pinned = run_pinned(
+            "hypercube", query, matching_database(query, n=60, rng=3), 8,
+            seed=3,
+        )
+        assert code == 0
+        assert rows["verified vs exact join"] == "True"
+        assert rows["max load (tuples)"] == str(pinned.report.max_load_tuples)
+        assert rows["replication rate"] == (
+            f"{pinned.report.replication_rate:.3f}"
+        )
+        assert rows["shares"] == "{" + ", ".join(
+            f"{v}: {s}" for v, s in pinned.plan.allocation.shares.items()
+        ) + "}"
+
+    def test_multiround(self, capsys):
+        query = parse_query(L4)
+        code = main(["query", L4, "--algorithm", "multiround",
+                     "--eps", "0", "--n", "40", "--p", "8"])
+        rows = _rows(capsys.readouterr().out)
+        pinned = run_pinned(
+            "multiround", query, matching_database(query, n=40, rng=0), 8,
+            eps=0,
+        )
+        assert code == 0
+        assert rows["verified vs exact join"] == "True"
+        assert rows["rounds used"] == str(pinned.report.num_rounds) == "2"
+        views = {
+            key[len("view |"):-1]: int(value)
+            for key, value in rows.items()
+            if key.startswith("view |")
+        }
+        assert views == pinned.view_sizes != {}
+
+    @pytest.mark.parametrize("algorithm", ["hypercube", "skewaware"])
+    def test_skewed_database(self, capsys, algorithm):
+        query = parse_query("S1(x,y), S2(y,z)")
+        code = main(["query", str(query), "--skewed", "--algorithm",
+                     algorithm, "--n", "120", "--heavy-fraction", "0.5"])
+        rows = _rows(capsys.readouterr().out)
+        pinned = run_pinned(
+            algorithm, query,
+            skewed_database(query, n=120, rng=0, heavy_fraction=0.5), 16,
+        )
+        assert code == 0
+        assert rows["verified vs exact join"] == "True"
+        assert rows["max load (tuples)"] == str(pinned.report.max_load_tuples)
+        assert rows["round-1 imbalance"] == (
+            f"{pinned.report.rounds[0].load_imbalance:.2f}"
+        )
+        if algorithm == "skewaware":
+            assert rows["heavy hitters"] == "{y: [1]}"
+            assert pinned.heavy_hitters["y"] == {1}
+        else:
+            assert "heavy hitters" not in rows
+
+    def test_disconnected_multiround_errors(self, capsys):
+        code = main(["query", "R(x,y), S(u,v)", "--algorithm", "multiround"])
+        assert code == 2
+        assert "error: plans require a connected query" in (
+            capsys.readouterr().err
+        )
+
+
+class TestExplainAnalysis:
+    """``explain`` carries the query's static analysis and, for a
+    multi-round choice, the plan's steps."""
+
+    def test_triangle_at_27_servers(self, capsys):
+        code = main(["explain", TRIANGLE, "--p", "27"])
+        output = capsys.readouterr().out
+        rows = _rows(output.split("static analysis", 1)[1])
+        assert code == 0
+        assert rows["share grid"] == "{x: 3, y: 3, z: 3} on 27 servers"
+        assert rows["vertex cover"] == "{x: 1/2, y: 1/2, z: 1/2}"
+        assert rows["edge packing"] == "{S1: 1/2, S2: 1/2, S3: 1/2}"
+        assert rows["share exponents"] == "{x: 1/3, y: 1/3, z: 1/3}"
+        assert rows["characteristic chi"] == "-1"
+        assert rows["tree-like"] == "False"
+        assert rows["radius"] == rows["diameter"] == "1"
+        assert "3/2" in output  # tau*
+        assert "Fraction(" not in output
+
+    def test_one_round_choice_prints_no_plan_steps(self, capsys):
+        assert main(["explain", "S1(x,y), S2(y,z)", "--n", "60"]) == 0
+        output = capsys.readouterr().out
+        assert _rows(output)["chosen algorithm"] == "hypercube"
+        assert "  round 1: " not in output
+
+    def test_disconnected_query_explained(self, capsys):
+        code = main(["explain", "R(x,y), S(u,v)"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "3/2" in output
-        assert "1/3" in output
-        assert "tree-like" in output
-
-    def test_disconnected_query_analyzed(self, capsys):
-        code = main(["analyze", "R(x,y), S(u,v)"])
-        assert code == 0
-        output = capsys.readouterr().out
         assert "tau*" in output
+        assert "diameter" not in output
 
     def test_malformed_query_errors(self, capsys):
-        code = main(["analyze", "garbage("])
-        assert code == 2
+        assert main(["explain", "garbage("]) == 2
         assert "error" in capsys.readouterr().err
 
-
-class TestRun:
-    def test_verified_run(self, capsys):
-        code = main(
-            ["run", "S1(x,y), S2(y,z)", "--n", "30", "--p", "4"]
-        )
+    @pytest.mark.parametrize("eps, depth", [("0", 2), ("1/2", 1)])
+    def test_multiround_plan_steps(self, capsys, eps, depth):
+        code = main(["explain", L4, "--algorithm", "multiround",
+                     "--eps", eps])
         output = capsys.readouterr().out
         assert code == 0
-        assert "True" in output
-        assert "answers" in output
+        assert f"plan at eps={eps}: depth {depth}" in output
+        assert "  round 1: " in output
+        assert ("  round 2: " in output) == (depth == 2)
 
-
-class TestPlan:
-    def test_depth_printed(self, capsys):
-        code = main(
-            ["plan", "S1(a,b), S2(b,c), S3(c,d), S4(d,e)", "--eps", "0"]
-        )
+    def test_planner_chosen_multiround_prints_its_steps(self, capsys):
+        chain = "S1(a,b), S2(b,c), S3(c,d), S4(d,e), S5(e,f), S6(f,g)"
+        assert main(["explain", chain, "--n", "60"]) == 0
         output = capsys.readouterr().out
-        assert code == 0
-        assert "depth 2" in output
-        assert "round 1" in output
-
-    def test_eps_fraction_parsing(self, capsys):
-        code = main(
-            ["plan", "S1(a,b), S2(b,c), S3(c,d), S4(d,e)", "--eps", "1/2"]
-        )
-        assert code == 0
-        assert "depth 1" in capsys.readouterr().out
+        assert _rows(output)["chosen algorithm"] == "multiround"
+        assert "round 1: V1 := " in output
 
     def test_bad_eps_rejected(self):
         with pytest.raises(SystemExit):
-            main(["plan", "S1(a,b)", "--eps", "nope"])
+            main(["explain", "S1(a,b)", "--eps", "nope"])
 
 
-class TestRunPlan:
-    def test_executes_and_verifies(self, capsys):
-        code = main(
-            [
-                "run-plan",
-                "S1(a,b), S2(b,c), S3(c,d), S4(d,e)",
-                "--eps", "0", "--n", "40", "--p", "8",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "plan depth" in output
-        assert "rounds used" in output
-        assert "True" in output
-        assert "view |" in output
+class TestRemovedCommands:
+    """The six commands whose output ``query``/``explain`` now print
+    are argparse's ``invalid choice``, exit 2."""
 
-    def test_disconnected_query_errors(self, capsys):
-        code = main(["run-plan", "R(x,y), S(u,v)"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
-
-class TestSkew:
-    def test_detects_heavy_hitter_and_verifies(self, capsys):
-        code = main(
-            [
-                "skew",
-                "S1(x,y), S2(y,z)",
-                "--n", "120", "--p", "16",
-                "--heavy-fraction", "0.5",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "heavy hitters" in output
-        assert "True" in output
-        assert "skew-aware max load" in output
+    @pytest.mark.parametrize(
+        "command", ["analyze", "run", "plan", "run-plan", "skew", "shares"]
+    )
+    def test_old_command_is_an_invalid_choice(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "S1(x,y), S2(y,z)"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestNoBackendFlag:
@@ -108,9 +176,6 @@ class TestNoBackendFlag:
     @pytest.mark.parametrize(
         "command",
         [
-            ["run", "S1(x,y)"],
-            ["run-plan", "S1(x,y)"],
-            ["skew", "S1(x,y)"],
             ["query", "S1(x,y)"],
             ["explain", "S1(x,y)"],
             ["serve"],
@@ -121,16 +186,6 @@ class TestNoBackendFlag:
         with pytest.raises(SystemExit):
             main([*command, "--backend", "numpy"])
         assert "unrecognized arguments: --backend" in capsys.readouterr().err
-
-
-class TestShares:
-    def test_cube_allocation(self, capsys):
-        code = main(
-            ["shares", "S1(x,y), S2(y,z), S3(z,x)", "--p", "27"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "27 servers" in output
 
 
 class TestTables:
@@ -144,57 +199,54 @@ class TestTables:
 
 
 class TestProfileFlag:
-    def test_run_prints_breakdown(self, capsys):
-        code = main(
-            ["run", "S1(x,y), S2(y,z)", "--n", "30", "--p", "4",
-             "--profile"]
-        )
+    def test_query_prints_breakdown(self, capsys):
+        code = main(["query", "S1(x,y), S2(y,z)", "--n", "30", "--p", "4",
+                     "--algorithm", "hypercube", "--profile"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "timing breakdown" in output
+        assert "hypercube timing breakdown" in output
         for phase in ("route", "ship", "deliver", "local"):
             assert phase in output
 
-    def test_run_plan_prints_breakdown(self, capsys):
-        code = main(
-            ["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
-             "--n", "20", "--p", "4", "--profile"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "plan timing breakdown" in output
-
-    def test_skew_prints_both_breakdowns(self, capsys):
-        code = main(
-            ["skew", "S1(x,y), S2(y,z)", "--n", "40", "--p", "4",
-             "--profile"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "plain HC timing breakdown" in output
-        assert "skew-aware timing breakdown" in output
-
     def test_no_breakdown_without_flag(self, capsys):
-        code = main(["run", "S1(x,y), S2(y,z)", "--n", "30", "--p", "4"])
+        code = main(["query", "S1(x,y), S2(y,z)", "--n", "30", "--p", "4"])
         output = capsys.readouterr().out
         assert code == 0
         assert "timing breakdown" not in output
+
+    def test_chunk_rows_prints_the_per_block_table(self, capsys):
+        code = main(["query", L4, "--algorithm", "multiround", "--eps", "0",
+                     "--n", "40", "--p", "8", "--chunk-rows", "4",
+                     "--profile"])
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "multiround timing breakdown" in output
+        _, blocks = output.split("per-block timing", 1)
+        assert any(
+            line.split()[1:2] == ["route"] for line in blocks.splitlines()
+        )
+
+    def test_explain_takes_no_profile(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explain", "S1(x,y)", "--profile"])
+        assert excinfo.value.code == 2
 
 
 class TestWorkersFlag:
     """Every command runs its statements in one process, so none takes
     ``--workers``."""
 
-    def test_streamed_run_plan_runs_in_one_process(self, capsys):
-        code = main(["run-plan", "S1(a,b), S2(b,c), S3(c,d)", "--eps", "0",
-                     "--n", "40", "--p", "4", "--chunk-rows", "16"])
+    def test_streamed_query_runs_in_one_process(self, capsys):
+        code = main(["query", "S1(a,b), S2(b,c), S3(c,d)", "--algorithm",
+                     "multiround", "--eps", "0", "--n", "40", "--p", "4",
+                     "--chunk-rows", "16"])
         output = capsys.readouterr().out
         assert code == 0
-        assert "verified vs exact join  True" in output
+        assert _rows(output)["verified vs exact join"] == "True"
         assert "view workers" not in output
 
-    @pytest.mark.parametrize("command", ["run", "skew", "run-plan"])
-    def test_pinned_commands_take_no_workers(self, capsys, command):
+    @pytest.mark.parametrize("command", ["query", "explain"])
+    def test_query_commands_take_no_workers(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "S1(x,y), S2(y,z)", "--workers", "2",
                   "--chunk-rows", "16"])
@@ -206,18 +258,6 @@ class TestWorkersFlag:
             main(["serve", "--n", "40", "--p", "8", "--workers", "2"])
         assert excinfo.value.code == 2
         assert "--workers" in capsys.readouterr().err
-
-    def test_chunk_rows_prints_the_per_block_table(self, capsys):
-        code = main(
-            ["run-plan", "S1(a,b), S2(b,c), S3(c,d), S4(d,e)", "--eps", "0",
-             "--n", "40", "--p", "8", "--chunk-rows", "4", "--profile"]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        _, blocks = output.split("per-block timing", 1)
-        assert any(
-            line.split()[1:2] == ["route"] for line in blocks.splitlines()
-        )
 
 
 def _serve(capsys, tmp_path, lines, *flags):
@@ -439,6 +479,20 @@ class TestQueryCommand:
         code = main(["query", "S1(x", "--n", "20"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_domain_is_a_usage_error_not_a_traceback(self, capsys):
+        assert main(["query", "S1(x,y), S2(y,z)", "--n", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: S1: domain size must be >= 1, got 0\n"
+        )
+
+    def test_heavy_fraction_out_of_range_is_a_usage_error(self, capsys):
+        code = main(["query", "S1(x,y), S2(y,z)", "--skewed",
+                     "--heavy-fraction", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: heavy_fraction must be in [0,1], got 2.0\n"
+        )
 
 
 class TestExplainCommand:

@@ -9,6 +9,7 @@ import inspect
 import json
 import re
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.planner import PlannerStats
 from repro.serve.admission import AdmissionQueue, AdmissionStats
 from repro.serve.cache import PlanCacheStats
 from repro.serve.ivm import IvmManager
+from repro.serve import metrics as metrics_module
 from repro.serve.metrics import (
     CONTENT_TYPE,
     Histogram,
@@ -31,6 +33,7 @@ from repro.serve.metrics import (
 )
 from repro.serve.rpc import RpcServer, RpcStats
 from repro.serve.service import ServiceStats
+from tests.serve.test_rpc import shutdown_test
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
 
@@ -432,6 +435,72 @@ DECLARATIONS = [
     for owner in OWNERS
     for name, instrument in declared(owner)
 ]
+
+
+@pytest.mark.usefixtures("wait_closed_as_in_python_3_12")
+class TestMetricsShutdown:
+    """Closing the listener ends its scrape handlers instead of
+    waiting on clients that never finish a request."""
+
+    def test_silent_client_does_not_stall_close(self):
+        errors: list[dict] = []
+
+        async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    metrics = MetricsServer(server)
+                    reader, writer = await asyncio.open_connection(
+                        *await metrics.start()
+                    )
+                    await asyncio.sleep(0.1)  # the handler is parked
+                    start = time.perf_counter()
+                    await metrics.close()
+                    elapsed = time.perf_counter() - start
+                    assert await reader.read() == b""
+                    writer.close()
+            finally:
+                session.close()
+            return elapsed
+
+        assert shutdown_test(body()) < 1.0
+        assert errors == []
+
+    def test_one_deadline_bounds_the_request_head(self, monkeypatch):
+        # A client dripping header lines faster than any per-line
+        # timeout is still cut off when the head's deadline passes.
+        monkeypatch.setattr(metrics_module, "REQUEST_HEAD_TIMEOUT", 0.3)
+
+        async def body():
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    async with MetricsServer(server) as metrics:
+                        reader, writer = await asyncio.open_connection(
+                            *metrics.address
+                        )
+                        writer.write(b"GET /metrics HTTP/1.1\r\n")
+                        start = time.perf_counter()
+                        while not reader.at_eof():
+                            assert time.perf_counter() - start < 2.0
+                            writer.write(b"X-Drip: 1\r\n")
+                            try:
+                                await writer.drain()
+                                await asyncio.wait_for(reader.read(), 0.1)
+                            except asyncio.TimeoutError:
+                                continue
+                            except (ConnectionResetError, BrokenPipeError):
+                                break
+                        writer.close()
+                        assert metrics.scrapes == 0
+                        return time.perf_counter() - start
+            finally:
+                session.close()
+
+        assert 0.25 < asyncio.run(body()) < 1.0
 
 
 @pytest.fixture(scope="module")

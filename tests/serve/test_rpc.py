@@ -423,25 +423,6 @@ async def _collect_loop_errors(errors: list[dict]) -> None:
     )
 
 
-@pytest.fixture
-def wait_closed_as_in_python_3_12(monkeypatch):
-    """``asyncio.Server.wait_closed`` as of Python 3.12.1: it returns
-    only once the server is closed and every connection has dropped.
-    Up to 3.11 it returns at once on a closed server, which hid a
-    close() that waited on its own clients."""
-
-    async def wait_closed(self):
-        if self._waiters is None:
-            return
-        waiter = self._loop.create_future()
-        self._waiters.append(waiter)
-        await waiter
-
-    monkeypatch.setattr(
-        asyncio.base_events.Server, "wait_closed", wait_closed
-    )
-
-
 #: Loops whose shutdown hung, with their stuck tasks, kept so that the
 #: garbage collector does not tear them down in the middle of a later
 #: test.

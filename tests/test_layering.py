@@ -269,9 +269,10 @@ def test_execute_plan_has_no_parallel_parameter():
     assert "parallel" not in inspect.signature(execute_plan).parameters
 
 
-def test_run_plan_takes_no_workers(capsys):
+def test_query_takes_no_workers(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["run-plan", "S1(a,b), S2(b,c)", "--workers", "2"])
+        main(["query", "S1(a,b), S2(b,c)", "--algorithm", "multiround",
+              "--workers", "2"])
     assert excinfo.value.code == 2
     assert "--workers" in capsys.readouterr().err
 

@@ -35,7 +35,6 @@ keep a ``run_*`` function each:
 
 from repro.algorithms.localjoin import (
     evaluate_query,
-    evaluate_query_columnar,
     evaluate_query_table,
 )
 from repro.algorithms.components import (
@@ -49,7 +48,6 @@ from repro.algorithms.baselines import CartesianResult, run_cartesian_grid
 
 __all__ = [
     "evaluate_query",
-    "evaluate_query_columnar",
     "evaluate_query_table",
     "ComponentsResult",
     "run_dense_two_round",

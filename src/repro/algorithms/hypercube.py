@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from repro.core.covers import fractional_vertex_cover
-from repro.core.query import Atom, ConjunctiveQuery
+from repro.core.query import ConjunctiveQuery
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.engine import (
     CollectAnswers,
@@ -50,33 +50,6 @@ from repro.engine import (
     PlanSignature,
 )
 from repro.mpc.routing import HashFamily
-
-
-def hc_destinations(
-    atom: Atom,
-    row: tuple[int, ...],
-    shares: Mapping[str, int],
-    variable_order: tuple[str, ...],
-    hashes: HashFamily,
-) -> list[int]:
-    """All grid ranks that must receive ``row`` of ``atom``.
-
-    Dimensions owned by the atom's variables are pinned to the hashed
-    coordinates; the remaining dimensions range over their full shares
-    (this is the replication).  Rows violating repeated-variable
-    equality within the atom route nowhere (they can never join); the
-    equality check runs *before* any hashing so contradictory rows
-    short-circuit without wasted hash work.
-
-    Thin wrapper over :meth:`repro.engine.steps.HashRoute.destinations`:
-    the per-row routing rule, called only by the routing tests.
-    """
-    step = HashRoute(
-        relation=atom.name,
-        atom=atom,
-        grid=GridSpec.from_shares(variable_order, shares, hashes),
-    )
-    return step.destinations(row, 0, 0)
 
 
 def compile_hypercube(

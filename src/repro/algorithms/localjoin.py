@@ -13,8 +13,8 @@ in two bit-identical flavours:
   segment (worker) id per row -- prepended as the
   highest-order component of every join key -- evaluates all the
   workers of a pooled delivery independently in a single pass.
-  :func:`evaluate_query_table` and :func:`evaluate_query_columnar`
-  are its one-segment calls (one worker's fragments, no segment ids).
+  :func:`evaluate_query_table` is its one-segment call (one worker's
+  fragments, no segment ids).
 
 Both evaluators:
 
@@ -97,17 +97,18 @@ def evaluate_query(
     return tuple(sorted(answers))
 
 
-def evaluate_query_columnar(
+def evaluate_query_table(
     query: ConjunctiveQuery,
     fragments: Mapping[str, Sequence[Any]],
     assume_unique: bool = False,
-) -> tuple[tuple[int, ...], ...]:
+) -> Any:
     """All answers of ``query`` over columnar relation fragments.
 
     The vectorized counterpart of :func:`evaluate_query`: relations
     arrive as parallel int64 column arrays and every join step is a
     sort + ``searchsorted`` hash join, so per-answer Python work is
-    O(1) amortised.
+    O(1) amortised.  The one-segment call of
+    :func:`evaluate_query_table_segmented`.
 
     Args:
         query: a full conjunctive query.
@@ -121,25 +122,9 @@ def evaluate_query_columnar(
             construction; the returned order is unspecified.
 
     Returns:
-        Duplicate-free answer tuples in head-variable order, sorted
-        unless ``assume_unique`` -- the same answer *set*
-        :func:`evaluate_query` produces on the same rows.
-    """
-    table = evaluate_query_table(query, fragments, assume_unique)
-    return tuple(map(tuple, table.tolist()))
-
-
-def evaluate_query_table(
-    query: ConjunctiveQuery,
-    fragments: Mapping[str, Sequence[Any]],
-    assume_unique: bool = False,
-) -> Any:
-    """Like :func:`evaluate_query_columnar` but stays columnar.
-
-    Returns the answers as one int64 array of shape
-    ``(num_answers, len(head))`` instead of materialising Python
-    tuples: the one-segment call of
-    :func:`evaluate_query_table_segmented`.
+        One int64 array of shape ``(num_answers, len(head))``: the
+        answer *set* :func:`evaluate_query` produces on the same rows,
+        duplicate-free and sorted unless ``assume_unique``.
     """
     answers, _ = evaluate_query_table_segmented(
         query, fragments, None, 1, assume_unique
@@ -515,14 +500,6 @@ def _join_pairs_sparse(
         sorted_positions if order is None else order[sorted_positions]
     )
     return left_index, right_index
-
-
-def count_answers(
-    query: ConjunctiveQuery,
-    relations: Mapping[str, Iterable[Sequence[int]]],
-) -> int:
-    """Convenience: the number of answers (|q(I)|)."""
-    return len(evaluate_query(query, relations))
 
 
 def _atom_order(

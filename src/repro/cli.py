@@ -15,7 +15,8 @@ over a generated database (a random matching one; ``--skewed`` funnels
   ``--script FILE``): ``run <query>``, ``explain <query>``,
   ``update <rel> <v,v> ...``, ``delete <rel> <v,v> ...``, ``stats``,
   ``exit``.  With ``--tcp PORT`` the session is served over the
-  JSON-lines RPC protocol of :mod:`repro.serve.rpc` instead.
+  JSON-lines RPC protocol of :mod:`repro.serve.rpc` instead; the same
+  port answers HTTP ``GET /metrics`` and ``GET /healthz``.
 * ``tables`` -- regenerate Table 1 and Table 2 of the paper.
 """
 
@@ -300,7 +301,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         quota_rps=args.quota_rps,
                         quota_burst=args.quota_burst,
                         idle_timeout=args.idle_timeout,
-                        metrics_port=args.metrics_port,
                     )
                 )
             except KeyboardInterrupt:
@@ -471,20 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="serve the asyncio JSON-lines RPC protocol on PORT "
-        "(0 picks a free port) instead of the REPL",
+        "(0 picks a free port) instead of the REPL; the same port "
+        "answers HTTP GET /metrics and /healthz",
     )
     serve.add_argument(
         "--host",
         default="127.0.0.1",
         help="bind address for --tcp",
-    )
-    serve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="with --tcp, expose Prometheus text metrics over HTTP on "
-        "PORT (0 picks a free port; default: no metrics listener)",
     )
     serve.add_argument(
         "--max-inflight",

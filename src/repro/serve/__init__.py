@@ -26,7 +26,7 @@ from repro.serve.admission import (
 )
 from repro.serve.cache import CacheRebind, LRUCache, PlanCache
 from repro.engine.faults import FAULT_ENVS, FaultConfig, active_faults
-from repro.serve.metrics import Histogram, MetricsServer, render_metrics
+from repro.serve.metrics import Histogram, render_metrics
 
 __all__ = [
     "AdmissionQueue",
@@ -35,7 +35,6 @@ __all__ = [
     "FaultConfig",
     "Histogram",
     "LRUCache",
-    "MetricsServer",
     "PlanCache",
     "RpcServer",
     "RpcStats",

@@ -56,9 +56,6 @@ class ServerOverloaded(Exception):
         self.reason = reason
         self.retry_after_ms = retry_after_ms
 
-    def __reduce__(self):
-        return (ServerOverloaded, (self.reason, self.retry_after_ms))
-
 
 @dataclass
 class AdmissionStats:

@@ -13,8 +13,9 @@ looked up or locked on the hot path.
 :data:`Snapshot`.  Two walkers render a snapshot, so every instrument
 appears in both and no view names one: :func:`stats_dict` (the RPC
 ``stats`` op, ``Session.stats_report()``, the REPL ``stats`` table)
-and :func:`exposition`, the Prometheus text format 0.0.4 that
-:class:`MetricsServer` serves over HTTP/1.x -- no client library.
+and :func:`exposition`, the Prometheus text format 0.0.4 that the
+RPC server answers ``GET /metrics`` with on its own port
+(:mod:`repro.serve.rpc`) -- no client library.
 
 The module imports nothing from the rest of the package: the stats
 classes import their declarations from here.
@@ -22,12 +23,9 @@ classes import their declarations from here.
 
 from __future__ import annotations
 
-import asyncio
-import copy
 import dataclasses
 import functools
 import itertools
-import json
 from typing import Any, Callable, Iterable, Mapping
 
 #: Prometheus text exposition format version served as Content-Type.
@@ -59,8 +57,8 @@ class Histogram:
 
     ``observe`` is O(buckets); rendering emits the cumulative
     ``_bucket`` series (each ``le`` bound counts observations at or
-    below it), plus ``_sum`` and ``_count``.  Copyable (a snapshot
-    copies every histogram it reads).
+    below it), plus ``_sum`` and ``_count``.  A snapshot reads each
+    histogram through :meth:`copy`.
     """
 
     __slots__ = ("bounds", "counts", "total", "count")
@@ -87,19 +85,14 @@ class Histogram:
         self.total += value
         self.count += 1
 
-    def __reduce__(self):
-        return (
-            _rebuild_histogram,
-            (self.bounds, tuple(self.counts), self.total, self.count),
-        )
-
-
-def _rebuild_histogram(bounds, counts, total, count) -> Histogram:
-    histogram = Histogram(bounds)
-    histogram.counts = list(counts)
-    histogram.total = total
-    histogram.count = count
-    return histogram
+    def copy(self) -> "Histogram":
+        """An independent copy: observing either leaves the other as
+        it was."""
+        clone = Histogram(self.bounds)
+        clone.counts = list(self.counts)
+        clone.total = self.total
+        clone.count = self.count
+        return clone
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,7 +184,7 @@ def snapshot(*owners: Any) -> Snapshot:
             if owner is cls:
                 value = {} if instrument.label else instrument.zero
             else:
-                value = _map(getattr(owner, name), copy.copy)
+                value = _map(getattr(owner, name), Histogram.copy)
             key = (instrument.section or section, prefix + name)
             readings[key] = (instrument, value)
     return readings
@@ -282,158 +275,5 @@ def exposition(readings: Snapshot) -> str:
 
 def render_metrics(server: Any) -> str:
     """The ``/metrics`` page of an :class:`~repro.serve.rpc.RpcServer`
-    (call it on the server's dispatch thread, as :class:`MetricsServer`
-    does)."""
+    (call it on the server's dispatch thread, as the server does)."""
     return exposition(server.stats_snapshot())
-
-
-#: Seconds a scrape client has to send its whole request head.
-REQUEST_HEAD_TIMEOUT = 10.0
-
-
-class MetricsServer:
-    """A minimal HTTP/1.x listener serving ``GET /metrics``.
-
-    Shares the RPC server's event loop: one ``asyncio.start_server``
-    whose handler answers ``/metrics`` with the page rendered on the
-    RPC server's dispatch thread, ``/healthz`` with a liveness line, and
-    anything else with 404.  Keep-alive is not offered
-    (``Connection: close``) -- scrapers reconnect per scrape.
-    """
-
-    def __init__(
-        self,
-        rpc_server: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ) -> None:
-        self.rpc_server = rpc_server
-        self.host = host
-        self.port = port
-        self.scrapes = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._clients: set[asyncio.Task] = set()
-        self._closing = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None:
-            raise RuntimeError("metrics server not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    async def start(self) -> tuple[str, int]:
-        self._server = await asyncio.start_server(
-            self._client, self.host, self.port
-        )
-        return self.address
-
-    async def close(self) -> None:
-        """Stop accepting and end the scrape handlers before
-        ``wait_closed()``, as :meth:`repro.serve.rpc.RpcServer.close`
-        does: from Python 3.12.1 on it waits for every connection."""
-        self._closing = True
-        if self._server is not None:
-            self._server.close()
-        for task in list(self._clients):
-            task.cancel()
-        if self._clients:
-            await asyncio.gather(*self._clients, return_exceptions=True)
-        self._clients.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
-
-    async def __aenter__(self) -> "MetricsServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
-    async def _client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self._closing:
-            writer.close()
-            return
-        task = asyncio.current_task()
-        if task is not None:
-            self._clients.add(task)
-            task.add_done_callback(self._clients.discard)
-        try:
-            # One deadline for the whole head, so a client dripping
-            # header lines cannot hold the handler open.
-            parts = await asyncio.wait_for(
-                self._request_line(reader), timeout=REQUEST_HEAD_TIMEOUT
-            )
-            if len(parts) < 2 or parts[0] != "GET":
-                await self._respond(
-                    writer, 405, "text/plain", "method not allowed\n"
-                )
-                return
-            path = parts[1].split("?", 1)[0]
-            if path == "/metrics":
-                self.scrapes += 1
-                # The RPC server's dispatch thread, which owns the
-                # session's state.
-                page = await asyncio.get_running_loop().run_in_executor(
-                    self.rpc_server._pool, render_metrics, self.rpc_server
-                )
-                await self._respond(writer, 200, CONTENT_TYPE, page)
-            elif path == "/healthz":
-                payload = json.dumps(
-                    {"ok": True, "version": self.rpc_server.session.version}
-                )
-                await self._respond(
-                    writer, 200, "application/json", payload + "\n"
-                )
-            else:
-                await self._respond(
-                    writer, 404, "text/plain", "not found\n"
-                )
-        except (
-            asyncio.TimeoutError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        except asyncio.CancelledError:
-            # close() cancels every handler; ending normally keeps
-            # asyncio's stream callback from logging the cancellation.
-            if not self._closing:
-                raise
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    async def _request_line(reader: asyncio.StreamReader) -> list[str]:
-        """The request line's words; the headers up to the blank line
-        are read and ignored."""
-        parts = (await reader.readline()).decode("latin-1").split()
-        while await reader.readline() not in (b"\r\n", b"\n", b""):
-            pass
-        return parts
-
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        body: str,
-    ) -> None:
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}
-        payload = body.encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {reason.get(status, 'Error')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + payload)
-        await writer.drain()

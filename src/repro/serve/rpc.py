@@ -30,6 +30,13 @@ Operations:
 ``ping``
     Liveness probe.
 
+**HTTP on the same port.**  A connection whose first line is an
+HTTP/1.x request line gets one HTTP exchange, then is closed:
+``GET /metrics`` is the ``stats`` snapshot in Prometheus text format
+(:func:`~repro.serve.metrics.render_metrics`), ``GET /healthz`` a
+JSON liveness line.  It is a connection but no operation: no request
+counter moves, and quotas and admission never shed it.
+
 Malformed JSON, unknown operations, bad queries and execution errors
 all come back as structured ``{"ok": false, "error": ...}`` lines --
 the connection (and the server) always survives a bad request.
@@ -75,9 +82,8 @@ of the result cache, which only helps *after* an execution finishes.
 * Streamed ``batch`` lines are written incrementally -- peak memory
   per streamed query is one batch, and ``writer.drain()`` pushes
   client backpressure into the stream.
-* A :class:`~repro.serve.metrics.MetricsServer` (``repro serve --tcp
-  --metrics-port N``) exports the ``stats`` snapshot in Prometheus
-  text format.
+* An HTTP client has :data:`REQUEST_HEAD_TIMEOUT` seconds to send its
+  whole request head.
 """
 
 from __future__ import annotations
@@ -85,6 +91,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -104,11 +111,13 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.metrics import (
+    CONTENT_TYPE,
     Histogram,
     Snapshot,
     counter,
     gauge,
     histogram,
+    render_metrics,
     snapshot,
     stats_dict,
 )
@@ -131,6 +140,13 @@ MAX_QUOTA_BUCKETS = 4096
 #: Ops a client quota applies to.  ``ping`` and ``stats`` stay exempt
 #: so health checks and scrapes keep working under overload.
 QUOTA_OPS = frozenset({"query", "explain", "update", "delete"})
+
+#: A first line matching this opens an HTTP/1.x exchange (method,
+#: target); JSON requests start with ``{`` and never match.
+HTTP_REQUEST_LINE = re.compile(rb"([A-Z]+) (\S+) HTTP/1\.[01]")
+
+#: Seconds an HTTP client has to send its whole request head.
+REQUEST_HEAD_TIMEOUT = 10.0
 
 
 SHED = counter(
@@ -410,46 +426,16 @@ class RpcServer:
         # still shares one bucket.
         connection_key = f"conn-{self.stats.connections}"
         try:
-            while True:
-                try:
-                    if self.idle_timeout is None:
-                        line = await reader.readline()
-                    else:
-                        line = await asyncio.wait_for(
-                            reader.readline(), timeout=self.idle_timeout
-                        )
-                except asyncio.TimeoutError:
-                    self.stats.idle_timeouts += 1
-                    try:
-                        await self._send(
-                            writer,
-                            {
-                                "ok": False,
-                                "error": (
-                                    "connection idle for more than "
-                                    f"{self.idle_timeout:g} s"
-                                ),
-                                "error_type": "IdleTimeout",
-                            },
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        pass
-                    break
-                except (
-                    asyncio.LimitOverrunError,
-                    ValueError,
-                ):  # over-long line: unrecoverable framing, drop client
-                    await self._send(
-                        writer,
-                        {"ok": False, "error": "request line too long"},
-                    )
-                    break
-                if not line:
-                    break
+            line = await self._read_line(reader, writer)
+            http = HTTP_REQUEST_LINE.fullmatch(line.strip())
+            if http is not None:
+                await self._http(*http.groups(), reader, writer)
+                return
+            while line:
                 text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                await self._serve_line(text, writer, connection_key)
+                if text:
+                    await self._serve_line(text, writer, connection_key)
+                line = await self._read_line(reader, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -463,6 +449,75 @@ class RpcServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    async def _read_line(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bytes:
+        """The client's next line, or ``b""`` to hang up: at EOF, or once
+        the client is told it idled out or overran the line limit."""
+        try:
+            if self.idle_timeout is None:
+                return await reader.readline()
+            return await asyncio.wait_for(
+                reader.readline(), timeout=self.idle_timeout
+            )
+        except asyncio.TimeoutError:
+            self.stats.idle_timeouts += 1
+            idle = f"connection idle for more than {self.idle_timeout:g} s"
+            try:
+                await self._send(
+                    writer,
+                    {"ok": False, "error": idle, "error_type": "IdleTimeout"},
+                )
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+        except (asyncio.LimitOverrunError, ValueError):
+            # An over-long line: unrecoverable framing, drop the client.
+            await self._send(
+                writer, {"ok": False, "error": "request line too long"}
+            )
+        return b""
+
+    async def _http(
+        self,
+        method: bytes,
+        target: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Answer the one HTTP request of this connection."""
+        try:
+            # One deadline for the whole head, so a client dripping
+            # header lines cannot hold the handler open.
+            await asyncio.wait_for(
+                _skip_headers(reader), timeout=REQUEST_HEAD_TIMEOUT
+            )
+        except (asyncio.TimeoutError, asyncio.LimitOverrunError, ValueError):
+            return
+        path = target.split(b"?", 1)[0]
+        status, content_type = "200 OK", "text/plain"
+        if method != b"GET":
+            status, body = "405 Method Not Allowed", "method not allowed\n"
+        elif path == b"/metrics":
+            content_type = CONTENT_TYPE
+            body = await asyncio.get_running_loop().run_in_executor(
+                self._pool, render_metrics, self
+            )
+        elif path == b"/healthz":
+            content_type = "application/json"
+            health = {"ok": True, "version": self.session.version}
+            body = json.dumps(health) + "\n"
+        else:
+            status, body = "404 Not Found", "not found\n"
+        payload = body.encode()
+        head = (
+            f"HTTP/1.1 {status}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            "Connection: close\r\n\r\n"
+        )
+        writer.write(head.encode() + payload)
+        await writer.drain()
 
     async def _serve_line(
         self,
@@ -750,6 +805,12 @@ class RpcServer:
                 del self._inflight[key]
 
 
+async def _skip_headers(reader: asyncio.StreamReader) -> None:
+    """Read an HTTP request's headers up to the blank line."""
+    while await reader.readline() not in (b"\r\n", b"\n", b""):
+        pass
+
+
 async def serve_tcp(
     session: "Session",
     host: str = "127.0.0.1",
@@ -761,11 +822,13 @@ async def serve_tcp(
     quota_rps: float | None = None,
     quota_burst: float | None = None,
     idle_timeout: float | None = None,
-    metrics_port: int | None = None,
     ready: "asyncio.Event | None" = None,
     announce=print,
 ) -> None:
     """Run an :class:`RpcServer` until cancelled (the CLI entry).
+
+    The port speaks JSON lines, and answers HTTP ``GET /metrics`` and
+    ``GET /healthz`` too.
 
     Args:
         session: the session to serve.
@@ -773,13 +836,9 @@ async def serve_tcp(
         coalesce: share in-flight identical statements.
         max_inflight / max_queue / quota_rps / quota_burst /
             idle_timeout: hardening knobs (see :class:`RpcServer`).
-        metrics_port: also serve ``GET /metrics`` (Prometheus text
-            format) on this port, same host; None disables.
         ready: optional event set once the socket is bound (tests).
         announce: called with a human-readable "listening" line.
     """
-    from repro.serve.metrics import MetricsServer
-
     server = RpcServer(
         session,
         host,
@@ -792,15 +851,6 @@ async def serve_tcp(
         idle_timeout=idle_timeout,
     )
     bound_host, bound_port = await server.start()
-    metrics: MetricsServer | None = None
-    if metrics_port is not None:
-        metrics = MetricsServer(server, host=host, port=metrics_port)
-        metrics_host, metrics_bound = await metrics.start()
-        if announce is not None:
-            announce(
-                f"repro metrics: http://{metrics_host}:{metrics_bound}"
-                "/metrics"
-            )
     if announce is not None:
         announce(
             f"repro rpc: listening on {bound_host}:{bound_port} "
@@ -812,6 +862,4 @@ async def serve_tcp(
     try:
         await server.serve_forever()
     finally:
-        if metrics is not None:
-            await metrics.close()
         await server.close()

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.hypercube import hc_destinations
 from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
@@ -19,6 +18,7 @@ from repro.core.families import (
 from repro.core.query import Atom, parse_query
 from repro.data.database import Database, Relation
 from repro.data.matching import matching_database
+from repro.engine import GridSpec, HashRoute
 from repro.mpc.routing import HashFamily
 from tests.conftest import assert_oracle_parity, run_pinned, run_with_oracle
 
@@ -27,6 +27,17 @@ def truth_of(query, database):
     return evaluate_query(
         query, {name: database[name].tuples for name in database.relations}
     )
+
+
+def routed_ranks(atom, row, shares, variable_order, hashes):
+    """The grid ranks HC routes ``row`` of ``atom`` to: the scalar
+    reference path, :meth:`RoutingStep.destinations`, of its step."""
+    step = HashRoute(
+        relation=atom.name,
+        atom=atom,
+        grid=GridSpec.from_shares(variable_order, shares, hashes),
+    )
+    return step.destinations(row, 0, 0)
 
 
 class TestCorrectness:
@@ -89,7 +100,7 @@ class TestRouting:
         order = triangle.variables
         row = (4, 9)
         s1_dests = set(
-            hc_destinations(triangle.atom("S1"), row, shares, order, hashes)
+            routed_ranks(triangle.atom("S1"), row, shares, order, hashes)
         )
         # S1(4, 9) pins x1, x2; the free dimension x3 is replicated.
         assert len(s1_dests) == 2
@@ -98,15 +109,15 @@ class TestRouting:
         atom = Atom("S", ("x", "x"))
         shares = {"x": 4}
         hashes = HashFamily(seed=0)
-        assert hc_destinations(atom, (1, 2), shares, ("x",), hashes) == []
+        assert routed_ranks(atom, (1, 2), shares, ("x",), hashes) == []
         assert len(
-            hc_destinations(atom, (3, 3), shares, ("x",), hashes)
+            routed_ranks(atom, (3, 3), shares, ("x",), hashes)
         ) == 1
 
     def test_replication_matches_free_dimensions(self, chain4):
         shares = {"x0": 2, "x1": 3, "x2": 2, "x3": 1, "x4": 2}
         hashes = HashFamily(seed=1)
-        destinations = hc_destinations(
+        destinations = routed_ranks(
             chain4.atom("S2"), (5, 6), shares, chain4.variables, hashes
         )
         # S2 pins x1, x2; free dims are x0 (2), x3 (1), x4 (2): 4 copies.
@@ -204,14 +215,14 @@ class TestRepeatedVariableAtoms:
         atom = Atom("S", ("x", "x"))
         spy = _CountingHashFamily(seed=0)
         _CountingHashFamily.calls = []
-        assert hc_destinations(atom, (1, 2), {"x": 4}, ("x",), spy) == []
+        assert routed_ranks(atom, (1, 2), {"x": 4}, ("x",), spy) == []
         assert _CountingHashFamily.calls == []
 
     def test_consistent_row_hashes_once_per_distinct_variable(self):
         atom = Atom("S", ("x", "x", "y"))
         spy = _CountingHashFamily(seed=0)
         _CountingHashFamily.calls = []
-        destinations = hc_destinations(
+        destinations = routed_ranks(
             atom, (3, 3, 5), {"x": 4, "y": 2}, ("x", "y"), spy
         )
         assert len(destinations) == 1
@@ -222,7 +233,7 @@ class TestRepeatedVariableAtoms:
         spy = _CountingHashFamily(seed=1)
         _CountingHashFamily.calls = []
         assert (
-            hc_destinations(atom, (2, 2, 7), {"x": 8}, ("x",), spy) == []
+            routed_ranks(atom, (2, 2, 7), {"x": 8}, ("x",), spy) == []
         )
         assert _CountingHashFamily.calls == []
 

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from repro.algorithms.localjoin import count_answers, evaluate_query
+from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
 
@@ -60,10 +60,6 @@ class TestBasicJoins:
     def test_head_order_respected(self):
         query = parse_query("q(z,x) = S(x,z)")
         assert evaluate_query(query, {"S": [(1, 2)]}) == ((2, 1),)
-
-    def test_count_answers(self, two_hop):
-        relations = {"S1": [(1, 2)], "S2": [(2, 3), (2, 4)]}
-        assert count_answers(two_hop, relations) == 2
 
 
 class TestRepeatedVariables:

@@ -14,7 +14,7 @@ from repro.algorithms.localjoin import (
     _pack_segmented_keys,
     _radices,
     evaluate_query,
-    evaluate_query_columnar,
+    evaluate_query_table,
 )
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
@@ -26,6 +26,13 @@ def as_columns(rows):
     return tuple(
         numpy.asarray(column, dtype=numpy.int64) for column in zip(*rows)
     )
+
+
+def table_rows(query, fragments, assume_unique=False):
+    """:func:`evaluate_query_table`'s answers as row tuples, comparable
+    with :func:`evaluate_query`'s."""
+    table = evaluate_query_table(query, fragments, assume_unique)
+    return tuple(map(tuple, table.tolist()))
 
 
 def _join_pairs(key_left, key_right, assume_sorted=False):
@@ -67,7 +74,7 @@ class TestAgreesWithReference:
         rng = random.Random(seed)
         instance = random_instance(query, n=12, rows_per_atom=40, rng=rng)
         expected = evaluate_query(query, instance)
-        actual = evaluate_query_columnar(
+        actual = table_rows(
             query,
             {name: as_columns(rows) for name, rows in instance.items()},
         )
@@ -77,7 +84,7 @@ class TestAgreesWithReference:
         query = line_query(2)
         rows = [(1, 2), (1, 2), (2, 3)]
         instance = {"S1": rows, "S2": rows}
-        assert evaluate_query_columnar(
+        assert table_rows(
             query, {name: as_columns(r) for name, r in instance.items()}
         ) == evaluate_query(query, instance)
 
@@ -92,7 +99,7 @@ class TestAgreesWithReference:
         fragments = {
             name: as_columns(rows) for name, rows in instance.items()
         }
-        fast = evaluate_query_columnar(query, fragments, assume_unique=True)
+        fast = table_rows(query, fragments, assume_unique=True)
         assert tuple(sorted(fast)) == evaluate_query(query, instance)
         assert len(fast) == len(set(fast))
 
@@ -100,20 +107,20 @@ class TestAgreesWithReference:
 class TestEdgeCases:
     def test_missing_relation_is_empty(self):
         query = line_query(2)
-        assert evaluate_query_columnar(
+        assert table_rows(
             query, {"S1": as_columns([(1, 2)])}
         ) == ()
 
     def test_empty_relation_is_empty(self):
         query = line_query(2)
-        assert evaluate_query_columnar(
+        assert table_rows(
             query, {"S1": as_columns([(1, 2)]), "S2": as_columns([])}
         ) == ()
 
     def test_repeated_variable_filters_rows(self):
         query = parse_query("q(x) = S(x, x)")
         fragments = {"S": as_columns([(1, 1), (1, 2), (3, 3)])}
-        assert evaluate_query_columnar(query, fragments) == ((1,), (3,))
+        assert table_rows(query, fragments) == ((1,), (3,))
 
     def test_large_domain_multicolumn_key_falls_back(self):
         """Keys too wide to radix-pack go through the factorize path."""
@@ -124,7 +131,7 @@ class TestEdgeCases:
         expected = evaluate_query(
             query, {"A": rows, "B": rows[::2]}
         )
-        assert evaluate_query_columnar(query, fragments) == expected
+        assert table_rows(query, fragments) == expected
 
 
 class TestJoinPairsSorted:

@@ -178,10 +178,3 @@ class TestTokenBucket:
         assert error.reason == "quota"
         assert error.retry_after_ms == 125.0
         assert "125 ms" in str(error)
-
-    def test_overloaded_error_pickles(self):
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(ServerOverloaded("queue_full")))
-        assert clone.reason == "queue_full"
-        assert clone.retry_after_ms == 0.0

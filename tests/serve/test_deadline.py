@@ -87,15 +87,6 @@ class TestDeadlineObject:
         deadline = Deadline.after_ms(50)
         assert deadline is not None and deadline.budget_ms == 50.0
 
-    def test_pickle_roundtrip_preserves_fields(self):
-        import pickle
-
-        error = DeadlineExceeded("between rounds", 123.4, 100.0)
-        clone = pickle.loads(pickle.dumps(error))
-        assert clone.where == "between rounds"
-        assert clone.elapsed_ms == 123.4
-        assert clone.budget_ms == 100.0
-
 
 class TestCooperativeCancellation:
     def test_deadline_fires_between_rounds(self, monkeypatch):

@@ -1,5 +1,5 @@
-"""The /metrics endpoint: histogram math, text grammar, HTTP serving,
-and the declared instruments both stats views walk."""
+"""The /metrics endpoint: histogram math, text grammar, HTTP serving
+on the RPC port, and the declared instruments both stats views walk."""
 
 from __future__ import annotations
 
@@ -23,13 +23,13 @@ from repro.planner import PlannerStats
 from repro.serve.admission import AdmissionQueue, AdmissionStats
 from repro.serve.cache import PlanCacheStats
 from repro.serve.ivm import IvmManager
-from repro.serve import metrics as metrics_module
+from repro.serve import rpc as rpc_module
 from repro.serve.metrics import (
     CONTENT_TYPE,
     Histogram,
-    MetricsServer,
     declared,
     render_metrics,
+    stats_dict,
 )
 from repro.serve.rpc import RpcServer, RpcStats
 from repro.serve.service import ServiceStats
@@ -145,16 +145,25 @@ class TestHistogram:
         assert histogram.total == pytest.approx(5.605)
         assert histogram.counts == [1, 2, 1, 1]  # last = overflow
 
-    def test_pickle_roundtrip(self):
-        import pickle
-
-        histogram = Histogram(bounds=(0.1, 1.0))
-        histogram.observe(0.5)
-        clone = pickle.loads(pickle.dumps(histogram))
-        assert clone.bounds == histogram.bounds
-        assert clone.counts == histogram.counts
-        assert clone.count == 1
-        assert clone.total == 0.5
+    def test_a_snapshot_does_not_move_with_the_live_histogram(self):
+        session = _session()
+        try:
+            server = RpcServer(session)
+            live = server.stats.request_latency
+            live.observe(0.5)
+            ((_, taken),) = [
+                value
+                for (_, key), value in server.stats_snapshot().items()
+                if key == "request_latency"
+            ]
+            live.observe(0.5)
+            live.observe(50.0)
+            assert taken is not live
+            assert (taken.count, taken.total) == (1, 0.5)
+            assert sum(taken.counts) == 1
+            assert taken.counts[-1] == 0
+        finally:
+            session.close()
 
 
 class TestRenderMetrics:
@@ -270,58 +279,178 @@ class TestRenderMetrics:
         assert {"route", "local"} <= phases
 
 
+@pytest.fixture
+def renders(monkeypatch):
+    """Every server that rendered a ``/metrics`` page, in order."""
+    calls = []
+
+    def spy(server):
+        calls.append(server)
+        return render_metrics(server)
+
+    monkeypatch.setattr(rpc_module, "render_metrics", spy)
+    return calls
+
+
 class TestMetricsServer:
-    def test_scrape_over_http(self):
+    """``GET /metrics`` and ``GET /healthz`` on the RPC port."""
+
+    def test_scrape_over_http(self, renders):
         async def body():
             session = _session()
             try:
                 async with RpcServer(session) as server:
-                    async with MetricsServer(server) as metrics:
-                        host, port = metrics.address
-                        status, headers, page = await _http_get(
-                            host, port, "/metrics"
-                        )
-                        assert status == 200
-                        assert headers["content-type"] == CONTENT_TYPE
-                        assert int(headers["content-length"]) == len(
-                            page.encode()
-                        )
-                        families = parse_exposition(page)
-                        assert "repro_rpc_connections_total" in families
-                        assert metrics.scrapes == 1
+                    status, headers, page = await _http_get(
+                        *server.address, "/metrics"
+                    )
+                    assert status == 200
+                    assert headers["content-type"] == CONTENT_TYPE
+                    assert headers["connection"] == "close"
+                    assert int(headers["content-length"]) == len(
+                        page.encode()
+                    )
+                    families = parse_exposition(page)
+                    assert "repro_rpc_connections_total" in families
+                    assert renders == [server]
             finally:
                 session.close()
 
         asyncio.run(body())
 
-    def test_healthz_and_unknown_paths(self):
+    def test_healthz_and_unknown_paths(self, renders):
         async def body():
             session = _session()
             try:
                 async with RpcServer(session) as server:
-                    async with MetricsServer(server) as metrics:
-                        host, port = metrics.address
-                        status, _, page = await _http_get(
-                            host, port, "/healthz"
-                        )
-                        assert status == 200
-                        assert json.loads(page) == {
-                            "ok": True,
-                            "version": 0,
-                        }
-                        status, _, _ = await _http_get(
-                            host, port, "/nope"
-                        )
-                        assert status == 404
-                        status, _, _ = await _http_get(
-                            host, port, "/metrics", method="POST"
-                        )
-                        assert status == 405
-                        assert metrics.scrapes == 0
+                    address = server.address
+                    status, _, page = await _http_get(*address, "/healthz")
+                    assert status == 200
+                    assert json.loads(page) == {"ok": True, "version": 0}
+                    status, _, _ = await _http_get(*address, "/nope")
+                    assert status == 404
+                    status, _, _ = await _http_get(
+                        *address, "/metrics", method="POST"
+                    )
+                    assert status == 405
+                    assert renders == []
             finally:
                 session.close()
 
         asyncio.run(body())
+
+    def test_an_over_long_request_line_gets_an_http_error(self):
+        # Longer than asyncio's default 64 KiB stream limit: still an
+        # HTTP status back, and nothing for the loop to log.
+        errors: list[dict] = []
+
+        async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    status, headers, _ = await _http_get(
+                        *server.address, "/" + "x" * 70000
+                    )
+                    assert status == 404
+                    assert headers["connection"] == "close"
+            finally:
+                session.close()
+
+        asyncio.run(body())
+        assert errors == []
+
+    def test_scrapes_are_neither_requests_nor_shed(self, monkeypatch):
+        # A slow query holds the one execution slot and the client's
+        # one quota token; the next query is shed.  Scrapes still
+        # answer, and move no request or shed counter.
+        from repro.engine.faults import ROUND_DELAY_ENV
+
+        monkeypatch.setenv(ROUND_DELAY_ENV, "300")
+
+        async def body():
+            session = _session()
+            try:
+                async with RpcServer(
+                    session, max_inflight=1, max_queue=0, quota_rps=0.001
+                ) as server:
+                    query = {"op": "query", "q": "S1(x,y), S2(y,z)",
+                             "client_id": "c"}
+                    slow = await asyncio.open_connection(*server.address)
+                    slow[1].write((json.dumps(query) + "\n").encode())
+                    while server.admission.inflight < 1:
+                        await asyncio.sleep(0.01)
+                    shed = await asyncio.open_connection(*server.address)
+                    shed[1].write((json.dumps(query) + "\n").encode())
+                    reply = json.loads(await shed[0].readline())
+                    assert reply["reason"] == "quota"
+                    before = stats_dict(server.stats_snapshot())["rpc"]
+                    status, _, page = await _http_get(
+                        *server.address, "/metrics"
+                    )
+                    assert status == 200
+                    status, _, _ = await _http_get(
+                        *server.address, "/healthz"
+                    )
+                    assert status == 200
+                    after = stats_dict(server.stats_snapshot())["rpc"]
+                    assert json.loads(await slow[0].readline())["ok"]
+                    for _, writer in (slow, shed):
+                        writer.close()
+                        await writer.wait_closed()
+                    return before, after, page
+            finally:
+                session.close()
+
+        before, after, page = asyncio.run(body())
+        for key in ("requests", "by_op", "errors", "shed_quota",
+                    "shed_overload"):
+            assert after[key] == before[key], key
+        assert before["by_op"] == {"query": 2}
+        assert before["shed_quota"] == 1
+        assert after["connections"] == before["connections"] + 2
+        samples = {
+            (name, tuple(sorted(labels.items()))): value
+            for family in parse_exposition(page).values()
+            for name, labels, value in family["samples"]
+        }
+        assert samples[("repro_rpc_shed_total", (("reason", "quota"),))] == 1
+        assert samples[("repro_rpc_requests_total", (("op", "query"),))] == 2
+
+    def test_only_the_first_line_can_open_http(self, renders):
+        async def body():
+            session = _session()
+            try:
+                async with RpcServer(session) as server:
+                    reader, writer = await asyncio.open_connection(
+                        *server.address
+                    )
+                    writer.write(b'{"op": "ping"}\nGET /metrics HTTP/1.1\n')
+                    assert json.loads(await reader.readline())["pong"]
+                    reply = json.loads(await reader.readline())
+                    writer.close()
+                    await writer.wait_closed()
+                    return reply
+            finally:
+                session.close()
+
+        reply = asyncio.run(body())
+        assert reply["ok"] is False
+        assert reply["error"].startswith("invalid json")
+        assert renders == []
+
+    def test_there_is_no_second_listener(self, capsys):
+        import repro.serve
+        from repro.cli import main
+
+        assert not hasattr(repro.serve, "MetricsServer")
+        with pytest.raises(TypeError):
+            rpc_module.serve_tcp(None, metrics_port=0)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--tcp", "0", "--metrics-port", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_faults_gauge_reflects_the_environment(self, monkeypatch):
         from repro.engine.faults import FAULT_ENVS, ROUND_DELAY_ENV
@@ -439,10 +568,10 @@ DECLARATIONS = [
 
 @pytest.mark.usefixtures("wait_closed_as_in_python_3_12")
 class TestMetricsShutdown:
-    """Closing the listener ends its scrape handlers instead of
-    waiting on clients that never finish a request."""
+    """Closing the server ends its scrape handlers instead of waiting
+    on clients that never finish a request head."""
 
-    def test_silent_client_does_not_stall_close(self):
+    def test_a_client_parked_mid_head_does_not_stall_close(self, renders):
         errors: list[dict] = []
 
         async def body():
@@ -451,56 +580,70 @@ class TestMetricsShutdown:
             )
             session = _session()
             try:
-                async with RpcServer(session) as server:
-                    metrics = MetricsServer(server)
-                    reader, writer = await asyncio.open_connection(
-                        *await metrics.start()
-                    )
-                    await asyncio.sleep(0.1)  # the handler is parked
-                    start = time.perf_counter()
-                    await metrics.close()
-                    elapsed = time.perf_counter() - start
-                    assert await reader.read() == b""
-                    writer.close()
+                server = RpcServer(session)
+                reader, writer = await asyncio.open_connection(
+                    *await server.start()
+                )
+                # The request line, then nothing: no blank line.
+                writer.write(b"GET /metrics HTTP/1.1\r\nHost: x\r\n")
+                await writer.drain()
+                while server.stats.connections < 1:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.1)  # the handler is parked
+                start = time.perf_counter()
+                await server.close()
+                elapsed = time.perf_counter() - start
+                assert await reader.read() == b""
+                writer.close()
             finally:
                 session.close()
             return elapsed
 
         assert shutdown_test(body()) < 1.0
         assert errors == []
+        assert renders == []
 
-    def test_one_deadline_bounds_the_request_head(self, monkeypatch):
+    def test_one_deadline_bounds_the_request_head(self, monkeypatch, renders):
         # A client dripping header lines faster than any per-line
         # timeout is still cut off when the head's deadline passes.
-        monkeypatch.setattr(metrics_module, "REQUEST_HEAD_TIMEOUT", 0.3)
+        monkeypatch.setattr(rpc_module, "REQUEST_HEAD_TIMEOUT", 0.3)
+        errors: list[dict] = []
 
         async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: errors.append(context)
+            )
             session = _session()
             try:
-                async with RpcServer(session) as server:
-                    async with MetricsServer(server) as metrics:
-                        reader, writer = await asyncio.open_connection(
-                            *metrics.address
-                        )
-                        writer.write(b"GET /metrics HTTP/1.1\r\n")
-                        start = time.perf_counter()
-                        while not reader.at_eof():
-                            assert time.perf_counter() - start < 2.0
-                            writer.write(b"X-Drip: 1\r\n")
-                            try:
-                                await writer.drain()
-                                await asyncio.wait_for(reader.read(), 0.1)
-                            except asyncio.TimeoutError:
-                                continue
-                            except (ConnectionResetError, BrokenPipeError):
-                                break
-                        writer.close()
-                        assert metrics.scrapes == 0
-                        return time.perf_counter() - start
+                server = RpcServer(session)
+                reader, writer = await asyncio.open_connection(
+                    *await server.start()
+                )
+                writer.write(b"GET /metrics HTTP/1.1\r\n")
+                start = time.perf_counter()
+                while not reader.at_eof():
+                    assert time.perf_counter() - start < 2.0
+                    writer.write(b"X-Drip: 1\r\n")
+                    try:
+                        await writer.drain()
+                        await asyncio.wait_for(reader.read(), 0.1)
+                    except asyncio.TimeoutError:
+                        continue
+                    except (ConnectionResetError, BrokenPipeError):
+                        break
+                dripped = time.perf_counter() - start
+                writer.close()
+                start = time.perf_counter()
+                await server.close()
+                return dripped, time.perf_counter() - start
             finally:
                 session.close()
 
-        assert 0.25 < asyncio.run(body()) < 1.0
+        dripped, closed = shutdown_test(body())
+        assert 0.25 < dripped < 1.0
+        assert closed < 1.0
+        assert errors == []
+        assert renders == []
 
 
 @pytest.fixture(scope="module")
@@ -514,19 +657,18 @@ def served():
             async with RpcServer(
                 session, max_inflight=2, max_queue=2
             ) as server:
-                async with MetricsServer(server) as metrics:
-                    reader, writer = await asyncio.open_connection(
-                        *server.address
-                    )
-                    for request in TRAFFIC + ({"op": "stats"},):
-                        writer.write((json.dumps(request) + "\n").encode())
-                        await writer.drain()
-                        reply = json.loads(await reader.readline())
-                    writer.close()
-                    await writer.wait_closed()
-                    _, _, page = await _http_get(*metrics.address, "/metrics")
-                    readings = server.stats_snapshot()
-                    return reply, parse_exposition(page), readings
+                reader, writer = await asyncio.open_connection(
+                    *server.address
+                )
+                for request in TRAFFIC + ({"op": "stats"},):
+                    writer.write((json.dumps(request) + "\n").encode())
+                    await writer.drain()
+                    reply = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                _, _, page = await _http_get(*server.address, "/metrics")
+                readings = server.stats_snapshot()
+                return reply, parse_exposition(page), readings
         finally:
             session.close()
 

@@ -11,8 +11,9 @@ failure type and the report containers.  The simulator is column-only:
 no module names the deleted row API.
 
 Everything runs in one process: no module imports ``multiprocessing``,
-nothing builds a process pool executor, and serving statements over
-RPC never loads ``multiprocessing``.
+nothing builds a process pool executor, no class defines a pickling
+hook, and serving statements over RPC never loads
+``multiprocessing``.
 
 Sorted int64 tables are probed and spliced through one copy of the
 structured-view helpers, in :mod:`repro.data.columnar`: IVM's merge
@@ -263,6 +264,21 @@ def test_nothing_uses_a_process_pool_executor():
         if "ProcessPoolExecutor" in path.read_text()
     ]
     assert users == []
+
+
+def test_no_class_defines_pickling_hooks():
+    # Nothing is pickled: with one process, nothing crosses one.
+    hooks = {
+        f"{path.relative_to(ROOT).as_posix()}::{node.name}"
+        for path in _package_modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef) and item.name == "__reduce__"
+            for item in node.body
+        )
+    }
+    assert hooks == set()
 
 
 def test_execute_plan_has_no_parallel_parameter():

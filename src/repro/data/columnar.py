@@ -269,6 +269,8 @@ def locate_rows(reference: Any, table: Any) -> tuple[Any, Any]:
     Both tables are viewed as one int64 record per row; records compare
     field by field, signed -- the order ``sorted_unique_rows`` yields --
     so one ``searchsorted`` probes every row: O(k log n) for k rows.
+    Whether a row is held is read off the int64 rows themselves, which
+    compare faster than the records.
     """
     if not len(reference) or not len(table) or not table.shape[1]:
         # Rows of width 0 are all the one empty row.
@@ -285,7 +287,8 @@ def locate_rows(reference: Any, table: Any) -> tuple[Any, Any]:
     )
     positions = numpy.searchsorted(reference_v, table_v)
     last = len(reference) - 1
-    return positions, reference_v[numpy.minimum(positions, last)] == table_v
+    held = reference[numpy.minimum(positions, last)] == table
+    return positions, held.all(axis=1)
 
 
 def absent_rows(table: Any, reference: Any) -> Any:
@@ -301,13 +304,13 @@ def insert_rows(reference: Any, tables: Iterable[Any]) -> tuple[Any, Any, Any]:
     table (none new: ``reference``), the new rows, sorted unique, and
     their insertion points in ``reference`` as ``numpy.insert`` takes
     them."""
-    fresh = numpy.concatenate(
-        [reference[:0]] + [absent_rows(table, reference) for table in tables]
-    )
+    rows = numpy.concatenate([reference[:0], *tables])
+    if len(rows):
+        rows = sorted_unique_rows(rows)
+    positions, held = locate_rows(reference, rows)
+    fresh, positions = rows[~held], positions[~held]
     if not len(fresh):
-        return reference, fresh, numpy.zeros(0, dtype=numpy.intp)
-    fresh = sorted_unique_rows(fresh)
-    positions = locate_rows(reference, fresh)[0]
+        return reference, fresh, positions
     return numpy.insert(reference, positions, fresh, axis=0), fresh, positions
 
 

@@ -262,7 +262,7 @@ class PlanExecution:
         heavy_hitters: the heavy values bound during execution, when
             the plan asked for heavy binding.
         site_answers: per evaluation site (view name; None for the
-            ``CollectAnswers`` site), the per-worker answer tables and
+            ``CollectAnswers`` site), the per-worker answer counts and
             merged table local evaluation computed
             (:class:`~repro.engine.local.SiteAnswers`) -- what
             incremental maintenance retains, by reference.  Sites

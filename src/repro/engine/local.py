@@ -33,7 +33,6 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any, Callable, Iterable
 
 import numpy
@@ -61,13 +60,12 @@ class SiteAnswers:
     re-derivation.
 
     Attributes:
-        tables: per-worker duplicate-free answer tables, worker order
-            -- int64 row slices of the shard results (zero-copy).
+        counts: per-worker answer counts, worker order.
         merged: the canonical merged table (lex-sorted unique rows),
             one int64 array.
     """
 
-    tables: list[Any]
+    counts: list[int]
     merged: Any
 
 
@@ -198,11 +196,11 @@ def _merged_answer_table(
     Eager deliveries under the default budget plan a single shard, so
     a monolithic execution joins the whole fleet in one pass.
 
-    With a ``retain`` sink and eager deliveries only, the shard
-    results are kept as ``retain[site]`` -- each worker's table a
-    zero-copy slice of its shard's -- instead of being dropped after
-    the union.  Streamed deliveries record nothing: holding every
-    shard's answers past its turn is the peak streaming avoids.
+    With a ``retain`` sink and eager deliveries only, the merged
+    table and the per-worker answer counts are kept as
+    ``retain[site]``.  Streamed deliveries record nothing: their pools
+    are recipes, and materialising them for retention is the peak
+    streaming avoids.
 
     Returns:
         ``(merged, per_server)`` -- the deduplicated union (sorted
@@ -235,19 +233,13 @@ def _merged_answer_table(
     merged = union_answer_tables(
         (answers for answers, _ in results), len(query.head)
     )
+    per_server = [count for _, counts in results for count in counts]
     if retain is not None and not any(
         simulator.has_lazy_deliveries(key_of(atom.name))
         for atom in query.atoms
     ):
-        tables = []
-        for answers, counts in results:
-            ends = list(accumulate(counts))
-            tables.extend(
-                answers[start:end]
-                for start, end in zip([0] + ends, ends)
-            )
-        retain[site] = SiteAnswers(tables=tables, merged=merged)
-    return merged, [count for _, counts in results for count in counts]
+        retain[site] = SiteAnswers(counts=per_server, merged=merged)
+    return merged, per_server
 
 
 def _measure_local(profiler: RoundProfiler | None, simulator: MPCSimulator):
@@ -268,9 +260,9 @@ def collect_answers(
 ) -> tuple[Any, list[int]]:
     """Evaluate ``query`` at every worker and union the results.
 
-    ``retain``, when given, receives the per-worker tables and the
-    merged table under ``site`` (see :class:`SiteAnswers`) -- unless
-    the deliveries were streamed, which retain nothing.
+    ``retain``, when given, receives the per-worker answer counts and
+    the merged table under ``site`` (see :class:`SiteAnswers`) --
+    unless the deliveries were streamed, which retain nothing.
 
     Returns:
         ``(table, per_server)`` -- the sorted duplicate-free union

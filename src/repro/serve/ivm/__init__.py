@@ -12,9 +12,9 @@ input.
 Components:
 
 - :mod:`~repro.serve.ivm.state` -- retention of the routed state a
-  full execution already computed (per-worker fragments, per-site
-  answer tables, round stats), taken by reference, under an LRU byte
-  budget.
+  full execution already computed (delivery pools, per-site answer
+  counts and merged tables, round stats), taken by reference, under
+  an LRU byte budget.
 - :mod:`~repro.serve.ivm.merge` -- the semi-naive delta merge that
   produces bit-identical answers, loads and ``CapacityExceeded``
   versus full re-execution.
@@ -162,7 +162,11 @@ class IvmManager:
         result = merge_state(
             state, composed, database.snapshot, deadline=deadline
         )
-        if isinstance(result, MergeSuccess):
+        if isinstance(result, str):
+            # Overlapping worker answers: no later merge can use it.
+            self.store.discard(variant)
+            self.fallback_reasons[result] += 1
+        elif isinstance(result, MergeSuccess):
             # The state may have grown past the budget; re-check.
             self.store.resized(variant)
         return result

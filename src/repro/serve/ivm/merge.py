@@ -4,22 +4,29 @@ The merge replays a plan's rounds over *only the changed rows*:
 
 1. Each round's steps route the delta of their source -- base-relation
    deltas from the database's provenance records, view deltas computed
-   by the previous rounds of this same merge (the semi-naive cascade
-   ``delta(R join S) = dR join S + R join dS + dR join dS``, realised
-   here as "patch the fragments, re-join only the affected workers").
+   by the previous rounds of this same merge -- and patch the touched
+   workers' fragments.
 2. Round loads are patched arithmetically: a worker's received bits
    move by exactly ``(inserted - deleted) * bits_per_tuple`` per step,
    so the synthesised :class:`~repro.mpc.stats.RoundStats` are
    bit-identical to what a full re-execution would report, and the
    capacity check (against the *new* input size) raises the identical
    :class:`~repro.mpc.simulator.CapacityExceeded` a full run would.
-3. Workers whose fragments changed re-join locally; only their old
-   and new answer tables are diffed, for inserts and deletes alike.
-   Gained rows are spliced into the merged table, and a lost row
-   leaves it unless an untouched worker still holds it: the same
-   duplicate-free union full execution performs, bit-identical by
-   construction.  Rows stay int64 tables throughout; a view's delta
-   reaches the next round's routing as lists of ints.
+3. Each site applies the delta rule at every touched worker ``w``::
+
+       lost_w   = U_i Q(old_1 .. removed_i,w .. old_n)
+       gained_w = U_i Q(new_1 .. added_i,w  .. new_n)
+
+   one join per atom ``i`` with a delta at ``w``
+   (:func:`delta_answers`).  Site queries are full, so an answer fixes
+   the tuple it takes from each atom, and effective deltas make the
+   rule exact.  Routing is a function of content, so every worker
+   holding a lost answer is touched; each answer sits on one worker
+   (checked at capture and after every refresh: the counts sum to the
+   merged table's length), so the workers' deltas are disjoint.  They
+   are spliced straight into the merged table, and a worker's count
+   moves by ``len(gained_w) - len(lost_w)``.  A view's delta reaches
+   the next round's routing as lists of ints.
 4. The answer table's splice leaves with the previous reply's JSON,
    if built: the new reply is derived from those bytes
    (:func:`~repro.serve.service.splice_answers`), not re-encoded.
@@ -32,28 +39,28 @@ the retained state exactly as it was, reusable by the next request.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy
 
 from repro.algorithms.localjoin import evaluate_query_table
+from repro.core.query import ConjunctiveQuery
 from repro.data.columnar import (
     ColumnarDatabase,
     absent_rows,
     insert_rows,
-    locate_rows,
     remove_rows,
     sorted_unique_rows,
 )
 from repro.data.versioned import DeltaRecord
 from repro.engine.deadline import Deadline
 from repro.engine.executor import plan_config
-from repro.engine.local import union_answer_tables
 from repro.engine.plan import CollectAnswers, FinalizeView
 from repro.mpc.simulator import CapacityExceeded
 from repro.mpc.stats import RoundStats, SimulationReport
 
-from .state import RetainedState, SiteState
+from .policy import FALLBACK_OVERLAP
+from .state import RetainedState, SiteState, columns_nbytes
 
 Rows = Sequence[Sequence[int]]
 
@@ -69,9 +76,10 @@ class MergeSuccess:
     view_sizes: dict[str, int]
     #: ``(removed, inserted_at, rows)``: ``numpy.insert(numpy.delete(
     #: old, removed, 0), inserted_at, rows, 0)`` of the previous
-    #: answer table ``old`` is ``table``; ``reply`` is ``old``'s JSON.
+    #: answer table ``old`` is ``table``; ``reply`` is ``old``'s JSON
+    #: and its row edges (None when not kept), if the JSON was built.
     splice: tuple[Any, Any, Any]
-    reply: bytes | None
+    reply: tuple[bytes, Any] | None
 
 
 @dataclass(frozen=True)
@@ -86,36 +94,85 @@ class MergeCapacity:
     input_bits: int
 
 
-def _route_delta(step, rows: Rows, p: int) -> dict[int, list]:
+def _route_delta(step, rows: Rows, p: int) -> dict[int, Any]:
     """Route delta rows through a step's own destination function.
 
     Shardable steps route by tuple content alone (the eligibility
     gate), so routing the delta in isolation lands every copy on
-    exactly the workers the full input's routing would.
+    exactly the workers the full input's routing would.  Returns each
+    receiving worker's rows as one int64 table.
     """
     by_worker: dict[int, list] = {}
     for index, row in enumerate(rows):
         for worker in step.destinations(row, index, p):
             by_worker.setdefault(worker, []).append(row)
-    return by_worker
+    return {
+        worker: numpy.array(routed, dtype=numpy.int64)
+        for worker, routed in by_worker.items()
+    }
 
 
-def _patch_fragment(columns: tuple, removed: Rows, added: Rows) -> tuple:
+def _patch_fragment(columns: tuple, removed: Any, added: Any) -> tuple:
     """``(fragment - removed) + added`` over a fragment's columns.
 
     Routed images of effective deltas make both sides exact: every
     removed row is present, no added row is (content routing is a
     function, and the relation-level delta is effective).
     """
-    table = numpy.column_stack(columns)
-    if removed:
-        gone = sorted_unique_rows(numpy.array(removed, dtype=numpy.int64))
-        table = absent_rows(table, gone)
-    if added:
-        table = numpy.concatenate(
-            [table, numpy.array(added, dtype=numpy.int64)]
+    if removed is not None:
+        kept = absent_rows(
+            numpy.column_stack(columns), sorted_unique_rows(removed)
         )
-    return tuple(numpy.ascontiguousarray(column) for column in table.T)
+        columns = tuple(kept.T)
+    if added is not None:
+        columns = tuple(
+            numpy.concatenate([column, added[:, position]])
+            for position, column in enumerate(columns)
+        )
+    return tuple(numpy.ascontiguousarray(column) for column in columns)
+
+
+def delta_answers(
+    query: ConjunctiveQuery,
+    fragments: Mapping[str, tuple],
+    deltas: Mapping[str, Any],
+) -> Any:
+    """``U_i Q(fragments with atom i's replaced by deltas[i])``.
+
+    The answers of a full query that take at least one of their tuples
+    from a delta: one join per atom with a delta (``deltas`` maps atom
+    name to an int64 row table), deduplicated only when more than one
+    join contributes.  With the pre-delta fragments and the removed
+    rows these are the answers lost; with the post-delta fragments
+    and the added rows, the answers gained.
+    """
+    terms = []
+    for atom, rows in deltas.items():
+        answers = evaluate_query_table(
+            query,
+            {**fragments, atom: tuple(rows.T.copy())},
+            assume_unique=True,
+        )
+        if len(answers):
+            terms.append(answers)
+    if not terms:
+        return numpy.zeros((0, len(query.head)), dtype=numpy.int64)
+    if len(terms) == 1:
+        return terms[0]
+    return sorted_unique_rows(numpy.concatenate(terms))
+
+
+class _Refreshed(NamedTuple):
+    """A site after the delta rule: its new counts and merged table,
+    the rows that table lost, and its splice (as :class:`MergeSuccess`
+    states it, ``fresh`` the rows gained)."""
+
+    counts: list[int]
+    merged: Any
+    lost: Any
+    removed_at: Any
+    inserted_at: Any
+    fresh: Any
 
 
 def merge_state(
@@ -123,13 +180,16 @@ def merge_state(
     composed: DeltaRecord,
     snapshot: ColumnarDatabase,
     deadline: Deadline | None = None,
-) -> MergeSuccess | MergeCapacity:
+) -> MergeSuccess | MergeCapacity | str:
     """Merge a composed delta into retained state.
 
     On success the state is committed forward to
     ``composed.new_version`` and the outcome returned; on a capacity
     overflow nothing is committed and the synthesised error returned.
-    A :class:`~repro.engine.deadline.DeadlineExceeded` propagates with
+    When a site's worker answers turn out to overlap, nothing is
+    committed and ``overlapping-answers`` is returned: the state can
+    no longer be merged into.  A
+    :class:`~repro.engine.deadline.DeadlineExceeded` propagates with
     the state untouched.
 
     Eligibility (plan shape, history coverage, unchanged bit widths,
@@ -153,69 +213,47 @@ def merge_state(
             pending[name] = (added, removed)
 
     # Temporaries; committed only on success.
-    patched_fragments: dict[tuple[str, int], object] = {}
-    patched_tables: dict[tuple[str | None, int], object] = {}
-    patched_merged: dict[str | None, object] = {}
-    affected: dict[str, set[int]] = {}
-    #: Refreshed site -> its merged table's lost rows and splice.
-    spliced: dict[str | None, tuple[Any, Any, Any, Any]] = {}
+    patched_fragments: dict[tuple[str, int], tuple] = {}
+    #: mailbox key -> worker -> its routed ``(removed, added)`` rows,
+    #: each an int64 table or None.
+    routed: dict[str, dict[int, tuple[Any, Any]]] = {}
+    refreshed: dict[str | None, _Refreshed] = {}
     new_rounds: list[RoundStats] = []
 
-    def fragment_of(key: str, worker: int):
-        fragment = patched_fragments.get((key, worker))
-        if fragment is None:
-            fragment = state.pools[key][worker]
-        return fragment
-
-    def refresh_site(site: SiteState) -> tuple[Rows, Rows] | None:
-        """Re-join the site's affected workers.
-
-        Returns the ``(added, removed)`` delta of the site's merged
-        table, or None when no worker was affected.  Only the touched
-        workers' old and new tables are diffed: a row they gained
-        joins the merged table (if no worker held it already), and a
-        row they lost leaves it unless an untouched worker still holds
-        it.  Nothing guarantees worker tables are disjoint, so the
-        untouched workers' rows are probed into the lost rows (those
-        are sorted; worker tables need not be).
-        """
-        arity = len(site.query.head)
-        touched = set()
+    def refresh_site(site: SiteState) -> bool:
+        """Apply the delta rule at the site's touched workers (if any)
+        into ``refreshed``; False when the counts stop summing to the
+        merged table's length."""
+        touched: set[int] = set()
         for key in site.keys.values():
-            touched |= affected.get(key, set())
-        touched = sorted(w for w in touched if w < site.workers)
+            touched.update(routed.get(key, ()))
+        touched = sorted(w for w in touched if w < len(site.counts))
         if not touched:
-            return None
+            return True
+        counts = list(site.counts)
+        lost_parts, gained_parts = [], []
         for worker in touched:
-            fragments = {
-                atom_name: fragment_of(key, worker)
-                for atom_name, key in site.keys.items()
-            }
-            # Fragments are sets by construction (content routing
-            # never delivers a row twice to one worker).
-            patched_tables[(site.name, worker)] = evaluate_query_table(
-                site.query, fragments, assume_unique=True
-            )
-        old = [site.tables[worker] for worker in touched]
-        new = [patched_tables[(site.name, worker)] for worker in touched]
-        before = union_answer_tables(old, arity)
-        after = union_answer_tables(new, arity)
-        # One probe diffs both ways: the rows of ``after`` found in
-        # ``before`` are the rows both hold.
-        positions, kept = locate_rows(before, after)
-        gained = after[~kept]
-        lost = numpy.delete(before, positions[kept], axis=0)
-        if len(lost):
-            others = [t for w, t in enumerate(site.tables) if w not in touched]
-            positions, held = locate_rows(
-                lost, numpy.concatenate([lost[:0]] + others)
-            )
-            lost = numpy.delete(lost, positions[held], axis=0)
-        kept, removed = remove_rows(site.merged, lost)
-        merged, fresh, inserted_at = insert_rows(kept, [gained])
-        patched_merged[site.name] = merged
-        spliced[site.name] = (lost, removed, inserted_at, fresh)
-        return fresh.tolist(), lost.tolist()
+            old, new, removed, added = {}, {}, {}, {}
+            for atom, key in site.keys.items():
+                old[atom] = state.fragment(key, worker)
+                new[atom] = patched_fragments.get((key, worker), old[atom])
+                gone, came = routed.get(key, {}).get(worker, (None, None))
+                if gone is not None:
+                    removed[atom] = gone
+                if came is not None:
+                    added[atom] = came
+            lost_parts.append(delta_answers(site.query, old, removed))
+            gained_parts.append(delta_answers(site.query, new, added))
+            counts[worker] += len(gained_parts[-1]) - len(lost_parts[-1])
+        lost = numpy.concatenate(lost_parts)
+        kept, removed_at = remove_rows(site.merged, lost)
+        merged, fresh, inserted_at = insert_rows(
+            kept, [numpy.concatenate(gained_parts)]
+        )
+        refreshed[site.name] = _Refreshed(
+            counts, merged, lost, removed_at, inserted_at, fresh
+        )
+        return sum(counts) == len(merged)
 
     for round_index, plan_round in enumerate(plan.rounds):
         if deadline is not None:
@@ -238,13 +276,13 @@ def merge_state(
                 bits_delta[worker] -= len(rows) * per_tuple
                 tuples_delta[worker] -= len(rows)
             if key in state.pools:
-                workers = set(routed_added) | set(routed_removed)
-                affected.setdefault(key, set()).update(workers)
-                for worker in sorted(workers):
+                by_worker = routed.setdefault(key, {})
+                for worker in set(routed_added) | set(routed_removed):
+                    gone = routed_removed.get(worker)
+                    came = routed_added.get(worker)
+                    by_worker[worker] = (gone, came)
                     patched_fragments[(key, worker)] = _patch_fragment(
-                        fragment_of(key, worker),
-                        routed_removed.get(worker, []),
-                        routed_added.get(worker, []),
+                        state.fragment(key, worker), gone, came
                     )
         new_bits = tuple(
             old + delta
@@ -275,17 +313,14 @@ def merge_state(
                 capacity_bits=capacity,
             )
         )
-        for view_name in state.view_rounds[round_index]:
-            site = state.views[view_name]
-            moved = refresh_site(site)
-            if moved is None:
-                pending.pop(view_name, None)
-                continue
-            added_v, removed_v = moved
-            if added_v or removed_v:
-                pending[view_name] = (added_v, removed_v)
-            else:
-                pending.pop(view_name, None)
+        for view in plan_round.views:
+            if not refresh_site(state.views[view.name]):
+                return FALLBACK_OVERLAP
+            done = refreshed.get(view.name)
+            if done is not None and (len(done.fresh) or len(done.lost)):
+                pending[view.name] = (
+                    done.fresh.tolist(), done.lost.tolist()
+                )
 
     if deadline is not None:
         deadline.check("ivm finalize")
@@ -294,53 +329,63 @@ def merge_state(
     if isinstance(finalize, CollectAnswers):
         site = state.collect
         assert site is not None
-        refresh_site(site)
+        if not refresh_site(site):
+            return FALLBACK_OVERLAP
     else:
         assert isinstance(finalize, FinalizeView)
         site = state.views[finalize.view]
-    table = patched_merged.get(site.name, site.merged)
-    unmoved = numpy.zeros(0, dtype=numpy.intp)
-    lost, *splice = spliced.get(
-        site.name, (table[:0], unmoved, unmoved, table[:0])
-    )
+    done = refreshed.get(site.name)
+    if done is None:  # the delta never reached the answers
+        unmoved = numpy.zeros(0, dtype=numpy.intp)
+        none = site.merged[:0]
+        done = _Refreshed(
+            site.counts, site.merged, none, unmoved, unmoved, none
+        )
+    table = done.merged
+    splice = (done.removed_at, done.inserted_at, done.fresh)
     per_server = ()
     if isinstance(finalize, CollectAnswers):
-        per_server = tuple(
-            len(patched_tables.get((site.name, worker), table))
-            for worker, table in enumerate(site.tables)
-        ) + (0,) * (p - site.workers)
+        per_server = tuple(done.counts) + (0,) * (p - len(done.counts))
     elif state.projected is not None:
         # A permuted finalize keeps its head-order table current.
         # The head permutes the view's columns, so projecting is a
         # bijection and the view's delta is the table's.
         positions = [site.query.head.index(v) for v in finalize.head]
-        kept, removed = remove_rows(state.projected, lost[:, positions])
+        kept, removed = remove_rows(state.projected, done.lost[:, positions])
         table, fresh, inserted_at = insert_rows(
-            kept, [splice[2][:, positions]]
+            kept, [done.fresh[:, positions]]
         )
-        splice = [removed, inserted_at, fresh]
+        splice = (removed, inserted_at, fresh)
 
     view_sizes = {
-        name: len(patched_merged.get(name, view.merged))
+        name: len(refreshed[name].merged if name in refreshed else view.merged)
         for name, view in state.views.items()
     }
 
     # Commit: the merge succeeded end to end.
+    moved_bytes = 0
     for (key, worker), fragment in patched_fragments.items():
-        state.pools[key][worker] = fragment
-    for (name, worker), worker_table in patched_tables.items():
+        moved_bytes += columns_nbytes(fragment) - columns_nbytes(
+            state.fragment(key, worker)
+        )
+        state.patched[(key, worker)] = fragment
+    for name, done in refreshed.items():
         target = state.collect if name is None else state.views[name]
-        target.tables[worker] = worker_table
-    for name, merged_table in patched_merged.items():
-        target = state.collect if name is None else state.views[name]
-        target.merged = merged_table
+        moved_bytes += int(done.merged.nbytes) - int(target.merged.nbytes)
+        target.counts = done.counts
+        target.merged = done.merged
     if state.projected is not None:
+        moved_bytes += int(table.nbytes) - int(state.projected.nbytes)
         state.projected = table
     state.report_rounds = tuple(new_rounds)
-    state.input_bits = new_input_bits
     state.version = composed.new_version
-    state.recount_bytes()  # with the reply the next one derives from
     previous, state.answers = state.answers, None
+    reply = None
+    if previous is not None and previous.encoded is not None:
+        reply = (previous.encoded, previous.row_edges)
+    # Counted with the reply the next one derives from.
+    state.table_bytes += moved_bytes
+    state.reply_bytes = 0 if previous is None else previous.nbytes
 
     return MergeSuccess(
         table=table,
@@ -349,6 +394,6 @@ def merge_state(
             input_bits=new_input_bits, rounds=list(new_rounds)
         ),
         view_sizes=view_sizes,
-        splice=tuple(splice),
-        reply=None if previous is None else previous.encoded,
+        splice=splice,
+        reply=reply,
     )

@@ -31,6 +31,9 @@ FALLBACK_MULTI_WRITER = "multi-writer-mailbox"
 # the capture declined, for the named reason where there is one.
 FALLBACK_NO_STATE = "no-retained-state"
 FALLBACK_STREAMED = "streamed-deliveries"
+# Some answer sits on more than one worker: the per-worker delta rule
+# would count it twice (see :mod:`repro.serve.ivm.merge`).
+FALLBACK_OVERLAP = "overlapping-answers"
 
 # Per-merge reasons (decided per delta).
 FALLBACK_HISTORY_GAP = "history-gap"

@@ -4,28 +4,31 @@ The MPC model routes by tuple *content* (a ``HashRoute`` destination
 depends only on the row's values), so the per-worker fragments a full
 execution delivered stay valid under a delta except for exactly the
 routed images of the changed rows.  This module captures that state
-once per full execution -- per-mailbox-key worker fragments, per-site
-per-worker answer tables, and the run's round statistics -- so
-:mod:`repro.serve.ivm.merge` can later patch it with a routed delta
-instead of re-executing the plan.
+once per full execution -- each mailbox key's delivery pool, each
+site's per-worker answer counts and merged table, and the run's round
+statistics -- so :mod:`repro.serve.ivm.merge` can later patch it with
+a routed delta instead of re-executing the plan.
 
-Nothing is derived a second time.  The fragments are zero-copy views
-of the pooled deliveries still sitting in the execution's simulator
-(each execution builds its own), and each site's per-worker answer tables and merged table --
-and a permuted ``FinalizeView``'s answer table -- are the very arrays
-local evaluation produced, taken by reference from
-:attr:`PlanExecution.site_answers
+Nothing is derived a second time.  A pool is the very
+:class:`~repro.mpc.simulator.ColumnPool` still sitting in the
+execution's simulator (each execution builds its own); a merge that
+patches a worker's fragment lays the patched columns over that
+worker's slice (:attr:`RetainedState.patched`) and leaves the pool as
+it is.  Each site's counts and merged table -- and a permuted
+``FinalizeView``'s answer table -- are what local evaluation produced,
+taken by reference from :attr:`PlanExecution.site_answers
 <repro.engine.executor.PlanExecution.site_answers>` and
 ``execution.table``.  A streamed execution records no site answers
 and retains nothing.
 
-What capture still checks costs microseconds: one report round per
-plan round, a complete ``p``-worker pool behind every mailbox key a
-site reads, and the recorded tables' row counts against the sizes the
-execution reported (per-worker loads, view sizes, answer count).  Any
-mismatch retains nothing, so the next delta falls back to full
-re-execution.  Re-joining every worker's retained fragments is the
-oracle ``tests/serve/test_ivm_capture.py`` holds a captured state to.
+What capture checks costs microseconds: one report round per plan
+round, a complete ``p``-worker pool behind every mailbox key a site
+reads, and that every site's answers are disjoint across workers (its
+counts sum to its merged table's length) -- the property the merge's
+per-worker delta rule rests on.  Any failure retains nothing, so the
+next delta falls back to full re-execution.  Re-joining every worker's
+retained fragments is the oracle ``tests/serve/test_ivm_capture.py``
+holds a captured state to.
 """
 
 from __future__ import annotations
@@ -43,9 +46,16 @@ from repro.engine.plan import (
     Plan,
     key_map_of,
 )
+from repro.mpc.simulator import ColumnPool
 from repro.mpc.stats import RoundStats
 
-from .policy import FALLBACK_NO_STATE, FALLBACK_STREAMED
+from .policy import FALLBACK_NO_STATE, FALLBACK_OVERLAP, FALLBACK_STREAMED
+
+
+def columns_nbytes(columns: tuple) -> int:
+    """Bytes of a fragment's column arrays."""
+    return sum(int(column.nbytes) for column in columns)
+
 
 @dataclass
 class SiteState:
@@ -55,16 +65,15 @@ class SiteState:
         name: view name, or None for the ``CollectAnswers`` site.
         query: the site's full conjunctive query.
         keys: atom name -> mailbox key the atom reads.
-        workers: number of workers evaluating the site.
-        tables: per-worker int64 answer tables.
+        counts: answer counts of the workers evaluating the site.
+            They sum to ``len(merged)``: no answer sits on two workers.
         merged: the canonical merged table -- lex-sorted unique rows.
     """
 
     name: str | None
     query: ConjunctiveQuery
     keys: dict[str, str]
-    workers: int
-    tables: list[Any]
+    counts: list[int]
     merged: Any
 
 
@@ -80,38 +89,65 @@ class RetainedState:
     version: int
     plan: Plan
     relation_map: dict[str, str]
-    #: mailbox key -> per-worker fragments, each a tuple of int64
-    #: column arrays.
-    pools: dict[str, list[tuple]]
+    #: mailbox key -> the execution's delivery pool, ``p`` workers.
+    pools: dict[str, ColumnPool]
     views: dict[str, SiteState]
-    view_rounds: list[list[str]]
     collect: SiteState | None
     report_rounds: tuple[RoundStats, ...]
-    input_bits: int
     step_bits: dict[tuple[int, int], int]
     projected: Any = None
+    #: ``(mailbox key, worker)`` -> the fragment merges patched, as
+    #: int64 columns; it replaces that worker's slice of the pool.
+    patched: dict[tuple[str, int], tuple] = field(default_factory=dict)
     #: The ``AnswerViews`` a run at ``version`` served in plan head order.
     answers: Any = None
-    nbytes: int = 0
+    #: Bytes of the fragments served and the tables kept
+    #: (:meth:`recount_bytes`); merges keep it current.
+    table_bytes: int = 0
+    #: Bytes of the reply counted last: built when counted, or the one
+    #: the last merge derives its reply from.
+    reply_bytes: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        """The retained-byte estimate the store budgets."""
+        return self.table_bytes + self.reply_bytes
+
+    def fragment(self, key: str, worker: int) -> tuple:
+        """One worker's fragment of a mailbox key, as int64 columns."""
+        fragment = self.patched.get((key, worker))
+        if fragment is None:
+            return self.pools[key].worker_slice(worker)
+        return fragment
+
+    def sites(self) -> list[SiteState]:
+        """Every retained site: views, then the collect site."""
+        return list(self.views.values()) + (
+            [self.collect] if self.collect is not None else []
+        )
 
     def recount_bytes(self) -> int:
-        """Recompute (and store) the retained-byte estimate."""
-        total = 0
-        for fragments in self.pools.values():
-            for fragment in fragments:
-                total += sum(int(column.nbytes) for column in fragment)
-        for site in list(self.views.values()) + (
-            [self.collect] if self.collect is not None else []
-        ):
-            for table in site.tables:
-                total += int(table.nbytes)
-            total += int(site.merged.nbytes)
+        """Recompute (and store) the retained-byte estimate.
+
+        A patched fragment counts instead of the pool slice it
+        replaces, though the pool keeps that slice allocated.  A reply
+        counts once built.
+        """
+        total = sum(
+            columns_nbytes(pool.columns) for pool in self.pools.values()
+        )
+        for (key, worker), fragment in self.patched.items():
+            total += columns_nbytes(fragment) - columns_nbytes(
+                self.pools[key].worker_slice(worker)
+            )
+        total += sum(int(site.merged.nbytes) for site in self.sites())
         if self.projected is not None:
             total += int(self.projected.nbytes)
-        if self.answers is not None and self.answers.encoded is not None:
-            total += len(self.answers.encoded)  # the reply, once built
-        self.nbytes = total
-        return total
+        self.table_bytes = total
+        self.reply_bytes = (
+            0 if self.answers is None else self.answers.nbytes
+        )
+        return self.nbytes
 
 
 def plan_sites(plan: Plan) -> list[tuple[str | None, ConjunctiveQuery, Any]]:
@@ -175,10 +211,10 @@ def capture_state(
     ``streamed-deliveries`` when the execution recorded no answers for
     some site (its deliveries were streamed recipes; materialising
     them here would recreate the memory cliff streaming exists to
-    avoid), ``no-retained-state`` when the simulator no longer holds a
-    complete pool for every needed key or a recorded size disagrees
-    with the execution's -- either way the next delta simply falls
-    back to full re-execution.
+    avoid), ``overlapping-answers`` when some site's worker answers
+    are not disjoint, ``no-retained-state`` when the simulator no
+    longer holds a complete pool for every needed key -- either way
+    the next delta simply falls back to full re-execution.
     """
     simulator = execution.simulator
     p = plan.signature.p
@@ -196,66 +232,37 @@ def capture_state(
         for atom in query.atoms
     )
 
-    pools: dict[str, list[tuple]] = {}
+    pools: dict[str, ColumnPool] = {}
     for key in needed_keys:
         pool = simulator.relation_pool(key)
         if pool is None or pool.num_workers != p:
             return FALLBACK_NO_STATE
-        pools[key] = [pool.worker_slice(w) for w in range(p)]
+        pools[key] = pool
 
     views: dict[str, SiteState] = {}
     collect: SiteState | None = None
-    projected = None
-    view_rounds = [
-        [view.name for view in plan_round.views]
-        for plan_round in plan.rounds
-    ]
-    finalize = plan.finalize
     for name, query, key_map in sites:
         key_of = key_map_of(key_map)
         site = SiteState(
             name=name,
             query=query,
             keys={atom.name: key_of(atom.name) for atom in query.atoms},
-            workers=finalize.workers if name is None else p,
-            tables=list(recorded[name].tables),
+            counts=list(recorded[name].counts),
             merged=recorded[name].merged,
         )
+        if sum(site.counts) != len(site.merged):
+            return FALLBACK_OVERLAP
         if name is None:
             collect = site
         else:
             views[name] = site
 
-    # The recorded tables must account for every size the execution
-    # reported, or we retain nothing.
-    view_sizes = execution.view_sizes or {}
-    per_server_views = execution.per_server_views or {}
-    for name, site in views.items():
-        if len(site.merged) != view_sizes.get(name):
-            return FALLBACK_NO_STATE
-        counts = per_server_views.get(name)
-        if counts is not None and tuple(
-            len(table) for table in site.tables
-        ) != tuple(counts):
-            return FALLBACK_NO_STATE
-    if isinstance(finalize, CollectAnswers):
-        assert collect is not None
-        per_server = tuple(
-            [len(table) for table in collect.tables]
-            + [0] * (p - collect.workers)
-        )
-        if per_server != tuple(execution.per_server):
-            return FALLBACK_NO_STATE
-        answers_site = collect
-    elif isinstance(finalize, FinalizeView):
-        answers_site = views.get(finalize.view)
-        if answers_site is None:
-            return FALLBACK_NO_STATE
-        if finalize.head != answers_site.query.head:
+    finalize = plan.finalize
+    projected = None
+    if isinstance(finalize, FinalizeView):
+        if finalize.head != views[finalize.view].query.head:
             projected = execution.table
-    else:
-        return FALLBACK_NO_STATE
-    if len(answers_site.merged) != len(execution.table):
+    elif not isinstance(finalize, CollectAnswers):
         return FALLBACK_NO_STATE
 
     state = RetainedState(
@@ -264,10 +271,8 @@ def capture_state(
         relation_map=relation_map,
         pools=pools,
         views=views,
-        view_rounds=view_rounds,
         collect=collect,
         report_rounds=tuple(execution.report.rounds),
-        input_bits=execution.report.input_bits,
         step_bits=compute_step_bits(plan, snapshot, relation_map),
         projected=projected,
     )

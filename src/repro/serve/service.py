@@ -215,23 +215,29 @@ def _row_edges(encoded: bytes) -> Any:
 
 
 def splice_answers(
-    encoded: bytes, removed: Any, inserted_at: Any, rows: Any
-) -> bytes:
+    encoded: bytes, edges: Any, removed: Any, inserted_at: Any, rows: Any
+) -> tuple[bytes, Any]:
     """The reply of a spliced table, from the reply of the table before.
 
     ``encode_answers(numpy.insert(numpy.delete(table, removed, 0),
     inserted_at, rows, 0))`` for ``encoded = encode_answers(table)``,
     distinct ``removed`` and non-decreasing ``inserted_at`` (both >= 0),
     byte for byte: kept rows are copied, only ``rows`` are encoded.
+    ``edges`` are ``encoded``'s row edges (:func:`_row_edges`), or None
+    to find them; the new reply's are returned beside it, shifted from
+    ``edges`` without reading the bytes.
     """
     removed = numpy.unique(numpy.asarray(removed, dtype=numpy.intp))
     added = encode_answers(rows)
-    old, new = _row_edges(encoded), _row_edges(added)
+    old = _row_edges(encoded) if edges is None else edges
+    new = _row_edges(added)
     encoded_v, added_v = memoryview(encoded), memoryview(added)
-    pieces = []
+    pieces, runs = [], []
     # Old rows from ``start`` on are pending; new row ``j`` goes before
     # old row ``inserted_at[j] + i`` unless removed row ``i`` is first.
-    start = i = j = 0
+    # ``at`` is the next row's edge in the new reply: a run of old rows
+    # keeps its edges, shifted.
+    start = i = j = at = 0
     while i < len(removed) or j < len(inserted_at):
         if j == len(inserted_at) or (
             i < len(removed) and removed[i] <= inserted_at[j] + i
@@ -240,12 +246,20 @@ def splice_answers(
         else:
             stop = resume = inserted_at[j] + i
         pieces.append(encoded_v[old[start] + 1:old[stop]])
+        runs.append(old[start:stop] + (at - old[start]))
+        at += old[stop] - old[start]
         if stop == resume:
             pieces.append(added_v[new[j] + 1:new[j + 1]])
+            runs.append([at])
+            at += new[j + 1] - new[j]
             j += 1
         start = resume
     pieces.append(encoded_v[old[start] + 1:old[-1]])
-    return b"[" + b",".join(piece for piece in pieces if piece) + b"]"
+    runs.append(old[start:] + (at - old[start]))
+    return (
+        b"[" + b",".join(piece for piece in pieces if piece) + b"]",
+        numpy.concatenate(runs),
+    )
 
 
 class AnswerViews:
@@ -254,14 +268,17 @@ class AnswerViews:
     Every :class:`Result` served from one result-cache entry in one
     head order shares one instance, so the table is made read-only.
     A merged table's JSON may be derived: :attr:`json` passes
-    ``derived_from`` -- the previous reply and the merge's splice -- to
-    :func:`splice_answers` and drops it.
+    ``derived_from`` -- the previous reply with its row edges, and the
+    merge's splice -- to :func:`splice_answers` and drops it, keeping
+    the derived reply's row edges for the next splice.
     """
 
     def __init__(self, table: Any, derived_from: tuple | None = None) -> None:
         table.flags.writeable = False
         self.table = table
         self._derived_from = derived_from
+        #: :attr:`json`'s row edges, when a splice derived it.
+        self.row_edges: Any = None
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -272,12 +289,23 @@ class AnswerViews:
         derived_from, self._derived_from = self._derived_from, None
         if derived_from is None:
             return encode_answers(self.table)
-        return splice_answers(*derived_from)
+        (reply, edges), *splice = derived_from
+        encoded, self.row_edges = splice_answers(reply, edges, *splice)
+        return encoded
 
     @property
     def encoded(self) -> bytes | None:
         """:attr:`json` if built, else None (never builds it)."""
         return self.__dict__.get("json")
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of :attr:`json` and its row edges, as built so far."""
+        encoded = self.encoded
+        if encoded is None:
+            return 0
+        edges = 0 if self.row_edges is None else int(self.row_edges.nbytes)
+        return len(encoded) + edges
 
 
 @dataclass(frozen=True)

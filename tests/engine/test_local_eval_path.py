@@ -114,10 +114,9 @@ def test_every_delivery_kind_takes_the_shard_loop(
 
 
 @pytest.mark.parametrize("shard_bytes", [None, "1"], ids=["one", "per-worker"])
-def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
-    """A ``retain`` sink gets the shard results split by worker: each
-    table is a zero-copy slice holding exactly that worker's answers,
-    however many shards evaluated the fleet."""
+def test_eager_sites_are_retained_as_worker_counts(monkeypatch, shard_bytes):
+    """A ``retain`` sink gets each worker's answer count and the merged
+    table itself, however many shards evaluated the fleet."""
     from repro.engine.streaming import SHARD_BYTES_ENV
 
     if shard_bytes is not None:
@@ -128,11 +127,10 @@ def test_eager_sites_are_retained_as_worker_slices(monkeypatch, shard_bytes):
         QUERY, simulator, range(P), retain=sink, site="V"
     )
     site = sink["V"]
-    assert [len(table) for table in site.tables] == per_server
+    assert site.counts == per_server
     assert sum(per_server) == 50
-    for worker, table in enumerate(site.tables):
-        assert table.base is not None  # a view, not a copy
-        assert tuple(sorted(map(tuple, table.tolist()))) == (
+    for worker, count in enumerate(site.counts):
+        assert count == len(
             localjoin.evaluate_query(
                 QUERY,
                 {

@@ -24,7 +24,7 @@ from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine import execute_plan
 from repro.serve.cache import CacheRebind
-from repro.serve.service import encode_answers, splice_answers
+from repro.serve.service import _row_edges, encode_answers, splice_answers
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -170,12 +170,27 @@ def splices(draw):
     return table, removed, inserted_at, rows
 
 
+def _splice_twice(table, removed, inserted_at, rows):
+    """Splice ``encode_answers(table)`` with its row edges found, and
+    with them given: both yield one reply and its row edges."""
+    encoded = encode_answers(table)
+    found = splice_answers(encoded, None, removed, inserted_at, rows)
+    given = splice_answers(
+        encoded, _row_edges(encoded), removed, inserted_at, rows
+    )
+    assert found[0] == given[0]
+    assert found[1].tolist() == given[1].tolist()
+    # The shifted edges are the ones a scan of the new reply finds.
+    assert found[1].tolist() == _row_edges(found[0]).tolist()
+    return found[0]
+
+
 @settings(max_examples=400, deadline=None)
 @given(splices())
 def test_splice_matches_encoding_the_spliced_table(case):
     table, removed, inserted_at, rows = case
     after = _spliced(table, removed, inserted_at, rows)
-    spliced = splice_answers(encode_answers(table), removed, inserted_at, rows)
+    spliced = _splice_twice(table, removed, inserted_at, rows)
     assert spliced == encode_answers(after) == _dumped(after)
 
 
@@ -199,16 +214,13 @@ def test_splice_edges():
     ]
     for table, removed, inserted_at, rows in cases:
         after = _spliced(table, removed, inserted_at, rows)
-        encoded = encode_answers(table)
-        assert splice_answers(
-            encoded, removed, inserted_at, rows
-        ) == _dumped(after)
+        assert _splice_twice(table, removed, inserted_at, rows) == (
+            _dumped(after)
+        )
     # Width 0: every row is the one empty row.
     table = numpy.empty((3, 0), dtype=numpy.int64)
     rows = numpy.empty((2, 0), dtype=numpy.int64)
-    assert splice_answers(encode_answers(table), [1], [0, 2], rows) == (
-        b"[[],[],[],[]]"
-    )
+    assert _splice_twice(table, [1], [0, 2], rows) == b"[[],[],[],[]]"
 
 
 @pytest.mark.parametrize("dtype", [numpy.float64, numpy.int32])
@@ -294,17 +306,13 @@ def test_retained_state_holds_tables_only():
         try:
             result = session.execute(text)
             (state,) = session.ivm.store._states.values()
+            assert not state.patched
             arrays = [
                 column
-                for fragments in state.pools.values()
-                for fragment in fragments
-                for column in fragment
+                for pool in state.pools.values()
+                for column in pool.columns
             ]
-            sites = list(state.views.values()) + [state.collect] * (
-                state.collect is not None
-            )
-            for site in sites:
-                arrays += [*site.tables, site.merged]
+            arrays += [site.merged for site in state.sites()]
             if state.projected is not None:
                 arrays.append(state.projected)
                 assert state.projected is result.table

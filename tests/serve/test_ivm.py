@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.ivm.merge as merge
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.core.query import parse_query
-from repro.data.columnar import ColumnarRelation, sorted_unique_rows
+from repro.data.columnar import ColumnarRelation
 from repro.data.matching import matching_database
 from repro.data.versioned import (
     DELTA_HISTORY_LIMIT,
@@ -24,9 +25,10 @@ from repro.data.versioned import (
     VersionedDatabase,
 )
 from repro import connect
+from repro.engine import local
 from repro.engine.deadline import Deadline, DeadlineExceeded
-from repro.engine.local import union_answer_tables
 from repro.mpc.simulator import CapacityExceeded
+from repro.serve.ivm.policy import FALLBACK_OVERLAP
 from tests.conftest import ivm_policy, statement_deadline
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
@@ -494,8 +496,10 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
     """One path: capture takes the engine's tables, it derives none.
 
     A cold execution calls the per-worker evaluator zero times and the
-    table union once per site (the engine's own); the post-delta read
-    that follows re-joins exactly the workers the delta reached.
+    table union once per site (the engine's own).  The post-delta read
+    that follows unions nothing and joins once per delta term: per
+    site, per worker the delta reached, per atom whose fragment there
+    it patched.
     """
     from repro.serve.ivm.state import plan_sites
 
@@ -517,22 +521,22 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
     assert not merge_joins
     assert len(unions) == len(sites)
 
-    def site_tables():
-        return [
-            table
-            for site in [*state.views.values(), state.collect]
-            if site is not None
-            for table in site.tables
-        ]
-
-    before = site_tables()
+    before = dict(state.patched)
     session.update(inserts={"S1": _fresh_rows(session, "S1", 1)})
     assert session.execute(query).ivm == "merged"
     assert len(captures) == 1
-    assert 0 < len(merge_joins) < len(before)
-    assert len(merge_joins) == sum(
-        old is not new for old, new in zip(before, site_tables())
+    assert len(unions) == len(sites)
+    patched = {
+        slot for slot, fragment in state.patched.items()
+        if before.get(slot) is not fragment
+    }
+    terms = sum(
+        (key, worker) in patched
+        for site in state.sites()
+        for worker in range(len(site.counts))
+        for key in site.keys.values()
     )
+    assert 0 < len(merge_joins) == terms
 
 
 def _answer_site(session):
@@ -541,6 +545,15 @@ def _answer_site(session):
     if state.collect is not None:
         return state.collect
     return state.views[state.plan.finalize.view]
+
+
+def _worker_answers(session, site, worker):
+    """One worker's answers at a site, joined from its fragments."""
+    (state,) = session.ivm.store._states.values()
+    return evaluate_query_table(
+        site.query,
+        {atom: state.fragment(key, worker) for atom, key in site.keys.items()},
+    )
 
 
 CHAIN = "S1(x,y), S2(y,z), S3(z,w)"
@@ -591,11 +604,11 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
         if kind == "drain":
             site = _answer_site(served)
             size, worker = min(
-                (len(table), worker)
-                for worker, table in enumerate(site.tables)
-                if len(table)
+                (count, worker)
+                for worker, count in enumerate(site.counts)
+                if count
             )
-            answer = site.tables[worker][0]
+            answer = _worker_answers(served, site, worker)[0]
             atom = query.atoms[0]
             name, drained = atom.name, (worker, size)
             row = tuple(
@@ -630,80 +643,167 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
         _assert_parity(mine, control.execute(text))
         if drained is not None:
             worker, size = drained
-            assert len(_answer_site(served).tables[worker]) < size
+            assert _answer_site(served).counts[worker] < size
 
 
 def test_a_delete_costs_what_changed(monkeypatch):
-    """A single-row delete diffs only the touched workers' tables.
+    """A single-row delete costs its delta terms and two splices.
 
-    No probe or union inside the merge pairs two tables as large as
-    the site's merged one; only ``remove_rows`` / ``insert_rows``
-    splice the (small) delta into it.
+    Every join inside the merge has the routed delta (one row) as one
+    of its fragments; every row probe has at most a handful of rows on
+    one side -- the delta probed into a fragment or the lost rows into
+    the merged table -- and no table union runs at all: no untouched
+    worker is probed, no whole fragment re-joined.
     """
-    calls = []
-
-    def spy(name, original):
-        def wrapper(*args):
-            args = tuple(
-                arg if hasattr(arg, "shape") or isinstance(arg, int)
-                else list(arg)
-                for arg in args
-            )
-            calls.append((name, args))
-            return original(*args)
-
-        monkeypatch.setattr(merge, name, wrapper)
-
-    for name in ("union_answer_tables", "locate_rows", "absent_rows"):
-        if hasattr(merge, name):
-            spy(name, getattr(merge, name))
+    joins = _count_calls(
+        monkeypatch, "repro.serve.ivm.merge.evaluate_query_table"
+    )
+    probes = _count_calls(monkeypatch, "repro.data.columnar.locate_rows")
+    unions = _count_calls(
+        monkeypatch, "repro.engine.local.union_answer_tables"
+    )
     served, control = _pair(n=2000, p=16)
     served.execute(TWO_HOP)
-    large = len(_answer_site(served).merged) // 2
     victim = next(served.database["S1"].rows())
     _apply_both(served, control, deletes={"S1": [victim]})
+    del joins[:], probes[:], unions[:]
+    mine = served.execute(TWO_HOP)
+    assert mine.ivm == "merged"
+    assert joins and not unions
+    for _, fragments in joins:
+        assert min(len(columns[0]) for columns in fragments.values()) == 1
+    assert probes
+    for reference, table in probes:
+        assert min(len(reference), len(table)) <= 10
+    _assert_parity(mine, control.execute(TWO_HOP))
+
+
+def test_overlapping_worker_answers_are_a_named_fallback(monkeypatch):
+    """A site whose worker answers overlap is not retained.
+
+    The delta rule counts each worker's answers on its own, so it
+    needs every answer on exactly one worker.  Content routing
+    guarantees that, so an overlap is planted here: worker 0 of every
+    shard reports its first answer twice.  Capture declines, and the
+    post-delta read re-executes under the named reason.
+    """
+    evaluate = local.evaluate_shard_pools
+
+    def overlapping(query, pools, width):
+        answers, counts = evaluate(query, pools, width)
+        if counts[0]:
+            answers = numpy.concatenate([answers[:1], answers])
+            counts[0] += 1
+        return answers, counts
+
+    monkeypatch.setattr(local, "evaluate_shard_pools", overlapping)
+    session = connect(_database(), p=8, algorithm="hypercube")
+    session.execute(TWO_HOP)
+    assert session.ivm.retained_states == 0
+    session.update(inserts={"S1": _fresh_rows(session, "S1", 1)})
+    assert session.execute(TWO_HOP).ivm == FALLBACK_OVERLAP
+    assert session.ivm.fallback_reasons[FALLBACK_OVERLAP] == 1
+
+
+def test_counts_that_drift_from_the_merged_table_stop_merging():
+    """The check holds after every merge too: counts that no longer
+    sum to the merged table's length commit nothing, drop the state
+    and fall back; the re-execution retains afresh."""
+    served, control = _pair()
+    _assert_parity(served.execute(TWO_HOP), control.execute(TWO_HOP))
+    _answer_site(served).counts[0] += 1
+    _apply_both(
+        served, control, inserts={"S1": _fresh_rows(served, "S1", 1)}
+    )
+    mine = served.execute(TWO_HOP)
+    assert mine.ivm == FALLBACK_OVERLAP
+    _assert_parity(mine, control.execute(TWO_HOP))
+    assert served.ivm.fallback_reasons[FALLBACK_OVERLAP] == 1
+    _apply_both(
+        served, control, inserts={"S2": _fresh_rows(served, "S2", 1)}
+    )
     mine = served.execute(TWO_HOP)
     assert mine.ivm == "merged"
     _assert_parity(mine, control.execute(TWO_HOP))
-    for name, args in calls:
-        if name == "union_answer_tables":
-            assert sum(len(table) for table in args[0]) < large, name
-        else:
-            assert min(len(args[0]), len(args[1])) < large, name
-    # The lost answer was probed for among the untouched workers.
-    assert any(
-        name == "locate_rows" and len(args[1]) >= large
-        for name, args in calls
-    )
 
 
-def test_a_lost_row_an_untouched_worker_holds_stays():
-    """Union semantics hold even if worker answer tables overlap.
+#: ``(query, relation each atom reads)``: a chain, a cycle, an atom
+#: with a repeated variable, and a self-join -- both atoms read one
+#: relation, so one delta reaches both.
+DELTA_RULE_SHAPES = [
+    ("S1(x,y), S2(y,z)", ("S1", "S2")),
+    ("S1(x,y), S2(y,z), S3(z,x)", ("S1", "S2", "S3")),
+    ("S1(x,x), S2(x,z)", ("S1", "S2")),
+    ("S1(x,y), S2(y,z)", ("R", "R")),
+]
+DOMAIN_ROWS = st.tuples(st.integers(1, 4), st.integers(1, 4))
 
-    Content routing lands every copy of an answer on the workers a
-    delete reaches, so no execution retains such an overlap; one is
-    planted here.  An untouched worker claiming a deleted answer keeps
-    it in the merged table, which stays the union of the worker tables.
-    """
-    session = connect(_database(), p=8, algorithm="hypercube")
-    session.execute(TWO_HOP)
-    (state,) = session.ivm.store._states.values()
-    site = state.collect
-    victim = next(session.database["S1"].rows())
-    lost = next(row for row in site.merged.tolist() if row[:2] == list(victim))
-    (step,) = [s for s in state.plan.rounds[0].steps if s.relation == "S1"]
-    reached = set(step.destinations(victim, 0, 8))
-    other = min(set(range(site.workers)) - reached)
-    site.tables[other] = sorted_unique_rows(
-        numpy.concatenate([site.tables[other], [lost]])
-    )
-    session.update(deletes={"S1": [victim]})
-    mine = session.execute(TWO_HOP)
-    assert mine.ivm == "merged"
-    assert tuple(lost) in mine.answers
-    assert site.merged.tolist() == union_answer_tables(
-        site.tables, 3
-    ).tolist()
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(DELTA_RULE_SHAPES),
+    base=st.lists(st.lists(DOMAIN_ROWS, max_size=10), min_size=3, max_size=3),
+    versions=st.lists(
+        st.tuples(
+            st.integers(0, 2),  # which relation
+            st.lists(DOMAIN_ROWS, max_size=3),  # inserted
+            st.lists(DOMAIN_ROWS, max_size=3),  # deleted
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_the_delta_rule_equals_a_full_rejoin(shape, base, versions):
+    """``delta_answers`` over the removed (added) rows is exactly what
+    a full re-join loses (gains), for deltas composed over several
+    versions of inserts and deletes, several rows at a time."""
+    text, reads = shape
+    query = parse_query(text)
+    names = sorted(set(reads))
+    old = {name: set(rows) for name, rows in zip(names, base)}
+    new = {name: set(rows) for name, rows in old.items()}
+    for which, inserted, deleted in versions:
+        name = names[which % len(names)]
+        new[name] = (new[name] | set(inserted)) - set(deleted)
+
+    def tables(contents):
+        """Atom name -> its relation's rows as an int64 table."""
+        return {
+            atom.name: numpy.array(
+                sorted(contents[relation]), dtype=numpy.int64
+            ).reshape(-1, 2)
+            for atom, relation in zip(query.atoms, reads)
+        }
+
+    def fragments(contents):
+        return {
+            atom: tuple(table.T.copy())
+            for atom, table in tables(contents).items()
+        }
+
+    def deltas(contents):
+        return {
+            atom: table for atom, table in tables(contents).items()
+            if len(table)
+        }
+
+    def answers(contents):
+        table = evaluate_query_table(query, fragments(contents))
+        return set(map(tuple, table.tolist()))
+
+    removed = {name: old[name] - new[name] for name in names}
+    added = {name: new[name] - old[name] for name in names}
+    lost = merge.delta_answers(query, fragments(old), deltas(removed))
+    gained = merge.delta_answers(query, fragments(new), deltas(added))
+    for table, expected in (
+        (lost, answers(old) - answers(new)),
+        (gained, answers(new) - answers(old)),
+    ):
+        assert table.dtype == numpy.int64
+        assert table.shape[1] == len(query.head)
+        found = list(map(tuple, table.tolist()))
+        assert len(found) == len(set(found))  # duplicate-free
+        assert set(found) == expected
 
 
 class TestSessionSurface:

@@ -1,13 +1,13 @@
 """IVM capture against its oracle: re-join every retained fragment.
 
-Capture takes the per-worker answer tables, the merged tables and a
+Capture takes the per-worker answer counts, the merged tables and a
 permuted finalize's answer table from the execution by reference.  The
-oracle here is the derivation capture used to run itself: join each
-worker's retained fragments with the single-worker evaluator, union the
-tables, project the answers.  Captured state must equal it row for
-row and byte for byte, on every algorithm x query family IVM accepts,
-and must stay equal to a fresh capture under any interleaving of small
-deltas.
+oracle here re-derives them: join each worker's retained fragments
+with the single-worker evaluator, count and union the tables, project
+the answers, recount the bytes from scratch.  Captured state must
+equal it row for row and byte for byte, on every algorithm x query
+family IVM accepts, and must stay equal to a fresh capture under any
+interleaving of small deltas.
 """
 
 from __future__ import annotations
@@ -79,15 +79,16 @@ def rejoined(state: RetainedState) -> RetainedState:
             evaluate_query_table(
                 site.query,
                 {
-                    atom: state.pools[key][worker]
+                    atom: state.fragment(key, worker)
                     for atom, key in site.keys.items()
                 },
                 assume_unique=True,
             )
-            for worker in range(site.workers)
+            for worker in range(len(site.counts))
         ]
         merged = union_answer_tables(tables, len(site.query.head))
-        return replace(site, tables=tables, merged=merged)
+        counts = [len(table) for table in tables]
+        return replace(site, counts=counts, merged=merged)
 
     views = {name: rejoin(site) for name, site in state.views.items()}
     projected = None
@@ -112,10 +113,6 @@ def rejoined(state: RetainedState) -> RetainedState:
     return oracle
 
 
-def _row_set(table):
-    return set(map(tuple, table.tolist()))
-
-
 def _same_table(mine, theirs):
     assert mine.dtype == theirs.dtype
     assert mine.shape == theirs.shape
@@ -123,15 +120,16 @@ def _same_table(mine, theirs):
 
 
 def assert_same_state(state: RetainedState, expected: RetainedState):
-    """Same fragments and per-worker tables as row sets; merged and
+    """Same fragments as row sets; per-worker counts, merged and
     projected tables, round statistics and the byte estimate exactly."""
     assert state.pools.keys() == expected.pools.keys()
-    for key, fragments in state.pools.items():
-        for mine, theirs in zip(
-            fragments, expected.pools[key], strict=True
-        ):
-            mine, theirs = zip(*mine), zip(*theirs)
-            assert set(map(tuple, mine)) == set(map(tuple, theirs))
+    p = state.plan.signature.p
+    for key, pool in state.pools.items():
+        assert pool.num_workers == expected.pools[key].num_workers == p
+        for worker in range(p):
+            mine = zip(*state.fragment(key, worker))
+            theirs = zip(*expected.fragment(key, worker))
+            assert set(mine) == set(theirs)
     assert state.views.keys() == expected.views.keys()
     pairs = [
         (state.views[name], expected.views[name]) for name in state.views
@@ -140,16 +138,14 @@ def assert_same_state(state: RetainedState, expected: RetainedState):
     if state.collect is not None:
         pairs.append((state.collect, expected.collect))
     for mine, theirs in pairs:
-        assert mine.workers == theirs.workers == len(mine.tables)
-        for table, other in zip(mine.tables, theirs.tables, strict=True):
-            assert len(table) == len(other)
-            assert _row_set(table) == _row_set(other)
+        assert mine.counts == theirs.counts
+        assert sum(mine.counts) == len(mine.merged)
         _same_table(mine.merged, theirs.merged)
     assert (state.projected is None) == (expected.projected is None)
     if state.projected is not None:
         _same_table(state.projected, expected.projected)
     assert state.report_rounds == expected.report_rounds
-    assert state.input_bits == expected.input_bits
+    assert state.table_bytes == expected.table_bytes
     assert state.nbytes == expected.nbytes
 
 
@@ -259,6 +255,9 @@ def test_capture_plus_merges_equals_a_fresh_capture(
     assume(served.ivm.retained_states == 1)
     state = _only_state(served)
     assert state.version == served.version
+    # The merges kept the byte count current: a recount agrees.
+    counted = state.nbytes
+    assert replace(state).recount_bytes() == counted
     assert_same_state(state, rejoined(state))
     if fresh.ivm.retained_states:
         assert_same_state(state, _only_state(fresh))

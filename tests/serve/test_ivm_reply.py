@@ -215,3 +215,29 @@ def test_retained_bytes_count_the_reply_once_built():
     reply = result.answer_views.json
     assert state.recount_bytes() == routed + len(reply)
     assert session.ivm.retained_bytes == routed + len(reply)
+
+
+def test_merges_keep_the_byte_count_a_recount_gives():
+    """Merges move the byte count by what they replace: after a run of
+    inserts and deletes, each read's reply built (and spliced, its row
+    edges kept), the count equals a from-scratch recount; the reply a
+    merge derives from counts with its row edges."""
+    session = _session()
+    _read(session)
+    for step in range(6):
+        if step % 3 == 2:
+            victim = next(iter(session.database["S1"].rows()))
+            session.update(deletes={"S1": [victim]})
+        else:
+            _insert(session, 2)
+        previous = _state(session).answers
+        result = _read(session)
+        assert result.ivm == "merged"
+        state = _state(session)
+        assert state.reply_bytes == previous.nbytes
+        # Encoded replies keep no row edges; spliced ones do.
+        assert (previous.nbytes > len(previous.encoded)) == (step > 0)
+        counted = state.table_bytes
+        state.recount_bytes()
+        assert state.table_bytes == counted
+        assert state.reply_bytes == result.answer_views.nbytes

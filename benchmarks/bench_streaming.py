@@ -35,6 +35,7 @@ from repro.core.families import line_query
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import columnar_database
 from repro.data.generators import matching_database_columnar
+from repro.engine.streaming import LazyContribution
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
@@ -58,8 +59,9 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
     """One fully streamed HC round of L_k; returns (query, simulator).
 
     Identical to bench_segmented's ``_route_l8`` except the engine
-    runs with ``chunk_rows`` set: deliveries are lazy recipes, loads
-    come from the counting pass, and no full pool ever materialises.
+    runs with ``chunk_rows`` set: every source spans many blocks, so
+    deliveries are lazy recipes, loads come from the counting pass,
+    and no full pool ever materialises.
     """
     from repro.engine import GridSpec, HashRoute, RoundEngine
 
@@ -123,9 +125,12 @@ def _streamed_leg(name: str, n: int, ceiling_bytes: int, once):
         (query, simulator, workers), memory = measure_peak(
             lambda: _stream_l8(n, STREAM_P, CHUNK_ROWS)
         )
-        for atom in query.atoms:  # streamed, not pooled
+        for atom in query.atoms:  # streamed recipes only, nothing pooled
             assert simulator.has_lazy_deliveries(atom.name)
-            assert not simulator.has_eager_pools(atom.name)
+            assert all(
+                isinstance(delivery, LazyContribution)
+                for delivery in simulator._delivered[atom.name]
+            )
         eval_seconds, (total, per_server, shards) = best_of(
             1,
             lambda: _sharded_answer_counts(query, simulator, workers),

@@ -48,7 +48,7 @@ from repro.data.generators import GraphInstance
 from repro.engine import GridSpec, HashRoute, RoundEngine
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
-from repro.mpc.simulator import MPCSimulator
+from repro.mpc.simulator import MPCSimulator, RoutedBlock, receiver_counts
 from repro.mpc.stats import SimulationReport
 
 
@@ -257,9 +257,10 @@ def run_dense_two_round(
     simulator.begin_round()
     for worker, edges in fragments.items():
         forest = _pair_columns(_spanning_forest(edges))
-        simulator.send_columns(
-            worker, numpy.zeros(len(forest[0]), dtype=numpy.int64),
-            "forest", forest, edge_bits,
+        receivers = numpy.zeros(len(forest[0]), dtype=numpy.int64)
+        simulator.send(
+            worker, "forest", RoutedBlock(forest, receivers),
+            receiver_counts(receivers, p), edge_bits,
         )
     simulator.end_round()
 
@@ -274,10 +275,14 @@ def run_dense_two_round(
     label_rows = _pair_columns(sorted(labels.items()))
     count = len(label_rows[0])
     simulator.begin_round()
-    simulator.send_columns(
-        0, numpy.repeat(numpy.arange(p, dtype=numpy.int64), count),
-        "labels", label_rows, edge_bits,
-        row_indices=numpy.tile(numpy.arange(count, dtype=numpy.int64), p),
+    receivers = numpy.repeat(numpy.arange(p, dtype=numpy.int64), count)
+    simulator.send(
+        0, "labels",
+        RoutedBlock(
+            label_rows, receivers,
+            numpy.tile(numpy.arange(count, dtype=numpy.int64), p),
+        ),
+        receiver_counts(receivers, p), edge_bits,
     )
     simulator.end_round()
 

@@ -197,13 +197,12 @@ class Session:
             ``ValueError``).
         ivm: serve post-update statements by incremental view
             maintenance when possible (see :mod:`repro.serve.ivm`).
-        chunk_rows: streaming block size of every execution:
-            shardable routing steps
-            stream in ``chunk_rows``-row blocks with lazy delivery
-            pools, bounding peak execution memory independently of the
-            delivered volume.  None ships every step whole; answers,
-            loads and capacity behaviour are identical for every chunk
-            size.
+        chunk_rows: routing block size of every execution: a source
+            longer than one block streams in ``chunk_rows``-row blocks
+            with lazy delivery pools, bounding peak execution memory
+            independently of the delivered volume.  None makes every
+            source one block; answers, loads and capacity behaviour
+            are identical for every chunk size.
     """
 
     def __init__(

@@ -5,7 +5,7 @@ bound per-request *latency*.  A :class:`Deadline` is a monotonic-clock
 budget created when a request starts executing and threaded through
 :func:`~repro.engine.executor.execute_plan` into the round engines.
 Execution checks it cooperatively at the natural safe points --
-between rounds, between streamed blocks, between local-evaluation
+between rounds, before every routed block, between local-evaluation
 shards -- and raises a structured :class:`DeadlineExceeded` carrying
 where the budget ran out.
 

@@ -8,20 +8,22 @@ and closes the round (which delivers messages and enforces the
 capacity bound).
 
 Every step is routed inline, in this process, through the one route
-primitive :func:`~repro.engine.streaming.route_range`, and shipped by
-one of two consumers: *ship whole* -- ``route_range`` over ``[0, n)``
-staged with one :meth:`MPCSimulator.send_columns` call, which bins it
-by receiver at round close -- or, when ``chunk_rows`` is set and the
-step is shardable, *count* -- the source is bincounted block by block
-(:func:`~repro.engine.streaming.route_block_counts`) and the delivery
-staged as a re-routable recipe
-(:meth:`MPCSimulator.stage_lazy_columns`).
+primitive :func:`~repro.engine.streaming.route_range`, block by block
+(:func:`~repro.engine.streaming.route_blocks`; ``chunk_rows=None``
+makes the whole source one block), and staged as one delivery with
+the one staging verb :meth:`MPCSimulator.send`: a source that fits in
+one block keeps its routed arrays (a
+:class:`~repro.mpc.simulator.RoutedBlock`, binned by receiver at round
+close); a longer one ships as a re-routable recipe
+(:class:`~repro.engine.streaming.LazyContribution`).
 
-A tuple's destinations depend on the tuple alone and a round charges
-each server only for what it receives, so every block size produces
-the same multiset of (row, destination) pairs: answers, per-round
-received bits/tuples and capacity failures are bit-identical across
-block sizes by construction -- and to the row-at-a-time reference of
+A tuple's destinations depend on the tuple alone (and, for the
+content-free round-robin grid, on its row index, which every block
+carries as its offset) and a round charges each server only for what
+it receives, so every block size produces the same multiset of (row,
+destination) pairs: answers, per-round received bits/tuples and
+capacity failures are bit-identical across block sizes by
+construction -- and to the row-at-a-time reference of
 :mod:`repro.oracle`, which routes each tuple through
 :meth:`RoutingStep.destinations`.
 
@@ -33,7 +35,7 @@ materialising views where the plan says so) and finalizes the answer.
 Everything -- routing, shipping, delivery, view materialisation and
 answer collection -- runs in this process, one round after the other.
 
-Vectorized sends carry the step's
+Deliveries carry the step's
 :attr:`~repro.engine.steps.RoutingStep.preserves_source_order` promise
 so the simulator's delivery pools can mark worker fragments as
 pre-sorted -- the precondition of the local join's sort-free path.
@@ -73,11 +75,10 @@ from repro.engine.steps import HeavyGridRoute, RoutingStep
 from repro.engine.streaming import (
     LazyContribution,
     resolve_chunk_rows,
-    route_block_counts,
-    route_range,
+    route_blocks,
 )
 from repro.mpc.model import MPCConfig
-from repro.mpc.simulator import MPCSimulator, input_server
+from repro.mpc.simulator import MPCSimulator, RoutedBlock, input_server
 from repro.mpc.stats import RoundStats, SimulationReport
 
 if TYPE_CHECKING:
@@ -92,19 +93,16 @@ class RoundEngine:
         profiler: optional phase-timing collector; when given, every
             round records route/ship/deliver seconds against its round
             index.
-        chunk_rows: streaming block size.  When set, shardable steps
-            are *counted*
-            in ``chunk_rows``-row blocks -- zero-copy column views --
-            and ship as lazy deliveries
-            (:meth:`MPCSimulator.stage_lazy_columns`): rows are
+        chunk_rows: routing block size; None (the default) makes
+            every source one block.  Blocks are zero-copy column
+            views.  A source longer than one block ships as a recipe,
             materialised at local-evaluation time one worker shard at
             a time, so the engine's peak memory per step is
             ``O(chunk_rows x replication)`` instead of
             ``O(n x replication)``.  Answers, per-server loads and
-            capacity behaviour are bit-identical for every block size;
-            None (the default) ships each step whole.
+            capacity behaviour are bit-identical for every block size.
         deadline: optional per-request latency budget, checked
-            cooperatively between streamed blocks (never
+            cooperatively before every routed block (never
             mid-primitive).  Capacity precedence is preserved: the
             deadline is never consulted at round close, so a round
             that both overflows and overruns raises
@@ -148,19 +146,13 @@ class RoundEngine:
         """
         self.simulator.begin_round()
         for step in steps:
-            source = sources[step.relation]
-            if self.chunk_rows is not None and step.shardable:
-                self._stage_counts(step, source)
-            else:
-                self._send_columns(step, source)
+            self._send(step, sources[step.relation])
         with self._measure("deliver"):
             return self.simulator.end_round()
 
-    # -- the two consumers: count (streamed) and ship whole -------------------
-
     @contextmanager
     def _block_checkpoint(self, block_delay: float):
-        """Around one inline streamed block: deadline, fault, timing."""
+        """Around one routed block: deadline, fault, timing."""
         if self.deadline is not None:
             self.deadline.check("streamed block")
         if block_delay > 0:
@@ -174,25 +166,21 @@ class RoundEngine:
                 time.perf_counter() - began,
             )
 
-    def _stage_counts(
-        self, step: RoutingStep, source: ColumnarRelation
-    ) -> None:
-        """Count one step block-by-block and ship it lazily.
+    def _send(self, step: RoutingStep, source: ColumnarRelation) -> None:
+        """Route one step block by block and stage its one delivery.
 
-        The route phase is a counting pass (per-block destinations ->
-        bincount, arrays freed immediately); the ship phase stages the
-        delivery *recipe* plus counts on the simulator.  Bincount is
-        additive over any row partition, so the summed counts equal
-        ``send_columns``' own accounting bit-for-bit and capacity
-        behaviour -- including which worker raises at ``end_round``
-        -- is that of shipping the step whole.
+        Bincount is additive over any row partition, so the summed
+        block counts are the step's exact load, and capacity behaviour
+        -- including which worker raises at ``end_round`` -- does not
+        depend on the block size.
         """
         simulator = self.simulator
+        num_rows = len(source) if source.columns else 0
         with self._measure("route"):
-            counts = route_block_counts(
+            counts, routed = route_blocks(
                 step,
                 source.columns,
-                len(source) if source.columns else 0,
+                num_rows,
                 self.chunk_rows,
                 simulator.num_workers,
                 block_hook=partial(
@@ -200,41 +188,24 @@ class RoundEngine:
                 ),
             )
         with self._measure("ship"):
-            simulator.stage_lazy_columns(
-                _sender_of(step),
-                step.mailbox_key,
-                LazyContribution(
+            if routed is not None:
+                delivery = RoutedBlock(
+                    *routed, source_sorted=step.preserves_source_order
+                )
+            else:
+                delivery = LazyContribution(
                     step=step,
                     columns=source.columns,
-                    num_rows=len(source),
+                    num_rows=num_rows,
                     chunk_rows=self.chunk_rows,
                     source_sorted=step.preserves_source_order,
-                ),
+                )
+            simulator.send(
+                _sender_of(step),
+                step.mailbox_key,
+                delivery,
                 counts,
                 bits_per_tuple=source.tuple_bits,
-            )
-
-    def _send_columns(
-        self, step: RoutingStep, source: ColumnarRelation
-    ) -> None:
-        """Route one step whole and stage it on the simulator."""
-        with self._measure("route"):
-            columns, destinations, row_indices = route_range(
-                step,
-                source.columns,
-                0,
-                len(source) if source.columns else 0,
-                self.simulator.num_workers,
-            )
-        with self._measure("ship"):
-            self.simulator.send_columns(
-                _sender_of(step),
-                destinations,
-                step.mailbox_key,
-                columns,
-                bits_per_tuple=source.tuple_bits,
-                row_indices=row_indices,
-                source_sorted=step.preserves_source_order,
             )
 
 
@@ -266,7 +237,7 @@ class PlanExecution:
             merged table local evaluation computed
             (:class:`~repro.engine.local.SiteAnswers`) -- what
             incremental maintenance retains, by reference.  Sites
-            evaluated from streamed deliveries are absent.
+            evaluated from multi-block (recipe) deliveries are absent.
     """
 
     plan: Plan
@@ -357,13 +328,13 @@ def execute_plan(
         input_bits: override for the capacity bound's ``N`` (callers
             with bespoke input accounting, e.g. the cartesian-grid
             baseline).
-        chunk_rows: streaming block size (see :class:`RoundEngine`);
-            None or non-positive ships every step whole.  Answers,
-            loads and capacity failures stay bit-identical for every
-            chunk size.
+        chunk_rows: routing block size (see :class:`RoundEngine`);
+            None or non-positive makes every source one block.
+            Answers, loads and capacity failures stay bit-identical
+            for every chunk size.
         deadline: optional per-request latency budget.  Checked
-            cooperatively -- before each round, between streamed
-            blocks, before and between local-evaluation shards
+            cooperatively -- before each round, before every routed
+            block, before and between local-evaluation shards
             (monolithic executions evaluate one shard, so every view
             and the final collect check once), and before the
             finalize -- never mid-primitive.

@@ -12,10 +12,11 @@ CI legs trigger them deterministically:
     per plan execution).  Makes a fast query reliably slow, so
     deadline checks *between rounds* fire on demand.
 ``REPRO_FAULT_BLOCK_DELAY_MS``
-    Sleep this many milliseconds after routing each streamed block.
-    Makes the deadline expire *mid-round* (inside an open round's
-    block loop) -- the dangerous half of cancellation, proving the
-    session serves the next request after a partial round.
+    Sleep this many milliseconds before routing each block (a
+    one-block step's too).  Makes the deadline expire *mid-round*
+    (inside an open round's block loop) -- the dangerous half of
+    cancellation, proving the session serves the next request after
+    a partial round.
 ``REPRO_FAULT_DISCONNECT_BATCHES``
     The RPC server aborts a streamed response's connection after
     writing N batch lines, simulating a client that vanished
@@ -81,7 +82,7 @@ def round_delay_seconds() -> float:
 
 
 def block_delay_seconds() -> float:
-    """Injected per-streamed-block delay in seconds (0.0 = off)."""
+    """Injected per-block delay in seconds (0.0 = off)."""
     return _float_env(BLOCK_DELAY_ENV) / 1000.0
 
 

@@ -6,7 +6,7 @@ join-and-collect loop, the shard loop: contiguous worker ranges are
 planned against a byte budget (:func:`_plan_eval_shards`), each
 range's delivery pools are handed over by
 :meth:`~repro.mpc.simulator.MPCSimulator.pool_shard` (eager pools
-sliced zero-copy, streamed recipes re-routed for the range only) and
+sliced zero-copy, multi-block recipes re-routed for the range only) and
 joined in one vectorized pass by
 :func:`~repro.algorithms.localjoin.evaluate_query_table_segmented`,
 which prepends the worker id to every join key.  Per-server answer
@@ -190,17 +190,17 @@ def _merged_answer_table(
     """All workers' answers, one bounded worker shard at a time.
 
     The only site evaluator.  Contiguous worker ranges
-    are materialised (eager pools sliced zero-copy, streamed recipes
-    re-routed for the range), evaluated with the segmented join and
+    are materialised (eager pools sliced zero-copy, recipes re-routed
+    for the range), evaluated with the segmented join and
     freed -- peak memory is one shard's pools plus join temporaries.
     Eager deliveries under the default budget plan a single shard, so
     a monolithic execution joins the whole fleet in one pass.
 
     With a ``retain`` sink and eager deliveries only, the merged
     table and the per-worker answer counts are kept as
-    ``retain[site]``.  Streamed deliveries record nothing: their pools
-    are recipes, and materialising them for retention is the peak
-    streaming avoids.
+    ``retain[site]``.  Recipe (multi-block) deliveries record
+    nothing: materialising them for retention is the peak streaming
+    avoids.
 
     Returns:
         ``(merged, per_server)`` -- the deduplicated union (sorted
@@ -262,7 +262,8 @@ def collect_answers(
 
     ``retain``, when given, receives the per-worker answer counts and
     the merged table under ``site`` (see :class:`SiteAnswers`) --
-    unless the deliveries were streamed, which retain nothing.
+    unless some delivery is a multi-block recipe, which retains
+    nothing.
 
     Returns:
         ``(table, per_server)`` -- the sorted duplicate-free union

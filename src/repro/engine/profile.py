@@ -30,9 +30,9 @@ class RoundProfiler:
     def __init__(self) -> None:
         self.rounds: dict[int, dict[str, float]] = {}
         #: round index -> phase -> per-block seconds, in block order
-        #: (streamed executions record every block's route/ship time
-        #: here; every numpy execution records one ``eval`` entry per
-        #: local-evaluation shard).
+        #: (every execution records each routed block's ``route``
+        #: time here -- one block per step when ``chunk_rows`` is
+        #: None -- and one ``eval`` entry per local-evaluation shard).
         self.blocks: dict[int, dict[str, list[float]]] = {}
 
     def add(self, round_index: int, phase: str, seconds: float) -> None:
@@ -52,7 +52,7 @@ class RoundProfiler:
     def add_block(
         self, round_index: int, phase: str, seconds: float
     ) -> None:
-        """Record one streamed block's seconds for a round's phase."""
+        """Record one block's seconds for a round's phase."""
         self.blocks.setdefault(round_index, {}).setdefault(
             phase, []
         ).append(seconds)
@@ -112,5 +112,5 @@ class RoundProfiler:
         return table + "\n" + format_table(
             ["round", "phase", "blocks", "min (s)", "max (s)", "sum (s)"],
             block_rows,
-            title="per-block timing (streamed blocks, eval shards)",
+            title="per-block timing (routed blocks, eval shards)",
         )

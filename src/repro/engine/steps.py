@@ -23,15 +23,16 @@ relation (or materialised view) are scattered over the worker grid:
   single-server strawman).
 * :class:`RoundRobinGrid` -- the introduction's cartesian-grid
   tradeoff: tuples are dealt round-robin into one axis of a grid and
-  replicated across the others (content-free routing by row index).
+  replicated across the others (content-free routing by the row's
+  index in its relation, which is why every block carries its offset).
 
 Every step knows how to route one row at a time
 (:meth:`RoutingStep.destinations`, the reference semantics
-:mod:`repro.oracle` executes) and how to route a whole column batch in
-one vectorized pass (:meth:`RoutingStep.route_columns`, the engine).
-The two are bit-identical in the multiset of (row, destination) pairs
-they produce, which is what makes oracle parity of loads and answers a
-theorem rather than a hope.
+:mod:`repro.oracle` executes) and how to route a block of rows in one
+vectorized pass (:meth:`RoutingStep.route_columns`, the engine).  The
+two produce the same multiset of (row, destination) pairs, and so does
+routing a relation block by block under any split, which is what makes
+oracle parity of loads and answers a theorem rather than a hope.
 """
 
 from __future__ import annotations
@@ -155,29 +156,6 @@ class RoutingStep:
         """
         return False
 
-    @property
-    def shardable(self) -> bool:
-        """Whether block-wise routing reproduces this step exactly.
-
-        A streamed execution (``chunk_rows`` set) routes a source in
-        contiguous row blocks, runs :meth:`route_columns` per block and
-        sums the blocks' per-worker counts; lazy delivery later
-        re-routes the same blocks per worker shard.  That is faithful
-        only when the step's routing decision for a row depends on
-        nothing but the row's own content -- i.e.
-        ``route_columns(cols[a:b])`` equals the ``[a:b)`` restriction
-        of ``route_columns(cols)`` up to per-receiver order.
-        Content-free steps that look at the global row index
-        (:class:`RoundRobinGrid`) and steps that group rows across the
-        whole relation (:class:`HeavyGridRoute`'s signature grouping)
-        must stay False and ship whole.
-
-        Defaults to False for the same reason
-        :attr:`preserves_source_order` does: a forgotten override only
-        loses streaming, never correctness.
-        """
-        return False
-
     def destinations(self, row: Sequence[int], index: int, p: int) -> list[int]:
         """Worker ranks receiving ``row`` (the scalar reference path).
 
@@ -189,14 +167,23 @@ class RoutingStep:
         """
         raise NotImplementedError
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
-        """Batched routing of a whole column set (the numpy path).
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
+        """Batched routing of one row block (the numpy path).
+
+        Args:
+            columns: the block's source columns.
+            p: total number of workers.
+            offset: the block's first row index in its relation (only
+                content-free steps look at it).  Routing any row range
+                on its own yields that range's share of the whole
+                relation's (row, destination) pairs.
 
         Returns:
-            ``(columns, destinations, row_indices)`` exactly as
-            :meth:`MPCSimulator.send_columns` expects: possibly
-            filtered source columns, a flat int64 destination array,
-            and gather indices pairing each destination with its row.
+            ``(columns, destinations, row_indices)`` -- a
+            :class:`~repro.mpc.simulator.RoutedBlock`'s fields:
+            possibly filtered source columns, a flat int64 destination
+            array, and gather indices pairing each destination with
+            its row.
         """
         raise NotImplementedError
 
@@ -261,11 +248,6 @@ class HashRoute(RoutingStep):
         """Replication is a repeat of ascending row indices."""
         return True
 
-    @property
-    def shardable(self) -> bool:
-        """Hashing is pure row content; shards route independently."""
-        return True
-
     def _pinned(self) -> dict[str, int]:
         """variable -> first column position, grid dimensions only."""
         return {
@@ -293,7 +275,7 @@ class HashRoute(RoutingStep):
                 axes.append(tuple(range(share)))
         return _expand_axes(axes, grid.dimensions)
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         grid = self.grid
         hashes = grid.hashes
         assert hashes is not None
@@ -421,7 +403,7 @@ class HeavyGridRoute(RoutingStep):
                 axes.append((hashes.hash_value(variable, value, share),))
         return _expand_axes(axes, grid.dimensions)
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         grid = self.grid
         hashes = grid.hashes
         assert hashes is not None
@@ -572,11 +554,6 @@ class RemapRanks(RoutingStep):
         targets = list(self.mapping.values())
         return len(targets) == len(set(targets))
 
-    @property
-    def shardable(self) -> bool:
-        """Rank remapping is per-row; shardability is the inner step's."""
-        return self.inner.shardable
-
     def destinations(self, row: Sequence[int], index: int, p: int) -> list[int]:
         mapping = self.mapping
         return [
@@ -585,9 +562,9 @@ class RemapRanks(RoutingStep):
             if virtual in mapping
         ]
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         columns, virtual, row_indices = self.inner.route_columns(
-            columns, self.virtual_size
+            columns, self.virtual_size, offset
         )
         lookup = numpy.full(self.virtual_size, -1, dtype=numpy.int64)
         for rank, worker in self.mapping.items():
@@ -610,15 +587,10 @@ class Broadcast(RoutingStep):
         """Each worker's block is one ascending ``arange`` tile."""
         return True
 
-    @property
-    def shardable(self) -> bool:
-        """Replication to all workers is content- and index-free."""
-        return True
-
     def destinations(self, row: Sequence[int], index: int, p: int) -> list[int]:
         return list(range(p))
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         num_rows = len(columns[0]) if columns else 0
         destinations = numpy.repeat(
             numpy.arange(p, dtype=numpy.int64), num_rows
@@ -640,15 +612,10 @@ class ToServer(RoutingStep):
         """Rows ship in source order to a single worker."""
         return True
 
-    @property
-    def shardable(self) -> bool:
-        """A constant destination shards trivially."""
-        return True
-
     def destinations(self, row: Sequence[int], index: int, p: int) -> list[int]:
         return [self.worker]
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         num_rows = len(columns[0]) if columns else 0
         destinations = numpy.full(num_rows, self.worker, dtype=numpy.int64)
         return columns, destinations, None
@@ -680,12 +647,13 @@ class RoundRobinGrid(RoutingStep):
         ]
         return _expand_axes(axes, dimensions)
 
-    def route_columns(self, columns: tuple, p: int) -> tuple:
+    def route_columns(self, columns: tuple, p: int, offset: int) -> tuple:
         num_rows = len(columns[0]) if columns else 0
         dimensions = self.grid.dimensions
         weights = self.grid.weights
         base = (
-            numpy.arange(num_rows, dtype=numpy.int64) % dimensions[self.axis]
+            numpy.arange(offset, offset + num_rows, dtype=numpy.int64)
+            % dimensions[self.axis]
         ) * weights[self.axis]
         offsets = _cross_offsets(
             [

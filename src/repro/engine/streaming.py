@@ -1,33 +1,28 @@
-"""The one route primitive, its two consumers, and lazy delivery pools.
+"""The one route primitive, block-wise routing, and lazy delivery pools.
 
 In the tuple-based MPC model a tuple's destinations depend on the tuple
 alone and a round charges each *server* for what it receives, so
 routing any row range of a relation in isolation and summing per-worker
 counts is exact -- whether the range is the whole relation or one
 ``chunk_rows`` block.  The engine therefore has one route primitive,
-:func:`route_range`, which every step reaches inline, with one of two
-consumers:
+:func:`route_range`, and one consumer of it, :func:`route_blocks`: it
+walks a source in blocks (the whole source is one block when
+``chunk_rows`` is None), range-checks and bincounts each block's
+destinations, and hands back the per-worker counts -- plus the routed
+block itself when there was only one.  The engine stages that as one
+delivery: a one-block source as a
+:class:`~repro.mpc.simulator.RoutedBlock`, binned by receiver at round
+close; a longer source as a :class:`LazyContribution` *recipe*, whose
+routed arrays were dropped block by block (``O(chunk_rows x
+replication)`` transient memory) and which :func:`materialize_shard`
+re-routes for one worker subrange at local-evaluation time.
 
-* **count** -- :func:`route_block_counts` bincounts each block's
-  destinations and drops the arrays: per-worker loads in
-  ``O(chunk_rows x replication)`` transient memory.  This is how a
-  streamed step (``chunk_rows`` set) ships: loads are accounted now and
-  the delivery is recorded as a :class:`LazyContribution` *recipe*;
-* **bin** -- :func:`bin_block` groups one routed range by receiving
-  worker and a :class:`PoolBuilder` merges the groups into one
-  :class:`~repro.mpc.simulator.ColumnPool`.  The simulator bins every
-  ``send_columns`` stage this way at round close (one range, the whole
-  relation: the builder's one-block shortcut), and
-  :func:`materialize_shard` bins a recipe's blocks for one worker
-  subrange at local-evaluation time.
-
-The engine (:class:`~repro.engine.executor.RoundEngine`) picks the
-consumer per step; the rest of this module is the data-structure
-layer:
+The rest of this module is the data-structure layer:
 
 * :func:`iter_blocks` -- the ``[start, end)`` block schedule of a
   relation under a ``chunk_rows`` budget.  Blocks are numpy *views*
   over the source columns (no row copies).
+* :func:`bin_block` -- groups one routed range by receiving worker.
 * :class:`PoolBuilder` -- k-way per-worker merge of worker-grouped
   blocks (one scatter per block and column, freeing each block as it
   goes).  Because blocks arrive in ascending source order, a single
@@ -38,14 +33,14 @@ layer:
   bytes fit a budget, so shard-wise evaluation's peak memory is
   ``O(shard budget)`` independent of ``n``.
 
-Parity contract: only shardable steps (routing depends on row content
-only) are split into more than one block, and every block goes through
-the same :meth:`~repro.engine.steps.RoutingStep.route_columns` code, so
-the multiset of (row, destination) pairs -- and therefore answers,
-per-server loads and capacity behaviour -- is identical for every
-block size by construction.  The cost of a lazy pool is recomputation:
-each worker shard re-routes the source blocks, an accepted
-CPU-for-memory trade bounded by ``1 + num_shards`` routing passes.
+Parity contract: every block goes through the same
+:meth:`~repro.engine.steps.RoutingStep.route_columns` code with its
+global row offset, so the multiset of (row, destination) pairs -- and
+therefore answers, per-server loads and capacity behaviour -- is
+identical for every block size by construction.  The cost of a recipe
+is recomputation: each worker shard re-routes the source blocks, an
+accepted CPU-for-memory trade bounded by ``1 + num_shards`` routing
+passes.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy
 
-from repro.mpc.simulator import ColumnPool, ProtocolError
+from repro.mpc.simulator import ColumnPool, receiver_counts
 
 #: Environment knob for the shard-wise evaluation budget: target bytes
 #: of pooled rows materialised per worker shard.
@@ -260,13 +255,13 @@ def bin_block(
 
 @dataclass(frozen=True)
 class LazyContribution:
-    """One streamed step's delivery, as a re-routable recipe.
+    """One multi-block delivery, as a re-routable recipe.
 
     Attributes:
-        step: the shardable routing step that produced the delivery.
+        step: the routing step that produced the delivery.
         columns: the source relation's value columns at routing time
-            (streamed sources are immutable for the execution's life,
-            so holding the views is safe and free).
+            (sources are immutable for the execution's life, so
+            holding the views is safe and free).
         num_rows: source row count (blocks are planned from it).
         chunk_rows: the block size the counting pass used; shard
             materialisation re-routes with the same schedule.
@@ -289,84 +284,72 @@ def route_range(step: Any, columns: tuple, start: int, end: int, p: int):
     to the range's kept rows.
     """
     return step.route_columns(
-        tuple(column[start:end] for column in columns), p
+        tuple(column[start:end] for column in columns), p, start
     )
 
 
-def route_block_counts(
+def route_blocks(
     step: Any,
     columns: tuple,
     num_rows: int,
-    chunk_rows: int,
+    chunk_rows: int | None,
     p: int,
     block_hook: Any = nullcontext,
-) -> Any:
-    """Per-worker delivered-tuple counts of one step, block by block.
+) -> tuple[Any, tuple | None]:
+    """Route a source block by block: per-worker counts, one block kept.
 
-    The count consumer: routes every block through :func:`route_range`
-    and bincounts destinations, discarding the arrays immediately --
-    identical totals to one ``send_columns`` of the whole range,
-    ``O(chunk x replication)`` transient memory.  ``block_hook``
-    returns a context manager entered around every block (the
-    engine's deadline check, fault delay and block timing).
+    Every block goes through :func:`route_range` and
+    :func:`~repro.mpc.simulator.receiver_counts` (which range-checks
+    its destinations).  ``chunk_rows`` None makes the whole source one
+    block.  Returns ``(counts, routed)``: ``routed`` is the
+    ``route_columns`` triple when the source is one block (an empty
+    source too), and None otherwise -- each block's arrays are dropped
+    once counted, so transient memory is ``O(chunk x replication)``.
+    ``block_hook`` returns a context manager entered around every block
+    (the engine's deadline check, fault delay and block timing).
     """
+    blocks = list(iter_blocks(num_rows, chunk_rows or max(num_rows, 1)))
     counts = numpy.zeros(p, dtype=numpy.int64)
-    for start, end in iter_blocks(num_rows, chunk_rows):
+    routed = None
+    for start, end in blocks or [(0, 0)]:
         with block_hook():
-            _, destinations, _ = route_range(step, columns, start, end, p)
-            if len(destinations):
-                low = int(destinations.min())
-                high = int(destinations.max())
-                if low < 0 or high >= p:
-                    offender = low if low < 0 else high
-                    raise ProtocolError(
-                        f"receiver {offender} outside [0, {p})"
-                    )
-                counts += numpy.bincount(destinations, minlength=p)
-    return counts
+            routed = route_range(step, columns, start, end, p)
+            counts += receiver_counts(routed[1], p)
+            if len(blocks) > 1:
+                routed = None
+    return counts, routed
 
 
 def materialize_shard(
-    contributions: Sequence[LazyContribution],
-    lo: int,
-    hi: int,
-    p: int,
-    extra_blocks: Sequence[ColumnPool] = (),
+    deliveries: Sequence[Any], lo: int, hi: int, p: int
 ) -> ColumnPool:
-    """Materialise workers ``[lo, hi)`` of one relation's lazy pool.
+    """Materialise workers ``[lo, hi)`` of one relation's deliveries.
 
-    Re-routes every contribution's blocks, keeps only destinations in
-    the shard, and merges through a :class:`PoolBuilder`.
-    ``extra_blocks`` lets callers mix in already-delivered eager pools
-    of the same relation (pre-sharded to ``[lo, hi)``); more than one
-    total stream clears ``source_sorted``.
+    A delivered :class:`~repro.mpc.simulator.ColumnPool` contributes
+    its zero-copy shard; a :class:`LazyContribution` re-routes its
+    blocks and keeps only destinations in the shard.  Everything
+    merges through a :class:`PoolBuilder`, in delivery order; more
+    than one delivery clears ``source_sorted``.
     """
-    arity = None
-    for block in extra_blocks:
-        arity = len(block.columns)
-        break
-    if arity is None:
-        for contribution in contributions:
-            arity = len(contribution.columns)
-            break
-    builder = PoolBuilder(hi - lo, arity=arity)
-    for index, block in enumerate(extra_blocks):
-        builder.append(
-            block,
-            stream=("extra", index),
-            sorted_block=block.source_sorted,
-        )
-    for index, contribution in enumerate(contributions):
-        for start, end in iter_blocks(
-            contribution.num_rows, contribution.chunk_rows
-        ):
+    builder = PoolBuilder(
+        hi - lo, arity=len(deliveries[0].columns) if deliveries else None
+    )
+    for index, delivery in enumerate(deliveries):
+        if isinstance(delivery, ColumnPool):
+            builder.append(
+                delivery.shard(lo, hi),
+                stream=index,
+                sorted_block=delivery.source_sorted,
+            )
+            continue
+        for start, end in iter_blocks(delivery.num_rows, delivery.chunk_rows):
             routed = route_range(
-                contribution.step, contribution.columns, start, end, p
+                delivery.step, delivery.columns, start, end, p
             )
             builder.append(
                 bin_block(*routed, p, lo, hi),
-                stream=("lazy", index),
-                sorted_block=contribution.source_sorted,
+                stream=index,
+                sorted_block=delivery.source_sorted,
             )
     return builder.finalize()
 

@@ -6,27 +6,31 @@ Usage pattern (one HyperCube round)::
     simulator.begin_round()
     for relation in database:
         receivers, row_indices = route(relation)  # one entry per copy
-        simulator.send_columns(
-            input_server(relation.name), receivers, relation.name,
-            relation.columns, bits_per_tuple=relation.tuple_bits,
-            row_indices=row_indices,
+        simulator.send(
+            input_server(relation.name), relation.name,
+            RoutedBlock(relation.columns, receivers, row_indices),
+            receiver_counts(receivers, config.p),
+            bits_per_tuple=relation.tuple_bits,
         )
     stats = simulator.end_round()
     columns_at_3 = simulator.relation_pool("S1").worker_slice(3)
 
-The network is columnar only: a send ships a whole routing decision
--- an array of destination workers plus the source columns -- in one
-:meth:`MPCSimulator.send_columns` call; per-worker bit/tuple totals
-are bincounted at once and the deliveries pooled at round end.
+The network is columnar only, and :meth:`MPCSimulator.send` is its one
+staging verb: a send ships one relation's routing decision with its
+per-worker tuple counts, which are charged at once.  The delivery is a
+:class:`RoutedBlock` -- destination array plus source columns -- or,
+for a source routed in several blocks, a re-routable recipe
+(:class:`~repro.engine.streaming.LazyContribution`) whose rows are
+materialised on demand.
 
-All of a relation's staged sends for a round are gathered into one
-contiguous :class:`ColumnPool` whose rows are grouped by receiving
-worker, with a ``(worker -> offset range)`` index.  Every pool -- a
-round's stages at :meth:`MPCSimulator.end_round`, several rounds'
-pools merged for :meth:`MPCSimulator.relation_pool`, a streamed
-recipe's blocks in :meth:`MPCSimulator.pool_shard` -- is grouped by
-the one constructor in :mod:`repro.engine.streaming`: ``bin_block``
-(one stable sort of a routed row range by receiver) feeding a
+At :meth:`MPCSimulator.end_round` a relation's routed blocks are
+gathered into one contiguous :class:`ColumnPool` whose rows are
+grouped by receiving worker, with a ``(worker -> offset range)``
+index.  Every pool -- a round's blocks at round close, several
+deliveries merged for :meth:`MPCSimulator.relation_pool`, a recipe's
+blocks in :meth:`MPCSimulator.pool_shard` -- is grouped by the one
+constructor in :mod:`repro.engine.streaming`: ``bin_block`` (one
+stable sort of a routed row range by receiver) feeding a
 ``PoolBuilder`` (per-worker merge; a single range passes through as
 the pool).  A worker's fragment is a zero-copy basic slice of the
 pool: the segmented local join reads contiguous worker ranges of it
@@ -101,25 +105,39 @@ class CapacityExceeded(Exception):
         self.round_index = round_index
 
 
-@dataclass
-class _ColumnStage:
-    """One vectorized send: destination per row plus source columns.
+def receiver_counts(receivers: Any, p: int) -> Any:
+    """Per-worker tuple counts of one routed block's receivers.
+
+    Raises:
+        ProtocolError: when a receiver lies outside ``[0, p)``.
+    """
+    if len(receivers):
+        low = int(receivers.min())
+        high = int(receivers.max())
+        if low < 0 or high >= p:
+            offender = low if low < 0 else high
+            raise ProtocolError(f"receiver {offender} outside [0, {p})")
+    return numpy.bincount(receivers, minlength=p)
+
+
+@dataclass(frozen=True)
+class RoutedBlock:
+    """One routed row block: a destination per row plus source columns.
 
     ``row_indices`` (optional) indexes into ``columns``; when present
-    the stage represents ``columns[row_indices[i]] -> receivers[i]``
+    the block represents ``columns[row_indices[i]] -> receivers[i]``
     without materialising the replicated rows, which is what keeps
     HC's ``p^{1-1/tau}``-fold replication cheap to stage.
 
     ``source_sorted`` is the sender's promise that, restricted to any
-    one receiver, staged rows appear in ascending source-row order --
-    true for every routing step whose replication pattern is a
+    one receiver, rows appear in ascending source-row order -- true
+    for every routing step whose replication pattern is a
     ``repeat``/``tile`` of ``arange`` (see
     :attr:`repro.engine.steps.RoutingStep.preserves_source_order`).
     """
 
-    relation: str
-    receivers: Any
     columns: tuple
+    receivers: Any
     row_indices: Any | None = None
     source_sorted: bool = False
 
@@ -169,9 +187,9 @@ class ColumnPool:
 
         Rows stay worker-grouped and the offset index is rebased to
         the shard, so the result is itself a valid pool over
-        ``hi - lo`` workers: a parallel consumer can hand each
-        executor process one contiguous worker range and evaluate it
-        with the exact same segmented code that runs fleet-wide.
+        ``hi - lo`` workers: local evaluation joins one contiguous
+        worker range at a time with the exact same segmented code
+        that runs fleet-wide.
         """
         if not 0 <= lo <= hi <= self.num_workers:
             raise ValueError(
@@ -209,28 +227,20 @@ class MPCSimulator:
         self.report = SimulationReport(input_bits=input_bits)
         self._round_index = 0
         self._in_round = False
-        # Deliveries pooled per relation (kept across rounds: workers
-        # remember everything they received).
-        self._pools: dict[str, list[ColumnPool]] = {}
+        # What each relation's workers hold, kept across rounds
+        # (workers remember everything they received): per round, one
+        # pool binned from its routed blocks, plus one re-routable
+        # recipe per multi-block delivery -- and the per-worker tuple
+        # counts of all of it.
+        self._delivered: dict[str, list[Any]] = {}
+        self._counts: dict[str, Any] = {}
         self._merged_pools: dict[str, ColumnPool] = {}
-        # Streamed (lazy) deliveries per relation: re-routable recipes
-        # plus per-worker delivered tuple counts.  Loads were accounted
-        # when the contribution was staged; rows are materialised on
-        # demand one worker shard at a time.
-        self._lazy: dict[str, list[Any]] = {}
-        self._lazy_counts: dict[str, Any] = {}
         self._reset_staging()
 
     def _reset_staging(self) -> None:
-        self._staged_columns: list[_ColumnStage] = []
-        self._staged_lazy: list[tuple[str, Any, Any]] = []
+        self._staged: list[tuple[str, Any, Any]] = []
         self._received_bits = numpy.zeros(self.config.p, dtype=numpy.int64)
         self._received_tuples = numpy.zeros(self.config.p, dtype=numpy.int64)
-
-    def _charge(self, counts: Any, bits_per_tuple: int) -> None:
-        """Account ``counts[w]`` tuples of ``bits_per_tuple`` to each ``w``."""
-        self._received_tuples += counts
-        self._received_bits += counts * bits_per_tuple
 
     # -- round lifecycle ----------------------------------------------------
 
@@ -270,8 +280,7 @@ class MPCSimulator:
                     raise CapacityExceeded(
                         worker, bits, capacity, self._round_index
                     )
-        self._deliver_column_pools()
-        self._commit_lazy()
+        self._commit()
         stats = RoundStats(
             round_index=self._round_index,
             received_bits=tuple(received_bits),
@@ -283,67 +292,80 @@ class MPCSimulator:
         self._in_round = False
         return stats
 
-    def _deliver_column_pools(self) -> None:
-        """Pool the round's column stages per relation.
+    def _commit(self) -> None:
+        """Deliver the round's staged sends as worker state.
 
-        Every stage is one routed row range: it is grouped by receiving
-        worker with the bin consumer the streamed path uses
-        (:func:`~repro.engine.streaming.bin_block`, one stable sort)
-        and a relation's stages merge through a
-        :class:`~repro.engine.streaming.PoolBuilder` -- which hands a
-        single stage's grouping through as the pool, which stays
-        available fleet-wide through :meth:`relation_pool` and by
-        worker range through :meth:`pool_shard`.
+        Routed blocks are grouped by receiving worker here, once
+        (:func:`~repro.engine.streaming.bin_block`, one stable sort),
+        and a relation's blocks merge through a
+        :class:`~repro.engine.streaming.PoolBuilder` into the round's
+        pool -- one block passes through as the pool.  Recipes are kept
+        as they are; their rows are binned one worker shard at a time
+        by :meth:`pool_shard`.  Only a round that closed under its
+        capacity budget gets here, so a round that raised
+        :class:`CapacityExceeded` delivers nothing.
         """
-        if not self._staged_columns:
-            return
         from repro.engine.streaming import PoolBuilder, bin_block
 
         p = self.config.p
         builders: dict[str, Any] = {}
-        for index, stage in enumerate(self._staged_columns):
-            builders.setdefault(stage.relation, PoolBuilder(p)).append(
-                bin_block(
-                    stage.columns, stage.receivers, stage.row_indices, p
-                ),
-                stream=index,
-                sorted_block=stage.source_sorted,
-            )
-        for relation, builder in builders.items():
-            self._pools.setdefault(relation, []).append(builder.finalize())
-            self._merged_pools.pop(relation, None)
-
-    def _commit_lazy(self) -> None:
-        """Commit the round's streamed deliveries as worker state.
-
-        Mirrors pool delivery semantics: contributions staged during a
-        round only become part of the fleet's delivered state once the
-        round closes under its capacity budget -- a round that raises
-        :class:`CapacityExceeded` leaves the contribution unstaged,
-        exactly as a whole-shipped delivery would never have pooled.
-        """
-        for relation, contribution, counts in self._staged_lazy:
-            self._lazy.setdefault(relation, []).append(contribution)
-            existing = self._lazy_counts.get(relation)
-            if existing is None:
-                self._lazy_counts[relation] = counts.astype(numpy.int64)
+        for index, (relation, delivery, counts) in enumerate(self._staged):
+            if isinstance(delivery, RoutedBlock):
+                builders.setdefault(relation, PoolBuilder(p)).append(
+                    bin_block(
+                        delivery.columns,
+                        delivery.receivers,
+                        delivery.row_indices,
+                        p,
+                    ),
+                    stream=index,
+                    sorted_block=delivery.source_sorted,
+                )
             else:
-                self._lazy_counts[relation] = existing + counts
+                self._delivered.setdefault(relation, []).append(delivery)
+            self._counts[relation] = self._counts.get(relation, 0) + counts
             self._merged_pools.pop(relation, None)
+        for relation, builder in builders.items():
+            self._delivered.setdefault(relation, []).append(
+                builder.finalize()
+            )
 
     # -- sending --------------------------------------------------------------
 
-    def _validate_send(self, sender: Endpoint, bits_per_tuple: int) -> None:
+    def send(
+        self,
+        sender: Endpoint,
+        relation: str,
+        delivery: Any,
+        counts: Any,
+        bits_per_tuple: int,
+    ) -> None:
+        """Stage one delivery of ``relation`` for this round.
+
+        Load is accounted now from ``counts``, the per-worker tuple
+        counts of the delivery's receivers (:func:`receiver_counts`,
+        which range-checks them); the rows reach the workers at
+        :meth:`end_round`, after the capacity check.
+
+        Args:
+            sender: worker index, or an input-server label.
+            relation: relation/view name the rows belong to.
+            delivery: a :class:`RoutedBlock` (binned by receiver at
+                round close), or a re-routable recipe of several
+                blocks (a :class:`~repro.engine.streaming.
+                LazyContribution`, binned per worker shard on demand).
+            counts: per-worker delivered tuple counts, length ``p``.
+            bits_per_tuple: exact per-tuple cost in bits.
+        """
         if not self._in_round:
             raise ProtocolError("send outside of a round")
         if bits_per_tuple < 0:
             raise ValueError(
                 f"bits_per_tuple must be >= 0, got {bits_per_tuple}"
             )
-        if isinstance(sender, int) and not 0 <= sender < self.config.p:
-            raise ProtocolError(
-                f"worker sender {sender} outside [0, {self.config.p})"
-            )
+        p = self.config.p
+        if isinstance(sender, int) and not 0 <= sender < p:
+            raise ProtocolError(f"worker sender {sender} outside [0, {p})")
         if (
             isinstance(sender, str)
             and sender.startswith("input:")
@@ -353,187 +375,68 @@ class MPCSimulator:
                 "input servers may send only during round 1 "
                 f"(round {self._round_index})"
             )
-
-    def send_columns(
-        self,
-        sender: Endpoint,
-        receivers: Any,
-        relation: str,
-        columns: tuple,
-        bits_per_tuple: int,
-        row_indices: Any | None = None,
-        source_sorted: bool = False,
-    ) -> None:
-        """Stage a whole routing decision in one vectorized call.
-
-        Row ``i`` of the batch goes to worker ``receivers[i]``; its
-        values are ``columns[:][i]`` directly, or
-        ``columns[:][row_indices[i]]`` when ``row_indices`` is given
-        (replication without materialising the copies).  Load is
-        accounted immediately via a bincount; per-receiver fragments
-        are sliced out of the round's :class:`ColumnPool` at delivery
-        time.
-
-        Args:
-            sender: worker index, or an input-server label.
-            receivers: int array of destination workers, one per row.
-            relation: relation/view name the rows belong to.
-            columns: parallel value columns (numpy int64 arrays).
-            bits_per_tuple: exact per-tuple cost in bits.
-            row_indices: optional gather indices into ``columns``.
-            source_sorted: sender's promise that rows staged for any
-                one receiver appear in ascending source-row order
-                (lets the pool keep worker fragments pre-sorted; see
-                :class:`ColumnPool`).
-        """
-        self._validate_send(sender, bits_per_tuple)
-        receivers = numpy.asarray(receivers, dtype=numpy.int64)
-        if row_indices is not None:
-            row_indices = numpy.asarray(row_indices, dtype=numpy.int64)
-        num_source_rows = len(columns[0]) if columns else 0
-        staged_rows = (
-            len(row_indices) if row_indices is not None else num_source_rows
-        )
-        if len(receivers) != staged_rows:
-            raise ProtocolError(
-                f"{len(receivers)} receivers for {staged_rows} staged "
-                "rows (one destination per row required)"
-            )
-        if len(receivers) == 0:
+        if len(counts) != p:
+            raise ProtocolError(f"{len(counts)} worker counts for {p} workers")
+        if isinstance(delivery, RoutedBlock):
+            _check_block(delivery)
+        if not counts.any():
             return
-        if row_indices is not None and len(row_indices):
-            if (
-                int(row_indices.min()) < 0
-                or int(row_indices.max()) >= num_source_rows
-            ):
-                raise ProtocolError(
-                    f"row_indices outside [0, {num_source_rows})"
-                )
-        low = int(receivers.min())
-        high = int(receivers.max())
-        if low < 0 or high >= self.config.p:
-            offender = low if low < 0 else high
-            raise ProtocolError(
-                f"receiver {offender} outside [0, {self.config.p})"
-            )
-        self._charge(
-            numpy.bincount(receivers, minlength=self.config.p),
-            bits_per_tuple,
-        )
-        self._staged_columns.append(
-            _ColumnStage(
-                relation=relation,
-                receivers=receivers,
-                columns=columns,
-                row_indices=row_indices,
-                source_sorted=source_sorted,
-            )
-        )
-
-    def stage_lazy_columns(
-        self,
-        sender: Endpoint,
-        relation: str,
-        contribution: Any,
-        counts: Any,
-        bits_per_tuple: int,
-    ) -> None:
-        """Stage one streamed routing step without materialising rows.
-
-        The streaming engine's ship verb: ``counts`` is the per-worker
-        delivered-tuple bincount its counting pass computed (identical
-        totals to :meth:`send_columns`' own bincount by construction),
-        and ``contribution`` is a re-routable delivery recipe (a
-        :class:`~repro.engine.streaming.LazyContribution`).  Load is
-        accounted immediately; the recipe becomes part of the fleet's
-        delivered state at :meth:`end_round` -- after the capacity
-        check, like every other delivery -- and its rows are
-        materialised on demand, one worker shard at a time, through
-        :meth:`pool_shard`.
-        """
-        self._validate_send(sender, bits_per_tuple)
-        if len(counts) != self.config.p:
-            raise ProtocolError(
-                f"{len(counts)} worker counts for {self.config.p} workers"
-            )
-        self._charge(counts, bits_per_tuple)
-        self._staged_lazy.append((relation, contribution, counts))
+        self._received_tuples += counts
+        self._received_bits += counts * bits_per_tuple
+        self._staged.append((relation, delivery, counts))
 
     # -- worker state ---------------------------------------------------------
 
     def has_lazy_deliveries(self, relation: str) -> bool:
-        """Whether ``relation`` has streamed (recipe-only) deliveries.
+        """Whether ``relation`` holds recipe (multi-block) deliveries.
 
         True means :meth:`relation_pool` would *materialise* the full
         pool (a memory cliff the streaming mode exists to avoid);
         shard-wise consumers should iterate :meth:`pool_shard` ranges
         instead.
         """
-        return relation in self._lazy
-
-    def has_eager_pools(self, relation: str) -> bool:
-        """Whether ``relation`` holds materialised delivery pools."""
-        return bool(self._pools.get(relation))
+        return any(
+            not isinstance(delivery, ColumnPool)
+            for delivery in self._delivered.get(relation, ())
+        )
 
     def pool_worker_counts(self, relation: str) -> Any | None:
         """Per-worker delivered tuple counts, without materialising.
 
-        Covers eager pools and streamed contributions alike; None
-        exactly when :meth:`relation_pool` would return None (nothing
-        delivered).
+        None exactly when :meth:`relation_pool` would return None
+        (nothing delivered).
         """
-        pools = self._pools.get(relation)
-        lazy_counts = self._lazy_counts.get(relation)
-        if not pools and lazy_counts is None:
-            return None
-        counts = numpy.zeros(self.config.p, dtype=numpy.int64)
-        for pool in pools or ():
-            counts += pool.offsets[1:] - pool.offsets[:-1]
-        if lazy_counts is not None:
-            counts += lazy_counts
-        return counts
+        counts = self._counts.get(relation)
+        return None if counts is None else counts.copy()
 
     def pool_worker_bytes(self, relation: str) -> Any | None:
         """Per-worker pooled bytes of ``relation`` (shard planning)."""
-        counts = self.pool_worker_counts(relation)
+        counts = self._counts.get(relation)
         if counts is None:
             return None
-        arity = 0
-        pools = self._pools.get(relation)
-        if pools:
-            arity = len(pools[0].columns)
-        for contribution in self._lazy.get(relation, ()):
-            arity = max(arity, len(contribution.columns))
-        return counts * (arity * 8)
+        return counts * (len(self._delivered[relation][0].columns) * 8)
 
     def pool_shard(
         self, relation: str, lo: int, hi: int
     ) -> ColumnPool | None:
         """Workers ``[lo, hi)`` of one relation's delivery pool.
 
-        The shard-wise counterpart of :meth:`relation_pool`: eager
-        pools contribute zero-copy :meth:`ColumnPool.shard` views,
-        streamed contributions are re-routed and materialised for this
-        worker range only, and multiple sources merge through the
-        streaming :class:`~repro.engine.streaming.PoolBuilder`.  Peak
-        memory is the shard, never the fleet.  None exactly when
+        The shard-wise counterpart of :meth:`relation_pool`: pools
+        contribute zero-copy :meth:`ColumnPool.shard` views, recipes
+        are re-routed and binned for this worker range only, and
+        several deliveries merge through the streaming
+        :class:`~repro.engine.streaming.PoolBuilder`.  Peak memory is
+        the shard, never the fleet.  None exactly when
         :meth:`relation_pool` would return None.
         """
-        pools = self._pools.get(relation)
-        lazy = self._lazy.get(relation)
-        if not pools and not lazy:
+        delivered = self._delivered.get(relation)
+        if not delivered:
             return None
-        if not lazy and len(pools) == 1:
-            return pools[0].shard(lo, hi)
+        if len(delivered) == 1 and isinstance(delivered[0], ColumnPool):
+            return delivered[0].shard(lo, hi)
         from repro.engine.streaming import materialize_shard
 
-        return materialize_shard(
-            lazy or (),
-            lo,
-            hi,
-            self.config.p,
-            extra_blocks=[pool.shard(lo, hi) for pool in pools or ()],
-        )
+        return materialize_shard(delivered, lo, hi, self.config.p)
 
     def relation_pool(self, relation: str) -> ColumnPool | None:
         """The fleet-wide delivery pool of one relation, or None.
@@ -546,21 +449,36 @@ class MPCSimulator:
 
         Returns None when the relation received no deliveries.
 
-        Streamed deliveries (see :meth:`stage_lazy_columns`) are
-        materialised *in full* here -- the correctness fallback, never
-        cached.  Memory-conscious consumers check
-        :meth:`has_lazy_deliveries` and iterate :meth:`pool_shard`
-        worker ranges instead.
+        Recipe deliveries are materialised *in full* here -- the
+        correctness fallback, never cached.  Memory-conscious
+        consumers check :meth:`has_lazy_deliveries` and iterate
+        :meth:`pool_shard` worker ranges instead.
         """
-        if relation in self._lazy:
-            return self.pool_shard(relation, 0, self.config.p)
-        pools = self._pools.get(relation)
-        if not pools:
+        delivered = self._delivered.get(relation)
+        if not delivered:
             return None
-        if len(pools) == 1:
-            return pools[0]
+        if len(delivered) == 1 and isinstance(delivered[0], ColumnPool):
+            return delivered[0]
         merged = self._merged_pools.get(relation)
         if merged is None:
             merged = self.pool_shard(relation, 0, self.config.p)
-            self._merged_pools[relation] = merged
+            if not self.has_lazy_deliveries(relation):
+                self._merged_pools[relation] = merged
         return merged
+
+
+def _check_block(block: RoutedBlock) -> None:
+    """One destination per staged row, gathers inside the columns."""
+    num_source_rows = len(block.columns[0]) if block.columns else 0
+    row_indices = block.row_indices
+    staged_rows = num_source_rows if row_indices is None else len(row_indices)
+    if len(block.receivers) != staged_rows:
+        raise ProtocolError(
+            f"{len(block.receivers)} receivers for {staged_rows} staged "
+            "rows (one destination per row required)"
+        )
+    if row_indices is not None and len(row_indices):
+        if int(row_indices.min()) < 0 or int(row_indices.max()) >= (
+            num_source_rows
+        ):
+            raise ProtocolError(f"row_indices outside [0, {num_source_rows})")

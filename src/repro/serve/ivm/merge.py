@@ -97,9 +97,11 @@ class MergeCapacity:
 def _route_delta(step, rows: Rows, p: int) -> dict[int, Any]:
     """Route delta rows through a step's own destination function.
 
-    Shardable steps route by tuple content alone (the eligibility
-    gate), so routing the delta in isolation lands every copy on
-    exactly the workers the full input's routing would.  Returns each
+    Steps of an eligible plan route by tuple content alone (the
+    one index-routed step, the round-robin grid, belongs to the
+    cartesian plan, which has no finalize and never merges), so
+    routing the delta in isolation lands every copy on exactly the
+    workers the full input's routing would.  Returns each
     receiving worker's rows as one int64 table.
     """
     by_worker: dict[int, list] = {}

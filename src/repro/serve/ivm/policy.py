@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 # Plan-shape reasons (decided once per plan).
 FALLBACK_NO_FINALIZE = "no-finalize"
 FALLBACK_HEAVY_BINDING = "heavy-binding"
-FALLBACK_NON_SHARDABLE = "non-shardable-step"
 FALLBACK_MULTI_WRITER = "multi-writer-mailbox"
 
 # No state to merge into: never captured, evicted, over budget -- or
@@ -79,9 +78,6 @@ class IvmPolicy:
                 # Heavy-hitter binding makes routing depend on data
                 # statistics, not just tuple content.
                 return FALLBACK_HEAVY_BINDING
-            for step in plan_round.steps:
-                if not step.shardable:
-                    return FALLBACK_NON_SHARDABLE
         for key, writers in step_writers(plan).items():
             if len(writers) > 1:
                 # A fragment fed by several steps cannot be patched

@@ -18,8 +18,9 @@ it is.  Each site's counts and merged table -- and a permuted
 ``FinalizeView``'s answer table -- are what local evaluation produced,
 taken by reference from :attr:`PlanExecution.site_answers
 <repro.engine.executor.PlanExecution.site_answers>` and
-``execution.table``.  A streamed execution records no site answers
-and retains nothing.
+``execution.table``.  An execution with a multi-block (recipe)
+delivery records no site answers and retains nothing; a chunked one
+whose sources each fit in one block is captured like any other.
 
 What capture checks costs microseconds: one report round per plan
 round, a complete ``p``-worker pool behind every mailbox key a site
@@ -209,8 +210,8 @@ def capture_state(
 
     Returns the state, or the named reason nothing is retained:
     ``streamed-deliveries`` when the execution recorded no answers for
-    some site (its deliveries were streamed recipes; materialising
-    them here would recreate the memory cliff streaming exists to
+    some site (some delivery was a multi-block recipe; materialising
+    recipes here would recreate the memory cliff streaming exists to
     avoid), ``overlapping-answers`` when some site's worker answers
     are not disjoint, ``no-retained-state`` when the simulator no
     longer holds a complete pool for every needed key -- either way

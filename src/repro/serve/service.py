@@ -421,12 +421,13 @@ class QueryService:
             default :class:`~repro.serve.ivm.IvmPolicy` (see
             :mod:`repro.serve.ivm`); answers, loads and capacity
             behaviour stay bit-identical to full re-execution.
-        chunk_rows: streaming block size for every execution.  When
-            set, shardable routing steps stream in ``chunk_rows``-row
+        chunk_rows: routing block size for every execution.  A
+            source longer than one block streams in ``chunk_rows``-row
             blocks with lazy delivery pools, so peak memory per
             request is bounded by the block and shard budgets instead
             of the full delivery volume -- answers, loads and capacity
-            behaviour stay bit-identical.  None ships every step whole.
+            behaviour stay bit-identical.  None makes every source one
+            block.
     """
 
     def __init__(

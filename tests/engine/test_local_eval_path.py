@@ -15,10 +15,10 @@ import repro.engine.local as local
 from repro.core.query import parse_query
 from repro.data.columnar import columnar_database
 from repro.data.matching import matching_database
+from repro.data.database import Relation
 from repro.engine import (
     GridSpec,
     HashRoute,
-    HeavyGridRoute,
     RoundEngine,
     collect_answers,
 )
@@ -31,10 +31,21 @@ P = 8
 QUERY = parse_query("S1(x,y), S2(y,z)")
 
 
-def _routed_round(chunk_rows, eager=()):
-    """One HC round; atoms named in ``eager`` take a non-shardable step
-    (routed whole even when the round streams)."""
+def _routed_round(chunk_rows, small=()):
+    """One HC round; atoms named in ``small`` keep 10 of their 50 rows,
+    so their source fits in one 16-row block even when the round
+    streams."""
     database = matching_database(QUERY, n=50, rng=3)
+    for name in small:
+        relation = database[name]
+        database = database.with_relation(
+            Relation.from_tuples(
+                name,
+                relation.tuples[:10],
+                domain_size=relation.domain_size,
+                arity=relation.arity,
+            )
+        )
     grid = GridSpec.from_shares(
         QUERY.variables, {"x": 1, "y": P, "z": 1}, HashFamily(0)
     )
@@ -44,11 +55,7 @@ def _routed_round(chunk_rows, eager=()):
         enforce_capacity=False,
     )
     steps = [
-        HeavyGridRoute(
-            relation=atom.name, atom=atom, grid=grid, heavy={}, roles={}
-        )
-        if atom.name in eager
-        else HashRoute(relation=atom.name, atom=atom, grid=grid)
+        HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in QUERY.atoms
     ]
     RoundEngine(simulator, chunk_rows=chunk_rows).run_round(
@@ -58,7 +65,7 @@ def _routed_round(chunk_rows, eager=()):
 
 
 @pytest.mark.parametrize(
-    "chunk_rows,eager,lazy_atoms",
+    "chunk_rows,small,lazy_atoms",
     [
         (None, (), set()),  # monolithic: eager pools only
         (16, (), {"S1", "S2"}),  # streamed: recipes only
@@ -67,9 +74,9 @@ def _routed_round(chunk_rows, eager=()):
     ids=["monolithic", "streamed", "mixed"],
 )
 def test_every_delivery_kind_takes_the_shard_loop(
-    monkeypatch, chunk_rows, eager, lazy_atoms
+    monkeypatch, chunk_rows, small, lazy_atoms
 ):
-    database, simulator = _routed_round(chunk_rows, eager)
+    database, simulator = _routed_round(chunk_rows, small)
     assert {
         atom.name
         for atom in QUERY.atoms
@@ -110,7 +117,7 @@ def test_every_delivery_kind_takes_the_shard_loop(
     assert answers == localjoin.evaluate_query(
         QUERY, {r.name: r.tuples for r in database}
     )
-    assert sum(per_server) == len(answers) == 50
+    assert sum(per_server) == len(answers) == (10 if small else 50)
 
 
 @pytest.mark.parametrize("shard_bytes", [None, "1"], ids=["one", "per-worker"])
@@ -142,9 +149,9 @@ def test_eager_sites_are_retained_as_worker_counts(monkeypatch, shard_bytes):
     assert site.merged is answers
 
 
-@pytest.mark.parametrize("eager", [(), ("S2",)], ids=["streamed", "mixed"])
-def test_streamed_sites_retain_nothing(eager):
-    _, simulator = _routed_round(chunk_rows=16, eager=eager)
+@pytest.mark.parametrize("small", [(), ("S2",)], ids=["streamed", "mixed"])
+def test_streamed_sites_retain_nothing(small):
+    _, simulator = _routed_round(chunk_rows=16, small=small)
     sink = {}
     collect_answers(QUERY, simulator, range(P), retain=sink)
     assert not sink

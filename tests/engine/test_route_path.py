@@ -1,8 +1,9 @@
 """The one numpy route path (engine/executor.py + engine/streaming.py).
 
-However a plan executes -- steps shipped whole or streamed in blocks --
-every step is routed inline, and a routing step's ``route_columns`` is
-reached through ``streaming.route_range`` and through nothing else.
+However a plan executes -- every source one block or streamed in
+``chunk_rows`` blocks -- every step is routed inline, and a routing
+step's ``route_columns`` is reached through ``streaming.route_range``
+and through nothing else.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-import repro.engine.executor as executor
 import repro.engine.steps as steps
 import repro.engine.streaming as streaming
 from repro import oracle
@@ -55,9 +55,7 @@ def _spy_on_route_columns(monkeypatch):
         finally:
             inside_route_range.pop()
 
-    # Both bindings: the streaming module's own and the engine's import.
     monkeypatch.setattr(streaming, "route_range", spy_route_range)
-    monkeypatch.setattr(executor, "route_range", spy_route_range)
     for step_type in vars(steps).values():
         if (
             isinstance(step_type, type)
@@ -66,9 +64,9 @@ def _spy_on_route_columns(monkeypatch):
         ):
             original = step_type.route_columns
 
-            def spy(self, columns, p, _original=original):
+            def spy(self, columns, p, offset, _original=original):
                 calls.append(bool(inside_route_range))
-                return _original(self, columns, p)
+                return _original(self, columns, p, offset)
 
             monkeypatch.setattr(step_type, "route_columns", spy)
     return calls

@@ -10,6 +10,7 @@ from that.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -32,6 +33,7 @@ from repro.engine import (
 )
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
+from repro.engine.streaming import route_range
 from repro.mpc.simulator import MPCSimulator
 
 def scalar_pairs(step, relation: Relation, p: int) -> Counter:
@@ -46,9 +48,22 @@ def scalar_pairs(step, relation: Relation, p: int) -> Counter:
 def columnar_pairs(step, relation: Relation, p: int) -> Counter:
     """(row, destination) multiset via the vectorized path."""
     source = ColumnarRelation.from_relation(relation)
-    columns, destinations, row_indices = step.route_columns(
-        source.columns, p
-    )
+    return routed_pairs(*step.route_columns(source.columns, p, 0))
+
+
+def blockwise_pairs(step, relation: Relation, p: int, rng) -> Counter:
+    """(row, destination) multiset of routing ``relation`` in random
+    row blocks, each at its own offset (the engine's ``route_range``)."""
+    source = ColumnarRelation.from_relation(relation)
+    cuts = sorted(rng.sample(range(1, len(source)), rng.randint(1, 8)))
+    pairs: Counter = Counter()
+    for start, end in zip([0] + cuts, cuts + [len(source)]):
+        pairs += routed_pairs(*route_range(step, source.columns, start, end, p))
+    return pairs
+
+
+def routed_pairs(columns, destinations, row_indices) -> Counter:
+    """(row, destination) multiset of one ``route_columns`` triple."""
     rows = list(zip(*(column.tolist() for column in columns))) or []
     pairs: Counter = Counter()
     destination_list = destinations.tolist()
@@ -270,6 +285,53 @@ class TestRemapRanksParity:
         )
         assert scalar_pairs(step, relation, 4) == Counter()
         assert columnar_pairs(step, relation, 4) == Counter()
+
+
+class TestBlockwiseRouting:
+    """Routing any row split of a relation block by block yields the
+    whole relation's (row, destination) multiset -- the premise of
+    routing every source through one block loop."""
+
+    def test_heavy_grid_route_with_heavy_values_bound(self):
+        from repro.algorithms.skewaware import (
+            compile_skew_aware,
+            detect_heavy_hitters,
+        )
+        from repro.data.generators import skewed_database
+
+        query = parse_query("S1(x,y), S2(y,z), S3(z,x)")
+        database = skewed_database(query, n=300, rng=0, heavy_fraction=0.5)
+        plan = compile_skew_aware(query, p=64)
+        heavy = detect_heavy_hitters(
+            query, database, dict(plan.rounds[0].bind_heavy.shares)
+        )
+        assert any(heavy.values())
+        rng = random.Random(64)
+        for step in plan.rounds[0].steps:
+            step = dataclasses.replace(step, heavy=heavy)
+            relation = database[step.relation]
+            whole = columnar_pairs(step, relation, 64)
+            assert whole == scalar_pairs(step, relation, 64)
+            for _ in range(5):
+                assert blockwise_pairs(step, relation, 64, rng) == whole
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_round_robin_grid_at_nonzero_offsets(self, axis):
+        relation = random_relation("S", 1, 60, 40, random.Random(axis))
+        grid = GridSpec(("left", "right"), (3, 3))
+        step = RoundRobinGrid(relation="S", grid=grid, axis=axis)
+        remapped = RemapRanks(
+            relation="S",
+            inner=step,
+            mapping={rank: rank % 4 for rank in range(0, 9, 2)},
+            virtual_size=9,
+        )
+        rng = random.Random(7 + axis)
+        for routed, p in ((step, 9), (remapped, 4)):
+            whole = columnar_pairs(routed, relation, p)
+            assert whole == scalar_pairs(routed, relation, p)
+            for _ in range(5):
+                assert blockwise_pairs(routed, relation, p, rng) == whole
 
 
 class TestRoundEngine:

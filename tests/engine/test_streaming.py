@@ -8,17 +8,9 @@ import numpy
 import pytest
 
 from repro.algorithms.hypercube import compile_hypercube
-from repro.algorithms.registry import compile_with
 from repro.core.query import parse_query
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
-from repro.engine.steps import (
-    Broadcast,
-    HashRoute,
-    HeavyGridRoute,
-    RoundRobinGrid,
-    ToServer,
-)
 from repro.engine.streaming import (
     DEFAULT_SHARD_BYTES,
     SHARD_BYTES_ENV,
@@ -30,7 +22,7 @@ from repro.engine.streaming import (
     plan_worker_shards,
     resolve_chunk_rows,
     resolve_shard_bytes,
-    route_block_counts,
+    route_blocks,
 )
 from repro.mpc.simulator import (
     CapacityExceeded,
@@ -301,14 +293,14 @@ class TestPlanWorkerShards:
 class _BadStep:
     """A fake routing step that emits an out-of-range receiver."""
 
-    def route_columns(self, columns, p):
+    def route_columns(self, columns, p, offset):
         destinations = numpy.full(
             len(columns[0]), p, dtype=numpy.int64
         )
         return columns, destinations, None
 
 
-class TestRouteBlockCounts:
+class TestRouteBlocks:
     def _plan_step_and_source(self, db, query_text="S1(x,y), S2(y,z)"):
         plan = compile_hypercube(parse_query(query_text), p=8)
         step = plan.rounds[0].steps[0]
@@ -319,18 +311,33 @@ class TestRouteBlockCounts:
     def test_counts_equal_monolithic_bincount(self, two_hop):
         db = matching_database(two_hop, n=50, rng=3)
         step, source = self._plan_step_and_source(db)
-        _, destinations, _ = step.route_columns(source.columns, 8)
+        _, destinations, _ = step.route_columns(source.columns, 8, 0)
         monolithic = numpy.bincount(destinations, minlength=8)
-        for chunk in (1, 7, 64, 10_000):
-            counts = route_block_counts(
+        for chunk in (1, 7, 64, 10_000, None):
+            counts, routed = route_blocks(
                 step, source.columns, len(source), chunk, 8
             )
             assert numpy.array_equal(counts, monolithic)
+            # Only a source that fits in one block keeps its routing.
+            assert (routed is not None) == (chunk in (64, 10_000, None))
+            if routed is not None:
+                assert numpy.array_equal(routed[1], destinations)
+
+    def test_an_empty_source_is_one_routed_block(self, two_hop):
+        db = matching_database(two_hop, n=50, rng=3)
+        step, source = self._plan_step_and_source(db)
+        empty = tuple(column[:0] for column in source.columns)
+        counts, routed = route_blocks(step, empty, 0, 4, 8)
+        assert not counts.any()
+        columns, destinations, _ = routed
+        assert len(columns) == len(source.columns)
+        assert len(destinations) == 0
 
     def test_out_of_range_receiver_raises_protocol_error(self):
         columns = (numpy.arange(4, dtype=numpy.int64),)
-        with pytest.raises(ProtocolError):
-            route_block_counts(_BadStep(), columns, 4, 2, 4)
+        for chunk in (2, None):
+            with pytest.raises(ProtocolError):
+                route_blocks(_BadStep(), columns, 4, chunk, 4)
 
 
 class TestMaterializeShard:
@@ -352,7 +359,7 @@ class TestMaterializeShard:
         db = matching_database(two_hop, n=60, rng=5)
         step, source, contribution = self._contribution(db, chunk=7)
         columns, destinations, row_indices = step.route_columns(
-            source.columns, 8
+            source.columns, 8, 0
         )
         monolithic = bin_block(columns, destinations, row_indices, 8)
         pieces = [
@@ -446,6 +453,7 @@ class TestChunkBoundaries:
                 step.route_columns(
                     tuple(column[i : i + 1] for column in source.columns),
                     8,
+                    i,
                 )[1]
             )
             for i in range(len(source))
@@ -501,7 +509,10 @@ class TestLazySimulatorState:
         _, _, simulator, _ = self._streamed_simulator(two_hop)
         for relation in ("S1", "S2"):
             assert simulator.has_lazy_deliveries(relation)
-            assert not simulator.has_eager_pools(relation)
+            assert all(
+                isinstance(delivery, LazyContribution)
+                for delivery in simulator._delivered[relation]
+            )
 
     def test_pool_worker_counts_match_materialised_pool(self, two_hop):
         _, _, simulator, _ = self._streamed_simulator(two_hop)
@@ -527,26 +538,3 @@ class TestLazySimulatorState:
             shard.columns, reference.columns
         ):
             assert numpy.array_equal(shard_col, reference_col)
-
-
-class TestShardableContract:
-    """The static declarations streamed routing dispatches on."""
-
-    def test_content_only_steps_are_shardable(self, triangle):
-        plan = compile_with("hypercube", triangle, 8)
-        steps = [step for round_ in plan.rounds for step in round_.steps]
-        assert steps and all(isinstance(step, HashRoute) for step in steps)
-        assert all(step.shardable for step in steps)
-
-    def test_index_and_signature_steps_are_not(self):
-        from repro.engine.steps import RemapRanks, RoutingStep
-
-        # Index- and signature-dependent routes inherit the base's
-        # safe False instead of declaring shardability.
-        for step_type in (RoundRobinGrid, HeavyGridRoute):
-            assert "shardable" not in step_type.__dict__
-        assert RoutingStep(relation="S1").shardable is False
-        # RemapRanks overrides to delegate to its inner step.
-        assert "shardable" in RemapRanks.__dict__
-        assert Broadcast(relation="S1").shardable is True
-        assert ToServer(relation="S1").shardable is True

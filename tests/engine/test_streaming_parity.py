@@ -20,6 +20,7 @@ from repro.algorithms.registry import compile_with
 from repro.core.families import cycle_query, line_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
+from repro.data.generators import skewed_database
 from repro.data.matching import matching_database
 from repro.engine.executor import execute_plan
 from repro.engine.profile import RoundProfiler
@@ -47,10 +48,12 @@ def _assert_parity(monolithic, streamed, label):
     ], label
 
 
-def _routed_blocks(profiler):
-    """Whether any round routed block-wise, i.e. streaming engaged
-    (local evaluation records per-shard ``eval`` blocks either way)."""
-    return any("route" in phases for phases in profiler.blocks.values())
+def _route_blocks(profiler):
+    """How many blocks the rounds routed (local evaluation records its
+    per-shard ``eval`` blocks separately)."""
+    return sum(
+        len(phases.get("route", ())) for phases in profiler.blocks.values()
+    )
 
 
 class TestSerialParity:
@@ -81,9 +84,11 @@ class TestSerialParity:
                 monolithic, streamed, (query.name, chunk)
             )
             assert_oracle_parity(streamed, oracle.execute_plan(plan, db))
-            # chunk infinity degenerates to the monolithic path: no
-            # block is ever routed.
-            assert _routed_blocks(profiler) == (chunk is not None)
+            # Every step routes through the block loop; chunk infinity
+            # makes each of its sources exactly one block.
+            steps = sum(len(round_.steps) for round_ in plan.rounds)
+            assert _route_blocks(profiler) >= steps
+            assert (_route_blocks(profiler) > steps) == (chunk in (1, 7))
 
     def test_chunk_rows_engages_streaming(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
@@ -93,7 +98,7 @@ class TestSerialParity:
         profiler = RoundProfiler()
         streamed = execute_plan(plan, db, chunk_rows=9, profiler=profiler)
         _assert_parity(monolithic, streamed, "chunk_rows=9")
-        assert _routed_blocks(profiler)
+        assert _route_blocks(profiler) == 2 * 6  # two 50-row sources
 
 
 class TestServiceParity:
@@ -165,6 +170,69 @@ class TestServiceParity:
         )
 
 
+class TestSkewAwareBlocks:
+    """Heavy-hitter routing goes through the block loop like any step:
+    skewed C3 at every block size equals the oracle."""
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        return skewed_database(
+            cycle_query(3), n=120, rng=3, heavy_fraction=0.5
+        )
+
+    @pytest.mark.parametrize("chunk", (1, 7, 50, None))
+    def test_answers_and_loads_match_the_oracle(
+        self, triangle, database, chunk
+    ):
+        reference = oracle.execute_plan(
+            compile_with("skewaware", triangle, 16), database
+        )
+        assert any(reference.heavy_hitters.values())
+        session = connect(
+            database, p=16, algorithm="skewaware", chunk_rows=chunk
+        )
+        result = session.execute(triangle)
+        assert result.answers == reference.answers
+        assert result.per_server == reference.per_server
+
+    @pytest.mark.parametrize("chunk", (1, 7, 50, None))
+    def test_capacity_failure_matches_the_oracle(
+        self, triangle, database, chunk
+    ):
+        # A budget half a bit under the heaviest worker's round-1 load:
+        # only the heaviest workers overflow, and the first of them is
+        # the one reported.
+        loose = compile_with("skewaware", triangle, 16)
+        loads = oracle.execute_plan(loose, database).report.rounds[0]
+        capacity_c = loose.signature.capacity_c * (
+            (max(loads.received_bits) - 0.5) / loads.capacity_bits
+        )
+        plan = compile_with(
+            "skewaware",
+            triangle,
+            16,
+            capacity_c=capacity_c,
+            enforce_capacity=True,
+        )
+        expected = capacity_failure(
+            lambda: oracle.execute_plan(plan, database)
+        )
+        assert expected[0] == loads.received_bits.index(
+            max(loads.received_bits)
+        )
+        session = connect(
+            database,
+            p=16,
+            algorithm="skewaware",
+            capacity_c=capacity_c,
+            enforce_capacity=True,
+            chunk_rows=chunk,
+        )
+        assert capacity_failure(lambda: session.execute(triangle)) == (
+            expected
+        )
+
+
 class TestSessionParity:
     """The chunk_rows knob through the Session front door."""
 
@@ -172,13 +240,14 @@ class TestSessionParity:
 
     def test_session_threads_the_knob(self):
         database = matching_database(self.VOCAB, n=50, rng=29)
+        whole = RoundProfiler()
         with connect(database, p=8) as monolithic:
-            expected = monolithic.query("S1(x,y), S2(y,z)").execute()
+            expected = monolithic.query("S1(x,y), S2(y,z)").execute(whole)
         profiler = RoundProfiler()
         with connect(
             database, p=8, chunk_rows=8
         ) as streamed:
             actual = streamed.query("S1(x,y), S2(y,z)").execute(profiler)
-        assert _routed_blocks(profiler)
+        assert _route_blocks(profiler) > _route_blocks(whole)
         assert actual.answers == expected.answers
         assert actual.per_server == expected.per_server

@@ -13,7 +13,9 @@ from repro.mpc.simulator import (
     ColumnPool,
     MPCSimulator,
     ProtocolError,
+    RoutedBlock,
     input_server,
+    receiver_counts,
 )
 from tests.conftest import pooled_rows
 
@@ -33,15 +35,21 @@ def as_columns(rows):
     )
 
 
-def ship(simulator, sender, receivers, rows, bits_per_tuple=8, **options):
-    """Stage ``rows[i] -> receivers[i]`` of relation ``R``."""
-    simulator.send_columns(
+def ship(
+    simulator, sender, receivers, rows, bits_per_tuple=8,
+    row_indices=None, source_sorted=False,
+):
+    """Stage ``rows[i] -> receivers[i]`` of relation ``R`` (or
+    ``rows[row_indices[i]]``) as one routed block."""
+    receivers = numpy.asarray(receivers, dtype=numpy.int64)
+    if row_indices is not None:
+        row_indices = numpy.asarray(row_indices, dtype=numpy.int64)
+    simulator.send(
         sender,
-        numpy.asarray(receivers, dtype=numpy.int64),
         "R",
-        as_columns(rows),
+        RoutedBlock(as_columns(rows), receivers, row_indices, source_sorted),
+        receiver_counts(receivers, simulator.num_workers),
         bits_per_tuple=bits_per_tuple,
-        **options,
     )
 
 
@@ -223,15 +231,33 @@ class TestColumnarSends:
     def test_empty_send_is_noop(self):
         simulator = make_simulator()
         simulator.begin_round()
-        simulator.send_columns(
+        empty = numpy.asarray([], dtype=numpy.int64)
+        simulator.send(
             0,
-            numpy.asarray([], dtype=numpy.int64),
             "R",
-            (numpy.asarray([], dtype=numpy.int64),),
+            RoutedBlock((empty,), empty),
+            receiver_counts(empty, 4),
             bits_per_tuple=8,
         )
         assert simulator.end_round().total_bits == 0
         assert simulator.relation_pool("R") is None
+
+    def test_counts_must_cover_every_worker(self):
+        simulator = make_simulator(p=4)
+        simulator.begin_round()
+        receivers = numpy.asarray([1], dtype=numpy.int64)
+        with pytest.raises(ProtocolError, match="3 worker counts for 4"):
+            simulator.send(
+                0,
+                "R",
+                RoutedBlock(as_columns([(1,)]), receivers),
+                receiver_counts(receivers, 3),
+                bits_per_tuple=8,
+            )
+
+    def test_negative_receiver_rejected(self):
+        with pytest.raises(ProtocolError, match="receiver -1"):
+            receiver_counts(numpy.asarray([0, -1], dtype=numpy.int64), 4)
 
     def test_receiver_row_count_mismatch_rejected(self):
         simulator = make_simulator(p=4, enforce=False)

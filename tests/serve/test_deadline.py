@@ -1,7 +1,7 @@
 """Per-request deadlines: cooperative cancellation, precedence, reuse.
 
 The hardening contract (ISSUE 8): a ``deadline_ms`` budget is checked
-only at cooperative points (between rounds, between streamed blocks,
+only at cooperative points (between rounds, before every routed block,
 at service entry), raises a structured
 :class:`~repro.engine.deadline.DeadlineExceeded`, loses to capacity
 when a round does both, beats every cached outcome when already spent
@@ -120,6 +120,31 @@ class TestCooperativeCancellation:
         finally:
             session.close()
 
+    def test_a_monolithic_execution_checks_before_routing_a_step(
+        self, monkeypatch
+    ):
+        # Construction and the check before round 1 see 0 elapsed,
+        # any later look 10 s: the overrun is observed before the
+        # first step is routed, not only once the round is over.
+        from repro.algorithms.hypercube import compile_hypercube
+        from repro.engine import execute_plan, streaming
+
+        routed = []
+        route_range = streaming.route_range
+
+        def spy(*args):
+            routed.append(args[2:4])
+            return route_range(*args)
+
+        monkeypatch.setattr(streaming, "route_range", spy)
+        times = iter([0.0, 0.0])
+        deadline = Deadline(10.0, clock=lambda: next(times, 10.0))
+        plan = compile_hypercube(parse_query(PATH), p=8)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            execute_plan(plan, _database(), deadline=deadline)
+        assert excinfo.value.where == "streamed block"
+        assert routed == []
+
     def test_no_deadline_is_unaffected_by_checks(self):
         session = connect(_database(), p=8)
         try:
@@ -163,19 +188,32 @@ class TestCooperativeCancellation:
 
 
 class TestPrecedence:
-    def test_capacity_beats_deadline_when_a_round_does_both(self):
-        from repro.mpc.simulator import CapacityExceeded
+    @pytest.mark.parametrize("chunk_rows", [None, 16])
+    def test_capacity_beats_deadline_when_a_round_does_both(
+        self, monkeypatch, chunk_rows
+    ):
+        from repro.mpc.simulator import CapacityExceeded, MPCSimulator
 
-        # A stepped clock makes the budget expire *during* the round
-        # that overflows: construction (call 1), the service-entry
-        # check (2) and the between-rounds check before the round (3)
-        # all see 0 elapsed; any later look would see 10 s.  The
-        # deadline is never consulted at round close, so the capacity
-        # failure wins deterministically.
-        times = iter([0.0, 0.0, 0.0])
-        clock = lambda: next(times, 10.0)  # noqa: E731
+        # The budget expires as the round that overflows closes: every
+        # look before it (construction, service entry, between rounds,
+        # before each routed block) sees 0 elapsed, any later look
+        # 10 s.  The deadline is never consulted at round close, so
+        # the capacity failure wins deterministically.
+        closing = []
+        clock = lambda: 10.0 if closing else 0.0  # noqa: E731
+        end_round = MPCSimulator.end_round
+
+        def close_round(simulator):
+            closing.append(True)
+            return end_round(simulator)
+
+        monkeypatch.setattr(MPCSimulator, "end_round", close_round)
         session = connect(
-            _database(), p=8, capacity_c=0.001, enforce_capacity=True
+            _database(),
+            p=8,
+            capacity_c=0.001,
+            enforce_capacity=True,
+            chunk_rows=chunk_rows,
         )
         deadline = Deadline(5.0, clock=clock)
         with statement_deadline(deadline), pytest.raises(CapacityExceeded):

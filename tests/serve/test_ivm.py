@@ -258,6 +258,26 @@ class TestFallbacks:
         assert session.stats_report()["service"]["ivm_retained_bytes"] == 0
         assert session.stats.ivm_hits == 0
 
+    @pytest.mark.parametrize("algorithm", ["hypercube", "multiround"])
+    def test_chunked_one_block_execution_is_captured_and_merges(
+        self, algorithm
+    ):
+        # Each 40-row source fits in one 64-row block, so every
+        # delivery keeps its routed arrays and is pooled at round close.
+        served, control = _pair(algorithm, chunk_rows=64)
+        _assert_parity(served.execute(TRIANGLE), control.execute(TRIANGLE))
+        assert served.ivm.retained_states == 1
+        _apply_both(
+            served,
+            control,
+            inserts={"S1": _fresh_rows(served, "S1", 1)},
+            deletes={"S2": list(served.database["S2"].rows())[:2]},
+        )
+        mine = served.execute(TRIANGLE)
+        assert mine.ivm == "merged"
+        assert served.stats.ivm_hits == 1
+        _assert_parity(mine, control.execute(TRIANGLE))
+
     def test_chunked_execution_is_not_captured(self):
         served, control = _pair(chunk_rows=8)
         served.execute(TRIANGLE)

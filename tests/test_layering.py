@@ -8,7 +8,10 @@ row-at-a-time reference executor, :mod:`repro.oracle`, sits above them
 all: tests and benchmarks import it, no module of the package does.  It
 keeps its own books: of the simulator it checks it takes only the
 failure type and the report containers.  The simulator is column-only:
-no module names the deleted row API.
+no module names the deleted row API.  Deliveries take one path: the
+executor stages every step through one simulator verb, no routing step
+declares itself ``shardable``, and no module names the deleted second
+staging path.
 
 Everything runs in one process: no module imports ``multiprocessing``,
 nothing builds a process pool executor, no class defines a pickling
@@ -72,6 +75,12 @@ ORACLE_FORBIDDEN = {
 ROW_API = (
     "Mailbox", "worker_rows", "send_from_input", "broadcast_from_input",
     "has_row_deliveries",
+)
+
+#: The deleted whole-vs-counted split of delivery staging.
+DUAL_PATH_API = (
+    "send_columns", "stage_lazy_columns", "_ColumnStage",
+    "has_eager_pools", "route_block_counts", "shardable",
 )
 
 #: The only modules that may use ``functools.lru_cache``/``cache``.
@@ -239,6 +248,48 @@ def test_no_module_names_the_row_api():
         if pattern.search(path.read_text())
     }
     assert users == {}
+
+
+def test_no_module_names_the_second_delivery_path():
+    pattern = re.compile(r"\b(?:" + "|".join(DUAL_PATH_API) + r")\b")
+    users = {
+        path.relative_to(ROOT).as_posix(): sorted(
+            set(pattern.findall(path.read_text()))
+        )
+        for path in _package_modules()
+        if pattern.search(path.read_text())
+    }
+    assert users == {}
+
+
+def test_no_routing_step_defines_shardable():
+    from repro.engine import steps
+
+    step_types = [
+        value
+        for value in vars(steps).values()
+        if isinstance(value, type) and issubclass(value, steps.RoutingStep)
+    ]
+    assert len(step_types) == 7
+    assert [
+        step_type.__name__
+        for step_type in step_types
+        if "shardable" in vars(step_type)
+    ] == []
+
+
+def test_the_executor_stages_through_one_simulator_verb():
+    from repro.mpc.simulator import MPCSimulator
+
+    tree = ast.parse((ROOT / "engine" / "executor.py").read_text())
+    called = {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and inspect.isfunction(getattr(MPCSimulator, node.func.attr, None))
+    }
+    assert called == {"begin_round", "send", "end_round"}
 
 
 def _package_modules():

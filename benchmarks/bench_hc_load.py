@@ -29,7 +29,7 @@ from repro.algorithms.registry import compile_with
 from repro.analysis.experiments import sweep_hc_load
 from repro.analysis.reporting import format_table
 from repro.core.families import cycle_query, line_query, star_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 
 # The timed leg: the triangle query at n=4000 on 64 servers, under a
 # ceiling on the process's lifetime peak RSS -- so earlier legs in the

@@ -23,7 +23,7 @@ from conftest import emit, peak_rss_bytes, record_bench
 from repro import connect
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
 #: The engine re-executes n=1000 too quickly for the fixed per-read
@@ -53,7 +53,7 @@ MEMORY_CEILING_BYTES = 2 * 1024**3
 
 def _delta_rows(database, count):
     """``count`` absent S1 rows within the domain (no bit growth)."""
-    present = set(database["S1"].tuples)
+    present = set(database["S1"].rows())
     rows = []
     for a in range(1, database.domain_size + 1):
         for b in range(1, database.domain_size + 1):

@@ -31,7 +31,7 @@ from repro.analysis.experiments import sweep_multiround_rounds
 from repro.analysis.reporting import format_table
 from repro.core.families import line_query
 from repro.core.plans import build_plan
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
 
 # The timed leg: the L_8 plan at eps=1/2, n=4000 on 16 servers.

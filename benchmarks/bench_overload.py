@@ -35,7 +35,7 @@ from conftest import emit, peak_rss_bytes, record_bench
 
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
 # n large enough that per-request execution time (tens of ms) dwarfs

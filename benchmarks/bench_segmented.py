@@ -37,7 +37,6 @@ from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 from repro.core.covers import fractional_vertex_cover
 from repro.core.families import line_query
 from repro.core.shares import allocate_integer_shares, share_exponents
-from repro.data.columnar import columnar_database
 from repro.data.generators import matching_database_columnar
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
@@ -77,7 +76,7 @@ def _route_l8(n: int, p: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database))
+    engine.run_round(steps, database.relations)
     return query, simulator, list(range(allocation.used_servers))
 
 
@@ -93,7 +92,7 @@ def _pooled_rows(simulator, worker, relation):
 
 def test_segmented_local_eval(once):
     """L_8 local eval at n=1e5: time recorded, RSS ceiling, oracle parity."""
-    from repro.algorithms.localjoin import evaluate_query
+    from repro.oracle import evaluate_query
     from repro.engine.local import _identity_key, _merged_answer_table
 
     def evaluate(query, simulator, workers):
@@ -186,7 +185,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database))
+    engine.run_round(steps, database.relations)
     return query, simulator, list(range(allocation.used_servers))
 
 

@@ -26,7 +26,7 @@ from conftest import run_pinned
 from repro import connect
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
 N = 1_000

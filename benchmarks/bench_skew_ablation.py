@@ -30,13 +30,12 @@ from conftest import (
     run_pinned,
 )
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with
 from repro.analysis.reporting import format_table
 from repro.core.query import parse_query
-from repro.data.database import Database, Relation
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database, skewed_database
+from repro.oracle import evaluate_query
 
 # The timed leg: skew-aware HC on a skewed n=4000 instance, 64 servers.
 SPEEDUP_N = 4000
@@ -55,10 +54,14 @@ LARGE_N_MEMORY_CEILING_BYTES = 3 * 1024**3
 
 
 def funnel_database(n):
-    return Database.from_relations(
+    return ColumnarDatabase.from_relations(
         [
-            Relation.from_tuples("S1", [(i, 1) for i in range(1, n + 1)], n),
-            Relation.from_tuples("S2", [(1, i) for i in range(1, n + 1)], n),
+            ColumnarRelation.from_rows(
+                "S1", [(i, 1) for i in range(1, n + 1)], n
+            ),
+            ColumnarRelation.from_rows(
+                "S2", [(1, i) for i in range(1, n + 1)], n
+            ),
         ]
     )
 
@@ -68,7 +71,7 @@ def run_ablation():
     n = 256
     database = funnel_database(n)
     truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
+        query, {relation.name: relation.rows() for relation in database}
     )
     rows = []
     for p in (4, 16, 64):

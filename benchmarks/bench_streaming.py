@@ -33,7 +33,6 @@ from conftest import best_of, emit, measure_peak, peak_rss_bytes, record_bench
 from repro.core.covers import fractional_vertex_cover
 from repro.core.families import line_query
 from repro.core.shares import allocate_integer_shares, share_exponents
-from repro.data.columnar import columnar_database
 from repro.data.generators import matching_database_columnar
 from repro.engine.streaming import LazyContribution
 from repro.mpc.model import MPCConfig
@@ -85,7 +84,7 @@ def _stream_l8(n: int, p: int, chunk_rows: int):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database))
+    engine.run_round(steps, database.relations)
     return query, simulator, list(range(allocation.used_servers))
 
 

@@ -18,8 +18,10 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
+import numpy
+
 from repro import oracle
-from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.registry import compile_with
 from repro.core import (
     analyze_covers,
@@ -48,15 +50,16 @@ def main() -> None:
     # A uniform random matching database with domain size n.
     n, p = 200, 16
     database = matching_database(query, n=n, rng=42)
-    print(f"\ninput: {database.total_tuples} tuples, "
-          f"{database.total_bits} bits, matching={database.is_matching_database()}")
+    matching = all(relation.is_matching() for relation in database)
+    print(f"\ninput: {sum(map(len, database))} tuples, "
+          f"{database.total_bits} bits, matching={matching}")
 
     plan = compile_with("hypercube", query, p, seed=42)
     result = execute_plan(plan, database)
-    truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
+    truth = evaluate_query_table(
+        query, {relation.name: relation.columns for relation in database}
     )
-    assert result.answers == truth
+    assert numpy.array_equal(result.table, truth)
 
     print(f"\nHyperCube on p={p} servers "
           f"(grid {plan.allocation.shares}):")

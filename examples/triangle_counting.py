@@ -16,16 +16,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from repro.algorithms.localjoin import evaluate_query
+import numpy
+
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.registry import compile_with
 from repro.core import one_round_answer_fraction, parse_query
-from repro.data import Database, Relation
+from repro.data import ColumnarDatabase, ColumnarRelation
 from repro.engine import execute_plan
 
 
 def random_graph_relation(
     name: str, num_vertices: int, num_edges: int, rng: random.Random
-) -> Relation:
+) -> ColumnarRelation:
     """A symmetric edge relation (both orientations stored)."""
     edges: set[tuple[int, int]] = set()
     while len(edges) < num_edges:
@@ -34,7 +36,7 @@ def random_graph_relation(
         if u != v:
             edges.add((u, v))
             edges.add((v, u))
-    return Relation.from_tuples(name, edges, domain_size=num_vertices)
+    return ColumnarRelation.from_rows(name, edges, domain_size=num_vertices)
 
 
 def main() -> None:
@@ -42,17 +44,14 @@ def main() -> None:
     num_vertices, num_edges, p = 120, 900, 27
 
     base = random_graph_relation("S1", num_vertices, num_edges, rng)
-    database = Database.from_relations(
-        [
-            base,
-            Relation.from_tuples("S2", base.tuples, num_vertices),
-            Relation.from_tuples("S3", base.tuples, num_vertices),
-        ]
+    database = ColumnarDatabase.from_relations(
+        ColumnarRelation(name, 2, base.columns, num_vertices)
+        for name in ("S1", "S2", "S3")
     )
     query = parse_query("C3(x,y,z) = S1(x,y), S2(y,z), S3(z,x)")
 
-    truth = evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
+    truth = evaluate_query_table(
+        query, {relation.name: relation.columns for relation in database}
     )
     # Each triangle appears 6 times as an ordered (x, y, z) answer.
     print(f"graph: {num_vertices} vertices, {len(base) // 2} edges, "
@@ -60,11 +59,11 @@ def main() -> None:
 
     plan = compile_with("hypercube", query, p, seed=5)
     result = execute_plan(plan, database)
-    assert result.answers == truth
+    assert numpy.array_equal(result.table, truth)
     print(f"\nHC with shares {plan.allocation.shares} on p={p}:")
     print(f"  found all {len(result.answers)} ordered triangles")
     print(f"  max load {result.report.max_load_tuples} tuples "
-          f"(input {database.total_tuples} tuples)")
+          f"(input {sum(map(len, database))} tuples)")
     print(f"  replication rate {result.report.replication_rate:.2f} "
           f"~ p^(1/3) = {p ** (1 / 3):.2f}")
 

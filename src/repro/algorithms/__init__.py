@@ -33,10 +33,7 @@ keep a ``run_*`` function each:
   Proposition 3.12.
 """
 
-from repro.algorithms.localjoin import (
-    evaluate_query,
-    evaluate_query_table,
-)
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.components import (
     ComponentsResult,
     run_dense_two_round,
@@ -47,7 +44,6 @@ from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.algorithms.baselines import CartesianResult, run_cartesian_grid
 
 __all__ = [
-    "evaluate_query",
     "evaluate_query_table",
     "ComponentsResult",
     "run_dense_two_round",

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.core.query import ConjunctiveQuery, QueryError
-from repro.data.columnar import ColumnarRelation
-from repro.data.database import Relation, bits_per_value
+from repro.data.columnar import ColumnarRelation, bits_per_value
 from repro.engine import (
     Broadcast,
     CollectAnswers,
@@ -170,8 +169,8 @@ class CartesianResult:
 
 
 def run_cartesian_grid(
-    left: Relation,
-    right: Relation,
+    left: ColumnarRelation,
+    right: ColumnarRelation,
     p: int,
     groups: int | None = None,
 ) -> CartesianResult:
@@ -193,11 +192,9 @@ def run_cartesian_grid(
     plan = compile_cartesian_grid(left.name, right.name, p, groups=groups)
     n_bits = bits_per_value(max(left.domain_size, right.domain_size))
     input_bits = (len(left) + len(right)) * n_bits
-    sources = {
-        relation.name: ColumnarRelation.from_relation(relation)
-        for relation in (left, right)
-    }
-    execution = execute_plan(plan, sources, input_bits=input_bits)
+    execution = execute_plan(
+        plan, {left.name: left, right.name: right}, input_bits=input_bits
+    )
     simulator = execution.simulator
 
     g = plan.rounds[0].steps[0].grid.dimensions[0]

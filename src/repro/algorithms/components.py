@@ -43,7 +43,7 @@ import numpy
 
 from repro.core.query import Atom
 from repro.data.columnar import ColumnarRelation
-from repro.data.database import bits_per_value
+from repro.data.columnar import bits_per_value
 from repro.data.generators import GraphInstance
 from repro.engine import GridSpec, HashRoute, RoundEngine
 from repro.mpc.model import MPCConfig

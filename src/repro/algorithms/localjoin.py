@@ -1,100 +1,39 @@
-"""Exact in-memory conjunctive-query evaluation.
+"""Exact in-memory conjunctive-query evaluation over int64 columns.
 
 Workers in the MPC model have unlimited local compute (Section 2.1);
 what they do locally after a communication round is evaluate the query
-on whatever tuples they received.  This module is that local engine,
-in two bit-identical flavours:
+on whatever tuples they received.  This module is that local engine:
+:func:`evaluate_query_table_segmented` takes relations as int64 column
+arrays, runs every join step as one sort plus ``searchsorted`` probes
+in key order, and with an optional segment (worker) id per row --
+prepended as the highest-order component of every join key --
+evaluates all the workers of a pooled delivery independently in a
+single pass.  :func:`evaluate_query_table` is its one-segment call
+(one worker's fragments, no segment ids).
 
-* :func:`evaluate_query` -- the reference path: a straightforward
-  index-backed backtracking join over row tuples;
-* :func:`evaluate_query_table_segmented` -- the vectorized path:
-  relations arrive as int64 column arrays, every join step is one
-  sort plus ``searchsorted`` probes in key order, and an optional
-  segment (worker) id per row -- prepended as the
-  highest-order component of every join key -- evaluates all the
-  workers of a pooled delivery independently in a single pass.
-  :func:`evaluate_query_table` is its one-segment call (one worker's
-  fragments, no segment ids).
+The evaluator:
 
-Both evaluators:
-
-* order atoms greedily (smallest relation first, then always an atom
+* orders atoms greedily (smallest relation first, then always an atom
   sharing a bound variable, to keep intermediate bindings selective);
-* handle repeated variables within an atom (they act as equality
+* handles repeated variables within an atom (they act as equality
   selections), which arise from contracted queries;
-* return answers in the query's head-variable order.
+* returns answers in the query's head-variable order.
 
 For the matching databases of the paper every relation has ``n``
 tuples and joins are key-key, so evaluation is near-linear; the
-evaluators are nevertheless fully general, cross-checked against
-brute-force enumeration and against each other in the tests.
+evaluator is nevertheless fully general, cross-checked in the tests
+against brute-force enumeration and against the backtracking row join
+of :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy
 
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.columnar import sorted_unique_rows
-
-Rows = Sequence[tuple[int, ...]]
-
-
-def evaluate_query(
-    query: ConjunctiveQuery,
-    relations: Mapping[str, Iterable[Sequence[int]]],
-) -> tuple[tuple[int, ...], ...]:
-    """All answers of ``query`` over the given relation instances.
-
-    Args:
-        query: a full conjunctive query.
-        relations: rows per relation name; every atom of the query
-            must be present (missing relations are treated as empty).
-
-    Returns:
-        Sorted, duplicate-free answer tuples in head-variable order.
-    """
-    instances: dict[str, list[tuple[int, ...]]] = {}
-    for atom in query.atoms:
-        rows = relations.get(atom.name, ())
-        instances[atom.name] = [tuple(row) for row in rows]
-        if not instances[atom.name]:
-            return ()
-
-    order = _atom_order(query, instances)
-    indexes = _build_indexes(query, order, instances)
-
-    answers: set[tuple[int, ...]] = set()
-    binding: dict[str, int] = {}
-
-    def extend(depth: int) -> None:
-        if depth == len(order):
-            answers.add(tuple(binding[v] for v in query.head))
-            return
-        atom = order[depth]
-        bound_positions, index = indexes[depth]
-        key = tuple(binding[atom.variables[i]] for i in bound_positions)
-        for row in index.get(key, ()):
-            assigned: list[str] = []
-            consistent = True
-            for position, variable in enumerate(atom.variables):
-                value = row[position]
-                if variable in binding:
-                    if binding[variable] != value:
-                        consistent = False
-                        break
-                else:
-                    binding[variable] = value
-                    assigned.append(variable)
-            if consistent:
-                extend(depth + 1)
-            for variable in assigned:
-                del binding[variable]
-
-    extend(0)
-    return tuple(sorted(answers))
 
 
 def evaluate_query_table(
@@ -104,10 +43,9 @@ def evaluate_query_table(
 ) -> Any:
     """All answers of ``query`` over columnar relation fragments.
 
-    The vectorized counterpart of :func:`evaluate_query`: relations
-    arrive as parallel int64 column arrays and every join step is a
-    sort + ``searchsorted`` hash join, so per-answer Python work is
-    O(1) amortised.  The one-segment call of
+    Relations arrive as parallel int64 column arrays and every join
+    step is a sort + ``searchsorted`` hash join, so per-answer Python
+    work is O(1) amortised.  The one-segment call of
     :func:`evaluate_query_table_segmented`.
 
     Args:
@@ -123,8 +61,8 @@ def evaluate_query_table(
 
     Returns:
         One int64 array of shape ``(num_answers, len(head))``: the
-        answer *set* :func:`evaluate_query` produces on the same rows,
-        duplicate-free and sorted unless ``assume_unique``.
+        answer *set* of the query on those rows, duplicate-free and
+        sorted unless ``assume_unique``.
     """
     answers, _ = evaluate_query_table_segmented(
         query, fragments, None, 1, assume_unique
@@ -313,7 +251,7 @@ def evaluate_query_table_segmented(
 def _atom_order_by_size(
     query: ConjunctiveQuery, sizes: Mapping[str, int]
 ) -> list[Atom]:
-    """Greedy join order over abstract sizes (shared with both paths)."""
+    """Greedy join order over abstract sizes."""
     remaining = list(query.atoms)
     remaining.sort(key=lambda atom: sizes[atom.name])
     order: list[Atom] = [remaining.pop(0)]
@@ -500,48 +438,3 @@ def _join_pairs_sparse(
         sorted_positions if order is None else order[sorted_positions]
     )
     return left_index, right_index
-
-
-def _atom_order(
-    query: ConjunctiveQuery,
-    instances: Mapping[str, list[tuple[int, ...]]],
-) -> list[Atom]:
-    """Greedy join order: smallest first, then stay connected."""
-    return _atom_order_by_size(
-        query, {name: len(rows) for name, rows in instances.items()}
-    )
-
-
-def _build_indexes(
-    query: ConjunctiveQuery,
-    order: Sequence[Atom],
-    instances: Mapping[str, list[tuple[int, ...]]],
-) -> list[tuple[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]]]:
-    """Per-atom hash index on the positions bound before the atom.
-
-    For each atom in join order, determine which of its positions hold
-    variables bound by earlier atoms; index its rows by the values at
-    those positions.  Rows violating intra-atom repeated-variable
-    equality are dropped at build time.
-    """
-    indexes = []
-    bound: set[str] = set()
-    for atom in order:
-        first_position = atom.first_positions
-        bound_positions = tuple(
-            first_position[variable]
-            for variable in dict.fromkeys(atom.variables)
-            if variable in bound
-        )
-        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for row in instances[atom.name]:
-            if any(
-                row[position] != row[first_position[variable]]
-                for position, variable in enumerate(atom.variables)
-            ):
-                continue
-            key = tuple(row[i] for i in bound_positions)
-            index.setdefault(key, []).append(row)
-        indexes.append((bound_positions, index))
-        bound |= atom.variable_set
-    return indexes

@@ -47,7 +47,6 @@ from repro.core.query import ConjunctiveQuery
 from repro.core.covers import fractional_vertex_cover
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
-from repro.data.database import Database
 from repro.engine import (
     CollectAnswers,
     GridSpec,
@@ -62,7 +61,7 @@ from repro.mpc.routing import HashFamily
 
 def detect_heavy_hitters(
     query: ConjunctiveQuery,
-    database: Database | ColumnarDatabase | Mapping[str, ColumnarRelation],
+    database: ColumnarDatabase | Mapping[str, ColumnarRelation],
     shares: Mapping[str, int],
 ) -> dict[str, frozenset[int]]:
     """Values occurring more than ``|S_j| / p_i`` times on a dimension.
@@ -80,8 +79,6 @@ def detect_heavy_hitters(
         relation = database[atom.name]
         if not len(relation):
             continue
-        if not isinstance(relation, ColumnarRelation):
-            relation = ColumnarRelation.from_relation(relation)
         for position, variable in enumerate(atom.variables):
             share = shares.get(variable, 1)
             if share <= 1:

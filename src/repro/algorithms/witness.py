@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.partial import compile_partial_hypercube
 from repro.core.query import parse_query
-from repro.data.database import Database, as_mapping
+from repro.data.columnar import ColumnarDatabase
 from repro.data.generators import witness_database
 from repro.engine import execute_plan
 
@@ -65,10 +65,10 @@ def run_witness_experiment(
         seed: drives the instance and the algorithm's randomness.
     """
     database = witness_database(n, rng=seed)
-    r_values = {row[0] for row in database["R"]}
-    t_values = {row[0] for row in database["T"]}
+    r_values = set(database["R"].columns[0].tolist())
+    t_values = set(database["T"].columns[0].tolist())
 
-    chain_db = Database(
+    chain_db = ColumnarDatabase(
         relations={
             name: database[name] for name in ("S1", "S2", "S3")
         },
@@ -80,11 +80,14 @@ def run_witness_experiment(
         ),
         chain_db,
     ).answers
-    chain_truth = evaluate_query(WITNESS_CHAIN, as_mapping(chain_db))
+    chain_truth = evaluate_query_table(
+        WITNESS_CHAIN,
+        {relation.name: relation.columns for relation in chain_db},
+    ).tolist()
 
     def witnesses(rows):
         return tuple(
-            row
+            tuple(row)
             for row in rows
             if row[0] in r_values and row[-1] in t_values
         )

@@ -22,9 +22,11 @@ import random
 import statistics
 from fractions import Fraction
 
+import numpy
+
 from repro.algorithms.baselines import run_cartesian_grid
 from repro.algorithms.components import run_dense_two_round, run_hash_to_min
-from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.algorithms.registry import compile_with
 from repro.algorithms.witness import run_witness_experiment
 from repro.core.bounds import (
@@ -37,10 +39,20 @@ from repro.core.bounds import (
 from repro.core.covers import covering_number, space_exponent
 from repro.core.families import line_query
 from repro.core.query import ConjunctiveQuery
-from repro.data.database import Relation, as_mapping
-from repro.data.generators import dense_graph, layered_path_graph
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import (
+    dense_graph,
+    layered_path_graph,
+    matching_database,
+)
 from repro.engine import execute_plan
+
+
+def _exact_answers(query: ConjunctiveQuery, database: ColumnarDatabase):
+    """The single-site join: ``query``'s answer table over ``database``."""
+    return evaluate_query_table(
+        query, {relation.name: relation.columns for relation in database}
+    )
 
 
 def sweep_hc_load(
@@ -108,7 +120,7 @@ def sweep_one_round_fraction(
                 "partial", query, p, eps=eps, seed=seed + 17 * trial
             )
             # Prop. 3.11's measured quantity: reported / |q(I)|.
-            total = len(evaluate_query(query, as_mapping(database)))
+            total = len(_exact_answers(query, database))
             reported = len(execute_plan(plan, database).answers)
             fractions.append(reported / total if total else 0.0)
         theory = one_round_answer_fraction(query, eps, p)
@@ -143,13 +155,13 @@ def sweep_multiround_rounds(
     for k in k_values:
         query = line_query(k)
         database = matching_database(query, n, rng=seed)
-        truth = evaluate_query(query, as_mapping(database))
+        truth = _exact_answers(query, database)
         for eps in eps_values:
             result = execute_plan(
                 compile_with("multiround", query, p, eps=eps, seed=seed),
                 database,
             )
-            if result.answers != truth:
+            if not numpy.array_equal(result.table, truth):
                 raise AssertionError(
                     f"plan execution wrong for L{k} at eps={eps}"
                 )
@@ -270,10 +282,10 @@ def sweep_cartesian_tradeoff(
     ``g = sqrt(p)`` balances reducer size against total communication.
     """
     rng = random.Random(seed)
-    left = Relation.from_tuples(
+    left = ColumnarRelation.from_rows(
         "A", [(value,) for value in range(1, n + 1)], domain_size=n
     )
-    right = Relation.from_tuples(
+    right = ColumnarRelation.from_rows(
         "B", [(value,) for value in rng.sample(range(1, n + 1), n)],
         domain_size=n,
     )

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.algorithms.localjoin import evaluate_query
+from repro.algorithms.localjoin import evaluate_query_table
 from repro.core.bounds import k_eps, round_upper_bound
 from repro.core.covers import analyze_covers
 from repro.core.families import (
@@ -28,7 +28,7 @@ from repro.core.families import (
 from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import share_exponents
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ def _measured_answer_count(
 ) -> int:
     database = matching_database(query, n, rng=random.Random(rng.random()))
     return len(
-        evaluate_query(
+        evaluate_query_table(
             query,
-            {name: database[name].tuples for name in database.relations},
+            {relation.name: relation.columns for relation in database},
         )
     )
 

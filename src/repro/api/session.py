@@ -42,7 +42,6 @@ from repro.data.columnar import (
     ColumnarRelation,
     check_backend,
 )
-from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import RoundProfiler
 from repro.engine.faults import active_faults
@@ -207,8 +206,7 @@ class Session:
 
     def __init__(
         self,
-        database: Database
-        | ColumnarDatabase
+        database: ColumnarDatabase
         | VersionedDatabase
         | Mapping[str, ColumnarRelation],
         *,
@@ -467,8 +465,7 @@ class Session:
 
 
 def connect(
-    database: Database
-    | ColumnarDatabase
+    database: ColumnarDatabase
     | VersionedDatabase
     | Mapping[str, ColumnarRelation],
     *,

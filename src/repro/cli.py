@@ -33,7 +33,7 @@ from repro.core.covers import analyze_covers
 from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
 from repro.core.shares import allocate_integer_shares, share_exponents
-from repro.data.database import DataError
+from repro.data.columnar import DataError
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -52,17 +52,15 @@ def _mapping(values) -> str:
 
 def _generated_database(query, args: argparse.Namespace):
     """The database ``query``/``explain`` run against."""
-    if args.skewed:
-        from repro.data.generators import skewed_database
+    from repro.data.generators import matching_database, skewed_database
 
+    if args.skewed:
         return skewed_database(
             query,
             n=args.n,
             rng=args.seed,
             heavy_fraction=args.heavy_fraction,
         )
-    from repro.data.matching import matching_database
-
     return matching_database(query, n=args.n, rng=args.seed)
 
 
@@ -80,8 +78,7 @@ def _session_for(database, args: argparse.Namespace, **options):
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.algorithms.localjoin import evaluate_query
-    from repro.data.database import as_mapping
+    from repro.algorithms.localjoin import evaluate_query_table
     from repro.engine import RoundProfiler
 
     query = parse_query(args.query)
@@ -108,8 +105,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         ["answers", len(result.answers)],
     ]
     if result.algorithm != "partial":
-        truth = evaluate_query(query, as_mapping(database))
-        verified = result.answers == truth
+        truth = evaluate_query_table(
+            query, {relation.name: relation.columns for relation in database}
+        )
+        verified = result.answers == tuple(map(tuple, truth.tolist()))
         rows.append(["verified vs exact join", verified])
     else:
         verified = True
@@ -193,7 +192,6 @@ def _repl_line(session, line: str, out) -> bool:
     """Process one serve-REPL line as a Session call; False means quit."""
     import time
 
-    from repro.data.database import DataError
     from repro.mpc.simulator import CapacityExceeded
 
     line = line.strip()
@@ -266,7 +264,7 @@ def _repl_line(session, line: str, out) -> bool:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.data.matching import matching_database
+    from repro.data.generators import matching_database
 
     vocab = parse_query(args.vocab)
     session = _session_for(

@@ -36,10 +36,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.query import ConjunctiveQuery, QueryError
 from repro.lp import LinearProgram
+
+if TYPE_CHECKING:
+    from repro.data.columnar import ColumnarRelation
 
 
 def is_fractional_edge_cover(
@@ -204,13 +207,19 @@ def output_size_bound(
 
 def verify_agm_on_instance(
     query: ConjunctiveQuery,
-    relations: Mapping[str, tuple[tuple[int, ...], ...]],
+    relations: Mapping[str, ColumnarRelation],
 ) -> tuple[int, float]:
     """(actual output size, AGM bound) for a concrete instance."""
-    from repro.algorithms.localjoin import evaluate_query
+    from repro.algorithms.localjoin import evaluate_query_table
 
-    actual = len(evaluate_query(query, relations))
+    actual = len(
+        evaluate_query_table(
+            query,
+            {name: relation.columns for name, relation in relations.items()},
+        )
+    )
     bound = output_size_bound(
-        query, {name: len(rows) for name, rows in relations.items()}
+        query,
+        {name: len(relation) for name, relation in relations.items()},
     )
     return actual, math.ceil(bound - 1e-9)

@@ -1,4 +1,4 @@
-"""Input-data substrate: relations, databases and generators.
+"""Input-data substrate: columnar relations, databases and generators.
 
 The paper's input model (Section 2.5) is the *matching database*: every
 relation of arity ``a`` is an ``a``-dimensional matching over domain
@@ -8,47 +8,39 @@ both the lower bounds and the HyperCube upper bound are exact.
 
 This package provides:
 
-* :class:`repro.data.database.Relation` / ``Database`` -- immutable
-  relation instances with the paper's bit accounting
-  (``N = O(n log n)`` bits),
-* :mod:`repro.data.matching` -- uniform random matching databases,
-* :mod:`repro.data.generators` -- auxiliary inputs: skewed relations,
-  the JOIN-WITNESS instances of Proposition 3.12, and the layered /
-  dense graphs of the CONNECTED-COMPONENTS experiment (Theorem 4.10),
+* :mod:`repro.data.columnar` -- :class:`ColumnarRelation` /
+  :class:`ColumnarDatabase`, the one data model: immutable int64
+  columns with the paper's bit accounting (``N = O(n log n)`` bits),
+* :mod:`repro.data.generators` -- uniform random matching databases,
+  skewed relations, the JOIN-WITNESS instances of Proposition 3.12,
+  and the layered / dense graphs of the CONNECTED-COMPONENTS
+  experiment (Theorem 4.10),
 * :mod:`repro.data.versioned` -- the serving layer's mutating
   database: immutable columnar snapshots behind a monotonically
   increasing version number (the cache-invalidation token).
 """
 
-from repro.data.columnar import ColumnarRelation, columnar_database
-from repro.data.database import Database, Relation
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation, DataError
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
-from repro.data.matching import (
-    identity_matching,
-    matching_database,
-    random_matching,
-)
 from repro.data.generators import (
     dense_graph,
     layered_path_graph,
+    matching_database,
+    random_matching,
     skewed_database,
-    skewed_relation,
     witness_database,
 )
 
 __all__ = [
+    "ColumnarDatabase",
     "ColumnarRelation",
-    "columnar_database",
-    "Database",
+    "DataError",
     "DatabaseDelta",
-    "Relation",
     "VersionedDatabase",
-    "identity_matching",
     "matching_database",
     "random_matching",
     "dense_graph",
     "layered_path_graph",
     "skewed_database",
-    "skewed_relation",
     "witness_database",
 ]

@@ -1,33 +1,45 @@
-"""Columnar relation storage for the vectorized execution engine.
+"""Relations as int64 columns, with the paper's bit accounting.
 
-A :class:`ColumnarRelation` stores a relation as ``arity`` parallel
-int64 value columns instead of a tuple of row tuples, so
-deduplication, sorting and domain validation are single vectorized
-passes.  The dedup + sort is :func:`sorted_unique_rows`, the engine's
-one row sort: it orders rows by packed int64 keys and returns exactly
+A :class:`ColumnarRelation` stores a relation over ``[n] = {1, ...,
+n}`` as ``arity`` parallel int64 value columns, so deduplication,
+sorting and domain validation are single vectorized passes.  A
+:class:`ColumnarDatabase` maps relation names to instances and knows
+its total encoding size ``N`` in bits, which the MPC simulator uses to
+enforce the per-round capacity ``O(N / p^{1-eps})``.
+
+Bit accounting follows the paper's convention (Section 2.1): a tuple
+over ``[n]`` of arity ``a`` costs ``a * ceil(log2 n)`` bits, so a
+relation with ``n`` tuples costs ``Theta(n log n)`` bits and
+``N = O(n log n)`` for a fixed vocabulary.
+
+The dedup + sort is :func:`sorted_unique_rows`, the engine's one row
+sort: it orders rows by packed int64 keys and returns exactly
 ``numpy.unique(table, axis=0)``; answer unions, the generators, the
 local join's dedup passes and IVM's merge all canonicalise through it.
 Database writes and IVM's merge probe and splice its output with
 :func:`locate_rows` / :func:`insert_rows` / :func:`remove_rows`.
-
-The row-oriented :class:`repro.data.database.Relation` remains the
-canonical public type; the two are convertible both ways and agree on
-contents, ordering (lexicographic) and bit accounting::
-
-    columnar = ColumnarRelation.from_relation(relation)
-    assert columnar.to_relation() == relation
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy
 
-from repro.data.database import DataError, Relation, bits_per_value
-
 Columns = tuple[Any, ...]
+
+
+class DataError(Exception):
+    """Raised for malformed relations or databases."""
+
+
+def bits_per_value(domain_size: int) -> int:
+    """Bits to encode one value of ``[n]``: ``ceil(log2 n)`` (min 1)."""
+    if domain_size < 1:
+        raise DataError(f"domain size must be >= 1, got {domain_size}")
+    return max(1, math.ceil(math.log2(domain_size))) if domain_size > 1 else 1
 
 
 def check_backend(backend: str | None) -> None:
@@ -57,7 +69,9 @@ class ColumnarRelation:
         arity: number of columns.
         columns: one int64 array per attribute position (sequences
             are converted on construction).  Rows are deduplicated and
-            lexicographically sorted, mirroring :class:`Relation`.
+            lexicographically sorted: :meth:`from_rows` and
+            :meth:`from_table` make them so, and the constructor takes
+            columns that already are (the matching generators').
         domain_size: the ``n`` such that values lie in ``[1, n]``.
     """
 
@@ -118,46 +132,40 @@ class ColumnarRelation:
         table = numpy.asarray(materialised, dtype=numpy.int64).reshape(
             len(materialised), arity
         )
+        return cls.from_table(name, table, domain_size)
+
+    @classmethod
+    def from_table(
+        cls, name: str, table: Any, domain_size: int
+    ) -> "ColumnarRelation":
+        """Build from an int64 ``(rows, arity)`` table: validate the
+        domain, then dedup and sort (:func:`sorted_unique_rows`)."""
+        if table.size:
+            low = int(table.min())
+            high = int(table.max())
+            if low < 1 or high > domain_size:
+                offender = low if low < 1 else high
+                raise DataError(
+                    f"{name}: value {offender} outside domain "
+                    f"[1, {domain_size}]"
+                )
+            table = sorted_unique_rows(table)
         return cls(
             name=name,
-            arity=arity,
-            columns=_finalise(name, table, domain_size),
+            arity=table.shape[1],
+            columns=tuple(
+                numpy.ascontiguousarray(table[:, position])
+                for position in range(table.shape[1])
+            ),
             domain_size=domain_size,
         )
 
-    @classmethod
-    def from_relation(cls, relation: Relation) -> "ColumnarRelation":
-        """Columnarise an already-validated row relation (no re-checks)."""
-        table = numpy.asarray(relation.tuples, dtype=numpy.int64).reshape(
-            len(relation.tuples), relation.arity
-        )
-        return cls(
-            name=relation.name,
-            arity=relation.arity,
-            columns=tuple(
-                numpy.ascontiguousarray(table[:, position])
-                for position in range(relation.arity)
-            ),
-            domain_size=relation.domain_size,
-        )
-
-    # -- conversion ---------------------------------------------------------
-
-    def to_relation(self) -> Relation:
-        """Materialise back to the row-oriented :class:`Relation`."""
-        return Relation(
-            name=self.name,
-            arity=self.arity,
-            tuples=tuple(self.rows()),
-            domain_size=self.domain_size,
-        )
+    # -- accessors ----------------------------------------------------------
 
     def rows(self) -> Iterator[tuple[int, ...]]:
         """Iterate rows as int tuples (materialising from columns)."""
         lists = [column.tolist() for column in self.columns]
         return iter(zip(*lists)) if len(lists[0]) else iter(())
-
-    # -- accessors ----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -187,13 +195,27 @@ class ColumnarRelation:
 
     @property
     def tuple_bits(self) -> int:
-        """Bits per tuple: ``arity * ceil(log2 n)`` (as row relations)."""
+        """Bits per tuple: ``arity * ceil(log2 n)``."""
         return self.arity * bits_per_value(self.domain_size)
 
     @property
     def size_bits(self) -> int:
         """Encoding size of the whole relation in bits."""
         return len(self) * self.tuple_bits
+
+    def is_matching(self) -> bool:
+        """True when every column is a permutation of ``[1, n]``.
+
+        The paper's matching-database invariant (Section 2.5): exactly
+        ``n`` tuples, and every attribute a key holding each value once.
+        """
+        if len(self) != self.domain_size:
+            return False
+        values = numpy.arange(1, self.domain_size + 1, dtype=numpy.int64)
+        return all(
+            numpy.array_equal(numpy.sort(column), values)
+            for column in self.columns
+        )
 
 
 #: Every packed key's value span stays below this bound, so offset
@@ -327,51 +349,18 @@ def remove_rows(reference: Any, table: Any) -> tuple[Any, Any]:
     return numpy.delete(reference, positions, axis=0), positions
 
 
-def _finalise(name: str, table: Any, domain_size: int) -> Columns:
-    """Vectorized validate + dedup + lexicographic sort."""
-    if table.size:
-        low = int(table.min())
-        high = int(table.max())
-        if low < 1 or high > domain_size:
-            offender = low if low < 1 else high
-            raise DataError(
-                f"{name}: value {offender} outside domain "
-                f"[1, {domain_size}]"
-            )
-        table = sorted_unique_rows(table)
-    return tuple(
-        numpy.ascontiguousarray(table[:, position])
-        for position in range(table.shape[1])
-    )
-
-
-def columnar_database(database: "Any") -> dict[str, ColumnarRelation]:
-    """Columnarise every relation of a :class:`Database`.
-
-    Accepts either a row-oriented :class:`~repro.data.database.Database`
-    or a :class:`ColumnarDatabase` (whose relations are taken as they
-    are -- the large-``n`` path never leaves column space).
-    """
-    if isinstance(database, ColumnarDatabase):
-        return dict(database.relations)
-    return {
-        relation.name: ColumnarRelation.from_relation(relation)
-        for relation in database
-    }
-
-
 @dataclass(frozen=True)
 class ColumnarDatabase:
-    """A database whose relations never existed as Python tuples.
+    """A database instance: named columnar relations.
 
-    The columnar counterpart of :class:`~repro.data.database.Database`
-    for the large-``n`` (10^5 - 10^6) generators and benchmarks: it
-    exposes exactly the surface the executors consume (``total_bits``,
-    ``domain_size``, per-relation lookup) without materialising row
-    tuples anywhere.
+    It exposes exactly the surface the executors consume
+    (``total_bits``, ``domain_size``, per-relation lookup) without
+    materialising row tuples anywhere.  Each relation keeps its own
+    domain; the database's is their bound.
 
     Attributes:
-        relations: relation name -> :class:`ColumnarRelation`.
+        relations: relation name -> :class:`ColumnarRelation`; every
+            key must be its relation's ``name``.
         domain_size: the shared domain bound ``n``.
     """
 
@@ -379,7 +368,12 @@ class ColumnarDatabase:
     domain_size: int
 
     def __post_init__(self) -> None:
-        for relation in self.relations.values():
+        for name, relation in self.relations.items():
+            if relation.name != name:
+                raise DataError(
+                    f"relation key {name!r} != relation name "
+                    f"{relation.name!r}"
+                )
             if relation.domain_size > self.domain_size:
                 raise DataError(
                     f"{relation.name}: domain {relation.domain_size} "

@@ -1,12 +1,25 @@
-"""Auxiliary input generators for the paper's experiments.
+"""Input generators for the paper's experiments.
 
-* :func:`skewed_relation` -- Zipf-like skew, used to contrast the
-  matching-database assumption (the paper defers skew to [17], we keep
-  a generator so tests can show where HC's load guarantee needs the
-  skew-free assumption).
+Every generator returns columns: a
+:class:`~repro.data.columnar.ColumnarDatabase` of int64 arrays, built
+without a Python tuple per row.
+
+* :func:`matching_database` -- uniform random matching databases
+  (Section 2.5).  An ``a``-dimensional matching over ``[n]`` has
+  exactly ``n`` tuples and every column is a permutation of ``1..n``;
+  for ``a = 2`` an instance is a permutation, for ``a = 3`` a set of
+  ``n`` node-disjoint triangles.  There are exactly ``(n!)^(a-1)``
+  such matchings, and :func:`random_matching` draws uniformly from
+  them by fixing the first column to ``1..n`` (every matching has a
+  unique such presentation) and sampling ``a - 1`` independent
+  uniform permutations for the remaining columns.  These are the
+  paper's lower-bound *and* upper-bound inputs: skew-free by
+  construction, with ``E[|q(I)|] = n^(1 + chi(q))`` (Lemma 3.4).
 * :func:`skewed_database` -- one skewed relation per query atom (heavy
   hitter on the first attribute), the input family of
-  ``repro query --skewed`` and the skew-aware parity/speedup suites.
+  ``repro query --skewed`` and the skew-aware parity/speedup suites;
+  it contrasts the matching-database assumption (the paper defers
+  skew to [17]).
 * :func:`witness_database` -- the Proposition 3.12 instances:
   ``R(w), S1(w,x), S2(x,y), S3(y,z), T(z)`` with ``S_i`` matchings and
   ``R, T`` uniform subsets of size ``ceil(sqrt(n))``.
@@ -16,11 +29,13 @@
   a path of length ``k`` -- one per tuple of the corresponding ``L_k``.
 * :func:`dense_graph` -- dense random graphs for the contrast with the
   two-round algorithm of Karloff et al. [16].
-* :func:`matching_database_columnar` / :func:`skewed_database_columnar`
-  -- the large-``n`` (10^5 - 10^6) generators: columns are built
-  directly as int64 arrays (uniform fills in bounded chunks), so no
-  Python tuple is ever materialised and peak memory stays within a
-  small constant of the output size.
+
+:func:`matching_database` and :func:`skewed_database` draw from a
+seeded :class:`random.Random`; :func:`matching_database_columnar` and
+:func:`skewed_database_columnar` draw the same distributions from
+numpy streams (uniform fills in bounded chunks), the large-``n``
+(10^5 - 10^6) path.  Each pair shares one relation builder, but the
+two streams give different instances for the same seed.
 """
 
 from __future__ import annotations
@@ -28,6 +43,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy
 
@@ -35,75 +51,88 @@ from repro.core.query import ConjunctiveQuery
 from repro.data.columnar import (
     ColumnarDatabase,
     ColumnarRelation,
+    DataError,
     check_backend,
-    sorted_unique_rows,
 )
-from repro.data.database import Database, DataError, Relation
-from repro.data.matching import random_matching, random_permutation
 
 # Chunk size (rows) for the large-n generators' random fills: bounds
 # transient allocations without affecting the generated values.
 GENERATOR_CHUNK_ROWS = 1 << 18
 
 
-def skewed_relation(
-    name: str,
-    n: int,
-    rng: random.Random,
-    heavy_fraction: float = 0.5,
-) -> Relation:
-    """A binary relation where one value is ``heavy``: it appears in a
-    ``heavy_fraction`` share of first-column positions.
+def _seeded(rng: random.Random | int | None) -> random.Random:
+    """``rng`` itself, or a generator seeded by it (None: seed 0)."""
+    if isinstance(rng, int) or rng is None:
+        return random.Random(rng or 0)
+    return rng
 
-    Not a matching: demonstrates load imbalance under HC hashing.
+
+def random_permutation(n: int, rng: random.Random) -> list[int]:
+    """A uniform permutation of ``[1, n]`` (Fisher-Yates via shuffle)."""
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    return values
+
+
+def _matching_relation(
+    name: str, n: int, permutations: Sequence[Any]
+) -> ColumnarRelation:
+    """The matching whose first column is ``1..n`` and whose other
+    columns are ``permutations`` of ``[1, n]``: strictly ascending in
+    its first column, so already sorted and duplicate-free."""
+    columns = [numpy.arange(1, n + 1, dtype=numpy.int64)]
+    columns += [
+        numpy.asarray(permutation, dtype=numpy.int64)
+        for permutation in permutations
+    ]
+    return ColumnarRelation(
+        name=name, arity=len(columns), columns=tuple(columns), domain_size=n
+    )
+
+
+def random_matching(
+    name: str, arity: int, n: int, rng: random.Random
+) -> ColumnarRelation:
+    """A uniform random ``arity``-dimensional matching over ``[n]``.
+
+    Args:
+        name: relation symbol for the instance.
+        arity: number of columns (>= 1).
+        n: domain size; the matching has exactly ``n`` tuples.
+        rng: source of randomness (seeded for reproducibility).
     """
-    if not 0 <= heavy_fraction <= 1:
-        raise DataError(f"heavy_fraction must be in [0,1], got {heavy_fraction}")
-    heavy_count = int(n * heavy_fraction)
-    rows = []
-    for i in range(1, n + 1):
-        left = 1 if i <= heavy_count else rng.randint(1, n)
-        rows.append((left, rng.randint(1, n)))
-    return Relation.from_tuples(name, rows, domain_size=n, arity=2)
+    if arity < 1:
+        raise DataError(f"{name}: arity must be >= 1, got {arity}")
+    if n < 1:
+        raise DataError(f"{name}: domain size must be >= 1, got {n}")
+    return _matching_relation(
+        name, n, [random_permutation(n, rng) for _ in range(arity - 1)]
+    )
 
 
-def skewed_database(
+def matching_database(
     query: ConjunctiveQuery,
     n: int,
     rng: random.Random | int | None = None,
-    heavy_fraction: float = 0.5,
-) -> Database:
-    """A skewed instance for every relation of a query.
+) -> ColumnarDatabase:
+    """A uniform random matching database for a query's vocabulary.
 
-    Each relation gets ``n`` rows whose *first* attribute funnels a
-    ``heavy_fraction`` share of rows into the value ``1`` (the heavy
-    hitter); every other position is uniform in ``[1, n]``.  The
-    result violates the matching assumption on every join attribute in
-    first position -- the adversarial regime the skew-aware executor
-    (and ``repro query --skewed``) is built for.
+    Each atom ``S_j`` of arity ``a_j`` receives an independent uniform
+    ``a_j``-dimensional matching (:func:`random_matching`).
+
+    Args:
+        query: fixes the vocabulary (names and arities).
+        n: the domain size.
+        rng: a :class:`random.Random`, an int seed, or None (seed 0).
     """
-    if not 0 <= heavy_fraction <= 1:
-        raise DataError(
-            f"heavy_fraction must be in [0,1], got {heavy_fraction}"
-        )
-    if isinstance(rng, int) or rng is None:
-        rng = random.Random(rng or 0)
-    heavy_count = int(n * heavy_fraction)
-    relations = []
-    for atom in query.atoms:
-        rows = []
-        for i in range(1, n + 1):
-            first = 1 if i <= heavy_count else rng.randint(1, n)
-            rows.append(
-                (first,)
-                + tuple(rng.randint(1, n) for _ in range(atom.arity - 1))
-            )
-        relations.append(
-            Relation.from_tuples(
-                atom.name, rows, domain_size=n, arity=atom.arity
-            )
-        )
-    return Database.from_relations(relations)
+    rng = _seeded(rng)
+    return ColumnarDatabase(
+        relations={
+            atom.name: random_matching(atom.name, atom.arity, n, rng)
+            for atom in query.atoms
+        },
+        domain_size=n,
+    )
 
 
 def matching_database_columnar(
@@ -112,19 +141,14 @@ def matching_database_columnar(
     seed: int = 0,
     backend: str | None = None,
 ) -> ColumnarDatabase:
-    """A uniform matching database built straight into columns.
+    """A uniform matching database drawn from a numpy stream.
 
-    The large-``n`` counterpart of
-    :func:`repro.data.matching.matching_database`: each atom's
-    relation is one ascending first column plus ``arity - 1``
-    independent uniform permutations, written directly as int64 arrays
-    -- no Python tuples, no per-row loop, already lexicographically
-    sorted and duplicate-free (the first column is strictly
-    increasing), so construction is O(n) memory with a small constant.
-
-    Draws come from ``numpy.random.default_rng`` (seeded), so
-    instances are reproducible but *not* equal to the row generator's
-    for the same seed.
+    The large-``n`` counterpart of :func:`matching_database`: each
+    atom's ``arity - 1`` permutations come from
+    ``numpy.random.default_rng(seed)`` with no per-row loop, so
+    construction is O(n) memory with a small constant.  Instances are
+    reproducible but *not* equal to :func:`matching_database`'s for
+    the same seed.
 
     Args:
         query: fixes the vocabulary (names and arities).
@@ -138,17 +162,53 @@ def matching_database_columnar(
     """
     check_backend(backend)
     rng = numpy.random.default_rng(seed)
-    relations = []
-    for atom in query.atoms:
-        columns = [numpy.arange(1, n + 1, dtype=numpy.int64)]
-        for _ in range(atom.arity - 1):
-            columns.append(
-                rng.permutation(n).astype(numpy.int64) + 1
-            )
-        relations.append(
-            _columnar_relation(atom.name, tuple(columns), n)
+    return ColumnarDatabase.from_relations(
+        _matching_relation(
+            atom.name,
+            n,
+            [rng.permutation(n) + 1 for _ in range(atom.arity - 1)],
         )
-    return ColumnarDatabase.from_relations(relations)
+        for atom in query.atoms
+    )
+
+
+def _check_heavy_fraction(heavy_fraction: float) -> None:
+    if not 0 <= heavy_fraction <= 1:
+        raise DataError(
+            f"heavy_fraction must be in [0,1], got {heavy_fraction}"
+        )
+
+
+def skewed_database(
+    query: ConjunctiveQuery,
+    n: int,
+    rng: random.Random | int | None = None,
+    heavy_fraction: float = 0.5,
+) -> ColumnarDatabase:
+    """A skewed instance for every relation of a query.
+
+    Each relation gets ``n`` rows (before dedup) whose *first*
+    attribute funnels a ``heavy_fraction`` share of rows into the
+    value ``1`` (the heavy hitter); every other position is uniform in
+    ``[1, n]``, drawn row by row.  The result violates the matching
+    assumption on every join attribute in first position -- the
+    adversarial regime the skew-aware executor (and
+    ``repro query --skewed``) is built for.
+    """
+    _check_heavy_fraction(heavy_fraction)
+    rng = _seeded(rng)
+    heavy_count = int(n * heavy_fraction)
+    relations = {}
+    for atom in query.atoms:
+        values = []
+        for i in range(1, n + 1):
+            values.append(1 if i <= heavy_count else rng.randint(1, n))
+            values.extend(rng.randint(1, n) for _ in range(atom.arity - 1))
+        table = numpy.array(values, dtype=numpy.int64).reshape(n, atom.arity)
+        relations[atom.name] = ColumnarRelation.from_table(
+            atom.name, table, n
+        )
+    return ColumnarDatabase(relations=relations, domain_size=n)
 
 
 def skewed_database_columnar(
@@ -158,15 +218,14 @@ def skewed_database_columnar(
     heavy_fraction: float = 0.5,
     chunk_rows: int = GENERATOR_CHUNK_ROWS,
 ) -> ColumnarDatabase:
-    """A skewed instance per atom, generated chunk-wise into columns.
+    """A skewed instance per atom, drawn chunk-wise from numpy streams.
 
     The large-``n`` counterpart of :func:`skewed_database`: a
     ``heavy_fraction`` share of each relation's first column is the
     heavy value ``1``, every other position is uniform in ``[1, n]``.
     Uniform fills happen in ``chunk_rows``-row slices of preallocated
     arrays, so transient memory stays bounded regardless of ``n``;
-    rows are then deduplicated and sorted in one vectorized pass
-    (mirroring :class:`~repro.data.database.Relation` semantics).
+    rows are then deduplicated and sorted in one vectorized pass.
 
     Args:
         query: fixes the vocabulary.
@@ -175,10 +234,7 @@ def skewed_database_columnar(
         heavy_fraction: share of first-column positions set to ``1``.
         chunk_rows: rows filled per chunk (memory bound knob).
     """
-    if not 0 <= heavy_fraction <= 1:
-        raise DataError(
-            f"heavy_fraction must be in [0,1], got {heavy_fraction}"
-        )
+    _check_heavy_fraction(heavy_fraction)
     if chunk_rows < 1:
         raise DataError(f"chunk_rows must be >= 1, got {chunk_rows}")
     root = numpy.random.SeedSequence(seed)
@@ -207,27 +263,17 @@ def skewed_database_columnar(
                     column[fill_start:end] = streams[position].integers(
                         1, n + 1, size=end - fill_start, dtype=numpy.int64
                     )
-        table = sorted_unique_rows(numpy.column_stack(columns))
-        sorted_columns = tuple(
-            numpy.ascontiguousarray(table[:, position])
-            for position in range(atom.arity)
-        )
         relations.append(
-            _columnar_relation(atom.name, sorted_columns, n)
+            ColumnarRelation.from_table(
+                atom.name, numpy.column_stack(columns), n
+            )
         )
     return ColumnarDatabase.from_relations(relations)
 
 
-def _columnar_relation(
-    name: str, columns: tuple, n: int
-) -> ColumnarRelation:
-    """Wrap generated int64 columns (already sorted+unique) directly."""
-    return ColumnarRelation(
-        name=name, arity=len(columns), columns=columns, domain_size=n
-    )
-
-
-def witness_database(n: int, rng: random.Random | int | None = None) -> Database:
+def witness_database(
+    n: int, rng: random.Random | int | None = None
+) -> ColumnarDatabase:
     """Proposition 3.12's input family.
 
     ``S1, S2, S3`` are uniform 2-dimensional matchings; ``R`` and ``T``
@@ -235,23 +281,22 @@ def witness_database(n: int, rng: random.Random | int | None = None) -> Database
     stored as unary relations.  The expected number of query answers is
     1, making JOIN-WITNESS a needle-in-a-haystack problem.
     """
-    if isinstance(rng, int) or rng is None:
-        rng = random.Random(rng or 0)
+    rng = _seeded(rng)
     size = math.ceil(math.sqrt(n))
     r_values = rng.sample(range(1, n + 1), size)
     t_values = rng.sample(range(1, n + 1), size)
     relations = [
-        Relation.from_tuples(
-            "R", [(v,) for v in r_values], domain_size=n, arity=1
+        ColumnarRelation.from_table(
+            "R", numpy.array([r_values], dtype=numpy.int64).T, n
         ),
         random_matching("S1", 2, n, rng),
         random_matching("S2", 2, n, rng),
         random_matching("S3", 2, n, rng),
-        Relation.from_tuples(
-            "T", [(v,) for v in t_values], domain_size=n, arity=1
+        ColumnarRelation.from_table(
+            "T", numpy.array([t_values], dtype=numpy.int64).T, n
         ),
     ]
-    return Database(
+    return ColumnarDatabase(
         relations={relation.name: relation for relation in relations},
         domain_size=n,
     )
@@ -276,14 +321,6 @@ class GraphInstance:
     def num_components(self) -> int:
         """Number of connected components."""
         return len(set(self.labels.values()))
-
-    def edge_relation(self, domain_size: int | None = None) -> Relation:
-        """The edge set as a binary relation ``E`` (both orientations)."""
-        n = domain_size or self.num_vertices
-        rows = [(u, v) for u, v in self.edges] + [
-            (v, u) for u, v in self.edges
-        ]
-        return Relation.from_tuples("E", rows, domain_size=n, arity=2)
 
 
 def _component_labels(
@@ -327,8 +364,7 @@ def layered_path_graph(
         raise DataError(f"need num_layers >= 1, got {num_layers}")
     if layer_size < 1:
         raise DataError(f"need layer_size >= 1, got {layer_size}")
-    if isinstance(rng, int) or rng is None:
-        rng = random.Random(rng or 0)
+    rng = _seeded(rng)
 
     def vertex(layer: int, index: int) -> int:
         return layer * layer_size + index + 1
@@ -367,8 +403,7 @@ def dense_graph(
             f"{num_edges} edges > maximum {max_edges} for "
             f"{num_vertices} vertices"
         )
-    if isinstance(rng, int) or rng is None:
-        rng = random.Random(rng or 0)
+    rng = _seeded(rng)
     edges: set[tuple[int, int]] = set()
     while len(edges) < num_edges:
         u = rng.randint(1, num_vertices)

@@ -25,12 +25,11 @@ import numpy
 from repro.data.columnar import (
     ColumnarDatabase,
     ColumnarRelation,
+    DataError,
     absent_rows,
-    columnar_database,
     locate_rows,
     sorted_unique_rows,
 )
-from repro.data.database import Database, DataError
 
 Rows = Iterable[Sequence[int]]
 
@@ -53,7 +52,7 @@ class DatabaseDelta:
     - Nothing is coerced.  A value that is not an ``int`` or a numpy
       integer (a float, a string, a ``bool``), a row of the wrong
       arity -- inserted or deleted -- and an inserted value below 1
-      are :class:`~repro.data.database.DataError`; a rejected delta
+      are :class:`~repro.data.columnar.DataError`; a rejected delta
       commits nothing and leaves the version where it was.
 
     Attributes:
@@ -181,29 +180,29 @@ class VersionedDatabase:
     """A columnar database that mutates through numbered versions.
 
     Args:
-        database: the initial contents -- a row
-            :class:`~repro.data.database.Database`, a
+        database: the initial contents -- a
             :class:`~repro.data.columnar.ColumnarDatabase`, or a
             mapping of name to
-            :class:`~repro.data.columnar.ColumnarRelation`.  Row
-            relations are columnarised once here, so every later
-            snapshot (and every plan execution over it) reads the same
-            arrays.
+            :class:`~repro.data.columnar.ColumnarRelation` (each key
+            its relation's name).  Every later snapshot (and every
+            plan execution over it) reads the same arrays.
+
+    Raises:
+        DataError: when a key is not its relation's name.
     """
 
     def __init__(
         self,
-        database: Database | ColumnarDatabase | Mapping[str, ColumnarRelation],
+        database: ColumnarDatabase | Mapping[str, ColumnarRelation],
     ) -> None:
         if isinstance(database, Mapping):
             relations = dict(database)
-        else:
-            relations = columnar_database(database)
-        domain = getattr(database, "domain_size", None)
-        if domain is None:
             domain = max(
                 (r.domain_size for r in relations.values()), default=1
             )
+        else:
+            relations = dict(database.relations)
+            domain = database.domain_size
         self._snapshot = ColumnarDatabase(
             relations=relations, domain_size=domain
         )

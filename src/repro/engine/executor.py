@@ -279,18 +279,13 @@ def plan_simulator(plan: Plan, input_bits: int) -> MPCSimulator:
     )
 
 
-def _plan_sources(database: Any) -> dict[str, ColumnarRelation]:
-    """Columnarise any accepted database shape."""
-    from repro.data.columnar import columnar_database
-
-    if isinstance(database, Mapping):
-        return {
-            name: relation
-            if isinstance(relation, ColumnarRelation)
-            else ColumnarRelation.from_relation(relation)
-            for name, relation in database.items()
-        }
-    return columnar_database(database)
+def _plan_sources(
+    database: ColumnarDatabase | Mapping[str, ColumnarRelation],
+) -> dict[str, ColumnarRelation]:
+    """The relations of either accepted database shape."""
+    return dict(
+        database if isinstance(database, Mapping) else database.relations
+    )
 
 
 def _database_bits(database: Any, sources: Mapping[str, ColumnarRelation]) -> int:
@@ -303,7 +298,7 @@ def _database_bits(database: Any, sources: Mapping[str, ColumnarRelation]) -> in
 
 def execute_plan(
     plan: Plan,
-    database: Any,
+    database: ColumnarDatabase | Mapping[str, ColumnarRelation],
     *,
     profiler: RoundProfiler | None = None,
     relation_map: Mapping[str, str] | None = None,
@@ -316,9 +311,8 @@ def execute_plan(
     Args:
         plan: the immutable physical plan (an algorithm compiler's
             output).
-        database: a row :class:`~repro.data.database.Database`, a
-            :class:`~repro.data.columnar.ColumnarDatabase`, or a plain
-            mapping of relation name to
+        database: a :class:`~repro.data.columnar.ColumnarDatabase`,
+            or a plain mapping of relation name to
             :class:`~repro.data.columnar.ColumnarRelation`.
         profiler: optional per-round route/ship/deliver/local timing
             collector.

@@ -7,8 +7,9 @@ model directly and nothing more -- every step routes each source row
 through the scalar :meth:`RoutingStep.destinations
 <repro.engine.steps.RoutingStep.destinations>` into the oracle's own
 per-round, per-worker row lists, every worker evaluates its rows with
-the backtracking join (:func:`~repro.algorithms.localjoin.evaluate_query`),
-and a site's answer is the sorted union.  Heavy hitters are counted in
+the backtracking join (:func:`evaluate_query`, an index-backed join
+over row tuples that lives only here), and a site's answer is the
+sorted union.  Heavy hitters are counted in
 a dict.
 
 The oracle keeps its own books.  A row of arity ``a`` over ``[n]``
@@ -34,11 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.algorithms.localjoin import evaluate_query
-from repro.core.query import ConjunctiveQuery
-from repro.data.database import Relation
+from repro.core.query import Atom, ConjunctiveQuery
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan, key_map_of
 from repro.engine.steps import HeavyGridRoute
 from repro.mpc.simulator import CapacityExceeded
@@ -50,21 +49,145 @@ Rows = tuple[tuple[int, ...], ...]
 Delivered = list[dict[str, list[tuple[int, ...]]]]
 
 
-def _tuple_bits(relation: Relation) -> int:
+@dataclass(frozen=True)
+class _Relation:
+    """The oracle's own row relation: sorted distinct rows over ``[n]``."""
+
+    name: str
+    arity: int
+    tuples: Rows
+    domain_size: int
+
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        return iter(self.tuples)
+
+
+def _tuple_bits(relation: _Relation) -> int:
     """``arity * ceil(log2 n)``: one row's cost on the wire."""
     return relation.arity * max(1, (relation.domain_size - 1).bit_length())
 
 
-def _as_relation(name: str, relation: Any) -> Relation:
-    """A row :class:`Relation` from either storage (rows stay sorted)."""
-    if isinstance(relation, Relation):
-        return relation
-    return Relation(
+def _as_relation(name: str, relation: Any) -> _Relation:
+    """A columnar relation's rows (sorted, as stored), held as tuples."""
+    return _Relation(
         name=name,
         arity=relation.arity,
         tuples=tuple(relation.rows()),
         domain_size=relation.domain_size,
     )
+
+
+def evaluate_query(
+    query: ConjunctiveQuery,
+    relations: Mapping[str, Iterable[Sequence[int]]],
+) -> tuple[tuple[int, ...], ...]:
+    """All answers of ``query`` over the given relation instances.
+
+    Args:
+        query: a full conjunctive query.
+        relations: rows per relation name; every atom of the query
+            must be present (missing relations are treated as empty).
+
+    Returns:
+        Sorted, duplicate-free answer tuples in head-variable order.
+    """
+    instances: dict[str, list[tuple[int, ...]]] = {}
+    for atom in query.atoms:
+        rows = relations.get(atom.name, ())
+        instances[atom.name] = [tuple(row) for row in rows]
+        if not instances[atom.name]:
+            return ()
+
+    order = _atom_order(query, instances)
+    indexes = _build_indexes(query, order, instances)
+
+    answers: set[tuple[int, ...]] = set()
+    binding: dict[str, int] = {}
+
+    def extend(depth: int) -> None:
+        if depth == len(order):
+            answers.add(tuple(binding[v] for v in query.head))
+            return
+        atom = order[depth]
+        bound_positions, index = indexes[depth]
+        key = tuple(binding[atom.variables[i]] for i in bound_positions)
+        for row in index.get(key, ()):
+            assigned: list[str] = []
+            consistent = True
+            for position, variable in enumerate(atom.variables):
+                value = row[position]
+                if variable in binding:
+                    if binding[variable] != value:
+                        consistent = False
+                        break
+                else:
+                    binding[variable] = value
+                    assigned.append(variable)
+            if consistent:
+                extend(depth + 1)
+            for variable in assigned:
+                del binding[variable]
+
+    extend(0)
+    return tuple(sorted(answers))
+
+
+def _atom_order(
+    query: ConjunctiveQuery,
+    instances: Mapping[str, list[tuple[int, ...]]],
+) -> list[Atom]:
+    """Greedy join order: smallest first, then stay connected."""
+    def size(atom: Atom) -> int:
+        return len(instances[atom.name])
+
+    remaining = sorted(query.atoms, key=size)
+    order = [remaining.pop(0)]
+    bound = set(order[0].variable_set)
+    while remaining:
+        connected = [atom for atom in remaining if atom.variable_set & bound]
+        chosen = min(connected or remaining, key=size)
+        remaining.remove(chosen)
+        order.append(chosen)
+        bound |= chosen.variable_set
+    return order
+
+
+def _build_indexes(
+    query: ConjunctiveQuery,
+    order: Sequence[Atom],
+    instances: Mapping[str, list[tuple[int, ...]]],
+) -> list[tuple[tuple[int, ...], dict[tuple[int, ...], list[tuple[int, ...]]]]]:
+    """Per-atom hash index on the positions bound before the atom.
+
+    For each atom in join order, determine which of its positions hold
+    variables bound by earlier atoms; index its rows by the values at
+    those positions.  Rows violating intra-atom repeated-variable
+    equality are dropped at build time.
+    """
+    indexes = []
+    bound: set[str] = set()
+    for atom in order:
+        first_position = atom.first_positions
+        bound_positions = tuple(
+            first_position[variable]
+            for variable in dict.fromkeys(atom.variables)
+            if variable in bound
+        )
+        index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for row in instances[atom.name]:
+            if any(
+                row[position] != row[first_position[variable]]
+                for position, variable in enumerate(atom.variables)
+            ):
+                continue
+            key = tuple(row[i] for i in bound_positions)
+            index.setdefault(key, []).append(row)
+        indexes.append((bound_positions, index))
+        bound |= atom.variable_set
+    return indexes
 
 
 @dataclass
@@ -103,10 +226,11 @@ def _received_rows(
 
 def heavy_hitters(
     query: ConjunctiveQuery,
-    environment: Mapping[str, Relation],
+    environment: Mapping[str, Any],
     shares: Mapping[str, int],
 ) -> dict[str, frozenset[int]]:
-    """Values occurring more than ``|S_j| / p_i`` times, by counting."""
+    """Values occurring more than ``|S_j| / p_i`` times, counted over
+    each relation's ``rows()`` (the oracle's own, or a database's)."""
     heavy: dict[str, set[int]] = {v: set() for v in query.variables}
     for atom in query.atoms:
         relation = environment[atom.name]
@@ -116,7 +240,7 @@ def heavy_hitters(
                 continue
             threshold = max(1, len(relation) // share)
             counts: dict[int, int] = {}
-            for row in relation:
+            for row in relation.rows():
                 counts[row[position]] = counts.get(row[position], 0) + 1
             heavy[variable].update(
                 value for value, count in counts.items() if count > threshold
@@ -197,7 +321,7 @@ def execute_plan(
             name: replace(relation, domain_size=domain_size)
             for name, relation in sources.items()
         }
-    environment: dict[str, Relation] = dict(sources)
+    environment: dict[str, _Relation] = dict(sources)
     signature = plan.signature
     p = signature.p
     capacity = (
@@ -228,7 +352,7 @@ def execute_plan(
         for step in steps:
             source = environment[step.relation]
             width = _tuple_bits(source)
-            for index, row in enumerate(source):
+            for index, row in enumerate(source.rows()):
                 for destination in step.destinations(row, index, p):
                     delivered[destination].setdefault(
                         step.mailbox_key, []
@@ -248,7 +372,7 @@ def execute_plan(
             rows, counts = _evaluate_site(
                 view.query, received, range(p), key_map_of(view.key_map)
             )
-            environment[view.name] = Relation(
+            environment[view.name] = _Relation(
                 name=view.name,
                 arity=len(view.query.head),
                 tuples=rows,
@@ -279,7 +403,7 @@ def execute_plan(
         answers = tuple(
             sorted(
                 tuple(row[i] for i in positions)
-                for row in environment[finalize.view]
+                for row in environment[finalize.view].rows()
             )
         )
     return OracleExecution(

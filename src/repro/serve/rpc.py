@@ -101,7 +101,7 @@ from typing import Any
 from typing import TYPE_CHECKING
 
 from repro.core.query import QueryError
-from repro.data.database import DataError
+from repro.data.columnar import DataError
 from repro.engine.deadline import DeadlineExceeded
 from repro.mpc.simulator import CapacityExceeded
 from repro.serve.admission import (

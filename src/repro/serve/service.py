@@ -34,7 +34,6 @@ import numpy
 from repro.algorithms.registry import compile_with, get_algorithm
 from repro.core.query import ConjunctiveQuery, QueryError
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
-from repro.data.database import Database
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.engine import Plan, RoundProfiler, execute_plan
 from repro.engine.deadline import Deadline, DeadlineExceeded
@@ -432,8 +431,7 @@ class QueryService:
 
     def __init__(
         self,
-        database: Database
-        | ColumnarDatabase
+        database: ColumnarDatabase
         | VersionedDatabase
         | Mapping[str, ColumnarRelation],
         p: int,

@@ -12,25 +12,18 @@ from repro.algorithms.baselines import (
     compile_single_server,
     run_cartesian_grid,
 )
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import QueryError, parse_query
-from repro.data.database import Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
-from tests.conftest import assert_oracle_parity, run_with_oracle
-
-
-def truth_of(query, database):
-    return evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
+from tests.conftest import assert_oracle_parity, exact_answers, run_with_oracle
 
 
 class TestBroadcastJoin:
     def test_correct(self, triangle, triangle_db):
         result = execute_plan(compile_broadcast_join(triangle, 4), triangle_db)
-        assert result.answers == truth_of(triangle, triangle_db)
+        assert result.answers == exact_answers(triangle, triangle_db)
 
     def test_replication_is_p(self, triangle, triangle_db):
         result = execute_plan(compile_broadcast_join(triangle, 4), triangle_db)
@@ -40,7 +33,7 @@ class TestBroadcastJoin:
 class TestSingleServer:
     def test_correct(self, chain4, chain4_db):
         result = execute_plan(compile_single_server(chain4, 4), chain4_db)
-        assert result.answers == truth_of(chain4, chain4_db)
+        assert result.answers == exact_answers(chain4, chain4_db)
 
     def test_one_worker_takes_everything(self, chain4, chain4_db):
         result = execute_plan(compile_single_server(chain4, 4), chain4_db)
@@ -55,14 +48,14 @@ class TestSingleAttributeJoin:
         result = execute_plan(
             compile_single_attribute_join(star3, 8), database
         )
-        assert result.answers == truth_of(star3, database)
+        assert result.answers == exact_answers(star3, database)
 
     def test_two_hop_correct(self, two_hop):
         database = matching_database(two_hop, n=50, rng=3)
         result = execute_plan(
             compile_single_attribute_join(two_hop, 8), database
         )
-        assert result.answers == truth_of(two_hop, database)
+        assert result.answers == exact_answers(two_hop, database)
 
     def test_no_shared_variable_rejected(self):
         query = line_query(3)
@@ -86,10 +79,10 @@ class TestSingleAttributeJoin:
 
 class TestCartesianGrid:
     def make_sets(self, n=64):
-        left = Relation.from_tuples(
+        left = ColumnarRelation.from_rows(
             "A", [(i,) for i in range(1, n + 1)], domain_size=n
         )
-        right = Relation.from_tuples(
+        right = ColumnarRelation.from_rows(
             "B", [(i,) for i in range(1, n + 1)], domain_size=n
         )
         return left, right
@@ -148,14 +141,14 @@ class TestOracleParity:
         """The classical hash join routes every tuple by its hash --
         even rows a repeated-variable atom can never join."""
         query = parse_query("q(x,y) = S(x, x), T(x, y)")
-        from repro.data.database import Database
-
-        database = Database.from_relations(
+        database = ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples(
+                ColumnarRelation.from_rows(
                     "S", [(1, 1), (1, 2), (3, 3)], domain_size=4
                 ),
-                Relation.from_tuples("T", [(1, 2), (3, 4)], domain_size=4),
+                ColumnarRelation.from_rows(
+                    "T", [(1, 2), (3, 4)], domain_size=4
+                ),
             ]
         )
         execution, reference = run_with_oracle(
@@ -166,10 +159,10 @@ class TestOracleParity:
         assert sum(execution.report.rounds[0].received_tuples) == 5
 
     def test_cartesian_parity(self):
-        left = Relation.from_tuples(
+        left = ColumnarRelation.from_rows(
             "A", [(i,) for i in range(1, 65)], domain_size=64
         )
-        right = Relation.from_tuples(
+        right = ColumnarRelation.from_rows(
             "B", [(i,) for i in range(1, 65)], domain_size=64
         )
         result = run_cartesian_grid(left, right, p=16)

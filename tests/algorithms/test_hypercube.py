@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with
 from repro.core.families import (
     binomial_query,
@@ -16,17 +15,16 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.query import Atom, parse_query
-from repro.data.database import Database, Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine import GridSpec, HashRoute
 from repro.mpc.routing import HashFamily
-from tests.conftest import assert_oracle_parity, run_pinned, run_with_oracle
-
-
-def truth_of(query, database):
-    return evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
+from tests.conftest import (
+    assert_oracle_parity,
+    exact_answers,
+    run_pinned,
+    run_with_oracle,
+)
 
 
 def routed_ranks(atom, row, shares, variable_order, hashes):
@@ -58,37 +56,39 @@ class TestCorrectness:
     def test_equals_exact_join_on_matchings(self, query):
         database = matching_database(query, n=40, rng=11)
         result = run_pinned("hypercube", query, database, p=8, seed=2)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
     @pytest.mark.parametrize("p", [1, 2, 5, 16, 30, 64])
     def test_correct_for_any_p(self, triangle, triangle_db, p):
         result = run_pinned("hypercube", triangle, triangle_db, p=p, seed=1)
-        assert result.answers == truth_of(triangle, triangle_db)
+        assert result.answers == exact_answers(triangle, triangle_db)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_correct_for_any_seed(self, chain4, chain4_db, seed):
         result = run_pinned("hypercube", chain4, chain4_db, p=9, seed=seed)
-        assert result.answers == truth_of(chain4, chain4_db)
+        assert result.answers == exact_answers(chain4, chain4_db)
 
     def test_correct_on_non_matching_input(self, triangle):
         """HC never misses answers regardless of skew (only the load
         guarantee needs the matching assumption)."""
         rows = [(1, i) for i in range(2, 12)] + [(i, i) for i in range(2, 12)]
-        database = Database.from_relations(
+        database = ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples("S1", rows, 16),
-                Relation.from_tuples("S2", rows, 16),
-                Relation.from_tuples("S3", [(i, 1) for i in range(2, 12)], 16),
+                ColumnarRelation.from_rows("S1", rows, 16),
+                ColumnarRelation.from_rows("S2", rows, 16),
+                ColumnarRelation.from_rows(
+                    "S3", [(i, 1) for i in range(2, 12)], 16
+                ),
             ]
         )
         result = run_pinned("hypercube", triangle, database, p=8, seed=0)
-        assert result.answers == truth_of(triangle, database)
+        assert result.answers == exact_answers(triangle, database)
 
     def test_ternary_relations(self):
         query = parse_query("R(x,y,z), S(z,w)")
         database = matching_database(query, n=30, rng=5)
         result = run_pinned("hypercube", query, database, p=8, seed=3)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
 
 class TestRouting:
@@ -156,7 +156,7 @@ class TestLoads:
             "hypercube", triangle, triangle_db, p=8, seed=0,
             enforce_capacity=True, capacity_c=6.0,
         )
-        assert result.answers == truth_of(triangle, triangle_db)
+        assert result.answers == exact_answers(triangle, triangle_db)
 
     def test_skew_breaks_load_balance(self):
         """With all-equal join values the hash cannot spread the load:
@@ -164,18 +164,20 @@ class TestLoads:
         n = 128
         skew_rows = [(i, 1) for i in range(1, n + 1)]
         match_rows = [(i, i) for i in range(1, n + 1)]
-        database = Database.from_relations(
+        database = ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples("S1", skew_rows, n),
-                Relation.from_tuples("S2", [(1, i) for i in range(1, n + 1)], n),
+                ColumnarRelation.from_rows("S1", skew_rows, n),
+                ColumnarRelation.from_rows(
+                    "S2", [(1, i) for i in range(1, n + 1)], n
+                ),
             ]
         )
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         skewed = run_pinned("hypercube", query, database, p=16, seed=1)
-        balanced_db = Database.from_relations(
+        balanced_db = ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples("S1", match_rows, n),
-                Relation.from_tuples("S2", match_rows, n),
+                ColumnarRelation.from_rows("S1", match_rows, n),
+                ColumnarRelation.from_rows("S2", match_rows, n),
             ]
         )
         balanced = run_pinned("hypercube", query, balanced_db, p=16, seed=1)
@@ -241,15 +243,15 @@ class TestRepeatedVariableAtoms:
         query = parse_query("q(x,y) = S(x, x), T(x, y)")
         rows_s = [(i, i) for i in range(1, 8)] + [(i, i + 1) for i in range(1, 8)]
         rows_t = [(i, 9 - i) for i in range(1, 9)]
-        database = Database.from_relations(
+        database = ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples("S", rows_s, 9),
-                Relation.from_tuples("T", rows_t, 9),
+                ColumnarRelation.from_rows("S", rows_s, 9),
+                ColumnarRelation.from_rows("T", rows_t, 9),
             ]
         )
         result, reference = run_with_oracle(
             compile_with("hypercube", query, 8, seed=2), database
         )
         assert_oracle_parity(result, reference)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
         assert result.answers  # equality-satisfying rows do join

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
+from repro.oracle import evaluate_query
+from tests.conftest import exact_answers
 
 
 def brute_force(query, relations):
@@ -127,18 +128,12 @@ class TestAgainstBruteForce:
 
 class TestMatchingSemantics:
     def test_line_query_on_matchings_has_n_answers(self, chain4, chain4_db):
-        answers = evaluate_query(
-            chain4,
-            {name: chain4_db[name].tuples for name in chain4_db.relations},
-        )
+        answers = exact_answers(chain4, chain4_db)
         assert len(answers) == chain4_db.domain_size
 
     def test_answers_are_keys(self, chain4, chain4_db):
         """On matching inputs every attribute of the output is a key."""
-        answers = evaluate_query(
-            chain4,
-            {name: chain4_db[name].tuples for name in chain4_db.relations},
-        )
+        answers = exact_answers(chain4, chain4_db)
         for position in range(len(chain4.head)):
             column = [row[position] for row in answers]
             assert len(set(column)) == len(column)

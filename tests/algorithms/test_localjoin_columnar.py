@@ -13,11 +13,11 @@ from repro.algorithms.localjoin import (
     _join_pairs_sparse,
     _pack_segmented_keys,
     _radices,
-    evaluate_query,
     evaluate_query_table,
 )
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
+from repro.oracle import evaluate_query
 
 
 def as_columns(rows):

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import (
     cycle_query,
     line_query,
@@ -14,15 +13,10 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.plans import build_plan
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.algorithms.multiround import compile_multiround
 from repro.engine import execute_plan
-
-
-def truth_of(query, database):
-    return evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
+from tests.conftest import exact_answers
 
 
 class TestCorrectness:
@@ -45,7 +39,7 @@ class TestCorrectness:
         database = matching_database(query, n=40, rng=21)
         plan = build_plan(query, eps)
         result = execute_plan(compile_multiround(plan, 8, seed=4), database)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
     @pytest.mark.parametrize("p", [1, 2, 7, 16])
     def test_any_worker_count(self, p):
@@ -53,7 +47,7 @@ class TestCorrectness:
         database = matching_database(query, n=30, rng=9)
         plan = build_plan(query, Fraction(0))
         result = execute_plan(compile_multiround(plan, p, seed=1), database)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_any_seed(self, seed):
@@ -61,7 +55,7 @@ class TestCorrectness:
         database = matching_database(query, n=24, rng=3)
         plan = build_plan(query, Fraction(0))
         result = execute_plan(compile_multiround(plan, 4, seed=seed), database)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
 
 class TestRoundAccounting:
@@ -102,7 +96,7 @@ class TestHeadOrdering:
         database = matching_database(query, n=15, rng=8)
         plan = build_plan(query, Fraction(0))
         result = execute_plan(compile_multiround(plan, 4, seed=0), database)
-        truth = truth_of(query, database)
+        truth = exact_answers(query, database)
         assert result.answers == truth
         # Column i of the answers corresponds to head variable i.
         for row in result.answers[:3]:

@@ -7,22 +7,21 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with
 from repro.core.bounds import one_round_answer_fraction
 from repro.core.families import cycle_query, line_query
-from repro.data.database import as_mapping
-from repro.data.matching import matching_database
-from tests.conftest import assert_oracle_parity, run_pinned, run_with_oracle
-
-
-def _truth(query, database):
-    return evaluate_query(query, as_mapping(database))
+from repro.data.generators import matching_database
+from tests.conftest import (
+    assert_oracle_parity,
+    exact_answers,
+    run_pinned,
+    run_with_oracle,
+)
 
 
 def _fraction(result, query, database):
     """Prop. 3.11's measured quantity: reported / |q(I)|."""
-    return len(result.answers) / len(_truth(query, database))
+    return len(result.answers) / len(exact_answers(query, database))
 
 
 def _virtual_points(result):
@@ -36,7 +35,7 @@ class TestSoundness:
         result = run_pinned(
             "partial", query, database, p=8, eps=Fraction(0), seed=1
         )
-        assert set(result.answers) <= set(_truth(query, database))
+        assert set(result.answers) <= set(exact_answers(query, database))
 
     def test_fraction_fields_consistent(self):
         query = line_query(3)

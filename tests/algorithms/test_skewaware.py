@@ -4,30 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.families import cycle_query, line_query
 from repro.core.query import parse_query
-from repro.data.database import Database, Relation
-from repro.data.matching import matching_database
-from tests.conftest import run_pinned
-
-
-def truth_of(query, database):
-    return evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
+from tests.conftest import exact_answers, run_pinned
 
 
 def skewed_two_hop(n=128):
     """S1 funnels everything into y = 1; S2 fans out of y = 1."""
     query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-    database = Database.from_relations(
+    database = ColumnarDatabase.from_relations(
         [
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 "S1", [(i, 1) for i in range(1, n + 1)], n
             ),
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 "S2", [(1, i) for i in range(1, n + 1)], n
             ),
         ]
@@ -65,12 +58,12 @@ class TestCorrectness:
         query = cycle_query(3)
         database = matching_database(query, n=50, rng=2)
         result = run_pinned("skewaware", query, database, p=8, seed=3)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
     def test_correct_on_skewed_input(self):
         query, database = skewed_two_hop()
         result = run_pinned("skewaware", query, database, p=16, seed=1)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
         assert result.heavy_hitters["y"]
 
     @pytest.mark.parametrize("seed", range(3))

@@ -15,11 +15,12 @@ import pytest
 
 import repro
 from repro import Session, connect
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.query import QueryError, parse_query
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarRelation, DataError
+from repro.data.generators import matching_database
 from repro.data.versioned import VersionedDatabase
 from repro.mpc.simulator import CapacityExceeded
+from repro.oracle import evaluate_query
 from tests.conftest import run_pinned
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")
@@ -202,6 +203,18 @@ class TestErrors:
             session.query("S1(x,y,z)").execute()
         with pytest.raises(QueryError, match="arity mismatch"):
             session.query("S1(x)").explain()
+
+    def test_a_key_naming_another_relation_is_rejected(self):
+        # Accepted, the mapping door would serve ``R`` while storing a
+        # relation named ``S``, even across writes.
+        misnamed = ColumnarRelation.from_rows("S", [(1, 2)], domain_size=2)
+        with pytest.raises(DataError, match="relation key 'R'"):
+            connect({"R": misnamed})
+        with pytest.raises(DataError, match="relation key 'R'"):
+            VersionedDatabase({"R": misnamed})
+        session = connect({"S": misnamed})
+        session.update(inserts={"S": [(2, 1)]})
+        assert session.query("S(x,y)").execute().answers == ((1, 2), (2, 1))
 
     def test_unknown_algorithm_pin_raises(self):
         session = _session()

@@ -18,7 +18,8 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
 from repro.engine.deadline import Deadline
 from repro.mpc.simulator import CapacityExceeded
@@ -53,6 +54,23 @@ def statement_deadline(deadline):
         ),
     ):
         yield
+
+
+def exact_answers(query, database):
+    """``query``'s answers over ``database`` by the oracle's backtracking
+    join, as sorted tuples."""
+    return oracle.evaluate_query(
+        query,
+        {relation.name: tuple(relation.rows()) for relation in database},
+    )
+
+
+def with_relation(database, relation):
+    """A copy of ``database`` with ``relation`` added or replaced."""
+    return ColumnarDatabase(
+        relations={**database.relations, relation.name: relation},
+        domain_size=database.domain_size,
+    )
 
 
 def run_with_oracle(plan, database, **engine_options):

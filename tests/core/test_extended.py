@@ -112,13 +112,13 @@ class TestKnowledgeWeightBound:
         approximates n^{1-2} = 1/n."""
         import random
 
-        from repro.data.matching import random_matching
+        from repro.data.generators import random_matching
 
         n, trials, hits = 16, 400, 0
         target = (1, 5)
         for seed in range(trials):
             relation = random_matching("S", 2, n, random.Random(seed))
-            if target in relation:
+            if target in set(relation.rows()):
                 hits += 1
         frequency = hits / trials
         assert abs(frequency - 1 / n) < 3 / n

@@ -21,6 +21,7 @@ from repro.core.friedgut import (
     verify_agm_on_instance,
 )
 from repro.core.query import QueryError, parse_query
+from repro.data.columnar import ColumnarRelation
 
 
 class TestEdgeCover:
@@ -68,10 +69,10 @@ class TestInequalityExamples:
         """The paper's C3 example: indicator weights give
         |C3| <= sqrt(|S1| |S2| |S3|)."""
         query = cycle_query(3)
+        rows = ((1, 2), (2, 3), (3, 1))
         relations = {
-            "S1": ((1, 2), (2, 3), (3, 1)),
-            "S2": ((2, 3), (3, 1), (1, 2)),
-            "S3": ((3, 1), (1, 2), (2, 3)),
+            name: ColumnarRelation.from_rows(name, rows, domain_size=3)
+            for name in ("S1", "S2", "S3")
         }
         actual, bound = verify_agm_on_instance(query, relations)
         assert actual <= bound
@@ -135,14 +136,11 @@ class TestInequalityProperty:
     @settings(max_examples=20, deadline=None)
     def test_agm_bound_on_random_matchings(self, seed):
         """AGM: |q(I)| <= prod |S_j|^{u_j} on matching inputs."""
-        from repro.data.matching import matching_database
+        from repro.data.generators import matching_database
 
         for query in (cycle_query(3), line_query(3)):
             database = matching_database(query, n=12, rng=seed)
-            actual, bound = verify_agm_on_instance(
-                query,
-                {name: database[name].tuples for name in database.relations},
-            )
+            actual, bound = verify_agm_on_instance(query, database.relations)
             assert actual <= bound
 
 

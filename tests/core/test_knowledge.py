@@ -15,7 +15,7 @@ from repro.core.knowledge import (
     multiround_g_constant,
 )
 from repro.core.query import Atom, ConjunctiveQuery, QueryError
-from tests.conftest import run_pinned
+from tests.conftest import exact_answers, run_pinned
 
 
 class TestBudget:
@@ -95,9 +95,7 @@ class TestKnowledgeBound:
     def test_measured_fraction_respects_ceiling(self):
         """The Prop 3.11 algorithm must stay below the Thm 3.3 ceiling
         (with the theorem's own constant)."""
-        from repro.algorithms.localjoin import evaluate_query
-        from repro.data.database import as_mapping
-        from repro.data.matching import matching_database
+        from repro.data.generators import matching_database
 
         query = line_query(3)
         for p in (8, 32):
@@ -108,7 +106,7 @@ class TestKnowledgeBound:
             result = run_pinned(
                 "partial", query, database, p=p, eps=Fraction(0), seed=p
             )
-            truth = evaluate_query(query, as_mapping(database))
+            truth = exact_answers(query, database)
             assert len(result.answers) / len(truth) <= ceiling
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for columnar relation storage and conversions."""
+"""Unit tests for columnar relations, databases and bit accounting."""
 
 from __future__ import annotations
 
@@ -9,15 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.data.columnar import (
+    ColumnarDatabase,
     ColumnarRelation,
+    DataError,
     absent_rows,
-    columnar_database,
+    bits_per_value,
     insert_rows,
     locate_rows,
     remove_rows,
     sorted_unique_rows,
 )
-from repro.data.database import Database, DataError, Relation
 
 INT64 = numpy.iinfo(numpy.int64)
 
@@ -72,27 +73,34 @@ def assert_matches_numpy_unique(table):
     assert numpy.array_equal(table, before)
 
 
-@pytest.fixture
-def relation():
-    return Relation.from_tuples(
-        "R", [(3, 1), (1, 2), (2, 3), (1, 2)], domain_size=3
+def rel(name="R", rows=((1, 2), (2, 1)), n=4, arity=None):
+    return ColumnarRelation.from_rows(name, rows, domain_size=n, arity=arity)
+
+
+class TestBitsPerValue:
+    @pytest.mark.parametrize(
+        "n,bits", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (1024, 10), (1025, 11)]
     )
+    def test_values(self, n, bits):
+        assert bits_per_value(n) == bits
+
+    def test_invalid(self):
+        with pytest.raises(DataError):
+            bits_per_value(0)
 
 
-class TestConversion:
-    def test_round_trip(self, relation):
-        columnar = ColumnarRelation.from_relation(relation)
-        assert columnar.to_relation() == relation
-
-    def test_relation_to_columnar_method(self, relation):
-        assert relation.to_columnar().to_relation() == relation
-
+class TestConstruction:
     def test_rows_sorted_and_deduped(self):
         columnar = ColumnarRelation.from_rows(
             "R", [(2, 2), (1, 1), (2, 2)], domain_size=2
         )
         assert list(columnar.rows()) == [(1, 1), (2, 2)]
         assert len(columnar) == 2
+
+    def test_deduplicates_and_sorts(self):
+        relation = rel(rows=[(2, 1), (1, 2), (2, 1)])
+        assert tuple(relation.rows()) == ((1, 2), (2, 1))
+        assert len(relation) == 2
 
     def test_columns_are_int64_arrays(self):
         columnar = ColumnarRelation(
@@ -103,15 +111,20 @@ class TestConversion:
             assert column.dtype == numpy.int64
         assert list(columnar.rows()) == [(1, 3), (2, 4)]
 
-    def test_database_to_columnar(self, relation):
-        database = Database.from_relations([relation])
-        columnar = database.to_columnar()
-        assert set(columnar) == {"R"}
-        assert columnar["R"].to_relation() == database["R"]
-        assert {
-            name: list(value.rows())
-            for name, value in columnar_database(database).items()
-        } == {"R": list(columnar["R"].rows())}
+    def test_arity_mismatch_rejected(self):
+        with pytest.raises(DataError, match="arity"):
+            ColumnarRelation("R", 2, ([1],), 4)
+        with pytest.raises(DataError, match="arity"):
+            ColumnarRelation("R", 0, (), 4)
+
+    def test_is_matching(self):
+        good = rel("M", [(1, 2), (2, 3), (3, 1)], n=3)
+        assert good.is_matching()
+        short = rel("M", [(1, 2)], n=3)
+        assert not short.is_matching()
+        repeated = rel("M", [(1, 2), (2, 2), (3, 1)], n=3)
+        assert not repeated.is_matching()
+        assert rel("M", [(1,), (2,), (3,)], n=3).is_matching()
 
 
 class TestValidation:
@@ -298,7 +311,41 @@ class TestFrequentValues:
 
 
 class TestAccounting:
-    def test_bit_accounting_matches_row_relation(self, relation):
-        columnar = ColumnarRelation.from_relation(relation)
-        assert columnar.tuple_bits == relation.tuple_bits
-        assert columnar.size_bits == relation.size_bits
+    def test_size_bits(self):
+        relation = rel(rows=[(1, 2), (3, 4)], n=4)  # 2 bits/value
+        assert relation.tuple_bits == 4
+        assert relation.size_bits == 8
+
+
+class TestDatabase:
+    def test_from_relations_keeps_each_domain(self):
+        database = ColumnarDatabase.from_relations(
+            [rel("R", [(1, 2)], n=2), rel("S", [(3, 4)], n=4)]
+        )
+        assert database.domain_size == 4
+        assert database["R"].domain_size == 2
+        assert database.total_bits == 1 * 2 + 2 * 2
+
+    def test_name_key_consistency_checked(self):
+        with pytest.raises(DataError, match="relation key"):
+            ColumnarDatabase(relations={"X": rel("R")}, domain_size=4)
+
+    def test_domain_consistency_checked(self):
+        with pytest.raises(DataError, match="domain"):
+            ColumnarDatabase(relations={"R": rel("R", n=8)}, domain_size=4)
+
+    def test_totals(self):
+        database = ColumnarDatabase.from_relations(
+            [rel("R", [(1, 2), (2, 1)], n=4), rel("S", [(1, 1)], n=4)]
+        )
+        assert sum(map(len, database)) == 3
+        assert database.total_bits == 3 * 4
+
+    def test_iteration_and_membership(self):
+        database = ColumnarDatabase.from_relations(
+            [rel("R"), rel("S", [(1, 1)])]
+        )
+        assert "R" in database
+        assert "Z" not in database
+        assert {r.name for r in database} == {"R", "S"}
+        assert len(database) == 2

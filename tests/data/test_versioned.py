@@ -8,10 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.families import line_query
 from repro.core.query import parse_query
-from repro.data.columnar import ColumnarDatabase, ColumnarRelation
-from repro.data.database import DataError
-from repro.data.generators import matching_database_columnar
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation, DataError
+from repro.data.generators import matching_database, matching_database_columnar
 from repro.data.versioned import (
     DELTA_HISTORY_LIMIT,
     DatabaseDelta,

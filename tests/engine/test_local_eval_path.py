@@ -12,10 +12,10 @@ import pytest
 
 import repro.algorithms.localjoin as localjoin
 import repro.engine.local as local
+from repro import oracle
 from repro.core.query import parse_query
-from repro.data.columnar import columnar_database
-from repro.data.matching import matching_database
-from repro.data.database import Relation
+from repro.data.columnar import ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine import (
     GridSpec,
     HashRoute,
@@ -25,7 +25,7 @@ from repro.engine import (
 from repro.mpc.model import MPCConfig
 from repro.mpc.routing import HashFamily
 from repro.mpc.simulator import MPCSimulator
-from tests.conftest import pooled_rows
+from tests.conftest import exact_answers, pooled_rows, with_relation
 
 P = 8
 QUERY = parse_query("S1(x,y), S2(y,z)")
@@ -38,13 +38,14 @@ def _routed_round(chunk_rows, small=()):
     database = matching_database(QUERY, n=50, rng=3)
     for name in small:
         relation = database[name]
-        database = database.with_relation(
-            Relation.from_tuples(
+        database = with_relation(
+            database,
+            ColumnarRelation(
                 name,
-                relation.tuples[:10],
-                domain_size=relation.domain_size,
-                arity=relation.arity,
-            )
+                relation.arity,
+                tuple(column[:10] for column in relation.columns),
+                relation.domain_size,
+            ),
         )
     grid = GridSpec.from_shares(
         QUERY.variables, {"x": 1, "y": P, "z": 1}, HashFamily(0)
@@ -59,7 +60,7 @@ def _routed_round(chunk_rows, small=()):
         for atom in QUERY.atoms
     ]
     RoundEngine(simulator, chunk_rows=chunk_rows).run_round(
-        steps, columnar_database(database)
+        steps, database.relations
     )
     return database, simulator
 
@@ -114,9 +115,7 @@ def test_every_delivery_kind_takes_the_shard_loop(
     )
     answers = tuple(map(tuple, table.tolist()))
     assert kernel_calls and all(kernel_calls)
-    assert answers == localjoin.evaluate_query(
-        QUERY, {r.name: r.tuples for r in database}
-    )
+    assert answers == exact_answers(QUERY, database)
     assert sum(per_server) == len(answers) == (10 if small else 50)
 
 
@@ -138,7 +137,7 @@ def test_eager_sites_are_retained_as_worker_counts(monkeypatch, shard_bytes):
     assert sum(per_server) == 50
     for worker, count in enumerate(site.counts):
         assert count == len(
-            localjoin.evaluate_query(
+            oracle.evaluate_query(
                 QUERY,
                 {
                     atom.name: pooled_rows(simulator, worker, atom.name)

@@ -31,14 +31,14 @@ from repro.core.families import (
 )
 from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery, parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine import (
     CollectAnswers,
     FinalizeView,
     Plan,
     execute_plan,
 )
-from tests.conftest import assert_oracle_parity, run_with_oracle
+from tests.conftest import assert_oracle_parity, exact_answers, run_with_oracle
 
 
 @pytest.fixture
@@ -140,12 +140,8 @@ class TestExecution:
         database = matching_database(query, n=30, rng=2)
         physical = compile_multiround(build_plan(query, Fraction(0)), p=8)
         execution = execute_plan(physical, database)
-        from repro.algorithms.localjoin import evaluate_query
 
-        truth = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        truth = exact_answers(query, database)
         assert execution.answers == truth
         assert execution.view_sizes
 

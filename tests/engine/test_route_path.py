@@ -20,9 +20,10 @@ from repro.algorithms.multiround import compile_multiround
 from repro.core.families import line_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
-from repro.data.database import Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine.executor import execute_plan
+from tests.conftest import with_relation
 
 CHAIN = line_query(4)
 
@@ -88,8 +89,9 @@ def test_empty_source_is_one_inline_range(chunk_rows):
     # The empty relation is the range [0, 0), routed inline like any
     # other source.
     query = parse_query("S1(x,y), S2(y,z)")
-    database = matching_database(query, n=12, rng=5).with_relation(
-        Relation.from_tuples("S2", (), domain_size=12, arity=2)
+    database = with_relation(
+        matching_database(query, n=12, rng=5),
+        ColumnarRelation.from_rows("S2", (), domain_size=12, arity=2),
     )
     plan = compile_hypercube(query, p=4)
     execution = execute_plan(plan, database, chunk_rows=chunk_rows)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.query import Atom, parse_query
 from repro.data.columnar import ColumnarRelation
-from repro.data.database import Relation
 from repro.engine import (
     Broadcast,
     GridSpec,
@@ -36,29 +35,30 @@ from repro.mpc.routing import HashFamily
 from repro.engine.streaming import route_range
 from repro.mpc.simulator import MPCSimulator
 
-def scalar_pairs(step, relation: Relation, p: int) -> Counter:
+
+def scalar_pairs(step, relation: ColumnarRelation, p: int) -> Counter:
     """(row, destination) multiset via the per-row reference path."""
     pairs: Counter = Counter()
-    for index, row in enumerate(relation.tuples):
+    for index, row in enumerate(relation.rows()):
         for destination in step.destinations(row, index, p):
             pairs[(row, destination)] += 1
     return pairs
 
 
-def columnar_pairs(step, relation: Relation, p: int) -> Counter:
+def columnar_pairs(step, relation: ColumnarRelation, p: int) -> Counter:
     """(row, destination) multiset via the vectorized path."""
-    source = ColumnarRelation.from_relation(relation)
-    return routed_pairs(*step.route_columns(source.columns, p, 0))
+    return routed_pairs(*step.route_columns(relation.columns, p, 0))
 
 
-def blockwise_pairs(step, relation: Relation, p: int, rng) -> Counter:
+def blockwise_pairs(step, relation: ColumnarRelation, p: int, rng) -> Counter:
     """(row, destination) multiset of routing ``relation`` in random
     row blocks, each at its own offset (the engine's ``route_range``)."""
-    source = ColumnarRelation.from_relation(relation)
-    cuts = sorted(rng.sample(range(1, len(source)), rng.randint(1, 8)))
+    cuts = sorted(rng.sample(range(1, len(relation)), rng.randint(1, 8)))
     pairs: Counter = Counter()
-    for start, end in zip([0] + cuts, cuts + [len(source)]):
-        pairs += routed_pairs(*route_range(step, source.columns, start, end, p))
+    for start, end in zip([0] + cuts, cuts + [len(relation)]):
+        pairs += routed_pairs(
+            *route_range(step, relation.columns, start, end, p)
+        )
     return pairs
 
 
@@ -77,8 +77,8 @@ def routed_pairs(columns, destinations, row_indices) -> Counter:
     return pairs
 
 
-def random_relation(name, arity, n, rows, rng) -> Relation:
-    return Relation.from_tuples(
+def random_relation(name, arity, n, rows, rng) -> ColumnarRelation:
+    return ColumnarRelation.from_rows(
         name,
         [
             tuple(rng.randint(1, n) for _ in range(arity))
@@ -135,7 +135,7 @@ class TestHashRouteParity:
     def test_repeated_variable_rows_filtered(self):
         atom = Atom("S", ("x", "x"))
         grid = GridSpec(("x",), (4,), HashFamily(0))
-        relation = Relation.from_tuples(
+        relation = ColumnarRelation.from_rows(
             "S", [(1, 1), (1, 2), (3, 3)], domain_size=4
         )
         step = HashRoute(relation="S", atom=atom, grid=grid)
@@ -148,7 +148,7 @@ class TestHashRouteParity:
         """Baseline semantics: route every tuple, equality unchecked."""
         atom = Atom("S", ("x", "x"))
         grid = GridSpec(("x",), (4,), HashFamily(0))
-        relation = Relation.from_tuples(
+        relation = ColumnarRelation.from_rows(
             "S", [(1, 1), (1, 2), (3, 3)], domain_size=4
         )
         step = HashRoute(
@@ -234,7 +234,7 @@ class TestContentFreeStepsParity:
         step = Broadcast(relation="S")
         pairs = scalar_pairs(step, relation, 6)
         assert pairs == columnar_pairs(step, relation, 6)
-        assert sum(pairs.values()) == len(relation.tuples) * 6
+        assert sum(pairs.values()) == len(relation) * 6
 
     def test_to_server(self):
         relation = random_relation("S", 1, 10, 25, random.Random(2))
@@ -358,10 +358,7 @@ class TestRoundEngine:
 
     def run_engine(self):
         relations, simulator, steps = self.setup_round()
-        sources = {
-            relation.name: ColumnarRelation.from_relation(relation)
-            for relation in relations
-        }
+        sources = {relation.name: relation for relation in relations}
         return RoundEngine(simulator).run_round(steps, sources)
 
     def test_round_accounting(self):

@@ -9,7 +9,8 @@ import pytest
 
 from repro.algorithms.hypercube import compile_hypercube
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine.executor import execute_plan
 from repro.engine.streaming import (
     DEFAULT_SHARD_BYTES,
@@ -29,6 +30,7 @@ from repro.mpc.simulator import (
     ColumnPool,
     ProtocolError,
 )
+from tests.conftest import with_relation
 
 
 class TestResolveChunkRows:
@@ -421,18 +423,12 @@ class TestChunkBoundaries:
         self._parity(two_hop, db, plan, chunk=1)
 
     def test_empty_relation_streams_to_empty_blocks(self, two_hop):
-        from repro.data.database import Database, Relation
-
         db = matching_database(two_hop, n=30, rng=9)
-        relations = dict(db.relations)
-        relations["S2"] = Relation(
-            name="S2",
-            arity=2,
-            tuples=(),
-            domain_size=db.domain_size,
-        )
-        empty_db = Database(
-            relations=relations, domain_size=db.domain_size
+        empty_db = with_relation(
+            db,
+            ColumnarRelation.from_rows(
+                "S2", (), domain_size=db.domain_size, arity=2
+            ),
         )
         plan = _compile(two_hop, empty_db)
         streamed = self._parity(two_hop, empty_db, plan, chunk=4)

@@ -20,8 +20,7 @@ from repro.algorithms.registry import compile_with
 from repro.core.families import cycle_query, line_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database, skewed_database
 from repro.engine.executor import execute_plan
 from repro.engine.profile import RoundProfiler
 from repro.mpc.simulator import CapacityExceeded

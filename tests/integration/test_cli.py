@@ -9,8 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.query import parse_query
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database, skewed_database
 from tests.conftest import run_pinned
 
 TRIANGLE = "S1(x,y), S2(y,z), S3(z,x)"

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.core import (
     build_plan,
     covering_number,
@@ -15,7 +14,7 @@ from repro.core import (
     space_exponent,
 )
 from repro.core.families import cycle_query, line_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.algorithms.baselines import (
     compile_broadcast_join,
     compile_single_server,
@@ -23,7 +22,7 @@ from repro.algorithms.baselines import (
 from repro.algorithms.multiround import compile_multiround
 from repro.algorithms.registry import compile_with
 from repro.engine import execute_plan
-from tests.conftest import run_pinned
+from tests.conftest import exact_answers, run_pinned
 
 
 class TestAllAlgorithmsAgree:
@@ -43,10 +42,7 @@ class TestAllAlgorithmsAgree:
     def test_agreement(self, text):
         query = parse_query(text)
         database = matching_database(query, n=30, rng=44)
-        truth = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        truth = exact_answers(query, database)
         logical = build_plan(query, space_exponent(query))
         for plan in (
             compile_with("hypercube", query, 8, seed=1),
@@ -65,16 +61,13 @@ class TestFullPipeline:
         assert space_exponent(query) == Fraction(2, 3)
 
         database = matching_database(query, n=24, rng=5)
-        assert database.is_matching_database()
+        assert all(relation.is_matching() for relation in database)
 
         plan = build_plan(query, Fraction(0))
         assert plan.depth <= round_upper_bound(query, Fraction(0))
 
         result = execute_plan(compile_multiround(plan, 8, seed=5), database)
-        truth = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        truth = exact_answers(query, database)
         assert result.answers == truth
         assert result.report.num_rounds == plan.depth
 

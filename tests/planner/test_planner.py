@@ -16,9 +16,7 @@ import pytest
 from repro import connect
 from repro.core import covers
 from repro.core.query import QueryError, parse_query
-from repro.data.columnar import columnar_database
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database, skewed_database
 from repro.lp import ExactSimplex
 from repro.planner import Planner, collect_profile
 from tests.conftest import run_pinned
@@ -26,22 +24,18 @@ from tests.conftest import run_pinned
 LONG_CHAIN = "S1(a,b), S2(b,c), S3(c,d), S4(d,e), S5(e,f), S6(f,g)"
 
 
-def _profile_for(query, database, **kwargs):
-    return collect_profile(query, columnar_database(database), **kwargs)
-
-
 class TestRoutingChoices:
     def test_matching_database_routes_to_hypercube(self, two_hop):
         database = matching_database(two_hop, n=200, rng=0)
         choice = Planner(16).choose(
-            two_hop, _profile_for(two_hop, database)
+            two_hop, collect_profile(two_hop, database)
         )
         assert choice.algorithm == "hypercube"
 
     def test_triangle_on_matching_database_stays_one_round(self, triangle):
         database = matching_database(triangle, n=200, rng=0)
         choice = Planner(16).choose(
-            triangle, _profile_for(triangle, database)
+            triangle, collect_profile(triangle, database)
         )
         assert choice.algorithm == "hypercube"
 
@@ -49,7 +43,7 @@ class TestRoutingChoices:
         database = skewed_database(
             two_hop, n=200, rng=0, heavy_fraction=0.5
         )
-        profile = _profile_for(two_hop, database)
+        profile = collect_profile(two_hop, database)
         assert profile.has_skew
         choice = Planner(16).choose(two_hop, profile)
         assert choice.algorithm == "skewaware"
@@ -58,7 +52,7 @@ class TestRoutingChoices:
         chain = parse_query(LONG_CHAIN)
         database = matching_database(chain, n=200, rng=0)
         choice = Planner(16).choose(
-            chain, _profile_for(chain, database)
+            chain, collect_profile(chain, database)
         )
         assert choice.algorithm == "multiround"
         assert choice.explain.predicted_rounds > 1
@@ -66,7 +60,7 @@ class TestRoutingChoices:
     def test_pinned_low_eps_routes_to_multiround(self, triangle):
         database = matching_database(triangle, n=100, rng=0)
         choice = Planner(16).choose(
-            triangle, _profile_for(triangle, database), eps=Fraction(0)
+            triangle, collect_profile(triangle, database), eps=Fraction(0)
         )
         assert choice.algorithm == "multiround"
 
@@ -74,7 +68,7 @@ class TestRoutingChoices:
         database = matching_database(triangle, n=100, rng=0)
         choice = Planner(16).choose(
             triangle,
-            _profile_for(triangle, database),
+            collect_profile(triangle, database),
             eps=Fraction(0),
             allow_partial=True,
         )
@@ -84,7 +78,7 @@ class TestRoutingChoices:
         database = matching_database(two_hop, n=100, rng=0)
         choice = Planner(16).choose(
             two_hop,
-            _profile_for(two_hop, database),
+            collect_profile(two_hop, database),
             algorithm="multiround",
         )
         assert choice.algorithm == "multiround"
@@ -95,7 +89,7 @@ class TestRoutingChoices:
         with pytest.raises(QueryError, match="unknown algorithm"):
             Planner(16).choose(
                 two_hop,
-                _profile_for(two_hop, database),
+                collect_profile(two_hop, database),
                 algorithm="quantum",
             )
 
@@ -206,7 +200,7 @@ class TestDataProfile:
         database = skewed_database(
             two_hop, n=100, rng=0, heavy_fraction=0.5
         )
-        profile = _profile_for(two_hop, database)
+        profile = collect_profile(two_hop, database)
         assert profile.total_rows == sum(
             rows for _, rows in profile.relation_rows
         )
@@ -215,7 +209,7 @@ class TestDataProfile:
 
     def test_matching_database_is_skew_free(self, two_hop):
         database = matching_database(two_hop, n=100, rng=0)
-        profile = _profile_for(two_hop, database)
+        profile = collect_profile(two_hop, database)
         assert not profile.has_skew
         assert profile.heavy_multiplicity("y") == 0
 
@@ -223,8 +217,8 @@ class TestDataProfile:
         database = skewed_database(
             two_hop, n=400, rng=0, heavy_fraction=0.5
         )
-        full = _profile_for(two_hop, database)
-        sampled = _profile_for(two_hop, database, sample_cap=50)
+        full = collect_profile(two_hop, database)
+        sampled = collect_profile(two_hop, database, sample_cap=50)
         assert sampled.sampled and not full.sampled
         assert sampled.has_skew
         # scaled-back multiplicity lands within 2x of the full count
@@ -261,7 +255,7 @@ class TestLpSolvesPerShape:
 
         monkeypatch.setattr(ExactSimplex, "solve", spy)
         database = matching_database(triangle, n=200, rng=0)
-        present = set(database["S1"].tuples)
+        present = set(database["S1"].rows())
         absent = [
             (a, b)
             for a in range(1, database.domain_size + 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.families import cycle_query, line_query
 from repro.core.plans import build_plan
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.algorithms.multiround import compile_multiround
 from repro.engine import execute_plan
 from tests.conftest import run_pinned

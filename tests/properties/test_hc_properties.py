@@ -6,19 +6,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.plans import build_plan
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.algorithms.multiround import compile_multiround
 from repro.engine import execute_plan
-from tests.conftest import run_pinned
-
-
-def truth_of(query, database):
-    return evaluate_query(
-        query, {name: database[name].tuples for name in database.relations}
-    )
+from tests.conftest import exact_answers, run_pinned
 
 
 QUERY_STRATEGY = st.one_of(
@@ -39,7 +32,7 @@ class TestHyperCubeNeverWrong:
     def test_hc_equals_truth(self, query, p, seed, n):
         database = matching_database(query, n=n, rng=seed)
         result = run_pinned("hypercube", query, database, p=p, seed=seed)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
 
     @given(
         query=QUERY_STRATEGY,
@@ -64,7 +57,7 @@ class TestPlansNeverWrong:
         database = matching_database(query, n=12, rng=seed)
         plan = build_plan(query, eps)
         result = execute_plan(compile_multiround(plan, 6, seed=seed), database)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)
         assert result.report.num_rounds == plan.depth
 
     @given(
@@ -77,4 +70,4 @@ class TestPlansNeverWrong:
         database = matching_database(query, n=10, rng=seed)
         plan = build_plan(query, Fraction(0))
         result = execute_plan(compile_multiround(plan, 4, seed=seed), database)
-        assert result.answers == truth_of(query, database)
+        assert result.answers == exact_answers(query, database)

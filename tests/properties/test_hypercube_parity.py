@@ -25,8 +25,8 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.query import parse_query
-from repro.data.database import Database, Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
 from tests.conftest import (
     assert_oracle_parity,
@@ -53,7 +53,7 @@ def run_both(query, database, p, seed, engine_options=None, **kwargs):
 
 def random_database(query, n, rows_per_atom, rng):
     relations = [
-        Relation.from_tuples(
+        ColumnarRelation.from_rows(
             atom.name,
             [
                 tuple(rng.randint(1, n) for _ in range(atom.arity))
@@ -64,7 +64,7 @@ def random_database(query, n, rows_per_atom, rng):
         )
         for atom in query.atoms
     ]
-    return Database.from_relations(relations)
+    return ColumnarDatabase.from_relations(relations)
 
 
 class TestMatchingDatabases:

@@ -6,9 +6,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import line_query, star_query
-from repro.data.matching import matching_database, random_matching
+from repro.data.generators import matching_database, random_matching
+from tests.conftest import exact_answers
 
 
 class TestMatchingInvariants:
@@ -30,9 +30,8 @@ class TestMatchingInvariants:
     @settings(max_examples=40, deadline=None)
     def test_columns_are_keys(self, n, seed):
         relation = random_matching("S", 3, n, random.Random(seed))
-        for column in range(3):
-            values = [row[column] for row in relation.tuples]
-            assert len(set(values)) == n
+        for column in relation.columns:
+            assert len(set(column.tolist())) == n
 
     @given(
         k=st.integers(min_value=1, max_value=6),
@@ -46,10 +45,7 @@ class TestMatchingInvariants:
         query on a matching database has every attribute a key)."""
         query = line_query(k)
         database = matching_database(query, n=n, rng=seed)
-        answers = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        answers = exact_answers(query, database)
         assert len(answers) == n
         for position in range(len(query.head)):
             column = {row[position] for row in answers}
@@ -64,10 +60,7 @@ class TestMatchingInvariants:
     def test_star_query_has_n_answers(self, k, n, seed):
         query = star_query(k)
         database = matching_database(query, n=n, rng=seed)
-        answers = evaluate_query(
-            query,
-            {name: database[name].tuples for name in database.relations},
-        )
+        answers = exact_answers(query, database)
         assert len(answers) == n
 
     @given(
@@ -81,8 +74,5 @@ class TestMatchingInvariants:
 
         for query in (cycle_query(3), line_query(3)):
             database = matching_database(query, n=n, rng=seed)
-            answers = evaluate_query(
-                query,
-                {name: database[name].tuples for name in database.relations},
-            )
+            answers = exact_answers(query, database)
             assert len(answers) <= n

@@ -23,8 +23,8 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.plans import build_plan
-from repro.data.database import Database, Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
 from repro.algorithms.multiround import compile_multiround
 from repro.engine import execute_plan
 from tests.conftest import (
@@ -52,7 +52,7 @@ def run_both(query, eps, database, p, seed, engine_options=None, **kwargs):
 
 def random_database(query, n, rows_per_atom, rng):
     relations = [
-        Relation.from_tuples(
+        ColumnarRelation.from_rows(
             atom.name,
             [
                 tuple(rng.randint(1, n) for _ in range(atom.arity))
@@ -63,7 +63,7 @@ def random_database(query, n, rows_per_atom, rng):
         )
         for atom in query.atoms
     ]
-    return Database.from_relations(relations)
+    return ColumnarDatabase.from_relations(relations)
 
 
 class TestMatchingDatabases:
@@ -158,14 +158,14 @@ class TestRandomizedDatabases:
         """Disjoint relations: every view is empty after round 1."""
         query = line_query(4)
         relations = [
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 atom.name,
                 [(2 * index + 1, 2 * index + 2)],
                 domain_size=40,
             )
             for index, atom in enumerate(query.atoms)
         ]
-        database = Database.from_relations(relations)
+        database = ColumnarDatabase.from_relations(relations)
         execution, reference = run_both(
             query, Fraction(0), database, p=4, seed=0
         )

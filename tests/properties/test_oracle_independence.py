@@ -17,7 +17,7 @@ import pytest
 from repro import oracle
 from repro.algorithms.registry import compile_with
 from repro.core.families import cycle_query, line_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
 from repro.mpc.simulator import MPCSimulator
 from tests.conftest import (

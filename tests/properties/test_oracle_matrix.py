@@ -21,7 +21,6 @@ from repro.algorithms.baselines import (
     compile_broadcast_join,
     compile_single_server,
 )
-from repro.algorithms.localjoin import evaluate_query
 from repro.algorithms.registry import compile_with, get_algorithm
 from repro.core.families import (
     binomial_query,
@@ -30,9 +29,12 @@ from repro.core.families import (
     spider_query,
     star_query,
 )
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
-from tests.conftest import assert_oracle_parity, run_with_oracle
+from repro.data.generators import matching_database, skewed_database
+from tests.conftest import (
+    assert_oracle_parity,
+    exact_answers,
+    run_with_oracle,
+)
 
 P = 8
 
@@ -67,20 +69,13 @@ DATABASES = {
 MODES = {"whole": None, "streamed": 6}
 
 
-def full_join(query, database):
-    return evaluate_query(
-        query,
-        {atom.name: database[atom.name].tuples for atom in query.atoms},
-    )
-
-
 def check(plan, query, database, exact, **engine_options):
     execution, reference = run_with_oracle(plan, database, **engine_options)
     assert_oracle_parity(execution, reference)
     if exact:
-        assert reference.answers == full_join(query, database)
+        assert reference.answers == exact_answers(query, database)
     else:
-        assert set(reference.answers) <= set(full_join(query, database))
+        assert set(reference.answers) <= set(exact_answers(query, database))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -145,4 +140,4 @@ def test_session(algorithm, query, mode):
             for r in reference.report.rounds
         ]
     if get_algorithm(algorithm).exact:
-        assert reference.answers == full_join(query, database)
+        assert reference.answers == exact_answers(query, database)

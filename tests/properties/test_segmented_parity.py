@@ -17,7 +17,6 @@ import numpy
 import pytest
 
 from repro import oracle
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.plans import build_plan
 from repro.core.query import parse_query
@@ -26,10 +25,11 @@ from repro.data.generators import (
     skewed_database,
     skewed_database_columnar,
 )
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.algorithms.multiround import compile_multiround
 from repro.algorithms.registry import compile_with
 from repro.engine import execute_plan
+from repro.oracle import evaluate_query
 from tests.conftest import (
     assert_oracle_parity,
     capacity_failure,
@@ -56,7 +56,6 @@ def _route_hc(query, database, p, seed):
         allocate_integer_shares,
         share_exponents,
     )
-    from repro.data.columnar import columnar_database
     from repro.engine import GridSpec, HashRoute, RoundEngine
     from repro.mpc.model import MPCConfig
     from repro.mpc.routing import HashFamily
@@ -80,7 +79,7 @@ def _route_hc(query, database, p, seed):
         HashRoute(relation=atom.name, atom=atom, grid=grid)
         for atom in query.atoms
     ]
-    engine.run_round(steps, columnar_database(database))
+    engine.run_round(steps, database.relations)
     return simulator, list(range(allocation.used_servers))
 
 

@@ -19,9 +19,8 @@ from repro.algorithms.registry import compile_with
 from repro.algorithms.skewaware import detect_heavy_hitters
 from repro.core.families import cycle_query, line_query, star_query
 from repro.core.query import parse_query
-from repro.data.database import Database, Relation
-from repro.data.generators import skewed_database
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database, skewed_database
 from repro.engine import execute_plan
 from tests.conftest import (
     assert_oracle_parity,
@@ -40,12 +39,12 @@ QUERIES = [
 
 
 def funnel_database(n=128):
-    return Database.from_relations(
+    return ColumnarDatabase.from_relations(
         [
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 "S1", [(i, 1) for i in range(1, n + 1)], n
             ),
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 "S2", [(1, i) for i in range(1, n + 1)], n
             ),
         ]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro import connect
 from repro.algorithms.registry import compile_with
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine import execute_plan
 from repro.serve.cache import CacheRebind
 from repro.serve.service import _row_edges, encode_answers, splice_answers

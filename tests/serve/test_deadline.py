@@ -15,7 +15,7 @@ import pytest
 
 from repro import connect
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.engine.faults import BLOCK_DELAY_ENV, ROUND_DELAY_ENV
 from tests.conftest import statement_deadline

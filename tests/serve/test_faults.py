@@ -8,7 +8,7 @@ import pytest
 
 from repro import connect
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine import faults
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")

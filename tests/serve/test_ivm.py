@@ -18,7 +18,7 @@ import repro.serve.ivm.merge as merge
 from repro.algorithms.localjoin import evaluate_query_table
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarRelation
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.data.versioned import (
     DELTA_HISTORY_LIMIT,
     DatabaseDelta,

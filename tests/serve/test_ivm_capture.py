@@ -31,8 +31,8 @@ from repro.core.families import (
     star_query,
 )
 from repro.core.query import parse_query
-from repro.data.database import Database, Relation
-from repro.data.matching import matching_database
+from repro.data.columnar import ColumnarDatabase, ColumnarRelation
+from repro.data.generators import matching_database
 from repro.engine.local import union_answer_tables
 from repro.serve.ivm import IvmPolicy
 from repro.serve.ivm.state import RetainedState, SiteState
@@ -55,9 +55,9 @@ FAMILIES = [
 def random_database(query, domain, rows_per_atom, rng):
     """Uniform rows over a small domain: joins (cycles too) are non-empty."""
     rng = random.Random(rng)
-    return Database.from_relations(
+    return ColumnarDatabase.from_relations(
         [
-            Relation.from_tuples(
+            ColumnarRelation.from_rows(
                 atom.name,
                 [
                     tuple(rng.randint(1, domain) for _ in range(atom.arity))
@@ -219,9 +219,9 @@ def test_capture_plus_merges_equals_a_fresh_capture(
     names = [atom.name for atom in query.atoms]
 
     def build(contents):
-        return Database.from_relations(
+        return ColumnarDatabase.from_relations(
             [
-                Relation.from_tuples(
+                ColumnarRelation.from_rows(
                     name, contents[name], domain_size=DOMAIN, arity=2
                 )
                 for name in names

@@ -17,8 +17,7 @@ import tests.serve.test_ivm as ivm_tests
 from repro import connect
 from repro.core.families import cycle_query
 from repro.core.query import parse_query
-from repro.data.generators import matching_database_columnar
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database, matching_database_columnar
 from repro.data.versioned import DatabaseDelta
 from repro.engine.deadline import Deadline, DeadlineExceeded
 from repro.mpc.simulator import CapacityExceeded

@@ -18,7 +18,7 @@ import pytest
 from repro import connect
 from repro.api.session import Session
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.planner import PlannerStats
 from repro.serve.admission import AdmissionQueue, AdmissionStats
 from repro.serve.cache import PlanCacheStats

@@ -9,7 +9,7 @@ import pytest
 
 from repro import connect
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine.faults import DISCONNECT_ENV, ROUND_DELAY_ENV
 from repro.serve.rpc import RpcServer
 

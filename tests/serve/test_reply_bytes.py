@@ -17,10 +17,10 @@ import pytest
 
 import repro.serve.service as service
 from repro import connect
-from repro.algorithms.localjoin import evaluate_query
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.engine.faults import disconnect_after_batches
+from repro.oracle import evaluate_query
 from repro.serve.rpc import RpcServer
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")

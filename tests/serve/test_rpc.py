@@ -10,7 +10,7 @@ import pytest
 
 from repro import connect
 from repro.core.query import parse_query
-from repro.data.matching import matching_database
+from repro.data.generators import matching_database
 from repro.serve.rpc import RpcServer, serve_tcp
 
 VOCAB = parse_query("S1(x,y), S2(y,z), S3(z,x)")

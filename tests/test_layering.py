@@ -11,7 +11,9 @@ failure type and the report containers.  The simulator is column-only:
 no module names the deleted row API.  Deliveries take one path: the
 executor stages every step through one simulator verb, no routing step
 declares itself ``shardable``, and no module names the deleted second
-staging path.
+staging path.  Data is columnar only: no module imports the deleted
+row model or names its converters, :mod:`repro.data` exports no row
+type, and the backtracking row join lives only in the oracle.
 
 Everything runs in one process: no module imports ``multiprocessing``,
 nothing builds a process pool executor, no class defines a pickling
@@ -81,6 +83,12 @@ ROW_API = (
 DUAL_PATH_API = (
     "send_columns", "stage_lazy_columns", "_ColumnStage",
     "has_eager_pools", "route_block_counts", "shardable",
+)
+
+#: The deleted row data model: its constructors and its converters.
+ROW_MODEL = re.compile(
+    r"\b(?:Relation|Database)\(|"
+    r"\b(?:as_mapping|from_relation|to_relation|columnar_database)\b"
 )
 
 #: The only modules that may use ``functools.lru_cache``/``cache``.
@@ -248,6 +256,52 @@ def test_no_module_names_the_row_api():
         if pattern.search(path.read_text())
     }
     assert users == {}
+
+
+def test_no_module_imports_the_row_model():
+    importers = {
+        path.relative_to(ROOT).as_posix()
+        for path in _package_modules()
+        for module in _imported_modules(path)
+        if module in ("repro.data.database", "repro.data.matching")
+    }
+    assert importers == set()
+    assert not (ROOT / "data" / "database.py").exists()
+
+
+def test_no_module_names_the_row_model():
+    users = {
+        path.relative_to(ROOT).as_posix(): sorted(
+            set(ROW_MODEL.findall(path.read_text()))
+        )
+        for path in _package_modules()
+        if ROW_MODEL.search(path.read_text())
+    }
+    assert users == {}
+
+
+def test_repro_data_exports_no_row_type():
+    import repro.data
+
+    exported = {getattr(repro.data, name) for name in repro.data.__all__}
+    types = {value.__name__ for value in exported if isinstance(value, type)}
+    assert types == {
+        "ColumnarDatabase",
+        "ColumnarRelation",
+        "DataError",
+        "DatabaseDelta",
+        "VersionedDatabase",
+    }
+
+
+def test_the_backtracking_join_lives_only_in_the_oracle():
+    definers = {
+        path.relative_to(ROOT).as_posix()
+        for path in _package_modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "evaluate_query"
+    }
+    assert definers == {"oracle.py"}
 
 
 def test_no_module_names_the_second_delivery_path():
@@ -429,7 +483,7 @@ def test_serving_never_loads_multiprocessing():
         "import asyncio, json, sys\n"
         "from repro import connect\n"
         "from repro.core.query import parse_query\n"
-        "from repro.data.matching import matching_database\n"
+        "from repro.data.generators import matching_database\n"
         "from repro.serve.rpc import RpcServer\n"
         "query = parse_query('S1(x,y), S2(y,z)')\n"
         "session = connect(matching_database(query, n=20, rng=1), p=4)\n"

@@ -111,6 +111,14 @@ class TestConstruction:
             assert column.dtype == numpy.int64
         assert list(columnar.rows()) == [(1, 3), (2, 4)]
 
+    def test_from_table_keeps_an_empty_tables_arity(self):
+        table = numpy.empty((0, 3), dtype=numpy.int64)
+        empty = ColumnarRelation.from_table("R", table, domain_size=5)
+        assert empty.arity == 3
+        assert len(empty) == 0
+        assert empty.size_bits == 0
+        assert all(column.dtype == numpy.int64 for column in empty.columns)
+
     def test_arity_mismatch_rejected(self):
         with pytest.raises(DataError, match="arity"):
             ColumnarRelation("R", 2, ([1],), 4)

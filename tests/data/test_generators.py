@@ -23,6 +23,7 @@ from repro.data.generators import (
     random_matching,
     random_permutation,
     skewed_database,
+    skewed_database_columnar,
     witness_database,
 )
 from tests.conftest import exact_answers
@@ -137,6 +138,26 @@ class TestMatchingDatabase:
         assert database["R"].arity == 3
         assert database["S"].arity == 2
 
+    def test_columnar_instance_is_a_matching(self):
+        query = parse_query("R(x,y,z), S(z,w)")
+        database = matching_database_columnar(query, n=20, seed=2)
+        assert database["R"].arity == 3
+        assert database["S"].arity == 2
+        for relation in database:
+            assert relation.is_matching()
+            assert relation.domain_size == 20
+            assert relation.columns[0].tolist() == list(range(1, 21))
+
+    def test_columnar_backend_checked(self):
+        query = line_query(3)
+        default = matching_database_columnar(query, n=30, seed=4)
+        numpy_backend = matching_database_columnar(
+            query, n=30, seed=4, backend="numpy"
+        )
+        assert rows_digest(numpy_backend) == rows_digest(default)
+        with pytest.raises(ValueError, match="backend"):
+            matching_database_columnar(query, n=30, seed=4, backend="pure")
+
     def test_int_seed_reproducible(self, chain4):
         a = matching_database(chain4, n=10, rng=5)
         b = matching_database(chain4, n=10, rng=5)
@@ -183,6 +204,31 @@ class TestSkewedDatabase:
         query = parse_query("q(x,y) = S(x, y)")
         with pytest.raises(DataError):
             skewed_database(query, n=10, heavy_fraction=fraction)
+
+
+    def test_columnar_heavy_value_dominates(self):
+        query = parse_query("q(x,y) = S(x, y)")
+        relation = skewed_database_columnar(
+            query, n=100, seed=3, heavy_fraction=0.5
+        )["S"]
+        counts = numpy.bincount(relation.columns[0], minlength=101)
+        assert counts[1] >= 40  # dedup may eat a few
+        assert counts[1] >= 3 * counts[2:].max()
+        assert not relation.is_matching()
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            {"heavy_fraction": -0.1},
+            {"heavy_fraction": 1.5},
+            {"chunk_rows": 0},
+        ],
+        ids=["fraction-low", "fraction-high", "chunk-rows"],
+    )
+    def test_columnar_arguments_validated(self, arguments):
+        query = parse_query("q(x,y) = S(x, y)")
+        with pytest.raises(DataError):
+            skewed_database_columnar(query, n=10, **arguments)
 
 
 class TestWitnessDatabase:
@@ -232,6 +278,13 @@ class TestLayeredPathGraph:
             assert all(
                 graph.labels[v] == expected for v in component
             )
+
+    def test_edges_are_ordered_distinct_pairs(self):
+        graph = layered_path_graph(num_layers=2, layer_size=4, rng=1)
+        assert all(u < v for u, v in graph.edges)
+        assert list(graph.edges) == sorted(set(graph.edges))
+        # Each inter-layer matching contributes one edge per vertex.
+        assert len(graph.edges) == 2 * 4
 
     def test_validation(self):
         with pytest.raises(DataError):

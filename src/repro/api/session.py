@@ -144,6 +144,19 @@ class Statement:
         """
         return self.session._execute(self, profiler)
 
+    def held(self) -> Result | None:
+        """:meth:`execute` if the planner decision is current and the
+        caches hold the outcome at this version, else None.  A held
+        read neither waits (a busy session lock is None) nor computes;
+        its check counts nothing and moves no cache entry."""
+        session = self.session
+        if not session._lock.acquire(blocking=False):
+            return None
+        try:
+            return self.execute() if session._holds(self) else None
+        finally:
+            session._lock.release()
+
     def stream(
         self, batch_size: int = 1024
     ) -> Iterator[tuple[int, ...]]:
@@ -175,12 +188,13 @@ class Session:
       stamped with the database version each was made at.
 
     Thread safety: every path (planning, compiling, executing,
-    updating) serializes on one internal lock, so concurrent callers
-    run single-file instead of corrupting the unsynchronized caches.
+    updating, stats snapshots) serializes on one internal lock, so
+    concurrent callers run single-file instead of corrupting the
+    unsynchronized caches.
 
     Args:
-        database: initial contents (row database, columnar database,
-            mapping of columnar relations, or an existing
+        database: initial contents (columnar database, mapping of
+            columnar relations, or an existing
             :class:`~repro.data.versioned.VersionedDatabase`).
         p: number of workers every statement runs on.
         seed: hash-family seed shared by all plans.
@@ -382,15 +396,17 @@ class Session:
 
     def stats_snapshot(self) -> Snapshot:
         """Every instrument the session declares (see
-        :mod:`repro.serve.metrics`)."""
+        :mod:`repro.serve.metrics`); taken under the session lock, so
+        it never sees half an execution."""
         service = self._service
-        return snapshot(
-            service.stats,
-            service.stats.plans,
-            service.ivm or IvmManager,
-            self.planner_stats,
-            self,
-        )
+        with self._lock:
+            return snapshot(
+                service.stats,
+                service.stats.plans,
+                service.ivm or IvmManager,
+                self.planner_stats,
+                self,
+            )
 
     def stats_report(self) -> dict:
         """The session's stats as one JSON-ready dict: the RPC
@@ -447,6 +463,12 @@ class Session:
             )
             self._decisions.put(key, (version, choice))
             return choice
+
+    def _holds(self, statement: Statement) -> bool:
+        entry = self._decisions.peek(statement.canonical_key())
+        return entry is not None and entry[0] == self.version and (
+            self._service.holds(statement.query, entry[1])
+        )
 
     def _execute(
         self, statement: Statement, profiler: RoundProfiler | None

@@ -141,14 +141,7 @@ class ColumnarRelation:
         """Build from an int64 ``(rows, arity)`` table: validate the
         domain, then dedup and sort (:func:`sorted_unique_rows`)."""
         if table.size:
-            low = int(table.min())
-            high = int(table.max())
-            if low < 1 or high > domain_size:
-                offender = low if low < 1 else high
-                raise DataError(
-                    f"{name}: value {offender} outside domain "
-                    f"[1, {domain_size}]"
-                )
+            _check_domain(name, table, domain_size)
             table = sorted_unique_rows(table)
         return cls(
             name=name,
@@ -159,6 +152,24 @@ class ColumnarRelation:
             ),
             domain_size=domain_size,
         )
+
+    def validate(self) -> None:
+        """Raise :class:`DataError` unless every value is in ``[1,
+        domain_size]`` and rows strictly increase lexicographically
+        (sorted and distinct).  One vectorised pass per column."""
+        if not len(self):
+            return
+        # ``greater[i]``: row i + 1 exceeds row i on the columns so far.
+        greater = numpy.zeros(len(self) - 1, dtype=bool)
+        for column in reversed(self.columns):
+            _check_domain(self.name, column, self.domain_size)
+            step = numpy.diff(column)
+            greater = (step > 0) | ((step == 0) & greater)
+        if not greater.all():
+            at = int(numpy.argmin(greater)) + 1
+            same = all(column[at] == column[at - 1] for column in self.columns)
+            fault = "duplicate" if same else "unsorted"
+            raise DataError(f"{self.name}: {fault} row at position {at}")
 
     # -- accessors ----------------------------------------------------------
 
@@ -215,6 +226,15 @@ class ColumnarRelation:
         return all(
             numpy.array_equal(numpy.sort(column), values)
             for column in self.columns
+        )
+
+
+def _check_domain(name: str, values: Any, domain_size: int) -> None:
+    low, high = int(values.min()), int(values.max())
+    if low < 1 or high > domain_size:
+        raise DataError(
+            f"{name}: value {low if low < 1 else high} outside domain "
+            f"[1, {domain_size}]"
         )
 
 

@@ -188,7 +188,8 @@ class VersionedDatabase:
             plan execution over it) reads the same arrays.
 
     Raises:
-        DataError: when a key is not its relation's name.
+        DataError: when a key is not its relation's name, or a relation
+            fails ``validate()`` (once, here: writes keep them valid).
     """
 
     def __init__(
@@ -203,6 +204,8 @@ class VersionedDatabase:
         else:
             relations = dict(database.relations)
             domain = database.domain_size
+        for relation in relations.values():
+            relation.validate()
         self._snapshot = ColumnarDatabase(
             relations=relations, domain_size=domain
         )

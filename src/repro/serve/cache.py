@@ -64,6 +64,10 @@ class LRUCache:
             self._entries.move_to_end(key)
         return entry
 
+    def peek(self, key: Any) -> Any | None:
+        """:meth:`get` without moving ``key``'s recency."""
+        return self._entries.get(key)
+
     def put(self, key: Any, value: Any) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
@@ -254,6 +258,10 @@ class PlanCache:
     @staticmethod
     def _exact_key(query: ConjunctiveQuery, params: tuple) -> tuple:
         return (str(query), query.head, params)
+
+    def peek(self, query: ConjunctiveQuery, params: tuple) -> _Entry | None:
+        """The exact-key entry, counting nothing and moving no recency."""
+        return self._entries.get(self._exact_key(query, params))
 
     def get_or_compile(
         self,

@@ -55,11 +55,12 @@ splice applied (:func:`~repro.serve.service.splice_answers`).
 **Concurrency and coalescing.**  The session's planner, plan and
 result caches are unsynchronized, and the coalescing key pairs each
 statement with the version current at submit -- which must still be
-the version at execute.  Every session operation (query, explain,
-update, stats) therefore runs on one dispatch thread, keeping the
-session strictly serialized while the event loop keeps accepting,
-parsing and responding -- many closed-loop clients pipeline instead
-of queueing on the network.
+the version at execute.  A query whose answer the session holds
+(:meth:`~repro.api.session.Statement.held`) is answered on the event
+loop, counted in ``RpcStats.held``; every other operation runs on one
+dispatch thread, keeping the session strictly serialized while the
+event loop keeps accepting, parsing and responding -- many closed-loop
+clients pipeline instead of queueing on the network.
 
 Identical canonicalized statements arriving while one is already in
 flight *coalesce*: they await the same execution future and each gets
@@ -96,6 +97,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Any
 
 from typing import TYPE_CHECKING
@@ -148,6 +150,8 @@ HTTP_REQUEST_LINE = re.compile(rb"([A-Z]+) (\S+) HTTP/1\.[01]")
 #: Seconds an HTTP client has to send its whole request head.
 REQUEST_HEAD_TIMEOUT = 10.0
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
 
 SHED = counter(
     "rpc_shed_total", "Requests shed with ServerOverloaded, by reason."
@@ -172,6 +176,10 @@ class RpcStats:
     coalesced: int = counter(
         "rpc_coalesced_total",
         "Queries served by an identical in-flight execution.",
+    ).field()
+    held: int = counter(
+        "rpc_held_reads_total",
+        "Queries answered on the event loop from a held result.",
     ).field()
     streamed_batches: int = counter(
         "rpc_streamed_batches_total",
@@ -227,17 +235,17 @@ def _parse_batch(value: Any) -> int:
 def encode_line(payload: dict) -> bytes:
     """``payload`` as one compact, newline-terminated JSON line; a
     ``bytes`` value is JSON already encoded (a result's answers or a
-    streamed batch) and is spliced in verbatim."""
-    return b"{%s}\n" % b",".join(
-        json.dumps(key).encode()
-        + b":"
-        + (
-            value
-            if isinstance(value, bytes)
-            else json.dumps(value, separators=(",", ":")).encode()
-        )
-        for key, value in payload.items()
-    )
+    streamed batch) and is spliced in verbatim.  Keys are strings; each
+    run of other values is encoded by one encoder call."""
+    pieces = []
+    for spliced, items in groupby(
+        payload.items(), lambda item: isinstance(item[1], bytes)
+    ):
+        if spliced:
+            pieces += [b"%s:%s" % (_compact(k).encode(), v) for k, v in items]
+        else:
+            pieces.append(_compact(dict(items))[1:-1].encode())
+    return b"{%s}\n" % b",".join(pieces)
 
 
 def _parse_rows(value: Any) -> list[tuple[int, ...]]:
@@ -342,10 +350,10 @@ class RpcServer:
             )
         self.idle_timeout = idle_timeout
         self._server: asyncio.AbstractServer | None = None
-        # One dispatch thread: every operation touches the session's
-        # unsynchronized caches, and a strict execution order keeps
-        # version-at-submit equal to version-at-execute for the
-        # coalescing key.
+        # One dispatch thread: every operation but a held read runs
+        # here, since each touches the session's unsynchronized caches,
+        # and a strict execution order keeps version-at-submit equal to
+        # version-at-execute for the coalescing key.
         self._pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-rpc"
         )
@@ -680,13 +688,17 @@ class RpcServer:
         stream = bool(request.get("stream"))
         batch_rows = _parse_batch(request.get("batch"))
         start = time.perf_counter()
-        if self.admission is not None:
-            await self.admission.acquire()
-        try:
-            result, coalesced = await self._execute(statement)
-        finally:
+        result, coalesced = statement.held(), False
+        if result is not None:
+            self.stats.held += 1
+        else:
             if self.admission is not None:
-                self.admission.release()
+                await self.admission.acquire()
+            try:
+                result, coalesced = await self._execute(statement)
+            finally:
+                if self.admission is not None:
+                    self.admission.release()
         elapsed = time.perf_counter() - start
         self.stats.request_latency.observe(elapsed)
         summary = {

@@ -600,6 +600,19 @@ class QueryService:
             ivm=ivm_status,
         )
 
+    def holds(self, query: ConjunctiveQuery, choice: PlannerChoice) -> bool:
+        """Whether :meth:`execute` would answer from memory, read in
+        this head order; counts nothing and moves no cache entry."""
+        entry = self._plans and self._plans.peek(query, self._params(choice))
+        if not entry or self._results is None:
+            return False
+        variant = (entry.plan.signature.cache_key, entry.rebind.relation_map)
+        outcome = self._results.peek((variant, self.version))
+        return outcome is not None and (
+            outcome.error is not None
+            or entry.rebind.head_permutation in outcome.heads
+        )
+
     # -- write side ---------------------------------------------------------
 
     def apply_delta(self, delta: DatabaseDelta) -> int:
@@ -641,15 +654,12 @@ class QueryService:
 
     # -- internals ----------------------------------------------------------
 
-    def _plan(
-        self, query: ConjunctiveQuery, choice: PlannerChoice
-    ) -> tuple[Plan, CacheRebind, bool]:
-        """``(plan, rebind, plan_hit)`` for ``choice``, through the
-        plan cache when it is enabled."""
+    def _params(self, choice: PlannerChoice) -> tuple:
+        """Every compile parameter of ``choice``: its plan-cache key."""
         capacity_c = self.capacity_c
         if capacity_c is None:
             capacity_c = get_algorithm(choice.algorithm).default_capacity_c
-        params = (
+        return (
             choice.algorithm,
             choice.eps,
             self.p,
@@ -658,6 +668,13 @@ class QueryService:
             self.enforce_capacity,
         )
 
+    def _plan(
+        self, query: ConjunctiveQuery, choice: PlannerChoice
+    ) -> tuple[Plan, CacheRebind, bool]:
+        """``(plan, rebind, plan_hit)`` for ``choice``, through the
+        plan cache when it is enabled."""
+        params = self._params(choice)
+
         def compiler(canonical: ConjunctiveQuery) -> Plan:
             return compile_with(
                 choice.algorithm,
@@ -665,7 +682,7 @@ class QueryService:
                 self.p,
                 eps=choice.eps,
                 seed=self.seed,
-                capacity_c=capacity_c,
+                capacity_c=params[4],
                 enforce_capacity=self.enforce_capacity,
             )
 

@@ -6,6 +6,7 @@ import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import connect
 from repro.core.families import line_query
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation, DataError
@@ -43,6 +44,40 @@ class TestConstruction:
     def test_initial_version_keyword_is_rejected(self):
         with pytest.raises(TypeError, match="initial_version"):
             VersionedDatabase(_versioned().snapshot, initial_version=3)
+
+
+class TestDoorCheck:
+    """The door validates what it is handed: every value in the
+    relation's domain, rows sorted and distinct.  Writes keep it so."""
+
+    @pytest.mark.parametrize(
+        "columns, fault",
+        [
+            (([5, 1, 5], [1, 1, 1]), "value 5 outside domain"),
+            (([1, 0], [1, 2]), "value 0 outside domain"),
+            (([2, 1], [1, 1]), "unsorted row at position 1"),
+            (([1, 1, 2], [2, 1, 1]), "unsorted row at position 1"),
+            (([1, 2, 2], [1, 2, 2]), "duplicate row at position 2"),
+        ],
+        ids=["above", "below", "unsorted", "unsorted-tie", "duplicated"],
+    )
+    def test_connect_rejects_an_invalid_relation(self, columns, fault):
+        relation = ColumnarRelation("R", 2, columns, 2)
+        with pytest.raises(DataError, match=f"^R: {fault}"):
+            connect({"R": relation}, p=4)
+        with pytest.raises(DataError, match=f"^R: {fault}"):
+            VersionedDatabase(ColumnarDatabase({"R": relation}, 5))
+
+    def test_valid_relations_pass_and_writes_keep_them_valid(self):
+        versioned = _versioned()
+        empty = ColumnarRelation("E", 1, ([],), 3)
+        VersionedDatabase({"S1": versioned["S1"], "E": empty})
+        versioned.update(
+            inserts={"S1": [(20, 1), (3, 3)], "S3": [(2, 2), (1, 9)]},
+            deletes={"S2": [(1, 1), next(versioned["S2"].rows())]},
+        )
+        for relation in versioned:
+            relation.validate()
 
 
 class TestDeltas:

@@ -26,7 +26,9 @@ imports them rather than keeping its own.  The local join probes
 with ``searchsorted`` only: :mod:`repro.algorithms.localjoin` builds
 no ``bincount``/``cumsum`` table over the key span.  Replies carry
 answers as bytes written from the int64 table: the RPC layer and the
-answer encoder build no Python rows.
+answer encoder build no Python rows.  The RPC layer runs statements
+only through :class:`~repro.api.session.Statement` methods, so the
+benchmark's trace of ``Statement.execute`` roots every read.
 
 LP solving stays behind :mod:`repro.core.covers` (whose shape memo is
 the one memo of LP results) and the Friedgut LP of
@@ -453,6 +455,34 @@ def test_replies_build_no_python_rows():
     assert len(kernels) == 3
     for kernel in kernels.values():
         assert methods(kernel).isdisjoint({"tolist", "dumps", "decode"})
+
+
+def test_rpc_runs_statements_only_through_statement_methods():
+    # The e2e trace roots every read at ``Statement.execute``: a server
+    # calling the session's or the service's executor directly would
+    # leave that span, and every span under it, empty.
+    rpc = ast.parse((ROOT / "serve" / "rpc.py").read_text())
+    names = {
+        node.id for node in ast.walk(rpc) if isinstance(node, ast.Name)
+    }
+    attributes = {
+        (ast.unparse(node.value), node.attr)
+        for node in ast.walk(rpc)
+        if isinstance(node, ast.Attribute)
+    }
+    assert "QueryService" not in names
+    assert not {attr for _, attr in attributes} & {
+        "_service", "_decide", "_holds", "_lock"
+    }
+    # ``RpcServer._execute`` is the server's own coalescing wrapper.
+    assert {owner for owner, attr in attributes if attr == "_execute"} == {
+        "self"
+    }
+    used = {attr for owner, attr in attributes if owner == "statement"}
+    assert {"held", "execute"} <= used
+    assert used <= {
+        "held", "execute", "explain", "describe_plan", "canonical_key"
+    }
 
 
 @pytest.mark.parametrize(

@@ -163,8 +163,8 @@ class ColumnarRelation:
         greater = numpy.zeros(len(self) - 1, dtype=bool)
         for column in reversed(self.columns):
             _check_domain(self.name, column, self.domain_size)
-            step = numpy.diff(column)
-            greater = (step > 0) | ((step == 0) & greater)
+            later, earlier = column[1:], column[:-1]
+            greater = (later > earlier) | ((later == earlier) & greater)
         if not greater.all():
             at = int(numpy.argmin(greater)) + 1
             same = all(column[at] == column[at - 1] for column in self.columns)

@@ -74,7 +74,8 @@ of the result cache, which only helps *after* an execution finishes.
   come back as ``{"ok": false, "error_type": "DeadlineExceeded"}``.
 * ``max_inflight`` / ``max_queue`` bound concurrent query execution;
   excess load is shed immediately with ``"ServerOverloaded"`` (reason
-  ``queue_full``) instead of queueing without limit.
+  ``queue_full``) instead of queueing without limit.  A held read
+  executes nothing, so it takes no admission slot.
 * ``quota_rps`` / ``quota_burst`` rate-limit each client (keyed by
   the optional wire-level ``client_id``, else per connection);
   over-quota requests shed with reason ``quota``.

@@ -603,8 +603,10 @@ class QueryService:
     def holds(self, query: ConjunctiveQuery, choice: PlannerChoice) -> bool:
         """Whether :meth:`execute` would answer from memory, read in
         this head order; counts nothing and moves no cache entry."""
-        entry = self._plans and self._plans.peek(query, self._params(choice))
-        if not entry or self._results is None:
+        if self._plans is None or self._results is None:
+            return False
+        entry = self._plans.peek(query, self._params(choice))
+        if entry is None:
             return False
         variant = (entry.plan.signature.cache_key, entry.rebind.relation_map)
         outcome = self._results.peek((variant, self.version))
@@ -674,16 +676,17 @@ class QueryService:
         """``(plan, rebind, plan_hit)`` for ``choice``, through the
         plan cache when it is enabled."""
         params = self._params(choice)
+        algorithm, eps, p, seed, capacity_c, enforce_capacity = params
 
         def compiler(canonical: ConjunctiveQuery) -> Plan:
             return compile_with(
-                choice.algorithm,
+                algorithm,
                 canonical,
-                self.p,
-                eps=choice.eps,
-                seed=self.seed,
-                capacity_c=params[4],
-                enforce_capacity=self.enforce_capacity,
+                p,
+                eps=eps,
+                seed=seed,
+                capacity_c=capacity_c,
+                enforce_capacity=enforce_capacity,
             )
 
         if self._plans is not None:

@@ -93,6 +93,20 @@ class TestDispatch:
 
         rpc_test(body())
 
+    def test_a_held_read_takes_no_admission_slot(self):
+        async def body():
+            async with RpcServer(
+                _session(), max_inflight=1, max_queue=0
+            ) as server:
+                client = await _Client.open(server)
+                for _ in range(3):
+                    assert (await client.call(QUERY))["ok"]
+                assert server.admission.stats.admitted == 1
+                assert server.stats.held == 2
+                await client.close()
+
+        rpc_test(body())
+
     def test_a_streamed_held_read_sends_the_same_batches(self):
         async def body():
             async with RpcServer(_session()) as server:

@@ -38,22 +38,29 @@ from repro.core.query import parse_query
 from repro.data.generators import matching_database
 
 VOCAB = "S1(x,y), S2(y,z), S3(z,x)"
-# n large enough that per-request execution time (tens of ms) dwarfs
-# event-loop scheduling jitter: the latency gate then measures
-# queueing, not asyncio noise.
-N = 800
+# n large enough that per-request execution time (an unloaded mean of
+# at least 10 ms on a 2-core host) dwarfs event-loop scheduling jitter
+# and the arrival interval (mean / 4) stays above the in-process
+# client's cost of opening a connection: the open loop then saturates
+# the executor, and the latency gate measures queueing, not asyncio
+# noise.
+N = 30000
 P = 16
 UNLOADED_REQUESTS = 30
 OVERLOAD_REQUESTS = 80
 OVERLOAD_FACTOR = 4.0
 # Distinct shapes so consecutive open-loop arrivals rarely coalesce
 # into one in-flight execution (coalescing is bench_rpc's subject).
+# Each routes and joins whole relations but has a handful of answers
+# on a matching database, so a request costs its execution: a reply of
+# n rows would be parsed by the client on the server's event loop and
+# make the latency tail the client's, not the server's.
 DISTINCT_QUERIES = (
-    "S1(x,y), S2(y,z)",
-    "S2(a,b), S1(b,c)",
+    "S1(x,y), S2(y,x)",
+    "S2(x,y), S3(y,x)",
     "S1(x,y), S2(y,z), S3(z,x)",
-    "S3(x,y), S1(y,z)",
-    "S1(x,y)",
+    "S3(x,y), S1(y,x)",
+    "S1(x,y), S2(y,z), S3(z,y)",
 )
 # Gate: admitted p99 within 2x unloaded p99, plus an absolute noise
 # floor for event-loop scheduling jitter under task churn.

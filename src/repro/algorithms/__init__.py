@@ -10,9 +10,9 @@ through :func:`repro.connect`; ``compile_with(name, ...)`` +
 * :mod:`repro.algorithms.localjoin` -- exact in-memory evaluation of a
   full conjunctive query (the "unlimited local compute" of a worker).
 * :mod:`repro.algorithms.hypercube` -- the one-round HyperCube (HC)
-  algorithm of Section 3.1 (Proposition 3.2).
-* :mod:`repro.algorithms.skewaware` -- HC with heavy-hitter routing
-  (after Koutris-Suciu [17]).
+  algorithm of Section 3.1 (Proposition 3.2), binding heavy hitters
+  at execution (after Koutris-Suciu [17]); on skew-free data no value
+  is heavy and it routes as plain HC.
 * :mod:`repro.algorithms.partial` -- the below-threshold algorithm of
   Proposition 3.11 that reports a ``p^{1 - (1-eps) tau*}`` fraction of
   answers.
@@ -40,7 +40,7 @@ from repro.algorithms.components import (
     run_hash_to_min,
 )
 from repro.algorithms.witness import WitnessResult, run_witness_experiment
-from repro.algorithms.skewaware import detect_heavy_hitters
+from repro.algorithms.hypercube import detect_heavy_hitters
 from repro.algorithms.baselines import CartesianResult, run_cartesian_grid
 
 __all__ = [

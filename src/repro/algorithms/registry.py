@@ -30,7 +30,6 @@ from math import isqrt
 from typing import Callable
 
 from repro.algorithms.hypercube import compile_hypercube
-from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.covers import fractional_vertex_cover, space_exponent
 from repro.core.plans import build_plan
 from repro.core.query import ConjunctiveQuery, QueryError
@@ -44,11 +43,6 @@ from repro.engine.plan import Plan
 #: linearly and whose one-round load decays only as ``p^{2/k}`` --
 #: switch to the logarithmic-depth multi-round plan.
 ROUND_PENALTY = 1.5
-
-#: Mild multiplier steering ties away from skew-aware routing: on
-#: skew-free data its routing degenerates to plain HC, so plain HC
-#: wins unless the profile actually found heavy hitters.
-SKEW_TIEBREAK = 1.05
 
 
 @dataclass(frozen=True)
@@ -83,11 +77,6 @@ class DataProfile:
     def heavy_multiplicity(self, variable: str) -> int:
         """Most frequent heavy multiplicity on ``variable`` (0 if none)."""
         return dict(self.heavy_multiplicities).get(variable, 0)
-
-    @property
-    def has_skew(self) -> bool:
-        """True when any variable sampled a heavy value."""
-        return any(count for _, count in self.heavy_values)
 
 
 @dataclass(frozen=True)
@@ -179,13 +168,14 @@ def _hc_base(
 def _hypercube_bid(
     query: ConjunctiveQuery, p: int, eps: Fraction | None
 ) -> Bid:
-    """One-round HC: ``n / p^{1/tau*}`` plus full skew concentration.
+    """One-round HC: ``n / p^{1/tau*}``, or its heaviest split value.
 
-    A heavy value on a dimension with share ``p_v`` pins all its
-    tuples to one grid slice, so the predicted load is raised to the
-    heaviest multiplicity the profile sampled.  Below the query's
-    space exponent a one-round algorithm cannot report the full answer
-    (Theorem 3.3), so HC is ineligible there.
+    A heavy value on a dimension with share ``p_v`` is bound at
+    execution and split over a ``g1 x g2`` sub-grid, so it raises the
+    predicted load only to ``multiplicity / isqrt(p_v)`` (the [17]
+    cartesian split).  Below the query's space exponent a one-round
+    algorithm cannot report the full answer (Theorem 3.3), so HC is
+    ineligible there.
     """
     query_eps = space_exponent(query)
     if eps is not None and eps < query_eps:
@@ -194,14 +184,15 @@ def _hypercube_bid(
             f"got {eps}"
         )
     divisor, shares, tau = _hc_base(query, p)
-    skewed = [v for v, s in shares if s > 1]
+    split = [(v, max(1, isqrt(s))) for v, s in shares if s > 1]
 
     def estimate(profile: DataProfile) -> CostEstimate:
         base = profile.total_rows / divisor
         heavy = max(
-            (profile.heavy_multiplicity(v) for v in skewed), default=0
+            (profile.heavy_multiplicity(v) / width for v, width in split),
+            default=0.0,
         )
-        load = max(base, float(heavy))
+        load = max(base, heavy)
         return CostEstimate(
             eligible=True,
             cost=load,
@@ -209,48 +200,11 @@ def _hypercube_bid(
             rounds=1,
             shares=shares,
             reason=f"one round at load n/p^(1/{tau})"
-            + (f", skew raises load to {heavy}" if heavy > base else ""),
-        )
-
-    return estimate
-
-
-def _skewaware_bid(
-    query: ConjunctiveQuery, p: int, eps: Fraction | None
-) -> Bid:
-    """Skew-aware HC: heavy values spread over a ``g1 x g2`` sub-grid.
-
-    The heavy term drops from the full multiplicity to
-    ``multiplicity / isqrt(p_v)`` (the [17] cartesian split); a small
-    tie-break keeps plain HC ahead on skew-free data where the two
-    algorithms route identically.
-    """
-    query_eps = space_exponent(query)
-    if eps is not None and eps < query_eps:
-        return ineligible(
-            f"one round needs eps >= {query_eps} (Theorem 3.3); "
-            f"got {eps}"
-        )
-    divisor, shares, _ = _hc_base(query, p)
-    split = [(v, max(1, isqrt(s))) for v, s in shares if s > 1]
-
-    def estimate(profile: DataProfile) -> CostEstimate:
-        base = profile.total_rows / divisor
-        heavy = 0.0
-        for variable, width in split:
-            multiplicity = profile.heavy_multiplicity(variable)
-            if multiplicity:
-                heavy = max(heavy, multiplicity / width)
-        load = max(base, heavy)
-        return CostEstimate(
-            eligible=True,
-            cost=load * SKEW_TIEBREAK,
-            predicted_load=load,
-            rounds=1,
-            shares=shares,
-            reason="heavy values split over cartesian sub-grids"
-            if profile.has_skew
-            else "no heavy hitters sampled; routing equals plain HC",
+            + (
+                f", heavy values split over sub-grids at {heavy:g}"
+                if heavy > base
+                else ""
+            ),
         )
 
     return estimate
@@ -431,14 +385,6 @@ register(
         name="hypercube",
         compile=compile_hypercube,
         bid=_hypercube_bid,
-        default_capacity_c=4.0,
-    )
-)
-register(
-    AlgorithmSpec(
-        name="skewaware",
-        compile=compile_skew_aware,
-        bid=_skewaware_bid,
         default_capacity_c=4.0,
     )
 )

@@ -4,7 +4,7 @@
 ``session.query(text)`` prepares a :class:`Statement` supporting
 ``.execute()``, ``.explain()`` and ``.stream()``.  A cost-based
 planner (:mod:`repro.planner`) picks the algorithm -- one-round
-HyperCube, skew-aware HC, a multi-round plan, or (opt-in) the
+HyperCube (binding heavy hitters), a multi-round plan, or (opt-in) the
 below-threshold partial algorithm -- from the registry's declared
 cost models, bit-identically to compiling the chosen algorithm with
 :func:`~repro.algorithms.registry.compile_with` and running it with

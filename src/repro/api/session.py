@@ -289,9 +289,9 @@ class Session:
             eps: pinned space exponent for this statement; unset means
                 the session default, ``None`` means automatic.
             algorithm: pinned registry algorithm (skips the cost duel;
-                ``"hypercube"``, ``"skewaware"``, ``"multiround"``,
-                ``"partial"``).  ``None`` falls back to the session's
-                ``algorithm`` default (itself None = planner).
+                ``"hypercube"``, ``"multiround"``, ``"partial"``).
+                ``None`` falls back to the session's ``algorithm``
+                default (itself None = planner).
             allow_partial: permit the inexact below-threshold
                 algorithm to win the duel (needs a pinned ``eps``
                 below the query's space exponent to ever matter).

@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--algorithm",
-            choices=["hypercube", "skewaware", "multiround", "partial"],
+            choices=["hypercube", "multiround", "partial"],
             default=None,
             help="pin the algorithm instead of letting the planner pick",
         )
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--algorithm",
-        choices=["hypercube", "skewaware", "multiround"],
+        choices=["hypercube", "multiround"],
         default=None,
         help="pin the compiler serving requests (default: the "
         "cost-based planner picks per statement)",

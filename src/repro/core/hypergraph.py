@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,3 @@ class Hypergraph:
         raise ValueError(
             f"edge {target_edge!r} unreachable from node {start_node!r}"
         )
-
-
-def hypergraph_of(nodes: Sequence[str], edges: Sequence[Iterable[str]]) -> Hypergraph:
-    """Convenience constructor from plain sequences."""
-    return Hypergraph(tuple(nodes), tuple(frozenset(e) for e in edges))

@@ -86,12 +86,6 @@ class QueryPlan:
         """Number of communication rounds."""
         return len(self.rounds)
 
-    def operator_queries(self) -> tuple[ConjunctiveQuery, ...]:
-        """All operator queries across all rounds (for validation)."""
-        return tuple(
-            step.query for round_ in self.rounds for step in round_.steps
-        )
-
 
 def validate_plan(plan: QueryPlan) -> None:
     """Check the structural invariants of Proposition 4.1.

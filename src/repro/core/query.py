@@ -233,17 +233,6 @@ class ConjunctiveQuery:
             atoms, name=name or f"{self._name}|{len(atoms)}"
         )
 
-    def rename_variables(self, mapping: Mapping[str, str]) -> "ConjunctiveQuery":
-        """Apply an *injective* variable renaming."""
-        targets = [mapping.get(v, v) for v in self._head]
-        if len(set(targets)) != len(targets):
-            raise QueryError("variable renaming must be injective")
-        return ConjunctiveQuery(
-            tuple(atom.rename(mapping) for atom in self._atoms),
-            head=tuple(targets),
-            name=self._name,
-        )
-
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -17,7 +17,7 @@ without a Python tuple per row.
   construction, with ``E[|q(I)|] = n^(1 + chi(q))`` (Lemma 3.4).
 * :func:`skewed_database` -- one skewed relation per query atom (heavy
   hitter on the first attribute), the input family of
-  ``repro query --skewed`` and the skew-aware parity/speedup suites;
+  ``repro query --skewed`` and the heavy-hitter parity/ablation suites;
   it contrasts the matching-database assumption (the paper defers
   skew to [17]).
 * :func:`witness_database` -- the Proposition 3.12 instances:
@@ -192,7 +192,7 @@ def skewed_database(
     value ``1`` (the heavy hitter); every other position is uniform in
     ``[1, n]``, drawn row by row.  The result violates the matching
     assumption on every join attribute in first position -- the
-    adversarial regime the skew-aware executor (and
+    adversarial regime HyperCube's heavy-hitter binding (and
     ``repro query --skewed``) is built for.
     """
     _check_heavy_fraction(heavy_fraction)
@@ -316,11 +316,6 @@ class GraphInstance:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     labels: dict[int, int]
-
-    @property
-    def num_components(self) -> int:
-        """Number of connected components."""
-        return len(set(self.labels.values()))
 
 
 def _component_labels(

@@ -87,13 +87,6 @@ class DatabaseDelta:
             },
         )
 
-    @property
-    def is_empty(self) -> bool:
-        """True when the delta changes nothing."""
-        return not any(self.inserts.values()) and not any(
-            self.deletes.values()
-        )
-
 
 @dataclass(frozen=True)
 class DeltaRecord:

@@ -8,13 +8,14 @@ rounds to the same small IR -- a list of
 ====================  =================================================
 algorithm             routing steps per round
 ====================  =================================================
-HyperCube             one :class:`HashRoute` per atom on the share grid
+HyperCube             one :class:`HashRoute` per atom on the share
+                      grid; when :class:`HeavyBind` finds heavy values,
+                      one :class:`HeavyGridRoute` per atom instead
+                      (light values hash, heavy values split over a
+                      ``g1 x g2`` cartesian sub-grid)
 multi-round plans     per operator, one :class:`HashRoute` per atom on
                       the operator's own grid (views re-hashed by
                       content between rounds)
-skew-aware HC         one :class:`HeavyGridRoute` per atom (light
-                      values hash, heavy values split over a
-                      ``g1 x g2`` cartesian sub-grid)
 below-threshold HC    one :class:`RemapRanks`-wrapped
                       :class:`HashRoute` per atom (virtual grid,
                       sampled points)

@@ -86,10 +86,6 @@ class Deadline:
         """Milliseconds since the budget started."""
         return (self._clock() - self._started) * 1000.0
 
-    def remaining_ms(self) -> float:
-        """Milliseconds left; never negative."""
-        return max(0.0, self.budget_ms - self.elapsed_ms())
-
     @property
     def expired(self) -> bool:
         """Whether the budget is spent."""

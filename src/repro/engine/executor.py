@@ -71,7 +71,7 @@ from repro.engine.plan import (
     key_map_of,
 )
 from repro.engine.profile import RoundProfiler
-from repro.engine.steps import HeavyGridRoute, RoutingStep
+from repro.engine.steps import RoutingStep
 from repro.engine.streaming import (
     LazyContribution,
     resolve_chunk_rows,
@@ -385,21 +385,14 @@ def execute_plan(
         if deadline is not None:
             deadline.check("between rounds")
         steps = plan_round.steps
-        if plan_round.bind_heavy is not None:
-            from repro.algorithms.skewaware import detect_heavy_hitters
+        bind = plan_round.bind_heavy
+        if bind is not None:
+            from repro.algorithms.hypercube import detect_heavy_hitters
 
-            bind = plan_round.bind_heavy
             heavy_hitters = detect_heavy_hitters(
-                bind.query,
-                environment,
-                dict(bind.shares),
+                bind.query, environment, dict(bind.shares)
             )
-            steps = tuple(
-                replace(step, heavy=heavy_hitters)
-                if isinstance(step, HeavyGridRoute)
-                else step
-                for step in steps
-            )
+            steps = bind.bind(steps, heavy_hitters)
         engine.run_round(steps, environment)
 
         for view in plan_round.views:

@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import ShareAllocation
-from repro.engine.steps import RoutingStep
+from repro.engine.steps import HeavyGridRoute, RoutingStep
 
 #: Pairs ``(atom name, mailbox key)`` -- the immutable form of the
 #: ``key_of`` callables the local-evaluation helpers take.
@@ -63,7 +63,7 @@ class PlanSignature:
 
     Attributes:
         algorithm: compiler name (``"hypercube"``, ``"multiround"``,
-            ``"skewaware"``, ...).
+            ...).
         query_text: canonical text of the compiled query (or logical
             plan) -- ``str(query)`` includes head order, atom order
             and variable names, all of which the routing depends on.
@@ -118,14 +118,46 @@ class HeavyBind:
     """Execute-time binding of heavy hitters into a round's steps.
 
     Heavy-hitter detection reads the data (legal round-1 statistics
-    work, Section 2.4), so a skew-aware plan carries this declarative
+    work, Section 2.4), so a HyperCube plan carries this declarative
     marker instead of baked-in heavy sets: before routing, the
-    executor detects heavy values under ``shares`` and rebinds every
-    :class:`~repro.engine.steps.HeavyGridRoute` of the round.
+    executor (and the oracle) detect heavy values under ``shares`` and
+    route the round through :meth:`bind`.
+
+    Attributes:
+        query: the query whose atoms the round routes.
+        shares: the share grid the heavy thresholds come from.
+        roles: per variable, atom -> cartesian grid role (see
+            :class:`~repro.engine.steps.HeavyGridRoute`).
     """
 
     query: ConjunctiveQuery
     shares: tuple[tuple[str, int], ...]
+    roles: Mapping[str, Mapping[str, int] | None]
+
+    def bind(
+        self,
+        steps: tuple[RoutingStep, ...],
+        heavy: Mapping[str, frozenset[int]],
+    ) -> tuple[RoutingStep, ...]:
+        """The steps that route the round under ``heavy``.
+
+        With every detected set empty these are ``steps`` themselves
+        (plain HyperCube); otherwise one
+        :class:`~repro.engine.steps.HeavyGridRoute` per step, on the
+        step's grid and atom.
+        """
+        if not any(heavy.values()):
+            return steps
+        return tuple(
+            HeavyGridRoute(
+                relation=step.relation,
+                atom=step.atom,
+                grid=step.grid,
+                heavy=heavy,
+                roles=self.roles,
+            )
+            for step in steps
+        )
 
 
 @dataclass(frozen=True)

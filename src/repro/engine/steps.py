@@ -47,7 +47,6 @@ from repro.core.query import Atom
 from repro.mpc.simulator import Endpoint
 from repro.mpc.routing import (
     HashFamily,
-    grid_size,
     grid_weights,
     residual_key,
     residual_key_columns,
@@ -103,11 +102,6 @@ class GridSpec:
     def weights(self) -> tuple[int, ...]:
         """Mixed-radix rank weight of each dimension."""
         return grid_weights(self.dimensions)
-
-    @property
-    def num_servers(self) -> int:
-        """Total grid points ``prod_i p_i``."""
-        return grid_size(self.dimensions)
 
 
 @dataclass(frozen=True, kw_only=True)

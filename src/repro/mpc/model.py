@@ -8,7 +8,6 @@ per-worker receive capacity for a given input size.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,26 +45,9 @@ class MPCConfig:
         exponent = float(1 - self.eps)
         return self.c * input_bits / (self.p ** exponent)
 
-    def replication_budget(self) -> float:
-        """Total data exchanged per round relative to ``N``: ``p^eps``.
-
-        Summing the per-worker capacity over all ``p`` workers gives
-        ``c * N * p^eps``: the replication factor is ``O(p^eps)``.
-        """
-        return float(self.p) ** float(self.eps)
-
     def describe(self) -> str:
         """Human-readable one-line summary."""
         return (
             f"MPC(eps={self.eps}) with p={self.p}, capacity "
             f"{self.c}*N/p^{float(1 - self.eps):.3g}"
         )
-
-
-def degenerate_rounds(config: MPCConfig) -> int:
-    """Rounds after which the model becomes degenerate.
-
-    Running for ``Theta(p^{1-eps})`` rounds lets every worker receive
-    the entire input; bound used by tests to keep experiments honest.
-    """
-    return math.ceil(config.p ** float(1 - config.eps))

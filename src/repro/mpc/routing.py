@@ -117,7 +117,7 @@ class HashFamily:
 def residual_key(values: Sequence[int]) -> int:
     """Fold a residual tuple into one 64-bit key (order-sensitive).
 
-    The skew-aware heavy-grid split hashes the *residual* attributes
+    HyperCube's heavy-grid split hashes the *residual* attributes
     of a tuple (everything except the heavy dimension) to pick its row
     or column in the ``g1 x g2`` sub-grid.  The fold is a splitmix64
     chain so :func:`residual_key_columns` can reproduce it exactly

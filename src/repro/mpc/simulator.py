@@ -178,10 +178,6 @@ class ColumnPool:
         end = int(self.offsets[worker + 1])
         return tuple(column[start:end] for column in self.columns)
 
-    def worker_count(self, worker: int) -> int:
-        """Number of rows delivered to one worker."""
-        return int(self.offsets[worker + 1]) - int(self.offsets[worker])
-
     def shard(self, lo: int, hi: int) -> "ColumnPool":
         """The sub-pool of workers ``[lo, hi)`` (zero-copy slices).
 

@@ -39,7 +39,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan, key_map_of
-from repro.engine.steps import HeavyGridRoute
 from repro.mpc.simulator import CapacityExceeded
 from repro.mpc.stats import RoundStats, SimulationReport
 
@@ -212,10 +211,6 @@ class OracleExecution:
     report: SimulationReport
     received: list[Delivered]
 
-    def received_rows(self, worker: int, key: str) -> list[tuple[int, ...]]:
-        """Every row ``worker`` received under ``key``, in all rounds."""
-        return _received_rows(self.received, worker, key)
-
 
 def _received_rows(
     received: list[Delivered], worker: int, key: str
@@ -337,15 +332,10 @@ def execute_plan(
 
     for round_index, plan_round in enumerate(plan.rounds, start=1):
         steps = plan_round.steps
-        if plan_round.bind_heavy is not None:
-            bind = plan_round.bind_heavy
+        bind = plan_round.bind_heavy
+        if bind is not None:
             heavy = heavy_hitters(bind.query, environment, dict(bind.shares))
-            steps = tuple(
-                replace(step, heavy=heavy)
-                if isinstance(step, HeavyGridRoute)
-                else step
-                for step in steps
-            )
+            steps = bind.bind(steps, heavy)
         delivered: Delivered = [{} for _ in range(p)]
         bits = [0] * p
         tuples = [0] * p

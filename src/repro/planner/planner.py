@@ -41,7 +41,7 @@ from repro.core.query import ConjunctiveQuery, QueryError
 from repro.serve.metrics import counter
 
 #: Preference order for cost ties (the paper's defaults first).
-_TIE_ORDER = ("hypercube", "skewaware", "multiround", "partial")
+_TIE_ORDER = ("hypercube", "multiround", "partial")
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,7 @@ class Planner:
     ) -> Fraction | None:
         if eps is not None:
             return eps
-        if chosen in ("hypercube", "skewaware"):
+        if chosen == "hypercube":
             return query_eps
         if chosen == "multiround":
             return Fraction(0)

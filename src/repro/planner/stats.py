@@ -3,7 +3,7 @@
 A :class:`~repro.algorithms.registry.DataProfile` (defined beside the
 cost models that read it) is the planner's whole view of the data:
 relation cardinalities plus a *skew sample* -- the heavy-hitter scan
-of :func:`repro.algorithms.skewaware.detect_heavy_hitters` run under
+of :func:`repro.algorithms.hypercube.detect_heavy_hitters` run under
 the query's own HyperCube shares, on a deterministic stride sample
 when relations are large.  Collection is O(data scanned) with no
 joins, so profiling a statement costs far less than executing it, and
@@ -13,9 +13,9 @@ a write, a statement's next profile rescans only the relations the
 write touched, on the grid its previous profile recorded.
 
 Heavy multiplicities (the count of the most frequent heavy value per
-variable) feed the registry cost models directly: plain HC's
-predicted load rises to the full multiplicity, skew-aware's only to
-``multiplicity / isqrt(share)``.
+variable) feed the registry cost models directly: HyperCube binds
+heavy values at execution and splits each over a cartesian sub-grid,
+so its predicted load rises only to ``multiplicity / isqrt(share)``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy
 
 from repro.algorithms.registry import DataProfile
-from repro.algorithms.skewaware import detect_heavy_hitters
+from repro.algorithms.hypercube import detect_heavy_hitters
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import allocate_integer_shares, share_exponents
 from repro.data.columnar import ColumnarRelation

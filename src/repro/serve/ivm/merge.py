@@ -80,6 +80,7 @@ class MergeSuccess:
     #: and its row edges (None when not kept), if the JSON was built.
     splice: tuple[Any, Any, Any]
     reply: tuple[bytes, Any] | None
+    heavy_hitters: dict[str, frozenset[int]] | None = None
 
 
 @dataclass(frozen=True)
@@ -398,4 +399,5 @@ def merge_state(
         view_sizes=view_sizes,
         splice=splice,
         reply=reply,
+        heavy_hitters=state.heavy_hitters,
     )

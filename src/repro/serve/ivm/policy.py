@@ -2,8 +2,9 @@
 
 Incremental maintenance is only correct for plans whose routing is a
 pure function of tuple content (the property the source paper's model
-guarantees for HyperCube-style hash routing) and only *profitable*
-when the delta is small relative to the base.  ``IvmPolicy`` encodes
+guarantees for HyperCube-style hash routing; a HyperCube round is one
+while it binds no heavy value) and only *profitable* when the delta
+is small relative to the base.  ``IvmPolicy`` encodes
 both as named fallback reasons, surfaced verbatim through
 ``ServiceStats``, ``explain()`` and ``/metrics`` so an operator can
 see why a workload is not incrementalising.
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.algorithms.hypercube import detect_heavy_hitters
 from repro.data.columnar import ColumnarDatabase
 from repro.data.versioned import DeltaRecord
 from repro.engine.plan import CollectAnswers, FinalizeView, Plan
@@ -23,13 +25,15 @@ if TYPE_CHECKING:
 
 # Plan-shape reasons (decided once per plan).
 FALLBACK_NO_FINALIZE = "no-finalize"
-FALLBACK_HEAVY_BINDING = "heavy-binding"
 FALLBACK_MULTI_WRITER = "multi-writer-mailbox"
 
 # No state to merge into: never captured, evicted, over budget -- or
 # the capture declined, for the named reason where there is one.
 FALLBACK_NO_STATE = "no-retained-state"
 FALLBACK_STREAMED = "streamed-deliveries"
+# The execution bound a non-empty heavy set: its routing depended on
+# data statistics, not just tuple content.
+FALLBACK_HEAVY_BINDING = "heavy-binding"
 # Some answer sits on more than one worker: the per-worker delta rule
 # would count it twice (see :mod:`repro.serve.ivm.merge`).
 FALLBACK_OVERLAP = "overlapping-answers"
@@ -38,6 +42,9 @@ FALLBACK_OVERLAP = "overlapping-answers"
 FALLBACK_HISTORY_GAP = "history-gap"
 FALLBACK_BITS_CHANGED = "bits-changed"
 FALLBACK_DELTA_TOO_LARGE = "delta-too-large"
+# The new snapshot has a heavy value under the plan's shares, so a full
+# execution would route differently from the retained (light) state.
+FALLBACK_HEAVY_VALUES = "heavy-values"
 
 
 def step_writers(plan: Plan) -> dict[str, list[tuple[int, int]]]:
@@ -73,11 +80,6 @@ class IvmPolicy:
         (None when it can)."""
         if not isinstance(plan.finalize, (CollectAnswers, FinalizeView)):
             return FALLBACK_NO_FINALIZE
-        for plan_round in plan.rounds:
-            if plan_round.bind_heavy is not None:
-                # Heavy-hitter binding makes routing depend on data
-                # statistics, not just tuple content.
-                return FALLBACK_HEAVY_BINDING
         for key, writers in step_writers(plan).items():
             if len(writers) > 1:
                 # A fragment fed by several steps cannot be patched
@@ -113,4 +115,18 @@ class IvmPolicy:
         )
         if changed > self.max_delta_fraction * max(base_rows, 1):
             return FALLBACK_DELTA_TOO_LARGE
+        for plan_round in state.plan.rounds:
+            bind = plan_round.bind_heavy
+            if bind is None:
+                continue
+            names = state.relation_map
+            sources = {
+                atom.name: snapshot[names.get(atom.name, atom.name)]
+                for atom in bind.query.atoms
+            }
+            heavy = detect_heavy_hitters(
+                bind.query, sources, dict(bind.shares)
+            )
+            if any(heavy.values()):
+                return FALLBACK_HEAVY_VALUES
         return None

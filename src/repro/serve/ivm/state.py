@@ -50,7 +50,12 @@ from repro.engine.plan import (
 from repro.mpc.simulator import ColumnPool
 from repro.mpc.stats import RoundStats
 
-from .policy import FALLBACK_NO_STATE, FALLBACK_OVERLAP, FALLBACK_STREAMED
+from .policy import (
+    FALLBACK_HEAVY_BINDING,
+    FALLBACK_NO_STATE,
+    FALLBACK_OVERLAP,
+    FALLBACK_STREAMED,
+)
 
 
 def columns_nbytes(columns: tuple) -> int:
@@ -97,6 +102,9 @@ class RetainedState:
     report_rounds: tuple[RoundStats, ...]
     step_bits: dict[tuple[int, int], int]
     projected: Any = None
+    #: The execution's bound heavy sets (all empty, or None when the
+    #: plan binds none); a merge serves them as a full run would.
+    heavy_hitters: dict[str, frozenset[int]] | None = None
     #: ``(mailbox key, worker)`` -> the fragment merges patched, as
     #: int64 columns; it replaces that worker's slice of the pool.
     patched: dict[tuple[str, int], tuple] = field(default_factory=dict)
@@ -213,15 +221,19 @@ def capture_state(
     some site (some delivery was a multi-block recipe; materialising
     recipes here would recreate the memory cliff streaming exists to
     avoid), ``overlapping-answers`` when some site's worker answers
-    are not disjoint, ``no-retained-state`` when the simulator no
-    longer holds a complete pool for every needed key -- either way
-    the next delta simply falls back to full re-execution.
+    are not disjoint, ``heavy-binding`` when the execution bound a
+    heavy value (its routing read data statistics, so a delta's routed
+    image is not the delta's own), ``no-retained-state`` when the
+    simulator no longer holds a complete pool for every needed key --
+    either way the next delta simply falls back to full re-execution.
     """
     simulator = execution.simulator
     p = plan.signature.p
     relation_map = dict(relation_map or {})
     if len(execution.report.rounds) != len(plan.rounds):
         return FALLBACK_NO_STATE
+    if any((execution.heavy_hitters or {}).values()):
+        return FALLBACK_HEAVY_BINDING
 
     sites = plan_sites(plan)
     recorded = execution.site_answers or {}
@@ -276,6 +288,7 @@ def capture_state(
         report_rounds=tuple(execution.report.rounds),
         step_bits=compute_step_bits(plan, snapshot, relation_map),
         projected=projected,
+        heavy_hitters=execution.heavy_hitters,
     )
     state.recount_bytes()
     return state

@@ -328,8 +328,9 @@ class Result:
         cached: the whole execution was memoized.
         explain: the planner's :class:`~repro.planner.Explain` for
             the route that produced this, with :attr:`ivm` mirrored.
-        heavy_hitters: heavy values bound during execution
-            (skew-aware routes only).
+        heavy_hitters: per variable, the heavy values a HyperCube
+            route bound (empty sets on skew-free data; None for other
+            routes).
         view_sizes: materialised intermediate-view sizes (multi-round
             routes only; empty otherwise).
         ivm: how incremental maintenance participated -- ``"merged"``
@@ -726,6 +727,7 @@ class QueryService:
                 served.report,
                 served.table,
                 served.per_server,
+                served.heavy_hitters,
                 view_sizes=served.view_sizes,
             )
             if served.reply is not None:  # plan head order, derived

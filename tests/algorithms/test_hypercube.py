@@ -17,11 +17,12 @@ from repro.core.families import (
 from repro.core.query import Atom, parse_query
 from repro.data.columnar import ColumnarDatabase, ColumnarRelation
 from repro.data.generators import matching_database
-from repro.engine import GridSpec, HashRoute
+from repro.engine import GridSpec, HashRoute, execute_plan
 from repro.mpc.routing import HashFamily
 from tests.conftest import (
     assert_oracle_parity,
     exact_answers,
+    light_plan,
     run_pinned,
     run_with_oracle,
 )
@@ -160,7 +161,8 @@ class TestLoads:
 
     def test_skew_breaks_load_balance(self):
         """With all-equal join values the hash cannot spread the load:
-        the matching assumption is load-bearing (Section 2.5)."""
+        the matching assumption is load-bearing for the light plan
+        (Section 2.5), and binding the heavy value restores balance."""
         n = 128
         skew_rows = [(i, 1) for i in range(1, n + 1)]
         match_rows = [(i, i) for i in range(1, n + 1)]
@@ -173,7 +175,9 @@ class TestLoads:
             ]
         )
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
-        skewed = run_pinned("hypercube", query, database, p=16, seed=1)
+        plan = compile_with("hypercube", query, 16, seed=1)
+        skewed = execute_plan(light_plan(plan), database)
+        bound = execute_plan(plan, database)
         balanced_db = ColumnarDatabase.from_relations(
             [
                 ColumnarRelation.from_rows("S1", match_rows, n),
@@ -184,6 +188,10 @@ class TestLoads:
         assert (
             skewed.report.max_load_tuples
             > 3 * balanced.report.max_load_tuples
+        )
+        assert (
+            bound.report.max_load_tuples
+            < 3 * balanced.report.max_load_tuples
         )
 
 

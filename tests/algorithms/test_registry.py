@@ -15,7 +15,6 @@ from repro.algorithms.registry import (
     compile_with,
     get_algorithm,
 )
-from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.plans import build_plan
 from repro.core.query import QueryError, parse_query
 
@@ -39,17 +38,19 @@ def _estimate(name, query, profile, eps):
 
 
 class TestRegistryContents:
-    def test_all_four_compilers_registered(self):
-        assert algorithm_names() == (
-            "hypercube",
-            "multiround",
-            "partial",
-            "skewaware",
-        )
+    def test_three_compilers_registered(self):
+        assert algorithm_names() == ("hypercube", "multiround", "partial")
 
     def test_unknown_name_is_a_query_error_listing_options(self):
         with pytest.raises(QueryError, match="hypercube"):
             get_algorithm("nope")
+
+    def test_skewaware_is_unknown(self, two_hop):
+        """Heavy-hitter routing is HyperCube's; no second name."""
+        with pytest.raises(
+            QueryError, match="hypercube, multiround, partial"
+        ):
+            compile_with("skewaware", two_hop, 16)
 
     def test_specs_declare_exactness(self):
         assert get_algorithm("partial").exact is False
@@ -64,12 +65,6 @@ class TestCompileWith:
     def test_hypercube_matches_direct_compile(self, two_hop):
         via_registry = compile_with("hypercube", two_hop, 16, seed=3)
         direct = compile_hypercube(two_hop, 16, seed=3)
-        assert via_registry.signature == direct.signature
-        assert via_registry.describe() == direct.describe()
-
-    def test_skewaware_matches_direct_compile(self, two_hop):
-        via_registry = compile_with("skewaware", two_hop, 16)
-        direct = compile_skew_aware(two_hop, 16)
         assert via_registry.signature == direct.signature
         assert via_registry.describe() == direct.describe()
 
@@ -108,10 +103,9 @@ class TestCompileWith:
 class TestCostModels:
     def test_one_round_ineligible_below_space_exponent(self, triangle):
         profile = _profile(triangle)
-        for name in ("hypercube", "skewaware"):
-            estimate = _estimate(name, triangle, profile, Fraction(0))
-            assert not estimate.eligible
-            assert "Theorem 3.3" in estimate.reason
+        estimate = _estimate("hypercube", triangle, profile, Fraction(0))
+        assert not estimate.eligible
+        assert "Theorem 3.3" in estimate.reason
 
     def test_hypercube_beats_multiround_on_short_queries(self, triangle):
         profile = _profile(triangle)
@@ -130,17 +124,16 @@ class TestCostModels:
         assert mr.cost < hc.cost
         assert mr.rounds > 1
 
-    def test_skew_flips_the_one_round_duel(self, two_hop):
-        skew_free = _profile(two_hop)
-        hc = _estimate("hypercube", two_hop, skew_free, None)
-        sa = _estimate("skewaware", two_hop, skew_free, None)
-        assert hc.cost < sa.cost  # tie-break prefers plain HC
-        skewed = _profile(two_hop, heavy=(("y", 80),))
-        hc = _estimate("hypercube", two_hop, skewed, None)
-        sa = _estimate("skewaware", two_hop, skewed, None)
-        assert sa.cost < hc.cost
-        assert hc.predicted_load >= 80  # full concentration
-        assert sa.predicted_load < hc.predicted_load
+    def test_heavy_value_priced_at_its_split(self, two_hop):
+        """A heavy value costs ``multiplicity / isqrt(p_v)``: y's share
+        is 16, so multiplicity 80 splits over 4 rows to 20."""
+        skew_free = _estimate("hypercube", two_hop, _profile(two_hop), None)
+        assert skew_free.predicted_load == 200 / 16
+        skewed = _estimate(
+            "hypercube", two_hop, _profile(two_hop, heavy=(("y", 80),)), None
+        )
+        assert skewed.predicted_load == skewed.cost == 80 / 4
+        assert "split" in skewed.reason
 
     def test_partial_cost_needs_low_eps(self, triangle):
         profile = _profile(triangle)

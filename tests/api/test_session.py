@@ -398,13 +398,13 @@ class TestParityWithFreshCompilation:
             assert variant.answers == _truth(text, session)
         assert session.stats.plans.isomorphic_hits == 2
 
-    def test_skewaware_session_matches_fresh(self):
+    def test_skewed_hypercube_session_matches_fresh(self):
         from repro.data.generators import skewed_database
 
         query = parse_query("S1(x,y), S2(y,z)")
         database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
-        session = connect(database, p=8, algorithm="skewaware")
-        fresh = run_pinned("skewaware", query, database, p=8)
+        session = connect(database, p=8, algorithm="hypercube")
+        fresh = run_pinned("hypercube", query, database, p=8)
         for _ in range(2):
             served = session.execute(query)
             assert served.answers == fresh.answers
@@ -417,7 +417,7 @@ class TestParityWithFreshCompilation:
         query = parse_query("S1(x,y), S2(y,z)")
         database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
         session = connect(
-            database, p=8, algorithm="skewaware", result_cache_size=0
+            database, p=8, algorithm="hypercube", result_cache_size=0
         )
         first = session.execute(query)
         second = session.execute(query)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 from unittest import mock
 
@@ -70,6 +71,17 @@ def with_relation(database, relation):
     return ColumnarDatabase(
         relations={**database.relations, relation.name: relation},
         domain_size=database.domain_size,
+    )
+
+
+def light_plan(plan):
+    """``plan`` with no heavy binding: plain HyperCube routing."""
+    return replace(
+        plan,
+        rounds=tuple(
+            replace(plan_round, bind_heavy=None)
+            for plan_round in plan.rounds
+        ),
     )
 
 

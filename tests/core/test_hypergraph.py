@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.core.families import cycle_query, line_query, star_query
-from repro.core.hypergraph import Hypergraph, hypergraph_of
+from repro.core.hypergraph import Hypergraph
 
 
 def to_networkx(hypergraph: Hypergraph) -> nx.Graph:
@@ -22,7 +22,7 @@ def to_networkx(hypergraph: Hypergraph) -> nx.Graph:
 
 class TestConstruction:
     def test_edge_names_default(self):
-        h = hypergraph_of(["a", "b"], [["a", "b"]])
+        h = Hypergraph(("a", "b"), (frozenset({"a", "b"}),))
         assert h.edge_names == ("e0",)
 
     def test_edge_names_length_checked(self):
@@ -31,7 +31,7 @@ class TestConstruction:
 
     def test_edge_outside_nodes_rejected(self):
         with pytest.raises(ValueError, match="not within nodes"):
-            hypergraph_of(["a"], [["a", "b"]])
+            Hypergraph(("a",), (frozenset({"a", "b"}),))
 
 
 class TestAdjacencyAndComponents:
@@ -40,7 +40,7 @@ class TestAdjacencyAndComponents:
         assert adjacency["x1"] == {"x2", "x3"}
 
     def test_isolated_node_is_singleton_component(self):
-        h = hypergraph_of(["a", "b", "c"], [["a", "b"]])
+        h = Hypergraph(("a", "b", "c"), (frozenset({"a", "b"}),))
         components = h.connected_components
         assert frozenset({"c"}) in components
         assert len(components) == 2
@@ -84,17 +84,17 @@ class TestMetrics:
         assert h.distance("x1", "x4") == h.distance("x4", "x1")
 
     def test_distance_unreachable_raises(self):
-        h = hypergraph_of(["a", "b"], [["a"], ["b"]])
+        h = Hypergraph(("a", "b"), (frozenset({"a"}), frozenset({"b"})))
         with pytest.raises(ValueError, match="unreachable"):
             h.distance("a", "b")
 
     def test_unknown_start_raises(self):
-        h = hypergraph_of(["a"], [["a"]])
+        h = Hypergraph(("a",), (frozenset({"a"}),))
         with pytest.raises(KeyError):
             h.distances_from("zz")
 
     def test_eccentricity_requires_connected(self):
-        h = hypergraph_of(["a", "b"], [["a"], ["b"]])
+        h = Hypergraph(("a", "b"), (frozenset({"a"}), frozenset({"b"})))
         with pytest.raises(ValueError, match="disconnected"):
             h.eccentricity("a")
 

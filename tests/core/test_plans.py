@@ -114,15 +114,17 @@ class TestPlanStructure:
     def test_every_operator_in_gamma_one(self):
         for eps in (Fraction(0), Fraction(1, 2)):
             plan = build_plan(line_query(9), eps)
-            for operator in plan.operator_queries():
-                assert in_gamma_one(operator, eps)
+            for round_ in plan.rounds:
+                for step in round_.steps:
+                    assert in_gamma_one(step.query, eps)
 
     def test_operators_cover_all_atoms(self):
         plan = build_plan(cycle_query(7), Fraction(0))
         used = {
             atom.name
-            for operator in plan.operator_queries()
-            for atom in operator.atoms
+            for round_ in plan.rounds
+            for step in round_.steps
+            for atom in step.query.atoms
         }
         base = {atom.name for atom in cycle_query(7).atoms}
         assert base <= used

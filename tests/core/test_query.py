@@ -99,15 +99,6 @@ class TestConjunctiveQuery:
         with pytest.raises(QueryError, match="unknown atoms"):
             chain4.subquery(["S9"])
 
-    def test_rename_variables(self, two_hop):
-        renamed = two_hop.rename_variables({"x": "a", "z": "c"})
-        assert renamed.head == ("a", "y", "c")
-        assert renamed.atom("S1").variables == ("a", "y")
-
-    def test_rename_must_be_injective(self, two_hop):
-        with pytest.raises(QueryError, match="injective"):
-            two_hop.rename_variables({"x": "y"})
-
     def test_equality_and_hash(self, two_hop):
         clone = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         assert clone == two_hop

@@ -263,7 +263,7 @@ class TestLayeredPathGraph:
         assert graph.num_vertices == 50
         assert len(graph.edges) == 40
         # Every component is a path with one vertex per layer.
-        assert graph.num_components == 10
+        assert len(set(graph.labels.values())) == 10
         sizes = {}
         for label in graph.labels.values():
             sizes[label] = sizes.get(label, 0) + 1

@@ -120,7 +120,7 @@ class TestDeltas:
     def test_empty_delta_still_bumps_version(self):
         versioned = _versioned()
         delta = DatabaseDelta.of()
-        assert delta.is_empty
+        assert not delta.inserts and not delta.deletes
         assert versioned.apply_delta(delta) == 1
 
     def test_ragged_insert_rejected(self):

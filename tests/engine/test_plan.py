@@ -21,7 +21,6 @@ from repro.algorithms.baselines import (
 from repro.algorithms.hypercube import compile_hypercube
 from repro.algorithms.multiround import compile_multiround
 from repro.algorithms.registry import compile_with
-from repro.algorithms.skewaware import compile_skew_aware
 from repro.core.families import (
     binomial_query,
     cycle_query,
@@ -35,6 +34,7 @@ from repro.data.generators import matching_database
 from repro.engine import (
     CollectAnswers,
     FinalizeView,
+    HashRoute,
     Plan,
     execute_plan,
 )
@@ -86,7 +86,6 @@ class TestCompilation:
         assert isinstance(physical.finalize, FinalizeView)
 
     def test_all_compilers_emit_plans(self, triangle):
-        assert isinstance(compile_skew_aware(triangle, p=8), Plan)
         assert isinstance(compile_broadcast_join(triangle, p=4), Plan)
         assert isinstance(compile_single_server(triangle), Plan)
         assert isinstance(
@@ -174,17 +173,17 @@ class TestExecution:
             row[1:] + row[:1] for row in identity.answers
         )
 
-    def test_skew_plan_binds_heavy_at_execute(self):
+    def test_hypercube_plan_binds_heavy_at_execute(self):
         from repro.data.generators import skewed_database
 
         query = parse_query("S1(x,y), S2(y,z)")
         database = skewed_database(query, n=60, rng=1, heavy_fraction=0.5)
-        plan = compile_skew_aware(query, p=8)
+        plan = compile_hypercube(query, p=8)
         # The compiled steps carry no heavy values...
         assert all(
-            not any(step.heavy.values())
-            for step in plan.rounds[0].steps
+            isinstance(step, HashRoute) for step in plan.rounds[0].steps
         )
+        assert plan.rounds[0].bind_heavy is not None
         execution = execute_plan(plan, database)
         # ...but the execution detected and bound them.
         assert execution.heavy_hitters is not None

@@ -10,7 +10,6 @@ from that.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -94,7 +93,7 @@ class TestGridSpec:
         grid = GridSpec(("x", "y"), (3, 4))
         assert grid.share("x") == 3
         assert grid.share("y") == 4
-        assert grid.num_servers == 12
+        assert grid.dimensions == (3, 4)
         assert grid.weights == (4, 1)
 
     def test_mismatched_lengths_rejected(self):
@@ -293,22 +292,21 @@ class TestBlockwiseRouting:
     routing every source through one block loop."""
 
     def test_heavy_grid_route_with_heavy_values_bound(self):
-        from repro.algorithms.skewaware import (
-            compile_skew_aware,
+        from repro.algorithms.hypercube import (
+            compile_hypercube,
             detect_heavy_hitters,
         )
         from repro.data.generators import skewed_database
 
         query = parse_query("S1(x,y), S2(y,z), S3(z,x)")
         database = skewed_database(query, n=300, rng=0, heavy_fraction=0.5)
-        plan = compile_skew_aware(query, p=64)
+        plan_round = compile_hypercube(query, p=64).rounds[0]
         heavy = detect_heavy_hitters(
-            query, database, dict(plan.rounds[0].bind_heavy.shares)
+            query, database, dict(plan_round.bind_heavy.shares)
         )
         assert any(heavy.values())
         rng = random.Random(64)
-        for step in plan.rounds[0].steps:
-            step = dataclasses.replace(step, heavy=heavy)
+        for step in plan_round.bind_heavy.bind(plan_round.steps, heavy):
             relation = database[step.relation]
             whole = columnar_pairs(step, relation, 64)
             assert whole == scalar_pairs(step, relation, 64)

@@ -105,7 +105,6 @@ class TestServiceParity:
 
     ALGORITHMS = (
         ("hypercube", {}),
-        ("skewaware", {}),
         ("multiround", {}),
         ("partial", {"eps": Fraction(1, 4)}),
     )
@@ -169,7 +168,7 @@ class TestServiceParity:
         )
 
 
-class TestSkewAwareBlocks:
+class TestHeavyBindingBlocks:
     """Heavy-hitter routing goes through the block loop like any step:
     skewed C3 at every block size equals the oracle."""
 
@@ -184,11 +183,11 @@ class TestSkewAwareBlocks:
         self, triangle, database, chunk
     ):
         reference = oracle.execute_plan(
-            compile_with("skewaware", triangle, 16), database
+            compile_with("hypercube", triangle, 16), database
         )
         assert any(reference.heavy_hitters.values())
         session = connect(
-            database, p=16, algorithm="skewaware", chunk_rows=chunk
+            database, p=16, algorithm="hypercube", chunk_rows=chunk
         )
         result = session.execute(triangle)
         assert result.answers == reference.answers
@@ -201,13 +200,13 @@ class TestSkewAwareBlocks:
         # A budget half a bit under the heaviest worker's round-1 load:
         # only the heaviest workers overflow, and the first of them is
         # the one reported.
-        loose = compile_with("skewaware", triangle, 16)
+        loose = compile_with("hypercube", triangle, 16)
         loads = oracle.execute_plan(loose, database).report.rounds[0]
         capacity_c = loose.signature.capacity_c * (
             (max(loads.received_bits) - 0.5) / loads.capacity_bits
         )
         plan = compile_with(
-            "skewaware",
+            "hypercube",
             triangle,
             16,
             capacity_c=capacity_c,
@@ -222,7 +221,7 @@ class TestSkewAwareBlocks:
         session = connect(
             database,
             p=16,
-            algorithm="skewaware",
+            algorithm="hypercube",
             capacity_c=capacity_c,
             enforce_capacity=True,
             chunk_rows=chunk,

@@ -67,14 +67,13 @@ class TestQueryReachesThePinnedPath:
         }
         assert views == pinned.view_sizes != {}
 
-    @pytest.mark.parametrize("algorithm", ["hypercube", "skewaware"])
-    def test_skewed_database(self, capsys, algorithm):
+    def test_skewed_database(self, capsys):
         query = parse_query("S1(x,y), S2(y,z)")
         code = main(["query", str(query), "--skewed", "--algorithm",
-                     algorithm, "--n", "120", "--heavy-fraction", "0.5"])
+                     "hypercube", "--n", "120", "--heavy-fraction", "0.5"])
         rows = _rows(capsys.readouterr().out)
         pinned = run_pinned(
-            algorithm, query,
+            "hypercube", query,
             skewed_database(query, n=120, rng=0, heavy_fraction=0.5), 16,
         )
         assert code == 0
@@ -83,11 +82,15 @@ class TestQueryReachesThePinnedPath:
         assert rows["round-1 imbalance"] == (
             f"{pinned.report.rounds[0].load_imbalance:.2f}"
         )
-        if algorithm == "skewaware":
-            assert rows["heavy hitters"] == "{y: [1]}"
-            assert pinned.heavy_hitters["y"] == {1}
-        else:
-            assert "heavy hitters" not in rows
+        assert rows["heavy hitters"] == "{y: [1]}"
+        assert pinned.heavy_hitters["y"] == {1}
+
+    @pytest.mark.parametrize("command", ["query S1(x,y)", "serve --tcp 0"])
+    def test_skewaware_is_an_invalid_choice(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), "--algorithm", "skewaware"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'skewaware'" in capsys.readouterr().err
 
     def test_disconnected_multiround_errors(self, capsys):
         code = main(["query", "R(x,y), S(u,v)", "--algorithm", "multiround"])
@@ -403,7 +406,7 @@ class TestServe:
             capsys, tmp_path,
             [f"update S1 {heavy}", "run S1(x,y), S2(y,z)"], "--n", "150",
         )
-        assert "via skewaware" in output
+        assert "via hypercube" in output
 
     @pytest.mark.parametrize("command", ["query", "explain", "serve --tcp 0"])
     def test_p_zero_is_a_usage_error_not_a_traceback(self, capsys, command):
@@ -433,14 +436,15 @@ class TestQueryCommand:
         assert "chosen algorithm         hypercube" in output
         assert "verified vs exact join   True" in output
 
-    def test_skewed_database_routes_to_skew_aware(self, capsys):
+    def test_skewed_database_routes_to_hypercube(self, capsys):
         code = main(
             ["query", "S1(x,y), S2(y,z)", "--skewed", "--n", "150"]
         )
-        output = capsys.readouterr().out
+        rows = _rows(capsys.readouterr().out)
         assert code == 0
-        assert "skewaware" in output
-        assert "verified vs exact join   True" in output
+        assert rows["chosen algorithm"] == "hypercube"
+        assert rows["heavy hitters"] == "{y: [1]}"
+        assert rows["verified vs exact join"] == "True"
 
     def test_long_chain_routes_to_multiround(self, capsys):
         code = main(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.mpc.model import MPCConfig, degenerate_rounds
+from repro.mpc.model import MPCConfig
 
 
 class TestValidation:
@@ -53,21 +53,7 @@ class TestCapacity:
         with pytest.raises(ValueError):
             MPCConfig(p=4).capacity_bits(-1)
 
-    def test_replication_budget(self):
-        assert MPCConfig(p=16, eps=Fraction(0)).replication_budget() == 1.0
-        assert MPCConfig(
-            p=16, eps=Fraction(1, 2)
-        ).replication_budget() == pytest.approx(4.0)
-
     def test_describe_mentions_parameters(self):
         text = MPCConfig(p=8, eps=Fraction(1, 3)).describe()
         assert "p=8" in text
         assert "1/3" in text
-
-
-class TestDegenerateRounds:
-    def test_basic_model(self):
-        assert degenerate_rounds(MPCConfig(p=16, eps=Fraction(0))) == 16
-
-    def test_half_model(self):
-        assert degenerate_rounds(MPCConfig(p=16, eps=Fraction(1, 2))) == 4

@@ -302,7 +302,7 @@ class TestColumnPools:
         assert pool.worker_slice(0)[0].tolist() == [2, 4]
         assert pool.worker_slice(2)[0].tolist() == [1, 3]
         assert pool.worker_slice(1)[0].tolist() == []
-        assert pool.worker_count(3) == 0
+        assert pool.worker_slice(3)[0].tolist() == []
 
     def test_worker_slices_are_pool_views(self):
         """Worker fragments share the pool's buffer (zero-copy)."""

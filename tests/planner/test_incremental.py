@@ -26,7 +26,7 @@ from repro.data.generators import matching_database_columnar
 from repro.planner import Planner, collect_profile
 
 FAMILIES = (cycle_query(3), line_query(2), line_query(4), star_query(3))
-ALGORITHMS = (None, "hypercube", "skewaware", "multiround", "partial")
+ALGORITHMS = (None, "hypercube", "multiround", "partial")
 EPSILONS = (None, Fraction(0), Fraction(1, 2))
 RELATIONS = ("S1", "S2", "S3", "S4")
 DOMAIN = 12

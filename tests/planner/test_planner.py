@@ -1,7 +1,7 @@
 """Planner routing: which compiler wins, and bit-identical execution.
 
-The satellite acceptance bar: skewed workloads route to
-``compile_skew_aware``, matching databases to ``compile_hypercube``,
+The satellite acceptance bar: matching and skewed two-atom workloads
+route to ``compile_hypercube`` (which binds the heavy values it finds),
 long chains to ``compile_multiround`` -- each Session execution
 bit-identical to ``compile_with`` + ``execute_plan`` on the chosen
 compiler.
@@ -39,14 +39,14 @@ class TestRoutingChoices:
         )
         assert choice.algorithm == "hypercube"
 
-    def test_skewed_workload_routes_to_skew_aware(self, two_hop):
+    def test_skewed_workload_routes_to_hypercube(self, two_hop):
         database = skewed_database(
             two_hop, n=200, rng=0, heavy_fraction=0.5
         )
         profile = collect_profile(two_hop, database)
-        assert profile.has_skew
+        assert profile.heavy_multiplicity("y") > 0
         choice = Planner(16).choose(two_hop, profile)
-        assert choice.algorithm == "skewaware"
+        assert choice.algorithm == "hypercube"
 
     def test_long_chain_routes_to_multiround(self):
         chain = parse_query(LONG_CHAIN)
@@ -110,14 +110,15 @@ class TestBitIdenticalToDirectCompilers:
         )
         assert result.report.total_bits == direct.report.total_bits
 
-    def test_skewaware_route(self, two_hop):
+    def test_skewed_hypercube_route(self, two_hop):
         database = skewed_database(
             two_hop, n=200, rng=0, heavy_fraction=0.5
         )
         session = connect(database, p=16)
         result = session.query(two_hop).execute()
-        direct = run_pinned("skewaware", two_hop, database, p=16)
-        assert result.algorithm == "skewaware"
+        direct = run_pinned("hypercube", two_hop, database, p=16)
+        assert result.algorithm == "hypercube"
+        assert result.heavy_hitters["y"]
         assert result.answers == direct.answers
         assert result.per_server == direct.per_server
         assert result.heavy_hitters == direct.heavy_hitters
@@ -163,11 +164,10 @@ class TestExplain:
             assert explain.algorithm == expected
             assert explain.predicted_load > 0
             assert explain.predicted_rounds >= 1
-            if expected in ("hypercube", "skewaware"):
+            if expected == "hypercube":
                 assert explain.shares is not None
             assert {c.algorithm for c in explain.candidates} == {
                 "hypercube",
-                "skewaware",
                 "multiround",
                 "partial",
             }
@@ -204,13 +204,12 @@ class TestDataProfile:
         assert profile.total_rows == sum(
             rows for _, rows in profile.relation_rows
         )
-        assert profile.has_skew
         assert profile.heavy_multiplicity("y") > 0
 
     def test_matching_database_is_skew_free(self, two_hop):
         database = matching_database(two_hop, n=100, rng=0)
         profile = collect_profile(two_hop, database)
-        assert not profile.has_skew
+        assert not any(count for _, count in profile.heavy_values)
         assert profile.heavy_multiplicity("y") == 0
 
     def test_stride_sampling_scales_multiplicities(self, two_hop):
@@ -220,7 +219,7 @@ class TestDataProfile:
         full = collect_profile(two_hop, database)
         sampled = collect_profile(two_hop, database, sample_cap=50)
         assert sampled.sampled and not full.sampled
-        assert sampled.has_skew
+        assert sampled.heavy_multiplicity("y") > 0
         # scaled-back multiplicity lands within 2x of the full count
         ratio = sampled.heavy_multiplicity("y") / max(
             1, full.heavy_multiplicity("y")

@@ -41,7 +41,6 @@ P = 8
 # Registered algorithm -> the compile options it needs beyond p / seed.
 ALGORITHMS = {
     "hypercube": {},
-    "skewaware": {},
     "multiround": {},
     "partial": {"eps": Fraction(0)},
 }

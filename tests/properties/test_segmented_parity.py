@@ -172,12 +172,12 @@ class TestOracleParityThroughSegmented:
             )
         )
 
-    def test_skew_aware(self):
+    def test_heavy_binding(self):
         query = parse_query("q(x,y,z) = S1(x,y), S2(y,z)")
         database = skewed_database(query, n=120, rng=2, heavy_fraction=0.4)
         assert_oracle_parity(
             *run_with_oracle(
-                compile_with("skewaware", query, 16, seed=3), database
+                compile_with("hypercube", query, 16, seed=3), database
             )
         )
 
@@ -249,6 +249,6 @@ class TestColumnarGenerators:
             query, n=400, seed=0, heavy_fraction=0.5
         )
         aware = run_pinned(
-            "skewaware", query, database, p=16, seed=0
+            "hypercube", query, database, p=16, seed=0
         )
         assert any(1 in values for values in aware.heavy_hitters.values())

@@ -47,15 +47,14 @@ class TestDeadlineObject:
     def test_budget_accounting_on_a_fake_clock(self):
         clock = _FakeClock()
         deadline = Deadline(250.0, clock=clock)
-        assert deadline.remaining_ms() == 250.0
+        assert deadline.elapsed_ms() == 0.0
         assert not deadline.expired
         clock.advance(0.1)
         assert deadline.elapsed_ms() == pytest.approx(100.0)
-        assert deadline.remaining_ms() == pytest.approx(150.0)
         deadline.check("early")  # plenty left: no raise
         clock.advance(0.2)
         assert deadline.expired
-        assert deadline.remaining_ms() == 0.0  # clamped, never negative
+        assert deadline.elapsed_ms() == pytest.approx(300.0)
         with pytest.raises(DeadlineExceeded) as excinfo:
             deadline.check("late")
         assert excinfo.value.where == "late"

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.ivm.merge as merge
+from repro import oracle
 from repro.algorithms.localjoin import evaluate_query_table
 from repro.core.query import parse_query
 from repro.data.columnar import ColumnarRelation
@@ -173,12 +174,14 @@ class TestMergeParity:
         assert repeat.answers == first.answers
 
 
-class TestFallbacks:
-    """Named reasons; the full path still answers correctly."""
+class TestHeavyBinding:
+    """Every HyperCube plan carries a HeavyBind.  IVM merges while the
+    bound heavy sets are empty and falls back, by name, while some
+    value is heavy."""
 
-    def test_skew_aware_plans_fall_back(self):
-        served, control = _pair(algorithm="skewaware")
-        served.execute(TWO_HOP)
+    def test_matching_hypercube_merges(self):
+        served, control = _pair()
+        assert served.execute(TWO_HOP).plan.rounds[0].bind_heavy
         control.execute(TWO_HOP)
         _apply_both(
             served,
@@ -186,9 +189,55 @@ class TestFallbacks:
             inserts={"S1": _fresh_rows(served, "S1", 1)},
         )
         mine = served.execute(TWO_HOP)
-        assert mine.ivm == "heavy-binding"
-        assert served.stats.ivm_fallbacks == 1
+        assert mine.ivm == "merged"
+        assert served.stats.ivm_fallbacks == 0
         _assert_parity(mine, control.execute(TWO_HOP))
+
+    def test_merged_read_reports_the_bound_sets(self):
+        served, control = _pair()
+        served.execute(TWO_HOP)
+        _apply_both(
+            served,
+            control,
+            inserts={"S1": _fresh_rows(served, "S1", 1)},
+        )
+        merged = served.execute(TWO_HOP)
+        full = control.execute(TWO_HOP)
+        assert merged.ivm == "merged" and full.ivm is None
+        assert merged.version == full.version
+        assert merged.heavy_hitters == full.heavy_hitters
+        assert set(merged.heavy_hitters) == {"x", "y", "z"}
+        assert not any(merged.heavy_hitters.values())
+
+    def test_a_heavy_value_falls_back_until_it_is_gone(self):
+        served, control = _pair()
+        served.execute(TWO_HOP)
+        control.execute(TWO_HOP)
+        present = set(served.database["S1"].rows())
+        burst = [(x, 7) for x in range(1, 41) if (x, 7) not in present]
+        burst = burst[:10]
+        _apply_both(served, control, inserts={"S1": burst})
+        mine = served.execute(TWO_HOP)
+        assert mine.ivm == "heavy-values"
+        assert mine.heavy_hitters["y"] == {7}
+        _assert_parity(mine, control.execute(TWO_HOP))
+        reference = oracle.execute_plan(
+            mine.plan, served.database.snapshot
+        )
+        assert mine.answers == reference.answers
+        assert mine.per_server == reference.per_server
+        assert mine.heavy_hitters == reference.heavy_hitters
+        assert served.ivm.fallback_reasons["heavy-values"] == 1
+
+        _apply_both(served, control, deletes={"S1": burst})
+        mine = served.execute(TWO_HOP)
+        assert mine.ivm == "merged"
+        assert not any(mine.heavy_hitters.values())
+        _assert_parity(mine, control.execute(TWO_HOP))
+
+
+class TestFallbacks:
+    """Named reasons; the full path still answers correctly."""
 
     def test_delta_fraction_gate(self):
         with ivm_policy(max_delta_fraction=0.0):
@@ -306,14 +355,20 @@ class TestFallbacks:
             _assert_parity(mine, control.execute(TRIANGLE))
 
 
+#: y values that share one hash bucket at p_y = 4 (seed 0).
+HOT = (1, 2, 3, 4, 8)
+
+
 def _skewed_database(extra=()):
-    # All the join traffic concentrates on y=1's worker; the ballast
-    # rows (y in 2..4, joining nothing) land elsewhere, so capacity
-    # (a function of *total* input) sits above the hot worker's load
-    # until a skewed insert pushes it over.
+    # All the join traffic concentrates on one worker: the hot y
+    # values share its hash bucket, and none occurs more than
+    # |S| / p_y times, so HyperCube binds no heavy value and IVM
+    # merges.  The ballast rows (y in 5..7, joining nothing) land
+    # elsewhere, so capacity (a function of *total* input) sits above
+    # the hot worker's load until a skewed insert pushes it over.
     ballast = [(5 + j % 3, 30 + j) for j in range(16)]
-    rows_s1 = [(i, 1) for i in range(1, 17)] + list(extra)
-    rows_s2 = [(1, i) for i in range(1, 17)] + ballast
+    rows_s1 = [(i, HOT[i % 4]) for i in range(1, 17)] + list(extra)
+    rows_s2 = [(HOT[i % 4], i) for i in range(1, 17)] + ballast
     return VersionedDatabase(
         {
             "S1": ColumnarRelation.from_rows(
@@ -340,7 +395,7 @@ class TestCapacityParity:
         control = connect(_skewed_database(), ivm=False, **common)
         return served, control
 
-    SKEW = tuple((20 + i, 1) for i in range(4))
+    SKEW = tuple((20 + i, HOT[4]) for i in range(4))
 
     def _calibrate(self):
         """A capacity constant the base data fits under but the skew
@@ -559,6 +614,12 @@ def test_cold_execution_joins_and_unions_once(algorithm, query, monkeypatch):
     assert 0 < len(merge_joins) == terms
 
 
+def _retained_version(session):
+    """The version the one retained state is current at."""
+    (state,) = session.ivm.store._states.values()
+    return state.version
+
+
 def _answer_site(session):
     """The retained site whose merged table holds the answers."""
     (state,) = session.ivm.store._states.values()
@@ -610,7 +671,10 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
     is bit-identical to full re-execution: deletes that remove answers,
     re-inserts of deleted rows, deleting the row just inserted, and
     deletes that drain the smallest worker answer table (``drain``
-    deletes the first query atom's row under one of its answers)."""
+    deletes the first query atom's row under one of its answers).  At
+    n=16 two rows make a value heavy for HyperCube: while one is, the
+    read falls back under ``heavy-values`` (and a drain deletes as
+    ``delete`` does, the retained state lagging the database)."""
     query = parse_query(text)
     names = [atom.name for atom in query.atoms]
     with ivm_policy(max_delta_fraction=1.0):
@@ -621,7 +685,7 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
     for kind, which, pick in writes:
         name = names[which % len(names)]
         drained = None
-        if kind == "drain":
+        if kind == "drain" and _retained_version(served) == served.version:
             site = _answer_site(served)
             size, worker = min(
                 (count, worker)
@@ -635,7 +699,7 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
                 int(answer[site.query.head.index(v)]) for v in atom.variables
             )
             op = "deletes"
-        elif kind == "delete":
+        elif kind in ("delete", "drain"):
             rows = sorted(served.database[name].rows())
             row, op = rows[pick % len(rows)], "deletes"
         elif kind == "undo" and last_insert is not None:
@@ -658,10 +722,13 @@ def test_interleaved_writes_merge_like_full_execution(algorithm, text, writes):
         _apply_both(served, control, **{op: {name: [row]}})
         hits = served.stats.ivm_hits
         mine = served.execute(text)
-        assert mine.ivm == "merged"
-        assert served.stats.ivm_hits == hits + 1
-        _assert_parity(mine, control.execute(text))
-        if drained is not None:
+        full = control.execute(text)
+        heavy = any((full.heavy_hitters or {}).values())
+        assert mine.ivm == ("heavy-values" if heavy else "merged")
+        assert served.stats.ivm_hits == hits + (not heavy)
+        _assert_parity(mine, full)
+        assert mine.heavy_hitters == full.heavy_hitters
+        if drained is not None and not heavy:
             worker, size = drained
             assert _answer_site(served).counts[worker] < size
 

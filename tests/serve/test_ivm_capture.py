@@ -166,6 +166,10 @@ def test_captured_state_equals_the_rejoin_oracle(query, algorithm):
     ):
         session = connect(database, p=P, algorithm=algorithm)
         result = session.execute(query)
+        if any((result.heavy_hitters or {}).values()):
+            # Routing read data statistics: capture keeps nothing.
+            assert not session.ivm.store._states
+            continue
         state = _only_state(session)
         assert_same_state(state, rejoined(state))
         if state.collect is not None:
@@ -213,9 +217,11 @@ deltas = st.lists(
 def test_capture_plus_merges_equals_a_fresh_capture(
     query, algorithm, rows, deltas, read_between
 ):
-    """Skew-free small databases, 1-4 interleaved insert/delete deltas
-    (read after each, or composed into one merge): the maintained
-    state equals what capturing the final database from scratch gives."""
+    """Small databases, 1-4 interleaved insert/delete deltas (read
+    after each, or composed into one merge): the maintained state
+    equals what capturing the final database from scratch gives.  A
+    final read that binds a heavy value re-executes and captures
+    nothing, so then the retained state must lag the database."""
     names = [atom.name for atom in query.atoms]
 
     def build(contents):
@@ -249,6 +255,12 @@ def test_capture_plus_merges_equals_a_fresh_capture(
         algorithm=algorithm,
     )
     assert final.answers == fresh.execute(query).answers
+    if any((final.heavy_hitters or {}).values()):
+        assert all(
+            state.version < served.version
+            for state in served.ivm.store._states.values()
+        )
+        return
     # A mailbox key nothing was delivered into (an empty relation or
     # view) has no pool, and capture declines; a merge can still
     # empty one that was captured non-empty.

@@ -114,7 +114,7 @@ class TestProtocol:
                 explain = response["explain"]
                 assert explain["algorithm"] == "hypercube"
                 assert explain["shares"]["y"] == 8
-                assert len(explain["candidates"]) == 4
+                assert len(explain["candidates"]) == 3
                 assert response["plan"]["num_rounds"] == 1
                 # explain never executes
                 stats = await client.call({"op": "stats"})

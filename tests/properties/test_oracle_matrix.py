@@ -7,7 +7,9 @@ on matching and on skewed databases, run monolithic and streamed in
 blocks, compiled directly and served by a session.  Every cell asserts
 that everything observable equals the row-at-a-time reference
 (:mod:`repro.oracle`) and, wherever the algorithm is exact, that the
-reference answers the full join.
+reference answers the full join.  HyperCube is also run against its own
+light plan (the heavy binding stripped): identical on matching data,
+rerouted but equal in answers on skewed data.
 """
 
 from __future__ import annotations
@@ -30,9 +32,11 @@ from repro.core.families import (
     star_query,
 )
 from repro.data.generators import matching_database, skewed_database
+from repro.engine import execute_plan
 from tests.conftest import (
     assert_oracle_parity,
     exact_answers,
+    light_plan,
     run_with_oracle,
 )
 
@@ -91,6 +95,35 @@ def test_registered_algorithm(algorithm, query, data, mode):
         get_algorithm(algorithm).exact,
         chunk_rows=MODES[mode],
     )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("data", DATABASES)
+@pytest.mark.parametrize("query", FAMILIES, ids=lambda q: q.name)
+def test_hypercube_against_its_light_plan(query, data, mode):
+    # HyperCube binds heavy hitters per execution.  With every detected
+    # set empty (matching data) the bound round is the compiled one, so
+    # everything observable equals the plan stripped of its binding;
+    # with a heavy value bound the routing differs but the answers do
+    # not.
+    database = DATABASES[data](query)
+    plan = compile_with("hypercube", query, P, seed=2)
+    bound = execute_plan(plan, database, chunk_rows=MODES[mode])
+    light = execute_plan(light_plan(plan), database, chunk_rows=MODES[mode])
+    assert bound.answers == light.answers == exact_answers(query, database)
+    if data == "matching":
+        assert not any(bound.heavy_hitters.values())
+        assert light.heavy_hitters is None
+        assert bound.per_server == light.per_server
+        assert bound.per_server_views == light.per_server_views
+        assert [
+            (r.received_bits, r.received_tuples) for r in bound.report.rounds
+        ] == [
+            (r.received_bits, r.received_tuples) for r in light.report.rounds
+        ]
+    else:
+        assert any(bound.heavy_hitters.values())
+        assert bound.per_server != light.per_server
 
 
 @pytest.mark.parametrize("mode", MODES)
